@@ -219,8 +219,7 @@ func BenchmarkSWGGCellKernel(b *testing.B) {
 	s := dp.NewSWGG(a, dp.RandomDNA(512, 2))
 	out := matrix.NewBlock[int32](dag.Rect{Row0: 256, Col0: 256, Rows: 1, Cols: 1})
 	full := matrix.NewBlock[int32](dag.Rect{Rows: 512, Cols: 512})
-	v := matrix.NewView(out, []*matrix.Block[int32]{full},
-		func(i, j int) bool { return i >= 0 && j >= 0 }, s.Boundary)
+	v := matrix.NewView(out, []*matrix.Block[int32]{full}, s.Pattern(), s.Size(), s.Boundary)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Set(256, 256, s.Cell(v, 256, 256))

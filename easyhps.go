@@ -152,7 +152,22 @@ type (
 	Problem32 = core.Problem[int32]
 	// Result32 is the outcome of running a Problem32.
 	Result32 = core.Result[int32]
-	// View32 is the cell-access window passed to Kernel32.Cell.
+	// View32 is the cell-access window passed to Kernel32.Cell. Get(i, j)
+	// reads one cell; a recurrence that scans a row or a column asks for
+	// runs — consecutive cells as a slice of the block holding them — and
+	// loops over raw memory, one block lookup per run:
+	//
+	//	for c := 0; c < j; { // cells (i, 0) .. (i, j-1)
+	//		run := v.Row(i, c, j-c)
+	//		for t, h := range run { // run[t] is cell (i, c+t)
+	//			...
+	//		}
+	//		c += len(run)
+	//	}
+	//
+	// Col(i, j, n) is the same downwards, with the block's row stride. A
+	// kernel reads only the cells it asked for and never writes through
+	// a run: the slice aliases a block sibling threads are still filling.
 	View32 = matrix.View[int32]
 )
 

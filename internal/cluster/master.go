@@ -212,8 +212,14 @@ func (m *Master[T]) blockKey(v int32) cas.Key {
 // commit is the single write path for a completed block: store insert,
 // content-key recording, cross-job cache write-through, and checkpoint
 // append all happen here, so recovery log and cache can never diverge.
+// The block was decoded from a worker's result, a checkpoint record or a
+// cache entry: one that covers another region than v's fails the run here.
 func (m *Master[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
-	m.store.Put(m.geom.PosOf(v), b)
+	pos := m.geom.PosOf(v)
+	if err := matrix.CheckRect(m.geom, pos, b.Rect); err != nil {
+		return fmt.Errorf("cluster: block committed for vertex %d: %w", v, err)
+	}
+	m.store.Put(pos, b)
 	if m.cache != nil {
 		m.resultKey[v] = cas.PayloadKey(payload)
 		m.cache.PutBlock(m.blockKey(v), payload)

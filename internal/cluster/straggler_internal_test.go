@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -210,6 +212,70 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 			checkMatrix(t, app+" (restored)", m2.store.Assemble(), want)
 		})
 	}
+}
+
+// TestCommitRejectsWrongRect: a block that covers another vertex's region
+// under an in-range, computable vertex id used to panic the master inside
+// Store.Put. From a checkpoint record, restore must refuse the log; from a
+// worker's result, the run must end with an error.
+func TestCommitRejectsWrongRect(t *testing.T) {
+	prob, _ := reference(t, "editdist", 48)
+	proc := dag.Square(8)
+	forged, err := matrix.EncodeBlocks(prob.Codec,
+		[]*matrix.Block[int32]{matrix.NewBlock[int32](dag.Rect{Row0: 0, Col0: 8, Rows: 8, Cols: 8})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "does not match geometry rect") {
+			t.Fatalf("%s: err = %v, want the rect mismatch", what, err)
+		}
+	}
+
+	path := t.TempDir() + "/run.ckpt"
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.NewWriter(file).Append(0, forged); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaster(prob, Options{Addr: "127.0.0.1:0", MinWorkers: 1, Spec: Spec{Proc: proc}, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.teardown()
+	wantErr("restore", m.restore())
+
+	m2, err := NewMaster(prob, Options{Addr: "127.0.0.1:0", MinWorkers: 1, Spec: Spec{Proc: proc}, TaskTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.teardown()
+	if err := m2.restore(); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := m2.disp.Next(1)
+	if !ok {
+		t.Fatal("no computable vertex")
+	}
+	attempt, ok, _ := m2.register(1, v)
+	if !ok {
+		t.Fatalf("vertex %d did not register", v)
+	}
+	m2.leases.grant(v, 1, attempt)
+	m2.applyResult(1, v, attempt, forged)
+	if !m2.finished() {
+		t.Fatal("a wrong-rect result did not end the run")
+	}
+	m2.errMu.Lock()
+	err = m2.err
+	m2.errMu.Unlock()
+	wantErr("result", err)
 }
 
 // TestClusterOvertimeFakeClock drives the control loop's overtime path on

@@ -536,9 +536,15 @@ func (m *master[T]) blockKey(v int32) cas.Key {
 // commit is the single write path for a completed block: store insert,
 // content-key recording, cross-job cache write-through, and checkpoint
 // append all happen here, so recovery log and cache can never diverge.
-// Only called from the recv loop and the restore replay.
+// Only called from the recv loop and the restore replay. The block was
+// decoded from a slave's result, a checkpoint record or a cache entry: one
+// that covers another region than v's fails the run here.
 func (m *master[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
-	m.store.Put(m.geom.PosOf(v), b)
+	pos := m.geom.PosOf(v)
+	if err := matrix.CheckRect(m.geom, pos, b.Rect); err != nil {
+		return fmt.Errorf("core: block committed for vertex %d: %w", v, err)
+	}
+	m.store.Put(pos, b)
 	if m.cache != nil {
 		m.resultKey[v] = cas.PayloadKey(payload)
 		m.cache.PutBlock(m.blockKey(v), payload)

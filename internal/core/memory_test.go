@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -204,6 +206,34 @@ func TestRestoreRejectsForeignCheckpoint(t *testing.T) {
 	}
 	if _, err := core.Run(e2.Problem(), cfg2); err == nil {
 		t.Fatal("foreign checkpoint accepted")
+	}
+}
+
+// The deterministic form of the foreign-checkpoint case: a record whose
+// vertex id is in range and computable but whose block covers another
+// vertex's region. It used to panic the master inside Store.Put; restore
+// must refuse the log.
+func TestRestoreRejectsWrongRectRecord(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(30, 91), dp.RandomDNA(30, 92))
+	forged, err := matrix.EncodeBlocks(e.Problem().Codec,
+		[]*matrix.Block[int32]{matrix.NewBlock[int32](dag.Rect{Row0: 0, Col0: 10, Rows: 10, Cols: 10})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck bytes.Buffer
+	if err := checkpoint.NewWriter(&ck).Append(0, forged); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{
+		Slaves: 2, Threads: 2,
+		ProcPartition:   dag.Square(10),
+		ThreadPartition: dag.Square(5),
+		Restore:         &ck,
+		RunTimeout:      time.Minute,
+	}
+	_, err = core.Run(e.Problem(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "does not match geometry rect") {
+		t.Fatalf("restore of a wrong-rect record: err = %v, want the rect mismatch", err)
 	}
 }
 

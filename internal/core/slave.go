@@ -180,14 +180,16 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 	}
 	disp.Ready(parser.InitialReady()...)
 
-	n := p.Size
-	exists := func(i, j int) bool {
-		return i >= 0 && j >= 0 && i < n.Rows && j < n.Cols && pat.CellExists(i, j)
-	}
 	// Reads of region cells outside the current sub-block resolve against
 	// the shared output block (its cells are complete by DAG order);
 	// reads outside the region resolve against the shipped input blocks.
 	readLayers := append([]*matrix.Block[T]{out}, inputs...)
+	kern := p.Kernel
+	boundary := kern.Boundary
+	// Work units are counted, and the cost model consulted, only when
+	// computation weight is emulated; see Config.WorkDelayPerCell.
+	emulate := cfg.WorkDelayPerCell > 0
+	cost, _ := any(kern).(CostModel)
 
 	ot := sched.NewOvertimeQueue()
 	done := make(chan struct{})
@@ -209,11 +211,7 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 			return
 		}
 		accepted[sub] = true
-		for i := scratch.Rect.Row0; i < scratch.Rect.Row0+scratch.Rect.Rows; i++ {
-			for j := scratch.Rect.Col0; j < scratch.Rect.Col0+scratch.Rect.Cols; j++ {
-				out.Set(i, j, scratch.At(i, j))
-			}
-		}
+		out.CopyFrom(scratch)
 		left--
 		finished := left == 0
 		acceptMu.Unlock()
@@ -235,12 +233,13 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 		}
 	}
 
-	// execute runs one sub-sub-task in a scratch block, recovering from
-	// kernel panics (worker restart semantics). A sub-sub-task that
-	// panics more than MaxAttempts times indicates a deterministic
-	// kernel bug, not a transient fault: the panic is re-raised so the
-	// defect surfaces instead of looping through recovery forever.
-	execute := func(w int, sub int32) {
+	// execute runs one sub-sub-task in the scratch block of the calling
+	// compute goroutine's view, recovering from kernel panics (worker
+	// restart semantics). A sub-sub-task that panics more than
+	// MaxAttempts times indicates a deterministic kernel bug, not a
+	// transient fault: the panic is re-raised so the defect surfaces
+	// instead of looping through recovery forever.
+	execute := func(view *matrix.View[T], sub int32) {
 		defer func() {
 			if r := recover(); r != nil {
 				acceptMu.Lock()
@@ -255,8 +254,8 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 			}
 		}()
 		subRect := tgeom.Rect(graph.Vertex(sub).Pos)
-		scratch := matrix.NewBlock[T](subRect)
-		view := matrix.NewView(scratch, readLayers, exists, p.Kernel.Boundary)
+		view.Retarget(subRect)
+		scratch := view.Out()
 		ot.Add(sub, attemptCtr.Add(1), time.Now().Add(cfg.SubTaskTimeout))
 
 		id := SubTaskID{Proc: procID, Sub: sub}
@@ -267,18 +266,19 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 			time.Sleep(d)
 		}
 
-		kern := p.Kernel
-		cost, _ := any(kern).(CostModel)
 		units := 0.0
 		pat.CellOrder(subRect, func(i, j int) {
 			scratch.Set(i, j, kern.Cell(view, i, j))
+			if !emulate {
+				return
+			}
 			if cost != nil {
 				units += cost.CellCost(i, j)
 			} else {
 				units++
 			}
 		})
-		if cfg.WorkDelayPerCell > 0 {
+		if emulate {
 			// Emulated computation weight; see Config.WorkDelayPerCell,
 			// Config.WorkJitter and the CostModel interface.
 			units *= jitterFactor(procID, sub, cfg.WorkJitter)
@@ -290,12 +290,17 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 
 	for w := 0; w < cfg.Threads; w++ {
 		go func(w int) {
+			// One scratch block (the size of the largest sub-block) and
+			// one view per compute goroutine, re-aimed at each sub-task:
+			// accept has copied the scratch cells out, or dropped them,
+			// by the time the goroutine draws its next one.
+			view := matrix.NewView(matrix.NewBlock[T](tgeom.Rect(dag.Pos{})), readLayers, pat, p.Size, boundary)
 			for {
 				sub, ok := disp.Next(w)
 				if !ok {
 					return
 				}
-				execute(w, sub)
+				execute(view, sub)
 			}
 		}(w)
 	}

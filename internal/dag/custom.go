@@ -40,6 +40,15 @@ func (c Custom) Class() Class {
 	return c.PatternClass
 }
 
+// Shape: without a CellExistsFunc every cell is computed; with one nothing
+// is known about where the holes are.
+func (c Custom) Shape() Shape {
+	if c.CellExistsFunc == nil {
+		return Dense
+	}
+	return Sparse
+}
+
 func (c Custom) CellExists(i, j int) bool {
 	if c.CellExistsFunc == nil {
 		return true

@@ -54,6 +54,38 @@ type Pattern interface {
 	CellOrder(r Rect, visit func(i, j int))
 }
 
+// Shape is what a pattern promises about which cells inside the matrix it
+// computes. The read path uses it to decide how often CellExists must be
+// consulted: a cell CellExists rejects answers the kernel's Boundary even
+// when a shipped block covers it (the lower triangle of a Triangular
+// diagonal block holds zeros, not boundary values).
+type Shape uint8
+
+const (
+	// Sparse promises nothing: any cell may be a hole, so every read and
+	// every cell of a run is tested. It is the zero value, and what a
+	// pattern that declares no shape gets.
+	Sparse Shape = iota
+	// Convex patterns have holes, but the computed cells of every row and
+	// of every column are contiguous: a run whose two end cells exist has
+	// no hole in between.
+	Convex
+	// Dense patterns compute every cell of the matrix: existence is the
+	// bounds test.
+	Dense
+)
+
+// ShapeOf returns the shape p declares with an optional Shape() method.
+// The library patterns declare theirs by construction and Custom by
+// whether it has a CellExistsFunc; any other pattern is Sparse until it
+// says otherwise.
+func ShapeOf(p Pattern) Shape {
+	if s, ok := p.(interface{ Shape() Shape }); ok {
+		return s.Shape()
+	}
+	return Sparse
+}
+
 // library is the DAG Pattern Model library: built-in patterns plus
 // user-registered ones.
 var library = struct {

@@ -31,6 +31,7 @@ type Wavefront struct{}
 func (Wavefront) Name() string                       { return NameWavefront }
 func (Wavefront) Class() Class                       { return Class2D0D }
 func (Wavefront) CellExists(i, j int) bool           { return true }
+func (Wavefront) Shape() Shape                       { return Dense }
 func (Wavefront) BlockExists(g Geometry, p Pos) bool { return g.InGrid(p) }
 
 func (w Wavefront) Precursors(g Geometry, p Pos, buf []Pos) []Pos {
@@ -58,6 +59,7 @@ type RowColumn struct{}
 func (RowColumn) Name() string                       { return NameRowColumn }
 func (RowColumn) Class() Class                       { return Class2D1D }
 func (RowColumn) CellExists(i, j int) bool           { return true }
+func (RowColumn) Shape() Shape                       { return Dense }
 func (RowColumn) BlockExists(g Geometry, p Pos) bool { return g.InGrid(p) }
 
 func (rc RowColumn) Precursors(g Geometry, p Pos, buf []Pos) []Pos {
@@ -90,6 +92,7 @@ type Triangular struct{}
 func (Triangular) Name() string             { return NameTriangular }
 func (Triangular) Class() Class             { return Class2D1D }
 func (Triangular) CellExists(i, j int) bool { return i <= j }
+func (Triangular) Shape() Shape             { return Convex }
 
 // BlockExists: the block's region intersects {i <= j} iff its smallest row
 // index is <= its largest column index.
@@ -142,6 +145,7 @@ type Dominance struct{}
 func (Dominance) Name() string                       { return NameDominance }
 func (Dominance) Class() Class                       { return Class2D2D }
 func (Dominance) CellExists(i, j int) bool           { return true }
+func (Dominance) Shape() Shape                       { return Dense }
 func (Dominance) BlockExists(g Geometry, p Pos) bool { return g.InGrid(p) }
 
 func (d Dominance) Precursors(g Geometry, p Pos, buf []Pos) []Pos {
@@ -177,6 +181,7 @@ type RowOnly struct{}
 func (RowOnly) Name() string                       { return NameRowOnly }
 func (RowOnly) Class() Class                       { return Class2D1D }
 func (RowOnly) CellExists(i, j int) bool           { return true }
+func (RowOnly) Shape() Shape                       { return Dense }
 func (RowOnly) BlockExists(g Geometry, p Pos) bool { return g.InGrid(p) }
 
 func (ro RowOnly) Precursors(g Geometry, p Pos, buf []Pos) []Pos {
@@ -221,6 +226,7 @@ type Chain struct{}
 func (Chain) Name() string             { return NameChain }
 func (Chain) Class() Class             { return Class1D0D }
 func (Chain) CellExists(i, j int) bool { return i == 0 }
+func (Chain) Shape() Shape             { return Convex }
 func (c Chain) BlockExists(g Geometry, p Pos) bool {
 	return g.InGrid(p) && g.Rect(p).Row0 == 0
 }

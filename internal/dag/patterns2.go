@@ -32,6 +32,7 @@ type PrevRow struct{}
 func (PrevRow) Name() string                       { return NamePrevRow }
 func (PrevRow) Class() Class                       { return Class2D1D }
 func (PrevRow) CellExists(i, j int) bool           { return true }
+func (PrevRow) Shape() Shape                       { return Dense }
 func (PrevRow) BlockExists(g Geometry, p Pos) bool { return g.InGrid(p) }
 
 func (pr PrevRow) checkGeometry(g Geometry) {
@@ -67,6 +68,7 @@ type Banded struct {
 
 func (b Banded) Name() string { return NameBanded }
 func (Banded) Class() Class   { return Class2D0D }
+func (Banded) Shape() Shape   { return Convex }
 
 func (b Banded) CellExists(i, j int) bool {
 	d := i - j

@@ -374,3 +374,63 @@ func TestBandedBlockExistence(t *testing.T) {
 		t.Error("near-diagonal blocks should exist")
 	}
 }
+
+// The shape a pattern declares is what the read path trusts instead of
+// asking CellExists: Dense must mean no hole anywhere in the matrix, Convex
+// that the computed cells of every row and column are contiguous, and
+// everything that declares nothing is Sparse.
+func TestDeclaredShapesHold(t *testing.T) {
+	holes := func(i, j int) bool { return (i+2*j)%3 != 0 }
+	want := map[Pattern]Shape{
+		Wavefront{}: Dense, RowColumn{}: Dense, Dominance{}: Dense, RowOnly{}: Dense, PrevRow{}: Dense,
+		Triangular{}: Convex, Chain{}: Convex, Banded{Width: 0}: Convex, Banded{Width: 4}: Convex,
+	}
+	for pat, shape := range want {
+		if got := ShapeOf(pat); got != shape {
+			t.Errorf("%s declares shape %d, want %d", pat.Name(), got, shape)
+		}
+	}
+	if got := ShapeOf(Custom{PatternName: "all"}); got != Dense {
+		t.Errorf("Custom without CellExistsFunc declares shape %d, want Dense", got)
+	}
+	if got := ShapeOf(Custom{PatternName: "some", CellExistsFunc: holes}); got != Sparse {
+		t.Errorf("Custom with CellExistsFunc declares shape %d, want Sparse", got)
+	}
+	if got := ShapeOf(undeclared{Wavefront{}}); got != Sparse {
+		t.Errorf("a pattern without a Shape method has shape %d, want Sparse", got)
+	}
+
+	const n = 19
+	// segments counts the maximal runs of computed cells along one line.
+	segments := func(exists func(k int) bool) int {
+		segs, prev := 0, false
+		for k := 0; k < n; k++ {
+			cur := exists(k)
+			if cur && !prev {
+				segs++
+			}
+			prev = cur
+		}
+		return segs
+	}
+	for pat, shape := range want {
+		for a := 0; a < n; a++ {
+			row := segments(func(k int) bool { return pat.CellExists(a, k) })
+			col := segments(func(k int) bool { return pat.CellExists(k, a) })
+			if row > 1 || col > 1 {
+				t.Errorf("%s: row or column %d has computed cells in %d and %d pieces", pat.Name(), a, row, col)
+			}
+			if shape == Dense {
+				for b := 0; b < n; b++ {
+					if !pat.CellExists(a, b) {
+						t.Errorf("%s is declared Dense but does not compute (%d,%d)", pat.Name(), a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// undeclared is a user pattern written before shapes existed: it has the
+// Pattern methods and no other.
+type undeclared struct{ Pattern }

@@ -49,12 +49,16 @@ func (m *MatrixChain) Cell(v *matrix.View[int64], i, j int) int64 {
 		return 0
 	}
 	best := int64(1) << 62
-	for k := i; k < j; k++ {
-		c := v.Get(i, k) + v.Get(k+1, j) + m.Dims[i]*m.Dims[k+1]*m.Dims[j+1]
-		if c < best {
-			best = c
+	outer := m.Dims[i] * m.Dims[j+1]
+	splitRuns(v, i, j, i, j, 1, func(k int, row, col []int64, stride int) {
+		b := best
+		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
+			if c := row[t] + col[x] + outer*m.Dims[k+t+1]; c < b {
+				b = c
+			}
 		}
-	}
+		best = b
+	})
 	return best
 }
 

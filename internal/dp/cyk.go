@@ -106,21 +106,22 @@ func (c *CYK) Cell(v *matrix.View[uint64], i, j int) uint64 {
 		return c.Grammar.Terminals[c.Input[i]]
 	}
 	var set uint64
-	for k := i; k < j; k++ {
-		left := v.Get(i, k)
-		if left == 0 {
-			continue
-		}
-		right := v.Get(k+1, j)
-		if right == 0 {
-			continue
-		}
-		for _, r := range c.Grammar.Rules {
-			if left&(1<<r.B) != 0 && right&(1<<r.C) != 0 {
-				set |= 1 << r.A
+	rules := c.Grammar.Rules
+	splitRuns(v, i, j, i, j, 1, func(_ int, row, col []uint64, stride int) {
+		s := set
+		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
+			left, right := row[t], col[x]
+			if left == 0 || right == 0 {
+				continue
+			}
+			for _, r := range rules {
+				if left&(1<<r.B) != 0 && right&(1<<r.C) != 0 {
+					s |= 1 << r.A
+				}
 			}
 		}
-	}
+		set = s
+	})
 	return set
 }
 

@@ -92,11 +92,15 @@ func (nu *Nussinov) Cell(v *matrix.View[int32], i, j int) int32 {
 			best = c
 		}
 	}
-	for k := i + 1; k < j; k++ {
-		if c := v.Get(i, k) + v.Get(k+1, j); c > best {
-			best = c
+	splitRuns(v, i, j, i+1, j, 1, func(_ int, row, col []int32, stride int) {
+		b := best
+		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
+			if c := row[t] + col[x]; c > b {
+				b = c
+			}
 		}
-	}
+		best = b
+	})
 	return best
 }
 

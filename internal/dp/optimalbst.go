@@ -63,12 +63,18 @@ func (b *OptimalBST) Cell(v *matrix.View[int64], i, j int) int64 {
 		return b.P[i]
 	}
 	best := int64(1) << 62
-	for r := i; r <= j; r++ {
-		c := v.Get(i, r-1) + v.Get(r+1, j)
-		if c < best {
-			best = c
+	// Root r pairs E[i,r-1] with E[r+1,j]: split point k = r-1, column
+	// walk two rows ahead. The empty ranges at both ends are holes of the
+	// pattern and read as Boundary.
+	splitRuns(v, i, j, i-1, j, 2, func(_ int, row, col []int64, stride int) {
+		m := best
+		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
+			if c := row[t] + col[x]; c < m {
+				m = c
+			}
 		}
-	}
+		best = m
+	})
 	return best + b.weight(i, j)
 }
 

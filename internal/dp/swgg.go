@@ -66,16 +66,29 @@ func (s *SWGG) Cell(v *matrix.View[int32], i, j int) int32 {
 	if d := v.Get(i-1, j-1) + s.score(i, j); d > best {
 		best = d
 	}
-	for k := 1; k <= j; k++ {
-		if c := v.Get(i, j-k) - s.gap(k); c > best {
-			best = c
+	// Cell (i, c) of the row to the left closes a gap of j-c columns, cell
+	// (r, j) of the column above one of i-r rows; along a run the gap
+	// shrinks by one per cell. The maximum does not depend on the order.
+	rowRuns(v, i, 0, j, func(c int, cells []int32) {
+		b, w := best, s.gap(j-c)
+		for _, h := range cells {
+			if x := h - w; x > b {
+				b = x
+			}
+			w -= s.GapExt
 		}
-	}
-	for k := 1; k <= i; k++ {
-		if c := v.Get(i-k, j) - s.gap(k); c > best {
-			best = c
+		best = b
+	})
+	colRuns(v, j, 0, i, func(r int, cells []int32, stride int) {
+		b, w := best, s.gap(i-r)
+		for x := 0; x < len(cells); x += stride {
+			if c := cells[x] - w; c > b {
+				b = c
+			}
+			w -= s.GapExt
 		}
-	}
+		best = b
+	})
 	return best
 }
 

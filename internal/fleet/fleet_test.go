@@ -6,16 +6,19 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/matrix"
 	"repro/internal/sched"
 )
 
@@ -264,6 +267,15 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 // swallows — answering nothing while claiming idleness, so the fleet
 // keeps scheduling around the black hole. Returns on KindEnd.
 func runSwallowDriver(addr, swallow string) error {
+	return runDriver(addr, swallow, func(comm.Message) comm.Message {
+		return comm.Message{Kind: comm.KindIdle}
+	})
+}
+
+// runDriver joins the fleet as a protocol-driver worker that computes
+// every job honestly except the named one, whose tasks it answers with
+// misbehave's frame. Returns on KindEnd.
+func runDriver(addr, bad string, misbehave func(task comm.Message) comm.Message) error {
 	cn, _, err := comm.DialHello(addr, comm.Hello{Fleet: true, Name: "driver"}, 5*time.Second)
 	if err != nil {
 		return err
@@ -285,7 +297,7 @@ func runSwallowDriver(addr, swallow string) error {
 			if err := json.Unmarshal(msg.Payload, &meta); err != nil {
 				return err
 			}
-			if meta.Name == swallow {
+			if meta.Name == bad {
 				swallowed[meta.Job] = true
 				continue
 			}
@@ -300,7 +312,7 @@ func runSwallowDriver(addr, swallow string) error {
 			runners[meta.Job] = r
 		case comm.KindTask:
 			if swallowed[msg.Job] {
-				if err := cn.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
+				if err := cn.Send(misbehave(msg)); err != nil {
 					return err
 				}
 				continue
@@ -407,6 +419,69 @@ func TestFleetPoisonedJobIsolationFakeClock(t *testing.T) {
 	if snap.States["failed"] != 1 || snap.States["done"] != 1 {
 		t.Fatalf("job states = %v, want one failed and one done", snap.States)
 	}
+	f.Close()
+	<-driverDone // either nil (KindEnd) or the close race's conn error
+}
+
+// TestFleetWrongRectBlockFailsOnlyItsJob: a block that covers another
+// vertex's region under an in-range vertex id used to panic the fleet
+// master inside Store.Put and take every job down with it. From a
+// worker's result it must fail that job alone, while a healthy job sharing
+// the worker completes bit-identically; from a checkpoint record, restore
+// must refuse the log before the job starts.
+func TestFleetWrongRectBlockFailsOnlyItsJob(t *testing.T) {
+	f, err := New[int32](Options{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	healthyProb, healthyWant := mustProblem(t, "healthy")
+	forgedProb, _ := mustProblem(t, "poisoned")
+	proc := dag.Square(16)
+	forged, err := matrix.EncodeBlocks(forgedProb.Codec,
+		[]*matrix.Block[int32]{matrix.NewBlock[int32](dag.Rect{Row0: 48, Col0: 48, Rows: 16, Cols: 16})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "does not match geometry rect") {
+			t.Fatalf("%s: err = %v, want the rect mismatch", what, err)
+		}
+	}
+
+	driverDone := make(chan error, 1)
+	go func() {
+		driverDone <- runDriver(f.Addr(), "poisoned", func(task comm.Message) comm.Message {
+			return comm.Message{Kind: comm.KindResult, Job: task.Job, Vertex: task.Vertex, Attempt: task.Attempt, Payload: forged}
+		})
+	}()
+	forgedCh := make(chan error, 1)
+	go func() {
+		_, err := f.Run(context.Background(), forgedProb, JobRequest{Name: "poisoned", Proc: proc})
+		forgedCh <- err
+	}()
+	res, err := f.Run(context.Background(), healthyProb, JobRequest{Name: "healthy", Proc: proc})
+	if err != nil {
+		t.Fatalf("healthy job failed alongside the forged one: %v", err)
+	}
+	checkMatrix(t, "healthy", res.Store.Assemble(), healthyWant)
+	wantErr("forged result", <-forgedCh)
+
+	path := t.TempDir() + "/job.ckpt"
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.NewWriter(file).Append(0, forged); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Run(context.Background(), forgedProb, JobRequest{Name: "poisoned", Proc: proc, CheckpointPath: path})
+	wantErr("forged checkpoint record", err)
+
 	f.Close()
 	<-driverDone // either nil (KindEnd) or the close race's conn error
 }

@@ -283,9 +283,15 @@ func (jb *job[T]) blockKey(v int32) cas.Key {
 // content-key recording, cross-job cache write-through, and checkpoint
 // append all happen here, so recovery log and cache can never diverge.
 // Only called from Fleet.Run's startup (restore, absorb) and the fleet
-// recv loop.
+// recv loop. The block was decoded from a worker's result, a checkpoint
+// record or a cache entry: one that covers another region than v's fails
+// this job here, and no other.
 func (jb *job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
-	jb.store.Put(jb.geom.PosOf(v), b)
+	pos := jb.geom.PosOf(v)
+	if err := matrix.CheckRect(jb.geom, pos, b.Rect); err != nil {
+		return fmt.Errorf("fleet: block committed for vertex %d of job %q: %w", v, jb.req.Name, err)
+	}
+	jb.store.Put(pos, b)
 	if jb.cache != nil {
 		jb.resultKey[v] = cas.PayloadKey(payload)
 		jb.cache.PutBlock(jb.blockKey(v), payload)

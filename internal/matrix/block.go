@@ -36,6 +36,15 @@ func (b *Block[T]) Set(i, j int, v T) { b.Cells[b.index(i, j)] = v }
 // Contains reports whether global cell (i, j) lies inside the block.
 func (b *Block[T]) Contains(i, j int) bool { return b.Rect.Contains(i, j) }
 
+// CopyFrom copies every cell of src, whose region must lie inside the
+// block's, to the same matrix coordinates of b, a row at a time.
+func (b *Block[T]) CopyFrom(src *Block[T]) {
+	r := src.Rect
+	for i := 0; i < r.Rows; i++ {
+		copy(b.Cells[b.index(r.Row0+i, r.Col0):], src.Cells[i*r.Cols:(i+1)*r.Cols])
+	}
+}
+
 // Clone returns a deep copy of the block.
 func (b *Block[T]) Clone() *Block[T] {
 	c := &Block[T]{Rect: b.Rect, Cells: make([]T, len(b.Cells))}

@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -116,8 +118,7 @@ func TestViewResolution(t *testing.T) {
 	in := NewBlock[int32](dag.Rect{Row0: 2, Col0: 4, Rows: 2, Cols: 2})
 	in.Set(3, 5, 2)
 	boundary := func(i, j int) int32 { return -9 }
-	exists := func(i, j int) bool { return i >= 0 && j >= 0 }
-	v := NewView(out, []*Block[int32]{in}, exists, boundary)
+	v := NewView(out, []*Block[int32]{in}, dag.Wavefront{}, dag.Square(8), boundary)
 
 	if got := v.Get(4, 4); got != 1 {
 		t.Errorf("out cell = %d, want 1", got)
@@ -141,15 +142,39 @@ func TestViewResolution(t *testing.T) {
 	}
 }
 
+// A computed cell no block holds means the pattern's DataDeps did not
+// ship it: the read must panic with the under-specified-region diagnostic,
+// through Get and through a run request, with and without holes in the
+// pattern — while a cell outside the matrix stays a boundary read.
 func TestViewOutsideRegionPanics(t *testing.T) {
 	out := NewBlock[int32](dag.Rect{Rows: 2, Cols: 2})
-	v := NewView(out, nil, nil, func(i, j int) int32 { return 0 })
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for read outside the data region")
+	boundary := func(i, j int) int32 { return -9 }
+	reads := map[string]func(v *View[int32], i, j int){
+		"Get": func(v *View[int32], i, j int) { v.Get(i, j) },
+		"Row": func(v *View[int32], i, j int) { v.Row(i, j, 3) },
+		"Col": func(v *View[int32], i, j int) { v.Col(i, j, 3) },
+	}
+	for _, pat := range []dag.Pattern{dag.Wavefront{}, dag.Triangular{}, dag.Custom{PatternName: "odd", CellExistsFunc: func(i, j int) bool { return (i+j)%2 == 0 }}} {
+		for name, read := range reads {
+			v := NewView(out, nil, pat, dag.Square(16), boundary)
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "outside the sub-task data region") {
+						t.Errorf("%s/%s: unshipped cell: got %q, want the under-specified-region panic", pat.Name(), name, msg)
+					}
+				}()
+				read(v, 10, 10)
+			}()
+			read(v, 16, 3) // outside the matrix: no panic
 		}
-	}()
-	v.Get(10, 10)
+		v := NewView(out, nil, pat, dag.Square(16), boundary)
+		if got := v.Get(3, 16); got != -9 {
+			t.Errorf("%s: read outside the matrix = %d, want the boundary value", pat.Name(), got)
+		}
+		if run := v.Row(-1, 0, 4); run != nil {
+			t.Errorf("%s: run outside the matrix = %v, want nil", pat.Name(), run)
+		}
+	}
 }
 
 func TestBinaryCodecRoundTrip(t *testing.T) {

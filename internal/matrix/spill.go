@@ -93,8 +93,8 @@ func (s *SpillStore[T]) path(p dag.Pos) string {
 // continue without its storage, and the condition (disk full) is
 // environmental.
 func (s *SpillStore[T]) Put(p dag.Pos, b *Block[T]) {
-	if want := s.geom.Rect(p); b.Rect != want {
-		panic(fmt.Sprintf("matrix: block rect %v does not match geometry rect %v of %v", b.Rect, want, p))
+	if err := CheckRect(s.geom, p, b.Rect); err != nil {
+		panic(err.Error())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -26,11 +26,23 @@ func NewStore[T any](g dag.Geometry) *Store[T] {
 // Geometry returns the store's partitioning geometry.
 func (s *Store[T]) Geometry() dag.Geometry { return s.geom }
 
+// CheckRect returns an error unless r, the region of a block, is exactly
+// the region of grid position p in geometry g. Put panics on a mismatch —
+// right for a block this process computed; a block decoded from a worker
+// result, a checkpoint log or a cache entry is outside input, and its
+// reader must check it first and fail the run instead.
+func CheckRect(g dag.Geometry, p dag.Pos, r dag.Rect) error {
+	if want := g.Rect(p); r != want {
+		return fmt.Errorf("matrix: block rect %v does not match geometry rect %v of %v", r, want, p)
+	}
+	return nil
+}
+
 // Put stores the completed block for grid position p. The block's region
 // must match the geometry's region for p.
 func (s *Store[T]) Put(p dag.Pos, b *Block[T]) {
-	if want := s.geom.Rect(p); b.Rect != want {
-		panic(fmt.Sprintf("matrix: block rect %v does not match geometry rect %v of %v", b.Rect, want, p))
+	if err := CheckRect(s.geom, p, b.Rect); err != nil {
+		panic(err.Error())
 	}
 	s.mu.Lock()
 	s.blocks[p] = b

@@ -9,17 +9,22 @@
 #           "soak": 200 randomized kill/partition/leave runs, ~1 min).
 #   -sim    additionally replay the scenario regression suite at extra
 #           fixed seeds (the default seeds already run under go test).
+#   -bench  additionally run the repo benchmark's swgg-inproc workload
+#           (~15 s) and fail if two workers fall back under the
+#           sequential loop's speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 soak=0
 sim=0
+bench=0
 for arg in "$@"; do
     case "$arg" in
     -soak) soak=1 ;;
     -sim) sim=1 ;;
+    -bench) bench=1 ;;
     *)
-        echo "usage: scripts/ci.sh [-soak] [-sim]" >&2
+        echo "usage: scripts/ci.sh [-soak] [-sim] [-bench]" >&2
         exit 2
         ;;
     esac
@@ -89,6 +94,10 @@ check_cover() {
     echo "coverage: $pkg ${pct}% (>= ${min}%)"
 }
 check_cover internal/sched 92
+# The read path under every kernel cell (View.Get, runs) and the kernels
+# themselves, computed block by block against their sequential references.
+check_cover internal/matrix 88
+check_cover internal/dp 91
 check_cover internal/comm 82
 check_cover internal/core 86
 check_cover internal/cluster 75
@@ -118,4 +127,22 @@ if [ "$sim" = 1 ]; then
     # scenarios run in seconds.
     EASYHPS_SIM_SEEDS="1009,2003" \
         go test -race -count=1 -run TestScenariosReseeded -timeout 120s ./internal/sim/
+fi
+
+if [ "$bench" = 1 ]; then
+    # A floor, not a comparison: swgg-inproc read 0.25 before the kernels
+    # scanned block runs and reads 1.1-1.2 since, so 0.6 is far from both
+    # and from the host's noise. Comparing two commits is the pairing
+    # recipe in benchmark/README.md, not this stage.
+    line=$(sh benchmark/run.sh --workload swgg-inproc --seed 1 --seconds 15 --trace 0 | tail -1)
+    echo "$line"
+    python3 - "$line" <<'EOF'
+import json, sys
+r = json.loads(sys.argv[1])
+speedup = r["metrics"]["speedup_vs_seq"]["value"]
+if not r["correct"] or r["failed"] > 0 or speedup < 0.6:
+    sys.exit("bench: swgg-inproc correct=%s failed=%d speedup_vs_seq=%.3f (floor 0.6)"
+             % (r["correct"], r["failed"], speedup))
+print("bench: swgg-inproc speedup_vs_seq %.3f (>= 0.6)" % speedup)
+EOF
 fi
