@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"os"
@@ -194,7 +195,8 @@ func (s *Store) load() error {
 			s.jobBytes += int64(len(payload))
 			continue
 		}
-		for _, path := range s.putBlockLocked(f.key, payload) {
+		_, evicted := s.putBlockLocked(f.key, payload)
+		for _, path := range evicted {
 			_ = os.Remove(path)
 		}
 	}
@@ -206,11 +208,13 @@ func (s *Store) load() error {
 // dropped (storing them would violate the never-exceed guarantee).
 func (s *Store) PutBlock(k Key, payload []byte) {
 	s.mu.Lock()
-	evicted := s.putBlockLocked(k, payload)
+	inserted, evicted := s.putBlockLocked(k, payload)
 	s.mu.Unlock()
 	// Disk I/O stays outside the mutex: persistence is best-effort and a
-	// racing insert of the same key writes identical bytes anyway.
-	if s.opts.Dir != "" {
+	// racing insert of the same key writes identical bytes anyway. A key
+	// that was already resident has its file already — a warm rerun puts
+	// every block it has just absorbed — and a dropped payload gets none.
+	if s.opts.Dir != "" && inserted {
 		for _, path := range evicted {
 			_ = os.Remove(path)
 		}
@@ -218,16 +222,26 @@ func (s *Store) PutBlock(k Key, payload []byte) {
 	}
 }
 
-// putBlockLocked does the in-memory insert and eviction and returns the
-// file paths of evicted entries for the caller to remove after unlock.
-func (s *Store) putBlockLocked(k Key, payload []byte) (evictedPaths []string) {
+// putBlockLocked does the in-memory insert and eviction. It reports
+// whether the payload became a new resident entry, and the file paths of
+// evicted entries for the caller to remove after unlock.
+func (s *Store) putBlockLocked(k Key, payload []byte) (inserted bool, evictedPaths []string) {
 	if el, ok := s.blocks[k]; ok {
-		s.lru.MoveToFront(el)
-		return nil
+		be := el.Value.(*blockEntry)
+		if bytes.Equal(be.payload, payload) {
+			s.lru.MoveToFront(el)
+			return false, nil
+		}
+		// One content address, two payloads: the resident one is damaged
+		// (a corrupt cache file, recomputed by whoever puts now). Drop it
+		// and insert the new one, so the file is rewritten too.
+		s.lru.Remove(el)
+		delete(s.blocks, k)
+		s.blockBytes -= int64(len(be.payload))
 	}
 	size := int64(len(payload))
 	if s.opts.MaxBytes > 0 && size > s.opts.MaxBytes {
-		return nil
+		return false, nil
 	}
 	el := s.lru.PushFront(&blockEntry{key: k, payload: payload})
 	s.blocks[k] = el
@@ -246,7 +260,7 @@ func (s *Store) putBlockLocked(k Key, payload []byte) (evictedPaths []string) {
 			evictedPaths = append(evictedPaths, s.blockPath(be.key))
 		}
 	}
-	return evictedPaths
+	return true, evictedPaths
 }
 
 // GetBlock looks a block up, counting a hit or miss for the given layer

@@ -188,6 +188,66 @@ func TestDiskPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// A warm rerun puts every block it has just absorbed from the store. A
+// resident key already has its file: the second put must not rewrite it.
+func TestPutBlockResidentKeySkipsFileWrite(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("block")
+	k := PayloadKey(payload)
+	s.PutBlock(k, payload)
+	path := s.blockPath(k)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("first put wrote no file: %v", err)
+	}
+	// Age the file so a rewrite shows whatever the clock's resolution.
+	old := before.ModTime().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	s.PutBlock(k, payload)
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(old) || !os.SameFile(before, after) {
+		t.Fatalf("second put of a resident key rewrote %s (mtime %v, want %v)", path, after.ModTime(), old)
+	}
+	// The same holds for a store that found the block on disk at start-up.
+	s2, err := NewStore(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.PutBlock(k, payload)
+	if after, err = os.Stat(path); err != nil || !after.ModTime().Equal(old) {
+		t.Fatalf("put of a reloaded key rewrote %s: mtime %v, err %v", path, after.ModTime(), err)
+	}
+
+	// Different bytes under a resident content address mean the resident
+	// copy is damaged: the put replaces it, in memory and on disk.
+	if err := os.WriteFile(path, []byte("rot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := NewStore(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3.PutBlock(k, payload)
+	if got, _ := s3.GetBlock(k, LayerMaster); string(got) != "block" {
+		t.Fatalf("damaged resident entry kept: %q", got)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "block" {
+		t.Fatalf("damaged file kept: %q, %v", got, err)
+	}
+	if st := s3.Snapshot(); st.Bytes != int64(len(payload)) || st.Blocks != 1 {
+		t.Fatalf("replacement miscounted: %+v", st)
+	}
+}
+
 // Reloading under a budget keeps the newest blocks: files are inserted
 // oldest-first so the LRU evicts the stalest on overflow, and evicted
 // entries disappear from disk too.

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -169,6 +171,50 @@ func TestCacheEvictionDegradesToRecompute(t *testing.T) {
 	}
 	if st := store.Snapshot(); st.BlockEvictions == 0 {
 		t.Fatalf("a %dB budget never evicted: %+v", budget, st)
+	}
+}
+
+// TestCorruptCacheFilesDegradeToRecompute: every .blk file of a cache
+// directory is overwritten with a payload whose header claims 2³⁰×2³⁰
+// cells — the input that used to panic absorbCached in NewBlock. The
+// rerun must treat every entry as a miss, recompute the exact matrix, and
+// leave the directory healed for the run after it.
+func TestCorruptCacheFilesDegradeToRecompute(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(61, 1), dp.RandomDNA(53, 2))
+	dir := t.TempDir()
+	run := func() core.Stats {
+		t.Helper()
+		store, err := cas.NewStore(cas.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.Cache = store
+		cfg.CacheKey = "corrupt:editdist"
+		res, err := core.Run(e.Problem(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalMatrices(t, "corrupt-cache-run", res.Matrix(), e.Sequential())
+		return res.Stats
+	}
+	cold := run()
+
+	files, err := filepath.Glob(filepath.Join(dir, "*.blk"))
+	if err != nil || int64(len(files)) != cold.Tasks {
+		t.Fatalf("cold run left %d block files (%v), want %d", len(files), err, cold.Tasks)
+	}
+	for _, f := range files {
+		if err := os.WriteFile(f, oversizedBlockPayload(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if st := run(); st.CacheHits != 0 || st.Tasks != cold.Tasks {
+		t.Fatalf("run over corrupt entries: %d hits, %d tasks, want 0 and %d", st.CacheHits, st.Tasks, cold.Tasks)
+	}
+	if st := run(); st.Tasks != 0 || st.CacheHits != cold.Tasks {
+		t.Fatalf("run after the recompute: %d hits, %d tasks, want %d and 0", st.CacheHits, st.Tasks, cold.Tasks)
 	}
 }
 

@@ -95,13 +95,14 @@ func TestDeltaShippingWithCrash(t *testing.T) {
 	e := dp.NewEditDistance(a, b)
 	cfg := core.Config{
 		Slaves: 3, Threads: 2,
-		ProcPartition:   dag.Square(10),
-		ThreadPartition: dag.Square(4),
-		DeltaShipping:   true,
-		TaskTimeout:     150 * time.Millisecond,
-		CheckInterval:   20 * time.Millisecond,
-		RunTimeout:      time.Minute,
-		Faults:          core.FaultPlan{CrashOnTask: map[int]int{2: 2}},
+		ProcPartition:    dag.Square(10),
+		ThreadPartition:  dag.Square(4),
+		DeltaShipping:    true,
+		TaskTimeout:      150 * time.Millisecond,
+		CheckInterval:    20 * time.Millisecond,
+		RunTimeout:       time.Minute,
+		WorkDelayPerCell: crashWork,
+		Faults:           core.FaultPlan{CrashOnTask: map[int]int{2: 2}},
 	}
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {
@@ -180,13 +181,14 @@ func TestAffinityWithFaults(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(60, 112), dp.RandomDNA(60, 113))
 	cfg := core.Config{
 		Slaves: 3, Threads: 2,
-		ProcPartition:   dag.Square(10),
-		ThreadPartition: dag.Square(4),
-		Policy:          core.PolicyAffinity,
-		TaskTimeout:     150 * time.Millisecond,
-		CheckInterval:   20 * time.Millisecond,
-		RunTimeout:      time.Minute,
-		Faults:          core.FaultPlan{CrashOnTask: map[int]int{1: 3}},
+		ProcPartition:    dag.Square(10),
+		ThreadPartition:  dag.Square(4),
+		Policy:           core.PolicyAffinity,
+		TaskTimeout:      150 * time.Millisecond,
+		CheckInterval:    20 * time.Millisecond,
+		RunTimeout:       time.Minute,
+		WorkDelayPerCell: crashWork,
+		Faults:           core.FaultPlan{CrashOnTask: map[int]int{1: 3}},
 	}
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {

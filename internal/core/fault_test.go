@@ -4,10 +4,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
 )
+
+// crashWork is emulated work per cell for the tests that kill a slave on
+// its k-th task: a block then takes milliseconds, so every slave is handed
+// tasks on every wide diagonal and the doomed one reaches its k-th. With
+// real kernels alone two slaves can drain these small matrices in under a
+// millisecond, before the third has said hello, and nothing crashes.
+const crashWork = 20 * time.Microsecond
 
 // faultConfig uses short timeouts so recovery paths fire quickly.
 func faultConfig() core.Config {
@@ -31,6 +39,7 @@ func TestSlaveCrashRecovered(t *testing.T) {
 	b := dp.RandomDNA(60, 32)
 	e := dp.NewEditDistance(a, b)
 	cfg := faultConfig()
+	cfg.WorkDelayPerCell = crashWork
 	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{2: 3}} // slave 2 dies on its 3rd task
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {
@@ -50,6 +59,7 @@ func TestTwoSlavesCrashRecovered(t *testing.T) {
 	cfg.Slaves = 4
 	cfg.ProcPartition = dag.Square(10) // 6x6 grid: every slave sees several tasks
 	cfg.ThreadPartition = dag.Square(4)
+	cfg.WorkDelayPerCell = crashWork
 	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{1: 2, 3: 3}}
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {
@@ -163,5 +173,17 @@ func TestAllSlavesDeadAborts(t *testing.T) {
 	_, err := core.Run(e.Problem(), cfg)
 	if err == nil {
 		t.Fatal("run with all slaves dead returned success")
+	}
+}
+
+// A slave that comes up after the master has finished and hung up — two
+// fast workers can drain a small job before the third says hello — has
+// nothing to report: its run is over, not failed.
+func TestLateSlaveExitsCleanly(t *testing.T) {
+	nw := comm.NewChanNetwork(2, comm.LatencyModel{})
+	nw.Close()
+	e := dp.NewEditDistance(dp.RandomDNA(32, 44), dp.RandomDNA(32, 45))
+	if err := core.RunSlave(e.Problem(), faultConfig(), nw.Endpoint(1)); err != nil {
+		t.Fatalf("slave whose master had already hung up: %v", err)
 	}
 }

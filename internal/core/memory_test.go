@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -237,6 +238,38 @@ func TestRestoreRejectsWrongRectRecord(t *testing.T) {
 	}
 }
 
+// oversizedBlockPayload is 20 bytes claiming one block of 2³⁰×2³⁰ cells:
+// count, Row0, Col0, Rows, Cols. Decoding it used to panic in NewBlock
+// (makeslice: len out of range).
+func oversizedBlockPayload() []byte {
+	var forged []byte
+	for _, v := range []uint32{1, 0, 0, 1 << 30, 1 << 30} {
+		forged = binary.LittleEndian.AppendUint32(forged, v)
+	}
+	return forged
+}
+
+// A checkpoint record is untrusted bytes: one holding the oversized block
+// used to panic the master. Restore must refuse the log.
+func TestRestoreRefusesOversizedBlockRecord(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(30, 91), dp.RandomDNA(30, 92))
+	var ck bytes.Buffer
+	if err := checkpoint.NewWriter(&ck).Append(0, oversizedBlockPayload()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{
+		Slaves: 2, Threads: 2,
+		ProcPartition:   dag.Square(10),
+		ThreadPartition: dag.Square(5),
+		Restore:         &ck,
+		RunTimeout:      time.Minute,
+	}
+	_, err := core.Run(e.Problem(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint payload for vertex 0") {
+		t.Fatalf("restore of an oversized block record: err = %v, want the payload refused", err)
+	}
+}
+
 func TestReclaimWithCheckpointAndFaults(t *testing.T) {
 	// All three mechanisms together: reclamation, checkpointing and a
 	// crashed slave.
@@ -244,14 +277,15 @@ func TestReclaimWithCheckpointAndFaults(t *testing.T) {
 	var ck bytes.Buffer
 	cfg := core.Config{
 		Slaves: 3, Threads: 2,
-		ProcPartition:   dag.Square(10),
-		ThreadPartition: dag.Square(4),
-		ReclaimBlocks:   true,
-		Checkpoint:      &ck,
-		TaskTimeout:     150 * time.Millisecond,
-		CheckInterval:   20 * time.Millisecond,
-		RunTimeout:      time.Minute,
-		Faults:          core.FaultPlan{CrashOnTask: map[int]int{1: 2}},
+		ProcPartition:    dag.Square(10),
+		ThreadPartition:  dag.Square(4),
+		ReclaimBlocks:    true,
+		Checkpoint:       &ck,
+		TaskTimeout:      150 * time.Millisecond,
+		CheckInterval:    20 * time.Millisecond,
+		RunTimeout:       time.Minute,
+		WorkDelayPerCell: crashWork,
+		Faults:           core.FaultPlan{CrashOnTask: map[int]int{1: 2}},
 	}
 	res, err := core.Run(e.Problem(), cfg)
 	if err != nil {

@@ -24,8 +24,39 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 	// delta shipping is enabled; blocks are immutable once complete, so
 	// the cache never goes stale within a run.
 	var cache []*matrix.Block[T]
+	// run is one sub-task's trip through the slave, shared by single tasks
+	// and batch entries: fault hooks, decode, compute, encode. ok false
+	// ends the slave, silently (nil err: an injected node failure dies
+	// without a word) or with the codec error.
+	run := func(vertex int32, task []byte) (result []byte, ok bool, err error) {
+		if faults.crashNow(rank) {
+			return nil, false, nil
+		}
+		if d := faults.stallTask(vertex); d > 0 {
+			time.Sleep(d)
+		}
+		inputs, err := matrix.DecodeBlocks(p.Codec, task)
+		if err != nil {
+			return nil, false, fmt.Errorf("core: slave %d decoding task %d: %w", rank, vertex, err)
+		}
+		if cfg.DeltaShipping {
+			cache = append(cache, inputs...)
+			inputs = cache
+		}
+		out := computeBlock(p, cfg, geom.Rect(geom.PosOf(vertex)), inputs, faults, vertex, ctrs)
+		if cfg.DeltaShipping {
+			cache = append(cache, out)
+		}
+		result, err = matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
+		if err != nil {
+			return nil, false, fmt.Errorf("core: slave %d encoding result %d: %w", rank, vertex, err)
+		}
+		return result, true, nil
+	}
 	if err := tr.Send(0, comm.Message{Kind: comm.KindIdle}); err != nil {
-		return err
+		// The master has already hung up: the other slaves finished a
+		// small job before this one said hello. The run is over.
+		return nil
 	}
 	for {
 		msg, err := tr.Recv()
@@ -41,29 +72,9 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 			// timeout path reassigns this slave's work.
 			return fmt.Errorf("core: slave %d received unexpected %v frame", rank, msg.Kind)
 		case comm.KindTask:
-			if faults.crashNow(rank) {
-				// Injected node failure: die without a word.
-				return nil
-			}
-			if d := faults.stallTask(msg.Vertex); d > 0 {
-				time.Sleep(d)
-			}
-			inputs, err := matrix.DecodeBlocks(p.Codec, msg.Payload)
-			if err != nil {
-				return fmt.Errorf("core: slave %d decoding task %d: %w", rank, msg.Vertex, err)
-			}
-			if cfg.DeltaShipping {
-				cache = append(cache, inputs...)
-				inputs = cache
-			}
-			rect := geom.Rect(geom.PosOf(msg.Vertex))
-			out := computeBlock(p, cfg, rect, inputs, faults, msg.Vertex, ctrs)
-			if cfg.DeltaShipping {
-				cache = append(cache, out)
-			}
-			payload, err := matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
-			if err != nil {
-				return fmt.Errorf("core: slave %d encoding result %d: %w", rank, msg.Vertex, err)
+			payload, ok, err := run(msg.Vertex, msg.Payload)
+			if !ok {
+				return err
 			}
 			if err := tr.Send(0, comm.Message{
 				Kind: comm.KindResult, Vertex: msg.Vertex, Attempt: msg.Attempt, Payload: payload,
@@ -83,30 +94,11 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 			}
 			var results []comm.TaskEntry
 			for idx, e := range msg.Batch {
-				if faults.crashNow(rank) {
-					// Injected node failure mid-batch: results not yet
-					// flushed are lost with the node.
-					return nil
-				}
-				if d := faults.stallTask(e.Vertex); d > 0 {
-					time.Sleep(d)
-				}
-				inputs, err := matrix.DecodeBlocks(p.Codec, e.Payload)
-				if err != nil {
-					return fmt.Errorf("core: slave %d decoding task %d: %w", rank, e.Vertex, err)
-				}
-				if cfg.DeltaShipping {
-					cache = append(cache, inputs...)
-					inputs = cache
-				}
-				rect := geom.Rect(geom.PosOf(e.Vertex))
-				out := computeBlock(p, cfg, rect, inputs, faults, e.Vertex, ctrs)
-				if cfg.DeltaShipping {
-					cache = append(cache, out)
-				}
-				payload, err := matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
-				if err != nil {
-					return fmt.Errorf("core: slave %d encoding result %d: %w", rank, e.Vertex, err)
+				// A crash mid-batch loses the results not yet flushed
+				// with the node.
+				payload, ok, err := run(e.Vertex, e.Payload)
+				if !ok {
+					return err
 				}
 				results = append(results, comm.TaskEntry{Vertex: e.Vertex, Attempt: e.Attempt, Payload: payload})
 				if len(results) >= flushBound && idx < len(msg.Batch)-1 {

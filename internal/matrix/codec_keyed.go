@@ -1,10 +1,7 @@
 package matrix
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/dag"
 )
@@ -43,34 +40,25 @@ type BlockRef struct {
 // format. Receivers resolve each record in order, so the concatenation
 // full-then-refs is the decoded block order.
 func EncodeBlocksKeyed[T any](c Codec[T], full []KeyedBlock[T], refs []BlockRef) ([]byte, error) {
-	var buf bytes.Buffer
 	n := len(full) + len(refs)
-	if err := binary.Write(&buf, binary.LittleEndian, int32(-(n + 1))); err != nil {
-		return nil, err
-	}
+	size := countSize + n*(headerSize+keySize)
 	for _, kb := range full {
-		b := kb.Block
-		h := blockHeader{int32(b.Rect.Row0), int32(b.Rect.Col0), int32(b.Rect.Rows), int32(b.Rect.Cols)}
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			return nil, err
-		}
-		if _, err := buf.Write(kb.Key[:]); err != nil {
-			return nil, err
-		}
-		if err := c.EncodeCells(&buf, b.Cells); err != nil {
+		size += len(kb.Block.Cells) * c.CellSize()
+	}
+	dst := appendInt32(make([]byte, 0, size), -(n + 1))
+	for _, kb := range full {
+		var err error
+		dst = appendHeader(dst, kb.Block.Rect, kb.Block.Rect.Rows)
+		dst = append(dst, kb.Key[:]...)
+		if dst, err = c.AppendCells(dst, kb.Block.Cells); err != nil {
 			return nil, err
 		}
 	}
 	for _, ref := range refs {
-		h := blockHeader{int32(ref.Rect.Row0), int32(ref.Rect.Col0), int32(-ref.Rect.Rows), int32(ref.Rect.Cols)}
-		if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
-			return nil, err
-		}
-		if _, err := buf.Write(ref.Key[:]); err != nil {
-			return nil, err
-		}
+		dst = appendHeader(dst, ref.Rect, -ref.Rect.Rows)
+		dst = append(dst, ref.Key[:]...)
 	}
-	return buf.Bytes(), nil
+	return dst, nil
 }
 
 // DecodeBlocksAny decodes either wire format. Plain payloads behave
@@ -82,52 +70,33 @@ func EncodeBlocksKeyed[T any](c Codec[T], full []KeyedBlock[T], refs []BlockRef)
 // loudly rather than compute on garbage. keyed reports which format was
 // seen, so a runner knows whether to record its own output's key.
 func DecodeBlocksAny[T any](c Codec[T], data []byte, resolve func([32]byte) (*Block[T], bool), record func([32]byte, *Block[T])) (blocks []*Block[T], keyed bool, err error) {
-	r := bytes.NewReader(data)
-	var n int32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+	n, rest, err := readCount(data)
+	if err != nil {
 		return nil, false, err
 	}
-	if n >= 0 {
-		b, err := DecodeBlocks(c, data)
-		return b, false, err
+	keyed = n < 0
+	if keyed {
+		n = -n - 1
 	}
-	count := -n - 1
-	blocks = make([]*Block[T], 0, count)
-	for i := int32(0); i < count; i++ {
-		var h blockHeader
-		if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
-			return nil, true, err
-		}
-		var key [32]byte
-		if _, err := io.ReadFull(r, key[:]); err != nil {
-			return nil, true, err
-		}
-		if h.Rows < 0 {
-			if resolve == nil {
-				return nil, true, fmt.Errorf("matrix: block reference %x with no resolver", key[:6])
-			}
-			b, ok := resolve(key)
-			if !ok {
-				return nil, true, fmt.Errorf("matrix: unresolvable block reference %x (rect %d,%d %dx%d)", key[:6], h.Row0, h.Col0, -h.Rows, h.Cols)
-			}
-			want := dag.Rect{Row0: int(h.Row0), Col0: int(h.Col0), Rows: int(-h.Rows), Cols: int(h.Cols)}
-			if b.Rect != want {
-				return nil, true, fmt.Errorf("matrix: block reference %x resolved to rect %+v, want %+v", key[:6], b.Rect, want)
-			}
-			blocks = append(blocks, b)
-			continue
-		}
-		if h.Rows == 0 || h.Cols <= 0 {
-			return nil, true, fmt.Errorf("matrix: invalid keyed block header %+v", h)
-		}
-		b := NewBlock[T](dag.Rect{Row0: int(h.Row0), Col0: int(h.Col0), Rows: int(h.Rows), Cols: int(h.Cols)})
-		if err := c.DecodeCells(r, b.Cells); err != nil {
-			return nil, true, err
-		}
-		if record != nil {
-			record(key, b)
-		}
-		blocks = append(blocks, b)
+	blocks, err = decodeRecords(c, rest, n, keyed, resolve, record)
+	return blocks, keyed, err
+}
+
+// resolveRef hands back the block a reference record names, which must
+// cover exactly the record's rect.
+func resolveRef[T any](rect dag.Rect, key [32]byte, resolve func([32]byte) (*Block[T], bool)) (*Block[T], error) {
+	if rect.Rows <= 0 || rect.Cols <= 0 {
+		return nil, fmt.Errorf("matrix: invalid block reference %x header %+v", key[:6], rect)
 	}
-	return blocks, true, nil
+	if resolve == nil {
+		return nil, fmt.Errorf("matrix: block reference %x with no resolver", key[:6])
+	}
+	b, ok := resolve(key)
+	if !ok {
+		return nil, fmt.Errorf("matrix: unresolvable block reference %x (rect %d,%d %dx%d)", key[:6], rect.Row0, rect.Col0, rect.Rows, rect.Cols)
+	}
+	if b.Rect != rect {
+		return nil, fmt.Errorf("matrix: block reference %x resolved to rect %+v, want %+v", key[:6], b.Rect, rect)
+	}
+	return b, nil
 }

@@ -9,9 +9,10 @@
 #           "soak": 200 randomized kill/partition/leave runs, ~1 min).
 #   -sim    additionally replay the scenario regression suite at extra
 #           fixed seeds (the default seeds already run under go test).
-#   -bench  additionally run the repo benchmark's swgg-inproc workload
-#           (~15 s) and fail if two workers fall back under the
-#           sequential loop's speed.
+#   -bench  additionally run the repo benchmark's swgg-inproc and
+#           edit-inproc workloads (~15 s each) and fail if either falls
+#           back under its floor: the kernels' block-run scan (swgg) or
+#           the byte-slice block codec (edit) has been lost.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,9 +95,10 @@ check_cover() {
     echo "coverage: $pkg ${pct}% (>= ${min}%)"
 }
 check_cover internal/sched 92
-# The read path under every kernel cell (View.Get, runs) and the kernels
-# themselves, computed block by block against their sequential references.
-check_cover internal/matrix 88
+# The read path under every kernel cell (View.Get, runs), the block payload
+# codec with its refusals, and the kernels themselves, computed block by
+# block against their sequential references.
+check_cover internal/matrix 94
 check_cover internal/dp 91
 check_cover internal/comm 82
 check_cover internal/core 86
@@ -112,6 +114,10 @@ check_cover internal/lint 76
 # Smoke the wire-codec fuzzer: ten seconds of random frames must neither
 # crash the decoder nor break the encode/decode round trip.
 go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 10s ./internal/comm/
+# And the block payloads those frames, checkpoint records and cache files
+# carry, plain and keyed: decode or refuse without a panic, and re-encode
+# to the same bytes.
+go test -run '^$' -fuzz '^FuzzDecodeBlocks$' -fuzztime 10s ./internal/matrix/
 
 if [ "$soak" = 1 ]; then
     go test -race -count=1 -tags soak -run TestSoakBatchedFaults -timeout 600s ./internal/cluster/
@@ -130,19 +136,25 @@ if [ "$sim" = 1 ]; then
 fi
 
 if [ "$bench" = 1 ]; then
-    # A floor, not a comparison: swgg-inproc read 0.25 before the kernels
+    # Floors, not comparisons. swgg-inproc read 0.25 before the kernels
     # scanned block runs and reads 1.1-1.2 since, so 0.6 is far from both
-    # and from the host's noise. Comparing two commits is the pairing
+    # and from the host's noise; edit-inproc read 0.11 while every block
+    # went through encoding/binary.Write and reads 0.20 since, so 0.13
+    # fails if that codec comes back. Comparing two commits is the pairing
     # recipe in benchmark/README.md, not this stage.
-    line=$(sh benchmark/run.sh --workload swgg-inproc --seed 1 --seconds 15 --trace 0 | tail -1)
-    echo "$line"
-    python3 - "$line" <<'EOF'
+    bench_floor() {
+        line=$(sh benchmark/run.sh --workload "$1" --seed 1 --seconds 15 --trace 0 | tail -1)
+        echo "$line"
+        python3 - "$line" "$1" "$2" <<'EOF'
 import json, sys
-r = json.loads(sys.argv[1])
+r, name, floor = json.loads(sys.argv[1]), sys.argv[2], float(sys.argv[3])
 speedup = r["metrics"]["speedup_vs_seq"]["value"]
-if not r["correct"] or r["failed"] > 0 or speedup < 0.6:
-    sys.exit("bench: swgg-inproc correct=%s failed=%d speedup_vs_seq=%.3f (floor 0.6)"
-             % (r["correct"], r["failed"], speedup))
-print("bench: swgg-inproc speedup_vs_seq %.3f (>= 0.6)" % speedup)
+if not r["correct"] or r["failed"] > 0 or speedup < floor:
+    sys.exit("bench: %s correct=%s failed=%d speedup_vs_seq=%.3f (floor %s)"
+             % (name, r["correct"], r["failed"], speedup, floor))
+print("bench: %s speedup_vs_seq %.3f (>= %s)" % (name, speedup, floor))
 EOF
+    }
+    bench_floor swgg-inproc 0.6
+    bench_floor edit-inproc 0.13
 fi
