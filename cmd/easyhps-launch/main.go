@@ -8,9 +8,13 @@
 // with a diagnostic instead of corrupting the run.
 //
 // In elastic mode (-elastic) the master is a membership service instead of
-// a rendezvous: workers join and leave at any time, liveness is tracked by
-// heartbeats, a dead worker's tasks are reassigned, and -checkpoint makes
-// completed tasks survive a master restart (see docs/CLUSTER.md).
+// a rendezvous — a fleet (internal/fleet) running this one job: workers
+// join and leave at any time, liveness is tracked by heartbeats, a dead
+// worker's tasks are reassigned, and -checkpoint makes completed tasks
+// survive a master restart (see docs/CLUSTER.md). The problem spec travels
+// to each worker with the job, so a worker started with mismatched flags
+// is admitted, refuses the job before computing anything and exits with a
+// diagnostic naming both specs; the master reassigns what it was sent.
 //
 // Example (three shells, elastic):
 //
@@ -33,6 +37,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/fleet"
 )
 
 func main() {
@@ -81,33 +86,36 @@ func main() {
 	}
 
 	if *elastic {
-		m, err := cluster.NewMaster(prob, cluster.Options{
+		// An elastic cluster is a fleet with one job: wait for the quorum,
+		// submit, dismiss the workers.
+		f, err := fleet.New[int32](fleet.Options{
 			Addr:              *addr,
-			Spec:              spec,
-			MinWorkers:        *minWorkers,
 			HeartbeatInterval: *hb,
 			HeartbeatMiss:     *hbMiss,
-			JoinWindow:        *wait,
-			CheckpointPath:    *ckpt,
 			Batch:             *batch,
 			Speculate:         *speculate,
 			Steal:             *steal,
 			Auto:              *auto,
 			Cache:             store,
-			RunTimeout:        15 * time.Minute,
 		})
 		fatal(err)
-		fmt.Printf("elastic master on %s (spec %s); waiting for %d workers ...\n", m.Addr(), spec.Digest(), *minWorkers)
+		fmt.Printf("elastic master on %s (spec %s); waiting for %d workers ...\n", f.Addr(), spec.Digest(), *minWorkers)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		res, err := m.Run(ctx)
+		res, err := runElastic(ctx, f, prob, spec, *minWorkers, *wait, *ckpt)
+		if err == nil {
+			// Membership belongs to the fleet, not the job; read it before
+			// Close dismisses the workers.
+			res.Stats.Joins, res.Stats.Leaves, res.Stats.Deaths, res.Stats.LeasesRevoked, res.Stats.Reassigned = f.Registry().MembershipCounts()
+		}
+		f.Close()
 		if err != nil && *ckpt != "" {
 			fmt.Fprintf(os.Stderr, "easyhps-launch: %v\nprogress is checkpointed in %s; rerun to resume\n", err, *ckpt)
 			os.Exit(1)
 		}
 		fatal(err)
 		fmt.Printf("done in %v\n", res.Stats.Elapsed.Round(time.Millisecond))
-		report(os.Stdout, res.Matrix())
+		report(os.Stdout, res.Store.Assemble())
 		fmt.Println(res.Stats)
 		return
 	}
@@ -134,6 +142,22 @@ func main() {
 	fmt.Printf("done in %v\n", res.Stats.Elapsed.Round(time.Millisecond))
 	report(os.Stdout, res.Matrix())
 	fmt.Println(res.Stats)
+}
+
+// runElastic waits up to wait for minWorkers members, then runs prob as
+// the fleet's one job. The spec travels in the attach frame, where every
+// worker checks it against the flags it was started with.
+func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], spec cluster.Spec, minWorkers int, wait time.Duration, ckpt string) (*fleet.Result[int32], error) {
+	joinCtx, cancel := context.WithTimeout(ctx, wait)
+	err := f.Registry().WaitLive(joinCtx, minWorkers)
+	cancel()
+	if err != nil {
+		return nil, err
+	}
+	req := fleet.SpecRequest(spec)
+	req.Timeout = 15 * time.Minute
+	req.CheckpointPath = ckpt
+	return f.Run(ctx, prob, req)
 }
 
 func fatal(err error) {

@@ -9,7 +9,10 @@
 // In elastic mode (-elastic, no -rank needed) the worker joins the
 // master's membership service whenever it starts — including mid-run —
 // heartbeats while alive, and departs gracefully on Ctrl-C so its
-// in-flight work is reassigned immediately.
+// in-flight work is reassigned immediately. The master (easyhps-launch
+// -elastic) is a fleet with one job, whose spec arrives with the job: a
+// worker whose -app/-n/-seed/-proc/-thread differ from the master's exits
+// with a "problem spec mismatch" naming both, before computing anything.
 //
 // In fleet mode (-fleet) the worker joins a shared fleet run by
 // easyhps-serve -fleet and serves any number of concurrent jobs: kernel
@@ -58,10 +61,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fleetMode {
+	// joinFleet serves a fleet master — a shared fleet or an elastic
+	// cluster, which is a fleet with one job — until it dismisses this
+	// worker or Ctrl-C makes it leave.
+	joinFleet := func(build fleet.Builder[int32], left string) {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		fmt.Printf("joining shared fleet at %s with %d threads\n", *addr, *threads)
 		opts := fleet.WorkerOptions{
 			Addr:              *addr,
 			Name:              *name,
@@ -71,15 +76,23 @@ func main() {
 			Run:               core.Config{Threads: *threads, Batch: *batch},
 		}
 		if *steal {
+			// Announce hunger after two silent heartbeat intervals: long
+			// enough to prove the pool has really drained, short enough to
+			// claim backlog well before a straggling peer finishes it.
 			opts.HungerAfter = 2 * *hb
 		}
-		err := fleet.RunWorker(ctx, server.RegistryBuilder(server.NewRegistry()), opts)
+		err := fleet.RunWorker(ctx, build, opts)
 		if err == context.Canceled {
-			fmt.Println("worker left the fleet")
+			fmt.Println("worker left the", left)
 			return
 		}
 		fatal(err)
 		fmt.Println("worker done")
+	}
+
+	if *fleetMode {
+		fmt.Printf("joining shared fleet at %s with %d threads\n", *addr, *threads)
+		joinFleet(server.RegistryBuilder(server.NewRegistry()), "fleet")
 		return
 	}
 
@@ -95,31 +108,11 @@ func main() {
 	}
 
 	if *elastic {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
+		// The one job of an elastic cluster is the problem built from this
+		// worker's own flags, checked against the master's spec when the
+		// job attaches.
 		fmt.Printf("joining elastic cluster at %s (spec %s) with %d threads\n", *addr, spec.Digest(), *threads)
-		opts := cluster.WorkerOptions{
-			Addr:              *addr,
-			Spec:              spec,
-			Name:              *name,
-			HeartbeatInterval: *hb,
-			HeartbeatMiss:     *hbMiss,
-			DialTimeout:       *wait,
-			Run:               core.Config{Threads: *threads, Batch: *batch},
-		}
-		if *steal {
-			// Announce hunger after two silent heartbeat intervals: long
-			// enough to prove the pool has really drained, short enough to
-			// claim backlog well before a straggling peer finishes it.
-			opts.HungerAfter = 2 * *hb
-		}
-		err := cluster.RunWorker(ctx, prob, opts)
-		if err == context.Canceled {
-			fmt.Println("worker left the cluster")
-			return
-		}
-		fatal(err)
-		fmt.Println("worker done")
+		joinFleet(fleet.SpecBuilder(spec, prob), "cluster")
 		return
 	}
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/fleet"
 	"repro/internal/trace"
 	"repro/internal/tune"
 )
@@ -18,17 +18,13 @@ import (
 // limits, and each adjustment is visible as an EvTune trace event.
 func TestAutoTunesOverTCP(t *testing.T) {
 	prob, want, spec := testProblem(t)
-	opts := testOptions(spec, 3)
+	opts := testOptions()
 	opts.Auto = true
 	opts.CheckInterval = 10 * time.Millisecond
 	tr := trace.New()
 	opts.Trace = tr
-
-	m, err := cluster.NewMaster(prob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := cluster.NewHarness(prob, m.Addr(), testWorkerOptions(spec, 200*time.Microsecond))
+	f := startMaster(t, opts)
+	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(200*time.Microsecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -39,16 +35,16 @@ func TestAutoTunesOverTCP(t *testing.T) {
 		}
 	}
 
-	res, err := m.Run(ctx)
+	res, err := runElastic(ctx, f, prob, spec, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalMatrices(t, "auto", res.Matrix(), want)
+	equalMatrices(t, "auto", res.Store.Assemble(), want)
 	if res.Stats.Tasks != 64 {
 		t.Fatalf("tasks = %d, want 64", res.Stats.Tasks)
 	}
 
-	snap, ok := m.TuneSnapshot()
+	snap, ok := f.TuneSnapshot()
 	if !ok {
 		t.Fatal("Auto master reports no tune snapshot")
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/fleet"
 )
 
 // BenchmarkElasticRecovery measures the cost of elasticity: the "healthy"
@@ -22,16 +23,9 @@ func BenchmarkElasticRecovery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			prob, _, spec := testProblem(b)
-			opts := testOptions(spec, 4)
+			f := startMaster(b, testOptions())
+			h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(100*time.Microsecond))
 			killAt := make(chan struct{})
-			if kill {
-				opts.OnProgress = progressTrigger(8, killAt)
-			}
-			m, err := cluster.NewMaster(prob, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := cluster.NewHarness(prob, m.Addr(), testWorkerOptions(spec, 100*time.Microsecond))
 			if kill {
 				go func() {
 					<-killAt
@@ -39,22 +33,23 @@ func BenchmarkElasticRecovery(b *testing.B) {
 				}()
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			resCh := make(chan error, 1)
 			b.StartTimer()
-			go func() {
-				_, err := m.Run(ctx)
-				resCh <- err
-			}()
 			for w := 0; w < 4; w++ {
 				if _, err := h.Add(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if err := <-resCh; err != nil {
+			_, err := runElastic(ctx, f, prob, spec, 4, func(req *fleet.JobRequest) {
+				if kill {
+					req.OnProgress = progressTrigger(8, killAt)
+				}
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
 			h.Close()
+			f.Close()
 			cancel()
 			b.StartTimer()
 		}
@@ -85,23 +80,15 @@ func BenchmarkStragglerSpeculation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			prob, spec := swggBench(b)
-			opts := testOptions(spec, 4)
+			opts := testOptions()
 			opts.Speculate = speculate
 			opts.CheckInterval = 10 * time.Millisecond
-			m, err := cluster.NewMaster(prob, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+			f := startMaster(b, opts)
 			// 64 cells x 100µs ≈ 6.4ms of emulated work per vertex; the
 			// 60ms proxy delay makes worker 0 roughly 10x slower.
-			h := cluster.NewHarness(prob, m.Addr(), testWorkerOptions(spec, 100*time.Microsecond))
+			h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(100*time.Microsecond))
 			ctx, cancel := context.WithCancel(context.Background())
-			resCh := make(chan error, 1)
 			b.StartTimer()
-			go func() {
-				_, err := m.Run(ctx)
-				resCh <- err
-			}()
 			// Slow worker 0 before the quorum completes, so it straggles
 			// from its first task on.
 			if _, err := h.Add(ctx); err != nil {
@@ -113,11 +100,12 @@ func BenchmarkStragglerSpeculation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := <-resCh; err != nil {
+			if _, err := runElastic(ctx, f, prob, spec, 4, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
 			h.Close()
+			f.Close()
 			cancel()
 			b.StartTimer()
 		}

@@ -1,27 +1,18 @@
-// Package cluster is the elastic control plane for the process level of
-// the EasyHPS runtime. Where the fixed master–slave deployment
-// (comm.ListenMaster + core.RunMaster) needs exactly -workers ranks with
-// hand-matched flags and can only paper over a dead worker with timeout
-// resends, this package runs the master as a long-lived membership
-// service:
+// Package cluster holds what every elastic deployment shares, whichever
+// master drives it: the membership table workers join, leave and die
+// under (Registry — admission with never-reused incarnations, heartbeat
+// deadlines, the quorum wait), the identity of the problem a one-job run
+// is solving (Spec), and the per-job scheduling ledger (Counters, Stats)
+// with its monitoring view (Snapshot).
 //
-//   - workers join at any time over the TCP transport with a handshake
-//     carrying the protocol version and a problem-spec digest, and are
-//     admitted as members with monotonically increasing incarnations;
-//   - liveness is tracked by heartbeats (worker → master, echoed back);
-//     a member that misses HeartbeatMiss intervals, or whose connection
-//     fails, is declared dead;
-//   - every dispatched DAG vertex holds a lease bound to the member's
-//     incarnation; when the member dies or leaves, its leases are
-//     revoked and the vertices reassigned to live workers, sharing the
-//     register-table/overtime machinery of internal/sched with the
-//     timeout path;
-//   - completed vertices stream to an internal/checkpoint file, so a
-//     restarted master resumes from the clean prefix and rejoining
-//     workers never recompute finished work.
+// The master itself is internal/fleet. An elastic cluster
+// (easyhps-launch -elastic) is a fleet with one job: the launcher waits
+// on the registry for its quorum, submits the job with the Spec in the
+// attach frame, and every worker checks that Spec against the one it was
+// started with before it computes a vertex.
 //
-// See docs/CLUSTER.md for the membership state machine and the lease
-// lifecycle.
+// See docs/CLUSTER.md for the membership state machine, the lease
+// lifecycle and the fault harness.
 package cluster
 
 import (
@@ -30,17 +21,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cas"
 	"repro/internal/dag"
-	"repro/internal/matrix"
-	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Spec identifies the problem a cluster is solving. Master and workers
-// each build their Problem locally from flags; the digest of this struct
-// travels in the join handshake so a worker built from different flags is
-// refused at admission instead of corrupting the run.
+// each build their Problem locally from flags. In fixed-rank mode the
+// digest of this struct travels in the join handshake; in elastic mode
+// the struct itself travels in the job's attach frame (fleet.JobRequest.Spec,
+// checked by fleet.SpecBuilder). Either way a worker built from different
+// flags is refused instead of corrupting the run.
 type Spec struct {
 	// App names the application (the internal/cli registry).
 	App string
@@ -56,170 +45,15 @@ type Spec struct {
 	Thread dag.Size
 }
 
-// Digest fingerprints the spec for the join handshake.
+// Digest fingerprints the spec: the fixed-rank join handshake carries it,
+// and it scopes a one-job run's entries in the result cache.
 func (s Spec) Digest() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("easyhps-spec:1:%s:%d:%d:%dx%d:%dx%d",
 		s.App, s.N, s.Seed, s.Proc.Rows, s.Proc.Cols, s.Thread.Rows, s.Thread.Cols)))
 	return hex.EncodeToString(h[:12])
 }
 
-// Options configures an elastic master.
-type Options struct {
-	// Addr is the listen address (host:port; :0 picks a free port,
-	// readable from Master.Addr).
-	Addr string
-	// Spec is the problem identity enforced at admission. The zero Spec
-	// disables the digest check.
-	Spec Spec
-	// MinWorkers blocks scheduling until this many members are admitted
-	// (default 1). Scheduling starts as soon as the quorum exists;
-	// further workers are admitted mid-run.
-	MinWorkers int
-	// HeartbeatInterval is the worker beacon period (default 250 ms).
-	HeartbeatInterval time.Duration
-	// HeartbeatMiss is how many silent intervals declare a member dead
-	// (default 3). One silent interval marks it suspect.
-	HeartbeatMiss int
-	// TaskTimeout is the per-vertex overtime bound; a leased vertex not
-	// finished within it is redistributed even if its member still
-	// heartbeats (default 30 s).
-	TaskTimeout time.Duration
-	// CheckInterval is the control-loop tick (default HeartbeatInterval).
-	CheckInterval time.Duration
-	// MaxAttempts bounds overtime redistributions per vertex before the
-	// run aborts (default 4). Revocations caused by member death do not
-	// count — an elastic cluster must survive any number of worker
-	// failures as long as capacity remains.
-	MaxAttempts int
-	// Batch bounds how many ready vertices one dispatch message may
-	// carry to a member (default 1, the classic per-vertex protocol).
-	// Every vertex of a batch holds its own lease, so a member death
-	// mid-batch revokes and reassigns exactly the undone remainder.
-	// Batch is a scheduling knob, deliberately outside Spec: masters and
-	// workers with different Batch settings interoperate (the worker
-	// executes whatever batch arrives and flushes at its own bound).
-	Batch int
-	// RunTimeout aborts the run when exceeded (0 disables).
-	RunTimeout time.Duration
-	// JoinWindow bounds how long Run waits for the MinWorkers quorum
-	// (default 1 minute).
-	JoinWindow time.Duration
-	// Speculate enables speculative re-execution: when an in-flight
-	// vertex runs longer than a high quantile of the kernel's observed
-	// runtimes (see SpecQuantile/SpecMultiplier), a backup attempt is
-	// dispatched to an idle member and whichever result arrives first
-	// wins; the loser is dropped by attempt stamp.
-	Speculate bool
-	// SpecQuantile is the runtime-profile quantile an attempt must
-	// outlive to become a speculation candidate (default 0.95).
-	SpecQuantile float64
-	// SpecMultiplier scales the quantile into the age threshold
-	// (default 2: "twice the p95 runtime").
-	SpecMultiplier float64
-	// SpecMinSamples is how many completed vertices must be observed
-	// before speculation arms (default 8) — backing up half the first
-	// wave off a cold profile would only add load.
-	SpecMinSamples int
-	// SpecFloor is the minimum age threshold (default CheckInterval),
-	// keeping sub-tick kernels from speculating on scheduling jitter.
-	SpecFloor time.Duration
-	// Steal enables idle work stealing: a worker that announces hunger
-	// (its pool drained for a while) is fed queued-but-undispatched
-	// batch entries revoked from the most loaded member's backlog.
-	Steal bool
-	// Auto hands the straggler knobs to the online tuner: Speculate and
-	// Steal are forced on, Batch/SpecQuantile/SpecMultiplier become the
-	// tuner's starting point, and every control-loop tick may adjust
-	// them from observed dispatch progress, hunger, profile dispersion
-	// and speculation outcomes (internal/tune). Adjustments are traced
-	// as EvTune events and exported via TuneSnapshot.
-	Auto bool
-	// Clock is the time source for the deadline machinery — heartbeat
-	// stamps and sweeps, lease grants, overtime deadlines, speculation
-	// ages and the control-loop tick. Nil means the wall clock; tests
-	// inject a sched.FakeClock and advance it instead of sleeping.
-	Clock sched.Clock
-	// CheckpointPath, when non-empty, persists completed vertices to
-	// this file and resumes from its clean prefix on start.
-	CheckpointPath string
-	// Cache, when non-nil, is the cross-job content-addressed result
-	// store (internal/cas): completed blocks are written through to it,
-	// and newly computable vertices are probed against it and committed
-	// without dispatch on a hit.
-	Cache *cas.Store
-	// CacheKey is the problem-spec content digest the cache keys chain
-	// from. Empty defaults to Spec.Digest() when Spec is non-zero; with
-	// a zero Spec an empty CacheKey leaves caching off even when Cache
-	// is set, since keys could collide across unrelated problems.
-	CacheKey string
-	// Trace optionally records scheduling and membership events.
-	Trace *trace.Recorder
-	// OnProgress, when non-nil, is called after restore and after every
-	// completed vertex with (completed, total). It runs on the master's
-	// receive loop, so it must be fast and must not block.
-	OnProgress func(completed, total int)
-	// OnDeath, when non-nil, is called with the member id whenever the
-	// master declares a member dead — connection failure, failed
-	// handshake, or the heartbeat sweep. It runs on the master's
-	// internal loops, so it must be fast, must not block, and must not
-	// call back into the master.
-	OnDeath func(member int)
-}
-
-// withDefaults fills the defaulted fields.
-func (o Options) withDefaults() Options {
-	if o.Auto {
-		// Auto means "mitigate stragglers for me": both mitigation
-		// mechanisms arm, and the tuner owns their thresholds.
-		o.Speculate = true
-		o.Steal = true
-	}
-	if o.MinWorkers < 1 {
-		o.MinWorkers = 1
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if o.HeartbeatMiss < 1 {
-		o.HeartbeatMiss = 3
-	}
-	if o.TaskTimeout <= 0 {
-		o.TaskTimeout = 30 * time.Second
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.HeartbeatInterval
-	}
-	if o.MaxAttempts < 1 {
-		o.MaxAttempts = 4
-	}
-	if o.Batch < 1 {
-		o.Batch = 1
-	}
-	if o.JoinWindow <= 0 {
-		o.JoinWindow = time.Minute
-	}
-	if o.SpecQuantile <= 0 || o.SpecQuantile > 1 {
-		o.SpecQuantile = 0.95
-	}
-	if o.SpecMultiplier <= 1 {
-		o.SpecMultiplier = 2
-	}
-	if o.SpecMinSamples < 1 {
-		o.SpecMinSamples = 8
-	}
-	if o.SpecFloor <= 0 {
-		o.SpecFloor = o.CheckInterval
-	}
-	if o.Clock == nil {
-		o.Clock = sched.Wall
-	}
-	if o.Cache != nil && o.CacheKey == "" && o.Spec != (Spec{}) {
-		o.CacheKey = o.Spec.Digest()
-	}
-	return o
-}
-
-// Stats aggregates what happened during an elastic run.
+// Stats aggregates what happened during one job's run on a fleet.
 type Stats struct {
 	// Tasks is the number of vertices completed by workers this run
 	// (restored vertices excluded).
@@ -238,8 +72,8 @@ type Stats struct {
 	// LeasesRevoked counts leases revoked by death or leave; Reassigned
 	// counts the vertices put back on the ready stack because of it.
 	LeasesRevoked, Reassigned int64
-	// BatchMessages counts multi-vertex task messages sent (zero when
-	// Options.Batch <= 1); TaskBytes is the total task payload volume.
+	// BatchMessages counts multi-vertex task messages sent (zero when the
+	// master's Batch <= 1); TaskBytes is the total task payload volume.
 	BatchMessages, TaskBytes int64
 	// Speculated counts backup attempts dispatched; SpecWon of those,
 	// how many beat the original; SpecWasted, how many were beaten,
@@ -301,24 +135,11 @@ func (s Stats) String() string {
 		s.Speculated, s.SpecWon, s.SpecWasted, s.Steals, s.Elapsed)
 }
 
-// Result of an elastic run: the completed blocked matrix plus statistics.
-type Result[T any] struct {
-	Store matrix.BlockStore[T]
-	Stats Stats
-}
-
-// Matrix assembles the result into a dense matrix.
-func (r *Result[T]) Matrix() [][]T { return r.Store.Assemble() }
-
-// Snapshot is the monitoring view of a cluster, exposed through the job
-// service's /metrics endpoint (see server.Manager.SetClusterStats).
+// Snapshot is the monitoring view of a membership table, exposed through
+// the job service's /metrics endpoint (see Registry.Metrics).
 type Snapshot struct {
 	// States counts current members by state name.
 	States map[string]int
 	// Joins, Leaves, Deaths, LeasesRevoked mirror Stats, cumulatively.
 	Joins, Leaves, Deaths, LeasesRevoked int64
-	// Speculated, SpecWon, SpecWasted and Steals mirror the straggler-
-	// mitigation counters of Stats, cumulatively (zero when read from a
-	// bare Registry — populate them via Master.Snapshot).
-	Speculated, SpecWon, SpecWasted, Steals int64
 }

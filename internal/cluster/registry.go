@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -73,6 +74,10 @@ type Registry struct {
 
 	joins, leaves, deaths     int64
 	leasesRevoked, reassigned int64
+
+	// admitted is closed and replaced on every admission — the only
+	// transition that can raise Live — to wake WaitLive's waiters.
+	admitted chan struct{}
 }
 
 // NewRegistry creates an empty registry; membership transitions are
@@ -83,7 +88,7 @@ func NewRegistry(tr *trace.Recorder, clock sched.Clock) *Registry {
 	if clock == nil {
 		clock = sched.Wall
 	}
-	return &Registry{members: make(map[int]*Member), tr: tr, clock: clock}
+	return &Registry{members: make(map[int]*Member), tr: tr, clock: clock, admitted: make(chan struct{})}
 }
 
 // Admit registers a new member and returns its identity.
@@ -97,6 +102,8 @@ func (r *Registry) Admit(name, addr string) Member {
 	m := &Member{ID: r.next, Name: name, Addr: addr, State: StateActive, Joined: now, LastBeat: now}
 	r.members[m.ID] = m
 	r.joins++
+	close(r.admitted)
+	r.admitted = make(chan struct{})
 	cp := *m
 	r.mu.Unlock()
 	r.tr.Member(cp.ID, "active")
@@ -202,8 +209,7 @@ func (r *Registry) NoteCompleted(id int) {
 }
 
 // NoteRevoked accumulates lease-revocation accounting, driven by the
-// revocation path of whoever owns the registry — the elastic master or
-// the shared fleet.
+// revocation path of the fleet that owns the registry.
 func (r *Registry) NoteRevoked(leases, reassigned int) {
 	r.mu.Lock()
 	r.leasesRevoked += int64(leases)
@@ -213,6 +219,14 @@ func (r *Registry) NoteRevoked(leases, reassigned int) {
 
 // Live returns how many members can currently take work.
 func (r *Registry) Live() int {
+	live, _ := r.liveAndAdmitted()
+	return live
+}
+
+// liveAndAdmitted returns the live count together with the channel the
+// next admission closes, read under one lock so a waiter cannot miss an
+// admission between the count and the wait.
+func (r *Registry) liveAndAdmitted() (int, <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
@@ -221,7 +235,25 @@ func (r *Registry) Live() int {
 			n++
 		}
 	}
-	return n
+	return n, r.admitted
+}
+
+// WaitLive blocks until n members are live at once — the quorum a
+// launcher waits for before it submits work — or ctx ends, in which case
+// the error says how many had joined. A member that joined and died does
+// not count. It wakes on admissions, never by polling.
+func (r *Registry) WaitLive(ctx context.Context, n int) error {
+	for {
+		live, admitted := r.liveAndAdmitted()
+		if live >= n {
+			return nil
+		}
+		select {
+		case <-admitted:
+		case <-ctx.Done():
+			return fmt.Errorf("cluster: %d of %d workers joined: %w", live, n, ctx.Err())
+		}
+	}
 }
 
 // Snapshot returns a copy of every member ever admitted, sorted by id.

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,32 +88,45 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-func TestLeaseTable(t *testing.T) {
-	lt := newLeaseTable(nil)
-	lt.grant(1, 10, 1)
-	lt.grant(2, 10, 1)
-	lt.grant(3, 11, 1)
-	if lt.len() != 3 {
-		t.Fatalf("len = %d, want 3", lt.len())
+// TestRegistryWaitLive: the quorum wait returns at the n-th admission, a
+// member that died before the quorum does not count toward it, and an
+// expired context says how many of n had joined.
+func TestRegistryWaitLive(t *testing.T) {
+	r := NewRegistry(nil, nil)
+	ctx := context.Background()
+	if err := r.WaitLive(ctx, 0); err != nil {
+		t.Fatalf("WaitLive(0) on an empty registry = %v", err)
 	}
-	// Redistribution supersedes the old holder.
-	lt.grant(1, 11, 2)
-	if hs := lt.holders(1); len(hs) != 1 || hs[0].Worker != 11 || hs[0].Attempt != 2 {
-		t.Fatalf("holders(1) = %+v, want member 11 attempt 2", hs)
+
+	quorum := make(chan error, 1)
+	go func() { quorum <- r.WaitLive(ctx, 2) }()
+	stillWaiting := func(when string) {
+		t.Helper()
+		select {
+		case err := <-quorum:
+			t.Fatalf("WaitLive(2) returned %v %s", err, when)
+		default:
+		}
 	}
-	// The superseded member no longer owns vertex 1.
-	revoked := lt.revokeMember(10)
-	if len(revoked) != 1 || revoked[0].Vertex != 2 {
-		t.Fatalf("revokeMember(10) = %+v, want only vertex 2", revoked)
+	a := r.Admit("a", "test")
+	stillWaiting("after one admission")
+	r.MarkDead(a.ID)
+	r.Admit("b", "test")
+	// Two admissions, one live member: whenever the waiter looks, it must
+	// count one. Its own deadline-bound twin proves it.
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	err := r.WaitLive(short, 2)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "1 of 2 workers joined") {
+		t.Fatalf("WaitLive past its deadline = %v, want a deadline error saying 1 of 2 joined", err)
 	}
-	if ls := lt.release(3); len(ls) != 1 || ls[0].Worker != 11 {
-		t.Fatalf("release(3) = %+v", ls)
+	stillWaiting("with a dead member making up the count")
+	r.Admit("c", "test")
+	if err := <-quorum; err != nil {
+		t.Fatalf("WaitLive(2) at the quorum = %v", err)
 	}
-	if ls := lt.release(3); len(ls) != 0 {
-		t.Fatal("double release succeeded")
-	}
-	if lt.len() != 1 {
-		t.Fatalf("len = %d after revoke+release, want 1", lt.len())
+	if got := r.Live(); got != 2 {
+		t.Fatalf("Live = %d at the quorum, want 2", got)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/fleet"
 )
 
 // One of four workers is pathologically slow. With speculation on, the
@@ -14,17 +14,13 @@ import (
 // is the speculative race, not the timeout path.
 func TestSpeculationRescuesStraggler(t *testing.T) {
 	prob, want, spec := testProblem(t)
-	opts := testOptions(spec, 4)
+	opts := testOptions()
 	opts.Speculate = true
 	opts.CheckInterval = 10 * time.Millisecond
 	// TaskTimeout (20s from testOptions) stays far above the test runtime,
 	// so any rescue observed here is speculation's.
-
-	m, err := cluster.NewMaster(prob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := cluster.NewHarness(prob, m.Addr(), testWorkerOptions(spec, 50*time.Microsecond))
+	f := startMaster(t, opts)
+	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(50*time.Microsecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -36,11 +32,11 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	}
 	h.Slow(0, 100*time.Millisecond)
 
-	res, err := m.Run(ctx)
+	res, err := runElastic(ctx, f, prob, spec, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalMatrices(t, "speculation", res.Matrix(), want)
+	equalMatrices(t, "speculation", res.Store.Assemble(), want)
 	if res.Stats.Tasks != 64 {
 		t.Fatalf("tasks = %d, want 64", res.Stats.Tasks)
 	}
@@ -67,18 +63,14 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 // never applied twice.
 func TestStealRebalancesBacklog(t *testing.T) {
 	prob, want, spec := testProblem(t)
-	opts := testOptions(spec, 2)
+	opts := testOptions()
 	opts.Steal = true
 	opts.Batch = 8
-
-	m, err := cluster.NewMaster(prob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wopts := testWorkerOptions(spec, 50*time.Microsecond)
+	f := startMaster(t, opts)
+	wopts := testWorkerOptions(50 * time.Microsecond)
 	wopts.Run.Batch = 8
 	wopts.HungerAfter = 20 * time.Millisecond
-	h := cluster.NewHarness(prob, m.Addr(), wopts)
+	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), wopts)
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -91,11 +83,11 @@ func TestStealRebalancesBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := m.Run(ctx)
+	res, err := runElastic(ctx, f, prob, spec, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalMatrices(t, "steal", res.Matrix(), want)
+	equalMatrices(t, "steal", res.Store.Assemble(), want)
 	if res.Stats.Tasks != 64 {
 		t.Fatalf("tasks = %d, want 64", res.Stats.Tasks)
 	}

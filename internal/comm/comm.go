@@ -141,6 +141,61 @@ func (m Message) PayloadLen() int {
 	return n
 }
 
+// ErrSend marks an error ServeTasks got back from its send callback, so
+// a caller can tell a dead link from a failed computation.
+var ErrSend = errors.New("comm: sending results")
+
+// ServeTasks is the worker side of one KindTask or KindTaskBatch frame
+// (steps b-d of the slave scheduling loop), the one place the result
+// protocol is written down. It passes the frame's entries to run in
+// order — a batch's entries are mutually independent, the master drew
+// them all from one ready set — and answers through send. Results are
+// coalesced and flushed every flush entries (less than 1 means 1); a
+// flush that is not the last carries More, so the master does not re-arm
+// this worker's sender while the batch is still executing. The last
+// frame, the one that announces idleness, is a KindResult for one
+// pending result, a KindResultBatch for several and a bare KindIdle for
+// none (an empty batch, which no master sends). Result frames echo the
+// frame's job id and each entry's attempt stamp.
+//
+// An error from run ends the frame before the next entry and is returned
+// as it is; the results not yet flushed are lost with it, as they are
+// with a crashed node. An error from send is returned wrapped in ErrSend.
+func ServeTasks(msg Message, flush int, run func(vertex int32, task []byte) ([]byte, error), send func(Message) error) error {
+	entries := msg.Batch
+	if msg.Kind == KindTask {
+		entries = []TaskEntry{{Vertex: msg.Vertex, Attempt: msg.Attempt, Payload: msg.Payload}}
+	}
+	if flush < 1 {
+		flush = 1
+	}
+	var results []TaskEntry
+	for i, e := range entries {
+		out, err := run(e.Vertex, e.Payload)
+		if err != nil {
+			return err
+		}
+		results = append(results, TaskEntry{Vertex: e.Vertex, Attempt: e.Attempt, Payload: out})
+		if len(results) >= flush && i < len(entries)-1 {
+			if err := send(Message{Kind: KindResultBatch, Job: msg.Job, Batch: results, More: true}); err != nil {
+				return fmt.Errorf("%w: %w", ErrSend, err)
+			}
+			results = nil
+		}
+	}
+	final := Message{Kind: KindResultBatch, Job: msg.Job, Batch: results}
+	switch len(results) {
+	case 0:
+		final = Message{Kind: KindIdle}
+	case 1:
+		final = Message{Kind: KindResult, Job: msg.Job, Vertex: results[0].Vertex, Attempt: results[0].Attempt, Payload: results[0].Payload}
+	}
+	if err := send(final); err != nil {
+		return fmt.Errorf("%w: %w", ErrSend, err)
+	}
+	return nil
+}
+
 // ErrClosed is returned by Recv after the transport has been closed and
 // drained, and by Send on a closed transport.
 var ErrClosed = errors.New("comm: transport closed")

@@ -32,7 +32,7 @@ const ProtocolVersion = 4
 // Hello is the first frame on every worker connection: who is joining and
 // what problem it believes the cluster is solving.
 type Hello struct {
-	// Rank is the fixed-mode rank (1..slaves); elastic workers leave it
+	// Rank is the fixed-mode rank (1..slaves); fleet workers leave it
 	// zero and are assigned a member id by the master instead.
 	Rank int
 	// Version is the sender's ProtocolVersion. A pre-versioning binary
@@ -42,12 +42,9 @@ type Hello struct {
 	// the worker was started with. Empty means "not checked" for
 	// backward compatibility of the fixed-mode tools.
 	Digest string
-	// Elastic marks a worker joining an elastic cluster (internal/cluster)
-	// rather than a fixed-size rendezvous.
-	Elastic bool
-	// Fleet marks a worker joining a shared multi-job fleet
-	// (internal/fleet): it carries no single-job digest — per-job specs
-	// are verified via the job-spec attach frames instead.
+	// Fleet marks a worker joining a fleet (internal/fleet) rather than a
+	// fixed-size rendezvous: it carries no digest — per-job specs are
+	// verified via the job-spec attach frames instead.
 	Fleet bool
 	// Name optionally labels the member in logs and metrics.
 	Name string
@@ -60,14 +57,14 @@ type Welcome struct {
 	// also diagnose the skew on its side.
 	Version int
 	// Member is the identity granted to the worker: its rank in fixed
-	// mode, its assigned member id in elastic mode.
+	// mode, its assigned member id in a fleet.
 	Member int
 	// Err is the refusal reason, empty on success.
 	Err string
 }
 
 // Conn is one message connection: the unit the TCP transport and the
-// elastic cluster layer are both built from. Hot task/result messages
+// fleet are both built from. Hot task/result messages
 // travel as binary frames; the handshake and control messages share a
 // persistent gob stream on the same connection (see wire.go for the
 // framing and why the two cannot be confused). Writes of whole frames

@@ -154,6 +154,11 @@ func TestAffinityPolicy(t *testing.T) {
 			Policy:          policy,
 			DeltaShipping:   delta,
 			RunTimeout:      time.Minute,
+			// Blocks that take milliseconds keep all three slaves in the
+			// run; with real kernels alone one slave can drain the whole
+			// delta run before the others say hello, and then it ships
+			// too little for the band below to mean anything.
+			WorkDelayPerCell: crashWork,
 		}
 		res, err := core.Run(s.Problem(), cfg)
 		if err != nil {

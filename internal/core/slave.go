@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -24,20 +25,18 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 	// delta shipping is enabled; blocks are immutable once complete, so
 	// the cache never goes stale within a run.
 	var cache []*matrix.Block[T]
-	// run is one sub-task's trip through the slave, shared by single tasks
-	// and batch entries: fault hooks, decode, compute, encode. ok false
-	// ends the slave, silently (nil err: an injected node failure dies
-	// without a word) or with the codec error.
-	run := func(vertex int32, task []byte) (result []byte, ok bool, err error) {
+	// run is one sub-task's trip through the slave: fault hooks, decode,
+	// compute, encode.
+	run := func(vertex int32, task []byte) ([]byte, error) {
 		if faults.crashNow(rank) {
-			return nil, false, nil
+			return nil, errCrashed
 		}
 		if d := faults.stallTask(vertex); d > 0 {
 			time.Sleep(d)
 		}
 		inputs, err := matrix.DecodeBlocks(p.Codec, task)
 		if err != nil {
-			return nil, false, fmt.Errorf("core: slave %d decoding task %d: %w", rank, vertex, err)
+			return nil, fmt.Errorf("core: slave %d decoding task %d: %w", rank, vertex, err)
 		}
 		if cfg.DeltaShipping {
 			cache = append(cache, inputs...)
@@ -47,13 +46,14 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 		if cfg.DeltaShipping {
 			cache = append(cache, out)
 		}
-		result, err = matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
+		result, err := matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
 		if err != nil {
-			return nil, false, fmt.Errorf("core: slave %d encoding result %d: %w", rank, vertex, err)
+			return nil, fmt.Errorf("core: slave %d encoding result %d: %w", rank, vertex, err)
 		}
-		return result, true, nil
+		return result, nil
 	}
-	if err := tr.Send(0, comm.Message{Kind: comm.KindIdle}); err != nil {
+	send := func(m comm.Message) error { return tr.Send(0, m) }
+	if err := send(comm.Message{Kind: comm.KindIdle}); err != nil {
 		// The master has already hung up: the other slaves finished a
 		// small job before this one said hello. The run is over.
 		return nil
@@ -71,60 +71,24 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 			// transport; anything else is corruption. Die loudly so the
 			// timeout path reassigns this slave's work.
 			return fmt.Errorf("core: slave %d received unexpected %v frame", rank, msg.Kind)
-		case comm.KindTask:
-			payload, ok, err := run(msg.Vertex, msg.Payload)
-			if !ok {
+		case comm.KindTask, comm.KindTaskBatch:
+			err := comm.ServeTasks(msg, cfg.Batch, run, send)
+			if errors.Is(err, comm.ErrSend) || errors.Is(err, errCrashed) {
+				// The master hung up (the run is over), or an injected
+				// node failure: it dies without a word, and the results
+				// of its batch not yet flushed die with it.
+				return nil
+			}
+			if err != nil {
 				return err
-			}
-			if err := tr.Send(0, comm.Message{
-				Kind: comm.KindResult, Vertex: msg.Vertex, Attempt: msg.Attempt, Payload: payload,
-			}); err != nil {
-				return nil
-			}
-		case comm.KindTaskBatch:
-			// Entries are mutually independent (the master draws them all
-			// from one ready set), so they execute sequentially through
-			// the same per-vertex path, with results coalesced and
-			// flushed every cfg.Batch entries. Non-final flushes carry
-			// More so the master does not re-arm this slave's sender
-			// while the batch is still executing.
-			flushBound := cfg.Batch
-			if flushBound < 1 {
-				flushBound = 1
-			}
-			var results []comm.TaskEntry
-			for idx, e := range msg.Batch {
-				// A crash mid-batch loses the results not yet flushed
-				// with the node.
-				payload, ok, err := run(e.Vertex, e.Payload)
-				if !ok {
-					return err
-				}
-				results = append(results, comm.TaskEntry{Vertex: e.Vertex, Attempt: e.Attempt, Payload: payload})
-				if len(results) >= flushBound && idx < len(msg.Batch)-1 {
-					if err := tr.Send(0, comm.Message{Kind: comm.KindResultBatch, Batch: results, More: true}); err != nil {
-						return nil
-					}
-					results = nil
-				}
-			}
-			var final comm.Message
-			switch len(results) {
-			case 0:
-				// Nothing left to flush (an empty batch, which the master
-				// never sends): announce idleness so the sender re-arms.
-				final = comm.Message{Kind: comm.KindIdle}
-			case 1:
-				final = comm.Message{Kind: comm.KindResult, Vertex: results[0].Vertex, Attempt: results[0].Attempt, Payload: results[0].Payload}
-			default:
-				final = comm.Message{Kind: comm.KindResultBatch, Batch: results}
-			}
-			if err := tr.Send(0, final); err != nil {
-				return nil
 			}
 		}
 	}
 }
+
+// errCrashed is what an injected node failure (FaultPlan.CrashOnTask)
+// ends a slave's task with.
+var errCrashed = errors.New("core: injected slave crash")
 
 // jitterFactor returns a deterministic multiplier in [1-amp, 1+amp) keyed
 // by the processor-level task identity (splitmix64 finalizer). Keying at

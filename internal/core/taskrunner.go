@@ -12,9 +12,8 @@ import (
 // slave loop: decode the shipped data region, run the thread-level worker
 // pool over the block (computeBlock, with its slave DAG, overtime queue
 // and panic recovery), and encode the result. It is the compute engine of
-// the elastic cluster worker (internal/cluster), which owns its own
-// message protocol but must produce bit-identical blocks to a fixed-mode
-// slave.
+// the fleet worker (internal/fleet), which owns its own message protocol
+// but must produce bit-identical blocks to a fixed-mode slave.
 type TaskRunner[T any] struct {
 	p    Problem[T]
 	cfg  Config

@@ -1,15 +1,17 @@
-// Package fleet is the shared-fleet control plane: one master process
-// running N concurrent DAG jobs over a single elastic worker pool.
+// Package fleet is the elastic master: one process running N concurrent
+// DAG jobs over a single worker pool that members join, leave and die
+// under. The job service submits many jobs to it (easyhps-serve -fleet);
+// an elastic cluster run (easyhps-launch -elastic) is the same fleet with
+// one job.
 //
-// It splits what cluster.Master fuses into one struct. The fleet owns the
-// shared half — the listener, membership registry, member connections,
-// heartbeats and hunger beacons — while each submitted job owns the
-// DAG-progress half: its graph, parser, block store, register table
-// (attempt namespace), overtime queue, lease table, checkpoint log,
-// runtime profile and stats ledger. Task and result frames carry a job id
-// (comm.Message.Job, wire protocol v3), and a worker attaches a job's
-// kernel state on first contact via a job-spec frame, so one worker holds
-// batches from several jobs at once.
+// The fleet owns the shared half of a run — the listener, membership
+// registry, member connections, heartbeats and hunger beacons — while
+// each submitted job owns the DAG-progress half: its graph, parser, block
+// store, register table (attempt namespace), overtime queue, lease table,
+// checkpoint log, runtime profile and stats ledger. Task and result
+// frames carry a job id (comm.Message.Job, wire protocol v3), and a
+// worker attaches a job's kernel state on first contact via a job-spec
+// frame, so one worker holds batches from several jobs at once.
 //
 // Which job feeds the next ready batch to an idle worker is decided by a
 // pluggable Policy; the default FairShare dispatches to the eligible job
@@ -70,11 +72,20 @@ type Options struct {
 	// Policy picks the job that feeds each idle worker (default
 	// FairShare).
 	Policy Policy
-	// Speculate enables speculative re-execution per job, with the same
-	// quantile machinery as the single-job master.
+	// Speculate enables speculative re-execution per job: when an
+	// in-flight vertex runs longer than a high quantile of the job's
+	// observed runtimes, a backup attempt is dispatched to an idle member
+	// and whichever result arrives first wins; the loser is dropped by
+	// attempt stamp.
 	Speculate bool
-	// SpecQuantile, SpecMultiplier, SpecMinSamples and SpecFloor tune
-	// speculation exactly as in cluster.Options.
+	// SpecQuantile is the runtime-profile quantile an attempt must outlive
+	// to become a speculation candidate (default 0.95) and SpecMultiplier
+	// scales it into the age threshold (default 2: "twice the p95
+	// runtime"). SpecMinSamples is how many completed vertices a job must
+	// have observed before speculation arms (default 8) — backing up half
+	// the first wave off a cold profile would only add load. SpecFloor is
+	// the minimum age threshold (default CheckInterval), keeping sub-tick
+	// kernels from speculating on scheduling jitter.
 	SpecQuantile   float64
 	SpecMultiplier float64
 	SpecMinSamples int
@@ -568,7 +579,7 @@ func (f *Fleet[T]) admit(c net.Conn) {
 		return
 	}
 	if !hello.Fleet {
-		cn.Reject("this master runs a shared fleet; start the worker with -fleet")
+		cn.Reject("this master runs a fleet; start a worker of the same build with -fleet (easyhps-serve) or -elastic (easyhps-launch)")
 		return
 	}
 	select {
@@ -1219,7 +1230,8 @@ func (f *Fleet[T]) requeueReady(jb *job[T], ids []int32) {
 }
 
 // memberDown declares a member dead and reassigns its leases across all
-// jobs. Idempotent, like the single-job master's.
+// jobs. It is idempotent: the pump, a failed send and the heartbeat sweep
+// may all report the same member.
 func (f *Fleet[T]) memberDown(member int) {
 	if !f.reg.MarkDead(member) {
 		return
@@ -1404,10 +1416,12 @@ func (f *Fleet[T]) tickJob(jb *job[T], now time.Time) {
 	}
 }
 
-// maybeSpeculate flags jb's straggling attempts for backup dispatch,
-// with the same profile-threshold machinery as the single-job master but
-// a per-job budget, so one job's stragglers cannot spend the pool's
-// entire speculation allowance.
+// maybeSpeculate flags jb's straggling attempts — in flight longer than
+// the job's runtime-profile threshold — for backup dispatch. It fires
+// only while the job's ready queue is empty (idle capacity should take
+// queued work first) and flags at most one vertex per live member per
+// tick, per job, so one job's stragglers cannot spend the pool's entire
+// speculation allowance.
 func (f *Fleet[T]) maybeSpeculate(jb *job[T]) {
 	f.mu.Lock()
 	queued := len(jb.ready)
@@ -1490,7 +1504,6 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 			maxServed = jb.served
 		}
 	}
-	running := len(rows)
 	for _, jb := range f.doneLog {
 		rows = append(rows, row{jb, 0, 0, jb.served})
 	}
@@ -1502,7 +1515,7 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 		Hungers:    f.hungers.Load(),
 		Members:    f.reg.Metrics(),
 	}
-	for i, r := range rows {
+	for _, r := range rows {
 		jb := r.jb
 		st := JobStatus{
 			ID:       jb.id,
@@ -1515,12 +1528,15 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 			Priority: jb.req.Priority,
 			Stats:    jb.stats(),
 		}
-		if i < running {
+		// The job's own latch decides, not the table it was found in: a
+		// job whose Run has returned may still be a step from retirement.
+		switch {
+		case !jb.finished():
 			st.State = "running"
 			st.Deficit = maxServed - r.served
-		} else if jb.finalErr() != nil {
+		case jb.finalErr() != nil:
 			st.State = "failed"
-		} else {
+		default:
 			st.State = "done"
 		}
 		s.States[st.State]++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"strings"
@@ -105,65 +104,6 @@ func waitUntil(t *testing.T, f *Fleet[int32], what string, cond func() bool) {
 	}
 }
 
-// killProxy is a TCP relay the test can sever abruptly, simulating a
-// worker crash (RST/close rather than a graceful Leave frame).
-type killProxy struct {
-	ln     net.Listener
-	target string
-	mu     sync.Mutex
-	conns  []net.Conn
-	wg     sync.WaitGroup
-}
-
-func newKillProxy(t *testing.T, target string) *killProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &killProxy{ln: ln, target: target}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", p.target)
-			if err != nil {
-				c.Close()
-				continue
-			}
-			p.mu.Lock()
-			p.conns = append(p.conns, c, up)
-			p.mu.Unlock()
-			go func() { _, _ = io.Copy(up, c); up.Close(); c.Close() }()
-			go func() { _, _ = io.Copy(c, up); up.Close(); c.Close() }()
-		}
-	}()
-	return p
-}
-
-func (p *killProxy) Addr() string { return p.ln.Addr().String() }
-
-// Kill severs every proxied connection at once.
-func (p *killProxy) Kill() {
-	p.mu.Lock()
-	conns := p.conns
-	p.conns = nil
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (p *killProxy) Close() {
-	p.ln.Close()
-	p.Kill()
-	p.wg.Wait()
-}
-
 // TestFleetConcurrentJobsWorkerKill is the shared-fleet integration test:
 // three different DP jobs run concurrently over four workers, one worker
 // is killed mid-run through a proxy, and every job must still assemble a
@@ -183,32 +123,21 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 	}
 	defer f.Close()
 
-	proxy := newKillProxy(t, f.Addr())
-	defer proxy.Close()
-
-	wctx, stopWorkers := context.WithCancel(context.Background())
-	defer stopWorkers()
-	var wwg sync.WaitGroup
-	startWorker := func(addr, name string, hunger time.Duration) {
-		wwg.Add(1)
-		go func() {
-			defer wwg.Done()
-			_ = RunWorker(wctx, testBuilder, WorkerOptions{
-				Addr:              addr,
-				Name:              name,
-				HeartbeatInterval: 50 * time.Millisecond,
-				Run:               core.Config{Threads: 2, Batch: 2},
-				TaskDelay:         func() time.Duration { return 3 * time.Millisecond },
-				HungerAfter:       hunger,
-			})
-		}()
-	}
-	startWorker(f.Addr(), "w0", 30*time.Millisecond)
-	startWorker(f.Addr(), "w1", 0)
-	startWorker(f.Addr(), "w2", 0)
-	// The fourth worker joins through the proxy so the test can sever its
+	// Every worker joins through the harness, so the test can sever one
 	// connection mid-run.
-	startWorker(proxy.Addr(), "victim", 0)
+	h := NewHarness(testBuilder, f.Addr(), WorkerOptions{
+		HeartbeatInterval: 50 * time.Millisecond,
+		Run:               core.Config{Threads: 2, Batch: 2},
+		HungerAfter:       30 * time.Millisecond,
+	})
+	defer h.Close()
+	const victim = 3
+	for i := 0; i <= victim; i++ {
+		if _, err := h.Add(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		h.Slow(i, 3*time.Millisecond)
+	}
 
 	jobs := []string{"edit", "nussinov", "swgg"}
 	type outcome struct {
@@ -227,11 +156,11 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 		}(i, name, prob)
 	}
 
-	// Sever the proxied worker once the fleet is demonstrably mid-run.
+	// Sever one worker once the fleet is demonstrably mid-run.
 	waitUntil(t, f, "mid-run progress", func() bool {
 		return f.Snapshot().Aggregate.Tasks >= 16
 	})
-	proxy.Kill()
+	h.Kill(victim)
 
 	jwg.Wait()
 	for i, name := range jobs {
@@ -257,9 +186,9 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 	if snap.Aggregate.Tasks < int64(16) {
 		t.Fatalf("aggregate tasks = %d, want the roll-up to count all jobs", snap.Aggregate.Tasks)
 	}
-	stopWorkers()
-	f.Close()
-	wwg.Wait()
+	if err := h.Err(victim); err == nil {
+		t.Fatal("killed worker exited cleanly")
+	}
 }
 
 // runSwallowDriver joins the fleet as a protocol-driver worker that
@@ -724,6 +653,10 @@ func TestFleetCheckpointResume(t *testing.T) {
 	}
 	if r2.Stats.Restored != r1.Stats.Tasks {
 		t.Fatalf("restored %d vertices, want %d", r2.Stats.Restored, r1.Stats.Tasks)
+	}
+	if vertices := int64(r2.Store.Geometry().Grid.Cells()); r2.Stats.Restored+r2.Stats.Tasks != vertices {
+		t.Fatalf("restored %d + tasks %d != %d vertices: completed vertices were recomputed",
+			r2.Stats.Restored, r2.Stats.Tasks, vertices)
 	}
 	checkMatrix(t, "restored run", r2.Store.Assemble(), want)
 }

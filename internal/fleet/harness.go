@@ -1,4 +1,4 @@
-package cluster
+package fleet
 
 import (
 	"context"
@@ -7,18 +7,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
-// Harness runs an in-process elastic cluster worker fleet for tests and
-// benchmarks, with fault injection. Every worker connects to the master
-// through its own TCP proxy, so a test can fail the link (Kill), freeze
-// it without closing it (Partition/Heal — the half-open case heartbeats
-// exist for), or slow the member's compute (Slow), all without reaching
-// into the worker's goroutines.
+// Harness runs in-process fleet workers for tests and benchmarks, with
+// fault injection. Every worker connects to the master through its own
+// TCP proxy, so a test can fail the link (Kill), freeze it without
+// closing it (Partition/Heal — the half-open case heartbeats exist for),
+// or slow the member's compute (Slow), all without reaching into the
+// worker's goroutines.
 type Harness[T any] struct {
-	p      core.Problem[T]
+	build  Builder[T]
 	master string
 	opts   WorkerOptions
 
@@ -35,15 +33,15 @@ type harnessWorker struct {
 	err    error // valid after done is closed
 }
 
-// NewHarness prepares a harness whose workers solve p against the master
-// at masterAddr. opts is the per-worker template; Addr, Name and
-// TaskDelay are overridden per worker.
-func NewHarness[T any](p core.Problem[T], masterAddr string, opts WorkerOptions) *Harness[T] {
-	return &Harness[T]{p: p, master: masterAddr, opts: opts}
+// NewHarness prepares a harness whose workers attach jobs through build
+// and serve the fleet at masterAddr. opts is the per-worker template;
+// Addr, Name and TaskDelay are overridden per worker.
+func NewHarness[T any](build Builder[T], masterAddr string, opts WorkerOptions) *Harness[T] {
+	return &Harness[T]{build: build, master: masterAddr, opts: opts}
 }
 
 // Add starts one worker (joining through a fresh proxy) and returns its
-// harness index. Adding while the run is underway is exactly the elastic
+// harness index. Adding while a job is underway is exactly the elastic
 // mid-run join.
 func (h *Harness[T]) Add(ctx context.Context) (int, error) {
 	px, err := newProxy(h.master)
@@ -66,7 +64,7 @@ func (h *Harness[T]) Add(ctx context.Context) (int, error) {
 		defer h.wg.Done()
 		defer close(w.done)
 		defer cancel()
-		w.err = RunWorker(wctx, h.p, opts)
+		w.err = RunWorker(wctx, h.build, opts)
 	}()
 	return idx, nil
 }
@@ -125,15 +123,10 @@ func (h *Harness[T]) Slow(i int, d time.Duration) {
 func (h *Harness[T]) Err(i int) error {
 	w := h.worker(i)
 	if w == nil {
-		return fmt.Errorf("cluster: harness has no worker %d", i)
+		return fmt.Errorf("fleet: harness has no worker %d", i)
 	}
 	<-w.done
 	return w.err
-}
-
-// Wait blocks until every worker has exited.
-func (h *Harness[T]) Wait() {
-	h.wg.Wait()
 }
 
 // Close kills every worker and waits for them.

@@ -141,11 +141,10 @@ type JobStatus struct {
 	Stats   cluster.Stats
 }
 
-// job is the DAG-progress half of what used to be cluster.Master: one
-// graph, parser, store, register table, overtime queue, lease table,
-// checkpoint log and stats ledger — everything scoped to a single DAG —
-// while the fleet owns the shared half (membership, connections,
-// heartbeats, hunger).
+// job is the DAG-progress half of a run: one graph, parser, store,
+// register table, overtime queue, lease table, checkpoint log and stats
+// ledger — everything scoped to a single DAG — while the fleet owns the
+// shared half (membership, connections, heartbeats, hunger).
 type job[T any] struct {
 	id   int32
 	req  JobRequest
@@ -188,7 +187,12 @@ type job[T any] struct {
 	// guard); control loop only.
 	timeouts map[int32]int
 
-	// Speculation bookkeeping, same protocol as cluster.Master.
+	// Speculation bookkeeping: specPending marks vertices the control
+	// loop has flagged for a backup dispatch (the next sender to draw
+	// them issues a RegisterBackup instead of a superseding Register);
+	// backupOf remembers the live backup attempt per vertex so the
+	// arbitration outcome (won vs wasted) can be classified when the
+	// race resolves.
 	specMu      sync.Mutex
 	specPending map[int32]bool
 	backupOf    map[int32]int32
@@ -302,9 +306,9 @@ func (jb *job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
 	return nil
 }
 
-// restore replays the job's checkpoint prefix (when configured) and
-// returns the computable frontier. Mirrors the single-job master's
-// restore, scoped to this job's graph and store.
+// restore replays the clean prefix of the job's checkpoint (when
+// configured; a torn tail is truncated) and returns the computable
+// frontier. Without a checkpoint the frontier is the DAG roots.
 func (jb *job[T]) restore() ([]int32, error) {
 	ready := make(map[int32]bool)
 	for _, id := range jb.parser.InitialReady() {

@@ -2,8 +2,9 @@ package fleet
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
-	"strings"
+	"net"
 	"testing"
 	"time"
 
@@ -116,7 +117,8 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	f, err := New[int32](Options{
 		Addr:              "127.0.0.1:0",
 		HeartbeatInterval: time.Hour,
-		CheckInterval:     time.Second,
+		CheckInterval:     time.Hour, // the test is the only caller of the detector
+		SpecFloor:         time.Second,
 		TaskTimeout:       time.Hour, // overtime must not race the detector
 		Speculate:         true,
 		Clock:             fake,
@@ -228,17 +230,40 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	}
 }
 
-// TestFleetAdmitRejectsNonFleetWorker pins the join contract: an elastic
-// (single-job) worker is refused with a hint to restart with -fleet.
+// TestFleetAdmitRejectsNonFleetWorker pins the join contract: a worker
+// that does not say Fleet in its hello is refused with a hint naming the
+// flags that do. The hello sent here is the one a protocol-v4 binary's
+// easyhps-worker -elastic sends — same version, an Elastic flag this
+// binary no longer has a field for — so an old elastic worker meeting a
+// new elastic master gets this reply, not a hang or a decode error.
 func TestFleetAdmitRejectsNonFleetWorker(t *testing.T) {
 	f, err := New[int32](Options{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, _, err = comm.DialHello(f.Addr(), comm.Hello{Elastic: true}, 2*time.Second)
-	if err == nil || !strings.Contains(err.Error(), "-fleet") {
-		t.Fatalf("elastic join = %v, want a refusal naming -fleet", err)
+	c, err := net.Dial("tcp", f.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	type v4ElasticJoin struct {
+		Version int
+		Elastic bool
+		Name    string
+	}
+	if err := gob.NewEncoder(c).Encode(v4ElasticJoin{Version: comm.ProtocolVersion, Elastic: true, Name: "old"}); err != nil {
+		t.Fatal(err)
+	}
+	var reply comm.Welcome
+	if err := gob.NewDecoder(c).Decode(&reply); err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	if want := "this master runs a fleet; start a worker of the same build with -fleet (easyhps-serve) or -elastic (easyhps-launch)"; reply.Err != want {
+		t.Fatalf("refusal = %q, want %q", reply.Err, want)
+	}
+	if joins, _, _, _, _ := f.Registry().MembershipCounts(); joins != 0 {
+		t.Fatalf("joins = %d, want the refused worker not admitted", joins)
 	}
 	if f.Registry() == nil {
 		t.Fatal("Registry() = nil")

@@ -3,9 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -56,6 +58,37 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // tasks, so a builder that diverges from the master's is refused at
 // attach time.
 type Builder[T any] func(meta JobMeta) (core.Problem[T], error)
+
+// SpecRequest and SpecBuilder are the two ends of a one-job run whose
+// master and workers each built the problem from their own flags
+// (easyhps-launch -elastic, easyhps-worker -elastic): the master's
+// cluster.Spec travels as the job's spec, and every worker checks it
+// against its own before it computes a vertex.
+//
+// SpecRequest returns the request that submits the problem spec
+// describes: the spec in the attach frame, its partitions, and its digest
+// scoping the job's entries in the fleet's result cache, if it has one.
+func SpecRequest(spec cluster.Spec) JobRequest {
+	enc, _ := json.Marshal(spec) // strings and integers always encode
+	return JobRequest{Name: spec.App, Spec: enc, Proc: spec.Proc, Thread: spec.Thread, CacheKey: spec.Digest()}
+}
+
+// SpecBuilder returns the Builder of a worker started with spec, for
+// which it built p. An attach frame carrying another spec — the master
+// was started with other -app/-n/-seed/-proc/-thread flags — is refused,
+// naming both.
+func SpecBuilder[T any](spec cluster.Spec, p core.Problem[T]) Builder[T] {
+	return func(meta JobMeta) (core.Problem[T], error) {
+		var master cluster.Spec
+		if err := json.Unmarshal(meta.Spec, &master); err != nil {
+			return core.Problem[T]{}, fmt.Errorf("fleet: decoding the problem spec of job %q: %w", meta.Name, err)
+		}
+		if master != spec {
+			return core.Problem[T]{}, fmt.Errorf("problem spec mismatch: master runs %+v, this worker was started with %+v (check -app/-n/-seed/-proc/-thread flags)", master, spec)
+		}
+		return p, nil
+	}
+}
 
 // RunWorker joins the shared fleet at opts.Addr and computes tasks for
 // any number of concurrent jobs until the fleet dismisses it (nil), the
@@ -112,7 +145,10 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 		}
 	}()
 
-	// Hunger beacon, identical to the elastic worker's.
+	// Hunger beacon: when no task has arrived for HungerAfter, tell the
+	// fleet this member's pool has drained so it can steal queued work
+	// toward it. The recv loop feeds activity on every task receipt and
+	// completion; the beacon re-arms while idleness persists.
 	var activity chan struct{}
 	if opts.HungerAfter > 0 {
 		activity = make(chan struct{}, 1)
@@ -160,24 +196,6 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 	// "last job detached" instant.
 	runners := make(map[int32]*core.TaskRunner[T])
 	seen := make(map[[32]byte]*matrix.Block[T])
-	runnerFor := func(job int32) (*core.TaskRunner[T], error) {
-		r, ok := runners[job]
-		if !ok {
-			// The connection is ordered, so a task frame for an
-			// unattached job means protocol corruption, not a race.
-			return nil, fmt.Errorf("fleet: member %d received task for unattached job %d", member, job)
-		}
-		return r, nil
-	}
-	runOne := func(r *core.TaskRunner[T], vertex int32, payload []byte) ([]byte, error) {
-		if opts.TaskDelay != nil {
-			if d := opts.TaskDelay(); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		return r.Run(vertex, payload)
-	}
-
 	if err := cn.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
 		return fmt.Errorf("fleet: member %d announcing idle: %w", member, err)
 	}
@@ -232,72 +250,41 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 				// just deleted; future attaches get the fresh one.
 				seen = make(map[[32]byte]*matrix.Block[T])
 			}
-		case comm.KindTask:
+		case comm.KindTask, comm.KindTaskBatch:
 			noteActivity()
-			r, err := runnerFor(msg.Job)
-			if err != nil {
-				return err
+			r, ok := runners[msg.Job]
+			if !ok {
+				// The connection is ordered, so a task frame for an
+				// unattached job means protocol corruption, not a race.
+				return fmt.Errorf("fleet: member %d received task for unattached job %d", member, msg.Job)
 			}
-			out, err := runOne(r, msg.Vertex, msg.Payload)
-			if err != nil {
-				// A compute failure is fatal for this member; dying
-				// loudly lets the fleet's revocation path reassign the
-				// vertex.
-				return fmt.Errorf("fleet: member %d computing vertex %d of job %d: %w", member, msg.Vertex, msg.Job, err)
-			}
-			if err := cn.Send(comm.Message{Kind: comm.KindResult, Job: msg.Job, Vertex: msg.Vertex, Attempt: msg.Attempt, Payload: out}); err != nil {
+			// A frame's entries never mix jobs; they run through the job's
+			// runner and flush at this worker's own bound.
+			err := comm.ServeTasks(msg, opts.Run.Batch, func(vertex int32, task []byte) ([]byte, error) {
+				if opts.TaskDelay != nil {
+					if d := opts.TaskDelay(); d > 0 {
+						time.Sleep(d)
+					}
+				}
+				out, err := r.Run(vertex, task)
+				if err != nil {
+					// A compute failure is fatal for this member; dying
+					// loudly lets the fleet's revocation path reassign the
+					// vertex.
+					return nil, fmt.Errorf("fleet: member %d computing vertex %d of job %d: %w", member, vertex, msg.Job, err)
+				}
+				return out, nil
+			}, cn.Send)
+			if errors.Is(err, comm.ErrSend) {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
-				return fmt.Errorf("fleet: member %d sending result of vertex %d: %w", member, msg.Vertex, err)
+				return fmt.Errorf("fleet: member %d answering job %d: %w", member, msg.Job, err)
+			}
+			if err != nil {
+				return err
 			}
 			noteActivity() // idleness starts at completion
-		case comm.KindTaskBatch:
-			noteActivity()
-			r, err := runnerFor(msg.Job)
-			if err != nil {
-				return err
-			}
-			// Entries never mix jobs; execute in order through the job's
-			// runner, flushing coalesced results every flushBound
-			// entries with More set, exactly like the elastic worker.
-			flushBound := opts.Run.Batch
-			if flushBound < 1 {
-				flushBound = 1
-			}
-			var results []comm.TaskEntry
-			for idx, e := range msg.Batch {
-				out, err := runOne(r, e.Vertex, e.Payload)
-				if err != nil {
-					return fmt.Errorf("fleet: member %d computing vertex %d of job %d: %w", member, e.Vertex, msg.Job, err)
-				}
-				results = append(results, comm.TaskEntry{Vertex: e.Vertex, Attempt: e.Attempt, Payload: out})
-				if len(results) >= flushBound && idx < len(msg.Batch)-1 {
-					if err := cn.Send(comm.Message{Kind: comm.KindResultBatch, Job: msg.Job, Batch: results, More: true}); err != nil {
-						if ctx.Err() != nil {
-							return ctx.Err()
-						}
-						return fmt.Errorf("fleet: member %d flushing batch results: %w", member, err)
-					}
-					results = nil
-				}
-			}
-			var final comm.Message
-			switch len(results) {
-			case 0:
-				final = comm.Message{Kind: comm.KindIdle}
-			case 1:
-				final = comm.Message{Kind: comm.KindResult, Job: msg.Job, Vertex: results[0].Vertex, Attempt: results[0].Attempt, Payload: results[0].Payload}
-			default:
-				final = comm.Message{Kind: comm.KindResultBatch, Job: msg.Job, Batch: results}
-			}
-			if err := cn.Send(final); err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fleet: member %d sending batch results: %w", member, err)
-			}
-			noteActivity()
 		case comm.KindHeartbeat:
 			// The fleet's echo of our beacon.
 		case comm.KindEnd:

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cas"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/tune"
@@ -235,11 +234,6 @@ type Manager struct {
 	wg    sync.WaitGroup
 
 	metrics *metrics
-
-	// clusterMu guards clusterStats, the optional snapshot source of an
-	// attached elastic cluster (see SetClusterStats).
-	clusterMu    sync.Mutex
-	clusterStats func() cluster.Snapshot
 
 	// fleetMu guards fleetStats, the snapshot source of the attached
 	// shared fleet (set automatically from cfg.Fleet; see SetFleetStats).

@@ -96,16 +96,6 @@ func (x *metrics) addRunStats(s core.Stats) {
 	x.spillLoads.Add(s.SpillLoads)
 }
 
-// SetClusterStats attaches an elastic-cluster snapshot source (typically
-// the Registry.Metrics of a running cluster.Master) to the /metrics
-// exposition. A nil fn detaches it. fn is called at exposition time and
-// must be safe for concurrent use.
-func (m *Manager) SetClusterStats(fn func() cluster.Snapshot) {
-	m.clusterMu.Lock()
-	m.clusterStats = fn
-	m.clusterMu.Unlock()
-}
-
 // SetFleetStats attaches a shared-fleet snapshot source to the /metrics
 // exposition (NewManager installs cfg.Fleet's automatically; tests may
 // inject a synthetic one). A nil fn detaches it. fn is called at
@@ -117,11 +107,11 @@ func (m *Manager) SetFleetStats(fn func() fleet.Snapshot) {
 }
 
 // SetTuneStats attaches a self-tuning controller snapshot source to the
-// /metrics exposition (NewManager installs cfg.Fleet's automatically; a
-// cluster-mode service wires its master's TuneSnapshot). The source
-// returns ok=false while no tuner is active, which suppresses the
-// easyhps_tune_* series. A nil fn detaches it. fn is called at
-// exposition time and must be safe for concurrent use.
+// /metrics exposition (NewManager installs cfg.Fleet's automatically;
+// tests may inject a synthetic one). The source returns ok=false while no
+// tuner is active, which suppresses the easyhps_tune_* series. A nil fn
+// detaches it. fn is called at exposition time and must be safe for
+// concurrent use.
 func (m *Manager) SetTuneStats(fn func() (tune.Snapshot, bool)) {
 	m.tuneMu.Lock()
 	m.tuneStats = fn
@@ -187,21 +177,9 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 	}
 
 	// Straggler-mitigation totals: completed runs' stats, plus the live
-	// elastic cluster's counters when a snapshot source is attached.
+	// fleet's counters when a snapshot source is attached.
 	speculated, specWon, specWasted := x.speculated.Load(), x.specWon.Load(), x.specWasted.Load()
 	steals := x.steals.Load()
-
-	m.clusterMu.Lock()
-	clusterFn := m.clusterStats
-	m.clusterMu.Unlock()
-	if clusterFn != nil {
-		s := clusterFn()
-		speculated += s.Speculated
-		specWon += s.SpecWon
-		specWasted += s.SpecWasted
-		steals += s.Steals
-		writeMembership(w, s)
-	}
 
 	m.fleetMu.Lock()
 	fleetFn := m.fleetStats
@@ -212,11 +190,7 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 		specWon += snap.Aggregate.SpecWon
 		specWasted += snap.Aggregate.SpecWasted
 		steals += snap.Aggregate.Steals
-		if clusterFn == nil {
-			// The fleet's membership registry plays the cluster role; reuse
-			// the cluster series so dashboards work in either mode.
-			writeMembership(w, snap.Members)
-		}
+		writeMembership(w, snap.Members)
 		writeFleet(w, snap)
 	}
 
@@ -273,8 +247,8 @@ func writeCache(w io.Writer, s cas.Stats) {
 	fmt.Fprintf(w, "easyhps_cache_entries{kind=\"job\"} %d\n", s.Jobs)
 }
 
-// writeMembership emits the elastic-membership series shared by cluster
-// and fleet mode.
+// writeMembership emits the fleet's elastic-membership series (named
+// easyhps_cluster_* since the membership layer is internal/cluster).
 func writeMembership(w io.Writer, s cluster.Snapshot) {
 	fmt.Fprintf(w, "# HELP easyhps_cluster_members Elastic cluster members by state.\n# TYPE easyhps_cluster_members gauge\n")
 	for _, state := range []string{"active", "suspect", "dead", "left"} {

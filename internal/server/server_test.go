@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/fleet"
 	"repro/internal/server"
 )
 
@@ -345,9 +346,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsExposition checks that an attached elastic cluster's
-// membership snapshot surfaces on /metrics — and that nothing
-// cluster-related is emitted when no cluster is attached.
+// TestClusterMetricsExposition checks that an attached fleet's membership
+// snapshot and straggler counters surface on /metrics — and that nothing
+// cluster-related is emitted when no fleet is attached.
 func TestClusterMetricsExposition(t *testing.T) {
 	mgr, c := startService(t, server.ManagerConfig{Run: fastRun(), MaxConcurrent: 1, QueueDepth: 2})
 	ctx := context.Background()
@@ -357,20 +358,19 @@ func TestClusterMetricsExposition(t *testing.T) {
 		t.Fatalf("metrics: %v", err)
 	}
 	if strings.Contains(text, "easyhps_cluster_") {
-		t.Fatalf("cluster metrics exposed without a cluster attached:\n%s", text)
+		t.Fatalf("cluster metrics exposed without a fleet attached:\n%s", text)
 	}
 
-	mgr.SetClusterStats(func() cluster.Snapshot {
-		return cluster.Snapshot{
-			States:        map[string]int{"active": 3, "suspect": 1, "dead": 1},
-			Joins:         5,
-			Leaves:        1,
-			Deaths:        1,
-			LeasesRevoked: 2,
-			Speculated:    4,
-			SpecWon:       3,
-			SpecWasted:    1,
-			Steals:        6,
+	mgr.SetFleetStats(func() fleet.Snapshot {
+		return fleet.Snapshot{
+			Members: cluster.Snapshot{
+				States:        map[string]int{"active": 3, "suspect": 1, "dead": 1},
+				Joins:         5,
+				Leaves:        1,
+				Deaths:        1,
+				LeasesRevoked: 2,
+			},
+			Aggregate: cluster.Stats{Speculated: 4, SpecWon: 3, SpecWasted: 1, Steals: 6},
 		}
 	})
 	text, err = c.Metrics(ctx)

@@ -6,7 +6,8 @@
 #
 # Flags:
 #   -soak   additionally run the batched-dispatch fault soak (build tag
-#           "soak": 200 randomized kill/partition/leave runs, ~1 min).
+#           "soak": 200 randomized kill/partition/leave runs of two
+#           concurrent jobs on one elastic master, ~2 min).
 #   -sim    additionally replay the scenario regression suite at extra
 #           fixed seeds (the default seeds already run under go test).
 #   -bench  additionally run the repo benchmark's swgg-inproc and
@@ -38,8 +39,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-# Scheduling tests are event-driven: FakeClock advances plus notifier
-# hooks (onWait/onTick/OnDeath/noteProgress), never wall-clock polling.
+# Scheduling tests are event-driven: FakeClock advances plus notifiers
+# (sched's onWait hook, the fleet's progress generation, a job's
+# OnProgress, Registry.WaitLive, a harness worker's exit), never
+# wall-clock polling.
 # A time.Sleep in these test files reintroduces the flaky, slow waits
 # this repo spent several PRs removing — and the sim package promises
 # virtual-time determinism outright. Fail fast on any new one.
@@ -63,19 +66,19 @@ go vet ./...
 go run ./cmd/easyhps-vet ./...
 go build ./...
 go test -race ./...
-# The elastic-cluster integration tests (kill/partition/join/restart over
-# real sockets) and the straggler-mitigation suite (fake-clock timeout and
-# speculation arbitration, duplicate-result idempotence, speculative rescue
-# and backlog stealing) are the most schedule-sensitive code in the repo;
-# run them a second time under -race with caching off so a lucky first pass
-# cannot hide a flaky membership, lease, or attempt-arbitration race.
-go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestClusterOvertimeFakeClock|TestSpeculationFakeClock|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP' ./internal/cluster/
-# The shared-fleet multi-job suite (concurrent DAGs with a mid-run worker
-# kill, fake-clock poisoned-job isolation, stealing/speculation scoped per
-# job, and the end-to-end fleet-mode job service) interleaves several
-# jobs' lease and attempt namespaces over one pool — rerun it uncached for
-# the same reason.
-go test -race -count=1 -run 'TestFleetConcurrentJobsWorkerKill|TestFleetPoisonedJobIsolationFakeClock|TestFleetSpeculationFakeClock|TestFleetStealFeedsHungryMember|TestFleetCheckpointResume|TestFleetAutoTunesOverTCP' ./internal/fleet/
+# The elastic suite (a one-job fleet over the fault harness: kill, partition,
+# join, restart, the attach-time spec refusal, every result delivered
+# twice, speculative rescue, backlog stealing, the quorum wait) is the most
+# schedule-sensitive code in the repo; run it a second time under -race
+# with caching off so a lucky first pass cannot hide a flaky membership,
+# lease, or attempt-arbitration race.
+go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP|TestRegistryWaitLive' ./internal/cluster/
+# The fleet's own suite — concurrent DAGs with a mid-run worker kill, the
+# white-box arbitration tests (duplicate-result idempotence, fake-clock
+# poisoned-job isolation and speculation, stealing scoped per job) and the
+# end-to-end fleet-mode job service — interleaves several jobs' lease and
+# attempt namespaces over one pool; rerun it uncached for the same reason.
+go test -race -count=1 -run 'TestFleetConcurrentJobsWorkerKill|TestFleetDuplicateResultIdempotent|TestFleetPoisonedJobIsolationFakeClock|TestFleetSpeculationFakeClock|TestFleetStealFeedsHungryMember|TestFleetCheckpointResume|TestFleetAutoTunesOverTCP' ./internal/fleet/
 go test -race -count=1 -run 'TestFleetService' ./internal/server/
 
 # Coverage ratchet for the task hot path (dispatch, wire codec, runtime).
@@ -110,6 +113,23 @@ check_cover internal/tune 80
 # The analyzer itself: the fixture suites for every rule keep the
 # short-mode number here; the repo-wide gates only run un-short.
 check_cover internal/lint 76
+
+# Size ratchet beside the coverage one. The scheduling state machine
+# lives in these four packages — core's fixed-rank master, the fleet, the
+# simulator's mirror of it — and ROADMAP item 1 is to make it exist once;
+# a fifth copy must not arrive unnoticed. The bound is the measured count
+# of non-test lines plus 50: lower it when code is deleted, never raise it.
+check_lines() {
+    max=$1
+    shift
+    lines=$(for pkg in "$@"; do ls "$pkg"/*.go | grep -v '_test\.go$'; done | xargs cat | wc -l)
+    if [ "$lines" -gt "$max" ]; then
+        echo "size: $* hold $lines non-test lines — above the $max ratchet" >&2
+        exit 1
+    fi
+    echo "size: $* $lines non-test lines (<= $max)"
+}
+check_lines 7434 internal/core internal/cluster internal/fleet internal/sim
 
 # Smoke the wire-codec fuzzer: ten seconds of random frames must neither
 # crash the decoder nor break the encode/decode round trip.
