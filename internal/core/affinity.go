@@ -39,24 +39,11 @@ func (d *affinityDispatcher) Ready(ids ...int32) {
 }
 
 func (d *affinityDispatcher) Next(w int) (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(d.ready) == 0 && !d.closed {
-		d.cond.Wait()
-	}
-	if len(d.ready) == 0 {
+	ids, ok := d.NextBatch(w, 1)
+	if !ok {
 		return 0, false
 	}
-	best, bestScore := 0, -1
-	for k, v := range d.ready {
-		if s := d.score(w, v); s > bestScore {
-			best, bestScore = k, s
-		}
-	}
-	id := d.ready[best]
-	d.ready[best] = d.ready[len(d.ready)-1]
-	d.ready = d.ready[:len(d.ready)-1]
-	return id, true
+	return ids[0], true
 }
 
 // NextBatch drains up to max of the currently ready vertices for worker w,
@@ -119,7 +106,7 @@ func (m *master[T]) affinityScore(worker int, v int32) int {
 	}
 	held := m.known[s]
 	n := 0
-	for _, d := range m.graph.Vertex(v).DataPre {
+	for _, d := range m.eng.Graph().Vertex(v).DataPre {
 		if held[d] {
 			n++
 		}

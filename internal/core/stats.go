@@ -5,6 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/dag"
+	"repro/internal/matrix"
 )
 
 // Stats aggregates what happened during a run.
@@ -73,43 +77,67 @@ func (s Stats) String() string {
 		s.SubTasks, s.SubRequeues, s.WorkerRestarts, s.Messages, s.PayloadBytes, s.Elapsed)
 }
 
-// counters is the live, concurrency-safe accumulator behind Stats.
+// counters accumulates what the job engine's ledger does not: the slaves'
+// thread-level counts and the master block store's. job is that ledger
+// (nil in a slave-only process), set by runMaster before anything moves.
 type counters struct {
-	tasks, dispatches, redistributions, staleResults atomic.Int64
-	subTasks, subRequeues, workerRestarts            atomic.Int64
-	blocksReclaimed, peakBlocks, restored            atomic.Int64
-	blocksShipped, blocksSkipped                     atomic.Int64
-	batchMessages, taskBytes                         atomic.Int64
-	speculated, specWon, specWasted, steals          atomic.Int64
-	cacheHits, cacheMisses                           atomic.Int64
-	spills, spillLoads                               atomic.Int64
+	subTasks, subRequeues, workerRestarts atomic.Int64
+	blocksReclaimed, peakBlocks           atomic.Int64
+	spills, spillLoads                    atomic.Int64
+	job                                   *cluster.Counters
 }
 
+// snapshot fills Stats from both ledgers.
 func (c *counters) snapshot() Stats {
+	var job cluster.Stats
+	if c.job != nil {
+		job = c.job.Stats()
+	}
 	return Stats{
-		Tasks:           c.tasks.Load(),
-		Dispatches:      c.dispatches.Load(),
-		Redistributions: c.redistributions.Load(),
-		StaleResults:    c.staleResults.Load(),
+		Tasks:           job.Tasks,
+		Dispatches:      job.Dispatches,
+		Redistributions: job.Redistributions,
+		StaleResults:    job.StaleResults,
 		SubTasks:        c.subTasks.Load(),
 		SubRequeues:     c.subRequeues.Load(),
 		WorkerRestarts:  c.workerRestarts.Load(),
 		BlocksReclaimed: c.blocksReclaimed.Load(),
 		PeakBlocks:      c.peakBlocks.Load(),
-		Restored:        c.restored.Load(),
-		BlocksShipped:   c.blocksShipped.Load(),
-		BlocksSkipped:   c.blocksSkipped.Load(),
-		BatchMessages:   c.batchMessages.Load(),
-		TaskBytes:       c.taskBytes.Load(),
-		Speculated:      c.speculated.Load(),
-		SpecWon:         c.specWon.Load(),
-		SpecWasted:      c.specWasted.Load(),
-		Steals:          c.steals.Load(),
-		CacheHits:       c.cacheHits.Load(),
-		CacheMisses:     c.cacheMisses.Load(),
+		Restored:        job.Restored,
+		BlocksShipped:   job.BlocksShipped,
+		BlocksSkipped:   job.BlocksSkipped,
+		BatchMessages:   job.BatchMessages,
+		TaskBytes:       job.TaskBytes,
+		Speculated:      job.Speculated,
+		SpecWon:         job.SpecWon,
+		SpecWasted:      job.SpecWasted,
+		Steals:          job.Steals,
+		CacheHits:       job.CacheHits,
+		CacheMisses:     job.CacheMisses,
 		Spills:          c.spills.Load(),
 		SpillLoads:      c.spillLoads.Load(),
 	}
+}
+
+// countingStore is the master's block store as the engine sees it: every
+// Put raises the peak-storage statistic and every Drop — the engine drops
+// a block only to reclaim it (Config.ReclaimBlocks) — counts one.
+type countingStore[T any] struct {
+	matrix.BlockStore[T]
+	ctrs *counters
+}
+
+func (s countingStore[T]) Put(p dag.Pos, b *matrix.Block[T]) {
+	s.BlockStore.Put(p, b)
+	// One writer: the engine commits from the master's receive side only.
+	if n := int64(s.Len()); n > s.ctrs.peakBlocks.Load() {
+		s.ctrs.peakBlocks.Store(n)
+	}
+}
+
+func (s countingStore[T]) Drop(p dag.Pos) {
+	s.BlockStore.Drop(p)
+	s.ctrs.blocksReclaimed.Add(1)
 }
 
 // faultState tracks which injected faults have fired, so that "first

@@ -1,0 +1,140 @@
+package core_test
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/cas"
+	"repro/internal/core"
+	"repro/internal/dag"
+	"repro/internal/dp"
+	"repro/internal/matrix"
+)
+
+// TestTaskRunnerWalksTheDAG drives a TaskRunner the way the fleet worker
+// and the simulator do — one vertex at a time, the data region as an
+// encoded payload — over every vertex of a triangular and a row+column
+// problem, in both wire formats: plain blocks, and keyed blocks where
+// every dependency the runner has already seen travels as a 36-byte
+// reference it resolves from its block cache. Either way the matrix must
+// equal the sequential one.
+func TestTaskRunnerWalksTheDAG(t *testing.T) {
+	nu := dp.NewNussinov(dp.RandomRNA(40, 7))
+	sw := dp.NewSWGG(dp.RandomDNA(32, 8), dp.RandomDNA(32, 9))
+	for _, c := range []struct {
+		name string
+		prob core.Problem[int32]
+		want [][]int32
+	}{{"nussinov", nu.Problem(), nu.Sequential()}, {"swgg", sw.Problem(), sw.Sequential()}} {
+		for _, keyed := range []bool{false, true} {
+			proc := dag.Square(8)
+			runner, err := core.NewTaskRunner(c.prob, core.Config{ProcPartition: proc, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keyed {
+				runner.SetBlockCache(make(map[[32]byte]*matrix.Block[int32]))
+			}
+			geom := dag.MatrixGeometry(c.prob.Size, proc)
+			graph := dag.Build(c.prob.Kernel.Pattern(), geom)
+			if runner.NumTasks() != len(graph.Verts) {
+				t.Fatalf("%s: NumTasks = %d, grid has %d cells", c.name, runner.NumTasks(), len(graph.Verts))
+			}
+			parser := dag.NewParser(graph)
+			store := matrix.NewStore[int32](geom)
+			keys := make(map[int32][32]byte) // content key of each committed block
+			sent := make(map[int32]bool)     // shipped in full once already
+			refs := 0
+			ready := parser.InitialReady()
+			for len(ready) > 0 {
+				v := ready[0]
+				ready = ready[1:]
+				var payload []byte
+				if keyed {
+					var full []matrix.KeyedBlock[int32]
+					var known []matrix.BlockRef
+					for _, d := range graph.Vertex(v).DataPre {
+						b := store.Get(geom.PosOf(d))
+						if sent[d] {
+							known = append(known, matrix.BlockRef{Key: keys[d], Rect: b.Rect})
+							continue
+						}
+						sent[d] = true
+						full = append(full, matrix.KeyedBlock[int32]{Key: keys[d], Block: b})
+					}
+					refs += len(known)
+					payload, err = matrix.EncodeBlocksKeyed(c.prob.Codec, full, known)
+				} else {
+					positions := make([]dag.Pos, 0, len(graph.Vertex(v).DataPre))
+					for _, d := range graph.Vertex(v).DataPre {
+						positions = append(positions, geom.PosOf(d))
+					}
+					payload, err = matrix.EncodeBlocks(c.prob.Codec, store.Gather(positions))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := runner.Run(v, payload)
+				if err != nil {
+					t.Fatalf("%s keyed=%v: vertex %d: %v", c.name, keyed, v, err)
+				}
+				blocks, err := matrix.DecodeBlocks(c.prob.Codec, out)
+				if err != nil || len(blocks) != 1 {
+					t.Fatalf("%s: vertex %d returned %d blocks (%v)", c.name, v, len(blocks), err)
+				}
+				store.Put(geom.PosOf(v), blocks[0])
+				keys[v] = [32]byte(cas.PayloadKey(out))
+				sent[v] = true // a keyed runner records its own output
+				ready = append(ready, parser.Complete(v)...)
+			}
+			if !parser.Finished() {
+				t.Fatalf("%s: DAG did not drain", c.name)
+			}
+			equalMatrices(t, c.name, store.Assemble(), c.want)
+			if keyed && refs == 0 {
+				t.Fatalf("%s: no dependency ever travelled as a reference", c.name)
+			}
+			if runner.SubTasks() == 0 {
+				t.Fatalf("%s: no thread-level sub-task counted", c.name)
+			}
+		}
+	}
+}
+
+// A task frame is outside input: a vertex outside the grid, a payload that
+// does not decode and a reference the runner never saw are errors, not
+// panics.
+func TestTaskRunnerRefusesBadTasks(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(16, 1), dp.RandomDNA(16, 2))
+	runner, err := core.NewTaskRunner(e.Problem(), core.Config{ProcPartition: dag.Square(4), Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.SetBlockCache(make(map[[32]byte]*matrix.Block[int32]))
+	empty, err := matrix.EncodeBlocks(e.Problem().Codec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unseen, err := matrix.EncodeBlocksKeyed(e.Problem().Codec, nil,
+		[]matrix.BlockRef{{Key: [32]byte{1}, Rect: dag.Rect{Rows: 4, Cols: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, c := range map[string]struct {
+		v       int32
+		payload []byte
+		want    string
+	}{
+		"negative vertex":      {-1, empty, "outside grid"},
+		"vertex past the grid": {16, empty, "outside grid"},
+		"truncated payload":    {0, empty[:2], "decoding data region"},
+		"unresolved reference": {5, unseen, "decoding data region"},
+	} {
+		if _, err := runner.Run(c.v, c.payload); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", what, err, c.want)
+		}
+	}
+	if _, err := core.NewTaskRunner(core.Problem[int32]{Name: "hollow"}, core.Config{}); err == nil {
+		t.Error("NewTaskRunner accepted a problem without a kernel")
+	}
+}

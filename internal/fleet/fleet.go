@@ -6,9 +6,10 @@
 //
 // The fleet owns the shared half of a run — the listener, membership
 // registry, member connections, heartbeats and hunger beacons — while
-// each submitted job owns the DAG-progress half: its graph, parser, block
-// store, register table (attempt namespace), overtime queue, lease table,
-// checkpoint log, runtime profile and stats ledger. Task and result
+// each submitted job owns the DAG-progress half, one internal/engine.Job:
+// its graph, parser, block store, register table (attempt namespace),
+// overtime queue, lease table, checkpoint log, runtime profile and stats
+// ledger. Task and result
 // frames carry a job id (comm.Message.Job, wire protocol v3), and a
 // worker attaches a job's kernel state on first contact via a job-spec
 // frame, so one worker holds batches from several jobs at once.
@@ -38,7 +39,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -413,51 +414,34 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 		}
 		req.Proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, workers, cm)
 	}
-	jb, err := newJob(id, p, req, f.clock)
+	jb, err := newJob(id, p, req, f.opts.Cache, f.clock)
 	if err != nil {
 		return nil, err
-	}
-	if f.opts.Cache != nil && req.CacheKey != "" {
-		jb.cache = f.opts.Cache
-		jb.cacheSpec = req.CacheKey
-		jb.resultKey = make([]cas.Key, len(jb.graph.Verts))
 	}
 	frontier, err := jb.restore()
 	if err != nil {
+		jb.finish(err, f.clock.Now()) // closes the checkpoint file
 		return nil, err
 	}
-	// Drain the cross-job cache before the job is registered: hits commit
-	// without drawing leases, and a fully cached job never touches the
-	// pool at all.
-	frontier = f.absorbCached(jb, frontier)
-	if jb.finished() {
-		if err := jb.finalErr(); err != nil {
-			return nil, err
-		}
-		return &Result[T]{Store: jb.store, Stats: jb.stats()}, nil
+	if jb.eng.Finished() {
+		// Every vertex came out of the checkpoint or the cross-job cache:
+		// the job never touches the pool at all.
+		jb.finish(nil, f.clock.Now())
+		return &Result[T]{Store: jb.eng.Store(), Stats: jb.stats()}, nil
 	}
 
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		if jb.ckptFile != nil {
-			jb.ckptFile.Close()
-		}
+		jb.finish(ErrFleetClosed, f.clock.Now()) // closes the checkpoint file
 		return nil, ErrFleetClosed
 	}
 	f.jobs[id] = jb
 	f.order = append(f.order, id)
 	jb.ready = append(jb.ready, frontier...)
 	jb.tr.Ready(len(jb.ready))
-	if jb.parser.Finished() {
-		// Fully restored from the checkpoint: nothing to schedule.
-		f.mu.Unlock()
-		jb.finish(nil, f.clock.Now())
-		f.retire(jb)
-	} else {
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	}
+	f.cond.Broadcast()
+	f.mu.Unlock()
 	f.noteProgress() // the job is admitted and observable
 
 	select {
@@ -469,7 +453,7 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 	if err := jb.finalErr(); err != nil {
 		return nil, err
 	}
-	return &Result[T]{Store: jb.store, Stats: jb.stats()}, nil
+	return &Result[T]{Store: jb.eng.Store(), Stats: jb.stats()}, nil
 }
 
 // retire removes a finished job from the running table (idempotent),
@@ -492,11 +476,9 @@ func (f *Fleet[T]) retire(jb *job[T]) {
 	jb.ready = nil
 	// Fold the job's counters into the retired baseline so the tuner's
 	// cumulative sample stays monotone after the job leaves the table.
-	f.retired.Dispatches += jb.ctrs.Dispatches.Load()
-	f.retired.TaskBytes += jb.ctrs.TaskBytes.Load()
-	f.retired.Steals += jb.ctrs.Steals.Load()
-	f.retired.SpecWon += jb.ctrs.SpecWon.Load()
-	f.retired.SpecWasted += jb.ctrs.SpecWasted.Load()
+	done := jb.eng.Sample()
+	done.ProfileSamples = 0
+	f.retired.Fold(done)
 	f.doneLog = append(f.doneLog, jb)
 	if over := len(f.doneLog) - f.opts.RetainJobs; over > 0 {
 		f.doneLog = append([]*job[T](nil), f.doneLog[over:]...)
@@ -504,12 +486,7 @@ func (f *Fleet[T]) retire(jb *job[T]) {
 	f.cond.Broadcast()
 	f.mu.Unlock()
 
-	// Drop whatever the job still had in flight so its leases cannot
-	// outlive it (the leak audit already ran in finish), then detach it
-	// from every worker that holds its state.
-	for w := range jb.leases.Loads() {
-		jb.leases.RevokeWorker(w)
-	}
+	// Detach the job from every worker that holds its state.
 	f.connMu.Lock()
 	conns := make([]*memberConn, 0, len(f.conns))
 	for _, mc := range f.conns {
@@ -699,7 +676,7 @@ func (f *Fleet[T]) nextBatch(mc *memberConn) (*job[T], []int32, bool) {
 				// Vertices drawn by a concurrent sender but not yet leased
 				// count against the quota too, so racing senders cannot
 				// overshoot a job's in-flight bound between draw and grant.
-				Inflight: jb.leases.Len() + jb.drawn,
+				Inflight: jb.eng.Inflight() + jb.drawn,
 				Quota:    jb.req.Quota,
 				Served:   jb.served,
 			}
@@ -784,36 +761,18 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	}
 	pend := make([]pendingTask, 0, len(ids))
 	// held collects speculation-flagged vertices this member already runs
-	// the primary attempt of: their flag is restored by register, and they
-	// go back on the ready stack for another member to back up.
+	// the primary attempt of: the engine kept their flag, and they go back
+	// on the ready stack for another member to back up.
 	var held []int32
 	for _, v := range ids {
-		attempt, ok, backup, self := f.register(jb, mc.id, v)
-		if !ok {
-			if self {
-				held = append(held, v)
-			}
-			continue
+		attempt, out := jb.eng.Lease(mc.id, v, len(pend), now)
+		switch out {
+		case engine.Held:
+			held = append(held, v)
+		case engine.Granted, engine.Backup:
+			deps := jb.eng.Graph().Vertex(v).DataPre
+			pend = append(pend, pendingTask{vertex: v, attempt: attempt, deps: deps, blocks: jb.eng.Gather(deps)})
 		}
-		deps := jb.graph.Vertex(v).DataPre
-		positions := make([]dag.Pos, len(deps))
-		for k, d := range deps {
-			positions[k] = jb.geom.PosOf(d)
-		}
-		blocks := jb.store.Gather(positions)
-		deadline := now.Add(jb.req.TaskTimeout * time.Duration(len(pend)+1))
-		if backup {
-			jb.leases.Add(v, mc.id, attempt, now)
-			jb.ot.AddConcurrent(v, attempt, deadline)
-			jb.ctrs.Speculated.Add(1)
-			jb.tr.Speculate(mc.id, v)
-		} else {
-			jb.leases.Grant(v, mc.id, attempt, now)
-			jb.ot.Add(v, attempt, deadline)
-		}
-		jb.tr.TaskStart(mc.id, v)
-		jb.ctrs.Dispatches.Add(1)
-		pend = append(pend, pendingTask{vertex: v, attempt: attempt, deps: deps, blocks: blocks})
 	}
 	if len(held) > 0 {
 		f.requeue(jb, held...)
@@ -831,28 +790,29 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	// encode builds each task's payload. Cache mode uses the keyed wire
 	// format: blocks the member provably holds become references, the
 	// rest ship in full and are noted as held. Must run under attachMu.
+	ctrs := jb.eng.Counters()
 	encode := func() ([]comm.TaskEntry, error) {
 		entries := make([]comm.TaskEntry, 0, len(pend))
 		for _, pt := range pend {
 			var payload []byte
 			var err error
-			if jb.cache != nil && mc.known != nil {
+			if jb.eng.Cached() && mc.known != nil {
 				full := make([]matrix.KeyedBlock[T], 0, len(pt.blocks))
 				var refs []matrix.BlockRef
 				for i, d := range pt.deps {
-					k := jb.resultKey[d]
+					k := jb.eng.ResultKey(d)
 					if mc.known.Knows(k) {
 						refs = append(refs, matrix.BlockRef{Key: [32]byte(k), Rect: pt.blocks[i].Rect})
-						jb.ctrs.BlocksSkipped.Add(1)
+						ctrs.BlocksSkipped.Add(1)
 						continue
 					}
 					mc.known.Note(k)
 					full = append(full, matrix.KeyedBlock[T]{Key: [32]byte(k), Block: pt.blocks[i]})
-					jb.ctrs.BlocksShipped.Add(1)
+					ctrs.BlocksShipped.Add(1)
 				}
 				payload, err = matrix.EncodeBlocksKeyed(jb.p.Codec, full, refs)
 			} else {
-				jb.ctrs.BlocksShipped.Add(int64(len(pt.blocks)))
+				ctrs.BlocksShipped.Add(int64(len(pt.blocks)))
 				payload, err = matrix.EncodeBlocks(jb.p.Codec, pt.blocks)
 			}
 			if err != nil {
@@ -872,10 +832,7 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	if jb.finished() {
 		mc.attachMu.Unlock()
 		for _, pt := range pend {
-			jb.leases.ReleaseAttempt(pt.vertex, pt.attempt)
-			jb.ot.RemoveAttempt(pt.vertex, pt.attempt)
-			jb.noteAttemptGone(pt.vertex, pt.attempt)
-			jb.rt.CancelAttempt(pt.vertex, pt.attempt)
+			jb.eng.Unlease(pt.vertex, pt.attempt)
 		}
 		return false
 	}
@@ -886,13 +843,11 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 		for _, e := range entries {
 			bytes += len(e.Payload)
 		}
-		jb.ctrs.TaskBytes.Add(int64(bytes))
-		jb.tr.Dispatch(mc.id, len(entries), bytes)
+		jb.eng.Shipped(mc.id, len(entries), bytes)
 		var msg comm.Message
 		if len(entries) == 1 {
 			msg = comm.Message{Kind: comm.KindTask, Job: jb.id, Vertex: entries[0].Vertex, Attempt: entries[0].Attempt, Payload: entries[0].Payload}
 		} else {
-			jb.ctrs.BatchMessages.Add(1)
 			msg = comm.Message{Kind: comm.KindTaskBatch, Job: jb.id, Batch: entries}
 		}
 		if !mc.attached[jb.id] {
@@ -928,38 +883,6 @@ func (f *Fleet[T]) memberFailed(mc *memberConn) {
 	case f.inbox <- event{member: mc.id, down: true}:
 	case <-f.done:
 	}
-}
-
-// register claims an attempt of v in job jb for a member — rt.Register
-// for an ordinary draw, a concurrent backup for a speculation-flagged
-// vertex. A member never backs up its own attempt: that draw is refused
-// with held=true, the specPending flag restored, and the caller requeues
-// the vertex so another member picks up the backup promptly.
-func (f *Fleet[T]) register(jb *job[T], member int, v int32) (attempt int32, ok, backup, held bool) {
-	jb.specMu.Lock()
-	pending := jb.specPending[v]
-	delete(jb.specPending, v)
-	jb.specMu.Unlock()
-	if !pending {
-		a, ok := jb.rt.Register(v)
-		return a, ok, false, false
-	}
-	for _, l := range jb.leases.Holders(v) {
-		if l.Worker == member {
-			jb.specMu.Lock()
-			jb.specPending[v] = true
-			jb.specMu.Unlock()
-			return 0, false, false, true
-		}
-	}
-	a, ok := jb.rt.RegisterBackup(v)
-	if !ok {
-		return 0, false, false, false
-	}
-	jb.specMu.Lock()
-	jb.backupOf[v] = a
-	jb.specMu.Unlock()
-	return a, true, true, false
 }
 
 // recvLoop serializes membership and result handling for the fleet's
@@ -1056,38 +979,18 @@ func (f *Fleet[T]) feedHungry(member int) {
 	}
 	var victimJob *job[T]
 	victim, deepest := 0, 1
-	ownLoad := 0
 	for _, jb := range running {
-		ownLoad += jb.leases.Load(member)
-		for w, n := range jb.leases.Loads() {
-			if w != member && n > deepest {
-				victimJob, victim, deepest = jb, w, n
-			}
+		if jb.eng.Load(member) > 0 {
+			return // the beggar still holds work of its own
+		}
+		if w, n := jb.eng.Deepest(member); n > deepest {
+			victimJob, victim, deepest = jb, w, n
 		}
 	}
-	if ownLoad > 0 || victimJob == nil {
+	if victimJob == nil {
 		return
 	}
-	backlog := victimJob.leases.WorkerLeases(victim)
-	if len(backlog) < 2 {
-		return
-	}
-	stolen := make([]int32, 0, len(backlog)/2)
-	for _, l := range backlog[(len(backlog)+1)/2:] {
-		if victimJob.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		victimJob.leases.ReleaseAttempt(l.Vertex, l.Attempt)
-		victimJob.ot.RemoveAttempt(l.Vertex, l.Attempt)
-		if victimJob.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-			stolen = append(stolen, l.Vertex)
-		}
-	}
-	if len(stolen) > 0 {
-		victimJob.ctrs.Steals.Add(int64(len(stolen)))
-		victimJob.tr.Steal(member, len(stolen))
-		f.requeue(victimJob, stolen...)
-	}
+	f.requeue(victimJob, victimJob.eng.StealFrom(victim, member)...)
 }
 
 // applyResult commits one computed vertex to its job. Results for
@@ -1102,39 +1005,17 @@ func (f *Fleet[T]) applyResult(member int, jobID, v, attempt int32, payload []by
 		f.stale.Add(1)
 		return
 	}
-	if !jb.rt.Accept(v, attempt) {
-		jb.ctrs.StaleResults.Add(1)
-		return
-	}
-	jb.ot.Remove(v)
 	now := f.clock.Now()
-	if l, ok := jb.leases.Find(v, attempt); ok {
-		jb.profile.Observe(now.Sub(l.Granted))
-	}
-	jb.leases.Release(v)
-	jb.specMu.Lock()
-	if backup, ok := jb.backupOf[v]; ok {
-		delete(jb.backupOf, v)
-		delete(jb.specPending, v)
-		if backup == attempt {
-			jb.ctrs.SpecWon.Add(1)
-		} else {
-			jb.ctrs.SpecWasted.Add(1)
-		}
-	}
-	jb.specMu.Unlock()
-	blocks, err := matrix.DecodeBlocks(jb.p.Codec, payload)
-	if err != nil || len(blocks) != 1 {
-		jb.finish(fmt.Errorf("fleet: bad result payload for vertex %d of job %q from member %d: %v", v, jb.req.Name, member, err), now)
+	ready, accepted, err := jb.eng.Complete(member, v, attempt, payload, now)
+	if err != nil {
+		jb.finish(jb.fail(err), now)
 		f.retire(jb)
 		return
 	}
-	if err := jb.commit(v, payload, blocks[0]); err != nil {
-		jb.finish(err, now)
-		f.retire(jb)
+	if !accepted {
 		return
 	}
-	if jb.cache != nil {
+	if jb.eng.Cached() {
 		// The member computed this block, so it holds the output: note the
 		// content key so a later dispatch can ship a reference instead.
 		// Only while the job is still attached — a detach clears the set,
@@ -1146,71 +1027,18 @@ func (f *Fleet[T]) applyResult(member int, jobID, v, attempt int32, payload []by
 		if mc != nil {
 			mc.attachMu.Lock()
 			if mc.known != nil && mc.attached[jobID] {
-				mc.known.Note(jb.resultKey[v])
+				mc.known.Note(jb.eng.ResultKey(v))
 			}
 			mc.attachMu.Unlock()
 		}
 	}
 	f.reg.NoteCompleted(member)
-	jb.tr.TaskEnd(member, v)
-	jb.ctrs.Tasks.Add(1)
-	newly := jb.parser.Complete(v)
-	jb.progress()
-	if jb.parser.Finished() {
+	if jb.eng.Finished() {
 		jb.finish(nil, now)
 		f.retire(jb)
 		return
 	}
-	newly = f.absorbCached(jb, newly)
-	if jb.finished() {
-		return
-	}
-	f.requeueReady(jb, newly)
-}
-
-// absorbCached probes the cross-job result cache for each newly computable
-// vertex and commits hits in place, cascading: a hit's completion may open
-// further vertices, which are probed in turn. Returns the misses — the
-// vertices that still need dispatch. A corrupt cache entry degrades to a
-// miss (recompute), never to a wrong result, because commit re-derives the
-// content key from the stored payload. If the drain finishes the job it is
-// retired here and the empty remainder returned.
-func (f *Fleet[T]) absorbCached(jb *job[T], ids []int32) []int32 {
-	if jb.cache == nil {
-		return ids
-	}
-	var miss []int32
-	work := append([]int32(nil), ids...)
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		payload, ok := jb.cache.GetBlock(jb.blockKey(v), cas.LayerMaster)
-		var b *matrix.Block[T]
-		if ok {
-			blocks, err := matrix.DecodeBlocks(jb.p.Codec, payload)
-			if err == nil && len(blocks) == 1 {
-				b = blocks[0]
-			}
-		}
-		if b == nil {
-			jb.ctrs.CacheMisses.Add(1)
-			miss = append(miss, v)
-			continue
-		}
-		jb.ctrs.CacheHits.Add(1)
-		if err := jb.commit(v, payload, b); err != nil {
-			jb.finish(err, f.clock.Now())
-			f.retire(jb)
-			return miss
-		}
-		work = append(work, jb.parser.Complete(v)...)
-		jb.progress()
-	}
-	if jb.parser.Finished() {
-		jb.finish(nil, f.clock.Now())
-		f.retire(jb)
-	}
-	return miss
+	f.requeueReady(jb, ready)
 }
 
 // requeueReady pushes newly computable vertices onto jb's ready stack.
@@ -1270,16 +1098,8 @@ func (f *Fleet[T]) revoke(member int) {
 	f.mu.Unlock()
 	revoked, reassignedTotal := 0, 0
 	for _, jb := range running {
-		leases := jb.leases.RevokeWorker(member)
-		revoked += len(leases)
-		var requeue []int32
-		for _, l := range leases {
-			jb.ot.RemoveAttempt(l.Vertex, l.Attempt)
-			jb.noteAttemptGone(l.Vertex, l.Attempt)
-			if jb.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-				requeue = append(requeue, l.Vertex)
-			}
-		}
+		n, requeue := jb.eng.Revoke(member)
+		revoked += n
 		reassignedTotal += len(requeue)
 		f.requeue(jb, requeue...)
 	}
@@ -1340,27 +1160,8 @@ func (f *Fleet[T]) specParams() (quantile, multiplier float64) {
 func (f *Fleet[T]) tuneTick() {
 	f.mu.Lock()
 	s := f.retired
-	var worst float64
 	for _, id := range f.order {
-		jb := f.jobs[id]
-		s.Dispatches += jb.ctrs.Dispatches.Load()
-		s.TaskBytes += jb.ctrs.TaskBytes.Load()
-		s.Steals += jb.ctrs.Steals.Load()
-		s.SpecWon += jb.ctrs.SpecWon.Load()
-		s.SpecWasted += jb.ctrs.SpecWasted.Load()
-		n := jb.profile.Samples()
-		if n == 0 {
-			continue
-		}
-		p50, _ := jb.profile.Quantile(0.5)
-		p95, _ := jb.profile.Quantile(0.95)
-		if p50 <= 0 {
-			continue
-		}
-		if d := float64(p95) / float64(p50); s.ProfileSamples == 0 || d > worst {
-			worst = d
-			s.ProfileP50, s.ProfileP95, s.ProfileSamples = p50, p95, n
-		}
+		s.Fold(f.jobs[id].eng.Sample())
 	}
 	f.mu.Unlock()
 	s.Hungers = f.hungers.Load()
@@ -1390,39 +1191,29 @@ func (f *Fleet[T]) tickJob(jb *job[T], now time.Time) {
 	}
 	if !jb.deadline.IsZero() && now.After(jb.deadline) {
 		jb.finish(fmt.Errorf("fleet: job %q exceeded its %v timeout with %d vertices remaining",
-			jb.req.Name, jb.req.Timeout, jb.parser.Remaining()), now)
+			jb.req.Name, jb.req.Timeout, jb.eng.Remaining()), now)
 		f.retire(jb)
 		return
 	}
-	var requeue []int32
-	for _, e := range jb.ot.ExpireBefore(now) {
-		jb.leases.ReleaseAttempt(e.ID, e.Attempt)
-		jb.noteAttemptGone(e.ID, e.Attempt)
-		jb.timeouts[e.ID]++
-		if jb.timeouts[e.ID] >= jb.req.MaxAttempts {
-			jb.finish(fmt.Errorf("fleet: job %q: vertex %d timed out %d times (MaxAttempts); giving up",
-				jb.req.Name, e.ID, jb.timeouts[e.ID]), now)
-			f.retire(jb)
-			return
-		}
-		if jb.rt.CancelAttempt(e.ID, e.Attempt) == 0 {
-			jb.ctrs.Redistributions.Add(1)
-			requeue = append(requeue, e.ID)
-		}
+	requeue, err := jb.eng.Expire(now)
+	if err != nil {
+		jb.finish(jb.fail(err), now)
+		f.retire(jb)
+		return
 	}
 	f.requeue(jb, requeue...)
 	if f.opts.Speculate {
-		f.maybeSpeculate(jb)
+		f.flagStragglers(jb)
 	}
 }
 
-// maybeSpeculate flags jb's straggling attempts — in flight longer than
+// flagStragglers flags jb's straggling attempts — in flight longer than
 // the job's runtime-profile threshold — for backup dispatch. It fires
 // only while the job's ready queue is empty (idle capacity should take
 // queued work first) and flags at most one vertex per live member per
 // tick, per job, so one job's stragglers cannot spend the pool's entire
 // speculation allowance.
-func (f *Fleet[T]) maybeSpeculate(jb *job[T]) {
+func (f *Fleet[T]) flagStragglers(jb *job[T]) {
 	f.mu.Lock()
 	queued := len(jb.ready)
 	f.mu.Unlock()
@@ -1430,32 +1221,8 @@ func (f *Fleet[T]) maybeSpeculate(jb *job[T]) {
 		return
 	}
 	q, mult := f.specParams()
-	threshold, ok := jb.profile.Threshold(q, mult, f.opts.SpecFloor, f.opts.SpecMinSamples)
-	if !ok {
-		return
-	}
-	budget := f.reg.Live()
-	var flagged []int32
-	for _, l := range jb.leases.OlderThan(f.clock.Now().Add(-threshold)) {
-		if budget == 0 {
-			break
-		}
-		if jb.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		jb.specMu.Lock()
-		skip := jb.specPending[l.Vertex]
-		if !skip {
-			jb.specPending[l.Vertex] = true
-		}
-		jb.specMu.Unlock()
-		if skip {
-			continue
-		}
-		flagged = append(flagged, l.Vertex)
-		budget--
-	}
-	f.requeueReady(jb, flagged)
+	f.requeueReady(jb, jb.eng.FlagStragglers(f.clock.Now(), q, mult,
+		f.opts.SpecFloor, f.opts.SpecMinSamples, f.reg.Live()))
 }
 
 // TraceEvents returns the recorded scheduling events of the named job
@@ -1520,10 +1287,9 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 		st := JobStatus{
 			ID:       jb.id,
 			Name:     jb.req.Name,
-			Done:     jb.graph.N - jb.parser.Remaining(),
-			Total:    jb.graph.N,
+			Done:     jb.eng.Graph().N - jb.eng.Remaining(),
+			Total:    jb.eng.Graph().N,
 			Ready:    r.ready,
-			Inflight: jb.leases.Len() + r.drawn,
 			Weight:   jb.req.Weight,
 			Priority: jb.req.Priority,
 			Stats:    jb.stats(),
@@ -1533,6 +1299,7 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 		switch {
 		case !jb.finished():
 			st.State = "running"
+			st.Inflight = jb.eng.Inflight() + r.drawn
 			st.Deficit = maxServed - r.served
 		case jb.finalErr() != nil:
 			st.State = "failed"

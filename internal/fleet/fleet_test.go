@@ -428,7 +428,7 @@ func TestFleetNextBatchWeightedFairShare(t *testing.T) {
 	prob, _ := mustProblem(t, "edit")
 	mk := func(id int32, weight float64) *job[int32] {
 		t.Helper()
-		jb, err := newJob(id, prob, JobRequest{Name: fmt.Sprintf("j%d", id), Weight: weight}.withDefaults(f.opts), f.clock)
+		jb, err := newJob(id, prob, JobRequest{Name: fmt.Sprintf("j%d", id), Weight: weight}.withDefaults(f.opts), nil, f.clock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,7 +473,7 @@ func TestFleetNextBatchQuotaClampsBatch(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "q", Quota: 3}.withDefaults(f.opts), f.clock)
+	jb, err := newJob(1, prob, JobRequest{Name: "q", Quota: 3}.withDefaults(f.opts), nil, f.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestFleetNextBatchQuotaClampsBatch(t *testing.T) {
 	// member must hand back control rather than wait forever.
 	now := f.clock.Now()
 	for i, v := range ids {
-		jb.leases.Grant(v, 1, int32(i+1), now)
+		jb.eng.Lease(1, v, i, now)
 	}
 	close(mc.stop)
 	if _, _, ok := f.nextBatch(mc); ok {
@@ -513,14 +513,14 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "nussinov")
-	jb, err := newJob(1, prob, JobRequest{Name: "order"}.withDefaults(f.opts), f.clock)
+	jb, err := newJob(1, prob, JobRequest{Name: "order"}.withDefaults(f.opts), nil, f.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertJob(t, f, jb)
-	roots := jb.parser.InitialReady()
-	if len(roots) < 2 {
-		t.Fatalf("need two dependency-free vertices, got %d", len(roots))
+	roots, err := jb.eng.Frontier()
+	if err != nil || len(roots) < 2 {
+		t.Fatalf("frontier = (%v, %v), want two dependency-free vertices", roots, err)
 	}
 
 	// A real socket pair so the dispatch and detach frames cross a live
@@ -577,16 +577,16 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	mc.attachMu.Lock()
 	dispatched := make(chan bool, 1)
 	go func() { dispatched <- f.dispatch(mc, jb, []int32{roots[1]}) }()
-	waitUntil(t, f, "second dispatch leasing", func() bool { return jb.leases.Len() == 2 })
+	waitUntil(t, f, "second dispatch leasing", func() bool { return jb.eng.Inflight() == 2 })
 	jb.finish(nil, f.clock.Now())
 	mc.attachMu.Unlock()
 	if <-dispatched {
 		t.Fatal("dispatch shipped a batch for a finishing job")
 	}
-	if got := jb.rt.LiveAttempts(roots[1]); got != 0 {
+	if got := jb.eng.LiveAttempts(roots[1]); got != 0 {
 		t.Fatalf("dropped batch left %d live attempts", got)
 	}
-	if got := jb.leases.Len(); got != 1 {
+	if got := jb.eng.Inflight(); got != 1 {
 		t.Fatalf("leases = %d after the dropped batch, want only the first dispatch's", got)
 	}
 
@@ -597,8 +597,8 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	if err != nil || msg.Kind != comm.KindJobEnd {
 		t.Fatalf("worker got (%v, %v) after retirement, want JobEnd with no interleaved task", msg.Kind, err)
 	}
-	if got := jb.leases.Len(); got != 0 {
-		t.Fatalf("retire left %d leases", got)
+	if st := f.Snapshot().Jobs[0]; st.State != "done" || st.Inflight != 0 {
+		t.Fatalf("retired job reads %q with %d in flight, want done with none", st.State, st.Inflight)
 	}
 	draw()
 	if f.dispatch(mc, jb, []int32{roots[1]}) {

@@ -6,14 +6,30 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
+// computeVertex runs vertex v of jb the way a worker would: the data
+// region gathered from the job's store, through a TaskRunner.
+func computeVertex(t *testing.T, jb *job[int32], runner *core.TaskRunner[int32], v int32) []byte {
+	t.Helper()
+	payload, err := matrix.EncodeBlocks(jb.p.Codec, jb.eng.Gather(jb.eng.Graph().Vertex(v).DataPre))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runner.Run(v, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestFleetDuplicateResultIdempotent drives the fleet's result path
 // directly, for one kernel of each dependency shape: each vertex gets an
-// original and a speculative backup attempt, both results are delivered,
-// each twice, in both orders. Exactly one delivery per vertex may take
+// original and a speculative backup attempt (all but the first, whose
+// delivery warms the profile the straggler detector needs), both results
+// are delivered, each twice, in both orders. Exactly one delivery per vertex may take
 // effect; the rest must drop as stale, and the assembled matrix must stay
 // bit-identical to the sequential reference — including after a
 // checkpoint replay. (Duplicate frames on the wire, for every cli app,
@@ -28,7 +44,7 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 			}
 			defer f.Close()
 			req := JobRequest{Name: app, CheckpointPath: t.TempDir() + "/job.ckpt"}
-			jb, err := newJob(1, prob, req.withDefaults(f.opts), f.clock)
+			jb, err := newJob(1, prob, req.withDefaults(f.opts), nil, f.clock)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +54,7 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 			}
 			insertJob(t, f, jb)
 			f.requeueReady(jb, frontier)
-			runner, err := core.NewTaskRunner(prob, core.Config{ProcPartition: jb.geom.Block, Threads: 2})
+			runner, err := core.NewTaskRunner(prob, core.Config{ProcPartition: jb.eng.Graph().Geom.Block, Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,54 +77,50 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 				if !ok {
 					break // nothing computable left: the DAG drained
 				}
-				orig, ok, backup, _ := f.register(jb, 1, v)
-				if !ok || backup {
-					t.Fatalf("vertex %d: original register = (%v, backup=%v)", v, ok, backup)
-				}
 				now := f.clock.Now()
-				jb.leases.Grant(v, 1, orig, now)
-				jb.specMu.Lock()
-				jb.specPending[v] = true
-				jb.specMu.Unlock()
-				spec, ok, backup, _ := f.register(jb, 2, v)
-				if !ok || !backup {
-					t.Fatalf("vertex %d: backup register = (%v, backup=%v)", v, ok, backup)
+				orig, out := jb.eng.Lease(1, v, 0, now)
+				if out != engine.Granted {
+					t.Fatalf("vertex %d: original lease = %v, want Granted", v, out)
 				}
-				jb.leases.Add(v, 2, spec, now)
-
-				deps := jb.graph.Vertex(v).DataPre
-				positions := make([]dag.Pos, len(deps))
-				for k, d := range deps {
-					positions[k] = jb.geom.PosOf(d)
+				if applied == 0 {
+					// No profile yet, so no straggler to flag: the first
+					// vertex runs alone and its delivery is the first sample.
+					result := computeVertex(t, jb, runner, v)
+					f.applyResult(1, jb.id, v, orig, result)
+					f.applyResult(1, jb.id, v, orig, result)
+					applied++
+					continue
 				}
-				payload, err := matrix.EncodeBlocks(prob.Codec, jb.store.Gather(positions))
-				if err != nil {
-					t.Fatal(err)
+				// An hour on, against a profile of instant completions, v is a
+				// straggler: flagged, and member 2's draw of it is a backup.
+				if flagged := jb.eng.FlagStragglers(now.Add(time.Hour), 0.95, 2, 0, 1, 1); len(flagged) != 1 || flagged[0] != v {
+					t.Fatalf("vertex %d: flagged %v", v, flagged)
 				}
-				out, err := runner.Run(v, payload)
-				if err != nil {
-					t.Fatal(err)
+				spec, out := jb.eng.Lease(2, v, 0, now)
+				if out != engine.Backup {
+					t.Fatalf("vertex %d: backup lease = %v, want Backup", v, out)
 				}
+				result := computeVertex(t, jb, runner, v)
 
 				if applied%2 == 0 {
 					// Original first: the backup was wasted work.
-					f.applyResult(1, jb.id, v, orig, out)
-					f.applyResult(1, jb.id, v, orig, out)
-					f.applyResult(2, jb.id, v, spec, out)
-					f.applyResult(2, jb.id, v, spec, out)
+					f.applyResult(1, jb.id, v, orig, result)
+					f.applyResult(1, jb.id, v, orig, result)
+					f.applyResult(2, jb.id, v, spec, result)
+					f.applyResult(2, jb.id, v, spec, result)
 					wantWasted++
 				} else {
 					// Backup first: the speculation won the race.
-					f.applyResult(2, jb.id, v, spec, out)
-					f.applyResult(2, jb.id, v, spec, out)
-					f.applyResult(1, jb.id, v, orig, out)
-					f.applyResult(1, jb.id, v, orig, out)
+					f.applyResult(2, jb.id, v, spec, result)
+					f.applyResult(2, jb.id, v, spec, result)
+					f.applyResult(1, jb.id, v, orig, result)
+					f.applyResult(1, jb.id, v, orig, result)
 					wantWon++
 				}
 				applied++
 			}
 
-			if !jb.parser.Finished() || !jb.finished() {
+			if !jb.eng.Finished() || !jb.finished() {
 				t.Fatal("DAG did not drain")
 			}
 			if err := jb.finalErr(); err != nil {
@@ -121,8 +133,8 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 			// The last vertex's accepted delivery retires the job, so its
 			// three late deliveries meet an unknown job id and are dropped
 			// on the fleet's ledger instead of the job's.
-			if got := st.StaleResults + f.stale.Load(); got != int64(3*applied) {
-				t.Fatalf("stale = %d, want %d (three dropped deliveries per vertex)", got, 3*applied)
+			if got := st.StaleResults + f.stale.Load(); got != int64(3*applied-2) {
+				t.Fatalf("stale = %d, want %d (one dropped delivery of the first vertex, three of every other)", got, 3*applied-2)
 			}
 			if st.SpecWon != wantWon || st.SpecWasted != wantWasted {
 				t.Fatalf("specWon/specWasted = %d/%d, want %d/%d", st.SpecWon, st.SpecWasted, wantWon, wantWasted)
@@ -130,7 +142,7 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 			if st.Leaked != 0 {
 				t.Fatalf("%d attempts/leases leaked", st.Leaked)
 			}
-			checkMatrix(t, app, jb.store.Assemble(), want)
+			checkMatrix(t, app, jb.eng.Store().Assemble(), want)
 
 			// A resubmission must replay the checkpoint to the same matrix:
 			// the duplicate deliveries wrote each vertex exactly once.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -141,37 +142,20 @@ type JobStatus struct {
 	Stats   cluster.Stats
 }
 
-// job is the DAG-progress half of a run: one graph, parser, store,
-// register table, overtime queue, lease table, checkpoint log and stats
-// ledger — everything scoped to a single DAG — while the fleet owns the
-// shared half (membership, connections, heartbeats, hunger).
+// job is one DAG on the fleet. The job engine holds its DAG-progress half
+// — graph, parser, store, register table, overtime queue, lease table,
+// checkpoint log, runtime profile and stats ledger — and this type what
+// the fleet adds to it: the request, the attach frame, the ready stack
+// with its fair-share account, the deadline and the finish latch. The
+// fleet owns the shared half (membership, connections, heartbeats, hunger).
 type job[T any] struct {
 	id   int32
 	req  JobRequest
 	p    core.Problem[T]
 	meta []byte // encoded JobMeta, shipped in attach frames
 
-	geom    dag.Geometry
-	graph   *dag.Graph
-	parser  *dag.Parser
-	store   matrix.BlockStore[T]
-	rt      *sched.RegisterTable
-	ot      *sched.OvertimeQueue
-	leases  *sched.LeaseTable
-	profile *sched.RuntimeProfile
-
-	ckpt     *checkpoint.Writer
+	eng      *engine.Job[T]
 	ckptFile *os.File
-
-	// Cross-job memoization (Options.Cache + JobRequest.CacheKey).
-	// resultKey[v] is the content key of v's committed payload, written
-	// only where parser and store are mutated (Fleet.Run's startup and
-	// the recv loop); senders reading a completed dependency's key in
-	// dispatch are ordered behind the write by the fleet mutex, which
-	// already serializes the ready handoff.
-	cache     *cas.Store
-	cacheSpec string
-	resultKey []cas.Key
 
 	// ready is the job's computable-vertex stack (LIFO, like the
 	// single-job dispatcher); guarded by the fleet's mutex, which also
@@ -183,22 +167,7 @@ type job[T any] struct {
 	// senders cannot overshoot the job's quota in that window.
 	drawn int
 
-	// timeouts counts overtime expiries per vertex (the MaxAttempts
-	// guard); control loop only.
-	timeouts map[int32]int
-
-	// Speculation bookkeeping: specPending marks vertices the control
-	// loop has flagged for a backup dispatch (the next sender to draw
-	// them issues a RegisterBackup instead of a superseding Register);
-	// backupOf remembers the live backup attempt per vertex so the
-	// arbitration outcome (won vs wasted) can be classified when the
-	// race resolves.
-	specMu      sync.Mutex
-	specPending map[int32]bool
-	backupOf    map[int32]int32
-
-	ctrs cluster.Counters
-	tr   *trace.Recorder
+	tr *trace.Recorder
 
 	start    time.Time // fleet clock, for Timeout
 	deadline time.Time // zero = no bound
@@ -211,9 +180,10 @@ type job[T any] struct {
 	elapsed  time.Duration
 }
 
-// newJob builds the per-job runtime state. The caller (Fleet.Run)
-// registers it with the fleet.
-func newJob[T any](id int32, p core.Problem[T], req JobRequest, clock sched.Clock) (*job[T], error) {
+// newJob builds the per-job runtime state; cache is the fleet's result
+// store (nil without one). The caller (Fleet.Run) registers it with the
+// fleet.
+func newJob[T any](id int32, p core.Problem[T], req JobRequest, cache *cas.Store, clock sched.Clock) (*job[T], error) {
 	if p.Kernel == nil {
 		return nil, fmt.Errorf("fleet: job %q has no kernel", req.Name)
 	}
@@ -227,27 +197,22 @@ func newJob[T any](id int32, p core.Problem[T], req JobRequest, clock sched.Cloc
 	if !proc.Valid() {
 		proc = dag.Size{Rows: (p.Size.Rows + 7) / 8, Cols: (p.Size.Cols + 7) / 8}
 	}
-	geom := dag.MatrixGeometry(p.Size, proc)
-	graph := dag.Build(p.Kernel.Pattern(), geom)
 	jb := &job[T]{
-		id:          id,
-		req:         req,
-		p:           p,
-		geom:        geom,
-		graph:       graph,
-		parser:      dag.NewParser(graph),
-		store:       matrix.NewStore[T](geom),
-		rt:          sched.NewRegisterTable(),
-		ot:          sched.NewOvertimeQueueClock(clock),
-		leases:      sched.NewLeaseTable(),
-		profile:     sched.NewRuntimeProfile(0),
-		timeouts:    make(map[int32]int),
-		specPending: make(map[int32]bool),
-		backupOf:    make(map[int32]int32),
-		tr:          trace.New(),
-		start:       clock.Now(),
-		done:        make(chan struct{}),
+		id:    id,
+		req:   req,
+		p:     p,
+		tr:    trace.New(),
+		start: clock.Now(),
+		done:  make(chan struct{}),
 	}
+	jb.eng = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
+		TaskTimeout: req.TaskTimeout,
+		MaxAttempts: req.MaxAttempts,
+		Cache:       cache,
+		CacheKey:    req.CacheKey,
+		Trace:       jb.tr,
+		OnProgress:  req.OnProgress,
+	})
 	if req.Timeout > 0 {
 		jb.deadline = jb.start.Add(req.Timeout)
 	}
@@ -269,95 +234,30 @@ func newJob[T any](id int32, p core.Problem[T], req JobRequest, clock sched.Cloc
 	return jb, nil
 }
 
-// blockKey derives vertex v's cross-job cache key: the job's spec
-// digest, the block's cell rectangle, and the content keys of its
-// predecessors' committed payloads. Only called once every predecessor
-// has committed.
-func (jb *job[T]) blockKey(v int32) cas.Key {
-	deps := jb.graph.Vertex(v).DataPre
-	preds := make([]cas.Key, len(deps))
-	for i, d := range deps {
-		preds[i] = jb.resultKey[d]
-	}
-	r := jb.geom.Rect(jb.geom.PosOf(v))
-	return cas.BlockKey(jb.cacheSpec, r.Row0, r.Col0, r.Rows, r.Cols, preds)
+// fail puts the job's name on an engine error: the engine reports the
+// cause, the fleet says whose it is.
+func (jb *job[T]) fail(err error) error {
+	return fmt.Errorf("fleet: job %q: %w", jb.req.Name, err)
 }
 
-// commit is the single write path for a completed block: store insert,
-// content-key recording, cross-job cache write-through, and checkpoint
-// append all happen here, so recovery log and cache can never diverge.
-// Only called from Fleet.Run's startup (restore, absorb) and the fleet
-// recv loop. The block was decoded from a worker's result, a checkpoint
-// record or a cache entry: one that covers another region than v's fails
-// this job here, and no other.
-func (jb *job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
-	pos := jb.geom.PosOf(v)
-	if err := matrix.CheckRect(jb.geom, pos, b.Rect); err != nil {
-		return fmt.Errorf("fleet: block committed for vertex %d of job %q: %w", v, jb.req.Name, err)
-	}
-	jb.store.Put(pos, b)
-	if jb.cache != nil {
-		jb.resultKey[v] = cas.PayloadKey(payload)
-		jb.cache.PutBlock(jb.blockKey(v), payload)
-	}
-	if jb.ckpt != nil {
-		return jb.ckpt.Append(v, payload)
-	}
-	return nil
-}
-
-// restore replays the clean prefix of the job's checkpoint (when
-// configured; a torn tail is truncated) and returns the computable
-// frontier. Without a checkpoint the frontier is the DAG roots.
+// restore replays the clean prefix of the job's checkpoint into the engine
+// (when configured; a torn tail is truncated and new records continue the
+// same file) and returns the computable frontier the cross-job cache could
+// not absorb. Without a checkpoint the frontier starts at the DAG roots.
 func (jb *job[T]) restore() ([]int32, error) {
-	ready := make(map[int32]bool)
-	for _, id := range jb.parser.InitialReady() {
-		ready[id] = true
-	}
 	if jb.req.CheckpointPath != "" {
-		w, f, n, err := checkpoint.OpenAppend(jb.req.CheckpointPath, func(v int32, payload []byte) error {
-			if int(v) < 0 || int(v) >= len(jb.graph.Verts) || !jb.graph.Vertex(v).Exists {
-				return fmt.Errorf("fleet: checkpoint names unknown vertex %d", v)
-			}
-			if !ready[v] {
-				return fmt.Errorf("fleet: checkpoint record for vertex %d out of order", v)
-			}
-			blocks, err := matrix.DecodeBlocks(jb.p.Codec, payload)
-			if err != nil || len(blocks) != 1 {
-				return fmt.Errorf("fleet: checkpoint payload for vertex %d: %v", v, err)
-			}
-			// commit writes the restored block through to the cross-job
-			// cache (jb.ckpt is still nil during OpenAppend's replay, so
-			// nothing is double-appended): a resumed run warms the cache
-			// exactly like a computed one.
-			if err := jb.commit(v, payload, blocks[0]); err != nil {
-				return err
-			}
-			delete(ready, v)
-			for _, nv := range jb.parser.Complete(v) {
-				ready[nv] = true
-			}
-			return nil
-		})
+		w, f, _, err := checkpoint.OpenAppend(jb.req.CheckpointPath, jb.eng.Replay)
 		if err != nil {
-			return nil, err
+			return nil, jb.fail(err)
 		}
-		jb.ckpt, jb.ckptFile = w, f
-		jb.ctrs.Restored.Store(int64(n))
+		jb.eng.SetCheckpoint(w)
+		jb.ckptFile = f
 	}
-	frontier := make([]int32, 0, len(ready))
-	for id := range ready {
-		frontier = append(frontier, id)
+	frontier, err := jb.eng.Frontier()
+	if err != nil {
+		return nil, jb.fail(err)
 	}
-	jb.progress()
 	return frontier, nil
-}
-
-func (jb *job[T]) progress() {
-	if jb.req.OnProgress == nil {
-		return
-	}
-	jb.req.OnProgress(jb.graph.N-jb.parser.Remaining(), jb.graph.N)
 }
 
 func (jb *job[T]) finished() bool {
@@ -376,7 +276,7 @@ func (jb *job[T]) finish(err error, now time.Time) {
 	jb.doneOnce.Do(func() {
 		jb.errMu.Lock()
 		jb.err = err
-		jb.leaked = int64(jb.rt.Outstanding() + jb.leases.Len())
+		jb.leaked = int64(jb.eng.Leaked())
 		jb.elapsed = now.Sub(jb.start)
 		jb.errMu.Unlock()
 		if jb.ckptFile != nil {
@@ -396,7 +296,7 @@ func (jb *job[T]) finalErr() error {
 // joins and deaths belong to the fleet, not to any one job — except the
 // lease audit, which is per job.
 func (jb *job[T]) stats() cluster.Stats {
-	s := jb.ctrs.Stats()
+	s := jb.eng.Counters().Stats()
 	jb.errMu.Lock()
 	if jb.finished() {
 		s.Leaked = jb.leaked
@@ -404,17 +304,4 @@ func (jb *job[T]) stats() cluster.Stats {
 	}
 	jb.errMu.Unlock()
 	return s
-}
-
-// noteAttemptGone records the speculation-accounting consequence of one
-// attempt of v dying (worker death, overtime expiry or a steal).
-func (jb *job[T]) noteAttemptGone(v, attempt int32) {
-	jb.specMu.Lock()
-	if backup, ok := jb.backupOf[v]; ok {
-		delete(jb.backupOf, v)
-		if backup == attempt {
-			jb.ctrs.SpecWasted.Add(1)
-		}
-	}
-	jb.specMu.Unlock()
 }

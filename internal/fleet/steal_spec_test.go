@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/sched"
 )
 
@@ -40,7 +42,7 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "steal"}.withDefaults(f.opts), f.clock)
+	jb, err := newJob(1, prob, JobRequest{Name: "steal"}.withDefaults(f.opts), nil, f.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,35 +53,34 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 
 	now := f.clock.Now()
 	for v := int32(0); v < 4; v++ {
-		a, ok := jb.rt.Register(v)
-		if !ok {
-			t.Fatalf("register vertex %d refused", v)
+		if _, out := jb.eng.Lease(victim.ID, v, int(v), now); out != engine.Granted {
+			t.Fatalf("lease of vertex %d = %v, want Granted", v, out)
 		}
-		jb.leases.Grant(v, victim.ID, a, now)
 	}
+	steals := &jb.eng.Counters().Steals
 
 	// A loaded member's own hunger is ignored.
 	f.feedHungry(victim.ID)
-	if got := jb.ctrs.Steals.Load(); got != 0 {
+	if got := steals.Load(); got != 0 {
 		t.Fatalf("steals = %d after the victim begged from itself", got)
 	}
 
 	// The idle beggar gets the newer half of the victim's backlog.
 	f.feedHungry(beggar.ID)
-	if got := jb.ctrs.Steals.Load(); got != 2 {
+	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want the tail half (2) of a 4-deep backlog", got)
 	}
 	if got := readyLen(f, jb); got != 2 {
 		t.Fatalf("ready = %d vertices after the steal, want 2", got)
 	}
-	if got := jb.leases.Load(victim.ID); got != 2 {
+	if got := jb.eng.Load(victim.ID); got != 2 {
 		t.Fatalf("victim load = %d after the steal, want 2", got)
 	}
 
 	// With work queued, hunger is a no-op: the beggar's sender will draw
 	// the requeued vertices without help.
 	f.feedHungry(beggar.ID)
-	if got := jb.ctrs.Steals.Load(); got != 2 {
+	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want no re-steal while work is queued", got)
 	}
 
@@ -87,17 +88,16 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	f.mu.Lock()
 	jb.ready = nil
 	f.mu.Unlock()
-	jb.leases.RevokeWorker(victim.ID)
-	a, _ := jb.rt.Register(100)
-	jb.leases.Grant(100, victim.ID, a, now)
+	jb.eng.Revoke(victim.ID)
+	jb.eng.Lease(victim.ID, 100, 0, now)
 	f.feedHungry(beggar.ID)
-	if got := jb.ctrs.Steals.Load(); got != 2 {
+	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want no steal from a 1-deep backlog", got)
 	}
 
 	// A graceful leave revokes the remaining lease and requeues it.
 	f.memberLeave(victim.ID)
-	if got := jb.leases.Load(victim.ID); got != 0 {
+	if got := jb.eng.Load(victim.ID); got != 0 {
 		t.Fatalf("victim still holds %d leases after leaving", got)
 	}
 	if got := readyLen(f, jb); got != 1 {
@@ -129,41 +129,62 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	defer f.Close()
 	fake.BlockUntilTickers(1)
 
-	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "spec"}.withDefaults(f.opts), f.clock)
+	// Nussinov's block DAG starts from a whole diagonal of roots: one of
+	// them plays the straggler while the others warm the profile.
+	prob, _ := mustProblem(t, "nussinov")
+	jb, err := newJob(1, prob, JobRequest{Name: "spec"}.withDefaults(f.opts), nil, f.clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertJob(t, f, jb)
+	roots, err := jb.eng.Frontier()
+	if err != nil || len(roots) < 8 {
+		t.Fatalf("frontier = (%v, %v), want at least 8 roots", roots, err)
+	}
+	runner, err := core.NewTaskRunner(prob, core.Config{ProcPartition: jb.eng.Graph().Geom.Block, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	w1 := f.reg.Admit("w1", "test")
 
 	// Cold profile: no threshold, no speculation.
-	f.maybeSpeculate(jb)
+	f.flagStragglers(jb)
 	if got := readyLen(f, jb); got != 0 {
 		t.Fatalf("cold profile flagged %d vertices", got)
 	}
 
-	v := jb.parser.InitialReady()[0]
-	orig, ok := jb.rt.Register(v)
-	if !ok {
-		t.Fatal("original register refused")
-	}
-	jb.leases.Grant(v, w1.ID, orig, fake.Now())
-
-	// Warm the profile: p95 = 2s, threshold = 2 * 2s = 4s (defaults).
+	// Warm the profile with eight completions of 2s each: p95 = 2s,
+	// threshold = 2 * 2s = 4s (defaults). What they unlock is left unqueued.
+	warm := append([]int32(nil), roots[1:]...)
 	for i := 0; i < 8; i++ {
-		jb.profile.Observe(2 * time.Second)
+		u := warm[0]
+		a, out := jb.eng.Lease(w1.ID, u, 0, fake.Now())
+		if out != engine.Granted {
+			t.Fatalf("warm-up lease of vertex %d = %v", u, out)
+		}
+		result := computeVertex(t, jb, runner, u)
+		fake.Advance(2 * time.Second)
+		f.applyResult(w1.ID, jb.id, u, a, result)
+		f.mu.Lock()
+		warm = append(warm[1:], jb.ready...)
+		jb.ready = nil
+		f.mu.Unlock()
+	}
+
+	v := roots[0]
+	if _, out := jb.eng.Lease(w1.ID, v, 0, fake.Now()); out != engine.Granted {
+		t.Fatalf("original lease = %v, want Granted", out)
 	}
 
 	fake.Advance(3 * time.Second)
-	f.maybeSpeculate(jb)
+	f.flagStragglers(jb)
 	if got := readyLen(f, jb); got != 0 {
 		t.Fatalf("speculated on a 3s-old attempt below the 4s threshold (%d flagged)", got)
 	}
 
 	fake.Advance(2 * time.Second) // age 5s > threshold
-	f.maybeSpeculate(jb)
+	f.flagStragglers(jb)
 	if got := readyLen(f, jb); got != 1 {
 		t.Fatalf("flagged %d vertices past the threshold, want 1", got)
 	}
@@ -174,17 +195,11 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	f.mu.Lock()
 	jb.ready = nil
 	f.mu.Unlock()
-	if _, ok, _, held := f.register(jb, w1.ID, v); ok || !held {
-		t.Fatalf("self-backup register = (ok=%v, held=%v), want a held refusal", ok, held)
+	if _, out := jb.eng.Lease(w1.ID, v, 0, fake.Now()); out != engine.Held {
+		t.Fatalf("self-backup lease = %v, want Held", out)
 	}
-	if jb.rt.LiveAttempts(v) != 1 {
-		t.Fatalf("LiveAttempts = %d after refused self-backup, want 1", jb.rt.LiveAttempts(v))
-	}
-	jb.specMu.Lock()
-	restored := jb.specPending[v]
-	jb.specMu.Unlock()
-	if !restored {
-		t.Fatal("specPending flag not restored after the refused self-backup")
+	if got := jb.eng.LiveAttempts(v); got != 1 {
+		t.Fatalf("LiveAttempts = %d after refused self-backup, want 1", got)
 	}
 
 	// Requeue the refused backup the way dispatch does; a second member
@@ -195,7 +210,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	}
 	// The detector leaves the requeued backup alone on later ticks.
 	fake.Advance(time.Second)
-	f.maybeSpeculate(jb)
+	f.flagStragglers(jb)
 	if got := readyLen(f, jb); got != 1 {
 		t.Fatalf("detector double-flagged a requeued backup (%d ready)", got)
 	}
@@ -203,18 +218,17 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	f.mu.Lock()
 	jb.ready = nil
 	f.mu.Unlock()
-	backup, ok, isBackup, _ := f.register(jb, w2.ID, v)
-	if !ok || !isBackup {
-		t.Fatalf("backup register = (%v, backup=%v)", ok, isBackup)
+	// The flag survived the refusal: the next member's draw is a backup.
+	if _, out := jb.eng.Lease(w2.ID, v, 0, fake.Now()); out != engine.Backup {
+		t.Fatalf("second member's lease = %v, want Backup", out)
 	}
-	jb.leases.Add(v, w2.ID, backup, fake.Now())
-	if jb.rt.LiveAttempts(v) != 2 {
-		t.Fatalf("LiveAttempts = %d, want 2 (original + backup)", jb.rt.LiveAttempts(v))
+	if got := jb.eng.LiveAttempts(v); got != 2 {
+		t.Fatalf("LiveAttempts = %d, want 2 (original + backup)", got)
 	}
 
 	// While a race is live the detector leaves the vertex alone.
 	fake.Advance(10 * time.Second)
-	f.maybeSpeculate(jb)
+	f.flagStragglers(jb)
 	if got := readyLen(f, jb); got != 0 {
 		t.Fatalf("detector flagged a vertex already racing a backup (%d ready)", got)
 	}
@@ -222,11 +236,11 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	// The backup holder leaves: the wasted speculation is accounted to
 	// this job and the original attempt survives.
 	f.memberLeave(w2.ID)
-	if got := jb.ctrs.SpecWasted.Load(); got != 1 {
+	if got := jb.eng.Counters().SpecWasted.Load(); got != 1 {
 		t.Fatalf("specWasted = %d after the backup holder left, want 1", got)
 	}
-	if jb.rt.LiveAttempts(v) != 1 {
-		t.Fatalf("LiveAttempts = %d after the backup died, want the original alone", jb.rt.LiveAttempts(v))
+	if got := jb.eng.LiveAttempts(v); got != 1 {
+		t.Fatalf("LiveAttempts = %d after the backup died, want the original alone", got)
 	}
 }
 

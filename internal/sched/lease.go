@@ -119,7 +119,9 @@ func (t *LeaseTable) ReleaseAttempt(v int32, attempt int32) (Lease, bool) {
 
 // RevokeWorker drops every lease held by worker and returns them — the
 // attempts the master must cancel (and requeue where no concurrent
-// attempt survives).
+// attempt survives) — ordered by grant sequence, oldest first, so the
+// requeue order after a member's death is a function of the table's
+// history and not of map iteration.
 func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -145,6 +147,7 @@ func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 			t.byVertex[v] = kept
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 

@@ -103,8 +103,10 @@ func (q *OvertimeQueue) Expire() []OvertimeEntry {
 }
 
 // ExpireBefore removes and returns every watched entry whose deadline is
-// not after now. Entries superseded by a newer attempt or removed on
-// completion are discarded silently.
+// not after now, ordered by (deadline, id, attempt): same-instant
+// deadlines surface in one order whatever order they were added in.
+// Entries superseded by a newer attempt or removed on completion are
+// discarded silently.
 func (q *OvertimeQueue) ExpireBefore(now time.Time) []OvertimeEntry {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -177,8 +179,17 @@ func (q *OvertimeQueue) push(e OvertimeEntry) {
 
 type overtimeHeap []OvertimeEntry
 
-func (h overtimeHeap) Len() int            { return len(h) }
-func (h overtimeHeap) Less(i, j int) bool  { return h[i].Deadline.Before(h[j].Deadline) }
+func (h overtimeHeap) Len() int { return len(h) }
+func (h overtimeHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if !a.Deadline.Equal(b.Deadline) {
+		return a.Deadline.Before(b.Deadline)
+	}
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	return a.Attempt < b.Attempt
+}
 func (h overtimeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *overtimeHeap) Push(x interface{}) { *h = append(*h, x.(OvertimeEntry)) }
 func (h *overtimeHeap) Pop() interface{} {

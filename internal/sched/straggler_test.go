@@ -119,6 +119,32 @@ func TestOvertimeQueueConcurrentAttempts(t *testing.T) {
 
 // TestOvertimeQueueHeapCompaction drives heavy re-dispatch churn and
 // checks the heap does not retain the superseded entries.
+// Entries that fall due at the same instant expire in (id, attempt)
+// order whatever order they were added in, so no caller needs to sort.
+func TestOvertimeQueueEqualDeadlinesExpireInIDOrder(t *testing.T) {
+	base := time.Unix(0, 0)
+	due := base.Add(time.Second)
+	type watch struct{ id, attempt int32 }
+	want := []watch{{1, 1}, {1, 2}, {2, 5}, {3, 1}, {3, 4}, {9, 1}}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 4, 2}} {
+		q := NewOvertimeQueue()
+		q.Add(7, 1, base.Add(time.Millisecond)) // an earlier deadline still comes first
+		for _, k := range order {
+			q.AddConcurrent(want[k].id, want[k].attempt, due)
+		}
+		got := q.ExpireBefore(due)
+		if len(got) != len(want)+1 || got[0].ID != 7 {
+			t.Fatalf("insertion order %v: expired %+v", order, got)
+		}
+		for k, e := range got[1:] {
+			if e.ID != want[k].id || e.Attempt != want[k].attempt {
+				t.Fatalf("insertion order %v: expired[%d] = (%d, %d), want (%d, %d)",
+					order, k+1, e.ID, e.Attempt, want[k].id, want[k].attempt)
+			}
+		}
+	}
+}
+
 func TestOvertimeQueueHeapCompaction(t *testing.T) {
 	base := time.Unix(1000, 0)
 	q := NewOvertimeQueue()
@@ -288,6 +314,35 @@ func TestLeaseTableRevokeWorkerLeavesPeers(t *testing.T) {
 	}
 	if len(lt.Holders(2)) != 0 {
 		t.Fatal("vertex 2 still leased after its only holder was revoked")
+	}
+}
+
+// RevokeWorker hands the leases back in grant order: the requeue order
+// after a member's death must not depend on map iteration. Vertex ids are
+// scattered so that neither ascending ids nor a lucky map walk passes.
+func TestLeaseTableRevokeWorkerInSeqOrder(t *testing.T) {
+	base := time.Unix(0, 0)
+	lt := NewLeaseTable()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		v := int32((i * 617) % n) // 617 is coprime to 1000: a permutation
+		lt.Grant(v, 7, 1, base)
+		lt.Grant(int32(n+i), 8, 1, base) // a peer's leases interleave the sequence
+	}
+	revoked := lt.RevokeWorker(7)
+	if len(revoked) != n {
+		t.Fatalf("revoked %d leases, want %d", len(revoked), n)
+	}
+	for i, l := range revoked {
+		if want := int32((i * 617) % n); l.Vertex != want || l.Worker != 7 {
+			t.Fatalf("revoked[%d] = %+v, want vertex %d in grant order", i, l, want)
+		}
+		if i > 0 && l.Seq <= revoked[i-1].Seq {
+			t.Fatalf("revoked[%d].Seq = %d after %d", i, l.Seq, revoked[i-1].Seq)
+		}
+	}
+	if lt.Load(7) != 0 || lt.Load(8) != n {
+		t.Fatalf("loads after revoke = %d/%d, want 0/%d", lt.Load(7), lt.Load(8), n)
 	}
 }
 

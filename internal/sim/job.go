@@ -2,15 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/cas"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/matrix"
-	"repro/internal/sched"
+	"repro/internal/engine"
 	"repro/internal/trace"
 	"repro/internal/tune"
 )
@@ -63,7 +60,10 @@ func (j *Job) Err() error { return j.jb.err }
 
 // Stats returns the job's scheduling counters.
 func (j *Job) Stats() cluster.Stats {
-	s := j.jb.ctrs.Stats()
+	if j.jb.eng == nil {
+		return cluster.Stats{} // never activated
+	}
+	s := j.jb.eng.Counters().Stats()
 	s.Leaked = int64(j.jb.leaked)
 	s.Elapsed = j.jb.elapsed
 	return s
@@ -87,40 +87,22 @@ func (j *Job) Result() [][]int32 {
 	if j.jb.err != nil || !j.jb.done {
 		return nil
 	}
-	return j.jb.store.Assemble()
+	return j.jb.eng.Store().Assemble()
 }
 
-// simJob is the master-side state of one job: the same component set
-// fleet's per-job state is built from.
+// simJob is the master-side state of one job: the job engine the fleet
+// runs (built at activation, so its trace starts at the submission
+// instant), beside what the fleet itself keeps per job — the ready stack
+// and the fair-share account — and the simulated worker's compute.
 type simJob struct {
-	id   int32
-	spec JobSpec
-	cost time.Duration
-
-	geom   dag.Geometry
-	graph  *dag.Graph
-	parser *dag.Parser
-	store  *matrix.Store[int32]
+	id     int32
+	spec   JobSpec
 	runner *core.TaskRunner[int32]
-
-	rt      *sched.RegisterTable
-	ot      *sched.OvertimeQueue
-	leases  *sched.LeaseTable
-	profile *sched.RuntimeProfile
+	eng    *engine.Job[int32]
+	tr     *trace.Recorder
 
 	ready  []int32
 	served float64
-
-	timeouts    map[int32]int
-	specPending map[int32]bool
-	backupOf    map[int32]int32
-
-	cache     *cas.Store
-	cacheSpec string
-	resultKey []cas.Key
-
-	ctrs cluster.Counters
-	tr   *trace.Recorder
 
 	active  bool
 	start   time.Time
@@ -150,128 +132,54 @@ func (c *Cluster) newJob(spec JobSpec) (*simJob, error) {
 	if spec.Cost <= 0 {
 		spec.Cost = c.opts.Cost
 	}
-	proc := spec.Proc
-	if !proc.Valid() {
+	if !spec.Proc.Valid() {
 		if c.opts.Auto {
 			cm, _ := p.Kernel.(tune.CostModel)
-			proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, len(c.workers), cm)
+			spec.Proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, len(c.workers), cm)
 		} else {
-			proc = dag.Size{Rows: (p.Size.Rows + 7) / 8, Cols: (p.Size.Cols + 7) / 8}
+			spec.Proc = dag.Size{Rows: (p.Size.Rows + 7) / 8, Cols: (p.Size.Cols + 7) / 8}
 		}
 	}
-	spec.Proc = proc
-	geom := dag.MatrixGeometry(p.Size, proc)
-	graph := dag.Build(p.Kernel.Pattern(), geom)
-	runner, err := core.NewTaskRunner(p, core.Config{ProcPartition: proc, Threads: 1})
+	runner, err := core.NewTaskRunner(p, core.Config{ProcPartition: spec.Proc, Threads: 1})
 	if err != nil {
 		return nil, fmt.Errorf("sim: job %q: %w", spec.Name, err)
 	}
-	jb := &simJob{
-		id:          int32(len(c.jobs) + 1),
-		spec:        spec,
-		cost:        spec.Cost,
-		geom:        geom,
-		graph:       graph,
-		parser:      dag.NewParser(graph),
-		store:       matrix.NewStore[int32](geom),
-		runner:      runner,
-		rt:          sched.NewRegisterTable(),
-		ot:          sched.NewOvertimeQueueClock(c.clock),
-		leases:      sched.NewLeaseTable(),
-		profile:     sched.NewRuntimeProfile(0),
-		timeouts:    make(map[int32]int),
-		specPending: make(map[int32]bool),
-		backupOf:    make(map[int32]int32),
-	}
-	if c.opts.Cache != nil && spec.CacheKey != "" {
-		jb.cache = c.opts.Cache
-		jb.cacheSpec = spec.CacheKey
-		jb.resultKey = make([]cas.Key, len(graph.Verts))
-	}
-	return jb, nil
+	return &simJob{id: int32(len(c.jobs) + 1), spec: spec, runner: runner}, nil
 }
 
 // activate starts the job at its scripted submission instant: the trace
-// recorder's origin is pinned here, the initial frontier is probed
+// recorder's origin is pinned here, the engine probes the initial frontier
 // against the cache, and the remainder queues for dispatch.
 func (c *Cluster) activate(jb *simJob) {
 	jb.active = true
 	jb.start = c.now()
 	jb.tr = trace.NewWithNow(c.clock.Now)
-	ready := jb.parser.InitialReady()
-	ready = c.absorbCached(jb, ready)
-	if jb.done {
+	p := jb.spec.Problem
+	jb.eng = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, jb.spec.Proc, engine.Config[int32]{
+		TaskTimeout: jb.spec.TaskTimeout,
+		MaxAttempts: jb.spec.MaxAttempts,
+		Cache:       c.opts.Cache,
+		CacheKey:    jb.spec.CacheKey,
+		Trace:       jb.tr,
+	})
+	ready, err := jb.eng.Frontier()
+	if c.settle(jb, err) {
 		return
 	}
 	c.requeueReady(jb, ready)
 	c.dispatchAll()
 }
 
-// blockKey derives vertex v's cross-job cache key, identically to the
-// fleet's: spec digest, cell rectangle, predecessor content keys.
-func (jb *simJob) blockKey(v int32) cas.Key {
-	deps := jb.graph.Vertex(v).DataPre
-	preds := make([]cas.Key, len(deps))
-	for i, d := range deps {
-		preds[i] = jb.resultKey[d]
-	}
-	r := jb.geom.Rect(jb.geom.PosOf(v))
-	return cas.BlockKey(jb.cacheSpec, r.Row0, r.Col0, r.Rows, r.Cols, preds)
-}
-
-// commit is the single write path for a completed block: store insert,
-// content-key recording and cache write-through.
-func (jb *simJob) commit(v int32, payload []byte, b *matrix.Block[int32]) {
-	jb.store.Put(jb.geom.PosOf(v), b)
-	if jb.cache != nil {
-		jb.resultKey[v] = cas.PayloadKey(payload)
-		jb.cache.PutBlock(jb.blockKey(v), payload)
-	}
-}
-
-// absorbCached probes the result cache for each newly computable vertex
-// and commits hits in place, cascading; returns the misses that still
-// need dispatch. Mirrors fleet.absorbCached.
-func (c *Cluster) absorbCached(jb *simJob, ids []int32) []int32 {
-	if jb.cache == nil {
-		if jb.parser.Finished() && len(ids) == 0 {
-			jb.finish(nil, c.now())
-		}
-		return ids
-	}
-	var miss []int32
-	work := append([]int32(nil), ids...)
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		payload, ok := jb.cache.GetBlock(jb.blockKey(v), cas.LayerMaster)
-		var b *matrix.Block[int32]
-		if ok {
-			blocks, err := matrix.DecodeBlocks(jb.spec.Problem.Codec, payload)
-			if err == nil && len(blocks) == 1 {
-				b = blocks[0]
-			}
-		}
-		if b == nil {
-			jb.ctrs.CacheMisses.Add(1)
-			miss = append(miss, v)
-			continue
-		}
-		jb.ctrs.CacheHits.Add(1)
-		jb.commit(v, payload, b)
-		work = append(work, jb.parser.Complete(v)...)
-	}
-	if jb.parser.Finished() {
+// settle ends the job when an engine event failed it or committed its last
+// vertex, and reports whether it is over.
+func (c *Cluster) settle(jb *simJob, err error) bool {
+	switch {
+	case err != nil:
+		jb.finish(fmt.Errorf("sim: job %q: %w", jb.spec.Name, err), c.now())
+	case jb.eng.Finished():
 		jb.finish(nil, c.now())
 	}
-	return miss
-}
-
-func (jb *simJob) noteAttemptGone(v, attempt int32) {
-	if backup, ok := jb.backupOf[v]; ok && backup == attempt {
-		delete(jb.backupOf, v)
-		jb.ctrs.SpecWasted.Add(1)
-	}
+	return jb.done
 }
 
 func (jb *simJob) finish(err error, now time.Time) {
@@ -280,7 +188,9 @@ func (jb *simJob) finish(err error, now time.Time) {
 	}
 	jb.done = true
 	jb.err = err
-	jb.leaked = jb.rt.Outstanding() + jb.leases.Len()
+	if jb.eng != nil { // nil: the horizon passed before the job activated
+		jb.leaked = jb.eng.Leaked()
+	}
 	jb.elapsed = now.Sub(jb.start)
 }
 
@@ -305,73 +215,23 @@ func (c *Cluster) requeueReady(jb *simJob, ids []int32) {
 	jb.tr.Ready(len(jb.ready))
 }
 
-// tickJob applies one control tick to one job: overtime expiry with the
-// job's MaxAttempts cap, then speculation flagging. Mirrors
-// fleet.tickJob, with expiries sorted so same-instant deadlines cannot
-// surface in heap-tie order.
+// tickJob applies one control tick to one job: the deadline, overtime
+// expiry with the job's MaxAttempts cap, then — only while nothing is
+// queued — speculation flagging with the fleet's per-job live-worker
+// budget (fleet.tickJob).
 func (c *Cluster) tickJob(jb *simJob, now time.Time) {
 	if jb.spec.Deadline > 0 && now.Sub(jb.start) >= jb.spec.Deadline {
 		jb.finish(fmt.Errorf("sim: job %q exceeded its %v deadline", jb.spec.Name, jb.spec.Deadline), now)
 		return
 	}
-	expired := jb.ot.ExpireBefore(now)
-	sort.Slice(expired, func(i, j int) bool {
-		a, b := expired[i], expired[j]
-		if !a.Deadline.Equal(b.Deadline) {
-			return a.Deadline.Before(b.Deadline)
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Attempt < b.Attempt
-	})
-	var requeue []int32
-	for _, e := range expired {
-		jb.leases.ReleaseAttempt(e.ID, e.Attempt)
-		jb.noteAttemptGone(e.ID, e.Attempt)
-		jb.timeouts[e.ID]++
-		if jb.timeouts[e.ID] >= jb.spec.MaxAttempts {
-			jb.finish(fmt.Errorf("sim: job %q: vertex %d timed out %d times (MaxAttempts); giving up",
-				jb.spec.Name, e.ID, jb.timeouts[e.ID]), now)
-			return
-		}
-		if jb.rt.CancelAttempt(e.ID, e.Attempt) == 0 {
-			jb.ctrs.Redistributions.Add(1)
-			requeue = append(requeue, e.ID)
-		}
+	requeue, err := jb.eng.Expire(now)
+	if c.settle(jb, err) {
+		return
 	}
 	c.requeue(jb, requeue...)
-	if c.opts.Speculate {
-		c.maybeSpeculate(jb)
+	if c.opts.Speculate && len(jb.ready) == 0 {
+		q, mult := c.specParams()
+		c.requeueReady(jb, jb.eng.FlagStragglers(now, q, mult,
+			c.opts.SpecFloor, c.opts.SpecMinSamples, c.reg.Live()))
 	}
-}
-
-// maybeSpeculate flags straggling attempts for backup dispatch with the
-// fleet's profile-threshold machinery and per-job live-worker budget.
-func (c *Cluster) maybeSpeculate(jb *simJob) {
-	if len(jb.ready) > 0 {
-		return
-	}
-	q, mult := c.specParams()
-	threshold, ok := jb.profile.Threshold(q, mult, c.opts.SpecFloor, c.opts.SpecMinSamples)
-	if !ok {
-		return
-	}
-	budget := c.reg.Live()
-	var flagged []int32
-	for _, l := range jb.leases.OlderThan(c.now().Add(-threshold)) {
-		if budget == 0 {
-			break
-		}
-		if jb.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		if jb.specPending[l.Vertex] {
-			continue
-		}
-		jb.specPending[l.Vertex] = true
-		flagged = append(flagged, l.Vertex)
-		budget--
-	}
-	c.requeueReady(jb, flagged)
 }

@@ -1,10 +1,9 @@
-// Package sim is the deterministic cluster simulator: the fleet's
-// scheduling components — attempt arbitration (sched.RegisterTable),
-// leases (sched.LeaseTable), overtime (sched.OvertimeQueue), runtime
-// profiles, the fair-share policy (fleet.Policy), membership
-// (cluster.Registry), DAG parsing, the block store, the cross-job result
-// cache and the compute engine (core.TaskRunner) — composed under a
-// single-threaded discrete-event loop driven by a sched.FakeClock.
+// Package sim is the deterministic cluster simulator: the per-job state
+// machine the fleet runs (engine.Job: attempt arbitration, leases,
+// overtime, runtime profile, DAG parsing, the block store, the cross-job
+// result cache), the fair-share policy (fleet.Policy), membership
+// (cluster.Registry) and the worker's compute (core.TaskRunner) — composed
+// under a single-threaded discrete-event loop driven by a sched.FakeClock.
 //
 // Workers are simulated: each is a speed factor, a task queue and a
 // liveness flag, not a goroutine or a socket. Faults (kill, join,
@@ -16,18 +15,18 @@
 // (trace.Format), and any seed yields bit-identical DP results, because
 // the kernels are pure functions of their data dependencies.
 //
-// The simulator deliberately mirrors internal/fleet's scheduling
-// semantics — LIFO ready stacks, fair-share draws charged per batch,
-// position-scaled overtime deadlines, MaxAttempts poisoned-job
-// isolation, profile-driven speculation and backlog stealing — so a
-// scenario assertion here is a statement about the production scheduler,
-// checked at scales (1000 workers) the CI box cannot host for real.
+// What is one job's — position-scaled overtime deadlines, MaxAttempts
+// poisoned-job isolation, speculation and steal arbitration, commit — is
+// the shipped engine, so a scenario assertion about it is a statement
+// about the production scheduler, checked at scales (1000 workers) the CI
+// box cannot host for real. What sits above one job — LIFO ready stacks,
+// fair-share draws charged per batch, the hunger pass and its victim
+// choice across jobs — still mirrors internal/fleet by hand (docs/SIM.md).
 package sim
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -345,24 +344,13 @@ func (c *Cluster) kill(w *simWorker) {
 // order so the resulting schedule is deterministic.
 func (c *Cluster) revoke(member int) {
 	for _, jb := range c.jobs {
-		if jb.done {
+		if !jb.active || jb.done {
 			continue
 		}
-		revoked := jb.leases.RevokeWorker(member)
-		if len(revoked) == 0 {
-			continue
+		if revoked, requeue := jb.eng.Revoke(member); revoked > 0 {
+			c.reg.NoteRevoked(revoked, len(requeue))
+			c.requeue(jb, requeue...)
 		}
-		sortLeases(revoked)
-		var requeue []int32
-		for _, l := range revoked {
-			jb.ot.RemoveAttempt(l.Vertex, l.Attempt)
-			jb.noteAttemptGone(l.Vertex, l.Attempt)
-			if jb.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-				requeue = append(requeue, l.Vertex)
-			}
-		}
-		c.reg.NoteRevoked(len(revoked), len(requeue))
-		c.requeue(jb, requeue...)
 	}
 }
 
@@ -385,7 +373,7 @@ func (c *Cluster) Run() error {
 			for _, jb := range c.jobs {
 				if !jb.done && jb.active {
 					jb.finish(fmt.Errorf("sim: job %q unfinished at the %v horizon with %d vertices remaining",
-						jb.spec.Name, c.opts.Horizon, jb.parser.Remaining()), c.now())
+						jb.spec.Name, c.opts.Horizon, jb.eng.Remaining()), c.now())
 				} else if !jb.active {
 					jb.finish(fmt.Errorf("sim: job %q never activated before the %v horizon", jb.spec.Name, c.opts.Horizon), c.now())
 				}
@@ -407,7 +395,7 @@ func (c *Cluster) Run() error {
 		for _, jb := range c.jobs {
 			if !jb.done {
 				jb.finish(fmt.Errorf("sim: job %q starved: event queue drained with %d vertices remaining",
-					jb.spec.Name, jb.parser.Remaining()), c.now())
+					jb.spec.Name, jb.eng.Remaining()), c.now())
 			}
 		}
 		return fmt.Errorf("sim: event queue drained with unfinished jobs")
@@ -469,32 +457,15 @@ func (c *Cluster) scheduleTick() {
 // any workload shows dispersion, speculation stays armed for it.
 func (c *Cluster) tuneSample() tune.Sample {
 	var s tune.Sample
-	var worst float64
 	for _, jb := range c.jobs {
 		if !jb.active {
 			continue
 		}
-		s.Dispatches += jb.ctrs.Dispatches.Load()
-		s.TaskBytes += jb.ctrs.TaskBytes.Load()
-		s.Steals += jb.ctrs.Steals.Load()
-		s.SpecWon += jb.ctrs.SpecWon.Load()
-		s.SpecWasted += jb.ctrs.SpecWasted.Load()
+		js := jb.eng.Sample()
 		if jb.done {
-			continue
+			js.ProfileSamples = 0
 		}
-		n := jb.profile.Samples()
-		if n == 0 {
-			continue
-		}
-		p50, _ := jb.profile.Quantile(0.5)
-		p95, _ := jb.profile.Quantile(0.95)
-		if p50 <= 0 {
-			continue
-		}
-		if d := float64(p95) / float64(p50); s.ProfileSamples == 0 || d > worst {
-			worst = d
-			s.ProfileP50, s.ProfileP95, s.ProfileSamples = p50, p95, n
-		}
+		s.Fold(js)
 	}
 	return s
 }
@@ -548,9 +519,3 @@ func (c *Cluster) Elapsed() time.Duration { return c.now().Sub(c.epoch) }
 // Served) observed across eligible jobs at any scheduling decision: the
 // realized weighted fair-share bound of the run.
 func (c *Cluster) MaxDeficit() float64 { return c.maxDeficit }
-
-// sortLeases orders revoked leases by grant sequence: RevokeWorker
-// returns them in map order, which a deterministic requeue cannot use.
-func sortLeases(ls []sched.Lease) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Seq < ls[j].Seq })
-}

@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cas"
+	"repro/internal/dag"
+	"repro/internal/matrix"
 	"repro/internal/trace"
 )
 
@@ -107,6 +110,43 @@ func TestPartitionZombie(t *testing.T) {
 	}
 	if deaths != 1 {
 		t.Fatalf("want exactly one sweep death, got %d", deaths)
+	}
+}
+
+// TestPoisonedCacheEntryIsAMiss is the warm-cache scenario with a damaged
+// store: the entry under the root vertex's key holds another vertex's
+// block. The simulator's own commit used to put it in the store unchecked,
+// where Store.Put panics; through the engine it is a miss like any other
+// entry that does not decode to the vertex's block, and the job recomputes
+// the vertex and everything behind it.
+func TestPoisonedCacheEntryIsAMiss(t *testing.T) {
+	store, err := cas.NewStore(cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := mustProblem(t, "editdist", 64, 9)
+	spec.Proc, spec.CacheKey = dag.Square(8), "edit64"
+	foreign, err := matrix.EncodeBlocks(spec.Problem.Codec,
+		[]*matrix.Block[int32]{matrix.NewBlock[int32](dag.Rect{Row0: 8, Col0: 16, Rows: 8, Cols: 8})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.PutBlock(cas.BlockKey(spec.CacheKey, 0, 0, 8, 8, nil), foreign)
+
+	c := New(Options{Workers: 4, Seed: 7, Cost: time.Millisecond, Cache: store})
+	j, err := c.Submit(0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil || j.Err() != nil {
+		t.Fatalf("run = %v, job = %v", err, j.Err())
+	}
+	if st := j.Stats(); st.CacheHits != 0 || st.CacheMisses != 64 || st.Tasks != 64 || st.Leaked != 0 {
+		t.Fatalf("stats = %+v, want 64 misses, 64 computed vertices and no leak", st)
+	}
+	_, ref, _ := BuildProblem("editdist", 64, 9)
+	if !equalMatrix(j.Result(), ref) {
+		t.Fatal("result differs from the sequential reference")
 	}
 }
 

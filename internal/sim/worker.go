@@ -3,7 +3,7 @@ package sim
 import (
 	"time"
 
-	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/matrix"
 )
@@ -119,7 +119,7 @@ func (c *Cluster) nextBatch() (*simJob, []int32) {
 			Weight:   jb.spec.Weight,
 			Priority: jb.spec.Priority,
 			Ready:    len(jb.ready),
-			Inflight: jb.leases.Len(),
+			Inflight: jb.eng.Inflight(),
 			Quota:    jb.spec.Quota,
 			Served:   jb.served,
 		})
@@ -169,31 +169,6 @@ func (c *Cluster) nextBatch() (*simJob, []int32) {
 	return jb, ids
 }
 
-// register arbitrates one drawn vertex: a primary attempt normally, a
-// backup when the vertex carries a pending speculation flag — unless
-// this very worker holds the primary, in which case the vertex is held
-// for another member (fleet.register).
-func (c *Cluster) register(jb *simJob, member int, v int32) (attempt int32, ok, backup, held bool) {
-	pending := jb.specPending[v]
-	delete(jb.specPending, v)
-	if !pending {
-		a, ok := jb.rt.Register(v)
-		return a, ok, false, false
-	}
-	for _, l := range jb.leases.Holders(v) {
-		if l.Worker == member {
-			jb.specPending[v] = true
-			return 0, false, false, true
-		}
-	}
-	a, ok := jb.rt.RegisterBackup(v)
-	if !ok {
-		return 0, false, false, false
-	}
-	jb.backupOf[v] = a
-	return a, true, true, false
-}
-
 // dispatch leases the drawn vertices to worker w and enqueues the task
 // frames. Returns (sent, consumed): sent when at least one frame went
 // out; consumed when the idle token is spent even without a send (the
@@ -204,36 +179,20 @@ func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) (sent, consume
 	entries := make([]entry, 0, len(ids))
 	bytes := 0
 	for _, v := range ids {
-		attempt, ok, backup, self := c.register(jb, w.member, v)
-		if !ok {
-			if self {
-				held = append(held, v)
-			}
+		attempt, out := jb.eng.Lease(w.member, v, len(entries), now)
+		switch out {
+		case engine.Held:
+			held = append(held, v)
+			continue
+		case engine.Gone:
 			continue
 		}
-		deps := jb.graph.Vertex(v).DataPre
-		positions := make([]dag.Pos, len(deps))
-		for k, d := range deps {
-			positions[k] = jb.geom.PosOf(d)
-		}
-		payload, err := matrix.EncodeBlocks(jb.spec.Problem.Codec, jb.store.Gather(positions))
-		if err != nil {
-			jb.finish(err, now)
+		deps := jb.eng.Graph().Vertex(v).DataPre
+		payload, err := matrix.EncodeBlocks(jb.spec.Problem.Codec, jb.eng.Gather(deps))
+		if c.settle(jb, err) {
 			return false, true
 		}
-		jb.ctrs.BlocksShipped.Add(int64(len(deps)))
-		deadline := now.Add(jb.spec.TaskTimeout * time.Duration(len(entries)+1))
-		if backup {
-			jb.leases.Add(v, w.member, attempt, now)
-			jb.ot.AddConcurrent(v, attempt, deadline)
-			jb.ctrs.Speculated.Add(1)
-			jb.tr.Speculate(w.member, v)
-		} else {
-			jb.leases.Grant(v, w.member, attempt, now)
-			jb.ot.Add(v, attempt, deadline)
-		}
-		jb.tr.TaskStart(w.member, v)
-		jb.ctrs.Dispatches.Add(1)
+		jb.eng.Counters().BlocksShipped.Add(int64(len(deps)))
 		bytes += len(payload)
 		entries = append(entries, entry{jb: jb, vertex: v, attempt: attempt, payload: payload})
 	}
@@ -243,11 +202,7 @@ func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) (sent, consume
 	if len(entries) == 0 {
 		return false, len(held) > 0
 	}
-	jb.ctrs.TaskBytes.Add(int64(bytes))
-	jb.tr.Dispatch(w.member, len(entries), bytes)
-	if len(entries) > 1 {
-		jb.ctrs.BatchMessages.Add(1)
-	}
+	jb.eng.Shipped(w.member, len(entries), bytes)
 	w.queue = append(w.queue, entries...)
 	c.startNext(w)
 	return true, true
@@ -279,9 +234,10 @@ func (c *Cluster) startNext(w *simWorker) {
 // The RNG is consumed in event order, so the draw sequence — and with
 // it the whole schedule — is a function of the seed.
 func (c *Cluster) serviceTime(e *entry, w *simWorker) time.Duration {
-	cost := float64(e.jb.cost)
+	cost := float64(e.jb.spec.Cost)
 	if e.jb.spec.CostPerCell > 0 {
-		r := e.jb.geom.Rect(e.jb.geom.PosOf(e.vertex))
+		geom := e.jb.eng.Graph().Geom
+		r := geom.Rect(geom.PosOf(e.vertex))
 		cost += float64(e.jb.spec.CostPerCell) * float64(r.Rows*r.Cols)
 	}
 	d := cost * w.speed
@@ -313,59 +269,27 @@ func (c *Cluster) complete(w *simWorker, gen int) {
 	c.dispatchAll()
 }
 
-// applyResult commits one computed vertex to its job — acceptance,
-// profile observation, lease release, speculation accounting, compute,
-// commit, DAG advance — mirroring fleet.applyResult with the compute
-// moved master-side (the simulator computes each accepted vertex once;
-// speculation losers cost only virtual time).
+// applyResult delivers one finished entry: the worker's compute — run
+// here, at the instant it completes in virtual time, on the data region
+// the task frame carried — and the result into the job's engine, which
+// refuses it if the attempt was retired meanwhile (fleet.applyResult).
 func (c *Cluster) applyResult(w *simWorker, e *entry) {
 	jb := e.jb
 	if jb.done {
 		return
 	}
-	if !jb.rt.Accept(e.vertex, e.attempt) {
-		jb.ctrs.StaleResults.Add(1)
-		return
-	}
-	now := c.now()
-	jb.ot.Remove(e.vertex)
-	if l, ok := jb.leases.Find(e.vertex, e.attempt); ok {
-		jb.profile.Observe(now.Sub(l.Granted))
-	}
-	jb.leases.Release(e.vertex)
-	if backup, ok := jb.backupOf[e.vertex]; ok {
-		delete(jb.backupOf, e.vertex)
-		delete(jb.specPending, e.vertex)
-		if backup == e.attempt {
-			jb.ctrs.SpecWon.Add(1)
-		} else {
-			jb.ctrs.SpecWasted.Add(1)
-		}
-	}
 	out, err := jb.runner.Run(e.vertex, e.payload)
-	if err != nil {
-		jb.finish(err, now)
+	if c.settle(jb, err) {
 		return
 	}
-	blocks, err := matrix.DecodeBlocks(jb.spec.Problem.Codec, out)
-	if err != nil || len(blocks) != 1 {
-		jb.finish(err, now)
+	ready, accepted, err := jb.eng.Complete(w.member, e.vertex, e.attempt, out, c.now())
+	if accepted {
+		c.reg.NoteCompleted(w.member)
+	}
+	if c.settle(jb, err) {
 		return
 	}
-	jb.commit(e.vertex, out, blocks[0])
-	c.reg.NoteCompleted(w.member)
-	jb.tr.TaskEnd(w.member, e.vertex)
-	jb.ctrs.Tasks.Add(1)
-	newly := jb.parser.Complete(e.vertex)
-	if jb.parser.Finished() {
-		jb.finish(nil, now)
-		return
-	}
-	newly = c.absorbCached(jb, newly)
-	if jb.done {
-		return
-	}
-	c.requeueReady(jb, newly)
+	c.requeueReady(jb, ready)
 }
 
 // noteIdleIfFree queues an idle token for w if it can take work.
@@ -376,53 +300,28 @@ func (c *Cluster) noteIdleIfFree(w *simWorker) {
 }
 
 // feedHungry steals the newer half of the deepest backlog toward hungry
-// worker w when no job has queued work (fleet.feedHungry, with the
-// victim scan in admit order instead of map order). Returns false when
-// there was nothing to steal, which ends the pass.
+// worker w when no job has queued work (fleet.feedHungry). Returns false
+// when there was nothing to steal, which ends the pass.
 func (c *Cluster) feedHungry(w *simWorker) bool {
-	ownLoad := 0
 	var victimJob *simJob
 	victim, deepest := 0, 1
 	for _, jb := range c.jobs {
 		if !jb.active || jb.done {
 			continue
 		}
-		if len(jb.ready) > 0 {
-			return false // queued work exists; normal dispatch handles it
+		if len(jb.ready) > 0 || jb.eng.Load(w.member) > 0 {
+			// Queued work exists and normal dispatch handles it, or the
+			// beggar still holds work of its own.
+			return false
 		}
-		ownLoad += jb.leases.Load(w.member)
-		for _, vw := range c.workers {
-			if vw.member == w.member {
-				continue
-			}
-			if n := jb.leases.Load(vw.member); n > deepest {
-				victimJob, victim, deepest = jb, vw.member, n
-			}
+		if m, n := jb.eng.Deepest(w.member); n > deepest {
+			victimJob, victim, deepest = jb, m, n
 		}
 	}
-	if ownLoad > 0 || victimJob == nil {
+	if victimJob == nil {
 		return false
 	}
-	backlog := victimJob.leases.WorkerLeases(victim)
-	if len(backlog) < 2 {
-		return false
-	}
-	stolen := make([]int32, 0, len(backlog)/2)
-	for _, l := range backlog[(len(backlog)+1)/2:] {
-		if victimJob.rt.LiveAttempts(l.Vertex) != 1 {
-			continue
-		}
-		victimJob.leases.ReleaseAttempt(l.Vertex, l.Attempt)
-		victimJob.ot.RemoveAttempt(l.Vertex, l.Attempt)
-		if victimJob.rt.CancelAttempt(l.Vertex, l.Attempt) == 0 {
-			stolen = append(stolen, l.Vertex)
-		}
-	}
-	if len(stolen) == 0 {
-		return false
-	}
-	victimJob.ctrs.Steals.Add(int64(len(stolen)))
-	victimJob.tr.Steal(w.member, len(stolen))
+	stolen := victimJob.eng.StealFrom(victim, w.member)
 	c.requeue(victimJob, stolen...)
-	return true
+	return len(stolen) > 0
 }

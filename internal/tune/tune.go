@@ -155,6 +155,28 @@ type Sample struct {
 	ProfileSamples         int           // observations behind them
 }
 
+// Fold accumulates one job's sample (engine.Job.Sample) into s, the
+// observation of a whole pool: counters add, and of the two profile
+// pairs the one with the heavier straggler tail (the larger p95/p50)
+// stays — pool-wide thresholds must serve the worst case. A caller that
+// wants only o's counters (a finished job's, say) zeroes its
+// ProfileSamples first.
+func (s *Sample) Fold(o Sample) {
+	s.Dispatches += o.Dispatches
+	s.TaskBytes += o.TaskBytes
+	s.Hungers += o.Hungers
+	s.Steals += o.Steals
+	s.SpecWon += o.SpecWon
+	s.SpecWasted += o.SpecWasted
+	if o.ProfileSamples == 0 || o.ProfileP50 <= 0 {
+		return
+	}
+	if s.ProfileSamples == 0 ||
+		float64(o.ProfileP95)/float64(o.ProfileP50) > float64(s.ProfileP95)/float64(s.ProfileP50) {
+		s.ProfileP50, s.ProfileP95, s.ProfileSamples = o.ProfileP50, o.ProfileP95, o.ProfileSamples
+	}
+}
+
 // Decision reports what one Tick concluded. Changed is true when any
 // recommendation moved; hosts use it to gate EvTune trace events so
 // runs without adaptation stay byte-identical.
