@@ -8,6 +8,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/comm"
 	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -205,7 +206,7 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 	if !c.ProcPartition.Valid() {
 		// Under Auto, prepare() already consulted the partition advisor
 		// (it needs the kernel's cost model, which Config cannot see).
-		c.ProcPartition = dag.Size{Rows: (n.Rows + 7) / 8, Cols: (n.Cols + 7) / 8}
+		c.ProcPartition = dag.DefaultPartition(n)
 	}
 	if !c.ThreadPartition.Valid() {
 		c.ThreadPartition = dag.Size{
@@ -217,10 +218,10 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 		c.BCWBlockCols = 1
 	}
 	if c.Batch < 1 {
-		c.Batch = 1
+		c.Batch = engine.DefaultBatch
 	}
 	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 4
+		c.MaxAttempts = engine.DefaultMaxAttempts
 	}
 	if c.SpillDir != "" && c.SpillBudget < 1 {
 		c.SpillBudget = 16
@@ -231,7 +232,7 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 		c.DeltaShipping = true
 	}
 	if c.TaskTimeout <= 0 {
-		c.TaskTimeout = 30 * time.Second
+		c.TaskTimeout = engine.DefaultTaskTimeout
 	}
 	if c.SubTaskTimeout <= 0 {
 		c.SubTaskTimeout = 10 * time.Second

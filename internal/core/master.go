@@ -63,16 +63,6 @@ type master[T any] struct {
 	err      error
 }
 
-// Speculation tuning shared with the fleet's defaults: an attempt
-// is a straggler when it has been running longer than specMultiplier times
-// the specQuantile of observed runtimes, judged only once specMinSamples
-// completions have warmed the profile.
-const (
-	specQuantile   = 0.95
-	specMultiplier = 2
-	specMinSamples = 8
-)
-
 // runMaster executes the master part over transport tr and returns the
 // completed matrix store. cfg must already have defaults applied.
 // Cancelling ctx finishes the run with ctx's error.
@@ -106,7 +96,8 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 	}
 	ctrs.job = m.eng.Counters()
 	if cfg.Auto {
-		m.tuner = tune.New(tune.DefaultLimits(), cfg.Batch, specQuantile, specMultiplier, specMinSamples)
+		m.tuner = tune.New(tune.DefaultLimits(), cfg.Batch,
+			engine.DefaultSpecQuantile, engine.DefaultSpecMultiplier, engine.DefaultSpecMinSamples)
 	}
 	switch cfg.Policy {
 	case PolicyBlockCyclic:
@@ -230,7 +221,7 @@ func (m *master[T]) senderLoop(s int) {
 			// moves it while the run is in flight. At 1 the draw is the
 			// classic one-task protocol.
 			m.waiting[s].Store(true)
-			ids, ok := m.disp.NextBatch(worker, m.batchCap())
+			ids, ok := m.disp.NextBatch(worker, m.tuner.BatchCapOr(m.cfg.Batch))
 			m.waiting[s].Store(false)
 			if !ok {
 				m.sendEnd(s)
@@ -482,24 +473,6 @@ func (m *master[T]) faultToleranceLoop() {
 	}
 }
 
-// batchCap is the dispatch batch bound in effect right now: the
-// controller's recommendation under Auto, the configured constant
-// otherwise. Lock-free — senders read it on every draw.
-func (m *master[T]) batchCap() int {
-	if m.tuner != nil {
-		return m.tuner.BatchCap()
-	}
-	return m.cfg.Batch
-}
-
-// specParams are the speculation thresholds in effect right now.
-func (m *master[T]) specParams() (quantile, multiplier float64) {
-	if m.tuner != nil {
-		return m.tuner.SpecParams()
-	}
-	return specQuantile, specMultiplier
-}
-
 // tuneTick feeds the controller one observation of the run's counters
 // and profile; recommendation changes land in the trace. Called from
 // the fault-tolerance loop only.
@@ -526,8 +499,11 @@ func (m *master[T]) flagStragglers(now time.Time) {
 	if m.disp.ReadyCount() > 0 {
 		return
 	}
-	q, mult := m.specParams()
-	m.disp.Ready(m.eng.FlagStragglers(now, q, mult, m.cfg.CheckInterval, specMinSamples, m.cfg.Slaves)...)
+	// The fleet's default thresholds, or the controller's under Auto: a
+	// straggler has run longer than the multiplier times that quantile of
+	// the observed runtimes, judged once the profile is warm.
+	q, mult := m.tuner.SpecParamsOr(engine.DefaultSpecQuantile, engine.DefaultSpecMultiplier)
+	m.disp.Ready(m.eng.FlagStragglers(now, q, mult, m.cfg.CheckInterval, engine.DefaultSpecMinSamples, m.cfg.Slaves)...)
 }
 
 // maybeSteal rebalances queued-but-undispatched backlog toward a starved

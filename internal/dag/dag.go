@@ -42,6 +42,13 @@ func (s Size) String() string { return fmt.Sprintf("%dx%d", s.Rows, s.Cols) }
 // Square returns an n-by-n Size.
 func Square(n int) Size { return Size{Rows: n, Cols: n} }
 
+// DefaultPartition is the processor-level block size of an n matrix when
+// the caller names none: an 8x8 grid of blocks, rounded up. Master and
+// workers each derive a job's geometry from it, so there is one rule.
+func DefaultPartition(n Size) Size {
+	return Size{Rows: (n.Rows + 7) / 8, Cols: (n.Cols + 7) / 8}
+}
+
 // Cells returns the number of cells in the extent.
 func (s Size) Cells() int { return s.Rows * s.Cols }
 

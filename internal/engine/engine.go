@@ -1,23 +1,30 @@
-// Package engine is the per-job state machine of the master part (Figs.
-// 9-10 of the paper), written once: one DAG job's graph and parser, block
-// store, sub-task register table, overtime queue, lease table, runtime
-// profile, speculation ledger, cross-job cache keys, reclaim counts,
-// checkpoint writer and scheduling counters, behind one method per event.
-// Each method returns what the driver must do next — vertex ids to queue,
-// a verdict, an error — and does no I/O of its own beyond the store, the
-// cache and the checkpoint writer it was handed.
+// Package engine is the master part (Figs. 9-10 of the paper) as two state
+// machines without I/O, each written once. Job is one DAG job: its graph
+// and parser, block store, sub-task register table, overtime queue, lease
+// table, runtime profile, speculation ledger, cross-job cache keys, reclaim
+// counts, checkpoint writer and scheduling counters. Pool is the scheduler
+// above the jobs of a shared worker pool: the running-job table, every
+// job's ready stack and fair-share account, the draw, the hunger pass,
+// revocation across jobs, the control tick and the tuner (pool.go). Both
+// have one method per event, which returns what the driver must do next —
+// vertex ids to queue or ship, a verdict, the jobs to end — and does no I/O
+// of its own beyond the store, the cache and the checkpoint writer a Job
+// was handed.
 //
-// Three drivers run it: core's fixed-rank master (over comm.Transport),
-// the fleet (many jobs over one elastic TCP pool) and the simulator (a
-// single-threaded event loop on a fake clock). A driver owns everything
-// that is not one job's progress: the ready queue and its policy, the
-// wire encoding, membership, the finish latch, the tuner, and which job
-// or member a steal goes to.
+// Three drivers run a Job: core's fixed-rank master (over comm.Transport,
+// with internal/sched's dispatchers for its one ready queue), the fleet
+// (many jobs over one elastic TCP pool) and the simulator (a single-threaded
+// event loop on a fake clock); the last two run them under one Pool. A
+// driver owns what is I/O: members and their connections or simulated
+// queues, the wire encoding, the membership registry, when a member counts
+// as idle or hungry, when the tick fires, the finish latch, the checkpoint
+// file.
 //
-// docs/INTERNALS.md ("Job engine") has the event → call → action table.
+// docs/INTERNALS.md ("Job engine") has the event → call → action tables.
 //
-// The engine starts no goroutine, channel or timer and never reads a
-// clock: time arrives as the now argument of the event.
+// Neither type starts a goroutine, channel or timer nor reads a clock: time
+// arrives as the now argument of the event. A Pool takes no lock at all —
+// its driver serializes every call — and what follows is the Job's.
 //
 // Concurrency contract. Replay, Frontier and Complete have one caller at
 // a time — the driver's receive side — and own the parser, the store

@@ -159,13 +159,8 @@ func (r *rig) finish() {
 		r.t.Fatalf("job did not drain: %d vertices remain", r.eng.Remaining())
 	}
 	r.audit()
-	got := r.eng.Store().Assemble()
-	for i := range r.want {
-		for j := range r.want[i] {
-			if got[i][j] != r.want[i][j] {
-				r.t.Fatalf("cell (%d,%d) = %d, sequential says %d", i, j, got[i][j], r.want[i][j])
-			}
-		}
+	if i, j, differ := firstDiff(r.eng.Store().Assemble(), r.want); differ {
+		r.t.Fatalf("cell (%d,%d) differs from the sequential matrix", i, j)
 	}
 }
 

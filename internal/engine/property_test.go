@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dag"
 	"repro/internal/engine"
 )
 
@@ -24,29 +25,42 @@ type attemptRef struct {
 // stragglers — and checks after every step that no vertex became ready
 // before all its predecessors committed, none committed twice, and no
 // vertex carries more than two live attempts; at the end nothing may have
-// leaked and the matrix must be bit-identical to the sequential one. A
-// failure names its seed: rerun with that seed alone to replay it.
+// leaked and the matrix must be bit-identical to the sequential one. The
+// pool subtest does the same to the scheduler above the jobs, four of them
+// at once (randomPoolSchedule). A failure names its seed: rerun with that
+// seed alone to replay it.
 func TestRandomSchedules(t *testing.T) {
 	const seeds = 200
-	for _, app := range []string{"edit", "nussinov", "swgg"} {
+	apps := []string{"edit", "nussinov", "swgg"}
+	// A vertex's block does not depend on the schedule, so one reference
+	// pass per shape computes every result frame for all seeds.
+	results := make(map[string]map[int32][]byte)
+	wants := make(map[string][][]int32)
+	for _, app := range apps {
+		ref := newRig(t, app, engine.Config[int32]{})
+		ref.start()
+		results[app] = make(map[int32][]byte)
+		for len(ref.ready) > 0 {
+			v := ref.ready[0]
+			results[app][v] = ref.compute(v)
+			ref.take(v)
+			ref.deliver(1, v, ref.lease(1, v, engine.Granted), results[app][v], true)
+		}
+		ref.finish()
+		wants[app] = ref.want
+	}
+	for _, app := range apps {
 		t.Run(app, func(t *testing.T) {
-			// A vertex's block does not depend on the schedule, so one
-			// reference pass computes every result frame for all seeds.
-			ref := newRig(t, app, engine.Config[int32]{})
-			ref.start()
-			results := make(map[int32][]byte)
-			for len(ref.ready) > 0 {
-				v := ref.ready[0]
-				results[v] = ref.compute(v)
-				ref.take(v)
-				ref.deliver(1, v, ref.lease(1, v, engine.Granted), results[v], true)
-			}
-			ref.finish()
 			for seed := int64(0); seed < seeds; seed++ {
-				randomSchedule(t, app, seed, results, ref.want)
+				randomSchedule(t, app, seed, results[app], wants[app])
 			}
 		})
 	}
+	t.Run("pool", func(t *testing.T) {
+		for seed := int64(0); seed < seeds; seed++ {
+			randomPoolSchedule(t, seed, results, wants)
+		}
+	})
 }
 
 func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]byte, want [][]int32) {
@@ -56,12 +70,7 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 	rng := rand.New(rand.NewSource(seed))
 	g := eng.Graph()
 	existing := g.Existing()
-	preds := make(map[int32][]int32) // inverted successor lists: the DAG's real edges
-	for _, u := range existing {
-		for _, s := range g.Vertex(u).Post {
-			preds[s] = append(preds[s], u)
-		}
-	}
+	preds := predecessors(g)
 	const members = 4
 	now := time.Unix(0, 0)
 	committed := make(map[int32]bool)
@@ -176,12 +185,30 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 	if len(committed) != g.N {
 		failf("%d of %d vertices committed", len(committed), g.N)
 	}
-	got := eng.Store().Assemble()
+	if i, j, differ := firstDiff(eng.Store().Assemble(), want); differ {
+		failf("cell (%d,%d) differs from the sequential matrix", i, j)
+	}
+}
+
+// predecessors inverts the successor lists: the DAG's real edges.
+func predecessors(g *dag.Graph) map[int32][]int32 {
+	preds := make(map[int32][]int32)
+	for _, u := range g.Existing() {
+		for _, s := range g.Vertex(u).Post {
+			preds[s] = append(preds[s], u)
+		}
+	}
+	return preds
+}
+
+// firstDiff names the first cell in which got is not want.
+func firstDiff(got, want [][]int32) (i, j int, differ bool) {
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
-				failf("cell (%d,%d) = %d, sequential says %d", i, j, got[i][j], want[i][j])
+				return i, j, true
 			}
 		}
 	}
+	return 0, 0, false
 }

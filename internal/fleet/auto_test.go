@@ -32,9 +32,6 @@ func TestFleetAutoTunesOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if !f.opts.Speculate || !f.opts.Steal {
-		t.Fatal("Auto did not arm speculation and stealing")
-	}
 
 	var wwg sync.WaitGroup
 	defer wwg.Wait() // after stopWorkers below: workers exit on cancel

@@ -4,23 +4,26 @@
 // an elastic cluster run (easyhps-launch -elastic) is the same fleet with
 // one job.
 //
-// The fleet owns the shared half of a run — the listener, membership
-// registry, member connections, heartbeats and hunger beacons — while
-// each submitted job owns the DAG-progress half, one internal/engine.Job:
-// its graph, parser, block store, register table (attempt namespace),
-// overtime queue, lease table, checkpoint log, runtime profile and stats
-// ledger. Task and result
-// frames carry a job id (comm.Message.Job, wire protocol v3), and a
-// worker attaches a job's kernel state on first contact via a job-spec
-// frame, so one worker holds batches from several jobs at once.
+// The fleet is the I/O around two sans-I/O state machines of
+// internal/engine. Each submitted job owns its DAG-progress half, one
+// engine.Job: graph, parser, block store, register table (attempt
+// namespace), overtime queue, lease table, checkpoint log, runtime profile
+// and stats ledger. One engine.Pool schedules across them: the running-job
+// table, every job's ready stack and fair-share account, the hunger pass,
+// revocation across jobs, the control tick and the tuner. What is left
+// here is the shared, I/O half of a run — the listener, membership
+// registry, member connections with their attach state, heartbeats and
+// hunger beacons, encoding, the finish latch and the checkpoint file. Task
+// and result frames carry a job id (comm.Message.Job, wire protocol v3),
+// and a worker attaches a job's kernel state on first contact via a
+// job-spec frame, so one worker holds batches from several jobs at once.
 //
-// Which job feeds the next ready batch to an idle worker is decided by a
-// pluggable Policy; the default FairShare dispatches to the eligible job
-// with the largest outstanding-vertex deficit (weighted max-min
-// fairness), with priority classes and per-job in-flight quotas on top.
-// A poisoned job — one whose vertices time out repeatedly — fails alone:
-// its retries are capped by its own MaxAttempts and bounded by its quota,
-// and the healthy jobs keep draining.
+// Which job feeds the next ready batch to an idle worker is the pool's
+// weighted max-min fair share: the eligible job with the smallest
+// normalized service draws, with priority classes and per-job in-flight
+// quotas on top. A poisoned job — one whose vertices time out repeatedly —
+// fails alone: its retries are capped by its own MaxAttempts and bounded
+// by its quota, and the healthy jobs keep draining.
 //
 // See docs/FLEET.md for the scheduler policy, the job-scoped lease
 // lifecycle, and the wire-protocol changes.
@@ -70,9 +73,6 @@ type Options struct {
 	// DefaultQuota caps each job's in-flight leased attempts when the
 	// JobRequest does not set its own (0 = unlimited).
 	DefaultQuota int
-	// Policy picks the job that feeds each idle worker (default
-	// FairShare).
-	Policy Policy
 	// Speculate enables speculative re-execution per job: when an
 	// in-flight vertex runs longer than a high quantile of the job's
 	// observed runtimes, a backup attempt is dispatched to an idle member
@@ -120,45 +120,17 @@ type Options struct {
 	RetainJobs int
 }
 
+// withDefaults fills the defaults of what the fleet itself reads; the
+// scheduling knobs take theirs in engine.NewPool.
 func (o Options) withDefaults() Options {
-	if o.Auto {
-		// Auto means "mitigate stragglers for me": both mitigation
-		// mechanisms arm, and the tuner owns their thresholds.
-		o.Speculate = true
-		o.Steal = true
-	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 250 * time.Millisecond
 	}
 	if o.HeartbeatMiss < 1 {
 		o.HeartbeatMiss = 3
 	}
-	if o.TaskTimeout <= 0 {
-		o.TaskTimeout = 30 * time.Second
-	}
 	if o.CheckInterval <= 0 {
 		o.CheckInterval = o.HeartbeatInterval
-	}
-	if o.MaxAttempts < 1 {
-		o.MaxAttempts = 4
-	}
-	if o.Batch < 1 {
-		o.Batch = 1
-	}
-	if o.Policy == nil {
-		o.Policy = FairShare{}
-	}
-	if o.SpecQuantile <= 0 || o.SpecQuantile > 1 {
-		o.SpecQuantile = 0.95
-	}
-	if o.SpecMultiplier <= 1 {
-		o.SpecMultiplier = 2
-	}
-	if o.SpecMinSamples < 1 {
-		o.SpecMinSamples = 8
-	}
-	if o.SpecFloor <= 0 {
-		o.SpecFloor = o.CheckInterval
 	}
 	if o.Clock == nil {
 		o.Clock = sched.Wall
@@ -204,13 +176,15 @@ type Fleet[T any] struct {
 	connMu sync.Mutex
 	conns  map[int]*memberConn
 
-	// mu guards the job table, iteration order, every job's ready stack
-	// and served tally, and the closed flag; cond (on mu) wakes senders
-	// when work or shutdown arrives.
+	// mu guards the pool — the running jobs in submission order, every
+	// job's ready stack and fair-share account — the fleet's own half of
+	// each running job by wire id, the retained finished ones, and the
+	// closed flag; cond (on mu) wakes senders when work, quota room or
+	// shutdown arrives.
 	mu      sync.Mutex
 	cond    *sync.Cond
+	pool    *engine.Pool[T]
 	jobs    map[int32]*job[T]
-	order   []int32 // running jobs, submission order
 	doneLog []*job[T]
 	nextID  int32
 	closed  bool
@@ -221,13 +195,6 @@ type Fleet[T any] struct {
 
 	hungers atomic.Int64
 	stale   atomic.Int64 // results for unknown/finished jobs
-
-	// tuner is the self-tuning controller, non-nil iff Options.Auto.
-	// retired (guarded by mu) folds the counters of retired jobs into
-	// the tuner's cumulative sample so it stays monotone after jobs
-	// leave the running table.
-	tuner   *tune.Controller
-	retired tune.Sample
 
 	// progressMu/progressC/progressGen let observers (tests) wait for
 	// scheduling progress without polling: noteProgress bumps the
@@ -333,15 +300,26 @@ func New[T any](opts Options) (*Fleet[T], error) {
 		clock: opts.Clock,
 		inbox: make(chan event, 256),
 		conns: make(map[int]*memberConn),
-		jobs:  make(map[int32]*job[T]),
-		done:  make(chan struct{}),
+		pool: engine.NewPool[T](engine.PoolConfig{
+			Batch:          opts.Batch,
+			TaskTimeout:    opts.TaskTimeout,
+			MaxAttempts:    opts.MaxAttempts,
+			DefaultQuota:   opts.DefaultQuota,
+			Speculate:      opts.Speculate,
+			SpecQuantile:   opts.SpecQuantile,
+			SpecMultiplier: opts.SpecMultiplier,
+			SpecMinSamples: opts.SpecMinSamples,
+			SpecFloor:      opts.SpecFloor,
+			Steal:          opts.Steal,
+			Auto:           opts.Auto,
+			CheckInterval:  opts.CheckInterval,
+			Trace:          opts.Trace,
+		}),
+		jobs: make(map[int32]*job[T]),
+		done: make(chan struct{}),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.progressC = sync.NewCond(&f.progressMu)
-	if opts.Auto {
-		f.tuner = tune.New(tune.DefaultLimits(), opts.Batch,
-			opts.SpecQuantile, opts.SpecMultiplier, opts.SpecMinSamples)
-	}
 	f.wg.Add(3)
 	go func() { defer f.wg.Done(); f.acceptLoop() }()
 	go func() { defer f.wg.Done(); f.recvLoop() }()
@@ -361,9 +339,9 @@ func (f *Fleet[T]) Close() {
 	f.doneOnce.Do(func() {
 		f.mu.Lock()
 		f.closed = true
-		running := make([]*job[T], 0, len(f.order))
-		for _, id := range f.order {
-			running = append(running, f.jobs[id])
+		running := make([]*job[T], 0, len(f.jobs))
+		for _, jb := range f.jobs {
+			running = append(running, jb)
 		}
 		f.cond.Broadcast()
 		f.mu.Unlock()
@@ -393,7 +371,6 @@ var ErrFleetClosed = errors.New("fleet: closed")
 // Run submits one job and blocks until it completes, fails, or ctx is
 // cancelled. Jobs run concurrently: call Run from one goroutine per job.
 func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (*Result[T], error) {
-	req = req.withDefaults(f.opts)
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -405,16 +382,13 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 
 	if f.opts.Auto && !req.Proc.Valid() {
 		// Partition advisor: pick the block size from the kernel's cost
-		// model and the membership at submission. Workers follow the
-		// job-spec frame's Proc, so the choice cannot diverge.
+		// model and the membership at submission (one worker when none has
+		// joined yet). Workers follow the job-spec frame's Proc, so the
+		// choice cannot diverge.
 		cm, _ := p.Kernel.(tune.CostModel)
-		workers := f.reg.Live()
-		if workers < 1 {
-			workers = 1
-		}
-		req.Proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, workers, cm)
+		req.Proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, f.reg.Live(), cm)
 	}
-	jb, err := newJob(id, p, req, f.opts.Cache, f.clock)
+	jb, err := f.newJob(id, p, req)
 	if err != nil {
 		return nil, err
 	}
@@ -437,9 +411,7 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 		return nil, ErrFleetClosed
 	}
 	f.jobs[id] = jb
-	f.order = append(f.order, id)
-	jb.ready = append(jb.ready, frontier...)
-	jb.tr.Ready(len(jb.ready))
+	f.pool.Add(id, jb.eng, jb.params, frontier, jb.start)
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	f.noteProgress() // the job is admitted and observable
@@ -462,31 +434,31 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 func (f *Fleet[T]) retire(jb *job[T]) {
 	defer f.noteProgress()
 	f.mu.Lock()
+	running := f.unlist(jb)
+	f.mu.Unlock()
+	if running {
+		f.detach(jb)
+	}
+}
+
+// unlist, under mu, moves jb from the running table and the pool to the
+// done log and reports whether it was still running.
+func (f *Fleet[T]) unlist(jb *job[T]) bool {
 	if _, ok := f.jobs[jb.id]; !ok {
-		f.mu.Unlock()
-		return
+		return false
 	}
 	delete(f.jobs, jb.id)
-	for i, id := range f.order {
-		if id == jb.id {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
-	jb.ready = nil
-	// Fold the job's counters into the retired baseline so the tuner's
-	// cumulative sample stays monotone after the job leaves the table.
-	done := jb.eng.Sample()
-	done.ProfileSamples = 0
-	f.retired.Fold(done)
+	f.pool.Remove(jb.id)
 	f.doneLog = append(f.doneLog, jb)
 	if over := len(f.doneLog) - f.opts.RetainJobs; over > 0 {
 		f.doneLog = append([]*job[T](nil), f.doneLog[over:]...)
 	}
 	f.cond.Broadcast()
-	f.mu.Unlock()
+	return true
+}
 
-	// Detach the job from every worker that holds its state.
+// detach tells every worker that holds jb's kernel state to free it.
+func (f *Fleet[T]) detach(jb *job[T]) {
 	f.connMu.Lock()
 	conns := make([]*memberConn, 0, len(f.conns))
 	for _, mc := range f.conns {
@@ -611,7 +583,7 @@ func (f *Fleet[T]) pump(mc *memberConn) {
 }
 
 // senderLoop feeds one member whenever it is idle: each idle token buys
-// one batch, and the policy decides which job the batch comes from.
+// one batch, and the pool decides which job the batch comes from.
 func (f *Fleet[T]) senderLoop(mc *memberConn) {
 	for {
 		select {
@@ -630,13 +602,6 @@ func (f *Fleet[T]) senderLoop(mc *memberConn) {
 				}
 				return
 			}
-			if mc.stopped() {
-				// The member died while this sender waited for work;
-				// hand the vertices back for a live member.
-				f.requeue(jb, ids...)
-				f.undraw(jb, len(ids))
-				return
-			}
 			if f.dispatch(mc, jb, ids) {
 				break
 			}
@@ -652,10 +617,10 @@ func (f *Fleet[T]) fleetClosed() bool {
 	return f.closed
 }
 
-// nextBatch blocks until the policy can hand member mc a batch from some
+// nextBatch blocks until the pool can hand member mc a batch from some
 // job, the fleet closes, or the member stops. It returns the chosen job
 // and the drawn vertices (LIFO off the job's ready stack, never mixing
-// jobs), charging the job's fair-share account for the draw.
+// jobs), charged to the job's fair-share account.
 func (f *Fleet[T]) nextBatch(mc *memberConn) (*job[T], []int32, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -663,76 +628,11 @@ func (f *Fleet[T]) nextBatch(mc *memberConn) (*job[T], []int32, bool) {
 		if f.closed || mc.stopped() {
 			return nil, nil, false
 		}
-		views := make([]JobView, len(f.order))
-		jobs := make([]*job[T], len(f.order))
-		for i, id := range f.order {
-			jb := f.jobs[id]
-			jobs[i] = jb
-			views[i] = JobView{
-				ID:       id,
-				Weight:   jb.req.Weight,
-				Priority: jb.req.Priority,
-				Ready:    len(jb.ready),
-				// Vertices drawn by a concurrent sender but not yet leased
-				// count against the quota too, so racing senders cannot
-				// overshoot a job's in-flight bound between draw and grant.
-				Inflight: jb.eng.Inflight() + jb.drawn,
-				Quota:    jb.req.Quota,
-				Served:   jb.served,
-			}
-		}
-		if i := f.opts.Policy.Pick(views); i >= 0 {
-			jb := jobs[i]
-			n := f.batchCap()
-			if q := views[i].Quota; q > 0 {
-				if room := q - views[i].Inflight; room < n {
-					n = room
-				}
-			}
-			if n < 1 {
-				n = 1
-			}
-			if n > len(jb.ready) {
-				n = len(jb.ready)
-			}
-			ids := make([]int32, n)
-			copy(ids, jb.ready[len(jb.ready)-n:])
-			jb.ready = jb.ready[:len(jb.ready)-n]
-			jb.served += float64(n) / jb.req.Weight
-			jb.drawn += n
-			return jb, ids, true
+		if id, ids, ok := f.pool.Draw(); ok {
+			return f.jobs[id], ids, true
 		}
 		f.cond.Wait()
 	}
-}
-
-// undraw drops n from jb's drawn-but-not-yet-leased count (see
-// nextBatch): called once the batch's vertices are leased, requeued or
-// dead, so the quota view stops double-counting them.
-func (f *Fleet[T]) undraw(jb *job[T], n int) {
-	f.mu.Lock()
-	jb.drawn -= n
-	// Dropping the drawn charge can open quota room for senders blocked
-	// on an at-quota job; wake them to re-evaluate.
-	f.cond.Broadcast()
-	f.mu.Unlock()
-}
-
-// requeue puts vertices back on jb's ready stack and wakes senders.
-func (f *Fleet[T]) requeue(jb *job[T], ids ...int32) {
-	if len(ids) == 0 {
-		return
-	}
-	f.mu.Lock()
-	if _, running := f.jobs[jb.id]; running {
-		jb.ready = append(jb.ready, ids...)
-		// Requeues were already charged on first dispatch; refund so a
-		// job does not pay fair-share twice for work it never kept.
-		jb.served -= float64(len(ids)) / jb.req.Weight
-		jb.tr.Ready(len(jb.ready))
-		f.cond.Broadcast()
-	}
-	f.mu.Unlock()
 }
 
 // dispatch leases the drawn vertices of job jb to member mc and ships
@@ -740,16 +640,26 @@ func (f *Fleet[T]) requeue(jb *job[T], ids ...int32) {
 // member has never seen it. Returns false when every vertex turned out to
 // be already finished.
 func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
-	// The draw in nextBatch counted these vertices toward the job's quota;
-	// drop that charge once their fate is settled (leases granted, vertices
-	// requeued, or the batch dead). The defer runs after every return path
-	// below has either granted the lease or unwound it.
-	defer f.undraw(jb, len(ids))
 	defer f.noteProgress()
 	if jb.finished() {
-		return false
+		return false // the draw leaves the pool with the job
 	}
 	now := f.clock.Now()
+	f.mu.Lock()
+	if mc.stopped() {
+		// The member died while this sender waited for work; hand the
+		// vertices back for a live member. revoke closes mc.stop before it
+		// takes mu, so a lease granted below is one its revocation sees.
+		f.pool.Undraw(jb.id, ids)
+		f.cond.Broadcast()
+		f.mu.Unlock()
+		return true
+	}
+	grants, spent := f.pool.Lease(jb.id, mc.id, ids, now)
+	// The draw no longer counts toward the job's quota beyond what was
+	// leased, and a held vertex is back on the stack: wake blocked senders.
+	f.cond.Broadcast()
+	f.mu.Unlock()
 	// pend holds the registered vertices with their gathered data regions;
 	// encoding is deferred so that in cache mode the known-set decisions
 	// (full block vs content-key reference) happen under attachMu, ordered
@@ -759,33 +669,17 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 		deps            []int32
 		blocks          []*matrix.Block[T]
 	}
-	pend := make([]pendingTask, 0, len(ids))
-	// held collects speculation-flagged vertices this member already runs
-	// the primary attempt of: the engine kept their flag, and they go back
-	// on the ready stack for another member to back up.
-	var held []int32
-	for _, v := range ids {
-		attempt, out := jb.eng.Lease(mc.id, v, len(pend), now)
-		switch out {
-		case engine.Held:
-			held = append(held, v)
-		case engine.Granted, engine.Backup:
-			deps := jb.eng.Graph().Vertex(v).DataPre
-			pend = append(pend, pendingTask{vertex: v, attempt: attempt, deps: deps, blocks: jb.eng.Gather(deps)})
-		}
-	}
-	if len(held) > 0 {
-		f.requeue(jb, held...)
+	pend := make([]pendingTask, 0, len(grants))
+	for _, g := range grants {
+		deps := jb.eng.Graph().Vertex(g.Vertex).DataPre
+		pend = append(pend, pendingTask{vertex: g.Vertex, attempt: g.Attempt, deps: deps, blocks: jb.eng.Gather(deps)})
 	}
 	// Leases and dispatch counters are settled; publish before the send
 	// section, which can block under attachMu, so observers see the
 	// grants while the wire write is still in flight.
 	f.noteProgress()
 	if len(pend) == 0 {
-		// When the whole draw was backups this member holds the primary
-		// of, consume the idle token: drawing again right away could pop
-		// the same vertices forever. Another member's sender picks them up.
-		return len(held) > 0
+		return spent
 	}
 	// encode builds each task's payload. Cache mode uses the keyed wire
 	// format: blocks the member provably holds become references, the
@@ -953,44 +847,16 @@ func (f *Fleet[T]) echoHeartbeat(member int) {
 	}
 }
 
-// feedHungry answers a worker's hunger beacon by stealing
-// queued-but-undispatched backlog toward it: across all running jobs,
-// the (job, victim) pair with the deepest member backlog gives up the
-// newer half of its batch entries, which are cancelled and requeued on
-// that job's ready stack, where the hungry member's blocked sender picks
-// them up under the same fair-share policy.
+// feedHungry answers a worker's hunger beacon: the pool steals the newer
+// half of the deepest backlog toward it (engine.Pool.Hunger), onto the
+// victim job's ready stack, where the hungry member's blocked sender picks
+// it up under the same fair share.
 func (f *Fleet[T]) feedHungry(member int) {
-	if !f.opts.Steal {
-		return
-	}
 	f.mu.Lock()
-	queued := 0
-	running := make([]*job[T], 0, len(f.order))
-	for _, id := range f.order {
-		jb := f.jobs[id]
-		queued += len(jb.ready)
-		running = append(running, jb)
+	if f.pool.Hunger(member) {
+		f.cond.Broadcast()
 	}
 	f.mu.Unlock()
-	if queued > 0 {
-		// There is queued work already; the hungry member's sender is
-		// blocked in nextBatch and will draw it without help.
-		return
-	}
-	var victimJob *job[T]
-	victim, deepest := 0, 1
-	for _, jb := range running {
-		if jb.eng.Load(member) > 0 {
-			return // the beggar still holds work of its own
-		}
-		if w, n := jb.eng.Deepest(member); n > deepest {
-			victimJob, victim, deepest = jb, w, n
-		}
-	}
-	if victimJob == nil {
-		return
-	}
-	f.requeue(victimJob, victimJob.eng.StealFrom(victim, member)...)
 }
 
 // applyResult commits one computed vertex to its job. Results for
@@ -1038,22 +904,11 @@ func (f *Fleet[T]) applyResult(member int, jobID, v, attempt int32, payload []by
 		f.retire(jb)
 		return
 	}
-	f.requeueReady(jb, ready)
-}
-
-// requeueReady pushes newly computable vertices onto jb's ready stack.
-// Unlike requeue it does not refund fair-share (these were never
-// dispatched). It broadcasts even with nothing new: the caller just
-// released a lease, which may have opened quota room for queued work.
-func (f *Fleet[T]) requeueReady(jb *job[T], ids []int32) {
 	f.mu.Lock()
-	if _, running := f.jobs[jb.id]; running {
-		if len(ids) > 0 {
-			jb.ready = append(jb.ready, ids...)
-			jb.tr.Ready(len(jb.ready))
-		}
-		f.cond.Broadcast()
-	}
+	f.pool.Ready(jobID, ready)
+	// Even with nothing new: the lease just released may have opened quota
+	// room for queued work.
+	f.cond.Broadcast()
 	f.mu.Unlock()
 }
 
@@ -1074,10 +929,9 @@ func (f *Fleet[T]) memberLeave(member int) {
 	f.revoke(member)
 }
 
-// revoke tears down a member's connection and, job by job, puts its
-// leased vertices back on that job's ready stack — each vertex returns
-// to the job it belongs to, never to another (no cross-job leakage).
-// Death revocations do not count toward any job's MaxAttempts.
+// revoke tears down a member's connection and has the pool put its leased
+// vertices back, each on the ready stack of the job it belongs to. Death
+// revocations do not count toward any job's MaxAttempts.
 func (f *Fleet[T]) revoke(member int) {
 	f.connMu.Lock()
 	mc := f.conns[member]
@@ -1085,30 +939,16 @@ func (f *Fleet[T]) revoke(member int) {
 	f.connMu.Unlock()
 	if mc != nil {
 		mc.close()
-		// Wake any sender blocked in nextBatch on this member.
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
 	}
 	f.mu.Lock()
-	running := make([]*job[T], 0, len(f.order))
-	for _, id := range f.order {
-		running = append(running, f.jobs[id])
-	}
+	revoked, requeued := f.pool.Revoke(member)
+	// Wakes the member's own sender, blocked in nextBatch, too.
+	f.cond.Broadcast()
 	f.mu.Unlock()
-	revoked, reassignedTotal := 0, 0
-	for _, jb := range running {
-		n, requeue := jb.eng.Revoke(member)
-		revoked += n
-		reassignedTotal += len(requeue)
-		f.requeue(jb, requeue...)
-	}
-	f.reg.NoteRevoked(revoked, reassignedTotal)
+	f.reg.NoteRevoked(revoked, requeued)
 }
 
-// controlLoop is the fleet's fault-tolerance thread: heartbeat sweeps at
-// the membership level, then per-job overtime expiry, deadline checks and
-// speculation flagging.
+// controlLoop is the fleet's fault-tolerance thread.
 func (f *Fleet[T]) controlLoop() {
 	ticker := f.clock.NewTicker(f.opts.CheckInterval)
 	defer ticker.Stop()
@@ -1117,56 +957,34 @@ func (f *Fleet[T]) controlLoop() {
 		case <-f.done:
 			return
 		case now := <-ticker.C():
-			for _, id := range f.reg.Sweep(now, f.opts.HeartbeatInterval, f.opts.HeartbeatMiss) {
-				f.revoke(id)
-			}
-			f.mu.Lock()
-			running := make([]*job[T], 0, len(f.order))
-			for _, id := range f.order {
-				running = append(running, f.jobs[id])
-			}
-			f.mu.Unlock()
-			for _, jb := range running {
-				f.tickJob(jb, now)
-			}
-			if f.tuner != nil {
-				f.tuneTick()
-			}
+			f.tick(now)
 		}
 	}
 }
 
-// batchCap is the dispatch batch bound in effect right now: the tuner's
-// recommendation under Auto, the static option otherwise.
-func (f *Fleet[T]) batchCap() int {
-	if f.tuner != nil {
-		return f.tuner.BatchCap()
+// tick is one control tick: the heartbeat sweep at the membership level,
+// then the pool's — per job the deadline, overtime expiry and straggler
+// flagging, then the tuner — and the end of every job that ran out of
+// time or attempts. Requeues and failures stay inside the job's
+// lease/attempt namespace.
+func (f *Fleet[T]) tick(now time.Time) {
+	defer f.noteProgress()
+	for _, id := range f.reg.Sweep(now, f.opts.HeartbeatInterval, f.opts.HeartbeatMiss) {
+		f.revoke(id)
 	}
-	return f.opts.Batch
-}
-
-// specParams is the speculation threshold pair in effect right now.
-func (f *Fleet[T]) specParams() (quantile, multiplier float64) {
-	if f.tuner != nil {
-		return f.tuner.SpecParams()
-	}
-	return f.opts.SpecQuantile, f.opts.SpecMultiplier
-}
-
-// tuneTick feeds one control-tick observation to the tuner: counter
-// totals summed across running jobs plus the retired baseline, and the
-// quantile pair of whichever running job shows the heaviest straggler
-// tail — the fleet-wide thresholds must serve its worst case.
-func (f *Fleet[T]) tuneTick() {
+	live := f.reg.Live()
 	f.mu.Lock()
-	s := f.retired
-	for _, id := range f.order {
-		s.Fold(f.jobs[id].eng.Sample())
+	ended := f.pool.Tick(now, live, f.hungers.Load())
+	over := make([]*job[T], len(ended))
+	for i, end := range ended {
+		over[i] = f.jobs[end.ID]
+		f.unlist(over[i])
 	}
+	f.cond.Broadcast()
 	f.mu.Unlock()
-	s.Hungers = f.hungers.Load()
-	if d := f.tuner.Tick(s); d.Changed {
-		f.opts.Trace.Tune(d.BatchCap, d.Reason)
+	for i, end := range ended {
+		over[i].finish(fmt.Errorf("fleet: %w", end.Err), now)
+		f.detach(over[i])
 	}
 }
 
@@ -1174,55 +992,11 @@ func (f *Fleet[T]) tuneTick() {
 // the /metrics exposition exports as easyhps_tune_* gauges. The zero
 // snapshot (ok=false) means the fleet runs with static knobs.
 func (f *Fleet[T]) TuneSnapshot() (tune.Snapshot, bool) {
-	if f.tuner == nil {
+	tuner := f.pool.Tuner()
+	if tuner == nil {
 		return tune.Snapshot{}, false
 	}
-	return f.tuner.Snapshot(), true
-}
-
-// tickJob applies one control tick to one job: overtime expiry with the
-// job's own MaxAttempts cap (a poisoned job fails alone), the job
-// deadline, and speculation flagging. Requeues and failures stay inside
-// the job's lease/attempt namespace.
-func (f *Fleet[T]) tickJob(jb *job[T], now time.Time) {
-	defer f.noteProgress()
-	if jb.finished() {
-		return
-	}
-	if !jb.deadline.IsZero() && now.After(jb.deadline) {
-		jb.finish(fmt.Errorf("fleet: job %q exceeded its %v timeout with %d vertices remaining",
-			jb.req.Name, jb.req.Timeout, jb.eng.Remaining()), now)
-		f.retire(jb)
-		return
-	}
-	requeue, err := jb.eng.Expire(now)
-	if err != nil {
-		jb.finish(jb.fail(err), now)
-		f.retire(jb)
-		return
-	}
-	f.requeue(jb, requeue...)
-	if f.opts.Speculate {
-		f.flagStragglers(jb)
-	}
-}
-
-// flagStragglers flags jb's straggling attempts — in flight longer than
-// the job's runtime-profile threshold — for backup dispatch. It fires
-// only while the job's ready queue is empty (idle capacity should take
-// queued work first) and flags at most one vertex per live member per
-// tick, per job, so one job's stragglers cannot spend the pool's entire
-// speculation allowance.
-func (f *Fleet[T]) flagStragglers(jb *job[T]) {
-	f.mu.Lock()
-	queued := len(jb.ready)
-	f.mu.Unlock()
-	if queued > 0 {
-		return
-	}
-	q, mult := f.specParams()
-	f.requeueReady(jb, jb.eng.FlagStragglers(f.clock.Now(), q, mult,
-		f.opts.SpecFloor, f.opts.SpecMinSamples, f.reg.Live()))
+	return tuner.Snapshot(), true
 }
 
 // TraceEvents returns the recorded scheduling events of the named job
@@ -1230,9 +1004,9 @@ func (f *Fleet[T]) flagStragglers(jb *job[T]) {
 func (f *Fleet[T]) TraceEvents(name string) []trace.Event {
 	f.mu.Lock()
 	var found *job[T]
-	for _, id := range f.order {
-		if jb := f.jobs[id]; jb.req.Name == name {
-			found = jb
+	for _, jb := range f.jobs {
+		if jb.req.Name == name && (found == nil || jb.id > found.id) {
+			found = jb // latest submitted wins
 		}
 	}
 	if found == nil {
@@ -1255,24 +1029,19 @@ func (f *Fleet[T]) TraceEvents(name string) []trace.Event {
 func (f *Fleet[T]) Snapshot() Snapshot {
 	f.mu.Lock()
 	type row struct {
-		jb     *job[T]
-		ready  int
-		drawn  int
-		served float64
+		jb *job[T]
+		engine.Account
 	}
-	rows := make([]row, 0, len(f.order)+len(f.doneLog))
+	rows := make([]row, 0, len(f.jobs)+len(f.doneLog))
 	queueDepth := 0
 	maxServed := 0.0
-	for _, id := range f.order {
-		jb := f.jobs[id]
-		rows = append(rows, row{jb, len(jb.ready), jb.drawn, jb.served})
-		queueDepth += len(jb.ready)
-		if jb.served > maxServed {
-			maxServed = jb.served
-		}
+	for _, a := range f.pool.Accounts() {
+		rows = append(rows, row{f.jobs[a.ID], a})
+		queueDepth += a.Ready
+		maxServed = max(maxServed, a.Served)
 	}
 	for _, jb := range f.doneLog {
-		rows = append(rows, row{jb, 0, 0, jb.served})
+		rows = append(rows, row{jb: jb})
 	}
 	f.mu.Unlock()
 
@@ -1289,9 +1058,9 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 			Name:     jb.req.Name,
 			Done:     jb.eng.Graph().N - jb.eng.Remaining(),
 			Total:    jb.eng.Graph().N,
-			Ready:    r.ready,
-			Weight:   jb.req.Weight,
-			Priority: jb.req.Priority,
+			Ready:    r.Ready,
+			Weight:   jb.params.Weight,
+			Priority: jb.params.Priority,
 			Stats:    jb.stats(),
 		}
 		// The job's own latch decides, not the table it was found in: a
@@ -1299,8 +1068,10 @@ func (f *Fleet[T]) Snapshot() Snapshot {
 		switch {
 		case !jb.finished():
 			st.State = "running"
-			st.Inflight = jb.eng.Inflight() + r.drawn
-			st.Deficit = maxServed - r.served
+			st.Inflight = r.Inflight
+			if r.ID == jb.id { // not a job the control tick is just ending
+				st.Deficit = maxServed - r.Served
+			}
 		case jb.finalErr() != nil:
 			st.State = "failed"
 		default:

@@ -415,86 +415,45 @@ func TestFleetWrongRectBlockFailsOnlyItsJob(t *testing.T) {
 	<-driverDone // either nil (KindEnd) or the close race's conn error
 }
 
-// TestFleetNextBatchWeightedFairShare drives the policy through the real
-// nextBatch path with prefilled ready stacks: the per-job draw counts
-// must converge to the weight ratio and the normalized-service gap stay
-// within one dispatch quantum.
-func TestFleetNextBatchWeightedFairShare(t *testing.T) {
-	f, err := New[int32](Options{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	prob, _ := mustProblem(t, "edit")
-	mk := func(id int32, weight float64) *job[int32] {
-		t.Helper()
-		jb, err := newJob(id, prob, JobRequest{Name: fmt.Sprintf("j%d", id), Weight: weight}.withDefaults(f.opts), nil, f.clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := int32(0); v < 1024; v++ {
-			jb.ready = append(jb.ready, v)
-		}
-		f.mu.Lock()
-		f.jobs[id] = jb
-		f.order = append(f.order, id)
-		f.mu.Unlock()
-		return jb
-	}
-	j1 := mk(1, 1)
-	j2 := mk(2, 3)
-	mc := &memberConn{stop: make(chan struct{})}
-	counts := map[int32]int{}
-	for i := 0; i < 400; i++ {
-		jb, ids, ok := f.nextBatch(mc)
-		if !ok {
-			t.Fatal("nextBatch refused with work queued")
-		}
-		counts[jb.id] += len(ids)
-	}
-	if got, want := counts[2], 3*counts[1]; got < want-4 || got > want+4 {
-		t.Fatalf("dispatch counts %v diverge from the 1:3 weight ratio", counts)
-	}
-	f.mu.Lock()
-	gap := j1.served - j2.served
-	f.mu.Unlock()
-	if gap < -1.000001 || gap > 1.000001 {
-		t.Fatalf("normalized-service gap %v exceeds one dispatch quantum", gap)
-	}
-}
-
-// TestFleetNextBatchQuotaClampsBatch verifies the isolation bound at the
-// draw site: a batch never exceeds the job's remaining quota room, and a
-// stopped member's draw returns instead of blocking at quota.
-func TestFleetNextBatchQuotaClampsBatch(t *testing.T) {
+// TestFleetStoppedMemberHandsDrawBack pins the sender's two exits when its
+// member goes away: a draw already in hand is handed back whole — nothing
+// leased to the dead member, the quota room reopened — and the next wait
+// for work returns at once instead of blocking at quota.
+func TestFleetStoppedMemberHandsDrawBack(t *testing.T) {
 	f, err := New[int32](Options{Addr: "127.0.0.1:0", Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "q", Quota: 3}.withDefaults(f.opts), nil, f.clock)
+	prob, _ := mustProblem(t, "nussinov")
+	jb, err := f.newJob(1, prob, JobRequest{Name: "q", Quota: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb.ready = []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	f.mu.Lock()
-	f.jobs[1] = jb
-	f.order = append(f.order, 1)
-	f.mu.Unlock()
+	roots, err := jb.eng.Frontier()
+	if err != nil || len(roots) < 4 {
+		t.Fatalf("frontier = (%v, %v), want more roots than the quota", roots, err)
+	}
+	insertJob(f, jb, roots)
 
-	mc := &memberConn{stop: make(chan struct{})}
-	_, ids, ok := f.nextBatch(mc)
-	if !ok || len(ids) != 3 {
+	mc := &memberConn{id: 1, stop: make(chan struct{})}
+	got, ids, ok := f.nextBatch(mc)
+	if !ok || got != jb || len(ids) != 3 {
 		t.Fatalf("draw = (%v, %v), want a quota-clamped batch of 3", ids, ok)
 	}
-	// With the three leases in flight the job is at quota; a stopped
-	// member must hand back control rather than wait forever.
-	now := f.clock.Now()
-	for i, v := range ids {
-		jb.eng.Lease(1, v, i, now)
-	}
 	close(mc.stop)
+	if !f.dispatch(mc, jb, ids) {
+		t.Fatal("dispatch to a stopped member asked for another draw")
+	}
+	if st := f.Snapshot().Jobs[0]; st.Ready != len(roots) || st.Inflight != 0 || st.Stats.Dispatches != 0 {
+		t.Fatalf("after the hand-back: %d ready, %d in flight, %d dispatches; want %d, 0, 0",
+			st.Ready, st.Inflight, st.Stats.Dispatches, len(roots))
+	}
+	// At quota a live member's sender waits; a stopped member's must not.
+	other := &memberConn{id: 2, stop: make(chan struct{})}
+	if _, ids, ok := f.nextBatch(other); !ok || len(ids) != 3 {
+		t.Fatalf("second member's draw = (%v, %v), want the reopened room of 3", ids, ok)
+	}
 	if _, _, ok := f.nextBatch(mc); ok {
 		t.Fatal("stopped member still drew a batch")
 	}
@@ -513,15 +472,15 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "nussinov")
-	jb, err := newJob(1, prob, JobRequest{Name: "order"}.withDefaults(f.opts), nil, f.clock)
+	jb, err := f.newJob(1, prob, JobRequest{Name: "order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertJob(t, f, jb)
 	roots, err := jb.eng.Frontier()
 	if err != nil || len(roots) < 2 {
 		t.Fatalf("frontier = (%v, %v), want two dependency-free vertices", roots, err)
 	}
+	insertJob(f, jb, roots)
 
 	// A real socket pair so the dispatch and detach frames cross a live
 	// ordered connection.
@@ -551,15 +510,8 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	f.conns[1] = mc
 	f.connMu.Unlock()
 
-	// Mimic nextBatch's drawn charge so dispatch's undraw balances.
-	draw := func() {
-		f.mu.Lock()
-		jb.drawn++
-		f.mu.Unlock()
-	}
-
-	draw()
-	if !f.dispatch(mc, jb, []int32{roots[0]}) {
+	first, second := drawOne(t, f), drawOne(t, f)
+	if !f.dispatch(mc, jb, first) {
 		t.Fatal("dispatch refused a live job")
 	}
 	for _, want := range []comm.Kind{comm.KindJobSpec, comm.KindTask} {
@@ -573,17 +525,16 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	// dispatch blocks right before its send, finish the job inside that
 	// window, then let it through — the batch must be dropped and the
 	// lease it granted unwound, not sent after the detach.
-	draw()
 	mc.attachMu.Lock()
 	dispatched := make(chan bool, 1)
-	go func() { dispatched <- f.dispatch(mc, jb, []int32{roots[1]}) }()
+	go func() { dispatched <- f.dispatch(mc, jb, second) }()
 	waitUntil(t, f, "second dispatch leasing", func() bool { return jb.eng.Inflight() == 2 })
 	jb.finish(nil, f.clock.Now())
 	mc.attachMu.Unlock()
 	if <-dispatched {
 		t.Fatal("dispatch shipped a batch for a finishing job")
 	}
-	if got := jb.eng.LiveAttempts(roots[1]); got != 0 {
+	if got := jb.eng.LiveAttempts(second[0]); got != 0 {
 		t.Fatalf("dropped batch left %d live attempts", got)
 	}
 	if got := jb.eng.Inflight(); got != 1 {
@@ -600,8 +551,7 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 	if st := f.Snapshot().Jobs[0]; st.State != "done" || st.Inflight != 0 {
 		t.Fatalf("retired job reads %q with %d in flight, want done with none", st.State, st.Inflight)
 	}
-	draw()
-	if f.dispatch(mc, jb, []int32{roots[1]}) {
+	if f.dispatch(mc, jb, second) {
 		t.Fatal("dispatch shipped a batch for a retired job")
 	}
 	mc.attachMu.Lock()

@@ -44,7 +44,7 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 			}
 			defer f.Close()
 			req := JobRequest{Name: app, CheckpointPath: t.TempDir() + "/job.ckpt"}
-			jb, err := newJob(1, prob, req.withDefaults(f.opts), nil, f.clock)
+			jb, err := f.newJob(1, prob, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,22 +52,21 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			insertJob(t, f, jb)
-			f.requeueReady(jb, frontier)
+			insertJob(f, jb, frontier)
 			runner, err := core.NewTaskRunner(prob, core.Config{ProcPartition: jb.eng.Graph().Geom.Block, Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// draw pops the next computable vertex the way a sender would.
+			// draw pops the next computable vertex the way a sender would
+			// (the default batch is one).
 			draw := func() (int32, bool) {
 				f.mu.Lock()
 				defer f.mu.Unlock()
-				if len(jb.ready) == 0 {
+				_, ids, ok := f.pool.Draw()
+				if !ok {
 					return 0, false
 				}
-				v := jb.ready[len(jb.ready)-1]
-				jb.ready = jb.ready[:len(jb.ready)-1]
-				return v, true
+				return ids[0], true
 			}
 
 			applied := 0

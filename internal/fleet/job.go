@@ -9,14 +9,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cas"
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -52,8 +50,8 @@ type JobRequest struct {
 	// TaskTimeout overrides the fleet's per-vertex overtime bound for
 	// this job (0 = fleet default).
 	TaskTimeout time.Duration
-	// Timeout fails the job when it has run longer than this on the
-	// fleet clock (0 = no bound).
+	// Timeout fails the job at the first control tick not before this
+	// long after its submission, on the fleet clock (0 = no bound).
 	Timeout time.Duration
 	// CacheKey is the content digest of the job's problem spec (kernel
 	// plus inputs, scheduling knobs excluded) scoping its entries in the
@@ -70,22 +68,6 @@ type JobRequest struct {
 	// completed vertex with (completed, total), on the fleet's receive
 	// loop — it must be fast and must not block.
 	OnProgress func(completed, total int)
-}
-
-func (r JobRequest) withDefaults(o Options) JobRequest {
-	if r.Weight <= 0 {
-		r.Weight = 1
-	}
-	if r.Quota <= 0 {
-		r.Quota = o.DefaultQuota
-	}
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = o.MaxAttempts
-	}
-	if r.TaskTimeout <= 0 {
-		r.TaskTimeout = o.TaskTimeout
-	}
-	return r
 }
 
 // JobMeta is the attach frame's payload: everything a fleet worker needs
@@ -144,33 +126,24 @@ type JobStatus struct {
 
 // job is one DAG on the fleet. The job engine holds its DAG-progress half
 // — graph, parser, store, register table, overtime queue, lease table,
-// checkpoint log, runtime profile and stats ledger — and this type what
-// the fleet adds to it: the request, the attach frame, the ready stack
-// with its fair-share account, the deadline and the finish latch. The
-// fleet owns the shared half (membership, connections, heartbeats, hunger).
+// checkpoint log, runtime profile and stats ledger — the pool its ready
+// stack, fair-share account and deadline while it runs, and this type what
+// the fleet adds: the request, the attach frame, the checkpoint file and
+// the finish latch. The fleet owns the shared half (membership,
+// connections, heartbeats, hunger).
 type job[T any] struct {
-	id   int32
-	req  JobRequest
-	p    core.Problem[T]
-	meta []byte // encoded JobMeta, shipped in attach frames
+	id     int32
+	req    JobRequest
+	params engine.JobParams // req's scheduling fields, pool defaults filled in
+	p      core.Problem[T]
+	meta   []byte // encoded JobMeta, shipped in attach frames
 
 	eng      *engine.Job[T]
 	ckptFile *os.File
 
-	// ready is the job's computable-vertex stack (LIFO, like the
-	// single-job dispatcher); guarded by the fleet's mutex, which also
-	// covers served and drawn for the policy's consistent view.
-	ready  []int32
-	served float64
-	// drawn counts vertices a sender has taken off ready but not yet
-	// leased in dispatch; the policy adds it to Inflight so concurrent
-	// senders cannot overshoot the job's quota in that window.
-	drawn int
-
 	tr *trace.Recorder
 
-	start    time.Time // fleet clock, for Timeout
-	deadline time.Time // zero = no bound
+	start time.Time // fleet clock: Timeout and the makespan count from here
 
 	done     chan struct{}
 	doneOnce sync.Once
@@ -180,10 +153,9 @@ type job[T any] struct {
 	elapsed  time.Duration
 }
 
-// newJob builds the per-job runtime state; cache is the fleet's result
-// store (nil without one). The caller (Fleet.Run) registers it with the
-// fleet.
-func newJob[T any](id int32, p core.Problem[T], req JobRequest, cache *cas.Store, clock sched.Clock) (*job[T], error) {
+// newJob builds the per-job runtime state. The caller (Fleet.Run) adds it
+// to the pool.
+func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*job[T], error) {
 	if p.Kernel == nil {
 		return nil, fmt.Errorf("fleet: job %q has no kernel", req.Name)
 	}
@@ -195,27 +167,33 @@ func newJob[T any](id int32, p core.Problem[T], req JobRequest, cache *cas.Store
 	}
 	proc := req.Proc
 	if !proc.Valid() {
-		proc = dag.Size{Rows: (p.Size.Rows + 7) / 8, Cols: (p.Size.Cols + 7) / 8}
+		proc = dag.DefaultPartition(p.Size)
 	}
 	jb := &job[T]{
-		id:    id,
-		req:   req,
+		id:  id,
+		req: req,
+		params: f.pool.Params(engine.JobParams{
+			Name:        req.Name,
+			Weight:      req.Weight,
+			Priority:    req.Priority,
+			Quota:       req.Quota,
+			MaxAttempts: req.MaxAttempts,
+			TaskTimeout: req.TaskTimeout,
+			Timeout:     req.Timeout,
+		}),
 		p:     p,
 		tr:    trace.New(),
-		start: clock.Now(),
+		start: f.clock.Now(),
 		done:  make(chan struct{}),
 	}
 	jb.eng = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
-		TaskTimeout: req.TaskTimeout,
-		MaxAttempts: req.MaxAttempts,
-		Cache:       cache,
+		TaskTimeout: jb.params.TaskTimeout,
+		MaxAttempts: jb.params.MaxAttempts,
+		Cache:       f.opts.Cache,
 		CacheKey:    req.CacheKey,
 		Trace:       jb.tr,
 		OnProgress:  req.OnProgress,
 	})
-	if req.Timeout > 0 {
-		jb.deadline = jb.start.Add(req.Timeout)
-	}
 	meta := JobMeta{
 		Job:    id,
 		Name:   req.Name,

@@ -16,18 +16,45 @@ import (
 
 // insertJob registers a hand-built job with a running fleet, the way
 // Fleet.Run would, without blocking on completion.
-func insertJob(t *testing.T, f *Fleet[int32], jb *job[int32]) {
-	t.Helper()
+func insertJob(f *Fleet[int32], jb *job[int32], frontier []int32) {
 	f.mu.Lock()
 	f.jobs[jb.id] = jb
-	f.order = append(f.order, jb.id)
+	f.pool.Add(jb.id, jb.eng, jb.params, frontier, jb.start)
 	f.mu.Unlock()
 }
 
-func readyLen(f *Fleet[int32], jb *job[int32]) int {
+// readyLen is the number of vertices queued across the fleet's jobs (the
+// tests here run one).
+func readyLen(f *Fleet[int32]) int {
+	return f.Snapshot().QueueDepth
+}
+
+// drawOne takes the next batch the way a sender would, without blocking;
+// the fleets here run with the default batch of one vertex.
+func drawOne(t *testing.T, f *Fleet[int32]) []int32 {
+	t.Helper()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(jb.ready)
+	_, ids, ok := f.pool.Draw()
+	if !ok || len(ids) != 1 {
+		t.Fatalf("draw = (%v, %v), want one queued vertex", ids, ok)
+	}
+	return ids
+}
+
+// drainReady draws until nothing is queued and returns what was: vertices
+// the test schedules by hand, or not at all.
+func drainReady(f *Fleet[int32]) []int32 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var all []int32
+	for {
+		_, ids, ok := f.pool.Draw()
+		if !ok {
+			return all
+		}
+		all = append(all, ids...)
+	}
 }
 
 // TestFleetStealFeedsHungryMember drives feedHungry directly: a hungry
@@ -42,22 +69,32 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	}
 	defer f.Close()
 	prob, _ := mustProblem(t, "edit")
-	jb, err := newJob(1, prob, JobRequest{Name: "steal"}.withDefaults(f.opts), nil, f.clock)
+	jb, err := f.newJob(1, prob, JobRequest{Name: "steal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertJob(t, f, jb)
+	insertJob(f, jb, nil)
 
 	victim := f.reg.Admit("victim", "test")
 	beggar := f.reg.Admit("beggar", "test")
-
+	steals := &jb.eng.Counters().Steals
 	now := f.clock.Now()
-	for v := int32(0); v < 4; v++ {
-		if _, out := jb.eng.Lease(victim.ID, v, int(v), now); out != engine.Granted {
+	lease := func(v int32, slot int) {
+		t.Helper()
+		if _, out := jb.eng.Lease(victim.ID, v, slot, now); out != engine.Granted {
 			t.Fatalf("lease of vertex %d = %v, want Granted", v, out)
 		}
 	}
-	steals := &jb.eng.Counters().Steals
+
+	// A 1-deep backlog is never split.
+	lease(0, 0)
+	f.feedHungry(beggar.ID)
+	if got := steals.Load(); got != 0 {
+		t.Fatalf("steals = %d, want no steal from a 1-deep backlog", got)
+	}
+	for v := int32(1); v < 4; v++ {
+		lease(v, int(v))
+	}
 
 	// A loaded member's own hunger is ignored.
 	f.feedHungry(victim.ID)
@@ -70,7 +107,7 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want the tail half (2) of a 4-deep backlog", got)
 	}
-	if got := readyLen(f, jb); got != 2 {
+	if got := readyLen(f); got != 2 {
 		t.Fatalf("ready = %d vertices after the steal, want 2", got)
 	}
 	if got := jb.eng.Load(victim.ID); got != 2 {
@@ -84,24 +121,16 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 		t.Fatalf("steals = %d, want no re-steal while work is queued", got)
 	}
 
-	// A 1-deep backlog is never split.
-	f.mu.Lock()
-	jb.ready = nil
-	f.mu.Unlock()
-	jb.eng.Revoke(victim.ID)
-	jb.eng.Lease(victim.ID, 100, 0, now)
-	f.feedHungry(beggar.ID)
-	if got := steals.Load(); got != 2 {
-		t.Fatalf("steals = %d, want no steal from a 1-deep backlog", got)
-	}
-
-	// A graceful leave revokes the remaining lease and requeues it.
+	// A graceful leave revokes the remaining leases and requeues them.
 	f.memberLeave(victim.ID)
 	if got := jb.eng.Load(victim.ID); got != 0 {
 		t.Fatalf("victim still holds %d leases after leaving", got)
 	}
-	if got := readyLen(f, jb); got != 1 {
-		t.Fatalf("ready = %d after the leave revocation, want 1", got)
+	if got := readyLen(f); got != 4 {
+		t.Fatalf("ready = %d after the leave revocation, want all 4", got)
+	}
+	if _, _, _, revoked, reassigned := f.reg.MembershipCounts(); revoked != 2 || reassigned != 2 {
+		t.Fatalf("registry counts %d revoked, %d reassigned; want 2 and 2", revoked, reassigned)
 	}
 	// Leaving twice is idempotent.
 	f.memberLeave(victim.ID)
@@ -132,15 +161,16 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	// Nussinov's block DAG starts from a whole diagonal of roots: one of
 	// them plays the straggler while the others warm the profile.
 	prob, _ := mustProblem(t, "nussinov")
-	jb, err := newJob(1, prob, JobRequest{Name: "spec"}.withDefaults(f.opts), nil, f.clock)
+	jb, err := f.newJob(1, prob, JobRequest{Name: "spec"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertJob(t, f, jb)
 	roots, err := jb.eng.Frontier()
 	if err != nil || len(roots) < 8 {
 		t.Fatalf("frontier = (%v, %v), want at least 8 roots", roots, err)
 	}
+	// The test leases by hand: nothing is queued but what the detector flags.
+	insertJob(f, jb, nil)
 	runner, err := core.NewTaskRunner(prob, core.Config{ProcPartition: jb.eng.Graph().Geom.Block, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +179,8 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	w1 := f.reg.Admit("w1", "test")
 
 	// Cold profile: no threshold, no speculation.
-	f.flagStragglers(jb)
-	if got := readyLen(f, jb); got != 0 {
+	f.tick(fake.Now())
+	if got := readyLen(f); got != 0 {
 		t.Fatalf("cold profile flagged %d vertices", got)
 	}
 
@@ -166,10 +196,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 		result := computeVertex(t, jb, runner, u)
 		fake.Advance(2 * time.Second)
 		f.applyResult(w1.ID, jb.id, u, a, result)
-		f.mu.Lock()
-		warm = append(warm[1:], jb.ready...)
-		jb.ready = nil
-		f.mu.Unlock()
+		warm = append(warm[1:], drainReady(f)...)
 	}
 
 	v := roots[0]
@@ -178,49 +205,49 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	}
 
 	fake.Advance(3 * time.Second)
-	f.flagStragglers(jb)
-	if got := readyLen(f, jb); got != 0 {
+	f.tick(fake.Now())
+	if got := readyLen(f); got != 0 {
 		t.Fatalf("speculated on a 3s-old attempt below the 4s threshold (%d flagged)", got)
 	}
 
 	fake.Advance(2 * time.Second) // age 5s > threshold
-	f.flagStragglers(jb)
-	if got := readyLen(f, jb); got != 1 {
+	f.tick(fake.Now())
+	if got := readyLen(f); got != 1 {
 		t.Fatalf("flagged %d vertices past the threshold, want 1", got)
 	}
 
-	// The holder must not back itself up: its draw is refused with held
-	// set, the flag restored, and the caller requeues the vertex for
-	// another member (no waiting for the next control tick).
-	f.mu.Lock()
-	jb.ready = nil
-	f.mu.Unlock()
-	if _, out := jb.eng.Lease(w1.ID, v, 0, fake.Now()); out != engine.Held {
-		t.Fatalf("self-backup lease = %v, want Held", out)
+	// The holder must not back itself up: its draw leases nothing, the
+	// flag is kept, and the vertex is back on the stack for another member
+	// at once (no waiting for the next control tick), the idle token spent.
+	lease := func(member int) (grants []engine.Grant, spent bool) {
+		t.Helper()
+		ids := drawOne(t, f)
+		if ids[0] != v {
+			t.Fatalf("drew vertex %d, want the flagged %d", ids[0], v)
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.pool.Lease(jb.id, member, ids, fake.Now())
+	}
+	if grants, spent := lease(w1.ID); len(grants) != 0 || !spent {
+		t.Fatalf("self-backup draw = (%v, spent %v), want nothing leased and the token spent", grants, spent)
 	}
 	if got := jb.eng.LiveAttempts(v); got != 1 {
 		t.Fatalf("LiveAttempts = %d after refused self-backup, want 1", got)
 	}
-
-	// Requeue the refused backup the way dispatch does; a second member
-	// turns the draw into a concurrent backup.
-	f.requeueReady(jb, []int32{v})
-	if got := readyLen(f, jb); got != 1 {
+	if got := readyLen(f); got != 1 {
 		t.Fatalf("ready = %d after the refused backup was requeued, want 1", got)
 	}
 	// The detector leaves the requeued backup alone on later ticks.
 	fake.Advance(time.Second)
-	f.flagStragglers(jb)
-	if got := readyLen(f, jb); got != 1 {
+	f.tick(fake.Now())
+	if got := readyLen(f); got != 1 {
 		t.Fatalf("detector double-flagged a requeued backup (%d ready)", got)
 	}
-	w2 := f.reg.Admit("w2", "test")
-	f.mu.Lock()
-	jb.ready = nil
-	f.mu.Unlock()
 	// The flag survived the refusal: the next member's draw is a backup.
-	if _, out := jb.eng.Lease(w2.ID, v, 0, fake.Now()); out != engine.Backup {
-		t.Fatalf("second member's lease = %v, want Backup", out)
+	w2 := f.reg.Admit("w2", "test")
+	if grants, _ := lease(w2.ID); len(grants) != 1 || jb.eng.Counters().Speculated.Load() != 1 {
+		t.Fatalf("second member's draw = %v with %d backups counted, want one backup", grants, jb.eng.Counters().Speculated.Load())
 	}
 	if got := jb.eng.LiveAttempts(v); got != 2 {
 		t.Fatalf("LiveAttempts = %d, want 2 (original + backup)", got)
@@ -228,8 +255,8 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 
 	// While a race is live the detector leaves the vertex alone.
 	fake.Advance(10 * time.Second)
-	f.flagStragglers(jb)
-	if got := readyLen(f, jb); got != 0 {
+	f.tick(fake.Now())
+	if got := readyLen(f); got != 0 {
 		t.Fatalf("detector flagged a vertex already racing a backup (%d ready)", got)
 	}
 

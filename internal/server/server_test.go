@@ -67,7 +67,9 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if st.ID == "" || st.State != server.StateQueued {
+	// The reply is a snapshot taken after the job was handed to a run slot:
+	// on a loaded host it can already read running.
+	if st.ID == "" || (st.State != server.StateQueued && st.State != server.StateRunning) {
 		t.Fatalf("unexpected initial status %+v", st)
 	}
 

@@ -20,8 +20,9 @@ type JobSpec struct {
 	Name string
 	// Problem is the DP application (kernel, codec, size).
 	Problem core.Problem[int32]
-	// Proc is the processor-level partition; zero applies the same
-	// default rule as the fleet (an ~8x8 block grid).
+	// Proc is the processor-level partition; zero applies the fleet's
+	// rule at submission: an 8x8 block grid, or under Options.Auto the
+	// advisor's choice for the members then alive.
 	Proc dag.Size
 	// Weight is the fair-share weight (default 1).
 	Weight float64
@@ -32,9 +33,9 @@ type JobSpec struct {
 	// MaxAttempts and TaskTimeout override the cluster defaults.
 	MaxAttempts int
 	TaskTimeout time.Duration
-	// Deadline bounds the job's total runtime from submission; past it
-	// the job fails at the next control tick (fleet.JobRequest.Timeout).
-	// Zero means no deadline.
+	// Deadline bounds the job's total runtime from submission: the job
+	// fails at the first control tick not before it
+	// (fleet.JobRequest.Timeout). Zero means no deadline.
 	Deadline time.Duration
 	// Cost overrides the cluster's nominal per-vertex service time.
 	Cost time.Duration
@@ -78,9 +79,6 @@ func (j *Job) Summary() trace.Summary { return j.jb.tr.Summarize() }
 // Makespan is the job's virtual submission-to-finish time.
 func (j *Job) Makespan() time.Duration { return j.jb.elapsed }
 
-// Served is the job's normalized fair-share service (dispatched/weight).
-func (j *Job) Served() float64 { return j.jb.served }
-
 // Result assembles the job's computed DP matrix; nil until the job
 // succeeded.
 func (j *Job) Result() [][]int32 {
@@ -91,18 +89,15 @@ func (j *Job) Result() [][]int32 {
 }
 
 // simJob is the master-side state of one job: the job engine the fleet
-// runs (built at activation, so its trace starts at the submission
-// instant), beside what the fleet itself keeps per job — the ready stack
-// and the fair-share account — and the simulated worker's compute.
+// runs, built at activation — so its trace starts at the submission
+// instant and its partition sees the membership of that instant — beside
+// the simulated worker's compute and the job's lifecycle in the script.
 type simJob struct {
 	id     int32
 	spec   JobSpec
 	runner *core.TaskRunner[int32]
 	eng    *engine.Job[int32]
 	tr     *trace.Recorder
-
-	ready  []int32
-	served float64
 
 	active  bool
 	start   time.Time
@@ -120,44 +115,46 @@ func (c *Cluster) newJob(spec JobSpec) (*simJob, error) {
 	if !p.Size.Valid() {
 		return nil, fmt.Errorf("sim: job %q has invalid size %v", spec.Name, p.Size)
 	}
-	if spec.Weight <= 0 {
-		spec.Weight = 1
-	}
-	if spec.MaxAttempts <= 0 {
-		spec.MaxAttempts = c.opts.MaxAttempts
-	}
-	if spec.TaskTimeout <= 0 {
-		spec.TaskTimeout = c.opts.TaskTimeout
-	}
 	if spec.Cost <= 0 {
 		spec.Cost = c.opts.Cost
 	}
-	if !spec.Proc.Valid() {
-		if c.opts.Auto {
-			cm, _ := p.Kernel.(tune.CostModel)
-			spec.Proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, len(c.workers), cm)
-		} else {
-			spec.Proc = dag.Size{Rows: (p.Size.Rows + 7) / 8, Cols: (p.Size.Cols + 7) / 8}
-		}
-	}
-	runner, err := core.NewTaskRunner(p, core.Config{ProcPartition: spec.Proc, Threads: 1})
-	if err != nil {
-		return nil, fmt.Errorf("sim: job %q: %w", spec.Name, err)
-	}
-	return &simJob{id: int32(len(c.jobs) + 1), spec: spec, runner: runner}, nil
+	return &simJob{id: int32(len(c.jobs) + 1), spec: spec}, nil
 }
 
-// activate starts the job at its scripted submission instant: the trace
-// recorder's origin is pinned here, the engine probes the initial frontier
-// against the cache, and the remainder queues for dispatch.
+// activate starts the job at its scripted submission instant, the way
+// Fleet.Run admits one: the partition is settled against the members alive
+// now, the trace recorder's origin is pinned, the engine probes the initial
+// frontier against the cache, and the remainder enters the pool.
 func (c *Cluster) activate(jb *simJob) {
 	jb.active = true
 	jb.start = c.now()
 	jb.tr = trace.NewWithNow(c.clock.Now)
 	p := jb.spec.Problem
-	jb.eng = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, jb.spec.Proc, engine.Config[int32]{
-		TaskTimeout: jb.spec.TaskTimeout,
+	proc := jb.spec.Proc
+	if c.opts.Auto && !proc.Valid() {
+		cm, _ := p.Kernel.(tune.CostModel)
+		proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, c.reg.Live(), cm)
+	}
+	if !proc.Valid() {
+		proc = dag.DefaultPartition(p.Size)
+	}
+	var err error
+	if jb.runner, err = core.NewTaskRunner(p, core.Config{ProcPartition: proc, Threads: 1}); err != nil {
+		c.finish(jb, fmt.Errorf("sim: job %q: %w", jb.spec.Name, err))
+		return
+	}
+	params := c.pool.Params(engine.JobParams{
+		Name:        jb.spec.Name,
+		Weight:      jb.spec.Weight,
+		Priority:    jb.spec.Priority,
+		Quota:       jb.spec.Quota,
 		MaxAttempts: jb.spec.MaxAttempts,
+		TaskTimeout: jb.spec.TaskTimeout,
+		Timeout:     jb.spec.Deadline,
+	})
+	jb.eng = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[int32]{
+		TaskTimeout: params.TaskTimeout,
+		MaxAttempts: params.MaxAttempts,
 		Cache:       c.opts.Cache,
 		CacheKey:    jb.spec.CacheKey,
 		Trace:       jb.tr,
@@ -166,7 +163,7 @@ func (c *Cluster) activate(jb *simJob) {
 	if c.settle(jb, err) {
 		return
 	}
-	c.requeueReady(jb, ready)
+	c.pool.Add(jb.id, jb.eng, params, ready, jb.start)
 	c.dispatchAll()
 }
 
@@ -175,14 +172,16 @@ func (c *Cluster) activate(jb *simJob) {
 func (c *Cluster) settle(jb *simJob, err error) bool {
 	switch {
 	case err != nil:
-		jb.finish(fmt.Errorf("sim: job %q: %w", jb.spec.Name, err), c.now())
+		c.finish(jb, fmt.Errorf("sim: job %q: %w", jb.spec.Name, err))
 	case jb.eng.Finished():
-		jb.finish(nil, c.now())
+		c.finish(jb, nil)
 	}
 	return jb.done
 }
 
-func (jb *simJob) finish(err error, now time.Time) {
+// finish records the job's terminal state, once, and takes it out of the
+// pool.
+func (c *Cluster) finish(jb *simJob, err error) {
 	if jb.done {
 		return
 	}
@@ -191,47 +190,6 @@ func (jb *simJob) finish(err error, now time.Time) {
 	if jb.eng != nil { // nil: the horizon passed before the job activated
 		jb.leaked = jb.eng.Leaked()
 	}
-	jb.elapsed = now.Sub(jb.start)
-}
-
-// requeue puts previously dispatched vertices back on the ready stack,
-// refunding their fair-share charge (fleet.requeue).
-func (c *Cluster) requeue(jb *simJob, ids ...int32) {
-	if len(ids) == 0 || jb.done {
-		return
-	}
-	jb.ready = append(jb.ready, ids...)
-	jb.served -= float64(len(ids)) / jb.spec.Weight
-	jb.tr.Ready(len(jb.ready))
-}
-
-// requeueReady queues newly computable (or speculation-flagged)
-// vertices without touching the fair-share account (fleet.requeueReady).
-func (c *Cluster) requeueReady(jb *simJob, ids []int32) {
-	if len(ids) == 0 || jb.done {
-		return
-	}
-	jb.ready = append(jb.ready, ids...)
-	jb.tr.Ready(len(jb.ready))
-}
-
-// tickJob applies one control tick to one job: the deadline, overtime
-// expiry with the job's MaxAttempts cap, then — only while nothing is
-// queued — speculation flagging with the fleet's per-job live-worker
-// budget (fleet.tickJob).
-func (c *Cluster) tickJob(jb *simJob, now time.Time) {
-	if jb.spec.Deadline > 0 && now.Sub(jb.start) >= jb.spec.Deadline {
-		jb.finish(fmt.Errorf("sim: job %q exceeded its %v deadline", jb.spec.Name, jb.spec.Deadline), now)
-		return
-	}
-	requeue, err := jb.eng.Expire(now)
-	if c.settle(jb, err) {
-		return
-	}
-	c.requeue(jb, requeue...)
-	if c.opts.Speculate && len(jb.ready) == 0 {
-		q, mult := c.specParams()
-		c.requeueReady(jb, jb.eng.FlagStragglers(now, q, mult,
-			c.opts.SpecFloor, c.opts.SpecMinSamples, c.reg.Live()))
-	}
+	jb.elapsed = c.now().Sub(jb.start)
+	c.pool.Remove(jb.id)
 }

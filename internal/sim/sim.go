@@ -1,9 +1,11 @@
-// Package sim is the deterministic cluster simulator: the per-job state
-// machine the fleet runs (engine.Job: attempt arbitration, leases,
-// overtime, runtime profile, DAG parsing, the block store, the cross-job
-// result cache), the fair-share policy (fleet.Policy), membership
-// (cluster.Registry) and the worker's compute (core.TaskRunner) — composed
-// under a single-threaded discrete-event loop driven by a sched.FakeClock.
+// Package sim is the deterministic cluster simulator: the two state
+// machines the fleet runs — engine.Job (one job's attempt arbitration,
+// leases, overtime, runtime profile, DAG parsing, block store and
+// cross-job result cache) and engine.Pool (ready stacks, the fair-share
+// draw, the hunger pass, revocation across jobs, the control tick and the
+// tuner) — with the fleet's membership table (cluster.Registry) and the
+// worker's compute (core.TaskRunner), driven by a single-threaded
+// discrete-event loop on a sched.FakeClock instead of sockets.
 //
 // Workers are simulated: each is a speed factor, a task queue and a
 // liveness flag, not a goroutine or a socket. Faults (kill, join,
@@ -15,13 +17,12 @@
 // (trace.Format), and any seed yields bit-identical DP results, because
 // the kernels are pure functions of their data dependencies.
 //
-// What is one job's — position-scaled overtime deadlines, MaxAttempts
-// poisoned-job isolation, speculation and steal arbitration, commit — is
-// the shipped engine, so a scenario assertion about it is a statement
-// about the production scheduler, checked at scales (1000 workers) the CI
-// box cannot host for real. What sits above one job — LIFO ready stacks,
-// fair-share draws charged per batch, the hunger pass and its victim
-// choice across jobs — still mirrors internal/fleet by hand (docs/SIM.md).
+// Every scheduling decision — which job draws, how large the batch, what a
+// lease, an expiry, a steal or a backup does — is made by the shipped code,
+// so a scenario assertion is a statement about the production scheduler,
+// checked at scales (1000 workers) the CI box cannot host for real. What is
+// simulated is what the fleet does with I/O: workers, the wire, heartbeats,
+// and the moment a member counts as idle or hungry (docs/SIM.md).
 package sim
 
 import (
@@ -31,7 +32,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/fleet"
+	"repro/internal/engine"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -68,9 +69,6 @@ type Options struct {
 	// Steal enables backlog stealing toward idle workers when no job
 	// has ready vertices.
 	Steal bool
-	// Policy picks the job feeding each idle worker (default
-	// fleet.FairShare).
-	Policy fleet.Policy
 	// Cache, when non-nil, is the cross-job content-addressed result
 	// store probed for each computable vertex of cache-keyed jobs.
 	Cache *cas.Store
@@ -93,17 +91,9 @@ type Options struct {
 	Auto bool
 }
 
+// withDefaults fills the defaults of what the simulator itself reads; the
+// scheduling knobs take theirs in engine.NewPool, like the fleet's.
 func (o Options) withDefaults() Options {
-	if o.Auto {
-		o.Speculate = true
-		o.Steal = true
-	}
-	if o.Batch < 1 {
-		o.Batch = 1
-	}
-	if o.TaskTimeout <= 0 {
-		o.TaskTimeout = 30 * time.Second
-	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 250 * time.Millisecond
 	}
@@ -112,24 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckInterval <= 0 {
 		o.CheckInterval = o.HeartbeatInterval
-	}
-	if o.MaxAttempts < 1 {
-		o.MaxAttempts = 4
-	}
-	if o.Policy == nil {
-		o.Policy = fleet.FairShare{}
-	}
-	if o.SpecQuantile <= 0 || o.SpecQuantile > 1 {
-		o.SpecQuantile = 0.95
-	}
-	if o.SpecMultiplier <= 1 {
-		o.SpecMultiplier = 2
-	}
-	if o.SpecMinSamples < 1 {
-		o.SpecMinSamples = 8
-	}
-	if o.SpecFloor <= 0 {
-		o.SpecFloor = o.CheckInterval
 	}
 	if o.Cost <= 0 {
 		o.Cost = time.Millisecond
@@ -159,15 +131,11 @@ type Cluster struct {
 	byMember map[int]*simWorker
 	idle     []int // FIFO of idle member ids (stale tokens skipped lazily)
 
-	jobs []*simJob // submission order
+	jobs []*simJob // every submitted job, submission order: jobs[id-1]
 	ran  bool
 
-	// tuner is the self-tuning controller, non-nil iff Options.Auto.
-	tuner *tune.Controller
-
-	// maxDeficit is the largest served spread observed across eligible
-	// jobs at any pick (see nextBatch) — the realized fair-share bound.
-	maxDeficit float64
+	// pool schedules the activated, unfinished jobs: the fleet's own.
+	pool *engine.Pool[int32]
 }
 
 // New builds an empty simulated cluster. Script it (Submit, JoinAt,
@@ -185,10 +153,20 @@ func New(opts Options) *Cluster {
 	}
 	c.tr = trace.NewWithNow(clock.Now)
 	c.reg = cluster.NewRegistry(c.tr, clock)
-	if opts.Auto {
-		c.tuner = tune.New(tune.DefaultLimits(), opts.Batch,
-			opts.SpecQuantile, opts.SpecMultiplier, opts.SpecMinSamples)
-	}
+	c.pool = engine.NewPool[int32](engine.PoolConfig{
+		Batch:          opts.Batch,
+		TaskTimeout:    opts.TaskTimeout,
+		MaxAttempts:    opts.MaxAttempts,
+		Speculate:      opts.Speculate,
+		SpecQuantile:   opts.SpecQuantile,
+		SpecMultiplier: opts.SpecMultiplier,
+		SpecMinSamples: opts.SpecMinSamples,
+		SpecFloor:      opts.SpecFloor,
+		Steal:          opts.Steal,
+		Auto:           opts.Auto,
+		CheckInterval:  opts.CheckInterval,
+		Trace:          c.tr,
+	})
 	for i := 0; i < opts.Workers; i++ {
 		c.admit()
 	}
@@ -285,7 +263,7 @@ func (c *Cluster) CancelAt(d time.Duration, name string) {
 	c.At(d, func() {
 		for _, jb := range c.jobs {
 			if jb.spec.Name == name && jb.active && !jb.done {
-				jb.finish(fmt.Errorf("sim: job %q cancelled by script", name), c.now())
+				c.finish(jb, fmt.Errorf("sim: job %q cancelled by script", name))
 				c.dispatchAll()
 			}
 		}
@@ -339,19 +317,10 @@ func (c *Cluster) kill(w *simWorker) {
 	c.dispatchAll()
 }
 
-// revoke releases every lease the member holds across all jobs and
-// requeues the uncovered vertices, in submission order and lease grant
-// order so the resulting schedule is deterministic.
+// revoke has the pool release every lease the member holds across all
+// jobs and requeue the uncovered vertices.
 func (c *Cluster) revoke(member int) {
-	for _, jb := range c.jobs {
-		if !jb.active || jb.done {
-			continue
-		}
-		if revoked, requeue := jb.eng.Revoke(member); revoked > 0 {
-			c.reg.NoteRevoked(revoked, len(requeue))
-			c.requeue(jb, requeue...)
-		}
-	}
+	c.reg.NoteRevoked(c.pool.Revoke(member))
 }
 
 // Run executes the scripted simulation to completion: until every
@@ -372,10 +341,10 @@ func (c *Cluster) Run() error {
 		if e.at.After(horizon) {
 			for _, jb := range c.jobs {
 				if !jb.done && jb.active {
-					jb.finish(fmt.Errorf("sim: job %q unfinished at the %v horizon with %d vertices remaining",
-						jb.spec.Name, c.opts.Horizon, jb.eng.Remaining()), c.now())
+					c.finish(jb, fmt.Errorf("sim: job %q unfinished at the %v horizon with %d vertices remaining",
+						jb.spec.Name, c.opts.Horizon, jb.eng.Remaining()))
 				} else if !jb.active {
-					jb.finish(fmt.Errorf("sim: job %q never activated before the %v horizon", jb.spec.Name, c.opts.Horizon), c.now())
+					c.finish(jb, fmt.Errorf("sim: job %q never activated before the %v horizon", jb.spec.Name, c.opts.Horizon))
 				}
 			}
 			return fmt.Errorf("sim: horizon %v exceeded with unfinished work", c.opts.Horizon)
@@ -394,8 +363,8 @@ func (c *Cluster) Run() error {
 		// (e.g. every worker dead and no tick rescheduled).
 		for _, jb := range c.jobs {
 			if !jb.done {
-				jb.finish(fmt.Errorf("sim: job %q starved: event queue drained with %d vertices remaining",
-					jb.spec.Name, jb.eng.Remaining()), c.now())
+				c.finish(jb, fmt.Errorf("sim: job %q starved: event queue drained with %d vertices remaining",
+					jb.spec.Name, jb.eng.Remaining()))
 			}
 		}
 		return fmt.Errorf("sim: event queue drained with unfinished jobs")
@@ -413,8 +382,9 @@ func (c *Cluster) finishedAll() bool {
 }
 
 // scheduleTick runs the control loop: beat live workers, sweep for
-// silent ones, expire overtimes, flag speculation, dispatch — then
-// re-arm until every job is done.
+// silent ones, the pool's tick (deadlines, overtime expiry, straggler
+// flags, the tuner), dispatch — then re-arm until every job is done. No
+// simulated worker sends a hunger beacon, so the tick's count is 0.
 func (c *Cluster) scheduleTick() {
 	c.after(c.opts.CheckInterval, func() {
 		now := c.now()
@@ -433,15 +403,8 @@ func (c *Cluster) scheduleTick() {
 				c.revoke(id)
 			}
 		}
-		for _, jb := range c.jobs {
-			if jb.active && !jb.done {
-				c.tickJob(jb, now)
-			}
-		}
-		if c.tuner != nil {
-			if d := c.tuner.Tick(c.tuneSample()); d.Changed {
-				c.tr.Tune(d.BatchCap, d.Reason)
-			}
+		for _, end := range c.pool.Tick(now, c.reg.Live(), 0) {
+			c.finish(c.jobs[end.ID-1], fmt.Errorf("sim: %w", end.Err))
 		}
 		c.dispatchAll()
 		if !c.finishedAll() {
@@ -450,47 +413,9 @@ func (c *Cluster) scheduleTick() {
 	})
 }
 
-// tuneSample assembles the controller's observation for one tick:
-// counter totals summed over every activated job (finished jobs stay in
-// the sum so the totals remain monotone), and the runtime-profile
-// quantiles of the running job with the heaviest straggler tail — if
-// any workload shows dispersion, speculation stays armed for it.
-func (c *Cluster) tuneSample() tune.Sample {
-	var s tune.Sample
-	for _, jb := range c.jobs {
-		if !jb.active {
-			continue
-		}
-		js := jb.eng.Sample()
-		if jb.done {
-			js.ProfileSamples = 0
-		}
-		s.Fold(js)
-	}
-	return s
-}
-
-// batchCap is the dispatch batch bound in effect right now: the
-// controller's recommendation under -auto, the configured constant
-// otherwise.
-func (c *Cluster) batchCap() int {
-	if c.tuner != nil {
-		return c.tuner.BatchCap()
-	}
-	return c.opts.Batch
-}
-
-// specParams are the speculation thresholds in effect right now.
-func (c *Cluster) specParams() (quantile, multiplier float64) {
-	if c.tuner != nil {
-		return c.tuner.SpecParams()
-	}
-	return c.opts.SpecQuantile, c.opts.SpecMultiplier
-}
-
 // Tuner exposes the self-tuning controller (nil unless Options.Auto),
 // for assertions on converged recommendations.
-func (c *Cluster) Tuner() *tune.Controller { return c.tuner }
+func (c *Cluster) Tuner() *tune.Controller { return c.pool.Tuner() }
 
 // Trace renders the full event stream of the run in canonical form:
 // the membership stream first, then each job's scheduling stream in
@@ -518,4 +443,4 @@ func (c *Cluster) Elapsed() time.Duration { return c.now().Sub(c.epoch) }
 // MaxDeficit is the largest normalized-service spread (max Served - min
 // Served) observed across eligible jobs at any scheduling decision: the
 // realized weighted fair-share bound of the run.
-func (c *Cluster) MaxDeficit() float64 { return c.maxDeficit }
+func (c *Cluster) MaxDeficit() float64 { return c.pool.MaxDeficit() }

@@ -300,8 +300,8 @@ func TestBurstSubmitSameInstant(t *testing.T) {
 		if !equalMatrix(jobs1[i].Result(), ref) {
 			t.Fatalf("%s result differs from the sequential reference", k)
 		}
-		if jobs1[i].Makespan() <= 0 || jobs1[i].Served() <= 0 {
-			t.Fatalf("%s: implausible makespan/served: %v/%v", k, jobs1[i].Makespan(), jobs1[i].Served())
+		if jobs1[i].Makespan() <= 0 {
+			t.Fatalf("%s: implausible makespan %v", k, jobs1[i].Makespan())
 		}
 		if jobs1[i].Summary().Tasks == 0 || len(jobs1[i].Events()) == 0 {
 			t.Fatalf("%s: empty trace", k)

@@ -3,8 +3,6 @@ package sim
 import (
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/fleet"
 	"repro/internal/matrix"
 )
 
@@ -44,28 +42,27 @@ type entry struct {
 // at the end of every event that could open work or free a worker.
 func (c *Cluster) dispatchAll() {
 	c.feedIdle()
-	if c.opts.Steal && len(c.idle) > 0 {
-		// No job has queued work but workers sit idle: steal the tail of
-		// the deepest backlog toward each hungry member, exactly one
-		// feed attempt per idle worker per pass (fleet.feedHungry).
-		hungry := len(c.idle)
-		for i := 0; i < hungry && len(c.idle) > 0; i++ {
-			m := c.idle[0]
-			w := c.byMember[m]
-			if w == nil || !w.ready() {
-				c.idle = c.idle[1:]
-				continue
-			}
-			if !c.feedHungry(w) {
-				break
-			}
-			c.feedIdle()
+	// No job has eligible work but workers sit idle: where a real worker
+	// would send a hunger beacon after a wait, the simulator runs the
+	// pool's hunger pass at once, one attempt per idle worker per pass,
+	// until one finds nothing to steal.
+	hungry := len(c.idle)
+	for i := 0; i < hungry && len(c.idle) > 0; i++ {
+		m := c.idle[0]
+		w := c.byMember[m]
+		if w == nil || !w.ready() {
+			c.idle = c.idle[1:]
+			continue
 		}
+		if !c.pool.Hunger(m) {
+			break
+		}
+		c.feedIdle()
 	}
 }
 
 // feedIdle pops idle tokens and hands each worker a batch while the
-// policy finds one; stale tokens (dead, partitioned, busy workers)
+// pool finds one; stale tokens (dead, partitioned, busy workers)
 // are discarded on the way.
 func (c *Cluster) feedIdle() {
 	for len(c.idle) > 0 {
@@ -87,125 +84,44 @@ func (w *simWorker) ready() bool {
 	return w.alive && !w.partitioned && !w.declaredDead && w.cur == nil && len(w.queue) == 0
 }
 
-// tryFeed draws batches for w until one actually dispatches (true) or
-// no job is eligible (false) — fleet's sender loop, where a draw whose
-// vertices all turned out finished or held does not consume the idle
-// token.
+// tryFeed draws batches for w until one spends its idle token (true) or
+// no job is eligible (false) — the fleet's sender loop, where a draw whose
+// vertices all turned out finished is followed by another at once.
 func (c *Cluster) tryFeed(w *simWorker) bool {
 	for {
-		jb, ids := c.nextBatch()
-		if jb == nil {
+		id, ids, ok := c.pool.Draw()
+		if !ok {
 			return false
 		}
-		sent, consumed := c.dispatch(w, jb, ids)
-		if sent || consumed {
+		if c.dispatch(w, c.jobs[id-1], ids) {
 			return true
 		}
 	}
 }
 
-// nextBatch assembles the policy's job views in submission order and
-// draws a LIFO batch from the picked job, charging its fair-share
-// account (fleet.nextBatch without the blocking).
-func (c *Cluster) nextBatch() (*simJob, []int32) {
-	views := make([]fleet.JobView, 0, len(c.jobs))
-	running := make([]*simJob, 0, len(c.jobs))
-	for _, jb := range c.jobs {
-		if !jb.active || jb.done {
-			continue
-		}
-		views = append(views, fleet.JobView{
-			ID:       jb.id,
-			Weight:   jb.spec.Weight,
-			Priority: jb.spec.Priority,
-			Ready:    len(jb.ready),
-			Inflight: jb.eng.Inflight(),
-			Quota:    jb.spec.Quota,
-			Served:   jb.served,
-		})
-		running = append(running, jb)
-	}
-	// Track the fair-share deficit the policy is choosing under: the
-	// served spread across currently eligible jobs. Its running maximum
-	// is the bound the fairness regression scenarios assert.
-	first := true
-	var lo, hi float64
-	for _, v := range views {
-		if !v.Eligible() {
-			continue
-		}
-		if first || v.Served < lo {
-			lo = v.Served
-		}
-		if first || v.Served > hi {
-			hi = v.Served
-		}
-		first = false
-	}
-	if !first && hi-lo > c.maxDeficit {
-		c.maxDeficit = hi - lo
-	}
-	i := c.opts.Policy.Pick(views)
-	if i < 0 || i >= len(running) {
-		return nil, nil
-	}
-	jb := running[i]
-	n := c.batchCap()
-	if q := views[i].Quota; q > 0 {
-		if room := q - views[i].Inflight; room < n {
-			n = room
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(jb.ready) {
-		n = len(jb.ready)
-	}
-	ids := make([]int32, n)
-	copy(ids, jb.ready[len(jb.ready)-n:])
-	jb.ready = jb.ready[:len(jb.ready)-n]
-	jb.served += float64(n) / jb.spec.Weight
-	return jb, ids
-}
-
 // dispatch leases the drawn vertices to worker w and enqueues the task
-// frames. Returns (sent, consumed): sent when at least one frame went
-// out; consumed when the idle token is spent even without a send (the
-// whole draw was held self-backups, fleet's rule).
-func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) (sent, consumed bool) {
-	now := c.now()
-	var held []int32
-	entries := make([]entry, 0, len(ids))
+// frames, and reports whether the idle token is spent.
+func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) bool {
+	grants, spent := c.pool.Lease(jb.id, w.member, ids, c.now())
+	entries := make([]entry, 0, len(grants))
 	bytes := 0
-	for _, v := range ids {
-		attempt, out := jb.eng.Lease(w.member, v, len(entries), now)
-		switch out {
-		case engine.Held:
-			held = append(held, v)
-			continue
-		case engine.Gone:
-			continue
-		}
-		deps := jb.eng.Graph().Vertex(v).DataPre
+	for _, g := range grants {
+		deps := jb.eng.Graph().Vertex(g.Vertex).DataPre
 		payload, err := matrix.EncodeBlocks(jb.spec.Problem.Codec, jb.eng.Gather(deps))
 		if c.settle(jb, err) {
-			return false, true
+			return true
 		}
 		jb.eng.Counters().BlocksShipped.Add(int64(len(deps)))
 		bytes += len(payload)
-		entries = append(entries, entry{jb: jb, vertex: v, attempt: attempt, payload: payload})
-	}
-	if len(held) > 0 {
-		c.requeue(jb, held...)
+		entries = append(entries, entry{jb: jb, vertex: g.Vertex, attempt: g.Attempt, payload: payload})
 	}
 	if len(entries) == 0 {
-		return false, len(held) > 0
+		return spent
 	}
 	jb.eng.Shipped(w.member, len(entries), bytes)
 	w.queue = append(w.queue, entries...)
 	c.startNext(w)
-	return true, true
+	return true
 }
 
 // startNext begins the worker's next queued entry, skipping frames of
@@ -289,7 +205,7 @@ func (c *Cluster) applyResult(w *simWorker, e *entry) {
 	if c.settle(jb, err) {
 		return
 	}
-	c.requeueReady(jb, ready)
+	c.pool.Ready(jb.id, ready)
 }
 
 // noteIdleIfFree queues an idle token for w if it can take work.
@@ -297,31 +213,4 @@ func (c *Cluster) noteIdleIfFree(w *simWorker) {
 	if w.ready() {
 		c.idle = append(c.idle, w.member)
 	}
-}
-
-// feedHungry steals the newer half of the deepest backlog toward hungry
-// worker w when no job has queued work (fleet.feedHungry). Returns false
-// when there was nothing to steal, which ends the pass.
-func (c *Cluster) feedHungry(w *simWorker) bool {
-	var victimJob *simJob
-	victim, deepest := 0, 1
-	for _, jb := range c.jobs {
-		if !jb.active || jb.done {
-			continue
-		}
-		if len(jb.ready) > 0 || jb.eng.Load(w.member) > 0 {
-			// Queued work exists and normal dispatch handles it, or the
-			// beggar still holds work of its own.
-			return false
-		}
-		if m, n := jb.eng.Deepest(w.member); n > deepest {
-			victimJob, victim, deepest = jb, m, n
-		}
-	}
-	if victimJob == nil {
-		return false
-	}
-	stolen := victimJob.eng.StealFrom(victim, w.member)
-	c.requeue(victimJob, stolen...)
-	return len(stolen) > 0
 }

@@ -239,6 +239,25 @@ func (c *Controller) SpecParams() (quantile, multiplier float64) {
 	return c.specQ.load(), c.specMult.load()
 }
 
+// BatchCapOr is the dispatch batch cap in effect: the controller's
+// recommendation, or — on the nil controller of a run without Auto — the
+// configured static value, exactly as given.
+func (c *Controller) BatchCapOr(static int) int {
+	if c == nil {
+		return static
+	}
+	return c.BatchCap()
+}
+
+// SpecParamsOr is the speculation threshold pair in effect, by the rule
+// of BatchCapOr.
+func (c *Controller) SpecParamsOr(quantile, multiplier float64) (float64, float64) {
+	if c == nil {
+		return quantile, multiplier
+	}
+	return c.SpecParams()
+}
+
 // Adjustments returns how many ticks changed at least one
 // recommendation.
 func (c *Controller) Adjustments() int64 { return c.adjusts.load() }

@@ -80,11 +80,13 @@ go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestC
 # attempt namespaces over one pool; rerun it uncached for the same reason.
 go test -race -count=1 -run 'TestFleetConcurrentJobsWorkerKill|TestFleetDuplicateResultIdempotent|TestFleetPoisonedJobIsolationFakeClock|TestFleetSpeculationFakeClock|TestFleetStealFeedsHungryMember|TestFleetCheckpointResume|TestFleetAutoTunesOverTCP' ./internal/fleet/
 go test -race -count=1 -run 'TestFleetService' ./internal/server/
-# The job engine under all three of them: generated schedules — leases,
-# results delivered late and twice, expiries, revocations, steals, backups —
-# on the shipped state machine, with the exactly-once and predecessor
-# invariants checked after every step. Seeded, so a failure names its seed;
-# uncached, so the list above cannot pass on yesterday's run of it.
+# The job engine under all three of them, and the pool above the jobs under
+# the fleet and the simulator: generated schedules — draws, leases, results
+# delivered late and twice, expiries, revocations, steals, backups, hunger
+# passes, ticks — on the shipped state machines, with the exactly-once,
+# predecessor, quota and fair-share-account invariants checked after every
+# step. Seeded, so a failure names its seed; uncached, so the list above
+# cannot pass on yesterday's run of it.
 go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
 
 # Coverage ratchet for the task hot path (dispatch, wire codec, runtime).
@@ -121,13 +123,12 @@ check_cover internal/tune 80
 # short-mode number here; the repo-wide gates only run un-short.
 check_cover internal/lint 76
 
-# Size ratchet beside the coverage one. The per-job scheduling state
-# machine is internal/engine; its three drivers — core's fixed-rank master,
-# the fleet, the simulator — still mirror each other above it (fair-share
-# draw, hunger and steal-victim choice), and ROADMAP item 1(c) is to make
-# that exist once too; a second copy of anything the engine holds must not
-# arrive unnoticed. The bound is the measured count of non-test lines plus
-# 50: lower it when code is deleted, never raise it.
+# Size ratchet beside the coverage one. The scheduling state machines are
+# internal/engine — Job for one DAG job, Pool for what sits above the jobs
+# of a shared worker pool — and core's fixed-rank master, the fleet and the
+# simulator are drivers of them; a second copy of anything the engine holds
+# must not arrive unnoticed. The bound is the measured count of non-test
+# lines plus 50: lower it when code is deleted, never raise it.
 check_lines() {
     max=$1
     shift
@@ -138,7 +139,19 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7077 internal/core internal/cluster internal/fleet internal/sim internal/engine
+check_lines 6968 internal/core internal/cluster internal/fleet internal/sim internal/engine
+
+# And what keeps it a state machine: the engine may be driven from a
+# socket, an event loop or a test, so it imports none of its drivers, no
+# transport and no network.
+engine_imports=$(go list -f '{{join .Imports "\n"}}' ./internal/engine |
+    grep -E "^(repro/internal/(core|comm|fleet|sim|server)|net)(/.*)?\$" || true)
+if [ -n "$engine_imports" ]; then
+    echo "imports: internal/engine must stay sans I/O, but imports:" >&2
+    echo "$engine_imports" >&2
+    exit 1
+fi
+echo "imports: internal/engine names none of core, comm, fleet, sim, server, net"
 
 # Smoke the wire-codec fuzzer: ten seconds of random frames must neither
 # crash the decoder nor break the encode/decode round trip.
