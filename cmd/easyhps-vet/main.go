@@ -2,8 +2,9 @@
 // suite (internal/lint) over the repository: concurrency and messaging
 // invariants the compiler cannot check — cancellable channel operations,
 // timer hygiene in the fault-tolerance paths, no mutexes held across
-// blocking operations, gob registration of transport payloads, and no
-// detached contexts in library code.
+// blocking operations, no detached contexts in library code, the declared
+// lock hierarchy, exhaustive switches over comm.Kind and consistent
+// sync/atomic use.
 //
 // Usage:
 //

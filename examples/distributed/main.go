@@ -1,5 +1,5 @@
 // Real multi-process deployment over TCP: this example forks itself into
-// one master and two worker roles connected by the gob-over-TCP transport
+// one master and two worker roles connected by the framed TCP transport
 // (the repo's MPI substitute), aligns two sequences across the three
 // processes, and verifies the result against the sequential reference.
 //

@@ -8,8 +8,9 @@
 //   - ChanNetwork: every rank lives in the same OS process; messages travel
 //     over Go channels, optionally delayed by a LatencyModel so the
 //     communication cost of a real cluster can be emulated on one machine;
-//   - TCP: ranks are separate OS processes connected over TCP with
-//     gob-framed messages, for genuine multi-process deployments.
+//   - TCP: ranks are separate OS processes connected over TCP, every
+//     message one tagged binary frame (wire.go), for genuine
+//     multi-process deployments.
 package comm
 
 import (

@@ -2,7 +2,7 @@ package comm
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -12,7 +12,7 @@ import (
 // ProtocolVersion is the wire protocol generation of this binary. Master
 // and workers exchange it in the join handshake and refuse to assemble a
 // cluster across versions: before the check, a skewed binary pair failed
-// deep inside the run as an opaque gob decode error; now it fails at join
+// deep inside the run as an opaque decode error; now it fails at join
 // time with both sides naming the two versions.
 //
 // History: 0 is the pre-versioning protocol (hello carried only a rank and
@@ -26,8 +26,15 @@ import (
 // count, content keys and reference records — matrix/codec_keyed.go), so
 // a worker already holding a block by content is sent a 44-byte reference
 // instead of the block. A v3 worker would reject the negative count as
-// corruption, hence the generation bump.
-const ProtocolVersion = 4
+// corruption, hence the generation bump; 5 took encoding/gob off the wire:
+// hello, welcome and the eight control kinds, which rode a gob stream
+// interleaved with the binary task/result frames, are frames of the same
+// layout (wire.go), the handshake under a 4 KiB cap. The version is the
+// first field of a hello or welcome body, so v5 and later tell each other
+// apart by number; v4 and earlier opened with gob, which a v5 acceptor
+// refuses on the first byte and a v5 dialer sees as a master that closes
+// without a welcome.
+const ProtocolVersion = 5
 
 // Hello is the first frame on every worker connection: who is joining and
 // what problem it believes the cluster is solving.
@@ -35,8 +42,8 @@ type Hello struct {
 	// Rank is the fixed-mode rank (1..slaves); fleet workers leave it
 	// zero and are assigned a member id by the master instead.
 	Rank int
-	// Version is the sender's ProtocolVersion. A pre-versioning binary
-	// decodes to 0 here, which is exactly what makes the skew detectable.
+	// Version is the sender's ProtocolVersion. A hello of another
+	// generation decodes to its version and nothing else.
 	Version int
 	// Digest fingerprints the problem spec (app, size, seed, partition)
 	// the worker was started with. Empty means "not checked" for
@@ -64,54 +71,44 @@ type Welcome struct {
 }
 
 // Conn is one message connection: the unit the TCP transport and the
-// fleet are both built from. Hot task/result messages
-// travel as binary frames; the handshake and control messages share a
-// persistent gob stream on the same connection (see wire.go for the
-// framing and why the two cannot be confused). Writes of whole frames
-// are serialized by a mutex; reads are single-consumer.
-//
-// The reader side funnels through one bufio.Reader that implements
-// io.ByteReader: gob then reads from it byte-exactly instead of wrapping
-// the connection in its own over-reading buffer, which is what makes it
-// safe to interleave gob values and raw frames on one stream.
+// fleet are both built from. Everything on it — hello, welcome, every
+// message kind — is one tagged binary frame (see wire.go for the layout
+// and its bounds). Writes of whole frames are serialized by a mutex; reads
+// are single-consumer.
 type Conn struct {
 	c   net.Conn
 	br  *bufio.Reader
-	enc *gob.Encoder
-	dec *gob.Decoder
 	wmu sync.Mutex
 
 	// readIdle, when positive, bounds how long one Recv may wait for the
-	// first byte of the next frame. With periodic heartbeats on the link
-	// this turns a silently dead peer (half-open TCP after a crash, a
-	// partitioned network) into a timeout error instead of a forever
-	// hang.
+	// next frame. With periodic heartbeats on the link this turns a
+	// silently dead peer (half-open TCP after a crash, a partitioned
+	// network) into a timeout error instead of a forever hang.
 	readIdle time.Duration
 	// writeTimeout, when positive, bounds one Send: a peer that stopped
 	// reading eventually fills the TCP buffers, and without a deadline
 	// the sender wedges inside the kernel write. After a timed-out Send
-	// the gob stream is undefined; treat the connection as dead.
+	// part of a frame may be on the wire; treat the connection as dead.
 	writeTimeout time.Duration
 }
 
-// defaultKeepAlive is the TCP keepalive probe period applied to every
-// accepted and dialed connection, so the OS notices a vanished peer even
-// on an idle link.
-const defaultKeepAlive = 15 * time.Second
+// keepAlive is the TCP keepalive probe period applied to every accepted
+// and dialed connection, so the OS notices a vanished peer even on an
+// idle link.
+const keepAlive = 15 * time.Second
 
-// NewConn wraps an established network connection. keepAlive configures
-// the TCP keepalive period: 0 applies the 15 s default, negative disables
-// probing (useful in tests that fake time).
-func NewConn(c net.Conn, keepAlive time.Duration) *Conn {
-	if tc, ok := c.(*net.TCPConn); ok && keepAlive >= 0 {
-		if keepAlive == 0 {
-			keepAlive = defaultKeepAlive
-		}
+// helloTimeout bounds how long an accepted connection may take to say
+// hello, so a connected but mute peer cannot hold an accept path.
+const helloTimeout = 10 * time.Second
+
+// NewConn wraps an established network connection, turning TCP keepalive
+// on when it is a TCP socket.
+func NewConn(c net.Conn) *Conn {
+	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetKeepAlive(true)
 		_ = tc.SetKeepAlivePeriod(keepAlive)
 	}
-	br := bufio.NewReader(c)
-	return &Conn{c: c, br: br, enc: gob.NewEncoder(c), dec: gob.NewDecoder(br)}
+	return &Conn{c: c, br: bufio.NewReader(c)}
 }
 
 // SetReadIdle sets the per-Recv idle bound (0 disables). Callers that
@@ -120,28 +117,13 @@ func NewConn(c net.Conn, keepAlive time.Duration) *Conn {
 func (cn *Conn) SetReadIdle(d time.Duration) { cn.readIdle = d }
 
 // SetWriteTimeout sets the per-Send bound (0 disables). A Send that hits
-// it leaves the gob stream undefined; the caller must close the
+// it may have written part of a frame; the caller must close the
 // connection and treat the peer as dead.
 func (cn *Conn) SetWriteTimeout(d time.Duration) { cn.writeTimeout = d }
 
-// RemoteAddr returns the peer address.
-func (cn *Conn) RemoteAddr() net.Addr { return cn.c.RemoteAddr() }
-
-// Send writes one message frame, honoring the write timeout. Task and
-// result messages are encoded with the binary codec into a pooled buffer
-// and written in a single call; control messages use the persistent gob
-// stream.
+// Send writes one message frame, honoring the write timeout. The frame is
+// encoded into a pooled buffer and written in a single call.
 func (cn *Conn) Send(m Message) error {
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	if cn.writeTimeout > 0 {
-		if err := cn.c.SetWriteDeadline(time.Now().Add(cn.writeTimeout)); err != nil {
-			return err
-		}
-	}
-	if !binaryKind(m.Kind) {
-		return cn.enc.Encode(m)
-	}
 	bufp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bufp)
 	frame, err := appendBinaryFrame((*bufp)[:0], m)
@@ -149,92 +131,78 @@ func (cn *Conn) Send(m Message) error {
 	if err != nil {
 		return err
 	}
-	_, err = cn.c.Write(frame)
+	return cn.write(frame)
+}
+
+// write puts one whole frame on the socket under the write mutex.
+func (cn *Conn) write(frame []byte) error {
+	cn.wmu.Lock()
+	defer cn.wmu.Unlock()
+	if cn.writeTimeout > 0 {
+		if err := cn.c.SetWriteDeadline(time.Now().Add(cn.writeTimeout)); err != nil {
+			return err
+		}
+	}
+	_, err := cn.c.Write(frame)
 	return err
 }
 
-// Recv reads the next message frame, honoring the read-idle bound. One
-// peeked byte decides the codec: the binary magic can never begin a gob
-// message, so the stream stays self-describing and a peer that falls
-// back to gob for any kind is still understood.
+// Recv reads the next message frame, honoring the read-idle bound.
 func (cn *Conn) Recv() (Message, error) {
 	if cn.readIdle > 0 {
 		if err := cn.c.SetReadDeadline(time.Now().Add(cn.readIdle)); err != nil {
 			return Message{}, err
 		}
 	}
-	first, err := cn.br.Peek(1)
-	if err != nil {
-		return Message{}, err
-	}
-	if first[0] == binMagic {
-		return readBinaryFrame(cn.br)
-	}
-	var m Message
-	if err := cn.dec.Decode(&m); err != nil {
-		return Message{}, err
-	}
-	return m, nil
+	return readBinaryFrame(cn.br)
 }
 
 // Close closes the underlying connection.
 func (cn *Conn) Close() error { return cn.c.Close() }
 
-// SendHello / RecvHello / SendWelcome / RecvHello frame the join
-// handshake over the same gob stream the messages use.
+// sendHello writes the join frame, sendWelcome the master's reply.
+func (cn *Conn) sendHello(h Hello) error     { return cn.writeHandshake(appendHelloFrame(nil, h)) }
+func (cn *Conn) sendWelcome(w Welcome) error { return cn.writeHandshake(appendWelcomeFrame(nil, w)) }
 
-// SendHello writes the join frame.
-func (cn *Conn) SendHello(h Hello) error {
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	return cn.enc.Encode(h)
-}
-
-// RecvHello reads the join frame, bounded by timeout so a connected but
-// mute peer cannot wedge the accept loop.
-func (cn *Conn) RecvHello(timeout time.Duration) (Hello, error) {
-	var h Hello
-	if timeout > 0 {
-		if err := cn.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return h, err
-		}
-		defer cn.c.SetReadDeadline(time.Time{})
+func (cn *Conn) writeHandshake(frame []byte, err error) error {
+	if err != nil {
+		return err
 	}
-	err := cn.dec.Decode(&h)
-	return h, err
+	return cn.write(frame)
 }
 
-// SendWelcome writes the master's handshake reply.
-func (cn *Conn) SendWelcome(w Welcome) error {
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	return cn.enc.Encode(w)
-}
-
-// RecvWelcome reads the master's handshake reply, bounded by timeout.
-func (cn *Conn) RecvWelcome(timeout time.Duration) (Welcome, error) {
-	var w Welcome
-	if timeout > 0 {
-		if err := cn.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return w, err
-		}
-		defer cn.c.SetReadDeadline(time.Time{})
+// recvHello reads the join frame, recvWelcome the master's reply, each
+// bounded by timeout so a connected but mute peer cannot wedge the caller.
+func (cn *Conn) recvHello(timeout time.Duration) (Hello, error) {
+	body, err := cn.readHandshake(tagHello, timeout)
+	if err != nil {
+		return Hello{}, err
 	}
-	err := cn.dec.Decode(&w)
-	return w, err
+	return decodeHello(body)
 }
 
-// Reject sends a refusal welcome and closes the connection; the error
-// string reaches the worker before the close.
-func (cn *Conn) Reject(reason string) {
-	_ = cn.SendWelcome(Welcome{Version: ProtocolVersion, Err: reason})
-	cn.c.Close()
+func (cn *Conn) recvWelcome(timeout time.Duration) (Welcome, error) {
+	body, err := cn.readHandshake(tagWelcome, timeout)
+	if err != nil {
+		return Welcome{}, err
+	}
+	return decodeWelcome(body)
 }
 
-// CheckHello validates a received Hello against this binary's protocol
+func (cn *Conn) readHandshake(want byte, timeout time.Duration) ([]byte, error) {
+	if err := cn.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, err
+	}
+	defer cn.c.SetReadDeadline(time.Time{})
+	var buf bytes.Buffer
+	_, err := readFrame(cn.br, &buf, want)
+	return buf.Bytes(), err
+}
+
+// checkHello validates a received Hello against this binary's protocol
 // version and the given spec digest (empty digest on either side skips
 // the digest check). It returns a refusal reason, or "" when compatible.
-func CheckHello(h Hello, digest string) string {
+func checkHello(h Hello, digest string) string {
 	if h.Version != ProtocolVersion {
 		return fmt.Sprintf("protocol version mismatch: worker speaks v%d, master speaks v%d (rebuild both binaries from the same source)", h.Version, ProtocolVersion)
 	}
@@ -244,18 +212,47 @@ func CheckHello(h Hello, digest string) string {
 	return ""
 }
 
+// AcceptHello is the accepting side of the join handshake on a fresh
+// connection, the counterpart of DialHello: it reads the hello under the
+// 10 s bound, refuses a peer of another protocol version or problem
+// digest (empty digest on either side skips that check), and otherwise
+// asks admit for the caller's own decision — the member id to grant
+// (never 0), or a refusal. A refused peer is sent a welcome carrying the
+// reason before the close, so the refusal is diagnosed on both sides; a
+// peer that does not open with a frame at all (a pre-v5 binary, whose
+// hello was a gob stream, or a stranger) could not read one and is just
+// closed. On any error the connection is closed, and member is non-zero
+// only when admit had already granted it — the welcome could not be
+// written, and the id is the caller's to take back.
+func AcceptHello(c net.Conn, digest string, admit func(Hello) (member int, refusal string)) (cn *Conn, member int, err error) {
+	cn = NewConn(c)
+	hello, err := cn.recvHello(helloTimeout)
+	if err != nil {
+		cn.Close()
+		return nil, 0, fmt.Errorf("comm: reading hello from %s: %w", c.RemoteAddr(), err)
+	}
+	refusal := checkHello(hello, digest)
+	if refusal == "" {
+		member, refusal = admit(hello)
+	}
+	if refusal != "" {
+		_ = cn.sendWelcome(Welcome{Version: ProtocolVersion, Err: refusal})
+		cn.Close()
+		return nil, 0, fmt.Errorf("comm: refused join from %s: %s", c.RemoteAddr(), refusal)
+	}
+	if err := cn.sendWelcome(Welcome{Version: ProtocolVersion, Member: member}); err != nil {
+		cn.Close()
+		return nil, member, fmt.Errorf("comm: sending welcome to %s: %w", c.RemoteAddr(), err)
+	}
+	return cn, member, nil
+}
+
 // DialHello dials addr (retrying until timeout so workers may start before
 // the master), performs the hello/welcome handshake, and returns the live
 // connection. It fails with the master's refusal reason, or with a
 // version-skew diagnosis when the master speaks a different protocol.
 func DialHello(addr string, h Hello, timeout time.Duration) (*Conn, Welcome, error) {
-	return dialHelloVersion(addr, h, timeout, ProtocolVersion)
-}
-
-// dialHelloVersion is DialHello with the local version injectable, so the
-// skew paths are unit-testable from one binary.
-func dialHelloVersion(addr string, h Hello, timeout time.Duration, version int) (*Conn, Welcome, error) {
-	h.Version = version
+	h.Version = ProtocolVersion
 	var c net.Conn
 	var err error
 	deadline := time.Now().Add(timeout)
@@ -269,8 +266,8 @@ func dialHelloVersion(addr string, h Hello, timeout time.Duration, version int) 
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	cn := NewConn(c, 0)
-	if err := cn.SendHello(h); err != nil {
+	cn := NewConn(c)
+	if err := cn.sendHello(h); err != nil {
 		cn.Close()
 		return nil, Welcome{}, fmt.Errorf("comm: sending hello: %w", err)
 	}
@@ -278,18 +275,18 @@ func dialHelloVersion(addr string, h Hello, timeout time.Duration, version int) 
 	if hsTimeout < time.Second {
 		hsTimeout = time.Second
 	}
-	w, err := cn.RecvWelcome(hsTimeout)
+	w, err := cn.recvWelcome(hsTimeout)
 	if err != nil {
 		cn.Close()
-		return nil, Welcome{}, fmt.Errorf("comm: waiting for master welcome (a pre-v1 master sends none): %w", err)
+		return nil, Welcome{}, fmt.Errorf("comm: waiting for master welcome (a pre-v5 master cannot read this hello and closes without one): %w", err)
 	}
 	if w.Err != "" {
 		cn.Close()
 		return nil, Welcome{}, fmt.Errorf("comm: master rejected join: %s", w.Err)
 	}
-	if w.Version != version {
+	if w.Version != ProtocolVersion {
 		cn.Close()
-		return nil, Welcome{}, fmt.Errorf("comm: protocol version mismatch: master speaks v%d, worker speaks v%d (rebuild both binaries from the same source)", w.Version, version)
+		return nil, Welcome{}, fmt.Errorf("comm: protocol version mismatch: master speaks v%d, worker speaks v%d (rebuild both binaries from the same source)", w.Version, ProtocolVersion)
 	}
 	return cn, w, nil
 }

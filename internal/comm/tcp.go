@@ -10,41 +10,27 @@ import (
 // TCP transport: a star topology matching the master-slave deployment of
 // EasyHPS. The master listens; each worker process dials in and announces
 // itself with a Hello frame (rank, protocol version, problem-spec digest)
-// and is answered with a Welcome. Messages are gob-encoded Message values
-// over comm.Conn links with TCP keepalive, so a silently dead peer
-// surfaces as an error instead of a hang.
+// and is answered with a Welcome. Handshake and messages alike are the
+// tagged binary frames of wire.go over comm.Conn links with TCP keepalive,
+// so a vanished peer surfaces as an error instead of a hang.
 //
 // Only master<->slave links exist (the runtime never needs slave<->slave
 // traffic), so Send from a worker accepts rank 0 only.
 
-// TCPOptions tunes a TCP endpoint beyond the rendezvous parameters. The
-// zero value reproduces the defaults.
+// TCPOptions is what a TCP endpoint takes beyond the rendezvous
+// parameters.
 type TCPOptions struct {
 	// Digest is the problem-spec fingerprint of this side. When both
 	// sides supply one, the master enforces equality at join time,
 	// replacing the "flags must match" convention with a checked
 	// handshake. Empty skips the check.
 	Digest string
-	// KeepAlive is the TCP keepalive probe period (0 = 15 s default,
-	// negative disables).
-	KeepAlive time.Duration
-	// ReadIdle, when positive, bounds how long a link may stay silent
-	// before its pump fails the connection. Enable it only when the
-	// peer is guaranteed to produce periodic traffic (the elastic
-	// cluster's heartbeats); in plain fixed-mode runs an idle link is
-	// healthy.
-	ReadIdle time.Duration
-	// OnPeerDown, when non-nil, is called once per failed link with the
-	// peer's rank and the pump error. It runs on the pump goroutine, so
-	// it must not block.
-	OnPeerDown func(rank int, err error)
 }
 
 // TCPTransport implements Transport over TCP connections.
 type TCPTransport struct {
 	rank int
 	size int
-	opts TCPOptions
 	in   chan Message
 	done chan struct{}
 	once sync.Once
@@ -61,9 +47,7 @@ func ListenMaster(addr string, slaves int, timeout time.Duration) (*TCPTransport
 	return ListenMasterOpts(addr, slaves, timeout, TCPOptions{})
 }
 
-// ListenMasterOpts is ListenMaster with endpoint options: a problem-spec
-// digest to enforce, keepalive/read-idle tuning and peer-down
-// notification.
+// ListenMasterOpts is ListenMaster with a problem-spec digest to enforce.
 func ListenMasterOpts(addr string, slaves int, timeout time.Duration, opts TCPOptions) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -85,13 +69,13 @@ func ListenMasterOn(ln net.Listener, slaves int, timeout time.Duration, opts TCP
 	t := &TCPTransport{
 		rank:  0,
 		size:  slaves + 1,
-		opts:  opts,
 		in:    make(chan Message, 16*(slaves+1)+256),
 		done:  make(chan struct{}),
 		conns: make(map[int]*Conn),
 		ln:    ln,
 	}
 	deadline := time.Now().Add(timeout)
+	var refused error // the last join turned away, for the timeout's diagnosis
 	for t.connCount() < slaves {
 		if dl, ok := ln.(*net.TCPListener); ok {
 			if err := dl.SetDeadline(deadline); err != nil {
@@ -102,43 +86,39 @@ func ListenMasterOn(ln net.Listener, slaves int, timeout time.Duration, opts TCP
 		c, err := ln.Accept()
 		if err != nil {
 			ln.Close()
+			if refused != nil {
+				err = fmt.Errorf("%w (last join turned away: %v)", err, refused)
+			}
 			return nil, fmt.Errorf("comm: accepting worker %d of %d: %w", t.connCount()+1, slaves, err)
 		}
-		cn := NewConn(c, opts.KeepAlive)
-		hello, err := cn.RecvHello(10 * time.Second)
+		// A refused or mute peer does not end the rendezvous — the master
+		// keeps waiting for compatible workers until its own timeout — but
+		// a rank outside 1..slaves, or one announced twice, means the
+		// cluster was started wrong, and does.
+		var fatal error
+		cn, rank, err := AcceptHello(c, opts.Digest, func(h Hello) (int, string) {
+			if h.Rank < 1 || h.Rank > slaves {
+				fatal = fmt.Errorf("comm: worker announced invalid rank %d", h.Rank)
+				return 0, fmt.Sprintf("invalid rank %d (want 1..%d)", h.Rank, slaves)
+			}
+			if t.conn(h.Rank) != nil {
+				fatal = fmt.Errorf("comm: two workers announced rank %d", h.Rank)
+				return 0, fmt.Sprintf("rank %d already joined", h.Rank)
+			}
+			return h.Rank, ""
+		})
+		if fatal != nil {
+			ln.Close()
+			return nil, fatal
+		}
 		if err != nil {
-			cn.Close()
+			refused = err
 			continue
-		}
-		if reason := CheckHello(hello, opts.Digest); reason != "" {
-			// The refusal reaches the worker before the close, so the
-			// skew is diagnosed on both sides; the master keeps waiting
-			// for compatible workers until its own timeout.
-			cn.Reject(fmt.Sprintf("%s (worker rank %d)", reason, hello.Rank))
-			continue
-		}
-		if hello.Rank < 1 || hello.Rank > slaves {
-			cn.Reject(fmt.Sprintf("invalid rank %d (want 1..%d)", hello.Rank, slaves))
-			ln.Close()
-			return nil, fmt.Errorf("comm: worker announced invalid rank %d", hello.Rank)
 		}
 		t.mu.Lock()
-		_, dup := t.conns[hello.Rank]
+		t.conns[rank] = cn
 		t.mu.Unlock()
-		if dup {
-			cn.Reject(fmt.Sprintf("rank %d already joined", hello.Rank))
-			ln.Close()
-			return nil, fmt.Errorf("comm: two workers announced rank %d", hello.Rank)
-		}
-		if err := cn.SendWelcome(Welcome{Version: ProtocolVersion, Member: hello.Rank}); err != nil {
-			cn.Close()
-			continue
-		}
-		cn.SetReadIdle(opts.ReadIdle)
-		t.mu.Lock()
-		t.conns[hello.Rank] = cn
-		t.mu.Unlock()
-		go t.pump(hello.Rank, cn)
+		go t.pump(rank, cn)
 	}
 	return t, nil
 }
@@ -149,6 +129,13 @@ func (t *TCPTransport) connCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.conns)
+}
+
+// conn returns the live link to rank, nil when there is none.
+func (t *TCPTransport) conn(rank int) *Conn {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.conns[rank]
 }
 
 // DialWorker connects a worker endpoint with the given rank (1-based) to
@@ -167,11 +154,9 @@ func DialWorkerOpts(addr string, rank, slaves int, timeout time.Duration, opts T
 	if err != nil {
 		return nil, err
 	}
-	cn.SetReadIdle(opts.ReadIdle)
 	t := &TCPTransport{
 		rank:  rank,
 		size:  slaves + 1,
-		opts:  opts,
 		in:    make(chan Message, 272),
 		done:  make(chan struct{}),
 		conns: map[int]*Conn{0: cn},
@@ -182,9 +167,9 @@ func DialWorkerOpts(addr string, rank, slaves int, timeout time.Duration, opts T
 
 // pump reads messages from one connection into the inbox until the
 // connection or the transport closes. A failed link is dropped from the
-// connection table and reported through OnPeerDown; on the worker side
-// (whose only link is the master) the whole transport closes, so a dead
-// master surfaces as ErrClosed from Recv instead of a hang.
+// connection table; on the worker side (whose only link is the master)
+// the whole transport closes, so a dead master surfaces as ErrClosed from
+// Recv instead of a hang.
 func (t *TCPTransport) pump(from int, cn *Conn) {
 	for {
 		m, err := cn.Recv()
@@ -194,16 +179,8 @@ func (t *TCPTransport) pump(from int, cn *Conn) {
 				delete(t.conns, from)
 			}
 			t.mu.Unlock()
-			select {
-			case <-t.done:
-				// Close() already tore the link down; not a peer fault.
-			default:
-				if t.opts.OnPeerDown != nil {
-					t.opts.OnPeerDown(from, err)
-				}
-				if t.rank != 0 {
-					t.Close()
-				}
+			if t.rank != 0 {
+				t.Close()
 			}
 			return
 		}
@@ -225,9 +202,7 @@ func (t *TCPTransport) Send(to int, m Message) error {
 		return ErrClosed
 	default:
 	}
-	t.mu.Lock()
-	conn := t.conns[to]
-	t.mu.Unlock()
+	conn := t.conn(to)
 	if conn == nil {
 		return fmt.Errorf("comm: rank %d has no link to rank %d", t.rank, to)
 	}

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Large payloads (a full data region of a big block) must survive the gob
+// Large payloads (a full data region of a big block) must survive the
 // framing intact in both directions.
 func TestTCPLargePayload(t *testing.T) {
 	addr := "127.0.0.1:39219"
@@ -59,7 +59,7 @@ func TestTCPLargePayload(t *testing.T) {
 }
 
 // Concurrent senders on one TCP link must not interleave frames (the
-// write mutex serializes whole gob values).
+// write mutex serializes whole frames).
 func TestTCPConcurrentSenders(t *testing.T) {
 	addr := "127.0.0.1:39220"
 	type result struct {

@@ -517,36 +517,27 @@ func (f *Fleet[T]) acceptLoop() {
 // workers carry no single-job digest — per-job specs are verified via the
 // attach frames instead.
 func (f *Fleet[T]) admit(c net.Conn) {
-	cn := comm.NewConn(c, 0)
-	hello, err := cn.RecvHello(10 * time.Second)
+	cn, id, err := comm.AcceptHello(c, "", func(hello comm.Hello) (int, string) {
+		if !hello.Fleet {
+			return 0, "this master runs a fleet; start a worker of the same build with -fleet (easyhps-serve) or -elastic (easyhps-launch)"
+		}
+		select {
+		case <-f.done:
+			return 0, "fleet shut down"
+		default:
+		}
+		return f.reg.Admit(hello.Name, c.RemoteAddr().String()).ID, ""
+	})
 	if err != nil {
-		cn.Close()
-		return
-	}
-	if reason := comm.CheckHello(hello, ""); reason != "" {
-		cn.Reject(reason)
-		return
-	}
-	if !hello.Fleet {
-		cn.Reject("this master runs a fleet; start a worker of the same build with -fleet (easyhps-serve) or -elastic (easyhps-launch)")
-		return
-	}
-	select {
-	case <-f.done:
-		cn.Reject("fleet shut down")
-		return
-	default:
-	}
-	member := f.reg.Admit(hello.Name, c.RemoteAddr().String())
-	if err := cn.SendWelcome(comm.Welcome{Version: comm.ProtocolVersion, Member: member.ID}); err != nil {
-		f.reg.MarkDead(member.ID)
-		cn.Close()
+		if id != 0 {
+			f.reg.MarkDead(id)
+		}
 		return
 	}
 	cn.SetReadIdle(time.Duration(f.opts.HeartbeatMiss+1) * f.opts.HeartbeatInterval)
 	cn.SetWriteTimeout(time.Duration(f.opts.HeartbeatMiss+1) * f.opts.HeartbeatInterval)
 	mc := &memberConn{
-		id:       member.ID,
+		id:       id,
 		cn:       cn,
 		idle:     make(chan struct{}, 4),
 		stop:     make(chan struct{}),
@@ -556,7 +547,7 @@ func (f *Fleet[T]) admit(c net.Conn) {
 		mc.known = f.opts.Cache.NewPeerSet()
 	}
 	f.connMu.Lock()
-	f.conns[member.ID] = mc
+	f.conns[id] = mc
 	f.connMu.Unlock()
 	go f.pump(mc)
 	go f.senderLoop(mc)

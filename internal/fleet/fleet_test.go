@@ -495,13 +495,13 @@ func TestFleetDispatchRetireOrdering(t *testing.T) {
 		if err != nil {
 			return
 		}
-		srvCh <- comm.NewConn(c, 0)
+		srvCh <- comm.NewConn(c)
 	}()
 	wc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := comm.NewConn(wc, 0)
+	worker := comm.NewConn(wc)
 	defer worker.Close()
 	sc := <-srvCh
 	defer sc.Close()
@@ -627,11 +627,10 @@ func TestRunWorkerRefusesSkew(t *testing.T) {
 			if err != nil {
 				return
 			}
-			cn := comm.NewConn(c, 0)
-			if _, err := cn.RecvHello(2 * time.Second); err != nil {
+			cn, _, err := comm.AcceptHello(c, "", func(comm.Hello) (int, string) { return 1, "" })
+			if err != nil {
 				return
 			}
-			_ = cn.SendWelcome(comm.Welcome{Version: comm.ProtocolVersion, Member: 1})
 			payload, _ := json.Marshal(meta)
 			_ = cn.Send(comm.Message{Kind: comm.KindJobSpec, Job: meta.Job, Payload: payload})
 		}()

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,17 +273,23 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 }
 
 // TestFleetAdmitRejectsNonFleetWorker pins the join contract: a worker
-// that does not say Fleet in its hello is refused with a hint naming the
-// flags that do. The hello sent here is the one a protocol-v4 binary's
-// easyhps-worker -elastic sends — same version, an Elastic flag this
-// binary no longer has a field for — so an old elastic worker meeting a
-// new elastic master gets this reply, not a hang or a decode error.
+// that does not say Fleet in its hello — easyhps-worker -rank, pointed at
+// the wrong port — is refused with a hint naming the flags that do. And a
+// protocol-v4 binary's easyhps-worker -elastic, whose hello is a gob value
+// (same fields plus an Elastic flag this build has no field for), is not
+// read at all: the connection closes with nothing sent, no hang and no
+// reflection over its bytes.
 func TestFleetAdmitRejectsNonFleetWorker(t *testing.T) {
 	f, err := New[int32](Options{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	_, _, err = comm.DialHello(f.Addr(), comm.Hello{Rank: 1, Name: "fixed"}, 5*time.Second)
+	if want := "this master runs a fleet; start a worker of the same build with -fleet (easyhps-serve) or -elastic (easyhps-launch)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal = %v, want %q", err, want)
+	}
+
 	c, err := net.Dial("tcp", f.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -293,15 +300,13 @@ func TestFleetAdmitRejectsNonFleetWorker(t *testing.T) {
 		Elastic bool
 		Name    string
 	}
-	if err := gob.NewEncoder(c).Encode(v4ElasticJoin{Version: comm.ProtocolVersion, Elastic: true, Name: "old"}); err != nil {
+	if err := gob.NewEncoder(c).Encode(v4ElasticJoin{Version: 4, Elastic: true, Name: "old"}); err != nil {
 		t.Fatal(err)
 	}
-	var reply comm.Welcome
-	if err := gob.NewDecoder(c).Decode(&reply); err != nil {
-		t.Fatalf("reading the refusal: %v", err)
-	}
-	if want := "this master runs a fleet; start a worker of the same build with -fleet (easyhps-serve) or -elastic (easyhps-launch)"; reply.Err != want {
-		t.Fatalf("refusal = %q, want %q", reply.Err, want)
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var nerr net.Error
+	if n, err := c.Read(make([]byte, 1)); n != 0 || err == nil || (errors.As(err, &nerr) && nerr.Timeout()) {
+		t.Fatalf("v4 elastic worker read %d bytes, %v; want the connection closed with nothing sent", n, err)
 	}
 	if joins, _, _, _, _ := f.Registry().MembershipCounts(); joins != 0 {
 		t.Fatalf("joins = %d, want the refused worker not admitted", joins)

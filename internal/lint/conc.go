@@ -89,9 +89,8 @@ func classifyLockOp(p *Package, call *ast.CallExpr) (lockOpKind, lockClass) {
 
 // intrinsicBlock reports the blocking nature of a call that the call
 // graph cannot see through: stdlib waits, network and buffered-stream
-// I/O, gob codec calls, and the comm.Transport interface. Channel
-// operations are handled at the AST level, sync.Cond.Wait separately
-// (its locker is exempt).
+// I/O, and the comm.Transport interface. Channel operations are handled
+// at the AST level, sync.Cond.Wait separately (its locker is exempt).
 func intrinsicBlock(p *Package, call *ast.CallExpr) string {
 	fn := calleeFunc(p.Info, call)
 	if fn == nil {
@@ -110,8 +109,6 @@ func intrinsicBlock(p *Package, call *ast.CallExpr) string {
 	case isMethodOf(fn, "bufio", "Reader", "Read"), isMethodOf(fn, "bufio", "Reader", "ReadByte"),
 		isMethodOf(fn, "bufio", "Reader", "Peek"):
 		return "bufio.Reader." + fn.Name()
-	case isMethodOf(fn, "encoding/gob", "Encoder", "Encode"), isMethodOf(fn, "encoding/gob", "Decoder", "Decode"):
-		return "gob." + fn.Name()
 	case isTransportCall(fn):
 		return "comm.Transport." + fn.Name()
 	}

@@ -3,23 +3,21 @@
 // The runtime's correctness rests on invariants the Go compiler cannot
 // see: every blocking channel operation in the master/slave loops must be
 // cancellable, the timeout-based fault-tolerance path must not leak
-// timers, no mutex may be held across a blocking operation, every
-// concrete type crossing a gob-encoded comm.Transport envelope must be
-// registered, and library code must not mint detached contexts. On top
-// of those per-function checks sits an interprocedural layer (conc.go):
-// a conservative call graph with per-function may-acquire/may-block
-// summaries enforces the mutex hierarchy declared in
-// lint/lockorder.conf and the no-blocking-under-lock discipline
-// transitively through calls, switches over the wire protocol's
-// comm.Kind must reject unknown frames, and sync/atomic-touched
-// variables must be atomic everywhere. This package encodes those
-// invariants as mechanical checks over go/ast + go/types (stdlib only,
-// no external analysis framework) so they stay true as the runtime
-// grows.
+// timers, no mutex may be held across a blocking operation, and library
+// code must not mint detached contexts. On top of those per-function
+// checks sits an interprocedural layer (conc.go): a conservative call
+// graph with per-function may-acquire/may-block summaries enforces the
+// mutex hierarchy declared in lint/lockorder.conf and the
+// no-blocking-under-lock discipline transitively through calls, switches
+// over the wire protocol's comm.Kind must reject unknown frames, and
+// sync/atomic-touched variables must be atomic everywhere. This package
+// encodes those invariants as mechanical checks over go/ast + go/types
+// (stdlib only, no external analysis framework) so they stay true as the
+// runtime grows.
 //
 // Rules implement PackageRule (checked one package at a time) or
 // ProgramRule (checked once over the whole loaded package set, for
-// cross-package invariants such as gob registration). Findings are
+// cross-package invariants such as the lock hierarchy). Findings are
 // reported as "file:line: rule: message" and can be suppressed with a
 //
 //	//lint:ignore <rule> <reason>
@@ -105,7 +103,6 @@ func AllRules() []Rule {
 		NewCtxSelect(),
 		NewTimerLeak(),
 		NewLockAcrossChannel(),
-		NewGobRegister(),
 		NewNakedBackground(),
 		lh,
 		bul,

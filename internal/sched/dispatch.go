@@ -1,3 +1,11 @@
+// Package sched implements the worker-pool components of EasyHPS (§V.A of
+// the paper): the computable sub-task stack behind the Dispatcher, the
+// overtime queue used for timeout-based fault detection, the sub-task
+// register table that makes result acceptance idempotent, and the lease
+// table and runtime profile the elastic layers add. It also provides the
+// two task-allocation policies compared in the evaluation: the dynamic
+// worker pool of EasyHPS and the static block-cyclic wavefront (BCW)
+// assignment.
 package sched
 
 import (

@@ -3,60 +3,10 @@ package sched
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/dag"
 )
-
-func TestStackLIFO(t *testing.T) {
-	var s Stack
-	s.Push(1, 2, 3)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	for _, want := range []int32{3, 2, 1} {
-		got, ok := s.TryPop()
-		if !ok || got != want {
-			t.Fatalf("TryPop = %d,%v want %d", got, ok, want)
-		}
-	}
-	if _, ok := s.TryPop(); ok {
-		t.Fatal("pop from empty stack succeeded")
-	}
-}
-
-func TestStackDrain(t *testing.T) {
-	var s Stack
-	s.Push(1)
-	s.Push(2, 3)
-	got := s.Drain()
-	if len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {
-		t.Fatalf("Drain = %v", got)
-	}
-	if s.Len() != 0 {
-		t.Fatal("stack not empty after drain")
-	}
-}
-
-// Property: a sequence of pushes then pops behaves LIFO.
-func TestStackProperty(t *testing.T) {
-	f := func(vals []int32) bool {
-		var s Stack
-		s.Push(vals...)
-		for k := len(vals) - 1; k >= 0; k-- {
-			got, ok := s.TryPop()
-			if !ok || got != vals[k] {
-				return false
-			}
-		}
-		_, ok := s.TryPop()
-		return !ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestOvertimeQueueExpiry(t *testing.T) {
 	q := NewOvertimeQueue()

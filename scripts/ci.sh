@@ -57,10 +57,10 @@ fi
 
 go vet ./...
 # Project-specific invariants go vet cannot see (cancellable channel ops,
-# timer hygiene, locks across blocking ops, gob registration, detached
-# contexts, the declared lock hierarchy and no-blocking-under-lock
-# discipline checked through the call graph, comm.Kind switch
-# exhaustiveness, sync/atomic consistency) — see docs/ANALYSIS.md and
+# timer hygiene, locks across blocking ops, detached contexts, the
+# declared lock hierarchy and no-blocking-under-lock discipline checked
+# through the call graph, comm.Kind switch exhaustiveness, sync/atomic
+# consistency) — see docs/ANALYSIS.md and
 # lint/lockorder.conf. Any finding fails the build; deliberate exceptions
 # must carry an audited //lint:ignore directive with a reason.
 go run ./cmd/easyhps-vet ./...
@@ -111,7 +111,7 @@ check_cover internal/sched 92
 # block against their sequential references.
 check_cover internal/matrix 94
 check_cover internal/dp 91
-check_cover internal/comm 82
+check_cover internal/comm 88
 check_cover internal/core 86
 check_cover internal/engine 90
 check_cover internal/cluster 75
@@ -139,7 +139,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6968 internal/core internal/cluster internal/fleet internal/sim internal/engine
+check_lines 6959 internal/core internal/cluster internal/fleet internal/sim internal/engine
 
 # And what keeps it a state machine: the engine may be driven from a
 # socket, an event loop or a test, so it imports none of its drivers, no
@@ -153,9 +153,24 @@ if [ -n "$engine_imports" ]; then
 fi
 echo "imports: internal/engine names none of core, comm, fleet, sim, server, net"
 
+# And the transport has one encoding: hello, welcome and every message
+# kind are frames of internal/comm/wire.go, so nothing under internal/comm
+# may bring encoding/gob back onto the wire (its tests may, to show that a
+# protocol-v4 peer is refused).
+comm_gob=$(go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x 'encoding/gob' || true)
+if [ -n "$comm_gob" ]; then
+    echo "imports: internal/comm must not import encoding/gob" >&2
+    exit 1
+fi
+echo "imports: internal/comm does not name encoding/gob"
+
 # Smoke the wire-codec fuzzer: ten seconds of random frames must neither
 # crash the decoder nor break the encode/decode round trip.
 go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 10s ./internal/comm/
+# And the two handshake frames, the first bytes an unauthenticated peer
+# sends: refused or decoded without a panic, and a decoded hello or welcome
+# re-encodes to a frame that decodes to the same value.
+go test -run '^$' -fuzz '^FuzzHandshake$' -fuzztime 10s ./internal/comm/
 # And the block payloads those frames, checkpoint records and cache files
 # carry, plain and keyed: decode or refuse without a panic, and re-encode
 # to the same bytes.
