@@ -13,7 +13,7 @@ import (
 )
 
 // Policy selects the task-allocation strategy at both parallelization
-// levels.
+// levels: one internal/sched draw order each.
 type Policy uint8
 
 const (
@@ -60,7 +60,9 @@ type Config struct {
 	// ThreadPartition is thread_partition_size: the block size of
 	// thread-level sub-sub-tasks within one processor-level block.
 	ThreadPartition dag.Size
-	// Policy selects dynamic (EasyHPS) or static (BCW) scheduling.
+	// Policy selects dynamic (EasyHPS), static (BCW) or locality-aware
+	// scheduling: the draw order of the master's pool and, at the thread
+	// level, of each block's sched.Queue.
 	Policy Policy
 	// BCWBlockCols is the block-cyclic column run length of the static
 	// policy (block_col in the paper); ignored under PolicyDynamic.
@@ -113,8 +115,10 @@ type Config struct {
 	// starting points that adapt to observed dispatch amortization,
 	// starvation and speculation outcomes, an unset ProcPartition comes
 	// from the cost-model advisor instead of the n/8 rule, and
-	// Speculate and Steal are enabled — auto means the system owns the
-	// schedule. Controller decisions land in Trace as "tune" events.
+	// Speculate and Steal are enabled (engine.PoolConfig.Auto) — auto
+	// means the system owns the schedule. Controller decisions land in
+	// Trace as "tune" events. Under PolicyBlockCyclic only the advisor
+	// applies: a static schedule leaves the tuner nothing to own.
 	Auto bool
 	// Latency is the emulated interconnect cost of the in-process
 	// transport.
@@ -198,10 +202,6 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 	}
 	if c.Threads < 1 {
 		return c, fmt.Errorf("core: need at least 1 thread per slave, got %d", c.Threads)
-	}
-	if c.Auto {
-		c.Speculate = true
-		c.Steal = true
 	}
 	if !c.ProcPartition.Valid() {
 		// Under Auto, prepare() already consulted the partition advisor

@@ -99,6 +99,47 @@ func TestStaleResultDropped(t *testing.T) {
 	}
 }
 
+// Under BCW the last vertex, slave 2's, times out after slave 1 has run
+// everything it owns. The vertex must still find a drawer: when a drained
+// owner's sender used to leave, the requeue parked it with no one to take it
+// and the run hung until RunTimeout.
+func TestBlockCyclicRequeueAfterOwnerDrained(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(64, 51), dp.RandomDNA(64, 52))
+	res, err := core.Run(e.Problem(), core.Config{
+		Slaves:        2,
+		Threads:       1,
+		ProcPartition: dag.Square(16), // 4x4 grid
+		Policy:        core.PolicyBlockCyclic,
+		TaskTimeout:   40 * time.Millisecond,
+		CheckInterval: 5 * time.Millisecond,
+		RunTimeout:    3 * time.Second,
+		Faults:        core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{15: 200 * time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalMatrices(t, "editdist-bcw-requeue", res.Matrix(), e.Sequential())
+	if res.Stats.Redistributions < 1 {
+		t.Fatalf("the stall did not trigger a redistribution: %v", res.Stats)
+	}
+}
+
+// A vertex that keeps timing out fails the run with the engine's reason
+// under core's prefix, not the pool's name for the run's one job.
+func TestPoisonedVertexFailsRun(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(32, 53), dp.RandomDNA(32, 54))
+	cfg := faultConfig()
+	cfg.Slaves = 1
+	cfg.TaskTimeout = 20 * time.Millisecond
+	cfg.CheckInterval = 5 * time.Millisecond
+	cfg.MaxAttempts = 1
+	cfg.Faults = core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{0: 200 * time.Millisecond}}
+	_, err := core.Run(e.Problem(), cfg)
+	if want := "core: vertex 0 timed out 1 times (MaxAttempts); giving up"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 // Thread-level fault tolerance: a compute goroutine panics on one
 // sub-sub-task; the slave worker pool recovers (restart semantics) and the
 // sub-task is re-pushed and completed.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cas"
@@ -15,31 +14,39 @@ import (
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/sched"
-	"repro/internal/tune"
 )
 
 // master is the master part of the runtime (Figs. 9-10 of the paper) as a
-// driver of the job engine. The engine holds the master DAG Data Driven
-// Model, the sub-task register table, the master overtime queue and the
-// block store; this type owns the master worker pool — one sender goroutine
-// per slave node over the dispatcher — the receive loop, the delta-shipping
-// wire, and the fault-tolerance goroutine that feeds the engine its ticks.
-// The engine knows slave s as member s-1: the worker index the dispatcher
-// and the trace use.
+// driver of the scheduling engine, like the fleet: a one-job engine.Pool
+// over fixed ranks. The job holds the master DAG Data Driven Model, the
+// sub-task register table, the master overtime queue and the block store;
+// the pool holds its computable set behind the draw order Config.Policy
+// names and makes every scheduling decision — draw, lease verdict, expiry,
+// straggler flag, steal, tuner fold. This type owns what is I/O: a sender
+// goroutine per slave node, the receive loop, the delta-shipping wire, and
+// the fault-tolerance goroutine that ticks the pool. The engine knows slave
+// s as member s-1: the worker index the draw order and the trace use.
 type master[T any] struct {
 	p   Problem[T]
 	cfg Config
 	tr  comm.Transport
 
-	eng  *engine.Job[T]
-	disp sched.Dispatcher
+	eng *engine.Job[T]
+
+	// mu serializes every call into pool, as Fleet.mu does; a sender with
+	// nothing to draw waits on cond, waiting[w] set: member w's slave is
+	// idle with nothing computable for it — the starvation signal stealing
+	// and the tuner (through hungers) react to. closed and err are the
+	// finish latch.
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pool    *engine.Pool[T]
+	waiting []bool
+	hungers int64
+	closed  bool
+	err     error
 
 	idle []chan struct{} // indexed by slave rank (1..Slaves)
-
-	// waiting[s] is set while slave s's sender is blocked in the
-	// dispatcher: the slave is idle with nothing computable — the
-	// starvation signal the work-stealing path reacts to.
-	waiting []atomic.Bool
 
 	// known[s][v] records that slave s holds block v (delta shipping):
 	// either it was shipped there or the slave computed it. Guarded by
@@ -51,17 +58,11 @@ type master[T any] struct {
 	known   [][]bool
 	peers   []*cas.PeerSet
 
-	// tuner is the self-tuning controller, non-nil iff Config.Auto.
-	// hungers accumulates starved-sender observations per control tick;
-	// only the fault-tolerance loop touches it.
-	tuner   *tune.Controller
-	hungers int64
-
-	done     chan struct{}
-	doneOnce sync.Once
-	errMu    sync.Mutex
-	err      error
+	done chan struct{} // closed with closed
 }
+
+// runJob is the id the pool knows the run's one job by.
+const runJob int32 = 1
 
 // runMaster executes the master part over transport tr and returns the
 // completed matrix store. cfg must already have defaults applied.
@@ -76,10 +77,21 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 		}
 		store = ss
 	}
+	// BCW is the static baseline: an idle slave may not take another's
+	// vertex, so the mitigations stay off, and the tuner that arms them.
+	dynamic := cfg.Policy != PolicyBlockCyclic
 	m := &master[T]{
 		p:   p,
 		cfg: cfg,
 		tr:  tr,
+		pool: engine.NewPool[T](engine.PoolConfig{
+			Batch:         cfg.Batch,
+			Speculate:     cfg.Speculate && dynamic,
+			Steal:         cfg.Steal && dynamic,
+			Auto:          cfg.Auto && dynamic,
+			CheckInterval: cfg.CheckInterval,
+			Trace:         cfg.Trace,
+		}),
 		eng: engine.New(p.Kernel.Pattern(), p.Codec, p.Size, cfg.ProcPartition, engine.Config[T]{
 			TaskTimeout: cfg.TaskTimeout,
 			MaxAttempts: cfg.MaxAttempts,
@@ -90,23 +102,12 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 			Trace:       cfg.Trace,
 			OnProgress:  cfg.Progress,
 		}),
+		waiting: make([]bool, cfg.Slaves),
 		idle:    make([]chan struct{}, cfg.Slaves+1),
-		waiting: make([]atomic.Bool, cfg.Slaves+1),
 		done:    make(chan struct{}),
 	}
+	m.cond = sync.NewCond(&m.mu)
 	ctrs.job = m.eng.Counters()
-	if cfg.Auto {
-		m.tuner = tune.New(tune.DefaultLimits(), cfg.Batch,
-			engine.DefaultSpecQuantile, engine.DefaultSpecMultiplier, engine.DefaultSpecMinSamples)
-	}
-	switch cfg.Policy {
-	case PolicyBlockCyclic:
-		m.disp = sched.NewBlockCyclic(m.eng.Graph(), cfg.Slaves, cfg.BCWBlockCols)
-	case PolicyAffinity:
-		m.disp = newAffinityDispatcher(m.affinityScore)
-	default:
-		m.disp = sched.NewDynamic()
-	}
 	for s := 1; s <= cfg.Slaves; s++ {
 		m.idle[s] = make(chan struct{}, 4)
 	}
@@ -135,8 +136,8 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 
 	// Cancellation watch: the master loop's select lives in the sender and
 	// receive goroutines, so cancellation is injected through finish, which
-	// closes m.done and the dispatcher — every sender then drains with an
-	// End signal and the run unwinds.
+	// closes m.done and wakes the senders — each then drains with an End
+	// signal and the run unwinds.
 	if cancel := ctx.Done(); cancel != nil {
 		go func() {
 			select {
@@ -183,48 +184,42 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 		ctrs.spillLoads.Store(loads)
 	}
 
-	m.errMu.Lock()
-	err := m.err
-	m.errMu.Unlock()
-	if err != nil {
-		return nil, err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err != nil {
+		return nil, m.err
 	}
 	return &Result[T]{Store: store}, nil
 }
 
 // finish ends the run exactly once, recording err (nil for success).
 func (m *master[T]) finish(err error) {
-	m.doneOnce.Do(func() {
-		m.errMu.Lock()
-		m.err = err
-		m.errMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.closed {
+		m.closed, m.err = true, err
 		close(m.done)
-		m.disp.Close()
-	})
+		m.cond.Broadcast()
+	}
 }
 
 // senderLoop is one worker thread of the master worker pool: it waits for
-// its slave to be idle, takes a computable sub-task from the dispatcher,
-// registers it, ships the data region, and arms the overtime watch
-// (§V.B steps d-e).
+// its slave to be idle, draws a batch of computable sub-tasks, leases it
+// (arming the overtime watch) and ships the data regions (§V.B steps d-e).
+// No sender leaves before the run is over: a vertex that comes back — timed
+// out, stolen, held — always has someone to draw it.
 func (m *master[T]) senderLoop(s int) {
+	defer func() { _ = m.tr.Send(s, comm.Message{Kind: comm.KindEnd}) }()
 	worker := s - 1
 	for {
 		select {
 		case <-m.idle[s]:
 		case <-m.done:
-			m.sendEnd(s)
 			return
 		}
 		for {
-			// The cap is re-read per draw: under Auto the controller
-			// moves it while the run is in flight. At 1 the draw is the
-			// classic one-task protocol.
-			m.waiting[s].Store(true)
-			ids, ok := m.disp.NextBatch(worker, m.tuner.BatchCapOr(m.cfg.Batch))
-			m.waiting[s].Store(false)
+			ids, ok := m.nextBatch(worker)
 			if !ok {
-				m.sendEnd(s)
 				return
 			}
 			if m.dispatch(s, worker, ids) {
@@ -237,38 +232,42 @@ func (m *master[T]) senderLoop(s int) {
 	}
 }
 
-func (m *master[T]) sendEnd(s int) {
-	_ = m.tr.Send(s, comm.Message{Kind: comm.KindEnd})
+// nextBatch blocks until the pool hands member worker a batch — at most the
+// batch cap in effect, which under Auto the tuner moves mid-run; at 1 the
+// classic one-task protocol — or the run is over.
+func (m *master[T]) nextBatch(worker int) ([]int32, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for !m.closed {
+		if _, ids, ok := m.pool.Draw(worker); ok {
+			return ids, true
+		}
+		m.waiting[worker] = true
+		m.cond.Wait()
+		m.waiting[worker] = false
+	}
+	return nil, false
 }
 
-// dispatch leases the drained vertices to slave s (member worker of the
-// engine) and ships them in one message, each entry an attempt stamp plus
-// the encoded missing part of the vertex's data region. It returns false
-// when every vertex turned out to be gone — finished while queued for
-// redistribution, the result having raced the timeout — so the caller
-// draws again without consuming another idle token. A vertex the engine
-// holds back — flagged for a backup, and this slave runs its original —
-// goes back to the dispatcher for another slave; a draw that was nothing
-// but those consumes the idle token, or the sender would pop them again at
-// once.
+// dispatch leases the drawn vertices to slave s (member worker of the
+// engine) and ships the granted ones in one message, each entry an attempt
+// stamp plus the encoded missing part of the vertex's data region. It
+// reports whether the slave's idle token is spent (engine.Pool.Lease): not
+// when every vertex was gone — finished while queued for redistribution,
+// the result having raced the timeout — so the caller draws again at once.
 func (m *master[T]) dispatch(s, worker int, ids []int32) bool {
-	now := time.Now()
-	entries := make([]comm.TaskEntry, 0, len(ids))
-	held := false
-	for _, v := range ids {
-		// Lease first: if the vertex is gone we must bail out before
-		// touching the known-set, or unsent blocks would be recorded as
-		// held by the slave.
-		attempt, out := m.eng.Lease(worker, v, len(entries), now)
-		switch out {
-		case engine.Held:
-			m.disp.Requeue(v)
-			held = true
-			continue
-		case engine.Gone:
-			continue
-		}
-		deps := m.eng.Graph().Vertex(v).DataPre
+	// Lease before the known-set is touched: for a vertex that is gone no
+	// unsent block may be recorded as held by the slave.
+	m.mu.Lock()
+	grants, spent := m.pool.Lease(runJob, worker, ids, time.Now())
+	if len(grants) < len(ids) {
+		m.cond.Broadcast() // a held vertex is back in the order, for another slave
+	}
+	m.mu.Unlock()
+	entries := make([]comm.TaskEntry, 0, len(grants))
+	bytes := 0
+	for _, g := range grants {
+		deps := m.eng.Graph().Vertex(g.Vertex).DataPre
 		if m.known != nil {
 			deps = m.filterKnown(s, deps)
 		}
@@ -276,18 +275,15 @@ func (m *master[T]) dispatch(s, worker int, ids []int32) bool {
 		m.eng.Counters().BlocksShipped.Add(int64(len(blocks)))
 		payload, err := matrix.EncodeBlocks(m.p.Codec, blocks)
 		if err != nil {
-			// The run is over; the dispatcher drains under the caller.
-			m.finish(fmt.Errorf("core: encoding data region of vertex %d: %w", v, err))
+			// The run is over; the caller's next draw finds it closed.
+			m.finish(fmt.Errorf("core: encoding data region of vertex %d: %w", g.Vertex, err))
 			continue
 		}
-		entries = append(entries, comm.TaskEntry{Vertex: v, Attempt: attempt, Payload: payload})
+		entries = append(entries, comm.TaskEntry{Vertex: g.Vertex, Attempt: g.Attempt, Payload: payload})
+		bytes += len(payload)
 	}
 	if len(entries) == 0 {
-		return held
-	}
-	bytes := 0
-	for _, e := range entries {
-		bytes += len(e.Payload)
+		return spent
 	}
 	m.eng.Shipped(worker, len(entries), bytes)
 	var msg comm.Message
@@ -381,6 +377,27 @@ func (m *master[T]) filterKnown(s int, deps []int32) []int32 {
 	return out
 }
 
+// affinityScore is PolicyAffinity's score (sched.Affinity): the number of
+// blocks of v's data region that slave worker+1 already holds, by the
+// delta-shipping known-set. The pool's draw calls it with master.mu held;
+// knownMu nests inside.
+func (m *master[T]) affinityScore(worker int, v int32) int {
+	s := worker + 1
+	m.knownMu.Lock()
+	defer m.knownMu.Unlock()
+	if s < 1 || s >= len(m.known) {
+		return 0
+	}
+	held := m.known[s]
+	n := 0
+	for _, d := range m.eng.Graph().Vertex(v).DataPre {
+		if held[d] {
+			n++
+		}
+	}
+	return n
+}
+
 // applyResult hands one result to the engine and queues what it unlocked
 // (§V.B steps f-h). It is the per-vertex core of result handling, shared by
 // the single-result and batched paths.
@@ -403,19 +420,22 @@ func (m *master[T]) applyResult(from int, v, attempt int32, payload []byte) {
 		}
 		m.knownMu.Unlock()
 	}
-	m.disp.Ready(ready...)
-	m.cfg.Trace.Ready(m.disp.ReadyCount())
 	if m.eng.Finished() {
 		m.finish(nil)
+	} else if len(ready) > 0 {
+		m.mu.Lock()
+		m.pool.Ready(runJob, ready)
+		m.cond.Broadcast()
+		m.mu.Unlock()
 	}
 }
 
 // restore replays a checkpoint stream (Config.Restore) into the engine —
 // recorded sub-tasks are committed in file order, which is a valid
 // execution order, see internal/checkpoint, and written again to
-// Config.Checkpoint so the new stream stays self-contained — and hands the
-// remaining computable frontier to the dispatcher. Without a restore
-// stream the frontier is the DAG roots.
+// Config.Checkpoint so the new stream stays self-contained — and enters the
+// job into the pool, the remaining computable frontier (without a restore
+// stream, the DAG roots) queued behind the draw order Config.Policy names.
 func (m *master[T]) restore() error {
 	if m.cfg.Checkpoint != nil {
 		m.eng.SetCheckpoint(checkpoint.NewWriter(m.cfg.Checkpoint))
@@ -429,109 +449,56 @@ func (m *master[T]) restore() error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	m.disp.Ready(frontier...)
+	var order sched.Order // nil: the dynamic pool's LIFO stack
+	switch m.cfg.Policy {
+	case PolicyBlockCyclic:
+		order = sched.NewBlockCyclic(m.eng.Graph(), m.cfg.Slaves, m.cfg.BCWBlockCols)
+	case PolicyAffinity:
+		order = sched.NewAffinity(m.affinityScore)
+	}
+	m.pool.Add(runJob, m.eng, m.pool.Params(engine.JobParams{Order: order}), frontier, time.Now())
 	if m.eng.Finished() {
 		m.finish(nil)
 	}
 	return nil
 }
 
-// faultToleranceLoop is the master fault-tolerance thread: it expires
-// overdue sub-tasks, cancels their registration and redistributes them
-// (Fig. 10). When enabled it also runs the straggler-mitigation passes:
-// flagging overlong attempts for speculative backups and rebalancing
-// queued-but-undispatched backlog toward starved slaves. Neither pass
-// applies under PolicyBlockCyclic, whose static ownership leaves no idle
-// slave eligible to take another slave's work.
+// faultToleranceLoop is the master fault-tolerance thread (Fig. 10): it
+// feeds the pool its control ticks.
 func (m *master[T]) faultToleranceLoop() {
 	ticker := time.NewTicker(m.cfg.CheckInterval)
 	defer ticker.Stop()
-	mitigate := m.cfg.Policy != PolicyBlockCyclic
 	for {
 		select {
 		case <-m.done:
 			return
 		case now := <-ticker.C:
-			requeue, err := m.eng.Expire(now)
-			if err != nil {
-				m.finish(fmt.Errorf("core: %w", err))
-				return
-			}
-			for _, v := range requeue {
-				m.disp.Requeue(v)
-			}
-			if m.cfg.Speculate && mitigate {
-				m.flagStragglers(now)
-			}
-			if m.cfg.Steal && mitigate {
-				m.maybeSteal()
-			}
-			if m.tuner != nil {
-				m.tuneTick()
-			}
+			m.tick(now)
 		}
 	}
 }
 
-// tuneTick feeds the controller one observation of the run's counters
-// and profile; recommendation changes land in the trace. Called from
-// the fault-tolerance loop only.
-func (m *master[T]) tuneTick() {
-	for s := 1; s <= m.cfg.Slaves; s++ {
-		if m.waiting[s].Load() && m.eng.Load(s-1) == 0 {
+// tick is one control tick. A slave whose sender waits in nextBatch while
+// it holds no lease is hungry: it is counted for the tuner, the pool ticks —
+// overtime expiry and redistribution, straggler flags, the tuner fold — and
+// the pool's hunger pass may move a backlog's tail toward one hungry slave.
+func (m *master[T]) tick(now time.Time) {
+	m.mu.Lock()
+	for w, waiting := range m.waiting {
+		if waiting && m.eng.Load(w) == 0 {
 			m.hungers++
 		}
 	}
-	sample := m.eng.Sample()
-	sample.Hungers = m.hungers
-	if d := m.tuner.Tick(sample); d.Changed {
-		m.cfg.Trace.Tune(d.BatchCap, d.Reason)
-	}
-}
-
-// flagStragglers queues in-flight attempts whose age exceeds the runtime
-// profile's threshold for a backup dispatch: a starved sender draws one and
-// the engine turns the draw into a concurrent backup attempt. Speculation
-// only fires when the ready queue is empty — while real work is queued,
-// idle capacity should take that first — and flags at most one vertex per
-// slave per tick, so a burst of stragglers cannot flood the queue.
-func (m *master[T]) flagStragglers(now time.Time) {
-	if m.disp.ReadyCount() > 0 {
-		return
-	}
-	// The fleet's default thresholds, or the controller's under Auto: a
-	// straggler has run longer than the multiplier times that quantile of
-	// the observed runtimes, judged once the profile is warm.
-	q, mult := m.tuner.SpecParamsOr(engine.DefaultSpecQuantile, engine.DefaultSpecMultiplier)
-	m.disp.Ready(m.eng.FlagStragglers(now, q, mult, m.cfg.CheckInterval, engine.DefaultSpecMinSamples, m.cfg.Slaves)...)
-}
-
-// maybeSteal rebalances queued-but-undispatched backlog toward a starved
-// slave: one whose sender is blocked in the dispatcher while it holds no
-// leases. The engine cancels the tail of the most loaded slave's backlog —
-// batch entries it has not reached yet — and the starved sender picks the
-// vertices up from the dispatcher.
-func (m *master[T]) maybeSteal() {
-	if m.disp.ReadyCount() > 0 {
-		// There is queued work already; the starved sender will draw it
-		// without help.
-		return
-	}
-	for s := 1; s <= m.cfg.Slaves; s++ {
-		if !m.waiting[s].Load() || m.eng.Load(s-1) > 0 {
-			continue
+	ended := m.pool.Tick(now, m.cfg.Slaves, m.hungers)
+	for w, waiting := range m.waiting {
+		if waiting && m.pool.Hunger(w) {
+			break // at most one steal per tick
 		}
-		victim, depth := m.eng.Deepest(s - 1)
-		if depth < 2 {
-			return
-		}
-		stolen := m.eng.StealFrom(victim, s-1)
-		if len(stolen) > 0 {
-			for _, v := range stolen {
-				m.disp.Requeue(v)
-			}
-			m.cfg.Trace.Ready(m.disp.ReadyCount())
-			return // at most one steal per tick
-		}
+	}
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	for _, end := range ended {
+		// Tick names the job in front of the reason; a run has one.
+		m.finish(fmt.Errorf("core: %w", errors.Unwrap(end.Err)))
 	}
 }

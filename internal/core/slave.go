@@ -125,14 +125,11 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 	graph := dag.Build(pat, tgeom)
 	parser := dag.NewParser(graph)
 
-	var disp sched.Dispatcher
-	switch cfg.Policy {
-	case PolicyBlockCyclic:
-		disp = sched.NewBlockCyclic(graph, cfg.Threads, cfg.BCWBlockCols)
-	default:
-		// PolicyAffinity degenerates to plain dynamic here: inside one
-		// node memory is shared, so locality has nothing to optimize.
-		disp = sched.NewDynamic()
+	// PolicyAffinity degenerates to plain dynamic here: inside one node
+	// memory is shared, so locality has nothing to optimize.
+	disp := sched.NewDynamic()
+	if cfg.Policy == PolicyBlockCyclic {
+		disp = sched.NewQueue(sched.NewBlockCyclic(graph, cfg.Threads, cfg.BCWBlockCols))
 	}
 	disp.Ready(parser.InitialReady()...)
 

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
@@ -84,12 +84,12 @@ type counters struct {
 	subTasks, subRequeues, workerRestarts atomic.Int64
 	blocksReclaimed, peakBlocks           atomic.Int64
 	spills, spillLoads                    atomic.Int64
-	job                                   *cluster.Counters
+	job                                   *engine.Counters
 }
 
 // snapshot fills Stats from both ledgers.
 func (c *counters) snapshot() Stats {
-	var job cluster.Stats
+	var job engine.Stats
 	if c.job != nil {
 		job = c.job.Stats()
 	}

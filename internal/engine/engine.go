@@ -2,43 +2,43 @@
 // machines without I/O, each written once. Job is one DAG job: its graph
 // and parser, block store, sub-task register table, overtime queue, lease
 // table, runtime profile, speculation ledger, cross-job cache keys, reclaim
-// counts, checkpoint writer and scheduling counters. Pool is the scheduler
-// above the jobs of a shared worker pool: the running-job table, every
-// job's ready stack and fair-share account, the draw, the hunger pass,
-// revocation across jobs, the control tick and the tuner (pool.go). Both
-// have one method per event, which returns what the driver must do next —
-// vertex ids to queue or ship, a verdict, the jobs to end — and does no I/O
-// of its own beyond the store, the cache and the checkpoint writer a Job
-// was handed.
+// counts, checkpoint writer and scheduling counters (Counters, Stats). Pool
+// is the scheduler above the jobs of a shared worker pool: the running-job
+// table, every job's ready set behind its draw order (internal/sched) and
+// fair-share account, the draw, the hunger pass, revocation across jobs,
+// the control tick and the tuner (pool.go). Both have one method per event,
+// which returns what the driver must do next — vertex ids to queue or ship,
+// a verdict, the jobs to end — and does no I/O of its own beyond the store,
+// the cache and the checkpoint writer a Job was handed.
 //
-// Three drivers run a Job: core's fixed-rank master (over comm.Transport,
-// with internal/sched's dispatchers for its one ready queue), the fleet
-// (many jobs over one elastic TCP pool) and the simulator (a single-threaded
-// event loop on a fake clock); the last two run them under one Pool. A
-// driver owns what is I/O: members and their connections or simulated
-// queues, the wire encoding, the membership registry, when a member counts
-// as idle or hungry, when the tick fires, the finish latch, the checkpoint
-// file.
+// Three drivers run jobs under a Pool: core's fixed-rank master (one job
+// over comm.Transport, its Policy the job's draw order), the fleet (many
+// jobs over one elastic TCP pool) and the simulator (a single-threaded event
+// loop on a fake clock). A driver owns what is I/O: members and their
+// connections or simulated queues, the wire encoding, the membership
+// registry, when a member counts as idle or hungry, when the tick fires,
+// the finish latch, the checkpoint file.
 //
 // docs/INTERNALS.md ("Job engine") has the event → call → action tables.
 //
 // Neither type starts a goroutine, channel or timer nor reads a clock: time
 // arrives as the now argument of the event. A Pool takes no lock at all —
-// its driver serializes every call — and what follows is the Job's.
+// its driver serializes every call, and with them the Job methods the pool
+// calls: Lease, Expire, FlagStragglers, Revoke, Deepest, StealFrom, Sample.
 //
-// Concurrency contract. Replay, Frontier and Complete have one caller at
-// a time — the driver's receive side — and own the parser, the store
-// writes, the content keys and the reclaim counts without a lock; a
-// sender reading a committed dependency (Gather, ResultKey) is ordered
-// behind the write by the driver's own ready hand-off, since a vertex is
-// only drawn after Complete returned it. Lease, Graph, Gather, ResultKey,
-// Shipped and Unlease may run from concurrent senders. Expire has one
-// caller at a time (the control loop; it owns the per-vertex timeout
-// counts); FlagStragglers, Revoke, Deepest, StealFrom, Sample and the
-// accessors may run from any goroutine. specMu guards the speculation
-// ledger and is the only lock the engine declares; the sched tables, the
-// parser, the store, the cache and the trace recorder keep their own leaf
-// locks, none of which is held across a call out.
+// Concurrency contract, for what a driver calls on a Job itself. Replay,
+// Frontier and Complete have one caller at a time — the receive side,
+// outside the driver's lock, so that a commit (decode, store, cache and
+// checkpoint write) never stalls a draw — and own the parser, the store
+// writes, the content keys and the reclaim counts without a lock; a sender
+// reading a committed dependency (Gather, ResultKey) is ordered behind the
+// write by the driver's own ready hand-off, since a vertex is only drawn
+// after Complete returned it. Graph, Gather, ResultKey, Shipped and Unlease
+// may run from concurrent senders, the accessors from any goroutine. So
+// Complete races Lease and the tick: specMu guards the speculation ledger
+// both write and is the only lock the engine declares; the sched tables,
+// the parser, the store, the cache and the trace recorder keep their own
+// leaf locks, none of which is held across a call out.
 package engine
 
 import (
@@ -48,7 +48,6 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/dag"
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -113,7 +112,7 @@ type Job[T any] struct {
 	ot      *sched.OvertimeQueue
 	leases  *sched.LeaseTable
 	profile *sched.RuntimeProfile
-	ctrs    cluster.Counters
+	ctrs    Counters
 	ckpt    *checkpoint.Writer
 
 	// frontier[v] marks a computable, uncommitted vertex while checkpoint
@@ -597,7 +596,7 @@ func (j *Job[T]) Leaked() int { return j.reg.Outstanding() + j.leases.Len() }
 // Counters is the job's scheduling ledger. The engine keeps the fields its
 // events move; BlocksShipped and BlocksSkipped depend on the wire format
 // and are the driver's to bump as it encodes.
-func (j *Job[T]) Counters() *cluster.Counters { return &j.ctrs }
+func (j *Job[T]) Counters() *Counters { return &j.ctrs }
 
 // Store is the job's block store: the result, once Finished.
 func (j *Job[T]) Store() matrix.BlockStore[T] { return j.store }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
 )
@@ -104,6 +106,10 @@ type JobParams struct {
 	// Timeout ends the job at the first Tick not before that long after
 	// it was added (0 = no bound).
 	Timeout time.Duration
+	// Order is the draw order inside the job: which of its computable
+	// vertices a member is handed first, or at all. Nil is the dynamic
+	// pool's LIFO stack; core's fixed-rank master sets it from its Policy.
+	Order sched.Order
 }
 
 // Grant is one vertex Pool.Lease leased: the entry of a task message.
@@ -129,15 +135,16 @@ type Account struct {
 }
 
 // Pool is the scheduler above the jobs, written once like Job: the table
-// of running jobs in submission order and, per job, the LIFO ready stack,
-// the fair-share account and the deadline, behind one method per
-// fleet-level event. The fleet calls it from its sockets and the simulator
-// from its event loop; what a driver keeps is what is I/O — members and
+// of running jobs in submission order and, per job, the ready set behind
+// its draw order, the fair-share account and the deadline, behind one
+// method per fleet-level event. The fleet calls it from its sockets, the
+// simulator from its event loop and core's master, with its one job, from
+// its rank transport; what a driver keeps is what is I/O — members and
 // their connections or simulated queues, encoding, when a member is idle
 // or hungry, the finish latch.
 //
 // A Pool starts no goroutine, channel or timer, takes no lock and reads no
-// clock: the driver serializes every call (the fleet under Fleet.mu), and
+// clock: the driver serializes every call (under Fleet.mu, master.mu), and
 // time, the live-member count and the hunger-beacon count are arguments.
 // Params and Tuner read only what NewPool set and need no serializing.
 type Pool[T any] struct {
@@ -159,11 +166,10 @@ type poolJob[T any] struct {
 	JobParams
 	deadline time.Time // zero = no bound
 
-	// ready is the computable-vertex stack (LIFO, like the single-job
-	// dispatcher). drawn counts vertices Draw popped that Lease or Undraw
-	// has not settled: they count against the quota, so concurrent senders
-	// cannot overshoot it between draw and grant.
-	ready  []int32
+	// The computable vertices are queued in Order (JobParams; never nil
+	// here). drawn counts vertices Draw popped that Lease or Undraw has not
+	// settled: they count against the quota, so concurrent senders cannot
+	// overshoot it between draw and grant.
 	served float64
 	drawn  int
 }
@@ -172,7 +178,7 @@ func (e *poolJob[T]) inflight() int { return e.job.Inflight() + e.drawn }
 
 // eligible reports whether the job may be handed work right now.
 func (e *poolJob[T]) eligible() bool {
-	return len(e.ready) > 0 && (e.Quota <= 0 || e.inflight() < e.Quota)
+	return e.Order.Len() > 0 && (e.Quota <= 0 || e.inflight() < e.Quota)
 }
 
 // NewPool builds an empty pool.
@@ -211,6 +217,9 @@ func (p *Pool[T]) Tuner() *tune.Controller { return p.tuner }
 // Add enters job into the running table under the driver's id, with the
 // frontier its engine handed out queued and its Timeout counted from now.
 func (p *Pool[T]) Add(id int32, job *Job[T], params JobParams, frontier []int32, now time.Time) {
+	if params.Order == nil {
+		params.Order = &sched.LIFO{}
+	}
 	e := &poolJob[T]{id: id, job: job, JobParams: params}
 	if params.Timeout > 0 {
 		e.deadline = now.Add(params.Timeout)
@@ -245,12 +254,13 @@ func (p *Pool[T]) Remove(id int32) {
 // earliest submitted on a tie. Two jobs of equal weight converge to equal
 // dispatch counts and skewed weights to the weight ratio; a job at its
 // quota or with nothing queued drops out without blocking the others. On
-// the way it records the spread of service the choice was made under.
-func (p *Pool[T]) pick() *poolJob[T] {
+// the way it records the spread of service the choice was made under. The
+// jobs in skip sit the contest out.
+func (p *Pool[T]) pick(skip []*poolJob[T]) *poolJob[T] {
 	var best *poolJob[T]
 	var lo, hi float64
 	for _, e := range p.order {
-		if !e.eligible() {
+		if !e.eligible() || slices.Contains(skip, e) {
 			continue
 		}
 		if best == nil {
@@ -270,26 +280,28 @@ func (p *Pool[T]) pick() *poolJob[T] {
 	return best
 }
 
-// Draw pops the next batch for an idle member: the job pick names, up to
-// the batch cap in effect of its newest ready vertices, clamped to the
-// job's quota room (never under one), charged to its account. ok is false
-// when no job is eligible; the driver then waits for an event that queues
-// work or frees quota room. Every draw is settled by one Lease or Undraw.
-func (p *Pool[T]) Draw() (id int32, ids []int32, ok bool) {
-	e := p.pick()
-	if e == nil {
-		return 0, nil, false
+// Draw pops the next batch for idle member: of the job pick names, what its
+// order hands the member first, up to the batch cap in effect clamped to the
+// job's quota room (never under one), charged to its account. A job whose
+// order holds nothing for this member — BCW vertices are their owner's
+// alone — is passed over for the next pick. ok is false when no job is
+// eligible; the driver then waits for an event that queues work or frees
+// quota room. Every draw is settled by one Lease or Undraw.
+func (p *Pool[T]) Draw(member int) (id int32, ids []int32, ok bool) {
+	var skip []*poolJob[T]
+	for e := p.pick(nil); e != nil; e = p.pick(skip) {
+		n := p.tuner.BatchCapOr(p.cfg.Batch)
+		if e.Quota > 0 {
+			n = min(n, e.Quota-e.inflight())
+		}
+		if ids = e.Order.Pop(member, max(n, 1)); len(ids) > 0 {
+			e.served += float64(len(ids)) / e.Weight
+			e.drawn += len(ids)
+			return e.id, ids, true
+		}
+		skip = append(skip, e)
 	}
-	n := p.tuner.BatchCapOr(p.cfg.Batch)
-	if e.Quota > 0 {
-		n = min(n, e.Quota-e.inflight())
-	}
-	n = min(max(n, 1), len(e.ready))
-	ids = append(ids, e.ready[len(e.ready)-n:]...)
-	e.ready = e.ready[:len(e.ready)-n]
-	e.served += float64(n) / e.Weight
-	e.drawn += n
-	return e.id, ids, true
+	return 0, nil, false
 }
 
 // Lease settles a draw by leasing it to member: Granted and Backup
@@ -343,8 +355,8 @@ func (p *Pool[T]) push(e *poolJob[T], ids []int32) {
 	if len(ids) == 0 {
 		return
 	}
-	e.ready = append(e.ready, ids...)
-	e.job.cfg.Trace.Ready(len(e.ready))
+	e.Order.Push(ids...)
+	e.job.cfg.Trace.Ready(e.Order.Len())
 }
 
 // requeue puts back vertices that were drawn before. They were charged on
@@ -368,7 +380,7 @@ func (p *Pool[T]) Hunger(member int) bool {
 	var from *poolJob[T]
 	victim, deepest := 0, 1
 	for _, e := range p.order {
-		if len(e.ready) > 0 || e.job.Load(member) > 0 {
+		if e.Order.Len() > 0 || e.job.Load(member) > 0 {
 			return false
 		}
 		if m, n := e.job.Deepest(member); n > deepest {
@@ -437,7 +449,7 @@ func (p *Pool[T]) tickJob(e *poolJob[T], now time.Time, live int) error {
 		return err
 	}
 	p.requeue(e, requeue)
-	if p.cfg.Speculate && len(e.ready) == 0 {
+	if p.cfg.Speculate && e.Order.Len() == 0 {
 		// Idle capacity takes queued work first.
 		q, mult := p.tuner.SpecParamsOr(p.cfg.SpecQuantile, p.cfg.SpecMultiplier)
 		p.push(e, e.job.FlagStragglers(now, q, mult, p.cfg.SpecFloor, p.cfg.SpecMinSamples, live))
@@ -449,7 +461,7 @@ func (p *Pool[T]) tickJob(e *poolJob[T], now time.Time, live int) error {
 func (p *Pool[T]) Accounts() []Account {
 	out := make([]Account, len(p.order))
 	for i, e := range p.order {
-		out[i] = Account{ID: e.id, Ready: len(e.ready), Inflight: e.inflight(), Served: e.served}
+		out[i] = Account{ID: e.id, Ready: e.Order.Len(), Inflight: e.inflight(), Served: e.served}
 	}
 	return out
 }

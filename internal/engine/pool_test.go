@@ -3,11 +3,14 @@ package engine_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dag"
 	"repro/internal/engine"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -51,10 +54,11 @@ func (p *poolRig) stack(id int32, n int, jp engine.JobParams) {
 	p.jobs[id] = r
 }
 
-// draw insists the pool hands out a batch and returns it.
+// draw insists the pool hands out a batch and returns it. It draws for
+// member 1: to the LIFO order of most scripts one member is like another.
 func (p *poolRig) draw() (int32, []int32) {
 	p.t.Helper()
-	id, ids, ok := p.pool.Draw()
+	id, ids, ok := p.pool.Draw(1)
 	if !ok {
 		p.t.Fatal("Draw found no eligible job")
 	}
@@ -73,24 +77,34 @@ func (p *poolRig) account(id int32) engine.Account {
 	panic("unreachable")
 }
 
-// drain is one member serving the pool until it is empty: draw, lease,
-// compute, deliver, and each job that commits its last vertex leaves,
-// checked for leaks and against the sequential matrix.
-func (p *poolRig) drain(member int) {
+// drain is the members taking turns to serve the pool until it is empty:
+// draw, lease, compute, deliver, and each job that commits its last vertex
+// leaves, checked for leaks and against the sequential matrix.
+func (p *poolRig) drain(members ...int) {
 	p.t.Helper()
 	for len(p.pool.Accounts()) > 0 {
-		id, ids := p.draw()
-		r := p.jobs[id]
-		grants, _ := p.pool.Lease(id, member, ids, p.now)
-		for _, g := range grants {
-			r.now = p.now
-			r.deliver(member, g.Vertex, g.Attempt, r.compute(g.Vertex), true)
-			p.pool.Ready(id, r.ready)
-			r.ready = nil
+		fed := false
+		for _, member := range members {
+			id, ids, ok := p.pool.Draw(member)
+			if !ok {
+				continue
+			}
+			fed = true
+			r := p.jobs[id]
+			grants, _ := p.pool.Lease(id, member, ids, p.now)
+			for _, g := range grants {
+				r.now = p.now
+				r.deliver(member, g.Vertex, g.Attempt, r.compute(g.Vertex), true)
+				p.pool.Ready(id, r.ready)
+				r.ready = nil
+			}
+			if r.eng.Finished() {
+				p.pool.Remove(id)
+				r.finish()
+			}
 		}
-		if r.eng.Finished() {
-			p.pool.Remove(id)
-			r.finish()
+		if !fed {
+			p.t.Fatalf("Draw found nothing for any of members %v", members)
 		}
 	}
 }
@@ -166,7 +180,7 @@ func TestFairShareQuotaEligibility(t *testing.T) {
 		}
 	}
 	// Jobs 1 and 3 have their quota drawn and unsettled, job 2 is empty.
-	if id, ids, ok := p.pool.Draw(); ok {
+	if id, ids, ok := p.pool.Draw(1); ok {
 		t.Fatalf("Draw = job %d %v with every job at quota or empty", id, ids)
 	}
 	p.stack(4, 9, engine.JobParams{}) // no quota: never blocks on what it holds
@@ -219,7 +233,7 @@ func TestPoolDrawQuotaClampsBatch(t *testing.T) {
 	if len(ids) != 3 {
 		t.Fatalf("draw = %v, want a quota-clamped batch of 3", ids)
 	}
-	if _, _, ok := p.pool.Draw(); ok {
+	if _, _, ok := p.pool.Draw(1); ok {
 		t.Fatal("a second sender drew past the quota before the first leased")
 	}
 	grants, spent := p.pool.Lease(1, 1, ids, p.now)
@@ -229,7 +243,7 @@ func TestPoolDrawQuotaClampsBatch(t *testing.T) {
 	if a := p.account(1); a.Inflight != 3 {
 		t.Fatalf("Inflight = %d with three leases out, want 3", a.Inflight)
 	}
-	if _, _, ok := p.pool.Draw(); ok {
+	if _, _, ok := p.pool.Draw(1); ok {
 		t.Fatal("drew past the quota with three leases in flight")
 	}
 	g := grants[0]
@@ -297,7 +311,7 @@ func TestPoolHungerStealsDeepestBacklogAcrossJobs(t *testing.T) {
 	// Drain both stacks: job 1's roots in twos to members 1-4, job 2's four
 	// to member 5 and the rest to member 6.
 	for member := 1; ; member++ {
-		id, ids, ok := p.pool.Draw()
+		id, ids, ok := p.pool.Draw(member)
 		if !ok {
 			break
 		}
@@ -379,6 +393,98 @@ func TestPoolRevokeAcrossJobs(t *testing.T) {
 	}
 	p.pool.Revoke(2)
 	p.drain(3)
+}
+
+// TestPoolBlockCyclicIdleWhileComputable is the paper's case against the
+// static baseline, on the pool: "computable DAG nodes alongside idle
+// threads". Under the BCW order a member draws its own columns' vertices in
+// wavefront order and nothing else, whatever is queued.
+func TestPoolBlockCyclicIdleWhileComputable(t *testing.T) {
+	prob, proc, _ := problem(t, "edit") // a 4x4 wavefront grid
+	g := dag.Build(prob.Kernel.Pattern(), dag.MatrixGeometry(prob.Size, proc))
+	at := func(row, col int) int32 { return g.Geom.ID(dag.Pos{Row: row, Col: col}) }
+	p := newPoolRig(t, engine.PoolConfig{Batch: 4})
+	// Two members, column runs of one: member 0 owns the even columns.
+	r := p.add(1, "edit", engine.JobParams{Order: sched.NewBlockCyclic(g, 2, 1)})
+	if _, ids, ok := p.pool.Draw(1); ok {
+		t.Fatalf("member 1 drew %v: the root is member 0's", ids)
+	}
+	_, ids, ok := p.pool.Draw(0)
+	if !ok || len(ids) != 1 || ids[0] != at(0, 0) {
+		t.Fatalf("member 0 drew (%v, %v), want the root", ids, ok)
+	}
+	grants, _ := p.pool.Lease(1, 0, ids, p.now)
+	r.deliver(0, grants[0].Vertex, grants[0].Attempt, r.compute(grants[0].Vertex), true)
+	p.pool.Ready(1, r.ready) // (0,1) and (1,0)
+	r.ready = nil
+	// Of the two only (1,0) is member 0's, and (2,0) behind it is fenced:
+	// a batch of one under a cap of four.
+	_, ids, ok = p.pool.Draw(0)
+	if !ok || len(ids) != 1 || ids[0] != at(1, 0) {
+		t.Fatalf("member 0 drew (%v, %v), want (1,0) alone", ids, ok)
+	}
+	// Member 0 is idle again, (0,1) is computable — and stays queued.
+	if _, ids, ok := p.pool.Draw(0); ok || p.account(1).Ready != 1 {
+		t.Fatalf("member 0 drew (%v, %v) with %d queued, want nothing of member 1's one vertex", ids, ok, p.account(1).Ready)
+	}
+	p.pool.Undraw(1, []int32{at(1, 0)}) // back to the head of member 0's queue
+	if _, ids, ok := p.pool.Draw(1); !ok || len(ids) != 1 || ids[0] != at(0, 1) {
+		t.Fatalf("member 1 drew (%v, %v), want (0,1): a requeue for member 0 is not its either", ids, ok)
+	}
+	p.pool.Undraw(1, []int32{at(0, 1)})
+	p.drain(0, 1)
+}
+
+// TestPoolAffinityDrawsMostHeldDeps runs a whole job under the affinity
+// order with the score core gives it — how many blocks of the vertex's data
+// region the member already holds, here the ones it computed: every draw is
+// a vertex no queued one outscores for that member, and at least once that
+// is not the newest, which LIFO would have handed out.
+func TestPoolAffinityDrawsMostHeldDeps(t *testing.T) {
+	p := newPoolRig(t, engine.PoolConfig{})
+	var g *dag.Graph
+	held := [2]map[int32]bool{{}, {}}
+	score := func(member int, v int32) (n int) {
+		for _, d := range g.Vertex(v).DataPre {
+			if held[member][d] {
+				n++
+			}
+		}
+		return n
+	}
+	r := p.add(1, "swgg", engine.JobParams{Order: sched.NewAffinity(score)}) // row + column data regions
+	g = r.eng.Graph()
+	queued := append([]int32(nil), r.eng.Graph().Roots()...) // in push order
+	choices := 0
+	for step := 0; !r.eng.Finished(); step++ {
+		member := step % 2
+		_, ids, ok := p.pool.Draw(member)
+		if !ok || len(ids) != 1 {
+			t.Fatalf("step %d: Draw = (%v, %v) with %v queued", step, ids, ok, queued)
+		}
+		v := ids[0]
+		for _, u := range queued {
+			if score(member, u) > score(member, v) {
+				t.Fatalf("step %d: member %d drew vertex %d (score %d) with vertex %d (score %d) queued",
+					step, member, v, score(member, v), u, score(member, u))
+			}
+		}
+		if newest := queued[len(queued)-1]; score(member, newest) < score(member, v) {
+			choices++
+		}
+		queued = slices.DeleteFunc(queued, func(u int32) bool { return u == v })
+		grants, _ := p.pool.Lease(1, member, ids, p.now)
+		r.deliver(member, v, grants[0].Attempt, r.compute(v), true)
+		held[member][v] = true
+		queued = append(queued, r.ready...)
+		p.pool.Ready(1, r.ready)
+		r.ready = nil
+	}
+	if choices == 0 {
+		t.Fatal("affinity never preferred a vertex over the newest: the script does not tell it from LIFO")
+	}
+	p.pool.Remove(1)
+	r.finish()
 }
 
 // TestPoolTickOrder pins what one tick does to one job, in order: expired
@@ -515,7 +621,7 @@ func TestPoolAutoTunes(t *testing.T) {
 	// Hunger halves it, stealing without Steal set.
 	p.pool.Revoke(1)
 	for {
-		id, ids, ok := p.pool.Draw()
+		id, ids, ok := p.pool.Draw(1)
 		if !ok {
 			break
 		}
@@ -547,9 +653,10 @@ var poolJobs = []poolJobSpec{
 }
 
 // randomPoolSchedule is TestRandomSchedules one level up: four jobs of
-// mixed weight, priority and quota on one pool, the last submitted mid-run,
-// and a single-threaded loop of seeded random fleet-level events — a sender
-// draws, a draw is leased to a random member (or handed back), a result is
+// mixed weight, priority, quota and draw order (randomOrder) on one pool,
+// the last submitted mid-run, and a single-threaded loop of seeded random
+// fleet-level events — a random member's sender draws, the draw is leased
+// to it (or handed back), a result is
 // delivered (sometimes twice, often late), the control loop ticks past
 // random deadlines, a member dies, a member goes hungry. After every step:
 // leased plus drawn vertices never exceed a quota; served is exactly the
@@ -583,8 +690,9 @@ func randomPoolSchedule(t *testing.T, seed int64, results map[string]map[int32][
 		attemptRef
 	}
 	type draw struct {
-		job int32
-		ids []int32
+		job    int32
+		member int // whom it was drawn for: under BCW the owner
+		ids    []int32
 	}
 	const members = 4
 	now := time.Unix(0, 0)
@@ -609,9 +717,14 @@ func randomPoolSchedule(t *testing.T, seed int64, results map[string]map[int32][
 		spec := poolJobs[id-1]
 		prob, proc, _ := problem(t, spec.app)
 		jp := pool.Params(spec.jp)
-		js := &jobState{spec: spec, jp: jp, committed: make(map[int32]bool), running: true}
+		js := &jobState{spec: spec, committed: make(map[int32]bool), running: true}
 		js.eng = engine.New(prob.Kernel.Pattern(), prob.Codec, prob.Size, proc,
 			engine.Config[int32]{TaskTimeout: jp.TaskTimeout, MaxAttempts: jp.MaxAttempts})
+		jp.Order = randomOrder(rng, js.eng.Graph(), members, func(format string, args ...any) {
+			t.Helper()
+			failf("job %s: "+format, append([]any{jp.Name}, args...)...)
+		})
+		js.jp = jp
 		js.preds = predecessors(js.eng.Graph())
 		frontier, err := js.eng.Frontier()
 		if err != nil {
@@ -694,14 +807,15 @@ func randomPoolSchedule(t *testing.T, seed int64, results map[string]map[int32][
 		}
 		switch {
 		case event < 3:
-			if id, ids, ok := pool.Draw(); ok {
+			member := rng.Intn(members)
+			if id, ids, ok := pool.Draw(member); ok {
 				js := jobs[id]
 				if !js.running || len(ids) == 0 {
 					failf("Draw = job %d %v (running %v)", id, ids, js.running)
 				}
 				checkReady(js, ids)
 				js.kept += len(ids)
-				draws = append(draws, draw{id, ids})
+				draws = append(draws, draw{id, member, ids})
 			}
 		case event < 5 || event == 11:
 			if len(draws) == 0 {
@@ -718,7 +832,7 @@ func randomPoolSchedule(t *testing.T, seed int64, results map[string]map[int32][
 				}
 				break
 			}
-			member := 1 + rng.Intn(members)
+			member := d.member
 			before := queued()
 			grants, spent := pool.Lease(d.job, member, d.ids, now)
 			held := refund(before)
@@ -757,13 +871,13 @@ func randomPoolSchedule(t *testing.T, seed int64, results map[string]map[int32][
 			}
 		case event == 8:
 			before := queued()
-			_, requeued := pool.Revoke(1 + rng.Intn(members))
+			_, requeued := pool.Revoke(rng.Intn(members))
 			if got := refund(before); got != requeued {
 				failf("Revoke says %d requeued, the stacks grew by %d", requeued, got)
 			}
 		default:
 			before := queued()
-			stole := pool.Hunger(1 + rng.Intn(members))
+			stole := pool.Hunger(rng.Intn(members))
 			if got := refund(before); stole != (got > 0) {
 				failf("Hunger = %v, the stacks grew by %d", stole, got)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/engine"
+	"repro/internal/sched"
 )
 
 // attemptRef is one task frame a worker holds: the test keeps it until the
@@ -17,18 +18,87 @@ type attemptRef struct {
 	v, attempt int32
 }
 
+// checkedOrder is a shipped draw order under the invariants every order owes
+// whoever queues into it, checked at each call: a popped id was pushed and
+// not popped since (with multiplicity: a flagged vertex whose original then
+// expires is rightly queued twice), Pop hands out no more than asked, Len is
+// what was pushed and not popped — so nothing is lost across a requeue,
+// whatever brought it: Undraw, Held, Revoke, Expire, a steal — and under BCW
+// a member is never handed a vertex it does not own.
+type checkedOrder struct {
+	sched.Order
+	failf  func(format string, args ...any)
+	queued map[int32]int
+	total  int
+	owner  func(v int32) int // nil unless the order is BCW
+}
+
+func (c *checkedOrder) Push(ids ...int32) {
+	for _, v := range ids {
+		c.queued[v]++
+	}
+	c.total += len(ids)
+	c.Order.Push(ids...)
+	c.checkLen()
+}
+
+func (c *checkedOrder) Pop(member, n int) []int32 {
+	ids := c.Order.Pop(member, n)
+	if len(ids) > n {
+		c.failf("Pop(%d, %d) handed out %v", member, n, ids)
+	}
+	for _, v := range ids {
+		if c.queued[v] == 0 {
+			c.failf("Pop(%d, %d) handed out vertex %d, which is not queued", member, n, v)
+		}
+		c.queued[v]--
+		if c.owner != nil && c.owner(v) != member {
+			c.failf("BCW handed member %d vertex %d, which member %d owns", member, v, c.owner(v))
+		}
+	}
+	c.total -= len(ids)
+	c.checkLen()
+	return ids
+}
+
+func (c *checkedOrder) checkLen() {
+	if got := c.Order.Len(); got != c.total {
+		c.failf("order holds %d vertices, %d were pushed and not popped", got, c.total)
+	}
+}
+
+// randomOrder draws one of the shipped orders over g for members
+// 0..members-1: the LIFO stack, BCW with a random column run, or affinity
+// over a seeded score.
+func randomOrder(rng *rand.Rand, g *dag.Graph, members int, failf func(string, ...any)) *checkedOrder {
+	c := &checkedOrder{failf: failf, queued: make(map[int32]int)}
+	switch rng.Intn(3) {
+	case 0:
+		c.Order = &sched.LIFO{}
+	case 1:
+		blockCols := 1 + rng.Intn(3)
+		c.Order = sched.NewBlockCyclic(g, members, blockCols)
+		c.owner = func(v int32) int { return sched.Owner(g.Vertex(v).Pos, blockCols, members) }
+	case 2:
+		salt := rng.Intn(1 << 16)
+		c.Order = sched.NewAffinity(func(member int, v int32) int { return (salt + 7*member + 13*int(v)) % 5 })
+	}
+	return c
+}
+
 // TestRandomSchedules drives the shipped engine through generated
 // schedules: for each dependency shape and each seed a single-threaded loop
-// draws random events — lease a queued vertex (sometimes a flagged one) to
-// a random member, deliver a result, deliver it twice, deliver a retired
-// attempt's, let deadlines pass and Expire, Revoke a member, steal, flag
-// stragglers — and checks after every step that no vertex became ready
-// before all its predecessors committed, none committed twice, and no
-// vertex carries more than two live attempts; at the end nothing may have
-// leaked and the matrix must be bit-identical to the sequential one. The
-// pool subtest does the same to the scheduler above the jobs, four of them
-// at once (randomPoolSchedule). A failure names its seed: rerun with that
-// seed alone to replay it.
+// draws random events — a random member draws from the seed's draw order
+// (randomOrder) and leases the vertex (sometimes a flagged one), a result
+// is delivered, delivered twice, a retired attempt's delivered, deadlines
+// pass and Expire, a member is Revoked, robbed, stragglers are flagged —
+// and checks after every step that no vertex became ready before all its
+// predecessors committed, none committed twice, no vertex carries more than
+// two live attempts, and the order kept its own invariants (checkedOrder);
+// at the end nothing may have leaked and the matrix must be bit-identical
+// to the sequential one. The pool subtest does the same to the scheduler
+// above the jobs, four of them at once (randomPoolSchedule). A failure names
+// its seed: rerun with that seed alone to replay it.
 func TestRandomSchedules(t *testing.T) {
 	const seeds = 200
 	apps := []string{"edit", "nussinov", "swgg"}
@@ -74,12 +144,12 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 	const members = 4
 	now := time.Unix(0, 0)
 	committed := make(map[int32]bool)
-	var queue []int32       // the driver's ready queue, requeues and flags included
 	var frames []attemptRef // granted and not yet answered
 	failf := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s seed %d: "+format, append([]any{app, seed}, args...)...)
 	}
+	queue := randomOrder(rng, g, members, failf) // the driver's ready set, requeues and flags included
 	enqueue := func(ready []int32) {
 		for _, v := range ready {
 			if committed[v] {
@@ -91,7 +161,7 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 				}
 			}
 		}
-		queue = append(queue, ready...)
+		queue.Push(ready...)
 	}
 	deliver := func(f attemptRef, twice bool) {
 		ready, accepted, err := eng.Complete(f.member, f.v, f.attempt, results[f.v], now)
@@ -117,14 +187,8 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 		case engine.Granted, engine.Backup:
 			frames = append(frames, attemptRef{member, v, attempt})
 		case engine.Held:
-			queue = append(queue, v)
+			queue.Push(v)
 		}
-	}
-	pop := func() int32 {
-		i := rng.Intn(len(queue))
-		v := queue[i]
-		queue = append(queue[:i], queue[i+1:]...)
-		return v
 	}
 
 	ready, err := eng.Frontier()
@@ -142,8 +206,9 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 		}
 		switch {
 		case event < 3:
-			if len(queue) > 0 {
-				lease(pop(), 1+rng.Intn(members))
+			member := rng.Intn(members)
+			for _, v := range queue.Pop(member, 1+rng.Intn(3)) {
+				lease(v, member)
 			}
 		case event < 5:
 			if len(frames) > 0 {
@@ -158,17 +223,17 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 			if err != nil {
 				failf("Expire: %v", err)
 			}
-			queue = append(queue, requeue...)
+			queue.Push(requeue...)
 		case event == 6:
-			_, requeue := eng.Revoke(1 + rng.Intn(members))
-			queue = append(queue, requeue...)
+			_, requeue := eng.Revoke(rng.Intn(members))
+			queue.Push(requeue...)
 		case event == 7:
-			thief := 1 + rng.Intn(members)
+			thief := rng.Intn(members)
 			if victim, depth := eng.Deepest(thief); depth >= 2 {
-				queue = append(queue, eng.StealFrom(victim, thief)...)
+				queue.Push(eng.StealFrom(victim, thief)...)
 			}
 		default:
-			queue = append(queue, eng.FlagStragglers(now, 0.5, 1, 0, 1, 2)...)
+			queue.Push(eng.FlagStragglers(now, 0.5, 1, 0, 1, 2)...)
 		}
 		for _, v := range existing {
 			if n := eng.LiveAttempts(v); n > 2 {
@@ -176,7 +241,7 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 			}
 		}
 		if step > 100000 {
-			failf("no end in sight: %d vertices remain, %d queued, %d frames", eng.Remaining(), len(queue), len(frames))
+			failf("no end in sight: %d vertices remain, %d queued, %d frames", eng.Remaining(), queue.Len(), len(frames))
 		}
 	}
 	if n := eng.Leaked(); n != 0 {

@@ -158,7 +158,7 @@ type Snapshot struct {
 	// Members is the membership view (states, joins, deaths, ...).
 	Members cluster.Snapshot
 	// Aggregate rolls every job's Stats up into one ledger.
-	Aggregate cluster.Stats
+	Aggregate engine.Stats
 }
 
 // Fleet runs many concurrent DAG jobs over one shared elastic worker
@@ -619,7 +619,7 @@ func (f *Fleet[T]) nextBatch(mc *memberConn) (*job[T], []int32, bool) {
 		if f.closed || mc.stopped() {
 			return nil, nil, false
 		}
-		if id, ids, ok := f.pool.Draw(); ok {
+		if id, ids, ok := f.pool.Draw(mc.id); ok {
 			return f.jobs[id], ids, true
 		}
 		f.cond.Wait()

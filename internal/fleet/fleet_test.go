@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
@@ -310,13 +310,13 @@ func TestFleetPoisonedJobIsolationFakeClock(t *testing.T) {
 		poisonCh <- outcome{res, err}
 	}()
 
-	stats := func(name string) cluster.Stats {
+	stats := func(name string) engine.Stats {
 		for _, j := range f.Snapshot().Jobs {
 			if j.Name == name {
 				return j.Stats
 			}
 		}
-		return cluster.Stats{}
+		return engine.Stats{}
 	}
 
 	for round := 1; round <= maxAttempts; round++ {

@@ -62,7 +62,7 @@ func TestFleetDuplicateResultIdempotent(t *testing.T) {
 			draw := func() (int32, bool) {
 				f.mu.Lock()
 				defer f.mu.Unlock()
-				_, ids, ok := f.pool.Draw()
+				_, ids, ok := f.pool.Draw(0) // every fleet job draws LIFO: any member
 				if !ok {
 					return 0, false
 				}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/engine"
@@ -102,7 +101,7 @@ func (m JobMeta) digest() string {
 // own statistics ledger.
 type Result[T any] struct {
 	Store matrix.BlockStore[T]
-	Stats cluster.Stats
+	Stats engine.Stats
 }
 
 // JobStatus is the monitoring view of one job (see Fleet.Snapshot).
@@ -121,7 +120,7 @@ type JobStatus struct {
 	// scheduler is working off, and an autoscaling signal: a persistent
 	// positive deficit across jobs means the pool is too small.
 	Deficit float64
-	Stats   cluster.Stats
+	Stats   engine.Stats
 }
 
 // job is one DAG on the fleet. The job engine holds its DAG-progress half
@@ -273,7 +272,7 @@ func (jb *job[T]) finalErr() error {
 // stats materializes the job's ledger. Membership fields stay zero —
 // joins and deaths belong to the fleet, not to any one job — except the
 // lease audit, which is per job.
-func (jb *job[T]) stats() cluster.Stats {
+func (jb *job[T]) stats() engine.Stats {
 	s := jb.eng.Counters().Stats()
 	jb.errMu.Lock()
 	if jb.finished() {

@@ -36,7 +36,7 @@ func drawOne(t *testing.T, f *Fleet[int32]) []int32 {
 	t.Helper()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, ids, ok := f.pool.Draw()
+	_, ids, ok := f.pool.Draw(0) // every fleet job draws LIFO: any member
 	if !ok || len(ids) != 1 {
 		t.Fatalf("draw = (%v, %v), want one queued vertex", ids, ok)
 	}
@@ -50,7 +50,7 @@ func drainReady(f *Fleet[int32]) []int32 {
 	defer f.mu.Unlock()
 	var all []int32
 	for {
-		_, ids, ok := f.pool.Draw()
+		_, ids, ok := f.pool.Draw(0) // every fleet job draws LIFO: any member
 		if !ok {
 			return all
 		}

@@ -14,7 +14,7 @@ import (
 // the same mutex, deadlocks the run.
 //
 // sync.Cond.Wait is deliberately exempt: it releases its locker while
-// waiting, which is the dispatcher's (sched.Dynamic/BlockCyclic) correct
+// waiting, which is the dispatcher's (sched.Queue, core.master) correct
 // idiom. close() is exempt too — it never blocks.
 //
 // The analysis is a conservative lexical walk, not a full CFG: a lock is

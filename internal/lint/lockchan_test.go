@@ -60,7 +60,7 @@ func (s *S) f() int {
 
 func TestCondWaitExempt(t *testing.T) {
 	// sync.Cond.Wait releases its locker — the dispatcher idiom
-	// (sched.Dynamic.Next) must stay clean.
+	// (sched.Queue.NextBatch) must stay clean.
 	got := checkFixture(t, "repro/internal/x", `package x
 import "sync"
 

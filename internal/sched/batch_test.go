@@ -160,34 +160,58 @@ func TestNextBatchFlushOnIdle(t *testing.T) {
 	}
 }
 
-// TestBlockCyclicNextBatch checks that the static policy only batches
+// TestBlockCyclicNextBatch checks that the static order only batches
 // consecutive ready heads of a worker's own queue: a non-ready head fences
 // everything behind it, preserving the per-worker wavefront order.
 func TestBlockCyclicNextBatch(t *testing.T) {
 	gr := buildGraph(t, dag.NameWavefront, 16, 4) // 4x4 grid
 	b := NewBlockCyclic(gr, 2, 1)
 	parser := dag.NewParser(gr)
-	b.Ready(parser.InitialReady()...)
+	b.Push(parser.InitialReady()...)
 
 	// Worker 0 owns even columns. Only vertex 0 (block 0,0) is a root, so
 	// the first batch must be exactly {0} even with a large max.
-	ids, ok := b.NextBatch(0, 8)
-	if !ok || len(ids) != 1 || ids[0] != 0 {
-		t.Fatalf("first batch = %v, %v; want [0]", ids, ok)
+	ids := b.Pop(0, 8)
+	if len(ids) != 1 || ids[0] != 0 {
+		t.Fatalf("first batch = %v; want [0]", ids)
 	}
-	b.Ready(parser.Complete(0)...)
+	b.Push(parser.Complete(0)...)
 
 	// Completing 0 readies (0,1) for worker 1 and (1,0) for worker 0; the
 	// next worker-0 batch holds only (1,0) because (2,0) is fenced.
-	ids, ok = b.NextBatch(0, 8)
-	if !ok || len(ids) != 1 {
-		t.Fatalf("second batch = %v, %v; want one fenced vertex", ids, ok)
+	ids = b.Pop(0, 8)
+	if len(ids) != 1 {
+		t.Fatalf("second batch = %v; want one fenced vertex", ids)
 	}
 	if got := gr.Vertex(ids[0]).Pos; got != (dag.Pos{Row: 1, Col: 0}) {
 		t.Fatalf("second batch delivered %v", got)
 	}
-	b.Close()
-	if _, ok := b.NextBatch(0, 4); ok {
-		t.Fatal("NextBatch after close returned ok")
+	// (0,1) is queued and computable, and not worker 0's to take.
+	if ids := b.Pop(0, 8); len(ids) != 0 || b.Len() != 1 {
+		t.Fatalf("worker 0 drew %v with %d queued; want nothing of worker 1's one vertex", ids, b.Len())
+	}
+	q := NewQueue(b)
+	q.Close()
+	if _, ok := q.NextBatch(0, 4); ok {
+		t.Fatal("NextBatch after close returned ok with nothing of worker 0's queued")
+	}
+}
+
+// TestAffinityPopsBestScoreFirst pins the affinity order: each pop is the
+// queued vertex the member's score rates highest (the earliest pushed on a
+// tie), a batch is successive bests, and another member's scores play no
+// part.
+func TestAffinityPopsBestScoreFirst(t *testing.T) {
+	score := map[int]map[int32]int{0: {10: 1, 11: 3, 12: 3, 13: 0}, 1: {13: 9}}
+	a := NewAffinity(func(member int, v int32) int { return score[member][v] })
+	a.Push(10, 11, 12, 13)
+	if ids := a.Pop(0, 3); len(ids) != 3 || ids[0] != 11 || ids[1] != 12 || ids[2] != 10 {
+		t.Fatalf("Pop(0, 3) = %v, want [11 12 10]: best first, ties in push order", ids)
+	}
+	if ids := a.Pop(1, 8); len(ids) != 1 || ids[0] != 13 || a.Len() != 0 {
+		t.Fatalf("Pop(1, 8) = %v with %d left, want the one vertex queued", ids, a.Len())
+	}
+	if ids := a.Pop(1, 8); len(ids) != 0 {
+		t.Fatalf("Pop on an empty order = %v", ids)
 	}
 }

@@ -113,27 +113,32 @@ func TestBlockCyclicRequeueAndReadyCount(t *testing.T) {
 	geom := dag.MatrixGeometry(dag.Square(4), dag.Square(1))
 	gr := dag.Build(dag.Wavefront{}, geom)
 	b := NewBlockCyclic(gr, 2, 2)
-	if got := b.ReadyCount(); got != 0 {
+	d := NewQueue(b)
+	if got := d.ReadyCount(); got != 0 {
 		t.Fatalf("fresh ReadyCount = %d, want 0", got)
 	}
 	root := geom.ID(dag.Pos{Row: 0, Col: 0})
-	b.Ready(root)
-	if got := b.ReadyCount(); got != 1 {
+	d.Ready(root)
+	if got := d.ReadyCount(); got != 1 {
 		t.Fatalf("ReadyCount = %d, want 1", got)
 	}
-	id, ok := b.Next(0)
+	id, ok := d.Next(0)
 	if !ok || id != root {
 		t.Fatalf("Next(0) = %d, %v; want root %d", id, ok, root)
 	}
-	if got := b.ReadyCount(); got != 0 {
+	if got := d.ReadyCount(); got != 0 {
 		t.Fatalf("ReadyCount after Next = %d, want 0", got)
 	}
-	// A timed-out vertex goes back ready at the head of queue 0.
-	b.Requeue(root)
-	if got := b.ReadyCount(); got != 1 {
+	// A timed-out vertex goes back ready at the head of its owner's queue,
+	// in front of what is fenced there, and to no one else.
+	d.Requeue(root)
+	if got := d.ReadyCount(); got != 1 {
 		t.Fatalf("ReadyCount after Requeue = %d, want 1", got)
 	}
-	if id, ok := b.Next(0); !ok || id != root {
+	if ids := b.Pop(1, 4); len(ids) != 0 {
+		t.Fatalf("worker 1 drew %v, worker 0's requeued vertex", ids)
+	}
+	if id, ok := d.Next(0); !ok || id != root {
 		t.Fatalf("Next after Requeue = %d, %v; want root %d at queue head", id, ok, root)
 	}
 }
@@ -150,20 +155,21 @@ func TestBlockCyclicNextBatchFencesOnNonReadyHead(t *testing.T) {
 	// Mark the head and its level-1 successors ready, but leave the second
 	// level-1 vertex out: the batch must stop at the fence even though a
 	// later queue entry is ready.
-	b.Ready(v00, v01)
-	ids, ok := b.NextBatch(0, 8)
+	q := NewQueue(b)
+	q.Ready(v00, v01)
+	ids, ok := q.NextBatch(0, 8)
 	if !ok || len(ids) != 2 || ids[0] != v00 || ids[1] != v01 {
 		t.Fatalf("NextBatch = %v, %v; want ready prefix [%d %d]", ids, ok, v00, v01)
 	}
-	b.Ready(v10)
-	if ids, ok := b.NextBatch(0, 8); !ok || len(ids) != 1 || ids[0] != v10 {
+	q.Ready(v10)
+	if ids, ok := q.NextBatch(0, 8); !ok || len(ids) != 1 || ids[0] != v10 {
 		t.Fatalf("NextBatch after fence lifted = %v, %v; want [%d]", ids, ok, v10)
 	}
-	b.Close()
-	if ids, ok := b.NextBatch(0, 8); ok || ids != nil {
+	q.Close()
+	if ids, ok := q.NextBatch(0, 8); ok || ids != nil {
 		t.Fatalf("NextBatch on closed dispatcher = %v, %v; want nil, false", ids, ok)
 	}
-	if id, ok := b.Next(0); ok {
+	if id, ok := q.Next(0); ok {
 		t.Fatalf("Next on closed dispatcher = %d, %v; want false", id, ok)
 	}
 }

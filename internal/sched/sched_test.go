@@ -126,9 +126,9 @@ func TestRegisterTableRegisterFinishedRefused(t *testing.T) {
 	}
 }
 
-// drainDispatcher runs the full DAG through a dispatcher with the given
-// number of workers, returning per-worker executed vertex lists.
-func drainDispatcher(t *testing.T, gr *dag.Graph, d Dispatcher, workers int) [][]int32 {
+// drainDispatcher runs the full DAG through a queue with the given number
+// of workers, returning per-worker executed vertex lists.
+func drainDispatcher(t *testing.T, gr *dag.Graph, d *Queue, workers int) [][]int32 {
 	t.Helper()
 	parser := dag.NewParser(gr)
 	d.Ready(parser.InitialReady()...)
@@ -181,7 +181,7 @@ func TestDynamicDrainsDAG(t *testing.T) {
 func TestBlockCyclicDrainsDAG(t *testing.T) {
 	for _, pat := range []dag.Pattern{dag.Wavefront{}, dag.RowColumn{}, dag.Triangular{}} {
 		gr := dag.Build(pat, dag.MatrixGeometry(dag.Square(24), dag.Square(3)))
-		d := NewBlockCyclic(gr, 3, 2)
+		d := NewQueue(NewBlockCyclic(gr, 3, 2))
 		execed := drainDispatcher(t, gr, d, 3)
 		total := 0
 		for w, e := range execed {
@@ -216,7 +216,7 @@ func TestBlockCyclicIdleWhileComputable(t *testing.T) {
 	// worker 1 absent the vertex waits even though worker 0 idles. We
 	// assert the dispatcher does NOT give (0,1) to worker 0.
 	gr := dag.Build(dag.Wavefront{}, dag.MatrixGeometry(dag.Square(4), dag.Square(1)))
-	d := NewBlockCyclic(gr, 2, 1)
+	d := NewQueue(NewBlockCyclic(gr, 2, 1))
 	parser := dag.NewParser(gr)
 	d.Ready(parser.InitialReady()...)
 
@@ -312,13 +312,68 @@ func TestDynamicRequeue(t *testing.T) {
 	d.Close()
 }
 
-func TestBlockCyclicWorkerFinishes(t *testing.T) {
-	// A worker whose queue is exhausted gets ok == false even before
-	// global completion.
+// A BCW owner whose static queue is drained is not done: a vertex of its
+// that timed out comes back to it. It parks until Close, and draws the
+// requeue. (The dispatcher this replaces reported the end to a drained
+// worker at once; core's sender then left, and a vertex requeued after
+// that had no one to draw it — the run hung until RunTimeout.)
+func TestBlockCyclicDrainedOwnerBlocksUntilClose(t *testing.T) {
 	gr := dag.Build(dag.Wavefront{}, dag.MatrixGeometry(dag.Square(2), dag.Square(1)))
-	d := NewBlockCyclic(gr, 4, 1) // workers 2,3 own nothing (grid has 2 cols)
-	if _, ok := d.Next(3); ok {
-		t.Fatal("worker with empty queue got work")
+	d := NewQueue(NewBlockCyclic(gr, 2, 1))
+	parser := dag.NewParser(gr)
+	d.Ready(parser.InitialReady()...)
+	// Worker 1 owns column 1: (0,1), then (1,1). Run the whole DAG.
+	var last int32
+	for _, w := range []int{0, 1, 0, 1} {
+		id, ok := d.Next(w)
+		if !ok {
+			t.Fatalf("worker %d got no vertex mid-run", w)
+		}
+		d.Ready(parser.Complete(id)...)
+		last = id
+	}
+	blocked := make(chan struct{}, 2)
+	d.onWait = func() { blocked <- struct{}{} }
+	type drawn struct {
+		id int32
+		ok bool
+	}
+	got := make(chan drawn, 1)
+	next := func() {
+		id, ok := d.Next(1)
+		got <- drawn{id, ok}
+	}
+	park := func() {
+		t.Helper()
+		select {
+		case <-blocked:
+		case g := <-got:
+			t.Fatalf("drained owner's Next returned (%d, %v), want it parked", g.id, g.ok)
+		case <-time.After(5 * time.Second):
+			t.Fatal("drained owner neither parked nor returned")
+		}
+	}
+	go next()
+	park()
+	d.Requeue(last) // (1,1) timed out
+	select {
+	case g := <-got:
+		if !g.ok || g.id != last {
+			t.Fatalf("after the requeue the owner drew (%d, %v), want vertex %d", g.id, g.ok, last)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the requeued vertex was never drawn")
+	}
+	go next()
+	park()
+	d.Close()
+	select {
+	case g := <-got:
+		if g.ok {
+			t.Fatalf("Next returned vertex %d after Close", g.id)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock the drained owner")
 	}
 }
 

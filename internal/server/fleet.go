@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 )
@@ -82,7 +82,7 @@ func (m *Manager) Trace(id string) ([]trace.JSONEvent, error) {
 // and RunStats work unchanged. SubTasks and transport totals stay zero:
 // thread-level execution happens on remote workers, outside the master's
 // books.
-func coreStats(s cluster.Stats) core.Stats {
+func coreStats(s engine.Stats) core.Stats {
 	return core.Stats{
 		Tasks:           s.Tasks,
 		Dispatches:      s.Dispatches,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/server"
 )
@@ -372,7 +373,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 				Deaths:        1,
 				LeasesRevoked: 2,
 			},
-			Aggregate: cluster.Stats{Speculated: 4, SpecWon: 3, SpecWasted: 1, Steals: 6},
+			Aggregate: engine.Stats{Speculated: 4, SpecWon: 3, SpecWasted: 1, Steals: 6},
 		}
 	})
 	text, err = c.Metrics(ctx)

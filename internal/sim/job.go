@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/engine"
@@ -60,9 +59,9 @@ type Job struct {
 func (j *Job) Err() error { return j.jb.err }
 
 // Stats returns the job's scheduling counters.
-func (j *Job) Stats() cluster.Stats {
+func (j *Job) Stats() engine.Stats {
 	if j.jb.eng == nil {
-		return cluster.Stats{} // never activated
+		return engine.Stats{} // never activated
 	}
 	s := j.jb.eng.Counters().Stats()
 	s.Leaked = int64(j.jb.leaked)

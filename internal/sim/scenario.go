@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"repro/internal/cas"
-	"repro/internal/cluster"
 	"repro/internal/dag"
+	"repro/internal/engine"
 )
 
 // Scenario is one parsed .scenario file: a cluster configuration, job
@@ -627,7 +627,7 @@ func (s *Scenario) Check() error {
 	return nil
 }
 
-func statField(st cluster.Stats, field string) (float64, bool) {
+func statField(st engine.Stats, field string) (float64, bool) {
 	switch field {
 	case "dispatches":
 		return float64(st.Dispatches), true

@@ -89,7 +89,7 @@ func (w *simWorker) ready() bool {
 // vertices all turned out finished is followed by another at once.
 func (c *Cluster) tryFeed(w *simWorker) bool {
 	for {
-		id, ids, ok := c.pool.Draw()
+		id, ids, ok := c.pool.Draw(w.member)
 		if !ok {
 			return false
 		}
