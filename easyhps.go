@@ -146,7 +146,10 @@ func NewTrace() *TraceRecorder { return trace.New() }
 // cell types can use the internal packages directly through the same
 // generic API.
 type (
-	// Kernel32 is a DP kernel over int32 cells.
+	// Kernel32 is a DP kernel over int32 cells. A kernel with O(1) reads
+	// per cell may add core.RowKernel's optional method,
+	// Row(v *View32, i, j0 int, out []int32), which the runtime then calls
+	// once per row segment instead of Cell once per cell.
 	Kernel32 = core.Kernel[int32]
 	// Problem32 is a runnable DP problem over int32 cells.
 	Problem32 = core.Problem[int32]

@@ -19,7 +19,8 @@ import (
 // computed in CellOrder order), in blocks listed by the pattern's
 // DataDeps, or outside the computed region (resolved by Boundary). Reads
 // outside that contract panic, which is how the tests detect
-// under-declared data regions.
+// under-declared data regions. The same holds for the optional Row of a
+// RowKernel, which is what the runtime calls when a kernel has one.
 type Kernel[T any] interface {
 	// Pattern returns the DAG Pattern Model of the recurrence, either
 	// from the library or user defined.
@@ -43,6 +44,64 @@ type Kernel[T any] interface {
 // uniformly.
 type CostModel interface {
 	CellCost(i, j int) float64
+}
+
+// RowKernel is an optional Kernel extension: the recurrence over a row
+// segment, which is the unit the thread level computes in. Row computes
+// cells (i, j0) .. (i, j0+len(out)-1) left to right into out, those cells'
+// own storage in the sub-task's output block; it writes nothing else and
+// reads everything else through the view, exactly as Cell may. The
+// pattern's row order (dag.RowOrder) guarantees that what the segment
+// depends on — the rows before it, the cells to its left — is computed. A
+// kernel with O(1) work per cell gains most: the call and the view's block
+// lookups are paid once per segment. It derives Cell from Row (a segment
+// of one), so that there is still one recurrence; Cell stays required, the
+// contract a kernel is checked against and all a simple kernel writes.
+type RowKernel[T any] interface {
+	Row(v *matrix.View[T], i, j0 int, out []T)
+}
+
+// cellRows is the RowKernel of a kernel that has none: Cell, cell by cell.
+type cellRows[T any] struct{ Kernel[T] }
+
+func (k cellRows[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
+	for t := range out {
+		out[t] = k.Cell(v, i, j0+t)
+	}
+}
+
+// SubBlockFill returns the function that computes one thread-level
+// sub-block of kernel k, the only loop in which the runtime runs a
+// recurrence: fill(v) visits the region of v's output block in the
+// pattern's row order and has Row write each segment into the block's own
+// row — k's Row, or Cell behind an adapter built here, once per block. With
+// emulate set it returns the cells' summed CostModel weights (1 a cell
+// without a CostModel), else 0.
+func SubBlockFill[T any](k Kernel[T], emulate bool) func(v *matrix.View[T]) (units float64) {
+	pat := k.Pattern()
+	rows, ok := any(k).(RowKernel[T])
+	if !ok {
+		rows = cellRows[T]{k}
+	}
+	cost, _ := any(k).(CostModel)
+	return func(v *matrix.View[T]) (units float64) {
+		b := v.Out()
+		dag.RowOrder(pat, b.Rect, func(i, j0, j1 int) {
+			at := (i-b.Rect.Row0)*b.Rect.Cols + j0 - b.Rect.Col0
+			rows.Row(v, i, j0, b.Cells[at:at+j1-j0:at+j1-j0])
+			if !emulate {
+				return
+			}
+			if cost == nil {
+				units += float64(j1 - j0)
+				return
+			}
+			for j := j0; j < j1; j++ {
+				units += cost.CellCost(i, j)
+			}
+		})
+		return units
+	}
 }
 
 // Problem bundles everything the runtime needs to execute one DP

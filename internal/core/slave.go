@@ -137,12 +137,10 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 	// the shared output block (its cells are complete by DAG order);
 	// reads outside the region resolve against the shipped input blocks.
 	readLayers := append([]*matrix.Block[T]{out}, inputs...)
-	kern := p.Kernel
-	boundary := kern.Boundary
 	// Work units are counted, and the cost model consulted, only when
 	// computation weight is emulated; see Config.WorkDelayPerCell.
 	emulate := cfg.WorkDelayPerCell > 0
-	cost, _ := any(kern).(CostModel)
+	fill := SubBlockFill(p.Kernel, emulate)
 
 	ot := sched.NewOvertimeQueue()
 	done := make(chan struct{})
@@ -219,18 +217,7 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 			time.Sleep(d)
 		}
 
-		units := 0.0
-		pat.CellOrder(subRect, func(i, j int) {
-			scratch.Set(i, j, kern.Cell(view, i, j))
-			if !emulate {
-				return
-			}
-			if cost != nil {
-				units += cost.CellCost(i, j)
-			} else {
-				units++
-			}
-		})
+		units := fill(view)
 		if emulate {
 			// Emulated computation weight; see Config.WorkDelayPerCell,
 			// Config.WorkJitter and the CostModel interface.
@@ -247,7 +234,7 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 			// one view per compute goroutine, re-aimed at each sub-task:
 			// accept has copied the scratch cells out, or dropped them,
 			// by the time the goroutine draws its next one.
-			view := matrix.NewView(matrix.NewBlock[T](tgeom.Rect(dag.Pos{})), readLayers, pat, p.Size, boundary)
+			view := matrix.NewView(matrix.NewBlock[T](tgeom.Rect(dag.Pos{})), readLayers, pat, p.Size, p.Kernel.Boundary)
 			for {
 				sub, ok := disp.Next(w)
 				if !ok {

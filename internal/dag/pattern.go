@@ -50,7 +50,8 @@ type Pattern interface {
 	// CellOrder visits every computed cell of region r in an order that
 	// respects the cell-level dependencies of the recurrence (assuming
 	// all cells outside r that the cells of r read are already
-	// available).
+	// available). The runtime computes in this order a row segment at a
+	// time; see RowOrder.
 	CellOrder(r Rect, visit func(i, j int))
 }
 
@@ -133,11 +134,49 @@ func appendIf(pat Pattern, g Geometry, p Pos, buf []Pos) []Pos {
 	return buf
 }
 
-// rowMajor visits r top-to-bottom, left-to-right.
-func rowMajor(r Rect, visit func(i, j int)) {
-	for i := r.Row0; i < r.Row0+r.Rows; i++ {
-		for j := r.Col0; j < r.Col0+r.Cols; j++ {
+// RowOrder visits the computed cells of region r in pat's cell order, a
+// row segment at a time: visit(i, j0, j1) stands for cells (i, j0) ..
+// (i, j1-1), left to right. It is what the thread level hands a kernel. A
+// pattern declares its segments with an optional RowOrder method of this
+// signature, as the library patterns do (their CellOrder is the expansion
+// of it); for any other pattern, a Custom included, the segments are
+// coalesced from CellOrder's visits: a cell that continues the previous
+// one's row to the right extends the segment, any other cell starts one.
+func RowOrder(pat Pattern, r Rect, visit func(i, j0, j1 int)) {
+	if ro, ok := pat.(interface {
+		RowOrder(r Rect, visit func(i, j0, j1 int))
+	}); ok {
+		ro.RowOrder(r, visit)
+		return
+	}
+	i, j0, j1 := 0, 0, 0 // the open segment; none while j0 == j1
+	pat.CellOrder(r, func(ci, cj int) {
+		if j0 < j1 && ci == i && cj == j1 {
+			j1++
+			return
+		}
+		if j0 < j1 {
+			visit(i, j0, j1)
+		}
+		i, j0, j1 = ci, cj, cj+1
+	})
+	if j0 < j1 {
+		visit(i, j0, j1)
+	}
+}
+
+// cellsOf expands a row order into the cell order it stands for.
+func cellsOf(rows func(r Rect, visit func(i, j0, j1 int)), r Rect, visit func(i, j int)) {
+	rows(r, func(i, j0, j1 int) {
+		for j := j0; j < j1; j++ {
 			visit(i, j)
 		}
+	})
+}
+
+// rowMajor visits the rows of r top to bottom, each whole.
+func rowMajor(r Rect, visit func(i, j0, j1 int)) {
+	for i := r.Row0; i < r.Row0+r.Rows; i++ {
+		visit(i, r.Col0, r.Col0+r.Cols)
 	}
 }

@@ -46,7 +46,8 @@ func (w Wavefront) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return buf
 }
 
-func (Wavefront) CellOrder(r Rect, visit func(i, j int)) { rowMajor(r, visit) }
+func (Wavefront) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
+func (w Wavefront) CellOrder(r Rect, visit func(i, j int))   { cellsOf(w.RowOrder, r, visit) }
 
 // RowColumn is the 2D/1D pattern used by Smith-Waterman with general gap
 // penalties (Fig. 6 in the paper): cell (i, j) reads the whole of row i to
@@ -79,7 +80,8 @@ func (rc RowColumn) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return buf
 }
 
-func (RowColumn) CellOrder(r Rect, visit func(i, j int)) { rowMajor(r, visit) }
+func (RowColumn) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
+func (rc RowColumn) CellOrder(r Rect, visit func(i, j int))  { cellsOf(rc.RowOrder, r, visit) }
 
 // Triangular is the 2D/1D upper-triangular pattern of Nussinov-style
 // recurrences (Fig. 5 in the paper): only cells with i <= j exist; cell
@@ -121,20 +123,18 @@ func (t Triangular) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return buf
 }
 
-// CellOrder visits rows bottom-up and columns left-to-right so that
-// (i+1, *) and (i, j-1) precede (i, j); cells below the diagonal are
+// RowOrder visits rows bottom-up, each from the diagonal rightwards, so
+// that (i+1, *) and (i, j-1) precede (i, j); cells below the diagonal are
 // skipped.
-func (t Triangular) CellOrder(r Rect, visit func(i, j int)) {
+func (Triangular) RowOrder(r Rect, visit func(i, j0, j1 int)) {
 	for i := r.Row0 + r.Rows - 1; i >= r.Row0; i-- {
-		j0 := r.Col0
-		if j0 < i {
-			j0 = i
-		}
-		for j := j0; j < r.Col0+r.Cols; j++ {
-			visit(i, j)
+		if j0, j1 := max(r.Col0, i), r.Col0+r.Cols; j0 < j1 {
+			visit(i, j0, j1)
 		}
 	}
 }
+
+func (t Triangular) CellOrder(r Rect, visit func(i, j int)) { cellsOf(t.RowOrder, r, visit) }
 
 // Dominance is the 2D/2D pattern (Algorithm 4.3 in the paper): cell (i, j)
 // reads every cell it dominates, i.e. all (i', j') with i' < i and j' < j.
@@ -166,7 +166,8 @@ func (d Dominance) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return buf
 }
 
-func (Dominance) CellOrder(r Rect, visit func(i, j int)) { rowMajor(r, visit) }
+func (Dominance) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
+func (d Dominance) CellOrder(r Rect, visit func(i, j int))   { cellsOf(d.RowOrder, r, visit) }
 
 // RowOnly is the pattern of recurrences where cell (i, j) reads arbitrary
 // cells of row i-1 at column <= j (0/1 knapsack, Viterbi with
@@ -216,7 +217,8 @@ func (ro RowOnly) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return buf
 }
 
-func (RowOnly) CellOrder(r Rect, visit func(i, j int)) { rowMajor(r, visit) }
+func (RowOnly) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
+func (ro RowOnly) CellOrder(r Rect, visit func(i, j int))  { cellsOf(ro.RowOrder, r, visit) }
 
 // Chain is the 1D pattern: a single row of cells, each reading only its
 // left neighbour. It degenerates the runtime to a pipeline and exists
@@ -240,11 +242,10 @@ func (c Chain) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return c.Precursors(g, p, buf)
 }
 
-func (Chain) CellOrder(r Rect, visit func(i, j int)) {
-	if r.Row0 > 0 {
-		return
-	}
-	for j := r.Col0; j < r.Col0+r.Cols; j++ {
-		visit(0, j)
+func (Chain) RowOrder(r Rect, visit func(i, j0, j1 int)) {
+	if r.Row0 == 0 {
+		visit(0, r.Col0, r.Col0+r.Cols)
 	}
 }
+
+func (c Chain) CellOrder(r Rect, visit func(i, j int)) { cellsOf(c.RowOrder, r, visit) }

@@ -56,7 +56,8 @@ func (pr PrevRow) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return pr.Precursors(g, p, buf)
 }
 
-func (PrevRow) CellOrder(r Rect, visit func(i, j int)) { rowMajor(r, visit) }
+func (PrevRow) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
+func (pr PrevRow) CellOrder(r Rect, visit func(i, j int))  { cellsOf(pr.RowOrder, r, visit) }
 
 // Banded is the wavefront pattern restricted to the diagonal band
 // |i - j| <= Width: banded sequence alignment, which trades optimality for
@@ -105,12 +106,14 @@ func (b Banded) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return b.Precursors(g, p, buf)
 }
 
-func (b Banded) CellOrder(r Rect, visit func(i, j int)) {
+// RowOrder visits the rows top to bottom, each over the stretch of it
+// inside the band.
+func (b Banded) RowOrder(r Rect, visit func(i, j0, j1 int)) {
 	for i := r.Row0; i < r.Row0+r.Rows; i++ {
-		for j := r.Col0; j < r.Col0+r.Cols; j++ {
-			if b.CellExists(i, j) {
-				visit(i, j)
-			}
+		if j0, j1 := max(r.Col0, i-b.Width), min(r.Col0+r.Cols, i+b.Width+1); j0 < j1 {
+			visit(i, j0, j1)
 		}
 	}
 }
+
+func (b Banded) CellOrder(r Rect, visit func(i, j int)) { cellsOf(b.RowOrder, r, visit) }

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -434,3 +435,67 @@ func TestDeclaredShapesHold(t *testing.T) {
 // undeclared is a user pattern written before shapes existed: it has the
 // Pattern methods and no other.
 type undeclared struct{ Pattern }
+
+// plantedRows is a wavefront whose declared RowOrder is whatever the test
+// plants.
+type plantedRows struct {
+	Wavefront
+	rows func(r Rect, visit func(i, j0, j1 int))
+}
+
+func (p plantedRows) RowOrder(r Rect, visit func(i, j0, j1 int)) { p.rows(r, visit) }
+
+// RowOrder is CellOrder in segments: a pattern with no RowOrder of its own
+// is coalesced from its cell visits, whatever their order, and a declared
+// RowOrder that skips, repeats or reorders a cell is refused.
+func TestRowOrderExpandsToCellOrder(t *testing.T) {
+	g := MatrixGeometry(Size{9, 17}, Size{4, 3})
+	// Columns right to left, each top down: no two visits continue a row.
+	colMajor := Custom{PatternName: "colmajor", CellOrderFunc: func(r Rect, visit func(i, j int)) {
+		for j := r.Col0 + r.Cols - 1; j >= r.Col0; j-- {
+			for i := r.Row0; i < r.Row0+r.Rows; i++ {
+				visit(i, j)
+			}
+		}
+	}}
+	// Row-major over a checkerboard of holes, by Custom's default order.
+	holes := Custom{PatternName: "checker", CellExistsFunc: func(i, j int) bool { return (i+j)%3 != 0 }}
+	for _, pat := range []Pattern{colMajor, holes} {
+		if err := ValidateCellOrder(pat, g); err != nil {
+			t.Errorf("%s: %v", pat.Name(), err)
+		}
+	}
+	var segs [][3]int
+	collect := func(i, j0, j1 int) { segs = append(segs, [3]int{i, j0, j1}) }
+	RowOrder(colMajor, Rect{Row0: 2, Col0: 5, Rows: 2, Cols: 2}, collect)
+	if want := [][3]int{{2, 6, 7}, {3, 6, 7}, {2, 5, 6}, {3, 5, 6}}; !reflect.DeepEqual(segs, want) {
+		t.Errorf("column-major cells coalesced to %v, want %v", segs, want)
+	}
+	segs = nil
+	RowOrder(holes, Rect{Row0: 1, Col0: 0, Rows: 2, Cols: 6}, collect)
+	if want := [][3]int{{1, 0, 2}, {1, 3, 5}, {2, 0, 1}, {2, 2, 4}, {2, 5, 6}}; !reflect.DeepEqual(segs, want) {
+		t.Errorf("holes cut the rows into %v, want %v", segs, want)
+	}
+
+	planted := map[string]func(r Rect, visit func(i, j0, j1 int)){
+		"skips a cell": func(r Rect, visit func(i, j0, j1 int)) {
+			rowMajor(r, func(i, j0, j1 int) { visit(i, j0, j1-1) })
+		},
+		"repeats a cell": func(r Rect, visit func(i, j0, j1 int)) {
+			rowMajor(r, func(i, j0, j1 int) { visit(i, j0, j0+1); visit(i, j0, j1) })
+		},
+		"reorders the rows": func(r Rect, visit func(i, j0, j1 int)) {
+			for i := r.Row0 + r.Rows - 1; i >= r.Row0; i-- {
+				visit(i, r.Col0, r.Col0+r.Cols)
+			}
+		},
+	}
+	for name, rows := range planted {
+		if err := ValidateCellOrder(plantedRows{rows: rows}, g); err == nil {
+			t.Errorf("a RowOrder that %s passed ValidateCellOrder", name)
+		}
+	}
+	if err := ValidateCellOrder(plantedRows{rows: rowMajor}, g); err != nil {
+		t.Errorf("a RowOrder that is the cell order was refused: %v", err)
+	}
+}

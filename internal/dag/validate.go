@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ValidateTopology checks the model invariant on a concrete geometry:
@@ -84,7 +85,10 @@ func topoOrder(gr *Graph) ([]int32, error) {
 }
 
 // ValidateCellOrder checks that CellOrder visits exactly the existing
-// cells of every block of g exactly once.
+// cells of every block of g exactly once, and that RowOrder — the pattern's
+// own, when it declares one — expands to the same cells in the same order:
+// the thread level computes by RowOrder what the pattern promised by
+// CellOrder.
 func ValidateCellOrder(pat Pattern, g Geometry) error {
 	for r := 0; r < g.Grid.Rows; r++ {
 		for c := 0; c < g.Grid.Cols; c++ {
@@ -93,8 +97,10 @@ func ValidateCellOrder(pat Pattern, g Geometry) error {
 				continue
 			}
 			rect := g.Rect(p)
+			var cells, rows [][2]int
 			seen := make(map[[2]int]int)
 			pat.CellOrder(rect, func(i, j int) {
+				cells = append(cells, [2]int{i, j})
 				seen[[2]int{i, j}]++
 			})
 			for i := rect.Row0; i < rect.Row0+rect.Rows; i++ {
@@ -108,6 +114,19 @@ func ValidateCellOrder(pat Pattern, g Geometry) error {
 							pat.Name(), p, i, j, seen[[2]int{i, j}], want)
 					}
 				}
+			}
+			RowOrder(pat, rect, func(i, j0, j1 int) {
+				for j := j0; j < j1; j++ {
+					rows = append(rows, [2]int{i, j})
+				}
+			})
+			if !slices.Equal(rows, cells) {
+				k := 0
+				for k < len(rows) && k < len(cells) && rows[k] == cells[k] {
+					k++
+				}
+				return fmt.Errorf("dag: pattern %s block %v: RowOrder expands to %d cells, CellOrder visits %d, and they part at visit %d",
+					pat.Name(), p, len(rows), len(cells), k)
 			}
 		}
 	}

@@ -45,22 +45,32 @@ func (e *BandedEdit) Boundary(i, j int) int32 {
 	}
 }
 
-// Cell implements core.Kernel.
+// Row implements core.RowKernel, as EditDistance's does; the cells of the
+// row above that lie outside the band arrive as runs of one holding
+// Boundary's "unreachable".
+func (e *BandedEdit) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	a, west, diag := e.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
+	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
+		b, o := e.B[j:j+len(north)], out[j-j0:j-j0+len(north)]
+		w, nw := west, diag
+		for t, n := range north {
+			sub := nw
+			if a != b[t] {
+				sub++
+			}
+			sub = min(sub, n+1, w+1, bandedInf)
+			o[t] = sub
+			w, nw = sub, n
+		}
+		west, diag = w, nw
+	})
+}
+
+// Cell implements core.Kernel: a row segment of one.
 func (e *BandedEdit) Cell(v *matrix.View[int32], i, j int) int32 {
-	sub := v.Get(i-1, j-1)
-	if e.A[i] != e.B[j] {
-		sub++
-	}
-	if del := v.Get(i-1, j) + 1; del < sub {
-		sub = del
-	}
-	if ins := v.Get(i, j-1) + 1; ins < sub {
-		sub = ins
-	}
-	if sub > bandedInf {
-		sub = bandedInf
-	}
-	return sub
+	var out [1]int32
+	e.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

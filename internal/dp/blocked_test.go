@@ -2,12 +2,15 @@ package dp
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/matrix"
+	"repro/internal/testseed"
 )
 
 // topo returns the existing vertices of g in an order that respects its
@@ -24,10 +27,12 @@ func topo(g *dag.Graph) []int32 {
 // fillBlocked computes the matrix of kernel k the way a slave does, on one
 // goroutine: processor-level blocks in DAG order, each reading the blocks
 // the pattern's DataDeps name, re-partitioned into sub-blocks that are
-// computed in the scratch block of a matrix.View over the shared output
-// block and then copied into it.
+// computed — by core.SubBlockFill, the function computeBlock calls — in the
+// scratch block of a matrix.View over the shared output block and then
+// copied into it.
 func fillBlocked[T any](k core.Kernel[T], size, proc, thread dag.Size) *matrix.Store[T] {
 	pat := k.Pattern()
+	fill := core.SubBlockFill(k, false)
 	geom := dag.MatrixGeometry(size, proc)
 	graph := dag.Build(pat, geom)
 	store := matrix.NewStore[T](geom)
@@ -42,11 +47,8 @@ func fillBlocked[T any](k core.Kernel[T], size, proc, thread dag.Size) *matrix.S
 		tgraph := dag.Build(pat, tgeom)
 		view := matrix.NewView(matrix.NewBlock[T](tgeom.Rect(dag.Pos{})), layers, pat, size, k.Boundary)
 		for _, sub := range topo(tgraph) {
-			rect := tgeom.Rect(tgraph.Vertex(sub).Pos)
-			view.Retarget(rect)
-			pat.CellOrder(rect, func(i, j int) {
-				view.Set(i, j, k.Cell(view, i, j))
-			})
+			view.Retarget(tgeom.Rect(tgraph.Vertex(sub).Pos))
+			fill(view)
 			out.CopyFrom(view.Out())
 		}
 		store.Put(vert.Pos, out)
@@ -204,5 +206,118 @@ func TestRunWalksVisitHolesAsBoundaryReads(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("walks visited\n%v\nwant\n%v", got, want)
+	}
+}
+
+// rowKernel is a kernel with a Row of its own.
+type rowKernel[T any] interface {
+	core.Kernel[T]
+	core.RowKernel[T]
+}
+
+// hideRow is a kernel without its Row: the runtime reaches its Cell through
+// the adapter, as it does for a kernel that never had one.
+type hideRow[T any] struct{ core.Kernel[T] }
+
+// under is a row kernel computed under another pattern than its own.
+type under[T any] struct {
+	rowKernel[T]
+	pat dag.Pattern
+}
+
+func (u under[T]) Pattern() dag.Pattern { return u.pat }
+
+// cutRows is a pattern whose row order cuts every segment of the wrapped
+// pattern's at random columns.
+type cutRows struct {
+	dag.Pattern
+	rng *rand.Rand
+}
+
+func (c cutRows) RowOrder(r dag.Rect, visit func(i, j0, j1 int)) {
+	dag.RowOrder(c.Pattern, r, func(i, j0, j1 int) {
+		for j0 < j1 {
+			cut := j0 + 1 + c.rng.Intn(j1-j0)
+			visit(i, j0, cut)
+			j0 = cut
+		}
+	})
+}
+
+// checkRows computes k's matrix by segments cut at random columns and by
+// one-cell segments behind the adapter, and holds both against want.
+func checkRows[T any](t *testing.T, name string, k rowKernel[T], want [][]T, size, proc, thread dag.Size, rng *rand.Rand) {
+	t.Helper()
+	rows := fillBlocked[T](under[T]{k, cutRows{k.Pattern(), rng}}, size, proc, thread).Assemble()
+	cells := fillBlocked[T](hideRow[T]{k}, size, proc, thread).Assemble()
+	if r, c := reflect.DeepEqual(rows, want), reflect.DeepEqual(cells, want); !r || !c {
+		t.Errorf("%s %v proc %v thread %v: by segments equals Sequential(): %v, by cells: %v", name, size, proc, thread, r, c)
+	}
+}
+
+// Row, Cell and Sequential() are one recurrence: each ported kernel, on
+// random matrices cut into random blocks and sub-blocks, computes the same
+// cells by segments, by cells, and in the plain loop nest.
+func TestRowMatchesCellMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(testseed.Seed(t, 23)))
+	upTo := func(max int) dag.Size { return dag.Size{Rows: 1 + rng.Intn(max), Cols: 1 + rng.Intn(max)} }
+	for trial := 0; trial < 25; trial++ {
+		size, proc, thread := upTo(40), upTo(20), upTo(8)
+		a, b := RandomDNA(size.Rows, rng.Int63()), RandomDNA(size.Cols, rng.Int63())
+		e := NewEditDistance(a, b)
+		checkRows[int32](t, "editdist", e, e.Sequential(), size, proc, thread, rng)
+		l := NewLCS(a, b)
+		checkRows[int32](t, "lcs", l, l.Sequential(), size, proc, thread, rng)
+		nw := NewNeedlemanWunsch(a, b)
+		checkRows[int32](t, "needleman", nw, nw.Sequential(), size, proc, thread, rng)
+		be := NewBandedEdit(a, b, rng.Intn(12))
+		checkRows[int32](t, "banded", be, be.Sequential(), size, proc, thread, rng)
+		gt := NewGotoh(a, b)
+		checkRows[GotohCell](t, "gotoh", gt, gt.Sequential(), size, proc, thread, rng)
+	}
+}
+
+// A Row that reads a computed cell nobody shipped dies as a Cell does: the
+// wavefront recurrence over a pattern whose data region leaves out the
+// north block.
+func TestRowOutsideRegionPanics(t *testing.T) {
+	a := RandomDNA(8, 1)
+	e := NewEditDistance(a, a)
+	noNorth := dag.Custom{
+		PatternName:    "wavefront-without-north",
+		PrecursorsFunc: dag.Wavefront{}.Precursors,
+		DataDepsFunc: func(g dag.Geometry, p dag.Pos, buf []dag.Pos) []dag.Pos {
+			if p.Col > 0 {
+				buf = append(buf, dag.Pos{Row: p.Row, Col: p.Col - 1})
+			}
+			return buf
+		},
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "outside the sub-task data region") {
+			t.Errorf("recovered %q, want the under-specified data region panic", msg)
+		}
+	}()
+	fillBlocked[int32](under[int32]{e, noNorth}, e.Size(), dag.Square(4), dag.Square(2))
+	t.Error("a read of the north block that was not shipped went through")
+}
+
+// One sub-block fill allocates a constant: nothing per segment or per cell,
+// in the interior and — where every cell of the row above is a boundary
+// read handed over as a run of one — in the matrix's top row.
+func TestSubBlockFillAllocsDoNotGrow(t *testing.T) {
+	a := RandomDNA(64, 1)
+	e := NewEditDistance(a, MutateSeq(a, DNAAlphabet, 0.2, 2))
+	fill := core.SubBlockFill[int32](e, false)
+	shared := matrix.NewBlock[int32](dag.Rect{Rows: 64, Cols: 64})
+	allocs := func(r dag.Rect) float64 {
+		v := matrix.NewView(matrix.NewBlock[int32](r), []*matrix.Block[int32]{shared}, e.Pattern(), e.Size(), e.Boundary)
+		return testing.AllocsPerRun(20, func() { fill(v) })
+	}
+	for _, row0 := range []int{0, 32} {
+		short, tall := allocs(dag.Rect{Row0: row0, Col0: 16, Rows: 2, Cols: 8}), allocs(dag.Rect{Row0: row0, Col0: 16, Rows: 32, Cols: 32})
+		if short != tall || tall > 4 {
+			t.Errorf("row %d: a 2x8 fill allocates %v times, a 32x32 fill %v: want the same small constant", row0, short, tall)
+		}
 	}
 }

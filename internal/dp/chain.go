@@ -234,12 +234,13 @@ func (d *Dominance43) Boundary(i, j int) int32 { return 0 }
 func (d *Dominance43) Cell(v *matrix.View[int32], i, j int) int32 {
 	best := int32(1) << 30
 	for ii := -1; ii < i; ii++ {
-		for jj := -1; jj < j; jj++ {
-			c := v.Get(ii, jj) + d.w(ii+jj+2, i+j+2)
-			if c < best {
-				best = c
+		rowRuns(v, ii, -1, j, func(jj int, cells []int32) {
+			for x, c := range cells {
+				if c += d.w(ii+jj+x+2, i+j+2); c < best {
+					best = c
+				}
 			}
-		}
+		})
 	}
 	return best
 }

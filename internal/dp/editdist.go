@@ -38,19 +38,37 @@ func (e *EditDistance) Boundary(i, j int) int32 {
 	return int32(i) + 1
 }
 
-// Cell implements core.Kernel.
+// Row implements core.RowKernel: the row above is walked by runs and the
+// west and north-west cells ride along in locals, so a cell costs what it
+// costs Sequential() plus its share of one run request.
+func (e *EditDistance) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	a, west, diag := e.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
+	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
+		b, o := e.B[j:j+len(north)], out[j-j0:j-j0+len(north)]
+		w, nw := west, diag
+		for t, n := range north {
+			sub := nw
+			if a != b[t] {
+				sub++
+			}
+			if del := n + 1; del < sub {
+				sub = del
+			}
+			if ins := w + 1; ins < sub {
+				sub = ins
+			}
+			o[t] = sub
+			w, nw = sub, n
+		}
+		west, diag = w, nw
+	})
+}
+
+// Cell implements core.Kernel: a row segment of one.
 func (e *EditDistance) Cell(v *matrix.View[int32], i, j int) int32 {
-	sub := v.Get(i-1, j-1)
-	if e.A[i] != e.B[j] {
-		sub++
-	}
-	if del := v.Get(i-1, j) + 1; del < sub {
-		sub = del
-	}
-	if ins := v.Get(i, j-1) + 1; ins < sub {
-		sub = ins
-	}
-	return sub
+	var out [1]int32
+	e.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.
@@ -127,16 +145,29 @@ func (l *LCS) Pattern() dag.Pattern { return dag.Wavefront{} }
 // Boundary implements core.Kernel.
 func (l *LCS) Boundary(i, j int) int32 { return 0 }
 
-// Cell implements core.Kernel.
+// Row implements core.RowKernel, as EditDistance's does.
+func (l *LCS) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	a, west, diag := l.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
+	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
+		b, o := l.B[j:j+len(north)], out[j-j0:j-j0+len(north)]
+		w, nw := west, diag
+		for t, n := range north {
+			c := max(n, w)
+			if a == b[t] {
+				c = nw + 1
+			}
+			o[t] = c
+			w, nw = c, n
+		}
+		west, diag = w, nw
+	})
+}
+
+// Cell implements core.Kernel: a row segment of one.
 func (l *LCS) Cell(v *matrix.View[int32], i, j int) int32 {
-	if l.A[i] == l.B[j] {
-		return v.Get(i-1, j-1) + 1
-	}
-	a, b := v.Get(i-1, j), v.Get(i, j-1)
-	if a > b {
-		return a
-	}
-	return b
+	var out [1]int32
+	l.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

@@ -83,16 +83,27 @@ func (g *Gotoh) Boundary(i, j int) GotohCell {
 	}
 }
 
-// Cell implements core.Kernel.
+// Row implements core.RowKernel: the row above is walked by runs, the west
+// and north-west cells ride along.
+func (g *Gotoh) Row(v *matrix.View[GotohCell], i, j0 int, out []GotohCell) {
+	w, nw := v.Get(i, j0-1), v.Get(i-1, j0-1)
+	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []GotohCell) {
+		for t, n := range north {
+			w = GotohCell{
+				M: g.score(i, j+t) + max3(nw.M, nw.E, nw.F),
+				E: maxi32(w.M-g.Open-g.Extend, w.E-g.Extend),
+				F: maxi32(n.M-g.Open-g.Extend, n.F-g.Extend),
+			}
+			out[j-j0+t], nw = w, n
+		}
+	})
+}
+
+// Cell implements core.Kernel: a row segment of one.
 func (g *Gotoh) Cell(v *matrix.View[GotohCell], i, j int) GotohCell {
-	nw := v.Get(i-1, j-1)
-	w := v.Get(i, j-1)
-	n := v.Get(i-1, j)
-	var c GotohCell
-	c.M = g.score(i, j) + max3(nw.M, nw.E, nw.F)
-	c.E = maxi32(w.M-g.Open-g.Extend, w.E-g.Extend)
-	c.F = maxi32(n.M-g.Open-g.Extend, n.F-g.Extend)
-	return c
+	var out [1]GotohCell
+	g.Row(v, i, j, out[:])
+	return out[0]
 }
 
 func maxi32(a, b int32) int32 {

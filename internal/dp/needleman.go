@@ -58,16 +58,36 @@ func (nw *NeedlemanWunsch) Boundary(i, j int) int32 {
 	}
 }
 
-// Cell implements core.Kernel.
+// Row implements core.RowKernel, as EditDistance's does.
+func (nw *NeedlemanWunsch) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	a, west, diag := nw.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
+	match, mismatch, gap := nw.Match, nw.Mismatch, nw.Gap
+	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
+		b, o := nw.B[j:j+len(north)], out[j-j0:j-j0+len(north)]
+		w, d := west, diag
+		for t, n := range north {
+			best := d + mismatch
+			if a == b[t] {
+				best = d + match
+			}
+			if c := n - gap; c > best {
+				best = c
+			}
+			if c := w - gap; c > best {
+				best = c
+			}
+			o[t] = best
+			w, d = best, n
+		}
+		west, diag = w, d
+	})
+}
+
+// Cell implements core.Kernel: a row segment of one.
 func (nw *NeedlemanWunsch) Cell(v *matrix.View[int32], i, j int) int32 {
-	best := v.Get(i-1, j-1) + nw.score(i, j)
-	if c := v.Get(i-1, j) - nw.Gap; c > best {
-		best = c
-	}
-	if c := v.Get(i, j-1) - nw.Gap; c > best {
-		best = c
-	}
-	return best
+	var out [1]int32
+	nw.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the aligner for the runtime.

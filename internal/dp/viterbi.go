@@ -85,11 +85,13 @@ func (v *Viterbi) Cell(m *matrix.View[float64], t, s int) float64 {
 		return v.LogInit[s] + v.LogEmit[s][v.Obs[0]]
 	}
 	best := math.Inf(-1)
-	for sp := 0; sp < v.States(); sp++ {
-		if c := m.Get(t-1, sp) + v.LogTrans[sp][s]; c > best {
-			best = c
+	rowRuns(m, t-1, 0, v.States(), func(sp int, prev []float64) {
+		for x, p := range prev {
+			if c := p + v.LogTrans[sp+x][s]; c > best {
+				best = c
+			}
 		}
-	}
+	})
 	return best + v.LogEmit[s][v.Obs[t]]
 }
 

@@ -230,24 +230,13 @@ func (s *SpillStore[T]) Assemble() [][]T {
 	}
 	s.mu.Unlock()
 
-	reg := s.geom.Region
-	out := make([][]T, reg.Rows)
-	backing := make([]T, reg.Rows*reg.Cols)
-	for i := range out {
-		out[i], backing = backing[:reg.Cols], backing[reg.Cols:]
-	}
-	for _, p := range positions {
-		b := s.Get(p)
-		if b == nil {
-			continue
-		}
-		for i := b.Rect.Row0; i < b.Rect.Row0+b.Rect.Rows; i++ {
-			for j := b.Rect.Col0; j < b.Rect.Col0+b.Rect.Cols; j++ {
-				out[i-reg.Row0][j-reg.Col0] = b.At(i, j)
+	return assemble(s.geom.Region, func(place func(*Block[T])) {
+		for _, p := range positions {
+			if b := s.Get(p); b != nil {
+				place(b)
 			}
 		}
-	}
-	return out
+	})
 }
 
 // Close removes all spill files.

@@ -107,18 +107,26 @@ func (s *Store[T]) Cell(i, j int) T {
 func (s *Store[T]) Assemble() [][]T {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	reg := s.geom.Region
+	return assemble(s.geom.Region, func(place func(*Block[T])) {
+		for _, b := range s.blocks {
+			place(b)
+		}
+	})
+}
+
+// assemble allocates the dense matrix of region reg and copies into it, a
+// block row at a time, every block each hands to place.
+func assemble[T any](reg dag.Rect, each func(place func(*Block[T]))) [][]T {
 	out := make([][]T, reg.Rows)
 	backing := make([]T, reg.Rows*reg.Cols)
 	for i := range out {
 		out[i], backing = backing[:reg.Cols], backing[reg.Cols:]
 	}
-	for _, b := range s.blocks {
-		for i := b.Rect.Row0; i < b.Rect.Row0+b.Rect.Rows; i++ {
-			for j := b.Rect.Col0; j < b.Rect.Col0+b.Rect.Cols; j++ {
-				out[i-reg.Row0][j-reg.Col0] = b.At(i, j)
-			}
+	each(func(b *Block[T]) {
+		r := b.Rect
+		for i := 0; i < r.Rows; i++ {
+			copy(out[r.Row0-reg.Row0+i][r.Col0-reg.Col0:], b.Cells[i*r.Cols:(i+1)*r.Cols])
 		}
-	}
+	})
 	return out
 }
