@@ -71,6 +71,8 @@ func main() {
 		fmt.Println("TOPOLOGY:   ", err)
 	} else if err := dag.ValidateCellOrder(pat, g); err != nil {
 		fmt.Println("CELL ORDER: ", err)
+	} else if err := dag.ValidateDataRegion(pat, g); err != nil {
+		fmt.Println("DATA REGION:", err)
 	} else {
 		fmt.Println("model invariants: OK")
 	}
@@ -173,5 +175,9 @@ func dumpBlock(pat dag.Pattern, g dag.Geometry, p dag.Pos) {
 	}
 	fmt.Printf("\nblock %v rect %v\n", p, g.Rect(p))
 	fmt.Printf("  precursors: %v\n", pat.Precursors(g, p, nil))
-	fmt.Printf("  data region: %v\n", pat.DataDeps(g, p, nil))
+	fmt.Print("  data region:")
+	for _, q := range pat.DataDeps(g, p, nil) {
+		fmt.Printf(" %v%v", q, dag.DataRegion(pat, g, p, q))
+	}
+	fmt.Println()
 }

@@ -90,8 +90,9 @@ func LookupPattern(name string) (Pattern, bool) { return dag.Lookup(name) }
 func RegisterPattern(p Pattern) { dag.Register(p) }
 
 // ValidatePattern checks the model invariants of a (custom) pattern over a
-// concrete geometry: acyclicity, data-dependency coverage and cell-order
-// completeness.
+// concrete geometry: acyclicity, data-dependency coverage, cell-order
+// completeness and, for a pattern that declares data regions, that each is
+// a non-empty part of its dependency.
 func ValidatePattern(p Pattern, g Geometry) error {
 	if err := dag.ValidateAcyclic(p, g); err != nil {
 		return err
@@ -99,7 +100,10 @@ func ValidatePattern(p Pattern, g Geometry) error {
 	if err := dag.ValidateTopology(p, g); err != nil {
 		return err
 	}
-	return dag.ValidateCellOrder(p, g)
+	if err := dag.ValidateCellOrder(p, g); err != nil {
+		return err
+	}
+	return dag.ValidateDataRegion(p, g)
 }
 
 // Runtime types.

@@ -76,6 +76,21 @@ func BlockKey(specDigest string, row0, col0, rows, cols int, preds []Key) Key {
 	return k
 }
 
+// RegionKey derives the wire key of a region of a committed block — what a
+// task is shipped of a predecessor it reads only part of — from the block's
+// content key and the region's cell rectangle: equal keys still mean equal
+// cells, and no cell is hashed a second time. It names a record of the keyed
+// wire format only; BlockKey keeps chaining through the content keys of
+// whole predecessors, so no cache entry moves.
+func RegionKey(block Key, row0, col0, rows, cols int) Key {
+	h := sha256.New()
+	fmt.Fprintf(h, "easyhps-cas:region:1:%d:%d:%d:%d:", row0, col0, rows, cols)
+	h.Write(block[:])
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
 // PayloadKey is the content key of one encoded block payload — the hash
 // both master and worker can compute independently, which is what lets
 // the wire layer's known-sets agree without extra round trips.

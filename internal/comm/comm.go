@@ -142,6 +142,16 @@ func (m Message) PayloadLen() int {
 	return n
 }
 
+// TaskMessage is the master side of the frame ServeTasks answers: the
+// granted entries of one draw, for job (zero outside a fleet). A batch of one
+// is the classic KindTask message, byte for byte.
+func TaskMessage(job int32, entries []TaskEntry) Message {
+	if len(entries) == 1 {
+		return Message{Kind: KindTask, Job: job, Vertex: entries[0].Vertex, Attempt: entries[0].Attempt, Payload: entries[0].Payload}
+	}
+	return Message{Kind: KindTaskBatch, Job: job, Batch: entries}
+}
+
 // ErrSend marks an error ServeTasks got back from its send callback, so
 // a caller can tell a dead link from a failed computation.
 var ErrSend = errors.New("comm: sending results")

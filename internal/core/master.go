@@ -48,17 +48,40 @@ type master[T any] struct {
 
 	idle []chan struct{} // indexed by slave rank (1..Slaves)
 
-	// known[s][v] records that slave s holds block v (delta shipping):
-	// either it was shipped there or the slave computed it. Guarded by
-	// knownMu (senders and the recv loop both touch it). peers[s], present
-	// when the run also has a cache, is slave s's known-set generalized to
-	// content keys — issued by the store so wire-layer hits and misses
-	// land in its metrics.
-	knownMu sync.Mutex
-	known   [][]bool
-	peers   []*cas.PeerSet
+	// known[s] is slave s's known-set (delta shipping; nil without).
+	known []*slaveKnown
 
 	done chan struct{} // closed with closed
+}
+
+// slaveKnown is one slave's known-set (engine.Known): held[v] records that
+// it holds block v whole, because the block was shipped there or the slave
+// computed it. Senders, the receive loop and the affinity score all touch it.
+// peers, present when the run also has a cache, is the same set by content
+// key, issued by the store so that wire-layer hits and misses land in its
+// metrics; held stays updated beside it, for the affinity policy.
+type slaveKnown struct {
+	mu    sync.Mutex
+	held  []bool
+	peers *cas.PeerSet
+}
+
+func (k *slaveKnown) Holds(d int32, key cas.Key) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.peers != nil {
+		return k.peers.Knows(key)
+	}
+	return k.held[d]
+}
+
+func (k *slaveKnown) Note(d int32, key cas.Key) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.held[d] = true
+	if k.peers != nil {
+		k.peers.Note(key)
+	}
 }
 
 // runJob is the id the pool knows the run's one job by.
@@ -112,14 +135,11 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 		m.idle[s] = make(chan struct{}, 4)
 	}
 	if cfg.DeltaShipping {
-		m.known = make([][]bool, cfg.Slaves+1)
+		m.known = make([]*slaveKnown, cfg.Slaves+1)
 		for s := 1; s <= cfg.Slaves; s++ {
-			m.known[s] = make([]bool, geom.Grid.Cells())
-		}
-		if m.eng.Cached() {
-			m.peers = make([]*cas.PeerSet, cfg.Slaves+1)
-			for s := 1; s <= cfg.Slaves; s++ {
-				m.peers[s] = cfg.Cache.NewPeerSet()
+			m.known[s] = &slaveKnown{held: make([]bool, geom.Grid.Cells())}
+			if m.eng.Cached() {
+				m.known[s].peers = cfg.Cache.NewPeerSet()
 			}
 		}
 	}
@@ -264,16 +284,14 @@ func (m *master[T]) dispatch(s, worker int, ids []int32) bool {
 		m.cond.Broadcast() // a held vertex is back in the order, for another slave
 	}
 	m.mu.Unlock()
+	var known engine.Known // nil ships every dependency
+	if m.known != nil {
+		known = m.known[s]
+	}
 	entries := make([]comm.TaskEntry, 0, len(grants))
 	bytes := 0
 	for _, g := range grants {
-		deps := m.eng.Graph().Vertex(g.Vertex).DataPre
-		if m.known != nil {
-			deps = m.filterKnown(s, deps)
-		}
-		blocks := m.eng.Gather(deps)
-		m.eng.Counters().BlocksShipped.Add(int64(len(blocks)))
-		payload, err := matrix.EncodeBlocks(m.p.Codec, blocks)
+		payload, err := m.eng.TaskPayload(g.Vertex, known, false)
 		if err != nil {
 			// The run is over; the caller's next draw finds it closed.
 			m.finish(fmt.Errorf("core: encoding data region of vertex %d: %w", g.Vertex, err))
@@ -286,14 +304,7 @@ func (m *master[T]) dispatch(s, worker int, ids []int32) bool {
 		return spent
 	}
 	m.eng.Shipped(worker, len(entries), bytes)
-	var msg comm.Message
-	if len(entries) == 1 {
-		// A batch of one is the classic protocol message, byte for byte.
-		msg = comm.Message{Kind: comm.KindTask, Vertex: entries[0].Vertex, Attempt: entries[0].Attempt, Payload: entries[0].Payload}
-	} else {
-		msg = comm.Message{Kind: comm.KindTaskBatch, Batch: entries}
-	}
-	if err := m.tr.Send(s, msg); err != nil && !errors.Is(err, comm.ErrClosed) {
+	if err := m.tr.Send(s, comm.TaskMessage(0, entries)); err != nil && !errors.Is(err, comm.ErrClosed) {
 		m.finish(fmt.Errorf("core: sending %d-task batch to slave %d: %w", len(entries), s, err))
 	}
 	return true
@@ -344,54 +355,21 @@ func (m *master[T]) signalIdle(s int) {
 	}
 }
 
-// filterKnown drops blocks slave s already holds and marks the remainder
-// as held once this dispatch ships them. In cache mode the test runs
-// against the slave's content-keyed PeerSet — the same decision keyed by
-// content instead of vertex id, routed through the store so the skip
-// shows up in the wire-layer metrics. m.known stays updated in both
-// modes: the affinity policy scores against it.
-func (m *master[T]) filterKnown(s int, deps []int32) []int32 {
-	m.knownMu.Lock()
-	defer m.knownMu.Unlock()
-	skipped := &m.eng.Counters().BlocksSkipped
-	out := make([]int32, 0, len(deps))
-	for _, d := range deps {
-		if m.peers != nil {
-			if m.peers[s].Knows(m.eng.ResultKey(d)) {
-				skipped.Add(1)
-				m.known[s][d] = true
-				continue
-			}
-			m.peers[s].Note(m.eng.ResultKey(d))
-			m.known[s][d] = true
-			out = append(out, d)
-			continue
-		}
-		if m.known[s][d] {
-			skipped.Add(1)
-			continue
-		}
-		m.known[s][d] = true
-		out = append(out, d)
-	}
-	return out
-}
-
 // affinityScore is PolicyAffinity's score (sched.Affinity): the number of
-// blocks of v's data region that slave worker+1 already holds, by the
+// blocks of v's data region that slave worker+1 already holds whole, by the
 // delta-shipping known-set. The pool's draw calls it with master.mu held;
-// knownMu nests inside.
+// the set's lock nests inside.
 func (m *master[T]) affinityScore(worker int, v int32) int {
 	s := worker + 1
-	m.knownMu.Lock()
-	defer m.knownMu.Unlock()
 	if s < 1 || s >= len(m.known) {
 		return 0
 	}
-	held := m.known[s]
+	k := m.known[s]
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	n := 0
 	for _, d := range m.eng.Graph().Vertex(v).DataPre {
-		if held[d] {
+		if k.held[d] {
 			n++
 		}
 	}
@@ -411,14 +389,9 @@ func (m *master[T]) applyResult(from int, v, attempt int32, payload []byte) {
 		// A late answer for a superseded attempt (§V.B step g).
 		return
 	}
-	if m.known != nil && from >= 1 && from < len(m.known) {
+	if from >= 1 && from < len(m.known) {
 		// The computing slave now holds its own output block.
-		m.knownMu.Lock()
-		m.known[from][v] = true
-		if m.peers != nil {
-			m.peers[from].Note(m.eng.ResultKey(v))
-		}
-		m.knownMu.Unlock()
+		m.known[from].Note(v, m.eng.ResultKey(v))
 	}
 	if m.eng.Finished() {
 		m.finish(nil)

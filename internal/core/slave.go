@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +22,11 @@ import (
 func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultState, ctrs *counters) error {
 	geom := dag.MatrixGeometry(p.Size, cfg.ProcPartition)
 	rank := tr.Rank()
-	// cache holds every block this slave has received or computed when
-	// delta shipping is enabled; blocks are immutable once complete, so
-	// the cache never goes stale within a run.
+	// cache holds every whole block this slave has received or computed
+	// when delta shipping is enabled; blocks are immutable once complete,
+	// so the cache never goes stale within a run. A shipped region serves
+	// its own task only (the master sends it again), or a view's scan of
+	// its inputs would grow by three entries a vertex.
 	var cache []*matrix.Block[T]
 	// run is one sub-task's trip through the slave: fault hooks, decode,
 	// compute, encode.
@@ -44,7 +47,9 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 		}
 		out := computeBlock(p, cfg, geom.Rect(geom.PosOf(vertex)), inputs, faults, vertex, ctrs)
 		if cfg.DeltaShipping {
-			cache = append(cache, out)
+			cache = append(slices.DeleteFunc(cache, func(b *matrix.Block[T]) bool {
+				return b.Rect != geom.Rect(geom.BlockOf(b.Rect.Row0, b.Rect.Col0)) // a region
+			}), out)
 		}
 		result, err := matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
 		if err != nil {

@@ -38,9 +38,10 @@ type Stats struct {
 	// Restored counts sub-tasks recovered from a checkpoint instead of
 	// computed.
 	Restored int64
-	// BlocksShipped and BlocksSkipped count data-region blocks sent to
-	// slaves and blocks skipped because the slave already held them
-	// (delta shipping).
+	// BlocksShipped counts data-region records sent to slaves — a block, or
+	// the region of it the pattern declares the task reads (dag.DataRegion)
+	// — and BlocksSkipped dependencies left out because the slave already
+	// held the whole block (delta shipping).
 	BlocksShipped, BlocksSkipped int64
 	// BatchMessages counts multi-vertex task-batch messages sent to
 	// slaves (zero when Config.Batch <= 1); Dispatches keeps counting

@@ -71,6 +71,11 @@ func (r Rect) Contains(i, j int) bool {
 	return i >= r.Row0 && i < r.Row0+r.Rows && j >= r.Col0 && j < r.Col0+r.Cols
 }
 
+// Covers reports whether s is a non-empty region inside r.
+func (r Rect) Covers(s Rect) bool {
+	return !s.Empty() && r.Contains(s.Row0, s.Col0) && r.Contains(s.Row0+s.Rows-1, s.Col0+s.Cols-1)
+}
+
 // Cells returns the number of cells in the region.
 func (r Rect) Cells() int { return r.Rows * r.Cols }
 

@@ -67,6 +67,9 @@ func DeriveValidate(pat Pattern, g Geometry, cellDeps func(i, j int, emit func(d
 	if err := ValidateCellOrder(pat, g); err != nil {
 		return err
 	}
+	if err := ValidateDataRegion(pat, g); err != nil {
+		return err
+	}
 	if cellDeps == nil {
 		return nil
 	}

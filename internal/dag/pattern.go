@@ -87,6 +87,38 @@ func ShapeOf(p Pattern) Shape {
 	return Sparse
 }
 
+// DataRegion is the data-communication level of the model at cell
+// granularity: the rectangle of block q's cells that the recurrence may read
+// while it computes block p, for a q among p's DataDeps. It is what a task
+// is shipped of q. A pattern declares it with an optional DataRegion method
+// of this signature (minus the pattern), as Wavefront and Banded do; any
+// other pattern, a Custom included, reads the whole of q. The region must be
+// non-empty and lie inside g.Rect(q) (ValidateDataRegion); a cell read
+// outside it is the under-specified-region panic of matrix.View.
+func DataRegion(pat Pattern, g Geometry, p, q Pos) Rect {
+	if dr, ok := pat.(interface {
+		DataRegion(g Geometry, p, q Pos) Rect
+	}); ok {
+		return dr.DataRegion(g, p, q)
+	}
+	return g.Rect(q)
+}
+
+// edgeRegion is what a recurrence that reads its west, north and north-west
+// neighbour cells reads of block q while computing block p: the last row of
+// a block above, the last column of a block to the left, and so the one
+// corner cell of the block that is both.
+func edgeRegion(g Geometry, p, q Pos) Rect {
+	r := g.Rect(q)
+	if q.Row < p.Row {
+		r.Row0, r.Rows = r.Row0+r.Rows-1, 1
+	}
+	if q.Col < p.Col {
+		r.Col0, r.Cols = r.Col0+r.Cols-1, 1
+	}
+	return r
+}
+
 // library is the DAG Pattern Model library: built-in patterns plus
 // user-registered ones.
 var library = struct {

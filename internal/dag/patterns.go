@@ -46,6 +46,10 @@ func (w Wavefront) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return buf
 }
 
+// DataRegion: the north block's last row, the west block's last column and
+// the north-west block's corner cell.
+func (Wavefront) DataRegion(g Geometry, p, q Pos) Rect { return edgeRegion(g, p, q) }
+
 func (Wavefront) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
 func (w Wavefront) CellOrder(r Rect, visit func(i, j int))   { cellsOf(w.RowOrder, r, visit) }
 

@@ -106,6 +106,9 @@ func (b Banded) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return b.Precursors(g, p, buf)
 }
 
+// DataRegion is the wavefront's; cells of it outside the band are holes.
+func (Banded) DataRegion(g Geometry, p, q Pos) Rect { return edgeRegion(g, p, q) }
+
 // RowOrder visits the rows top to bottom, each over the stretch of it
 // inside the band.
 func (b Banded) RowOrder(r Rect, visit func(i, j0, j1 int)) {

@@ -34,6 +34,9 @@ func TestLibraryPatternInvariants(t *testing.T) {
 			if err := ValidateCellOrder(pat, g); err != nil {
 				t.Errorf("%s %v: %v", pat.Name(), g.Region, err)
 			}
+			if err := ValidateDataRegion(pat, g); err != nil {
+				t.Errorf("%s %v: %v", pat.Name(), g.Region, err)
+			}
 		}
 	}
 }
@@ -49,7 +52,8 @@ func TestLibraryPatternInvariantsQuick(t *testing.T) {
 			g := MatrixGeometry(Square(int(n%24)+1), Size{int(br%6) + 1, int(bc%6) + 1})
 			return ValidateAcyclic(pat, g) == nil &&
 				ValidateTopology(pat, g) == nil &&
-				ValidateCellOrder(pat, g) == nil
+				ValidateCellOrder(pat, g) == nil &&
+				ValidateDataRegion(pat, g) == nil
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Errorf("%s: %v", pat.Name(), err)
@@ -361,6 +365,9 @@ func TestBandedInvariants(t *testing.T) {
 			if err := ValidateCellOrder(pat, g); err != nil {
 				t.Errorf("w=%d: %v", w, err)
 			}
+			if err := ValidateDataRegion(pat, g); err != nil {
+				t.Errorf("w=%d: %v", w, err)
+			}
 		}
 	}
 }
@@ -497,5 +504,62 @@ func TestRowOrderExpandsToCellOrder(t *testing.T) {
 	}
 	if err := ValidateCellOrder(plantedRows{rows: rowMajor}, g); err != nil {
 		t.Errorf("a RowOrder that is the cell order was refused: %v", err)
+	}
+}
+
+// plantedRegion is a wavefront whose DataRegion a test plants.
+type plantedRegion struct {
+	Wavefront
+	region func(g Geometry, p, q Pos) Rect
+}
+
+func (p plantedRegion) DataRegion(g Geometry, p0, q Pos) Rect { return p.region(g, p0, q) }
+
+// The wavefront family declares what a block reads of each dependency — the
+// last row of the block above, the last column of the block to the left, the
+// corner cell of the block that is both — on clipped edge blocks and one-row
+// and one-column blocks too; a pattern that declares nothing reads whole
+// blocks; and a declared region that is empty or not a part of its
+// dependency is refused.
+func TestDataRegion(t *testing.T) {
+	g := MatrixGeometry(Size{9, 17}, Size{4, 3}) // clipped to 1 row at the bottom, 2 columns at the right
+	p := Pos{Row: 2, Col: 5}
+	for _, pat := range []Pattern{Wavefront{}, Banded{Width: 40}} {
+		for q, want := range map[Pos]Rect{
+			{Row: 1, Col: 5}: {Row0: 7, Col0: 15, Rows: 1, Cols: 2},
+			{Row: 2, Col: 4}: {Row0: 8, Col0: 14, Rows: 1, Cols: 1},
+			{Row: 1, Col: 4}: {Row0: 7, Col0: 14, Rows: 1, Cols: 1},
+		} {
+			if got := DataRegion(pat, g, p, q); got != want {
+				t.Errorf("%s: block %v reads %v of %v, want %v", pat.Name(), p, got, q, want)
+			}
+		}
+	}
+	if got, want := DataRegion(RowColumn{}, g, p, Pos{Row: 0, Col: 5}), g.Rect(Pos{Row: 0, Col: 5}); got != want {
+		t.Errorf("rowcolumn declares no region but reads %v of a block covering %v", got, want)
+	}
+	for _, cols := range []int{1, 3, 17} { // one-column blocks, one-row blocks, one block a row
+		if err := ValidateDataRegion(Wavefront{}, MatrixGeometry(Size{9, 17}, Size{1, cols})); err != nil {
+			t.Error(err)
+		}
+	}
+	planted := map[string]func(g Geometry, p, q Pos) Rect{
+		"is empty for the north-west block": func(g Geometry, p, q Pos) Rect {
+			if r := edgeRegion(g, p, q); r.Cells() > 1 {
+				return r
+			}
+			return Rect{}
+		},
+		"reaches past its dependency": func(g Geometry, p, q Pos) Rect {
+			r := edgeRegion(g, p, q)
+			r.Cols++
+			return r
+		},
+		"lies in the block itself": func(g Geometry, p, q Pos) Rect { return g.Rect(p) },
+	}
+	for name, region := range planted {
+		if err := ValidateDataRegion(plantedRegion{region: region}, g); err == nil {
+			t.Errorf("a DataRegion that %s passed ValidateDataRegion", name)
+		}
 	}
 }

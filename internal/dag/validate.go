@@ -133,6 +133,28 @@ func ValidateCellOrder(pat Pattern, g Geometry) error {
 	return nil
 }
 
+// ValidateDataRegion checks what pat declares of the data-communication
+// level below whole blocks: for every block of g and every data dependency q
+// of it, DataRegion is non-empty and inside q's own region. A pattern that
+// declares none passes: its regions are the blocks. That the recurrence
+// reads nothing outside a region is not checked here; matrix.View panics on
+// such a read.
+func ValidateDataRegion(pat Pattern, g Geometry) error {
+	gr := Build(pat, g)
+	for _, id := range gr.Existing() {
+		v := gr.Vertex(id)
+		for _, d := range v.DataPre {
+			q := g.PosOf(d)
+			r, in := DataRegion(pat, g, v.Pos, q), g.Rect(q)
+			if !in.Covers(r) {
+				return fmt.Errorf("dag: pattern %s: data region %v of block %v is empty or outside its dependency %v %v",
+					pat.Name(), r, v.Pos, q, in)
+			}
+		}
+	}
+	return nil
+}
+
 // WriteDOT renders the block DAG of pat over g in Graphviz DOT format:
 // one node per existing block labelled with its grid position, solid
 // edges for topological precursors and dashed edges for the additional

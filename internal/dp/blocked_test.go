@@ -25,8 +25,9 @@ func topo(g *dag.Graph) []int32 {
 }
 
 // fillBlocked computes the matrix of kernel k the way a slave does, on one
-// goroutine: processor-level blocks in DAG order, each reading the blocks
-// the pattern's DataDeps name, re-partitioned into sub-blocks that are
+// goroutine: processor-level blocks in DAG order, each reading of the blocks
+// the pattern's DataDeps name what its DataRegion declares (as
+// engine.Job.TaskPayload ships it), re-partitioned into sub-blocks that are
 // computed — by core.SubBlockFill, the function computeBlock calls — in the
 // scratch block of a matrix.View over the shared output block and then
 // copied into it.
@@ -41,7 +42,10 @@ func fillBlocked[T any](k core.Kernel[T], size, proc, thread dag.Size) *matrix.S
 		out := matrix.NewBlock[T](geom.Rect(vert.Pos))
 		layers := []*matrix.Block[T]{out}
 		for _, d := range vert.DataPre {
-			layers = append(layers, store.Get(geom.PosOf(d)))
+			q := geom.PosOf(d)
+			if r := dag.DataRegion(pat, geom, vert.Pos, q); !r.Empty() {
+				layers = append(layers, store.Get(q).Region(r))
+			}
 		}
 		tgeom := dag.NewGeometry(out.Rect, thread)
 		tgraph := dag.Build(pat, tgeom)
@@ -300,6 +304,35 @@ func TestRowOutsideRegionPanics(t *testing.T) {
 	}()
 	fillBlocked[int32](under[int32]{e, noNorth}, e.Size(), dag.Square(4), dag.Square(2))
 	t.Error("a read of the north block that was not shipped went through")
+}
+
+// noCorner is the wavefront pattern declaring that a block reads nothing of
+// its north-west neighbour.
+type noCorner struct{ dag.Wavefront }
+
+func (noCorner) DataRegion(g dag.Geometry, p, q dag.Pos) dag.Rect {
+	if q.Row < p.Row && q.Col < p.Col {
+		return dag.Rect{}
+	}
+	return dag.Wavefront{}.DataRegion(g, p, q)
+}
+
+// And so does a read outside what the pattern declared of a dependency that
+// was shipped: the north and west regions arrive, the north-west one is
+// empty, and the first cell of block (1,1) reads the corner.
+func TestReadOutsideDeclaredRegionPanics(t *testing.T) {
+	a := RandomDNA(8, 1)
+	e := NewEditDistance(a, a)
+	if err := dag.ValidateDataRegion(noCorner{}, dag.MatrixGeometry(e.Size(), dag.Square(4))); err == nil {
+		t.Error("the empty region passed ValidateDataRegion")
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "read of cell (3,3) outside the sub-task data region") {
+			t.Errorf("recovered %q, want the under-specified data region panic at the corner", msg)
+		}
+	}()
+	fillBlocked[int32](under[int32]{e, noCorner{}}, e.Size(), dag.Square(4), dag.Square(2))
+	t.Error("a read of the north-west corner that was not shipped went through")
 }
 
 // One sub-block fill allocates a constant: nothing per segment or per cell,

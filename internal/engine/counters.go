@@ -75,9 +75,10 @@ type Stats struct {
 	// instead of dispatched; CacheMisses counts probes that fell through
 	// to computation (internal/cas).
 	CacheHits, CacheMisses int64
-	// BlocksShipped counts data-region blocks sent to workers under the
-	// keyed wire format; BlocksSkipped counts blocks replaced by a
-	// content-key reference because the worker already held them.
+	// BlocksShipped counts data-region records sent to workers in full — a
+	// block, or the region of it the pattern declares the task reads
+	// (dag.DataRegion) — and BlocksSkipped dependencies the worker already
+	// held whole: left out of a plain payload, a reference in a keyed one.
 	BlocksShipped, BlocksSkipped int64
 	// Leaked is the number of register-table plus lease entries still
 	// live when the run finished; always zero for a clean run (asserted

@@ -8,16 +8,16 @@
 // fair-share account, the draw, the hunger pass, revocation across jobs,
 // the control tick and the tuner (pool.go). Both have one method per event,
 // which returns what the driver must do next — vertex ids to queue or ship,
-// a verdict, the jobs to end — and does no I/O of its own beyond the store,
-// the cache and the checkpoint writer a Job was handed.
+// a verdict, a task's payload, the jobs to end — and does no I/O of its own
+// beyond the store, the cache and the checkpoint writer a Job was handed.
 //
 // Three drivers run jobs under a Pool: core's fixed-rank master (one job
 // over comm.Transport, its Policy the job's draw order), the fleet (many
 // jobs over one elastic TCP pool) and the simulator (a single-threaded event
 // loop on a fake clock). A driver owns what is I/O: members and their
-// connections or simulated queues, the wire encoding, the membership
-// registry, when a member counts as idle or hungry, when the tick fires,
-// the finish latch, the checkpoint file.
+// connections or simulated queues and known-sets, the message around a
+// payload, the membership registry, when a member counts as idle or hungry,
+// when the tick fires, the finish latch, the checkpoint file.
 //
 // docs/INTERNALS.md ("Job engine") has the event → call → action tables.
 //
@@ -31,10 +31,10 @@
 // outside the driver's lock, so that a commit (decode, store, cache and
 // checkpoint write) never stalls a draw — and own the parser, the store
 // writes, the content keys and the reclaim counts without a lock; a sender
-// reading a committed dependency (Gather, ResultKey) is ordered behind the
-// write by the driver's own ready hand-off, since a vertex is only drawn
-// after Complete returned it. Graph, Gather, ResultKey, Shipped and Unlease
-// may run from concurrent senders, the accessors from any goroutine. So
+// reading a committed dependency (TaskPayload, ResultKey) is ordered behind
+// the write by the driver's own ready hand-off, since a vertex is only drawn
+// after Complete returned it. Graph, TaskPayload, ResultKey, Shipped and
+// Unlease may run from concurrent senders, the accessors from any goroutine. So
 // Complete races Lease and the tick: specMu guards the speculation ledger
 // both write and is the only lock the engine declares; the sched tables,
 // the parser, the store, the cache and the trace recorder keep their own
@@ -593,9 +593,8 @@ func (j *Job[T]) Sample() tune.Sample {
 // when a job finished cleanly.
 func (j *Job[T]) Leaked() int { return j.reg.Outstanding() + j.leases.Len() }
 
-// Counters is the job's scheduling ledger. The engine keeps the fields its
-// events move; BlocksShipped and BlocksSkipped depend on the wire format
-// and are the driver's to bump as it encodes.
+// Counters is the job's scheduling ledger, every field moved by an engine
+// event.
 func (j *Job[T]) Counters() *Counters { return &j.ctrs }
 
 // Store is the job's block store: the result, once Finished.
@@ -624,16 +623,79 @@ func (j *Job[T]) LiveAttempts(v int32) int { return j.reg.LiveAttempts(v) }
 // Cached reports whether the job reads and writes the cross-job cache.
 func (j *Job[T]) Cached() bool { return j.resultKey != nil }
 
-// ResultKey is the content key of committed vertex v's payload; only on a
-// Cached job.
-func (j *Job[T]) ResultKey(v int32) cas.Key { return j.resultKey[v] }
-
-// Gather returns the committed blocks of the given vertices: the data
-// region a task ships.
-func (j *Job[T]) Gather(ids []int32) []*matrix.Block[T] {
-	positions := make([]dag.Pos, len(ids))
-	for k, d := range ids {
-		positions[k] = j.graph.Geom.PosOf(d)
+// ResultKey is the content key of committed vertex v's payload: the zero
+// key unless the job is Cached.
+func (j *Job[T]) ResultKey(v int32) cas.Key {
+	if j.resultKey == nil {
+		return cas.Key{}
 	}
-	return j.store.Gather(positions)
+	return j.resultKey[v]
+}
+
+// Known is one member's known-set as its driver keeps it: the committed
+// blocks the member holds whole, because it computed them or was shipped
+// them whole. A shipped region never enters it — the east, south and
+// south-east neighbours of a block read three different regions of it — so
+// a region is shipped again unless the member holds the block.
+type Known interface {
+	// Holds reports whether the member holds block d, whose ResultKey is key.
+	Holds(d int32, key cas.Key) bool
+	// Note records that the member holds d from now on.
+	Note(d int32, key cas.Key)
+}
+
+// TaskPayload encodes what the task of leased vertex v carries to a member:
+// of each data dependency, the region the pattern declares v reads of it
+// (dag.DataRegion: the committed block itself unless the pattern says less;
+// nothing of one declared empty). known, when non-nil, is the member's
+// known-set: a dependency it holds whole is left out of a plain payload —
+// core's slave keeps its blocks by rect — and in the keyed format, which a
+// fleet worker resolves by content key, becomes a reference to the whole
+// block. A shipped block travels under its ResultKey there and a region under
+// the cas.RegionKey derived from it: no cell is hashed at dispatch.
+// BlocksShipped and BlocksSkipped count the verdicts.
+func (j *Job[T]) TaskPayload(v int32, known Known, keyed bool) ([]byte, error) {
+	geom, vert := j.graph.Geom, j.graph.Vertex(v)
+	positions := make([]dag.Pos, len(vert.DataPre))
+	for k, d := range vert.DataPre {
+		positions[k] = geom.PosOf(d)
+	}
+	blocks := j.store.Gather(positions)
+	plain := blocks[:0] // what a plain payload carries, in place: never ahead of the loop
+	var full []matrix.KeyedBlock[T]
+	if keyed {
+		full = make([]matrix.KeyedBlock[T], 0, len(blocks))
+	}
+	var refs []matrix.BlockRef
+	for k, b := range blocks {
+		d, key := vert.DataPre[k], j.ResultKey(vert.DataPre[k])
+		if known != nil && known.Holds(d, key) {
+			j.ctrs.BlocksSkipped.Add(1)
+			if keyed {
+				refs = append(refs, matrix.BlockRef{Key: key, Rect: b.Rect})
+			}
+			continue
+		}
+		switch r := dag.DataRegion(j.graph.Pattern, geom, vert.Pos, positions[k]); {
+		case r.Empty():
+			continue
+		case r != b.Rect:
+			b = b.Region(r)
+			if keyed {
+				key = cas.RegionKey(key, r.Row0, r.Col0, r.Rows, r.Cols)
+			}
+		case known != nil:
+			known.Note(d, key)
+		}
+		j.ctrs.BlocksShipped.Add(1)
+		if keyed {
+			full = append(full, matrix.KeyedBlock[T]{Key: key, Block: b})
+		} else {
+			plain = append(plain, b)
+		}
+	}
+	if keyed {
+		return matrix.EncodeBlocksKeyed(j.codec, full, refs)
+	}
+	return matrix.EncodeBlocks(j.codec, plain)
 }

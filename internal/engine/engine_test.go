@@ -106,7 +106,7 @@ func (r *rig) lease(member int, v int32, want engine.Outcome) int32 {
 // compute is the worker: v's block from the data region the store holds.
 func (r *rig) compute(v int32) []byte {
 	r.t.Helper()
-	payload, err := matrix.EncodeBlocks(r.prob.Codec, r.eng.Gather(r.eng.Graph().Vertex(v).DataPre))
+	payload, err := r.eng.TaskPayload(v, nil, false)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -593,5 +593,121 @@ func TestReplayResumes(t *testing.T) {
 	second.finish()
 	if st := second.eng.Counters().Stats(); st.Restored != 12 || st.Restored+st.Tasks != int64(second.eng.Graph().N) {
 		t.Fatalf("stats = %+v, want 12 restored and the rest computed", st)
+	}
+}
+
+// heldSet is a driver's known-set for one member: what it was told the
+// member holds, and every Note the engine made.
+type heldSet map[int32]bool
+
+func (h heldSet) Holds(d int32, _ cas.Key) bool { return h[d] }
+func (h heldSet) Note(d int32, _ cas.Key)       { h[d] = true }
+
+// TaskPayload ships, of each dependency, what the pattern declares the
+// vertex reads: for the wavefront a row, a column and a corner, cut from the
+// committed blocks. A region never enters a known-set, so the vertex gets it
+// again when it is dispatched again — to another member after a timeout, or
+// to the same one — while a dependency the member holds whole is left out
+// of a plain payload and is a whole-block reference in a keyed one, the
+// regions beside it under keys derived from their blocks' without a hash of
+// a cell. A pattern that declares nothing ships whole blocks, noted once.
+func TestTaskPayloadShipsDeclaredRegions(t *testing.T) {
+	store, err := cas.NewStore(cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, "edit", engine.Config[int32]{Cache: store, CacheKey: "regions"})
+	r.start()
+	r.finish()
+	const v, north, west, corner = 5, 1, 4, 0 // block (1,1) of the 4x4 grid and what it reads
+	regions := []dag.Rect{
+		{Row0: 3, Col0: 4, Rows: 1, Cols: 4},
+		{Row0: 4, Col0: 3, Rows: 4, Cols: 1},
+		{Row0: 3, Col0: 3, Rows: 1, Cols: 1},
+	}
+	check := func(label string, blocks []*matrix.Block[int32], want []dag.Rect) {
+		t.Helper()
+		if len(blocks) != len(want) {
+			t.Fatalf("%s: %d blocks, want %d", label, len(blocks), len(want))
+		}
+		for k, b := range blocks {
+			if b.Rect != want[k] {
+				t.Fatalf("%s: block %d covers %v, want %v", label, k, b.Rect, want[k])
+			}
+			for i := b.Rect.Row0; i < b.Rect.Row0+b.Rect.Rows; i++ {
+				for j := b.Rect.Col0; j < b.Rect.Col0+b.Rect.Cols; j++ {
+					if b.At(i, j) != r.want[i][j] {
+						t.Fatalf("%s: cell (%d,%d) = %d, want %d", label, i, j, b.At(i, j), r.want[i][j])
+					}
+				}
+			}
+		}
+	}
+	plain := func(label string, known engine.Known, want []dag.Rect) {
+		t.Helper()
+		payload, err := r.eng.TaskPayload(v, known, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := matrix.DecodeBlocks(r.prob.Codec, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label, blocks, want)
+	}
+	before := r.eng.Counters().Stats()
+	plain("no known-set", nil, regions)
+	a, b := heldSet{}, heldSet{}
+	plain("first dispatch", a, regions)
+	plain("redispatch to another member", b, regions)
+	plain("redispatch to the same member", a, regions)
+	if len(a)+len(b) != 0 {
+		t.Fatalf("shipped regions entered the known-sets: %v %v", a, b)
+	}
+	a[north] = true // the member computed the north block
+	plain("north held whole", a, regions[1:])
+	after := r.eng.Counters().Stats()
+	if shipped, skipped := after.BlocksShipped-before.BlocksShipped, after.BlocksSkipped-before.BlocksSkipped; shipped != 14 || skipped != 1 {
+		t.Fatalf("BlocksShipped +%d, BlocksSkipped +%d; want +14 and +1", shipped, skipped)
+	}
+
+	payload, err := r.eng.TaskPayload(v, a, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := r.eng.Store().Get(dag.Pos{Row: 0, Col: 1})
+	var recorded, resolved [][32]byte
+	blocks, keyed, err := matrix.DecodeBlocksAny(r.prob.Codec, payload,
+		func(k [32]byte) (*matrix.Block[int32], bool) { resolved = append(resolved, k); return whole, true },
+		func(k [32]byte, _ *matrix.Block[int32]) { recorded = append(recorded, k) })
+	if err != nil || !keyed {
+		t.Fatalf("keyed payload: keyed = %v, err = %v", keyed, err)
+	}
+	check("keyed", blocks, []dag.Rect{regions[1], regions[2], whole.Rect})
+	if len(resolved) != 1 || resolved[0] != r.eng.ResultKey(north) {
+		t.Fatalf("the held block is referenced as %x, want its ResultKey", resolved)
+	}
+	for k, d := range []int32{west, corner} {
+		reg := regions[k+1]
+		if want := cas.RegionKey(r.eng.ResultKey(d), reg.Row0, reg.Col0, reg.Rows, reg.Cols); len(recorded) != 2 || recorded[k] != want {
+			t.Fatalf("region %v travels under %x, want the key derived from its block's", reg, recorded)
+		}
+	}
+
+	s := newRig(t, "swgg", engine.Config[int32]{})
+	s.start()
+	s.finish()
+	deps := s.eng.Graph().Vertex(v).DataPre
+	held := heldSet{}
+	for pass, want := range []int{len(deps), 0} {
+		payload, err := s.eng.TaskPayload(v, held, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := matrix.DecodeBlocks(s.prob.Codec, payload)
+		if err != nil || len(blocks) != want || len(held) != len(deps) {
+			t.Fatalf("whole-block pattern, pass %d: %d blocks shipped (want %d), %d of %d dependencies noted, err %v",
+				pass, len(blocks), want, len(held), len(deps), err)
+		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -651,61 +650,12 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	// leased, and a held vertex is back on the stack: wake blocked senders.
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	// pend holds the registered vertices with their gathered data regions;
-	// encoding is deferred so that in cache mode the known-set decisions
-	// (full block vs content-key reference) happen under attachMu, ordered
-	// against the detach that clears the member's set.
-	type pendingTask struct {
-		vertex, attempt int32
-		deps            []int32
-		blocks          []*matrix.Block[T]
-	}
-	pend := make([]pendingTask, 0, len(grants))
-	for _, g := range grants {
-		deps := jb.eng.Graph().Vertex(g.Vertex).DataPre
-		pend = append(pend, pendingTask{vertex: g.Vertex, attempt: g.Attempt, deps: deps, blocks: jb.eng.Gather(deps)})
-	}
 	// Leases and dispatch counters are settled; publish before the send
 	// section, which can block under attachMu, so observers see the
 	// grants while the wire write is still in flight.
 	f.noteProgress()
-	if len(pend) == 0 {
+	if len(grants) == 0 {
 		return spent
-	}
-	// encode builds each task's payload. Cache mode uses the keyed wire
-	// format: blocks the member provably holds become references, the
-	// rest ship in full and are noted as held. Must run under attachMu.
-	ctrs := jb.eng.Counters()
-	encode := func() ([]comm.TaskEntry, error) {
-		entries := make([]comm.TaskEntry, 0, len(pend))
-		for _, pt := range pend {
-			var payload []byte
-			var err error
-			if jb.eng.Cached() && mc.known != nil {
-				full := make([]matrix.KeyedBlock[T], 0, len(pt.blocks))
-				var refs []matrix.BlockRef
-				for i, d := range pt.deps {
-					k := jb.eng.ResultKey(d)
-					if mc.known.Knows(k) {
-						refs = append(refs, matrix.BlockRef{Key: [32]byte(k), Rect: pt.blocks[i].Rect})
-						ctrs.BlocksSkipped.Add(1)
-						continue
-					}
-					mc.known.Note(k)
-					full = append(full, matrix.KeyedBlock[T]{Key: [32]byte(k), Block: pt.blocks[i]})
-					ctrs.BlocksShipped.Add(1)
-				}
-				payload, err = matrix.EncodeBlocksKeyed(jb.p.Codec, full, refs)
-			} else {
-				ctrs.BlocksShipped.Add(int64(len(pt.blocks)))
-				payload, err = matrix.EncodeBlocks(jb.p.Codec, pt.blocks)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("fleet: encoding data region of vertex %d: %w", pt.vertex, err)
-			}
-			entries = append(entries, comm.TaskEntry{Vertex: pt.vertex, Attempt: pt.attempt, Payload: payload})
-		}
-		return entries, nil
 	}
 	// Attach and send under attachMu, serialized against retire's detach:
 	// a job observed finished here is being (or has been) detached from
@@ -716,25 +666,34 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	mc.attachMu.Lock()
 	if jb.finished() {
 		mc.attachMu.Unlock()
-		for _, pt := range pend {
-			jb.eng.Unlease(pt.vertex, pt.attempt)
+		for _, g := range grants {
+			jb.eng.Unlease(g.Vertex, g.Attempt)
 		}
 		return false
 	}
-	entries, encErr := encode()
-	var err error
+	// A cached job ships in the keyed wire format: blocks the member
+	// provably holds become references, the rest ship in full and whole
+	// ones are noted as held — decided under attachMu, ordered against the
+	// detach that clears the member's set.
+	keyed := jb.eng.Cached() && mc.known != nil
+	var known engine.Known
+	if keyed {
+		known = memberKnown{mc.known}
+	}
+	entries := make([]comm.TaskEntry, 0, len(grants))
+	var err, encErr error
+	bytes := 0
+	for _, g := range grants {
+		payload, e := jb.eng.TaskPayload(g.Vertex, known, keyed)
+		if e != nil {
+			encErr = fmt.Errorf("fleet: encoding data region of vertex %d: %w", g.Vertex, e)
+			break
+		}
+		entries = append(entries, comm.TaskEntry{Vertex: g.Vertex, Attempt: g.Attempt, Payload: payload})
+		bytes += len(payload)
+	}
 	if encErr == nil {
-		bytes := 0
-		for _, e := range entries {
-			bytes += len(e.Payload)
-		}
 		jb.eng.Shipped(mc.id, len(entries), bytes)
-		var msg comm.Message
-		if len(entries) == 1 {
-			msg = comm.Message{Kind: comm.KindTask, Job: jb.id, Vertex: entries[0].Vertex, Attempt: entries[0].Attempt, Payload: entries[0].Payload}
-		} else {
-			msg = comm.Message{Kind: comm.KindTaskBatch, Job: jb.id, Batch: entries}
-		}
 		if !mc.attached[jb.id] {
 			// The connection is ordered, so the spec always precedes the
 			// job's tasks.
@@ -745,7 +704,7 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 		}
 		if err == nil {
 			//lint:ignore blocking-under-lock the task send is serialized against retire's JobEnd by attachMu (PR 6 review invariant); the write is bounded by the connection's write timeout, and attachMu is a leaf per member
-			err = mc.cn.Send(msg)
+			err = mc.cn.Send(comm.TaskMessage(jb.id, entries))
 		}
 	}
 	mc.attachMu.Unlock()
@@ -761,6 +720,12 @@ func (f *Fleet[T]) dispatch(mc *memberConn, jb *job[T], ids []int32) bool {
 	}
 	return true
 }
+
+// memberKnown is a member's content-keyed known-set as the engine asks it.
+type memberKnown struct{ *cas.PeerSet }
+
+func (k memberKnown) Holds(_ int32, key cas.Key) bool { return k.Knows(key) }
+func (k memberKnown) Note(_ int32, key cas.Key)       { k.PeerSet.Note(key) }
 
 // memberFailed reports a send failure on mc's connection into the inbox.
 func (f *Fleet[T]) memberFailed(mc *memberConn) {

@@ -7,14 +7,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/matrix"
 )
 
 // computeVertex runs vertex v of jb the way a worker would: the data
 // region gathered from the job's store, through a TaskRunner.
 func computeVertex(t *testing.T, jb *job[int32], runner *core.TaskRunner[int32], v int32) []byte {
 	t.Helper()
-	payload, err := matrix.EncodeBlocks(jb.p.Codec, jb.eng.Gather(jb.eng.Graph().Vertex(v).DataPre))
+	payload, err := jb.eng.TaskPayload(v, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

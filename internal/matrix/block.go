@@ -45,6 +45,29 @@ func (b *Block[T]) CopyFrom(src *Block[T]) {
 	}
 }
 
+// Region returns the cells of b inside r as a block of its own: what is
+// shipped of b to a task that reads only r of it (dag.DataRegion). A region
+// of whole rows aliases b's cells — a committed block is immutable — and any
+// other is a copy of its r.Cells() cells. r must be a non-empty part of
+// b.Rect.
+func (b *Block[T]) Region(r dag.Rect) *Block[T] {
+	if r == b.Rect {
+		return b
+	}
+	if !b.Rect.Covers(r) {
+		panic(fmt.Sprintf("matrix: region %v is not a part of %v", r, b))
+	}
+	k := b.index(r.Row0, r.Col0)
+	if r.Cols == b.Rect.Cols {
+		return &Block[T]{Rect: r, Cells: b.Cells[k : k+r.Cells() : k+r.Cells()]}
+	}
+	out := NewBlock[T](r)
+	for i := 0; i < r.Rows; i++ {
+		copy(out.Cells[i*r.Cols:(i+1)*r.Cols], b.Cells[k+i*b.Rect.Cols:])
+	}
+	return out
+}
+
 // Clone returns a deep copy of the block.
 func (b *Block[T]) Clone() *Block[T] {
 	c := &Block[T]{Rect: b.Rect, Cells: make([]T, len(b.Cells))}

@@ -171,14 +171,24 @@ func TestGobCodecRefusals(t *testing.T) {
 	}
 }
 
+// regionRects are what a wavefront task carries of its three dependencies
+// (dag.DataRegion): 1×N, N×1 and 1×1 records. regionRefKey names the first
+// in the keyed seed, a reference to a region.
+var (
+	regionRects  = []dag.Rect{{Row0: 3, Col0: 4, Rows: 1, Cols: 4}, {Row0: 4, Col0: 3, Rows: 4, Cols: 1}, {Row0: 3, Col0: 3, Rows: 1, Cols: 1}}
+	regionRefKey = [32]byte{0xee, 0x01}
+)
+
 // fuzzResolve resolves the references of the seed payloads (the pinned
-// fixtures' two keys) and misses on anything else.
+// fixtures' two keys and regionRefKey) and misses on anything else.
 func fuzzResolve[T any](k [32]byte) (*Block[T], bool) {
 	switch {
 	case k[0] == 0x80 && k[31] == 0x80+31:
 		return NewBlock[T](pinnedRects[2]), true
 	case k == [32]byte{0xaa, 0xbb, 0xcc}:
 		return NewBlock[T](dag.Rect{Row0: 8, Col0: 16, Rows: 2, Cols: 3}), true
+	case k == regionRefKey:
+		return NewBlock[T](regionRects[0]), true
 	}
 	return nil, false
 }
@@ -218,6 +228,22 @@ func FuzzDecodeBlocks(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(uint8(0), refOnly)
+	var regions []*Block[int32]
+	for _, r := range regionRects {
+		regions = append(regions, NewBlock[int32](r))
+	}
+	plainRegions, err := EncodeBlocks(BinaryCodec[int32]{}, regions)
+	if err != nil {
+		f.Fatal(err)
+	}
+	keyedRegions, err := EncodeBlocksKeyed(BinaryCodec[int32]{},
+		[]KeyedBlock[int32]{{Key: [32]byte{1}, Block: regions[1]}, {Key: [32]byte{2}, Block: regions[2]}},
+		[]BlockRef{{Key: regionRefKey, Rect: regionRects[0]}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), plainRegions)
+	f.Add(uint8(0), keyedRegions)
 	for _, crasher := range [][]byte{crashHugeBlock, crashHugeCount, crashHugeBlockKeyed, crashHugeCountKeyed} {
 		f.Add(uint8(0), crasher)
 		f.Add(uint8(6), crasher)

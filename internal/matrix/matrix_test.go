@@ -309,3 +309,48 @@ func TestAssembleWithHoles(t *testing.T) {
 		t.Fatal("hole cells not zero")
 	}
 }
+
+// A region of a block is a block: whole rows alias the cells, anything else
+// is a copy, the whole block is itself, and a rect that is not a part of the
+// block is a bug.
+func TestBlockRegion(t *testing.T) {
+	b := NewBlock[int32](dag.Rect{Row0: 4, Col0: 8, Rows: 3, Cols: 5})
+	for k := range b.Cells {
+		b.Cells[k] = int32(k)
+	}
+	if b.Region(b.Rect) != b {
+		t.Error("the whole block as a region is not the block")
+	}
+	for _, r := range []dag.Rect{
+		{Row0: 6, Col0: 8, Rows: 1, Cols: 5},  // last row
+		{Row0: 5, Col0: 8, Rows: 2, Cols: 5},  // last two rows
+		{Row0: 4, Col0: 12, Rows: 3, Cols: 1}, // last column
+		{Row0: 6, Col0: 12, Rows: 1, Cols: 1}, // corner
+		{Row0: 5, Col0: 9, Rows: 2, Cols: 3},  // interior
+	} {
+		reg := b.Region(r)
+		if reg.Rect != r || len(reg.Cells) != r.Cells() {
+			t.Fatalf("region %v: rect %v with %d cells", r, reg.Rect, len(reg.Cells))
+		}
+		for i := r.Row0; i < r.Row0+r.Rows; i++ {
+			for j := r.Col0; j < r.Col0+r.Cols; j++ {
+				if reg.At(i, j) != b.At(i, j) {
+					t.Fatalf("region %v: cell (%d,%d) = %d, block holds %d", r, i, j, reg.At(i, j), b.At(i, j))
+				}
+			}
+		}
+		if aliases := &reg.Cells[0] == &b.Cells[b.index(r.Row0, r.Col0)]; aliases != (r.Cols == b.Rect.Cols) {
+			t.Errorf("region %v aliases the block: %v", r, aliases)
+		}
+	}
+	for _, r := range []dag.Rect{{Row0: 6, Col0: 8, Rows: 2, Cols: 5}, {Row0: 4, Col0: 7, Rows: 1, Cols: 2}, {Row0: 4, Col0: 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("region %v of %v did not panic", r, b)
+				}
+			}()
+			b.Region(r)
+		}()
+	}
+}

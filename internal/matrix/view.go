@@ -13,9 +13,11 @@ import (
 //     the same sub-task);
 //   - else to the input block that holds it: the shared block of the running
 //     processor-level task (cells of sibling sub-tasks, complete by DAG
-//     order) or a shipped block. Blocks lie inside the matrix and input
-//     blocks do not overlap one another; the output block may overlap an
-//     input and then shadows it;
+//     order) or a shipped block, which may be a region of a block of the
+//     matrix (dag.DataRegion). Blocks lie inside the matrix; input blocks
+//     that overlap hold identical cells there (a region beside the whole
+//     block it was cut from) and the first in the list answers; the output
+//     block may overlap an input and then shadows it;
 //   - but to the kernel's boundary function when the pattern does not
 //     compute the cell, even inside a block: the lower triangle of a
 //     Triangular diagonal block holds zeros, not boundary values. CellExists
@@ -24,8 +26,8 @@ import (
 //     is a hole;
 //   - when no block holds the cell, to the boundary function if the cell is
 //     outside the matrix or a hole, and otherwise to a panic: a computed
-//     cell nobody shipped means the pattern's DataDeps under-specify the
-//     data region, which the tests are designed to catch.
+//     cell nobody shipped means the pattern's DataDeps or DataRegion
+//     under-specify the data region, which the tests are designed to catch.
 //
 // Get reads one cell. Row and Col hand out a run — consecutive cells of one
 // row or column as a slice aliasing the block's storage — so a recurrence

@@ -12,8 +12,10 @@ import (
 
 // viewCase is one sub-task as a slave sets it up: a scratch block overlaid
 // on the shared output block of its processor-level task, every other
-// existing block of the matrix shipped except one, and a cell-by-cell
-// model of how reads must resolve, written without any of View's logic.
+// existing block of the matrix shipped except one — whole, or as a region of
+// it: its last rows (aliasing the block), its last columns, or both — and a
+// cell-by-cell model of how reads must resolve, written without any of
+// View's logic.
 type viewCase struct {
 	pat     dag.Pattern
 	size    dag.Size
@@ -69,7 +71,19 @@ func newViewCase(rng *rand.Rand, pat dag.Pattern, size dag.Size) *viewCase {
 			c.missing = geom.Rect(p)
 			continue
 		}
-		c.layers = append(c.layers, fill(len(c.layers)+1, geom.Rect(p)))
+		b := fill(len(c.layers)+1, geom.Rect(p))
+		if r := b.Rect; len(c.layers) > 0 {
+			if rng.Intn(2) == 0 {
+				r.Rows = 1 + rng.Intn(r.Rows)
+				r.Row0 += b.Rect.Rows - r.Rows
+			}
+			if rng.Intn(2) == 0 {
+				r.Cols = 1 + rng.Intn(r.Cols)
+				r.Col0 += b.Rect.Cols - r.Cols
+			}
+			b = b.Region(r)
+		}
+		c.layers = append(c.layers, b)
 	}
 	shared := c.layers[0]
 	tgeom := dag.NewGeometry(shared.Rect, dag.Size{Rows: 1 + rng.Intn(shared.Rect.Rows), Cols: 1 + rng.Intn(shared.Rect.Cols)})

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"time"
-
-	"repro/internal/matrix"
-)
+import "time"
 
 // simWorker is one simulated fleet member: a speed factor, a FIFO task
 // queue and liveness flags. It executes its queue one entry at a time;
@@ -106,12 +102,10 @@ func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) bool {
 	entries := make([]entry, 0, len(grants))
 	bytes := 0
 	for _, g := range grants {
-		deps := jb.eng.Graph().Vertex(g.Vertex).DataPre
-		payload, err := matrix.EncodeBlocks(jb.spec.Problem.Codec, jb.eng.Gather(deps))
+		payload, err := jb.eng.TaskPayload(g.Vertex, nil, false)
 		if c.settle(jb, err) {
 			return true
 		}
-		jb.eng.Counters().BlocksShipped.Add(int64(len(deps)))
 		bytes += len(payload)
 		entries = append(entries, entry{jb: jb, vertex: g.Vertex, attempt: g.Attempt, payload: payload})
 	}

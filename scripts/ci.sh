@@ -13,8 +13,8 @@
 #   -bench  additionally run the repo benchmark's swgg-inproc and
 #           edit-inproc workloads (~15 s each) and fail if either falls
 #           back under its floor: the kernels' block-run scan (swgg), or
-#           the byte-slice block codec or the row kernels (edit), has
-#           been lost.
+#           the shipping of declared data regions instead of whole blocks
+#           (edit), has been lost.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,7 +148,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7994 internal/core internal/cluster internal/fleet internal/sim internal/engine internal/sched
+check_lines 7991 internal/core internal/cluster internal/fleet internal/sim internal/engine internal/sched
 
 # And what keeps it a state machine: the engine may be driven from a
 # socket, an event loop or a test, so it imports none of its drivers, no
@@ -212,10 +212,12 @@ if [ "$bench" = 1 ]; then
     # scanned block runs and reads 1.1-1.2 since, so 0.6 is far from both
     # and from the host's noise; edit-inproc read 0.11 while every block
     # went through encoding/binary.Write, 0.15-0.18 with the byte-slice
-    # codec and a per-cell kernel loop, and reads 0.25 or more since the
-    # thread level computes row segments, so 0.20 fails if either the codec
-    # or the row path is lost. Comparing two commits is the pairing recipe
-    # in benchmark/README.md, not this stage.
+    # codec and a per-cell kernel loop, 0.25-0.36 with row segments while
+    # every task still carried three whole blocks, and reads 0.55 or more
+    # since a task carries the row, the column and the corner its pattern
+    # declares, so 0.40 fails if region shipping is lost (and with it
+    # anything below). Comparing two commits is the pairing recipe in
+    # benchmark/README.md, not this stage.
     bench_floor() {
         line=$(sh benchmark/run.sh --workload "$1" --seed 1 --seconds 15 --trace 0 | tail -1)
         echo "$line"
@@ -230,5 +232,5 @@ print("bench: %s speedup_vs_seq %.3f (>= %s)" % (name, speedup, floor))
 EOF
     }
     bench_floor swgg-inproc 0.6
-    bench_floor edit-inproc 0.20
+    bench_floor edit-inproc 0.40
 fi
