@@ -42,7 +42,7 @@ func runFigure(b *testing.B, app bench.App, policy core.Policy, points int) {
 		for _, y := range o.CoreCounts(x, points) {
 			b.Run(fmt.Sprintf("nodes=%d/cores=%d", x, y), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					pt, err := o.Run(app, x, y, policy)
+					pt, err := o.Run(context.Background(), app, x, y, policy)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -76,7 +76,7 @@ func BenchmarkFig15Crossover(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("cores=%d/nodes=%d", y, x), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					pt, err := o.Run(app, x, y, core.PolicyDynamic)
+					pt, err := o.Run(context.Background(), app, x, y, core.PolicyDynamic)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -101,7 +101,7 @@ func BenchmarkFig16Speedup(b *testing.B) {
 						if _, err := o.Config(app, x, y, core.PolicyDynamic); err != nil {
 							continue
 						}
-						pt, err := o.Run(app, x, y, core.PolicyDynamic)
+						pt, err := o.Run(context.Background(), app, x, y, core.PolicyDynamic)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -125,11 +125,11 @@ func BenchmarkFig17BCWRate(b *testing.B) {
 		y := o.CoreCounts(x, 2)[1] // the larger of two core counts
 		b.Run(fmt.Sprintf("nodes=%d/cores=%d", x, y), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dyn, err := o.Run(app, x, y, core.PolicyDynamic)
+				dyn, err := o.Run(context.Background(), app, x, y, core.PolicyDynamic)
 				if err != nil {
 					b.Fatal(err)
 				}
-				bcw, err := o.Run(app, x, y, core.PolicyBlockCyclic)
+				bcw, err := o.Run(context.Background(), app, x, y, core.PolicyBlockCyclic)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -239,7 +239,7 @@ func BenchmarkRunEndToEndNoEmulation(b *testing.B) {
 	prob := e.Problem()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(prob, cfg); err != nil {
+		if _, err := core.RunContext(context.Background(), prob, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,7 +318,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, prob := range problems {
-				if _, err := core.Run(prob, runCfg); err != nil {
+				if _, err := core.RunContext(context.Background(), prob, runCfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -65,7 +66,7 @@ func main() {
 	}
 	o = o.WithDefaults()
 
-	w := os.Stdout
+	ctx, w := context.Background(), os.Stdout
 	die := func(err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "easyhps-bench:", err)
@@ -74,33 +75,33 @@ func main() {
 	}
 
 	if *verify {
-		die(o.Verify(w))
+		die(o.Verify(ctx, w))
 	}
 
 	ranSomething := *verify
 	switch *fig {
 	case "":
 	case "13":
-		die(o.Fig13(w, *points))
+		die(o.Fig13(ctx, w, *points))
 		ranSomething = true
 	case "14":
-		die(o.Fig14(w, *points))
+		die(o.Fig14(ctx, w, *points))
 		ranSomething = true
 	case "15":
-		die(o.Fig15(w))
+		die(o.Fig15(ctx, w))
 		ranSomething = true
 	case "16":
-		die(o.Fig16(w))
+		die(o.Fig16(ctx, w))
 		ranSomething = true
 	case "17":
-		die(o.Fig17(w, *points))
+		die(o.Fig17(ctx, w, *points))
 		ranSomething = true
 	case "all":
-		die(o.Fig13(w, *points))
-		die(o.Fig14(w, *points))
-		die(o.Fig15(w))
-		die(o.Fig16(w))
-		die(o.Fig17(w, *points))
+		die(o.Fig13(ctx, w, *points))
+		die(o.Fig14(ctx, w, *points))
+		die(o.Fig15(ctx, w))
+		die(o.Fig16(ctx, w))
+		die(o.Fig17(ctx, w, *points))
 		ranSomething = true
 	default:
 		die(fmt.Errorf("unknown figure %q", *fig))
@@ -109,30 +110,30 @@ func main() {
 	switch *ablate {
 	case "":
 	case "partition":
-		die(o.AblatePartition(w))
+		die(o.AblatePartition(ctx, w))
 		ranSomething = true
 	case "latency":
-		die(o.AblateLatency(w))
+		die(o.AblateLatency(ctx, w))
 		ranSomething = true
 	case "singlelevel":
-		die(o.AblateSingleLevel(w))
+		die(o.AblateSingleLevel(ctx, w))
 		ranSomething = true
 	case "idle":
-		die(o.IdleWhileComputable(w))
+		die(o.IdleWhileComputable(ctx, w))
 		ranSomething = true
 	case "delta":
-		die(o.AblateDelta(w))
+		die(o.AblateDelta(ctx, w))
 		ranSomething = true
 	case "affinity":
-		die(o.AblateAffinity(w))
+		die(o.AblateAffinity(ctx, w))
 		ranSomething = true
 	case "all":
-		die(o.AblatePartition(w))
-		die(o.AblateLatency(w))
-		die(o.AblateSingleLevel(w))
-		die(o.AblateDelta(w))
-		die(o.AblateAffinity(w))
-		die(o.IdleWhileComputable(w))
+		die(o.AblatePartition(ctx, w))
+		die(o.AblateLatency(ctx, w))
+		die(o.AblateSingleLevel(ctx, w))
+		die(o.AblateDelta(ctx, w))
+		die(o.AblateAffinity(ctx, w))
+		die(o.IdleWhileComputable(ctx, w))
 		ranSomething = true
 	default:
 		die(fmt.Errorf("unknown ablation %q", *ablate))

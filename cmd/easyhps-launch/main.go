@@ -137,7 +137,7 @@ func main() {
 		cfg.Cache = store
 		cfg.CacheKey = spec.Digest()
 	}
-	res, err := core.RunMaster(prob, cfg, tr)
+	res, err := core.RunMasterContext(context.Background(), prob, cfg, tr)
 	fatal(err)
 	fmt.Printf("done in %v\n", res.Stats.Elapsed.Round(time.Millisecond))
 	report(os.Stdout, res.Matrix())

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -110,7 +111,7 @@ func main() {
 		prob, report, err = cli.Build(*app, *n, *seed)
 	}
 	fatal(err)
-	res, err := core.Run(prob, cfg)
+	res, err := core.RunContext(context.Background(), prob, cfg)
 	fatal(err)
 	fmt.Printf("%s on %d slaves x %d threads (%s policy): %v\n",
 		prob.Name, *slaves, *threads, *policy, res.Stats.Elapsed.Round(time.Millisecond))
@@ -158,7 +159,7 @@ func buildFromFasta(app, path string) (core.Problem[int32], func(io.Writer, [][]
 // generic runtime beyond the int32 facade.
 func runMatrixChain(n int, seed int64, cfg core.Config, verbose bool) {
 	m := dp.NewMatrixChain(n, 2, 100, seed)
-	res, err := core.Run(m.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), m.Problem(), cfg)
 	fatal(err)
 	got := res.Matrix()
 	fmt.Printf("matrixchain-%d: optimal multiplication cost %d (%v)\n",

@@ -1,20 +1,17 @@
 // Command easyhps-vet runs the EasyHPS project-specific static-analysis
 // suite (internal/lint) over the repository: concurrency and messaging
 // invariants the compiler cannot check — cancellable channel operations,
-// timer hygiene in the fault-tolerance paths, no mutexes held across
-// blocking operations, no detached contexts in library code, the declared
-// lock hierarchy, exhaustive switches over comm.Kind and consistent
-// sync/atomic use.
+// timer hygiene in the fault-tolerance paths, no detached contexts in
+// library code, the declared lock hierarchy, no mutexes held across
+// blocking operations and exhaustive switches over comm.Kind.
 //
 // Usage:
 //
-//	easyhps-vet [-json|-sarif] [-rules ctx-select,timer-leak] [packages...]
+//	easyhps-vet [-json] [-rules ctx-select,timer-leak] [packages...]
 //
 // Packages default to ./... resolved against the working directory.
-// -json emits findings as a JSON array; -sarif emits a SARIF 2.1.0 log
-// for CI code-annotation surfaces (the two are mutually exclusive).
-// Exit status: 0 when clean, 1 when findings were reported, 2 on usage
-// or load errors.
+// -json emits findings as a JSON array. Exit status: 0 when clean, 1
+// when findings were reported, 2 on usage or load errors.
 package main
 
 import (
@@ -35,14 +32,9 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("easyhps-vet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	ruleList := fs.String("rules", "", "comma-separated rule names to run (default: all)")
 	listRules := fs.Bool("list", false, "list the available rules and exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "easyhps-vet: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -95,12 +87,7 @@ func run(args []string) int {
 	}
 
 	findings := lint.NewRunner(prog.Fset, rules...).Run(prog.Pkgs)
-	if *sarifOut {
-		if err := lint.WriteSARIF(os.Stdout, findings, rules, cwd); err != nil {
-			fmt.Fprintln(os.Stderr, "easyhps-vet:", err)
-			return 2
-		}
-	} else if *jsonOut {
+	if *jsonOut {
 		type finding struct {
 			File    string `json:"file"`
 			Line    int    `json:"line"`

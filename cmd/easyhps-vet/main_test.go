@@ -2,12 +2,11 @@ package main
 
 import "testing"
 
-// The SARIF encoding itself is unit-tested in internal/lint; here we
-// pin the command surface: the output modes are mutually exclusive and
-// the cheap flag paths exit with the documented statuses.
+// TestRunFlagHandling pins the command surface: the cheap flag paths
+// exit with the documented statuses.
 func TestRunFlagHandling(t *testing.T) {
-	if got := run([]string{"-json", "-sarif"}); got != 2 {
-		t.Errorf("run(-json -sarif) = %d, want 2 (mutually exclusive)", got)
+	if got := run([]string{"-sarif"}); got != 2 {
+		t.Errorf("run(-sarif) = %d, want 2 (no such flag)", got)
 	}
 	if got := run([]string{"-list"}); got != 0 {
 		t.Errorf("run(-list) = %d, want 0", got)

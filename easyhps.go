@@ -179,7 +179,9 @@ type (
 )
 
 // Run executes a problem on an in-process emulated cluster.
-func Run(p Problem32, cfg Config) (*Result32, error) { return core.Run(p, cfg) }
+func Run(p Problem32, cfg Config) (*Result32, error) {
+	return core.RunContext(context.Background(), p, cfg)
+}
 
 // RunContext is Run with cancellation: cancelling ctx stops the master
 // from scheduling further sub-tasks and returns ctx's error once the
@@ -191,7 +193,7 @@ func RunContext(ctx context.Context, p Problem32, cfg Config) (*Result32, error)
 // RunMaster runs only the master part over an external transport (see
 // ListenMaster), for real multi-process deployments.
 func RunMaster(p Problem32, cfg Config, tr Transport) (*Result32, error) {
-	return core.RunMaster(p, cfg, tr)
+	return core.RunMasterContext(context.Background(), p, cfg, tr)
 }
 
 // RunSlave runs only the slave part over an external transport (see

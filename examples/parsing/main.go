@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	}
 	for _, in := range inputs {
 		c := dp.NewCYK(g, []byte(in))
-		res, err := core.Run(c.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), c.Problem(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

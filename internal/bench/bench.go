@@ -20,6 +20,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -201,7 +202,7 @@ type Point struct {
 
 // Run executes Experiment_X_Y, repeating Options.Reps times and keeping
 // the median-elapsed repetition.
-func (o Options) Run(app App, x, y int, policy core.Policy) (Point, error) {
+func (o Options) Run(ctx context.Context, app App, x, y int, policy core.Policy) (Point, error) {
 	cfg, err := o.Config(app, x, y, policy)
 	if err != nil {
 		return Point{}, err
@@ -213,7 +214,7 @@ func (o Options) Run(app App, x, y int, policy core.Policy) (Point, error) {
 	var sample stats.Sample
 	points := make(map[time.Duration]Point, reps)
 	for r := 0; r < reps; r++ {
-		res, err := core.Run(app.Problem(), cfg)
+		res, err := core.RunContext(ctx, app.Problem(), cfg)
 		if err != nil {
 			return Point{}, fmt.Errorf("bench: %s Experiment_%d_%d: %w", app.Name, x, y, err)
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -72,7 +73,7 @@ func TestConfigCoreAccounting(t *testing.T) {
 func TestRunExperimentBothApps(t *testing.T) {
 	o := tinyOpts()
 	for _, app := range o.Apps() {
-		pt, err := o.Run(app, 2, 6, core.PolicyDynamic)
+		pt, err := o.Run(context.Background(), app, 2, 6, core.PolicyDynamic)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -86,7 +87,7 @@ func TestRunBothPolicies(t *testing.T) {
 	o := tinyOpts()
 	app := o.SWGGApp()
 	for _, pol := range []core.Policy{core.PolicyDynamic, core.PolicyBlockCyclic} {
-		if _, err := o.Run(app, 3, 9, pol); err != nil {
+		if _, err := o.Run(context.Background(), app, 3, 9, pol); err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
 	}
@@ -94,7 +95,7 @@ func TestRunBothPolicies(t *testing.T) {
 
 func TestVerifyPasses(t *testing.T) {
 	var buf bytes.Buffer
-	if err := tinyOpts().Verify(&buf); err != nil {
+	if err := tinyOpts().Verify(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "SWGG") || !strings.Contains(buf.String(), "Nussinov") {
@@ -117,7 +118,7 @@ func TestFigureFunctionsRun(t *testing.T) {
 	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.Fig15(&buf); err != nil {
+	if err := o.Fig15(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -132,7 +133,7 @@ func TestIdleWhileComputableReportsBoth(t *testing.T) {
 	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.IdleWhileComputable(&buf); err != nil {
+	if err := o.IdleWhileComputable(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -147,7 +148,7 @@ func TestFig13OutputShape(t *testing.T) {
 	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.Fig13(&buf, 2); err != nil {
+	if err := o.Fig13(context.Background(), &buf, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -172,7 +173,7 @@ func TestFig16OutputShape(t *testing.T) {
 	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.Fig16(&buf); err != nil {
+	if err := o.Fig16(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -188,7 +189,7 @@ func TestFig17OutputShape(t *testing.T) {
 	o := tinyOpts()
 	o.Reps = 3 // interleave minimum
 	var buf bytes.Buffer
-	if err := o.Fig17(&buf, 1); err != nil {
+	if err := o.Fig17(context.Background(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ratio") {
@@ -202,13 +203,13 @@ func TestAblationsRun(t *testing.T) {
 	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.AblateSingleLevel(&buf); err != nil {
+	if err := o.AblateSingleLevel(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.AblateDelta(&buf); err != nil {
+	if err := o.AblateDelta(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.AblateAffinity(&buf); err != nil {
+	if err := o.AblateAffinity(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -16,22 +17,22 @@ import (
 // Fig13 reproduces Figure 13: SWGG elapsed time vs. total cores, deployed
 // on 2-5 nodes. points bounds the number of core counts measured per node
 // count (0 = the paper's full 11-point sweep).
-func (o Options) Fig13(w io.Writer, points int) error {
-	return o.figTimeVsCores(w, o.SWGGApp(), "Fig. 13: SWGG elapsed time vs cores", points)
+func (o Options) Fig13(ctx context.Context, w io.Writer, points int) error {
+	return o.figTimeVsCores(ctx, w, o.SWGGApp(), "Fig. 13: SWGG elapsed time vs cores", points)
 }
 
 // Fig14 reproduces Figure 14: the same sweep for Nussinov.
-func (o Options) Fig14(w io.Writer, points int) error {
-	return o.figTimeVsCores(w, o.NussinovApp(), "Fig. 14: Nussinov elapsed time vs cores", points)
+func (o Options) Fig14(ctx context.Context, w io.Writer, points int) error {
+	return o.figTimeVsCores(ctx, w, o.NussinovApp(), "Fig. 14: Nussinov elapsed time vs cores", points)
 }
 
-func (o Options) figTimeVsCores(w io.Writer, app App, title string, points int) error {
+func (o Options) figTimeVsCores(ctx context.Context, w io.Writer, app App, title string, points int) error {
 	fprintf(w, "%s  (n=%d, grid=%dx%d, work=%v/cell, latency=%v+%v/KB)\n",
 		title, app.Len, o.GridSide, o.GridSide, o.WorkDelay, o.Latency.Base, o.Latency.PerKB)
 	fprintf(w, "%-8s %-8s %-10s %-12s %-10s\n", "nodes", "cores", "threads", "elapsed", "tasks")
 	for x := 2; x <= 5; x++ {
 		for _, y := range o.CoreCounts(x, points) {
-			pt, err := o.Run(app, x, y, core.PolicyDynamic)
+			pt, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
 			if err != nil {
 				return err
 			}
@@ -53,7 +54,7 @@ var Fig15Cores = []int{13, 25, 37, 49}
 // cores -> more nodes win (a slave executes one sub-task at a time, so
 // thread-level parallelism saturates at the slave-DAG width while
 // processor-level parallelism keeps scaling).
-func (o Options) Fig15(w io.Writer) error {
+func (o Options) Fig15(ctx context.Context, w io.Writer) error {
 	for _, app := range o.Apps() {
 		fprintf(w, "Fig. 15 (%s): elapsed time at equal core counts across node counts\n", app.Name)
 		fprintf(w, "%-8s", "cores")
@@ -73,7 +74,7 @@ func (o Options) Fig15(w io.Writer) error {
 					row = append(row, "-")
 					continue
 				}
-				pt, err := o.Run(app, x, y, core.PolicyDynamic)
+				pt, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
 				if err != nil {
 					return err
 				}
@@ -95,7 +96,7 @@ func (o Options) Fig15(w io.Writer) error {
 // Fig16 reproduces Figure 16: elapsed time and speedup with the best node
 // grouping per core count, against the virtual-time sequential baseline.
 // The paper reports ~30x at 50 cores for SWGG and ~20x for Nussinov.
-func (o Options) Fig16(w io.Writer) error {
+func (o Options) Fig16(ctx context.Context, w io.Writer) error {
 	for _, app := range o.Apps() {
 		seq := o.SequentialBaseline(app)
 		fprintf(w, "Fig. 16 (%s): elapsed/speedup with optimal node grouping (T_seq=%v)\n",
@@ -107,7 +108,7 @@ func (o Options) Fig16(w io.Writer) error {
 				if _, err := o.Config(app, x, y, core.PolicyDynamic); err != nil {
 					continue
 				}
-				pt, err := o.Run(app, x, y, core.PolicyDynamic)
+				pt, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
 				if err != nil {
 					return err
 				}
@@ -129,7 +130,7 @@ func (o Options) Fig16(w io.Writer) error {
 // drifts over minutes, the two policies are measured interleaved
 // (dynamic, BCW, dynamic, BCW, ...) and the per-policy medians are
 // compared, so slow drift cancels out of the ratio.
-func (o Options) Fig17(w io.Writer, points int) error {
+func (o Options) Fig17(ctx context.Context, w io.Writer, points int) error {
 	reps := o.Reps
 	if reps < 3 {
 		reps = 3
@@ -143,12 +144,12 @@ func (o Options) Fig17(w io.Writer, points int) error {
 			for _, y := range o.CoreCounts(x, points) {
 				var dyn, bcw stats.Sample
 				for r := 0; r < reps; r++ {
-					d, err := single.Run(app, x, y, core.PolicyDynamic)
+					d, err := single.Run(ctx, app, x, y, core.PolicyDynamic)
 					if err != nil {
 						return err
 					}
 					dyn.Add(d.Elapsed)
-					b, err := single.Run(app, x, y, core.PolicyBlockCyclic)
+					b, err := single.Run(ctx, app, x, y, core.PolicyBlockCyclic)
 					if err != nil {
 						return err
 					}
@@ -168,7 +169,7 @@ func (o Options) Fig17(w io.Writer, points int) error {
 // AblatePartition sweeps the processor-level grid side at a fixed
 // deployment, exposing the block-size trade-off between DAG width (load
 // balance) and per-task overhead (messages, scheduling).
-func (o Options) AblatePartition(w io.Writer) error {
+func (o Options) AblatePartition(ctx context.Context, w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 25
 	fprintf(w, "Ablation: proc grid side sweep, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
@@ -176,7 +177,7 @@ func (o Options) AblatePartition(w io.Writer) error {
 	for _, grid := range []int{4, 8, 16, 24, 40} {
 		oo := o
 		oo.GridSide = grid
-		pt, err := oo.Run(app, x, y, core.PolicyDynamic)
+		pt, err := oo.Run(ctx, app, x, y, core.PolicyDynamic)
 		if err != nil {
 			return err
 		}
@@ -190,7 +191,7 @@ func (o Options) AblatePartition(w io.Writer) error {
 
 // AblateLatency reruns the Fig. 15 crossover with a free interconnect: the
 // node-count effects collapse when communication costs nothing.
-func (o Options) AblateLatency(w io.Writer) error {
+func (o Options) AblateLatency(ctx context.Context, w io.Writer) error {
 	app := o.SWGGApp()
 	fprintf(w, "Ablation: interconnect latency on/off, SWGG n=%d, %d cores\n", app.Len, Fig15Cores[1])
 	fprintf(w, "%-8s %-14s %-14s\n", "nodes", "with latency", "zero latency")
@@ -199,13 +200,13 @@ func (o Options) AblateLatency(w io.Writer) error {
 			fprintf(w, "%-8d %-14s %-14s\n", x, "-", "-")
 			continue
 		}
-		with, err := o.Run(app, x, Fig15Cores[1], core.PolicyDynamic)
+		with, err := o.Run(ctx, app, x, Fig15Cores[1], core.PolicyDynamic)
 		if err != nil {
 			return err
 		}
 		oo := o
 		oo.Latency = comm.LatencyModel{Base: 1} // effectively free but non-zero to defeat defaulting
-		without, err := oo.Run(app, x, Fig15Cores[1], core.PolicyDynamic)
+		without, err := oo.Run(ctx, app, x, Fig15Cores[1], core.PolicyDynamic)
 		if err != nil {
 			return err
 		}
@@ -220,11 +221,11 @@ func (o Options) AblateLatency(w io.Writer) error {
 // scheduling (thread partition = proc partition, so each sub-task is one
 // sub-sub-task and thread-level parallelism disappears) at the same core
 // budget.
-func (o Options) AblateSingleLevel(w io.Writer) error {
+func (o Options) AblateSingleLevel(ctx context.Context, w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 37
 	fprintf(w, "Ablation: multilevel vs single-level, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
-	multi, err := o.Run(app, x, y, core.PolicyDynamic)
+	multi, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
 	if err != nil {
 		return err
 	}
@@ -233,7 +234,7 @@ func (o Options) AblateSingleLevel(w io.Writer) error {
 		return err
 	}
 	cfg.ThreadPartition = cfg.ProcPartition // one sub-sub-task per sub-task
-	res, err := core.Run(app.Problem(), cfg)
+	res, err := core.RunContext(ctx, app.Problem(), cfg)
 	if err != nil {
 		return err
 	}
@@ -245,7 +246,7 @@ func (o Options) AblateSingleLevel(w io.Writer) error {
 // AblateDelta compares full data-region shipping against delta shipping
 // (slave-side block caching) on SWGG, whose 2D/1D data regions repeat the
 // same row/column blocks across tasks: traffic should collapse.
-func (o Options) AblateDelta(w io.Writer) error {
+func (o Options) AblateDelta(ctx context.Context, w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 25
 	fprintf(w, "Ablation: delta shipping, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
@@ -256,7 +257,7 @@ func (o Options) AblateDelta(w io.Writer) error {
 			return err
 		}
 		cfg.DeltaShipping = delta
-		res, err := core.Run(app.Problem(), cfg)
+		res, err := core.RunContext(ctx, app.Problem(), cfg)
 		if err != nil {
 			return err
 		}
@@ -277,7 +278,7 @@ func (o Options) AblateDelta(w io.Writer) error {
 // resources: dynamic (paper), dynamic with delta shipping, and the
 // locality-aware affinity policy. Payload traffic is the interesting
 // column.
-func (o Options) AblateAffinity(w io.Writer) error {
+func (o Options) AblateAffinity(ctx context.Context, w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 25
 	fprintf(w, "Ablation: scheduling policy vs traffic, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
@@ -296,7 +297,7 @@ func (o Options) AblateAffinity(w io.Writer) error {
 			return err
 		}
 		cfg.DeltaShipping = row.delta
-		res, err := core.Run(app.Problem(), cfg)
+		res, err := core.RunContext(ctx, app.Problem(), cfg)
 		if err != nil {
 			return err
 		}
@@ -314,7 +315,7 @@ func (o Options) AblateAffinity(w io.Writer) error {
 // and idle workers, which "never happens" under the dynamic pool. It runs
 // both policies with a trace recorder and reports the idle-while-computable
 // worker-time at the processor level.
-func (o Options) IdleWhileComputable(w io.Writer) error {
+func (o Options) IdleWhileComputable(ctx context.Context, w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 5, 25
 	fprintf(w, "Trace: idle-while-computable worker-time, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
@@ -325,7 +326,7 @@ func (o Options) IdleWhileComputable(w io.Writer) error {
 		}
 		rec := trace.New()
 		cfg.Trace = rec
-		res, err := core.Run(app.Problem(), cfg)
+		res, err := core.RunContext(ctx, app.Problem(), cfg)
 		if err != nil {
 			return err
 		}
@@ -340,7 +341,7 @@ func (o Options) IdleWhileComputable(w io.Writer) error {
 
 // Verify checks, for a small instance of each app, that the parallel run
 // reproduces the sequential matrix bit-for-bit — run before benchmarking.
-func (o Options) Verify(w io.Writer) error {
+func (o Options) Verify(ctx context.Context, w io.Writer) error {
 	a := dp.RandomDNA(48, o.Seed)
 	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.3, o.Seed+1)
 	swgg := dp.NewSWGG(a, b)
@@ -361,7 +362,7 @@ func (o Options) Verify(w io.Writer) error {
 			ThreadPartition: dag.Square(3),
 			RunTimeout:      2 * time.Minute,
 		}
-		res, err := core.Run(c.prob, cfg)
+		res, err := core.RunContext(ctx, c.prob, cfg)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func runApp(t *testing.T, app string, n int) string {
 		ThreadPartition: dag.Square((n + 15) / 16),
 		RunTimeout:      2 * time.Minute,
 	}
-	res, err := core.Run(prob, cfg)
+	res, err := core.RunContext(context.Background(), prob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestBuildDeterministic(t *testing.T) {
 	// Same flags must produce the same problem (multi-process ranks rely
 	// on it). Compare through a tiny run on each.
 	cfg := core.Config{Slaves: 1, Threads: 1, ProcPartition: dag.Square(8), ThreadPartition: dag.Square(4), RunTimeout: time.Minute}
-	r1, err := core.Run(p1, cfg)
+	r1, err := core.RunContext(context.Background(), p1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.Run(p2, cfg)
+	r2, err := core.RunContext(context.Background(), p2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -25,7 +26,7 @@ func TestRunGotohStructCells(t *testing.T) {
 		ThreadPartition: dag.Square(4),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(g.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), g.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRunOptimalBST(t *testing.T) {
 		ThreadPartition: dag.Square(4),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(b.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), b.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestRunCYKBitmaskCells(t *testing.T) {
 		ThreadPartition: dag.Square(2),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(c.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), c.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRunCYKRandomGrammar(t *testing.T) {
 		ThreadPartition: dag.Square(3),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(c.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), c.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRunViterbiFloatCellsPrevRow(t *testing.T) {
 		ThreadPartition: dag.Size{Rows: 1, Cols: 3},
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(v.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), v.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestRunViterbiMultiRowBlocksRejected(t *testing.T) {
 			t.Fatal("PrevRow pattern accepted multi-row multi-column blocks")
 		}
 	}()
-	_, _ = core.Run(v.Problem(), cfg)
+	_, _ = core.RunContext(context.Background(), v.Problem(), cfg)
 }
 
 func TestRunBandedEdit(t *testing.T) {
@@ -170,7 +171,7 @@ func TestRunBandedEdit(t *testing.T) {
 		ThreadPartition: dag.Square(5),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestRunBandedNarrowManyHoles(t *testing.T) {
 		ThreadPartition: dag.Square(7),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestRunNeedlemanWunsch(t *testing.T) {
 		ThreadPartition: dag.Square(5),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(nw.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nw.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

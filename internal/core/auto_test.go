@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestRunAutoMatchesSequential(t *testing.T) {
 		Auto:       true,
 		RunTimeout: time.Minute,
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -48,7 +49,7 @@ func TestBatchMatchesUnbatchedAllKernels(t *testing.T) {
 						Batch:           b,
 						RunTimeout:      2 * time.Minute,
 					}
-					res, err := core.Run(prob, cfg)
+					res, err := core.RunContext(context.Background(), prob, cfg)
 					if err != nil {
 						t.Fatalf("%s (slaves=%d batch=%d): %v", label, slaves, b, err)
 					}
@@ -82,7 +83,7 @@ func TestBatchStatsAccounting(t *testing.T) {
 	}
 
 	cfg.Batch = 4
-	res, err := core.Run(prob, cfg)
+	res, err := core.RunContext(context.Background(), prob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestBatchStatsAccounting(t *testing.T) {
 	}
 
 	cfg.Batch = 1
-	res, err = core.Run(prob, cfg)
+	res, err = core.RunContext(context.Background(), prob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestBatchComposesWithDeltaShippingAndReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := core.Run(prob, core.Config{
+	serial, err := core.RunContext(context.Background(), prob, core.Config{
 		Slaves: 1, Threads: 1,
 		ProcPartition:   dag.Square(8),
 		ThreadPartition: dag.Square(4),
@@ -143,7 +144,7 @@ func TestBatchComposesWithDeltaShippingAndReclaim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(prob, cfg)
+		res, err := core.RunContext(context.Background(), prob, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -58,7 +59,7 @@ func TestCachedMatchesRecomputed(t *testing.T) {
 				kn.cfg(&base)
 			}
 
-			plain, err := core.Run(kn.prob, base)
+			plain, err := core.RunContext(context.Background(), kn.prob, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +73,7 @@ func TestCachedMatchesRecomputed(t *testing.T) {
 			cached.Cache = store
 			cached.CacheKey = "cache-test:" + kn.name
 
-			cold, err := core.Run(kn.prob, cached)
+			cold, err := core.RunContext(context.Background(), kn.prob, cached)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +85,7 @@ func TestCachedMatchesRecomputed(t *testing.T) {
 				t.Fatalf("cold run never probed the cache: %+v", cold.Stats)
 			}
 
-			warm, err := core.Run(kn.prob, cached)
+			warm, err := core.RunContext(context.Background(), kn.prob, cached)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,13 +116,13 @@ func TestCacheKeyIsolation(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cache = store
 	cfg.CacheKey = "iso:editdist"
-	if _, err := core.Run(e.Problem(), cfg); err != nil {
+	if _, err := core.RunContext(context.Background(), e.Problem(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	// Same store, different problem and key: full recompute, exact result.
 	cfg.CacheKey = "iso:lcs"
-	res, err := core.Run(l.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), l.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestCacheKeyIsolation(t *testing.T) {
 
 	// Same problem, different key: also a full recompute.
 	cfg.CacheKey = "iso:editdist-v2"
-	res, err = core.Run(e.Problem(), cfg)
+	res, err = core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestCacheEvictionDegradesToRecompute(t *testing.T) {
 	cfg.CacheKey = "evict:editdist"
 
 	for i := 0; i < 2; i++ {
-		res, err := core.Run(e.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestCorruptCacheFilesDegradeToRecompute(t *testing.T) {
 		cfg := testConfig()
 		cfg.Cache = store
 		cfg.CacheKey = "corrupt:editdist"
-		res, err := core.Run(e.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func benchCacheJob(b *testing.B, warm bool) {
 	cfg.Cache = store
 	cfg.CacheKey = "bench:editdist"
 	if warm {
-		if _, err := core.Run(e.Problem(), cfg); err != nil {
+		if _, err := core.RunContext(context.Background(), e.Problem(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +250,7 @@ func benchCacheJob(b *testing.B, warm bool) {
 			}
 			cfg.Cache = store
 		}
-		res, err := core.Run(e.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestRunEditDistanceMatchesSequential(t *testing.T) {
 	a := dp.RandomDNA(61, 1)
 	b := dp.RandomDNA(53, 2)
 	e := dp.NewEditDistance(a, b)
-	res, err := core.Run(e.Problem(), testConfig())
+	res, err := core.RunContext(context.Background(), e.Problem(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestRunSWGGMatchesSequential(t *testing.T) {
 	a := dp.RandomDNA(48, 3)
 	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.2, 4)
 	s := dp.NewSWGG(a, b)
-	res, err := core.Run(s.Problem(), testConfig())
+	res, err := core.RunContext(context.Background(), s.Problem(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunSWGGMatchesSequential(t *testing.T) {
 
 func TestRunNussinovMatchesSequential(t *testing.T) {
 	nu := dp.NewNussinov(dp.RandomRNA(50, 5))
-	res, err := core.Run(nu.Problem(), testConfig())
+	res, err := core.RunContext(context.Background(), nu.Problem(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRunKnapsackMatchesSequential(t *testing.T) {
 	cfg := testConfig()
 	cfg.ProcPartition = dag.Size{Rows: 6, Cols: 20}
 	cfg.ThreadPartition = dag.Size{Rows: 2, Cols: 7}
-	res, err := core.Run(k.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), k.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRunDominanceMatchesSequential(t *testing.T) {
 	cfg := testConfig()
 	cfg.ProcPartition = dag.Square(6)
 	cfg.ThreadPartition = dag.Square(2)
-	res, err := core.Run(d.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), d.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRunMatrixChainMatchesSequential(t *testing.T) {
 	cfg := testConfig()
 	cfg.ProcPartition = dag.Square(12)
 	cfg.ThreadPartition = dag.Square(4)
-	res, err := core.Run(m.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), m.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestRunGeometryCorners(t *testing.T) {
 	}
 	for k, cfg := range configs {
 		cfg.RunTimeout = 60 * time.Second
-		res, err := core.Run(e.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 		if err != nil {
 			t.Fatalf("config %d: %v", k, err)
 		}
@@ -147,7 +148,7 @@ func TestRunTriangularGeometryCorners(t *testing.T) {
 	}
 	for k, cfg := range configs {
 		cfg.RunTimeout = 120 * time.Second
-		res, err := core.Run(nu.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 		if err != nil {
 			t.Fatalf("config %d: %v", k, err)
 		}
@@ -164,7 +165,7 @@ func TestRunBlockCyclicPolicyCorrect(t *testing.T) {
 		cfg := testConfig()
 		cfg.Policy = core.PolicyBlockCyclic
 		cfg.BCWBlockCols = blockCols
-		res, err := core.Run(s.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), s.Problem(), cfg)
 		if err != nil {
 			t.Fatalf("blockCols=%d: %v", blockCols, err)
 		}
@@ -178,7 +179,7 @@ func TestRunBlockCyclicTriangular(t *testing.T) {
 	cfg.Policy = core.PolicyBlockCyclic
 	cfg.ProcPartition = dag.Square(8)
 	cfg.ThreadPartition = dag.Square(3)
-	res, err := core.Run(nu.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,20 +189,20 @@ func TestRunBlockCyclicTriangular(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	e := dp.NewEditDistance([]byte("AC"), []byte("GT"))
 	p := e.Problem()
-	if _, err := core.Run(p, core.Config{Slaves: 0, Threads: 1}); err == nil {
+	if _, err := core.RunContext(context.Background(), p, core.Config{Slaves: 0, Threads: 1}); err == nil {
 		t.Error("zero slaves accepted")
 	}
-	if _, err := core.Run(p, core.Config{Slaves: 1, Threads: 0}); err == nil {
+	if _, err := core.RunContext(context.Background(), p, core.Config{Slaves: 1, Threads: 0}); err == nil {
 		t.Error("zero threads accepted")
 	}
 	bad := p
 	bad.Kernel = nil
-	if _, err := core.Run(bad, testConfig()); err == nil {
+	if _, err := core.RunContext(context.Background(), bad, testConfig()); err == nil {
 		t.Error("nil kernel accepted")
 	}
 	bad = p
 	bad.Codec = nil
-	if _, err := core.Run(bad, testConfig()); err == nil {
+	if _, err := core.RunContext(context.Background(), bad, testConfig()); err == nil {
 		t.Error("nil codec accepted")
 	}
 }

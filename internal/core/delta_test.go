@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func TestDeltaShippingSWGG(t *testing.T) {
 			DeltaShipping:   delta,
 			RunTimeout:      time.Minute,
 		}
-		res, err := core.Run(s.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), s.Problem(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestDeltaShippingAcrossPatterns(t *testing.T) {
 	}
 
 	nu := dp.NewNussinov(dp.RandomRNA(50, 103))
-	res, err := core.Run(nu.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestDeltaShippingAcrossPatterns(t *testing.T) {
 	cfgK := cfg
 	cfgK.ProcPartition = dag.Size{Rows: 5, Cols: 13}
 	cfgK.ThreadPartition = dag.Size{Rows: 2, Cols: 5}
-	resK, err := core.Run(k.Problem(), cfgK)
+	resK, err := core.RunContext(context.Background(), k.Problem(), cfgK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDeltaShippingAcrossPatterns(t *testing.T) {
 	cfgD := cfg
 	cfgD.ProcPartition = dag.Square(4)
 	cfgD.ThreadPartition = dag.Square(2)
-	resD, err := core.Run(d.Problem(), cfgD)
+	resD, err := core.RunContext(context.Background(), d.Problem(), cfgD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestDeltaShippingWithCrash(t *testing.T) {
 		WorkDelayPerCell: crashWork,
 		Faults:           core.FaultPlan{CrashOnTask: map[int]int{2: 2}},
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestDeltaShippingWithReclaim(t *testing.T) {
 		ReclaimBlocks:   true,
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(s.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), s.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestAffinityPolicy(t *testing.T) {
 			// too little for the band below to mean anything.
 			WorkDelayPerCell: crashWork,
 		}
-		res, err := core.Run(s.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), s.Problem(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func TestAffinityWithFaults(t *testing.T) {
 		WorkDelayPerCell: crashWork,
 		Faults:           core.FaultPlan{CrashOnTask: map[int]int{1: 3}},
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func benchmarkDispatchTCP(b *testing.B, batch int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.RunMaster(prob, cfg, tr)
+		res, err := core.RunMasterContext(context.Background(), prob, cfg, tr)
 		tr.Close()
 		wg.Wait()
 		if err != nil {

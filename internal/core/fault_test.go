@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func TestSlaveCrashRecovered(t *testing.T) {
 	cfg := faultConfig()
 	cfg.WorkDelayPerCell = crashWork
 	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{2: 3}} // slave 2 dies on its 3rd task
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestTwoSlavesCrashRecovered(t *testing.T) {
 	cfg.ThreadPartition = dag.Square(4)
 	cfg.WorkDelayPerCell = crashWork
 	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{1: 2, 3: 3}}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestStaleResultDropped(t *testing.T) {
 	cfg.ThreadPartition = dag.Square(3)
 	cfg.WorkDelayPerCell = 100 * time.Microsecond
 	cfg.Faults = core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{0: 250 * time.Millisecond}}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestStaleResultDropped(t *testing.T) {
 // and the run hung until RunTimeout.
 func TestBlockCyclicRequeueAfterOwnerDrained(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(64, 51), dp.RandomDNA(64, 52))
-	res, err := core.Run(e.Problem(), core.Config{
+	res, err := core.RunContext(context.Background(), e.Problem(), core.Config{
 		Slaves:        2,
 		Threads:       1,
 		ProcPartition: dag.Square(16), // 4x4 grid
@@ -134,7 +135,7 @@ func TestPoisonedVertexFailsRun(t *testing.T) {
 	cfg.CheckInterval = 5 * time.Millisecond
 	cfg.MaxAttempts = 1
 	cfg.Faults = core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{0: 200 * time.Millisecond}}
-	_, err := core.Run(e.Problem(), cfg)
+	_, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if want := "core: vertex 0 timed out 1 times (MaxAttempts); giving up"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
@@ -152,7 +153,7 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		{Proc: 0, Sub: 0}: true,
 		{Proc: 1, Sub: 2}: true,
 	}}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestSubTaskStallRecovered(t *testing.T) {
 	cfg.Faults = core.FaultPlan{StallSubTask: map[core.SubTaskID]time.Duration{
 		{Proc: 0, Sub: 0}: 500 * time.Millisecond,
 	}}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestNussinovWithFaults(t *testing.T) {
 		PanicSubTask:      map[core.SubTaskID]bool{{Proc: 3, Sub: 1}: true},
 		StallFirstAttempt: map[int32]time.Duration{5: 400 * time.Millisecond},
 	}
-	res, err := core.Run(nu.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestAllSlavesDeadAborts(t *testing.T) {
 	cfg.Slaves = 2
 	cfg.RunTimeout = 2 * time.Second
 	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{1: 1, 2: 1}}
-	_, err := core.Run(e.Problem(), cfg)
+	_, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err == nil {
 		t.Fatal("run with all slaves dead returned success")
 	}

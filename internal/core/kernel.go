@@ -8,6 +8,7 @@ package core
 import (
 	"repro/internal/dag"
 	"repro/internal/matrix"
+	"repro/internal/tune"
 )
 
 // Kernel is what a user implements to run a DP algorithm on EasyHPS — the
@@ -31,19 +32,6 @@ type Kernel[T any] interface {
 	Boundary(i, j int) T
 	// Cell computes the recurrence at (i, j).
 	Cell(v *matrix.View[T], i, j int) T
-}
-
-// CostModel is an optional Kernel extension reporting the relative cost of
-// computing one cell. Most DP recurrences are not uniform — an SWGG cell
-// scans its whole row and column prefix, O(i+j); a Nussinov cell scans its
-// span, O(j-i) — and the runtime's emulated-work mode
-// (Config.WorkDelayPerCell) uses this weight so that block costs vary the
-// way the real recurrence's do. Implementations should normalize the mean
-// weight over the matrix to about 1 so the total emulated work stays
-// cells x WorkDelayPerCell. Kernels without a CostModel are weighted
-// uniformly.
-type CostModel interface {
-	CellCost(i, j int) float64
 }
 
 // RowKernel is an optional Kernel extension: the recurrence over a row
@@ -75,15 +63,15 @@ func (k cellRows[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
 // recurrence: fill(v) visits the region of v's output block in the
 // pattern's row order and has Row write each segment into the block's own
 // row — k's Row, or Cell behind an adapter built here, once per block. With
-// emulate set it returns the cells' summed CostModel weights (1 a cell
-// without a CostModel), else 0.
+// emulate set it returns the cells' summed tune.CostModel weights (1 a
+// cell without one), else 0.
 func SubBlockFill[T any](k Kernel[T], emulate bool) func(v *matrix.View[T]) (units float64) {
 	pat := k.Pattern()
 	rows, ok := any(k).(RowKernel[T])
 	if !ok {
 		rows = cellRows[T]{k}
 	}
-	cost, _ := any(k).(CostModel)
+	cost, _ := any(k).(tune.CostModel)
 	return func(v *matrix.View[T]) (units float64) {
 		b := v.Out()
 		dag.RowOrder(pat, b.Rect, func(i, j0, j1 int) {

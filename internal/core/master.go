@@ -471,7 +471,6 @@ func (m *master[T]) tick(now time.Time) {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	for _, end := range ended {
-		// Tick names the job in front of the reason; a run has one.
-		m.finish(fmt.Errorf("core: %w", errors.Unwrap(end.Err)))
+		m.finish(fmt.Errorf("core: %w", end.Err))
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestReclaimBlocksWavefront(t *testing.T) {
 		ReclaimBlocks:   true,
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestReclaimBlocksTriangular(t *testing.T) {
 		ReclaimBlocks:   true,
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(nu.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCheckpointRestoreFullCycle(t *testing.T) {
 	var ck bytes.Buffer
 	cfg := base
 	cfg.Checkpoint = &ck
-	res1, err := core.Run(e.Problem(), cfg)
+	res1, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCheckpointRestoreFullCycle(t *testing.T) {
 
 	cfg = base
 	cfg.Restore = partial
-	res2, err := core.Run(e.Problem(), cfg)
+	res2, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +127,13 @@ func TestRestoreCompleteCheckpointComputesNothing(t *testing.T) {
 	var ck bytes.Buffer
 	cfg := base
 	cfg.Checkpoint = &ck
-	if _, err := core.Run(nu.Problem(), cfg); err != nil {
+	if _, err := core.RunContext(context.Background(), nu.Problem(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	cfg = base
 	cfg.Restore = bytes.NewReader(ck.Bytes())
-	res, err := core.Run(nu.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCheckpointChaining(t *testing.T) {
 	var ck1 bytes.Buffer
 	cfg := base
 	cfg.Checkpoint = &ck1
-	if _, err := core.Run(e.Problem(), cfg); err != nil {
+	if _, err := core.RunContext(context.Background(), e.Problem(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	half := ck1.Bytes()[:ck1.Len()/2]
@@ -164,14 +165,14 @@ func TestCheckpointChaining(t *testing.T) {
 	cfg = base
 	cfg.Restore = bytes.NewReader(half)
 	cfg.Checkpoint = &ck2
-	if _, err := core.Run(e.Problem(), cfg); err != nil {
+	if _, err := core.RunContext(context.Background(), e.Problem(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	// Resume again from the second (complete) stream: zero computation.
 	cfg = base
 	cfg.Restore = bytes.NewReader(ck2.Bytes())
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRestoreRejectsForeignCheckpoint(t *testing.T) {
 		Checkpoint:      &ck,
 		RunTimeout:      time.Minute,
 	}
-	if _, err := core.Run(e1.Problem(), cfg); err != nil {
+	if _, err := core.RunContext(context.Background(), e1.Problem(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +206,7 @@ func TestRestoreRejectsForeignCheckpoint(t *testing.T) {
 		Restore:         bytes.NewReader(ck.Bytes()),
 		RunTimeout:      time.Minute,
 	}
-	if _, err := core.Run(e2.Problem(), cfg2); err == nil {
+	if _, err := core.RunContext(context.Background(), e2.Problem(), cfg2); err == nil {
 		t.Fatal("foreign checkpoint accepted")
 	}
 }
@@ -232,7 +233,7 @@ func TestRestoreRejectsWrongRectRecord(t *testing.T) {
 		Restore:         &ck,
 		RunTimeout:      time.Minute,
 	}
-	_, err = core.Run(e.Problem(), cfg)
+	_, err = core.RunContext(context.Background(), e.Problem(), cfg)
 	if err == nil || !strings.Contains(err.Error(), "does not match geometry rect") {
 		t.Fatalf("restore of a wrong-rect record: err = %v, want the rect mismatch", err)
 	}
@@ -264,7 +265,7 @@ func TestRestoreRefusesOversizedBlockRecord(t *testing.T) {
 		Restore:         &ck,
 		RunTimeout:      time.Minute,
 	}
-	_, err := core.Run(e.Problem(), cfg)
+	_, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err == nil || !strings.Contains(err.Error(), "checkpoint payload for vertex 0") {
 		t.Fatalf("restore of an oversized block record: err = %v, want the payload refused", err)
 	}
@@ -287,7 +288,7 @@ func TestReclaimWithCheckpointAndFaults(t *testing.T) {
 		WorkDelayPerCell: crashWork,
 		Faults:           core.FaultPlan{CrashOnTask: map[int]int{1: 2}},
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestSpillStoreRun(t *testing.T) {
 		SpillBudget:     8,
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestSpillStoreNussinovWithReclaim(t *testing.T) {
 		ReclaimBlocks:   true,
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(nu.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func TestRunMatchesSequentialProperty(t *testing.T) {
 			ThreadPartition: dag.Size{Rows: int(tr%8) + 1, Cols: int(tc%8) + 1},
 			RunTimeout:      2 * time.Minute,
 		}
-		res, err := core.Run(e.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 		if err != nil {
 			t.Logf("size=%d cfg=%+v: %v", size, cfg, err)
 			return false
@@ -76,7 +77,7 @@ func TestNussinovMatchesSequentialProperty(t *testing.T) {
 			ThreadPartition: dag.Size{Rows: int(tb%5) + 1, Cols: int(tb%4) + 1},
 			RunTimeout:      2 * time.Minute,
 		}
-		res, err := core.Run(nu.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 		if err != nil {
 			return false
 		}
@@ -118,7 +119,7 @@ func TestConcurrentIndependentRuns(t *testing.T) {
 				ThreadPartition: dag.Square(4),
 				RunTimeout:      2 * time.Minute,
 			}
-			res, err := core.Run(e.Problem(), cfg)
+			res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 			if err != nil {
 				errs <- err
 				return
@@ -154,7 +155,7 @@ func TestRunDeterministicAcrossSchedules(t *testing.T) {
 	}
 	var first [][]int32
 	for round := 0; round < 3; round++ {
-		res, err := core.Run(nu.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestStatsAccountingCleanRun(t *testing.T) {
 		ThreadPartition: dag.Square(4), // 2x2 sub-grid per task
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestBlockCyclicMatchesSequentialProperty(t *testing.T) {
 			BCWBlockCols:    int(bc%3) + 1,
 			RunTimeout:      2 * time.Minute,
 		}
-		res, err := core.Run(e.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 		if err != nil {
 			return false
 		}

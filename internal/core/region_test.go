@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -51,7 +52,7 @@ func checkRegionModes[T any](t *testing.T, label string, p core.Problem[T], want
 		if mode == "cache+delta" {
 			c.Cache, c.CacheKey = store, label
 		}
-		res, err := core.Run(p, c)
+		res, err := core.RunContext(context.Background(), p, c)
 		if err != nil {
 			t.Fatalf("%s %s: %v", label, mode, err)
 		}
@@ -131,7 +132,7 @@ func TestParentCacheDirectoryStaysWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := dp.NewEditDistance(dp.RandomDNA(12, 41), dp.RandomDNA(12, 42))
-	res, err := core.Run(e.Problem(), core.Config{
+	res, err := core.RunContext(context.Background(), e.Problem(), core.Config{
 		Slaves: 2, Threads: 1, ProcPartition: dag.Square(4), ThreadPartition: dag.Square(2),
 		Cache: store, CacheKey: "parent-cache:editdist-12", RunTimeout: time.Minute,
 	})

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func TestRestoreTornFinalRecord(t *testing.T) {
 	var ck bytes.Buffer
 	cfg := base
 	cfg.Checkpoint = &ck
-	res1, err := core.Run(e.Problem(), cfg)
+	res1, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestRestoreTornFinalRecord(t *testing.T) {
 	// its trailing bytes (CRC and part of the payload).
 	cfg = base
 	cfg.Restore = bytes.NewReader(full[:len(full)-3])
-	res2, err := core.Run(e.Problem(), cfg)
+	res2, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"strings"
@@ -41,7 +42,7 @@ func TestPanickingRowRecovered(t *testing.T) {
 	k := &flakyRows{EditDistance: e, planted: map[[2]int]bool{{0, 0}: true, {20, 22}: true, {39, 38}: true}}
 	p := e.Problem()
 	p.Kernel = k
-	res, err := core.Run(p, faultConfig())
+	res, err := core.RunContext(context.Background(), p, faultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestBrokenRowReRaisedAtMaxAttempts(t *testing.T) {
 		e := dp.NewEditDistance(dp.RandomDNA(8, 54), dp.RandomDNA(8, 55))
 		p, cfg := e.Problem(), faultConfig()
 		p.Kernel, cfg.MaxAttempts = &flakyRows{EditDistance: e, broken: true}, 2
-		_, err := core.Run(p, cfg)
+		_, err := core.RunContext(context.Background(), p, cfg)
 		t.Fatalf("the run returned (%v) instead of re-raising the panic", err)
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestBrokenRowReRaisedAtMaxAttempts$")

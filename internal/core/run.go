@@ -10,17 +10,11 @@ import (
 	"repro/internal/tune"
 )
 
-// Run executes problem p on an in-process emulated cluster: one master
-// rank plus cfg.Slaves slave ranks connected by a channel transport with
-// cfg.Latency, each slave running cfg.Threads compute goroutines. It
-// blocks until the DP matrix is complete and returns the blocked result
-// with run statistics.
-func Run[T any](p Problem[T], cfg Config) (*Result[T], error) {
-	//lint:ignore naked-background Run is the context-free compatibility entry point; no caller context exists to thread
-	return RunContext(context.Background(), p, cfg)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled (or its
+// RunContext executes problem p on an in-process emulated cluster: one
+// master rank plus cfg.Slaves slave ranks connected by a channel
+// transport with cfg.Latency, each slave running cfg.Threads compute
+// goroutines. It blocks until the DP matrix is complete and returns the
+// blocked result with run statistics. When ctx is cancelled (or its
 // deadline passes) the master stops scheduling, slaves finish the
 // sub-tasks already in flight, and the run returns ctx's error. The
 // cancellation latency is therefore bounded by one processor-level
@@ -61,17 +55,11 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	return res, nil
 }
 
-// RunMaster executes only the master part over an externally provided
-// transport (e.g. comm.ListenMaster for a real multi-process TCP cluster).
-// cfg.Slaves is taken from the transport size. Every worker process must
-// run RunSlave with an identical Problem and Config.
-func RunMaster[T any](p Problem[T], cfg Config, tr comm.Transport) (*Result[T], error) {
-	//lint:ignore naked-background RunMaster is the context-free compatibility entry point; no caller context exists to thread
-	return RunMasterContext(context.Background(), p, cfg, tr)
-}
-
-// RunMasterContext is RunMaster with cancellation, with the same
-// semantics as RunContext.
+// RunMasterContext executes only the master part over an externally
+// provided transport (e.g. comm.ListenMaster for a real multi-process TCP
+// cluster), with RunContext's cancellation. cfg.Slaves is taken from the
+// transport size. Every worker process must run RunSlave with an
+// identical Problem and Config.
 func RunMasterContext[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Transport) (*Result[T], error) {
 	cfg.Slaves = tr.Size() - 1
 	cfg, err := prepare(p, cfg)

@@ -225,7 +225,7 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 		units := fill(view)
 		if emulate {
 			// Emulated computation weight; see Config.WorkDelayPerCell,
-			// Config.WorkJitter and the CostModel interface.
+			// Config.WorkJitter and tune.CostModel.
 			units *= jitterFactor(procID, sub, cfg.WorkJitter)
 			time.Sleep(time.Duration(units * float64(cfg.WorkDelayPerCell)))
 		}

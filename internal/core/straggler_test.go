@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func TestSpeculationRescuesStall(t *testing.T) {
 	// warm the runtime profile before the stall begins.
 	cfg.Faults = core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{20: 400 * time.Millisecond}}
 
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestStealRebalancesBatchBacklog(t *testing.T) {
 		43: 250 * time.Millisecond,
 	}}
 
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestMitigationInertUnderBlockCyclic(t *testing.T) {
 	cfg.Steal = true
 	cfg.Faults = core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{20: 100 * time.Millisecond}}
 
-	res, err := core.Run(e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

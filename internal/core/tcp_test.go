@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func TestRunOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	res, err := core.RunMaster(prob, cfg, tr)
+	res, err := core.RunMasterContext(context.Background(), prob, cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestNussinovOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	res, err := core.RunMaster(prob, cfg, tr)
+	res, err := core.RunMasterContext(context.Background(), prob, cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (nu *Nussinov) pairBonus(i, j int) int32 {
 // Pattern implements core.Kernel.
 func (nu *Nussinov) Pattern() dag.Pattern { return dag.Triangular{} }
 
-// CellCost implements core.CostModel: cell (i, j) scans its span, so its
+// CellCost implements tune.CostModel: cell (i, j) scans its span, so its
 // cost grows as j-i. Normalized to mean ~1 over the triangle (mean span is
 // n/3).
 func (nu *Nussinov) CellCost(i, j int) float64 {

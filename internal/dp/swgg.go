@@ -49,7 +49,7 @@ func (s *SWGG) gap(k int) int32 { return s.GapOpen + s.GapExt*int32(k) }
 // Pattern implements core.Kernel.
 func (s *SWGG) Pattern() dag.Pattern { return dag.RowColumn{} }
 
-// CellCost implements core.CostModel: cell (i, j) scans its row and column
+// CellCost implements tune.CostModel: cell (i, j) scans its row and column
 // prefixes, so its cost grows as i+j. Normalized to mean ~1 over the
 // matrix so total emulated work is invariant.
 func (s *SWGG) CellCost(i, j int) float64 {

@@ -88,8 +88,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 // JobParams is one job's standing in the pool. Zero values take the
 // pool's defaults (Pool.Params).
 type JobParams struct {
-	// Name labels the job in the errors Tick returns.
-	Name string
 	// Weight is the fair-share weight (default 1): a weight-2 job is
 	// entitled to twice the dispatch share of a weight-1 job.
 	Weight float64
@@ -412,7 +410,8 @@ func (p *Pool[T]) Revoke(member int) (revoked, requeued int) {
 // deadline, overtime expiry with the job's MaxAttempts cap — so a poisoned
 // job fails alone — then, while the job has nothing queued, straggler
 // flagging with a budget of one backup per live member. A job that is over
-// leaves the pool and is returned with the reason, for the driver to end.
+// leaves the pool and is returned with the reason, for the driver to end
+// (and to name: the pool knows a job by its id alone).
 // Last, under Auto, the tuner sees the tick's sample — every running
 // job's, folded over the retired baseline, with the driver's hunger-beacon
 // count — and an adjustment is traced.
@@ -421,7 +420,7 @@ func (p *Pool[T]) Tick(now time.Time, live int, hungers int64) []Ended {
 	for i := 0; i < len(p.order); {
 		e := p.order[i]
 		if err := p.tickJob(e, now, live); err != nil {
-			ended = append(ended, Ended{ID: e.id, Err: fmt.Errorf("job %q: %w", e.Name, err)})
+			ended = append(ended, Ended{ID: e.id, Err: err})
 			p.Remove(e.id)
 			continue
 		}

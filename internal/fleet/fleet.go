@@ -939,7 +939,7 @@ func (f *Fleet[T]) tick(now time.Time) {
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	for i, end := range ended {
-		over[i].finish(fmt.Errorf("fleet: %w", end.Err), now)
+		over[i].finish(fmt.Errorf("fleet: job %q: %w", over[i].req.Name, end.Err), now)
 		f.detach(over[i])
 	}
 }

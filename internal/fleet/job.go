@@ -172,7 +172,6 @@ func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*job[T],
 		id:  id,
 		req: req,
 		params: f.pool.Params(engine.JobParams{
-			Name:        req.Name,
 			Weight:      req.Weight,
 			Priority:    req.Priority,
 			Quota:       req.Quota,

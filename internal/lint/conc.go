@@ -13,16 +13,16 @@ import (
 // packages plus per-function *may-acquire* (which lock classes any path
 // through the function can take) and *may-block* (channel ops, network
 // writes, WaitGroup/Cond waits, ...) summaries, propagated to a fixed
-// point. The per-function scan then walks each body lexically — the
-// same optimistic branch-merging walk as lock-across-channel — and
-// consults the summaries at every call site, so a violation three
-// helpers deep is reported at the call that commits it.
+// point. The per-function scan (lockorder.go) then walks each body
+// lexically with the held mutexes and consults the summaries at every
+// call site, so a violation three helpers deep is reported at the call
+// that commits it.
 
 // lockClass names a mutex by role rather than by instance:
 // "pkg.Type.field" for a struct-field mutex (the package name, not the
 // import path, so fixtures and the repo read the same), "pkg.var" for a
 // package-level one. Function-local mutexes have no class and are
-// invisible to the interprocedural rules.
+// invisible to the interprocedural checks.
 type lockClass string
 
 // classOfExpr classifies the expression denoting a mutex (or cond): a
@@ -63,9 +63,17 @@ func classOfExpr(p *Package, e ast.Expr) lockClass {
 	return ""
 }
 
+type lockOpKind int
+
+const (
+	opNone lockOpKind = iota
+	opLock
+	opUnlock
+)
+
 // classifyLockOp classifies call as Lock/RLock or Unlock/RUnlock on a
-// sync.Mutex/RWMutex and returns the receiver's lock class ("" for an
-// unclassifiable receiver).
+// sync.Mutex/RWMutex (including ones promoted through embedding) and
+// returns the receiver's lock class ("" for an unclassifiable receiver).
 func classifyLockOp(p *Package, call *ast.CallExpr) (lockOpKind, lockClass) {
 	fn := calleeFunc(p.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {

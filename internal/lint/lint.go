@@ -3,17 +3,15 @@
 // The runtime's correctness rests on invariants the Go compiler cannot
 // see: every blocking channel operation in the master/slave loops must be
 // cancellable, the timeout-based fault-tolerance path must not leak
-// timers, no mutex may be held across a blocking operation, and library
-// code must not mint detached contexts. On top of those per-function
-// checks sits an interprocedural layer (conc.go): a conservative call
-// graph with per-function may-acquire/may-block summaries enforces the
-// mutex hierarchy declared in lint/lockorder.conf and the
-// no-blocking-under-lock discipline transitively through calls, switches
-// over the wire protocol's comm.Kind must reject unknown frames, and
-// sync/atomic-touched variables must be atomic everywhere. This package
-// encodes those invariants as mechanical checks over go/ast + go/types
-// (stdlib only, no external analysis framework) so they stay true as the
-// runtime grows.
+// timers, library code must not mint detached contexts, and switches over
+// the wire protocol's comm.Kind must reject unknown frames. No mutex may
+// be held across a channel operation; on top of that an interprocedural
+// layer (conc.go) — a conservative call graph with per-function
+// may-acquire/may-block summaries — enforces the mutex hierarchy declared
+// in lint/lockorder.conf and keeps its mutexes clear of every blocking
+// call, transitively. This package encodes those invariants as mechanical
+// checks over go/ast + go/types (stdlib only, no external analysis
+// framework) so they stay true as the runtime grows.
 //
 // Rules implement PackageRule (checked one package at a time) or
 // ProgramRule (checked once over the whole loaded package set, for
@@ -96,18 +94,16 @@ const IgnoreRule = "lint-ignore"
 // AllRules returns the full rule set in stable order. The two
 // interprocedural rules share one call-graph build and read the lock
 // hierarchy from lint/lockorder.conf at the analyzed module's root
-// (inert when the file is absent).
+// (declaring no mutex when the file is absent).
 func AllRules() []Rule {
 	lh, bul := NewConcRules(nil)
 	return []Rule{
 		NewCtxSelect(),
 		NewTimerLeak(),
-		NewLockAcrossChannel(),
 		NewNakedBackground(),
 		lh,
 		bul,
 		NewKindExhaustive(),
-		NewAtomicConsistency(),
 	}
 }
 

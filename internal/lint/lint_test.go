@@ -99,8 +99,8 @@ func TestRepositoryIsClean(t *testing.T) {
 }
 
 // TestKnownRuntimeViolationsAreSuppressed pins the audited escape
-// hatches: the bounded joins in runMaster and Manager.Shutdown, the
-// context-free compatibility entry points, and the fleet's
+// hatches: the bounded joins in runMaster and Manager.Shutdown, the job
+// manager's root context, and the fleet's
 // attach-serialized sends under attachMu all carry //lint:ignore
 // directives with reasons — if someone deletes the code, the directive,
 // or the reason, either this test or TestRepositoryIsClean moves.
@@ -119,7 +119,7 @@ func TestKnownRuntimeViolationsAreSuppressed(t *testing.T) {
 	// Run the raw rules without suppression by checking the directives
 	// exist where the violations are.
 	dirs := collectDirectives(prog.Fset, audited)
-	wantRules := map[string]int{"ctx-select": 2, "naked-background": 3, "blocking-under-lock": 3}
+	wantRules := map[string]int{"ctx-select": 2, "naked-background": 1, "blocking-under-lock": 3}
 	gotRules := map[string]int{}
 	for _, d := range dirs {
 		if d.reason == "" {
@@ -136,18 +136,18 @@ func TestKnownRuntimeViolationsAreSuppressed(t *testing.T) {
 	}
 }
 
-// TestConcurrencyRulesRepositoryClean is the merge gate for the four
+// TestConcurrencyRulesRepositoryClean is the merge gate for the three
 // interprocedural/protocol rules alone: with the checked-in
 // lint/lockorder.conf, the lock hierarchy, the no-blocking-under-lock
-// discipline (modulo the audited fleet sends), kind exhaustiveness and
-// atomic consistency all hold over the whole repository.
+// discipline (modulo the audited fleet sends) and kind exhaustiveness
+// all hold over the whole repository.
 func TestConcurrencyRulesRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository; skipped in -short mode")
 	}
 	prog := loadRepo(t)
 	lh, bul := NewConcRules(nil)
-	rules := []Rule{lh, bul, NewKindExhaustive(), NewAtomicConsistency()}
+	rules := []Rule{lh, bul, NewKindExhaustive()}
 	for _, f := range NewRunner(prog.Fset, rules...).Run(prog.Pkgs) {
 		t.Errorf("concurrency-rule violation: %s", f)
 	}

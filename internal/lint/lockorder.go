@@ -15,8 +15,9 @@ import (
 // level t may only be acquired while every held hierarchy mutex sits at
 // a strictly lower (outer) level; acquiring at the same level — or the
 // same class twice — is a violation too, since no order between peers
-// is declared. Mutexes absent from the file are outside the hierarchy
-// and invisible to the two rules built on it.
+// is declared. Mutexes absent from the file are outside the hierarchy:
+// lock-hierarchy ignores them, and blocking-under-lock checks them only
+// against channel operations and WaitGroup.Wait in the same body.
 type LockOrder struct {
 	Path string // conf file, for diagnostics
 	tier map[lockClass]int
@@ -91,8 +92,9 @@ type rawFinding struct {
 
 // NewConcRules builds the two interprocedural rules over ord. A nil ord
 // means "locate lint/lockorder.conf at the analyzed module's root"; a
-// missing file leaves both rules inert (the hierarchy is opt-in), while
-// an unparseable one is itself reported as a finding.
+// missing file declares no mutex (the hierarchy is opt-in, and
+// blocking-under-lock keeps its undeclared-mutex checks), while an
+// unparseable one is itself reported as a finding.
 func NewConcRules(ord *LockOrder) (*LockHierarchy, *BlockingUnderLock) {
 	a := &concAnalysis{ord: ord, autoConf: ord == nil}
 	return &LockHierarchy{a}, &BlockingUnderLock{a}
@@ -121,16 +123,21 @@ func (r *LockHierarchy) CheckProgram(pkgs []*Package, report Reporter) {
 	}
 }
 
-// BlockingUnderLock forbids operations that may block — channel ops,
-// network/stream writes, WaitGroup or foreign Cond waits — while a
-// hierarchy mutex is held, transitively through calls. Deliberate
-// exceptions (the fleet's attach-serialized sends) carry audited
-// //lint:ignore directives instead of being invisible.
+// BlockingUnderLock forbids blocking while a mutex is held, at two
+// levels. Any sync.Mutex/RWMutex held across a channel send or receive,
+// a select without default, a range over a channel or a
+// sync.WaitGroup.Wait in the same body is flagged: the goroutine that
+// would unblock it may be stuck on the same mutex. A mutex
+// lint/lockorder.conf declares is also checked against network and
+// stream I/O, time.Sleep and foreign Cond waits, transitively through
+// calls. Cond.Wait on its own locker and close are never flagged.
+// Deliberate exceptions (the fleet's attach-serialized sends) carry
+// audited //lint:ignore directives instead of being invisible.
 type BlockingUnderLock struct{ a *concAnalysis }
 
 func (*BlockingUnderLock) Name() string { return "blocking-under-lock" }
 func (*BlockingUnderLock) Doc() string {
-	return "no may-block call while holding a lint/lockorder.conf mutex, transitively through calls"
+	return "no channel op or WaitGroup.Wait under any mutex; no may-block call under a lint/lockorder.conf mutex, transitively"
 }
 
 // CheckProgram implements ProgramRule.
@@ -153,9 +160,6 @@ func (a *concAnalysis) ensure(pkgs []*Package) {
 	if a.autoConf {
 		a.ord, a.loadErr = a.locateConf(pkgs)
 	}
-	if a.ord == nil || len(a.ord.tier) == 0 {
-		return
-	}
 	eng := newConcEngine(pkgs)
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -171,7 +175,7 @@ func (a *concAnalysis) ensure(pkgs []*Package) {
 				}
 				if body != nil {
 					s := &classScan{a: a, p: p, eng: eng}
-					s.stmts(body.List, classSet{})
+					s.stmts(body.List, heldSet{})
 				}
 				return true // nested literals get their own scan
 			})
@@ -193,7 +197,7 @@ func (a *concAnalysis) sameProgram(pkgs []*Package) bool {
 
 // locateConf finds <module root>/lint/lockorder.conf relative to the
 // first analyzed file. Absence is not an error: the hierarchy is
-// opt-in and the rules stay inert without it.
+// opt-in, and without it no mutex is declared.
 func (a *concAnalysis) locateConf(pkgs []*Package) (*LockOrder, error) {
 	a.loaded = true
 	for _, p := range pkgs {
@@ -218,35 +222,34 @@ func (a *concAnalysis) locateConf(pkgs []*Package) (*LockOrder, error) {
 	return nil, nil
 }
 
-// classSet maps a held hierarchy mutex's class to its Lock position.
-type classSet map[lockClass]token.Pos
+// heldLock is one mutex held at a point of the scan, with its Lock
+// position. A mutex the conf declares is keyed by its class
+// ("fleet.Fleet.mu") and gets every check; any other is keyed by its
+// receiver expression ("s.mu"), so two instances of one type are two
+// locks, and is checked only against channel operations and
+// WaitGroup.Wait.
+type heldLock struct {
+	pos      token.Pos
+	declared bool
+}
 
-func (s classSet) clone() classSet {
-	c := make(classSet, len(s))
+type heldSet map[string]heldLock
+
+func (s heldSet) clone() heldSet {
+	c := make(heldSet, len(s))
 	for k, v := range s {
 		c[k] = v
 	}
 	return c
 }
 
-func classIntersect(x, y classSet) classSet {
-	out := classSet{}
-	for k, v := range x {
-		if _, ok := y[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// classScan is the lexical walk that threads the held-class state
-// through one function body, checking every lock acquisition and call
-// site against the declared order and the call-graph summaries. Branch
-// handling merges optimistically like lock-across-channel — a lock is
-// considered released after a branch that unlocks it — but the merge
-// is return-aware: a branch ending in return (the "unlock and bail"
-// guard idiom) does not launder the held state of the path that falls
-// through. A nil classSet marks a path that cannot fall through.
+// classScan is the lexical walk that threads the held-mutex state
+// through one function body, checking every lock acquisition, blocking
+// operation and call site. Branch handling merges optimistically — a
+// lock is considered released after a branch that unlocks it — but the
+// merge is return-aware: a branch ending in return (the "unlock and
+// bail" guard idiom) does not launder the held state of the path that
+// falls through. A nil heldSet marks a path that cannot fall through.
 type classScan struct {
 	a   *concAnalysis
 	p   *Package
@@ -255,17 +258,23 @@ type classScan struct {
 
 // mergeBranches joins the fall-through states of alternative paths:
 // terminated paths (nil) drop out, surviving paths intersect.
-func mergeBranches(x, y classSet) classSet {
+func mergeBranches(x, y heldSet) heldSet {
 	if x == nil {
 		return y
 	}
 	if y == nil {
 		return x
 	}
-	return classIntersect(x, y)
+	out := heldSet{}
+	for k, v := range x {
+		if _, ok := y[k]; ok {
+			out[k] = v
+		}
+	}
+	return out
 }
 
-func (s *classScan) stmts(list []ast.Stmt, held classSet) classSet {
+func (s *classScan) stmts(list []ast.Stmt, held heldSet) heldSet {
 	for _, st := range list {
 		if held == nil {
 			return nil // unreachable after a terminating statement
@@ -275,19 +284,23 @@ func (s *classScan) stmts(list []ast.Stmt, held classSet) classSet {
 	return held
 }
 
-func (s *classScan) stmt(st ast.Stmt, held classSet) classSet {
+func (s *classScan) stmt(st ast.Stmt, held heldSet) heldSet {
 	switch st := st.(type) {
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			switch kind, c := classifyLockOp(s.p, call); kind {
-			case opLock:
-				if s.a.ord.Tier(c) > 0 {
-					s.checkAcquire(call.Pos(), c, held)
-					held[c] = call.Pos()
+			if kind, c := classifyLockOp(s.p, call); kind != opNone {
+				key, declared := string(c), s.a.ord.Tier(c) > 0
+				if !declared {
+					key = exprString(s.p.Fset, receiverOf(call))
 				}
-				return held
-			case opUnlock:
-				delete(held, c)
+				if kind == opUnlock {
+					delete(held, key)
+					return held
+				}
+				if declared {
+					s.checkAcquire(call.Pos(), c, held, "")
+				}
+				held[key] = heldLock{call.Pos(), declared}
 				return held
 			}
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
@@ -299,7 +312,7 @@ func (s *classScan) stmt(st ast.Stmt, held classSet) classSet {
 		}
 		s.expr(st.X, held)
 	case *ast.SendStmt:
-		s.flagBlock(st.Arrow, "send on "+exprString(s.p.Fset, st.Chan), held, "")
+		s.flagBlock(st.Arrow, "send on "+exprString(s.p.Fset, st.Chan), held, true, "")
 		s.expr(st.Chan, held)
 		s.expr(st.Value, held)
 	case *ast.AssignStmt:
@@ -325,7 +338,7 @@ func (s *classScan) stmt(st ast.Stmt, held classSet) classSet {
 		}
 		return nil
 	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the class held to the end of the
+		// defer mu.Unlock() keeps the mutex held to the end of the
 		// body; other deferred calls are checked against the state at
 		// the defer site (lexical approximation, like the rest of the
 		// scan).
@@ -370,7 +383,7 @@ func (s *classScan) stmt(st ast.Stmt, held classSet) classSet {
 	case *ast.RangeStmt:
 		s.expr(st.X, held)
 		if isChanType(s.p.Info.Types[st.X].Type) {
-			s.flagBlock(st.For, "range over channel "+exprString(s.p.Fset, st.X), held, "")
+			s.flagBlock(st.For, "range over channel "+exprString(s.p.Fset, st.X), held, true, "")
 		}
 		s.stmts(st.Body.List, held.clone())
 		return held
@@ -395,9 +408,9 @@ func (s *classScan) stmt(st ast.Stmt, held classSet) classSet {
 		return s.caseBodies(st.Body, held)
 	case *ast.SelectStmt:
 		if !selectHasDefault(st) {
-			s.flagBlock(st.Select, "select", held, "")
+			s.flagBlock(st.Select, "select", held, true, "")
 		}
-		var after classSet
+		var after heldSet
 		for _, cl := range st.Body.List {
 			after = mergeBranches(after, s.stmts(cl.(*ast.CommClause).Body, held.clone()))
 		}
@@ -412,8 +425,8 @@ func (s *classScan) stmt(st ast.Stmt, held classSet) classSet {
 // caseBodies merges the fall-through states of a switch's cases. When
 // no default exists the switch itself may fall through with the entry
 // state; case bodies ending in return drop out of the merge.
-func (s *classScan) caseBodies(body *ast.BlockStmt, held classSet) classSet {
-	var after classSet
+func (s *classScan) caseBodies(body *ast.BlockStmt, held heldSet) heldSet {
+	var after heldSet
 	hasDefault := false
 	for _, cl := range body.List {
 		cc := cl.(*ast.CaseClause)
@@ -430,7 +443,7 @@ func (s *classScan) caseBodies(body *ast.BlockStmt, held classSet) classSet {
 
 // expr scans an expression for blocking operations and checked calls.
 // Function literals are skipped: they are scanned as their own roots.
-func (s *classScan) expr(e ast.Expr, held classSet) {
+func (s *classScan) expr(e ast.Expr, held heldSet) {
 	if e == nil || len(held) == 0 {
 		return
 	}
@@ -440,7 +453,7 @@ func (s *classScan) expr(e ast.Expr, held classSet) {
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				s.flagBlock(n.OpPos, "receive from "+exprString(s.p.Fset, n.X), held, "")
+				s.flagBlock(n.OpPos, "receive from "+exprString(s.p.Fset, n.X), held, true, "")
 			}
 		case *ast.CallExpr:
 			if kind, _ := classifyLockOp(s.p, n); kind != opNone {
@@ -453,19 +466,20 @@ func (s *classScan) expr(e ast.Expr, held classSet) {
 }
 
 // call checks one call site: intrinsic blockers and cond waits first,
-// then the callee's transitive acquire/block summaries.
-func (s *classScan) call(call *ast.CallExpr, held classSet) {
+// then, for declared mutexes, the callee's transitive acquire/block
+// summaries.
+func (s *classScan) call(call *ast.CallExpr, held heldSet) {
 	fn := fnKey(calleeFunc(s.p.Info, call))
 	if isMethodOf(fn, "sync", "Cond", "Wait") {
 		// Wait releases the cond's own locker while blocked — that is
 		// the dispatcher idiom — but any other held hierarchy mutex
 		// stays held across the wait.
 		locker := s.eng.condLocker[classOfExpr(s.p, receiverOf(call))]
-		s.flagBlock(call.Pos(), "sync.Cond.Wait on "+exprString(s.p.Fset, receiverOf(call)), held, locker)
+		s.flagBlock(call.Pos(), "sync.Cond.Wait on "+exprString(s.p.Fset, receiverOf(call)), held, false, locker)
 		return
 	}
 	if what := intrinsicBlock(s.p, call); what != "" {
-		s.flagBlock(call.Pos(), what, held, "")
+		s.flagBlock(call.Pos(), what, held, isMethodOf(fn, "sync", "WaitGroup", "Wait"), "")
 		return
 	}
 	if fn == nil || len(held) == 0 {
@@ -477,31 +491,22 @@ func (s *classScan) call(call *ast.CallExpr, held classSet) {
 	}
 	for c := range g.sumAcq {
 		if s.a.ord.Tier(c) > 0 {
-			s.checkCallAcquire(call.Pos(), fn, c, held)
+			s.checkAcquire(call.Pos(), c, held, fmt.Sprintf(" (call to %s%s)", fn.Name(), s.eng.acqChain(fn, c, 0)))
 		}
 	}
 	if g.sumBlock {
-		for h, lockPos := range held {
-			s.a.block = append(s.a.block, rawFinding{call.Pos(), fmt.Sprintf(
-				"call to %s may block (%s) while %s is held (lock at line %d): unlock first, or audit with //lint:ignore blocking-under-lock <reason>",
-				fn.Name(), s.eng.blockChain(fn, 0), h, s.line(lockPos))})
+		s.flagBlock(call.Pos(), fmt.Sprintf("call to %s may block (%s)", fn.Name(), s.eng.blockChain(fn, 0)), held, false, "")
+	}
+}
+
+// checkAcquire reports an acquisition of declared class c — direct, or
+// through a call when via names the path — that inverts the declared
+// order relative to any held declared class.
+func (s *classScan) checkAcquire(pos token.Pos, c lockClass, held heldSet, via string) {
+	for h, l := range held {
+		if l.declared {
+			s.checkOrder(pos, c, lockClass(h), l.pos, via)
 		}
-	}
-}
-
-// checkAcquire reports direct acquisitions that invert the declared
-// order relative to any held class.
-func (s *classScan) checkAcquire(pos token.Pos, c lockClass, held classSet) {
-	for h, lockPos := range held {
-		s.checkOrder(pos, c, h, lockPos, "")
-	}
-}
-
-// checkCallAcquire is checkAcquire for acquisitions reached through a
-// call, naming the path for the diagnostic.
-func (s *classScan) checkCallAcquire(pos token.Pos, fn *types.Func, c lockClass, held classSet) {
-	for h, lockPos := range held {
-		s.checkOrder(pos, c, h, lockPos, fmt.Sprintf(" (call to %s%s)", fn.Name(), s.eng.acqChain(fn, c, 0)))
 	}
 }
 
@@ -523,16 +528,17 @@ func (s *classScan) checkOrder(pos token.Pos, acq, heldC lockClass, lockPos toke
 	}
 }
 
-// flagBlock reports one direct blocking operation against every held
-// class except exempt (a cond's own locker).
-func (s *classScan) flagBlock(pos token.Pos, what string, held classSet, exempt lockClass) {
-	for h, lockPos := range held {
-		if exempt != "" && h == exempt {
+// flagBlock reports one blocking operation against every held declared
+// mutex except exempt (a cond's own locker), and against the undeclared
+// ones too when undeclared is set (channel operations, WaitGroup.Wait).
+func (s *classScan) flagBlock(pos token.Pos, what string, held heldSet, undeclared bool, exempt lockClass) {
+	for h, l := range held {
+		if !l.declared && !undeclared || h == string(exempt) {
 			continue
 		}
 		s.a.block = append(s.a.block, rawFinding{pos, fmt.Sprintf(
 			"%s while %s is held (lock at line %d): unlock first, or audit with //lint:ignore blocking-under-lock <reason>",
-			what, h, s.line(lockPos))})
+			what, h, s.line(l.pos))})
 	}
 }
 

@@ -69,15 +69,19 @@ func TestDynamicNextBatchClampsMax(t *testing.T) {
 	}
 }
 
+// The column-based wavefront at its edges: a short last run (7 columns
+// over 3 workers in runs of ceil(7/3) = 3), and more workers than columns
+// (runs of 1, column c on worker c).
 func TestColumnWavefrontBlockColsEdges(t *testing.T) {
-	if got := ColumnWavefrontBlockCols(8, 0); got != 8 {
-		t.Fatalf("workers < 1: got %d, want gridCols (8)", got)
+	for c, want := range []int{0, 0, 0, 1, 1, 1, 2} {
+		if got := Owner(dag.Pos{Col: c}, 3, 3); got != want {
+			t.Fatalf("7 columns over 3 workers: column %d on worker %d, want %d", c, got, want)
+		}
 	}
-	if got := ColumnWavefrontBlockCols(0, 3); got != 1 {
-		t.Fatalf("gridCols 0: got %d, want clamp to 1", got)
-	}
-	if got := ColumnWavefrontBlockCols(7, 3); got != 3 {
-		t.Fatalf("ceil(7/3): got %d, want 3", got)
+	for c := 0; c < 2; c++ {
+		if got := Owner(dag.Pos{Col: c}, 1, 8); got != c {
+			t.Fatalf("2 columns over 8 workers: column %d on worker %d, want %d", c, got, c)
+		}
 	}
 }
 
@@ -183,17 +187,14 @@ func TestLeaseTableLookupsAndLoads(t *testing.T) {
 	if _, ok := lt.ReleaseAttempt(7, 1); ok {
 		t.Fatal("ReleaseAttempt on empty table reported a lease")
 	}
-	if _, ok := lt.Find(7, 1); ok {
-		t.Fatal("Find on empty table reported a lease")
+	if hs := lt.Holders(7); hs != nil {
+		t.Fatalf("Holders on empty table = %v, want nil", hs)
 	}
 	lt.Grant(7, 1, 1, now)
 	lt.Add(7, 2, 2, now) // speculative backup on another worker
 	lt.Grant(8, 1, 3, now)
-	if l, ok := lt.Find(7, 2); !ok || l.Worker != 2 {
-		t.Fatalf("Find(7, 2) = %+v, %v; want backup lease on worker 2", l, ok)
-	}
-	if _, ok := lt.Find(7, 9); ok {
-		t.Fatal("Find with dead attempt reported a lease")
+	if hs := lt.Holders(7); len(hs) != 2 || hs[1].Attempt != 2 || hs[1].Worker != 2 {
+		t.Fatalf("Holders(7) = %+v; want the original and the backup lease on worker 2", hs)
 	}
 	if got := lt.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)

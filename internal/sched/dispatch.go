@@ -106,20 +106,6 @@ func Owner(p dag.Pos, blockCols, workers int) int {
 	return (p.Col / blockCols) % workers
 }
 
-// ColumnWavefrontBlockCols returns the block_col value that makes the
-// block-cyclic assignment equal to the column-based wavefront (CW) method
-// of the paper: each worker owns one contiguous run of grid columns.
-func ColumnWavefrontBlockCols(gridCols, workers int) int {
-	if workers < 1 {
-		return gridCols
-	}
-	bc := (gridCols + workers - 1) / workers
-	if bc < 1 {
-		bc = 1
-	}
-	return bc
-}
-
 // NewBlockCyclic builds the static schedule for the existing vertices of
 // gr over members 0..workers-1. Each owner's queue is ordered by DAG depth
 // level (longest distance from a root), which is the generic wavefront

@@ -161,18 +161,6 @@ func (t *LeaseTable) Holders(v int32) []Lease {
 	return append([]Lease(nil), t.byVertex[v]...)
 }
 
-// Find returns the lease (v, attempt), if live.
-func (t *LeaseTable) Find(v int32, attempt int32) (Lease, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, l := range t.byVertex[v] {
-		if l.Attempt == attempt {
-			return l, true
-		}
-	}
-	return Lease{}, false
-}
-
 // Len returns the number of live leases.
 func (t *LeaseTable) Len() int {
 	t.mu.Lock()

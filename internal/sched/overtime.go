@@ -67,11 +67,6 @@ func (q *OvertimeQueue) AddConcurrent(id, attempt int32, deadline time.Time) {
 	q.mu.Unlock()
 }
 
-// AddIn is Add with a deadline of now+d on the queue's clock.
-func (q *OvertimeQueue) AddIn(id, attempt int32, d time.Duration) {
-	q.Add(id, attempt, q.clock.Now().Add(d))
-}
-
 // Remove stops watching vertex id entirely (its result arrived).
 func (q *OvertimeQueue) Remove(id int32) {
 	q.mu.Lock()
@@ -135,21 +130,6 @@ func (q *OvertimeQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.live)
-}
-
-// NextDeadline returns the earliest live deadline and true, or false when
-// nothing is watched.
-func (q *OvertimeQueue) NextDeadline() (time.Time, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.h.Len() > 0 {
-		top := q.h[0]
-		if q.watched(top) {
-			return top.Deadline, true
-		}
-		heap.Pop(&q.h) // stale entry
-	}
-	return time.Time{}, false
 }
 
 // watched reports whether e still corresponds to a live attempt. Callers

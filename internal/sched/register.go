@@ -120,18 +120,3 @@ func (t *RegisterTable) LiveAttempts(id int32) int {
 	defer t.mu.Unlock()
 	return len(t.live[id])
 }
-
-// Finished returns the number of accepted sub-tasks.
-func (t *RegisterTable) Finished() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.finished)
-}
-
-// Attempts returns the total number of dispatch attempts issued for vertex
-// id (1 means it never timed out or was speculated).
-func (t *RegisterTable) Attempts(id int32) int32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.attempts[id]
-}

@@ -71,7 +71,7 @@ func TestFakeClockOrdersInterleavedTickers(t *testing.T) {
 // TestOvertimeQueueStaleAttemptNeverFires is the regression test for the
 // re-dispatch staleness bug: entries whose attempt was superseded by a
 // newer Add must not fire when their (earlier) deadline passes, and must
-// not shadow the live entry in NextDeadline.
+// not shadow the live entry's deadline.
 func TestOvertimeQueueStaleAttemptNeverFires(t *testing.T) {
 	base := time.Unix(1000, 0)
 	q := NewOvertimeQueue()
@@ -81,10 +81,10 @@ func TestOvertimeQueueStaleAttemptNeverFires(t *testing.T) {
 	if exp := q.ExpireBefore(base.Add(20 * time.Millisecond)); len(exp) != 0 {
 		t.Fatalf("superseded attempt fired: %+v", exp)
 	}
-	if dl, ok := q.NextDeadline(); !ok || !dl.Equal(base.Add(50*time.Millisecond)) {
-		t.Fatalf("NextDeadline = %v, %v; want live attempt's 50ms deadline", dl, ok)
+	if exp := q.ExpireBefore(base.Add(49 * time.Millisecond)); len(exp) != 0 {
+		t.Fatalf("expired %+v before the live attempt's 50ms deadline", exp)
 	}
-	exp := q.ExpireBefore(base.Add(time.Second))
+	exp := q.ExpireBefore(base.Add(50 * time.Millisecond))
 	if len(exp) != 1 || exp[0].Attempt != 2 {
 		t.Fatalf("expired = %+v, want exactly attempt 2", exp)
 	}
@@ -165,7 +165,7 @@ func TestOvertimeQueueHeapCompaction(t *testing.T) {
 func TestOvertimeQueueClockExpire(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	q := NewOvertimeQueueClock(clock)
-	q.AddIn(1, 1, 30*time.Millisecond)
+	q.Add(1, 1, clock.Now().Add(30*time.Millisecond))
 	if exp := q.Expire(); len(exp) != 0 {
 		t.Fatalf("expired %+v before deadline", exp)
 	}
@@ -207,8 +207,8 @@ func TestRegisterTableBackupEitherOrderWins(t *testing.T) {
 		if rt.Accept(5, first) {
 			t.Fatal("duplicate of the winner accepted — double apply")
 		}
-		if rt.Finished() != 1 || rt.Outstanding() != 0 {
-			t.Fatalf("finished=%d outstanding=%d, want 1/0", rt.Finished(), rt.Outstanding())
+		if _, ok := rt.Register(5); ok || rt.Outstanding() != 0 {
+			t.Fatalf("vertex 5 registered again or outstanding (%d) after the race", rt.Outstanding())
 		}
 	}
 }

@@ -143,7 +143,6 @@ func (c *Cluster) activate(jb *simJob) {
 		return
 	}
 	params := c.pool.Params(engine.JobParams{
-		Name:        jb.spec.Name,
 		Weight:      jb.spec.Weight,
 		Priority:    jb.spec.Priority,
 		Quota:       jb.spec.Quota,

@@ -404,7 +404,8 @@ func (c *Cluster) scheduleTick() {
 			}
 		}
 		for _, end := range c.pool.Tick(now, c.reg.Live(), 0) {
-			c.finish(c.jobs[end.ID-1], fmt.Errorf("sim: %w", end.Err))
+			jb := c.jobs[end.ID-1]
+			c.finish(jb, fmt.Errorf("sim: job %q: %w", jb.spec.Name, end.Err))
 		}
 		c.dispatchAll()
 		if !c.finishedAll() {

@@ -46,9 +46,15 @@ import (
 	"repro/internal/dag"
 )
 
-// CostModel mirrors core.CostModel structurally so kernels' cost models
-// satisfy it without this package importing core (core imports tune for
-// the partition advisor; the dependency must point one way).
+// CostModel is an optional Kernel extension (core.Kernel) reporting the
+// relative cost of computing one cell. Most DP recurrences are not uniform
+// — an SWGG cell scans its whole row and column prefix, O(i+j); a Nussinov
+// cell scans its span, O(j-i) — and two readers use the weight: the
+// partition advisor (AdvisePartition) and core's emulated-work mode
+// (core.Config.WorkDelayPerCell), so that block costs vary the way the
+// real recurrence's do. Implementations should normalize the mean weight
+// over the matrix to about 1 so the total emulated work stays cells x
+// WorkDelayPerCell. Kernels without a CostModel are weighted uniformly.
 type CostModel interface {
 	// CellCost estimates the relative compute cost of cell (i, j).
 	CellCost(i, j int) float64
