@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/matrix"
 )
 
 // cacheKernel is one DP application under cache test: the problem, its
@@ -96,7 +98,44 @@ func TestCachedMatchesRecomputed(t *testing.T) {
 			if warm.Stats.CacheHits != cold.Stats.Tasks {
 				t.Fatalf("warm hits %d != cold tasks %d", warm.Stats.CacheHits, cold.Stats.Tasks)
 			}
+			checkCachedPayloads(t, store, cached.CacheKey, kn.prob, warm.Store.Geometry(), kn.want)
 		})
+	}
+}
+
+// checkCachedPayloads reads back every cas entry a finished job committed,
+// walking its DAG in topological order: each vertex's entry must be found
+// under the block key its predecessors' payload hashes derive, and be byte
+// for byte the encoding of the sequential block. The job derived those keys
+// from the ResultKey it recorded at commit, so a write through a block that
+// aliases its payload, after the commit, breaks the walk or the bytes.
+func checkCachedPayloads[T any](t *testing.T, store *cas.Store, cacheKey string, p core.Problem[T], geom dag.Geometry, want [][]T) {
+	t.Helper()
+	graph := dag.Build(p.Kernel.Pattern(), geom)
+	parser := dag.NewParser(graph)
+	keys := make(map[int32]cas.Key)
+	for ready := parser.InitialReady(); len(ready) > 0; {
+		v := ready[0]
+		ready = ready[1:]
+		var preds []cas.Key
+		for _, d := range graph.Vertex(v).DataPre {
+			preds = append(preds, keys[d])
+		}
+		r := geom.Rect(geom.PosOf(v))
+		payload, ok := store.GetBlock(cas.BlockKey(cacheKey, r.Row0, r.Col0, r.Rows, r.Cols, preds), cas.LayerMaster)
+		if !ok {
+			t.Fatalf("vertex %d: no cas entry under the key its predecessors' payloads derive", v)
+		}
+		b := matrix.NewBlock[T](r)
+		for i := 0; i < r.Rows; i++ {
+			copy(b.Cells[i*r.Cols:(i+1)*r.Cols], want[r.Row0-geom.Region.Row0+i][r.Col0-geom.Region.Col0:])
+		}
+		fresh, err := matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{b})
+		if err != nil || !bytes.Equal(payload, fresh) {
+			t.Fatalf("vertex %d: cas payload is not the sequential block's encoding (%v)", v, err)
+		}
+		keys[v] = cas.PayloadKey(payload)
+		ready = append(ready, parser.Complete(v)...)
 	}
 }
 

@@ -48,7 +48,7 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 		out := computeBlock(p, cfg, geom.Rect(geom.PosOf(vertex)), inputs, faults, vertex, ctrs)
 		if cfg.DeltaShipping {
 			cache = append(slices.DeleteFunc(cache, func(b *matrix.Block[T]) bool {
-				return b.Rect != geom.Rect(geom.BlockOf(b.Rect.Row0, b.Rect.Col0)) // a region
+				return !geom.IsBlock(b.Rect) // a region
 			}), out)
 		}
 		result, err := matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
@@ -124,7 +124,7 @@ func jitterFactor(proc, sub int32, amp float64) float64 {
 // overdue sub-sub-tasks; panicking workers are recovered in place (the
 // goroutine equivalent of restarting a dead compute thread).
 func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matrix.Block[T], faults *faultState, procID int32, ctrs *counters) *matrix.Block[T] {
-	out := matrix.NewBlock[T](rect)
+	out := matrix.NewPayloadBlock(p.Codec, rect) // accept's copies are the result's encoding
 	pat := p.Kernel.Pattern()
 	tgeom := dag.NewGeometry(rect, cfg.ThreadPartition)
 	graph := dag.Build(pat, tgeom)

@@ -21,9 +21,9 @@ type TaskRunner[T any] struct {
 	ctrs *counters
 
 	// seen, when set, is the worker's content-addressed block cache for
-	// the keyed wire format: shipped blocks and computed outputs are
-	// recorded under their content keys, and reference records resolve
-	// against it. Shared across a process's runners and only touched
+	// the keyed wire format: whole blocks shipped and computed outputs
+	// are recorded under their content keys, and reference records
+	// resolve against it. Shared across a process's runners and only touched
 	// from the goroutine that calls Run, so it needs no lock.
 	seen map[[32]byte]*matrix.Block[T]
 }
@@ -53,9 +53,9 @@ func (r *TaskRunner[T]) NumTasks() int { return r.geom.Grid.Cells() }
 
 // SetBlockCache hands the runner a content-addressed block map, shared
 // with the process's other runners, enabling the keyed wire format: a
-// task payload in that format records its shipped blocks and resolves
-// its reference records against the map, and the computed output is
-// recorded under its content key so the master can send a reference the
+// task payload in that format records the whole blocks it ships and
+// resolves its reference records against the map, and the computed output
+// is recorded under its content key so the master can send a reference the
 // next time any job needs an identical block. The caller owns the map's
 // lifetime and must confine it to the goroutine calling Run.
 func (r *TaskRunner[T]) SetBlockCache(seen map[[32]byte]*matrix.Block[T]) {
@@ -75,8 +75,12 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 			b, ok := r.seen[k]
 			return b, ok
 		}
+		// Whole blocks only: the master references nothing else, and a
+		// region aliasing its task payload would keep all of it alive.
 		record = func(k [32]byte, b *matrix.Block[T]) {
-			r.seen[k] = b
+			if r.geom.IsBlock(b.Rect) {
+				r.seen[k] = b
+			}
 		}
 	}
 	inputs, keyed, err := matrix.DecodeBlocksAny(r.p.Codec, payload, resolve, record)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,6 +99,52 @@ func TestTaskRunnerWalksTheDAG(t *testing.T) {
 				t.Fatalf("%s: no thread-level sub-task counted", c.name)
 			}
 		}
+	}
+}
+
+// A worker's block cache keeps whole blocks only. A keyed wavefront task
+// carries its north dependency whole and the west and north-west ones as
+// regions: the whole block and the computed output are recorded under
+// their keys, the regions are not — the master never references one, and
+// a region aliasing its task payload would keep all of it alive.
+func TestTaskRunnerCachesWholeBlocksOnly(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(8, 1), dp.RandomDNA(8, 2))
+	want := e.Sequential()
+	proc := dag.Square(4)
+	geom := dag.MatrixGeometry(e.Problem().Size, proc)
+	runner, err := core.NewTaskRunner(e.Problem(), core.Config{ProcPartition: proc, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[[32]byte]*matrix.Block[int32])
+	runner.SetBlockCache(seen)
+	block := func(r dag.Rect) *matrix.Block[int32] {
+		b := matrix.NewBlock[int32](r)
+		for i := 0; i < r.Rows; i++ {
+			copy(b.Cells[i*r.Cols:(i+1)*r.Cols], want[r.Row0+i][r.Col0:])
+		}
+		return b
+	}
+	whole, west, corner := [32]byte{1}, [32]byte{2}, [32]byte{3}
+	payload, err := matrix.EncodeBlocksKeyed(e.Problem().Codec, []matrix.KeyedBlock[int32]{
+		{Key: whole, Block: block(dag.Rect{Row0: 0, Col0: 4, Rows: 4, Cols: 4})},
+		{Key: west, Block: block(dag.Rect{Row0: 4, Col0: 3, Rows: 4, Cols: 1})},
+		{Key: corner, Block: block(dag.Rect{Row0: 3, Col0: 3, Rows: 1, Cols: 1})},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runner.Run(geom.ID(dag.Pos{Row: 1, Col: 1}), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := matrix.DecodeBlocks(e.Problem().Codec, out)
+	if err != nil || len(got) != 1 || !slices.Equal(got[0].Cells, block(geom.Rect(dag.Pos{Row: 1, Col: 1})).Cells) {
+		t.Fatalf("vertex (1,1) computed %v (%v)", got, err)
+	}
+	output := [32]byte(cas.PayloadKey(out))
+	if len(seen) != 2 || seen[whole] == nil || seen[output] == nil {
+		t.Fatalf("cache holds %d entries (whole block %v, output %v), want exactly those two", len(seen), seen[whole] != nil, seen[output] != nil)
 	}
 }
 

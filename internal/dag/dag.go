@@ -148,6 +148,13 @@ func (g Geometry) BlockOf(i, j int) Pos {
 	}
 }
 
+// IsBlock reports whether r is exactly the region of one block of g, not a
+// part of one (DataRegion).
+func (g Geometry) IsBlock(r Rect) bool {
+	p := g.BlockOf(r.Row0, r.Col0)
+	return g.InGrid(p) && g.Rect(p) == r
+}
+
 // InGrid reports whether p is a valid grid position.
 func (g Geometry) InGrid(p Pos) bool {
 	return p.Row >= 0 && p.Row < g.Grid.Rows && p.Col >= 0 && p.Col < g.Grid.Cols

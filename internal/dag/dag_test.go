@@ -90,6 +90,22 @@ func TestIDRoundTrip(t *testing.T) {
 	}
 }
 
+// IsBlock is true of a block's whole region, clipped at the edge, and of
+// nothing else: a part of one, a rect straddling two or one outside the grid.
+func TestGeometryIsBlock(t *testing.T) {
+	g := NewGeometry(Rect{100, 200, 10, 10}, Size{4, 4})
+	for _, r := range []Rect{g.Rect(Pos{0, 0}), g.Rect(Pos{1, 2}), g.Rect(Pos{2, 2})} {
+		if !g.IsBlock(r) {
+			t.Errorf("IsBlock(%v) = false for a block's region", r)
+		}
+	}
+	for _, r := range []Rect{{100, 203, 4, 1}, {103, 200, 1, 4}, {102, 202, 4, 4}, {96, 200, 4, 4}, {110, 200, 0, 4}} {
+		if g.IsBlock(r) {
+			t.Errorf("IsBlock(%v) = true", r)
+		}
+	}
+}
+
 func TestRectContains(t *testing.T) {
 	r := Rect{2, 3, 4, 5}
 	if !r.Contains(2, 3) || !r.Contains(5, 7) {

@@ -360,22 +360,10 @@ func (j *Job[T]) Complete(member int, v, attempt int32, payload []byte, now time
 }
 
 // decode reads the one block that a result frame, a checkpoint record or
-// a cache entry carries for vertex v. The bytes come from outside the
-// process: anything but exactly one block covering v's own region is
-// refused here, before it can reach the store, whose Put panics on a
-// foreign region.
+// a cache entry carries for vertex v: bytes from outside the process. Its
+// cells may alias payload, which is read-only from here on.
 func (j *Job[T]) decode(v int32, payload []byte) (*matrix.Block[T], error) {
-	blocks, err := matrix.DecodeBlocks(j.codec, payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks) != 1 {
-		return nil, fmt.Errorf("%d blocks, want 1", len(blocks))
-	}
-	if err := matrix.CheckRect(j.graph.Geom, j.graph.Geom.PosOf(v), blocks[0].Rect); err != nil {
-		return nil, err
-	}
-	return blocks[0], nil
+	return matrix.DecodeBlock(j.codec, payload, j.graph.Geom, j.graph.Geom.PosOf(v))
 }
 
 // commit is the single write path for a block decode accepted: store

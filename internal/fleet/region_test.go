@@ -129,6 +129,7 @@ func regionFleet[T any](t *testing.T, problem func(regionSpec) (core.Problem[T],
 			}
 			if cacheKey != "" {
 				shipped, referenced = shipped+res.Stats.BlocksShipped, referenced+res.Stats.BlocksSkipped
+				checkCachedPayloads(t, store, cacheKey, prob, res.Store.Geometry(), want)
 			}
 		}
 	}

@@ -15,6 +15,10 @@ import (
 type Block[T any] struct {
 	Rect  dag.Rect
 	Cells []T
+
+	// payload, when set, is the one-block payload Cells live in (alias.go):
+	// EncodeBlocks of this block alone returns it instead of encoding.
+	payload []byte
 }
 
 // NewBlock allocates a zeroed block covering r.

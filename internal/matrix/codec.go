@@ -210,13 +210,20 @@ func readInt32(src []byte) int { return int(int32(getU32(src))) }
 
 // EncodeBlocks serializes a set of blocks (count header followed by rect
 // headers and cell payloads) using codec c, into one slice sized up front
-// when the codec's cells have a fixed size.
+// when the codec's cells have a fixed size. A single block that lives in
+// its own payload (NewPayloadBlock, or decoded alone) is not encoded: that
+// payload is returned.
 func EncodeBlocks[T any](c Codec[T], blocks []*Block[T]) ([]byte, error) {
+	if len(blocks) == 1 {
+		if p, ok := ownPayload(c, blocks[0]); ok {
+			return p, nil
+		}
+	}
 	size := countSize
 	for _, b := range blocks {
 		size += headerSize + len(b.Cells)*c.CellSize()
 	}
-	dst := appendInt32(make([]byte, 0, size), len(blocks))
+	dst := appendInt32(newPayload(size), len(blocks))
 	for _, b := range blocks {
 		var err error
 		dst = appendHeader(dst, b.Rect, b.Rect.Rows)
@@ -230,7 +237,8 @@ func EncodeBlocks[T any](c Codec[T], blocks []*Block[T]) ([]byte, error) {
 // DecodeBlocks is the inverse of EncodeBlocks. The payload is untrusted:
 // the count and every rect are checked against the bytes that remain
 // before anything is allocated for them, and bytes after the last record
-// are refused.
+// are refused. Decoded cells may alias data (see alias.go), which must not
+// change while they are in use.
 func DecodeBlocks[T any](c Codec[T], data []byte) ([]*Block[T], error) {
 	n, rest, err := readCount(data)
 	if err != nil {
@@ -239,7 +247,29 @@ func DecodeBlocks[T any](c Codec[T], data []byte) ([]*Block[T], error) {
 	if n < 0 {
 		return nil, fmt.Errorf("matrix: negative block count %d", n)
 	}
-	return decodeRecords(c, rest, n, false, nil, nil)
+	blocks, err := decodeRecords(c, rest, n, false, nil, nil)
+	if err == nil && n == 1 {
+		adopt(c, blocks[0], data[:len(data):len(data)])
+	}
+	return blocks, err
+}
+
+// DecodeBlock decodes what a result frame, a checkpoint record, a cache
+// entry or a spill file carries: a payload of exactly one block, covering
+// exactly the region of grid position p of g. Anything else is refused,
+// before it can reach a store, whose Put panics on a foreign region.
+func DecodeBlock[T any](c Codec[T], data []byte, g dag.Geometry, p dag.Pos) (*Block[T], error) {
+	blocks, err := DecodeBlocks(c, data)
+	if err != nil {
+		return nil, err
+	}
+	if len(blocks) != 1 {
+		return nil, fmt.Errorf("matrix: %d blocks, want 1", len(blocks))
+	}
+	if err := CheckRect(g, p, blocks[0].Rect); err != nil {
+		return nil, err
+	}
+	return blocks[0], nil
 }
 
 func readCount(data []byte) (n int, rest []byte, err error) {
@@ -291,9 +321,9 @@ func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolv
 		if cells := int64(rect.Rows) * int64(rect.Cols); cells > int64(len(rest)/cellSize) {
 			return nil, fmt.Errorf("matrix: block %+v claims %d cells, %d bytes left: %w", rect, cells, len(rest), io.ErrUnexpectedEOF)
 		}
-		b := NewBlock[T](rect)
+		b := &Block[T]{Rect: rect}
 		var err error
-		if rest, err = c.DecodeCells(rest, b.Cells); err != nil {
+		if b.Cells, rest, err = decodeCells(c, rest, rect.Cells()); err != nil {
 			return nil, err
 		}
 		if keyed && record != nil {
@@ -305,4 +335,15 @@ func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolv
 		return nil, fmt.Errorf("matrix: %d trailing bytes after %d blocks", len(rest), count)
 	}
 	return blocks, nil
+}
+
+// decodeCells reads n cells from the front of src: in place where the codec
+// and src's alignment allow it (cellsIn), into a fresh slice otherwise.
+func decodeCells[T any](c Codec[T], src []byte, n int) ([]T, []byte, error) {
+	if cells, ok := cellsIn(c, src, n); ok {
+		return cells, src[n*c.CellSize():], nil
+	}
+	cells := make([]T, n)
+	rest, err := c.DecodeCells(src, cells)
+	return cells, rest, err
 }

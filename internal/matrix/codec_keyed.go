@@ -45,7 +45,7 @@ func EncodeBlocksKeyed[T any](c Codec[T], full []KeyedBlock[T], refs []BlockRef)
 	for _, kb := range full {
 		size += len(kb.Block.Cells) * c.CellSize()
 	}
-	dst := appendInt32(make([]byte, 0, size), -(n + 1))
+	dst := appendInt32(newPayload(size), -(n + 1))
 	for _, kb := range full {
 		var err error
 		dst = appendHeader(dst, kb.Block.Rect, kb.Block.Rect.Rows)

@@ -196,9 +196,30 @@ func fuzzResolve[T any](k [32]byte) (*Block[T], bool) {
 // fuzzDecode is the property: a payload decodes or is refused, without a
 // panic; and for a fixed-size codec a payload that decodes, its records in
 // the encoder's order, encodes back to the same bytes, so no two payloads
-// mean the same blocks (the content keys depend on that).
+// mean the same blocks (the content keys depend on that). It holds at each
+// of the eight alignments of the payload, so both the decoder that aliases
+// cells and the one that copies them are fuzzed; and a payload's blocks
+// re-encoded directly — a block decoded alone returning its own payload —
+// give the bytes their copies do.
 func fuzzDecode[T any](t *testing.T, c Codec[T], data []byte) {
-	_, plainErr := DecodeBlocks(c, data)
+	for k := 0; k < 8; k++ {
+		fuzzDecodeAt(t, c, placed(data, k))
+	}
+}
+
+func fuzzDecodeAt[T any](t *testing.T, c Codec[T], data []byte) {
+	blocks, plainErr := DecodeBlocks(c, data)
+	if plainErr == nil {
+		own, err := EncodeBlocks(c, blocks)
+		copies := make([]*Block[T], len(blocks))
+		for i, b := range blocks {
+			copies[i] = b.Clone()
+		}
+		fresh, freshErr := EncodeBlocks(c, copies)
+		if (err == nil) != (freshErr == nil) || !bytes.Equal(own, fresh) {
+			t.Fatalf("decoded blocks encode to %x (%v), their copies to %x (%v)", own, err, fresh, freshErr)
+		}
+	}
 	out, canonical, err := reencodeOrdered(c, data, fuzzResolve[T])
 	keyed := len(data) >= countSize && readInt32(data) < 0
 	if (plainErr == nil) != (err == nil && !keyed) {

@@ -140,12 +140,12 @@ func (s *SpillStore[T]) loadLocked(p dag.Pos) *Block[T] {
 	if err != nil {
 		panic(fmt.Sprintf("matrix: reloading spilled block %v: %v", p, err))
 	}
-	blocks, err := DecodeBlocks(s.codec, data)
-	if err != nil || len(blocks) != 1 {
+	b, err := DecodeBlock(s.codec, data, s.geom, p)
+	if err != nil {
 		panic(fmt.Sprintf("matrix: decoding spilled block %v: %v", p, err))
 	}
 	s.loads++
-	return blocks[0]
+	return b
 }
 
 // Get returns the block at p, reloading it from disk when spilled.
