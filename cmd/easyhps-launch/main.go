@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -70,7 +69,7 @@ func main() {
 	prob, report, err := cli.Build(*app, *n, *seed)
 	fatal(err)
 
-	spec := cluster.Spec{App: *app, N: *n, Seed: *seed}
+	spec := core.Spec{App: *app, N: *n, Seed: *seed}
 	if *proc > 0 {
 		spec.Proc = dag.Square(*proc)
 	}
@@ -147,7 +146,7 @@ func main() {
 // runElastic waits up to wait for minWorkers members, then runs prob as
 // the fleet's one job. The spec travels in the attach frame, where every
 // worker checks it against the flags it was started with.
-func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], spec cluster.Spec, minWorkers int, wait time.Duration, ckpt string) (*fleet.Result[int32], error) {
+func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], spec core.Spec, minWorkers int, wait time.Duration, ckpt string) (*fleet.Result[int32], error) {
 	joinCtx, cancel := context.WithTimeout(ctx, wait)
 	err := f.Registry().WaitLive(joinCtx, minWorkers)
 	cancel()

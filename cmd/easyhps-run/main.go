@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -92,7 +91,7 @@ func main() {
 		// The same spec digest easyhps-launch uses, so a -cache-dir is
 		// shared between in-process and distributed runs of one problem.
 		cfg.Cache = store
-		cfg.CacheKey = cluster.Spec{App: *app, N: *n, Seed: *seed, Proc: cfg.ProcPartition, Thread: cfg.ThreadPartition}.Digest()
+		cfg.CacheKey = core.Spec{App: *app, N: *n, Seed: *seed, Proc: cfg.ProcPartition, Thread: cfg.ThreadPartition}.Digest()
 	}
 
 	if *app == "matrixchain" {

@@ -118,7 +118,16 @@ func main() {
 	}
 	mgr := server.NewManager(cfg, nil)
 
-	srv := &http.Server{Addr: *addr, Handler: server.NewHandler(mgr)}
+	// Constant bounds on what one client holds of the server: the request
+	// header, the whole request — a submit body is at most the manager's
+	// MaxCells plus its JSON envelope — and an idle keep-alive connection.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           server.NewHandler(mgr),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	errc := make(chan error, 1)
 	go func() {

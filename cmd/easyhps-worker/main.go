@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -99,7 +98,7 @@ func main() {
 	prob, _, err := cli.Build(*app, *n, *seed)
 	fatal(err)
 
-	spec := cluster.Spec{App: *app, N: *n, Seed: *seed}
+	spec := core.Spec{App: *app, N: *n, Seed: *seed}
 	if *proc > 0 {
 		spec.Proc = dag.Square(*proc)
 	}

@@ -2,7 +2,11 @@
 // schedules processor-level sub-tasks over slave nodes, the slave part that
 // re-partitions each sub-task over compute threads, the dynamic worker
 // pools at both levels, and the hierarchical timeout-based fault tolerance
-// described in §V of the paper.
+// described in §V of the paper. The master is one driver (Driver) of
+// internal/engine's scheduler for both sources of members: the fixed ranks
+// of a comm.Transport (RunContext, RunMasterContext) and the elastic
+// workers of internal/fleet, whose membership table (Registry) and problem
+// identity (Spec) live here beside it.
 package core
 
 import (

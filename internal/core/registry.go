@@ -1,15 +1,56 @@
-package cluster
+package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/dag"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
+
+// Spec identifies the problem a cluster is solving. Master and workers
+// each build their Problem locally from flags. In fixed-rank mode the
+// digest of this struct travels in the join handshake; in elastic mode
+// the struct itself travels in the job's attach frame (fleet.JobRequest.Spec,
+// checked by fleet.SpecBuilder). Either way a worker built from different
+// flags is refused instead of corrupting the run.
+type Spec struct {
+	// App names the application (the internal/cli registry).
+	App string
+	// N is the matrix side length.
+	N int
+	// Seed is the workload seed.
+	Seed int64
+	// Proc is process_partition_size; zero means the runtime default,
+	// which both sides derive identically from N.
+	Proc dag.Size
+	// Thread is thread_partition_size (worker-local, but part of the
+	// spec so a run is fully described by it).
+	Thread dag.Size
+}
+
+// Digest fingerprints the spec: the fixed-rank join handshake carries it,
+// and it scopes a one-job run's entries in the result cache.
+func (s Spec) Digest() string {
+	h := sha256.Sum256([]byte(fmt.Sprintf("easyhps-spec:1:%s:%d:%d:%dx%d:%dx%d",
+		s.App, s.N, s.Seed, s.Proc.Rows, s.Proc.Cols, s.Thread.Rows, s.Thread.Cols)))
+	return hex.EncodeToString(h[:12])
+}
+
+// Snapshot is the monitoring view of a membership table, exposed through
+// the job service's /metrics endpoint (see Registry.Metrics).
+type Snapshot struct {
+	// States counts current members by state name.
+	States map[string]int
+	// Joins, Leaves, Deaths, LeasesRevoked mirror engine.Stats, cumulatively.
+	Joins, Leaves, Deaths, LeasesRevoked int64
+}
 
 // MemberState is the lifecycle state of a cluster member. Transitions:
 //
@@ -37,16 +78,11 @@ const (
 	StateLeft
 )
 
+var stateNames = [...]string{StateActive: "active", StateSuspect: "suspect", StateDead: "dead", StateLeft: "left"}
+
 func (s MemberState) String() string {
-	switch s {
-	case StateActive:
-		return "active"
-	case StateSuspect:
-		return "suspect"
-	case StateDead:
-		return "dead"
-	case StateLeft:
-		return "left"
+	if int(s) < len(stateNames) && stateNames[s] != "" {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
@@ -64,7 +100,9 @@ type Member struct {
 	Completed int64 // vertices this member computed
 }
 
-// Registry is the master's membership table.
+// Registry is the membership table of elastic members: a Driver given one
+// (DriverConfig.Registry) sweeps it for heartbeats at every tick and
+// revokes the leases of the members it declares dead or gone.
 type Registry struct {
 	mu      sync.Mutex
 	next    int
@@ -167,34 +205,29 @@ func (r *Registry) Sweep(now time.Time, interval time.Duration, miss int) []int 
 
 // MarkDead forces member id dead (connection failure detected before any
 // heartbeat deadline). It reports whether the member was alive.
-func (r *Registry) MarkDead(id int) bool {
-	r.mu.Lock()
-	m := r.members[id]
-	alive := m != nil && (m.State == StateActive || m.State == StateSuspect)
-	if alive {
-		m.State = StateDead
-		r.deaths++
-	}
-	r.mu.Unlock()
-	if alive {
-		r.tr.Member(id, "dead")
-	}
-	return alive
-}
+func (r *Registry) MarkDead(id int) bool { return r.end(id, StateDead) }
 
 // MarkLeft records a graceful departure. It reports whether the member
 // was alive.
-func (r *Registry) MarkLeft(id int) bool {
+func (r *Registry) MarkLeft(id int) bool { return r.end(id, StateLeft) }
+
+// end moves a live member to the terminal state and reports whether it was
+// alive.
+func (r *Registry) end(id int, state MemberState) bool {
 	r.mu.Lock()
 	m := r.members[id]
 	alive := m != nil && (m.State == StateActive || m.State == StateSuspect)
 	if alive {
-		m.State = StateLeft
-		r.leaves++
+		m.State = state
+		if state == StateDead {
+			r.deaths++
+		} else {
+			r.leaves++
+		}
 	}
 	r.mu.Unlock()
 	if alive {
-		r.tr.Member(id, "left")
+		r.tr.Member(id, state.String())
 	}
 	return alive
 }
@@ -209,7 +242,7 @@ func (r *Registry) NoteCompleted(id int) {
 }
 
 // NoteRevoked accumulates lease-revocation accounting, driven by the
-// revocation path of the fleet that owns the registry.
+// revocation path of the driver the registry serves.
 func (r *Registry) NoteRevoked(leases, reassigned int) {
 	r.mu.Lock()
 	r.leasesRevoked += int64(leases)
@@ -251,12 +284,12 @@ func (r *Registry) WaitLive(ctx context.Context, n int) error {
 		select {
 		case <-admitted:
 		case <-ctx.Done():
-			return fmt.Errorf("cluster: %d of %d workers joined: %w", live, n, ctx.Err())
+			return fmt.Errorf("core: %d of %d workers joined: %w", live, n, ctx.Err())
 		}
 	}
 }
 
-// Snapshot returns a copy of every member ever admitted, sorted by id.
+// Members returns a copy of every member ever admitted, sorted by id.
 func (r *Registry) Members() []Member {
 	r.mu.Lock()
 	out := make([]Member, 0, len(r.members))
@@ -264,11 +297,7 @@ func (r *Registry) Members() []Member {
 		out = append(out, *m)
 	}
 	r.mu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -1,11 +1,10 @@
-package cluster_test
+package fleet_test
 
 import (
 	"context"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -61,11 +60,11 @@ func BenchmarkElasticRecovery(b *testing.B) {
 // swggBench is the Smith-Waterman instance for the straggler benchmark:
 // an 8x8 processor grid whose narrow wavefront makes a slow worker gate
 // whole diagonals.
-func swggBench(tb testing.TB) (core.Problem[int32], cluster.Spec) {
+func swggBench(tb testing.TB) (core.Problem[int32], core.Spec) {
 	a := dp.RandomDNA(64, 61)
 	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.3, 62)
 	s := dp.NewSWGG(a, b)
-	spec := cluster.Spec{App: "swgg", N: 64, Seed: 61, Proc: dag.Square(8), Thread: dag.Square(4)}
+	spec := core.Spec{App: "swgg", N: 64, Seed: 61, Proc: dag.Square(8), Thread: dag.Square(4)}
 	return s.Problem(), spec
 }
 

@@ -1,4 +1,4 @@
-package cluster_test
+package fleet_test
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dp"
@@ -112,7 +111,7 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 	for _, app := range cli.Apps {
 		t.Run(app, func(t *testing.T) {
 			prob, want := reference(t, app, 48)
-			spec := cluster.Spec{App: app, N: 48, Seed: 7}
+			spec := core.Spec{App: app, N: 48, Seed: 7}
 			ckpt := t.TempDir() + "/run.ckpt"
 			opts := testOptions()
 			opts.HeartbeatInterval = time.Hour // the stuttering worker sends no beacons

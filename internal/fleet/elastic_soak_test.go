@@ -1,6 +1,6 @@
 //go:build soak
 
-package cluster_test
+package fleet_test
 
 import (
 	"context"

@@ -3,7 +3,7 @@
 // one Fleet.Run — so these tests drive exactly that composition over real
 // sockets, every worker behind the fault harness's proxy, and judge it by
 // the membership table it leaves behind.
-package cluster_test
+package fleet_test
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -23,10 +22,10 @@ import (
 // testProblem is an edit-distance instance partitioned into an 8x8 grid
 // of processor-level vertices: large enough that faults land mid-run,
 // small enough for the race detector.
-func testProblem(t testing.TB) (core.Problem[int32], [][]int32, cluster.Spec) {
+func testProblem(t testing.TB) (core.Problem[int32], [][]int32, core.Spec) {
 	t.Helper()
 	e := dp.NewEditDistance(dp.RandomDNA(64, 51), dp.RandomDNA(64, 52))
-	spec := cluster.Spec{App: "editdist", N: 64, Seed: 51, Proc: dag.Square(8), Thread: dag.Square(4)}
+	spec := core.Spec{App: "editdist", N: 64, Seed: 51, Proc: dag.Square(8), Thread: dag.Square(4)}
 	return e.Problem(), e.Sequential(), spec
 }
 
@@ -65,7 +64,7 @@ func startMaster(t testing.TB, opts fleet.Options) *fleet.Fleet[int32] {
 // runElastic is the launcher's driver: wait for the quorum, then run prob
 // as the fleet's one job, its spec in the attach frame. edit, when
 // non-nil, adjusts the request (progress hook, checkpoint).
-func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], spec cluster.Spec, minWorkers int, edit func(*fleet.JobRequest)) (*fleet.Result[int32], error) {
+func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], spec core.Spec, minWorkers int, edit func(*fleet.JobRequest)) (*fleet.Result[int32], error) {
 	joinCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	err := f.Registry().WaitLive(joinCtx, minWorkers)
 	cancel()

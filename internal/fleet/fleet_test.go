@@ -78,29 +78,24 @@ func checkMatrix(t *testing.T, label string, got, want [][]int32) {
 }
 
 // waitUntil blocks until cond holds, woken by the fleet's progress
-// notifier instead of polling: snapshot the generation, evaluate cond,
-// then wait for the generation to move before re-checking, so no
-// broadcast between check and wait is lost. The real-time timer only
-// bounds a wedged fleet.
+// notifier instead of polling: take the progress channel, evaluate cond,
+// then wait for the channel to close before re-checking, so no progress
+// between check and wait is lost. The real-time timer only bounds a
+// wedged fleet.
 func waitUntil(t *testing.T, f *Fleet[int32], what string, cond func() bool) {
 	t.Helper()
-	timedOut := make(chan struct{})
-	timer := time.AfterFunc(10*time.Second, func() {
-		close(timedOut)
-		f.noteProgress()
-	})
-	defer timer.Stop()
+	timeout := time.NewTimer(10 * time.Second)
+	defer timeout.Stop()
 	for {
-		gen := f.progressGeneration()
+		progressed := f.d.Progress()
 		if cond() {
 			return
 		}
 		select {
-		case <-timedOut:
+		case <-progressed:
+		case <-timeout.C:
 			t.Fatalf("timed out waiting for %s", what)
-		default:
 		}
-		f.waitProgress(gen, timedOut)
 	}
 }
 
@@ -413,153 +408,6 @@ func TestFleetWrongRectBlockFailsOnlyItsJob(t *testing.T) {
 
 	f.Close()
 	<-driverDone // either nil (KindEnd) or the close race's conn error
-}
-
-// TestFleetStoppedMemberHandsDrawBack pins the sender's two exits when its
-// member goes away: a draw already in hand is handed back whole — nothing
-// leased to the dead member, the quota room reopened — and the next wait
-// for work returns at once instead of blocking at quota.
-func TestFleetStoppedMemberHandsDrawBack(t *testing.T) {
-	f, err := New[int32](Options{Addr: "127.0.0.1:0", Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	prob, _ := mustProblem(t, "nussinov")
-	jb, err := f.newJob(1, prob, JobRequest{Name: "q", Quota: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots, err := jb.eng.Frontier()
-	if err != nil || len(roots) < 4 {
-		t.Fatalf("frontier = (%v, %v), want more roots than the quota", roots, err)
-	}
-	insertJob(f, jb, roots)
-
-	mc := &memberConn{id: 1, stop: make(chan struct{})}
-	got, ids, ok := f.nextBatch(mc)
-	if !ok || got != jb || len(ids) != 3 {
-		t.Fatalf("draw = (%v, %v), want a quota-clamped batch of 3", ids, ok)
-	}
-	close(mc.stop)
-	if !f.dispatch(mc, jb, ids) {
-		t.Fatal("dispatch to a stopped member asked for another draw")
-	}
-	if st := f.Snapshot().Jobs[0]; st.Ready != len(roots) || st.Inflight != 0 || st.Stats.Dispatches != 0 {
-		t.Fatalf("after the hand-back: %d ready, %d in flight, %d dispatches; want %d, 0, 0",
-			st.Ready, st.Inflight, st.Stats.Dispatches, len(roots))
-	}
-	// At quota a live member's sender waits; a stopped member's must not.
-	other := &memberConn{id: 2, stop: make(chan struct{})}
-	if _, ids, ok := f.nextBatch(other); !ok || len(ids) != 3 {
-		t.Fatalf("second member's draw = (%v, %v), want the reopened room of 3", ids, ok)
-	}
-	if _, _, ok := f.nextBatch(mc); ok {
-		t.Fatal("stopped member still drew a batch")
-	}
-}
-
-// TestFleetDispatchRetireOrdering pins the per-connection frame order
-// around retirement: a batch racing the job's finish is dropped with its
-// fresh lease unwound rather than sent, so a worker always sees
-// JobSpec … tasks … JobEnd — never a task after the detach (which would
-// kill the worker) and never a re-attach after JobEnd (which would leak
-// the job's kernel state on the worker).
-func TestFleetDispatchRetireOrdering(t *testing.T) {
-	f, err := New[int32](Options{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	prob, _ := mustProblem(t, "nussinov")
-	jb, err := f.newJob(1, prob, JobRequest{Name: "order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots, err := jb.eng.Frontier()
-	if err != nil || len(roots) < 2 {
-		t.Fatalf("frontier = (%v, %v), want two dependency-free vertices", roots, err)
-	}
-	insertJob(f, jb, roots)
-
-	// A real socket pair so the dispatch and detach frames cross a live
-	// ordered connection.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srvCh := make(chan *comm.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		srvCh <- comm.NewConn(c)
-	}()
-	wc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	worker := comm.NewConn(wc)
-	defer worker.Close()
-	sc := <-srvCh
-	defer sc.Close()
-	mc := &memberConn{id: 1, cn: sc, idle: make(chan struct{}, 1), stop: make(chan struct{}), attached: make(map[int32]bool)}
-	f.connMu.Lock()
-	f.conns[1] = mc
-	f.connMu.Unlock()
-
-	first, second := drawOne(t, f), drawOne(t, f)
-	if !f.dispatch(mc, jb, first) {
-		t.Fatal("dispatch refused a live job")
-	}
-	for _, want := range []comm.Kind{comm.KindJobSpec, comm.KindTask} {
-		msg, err := worker.Recv()
-		if err != nil || msg.Kind != want {
-			t.Fatalf("worker got (%v, %v), want kind %v", msg.Kind, err, want)
-		}
-	}
-
-	// Race the serialized re-check: hold the attach lock so a second
-	// dispatch blocks right before its send, finish the job inside that
-	// window, then let it through — the batch must be dropped and the
-	// lease it granted unwound, not sent after the detach.
-	mc.attachMu.Lock()
-	dispatched := make(chan bool, 1)
-	go func() { dispatched <- f.dispatch(mc, jb, second) }()
-	waitUntil(t, f, "second dispatch leasing", func() bool { return jb.eng.Inflight() == 2 })
-	jb.finish(nil, f.clock.Now())
-	mc.attachMu.Unlock()
-	if <-dispatched {
-		t.Fatal("dispatch shipped a batch for a finishing job")
-	}
-	if got := jb.eng.LiveAttempts(second[0]); got != 0 {
-		t.Fatalf("dropped batch left %d live attempts", got)
-	}
-	if got := jb.eng.Inflight(); got != 1 {
-		t.Fatalf("leases = %d after the dropped batch, want only the first dispatch's", got)
-	}
-
-	// Retirement detaches: the very next frame is JobEnd, and a late
-	// dispatch afterwards neither sends nor re-attaches.
-	f.retire(jb)
-	msg, err := worker.Recv()
-	if err != nil || msg.Kind != comm.KindJobEnd {
-		t.Fatalf("worker got (%v, %v) after retirement, want JobEnd with no interleaved task", msg.Kind, err)
-	}
-	if st := f.Snapshot().Jobs[0]; st.State != "done" || st.Inflight != 0 {
-		t.Fatalf("retired job reads %q with %d in flight, want done with none", st.State, st.Inflight)
-	}
-	if f.dispatch(mc, jb, second) {
-		t.Fatal("dispatch shipped a batch for a retired job")
-	}
-	mc.attachMu.Lock()
-	attached := mc.attached[jb.id]
-	mc.attachMu.Unlock()
-	if attached {
-		t.Fatal("retired job still attached to the member")
-	}
 }
 
 // TestFleetCheckpointResume runs a checkpointed job to completion, then

@@ -69,59 +69,42 @@ func (h *Harness[T]) Add(ctx context.Context) (int, error) {
 	return idx, nil
 }
 
-func (h *Harness[T]) worker(i int) *harnessWorker {
+// with applies fn to worker i, when there is one.
+func (h *Harness[T]) with(i int, fn func(w *harnessWorker)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if i < 0 || i >= len(h.workers) {
-		return nil
+	if i >= 0 && i < len(h.workers) {
+		fn(h.workers[i])
 	}
-	return h.workers[i]
 }
 
 // Kill fails worker i abruptly: its proxy closes every connection with no
 // Leave frame, emulating a crashed process. The master notices through
 // the connection error (fast path) or the heartbeat deadline.
-func (h *Harness[T]) Kill(i int) {
-	if w := h.worker(i); w != nil {
-		w.proxy.close()
-	}
-}
+func (h *Harness[T]) Kill(i int) { h.with(i, func(w *harnessWorker) { w.proxy.close() }) }
 
 // Leave cancels worker i's context: it sends a Leave frame and departs
 // gracefully.
-func (h *Harness[T]) Leave(i int) {
-	if w := h.worker(i); w != nil {
-		w.cancel()
-	}
-}
+func (h *Harness[T]) Leave(i int) { h.with(i, func(w *harnessWorker) { w.cancel() }) }
 
 // Partition freezes worker i's link in both directions without closing
 // it: TCP stays established, bytes stop flowing — the silent half-open
 // failure mode. Heal resumes the flow (no bytes are lost while frozen).
-func (h *Harness[T]) Partition(i int) {
-	if w := h.worker(i); w != nil {
-		w.proxy.pause(true)
-	}
-}
+func (h *Harness[T]) Partition(i int) { h.with(i, func(w *harnessWorker) { w.proxy.pause(true) }) }
 
 // Heal unfreezes a partitioned worker's link.
-func (h *Harness[T]) Heal(i int) {
-	if w := h.worker(i); w != nil {
-		w.proxy.pause(false)
-	}
-}
+func (h *Harness[T]) Heal(i int) { h.with(i, func(w *harnessWorker) { w.proxy.pause(false) }) }
 
 // Slow adds d of artificial delay before each of worker i's tasks
 // (0 restores full speed).
 func (h *Harness[T]) Slow(i int, d time.Duration) {
-	if w := h.worker(i); w != nil {
-		w.slow.Store(int64(d))
-	}
+	h.with(i, func(w *harnessWorker) { w.slow.Store(int64(d)) })
 }
 
 // Err blocks until worker i exits and returns its RunWorker error.
 func (h *Harness[T]) Err(i int) error {
-	w := h.worker(i)
+	var w *harnessWorker
+	h.with(i, func(hw *harnessWorker) { w = hw })
 	if w == nil {
 		return fmt.Errorf("fleet: harness has no worker %d", i)
 	}

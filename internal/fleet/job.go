@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -64,8 +62,8 @@ type JobRequest struct {
 	// vertices and resumes from the clean prefix on resubmission.
 	CheckpointPath string
 	// OnProgress, when non-nil, is called after restore and after every
-	// completed vertex with (completed, total), on the fleet's receive
-	// loop — it must be fast and must not block.
+	// completed vertex with (completed, total), on the reader of the member
+	// that computed it — it must be fast and must not block.
 	OnProgress func(completed, total int)
 }
 
@@ -115,46 +113,17 @@ type JobStatus struct {
 	Inflight int    // leased attempts outstanding
 	Weight   float64
 	Priority int
-	// Deficit is the gap between the most-served running job's
-	// normalized service and this job's — the fair-share debt the
-	// scheduler is working off, and an autoscaling signal: a persistent
-	// positive deficit across jobs means the pool is too small.
+	// Deficit is the most-served running job's normalized service minus
+	// this job's: the fair-share debt being worked off, and an autoscaling
+	// signal — a persistent positive deficit means the pool is too small.
 	Deficit float64
 	Stats   engine.Stats
 }
 
-// job is one DAG on the fleet. The job engine holds its DAG-progress half
-// — graph, parser, store, register table, overtime queue, lease table,
-// checkpoint log, runtime profile and stats ledger — the pool its ready
-// stack, fair-share account and deadline while it runs, and this type what
-// the fleet adds: the request, the attach frame, the checkpoint file and
-// the finish latch. The fleet owns the shared half (membership,
-// connections, heartbeats, hunger).
-type job[T any] struct {
-	id     int32
-	req    JobRequest
-	params engine.JobParams // req's scheduling fields, pool defaults filled in
-	p      core.Problem[T]
-	meta   []byte // encoded JobMeta, shipped in attach frames
-
-	eng      *engine.Job[T]
-	ckptFile *os.File
-
-	tr *trace.Recorder
-
-	start time.Time // fleet clock: Timeout and the makespan count from here
-
-	done     chan struct{}
-	doneOnce sync.Once
-	errMu    sync.Mutex
-	err      error
-	leaked   int64
-	elapsed  time.Duration
-}
-
-// newJob builds the per-job runtime state. The caller (Fleet.Run) adds it
-// to the pool.
-func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*job[T], error) {
+// newJob builds one job for the driver: its engine, pool standing, attach
+// frame and, with a CheckpointPath, its checkpoint — the clean prefix
+// replayed, a torn tail truncated, new records appended to the same file.
+func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*core.Job[T], error) {
 	if p.Kernel == nil {
 		return nil, fmt.Errorf("fleet: job %q has no kernel", req.Name)
 	}
@@ -168,116 +137,42 @@ func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*job[T],
 	if !proc.Valid() {
 		proc = dag.DefaultPartition(p.Size)
 	}
-	jb := &job[T]{
-		id:  id,
-		req: req,
-		params: f.pool.Params(engine.JobParams{
+	jb := &core.Job[T]{ID: id, Name: req.Name, Label: fmt.Sprintf("fleet: job %q", req.Name), Trace: trace.New()}
+	f.d.WithPool(func(pool *engine.Pool[T]) {
+		jb.Params = pool.Params(engine.JobParams{
 			Weight:      req.Weight,
 			Priority:    req.Priority,
 			Quota:       req.Quota,
 			MaxAttempts: req.MaxAttempts,
 			TaskTimeout: req.TaskTimeout,
 			Timeout:     req.Timeout,
-		}),
-		p:     p,
-		tr:    trace.New(),
-		start: f.clock.Now(),
-		done:  make(chan struct{}),
-	}
-	jb.eng = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
-		TaskTimeout: jb.params.TaskTimeout,
-		MaxAttempts: jb.params.MaxAttempts,
+		})
+	})
+	jb.Engine = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
+		TaskTimeout: jb.Params.TaskTimeout,
+		MaxAttempts: jb.Params.MaxAttempts,
 		Cache:       f.opts.Cache,
 		CacheKey:    req.CacheKey,
-		Trace:       jb.tr,
+		Trace:       jb.Trace,
 		OnProgress:  req.OnProgress,
 	})
-	meta := JobMeta{
-		Job:    id,
-		Name:   req.Name,
-		Spec:   req.Spec,
-		Rows:   p.Size.Rows,
-		Cols:   p.Size.Cols,
-		Proc:   proc,
-		Thread: req.Thread,
-	}
+	// A cached job ships in the keyed wire format: a block its member holds
+	// becomes a reference.
+	jb.Delta, jb.Keyed = jb.Engine.Cached(), jb.Engine.Cached()
+	meta := JobMeta{Job: id, Name: req.Name, Spec: req.Spec, Rows: p.Size.Rows, Cols: p.Size.Cols, Proc: proc, Thread: req.Thread}
 	meta.Digest = meta.digest()
 	enc, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding job meta for %q: %w", req.Name, err)
 	}
-	jb.meta = enc
-	return jb, nil
-}
-
-// fail puts the job's name on an engine error: the engine reports the
-// cause, the fleet says whose it is.
-func (jb *job[T]) fail(err error) error {
-	return fmt.Errorf("fleet: job %q: %w", jb.req.Name, err)
-}
-
-// restore replays the clean prefix of the job's checkpoint into the engine
-// (when configured; a torn tail is truncated and new records continue the
-// same file) and returns the computable frontier the cross-job cache could
-// not absorb. Without a checkpoint the frontier starts at the DAG roots.
-func (jb *job[T]) restore() ([]int32, error) {
-	if jb.req.CheckpointPath != "" {
-		w, f, _, err := checkpoint.OpenAppend(jb.req.CheckpointPath, jb.eng.Replay)
+	jb.Meta = enc
+	if req.CheckpointPath != "" {
+		w, file, _, err := checkpoint.OpenAppend(req.CheckpointPath, jb.Engine.Replay)
 		if err != nil {
-			return nil, jb.fail(err)
+			return nil, fmt.Errorf("%s: %w", jb.Label, err)
 		}
-		jb.eng.SetCheckpoint(w)
-		jb.ckptFile = f
+		jb.Engine.SetCheckpoint(w)
+		jb.Closer = file
 	}
-	frontier, err := jb.eng.Frontier()
-	if err != nil {
-		return nil, jb.fail(err)
-	}
-	return frontier, nil
-}
-
-func (jb *job[T]) finished() bool {
-	select {
-	case <-jb.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// finish ends the job exactly once, recording err (nil for success), the
-// leak audit (register-table plus lease entries still live — zero for a
-// clean finish), and the makespan.
-func (jb *job[T]) finish(err error, now time.Time) {
-	jb.doneOnce.Do(func() {
-		jb.errMu.Lock()
-		jb.err = err
-		jb.leaked = int64(jb.eng.Leaked())
-		jb.elapsed = now.Sub(jb.start)
-		jb.errMu.Unlock()
-		if jb.ckptFile != nil {
-			jb.ckptFile.Close()
-		}
-		close(jb.done)
-	})
-}
-
-func (jb *job[T]) finalErr() error {
-	jb.errMu.Lock()
-	defer jb.errMu.Unlock()
-	return jb.err
-}
-
-// stats materializes the job's ledger. Membership fields stay zero —
-// joins and deaths belong to the fleet, not to any one job — except the
-// lease audit, which is per job.
-func (jb *job[T]) stats() engine.Stats {
-	s := jb.eng.Counters().Stats()
-	jb.errMu.Lock()
-	if jb.finished() {
-		s.Leaked = jb.leaked
-		s.Elapsed = jb.elapsed
-	}
-	jb.errMu.Unlock()
-	return s
+	return jb, nil
 }

@@ -15,13 +15,25 @@ import (
 	"repro/internal/sched"
 )
 
-// insertJob registers a hand-built job with a running fleet, the way
-// Fleet.Run would, without blocking on completion.
-func insertJob(f *Fleet[int32], jb *job[int32], frontier []int32) {
-	f.mu.Lock()
-	f.jobs[jb.id] = jb
-	f.pool.Add(jb.id, jb.eng, jb.params, frontier, jb.start)
-	f.mu.Unlock()
+// insertJob starts a hand-built job on a running fleet, the way Fleet.Run
+// would, without blocking on completion. What its engine's Frontier
+// still hands out is queued: a test that leases by hand takes the
+// frontier first.
+func insertJob(t *testing.T, f *Fleet[int32], jb *core.Job[int32]) {
+	t.Helper()
+	if err := f.d.Start(jb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// jobByID returns the running or retained job with the given id.
+func jobByID(f *Fleet[int32], id int32) *core.Job[int32] {
+	for _, r := range f.d.Jobs() {
+		if r.Job.ID == id {
+			return r.Job
+		}
+	}
+	return nil
 }
 
 // readyLen is the number of vertices queued across the fleet's jobs (the
@@ -34,9 +46,11 @@ func readyLen(f *Fleet[int32]) int {
 // the fleets here run with the default batch of one vertex.
 func drawOne(t *testing.T, f *Fleet[int32]) []int32 {
 	t.Helper()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ids, ok := f.pool.Draw(0) // every fleet job draws LIFO: any member
+	var ids []int32
+	var ok bool
+	f.d.WithPool(func(p *engine.Pool[int32]) {
+		_, ids, ok = p.Draw(0) // every fleet job draws LIFO: any member
+	})
 	if !ok || len(ids) != 1 {
 		t.Fatalf("draw = (%v, %v), want one queued vertex", ids, ok)
 	}
@@ -46,19 +60,20 @@ func drawOne(t *testing.T, f *Fleet[int32]) []int32 {
 // drainReady draws until nothing is queued and returns what was: vertices
 // the test schedules by hand, or not at all.
 func drainReady(f *Fleet[int32]) []int32 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var all []int32
-	for {
-		_, ids, ok := f.pool.Draw(0) // every fleet job draws LIFO: any member
-		if !ok {
-			return all
+	f.d.WithPool(func(p *engine.Pool[int32]) {
+		for {
+			_, ids, ok := p.Draw(0) // every fleet job draws LIFO: any member
+			if !ok {
+				return
+			}
+			all = append(all, ids...)
 		}
-		all = append(all, ids...)
-	}
+	})
+	return all
 }
 
-// TestFleetStealFeedsHungryMember drives feedHungry directly: a hungry
+// TestFleetStealFeedsHungryMember drives hunger beacons directly: a hungry
 // idle member must trigger a steal of the tail half of the most loaded
 // member's undispatched backlog — and only when there is no queued work,
 // the beggar is truly idle, and the victim's entries are not racing a
@@ -74,22 +89,26 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertJob(f, jb, nil)
+	// The test leases by hand: nothing is queued but what the steals move.
+	if _, err := jb.Engine.Frontier(); err != nil {
+		t.Fatal(err)
+	}
+	insertJob(t, f, jb)
 
 	victim := f.reg.Admit("victim", "test")
 	beggar := f.reg.Admit("beggar", "test")
-	steals := &jb.eng.Counters().Steals
-	now := f.clock.Now()
+	steals := &jb.Engine.Counters().Steals
+	now := time.Now() // the fleet runs on the wall clock
 	lease := func(v int32, slot int) {
 		t.Helper()
-		if _, out := jb.eng.Lease(victim.ID, v, slot, now); out != engine.Granted {
+		if _, out := jb.Engine.Lease(victim.ID, v, slot, now); out != engine.Granted {
 			t.Fatalf("lease of vertex %d = %v, want Granted", v, out)
 		}
 	}
 
 	// A 1-deep backlog is never split.
 	lease(0, 0)
-	f.feedHungry(beggar.ID)
+	f.d.Deliver(beggar.ID, comm.Message{Kind: comm.KindHunger})
 	if got := steals.Load(); got != 0 {
 		t.Fatalf("steals = %d, want no steal from a 1-deep backlog", got)
 	}
@@ -98,33 +117,33 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	}
 
 	// A loaded member's own hunger is ignored.
-	f.feedHungry(victim.ID)
+	f.d.Deliver(victim.ID, comm.Message{Kind: comm.KindHunger})
 	if got := steals.Load(); got != 0 {
 		t.Fatalf("steals = %d after the victim begged from itself", got)
 	}
 
 	// The idle beggar gets the newer half of the victim's backlog.
-	f.feedHungry(beggar.ID)
+	f.d.Deliver(beggar.ID, comm.Message{Kind: comm.KindHunger})
 	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want the tail half (2) of a 4-deep backlog", got)
 	}
 	if got := readyLen(f); got != 2 {
 		t.Fatalf("ready = %d vertices after the steal, want 2", got)
 	}
-	if got := jb.eng.Load(victim.ID); got != 2 {
+	if got := jb.Engine.Load(victim.ID); got != 2 {
 		t.Fatalf("victim load = %d after the steal, want 2", got)
 	}
 
 	// With work queued, hunger is a no-op: the beggar's sender will draw
 	// the requeued vertices without help.
-	f.feedHungry(beggar.ID)
+	f.d.Deliver(beggar.ID, comm.Message{Kind: comm.KindHunger})
 	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want no re-steal while work is queued", got)
 	}
 
 	// A graceful leave revokes the remaining leases and requeues them.
-	f.memberLeave(victim.ID)
-	if got := jb.eng.Load(victim.ID); got != 0 {
+	f.d.Deliver(victim.ID, comm.Message{Kind: comm.KindLeave})
+	if got := jb.Engine.Load(victim.ID); got != 0 {
 		t.Fatalf("victim still holds %d leases after leaving", got)
 	}
 	if got := readyLen(f); got != 4 {
@@ -134,7 +153,7 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 		t.Fatalf("registry counts %d revoked, %d reassigned; want 2 and 2", revoked, reassigned)
 	}
 	// Leaving twice is idempotent.
-	f.memberLeave(victim.ID)
+	f.d.Deliver(victim.ID, comm.Message{Kind: comm.KindLeave})
 }
 
 // TestFleetSpeculationFakeClock verifies the per-job straggler detector:
@@ -166,13 +185,13 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots, err := jb.eng.Frontier()
+	roots, err := jb.Engine.Frontier()
 	if err != nil || len(roots) < 8 {
 		t.Fatalf("frontier = (%v, %v), want at least 8 roots", roots, err)
 	}
 	// The test leases by hand: nothing is queued but what the detector flags.
-	insertJob(f, jb, nil)
-	runner, err := core.NewTaskRunner(prob, core.Config{ProcPartition: jb.eng.Graph().Geom.Block, Threads: 1})
+	insertJob(t, f, jb)
+	runner, err := core.NewTaskRunner(prob, core.Config{ProcPartition: jb.Engine.Graph().Geom.Block, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +199,7 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	w1 := f.reg.Admit("w1", "test")
 
 	// Cold profile: no threshold, no speculation.
-	f.tick(fake.Now())
+	f.d.Tick(fake.Now())
 	if got := readyLen(f); got != 0 {
 		t.Fatalf("cold profile flagged %d vertices", got)
 	}
@@ -190,29 +209,29 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	warm := append([]int32(nil), roots[1:]...)
 	for i := 0; i < 8; i++ {
 		u := warm[0]
-		a, out := jb.eng.Lease(w1.ID, u, 0, fake.Now())
+		a, out := jb.Engine.Lease(w1.ID, u, 0, fake.Now())
 		if out != engine.Granted {
 			t.Fatalf("warm-up lease of vertex %d = %v", u, out)
 		}
 		result := computeVertex(t, jb, runner, u)
 		fake.Advance(2 * time.Second)
-		f.applyResult(w1.ID, jb.id, u, a, result)
+		deliverResult(f, w1.ID, jb, u, a, result)
 		warm = append(warm[1:], drainReady(f)...)
 	}
 
 	v := roots[0]
-	if _, out := jb.eng.Lease(w1.ID, v, 0, fake.Now()); out != engine.Granted {
+	if _, out := jb.Engine.Lease(w1.ID, v, 0, fake.Now()); out != engine.Granted {
 		t.Fatalf("original lease = %v, want Granted", out)
 	}
 
 	fake.Advance(3 * time.Second)
-	f.tick(fake.Now())
+	f.d.Tick(fake.Now())
 	if got := readyLen(f); got != 0 {
 		t.Fatalf("speculated on a 3s-old attempt below the 4s threshold (%d flagged)", got)
 	}
 
 	fake.Advance(2 * time.Second) // age 5s > threshold
-	f.tick(fake.Now())
+	f.d.Tick(fake.Now())
 	if got := readyLen(f); got != 1 {
 		t.Fatalf("flagged %d vertices past the threshold, want 1", got)
 	}
@@ -226,14 +245,15 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 		if ids[0] != v {
 			t.Fatalf("drew vertex %d, want the flagged %d", ids[0], v)
 		}
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.pool.Lease(jb.id, member, ids, fake.Now())
+		f.d.WithPool(func(p *engine.Pool[int32]) {
+			grants, spent = p.Lease(jb.ID, member, ids, fake.Now())
+		})
+		return grants, spent
 	}
 	if grants, spent := lease(w1.ID); len(grants) != 0 || !spent {
 		t.Fatalf("self-backup draw = (%v, spent %v), want nothing leased and the token spent", grants, spent)
 	}
-	if got := jb.eng.LiveAttempts(v); got != 1 {
+	if got := jb.Engine.LiveAttempts(v); got != 1 {
 		t.Fatalf("LiveAttempts = %d after refused self-backup, want 1", got)
 	}
 	if got := readyLen(f); got != 1 {
@@ -241,33 +261,33 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	}
 	// The detector leaves the requeued backup alone on later ticks.
 	fake.Advance(time.Second)
-	f.tick(fake.Now())
+	f.d.Tick(fake.Now())
 	if got := readyLen(f); got != 1 {
 		t.Fatalf("detector double-flagged a requeued backup (%d ready)", got)
 	}
 	// The flag survived the refusal: the next member's draw is a backup.
 	w2 := f.reg.Admit("w2", "test")
-	if grants, _ := lease(w2.ID); len(grants) != 1 || jb.eng.Counters().Speculated.Load() != 1 {
-		t.Fatalf("second member's draw = %v with %d backups counted, want one backup", grants, jb.eng.Counters().Speculated.Load())
+	if grants, _ := lease(w2.ID); len(grants) != 1 || jb.Engine.Counters().Speculated.Load() != 1 {
+		t.Fatalf("second member's draw = %v with %d backups counted, want one backup", grants, jb.Engine.Counters().Speculated.Load())
 	}
-	if got := jb.eng.LiveAttempts(v); got != 2 {
+	if got := jb.Engine.LiveAttempts(v); got != 2 {
 		t.Fatalf("LiveAttempts = %d, want 2 (original + backup)", got)
 	}
 
 	// While a race is live the detector leaves the vertex alone.
 	fake.Advance(10 * time.Second)
-	f.tick(fake.Now())
+	f.d.Tick(fake.Now())
 	if got := readyLen(f); got != 0 {
 		t.Fatalf("detector flagged a vertex already racing a backup (%d ready)", got)
 	}
 
 	// The backup holder leaves: the wasted speculation is accounted to
 	// this job and the original attempt survives.
-	f.memberLeave(w2.ID)
-	if got := jb.eng.Counters().SpecWasted.Load(); got != 1 {
+	f.d.Deliver(w2.ID, comm.Message{Kind: comm.KindLeave})
+	if got := jb.Engine.Counters().SpecWasted.Load(); got != 1 {
 		t.Fatalf("specWasted = %d after the backup holder left, want 1", got)
 	}
-	if got := jb.eng.LiveAttempts(v); got != 1 {
+	if got := jb.Engine.LiveAttempts(v); got != 1 {
 		t.Fatalf("LiveAttempts = %d after the backup died, want the original alone", got)
 	}
 }
@@ -314,7 +334,7 @@ func TestFleetAdmitRejectsNonFleetWorker(t *testing.T) {
 	if f.Registry() == nil {
 		t.Fatal("Registry() = nil")
 	}
-	if jb := f.jobByID(99); jb != nil {
+	if jb := jobByID(f, 99); jb != nil {
 		t.Fatalf("jobByID(99) = %v, want nil", jb)
 	}
 }
@@ -331,15 +351,18 @@ func TestFleetRunCancelAndClose(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		// Cancel as soon as the job is admitted: Run's noteProgress fires
-		// right after the job lands in the table, so the generation wait
+		// Cancel as soon as the job is admitted: the driver reports progress
+		// right after the job lands in the table, so the progress wait
 		// replaces any fixed sleep.
 		for {
-			gen := f.progressGeneration()
-			if f.jobByID(1) != nil {
+			progressed := f.d.Progress()
+			if jobByID(f, 1) != nil {
 				break
 			}
-			f.waitProgress(gen, nil)
+			select {
+			case <-progressed:
+			case <-cctx.Done():
+			}
 		}
 		cancel()
 	}()
@@ -350,7 +373,7 @@ func TestFleetRunCancelAndClose(t *testing.T) {
 	if snap.States["failed"] != 1 {
 		t.Fatalf("job states = %v, want the cancelled job retained as failed", snap.States)
 	}
-	if jb := f.jobByID(1); jb == nil {
+	if jb := jobByID(f, 1); jb == nil {
 		t.Fatal("cancelled job not queryable by id")
 	}
 

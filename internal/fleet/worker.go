@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -62,13 +61,13 @@ type Builder[T any] func(meta JobMeta) (core.Problem[T], error)
 // SpecRequest and SpecBuilder are the two ends of a one-job run whose
 // master and workers each built the problem from their own flags
 // (easyhps-launch -elastic, easyhps-worker -elastic): the master's
-// cluster.Spec travels as the job's spec, and every worker checks it
+// core.Spec travels as the job's spec, and every worker checks it
 // against its own before it computes a vertex.
 //
 // SpecRequest returns the request that submits the problem spec
 // describes: the spec in the attach frame, its partitions, and its digest
 // scoping the job's entries in the fleet's result cache, if it has one.
-func SpecRequest(spec cluster.Spec) JobRequest {
+func SpecRequest(spec core.Spec) JobRequest {
 	enc, _ := json.Marshal(spec) // strings and integers always encode
 	return JobRequest{Name: spec.App, Spec: enc, Proc: spec.Proc, Thread: spec.Thread, CacheKey: spec.Digest()}
 }
@@ -77,9 +76,9 @@ func SpecRequest(spec cluster.Spec) JobRequest {
 // which it built p. An attach frame carrying another spec — the master
 // was started with other -app/-n/-seed/-proc/-thread flags — is refused,
 // naming both.
-func SpecBuilder[T any](spec cluster.Spec, p core.Problem[T]) Builder[T] {
+func SpecBuilder[T any](spec core.Spec, p core.Problem[T]) Builder[T] {
 	return func(meta JobMeta) (core.Problem[T], error) {
-		var master cluster.Spec
+		var master core.Spec
 		if err := json.Unmarshal(meta.Spec, &master); err != nil {
 			return core.Problem[T]{}, fmt.Errorf("fleet: decoding the problem spec of job %q: %w", meta.Name, err)
 		}
@@ -114,76 +113,56 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 	cn.SetReadIdle(idle)
 	cn.SetWriteTimeout(idle)
 
+	// One beacon goroutine: heartbeats prove liveness and provoke the echoes
+	// that feed this side's read-idle bound; HungerAfter without a task (the
+	// recv loop reports each receipt and completion) sends a hunger beacon,
+	// re-armed while idleness persists; cancellation sends a graceful Leave.
 	stop := make(chan struct{})
 	defer close(stop)
-
-	// Beacon: prove liveness and provoke the echoes that feed this
-	// side's read-idle bound.
+	activity := make(chan struct{}, 1)
 	go func() {
-		ticker := time.NewTicker(opts.HeartbeatInterval)
-		defer ticker.Stop()
+		beat := time.NewTicker(opts.HeartbeatInterval)
+		defer beat.Stop()
+		var hunger <-chan time.Time // nil: never
+		var timer *time.Timer
+		if opts.HungerAfter > 0 {
+			timer = time.NewTimer(opts.HungerAfter)
+			defer timer.Stop()
+			hunger = timer.C
+		}
 		for {
+			var beacon comm.Kind
 			select {
 			case <-stop:
 				return
 			case <-ctx.Done():
+				_ = cn.Send(comm.Message{Kind: comm.KindLeave})
+				cn.Close()
 				return
-			case <-ticker.C:
-				if cn.Send(comm.Message{Kind: comm.KindHeartbeat}) != nil {
-					return
-				}
-			}
-		}
-	}()
-	// Graceful leave on cancellation.
-	go func() {
-		select {
-		case <-stop:
-		case <-ctx.Done():
-			_ = cn.Send(comm.Message{Kind: comm.KindLeave})
-			cn.Close()
-		}
-	}()
-
-	// Hunger beacon: when no task has arrived for HungerAfter, tell the
-	// fleet this member's pool has drained so it can steal queued work
-	// toward it. The recv loop feeds activity on every task receipt and
-	// completion; the beacon re-arms while idleness persists.
-	var activity chan struct{}
-	if opts.HungerAfter > 0 {
-		activity = make(chan struct{}, 1)
-		go func() {
-			timer := time.NewTimer(opts.HungerAfter)
-			defer timer.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				case <-activity:
+			case <-beat.C:
+				beacon = comm.KindHeartbeat
+			case <-activity:
+				if timer != nil {
 					if !timer.Stop() {
-						select {
+						select { // fired unread: drain before re-arming
 						case <-timer.C:
 						default:
 						}
 					}
 					timer.Reset(opts.HungerAfter)
-				case <-timer.C:
-					if cn.Send(comm.Message{Kind: comm.KindHunger}) != nil {
-						return
-					}
-					timer.Reset(opts.HungerAfter)
 				}
+				continue
+			case <-hunger:
+				beacon = comm.KindHunger
+				timer.Reset(opts.HungerAfter)
 			}
-		}()
-	}
+			_ = cn.Send(comm.Message{Kind: beacon}) // a dead link fails the recv loop
+		}
+	}()
 	noteActivity := func() {
-		if activity != nil {
-			select {
-			case activity <- struct{}{}:
-			default:
-			}
+		select {
+		case activity <- struct{}{}:
+		default:
 		}
 	}
 
@@ -268,9 +247,7 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 				}
 				out, err := r.Run(vertex, task)
 				if err != nil {
-					// A compute failure is fatal for this member; dying
-					// loudly lets the fleet's revocation path reassign the
-					// vertex.
+					// Fatal: the fleet's revocation reassigns the vertex.
 					return nil, fmt.Errorf("fleet: member %d computing vertex %d of job %d: %w", member, vertex, msg.Job, err)
 				}
 				return out, nil

@@ -97,7 +97,8 @@ func classifyLockOp(p *Package, call *ast.CallExpr) (lockOpKind, lockClass) {
 
 // intrinsicBlock reports the blocking nature of a call that the call
 // graph cannot see through: stdlib waits, network and buffered-stream
-// I/O, and the comm.Transport interface. Channel operations are handled
+// I/O, and the two interfaces messages leave the master through:
+// comm.Transport and a driver member's core.Link. Channel operations are handled
 // at the AST level, sync.Cond.Wait separately (its locker is exempt).
 func intrinsicBlock(p *Package, call *ast.CallExpr) string {
 	fn := calleeFunc(p.Info, call)
@@ -119,6 +120,9 @@ func intrinsicBlock(p *Package, call *ast.CallExpr) string {
 		return "bufio.Reader." + fn.Name()
 	case isTransportCall(fn):
 		return "comm.Transport." + fn.Name()
+	case fn.Name() == "Send" && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/core") &&
+		isMethodOf(fn, fn.Pkg().Path(), "Link", "Send"):
+		return "core.Link.Send"
 	}
 	return ""
 }

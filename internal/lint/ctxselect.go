@@ -29,7 +29,6 @@ func NewCtxSelect() *CtxSelect {
 		"internal/sched",
 		"internal/server",
 		"internal/comm",
-		"internal/cluster",
 		"internal/fleet",
 	}}
 }

@@ -224,7 +224,7 @@ func (a *concAnalysis) locateConf(pkgs []*Package) (*LockOrder, error) {
 
 // heldLock is one mutex held at a point of the scan, with its Lock
 // position. A mutex the conf declares is keyed by its class
-// ("fleet.Fleet.mu") and gets every check; any other is keyed by its
+// ("core.Driver.mu") and gets every check; any other is keyed by its
 // receiver expression ("s.mu"), so two instances of one type are two
 // locks, and is checked only against channel operations and
 // WaitGroup.Wait.

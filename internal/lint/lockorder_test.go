@@ -339,8 +339,9 @@ func audited(a *A, ch chan int) {
 }
 
 // TestLockOrderMatchesFleetInversion pins the checked-in conf against
-// the inversion PR 6's review hunted by hand: with the repository's own
-// lint/lockorder.conf, taking Fleet.mu inside a member's attachMu must
+// the inversion once hunted by hand in the fleet's dispatch path, now the
+// master driver's: with the repository's own
+// lint/lockorder.conf, taking Driver.mu inside a member's attachMu must
 // be a violation. If the conf's levels for these classes change, this
 // test moves.
 func TestLockOrderMatchesFleetInversion(t *testing.T) {
@@ -350,23 +351,23 @@ func TestLockOrderMatchesFleetInversion(t *testing.T) {
 	}
 	lh, _ := NewConcRules(ord)
 	got := checkFixture(t, "fixtures/fleetinv", `
-package fleet
+package core
 
 import "sync"
 
-type Fleet struct{ mu sync.Mutex }
-type memberConn struct{ attachMu sync.Mutex }
+type Driver struct{ mu sync.Mutex }
+type member struct{ attachMu sync.Mutex }
 
-func inverted(f *Fleet, mc *memberConn) {
-	mc.attachMu.Lock()
-	f.mu.Lock()
-	f.mu.Unlock()
-	mc.attachMu.Unlock()
+func inverted(d *Driver, m *member) {
+	m.attachMu.Lock()
+	d.mu.Lock()
+	d.mu.Unlock()
+	m.attachMu.Unlock()
 }
 `, lh)
 	wantFindings(t, got, "11: lock-hierarchy")
-	if !strings.Contains(got[0], "acquiring fleet.Fleet.mu") ||
-		!strings.Contains(got[0], "holding fleet.memberConn.attachMu") {
-		t.Errorf("finding %q should name the fleet classes from the checked-in conf", got[0])
+	if !strings.Contains(got[0], "acquiring core.Driver.mu") ||
+		!strings.Contains(got[0], "holding core.member.attachMu") {
+		t.Errorf("finding %q should name the driver classes from the checked-in conf", got[0])
 	}
 }

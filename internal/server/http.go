@@ -21,8 +21,8 @@ import (
 //	GET    /healthz           liveness                    -> 200
 //
 // Error mapping: bad spec 400, unknown job 404, result-not-ready or
-// cancel-after-finish 409, queue full 429 (+ Retry-After seconds),
-// shutting down 503.
+// cancel-after-finish 409, submit body over the bound (maxEnvelope) 413,
+// queue full 429 (+ Retry-After seconds), shutting down 503.
 type API struct {
 	mgr *Manager
 }
@@ -77,11 +77,20 @@ func (a *API) writeError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, ErrNotDone), errors.Is(err, ErrFinished):
 		code = http.StatusConflict
+	case errors.As(err, new(*http.MaxBytesError)):
+		code = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, code, body)
 }
 
+// maxEnvelope is what a job spec's JSON may carry besides its sequences.
+// A submit body is bounded by the manager's MaxCells plus this: a longer
+// one could only hold sequences whose DP matrix exceeds MaxCells, which
+// Submit refuses anyway.
+const maxEnvelope = 64 << 10
+
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, a.mgr.cfg.MaxCells+maxEnvelope)
 	var spec JobSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		a.writeError(w, fmt.Errorf("decoding job spec: %w", err))

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cas"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/tune"
@@ -248,8 +247,8 @@ func writeCache(w io.Writer, s cas.Stats) {
 }
 
 // writeMembership emits the fleet's elastic-membership series (named
-// easyhps_cluster_* since the membership layer is internal/cluster).
-func writeMembership(w io.Writer, s cluster.Snapshot) {
+// easyhps_cluster_*: the members of an elastic cluster, core.Registry).
+func writeMembership(w io.Writer, s core.Snapshot) {
 	fmt.Fprintf(w, "# HELP easyhps_cluster_members Elastic cluster members by state.\n# TYPE easyhps_cluster_members gauge\n")
 	for _, state := range []string{"active", "suspect", "dead", "left"} {
 		fmt.Fprintf(w, "easyhps_cluster_members{state=%q} %d\n", state, s.States[state])

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -366,7 +366,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 
 	mgr.SetFleetStats(func() fleet.Snapshot {
 		return fleet.Snapshot{
-			Members: cluster.Snapshot{
+			Members: core.Snapshot{
 				States:        map[string]int{"active": 3, "suspect": 1, "dead": 1},
 				Joins:         5,
 				Leaves:        1,
@@ -398,6 +398,35 @@ func TestClusterMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestSubmitBodyBounded: a submit body longer than MaxCells plus the JSON
+// envelope is refused with 413 before it is decoded, and admits no job;
+// one just inside the bound reaches the usual spec checks.
+func TestSubmitBodyBounded(t *testing.T) {
+	const maxCells = 1 << 12
+	mgr := server.NewManager(server.ManagerConfig{Run: fastRun(), MaxCells: maxCells}, nil)
+	ts := httptest.NewServer(server.NewHandler(mgr))
+	defer ts.Close()
+	post := func(seqLen int) int {
+		t.Helper()
+		body := `{"kernel":"editdist","seq_a":"` + strings.Repeat("A", seqLen) + `","seq_b":"C"}`
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(maxCells + 64<<10); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body answered %d, want 413", code)
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Fatalf("oversized body admitted %d jobs", n)
+	}
+	if code := post(maxCells + 1); code != http.StatusBadRequest {
+		t.Fatalf("body inside the bound answered %d, want the 400 of an oversized matrix", code)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package sim is the deterministic cluster simulator: the two state
-// machines the fleet runs — engine.Job (one job's attempt arbitration,
-// leases, overtime, runtime profile, DAG parsing, block store and
-// cross-job result cache) and engine.Pool (ready stacks, the fair-share
+// machines the master driver (core.Driver) runs — engine.Job (one job's
+// attempt arbitration, leases, overtime, runtime profile, DAG parsing,
+// block store and cross-job result cache) and engine.Pool (ready stacks, the fair-share
 // draw, the hunger pass, revocation across jobs, the control tick and the
-// tuner) — with the fleet's membership table (cluster.Registry) and the
+// tuner) — with its elastic membership table (core.Registry) and the
 // worker's compute (core.TaskRunner), driven by a single-threaded
 // discrete-event loop on a sched.FakeClock instead of sockets.
 //
@@ -21,7 +21,7 @@
 // lease, an expiry, a steal or a backup does — is made by the shipped code,
 // so a scenario assertion is a statement about the production scheduler,
 // checked at scales (1000 workers) the CI box cannot host for real. What is
-// simulated is what the fleet does with I/O: workers, the wire, heartbeats,
+// simulated is what the driver does with I/O: workers, the wire, heartbeats,
 // and the moment a member counts as idle or hungry (docs/SIM.md).
 package sim
 
@@ -31,13 +31,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/cas"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
-
-	"repro/internal/cas"
 )
 
 // Options configures one simulated cluster. Zero values take the same
@@ -121,7 +120,7 @@ type Cluster struct {
 	clock *sched.FakeClock
 	epoch time.Time
 	rng   *rand.Rand
-	reg   *cluster.Registry
+	reg   *core.Registry
 	tr    *trace.Recorder // membership events, virtual-time stamped
 
 	pq  eventHeap
@@ -152,7 +151,7 @@ func New(opts Options) *Cluster {
 		byMember: make(map[int]*simWorker),
 	}
 	c.tr = trace.NewWithNow(clock.Now)
-	c.reg = cluster.NewRegistry(c.tr, clock)
+	c.reg = core.NewRegistry(c.tr, clock)
 	c.pool = engine.NewPool[int32](engine.PoolConfig{
 		Batch:          opts.Batch,
 		TaskTimeout:    opts.TaskTimeout,
@@ -433,7 +432,7 @@ func (c *Cluster) Trace() string {
 }
 
 // Registry exposes the membership table (metrics assertions).
-func (c *Cluster) Registry() *cluster.Registry { return c.reg }
+func (c *Cluster) Registry() *core.Registry { return c.reg }
 
 // MemberEvents returns the recorded membership transitions.
 func (c *Cluster) MemberEvents() []trace.Event { return c.tr.Events() }

@@ -7,7 +7,7 @@
 # Flags:
 #   -soak   additionally run the batched-dispatch fault soak (build tag
 #           "soak": 200 randomized kill/partition/leave runs of two
-#           concurrent jobs on one elastic master, ~2 min).
+#           concurrent jobs on one fleet, ~2 min).
 #   -sim    additionally replay the scenario regression suite at extra
 #           fixed seeds (the default seeds already run under go test).
 #   -bench  additionally run the repo benchmark's swgg-inproc and
@@ -42,14 +42,14 @@ if [ -n "$unformatted" ]; then
 fi
 
 # Scheduling tests are event-driven: FakeClock advances plus notifiers
-# (sched's onWait hook, the fleet's progress generation, a job's
+# (sched's onWait hook, the driver's Progress channel, a job's
 # OnProgress, Registry.WaitLive, a harness worker's exit), never
 # wall-clock polling.
 # A time.Sleep in these test files reintroduces the flaky, slow waits
 # this repo spent several PRs removing — and the sim package promises
 # virtual-time determinism outright. Fail fast on any new one.
 sleeps=$(grep -rn 'time\.Sleep' \
-    internal/sched internal/cluster internal/fleet internal/sim \
+    internal/sched internal/fleet internal/sim \
     --include='*_test.go' 2>/dev/null || true)
 if [ -n "$sleeps" ]; then
     echo "time.Sleep in scheduling test files (use FakeClock advances and event hooks instead):" >&2
@@ -86,11 +86,12 @@ go build ./...
 go test -race ./...
 # The elastic suite (a one-job fleet over the fault harness: kill, partition,
 # join, restart, the attach-time spec refusal, every result delivered
-# twice, speculative rescue, backlog stealing, the quorum wait) is the most
-# schedule-sensitive code in the repo; run it a second time under -race
-# with caching off so a lucky first pass cannot hide a flaky membership,
-# lease, or attempt-arbitration race.
-go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP|TestRegistryWaitLive' ./internal/cluster/
+# twice, speculative rescue, backlog stealing) and the registry's quorum
+# wait are the most schedule-sensitive code in the repo; run them a second
+# time under -race with caching off so a lucky first pass cannot hide a
+# flaky membership, lease, or attempt-arbitration race.
+go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP' ./internal/fleet/
+go test -race -count=1 -run 'TestRegistryWaitLive' ./internal/core/
 # The fleet's own suite — concurrent DAGs with a mid-run worker kill, the
 # white-box arbitration tests (duplicate-result idempotence, fake-clock
 # poisoned-job isolation and speculation, stealing scoped per job) and the
@@ -106,7 +107,7 @@ go test -race -count=1 -run 'TestFleetService' ./internal/server/
 # after every step. Seeded, so a failure names its seed; uncached, so the list above
 # cannot pass on yesterday's run of it.
 go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
-# And a liveness test of core's master as a driver of that pool: under BCW a
+# And a liveness test of the master driver over fixed ranks: under BCW a
 # vertex that times out after its owner's static queue is drained must still
 # find a drawer. It is timing-dependent (a stall against a task timeout), so
 # it must not pass on a cached run.
@@ -137,7 +138,6 @@ check_cover internal/dp 91
 check_cover internal/comm 88
 check_cover internal/core 86
 check_cover internal/engine 90
-check_cover internal/cluster 75
 check_cover internal/fleet 80
 check_cover internal/cas 80
 check_cover internal/sim 80
@@ -149,12 +149,13 @@ check_cover internal/lint 76
 # Size ratchet beside the coverage one. The scheduling state machines are
 # internal/engine — Job for one DAG job, Pool for what sits above the jobs
 # of a shared worker pool — over the draw orders and tables of
-# internal/sched, and core's fixed-rank master, the fleet and the simulator
-# are drivers of them; a second copy of anything the engine holds must not
-# arrive unnoticed. (internal/sched joined the set in PR 21, 6909 + 1188 =
-# 8097 at its parent, so that code moved between core and sched does not
-# count as deleted.) The bound is the measured count of non-test lines plus
-# 50: lower it when code is deleted, never raise it.
+# internal/sched; core's master driver (under fixed ranks and the fleet's
+# elastic members) and the simulator drive them, and a second copy of
+# anything the engine holds must not arrive unnoticed. (internal/sched is
+# in the set so that code moved between core and sched does not count as
+# deleted; internal/cluster left it when its registry moved beside the
+# driver in core.) The bound is the measured count of non-test lines:
+# lower it when code is deleted, never raise it.
 check_lines() {
     max=$1
     shift
@@ -165,7 +166,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7895 internal/core internal/cluster internal/fleet internal/sim internal/engine internal/sched
+check_lines 7261 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
@@ -175,13 +176,13 @@ check_lines 2216 internal/lint
 # socket, an event loop or a test, so it imports none of its drivers, no
 # membership table, no transport and no network.
 engine_imports=$(go list -f '{{join .Imports "\n"}}' ./internal/engine |
-    grep -E "^(repro/internal/(core|comm|cluster|fleet|sim|server)|net)(/.*)?\$" || true)
+    grep -E "^(repro/internal/(core|comm|fleet|sim|server)|net)(/.*)?\$" || true)
 if [ -n "$engine_imports" ]; then
     echo "imports: internal/engine must stay sans I/O, but imports:" >&2
     echo "$engine_imports" >&2
     exit 1
 fi
-echo "imports: internal/engine names none of core, comm, cluster, fleet, sim, server, net"
+echo "imports: internal/engine names none of core, comm, fleet, sim, server, net"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
@@ -213,7 +214,7 @@ go test -run '^$' -fuzz '^FuzzDecodeBlocks$' -fuzztime 10s ./internal/matrix/
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine/
 
 if [ "$soak" = 1 ]; then
-    go test -race -count=1 -tags soak -run TestSoakBatchedFaults -timeout 600s ./internal/cluster/
+    go test -race -count=1 -tags soak -run TestSoakBatchedFaults -timeout 600s ./internal/fleet/
 fi
 
 if [ "$sim" = 1 ]; then
