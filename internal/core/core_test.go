@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/engine"
 )
 
 // testConfig returns a small but genuinely multilevel deployment.
@@ -253,7 +254,7 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := core.Stats{Tasks: 3, Elapsed: time.Second}
+	s := core.Stats{Stats: engine.Stats{Tasks: 3, Elapsed: time.Second}}
 	if str := s.String(); str == "" {
 		t.Fatal("empty stats string")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,86 +13,117 @@ import (
 	"repro/internal/sched"
 )
 
-// runSlave executes the slave part (Figs. 11-12 of the paper) over
-// transport tr: announce idleness, receive a processor-level sub-task,
-// re-partition it with thread_partition_size into a slave DAG, execute the
-// sub-sub-tasks on the slave worker pool, and return the computed block.
-// It returns when the master sends the end signal or the transport closes.
-func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultState, ctrs *counters) error {
-	geom := dag.MatrixGeometry(p.Size, cfg.ProcPartition)
-	rank := tr.Rank()
-	// cache holds every whole block this slave has received or computed
-	// when delta shipping is enabled; blocks are immutable once complete,
-	// so the cache never goes stale within a run. A shipped region serves
-	// its own task only (the master sends it again), or a view's scan of
-	// its inputs would grow by three entries a vertex.
-	var cache []*matrix.Block[T]
-	// run is one sub-task's trip through the slave: fault hooks, decode,
-	// compute, encode.
-	run := func(vertex int32, task []byte) ([]byte, error) {
-		if faults.crashNow(rank) {
-			return nil, errCrashed
-		}
-		if d := faults.stallTask(vertex); d > 0 {
-			time.Sleep(d)
-		}
-		inputs, err := matrix.DecodeBlocks(p.Codec, task)
-		if err != nil {
-			return nil, fmt.Errorf("core: slave %d decoding task %d: %w", rank, vertex, err)
-		}
-		if cfg.DeltaShipping {
-			cache = append(cache, inputs...)
-			inputs = cache
-		}
-		out := computeBlock(p, cfg, geom.Rect(geom.PosOf(vertex)), inputs, faults, vertex, ctrs)
-		if cfg.DeltaShipping {
-			cache = append(slices.DeleteFunc(cache, func(b *matrix.Block[T]) bool {
-				return !geom.IsBlock(b.Rect) // a region
-			}), out)
-		}
-		result, err := matrix.EncodeBlocks(p.Codec, []*matrix.Block[T]{out})
-		if err != nil {
-			return nil, fmt.Errorf("core: slave %d encoding result %d: %w", rank, vertex, err)
-		}
-		return result, nil
-	}
-	send := func(m comm.Message) error { return tr.Send(0, m) }
-	if err := send(comm.Message{Kind: comm.KindIdle}); err != nil {
-		// The master has already hung up: the other slaves finished a
-		// small job before this one said hello. The run is over.
-		return nil
+// Worker is the slave scheduling loop (Figs. 11-12 of the paper), the one
+// every worker runs: announce idleness, receive a processor-level sub-task,
+// run it through its job's TaskRunner and return the computed block. A
+// fixed rank serves the run's one job from admission; a fleet worker
+// attaches jobs as their frames arrive.
+type Worker[T any] struct {
+	Recv  func() (comm.Message, error) // the link to the master
+	Send  func(comm.Message) error
+	Batch int // flush bound of a task batch's results (Config.Batch)
+	// Before runs before each task executes; its error ends the loop.
+	Before func(vertex int32) error
+	// Attach, when non-nil, builds the runner of the job a KindJobSpec
+	// frame attaches, and KindJobEnd detaches it; without it both frames
+	// are unexpected.
+	Attach func(msg comm.Message) (*TaskRunner[T], error)
+}
+
+// Serve runs the loop over jobs, the runners attached from admission, until
+// the master sends the end signal (nil) or something fails, for the caller
+// to judge: a failed Recv wrapped in errLostMaster, a failed send in
+// comm.ErrSend, a Before, runner or protocol error as it is.
+func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
+	// seen is the keyed wire format's block cache, shared by the attached
+	// jobs' runners and dropped with the last of them, as the master resets
+	// its known-set: both sides see that frame at the same point of the one
+	// ordered link.
+	var seen map[[32]byte]*matrix.Block[T]
+	if err := w.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
+		return fmt.Errorf("%w: %w", comm.ErrSend, err)
 	}
 	for {
-		msg, err := tr.Recv()
+		msg, err := w.Recv()
 		if err != nil {
-			return nil // transport closed: the run is over
+			return fmt.Errorf("%w: %w", errLostMaster, err)
 		}
+		r := jobs[msg.Job]
 		switch msg.Kind {
+		case comm.KindTask, comm.KindTaskBatch:
+			if r == nil {
+				// The link is ordered: a task of an unattached job is
+				// protocol corruption, not a race.
+				return fmt.Errorf("task for unattached job %d", msg.Job)
+			}
+			err = comm.ServeTasks(msg, w.Batch, func(vertex int32, task []byte) ([]byte, error) {
+				if err := w.Before(vertex); err != nil {
+					return nil, err
+				}
+				return r.Run(vertex, task)
+			}, w.Send)
+		case comm.KindJobSpec, comm.KindJobEnd:
+			if w.Attach == nil {
+				return fmt.Errorf("received unexpected %v frame", msg.Kind)
+			}
+			if msg.Kind == comm.KindJobEnd {
+				if delete(jobs, msg.Job); len(jobs) == 0 {
+					seen = nil
+				}
+			} else if r == nil { // not a re-attach of a job held
+				if r, err = w.Attach(msg); err == nil {
+					if seen == nil {
+						seen = make(map[[32]byte]*matrix.Block[T])
+					}
+					r.SetBlockCache(seen)
+					jobs[msg.Job] = r
+				}
+			}
+		case comm.KindHeartbeat: // the fleet's echo of a beacon
 		case comm.KindEnd:
 			return nil
 		default:
-			// The master only ever sends tasks, batches and End on this
-			// transport; anything else is corruption. Die loudly so the
-			// timeout path reassigns this slave's work.
-			return fmt.Errorf("core: slave %d received unexpected %v frame", rank, msg.Kind)
-		case comm.KindTask, comm.KindTaskBatch:
-			err := comm.ServeTasks(msg, cfg.Batch, run, send)
-			if errors.Is(err, comm.ErrSend) || errors.Is(err, errCrashed) {
-				// The master hung up (the run is over), or an injected
-				// node failure: it dies without a word, and the results
-				// of its batch not yet flushed die with it.
-				return nil
-			}
-			if err != nil {
-				return err
-			}
+			// Corruption or version skew: die loudly, so that the master's
+			// timeout or revocation reassigns this worker's work.
+			err = fmt.Errorf("received unexpected %v frame", msg.Kind)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
+// runSlave is fixed rank tr.Rank()'s worker: the run's one job is job 0,
+// and the fault plan's task-level faults are the per-task hook. The run is
+// over, not failed, when the link closes, a send fails (the master hung up,
+// maybe before this slave said hello) or an injected crash kills the node
+// without a word, and the results of its batch not yet flushed with it.
+func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultState, ctrs *counters) error {
+	rank := tr.Rank()
+	err := Worker[T]{
+		Recv:  tr.Recv,
+		Send:  func(m comm.Message) error { return tr.Send(0, m) },
+		Batch: cfg.Batch,
+		Before: func(vertex int32) error {
+			if faults.crashNow(rank) {
+				return errCrashed
+			}
+			time.Sleep(faults.stallTask(vertex))
+			return nil
+		},
+	}.Serve(map[int32]*TaskRunner[T]{0: newTaskRunner(p, cfg, faults, ctrs, cfg.DeltaShipping)})
+	if err == nil || errors.Is(err, errLostMaster) || errors.Is(err, comm.ErrSend) || errors.Is(err, errCrashed) {
+		return nil
+	}
+	return fmt.Errorf("core: slave %d: %w", rank, err)
+}
+
 // errCrashed is what an injected node failure (FaultPlan.CrashOnTask)
-// ends a slave's task with.
-var errCrashed = errors.New("core: injected slave crash")
+// ends a slave's task with; errLostMaster, a worker's failed Recv.
+var (
+	errCrashed    = errors.New("core: injected slave crash")
+	errLostMaster = errors.New("lost master")
+)
 
 // jitterFactor returns a deterministic multiplier in [1-amp, 1+amp) keyed
 // by the processor-level task identity (splitmix64 finalizer). Keying at
@@ -185,7 +215,7 @@ func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matr
 		dup := accepted[sub]
 		acceptMu.Unlock()
 		if !dup {
-			disp.Requeue(sub)
+			disp.Ready(sub)
 		}
 	}
 

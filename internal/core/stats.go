@@ -11,17 +11,11 @@ import (
 	"repro/internal/matrix"
 )
 
-// Stats aggregates what happened during a run.
+// Stats aggregates what happened during a run: the job engine's ledger
+// (tasks, dispatches, redistributions, shipping, cache, Elapsed, ...) and
+// what the engine cannot see.
 type Stats struct {
-	// Tasks is the number of processor-level sub-tasks completed.
-	Tasks int64
-	// Dispatches counts task messages sent to slaves (>= Tasks when
-	// redistributions happen).
-	Dispatches int64
-	// Redistributions counts processor-level timeout recoveries.
-	Redistributions int64
-	// StaleResults counts late results dropped by the register table.
-	StaleResults int64
+	engine.Stats
 	// SubTasks counts thread-level sub-sub-task executions across all
 	// slaves (duplicates included).
 	SubTasks int64
@@ -35,41 +29,12 @@ type Stats struct {
 	// PeakBlocks is the maximum number of blocks the master held at
 	// once.
 	PeakBlocks int64
-	// Restored counts sub-tasks recovered from a checkpoint instead of
-	// computed.
-	Restored int64
-	// BlocksShipped counts data-region records sent to slaves — a block, or
-	// the region of it the pattern declares the task reads (dag.DataRegion)
-	// — and BlocksSkipped dependencies left out because the slave already
-	// held the whole block (delta shipping).
-	BlocksShipped, BlocksSkipped int64
-	// BatchMessages counts multi-vertex task-batch messages sent to
-	// slaves (zero when Config.Batch <= 1); Dispatches keeps counting
-	// individual vertices, so Dispatches/BatchMessages is the realized
-	// mean batch size of the batched portion of the dispatch stream.
-	BatchMessages int64
-	// Speculated counts backup attempts dispatched (Config.Speculate);
-	// SpecWon of those, how many beat the original; SpecWasted, how
-	// many lost the race or were cancelled.
-	Speculated, SpecWon, SpecWasted int64
-	// Steals counts queued-but-undispatched sub-tasks reclaimed from a
-	// loaded slave's backlog for a starved one (Config.Steal).
-	Steals int64
-	// TaskBytes is the total payload bytes of task messages sent to
-	// slaves (both per-vertex and batched), before transport framing.
-	TaskBytes int64
-	// CacheHits counts processor-level sub-tasks served from the
-	// cross-job result cache instead of dispatched; CacheMisses counts
-	// cache probes that fell through to computation (Config.Cache).
-	CacheHits, CacheMisses int64
 	// Spills and SpillLoads count blocks written to and reloaded from
 	// the out-of-core spill store (Config.SpillDir).
 	Spills, SpillLoads int64
 	// Messages and PayloadBytes are the transport traffic totals
 	// (in-process runs only).
 	Messages, PayloadBytes int64
-	// Elapsed is the wall-clock makespan of the run.
-	Elapsed time.Duration
 }
 
 func (s Stats) String() string {
@@ -90,34 +55,19 @@ type counters struct {
 
 // snapshot fills Stats from both ledgers.
 func (c *counters) snapshot() Stats {
-	var job engine.Stats
-	if c.job != nil {
-		job = c.job.Stats()
-	}
-	return Stats{
-		Tasks:           job.Tasks,
-		Dispatches:      job.Dispatches,
-		Redistributions: job.Redistributions,
-		StaleResults:    job.StaleResults,
+	s := Stats{
 		SubTasks:        c.subTasks.Load(),
 		SubRequeues:     c.subRequeues.Load(),
 		WorkerRestarts:  c.workerRestarts.Load(),
 		BlocksReclaimed: c.blocksReclaimed.Load(),
 		PeakBlocks:      c.peakBlocks.Load(),
-		Restored:        job.Restored,
-		BlocksShipped:   job.BlocksShipped,
-		BlocksSkipped:   job.BlocksSkipped,
-		BatchMessages:   job.BatchMessages,
-		TaskBytes:       job.TaskBytes,
-		Speculated:      job.Speculated,
-		SpecWon:         job.SpecWon,
-		SpecWasted:      job.SpecWasted,
-		Steals:          job.Steals,
-		CacheHits:       job.CacheHits,
-		CacheMisses:     job.CacheMisses,
 		Spills:          c.spills.Load(),
 		SpillLoads:      c.spillLoads.Load(),
 	}
+	if c.job != nil {
+		s.Stats = c.job.Stats()
+	}
+	return s
 }
 
 // countingStore is the master's block store as the engine sees it: every

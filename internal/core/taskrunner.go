@@ -2,23 +2,24 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cas"
 	"repro/internal/dag"
 	"repro/internal/matrix"
 )
 
-// TaskRunner executes single processor-level sub-tasks outside a full
-// slave loop: decode the shipped data region, run the thread-level worker
-// pool over the block (computeBlock, with its slave DAG, overtime queue
-// and panic recovery), and encode the result. It is the compute engine of
-// the fleet worker (internal/fleet), which owns its own message protocol
-// but must produce bit-identical blocks to a fixed-mode slave.
+// TaskRunner executes one job's processor-level sub-tasks: decode the
+// shipped data region, run the thread-level worker pool over the block
+// (computeBlock, with its slave DAG, overtime queue and panic recovery),
+// and encode the result. Every Worker runs its tasks through one per job;
+// the simulator and the benchmark replay drive one directly.
 type TaskRunner[T any] struct {
-	p    Problem[T]
-	cfg  Config
-	geom dag.Geometry
-	ctrs *counters
+	p      Problem[T]
+	cfg    Config
+	geom   dag.Geometry
+	faults *faultState
+	ctrs   *counters
 
 	// seen, when set, is the worker's content-addressed block cache for
 	// the keyed wire format: whole blocks shipped and computed outputs
@@ -26,6 +27,12 @@ type TaskRunner[T any] struct {
 	// resolve against it. Shared across a process's runners and only touched
 	// from the goroutine that calls Run, so it needs no lock.
 	seen map[[32]byte]*matrix.Block[T]
+	// delta (a fixed rank under Config.DeltaShipping, whose master leaves
+	// out what the slave holds) keeps every whole block received or
+	// computed in held; a shipped region serves its own task only, or a
+	// view's scan of its inputs would grow by three entries a vertex.
+	delta bool
+	held  []*matrix.Block[T]
 }
 
 // NewTaskRunner validates the problem and configuration (defaults
@@ -39,12 +46,14 @@ func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TaskRunner[T]{
-		p:    p,
-		cfg:  cfg,
-		geom: dag.MatrixGeometry(p.Size, cfg.ProcPartition),
-		ctrs: &counters{},
-	}, nil
+	return newTaskRunner(p, cfg, nil, &counters{}, false), nil
+}
+
+// newTaskRunner is the runner of a prepared configuration: it injects
+// faults (nil: none), counts into ctrs and keeps a plain-delta list if
+// delta is set.
+func newTaskRunner[T any](p Problem[T], cfg Config, faults *faultState, ctrs *counters, delta bool) *TaskRunner[T] {
+	return &TaskRunner[T]{p: p, cfg: cfg, geom: dag.MatrixGeometry(p.Size, cfg.ProcPartition), faults: faults, ctrs: ctrs, delta: delta}
 }
 
 // NumTasks returns how many processor-level sub-tasks the partitioned
@@ -87,8 +96,17 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding data region of vertex %d: %w", vertex, err)
 	}
+	if r.delta {
+		r.held = append(r.held, inputs...)
+		inputs = r.held
+	}
 	rect := r.geom.Rect(r.geom.PosOf(vertex))
-	out := computeBlock(r.p, r.cfg, rect, inputs, nil, vertex, r.ctrs)
+	out := computeBlock(r.p, r.cfg, rect, inputs, r.faults, vertex, r.ctrs)
+	if r.delta {
+		r.held = append(slices.DeleteFunc(r.held, func(b *matrix.Block[T]) bool {
+			return !r.geom.IsBlock(b.Rect) // a region
+		}), out)
+	}
 	encoded, err := matrix.EncodeBlocks(r.p.Codec, []*matrix.Block[T]{out})
 	if err == nil && keyed && r.seen != nil {
 		// A keyed task means the master tracks this worker's holdings by

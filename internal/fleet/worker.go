@@ -3,13 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/matrix"
 )
 
 // WorkerOptions configures one fleet worker process.
@@ -115,8 +113,9 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 
 	// One beacon goroutine: heartbeats prove liveness and provoke the echoes
 	// that feed this side's read-idle bound; HungerAfter without a task (the
-	// recv loop reports each receipt and completion) sends a hunger beacon,
-	// re-armed while idleness persists; cancellation sends a graceful Leave.
+	// worker loop reports each task's start and each frame's completion)
+	// sends a hunger beacon, re-armed while idleness persists; cancellation
+	// sends a graceful Leave.
 	stop := make(chan struct{})
 	defer close(stop)
 	activity := make(chan struct{}, 1)
@@ -166,111 +165,68 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 		}
 	}
 
-	// runners holds the attached jobs' kernel state; only the recv loop
-	// touches it. seen is the process-wide content-addressed block cache
-	// shared by all runners (the worker half of the keyed wire format);
-	// it is cleared whenever the attached set empties, mirroring the
-	// master's per-member known-set reset — the JobSpec/JobEnd frames are
-	// ordered on this one connection, so both sides observe the same
-	// "last job detached" instant.
-	runners := make(map[int32]*core.TaskRunner[T])
-	seen := make(map[[32]byte]*matrix.Block[T])
-	if err := cn.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
-		return fmt.Errorf("fleet: member %d announcing idle: %w", member, err)
-	}
-	for {
-		msg, err := cn.Recv()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
+	// The worker loop is core's: jobs attach through their JobSpec frames,
+	// a task starting and a frame's last answer going out are the activity
+	// that re-arms the hunger timer, and any failure — a computation's
+	// included, which the fleet's revocation reassigns — ends the member.
+	err = core.Worker[T]{
+		Recv: cn.Recv,
+		Send: func(m comm.Message) error {
+			if !m.More {
+				noteActivity() // idleness starts at completion
 			}
-			return fmt.Errorf("fleet: member %d lost master: %w", member, err)
-		}
-		switch msg.Kind {
-		case comm.KindJobSpec:
-			var meta JobMeta
-			if err := json.Unmarshal(msg.Payload, &meta); err != nil {
-				return fmt.Errorf("fleet: member %d decoding job spec: %w", member, err)
+			return cn.Send(m)
+		},
+		Batch: opts.Run.Batch,
+		Before: func(int32) error {
+			if noteActivity(); opts.TaskDelay != nil {
+				time.Sleep(opts.TaskDelay())
 			}
-			if got := meta.digest(); got != meta.Digest {
-				return fmt.Errorf("fleet: member %d: job %q spec digest mismatch (%s != %s)", member, meta.Name, got, meta.Digest)
-			}
-			if _, ok := runners[meta.Job]; ok {
-				break // re-attach of a job we already hold
-			}
-			p, err := build(meta)
-			if err != nil {
-				return fmt.Errorf("fleet: member %d building job %q: %w", member, meta.Name, err)
-			}
-			if p.Size.Rows != meta.Rows || p.Size.Cols != meta.Cols {
-				return fmt.Errorf("fleet: member %d: job %q builder produced size %v, master dispatched against %dx%d (builder/registry skew)",
-					member, meta.Name, p.Size, meta.Rows, meta.Cols)
-			}
-			cfg := opts.Run
-			cfg.ProcPartition = meta.Proc
-			if meta.Thread.Valid() {
-				cfg.ThreadPartition = meta.Thread
-			}
-			if cfg.Threads < 1 {
-				cfg.Threads = 1
-			}
-			r, err := core.NewTaskRunner(p, cfg)
-			if err != nil {
-				return fmt.Errorf("fleet: member %d preparing job %q: %w", member, meta.Name, err)
-			}
-			r.SetBlockCache(seen)
-			runners[meta.Job] = r
-		case comm.KindJobEnd:
-			delete(runners, msg.Job)
-			if len(runners) == 0 {
-				// Mirror the master's known-set reset: with no job
-				// attached the master has forgotten what we hold, so
-				// drop the blocks. Every runner holding the old map was
-				// just deleted; future attaches get the fresh one.
-				seen = make(map[[32]byte]*matrix.Block[T])
-			}
-		case comm.KindTask, comm.KindTaskBatch:
-			noteActivity()
-			r, ok := runners[msg.Job]
-			if !ok {
-				// The connection is ordered, so a task frame for an
-				// unattached job means protocol corruption, not a race.
-				return fmt.Errorf("fleet: member %d received task for unattached job %d", member, msg.Job)
-			}
-			// A frame's entries never mix jobs; they run through the job's
-			// runner and flush at this worker's own bound.
-			err := comm.ServeTasks(msg, opts.Run.Batch, func(vertex int32, task []byte) ([]byte, error) {
-				if opts.TaskDelay != nil {
-					if d := opts.TaskDelay(); d > 0 {
-						time.Sleep(d)
-					}
-				}
-				out, err := r.Run(vertex, task)
-				if err != nil {
-					// Fatal: the fleet's revocation reassigns the vertex.
-					return nil, fmt.Errorf("fleet: member %d computing vertex %d of job %d: %w", member, vertex, msg.Job, err)
-				}
-				return out, nil
-			}, cn.Send)
-			if errors.Is(err, comm.ErrSend) {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fleet: member %d answering job %d: %w", member, msg.Job, err)
-			}
-			if err != nil {
-				return err
-			}
-			noteActivity() // idleness starts at completion
-		case comm.KindHeartbeat:
-			// The fleet's echo of our beacon.
-		case comm.KindEnd:
 			return nil
-		default:
-			// An unexpected kind on an ordered connection means protocol
-			// corruption or version skew; die loudly so the fleet's
-			// revocation path reassigns this member's leases.
-			return fmt.Errorf("fleet: member %d received unexpected %v frame", member, msg.Kind)
-		}
+		},
+		Attach: func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) },
+	}.Serve(make(map[int32]*core.TaskRunner[T]))
+	if err != nil && ctx.Err() != nil {
+		return ctx.Err()
 	}
+	if err != nil {
+		return fmt.Errorf("fleet: member %d: %w", member, err)
+	}
+	return nil
+}
+
+// attach builds the runner of the job an attach frame names, refusing a
+// frame whose digest does not match its meta and a builder whose problem
+// is not the size the master dispatches against. Partition sizes come
+// from the frame, the rest of the compute configuration from run. A fleet
+// worker keeps no plain-delta list, whatever run.DeltaShipping says: its
+// master never leaves a block out of a plain payload.
+func attach[T any](build Builder[T], run core.Config, msg comm.Message) (*core.TaskRunner[T], error) {
+	var meta JobMeta
+	if err := json.Unmarshal(msg.Payload, &meta); err != nil {
+		return nil, fmt.Errorf("decoding job spec: %w", err)
+	}
+	if got := meta.digest(); got != meta.Digest {
+		return nil, fmt.Errorf("job %q spec digest mismatch (%s != %s)", meta.Name, got, meta.Digest)
+	}
+	p, err := build(meta)
+	if err != nil {
+		return nil, fmt.Errorf("building job %q: %w", meta.Name, err)
+	}
+	if p.Size.Rows != meta.Rows || p.Size.Cols != meta.Cols {
+		return nil, fmt.Errorf("job %q builder produced size %v, master dispatched against %dx%d (builder/registry skew)",
+			meta.Name, p.Size, meta.Rows, meta.Cols)
+	}
+	run.ProcPartition = meta.Proc
+	if meta.Thread.Valid() {
+		run.ThreadPartition = meta.Thread
+	}
+	if run.Threads < 1 {
+		run.Threads = 1
+	}
+	r, err := core.NewTaskRunner(p, run)
+	if err != nil {
+		return nil, fmt.Errorf("preparing job %q: %w", meta.Name, err)
+	}
+	return r, nil
 }

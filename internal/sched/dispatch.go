@@ -225,7 +225,8 @@ func NewQueue(order Order) *Queue {
 // newest computable sub-task.
 func NewDynamic() *Queue { return NewQueue(&LIFO{}) }
 
-// Ready injects vertices that have become computable.
+// Ready injects vertices that have become computable, and drawn ones that
+// come back after a timeout so they can be executed again.
 func (q *Queue) Ready(ids ...int32) {
 	if len(ids) == 0 {
 		return
@@ -235,10 +236,6 @@ func (q *Queue) Ready(ids ...int32) {
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
-
-// Requeue returns a drawn vertex to the queue after a timeout so it can be
-// executed again.
-func (q *Queue) Requeue(id int32) { q.Ready(id) }
 
 // Next blocks until a vertex is available for worker w; ok is false once
 // the queue is closed and holds nothing more for w.
@@ -272,14 +269,6 @@ func (q *Queue) NextBatch(w, n int) (ids []int32, ok bool) {
 		}
 		q.cond.Wait()
 	}
-}
-
-// ReadyCount returns the number of computable vertices currently waiting
-// for a worker.
-func (q *Queue) ReadyCount() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.order.Len()
 }
 
 // Close wakes all blocked Next calls; they return ok == false once the

@@ -25,18 +25,14 @@ type OvertimeEntry struct {
 // not grow it without bound.
 type OvertimeQueue struct {
 	mu       sync.Mutex
-	clock    Clock
 	h        overtimeHeap
 	live     map[int32]map[int32]struct{} // vertex id -> watched attempts
 	liveSize int                          // total watched attempts, for compaction
 }
 
-// NewOvertimeQueue creates an empty queue on the wall clock.
-func NewOvertimeQueue() *OvertimeQueue { return NewOvertimeQueueClock(Wall) }
-
-// NewOvertimeQueueClock creates an empty queue reading time from clock.
-func NewOvertimeQueueClock(clock Clock) *OvertimeQueue {
-	return &OvertimeQueue{clock: clock, live: make(map[int32]map[int32]struct{})}
+// NewOvertimeQueue creates an empty queue.
+func NewOvertimeQueue() *OvertimeQueue {
+	return &OvertimeQueue{live: make(map[int32]map[int32]struct{})}
 }
 
 // Add starts watching an attempt of vertex id with the given deadline. A
@@ -89,12 +85,6 @@ func (q *OvertimeQueue) RemoveAttempt(id, attempt int32) {
 		}
 	}
 	q.mu.Unlock()
-}
-
-// Expire removes and returns every watched entry due at the queue's
-// clock's current time.
-func (q *OvertimeQueue) Expire() []OvertimeEntry {
-	return q.ExpireBefore(q.clock.Now())
 }
 
 // ExpireBefore removes and returns every watched entry whose deadline is

@@ -65,14 +65,6 @@ func (t *RegisterTable) RegisterBackup(id int32) (attempt int32, ok bool) {
 	return a, true
 }
 
-// Cancel removes every registration of vertex id (timeout redistribution,
-// §V.B step g). It is a no-op for unregistered or finished vertices.
-func (t *RegisterTable) Cancel(id int32) {
-	t.mu.Lock()
-	delete(t.live, id)
-	t.mu.Unlock()
-}
-
 // CancelAttempt retires one live attempt of vertex id (its worker died or
 // its individual deadline fired) and returns how many live attempts
 // remain. Only when the count drops to zero must the caller requeue the

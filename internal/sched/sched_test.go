@@ -97,7 +97,7 @@ func TestRegisterTableLifecycle(t *testing.T) {
 func TestRegisterTableRedistribution(t *testing.T) {
 	rt := NewRegisterTable()
 	a1, _ := rt.Register(9)
-	rt.Cancel(9) // timeout
+	rt.CancelAttempt(9, a1) // timeout
 	a2, ok := rt.Register(9)
 	if !ok || a2 != 2 {
 		t.Fatalf("second attempt = %d, ok=%v", a2, ok)
@@ -260,8 +260,8 @@ func TestDynamicNeverIdlesWhileComputable(t *testing.T) {
 	if _, ok := d.Next(0); !ok {
 		t.Fatal("no second vertex")
 	}
-	if d.ReadyCount() != 0 {
-		t.Fatalf("ReadyCount = %d", d.ReadyCount())
+	if n := d.order.Len(); n != 0 {
+		t.Fatalf("%d vertices still queued", n)
 	}
 	d.Close()
 }
@@ -304,7 +304,7 @@ func TestDynamicRequeue(t *testing.T) {
 	d := NewDynamic()
 	d.Ready(4)
 	id, _ := d.Next(0)
-	d.Requeue(id)
+	d.Ready(id)
 	id2, ok := d.Next(1)
 	if !ok || id2 != 4 {
 		t.Fatalf("requeued vertex not redelivered: %d,%v", id2, ok)
@@ -355,7 +355,7 @@ func TestBlockCyclicDrainedOwnerBlocksUntilClose(t *testing.T) {
 	}
 	go next()
 	park()
-	d.Requeue(last) // (1,1) timed out
+	d.Ready(last) // (1,1) timed out
 	select {
 	case g := <-got:
 		if !g.ok || g.id != last {

@@ -164,14 +164,14 @@ func TestOvertimeQueueHeapCompaction(t *testing.T) {
 
 func TestOvertimeQueueClockExpire(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
-	q := NewOvertimeQueueClock(clock)
+	q := NewOvertimeQueue()
 	q.Add(1, 1, clock.Now().Add(30*time.Millisecond))
-	if exp := q.Expire(); len(exp) != 0 {
+	if exp := q.ExpireBefore(clock.Now()); len(exp) != 0 {
 		t.Fatalf("expired %+v before deadline", exp)
 	}
 	clock.Advance(30 * time.Millisecond)
-	if exp := q.Expire(); len(exp) != 1 || exp[0].ID != 1 {
-		t.Fatalf("Expire after Advance = %+v, want vertex 1", exp)
+	if exp := q.ExpireBefore(clock.Now()); len(exp) != 1 || exp[0].ID != 1 {
+		t.Fatalf("ExpireBefore after Advance = %+v, want vertex 1", exp)
 	}
 }
 

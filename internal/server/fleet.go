@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 )
@@ -61,7 +60,7 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], er
 	if err != nil {
 		return nil, err
 	}
-	return &core.Result[int32]{Store: res.Store, Stats: coreStats(res.Stats)}, nil
+	return &core.Result[int32]{Store: res.Store, Stats: core.Stats{Stats: res.Stats}}, nil
 }
 
 // Trace returns the scheduling trace of a fleet job as export-ready
@@ -76,27 +75,4 @@ func (m *Manager) Trace(id string) ([]trace.JSONEvent, error) {
 		return nil, ErrNoTrace
 	}
 	return trace.ExportJSON(m.cfg.Fleet.TraceEvents(id)), nil
-}
-
-// coreStats projects a fleet job's ledger onto core.Stats so finishers
-// and RunStats work unchanged. SubTasks and transport totals stay zero:
-// thread-level execution happens on remote workers, outside the master's
-// books.
-func coreStats(s engine.Stats) core.Stats {
-	return core.Stats{
-		Tasks:           s.Tasks,
-		Dispatches:      s.Dispatches,
-		Redistributions: s.Redistributions,
-		StaleResults:    s.StaleResults,
-		Restored:        s.Restored,
-		BatchMessages:   s.BatchMessages,
-		TaskBytes:       s.TaskBytes,
-		Speculated:      s.Speculated,
-		SpecWon:         s.SpecWon,
-		SpecWasted:      s.SpecWasted,
-		Steals:          s.Steals,
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		Elapsed:         s.Elapsed,
-	}
 }

@@ -407,6 +407,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 func TestSubmitBodyBounded(t *testing.T) {
 	const maxCells = 1 << 12
 	mgr := server.NewManager(server.ManagerConfig{Run: fastRun(), MaxCells: maxCells}, nil)
+	defer func() { _ = mgr.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(server.NewHandler(mgr))
 	defer ts.Close()
 	post := func(seqLen int) int {

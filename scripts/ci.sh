@@ -166,7 +166,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7261 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 7186 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
@@ -183,6 +183,21 @@ if [ -n "$engine_imports" ]; then
     exit 1
 fi
 echo "imports: internal/engine names none of core, comm, fleet, sim, server, net"
+
+# And the worker is one loop, as the master is one driver: core.Worker.Serve
+# is the one non-test caller of comm.ServeTasks, and TaskRunner.Run the one
+# of computeBlock, under fixed ranks and fleet workers alike. A second
+# worker must not arrive unnoticed.
+for call in 'computeBlock(' 'comm.ServeTasks('; do
+    sites=$(grep -rnF --include='*.go' "$call" . | grep -v '_test\.go:' |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+    if [ "$(printf '%s\n' "$sites" | grep -c .)" -gt 1 ]; then
+        echo "calls: $call has more than one non-test call site:" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+done
+echo "calls: computeBlock and comm.ServeTasks have one non-test call site each"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
