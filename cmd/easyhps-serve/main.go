@@ -18,13 +18,14 @@
 //	curl -X POST localhost:8080/v1/jobs \
 //	     -d '{"kernel":"editdist","n":400,"seed":7}'
 //	curl localhost:8080/v1/jobs/job-1
+//	curl 'localhost:8080/v1/jobs/job-1?wait=30s'   # answers when the job is terminal
 //	curl localhost:8080/v1/jobs/job-1/result
 //	curl -X DELETE localhost:8080/v1/jobs/job-1
 //	curl localhost:8080/metrics
 //
-// SIGINT/SIGTERM triggers graceful shutdown: the listener stops, queued
-// jobs are cancelled, and running jobs get -drain to finish before their
-// run contexts are cancelled.
+// SIGINT/SIGTERM triggers graceful shutdown: new submissions are refused,
+// queued jobs are cancelled, running jobs get -drain to finish before their
+// run contexts are cancelled, and then the listener stops.
 package main
 
 import (
@@ -44,6 +45,10 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/server"
 )
+
+// httpDrain bounds the listener's shutdown once the jobs have drained:
+// what is still in flight then is a response being written, not a hold.
+const httpDrain = 5 * time.Second
 
 func main() {
 	var (
@@ -154,11 +159,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "easyhps-serve: %v, draining (deadline %v)\n", sig, *drain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
+		// The jobs drain first, the listener after. Every job is terminal
+		// when mgr.Shutdown returns, which releases every held status
+		// request (?wait=), so srv.Shutdown does not wait out a hold; and
+		// clients can still read status and results while jobs drain
+		// (new submissions answer 503).
+		drainErr := mgr.Shutdown(ctx)
+		hctx, hcancel := context.WithTimeout(context.Background(), httpDrain)
+		defer hcancel()
+		if err := srv.Shutdown(hctx); err != nil {
 			fmt.Fprintln(os.Stderr, "easyhps-serve: http shutdown:", err)
 		}
-		if err := mgr.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "easyhps-serve: job drain:", err)
+		if drainErr != nil {
+			fmt.Fprintln(os.Stderr, "easyhps-serve: job drain:", drainErr)
 			os.Exit(1)
 		}
 		fmt.Fprintln(os.Stderr, "easyhps-serve: drained cleanly")

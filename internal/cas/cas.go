@@ -74,6 +74,7 @@ type blockEntry struct {
 }
 
 type jobEntry struct {
+	key     Key
 	payload []byte
 	expires time.Time
 }
@@ -90,8 +91,13 @@ type Store struct {
 	blocks     map[Key]*list.Element // of *blockEntry
 	lru        *list.List            // front = most recently used
 	blockBytes int64
-	jobs       map[Key]jobEntry
-	jobBytes   int64
+	jobs       map[Key]*list.Element // of *jobEntry
+	// jobOrder holds the job entries in expiry order, front = first to
+	// expire. The TTL is store-wide, so that is insertion order: a put
+	// appends at the back, a refresh moves its entry there, and expiring
+	// pops from the front until an entry is still live.
+	jobOrder *list.List
+	jobBytes int64
 
 	hits           layerCount
 	misses         layerCount
@@ -122,10 +128,11 @@ type Stats struct {
 // already-expired job entries are removed.
 func NewStore(opts Options) (*Store, error) {
 	s := &Store{
-		opts:   opts.withDefaults(),
-		blocks: make(map[Key]*list.Element),
-		lru:    list.New(),
-		jobs:   make(map[Key]jobEntry),
+		opts:     opts.withDefaults(),
+		blocks:   make(map[Key]*list.Element),
+		lru:      list.New(),
+		jobs:     make(map[Key]*list.Element),
+		jobOrder: list.New(),
 	}
 	if s.opts.Dir == "" {
 		return s, nil
@@ -177,7 +184,8 @@ func (s *Store) load() error {
 		files = append(files, onDisk{key: k, path: filepath.Join(s.opts.Dir, name), job: job, mod: info.ModTime()})
 	}
 	// Oldest first: inserting in age order makes the LRU evict the oldest
-	// blocks when the reloaded set exceeds the byte budget.
+	// blocks when the reloaded set exceeds the byte budget, and appends the
+	// job entries in expiry order.
 	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
 	now := s.opts.Clock()
 	for _, f := range files {
@@ -186,13 +194,18 @@ func (s *Store) load() error {
 			continue
 		}
 		if f.job {
-			expires := f.mod.Add(s.opts.JobTTL)
+			// A file dated in the future counts as written now, so no
+			// reloaded entry expires after one put later.
+			written := f.mod
+			if written.After(now) {
+				written = now
+			}
+			expires := written.Add(s.opts.JobTTL)
 			if !now.Before(expires) {
 				_ = os.Remove(f.path)
 				continue
 			}
-			s.jobs[f.key] = jobEntry{payload: payload, expires: expires}
-			s.jobBytes += int64(len(payload))
+			s.putJobLocked(f.key, payload, expires)
 			continue
 		}
 		_, evicted := s.putBlockLocked(f.key, payload)
@@ -283,16 +296,14 @@ func (s *Store) GetBlock(k Key, layer Layer) ([]byte, bool) {
 	return payload, true
 }
 
-// PutJob inserts a whole-job entry, pinned until the store's TTL.
+// PutJob inserts a whole-job entry, pinned until the store's TTL. A key
+// already resident is refreshed: its new deadline is the latest, so it
+// moves to the back of the expiry order.
 func (s *Store) PutJob(k Key, payload []byte) {
 	now := s.opts.Clock()
 	s.mu.Lock()
 	expiredPaths := s.sweepJobsLocked(now)
-	if old, ok := s.jobs[k]; ok {
-		s.jobBytes -= int64(len(old.payload))
-	}
-	s.jobs[k] = jobEntry{payload: payload, expires: now.Add(s.opts.JobTTL)}
-	s.jobBytes += int64(len(payload))
+	s.putJobLocked(k, payload, now.Add(s.opts.JobTTL))
 	s.mu.Unlock()
 	if s.opts.Dir != "" {
 		for _, path := range expiredPaths {
@@ -308,7 +319,11 @@ func (s *Store) GetJob(k Key, layer Layer) ([]byte, bool) {
 	now := s.opts.Clock()
 	s.mu.Lock()
 	expiredPaths := s.sweepJobsLocked(now)
-	e, ok := s.jobs[k]
+	var payload []byte
+	el, ok := s.jobs[k]
+	if ok {
+		payload = el.Value.(*jobEntry).payload
+	}
 	s.mu.Unlock()
 	if s.opts.Dir != "" {
 		for _, path := range expiredPaths {
@@ -320,20 +335,38 @@ func (s *Store) GetJob(k Key, layer Layer) ([]byte, bool) {
 		return nil, false
 	}
 	s.hits.add(layer)
-	return e.payload, true
+	return payload, true
 }
 
-// sweepJobsLocked drops expired job entries and returns their file paths.
+// putJobLocked inserts k, or refreshes it in place, at the back of the
+// expiry order; expires must be no earlier than any resident deadline.
+func (s *Store) putJobLocked(k Key, payload []byte, expires time.Time) {
+	if el, ok := s.jobs[k]; ok {
+		e := el.Value.(*jobEntry)
+		s.jobBytes += int64(len(payload)) - int64(len(e.payload))
+		e.payload, e.expires = payload, expires
+		s.jobOrder.MoveToBack(el)
+		return
+	}
+	s.jobs[k] = s.jobOrder.PushBack(&jobEntry{key: k, payload: payload, expires: expires})
+	s.jobBytes += int64(len(payload))
+}
+
+// sweepJobsLocked drops the expired job entries, front of the expiry order
+// first, and returns their file paths. It visits only those and the first
+// live entry, however many are resident.
 func (s *Store) sweepJobsLocked(now time.Time) (expiredPaths []string) {
-	for k, e := range s.jobs {
+	for el := s.jobOrder.Front(); el != nil; el = s.jobOrder.Front() {
+		e := el.Value.(*jobEntry)
 		if now.Before(e.expires) {
-			continue
+			break
 		}
-		delete(s.jobs, k)
+		s.jobOrder.Remove(el)
+		delete(s.jobs, e.key)
 		s.jobBytes -= int64(len(e.payload))
 		s.jobEvictions.Add(1)
 		if s.opts.Dir != "" {
-			expiredPaths = append(expiredPaths, s.jobPath(k))
+			expiredPaths = append(expiredPaths, s.jobPath(e.key))
 		}
 	}
 	return expiredPaths

@@ -156,6 +156,164 @@ func TestJobTTL(t *testing.T) {
 	}
 }
 
+// fakeClock is a settable Options.Clock.
+type fakeClock struct{ now time.Time }
+
+func (c *fakeClock) Now() time.Time { return c.now }
+
+// residentJobs reports which of keys the store still answers, in order.
+func residentJobs(s *Store, keys []Key) []bool {
+	out := make([]bool, len(keys))
+	for i, k := range keys {
+		_, out[i] = s.GetJob(k, LayerServer)
+	}
+	return out
+}
+
+func TestJobRefreshMovesDeadline(t *testing.T) {
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	s, err := NewStore(Options{JobTTL: time.Minute, Clock: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refreshed, other := JobKey("refreshed"), JobKey("other")
+	s.PutJob(refreshed, []byte("v1"))
+	clock.now = clock.now.Add(30 * time.Second)
+	s.PutJob(other, []byte("other"))
+	clock.now = clock.now.Add(10 * time.Second)
+	s.PutJob(refreshed, []byte("v2")) // deadline moves from +60s to +100s
+
+	clock.now = time.Unix(1000, 0).Add(61 * time.Second) // past the old deadline
+	if got, ok := s.GetJob(refreshed, LayerServer); !ok || string(got) != "v2" {
+		t.Fatalf("refreshed key at its old deadline = %q, %v; want v2, resident", got, ok)
+	}
+	if st := s.Snapshot(); st.Jobs != 2 || st.JobEvictions != 0 || st.Bytes != int64(len("v2")+len("other")) {
+		t.Fatalf("after the old deadline: %+v", st)
+	}
+	// The refresh left no stale entry ahead of other: other expires at its
+	// own deadline, the refreshed key at its new one.
+	clock.now = time.Unix(1000, 0).Add(91 * time.Second)
+	if got := residentJobs(s, []Key{refreshed, other}); !got[0] || got[1] {
+		t.Fatalf("at other's deadline resident = %v, want [true false]", got)
+	}
+	clock.now = time.Unix(1000, 0).Add(101 * time.Second)
+	if got := residentJobs(s, []Key{refreshed}); got[0] {
+		t.Fatal("refreshed key survived its new deadline")
+	}
+	if st := s.Snapshot(); st.Jobs != 0 || st.JobEvictions != 2 || st.Bytes != 0 {
+		t.Fatalf("after both deadlines: %+v", st)
+	}
+}
+
+func TestJobsExpireOldestFirst(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	clock := &fakeClock{now: t0}
+	s, err := NewStore(Options{JobTTL: time.Minute, Clock: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]Key, 5)
+	for i := range keys {
+		keys[i] = JobKey(fmt.Sprint("job-", i))
+		clock.now = t0.Add(time.Duration(i) * 10 * time.Second)
+		s.PutJob(keys[i], []byte{byte(i)})
+	}
+	for i := range keys {
+		// Just past key i's deadline: keys 0..i are gone, the rest stay.
+		clock.now = t0.Add(time.Minute + time.Duration(i)*10*time.Second)
+		s.GetJob(JobKey("probe"), LayerServer) // expires what is due
+		if st := s.Snapshot(); st.Jobs != len(keys)-i-1 || st.JobEvictions != int64(i+1) {
+			t.Fatalf("at key %d's deadline %d resident, %d expired", i, st.Jobs, st.JobEvictions)
+		}
+		got := residentJobs(s, keys)
+		for k, live := range got {
+			if want := k > i; live != want {
+				t.Fatalf("at key %d's deadline, key %d resident = %v, want %v", i, k, live, want)
+			}
+		}
+	}
+}
+
+// A reloaded directory expires its job entries oldest file first,
+// whatever order they were written in.
+func TestJobOrderSurvivesReload(t *testing.T) {
+	dir := t.TempDir()
+	t0 := time.Unix(1000, 0)
+	s, err := NewStore(Options{Dir: dir, JobTTL: time.Minute, Clock: func() time.Time { return t0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []Key{JobKey("a"), JobKey("b"), JobKey("c")}
+	ages := []time.Duration{20 * time.Second, 0, 10 * time.Second} // b oldest, then c, then a
+	for i, k := range keys {
+		s.PutJob(k, []byte("job"))
+		mod := t0.Add(ages[i])
+		if err := os.Chtimes(s.jobPath(k), mod, mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	clock := &fakeClock{now: t0.Add(30 * time.Second)}
+	s2, err := NewStore(Options{Dir: dir, JobTTL: time.Minute, Clock: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		at   time.Duration
+		want []bool // resident a, b, c
+	}{
+		{61 * time.Second, []bool{true, false, true}},
+		{71 * time.Second, []bool{true, false, false}},
+		{81 * time.Second, []bool{false, false, false}},
+	} {
+		clock.now = t0.Add(step.at)
+		s2.GetJob(JobKey("probe"), LayerServer) // expires what is due
+		if st := s2.Snapshot(); st.Jobs != countTrue(step.want) {
+			t.Fatalf("at +%v %d jobs resident, want %d: an expired entry is stuck behind a live one", step.at, st.Jobs, countTrue(step.want))
+		}
+		for i, k := range keys {
+			_, err := os.Stat(s2.jobPath(k))
+			if onDisk := err == nil; onDisk != step.want[i] {
+				t.Fatalf("at +%v file of key %d on disk = %v, want %v", step.at, i, onDisk, step.want[i])
+			}
+		}
+		if got := residentJobs(s2, keys); fmt.Sprint(got) != fmt.Sprint(step.want) {
+			t.Fatalf("at +%v resident = %v, want %v", step.at, got, step.want)
+		}
+	}
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// BenchmarkGetJobResident looks one key up among 10 000 live whole-job
+// entries: the lookup must not pay for the entries it does not expire.
+func BenchmarkGetJobResident(b *testing.B) {
+	s, err := NewStore(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const resident = 10000
+	keys := make([]Key, resident)
+	for i := range keys {
+		keys[i] = JobKey(fmt.Sprint("job-", i))
+		s.PutJob(keys[i], []byte("result"))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.GetJob(keys[i%resident], LayerServer); !ok {
+			b.Fatal("resident job missing")
+		}
+	}
+}
+
 func TestDiskPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(Options{Dir: dir})

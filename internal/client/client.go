@@ -1,6 +1,6 @@
 // Package client is the Go client of the EasyHPS job service
-// (internal/server): submit a DP job, poll its state, fetch its result,
-// cancel it. The wire types are shared with the server package.
+// (internal/server): submit a DP job, read or wait for its state, fetch
+// its result, cancel it. The wire types are shared with the server package.
 package client
 
 import (
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -181,26 +182,28 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(raw), err
 }
 
-// Wait polls the job every interval until it reaches a terminal state or
-// ctx ends, returning the final status.
+// Wait returns the job's status once it is terminal, or the last status
+// seen and ctx.Err() once ctx ends. Each status request asks the server to
+// hold it for up to interval (GET /v1/jobs/{id}?wait=interval), so the
+// answer comes as soon as the job finishes; a non-terminal answer is
+// re-asked at once. interval <= 0 means 50ms.
 func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (server.JobStatus, error) {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+	path := "/v1/jobs/" + id + "?" + url.Values{"wait": {interval.String()}}.Encode()
+	var st server.JobStatus
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		var cur server.JobStatus
+		if err := c.do(ctx, http.MethodGet, path, nil, &cur); err != nil {
+			if ctx.Err() != nil {
+				return st, ctx.Err()
+			}
 			return st, err
 		}
+		st = cur
 		if st.State.Terminal() {
 			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-ticker.C:
 		}
 	}
 }

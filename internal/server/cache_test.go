@@ -98,6 +98,52 @@ func TestServerCacheHitResubmission(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterDoneHitsCache: a job is written through to the
+// whole-job cache before it turns terminal, so a resubmission made the
+// moment the first job is done is a server-layer cache hit — finished on
+// return — and never a follower coalesced onto the first job's flight.
+func TestResubmitAfterDoneHitsCache(t *testing.T) {
+	store, err := cas.NewStore(cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := server.NewManager(server.ManagerConfig{Run: fastRun(), MaxConcurrent: 1, QueueDepth: 2, Cache: store}, nil)
+	defer func() { _ = mgr.Shutdown(context.Background()) }()
+
+	// The window the ordering closes is narrow; each spec is one more
+	// chance to land in it.
+	const specs = 8
+	for seed := int64(1); seed <= specs; seed++ {
+		spec := server.JobSpec{Kernel: "editdist", N: 24, Seed: seed}
+		first, err := mgr.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-first.Done()
+		again, err := mgr.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-again.Done():
+		default:
+			t.Fatalf("seed %d: resubmission is %s on return, want done from the cache", seed, again.Status().State)
+		}
+		res, err := again.Result()
+		if err != nil || !res.Cached {
+			t.Fatalf("seed %d: resubmission result = %+v, %v; want a cached result", seed, res, err)
+		}
+	}
+	if hits := store.Snapshot().Hits[cas.LayerServer]; hits != specs {
+		t.Fatalf("server-layer cache hits = %d, want %d", hits, specs)
+	}
+	var metrics strings.Builder
+	mgr.WriteMetrics(&metrics)
+	if !strings.Contains(metrics.String(), "easyhps_jobs_coalesced_total 0\n") {
+		t.Fatalf("resubmission was coalesced:\n%s", metrics.String())
+	}
+}
+
 // TestServerCacheDisabledNoSeries: without a store, no easyhps_cache_
 // series appear and resubmissions recompute.
 func TestServerCacheDisabledNoSeries(t *testing.T) {

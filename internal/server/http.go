@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // API is the HTTP front of a Manager. Routes:
@@ -13,6 +14,10 @@ import (
 //	POST   /v1/jobs           submit a JobSpec            -> 202 JobStatus
 //	GET    /v1/jobs           list jobs                   -> 200 []JobStatus
 //	GET    /v1/jobs/{id}      job state + progress        -> 200 JobStatus
+//	GET    /v1/jobs/{id}?wait=<duration>
+//	                          the same, held until the job is terminal,
+//	                          the duration (capped at maxHold) passes or
+//	                          the client goes away    -> 200 JobStatus
 //	GET    /v1/jobs/{id}/result                           -> 200 JobResult
 //	GET    /v1/jobs/{id}/trace   scheduling trace (fleet) -> 200 []trace.JSONEvent
 //	DELETE /v1/jobs/{id}      cancel                      -> 202 JobStatus
@@ -20,12 +25,25 @@ import (
 //	GET    /metrics           text exposition             -> 200 text/plain
 //	GET    /healthz           liveness                    -> 200
 //
-// Error mapping: bad spec 400, unknown job 404, result-not-ready or
-// cancel-after-finish 409, submit body over the bound (maxEnvelope) 413,
-// queue full 429 (+ Retry-After seconds), shutting down 503.
+// Error mapping: bad spec or malformed wait 400, unknown job 404,
+// result-not-ready or cancel-after-finish 409, submit body over the bound
+// (maxEnvelope) 413, queue full 429 (+ Retry-After seconds), shutting down
+// 503.
 type API struct {
 	mgr *Manager
 }
+
+// maxHold caps how long GET /v1/jobs/{id}?wait= holds a status request. A
+// hold ends early when the job turns terminal — by finishing, by DELETE, or
+// by the manager's drain, which settles every job before it returns — or
+// when the client goes away, so one request ties up one goroutine of the
+// server for at most this long.
+const maxHold = 30 * time.Second
+
+// holdStarted and holdEnded, when set, observe a status request entering
+// and leaving its hold. Tests use them to act on a held request without
+// sleeping.
+var holdStarted, holdEnded func(id string)
 
 // NewHandler builds the HTTP handler over mgr.
 func NewHandler(mgr *Manager) http.Handler {
@@ -109,10 +127,28 @@ func (a *API) list(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) status(w http.ResponseWriter, r *http.Request) {
+	var hold time.Duration
+	if v := r.URL.Query().Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			a.writeError(w, fmt.Errorf("server: malformed wait %q: %w", v, err))
+			return
+		}
+		hold = min(d, maxHold)
+	}
 	j, err := a.mgr.Get(r.PathValue("id"))
 	if err != nil {
 		a.writeError(w, err)
 		return
+	}
+	if hold > 0 {
+		if holdStarted != nil {
+			holdStarted(j.ID)
+		}
+		j.await(r.Context(), hold)
+		if holdEnded != nil {
+			holdEnded(j.ID)
+		}
 	}
 	writeJSON(w, http.StatusOK, j.Status())
 }

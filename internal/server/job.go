@@ -69,6 +69,9 @@ type Job struct {
 	// whole-job cache and the single-flight table key on.
 	digest string
 
+	// problem and finish are the job's inputs: what a run computes and how
+	// its answer is read off. A terminal job no longer needs them and drops
+	// them (settleLocked), so the job table keeps only status and result.
 	problem core.Problem[int32]
 	finish  finishFunc
 
@@ -135,6 +138,34 @@ func (j *Job) Status() JobStatus {
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// settleLocked moves j into the terminal state st at now, drops the inputs
+// only a run needs and closes done. The caller holds j.mu and has set
+// whatever result or error st carries.
+func (j *Job) settleLocked(st State, now time.Time) {
+	j.state = st
+	j.finished = now
+	j.problem = core.Problem[int32]{}
+	j.finish = nil
+	close(j.done)
+}
+
+// await blocks until j is terminal, hold has passed or ctx ends, whichever
+// comes first.
+func (j *Job) await(ctx context.Context, hold time.Duration) {
+	select {
+	case <-j.done:
+		return
+	default:
+	}
+	timer := time.NewTimer(hold)
+	defer timer.Stop()
+	select {
+	case <-j.done:
+	case <-timer.C:
+	case <-ctx.Done():
+	}
+}
 
 // Result returns the finished job's result, or ErrNotDone / the job's
 // failure.
@@ -341,10 +372,8 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 			var result JobResult
 			if err := json.Unmarshal(payload, &result); err == nil {
 				result.Cached = true
-				j.state = StateDone
 				j.result = &result
-				j.finished = time.Now()
-				close(j.done)
+				j.settleLocked(StateDone, time.Now()) // j is not published yet
 				m.jobs[j.ID] = j
 				m.mu.Unlock()
 				m.metrics.submitted.Add(1)
@@ -426,9 +455,7 @@ func (m *Manager) Cancel(id string) error {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		j.state = StateCancelled
-		j.finished = time.Now()
-		close(j.done)
+		j.settleLocked(StateCancelled, time.Now())
 		j.mu.Unlock()
 		m.metrics.observeFinal(StateCancelled, 0)
 		// If j led a single-flight group, its followers must not die with
@@ -470,9 +497,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		case j := <-m.queue:
 			j.mu.Lock()
 			if j.state == StateQueued {
-				j.state = StateCancelled
-				j.finished = time.Now()
-				close(j.done)
+				j.settleLocked(StateCancelled, time.Now())
 				m.metrics.observeFinal(StateCancelled, 0)
 			}
 			j.mu.Unlock()
@@ -570,36 +595,41 @@ func (m *Manager) run(j *Job) {
 	delete(m.running, j.ID)
 	m.mu.Unlock()
 
-	j.mu.Lock()
-	j.finished = time.Now()
-	latency := j.finished.Sub(j.started)
+	// Only this goroutine settles a running job, so its inputs are still
+	// there and the outcome is built without j.mu.
+	finished := time.Now()
 	var final State
+	var result *JobResult
+	var errText string
 	switch {
 	case err == nil:
-		result := j.finish(res)
-		j.result = &result
-		j.state = StateDone
+		r := j.finish(res)
+		final, result = StateDone, &r
 		m.metrics.addRunStats(res.Stats)
 	case ctx.Err() != nil:
-		j.state = StateCancelled
-		j.err = context.Canceled.Error()
+		final, errText = StateCancelled, context.Canceled.Error()
 	default:
-		j.state = StateFailed
-		j.err = err.Error()
+		final, errText = StateFailed, err.Error()
 	}
-	final = j.state
-	close(j.done)
-	j.mu.Unlock()
-	m.metrics.observeFinal(final, latency)
 
 	if final == StateDone && m.cfg.Cache != nil {
-		// Write-through to the whole-job cache. The stored copy keeps
-		// Cached=false — the flag describes how a particular submission
-		// was served, not the payload.
-		if payload, err := json.Marshal(j.result); err == nil {
+		// Write-through to the whole-job cache, before the job turns
+		// terminal: a client that sees it done and resubmits at once must
+		// hit the cache, not coalesce onto this job's flight, which
+		// settles after. The stored copy keeps Cached=false — the flag
+		// describes how a particular submission was served, not the
+		// payload.
+		if payload, err := json.Marshal(result); err == nil {
 			m.cfg.Cache.PutJob(cas.JobKey(j.digest), payload)
 		}
 	}
+
+	j.mu.Lock()
+	j.result, j.err = result, errText
+	latency := finished.Sub(j.started)
+	j.settleLocked(final, finished)
+	j.mu.Unlock()
+	m.metrics.observeFinal(final, latency)
 	m.settleFlight(j)
 }
 
@@ -634,11 +664,9 @@ func (m *Manager) settleFlight(j *Job) {
 			f.mu.Unlock()
 			return
 		}
-		f.state = st
 		f.result = res
 		f.err = errText
-		f.finished = now
-		close(f.done)
+		f.settleLocked(st, now)
 		f.mu.Unlock()
 		m.metrics.observeFinal(st, 0)
 	}

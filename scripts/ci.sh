@@ -140,6 +140,9 @@ check_cover internal/core 86
 check_cover internal/engine 90
 check_cover internal/fleet 80
 check_cover internal/cas 80
+# The job service's Go client, against httptest stubs: Wait's held status
+# requests, the 404 and 429 mappings, every route.
+check_cover internal/client 80
 check_cover internal/sim 80
 check_cover internal/tune 80
 # The analyzer itself: the fixture suites for every rule keep the
