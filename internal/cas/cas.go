@@ -397,10 +397,11 @@ func (s *Store) jobPath(k Key) string {
 }
 
 // PeerSet tracks which content keys one peer (a slave or fleet member)
-// currently holds — the generalization of delta shipping's per-slave
-// known-set to content addressing. Lookups count against the store's
-// wire-layer hit/miss series: a hit is a block that did not have to be
-// reshipped. The zero value is not usable; obtain one from NewPeerSet.
+// currently holds: its known-set for delta shipping (engine.Known). Holds
+// counts against the issuing store's wire-layer hit/miss series — a hit is
+// a block that did not have to be reshipped — and a set issued by a nil
+// store counts nothing. The zero value is not usable; obtain one from
+// NewPeerSet.
 type PeerSet struct {
 	store *Store
 	mu    sync.Mutex
@@ -408,21 +409,30 @@ type PeerSet struct {
 }
 
 // NewPeerSet issues an empty known-set bound to this store's wire-layer
-// counters.
+// counters; s may be nil.
 func (s *Store) NewPeerSet() *PeerSet {
 	return &PeerSet{store: s, keys: make(map[Key]struct{})}
 }
 
-// Knows reports whether the peer holds k, counting a wire hit or miss.
-func (p *PeerSet) Knows(k Key) bool {
-	p.mu.Lock()
-	_, ok := p.keys[k]
-	p.mu.Unlock()
-	if ok {
+// Holds reports whether the peer holds k, counting a wire hit or miss.
+func (p *PeerSet) Holds(k Key) bool {
+	ok := p.Has(k)
+	switch {
+	case p.store == nil:
+	case ok:
 		p.store.hits.add(LayerWire)
-	} else {
+	default:
 		p.store.misses.add(LayerWire)
 	}
+	return ok
+}
+
+// Has reports whether the peer holds k without counting a lookup: a
+// scheduling score, not a shipping decision.
+func (p *PeerSet) Has(k Key) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.keys[k]
 	return ok
 }
 

@@ -435,23 +435,31 @@ func TestPeerSet(t *testing.T) {
 	}
 	p := s.NewPeerSet()
 	k := PayloadKey([]byte("b"))
-	if p.Knows(k) {
-		t.Fatal("empty peer set knows a key")
+	if p.Holds(k) {
+		t.Fatal("empty peer set holds a key")
 	}
 	p.Note(k)
-	if !p.Knows(k) {
+	if !p.Holds(k) || !p.Has(k) {
 		t.Fatal("noted key unknown")
 	}
 	if p.Len() != 1 {
 		t.Fatalf("Len = %d", p.Len())
 	}
 	p.Reset()
-	if p.Knows(k) {
+	if p.Holds(k) || p.Has(k) {
 		t.Fatal("key survived Reset")
 	}
 	st := s.Snapshot()
 	if st.Hits[LayerWire] != 1 || st.Misses[LayerWire] != 2 {
-		t.Fatalf("wire counters wrong: hits=%v misses=%v", st.Hits, st.Misses)
+		t.Fatalf("wire counters wrong (Has must count nothing): hits=%v misses=%v", st.Hits, st.Misses)
+	}
+
+	// A set no store issued tracks keys and counts nothing.
+	var none *Store
+	q := none.NewPeerSet()
+	q.Note(k)
+	if !q.Holds(k) || q.Holds(PayloadKey([]byte("c"))) {
+		t.Fatal("a storeless peer set lost track of its keys")
 	}
 }
 
@@ -472,7 +480,7 @@ func TestConcurrentAccess(t *testing.T) {
 				k := PayloadKey(payload)
 				s.PutBlock(k, payload)
 				s.GetBlock(k, LayerMaster)
-				if !p.Knows(k) {
+				if !p.Holds(k) {
 					p.Note(k)
 				}
 				s.PutJob(JobKey(fmt.Sprint(i%7)), payload)

@@ -138,11 +138,13 @@ type Config struct {
 	// and NUMA effects); a zero-variance emulation overstates how well
 	// static schedules do. Typical value 0.3; zero disables it.
 	WorkJitter float64
-	// DeltaShipping makes the master track which blocks each slave has
-	// already received or computed and ship only the missing part of a
-	// sub-task's data region. Slaves keep every block they have seen for
-	// the duration of the run (blocks are immutable once computed), so
-	// repeated row/column reads of the 2D/1D patterns stop being resent.
+	// DeltaShipping makes the master track, by content key, which blocks
+	// each slave has already received whole or computed, and send a
+	// 36-byte reference in place of any of them a sub-task reads. Slaves
+	// keep every such block for the duration of the run (blocks are
+	// immutable once computed), so repeated row/column reads of the 2D/1D
+	// patterns stop being resent. Master and slave each hash every result
+	// block once for its key.
 	DeltaShipping bool
 	// SpillDir, when non-empty, switches the master's block store to the
 	// out-of-core SpillStore: at most SpillBudget blocks stay in memory
@@ -165,9 +167,9 @@ type Config struct {
 	// store (internal/cas): before dispatching a computable sub-task the
 	// master probes it by content key, a hit applying the stored block
 	// without drawing a lease, and every completed block is written
-	// through. When DeltaShipping is also on, the per-slave known-sets
-	// generalize to content keys issued by the same store, so its
-	// wire-layer counters see every skipped reship. Requires CacheKey.
+	// through. When DeltaShipping is also on, the store's wire-layer
+	// counters see every lookup of the slaves' known-sets. Requires
+	// CacheKey.
 	Cache *cas.Store
 	// CacheKey is the content digest of the problem spec (kernel plus
 	// inputs, scheduling knobs excluded) that scopes this run's entries
@@ -225,6 +227,9 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 	}
 	if c.SpillDir != "" && c.SpillBudget < 1 {
 		c.SpillBudget = 16
+	}
+	if c.CacheKey == "" {
+		c.Cache = nil // no spec identity, nothing cached (see CacheKey)
 	}
 	if c.Policy == PolicyAffinity {
 		// Affinity scheduling scores against the delta-shipping

@@ -140,7 +140,7 @@ func TestDeltaShippingWithReclaim(t *testing.T) {
 }
 
 // PolicyAffinity must stay correct while skipping even more traffic than
-// plain delta shipping (it steers tasks toward slaves that hold the data).
+// delta shipping alone (it steers tasks toward slaves that hold the data).
 func TestAffinityPolicy(t *testing.T) {
 	a := dp.RandomDNA(64, 110)
 	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.2, 111)

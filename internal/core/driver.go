@@ -70,8 +70,8 @@ type DriverConfig struct {
 	Registry          *Registry
 	HeartbeatInterval time.Duration
 	HeartbeatMiss     int
-	// Cache, when non-nil, gives every elastic member a content-keyed
-	// known-set for the keyed wire format of cached jobs.
+	// Cache, when non-nil, is the store whose wire layer the elastic
+	// members' known-sets count in.
 	Cache *cas.Store
 	// RetainJobs is how many finished jobs Jobs keeps listing.
 	RetainJobs int
@@ -96,8 +96,8 @@ type member struct {
 	idle     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
-	known    *known // nil without delta shipping or a cache
-	waiting  bool   // Driver.mu: its sender waits with nothing to draw
+	known    *cas.PeerSet // what it holds of the Delta jobs' blocks
+	waiting  bool         // Driver.mu: its sender waits with nothing to draw
 
 	// attachMu orders the attach and detach frames against task sends, and
 	// every known-set note against the detach that resets the set.
@@ -138,49 +138,6 @@ func (m *member) signalIdle() {
 	}
 }
 
-// known is one member's known-set (engine.Known): the blocks it holds
-// whole. held indexes a fixed run's one job by vertex; peers, with a
-// cache, is the set by content key (its hits land in the store's metrics),
-// an elastic member's only form.
-type known struct {
-	mu    sync.Mutex
-	held  []bool
-	peers *cas.PeerSet
-}
-
-func (k *known) Holds(d int32, key cas.Key) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.peers != nil {
-		return k.peers.Knows(key)
-	}
-	return k.held[d]
-}
-
-func (k *known) Note(d int32, key cas.Key) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.held != nil {
-		k.held[d] = true
-	}
-	if k.peers != nil {
-		k.peers.Note(key)
-	}
-}
-
-// count is how many of blocks ds the member holds whole.
-func (k *known) count(ds []int32) int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	n := 0
-	for _, d := range ds {
-		if k.held[d] {
-			n++
-		}
-	}
-	return n
-}
-
 // Job is one DAG job as a driver runs it: fill the exported fields and
 // hand it to Start.
 type Job[T any] struct {
@@ -192,12 +149,9 @@ type Job[T any] struct {
 	Params engine.JobParams
 	// Meta is the attach frame (comm.KindJobSpec) an elastic member gets
 	// before the job's first task.
-	Meta []byte
-	// Delta ships each task against the member's known-set, Keyed in the
-	// keyed wire format (engine.Job.TaskPayload).
-	Delta, Keyed bool
-	Trace        *trace.Recorder // the job's own events, for monitoring
-	Closer       io.Closer       // closed when the job ends: its checkpoint file
+	Meta   []byte
+	Trace  *trace.Recorder // the job's own events, for monitoring
+	Closer io.Closer       // closed when the job ends: its checkpoint file
 
 	start    time.Time
 	commitMu sync.Mutex // one Complete at a time: members answer concurrently
@@ -427,10 +381,10 @@ func (d *Driver[T]) detach(jb *Job[T]) {
 			delete(m.attached, jb.ID)
 			//lint:ignore blocking-under-lock the detach frame must be ordered against this member's task sends, which only attachMu serializes; the write is bounded by the connection's write timeout, and attachMu is a leaf per member
 			_ = m.link.Send(comm.Message{Kind: comm.KindJobEnd, Job: jb.ID})
-			if len(m.attached) == 0 && m.known != nil {
+			if len(m.attached) == 0 {
 				// The worker drops its block cache with its last job: forget
 				// its holdings at the same frame.
-				m.known.peers.Reset()
+				m.known.Reset()
 			}
 		}
 		m.attachMu.Unlock()
@@ -441,11 +395,7 @@ func (d *Driver[T]) detach(jb *Job[T]) {
 // over link, and starts its sender. Once the driver is closed it admits
 // nothing and reports false.
 func (d *Driver[T]) AddMember(id int, link Link) bool {
-	m := &member{id: id, link: link, attached: make(map[int32]bool)}
-	if d.cfg.Cache != nil {
-		m.known = &known{peers: d.cfg.Cache.NewPeerSet()}
-	}
-	return d.add(m)
+	return d.add(&member{id: id, link: link, known: d.cfg.Cache.NewPeerSet(), attached: make(map[int32]bool)})
 }
 
 func (d *Driver[T]) add(m *member) bool {
@@ -553,14 +503,14 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 		return false
 	}
 	var known engine.Known // nil ships every dependency
-	if jb.Delta && m.known != nil {
+	if jb.Engine.Delta() {
 		known = m.known
 	}
 	entries := make([]comm.TaskEntry, 0, len(grants))
 	var encErr, err error
 	bytes := 0
 	for _, g := range grants {
-		payload, e := jb.Engine.TaskPayload(g.Vertex, known, jb.Keyed)
+		payload, e := jb.Engine.TaskPayload(g.Vertex, known)
 		if e != nil {
 			encErr = jb.fail(fmt.Errorf("encoding data region of vertex %d: %w", g.Vertex, e))
 			break
@@ -661,12 +611,12 @@ func (d *Driver[T]) applyResult(m *member, id int, jb *Job[T], v, attempt int32,
 	if !accepted {
 		return
 	}
-	if jb.Delta && m != nil && m.known != nil {
+	if jb.Engine.Delta() && m != nil {
 		// The member holds the block it computed — while the job is
 		// attached: after the detach's reset the worker has dropped it.
 		m.attachMu.Lock()
 		if m.attached == nil || m.attached[jb.ID] {
-			m.known.Note(v, jb.Engine.ResultKey(v))
+			m.known.Note(jb.Engine.ResultKey(v))
 		}
 		m.attachMu.Unlock()
 	}

@@ -108,7 +108,7 @@ func TestDriverDispatchRetireOrdering(t *testing.T) {
 	defer worker.Close()
 	sc := <-srvCh
 	defer sc.Close()
-	m := &member{id: 1, link: sc, idle: make(chan struct{}, 1), stop: make(chan struct{}), attached: make(map[int32]bool)}
+	m := &member{id: 1, link: sc, idle: make(chan struct{}, 1), stop: make(chan struct{}), known: d.cfg.Cache.NewPeerSet(), attached: make(map[int32]bool)}
 	d.mu.Lock()
 	d.members[1] = m
 	d.mu.Unlock()

@@ -55,8 +55,9 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 		MaxAttempts: cfg.MaxAttempts,
 		Cache:       cfg.Cache,
 		CacheKey:    cfg.CacheKey,
+		Delta:       cfg.DeltaShipping,
 		Reclaim:     cfg.ReclaimBlocks,
-		Store:       countingStore[T]{store, ctrs},
+		Store:       store,
 		Trace:       cfg.Trace,
 		OnProgress:  cfg.Progress,
 	})
@@ -72,28 +73,26 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 		}
 	}
 
-	// knowns[w] is member w's known-set (nil without delta shipping).
-	knowns := make([]*known, cfg.Slaves)
 	var order sched.Order // nil: the dynamic pool's LIFO stack
 	switch cfg.Policy {
 	case PolicyBlockCyclic:
 		order = sched.NewBlockCyclic(eng.Graph(), cfg.Slaves, cfg.BCWBlockCols)
 	case PolicyAffinity:
+		// Scored in the draw, under the driver's lock that guards its
+		// members; v is ready, so its dependencies' keys are recorded.
 		order = sched.NewAffinity(func(w int, v int32) int {
-			return knowns[w].count(eng.Graph().Vertex(v).DataPre)
+			n := 0
+			for _, dep := range eng.Graph().Vertex(v).DataPre {
+				if d.members[w].known.Has(eng.ResultKey(dep)) {
+					n++
+				}
+			}
+			return n
 		})
 	}
-	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order}), Delta: cfg.DeltaShipping}
+	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order})}
 	for s := 1; s <= cfg.Slaves; s++ {
-		m := &member{id: s - 1, link: rankLink{tr, s}}
-		if cfg.DeltaShipping {
-			m.known = &known{held: make([]bool, geom.Grid.Cells())}
-			if eng.Cached() {
-				m.known.peers = cfg.Cache.NewPeerSet()
-			}
-		}
-		knowns[s-1] = m.known
-		d.add(m)
+		d.add(&member{id: s - 1, link: rankLink{tr, s}, known: cfg.Cache.NewPeerSet()})
 	}
 	recvDone := make(chan struct{})
 	go func() {

@@ -36,10 +36,10 @@ func regionBytes[T any](p core.Problem[T], proc dag.Size) int64 {
 
 // checkRegionModes runs one problem of the wavefront family through core's
 // three shipping modes — every task its full data region, DeltaShipping's
-// known-sets by vertex, and cache + DeltaShipping's by content key — and
-// wants the sequential matrix from each, the plain run's payload volume to
-// be that of the declared regions, and a skipped dependency only where a
-// slave holds the whole block.
+// known-sets by content key, and the same with a cache counting their
+// lookups — and wants the sequential matrix from each, the plain run's
+// payload volume to be that of the declared regions, and a skipped
+// dependency only where a slave holds the whole block.
 func checkRegionModes[T any](t *testing.T, label string, p core.Problem[T], want [][]T, cfg core.Config) {
 	t.Helper()
 	store, err := cas.NewStore(cas.Options{})

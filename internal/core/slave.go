@@ -35,11 +35,21 @@ type Worker[T any] struct {
 // to judge: a failed Recv wrapped in errLostMaster, a failed send in
 // comm.ErrSend, a Before, runner or protocol error as it is.
 func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
-	// seen is the keyed wire format's block cache, shared by the attached
-	// jobs' runners and dropped with the last of them, as the master resets
+	// seen is the keyed wire format's block cache, shared by the runners
+	// of the jobs admitted and attached, and dropped with the last of them
+	// (a fixed rank's job never detaches), as the master resets
 	// its known-set: both sides see that frame at the same point of the one
 	// ordered link.
 	var seen map[[32]byte]*matrix.Block[T]
+	share := func(r *TaskRunner[T]) {
+		if seen == nil {
+			seen = make(map[[32]byte]*matrix.Block[T])
+		}
+		r.SetBlockCache(seen)
+	}
+	for _, r := range jobs {
+		share(r)
+	}
 	if err := w.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
 		return fmt.Errorf("%w: %w", comm.ErrSend, err)
 	}
@@ -72,10 +82,7 @@ func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
 				}
 			} else if r == nil { // not a re-attach of a job held
 				if r, err = w.Attach(msg); err == nil {
-					if seen == nil {
-						seen = make(map[[32]byte]*matrix.Block[T])
-					}
-					r.SetBlockCache(seen)
+					share(r)
 					jobs[msg.Job] = r
 				}
 			}
@@ -111,7 +118,7 @@ func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultS
 			time.Sleep(faults.stallTask(vertex))
 			return nil
 		},
-	}.Serve(map[int32]*TaskRunner[T]{0: newTaskRunner(p, cfg, faults, ctrs, cfg.DeltaShipping)})
+	}.Serve(map[int32]*TaskRunner[T]{0: newTaskRunner(p, cfg, faults, ctrs)})
 	if err == nil || errors.Is(err, errLostMaster) || errors.Is(err, comm.ErrSend) || errors.Is(err, errCrashed) {
 		return nil
 	}

@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dag"
 	"repro/internal/engine"
-	"repro/internal/matrix"
 )
 
 // Stats aggregates what happened during a run: the job engine's ledger
@@ -23,12 +21,6 @@ type Stats struct {
 	SubRequeues int64
 	// WorkerRestarts counts compute-goroutine panic recoveries.
 	WorkerRestarts int64
-	// BlocksReclaimed counts blocks released by memory reclamation
-	// (Config.ReclaimBlocks).
-	BlocksReclaimed int64
-	// PeakBlocks is the maximum number of blocks the master held at
-	// once.
-	PeakBlocks int64
 	// Spills and SpillLoads count blocks written to and reloaded from
 	// the out-of-core spill store (Config.SpillDir).
 	Spills, SpillLoads int64
@@ -44,11 +36,10 @@ func (s Stats) String() string {
 }
 
 // counters accumulates what the job engine's ledger does not: the slaves'
-// thread-level counts and the master block store's. job is that ledger
-// (nil in a slave-only process), set by runMaster before anything moves.
+// thread-level counts and the spill store's. job is that ledger (nil in a
+// slave-only process), set by runMaster before anything moves.
 type counters struct {
 	subTasks, subRequeues, workerRestarts atomic.Int64
-	blocksReclaimed, peakBlocks           atomic.Int64
 	spills, spillLoads                    atomic.Int64
 	job                                   *engine.Counters
 }
@@ -56,39 +47,16 @@ type counters struct {
 // snapshot fills Stats from both ledgers.
 func (c *counters) snapshot() Stats {
 	s := Stats{
-		SubTasks:        c.subTasks.Load(),
-		SubRequeues:     c.subRequeues.Load(),
-		WorkerRestarts:  c.workerRestarts.Load(),
-		BlocksReclaimed: c.blocksReclaimed.Load(),
-		PeakBlocks:      c.peakBlocks.Load(),
-		Spills:          c.spills.Load(),
-		SpillLoads:      c.spillLoads.Load(),
+		SubTasks:       c.subTasks.Load(),
+		SubRequeues:    c.subRequeues.Load(),
+		WorkerRestarts: c.workerRestarts.Load(),
+		Spills:         c.spills.Load(),
+		SpillLoads:     c.spillLoads.Load(),
 	}
 	if c.job != nil {
 		s.Stats = c.job.Stats()
 	}
 	return s
-}
-
-// countingStore is the master's block store as the engine sees it: every
-// Put raises the peak-storage statistic and every Drop — the engine drops
-// a block only to reclaim it (Config.ReclaimBlocks) — counts one.
-type countingStore[T any] struct {
-	matrix.BlockStore[T]
-	ctrs *counters
-}
-
-func (s countingStore[T]) Put(p dag.Pos, b *matrix.Block[T]) {
-	s.BlockStore.Put(p, b)
-	// One writer: the engine commits from the master's receive side only.
-	if n := int64(s.Len()); n > s.ctrs.peakBlocks.Load() {
-		s.ctrs.peakBlocks.Store(n)
-	}
-}
-
-func (s countingStore[T]) Drop(p dag.Pos) {
-	s.BlockStore.Drop(p)
-	s.ctrs.blocksReclaimed.Add(1)
 }
 
 // faultState tracks which injected faults have fired, so that "first

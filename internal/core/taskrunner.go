@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cas"
 	"repro/internal/dag"
@@ -27,12 +26,6 @@ type TaskRunner[T any] struct {
 	// resolve against it. Shared across a process's runners and only touched
 	// from the goroutine that calls Run, so it needs no lock.
 	seen map[[32]byte]*matrix.Block[T]
-	// delta (a fixed rank under Config.DeltaShipping, whose master leaves
-	// out what the slave holds) keeps every whole block received or
-	// computed in held; a shipped region serves its own task only, or a
-	// view's scan of its inputs would grow by three entries a vertex.
-	delta bool
-	held  []*matrix.Block[T]
 }
 
 // NewTaskRunner validates the problem and configuration (defaults
@@ -46,14 +39,13 @@ func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTaskRunner(p, cfg, nil, &counters{}, false), nil
+	return newTaskRunner(p, cfg, nil, &counters{}), nil
 }
 
 // newTaskRunner is the runner of a prepared configuration: it injects
-// faults (nil: none), counts into ctrs and keeps a plain-delta list if
-// delta is set.
-func newTaskRunner[T any](p Problem[T], cfg Config, faults *faultState, ctrs *counters, delta bool) *TaskRunner[T] {
-	return &TaskRunner[T]{p: p, cfg: cfg, geom: dag.MatrixGeometry(p.Size, cfg.ProcPartition), faults: faults, ctrs: ctrs, delta: delta}
+// faults (nil: none) and counts into ctrs.
+func newTaskRunner[T any](p Problem[T], cfg Config, faults *faultState, ctrs *counters) *TaskRunner[T] {
+	return &TaskRunner[T]{p: p, cfg: cfg, geom: dag.MatrixGeometry(p.Size, cfg.ProcPartition), faults: faults, ctrs: ctrs}
 }
 
 // NumTasks returns how many processor-level sub-tasks the partitioned
@@ -96,17 +88,8 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding data region of vertex %d: %w", vertex, err)
 	}
-	if r.delta {
-		r.held = append(r.held, inputs...)
-		inputs = r.held
-	}
 	rect := r.geom.Rect(r.geom.PosOf(vertex))
 	out := computeBlock(r.p, r.cfg, rect, inputs, r.faults, vertex, r.ctrs)
-	if r.delta {
-		r.held = append(slices.DeleteFunc(r.held, func(b *matrix.Block[T]) bool {
-			return !r.geom.IsBlock(b.Rect) // a region
-		}), out)
-	}
 	encoded, err := matrix.EncodeBlocks(r.p.Codec, []*matrix.Block[T]{out})
 	if err == nil && keyed && r.seen != nil {
 		// A keyed task means the master tracks this worker's holdings by

@@ -17,6 +17,7 @@ type Counters struct {
 	Speculated, SpecWon, SpecWasted, Steals      atomic.Int64
 	CacheHits, CacheMisses                       atomic.Int64
 	BlocksShipped, BlocksSkipped                 atomic.Int64
+	PeakBlocks, BlocksReclaimed                  atomic.Int64
 }
 
 // Stats materializes the ledger into a plain Stats value. Membership and
@@ -39,6 +40,8 @@ func (c *Counters) Stats() Stats {
 		CacheMisses:     c.CacheMisses.Load(),
 		BlocksShipped:   c.BlocksShipped.Load(),
 		BlocksSkipped:   c.BlocksSkipped.Load(),
+		PeakBlocks:      c.PeakBlocks.Load(),
+		BlocksReclaimed: c.BlocksReclaimed.Load(),
 	}
 }
 
@@ -78,8 +81,12 @@ type Stats struct {
 	// BlocksShipped counts data-region records sent to workers in full — a
 	// block, or the region of it the pattern declares the task reads
 	// (dag.DataRegion) — and BlocksSkipped dependencies the worker already
-	// held whole: left out of a plain payload, a reference in a keyed one.
+	// held whole, sent as references.
 	BlocksShipped, BlocksSkipped int64
+	// PeakBlocks is the most blocks the job's store held at once;
+	// BlocksReclaimed counts the blocks it dropped at their last reader
+	// (Config.Reclaim).
+	PeakBlocks, BlocksReclaimed int64
 	// Leaked is the number of register-table plus lease entries still
 	// live when the run finished; always zero for a clean run (asserted
 	// by the fault soak).
@@ -112,6 +119,8 @@ func (s *Stats) Add(o Stats) {
 	s.CacheMisses += o.CacheMisses
 	s.BlocksShipped += o.BlocksShipped
 	s.BlocksSkipped += o.BlocksSkipped
+	s.PeakBlocks += o.PeakBlocks // the jobs' peaks need not coincide: a bound
+	s.BlocksReclaimed += o.BlocksReclaimed
 	s.Leaked += o.Leaked
 	if o.Elapsed > s.Elapsed {
 		s.Elapsed = o.Elapsed

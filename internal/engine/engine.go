@@ -67,6 +67,10 @@ type Config[T any] struct {
 	// committed block is written through.
 	Cache    *cas.Store
 	CacheKey string
+	// Delta ships the job's tasks against its members' known-sets
+	// (TaskPayload with a Known): every committed block's content key is
+	// recorded, as under a cache, for the references it becomes.
+	Delta bool
 	// Reclaim drops a block from the store once every vertex that reads it
 	// has committed.
 	Reclaim bool
@@ -132,8 +136,8 @@ type Job[T any] struct {
 	specPending map[int32]bool
 	backupOf    map[int32]int32
 
-	// resultKey[v] is the content key of v's committed payload (nil
-	// without a cache); uses[v] counts the uncommitted vertices that read
+	// resultKey[v] is the content key of v's committed payload (nil unless
+	// Cached or Delta); uses[v] counts the uncommitted vertices that read
 	// block v (nil without Reclaim). Receive side only.
 	resultKey []cas.Key
 	uses      []int32
@@ -163,7 +167,7 @@ func New[T any](pattern dag.Pattern, codec matrix.Codec[T], size, proc dag.Size,
 	if j.store == nil {
 		j.store = matrix.NewStore[T](geom)
 	}
-	if cfg.Cache != nil && cfg.CacheKey != "" {
+	if j.Cached() || cfg.Delta {
 		j.resultKey = make([]cas.Key, len(graph.Verts))
 	}
 	if cfg.Reclaim {
@@ -367,13 +371,18 @@ func (j *Job[T]) decode(v int32, payload []byte) (*matrix.Block[T], error) {
 }
 
 // commit is the single write path for a block decode accepted: store
-// insert, content-key recording, cache write-through and checkpoint
-// append happen here and nowhere else, so the recovery log and the cache
-// cannot diverge.
+// insert and its peak, content-key recording, cache write-through and
+// checkpoint append happen here and nowhere else, so the recovery log and
+// the cache cannot diverge.
 func (j *Job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
 	j.store.Put(j.graph.Geom.PosOf(v), b)
+	if n := int64(j.store.Len()); n > j.ctrs.PeakBlocks.Load() {
+		j.ctrs.PeakBlocks.Store(n) // one writer: the receive side
+	}
 	if j.resultKey != nil {
 		j.resultKey[v] = cas.PayloadKey(payload)
+	}
+	if j.Cached() {
 		j.cfg.Cache.PutBlock(j.blockKey(v), payload)
 	}
 	if j.ckpt != nil {
@@ -391,6 +400,7 @@ func (j *Job[T]) complete(v int32) []int32 {
 			j.uses[d]--
 			if j.uses[d] == 0 {
 				j.store.Drop(j.graph.Geom.PosOf(d))
+				j.ctrs.BlocksReclaimed.Add(1)
 			}
 		}
 	}
@@ -417,7 +427,7 @@ func (j *Job[T]) blockKey(v int32) cas.Key {
 // decode to the vertex's own block is a miss and is recomputed: a cache
 // may be stale or damaged, never authoritative.
 func (j *Job[T]) absorb(ids []int32) ([]int32, error) {
-	if j.resultKey == nil {
+	if !j.Cached() {
 		return ids, nil
 	}
 	var miss []int32
@@ -609,10 +619,13 @@ func (j *Job[T]) Load(member int) int { return j.leases.Load(member) }
 func (j *Job[T]) LiveAttempts(v int32) int { return j.reg.LiveAttempts(v) }
 
 // Cached reports whether the job reads and writes the cross-job cache.
-func (j *Job[T]) Cached() bool { return j.resultKey != nil }
+func (j *Job[T]) Cached() bool { return j.cfg.Cache != nil && j.cfg.CacheKey != "" }
+
+// Delta reports whether the job ships against known-sets (Config.Delta).
+func (j *Job[T]) Delta() bool { return j.cfg.Delta }
 
 // ResultKey is the content key of committed vertex v's payload: the zero
-// key unless the job is Cached.
+// key unless the job is Cached or Delta.
 func (j *Job[T]) ResultKey(v int32) cas.Key {
 	if j.resultKey == nil {
 		return cas.Key{}
@@ -620,48 +633,57 @@ func (j *Job[T]) ResultKey(v int32) cas.Key {
 	return j.resultKey[v]
 }
 
-// Known is one member's known-set as its driver keeps it: the committed
-// blocks the member holds whole, because it computed them or was shipped
-// them whole. A shipped region never enters it — the east, south and
-// south-east neighbours of a block read three different regions of it — so
-// a region is shipped again unless the member holds the block.
+// Known is one member's known-set as its driver keeps it (a *cas.PeerSet):
+// the content keys of the committed blocks the member holds whole, because
+// it computed them or was shipped them whole. A shipped region never enters
+// it — the east, south and south-east neighbours of a block read three
+// different regions of it — so a region is shipped again unless the member
+// holds the block.
 type Known interface {
-	// Holds reports whether the member holds block d, whose ResultKey is key.
-	Holds(d int32, key cas.Key) bool
-	// Note records that the member holds d from now on.
-	Note(d int32, key cas.Key)
+	// Holds reports whether the member holds the block whose ResultKey is key.
+	Holds(key cas.Key) bool
+	// Note records that the member holds that block from now on.
+	Note(key cas.Key)
 }
 
 // TaskPayload encodes what the task of leased vertex v carries to a member:
 // of each data dependency, the region the pattern declares v reads of it
 // (dag.DataRegion: the committed block itself unless the pattern says less;
-// nothing of one declared empty). known, when non-nil, is the member's
-// known-set: a dependency it holds whole is left out of a plain payload —
-// core's slave keeps its blocks by rect — and in the keyed format, which a
-// fleet worker resolves by content key, becomes a reference to the whole
-// block. A shipped block travels under its ResultKey there and a region under
-// the cas.RegionKey derived from it: no cell is hashed at dispatch.
+// nothing of one declared empty). Without a known-set the payload is plain.
+// With the member's known-set, which only a Delta or Cached job records
+// the content keys for, it is keyed: a dependency the member holds
+// whole becomes a reference to the block, which the worker resolves by
+// content key; a shipped block travels under its ResultKey and a region
+// under the cas.RegionKey derived from it, so no cell is hashed at dispatch.
 // BlocksShipped and BlocksSkipped count the verdicts.
-func (j *Job[T]) TaskPayload(v int32, known Known, keyed bool) ([]byte, error) {
+func (j *Job[T]) TaskPayload(v int32, known Known) ([]byte, error) {
 	geom, vert := j.graph.Geom, j.graph.Vertex(v)
 	positions := make([]dag.Pos, len(vert.DataPre))
 	for k, d := range vert.DataPre {
 		positions[k] = geom.PosOf(d)
 	}
 	blocks := j.store.Gather(positions)
-	plain := blocks[:0] // what a plain payload carries, in place: never ahead of the loop
-	var full []matrix.KeyedBlock[T]
-	if keyed {
-		full = make([]matrix.KeyedBlock[T], 0, len(blocks))
+	if known == nil {
+		plain := blocks[:0] // in place: never ahead of the loop
+		for k, b := range blocks {
+			switch r := dag.DataRegion(j.graph.Pattern, geom, vert.Pos, positions[k]); {
+			case r.Empty():
+				continue
+			case r != b.Rect:
+				b = b.Region(r)
+			}
+			j.ctrs.BlocksShipped.Add(1)
+			plain = append(plain, b)
+		}
+		return matrix.EncodeBlocks(j.codec, plain)
 	}
+	full := make([]matrix.KeyedBlock[T], 0, len(blocks))
 	var refs []matrix.BlockRef
 	for k, b := range blocks {
-		d, key := vert.DataPre[k], j.ResultKey(vert.DataPre[k])
-		if known != nil && known.Holds(d, key) {
+		key := j.resultKey[vert.DataPre[k]]
+		if known.Holds(key) {
 			j.ctrs.BlocksSkipped.Add(1)
-			if keyed {
-				refs = append(refs, matrix.BlockRef{Key: key, Rect: b.Rect})
-			}
+			refs = append(refs, matrix.BlockRef{Key: key, Rect: b.Rect})
 			continue
 		}
 		switch r := dag.DataRegion(j.graph.Pattern, geom, vert.Pos, positions[k]); {
@@ -669,21 +691,12 @@ func (j *Job[T]) TaskPayload(v int32, known Known, keyed bool) ([]byte, error) {
 			continue
 		case r != b.Rect:
 			b = b.Region(r)
-			if keyed {
-				key = cas.RegionKey(key, r.Row0, r.Col0, r.Rows, r.Cols)
-			}
-		case known != nil:
-			known.Note(d, key)
+			key = cas.RegionKey(key, r.Row0, r.Col0, r.Rows, r.Cols)
+		default:
+			known.Note(key)
 		}
 		j.ctrs.BlocksShipped.Add(1)
-		if keyed {
-			full = append(full, matrix.KeyedBlock[T]{Key: key, Block: b})
-		} else {
-			plain = append(plain, b)
-		}
+		full = append(full, matrix.KeyedBlock[T]{Key: key, Block: b})
 	}
-	if keyed {
-		return matrix.EncodeBlocksKeyed(j.codec, full, refs)
-	}
-	return matrix.EncodeBlocks(j.codec, plain)
+	return matrix.EncodeBlocksKeyed(j.codec, full, refs)
 }

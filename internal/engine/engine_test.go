@@ -106,7 +106,7 @@ func (r *rig) lease(member int, v int32, want engine.Outcome) int32 {
 // compute is the worker: v's block from the data region the store holds.
 func (r *rig) compute(v int32) []byte {
 	r.t.Helper()
-	payload, err := r.eng.TaskPayload(v, nil, false)
+	payload, err := r.eng.TaskPayload(v, nil)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -596,27 +596,16 @@ func TestReplayResumes(t *testing.T) {
 	}
 }
 
-// heldSet is a driver's known-set for one member: what it was told the
-// member holds, and every Note the engine made.
-type heldSet map[int32]bool
-
-func (h heldSet) Holds(d int32, _ cas.Key) bool { return h[d] }
-func (h heldSet) Note(d int32, _ cas.Key)       { h[d] = true }
-
 // TaskPayload ships, of each dependency, what the pattern declares the
 // vertex reads: for the wavefront a row, a column and a corner, cut from the
 // committed blocks. A region never enters a known-set, so the vertex gets it
 // again when it is dispatched again — to another member after a timeout, or
-// to the same one — while a dependency the member holds whole is left out
-// of a plain payload and is a whole-block reference in a keyed one, the
-// regions beside it under keys derived from their blocks' without a hash of
-// a cell. A pattern that declares nothing ships whole blocks, noted once.
+// to the same one — while a dependency the member holds whole is a
+// whole-block reference, the regions beside it under keys derived from
+// their blocks' without a hash of a cell. Without a known-set the payload
+// is plain. A pattern that declares nothing ships whole blocks, noted once.
 func TestTaskPayloadShipsDeclaredRegions(t *testing.T) {
-	store, err := cas.NewStore(cas.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRig(t, "edit", engine.Config[int32]{Cache: store, CacheKey: "regions"})
+	r := newRig(t, "edit", engine.Config[int32]{Delta: true})
 	r.start()
 	r.finish()
 	const v, north, west, corner = 5, 1, 4, 0 // block (1,1) of the 4x4 grid and what it reads
@@ -643,47 +632,40 @@ func TestTaskPayloadShipsDeclaredRegions(t *testing.T) {
 			}
 		}
 	}
-	plain := func(label string, known engine.Known, want []dag.Rect) {
+	whole := r.eng.Store().Get(dag.Pos{Row: 0, Col: 1})
+	// ship decodes v's payload as a worker would, resolving a reference to
+	// the north block, and returns the keys it resolved and recorded.
+	ship := func(label string, known engine.Known, want []dag.Rect) (resolved, recorded [][32]byte) {
 		t.Helper()
-		payload, err := r.eng.TaskPayload(v, known, false)
+		payload, err := r.eng.TaskPayload(v, known)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks, err := matrix.DecodeBlocks(r.prob.Codec, payload)
-		if err != nil {
-			t.Fatal(err)
+		blocks, keyed, err := matrix.DecodeBlocksAny(r.prob.Codec, payload,
+			func(k [32]byte) (*matrix.Block[int32], bool) { resolved = append(resolved, k); return whole, true },
+			func(k [32]byte, _ *matrix.Block[int32]) { recorded = append(recorded, k) })
+		if err != nil || keyed != (known != nil) {
+			t.Fatalf("%s: keyed = %v, err = %v", label, keyed, err)
 		}
 		check(label, blocks, want)
+		return resolved, recorded
 	}
+	var noStore *cas.Store
+	a, b := noStore.NewPeerSet(), noStore.NewPeerSet()
 	before := r.eng.Counters().Stats()
-	plain("no known-set", nil, regions)
-	a, b := heldSet{}, heldSet{}
-	plain("first dispatch", a, regions)
-	plain("redispatch to another member", b, regions)
-	plain("redispatch to the same member", a, regions)
-	if len(a)+len(b) != 0 {
-		t.Fatalf("shipped regions entered the known-sets: %v %v", a, b)
+	ship("no known-set", nil, regions)
+	ship("first dispatch", a, regions)
+	ship("redispatch to another member", b, regions)
+	ship("redispatch to the same member", a, regions)
+	if a.Len()+b.Len() != 0 {
+		t.Fatalf("shipped regions entered the known-sets: %d and %d keys", a.Len(), b.Len())
 	}
-	a[north] = true // the member computed the north block
-	plain("north held whole", a, regions[1:])
+	a.Note(r.eng.ResultKey(north)) // the member computed the north block
+	resolved, recorded := ship("north held whole", a, []dag.Rect{regions[1], regions[2], whole.Rect})
 	after := r.eng.Counters().Stats()
 	if shipped, skipped := after.BlocksShipped-before.BlocksShipped, after.BlocksSkipped-before.BlocksSkipped; shipped != 14 || skipped != 1 {
 		t.Fatalf("BlocksShipped +%d, BlocksSkipped +%d; want +14 and +1", shipped, skipped)
 	}
-
-	payload, err := r.eng.TaskPayload(v, a, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := r.eng.Store().Get(dag.Pos{Row: 0, Col: 1})
-	var recorded, resolved [][32]byte
-	blocks, keyed, err := matrix.DecodeBlocksAny(r.prob.Codec, payload,
-		func(k [32]byte) (*matrix.Block[int32], bool) { resolved = append(resolved, k); return whole, true },
-		func(k [32]byte, _ *matrix.Block[int32]) { recorded = append(recorded, k) })
-	if err != nil || !keyed {
-		t.Fatalf("keyed payload: keyed = %v, err = %v", keyed, err)
-	}
-	check("keyed", blocks, []dag.Rect{regions[1], regions[2], whole.Rect})
 	if len(resolved) != 1 || resolved[0] != r.eng.ResultKey(north) {
 		t.Fatalf("the held block is referenced as %x, want its ResultKey", resolved)
 	}
@@ -694,20 +676,27 @@ func TestTaskPayloadShipsDeclaredRegions(t *testing.T) {
 		}
 	}
 
-	s := newRig(t, "swgg", engine.Config[int32]{})
+	s := newRig(t, "swgg", engine.Config[int32]{Delta: true})
 	s.start()
 	s.finish()
 	deps := s.eng.Graph().Vertex(v).DataPre
-	held := heldSet{}
+	byKey := make(map[[32]byte]*matrix.Block[int32])
+	for _, d := range deps {
+		byKey[s.eng.ResultKey(d)] = s.eng.Store().Get(s.eng.Graph().Geom.PosOf(d))
+	}
+	held := noStore.NewPeerSet()
 	for pass, want := range []int{len(deps), 0} {
-		payload, err := s.eng.TaskPayload(v, held, false)
+		payload, err := s.eng.TaskPayload(v, held)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks, err := matrix.DecodeBlocks(s.prob.Codec, payload)
-		if err != nil || len(blocks) != want || len(held) != len(deps) {
-			t.Fatalf("whole-block pattern, pass %d: %d blocks shipped (want %d), %d of %d dependencies noted, err %v",
-				pass, len(blocks), want, len(held), len(deps), err)
+		full := 0
+		blocks, _, err := matrix.DecodeBlocksAny(s.prob.Codec, payload,
+			func(k [32]byte) (*matrix.Block[int32], bool) { b, ok := byKey[k]; return b, ok },
+			func([32]byte, *matrix.Block[int32]) { full++ })
+		if err != nil || full != want || len(blocks) != len(deps) || held.Len() != len(deps) {
+			t.Fatalf("whole-block pattern, pass %d: %d blocks shipped (want %d) of %d, %d of %d dependencies noted, err %v",
+				pass, full, want, len(blocks), held.Len(), len(deps), err)
 		}
 	}
 }

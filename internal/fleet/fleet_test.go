@@ -162,10 +162,15 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 		if results[i].err != nil {
 			t.Fatalf("job %s failed: %v", name, results[i].err)
 		}
-		_, want := mustProblem(t, name)
+		prob, want := mustProblem(t, name)
 		checkMatrix(t, name, results[i].res.Store.Assemble(), want)
 		if leaked := results[i].res.Stats.Leaked; leaked != 0 {
 			t.Fatalf("job %s leaked %d attempts/leases", name, leaked)
+		}
+		// Nothing reclaimed: the store's peak is every vertex's block.
+		n := dag.Build(prob.Kernel.Pattern(), dag.MatrixGeometry(prob.Size, dag.DefaultPartition(prob.Size))).N
+		if st := results[i].res.Stats; st.PeakBlocks != int64(n) || st.BlocksReclaimed != 0 {
+			t.Fatalf("job %s: PeakBlocks = %d, BlocksReclaimed = %d; want %d and 0", name, st.PeakBlocks, st.BlocksReclaimed, n)
 		}
 		if len(f.TraceEvents(name)) == 0 {
 			t.Fatalf("job %s recorded no trace events", name)

@@ -14,7 +14,7 @@ import (
 // region gathered from the job's store, through a TaskRunner.
 func computeVertex(t *testing.T, jb *core.Job[int32], runner *core.TaskRunner[int32], v int32) []byte {
 	t.Helper()
-	payload, err := jb.Engine.TaskPayload(v, nil, false)
+	payload, err := jb.Engine.TaskPayload(v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

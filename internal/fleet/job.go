@@ -153,12 +153,12 @@ func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*core.Jo
 		MaxAttempts: jb.Params.MaxAttempts,
 		Cache:       f.opts.Cache,
 		CacheKey:    req.CacheKey,
-		Trace:       jb.Trace,
-		OnProgress:  req.OnProgress,
+		// A cached job ships against its members' known-sets: a block a
+		// member holds becomes a reference.
+		Delta:      f.opts.Cache != nil && req.CacheKey != "",
+		Trace:      jb.Trace,
+		OnProgress: req.OnProgress,
 	})
-	// A cached job ships in the keyed wire format: a block its member holds
-	// becomes a reference.
-	jb.Delta, jb.Keyed = jb.Engine.Cached(), jb.Engine.Cached()
 	meta := JobMeta{Job: id, Name: req.Name, Spec: req.Spec, Rows: p.Size.Rows, Cols: p.Size.Cols, Proc: proc, Thread: req.Thread}
 	meta.Digest = meta.digest()
 	enc, err := json.Marshal(meta)

@@ -198,9 +198,7 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 // attach builds the runner of the job an attach frame names, refusing a
 // frame whose digest does not match its meta and a builder whose problem
 // is not the size the master dispatches against. Partition sizes come
-// from the frame, the rest of the compute configuration from run. A fleet
-// worker keeps no plain-delta list, whatever run.DeltaShipping says: its
-// master never leaves a block out of a plain payload.
+// from the frame, the rest of the compute configuration from run.
 func attach[T any](build Builder[T], run core.Config, msg comm.Message) (*core.TaskRunner[T], error) {
 	var meta JobMeta
 	if err := json.Unmarshal(msg.Payload, &meta); err != nil {

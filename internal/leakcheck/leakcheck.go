@@ -5,6 +5,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -18,11 +19,12 @@ const grace = 5 * time.Second
 
 // Main runs the suite, then waits up to grace for the goroutine count to
 // fall back to what it was before. If it does not, the suite fails with
-// the stack of every goroutine still running.
+// the stack of every goroutine still running. A fuzzing run is not
+// checked: the fuzz engine's signal handler outlives the suite.
 func Main(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
-	if code == 0 && !settled(before) {
+	if code == 0 && !fuzzing() && !settled(before) {
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
 		fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines outlive the suite, %d ran before it:\n\n%s\n",
@@ -30,6 +32,12 @@ func Main(m *testing.M) {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// fuzzing reports whether -test.fuzz names a target.
+func fuzzing() bool {
+	f := flag.Lookup("test.fuzz")
+	return f != nil && f.Value.String() != ""
 }
 
 // settled reports whether the goroutine count falls to n within grace.

@@ -26,7 +26,8 @@ func RegistryBuilder(reg *Registry) fleet.Builder[int32] {
 		if err := json.Unmarshal(meta.Spec, &spec); err != nil {
 			return core.Problem[int32]{}, fmt.Errorf("server: decoding job %q spec: %w", meta.Name, err)
 		}
-		p, _, err := reg.Build(spec)
+		// Nothing larger than the matrix the master dispatches against.
+		p, _, err := reg.Build(spec, int64(meta.Rows)*int64(meta.Cols))
 		return p, err
 	}
 }

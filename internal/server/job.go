@@ -338,12 +338,9 @@ func (m *Manager) RetryAfter() time.Duration { return m.cfg.RetryAfter }
 // to one already in flight is coalesced onto it (single-flight) and shares
 // its outcome without consuming queue space or a run slot.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	problem, finish, err := m.reg.Build(spec)
+	problem, finish, err := m.reg.Build(spec, m.cfg.MaxCells)
 	if err != nil {
 		return nil, err
-	}
-	if cells := int64(problem.Size.Rows) * int64(problem.Size.Cols); cells > m.cfg.MaxCells {
-		return nil, fmt.Errorf("server: job size %d cells exceeds limit %d", cells, m.cfg.MaxCells)
 	}
 
 	m.mu.Lock()

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -122,7 +123,11 @@ type finishFunc func(res *core.Result[int32]) JobResult
 type KernelEntry struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`
-	build       buildFunc
+	// dims is the DP matrix a spec asks for, read off its fields without
+	// generating an input: rows and columns, either of them 0 or less
+	// where build refuses the spec anyway.
+	dims  func(spec JobSpec) (rows, cols int64)
+	build buildFunc
 }
 
 // Registry maps kernel names to builders over the internal/dp
@@ -139,6 +144,7 @@ func NewRegistry() *Registry {
 	r.register(KernelEntry{
 		Name:        "editdist",
 		Description: "Levenshtein edit distance (wavefront)",
+		dims:        pairDims,
 		build: func(spec JobSpec) (core.Problem[int32], finishFunc, error) {
 			a, b, err := pairInputs(spec, dp.DNAAlphabet)
 			if err != nil {
@@ -153,6 +159,7 @@ func NewRegistry() *Registry {
 	r.register(KernelEntry{
 		Name:        "lcs",
 		Description: "longest common subsequence length (wavefront)",
+		dims:        pairDims,
 		build: func(spec JobSpec) (core.Problem[int32], finishFunc, error) {
 			a, b, err := pairInputs(spec, dp.DNAAlphabet)
 			if err != nil {
@@ -167,6 +174,7 @@ func NewRegistry() *Registry {
 	r.register(KernelEntry{
 		Name:        "needleman",
 		Description: "Needleman-Wunsch global alignment score (wavefront)",
+		dims:        pairDims,
 		build: func(spec JobSpec) (core.Problem[int32], finishFunc, error) {
 			a, b, err := pairInputs(spec, dp.DNAAlphabet)
 			if err != nil {
@@ -181,6 +189,7 @@ func NewRegistry() *Registry {
 	r.register(KernelEntry{
 		Name:        "swgg",
 		Description: "Smith-Waterman local alignment with general gaps (row/column)",
+		dims:        pairDims,
 		build: func(spec JobSpec) (core.Problem[int32], finishFunc, error) {
 			a, b, err := pairInputs(spec, dp.DNAAlphabet)
 			if err != nil {
@@ -196,6 +205,12 @@ func NewRegistry() *Registry {
 	r.register(KernelEntry{
 		Name:        "nussinov",
 		Description: "Nussinov RNA folding pair count (triangular)",
+		dims: func(spec JobSpec) (int64, int64) {
+			if spec.SeqA != "" {
+				return int64(len(spec.SeqA)), int64(len(spec.SeqA))
+			}
+			return int64(spec.N), int64(spec.N)
+		},
 		build: func(spec JobSpec) (core.Problem[int32], finishFunc, error) {
 			s := []byte(spec.SeqA)
 			if len(s) == 0 {
@@ -213,15 +228,15 @@ func NewRegistry() *Registry {
 	r.register(KernelEntry{
 		Name:        "knapsack",
 		Description: "0/1 knapsack best value (row-only)",
+		dims: func(spec JobSpec) (int64, int64) {
+			// items x (capacity+1)
+			return int64(spec.N), min(knapsackCapacity(spec), math.MaxInt64-1) + 1
+		},
 		build: func(spec JobSpec) (core.Problem[int32], finishFunc, error) {
 			if spec.N <= 0 {
 				return core.Problem[int32]{}, nil, fmt.Errorf("knapsack needs n > 0 items")
 			}
-			capacity := spec.Capacity
-			if capacity <= 0 {
-				capacity = 4 * spec.N
-			}
-			k := dp.NewKnapsack(spec.N, capacity, spec.Seed)
+			k := dp.NewKnapsack(spec.N, int(knapsackCapacity(spec)), spec.Seed)
 			return k.Problem(), scalarFinish(spec.Kernel, "best knapsack value", func(m [][]int32) int64 {
 				return int64(k.Best(m))
 			}), nil
@@ -249,15 +264,48 @@ func (r *Registry) Names() []KernelEntry {
 }
 
 // Build validates spec against the registry and returns the runnable
-// problem plus its finisher.
-func (r *Registry) Build(spec JobSpec) (core.Problem[int32], finishFunc, error) {
+// problem plus its finisher. A spec whose DP matrix would exceed maxCells
+// is refused before any of its inputs is generated.
+func (r *Registry) Build(spec JobSpec, maxCells int64) (core.Problem[int32], finishFunc, error) {
 	r.mu.RLock()
 	e, ok := r.kernels[spec.Kernel]
 	r.mu.RUnlock()
 	if !ok {
 		return core.Problem[int32]{}, nil, fmt.Errorf("unknown kernel %q", spec.Kernel)
 	}
+	if cells := matrixCells(e.dims(spec)); cells > maxCells {
+		return core.Problem[int32]{}, nil, fmt.Errorf("server: job size %d cells exceeds limit %d", cells, maxCells)
+	}
 	return e.build(spec)
+}
+
+// matrixCells is rows x cols, 0 if either is not positive and
+// math.MaxInt64 where the product overflows.
+func matrixCells(rows, cols int64) int64 {
+	switch {
+	case rows <= 0 || cols <= 0:
+		return 0
+	case rows > math.MaxInt64/cols:
+		return math.MaxInt64
+	}
+	return rows * cols
+}
+
+// pairDims is the matrix of a pairwise kernel: the two explicit sequences,
+// or two generated ones of length N.
+func pairDims(spec JobSpec) (int64, int64) {
+	if spec.SeqA != "" || spec.SeqB != "" {
+		return int64(len(spec.SeqA)), int64(len(spec.SeqB))
+	}
+	return int64(spec.N), int64(spec.N)
+}
+
+// knapsackCapacity is the spec's knapsack capacity: 4N unless it names one.
+func knapsackCapacity(spec JobSpec) int64 {
+	if spec.Capacity > 0 {
+		return int64(spec.Capacity)
+	}
+	return matrixCells(4, int64(spec.N))
 }
 
 // pairInputs resolves the two input sequences of a pairwise kernel:

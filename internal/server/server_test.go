@@ -3,8 +3,10 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -428,6 +430,41 @@ func TestSubmitBodyBounded(t *testing.T) {
 	}
 	if code := post(maxCells + 1); code != http.StatusBadRequest {
 		t.Fatalf("body inside the bound answered %d, want the 400 of an oversized matrix", code)
+	}
+}
+
+// TestSubmitSizedBeforeInputs: a spec is sized from its fields before any
+// input is generated and refused with the 400 of an oversized matrix. A
+// generated pair of a billion bases costs no allocation of either, and an
+// n whose square overflows is refused by every kernel that generates from
+// n, instead of panicking in make.
+func TestSubmitSizedBeforeInputs(t *testing.T) {
+	mgr := server.NewManager(server.ManagerConfig{Run: fastRun()}, nil)
+	defer func() { _ = mgr.Shutdown(context.Background()) }()
+	h := server.NewHandler(mgr)
+	post := func(body string) int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return rec.Code
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := post(`{"kernel":"editdist","n":1000000000}`)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest {
+		t.Fatalf("a billion-base pair answered %d, want 400", code)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing a billion-base pair allocated %d bytes", alloc)
+	}
+	for _, k := range mgr.Registry().Names() {
+		if code := post(fmt.Sprintf(`{"kernel":%q,"n":4611686018427387904}`, k.Name)); code != http.StatusBadRequest {
+			t.Errorf("%s with n = 2^62 answered %d, want 400", k.Name, code)
+		}
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Fatalf("oversized specs admitted %d jobs", n)
 	}
 }
 

@@ -102,7 +102,7 @@ func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) bool {
 	entries := make([]entry, 0, len(grants))
 	bytes := 0
 	for _, g := range grants {
-		payload, err := jb.eng.TaskPayload(g.Vertex, nil, false)
+		payload, err := jb.eng.TaskPayload(g.Vertex, nil)
 		if c.settle(jb, err) {
 			return true
 		}
