@@ -12,25 +12,28 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/comm"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/tune"
 )
 
 // Driver is the master part of the runtime (Figs. 9-10 of the paper) as
 // the I/O around one engine.Pool, for every deployment. The pool and its
-// jobs make every scheduling decision; the driver owns a sender goroutine
-// per member, the receive side, the control tick, the known-sets of delta
-// shipping and each job's finish latch.
+// jobs make every scheduling decision; the driver owns the I/O around them
+// as synchronous steps — Start, End, Feed, Deliver, Down, Tick — which a
+// socket source's goroutines call (StartSender, StartTick) and the
+// simulator's event loop calls directly.
 //
 // Members come from one of two sources. The fixed ranks of a
 // comm.Transport (RunContext, RunMasterContext) are added once at start,
 // hold the run's one job from admission and are never re-admitted; a rank
 // whose sender waits with nothing to draw is hungry. Elastic members
-// (internal/fleet) join, leave and die under a Registry, attach each job by
-// a job-spec frame before its first task, are swept for heartbeats at
-// every tick and announce hunger with beacons. Both hungers end in the
-// same Pool.Hunger.
+// (internal/fleet, and the simulator's) join, leave and die under a
+// Registry, attach each job by a job-spec frame before its first task, are
+// swept for heartbeats at every tick and announce hunger with beacons.
+// Both hungers end in the same Pool.Hunger.
 type Driver[T any] struct {
 	cfg   DriverConfig
 	clock sched.Clock
@@ -201,7 +204,35 @@ func (jb *Job[T]) Stats() engine.Stats {
 	return s
 }
 
-// NewDriver builds a driver and starts its control tick; members arrive
+// NewJob builds a job for elastic members — a fleet's or the simulator's:
+// an unset partition is the advisor's for the members live now under Auto,
+// the default otherwise; what jp leaves unset is the pool's; a job with a
+// cache key ships against its members' known-sets.
+func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, jp engine.JobParams, cacheKey string, onProgress func(completed, total int)) (*Job[T], error) {
+	if err := p.Check(); err != nil {
+		return nil, err
+	}
+	if d.cfg.Pool.Auto && !proc.Valid() {
+		cm, _ := p.Kernel.(tune.CostModel)
+		proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, d.reg.Live(), cm)
+	}
+	if !proc.Valid() {
+		proc = dag.DefaultPartition(p.Size)
+	}
+	jb := &Job[T]{ID: id, Params: d.pool.Params(jp), Trace: trace.NewWithNow(d.clock.Now)}
+	jb.Engine = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
+		TaskTimeout: jb.Params.TaskTimeout,
+		MaxAttempts: jb.Params.MaxAttempts,
+		Cache:       d.cfg.Cache,
+		CacheKey:    cacheKey,
+		Delta:       d.cfg.Cache != nil && cacheKey != "",
+		Trace:       jb.Trace,
+		OnProgress:  onProgress,
+	})
+	return jb, nil
+}
+
+// NewDriver builds a driver, which starts no goroutine; members arrive
 // through AddMember, jobs through Start.
 func NewDriver[T any](cfg DriverConfig) *Driver[T] {
 	if cfg.Clock == nil {
@@ -217,12 +248,28 @@ func NewDriver[T any](cfg DriverConfig) *Driver[T] {
 		done:    make(chan struct{}),
 	}
 	d.cond = sync.NewCond(&d.mu)
+	return d
+}
+
+// StartTick starts the control tick goroutine (Fig. 10).
+func (d *Driver[T]) StartTick() { d.spawn(d.tickLoop) }
+
+// StartSender starts the sender goroutine of member id, unless the driver
+// does not hold it or is closed.
+func (d *Driver[T]) StartSender(id int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if m := d.members[id]; m != nil && !closed(d.done) {
+		d.spawn(func() { d.senderLoop(m) })
+	}
+}
+
+func (d *Driver[T]) spawn(fn func()) {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		d.tickLoop()
+		fn()
 	}()
-	return d
 }
 
 func (d *Driver[T]) progress() {
@@ -264,6 +311,9 @@ func (d *Driver[T]) memberList() []*member {
 	}
 	return ms
 }
+
+// Tuner is the pool's self-tuning controller, nil unless Auto.
+func (d *Driver[T]) Tuner() *tune.Controller { return d.pool.Tuner() }
 
 // Closed reports whether Close has begun.
 func (d *Driver[T]) Closed() bool { return closed(d.done) }
@@ -392,8 +442,7 @@ func (d *Driver[T]) detach(jb *Job[T]) {
 }
 
 // AddMember admits the elastic member the registry knows as id, reached
-// over link, and starts its sender. Once the driver is closed it admits
-// nothing and reports false.
+// over link. Once the driver is closed it admits nothing and reports false.
 func (d *Driver[T]) AddMember(id int, link Link) bool {
 	return d.add(&member{id: id, link: link, known: d.cfg.Cache.NewPeerSet(), attached: make(map[int32]bool)})
 }
@@ -407,17 +456,12 @@ func (d *Driver[T]) add(m *member) bool {
 		return false
 	}
 	d.members[m.id] = m
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		d.senderLoop(m)
-	}()
 	return true
 }
 
 // senderLoop is one worker thread of the master worker pool: each idle
-// token of its member buys one batch, from the job the pool picks, leased
-// and shipped (§V.B steps d-e). It tells the member to end on Close.
+// token of its member is spent by feed (§V.B steps d-e), waiting while
+// there is nothing to draw. It tells the member to end on Close.
 func (d *Driver[T]) senderLoop(m *member) {
 	for {
 		select {
@@ -428,31 +472,49 @@ func (d *Driver[T]) senderLoop(m *member) {
 			_ = m.link.Send(comm.Message{Kind: comm.KindEnd})
 			return
 		}
-		for {
-			jb, ids, ok := d.nextBatch(m)
-			if !ok {
-				if !m.stopped() {
-					_ = m.link.Send(comm.Message{Kind: comm.KindEnd})
-				}
-				return
+		if !d.feed(m, true) {
+			if !m.stopped() {
+				_ = m.link.Send(comm.Message{Kind: comm.KindEnd})
 			}
-			if d.dispatch(m, jb, ids) {
-				break
-			}
-			// Every drawn vertex finished while queued (its result raced a
-			// timeout); draw again without consuming another idle token.
+			return
 		}
 	}
 }
 
-// nextBatch blocks until the pool hands member m a batch (at most the
-// batch cap in effect), the driver closes or m stops.
-func (d *Driver[T]) nextBatch(m *member) (*Job[T], []int32, bool) {
+// Feed spends one idle token of member id without blocking: a batch from
+// the job the pool picks, leased and shipped. It reports whether the token
+// was spent; false means there was nothing to draw for a member held.
+func (d *Driver[T]) Feed(id int) bool {
+	d.mu.Lock()
+	m := d.members[id]
+	d.mu.Unlock()
+	return m != nil && d.feed(m, false)
+}
+
+// feed draws and dispatches batches for m until one spends its idle token:
+// a draw whose vertices all finished while queued (a result raced a
+// timeout) is followed by another. With wait it blocks for work, and false
+// means the driver closed or m stopped.
+func (d *Driver[T]) feed(m *member, wait bool) bool {
+	for {
+		jb, ids, ok := d.nextBatch(m, wait)
+		if !ok || d.dispatch(m, jb, ids) {
+			return ok
+		}
+	}
+}
+
+// nextBatch draws member m a batch (at most the batch cap in effect), with
+// wait blocking until the pool hands one, the driver closes or m stops.
+func (d *Driver[T]) nextBatch(m *member, wait bool) (*Job[T], []int32, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for !closed(d.done) && !m.stopped() {
 		if id, ids, ok := d.pool.Draw(m.id); ok {
 			return d.jobs[id], ids, true
+		}
+		if !wait {
+			break
 		}
 		m.waiting = true
 		d.cond.Wait()
@@ -543,7 +605,7 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 }
 
 // Deliver is the receive side (§V.B steps f-h): one message from member
-// id, from the fixed ranks' receive loop or an elastic member's reader.
+// id, from a fixed rank, an elastic member's reader or a simulated worker.
 // Results of different jobs commit concurrently, of one job one at a time.
 func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 	if closed(d.done) {

@@ -51,7 +51,7 @@ func TestDriverStoppedMemberHandsDrawBack(t *testing.T) {
 	const roots = 4
 
 	m := &member{id: 1, stop: make(chan struct{})}
-	got, ids, ok := d.nextBatch(m)
+	got, ids, ok := d.nextBatch(m, true)
 	if !ok || got != jb || len(ids) != 3 {
 		t.Fatalf("draw = (%v, %v), want a quota-clamped batch of 3", ids, ok)
 	}
@@ -65,10 +65,10 @@ func TestDriverStoppedMemberHandsDrawBack(t *testing.T) {
 	}
 	// At quota a live member's sender waits; a stopped member's must not.
 	other := &member{id: 2, stop: make(chan struct{})}
-	if _, ids, ok := d.nextBatch(other); !ok || len(ids) != 3 {
+	if _, ids, ok := d.nextBatch(other, true); !ok || len(ids) != 3 {
 		t.Fatalf("second member's draw = (%v, %v), want the reopened room of 3", ids, ok)
 	}
-	if _, _, ok := d.nextBatch(m); ok {
+	if _, _, ok := d.nextBatch(m, true); ok {
 		t.Fatal("stopped member still drew a batch")
 	}
 }

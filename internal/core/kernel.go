@@ -10,6 +10,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/dag"
 	"repro/internal/matrix"
 	"repro/internal/tune"
@@ -107,6 +109,15 @@ type Problem[T any] struct {
 	Kernel Kernel[T]
 	// Codec serializes cells on the wire.
 	Codec matrix.Codec[T]
+}
+
+// Check reports what keeps p from running: a missing kernel or codec, or
+// an invalid size.
+func (p Problem[T]) Check() error {
+	if p.Kernel == nil || p.Codec == nil || !p.Size.Valid() {
+		return fmt.Errorf("core: problem %q needs a kernel, a codec and a valid size (got %v)", p.Name, p.Size)
+	}
+	return nil
 }
 
 // Result of a run: the completed blocked matrix plus runtime statistics.

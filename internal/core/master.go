@@ -49,6 +49,7 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 		CheckInterval: cfg.CheckInterval,
 		Trace:         cfg.Trace,
 	}})
+	d.StartTick()
 	defer d.Close()
 	eng := engine.New(p.Kernel.Pattern(), p.Codec, p.Size, cfg.ProcPartition, engine.Config[T]{
 		TaskTimeout: cfg.TaskTimeout,
@@ -93,6 +94,7 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order})}
 	for s := 1; s <= cfg.Slaves; s++ {
 		d.add(&member{id: s - 1, link: rankLink{tr, s}, known: cfg.Cache.NewPeerSet()})
+		d.StartSender(s - 1)
 	}
 	recvDone := make(chan struct{})
 	go func() {

@@ -30,26 +30,54 @@ type Worker[T any] struct {
 	Attach func(msg comm.Message) (*TaskRunner[T], error)
 }
 
+// Attached is what a worker — Worker.Serve's, or a simulated one — holds
+// of its jobs: each attached job's runner, and the keyed wire format's
+// block cache they share, dropped with the last JobEnd as the master
+// resets its known-set at the same point of the one ordered link.
+type Attached[T any] struct {
+	jobs map[int32]*TaskRunner[T]
+	seen map[[32]byte]*matrix.Block[T]
+}
+
+// NewAttached holds jobs, the runners attached from admission.
+func NewAttached[T any](jobs map[int32]*TaskRunner[T]) *Attached[T] {
+	a := &Attached[T]{jobs: jobs, seen: make(map[[32]byte]*matrix.Block[T])}
+	for _, r := range jobs {
+		r.SetBlockCache(a.seen)
+	}
+	return a
+}
+
+// Runner is the runner of job, nil when the job is not attached.
+func (a *Attached[T]) Runner(job int32) *TaskRunner[T] { return a.jobs[job] }
+
+// Apply takes an attach (comm.KindJobSpec) or detach (comm.KindJobEnd)
+// frame: attach builds the runner of a job not held, and the last detach
+// drops the block cache.
+func (a *Attached[T]) Apply(msg comm.Message, attach func(comm.Message) (*TaskRunner[T], error)) error {
+	if msg.Kind == comm.KindJobEnd {
+		if delete(a.jobs, msg.Job); len(a.jobs) == 0 {
+			a.seen = make(map[[32]byte]*matrix.Block[T])
+		}
+		return nil
+	}
+	if a.jobs[msg.Job] != nil {
+		return nil // a re-attach of a job held
+	}
+	r, err := attach(msg)
+	if err == nil {
+		r.SetBlockCache(a.seen)
+		a.jobs[msg.Job] = r
+	}
+	return err
+}
+
 // Serve runs the loop over jobs, the runners attached from admission, until
 // the master sends the end signal (nil) or something fails, for the caller
 // to judge: a failed Recv wrapped in errLostMaster, a failed send in
 // comm.ErrSend, a Before, runner or protocol error as it is.
 func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
-	// seen is the keyed wire format's block cache, shared by the runners
-	// of the jobs admitted and attached, and dropped with the last of them
-	// (a fixed rank's job never detaches), as the master resets
-	// its known-set: both sides see that frame at the same point of the one
-	// ordered link.
-	var seen map[[32]byte]*matrix.Block[T]
-	share := func(r *TaskRunner[T]) {
-		if seen == nil {
-			seen = make(map[[32]byte]*matrix.Block[T])
-		}
-		r.SetBlockCache(seen)
-	}
-	for _, r := range jobs {
-		share(r)
-	}
+	held := NewAttached(jobs)
 	if err := w.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
 		return fmt.Errorf("%w: %w", comm.ErrSend, err)
 	}
@@ -58,9 +86,9 @@ func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
 		if err != nil {
 			return fmt.Errorf("%w: %w", errLostMaster, err)
 		}
-		r := jobs[msg.Job]
 		switch msg.Kind {
 		case comm.KindTask, comm.KindTaskBatch:
+			r := held.Runner(msg.Job)
 			if r == nil {
 				// The link is ordered: a task of an unattached job is
 				// protocol corruption, not a race.
@@ -76,16 +104,7 @@ func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
 			if w.Attach == nil {
 				return fmt.Errorf("received unexpected %v frame", msg.Kind)
 			}
-			if msg.Kind == comm.KindJobEnd {
-				if delete(jobs, msg.Job); len(jobs) == 0 {
-					seen = nil
-				}
-			} else if r == nil { // not a re-attach of a job held
-				if r, err = w.Attach(msg); err == nil {
-					share(r)
-					jobs[msg.Job] = r
-				}
-			}
+			err = held.Apply(msg, w.Attach)
 		case comm.KindHeartbeat: // the fleet's echo of a beacon
 		case comm.KindEnd:
 			return nil

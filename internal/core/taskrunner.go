@@ -11,8 +11,9 @@ import (
 // TaskRunner executes one job's processor-level sub-tasks: decode the
 // shipped data region, run the thread-level worker pool over the block
 // (computeBlock, with its slave DAG, overtime queue and panic recovery),
-// and encode the result. Every Worker runs its tasks through one per job;
-// the simulator and the benchmark replay drive one directly.
+// and encode the result. Every worker, Worker.Serve's or a simulated one,
+// runs its tasks through one per job; the benchmark replay drives one
+// directly.
 type TaskRunner[T any] struct {
 	p      Problem[T]
 	cfg    Config

@@ -11,13 +11,13 @@
 // a verdict, a task's payload, the jobs to end — and does no I/O of its own
 // beyond the store, the cache and the checkpoint writer a Job was handed.
 //
-// Three drivers run jobs under a Pool: core's fixed-rank master (one job
-// over comm.Transport, its Policy the job's draw order), the fleet (many
-// jobs over one elastic TCP pool) and the simulator (a single-threaded event
-// loop on a fake clock). A driver owns what is I/O: members and their
-// connections or simulated queues and known-sets, the message around a
-// payload, the membership registry, when a member counts as idle or hungry,
-// when the tick fires, the finish latch, the checkpoint file.
+// One driver runs jobs under a Pool, core.Driver, for three member
+// sources: core's fixed ranks (one job over comm.Transport, its Policy the
+// job's draw order), the fleet (many jobs over one elastic TCP pool) and
+// the simulator (a single-threaded event loop on a fake clock). The driver
+// owns what is I/O: members, their links and known-sets, the message around
+// a payload, the membership registry, when the tick fires, the finish
+// latch; its sources decide when a member counts as idle or hungry.
 //
 // docs/INTERNALS.md ("Job engine") has the event → call → action tables.
 //

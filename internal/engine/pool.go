@@ -135,14 +135,13 @@ type Account struct {
 // Pool is the scheduler above the jobs, written once like Job: the table
 // of running jobs in submission order and, per job, the ready set behind
 // its draw order, the fair-share account and the deadline, behind one
-// method per fleet-level event. The fleet calls it from its sockets, the
-// simulator from its event loop and core's master, with its one job, from
-// its rank transport; what a driver keeps is what is I/O — members and
-// their connections or simulated queues, encoding, when a member is idle
-// or hungry, the finish latch.
+// method per fleet-level event. Its one caller is core.Driver, under the
+// fleet's sockets, core's rank transport and the simulator's event loop;
+// what the driver keeps is what is I/O — members and their links,
+// encoding, the finish latch.
 //
 // A Pool starts no goroutine, channel or timer, takes no lock and reads no
-// clock: the driver serializes every call (under Fleet.mu, master.mu), and
+// clock: the driver serializes every call (under Driver.mu), and
 // time, the live-member count and the hunger-beacon count are arguments.
 // Params and Tuner read only what NewPool set and need no serializing.
 type Pool[T any] struct {

@@ -165,6 +165,7 @@ func New[T any](opts Options) (*Fleet[T], error) {
 		Cache:             opts.Cache,
 		RetainJobs:        opts.RetainJobs,
 	})
+	f.d.StartTick()
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
@@ -193,12 +194,6 @@ var ErrFleetClosed = core.ErrClosed
 // Run submits one job and blocks until it completes, fails, or ctx is
 // cancelled. Jobs run concurrently: call Run from one goroutine per job.
 func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (*Result[T], error) {
-	if f.opts.Auto && !req.Proc.Valid() {
-		// Partition advisor, from the kernel's cost model and the
-		// membership at submission; workers follow the job-spec frame's Proc.
-		cm, _ := p.Kernel.(tune.CostModel)
-		req.Proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, f.reg.Live(), cm)
-	}
 	jb, err := f.newJob(f.nextID.Add(1), p, req)
 	if err != nil {
 		return nil, err
@@ -254,6 +249,7 @@ func (f *Fleet[T]) admit(c net.Conn) {
 		cn.Close()
 		return
 	}
+	f.d.StartSender(id)
 	for {
 		msg, err := cn.Recv()
 		if err != nil {
@@ -268,8 +264,7 @@ func (f *Fleet[T]) admit(c net.Conn) {
 // the /metrics exposition exports as easyhps_tune_* gauges. The zero
 // snapshot (ok=false) means the fleet runs with static knobs.
 func (f *Fleet[T]) TuneSnapshot() (tune.Snapshot, bool) {
-	var tuner *tune.Controller
-	f.d.WithPool(func(p *engine.Pool[T]) { tuner = p.Tuner() })
+	tuner := f.d.Tuner()
 	if tuner == nil {
 		return tune.Snapshot{}, false
 	}

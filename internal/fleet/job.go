@@ -12,7 +12,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/matrix"
-	"repro/internal/trace"
 )
 
 // JobRequest describes one DAG submitted to the shared fleet.
@@ -120,46 +119,24 @@ type JobStatus struct {
 	Stats   engine.Stats
 }
 
-// newJob builds one job for the driver: its engine, pool standing, attach
+// newJob builds one job for the driver (core.Driver.NewJob), its attach
 // frame and, with a CheckpointPath, its checkpoint — the clean prefix
 // replayed, a torn tail truncated, new records appended to the same file.
 func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*core.Job[T], error) {
-	if p.Kernel == nil {
-		return nil, fmt.Errorf("fleet: job %q has no kernel", req.Name)
+	jb, err := f.d.NewJob(id, p, req.Proc, engine.JobParams{
+		Weight:      req.Weight,
+		Priority:    req.Priority,
+		Quota:       req.Quota,
+		MaxAttempts: req.MaxAttempts,
+		TaskTimeout: req.TaskTimeout,
+		Timeout:     req.Timeout,
+	}, req.CacheKey, req.OnProgress)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: job %q: %w", req.Name, err)
 	}
-	if p.Codec == nil {
-		return nil, fmt.Errorf("fleet: job %q has no codec", req.Name)
-	}
-	if !p.Size.Valid() {
-		return nil, fmt.Errorf("fleet: job %q has invalid size %v", req.Name, p.Size)
-	}
-	proc := req.Proc
-	if !proc.Valid() {
-		proc = dag.DefaultPartition(p.Size)
-	}
-	jb := &core.Job[T]{ID: id, Name: req.Name, Label: fmt.Sprintf("fleet: job %q", req.Name), Trace: trace.New()}
-	f.d.WithPool(func(pool *engine.Pool[T]) {
-		jb.Params = pool.Params(engine.JobParams{
-			Weight:      req.Weight,
-			Priority:    req.Priority,
-			Quota:       req.Quota,
-			MaxAttempts: req.MaxAttempts,
-			TaskTimeout: req.TaskTimeout,
-			Timeout:     req.Timeout,
-		})
-	})
-	jb.Engine = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
-		TaskTimeout: jb.Params.TaskTimeout,
-		MaxAttempts: jb.Params.MaxAttempts,
-		Cache:       f.opts.Cache,
-		CacheKey:    req.CacheKey,
-		// A cached job ships against its members' known-sets: a block a
-		// member holds becomes a reference.
-		Delta:      f.opts.Cache != nil && req.CacheKey != "",
-		Trace:      jb.Trace,
-		OnProgress: req.OnProgress,
-	})
-	meta := JobMeta{Job: id, Name: req.Name, Spec: req.Spec, Rows: p.Size.Rows, Cols: p.Size.Cols, Proc: proc, Thread: req.Thread}
+	jb.Name, jb.Label = req.Name, fmt.Sprintf("fleet: job %q", req.Name)
+	// Workers follow the frame's Proc: the advisor's choice, under Auto.
+	meta := JobMeta{Job: id, Name: req.Name, Spec: req.Spec, Rows: p.Size.Rows, Cols: p.Size.Cols, Proc: jb.Engine.Graph().Geom.Block, Thread: req.Thread}
 	meta.Digest = meta.digest()
 	enc, err := json.Marshal(meta)
 	if err != nil {

@@ -53,8 +53,3 @@ func (c *Cluster) schedule(at time.Time, fn func()) {
 func (c *Cluster) after(d time.Duration, fn func()) {
 	c.schedule(c.clock.Now().Add(d), fn)
 }
-
-// nextEvent pops the earliest queued event.
-func (c *Cluster) nextEvent() *event {
-	return heap.Pop(&c.pq).(*event)
-}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/trace"
-	"repro/internal/tune"
 )
 
 // JobSpec describes one DAG submitted to the simulated cluster. Zero
@@ -49,145 +48,88 @@ type JobSpec struct {
 	CacheKey string
 }
 
-// Job is the caller's handle on one submitted job; its accessors are
-// valid after Cluster.Run returns.
+// Job is one submitted job: its spec and, from its activation on, the
+// driver's job. Its accessors are valid after Cluster.Run returns.
 type Job struct {
-	jb *simJob
+	id   int32
+	spec JobSpec
+	job  *core.Job[int32] // nil until activated
+	err  error            // why a job that never ran ended
 }
 
 // Err returns the job's terminal error (nil on success).
-func (j *Job) Err() error { return j.jb.err }
+func (j *Job) Err() error {
+	if j.job == nil {
+		return j.err
+	}
+	return j.job.Err()
+}
 
 // Stats returns the job's scheduling counters.
 func (j *Job) Stats() engine.Stats {
-	if j.jb.eng == nil {
-		return engine.Stats{} // never activated
+	if j.job == nil {
+		return engine.Stats{}
 	}
-	s := j.jb.eng.Counters().Stats()
-	s.Leaked = int64(j.jb.leaked)
-	s.Elapsed = j.jb.elapsed
-	return s
+	return j.job.Stats()
 }
 
 // Events returns the job's virtual-time scheduling trace.
-func (j *Job) Events() []trace.Event { return j.jb.tr.Events() }
+func (j *Job) Events() []trace.Event { return j.recorder().Events() }
 
 // Summary aggregates the job's trace.
-func (j *Job) Summary() trace.Summary { return j.jb.tr.Summarize() }
+func (j *Job) Summary() trace.Summary { return j.recorder().Summarize() }
 
 // Makespan is the job's virtual submission-to-finish time.
-func (j *Job) Makespan() time.Duration { return j.jb.elapsed }
+func (j *Job) Makespan() time.Duration { return j.Stats().Elapsed }
 
 // Result assembles the job's computed DP matrix; nil until the job
 // succeeded.
 func (j *Job) Result() [][]int32 {
-	if j.jb.err != nil || !j.jb.done {
+	if !j.finished() || j.Err() != nil {
 		return nil
 	}
-	return j.jb.eng.Store().Assemble()
+	return j.job.Engine.Store().Assemble()
 }
 
-// simJob is the master-side state of one job: the job engine the fleet
-// runs, built at activation — so its trace starts at the submission
-// instant and its partition sees the membership of that instant — beside
-// the simulated worker's compute and the job's lifecycle in the script.
-type simJob struct {
-	id     int32
-	spec   JobSpec
-	runner *core.TaskRunner[int32]
-	eng    *engine.Job[int32]
-	tr     *trace.Recorder
+func (j *Job) finished() bool { return j.err != nil || j.job != nil && j.job.Finished() }
 
-	active  bool
-	start   time.Time
-	done    bool
-	err     error
-	elapsed time.Duration
-	leaked  int
-}
-
-func (c *Cluster) newJob(spec JobSpec) (*simJob, error) {
-	p := spec.Problem
-	if p.Kernel == nil || p.Codec == nil {
-		return nil, fmt.Errorf("sim: job %q needs a kernel and a codec", spec.Name)
+// recorder is the job's trace: nil, which records nothing, until activated.
+func (j *Job) recorder() *trace.Recorder {
+	if j.job == nil {
+		return nil
 	}
-	if !p.Size.Valid() {
-		return nil, fmt.Errorf("sim: job %q has invalid size %v", spec.Name, p.Size)
-	}
-	if spec.Cost <= 0 {
-		spec.Cost = c.opts.Cost
-	}
-	return &simJob{id: int32(len(c.jobs) + 1), spec: spec}, nil
+	return j.job.Trace
 }
 
 // activate starts the job at its scripted submission instant, the way
-// Fleet.Run admits one: the partition is settled against the members alive
-// now, the trace recorder's origin is pinned, the engine probes the initial
-// frontier against the cache, and the remainder enters the pool.
-func (c *Cluster) activate(jb *simJob) {
-	jb.active = true
-	jb.start = c.now()
-	jb.tr = trace.NewWithNow(c.clock.Now)
-	p := jb.spec.Problem
-	proc := jb.spec.Proc
-	if c.opts.Auto && !proc.Valid() {
-		cm, _ := p.Kernel.(tune.CostModel)
-		proc = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, c.reg.Live(), cm)
+// Fleet.Run admits one (core.Driver.NewJob): the engine is built now, so
+// its trace starts here and its partition sees the members alive now, and
+// the driver probes the initial frontier against the cache and enters the
+// remainder into the pool.
+func (c *Cluster) activate(jb *Job) {
+	s := jb.spec
+	jb.job, jb.err = c.d.NewJob(jb.id, s.Problem, s.Proc, engine.JobParams{
+		Weight:      s.Weight,
+		Priority:    s.Priority,
+		Quota:       s.Quota,
+		MaxAttempts: s.MaxAttempts,
+		TaskTimeout: s.TaskTimeout,
+		Timeout:     s.Deadline,
+	}, s.CacheKey, nil)
+	if jb.err == nil {
+		jb.job.Name, jb.job.Label = s.Name, fmt.Sprintf("sim: job %q", s.Name)
+		_ = c.d.Start(jb.job) // a job that failed or finished at its start has ended
+		c.dispatchAll()
 	}
-	if !proc.Valid() {
-		proc = dag.DefaultPartition(p.Size)
-	}
-	var err error
-	if jb.runner, err = core.NewTaskRunner(p, core.Config{ProcPartition: proc, Threads: 1}); err != nil {
-		c.finish(jb, fmt.Errorf("sim: job %q: %w", jb.spec.Name, err))
-		return
-	}
-	params := c.pool.Params(engine.JobParams{
-		Weight:      jb.spec.Weight,
-		Priority:    jb.spec.Priority,
-		Quota:       jb.spec.Quota,
-		MaxAttempts: jb.spec.MaxAttempts,
-		TaskTimeout: jb.spec.TaskTimeout,
-		Timeout:     jb.spec.Deadline,
-	})
-	jb.eng = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[int32]{
-		TaskTimeout: params.TaskTimeout,
-		MaxAttempts: params.MaxAttempts,
-		Cache:       c.opts.Cache,
-		CacheKey:    jb.spec.CacheKey,
-		Trace:       jb.tr,
-	})
-	ready, err := jb.eng.Frontier()
-	if c.settle(jb, err) {
-		return
-	}
-	c.pool.Add(jb.id, jb.eng, params, ready, jb.start)
-	c.dispatchAll()
 }
 
-// settle ends the job when an engine event failed it or committed its last
-// vertex, and reports whether it is over.
-func (c *Cluster) settle(jb *simJob, err error) bool {
+// end fails a job a run gave up on with err — the horizon passed, the
+// event queue drained, a frame broke the protocol — unless it has ended.
+func (c *Cluster) end(jb *Job, err error) {
 	switch {
-	case err != nil:
-		c.finish(jb, fmt.Errorf("sim: job %q: %w", jb.spec.Name, err))
-	case jb.eng.Finished():
-		c.finish(jb, nil)
+	case jb.job != nil:
+		c.d.End(jb.job, fmt.Errorf("sim: job %q unfinished with %d vertices remaining: %w", jb.spec.Name, jb.job.Engine.Remaining(), err))
+	case jb.err == nil:
+		jb.err = fmt.Errorf("sim: job %q never activated: %w", jb.spec.Name, err)
 	}
-	return jb.done
-}
-
-// finish records the job's terminal state, once, and takes it out of the
-// pool.
-func (c *Cluster) finish(jb *simJob, err error) {
-	if jb.done {
-		return
-	}
-	jb.done = true
-	jb.err = err
-	if jb.eng != nil { // nil: the horizon passed before the job activated
-		jb.leaked = jb.eng.Leaked()
-	}
-	jb.elapsed = c.now().Sub(jb.start)
-	c.pool.Remove(jb.id)
 }

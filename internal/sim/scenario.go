@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,9 +50,7 @@ import (
 //	expect job <name> <field> <op> <value>
 //
 // Job expectation fields: makespan (duration), failed (1 when the job
-// ended in error, 0 otherwise), and the integer counters dispatches,
-// tasks, redistributions, stale-results, speculated, spec-won,
-// spec-wasted, steals, cache-hits, cache-misses, leaked.
+// ended in error, 0 otherwise), and the counters statField names.
 // Ops: == != <= >= < >.
 //
 // A job the script cancels may not be named by any expect directive —
@@ -437,7 +437,8 @@ type Result struct {
 }
 
 // Run executes the scenario once with the given seed override (0 keeps
-// the scenario's own seed) and returns the run's artifacts.
+// the scenario's own seed) and returns the run's artifacts, or an error
+// when the scenario cannot be built or a frame broke the protocol order.
 func (s *Scenario) Run(seed int64) (*Result, error) {
 	opts := s.Opts
 	if seed != 0 {
@@ -489,6 +490,9 @@ func (s *Scenario) Run(seed int64) (*Result, error) {
 	}
 	res.RunErr = c.Run()
 	res.Trace = c.Trace()
+	if errors.Is(res.RunErr, errProtocol) {
+		return nil, fmt.Errorf("%s: %w", s.Name, res.RunErr)
+	}
 	return res, nil
 }
 
@@ -653,6 +657,10 @@ func statField(st engine.Stats, field string) (float64, bool) {
 		return float64(st.Leaked), true
 	case "batch-messages":
 		return float64(st.BatchMessages), true
+	case "blocks-shipped":
+		return float64(st.BlocksShipped), true
+	case "blocks-skipped":
+		return float64(st.BlocksSkipped), true
 	}
 	return 0, false
 }
@@ -675,22 +683,7 @@ func compare(got float64, op string, want float64) bool {
 	return false
 }
 
-func equalMatrix(a, b [][]int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func equalMatrix(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
 
 // firstTraceDiff locates the first diverging line of two formatted
 // traces, for actionable determinism failures.

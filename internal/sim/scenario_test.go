@@ -39,8 +39,9 @@ func TestScenarios(t *testing.T) {
 
 // TestScenariosReseeded replays every scenario at extra seeds and checks
 // the seed-independent half of the contract: each seed's schedule is
-// deterministic (two runs, byte-identical traces) and every job that
-// completes produces the bit-identical sequential DP result. Seed-tuned
+// deterministic (two runs, byte-identical traces), every frame the driver
+// sends keeps the protocol order a real worker relies on, and every job
+// that completes produces the bit-identical sequential DP result. Seed-tuned
 // expectations (makespan bounds, stat fields) are deliberately not
 // re-checked — they belong to the scenario's own seed. Seeds come from
 // EASYHPS_SIM_SEEDS (comma-separated), defaulting to a fixed pair;

@@ -1,37 +1,37 @@
-// Package sim is the deterministic cluster simulator: the two state
-// machines the master driver (core.Driver) runs — engine.Job (one job's
-// attempt arbitration, leases, overtime, runtime profile, DAG parsing,
-// block store and cross-job result cache) and engine.Pool (ready stacks, the fair-share
-// draw, the hunger pass, revocation across jobs, the control tick and the
-// tuner) — with its elastic membership table (core.Registry) and the
-// worker's compute (core.TaskRunner), driven by a single-threaded
-// discrete-event loop on a sched.FakeClock instead of sockets.
+// Package sim is the deterministic cluster simulator: the shipped master
+// driver (core.Driver, over engine.Job and engine.Pool) with its membership
+// table (core.Registry) and the shipped worker state and compute
+// (core.Attached, core.TaskRunner), stepped by a single-threaded
+// discrete-event loop on a sched.FakeClock instead of goroutines and
+// sockets.
 //
-// Workers are simulated: each is a speed factor, a task queue and a
-// liveness flag, not a goroutine or a socket. Faults (kill, join,
-// partition, slow-down, burst submission) are scripted at virtual
+// Workers are simulated: each is a speed factor, a frame queue and
+// liveness flags, and it is the driver's Link to its member. Faults (kill,
+// join, partition, slow-down, burst submission) are scripted at virtual
 // timestamps, service times are drawn from a seeded RNG, and every
-// scheduling decision lands in a virtual-time trace.Recorder. The result
-// is the determinism contract the regression suite is built on: the same
+// scheduling decision lands in a virtual-time trace.Recorder: the same
 // scenario with the same seed yields a byte-identical event trace
-// (trace.Format), and any seed yields bit-identical DP results, because
-// the kernels are pure functions of their data dependencies.
+// (trace.Format), and any seed yields bit-identical DP results.
 //
-// Every scheduling decision — which job draws, how large the batch, what a
-// lease, an expiry, a steal or a backup does — is made by the shipped code,
-// so a scenario assertion is a statement about the production scheduler,
-// checked at scales (1000 workers) the CI box cannot host for real. What is
-// simulated is what the driver does with I/O: workers, the wire, heartbeats,
-// and the moment a member counts as idle or hungry (docs/SIM.md).
+// Every scheduling decision and the driver's frame order are the shipped
+// code, so a scenario assertion is a statement about the production
+// master, checked at scales (1000 workers) the CI box cannot host for
+// real. What is simulated is the I/O around it: workers, the wire,
+// heartbeats, and the moment a member counts as idle or hungry
+// (docs/SIM.md). Every frame is checked against the protocol order a real
+// worker relies on, and a violation fails the run.
 package sim
 
 import (
+	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"time"
 
 	"repro/internal/cas"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sched"
@@ -112,9 +112,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Cluster is one simulated fleet: a virtual clock, a membership
-// registry, scripted workers and any number of concurrently scheduled
-// jobs. Build it with New, script faults and submissions, then Run.
-// A Cluster is single-threaded and not reusable after Run.
+// registry, the master driver, scripted workers and any number of
+// concurrently scheduled jobs. Build it with New, script faults and
+// submissions, then Run. A Cluster is single-threaded and not reusable
+// after Run.
 type Cluster struct {
 	opts  Options
 	clock *sched.FakeClock
@@ -126,15 +127,26 @@ type Cluster struct {
 	pq  eventHeap
 	seq int64
 
-	workers  []*simWorker // admit order
-	byMember map[int]*simWorker
-	idle     []int // FIFO of idle member ids (stale tokens skipped lazily)
+	workers []*simWorker // admit order: member id k is workers[k-1]
+	idle    []int        // FIFO of idle member ids (stale tokens skipped lazily)
 
-	jobs []*simJob // every submitted job, submission order: jobs[id-1]
+	jobs []*Job // every submitted job, submission order: jobs[id-1]
 	ran  bool
 
-	// pool schedules the activated, unfinished jobs: the fleet's own.
-	pool *engine.Pool[int32]
+	// d is the fleet's master driver, its members the workers.
+	d *core.Driver[int32]
+	// violation is the first frame out of protocol order; it ends the run.
+	violation error
+}
+
+// errProtocol marks a run the protocol-order checker stopped.
+var errProtocol = errors.New("sim: protocol violation")
+
+// violate records a frame or task a real worker would have refused.
+func (c *Cluster) violate(err error) {
+	if c.violation == nil {
+		c.violation = fmt.Errorf("%w: %w", errProtocol, err)
+	}
 }
 
 // New builds an empty simulated cluster. Script it (Submit, JoinAt,
@@ -144,35 +156,39 @@ func New(opts Options) *Cluster {
 	epoch := time.Unix(0, 0).UTC()
 	clock := sched.NewFakeClock(epoch)
 	c := &Cluster{
-		opts:     opts,
-		clock:    clock,
-		epoch:    epoch,
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		byMember: make(map[int]*simWorker),
+		opts:  opts,
+		clock: clock,
+		epoch: epoch,
+		rng:   rand.New(rand.NewSource(opts.Seed)),
 	}
 	c.tr = trace.NewWithNow(clock.Now)
 	c.reg = core.NewRegistry(c.tr, clock)
-	c.pool = engine.NewPool[int32](engine.PoolConfig{
-		Batch:          opts.Batch,
-		TaskTimeout:    opts.TaskTimeout,
-		MaxAttempts:    opts.MaxAttempts,
-		Speculate:      opts.Speculate,
-		SpecQuantile:   opts.SpecQuantile,
-		SpecMultiplier: opts.SpecMultiplier,
-		SpecMinSamples: opts.SpecMinSamples,
-		SpecFloor:      opts.SpecFloor,
-		Steal:          opts.Steal,
-		Auto:           opts.Auto,
-		CheckInterval:  opts.CheckInterval,
-		Trace:          c.tr,
+	c.d = core.NewDriver[int32](core.DriverConfig{
+		Pool: engine.PoolConfig{
+			Batch:          opts.Batch,
+			TaskTimeout:    opts.TaskTimeout,
+			MaxAttempts:    opts.MaxAttempts,
+			Speculate:      opts.Speculate,
+			SpecQuantile:   opts.SpecQuantile,
+			SpecMultiplier: opts.SpecMultiplier,
+			SpecMinSamples: opts.SpecMinSamples,
+			SpecFloor:      opts.SpecFloor,
+			Steal:          opts.Steal,
+			Auto:           opts.Auto,
+			CheckInterval:  opts.CheckInterval,
+			Trace:          c.tr,
+		},
+		Clock:             clock,
+		Registry:          c.reg,
+		HeartbeatInterval: opts.HeartbeatInterval,
+		HeartbeatMiss:     opts.HeartbeatMiss,
+		Cache:             opts.Cache,
 	})
 	for i := 0; i < opts.Workers; i++ {
 		c.admit()
 	}
 	return c
 }
-
-func (c *Cluster) now() time.Time { return c.clock.Now() }
 
 // At schedules an arbitrary scripted action at virtual offset d.
 func (c *Cluster) At(d time.Duration, fn func()) {
@@ -183,13 +199,16 @@ func (c *Cluster) At(d time.Duration, fn func()) {
 // returns its handle; results are valid once Run returns. Several
 // submissions at the same offset form a burst, processed in call order.
 func (c *Cluster) Submit(d time.Duration, spec JobSpec) (*Job, error) {
-	jb, err := c.newJob(spec)
-	if err != nil {
-		return nil, err
+	if err := spec.Problem.Check(); err != nil {
+		return nil, fmt.Errorf("sim: job %q: %w", spec.Name, err)
 	}
+	if spec.Cost <= 0 {
+		spec.Cost = c.opts.Cost
+	}
+	jb := &Job{id: int32(len(c.jobs) + 1), spec: spec}
 	c.jobs = append(c.jobs, jb)
 	c.At(d, func() { c.activate(jb) })
-	return &Job{jb: jb}, nil
+	return jb, nil
 }
 
 // JoinAt scripts n workers joining at virtual offset d.
@@ -221,10 +240,7 @@ func (c *Cluster) KillRandomAt(d time.Duration, n int) {
 			}
 		}
 		c.rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-		if n > len(alive) {
-			n = len(alive)
-		}
-		for _, w := range alive[:n] {
+		for _, w := range alive[:min(n, len(alive))] {
 			c.kill(w)
 		}
 		c.dispatchAll()
@@ -254,15 +270,15 @@ func (c *Cluster) PartitionAt(d time.Duration, idx int, dur time.Duration) {
 }
 
 // CancelAt scripts a client cancellation of the named job at virtual
-// offset d: the job reaches its terminal state immediately, in-flight
-// frames are dropped when workers reach them, and its leases count as
+// offset d: the driver ends the job immediately, in-flight frames are
+// dropped unanswered when workers reach them, and its leases count as
 // leaked in the job's stats. Cancelling a finished or unknown job is a
 // no-op, like a late DELETE against the job service.
 func (c *Cluster) CancelAt(d time.Duration, name string) {
 	c.At(d, func() {
 		for _, jb := range c.jobs {
-			if jb.spec.Name == name && jb.active && !jb.done {
-				c.finish(jb, fmt.Errorf("sim: job %q cancelled by script", name))
+			if jb.spec.Name == name && jb.job != nil && !jb.job.Finished() {
+				c.d.End(jb.job, fmt.Errorf("sim: job %q cancelled by script", name))
 				c.dispatchAll()
 			}
 		}
@@ -287,19 +303,21 @@ func (c *Cluster) workerAt(idx int) *simWorker {
 	return c.workers[idx]
 }
 
-// admit registers one fresh worker and queues it for dispatch.
-func (c *Cluster) admit() *simWorker {
+// admit registers one fresh worker with the registry and the driver and
+// queues it for dispatch.
+func (c *Cluster) admit() {
 	m := c.reg.Admit(fmt.Sprintf("w%d", len(c.workers)), "sim")
-	w := &simWorker{member: m.ID, alive: true, speed: 1}
+	w := &simWorker{c: c, member: m.ID, alive: true, speed: 1,
+		held: core.NewAttached(make(map[int32]*core.TaskRunner[int32])), attached: make(map[int32]bool)}
 	c.workers = append(c.workers, w)
-	c.byMember[w.member] = w
+	c.d.AddMember(w.member, w)
 	c.idle = append(c.idle, w.member)
-	return w
+	c.armHunger(w)
 }
 
-// kill marks w dead immediately (process crash): the registry learns at
-// once — unlike a partition, which it only discovers by sweep — its
-// leases are revoked, and its in-flight work disappears.
+// kill marks w dead immediately (process crash): its in-flight work
+// disappears and the driver learns at once — unlike a partition, which it
+// only discovers by sweep — and revokes its leases.
 func (c *Cluster) kill(w *simWorker) {
 	if w == nil || !w.alive {
 		return
@@ -308,18 +326,8 @@ func (c *Cluster) kill(w *simWorker) {
 	w.gen++ // cancels the pending completion event, if any
 	w.cur = nil
 	w.queue = nil
-	if !w.declaredDead {
-		w.declaredDead = true
-		c.reg.MarkDead(w.member)
-		c.revoke(w.member)
-	}
+	c.d.Down(w.member, errors.New("sim: worker killed"))
 	c.dispatchAll()
-}
-
-// revoke has the pool release every lease the member holds across all
-// jobs and requeue the uncovered vertices.
-func (c *Cluster) revoke(member int) {
-	c.reg.NoteRevoked(c.pool.Revoke(member))
 }
 
 // Run executes the scripted simulation to completion: until every
@@ -335,77 +343,52 @@ func (c *Cluster) Run() error {
 	}
 	c.scheduleTick()
 	horizon := c.epoch.Add(c.opts.Horizon)
-	for c.pq.Len() > 0 {
-		e := c.pq[0]
-		if e.at.After(horizon) {
-			for _, jb := range c.jobs {
-				if !jb.done && jb.active {
-					c.finish(jb, fmt.Errorf("sim: job %q unfinished at the %v horizon with %d vertices remaining",
-						jb.spec.Name, c.opts.Horizon, jb.eng.Remaining()))
-				} else if !jb.active {
-					c.finish(jb, fmt.Errorf("sim: job %q never activated before the %v horizon", jb.spec.Name, c.opts.Horizon))
-				}
-			}
-			return fmt.Errorf("sim: horizon %v exceeded with unfinished work", c.opts.Horizon)
-		}
-		popped := c.nextEvent()
-		if d := popped.at.Sub(c.now()); d > 0 {
-			c.clock.Advance(d)
-		}
-		popped.fn()
-		if c.finishedAll() {
-			break
+	var err error
+	for err == nil && !c.finishedAll() {
+		switch {
+		case c.pq.Len() == 0: // scheduling starved: every worker dead, say
+			err = errors.New("sim: event queue drained with unfinished jobs")
+		case c.pq[0].at.After(horizon):
+			err = fmt.Errorf("sim: horizon %v exceeded with unfinished work", c.opts.Horizon)
+		default:
+			e := heap.Pop(&c.pq).(*event)
+			c.clock.Advance(e.at.Sub(c.clock.Now()))
+			e.fn()
+			err = c.violation
 		}
 	}
-	if !c.finishedAll() {
-		// The queue drained with jobs still open: scheduling starved
-		// (e.g. every worker dead and no tick rescheduled).
+	if err != nil {
 		for _, jb := range c.jobs {
-			if !jb.done {
-				c.finish(jb, fmt.Errorf("sim: job %q starved: event queue drained with %d vertices remaining",
-					jb.spec.Name, jb.eng.Remaining()))
-			}
+			c.end(jb, err)
 		}
-		return fmt.Errorf("sim: event queue drained with unfinished jobs")
 	}
-	return nil
+	return err
 }
 
 func (c *Cluster) finishedAll() bool {
 	for _, jb := range c.jobs {
-		if !jb.done {
+		if !jb.finished() {
 			return false
 		}
 	}
 	return true
 }
 
-// scheduleTick runs the control loop: beat live workers, sweep for
-// silent ones, the pool's tick (deadlines, overtime expiry, straggler
-// flags, the tuner), dispatch — then re-arm until every job is done. No
-// simulated worker sends a hunger beacon, so the tick's count is 0.
+// scheduleTick runs the control loop: heartbeats from the live workers,
+// then the driver's tick — the sweep, which revokes a member partitioned
+// past the miss window (the worker itself keeps computing, and its results
+// are refused as stale, exactly like a real partitioned worker whose
+// connection the master tore down), deadlines, overtime expiry, straggler
+// flags and the tuner, which sees the hunger beacons — then dispatch, and
+// re-arm until every job is done.
 func (c *Cluster) scheduleTick() {
 	c.after(c.opts.CheckInterval, func() {
-		now := c.now()
 		for _, w := range c.workers {
 			if w.alive && !w.partitioned && !w.declaredDead {
-				c.reg.Beat(w.member)
+				c.d.Deliver(w.member, comm.Message{Kind: comm.KindHeartbeat})
 			}
 		}
-		for _, id := range c.reg.Sweep(now, c.opts.HeartbeatInterval, c.opts.HeartbeatMiss) {
-			// A swept member was partitioned past the miss window: revoke
-			// its leases. The worker itself keeps computing — its results
-			// are refused as stale, exactly like a real partitioned
-			// worker whose connection the master tore down.
-			if w := c.byMember[id]; w != nil && !w.declaredDead {
-				w.declaredDead = true
-				c.revoke(id)
-			}
-		}
-		for _, end := range c.pool.Tick(now, c.reg.Live(), 0) {
-			jb := c.jobs[end.ID-1]
-			c.finish(jb, fmt.Errorf("sim: job %q: %w", jb.spec.Name, end.Err))
-		}
+		c.d.Tick(c.clock.Now())
 		c.dispatchAll()
 		if !c.finishedAll() {
 			c.scheduleTick()
@@ -415,7 +398,7 @@ func (c *Cluster) scheduleTick() {
 
 // Tuner exposes the self-tuning controller (nil unless Options.Auto),
 // for assertions on converged recommendations.
-func (c *Cluster) Tuner() *tune.Controller { return c.pool.Tuner() }
+func (c *Cluster) Tuner() *tune.Controller { return c.d.Tuner() }
 
 // Trace renders the full event stream of the run in canonical form:
 // the membership stream first, then each job's scheduling stream in
@@ -426,7 +409,7 @@ func (c *Cluster) Trace() string {
 	b.WriteString(trace.Format(c.tr.Events()))
 	for _, jb := range c.jobs {
 		fmt.Fprintf(&b, "# job %s\n", jb.spec.Name)
-		b.WriteString(trace.Format(jb.tr.Events()))
+		b.WriteString(trace.Format(jb.recorder().Events()))
 	}
 	return b.String()
 }
@@ -438,9 +421,13 @@ func (c *Cluster) Registry() *core.Registry { return c.reg }
 func (c *Cluster) MemberEvents() []trace.Event { return c.tr.Events() }
 
 // Elapsed is the virtual makespan of the whole simulation.
-func (c *Cluster) Elapsed() time.Duration { return c.now().Sub(c.epoch) }
+func (c *Cluster) Elapsed() time.Duration { return c.clock.Now().Sub(c.epoch) }
 
 // MaxDeficit is the largest normalized-service spread (max Served - min
 // Served) observed across eligible jobs at any scheduling decision: the
 // realized weighted fair-share bound of the run.
-func (c *Cluster) MaxDeficit() float64 { return c.pool.MaxDeficit() }
+func (c *Cluster) MaxDeficit() float64 {
+	var v float64
+	c.d.WithPool(func(p *engine.Pool[int32]) { v = p.MaxDeficit() })
+	return v
+}

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cas"
+	"repro/internal/comm"
 	"repro/internal/dag"
 	"repro/internal/matrix"
 	"repro/internal/trace"
@@ -333,5 +335,47 @@ func TestTraceHelpers(t *testing.T) {
 	}
 	if got := firstTraceDiff("a\nb", "a\nb\nc"); !strings.Contains(got, "prefix") {
 		t.Fatalf("want prefix diff, got %q", got)
+	}
+}
+
+// TestProtocolOrderChecker hands a simulated worker's link frames out of
+// the order a real worker relies on: each is recorded as the violation
+// that ends the run, and an ordered attach and detach is not.
+func TestProtocolOrderChecker(t *testing.T) {
+	spec := func(k comm.Kind) comm.Message { return comm.Message{Kind: k, Job: 1} }
+	task, attach, detach := spec(comm.KindTask), spec(comm.KindJobSpec), spec(comm.KindJobEnd)
+	for _, tc := range []struct {
+		name    string
+		frames  []comm.Message
+		revoked bool // the driver closed the link before the last frame
+		want    string
+	}{
+		{name: "ordered", frames: []comm.Message{attach, detach}},
+		{name: "task before its spec", frames: []comm.Message{task}, want: "outside its job's JobSpec"},
+		{name: "task after JobEnd", frames: []comm.Message{attach, detach, task}, want: "outside its job's JobSpec"},
+		{name: "spec after JobEnd", frames: []comm.Message{attach, detach, attach}, want: "attaches a job after its JobEnd"},
+		{name: "frame after revocation", frames: []comm.Message{attach}, revoked: true, want: "follows the revocation"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Options{})
+			if _, err := c.Submit(0, mustProblem(t, "editdist", 8, 1)); err != nil {
+				t.Fatal(err)
+			}
+			c.activate(c.jobs[0])
+			c.admit() // after the job started, so the driver sends it nothing
+			w := c.workers[0]
+			for i, f := range tc.frames {
+				if tc.revoked && i == len(tc.frames)-1 {
+					w.Close()
+				}
+				w.Send(f)
+			}
+			switch {
+			case tc.want == "" && c.violation != nil:
+				t.Fatalf("ordered frames refused: %v", c.violation)
+			case tc.want != "" && (!errors.Is(c.violation, errProtocol) || !strings.Contains(c.violation.Error(), tc.want)):
+				t.Fatalf("violation = %v, want one naming %q", c.violation, tc.want)
+			}
+		})
 	}
 }

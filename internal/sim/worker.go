@@ -1,78 +1,87 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
 
-// simWorker is one simulated fleet member: a speed factor, a FIFO task
-// queue and liveness flags. It executes its queue one entry at a time;
+	"repro/internal/comm"
+	"repro/internal/core"
+)
+
+// simWorker is one simulated fleet member and its core.Link: a speed
+// factor, a FIFO of the frames the driver sent it, liveness flags and what
+// a worker holds of its jobs (core.Attached: each job's runner and the
+// block cache they share). It works through its queue one task at a time;
 // service times are the job's cost scaled by the worker's current speed
 // and the cluster's jitter draw.
 type simWorker struct {
+	c      *Cluster
 	member int
 	alive  bool
 	// partitioned workers keep computing but stop heartbeating and
 	// their results are dropped (an unreachable peer, not a dead one).
 	partitioned bool
-	// declaredDead is the master's view: set by a crash (KillAt) or by
-	// the membership sweep. Leases are revoked exactly once, here.
+	// declaredDead is the master's view: the driver closed the link, on a
+	// crash (KillAt) or the membership sweep, and revoked its leases.
 	declaredDead bool
 	speed        float64
-	queue        []entry
-	cur          *entry
+	queue        []comm.Message // single tasks and attach/detach frames
+	cur          *comm.Message  // the task computing now
 	// gen invalidates the pending completion event when the worker's
-	// in-flight work disappears (crash).
-	gen int
+	// in-flight work disappears (crash); started, a hunger timer armed
+	// before the latest task start.
+	gen, started int
+	held         *core.Attached[int32]
+	// attached is the protocol-order checker's view of each job on the
+	// link: true from its JobSpec, false from its JobEnd.
+	attached map[int32]bool
 }
 
-// entry is one dispatched task attempt sitting in a worker's queue: the
-// frame the master sent, including the encoded data region the compute
-// runs against.
-type entry struct {
-	jb      *simJob
-	vertex  int32
-	attempt int32
-	payload []byte
-}
-
-// dispatchAll feeds every idle worker until no job has eligible work,
-// then lets the steal path rescue any still-idle workers. It is called
-// at the end of every event that could open work or free a worker.
-func (c *Cluster) dispatchAll() {
-	c.feedIdle()
-	// No job has eligible work but workers sit idle: where a real worker
-	// would send a hunger beacon after a wait, the simulator runs the
-	// pool's hunger pass at once, one attempt per idle worker per pass,
-	// until one finds nothing to steal.
-	hungry := len(c.idle)
-	for i := 0; i < hungry && len(c.idle) > 0; i++ {
-		m := c.idle[0]
-		w := c.byMember[m]
-		if w == nil || !w.ready() {
-			c.idle = c.idle[1:]
-			continue
+// Send checks a frame of the driver against the protocol order a real
+// worker relies on — a job's spec before its first task, nothing of a job
+// after its JobEnd, nothing after the revocation that closed the link —
+// then queues it, worked at once if the worker is free. It never calls the
+// driver (which holds attachMu) and queues no idle token (detach walks the
+// driver's members in map order).
+func (w *simWorker) Send(msg comm.Message) error {
+	att, seen := w.attached[msg.Job]
+	bad := ""
+	switch msg.Kind {
+	case comm.KindJobSpec, comm.KindJobEnd:
+		if msg.Kind == comm.KindJobSpec && seen && !att {
+			bad = "attaches a job after its JobEnd"
 		}
-		if !c.pool.Hunger(m) {
-			break
+		w.attached[msg.Job] = msg.Kind == comm.KindJobSpec
+	case comm.KindTask, comm.KindTaskBatch:
+		if !att {
+			bad = "falls outside its job's JobSpec … JobEnd"
 		}
-		c.feedIdle()
+	case comm.KindHeartbeat: // the echo of a beat
+		return nil
+	default:
+		bad = "is one no master sends a worker"
 	}
+	if w.declaredDead {
+		bad = "follows the revocation that closed the link"
+	}
+	if bad != "" {
+		w.c.violate(fmt.Errorf("worker %d: a %v frame of job %d %s", w.member, msg.Kind, msg.Job, bad))
+		return nil
+	}
+	if msg.Kind != comm.KindTaskBatch {
+		w.queue = append(w.queue, msg)
+	}
+	for _, e := range msg.Batch {
+		w.queue = append(w.queue, comm.Message{Kind: comm.KindTask, Job: msg.Job, Vertex: e.Vertex, Attempt: e.Attempt, Payload: e.Payload})
+	}
+	w.c.advance(w)
+	return nil
 }
 
-// feedIdle pops idle tokens and hands each worker a batch while the
-// pool finds one; stale tokens (dead, partitioned, busy workers)
-// are discarded on the way.
-func (c *Cluster) feedIdle() {
-	for len(c.idle) > 0 {
-		m := c.idle[0]
-		w := c.byMember[m]
-		if w == nil || !w.ready() {
-			c.idle = c.idle[1:]
-			continue
-		}
-		if !c.tryFeed(w) {
-			return
-		}
-		c.idle = c.idle[1:]
-	}
+// Close is the driver revoking the worker. It keeps computing until killed.
+func (w *simWorker) Close() error {
+	w.declaredDead = true
+	return nil
 }
 
 // ready reports whether the worker can accept a dispatch right now.
@@ -80,75 +89,44 @@ func (w *simWorker) ready() bool {
 	return w.alive && !w.partitioned && !w.declaredDead && w.cur == nil && len(w.queue) == 0
 }
 
-// tryFeed draws batches for w until one spends its idle token (true) or
-// no job is eligible (false) — the fleet's sender loop, where a draw whose
-// vertices all turned out finished is followed by another at once.
-func (c *Cluster) tryFeed(w *simWorker) bool {
-	for {
-		id, ids, ok := c.pool.Draw(w.member)
-		if !ok {
-			return false
-		}
-		if c.dispatch(w, c.jobs[id-1], ids) {
-			return true
-		}
-	}
-}
-
-// dispatch leases the drawn vertices to worker w and enqueues the task
-// frames, and reports whether the idle token is spent.
-func (c *Cluster) dispatch(w *simWorker, jb *simJob, ids []int32) bool {
-	grants, spent := c.pool.Lease(jb.id, w.member, ids, c.now())
-	entries := make([]entry, 0, len(grants))
-	bytes := 0
-	for _, g := range grants {
-		payload, err := jb.eng.TaskPayload(g.Vertex, nil)
-		if c.settle(jb, err) {
-			return true
-		}
-		bytes += len(payload)
-		entries = append(entries, entry{jb: jb, vertex: g.Vertex, attempt: g.Attempt, payload: payload})
-	}
-	if len(entries) == 0 {
-		return spent
-	}
-	jb.eng.Shipped(w.member, len(entries), bytes)
-	w.queue = append(w.queue, entries...)
-	c.startNext(w)
-	return true
-}
-
-// startNext begins the worker's next queued entry, skipping frames of
-// retired jobs (the worker would drop them on JobEnd in the real
-// protocol). An emptied worker re-enters the idle queue.
-func (c *Cluster) startNext(w *simWorker) {
+// advance works w's queue while w is free: attach and detach frames apply,
+// a task of a finished job is run unanswered (the JobEnd behind it is taken
+// lazily), and the first task of a running job starts, its completion
+// scheduled after its service time.
+func (c *Cluster) advance(w *simWorker) {
 	for w.cur == nil && len(w.queue) > 0 {
-		e := w.queue[0]
+		msg := w.queue[0]
 		w.queue = w.queue[1:]
-		if e.jb.done {
-			continue
+		switch {
+		case msg.Kind != comm.KindTask:
+			if err := w.held.Apply(msg, c.attach); err != nil {
+				c.violate(err)
+			}
+		case c.jobs[msg.Job-1].job.Finished():
+			// Decoded all the same: a keyed task's whole blocks land in the
+			// worker's cache, where the master's known-set counts them.
+			c.run(w, msg)
+		default:
+			w.cur = &msg
+			w.started++
+			gen := w.gen
+			c.after(c.serviceTime(msg, w), func() { c.complete(w, gen) })
 		}
-		ec := e
-		w.cur = &ec
-		gen := w.gen
-		c.after(c.serviceTime(&ec, w), func() { c.complete(w, gen) })
-	}
-	if w.cur == nil {
-		c.noteIdleIfFree(w)
 	}
 }
 
-// serviceTime draws the virtual execution time of one entry: the job's
+// serviceTime draws the virtual execution time of one task: the job's
 // nominal cost (plus the block-area term when CostPerCell is set),
 // scaled by the worker's current speed factor and the cluster's jitter.
 // The RNG is consumed in event order, so the draw sequence — and with
 // it the whole schedule — is a function of the seed.
-func (c *Cluster) serviceTime(e *entry, w *simWorker) time.Duration {
-	cost := float64(e.jb.spec.Cost)
-	if e.jb.spec.CostPerCell > 0 {
-		geom := e.jb.eng.Graph().Geom
-		r := geom.Rect(geom.PosOf(e.vertex))
-		cost += float64(e.jb.spec.CostPerCell) * float64(r.Rows*r.Cols)
+func (c *Cluster) serviceTime(task comm.Message, w *simWorker) time.Duration {
+	jb := c.jobs[task.Job-1]
+	cost := float64(jb.spec.Cost)
+	if jb.spec.CostPerCell > 0 {
+		geom := jb.job.Engine.Graph().Geom
+		r := geom.Rect(geom.PosOf(task.Vertex))
+		cost += float64(jb.spec.CostPerCell) * float64(r.Rows*r.Cols)
 	}
 	d := cost * w.speed
 	if c.opts.Jitter > 0 {
@@ -160,46 +138,48 @@ func (c *Cluster) serviceTime(e *entry, w *simWorker) time.Duration {
 	return time.Duration(d)
 }
 
-// complete fires when the worker's current entry finishes computing.
-// A stale generation means the worker crashed in the meantime and the
-// work never happened.
+// complete fires when the worker's current task finishes: its runner
+// computes it now, on the region the frame carried, and the result goes to
+// the driver unless the worker is cut off or the job is over. A swept but
+// healed worker still delivers, refused in attempt arbitration; a stale
+// generation means the worker crashed and the work never happened.
 func (c *Cluster) complete(w *simWorker, gen int) {
 	if w.gen != gen || w.cur == nil {
 		return
 	}
-	e := w.cur
+	task := *w.cur
 	w.cur = nil
-	if w.alive && !w.partitioned {
-		// A declared-dead (swept) but healed worker still delivers: the
-		// master refuses the result in attempt arbitration, which is the
-		// zombie-result path the register table exists for.
-		c.applyResult(w, e)
+	if out, ok := c.run(w, task); ok && w.alive && !w.partitioned && !c.jobs[task.Job-1].job.Finished() {
+		c.d.Deliver(w.member, comm.Message{Kind: comm.KindResult, Job: task.Job, Vertex: task.Vertex, Attempt: task.Attempt, Payload: out})
 	}
-	c.startNext(w)
+	c.advance(w)
+	c.noteIdleIfFree(w)
 	c.dispatchAll()
+	if w.cur == nil {
+		c.armHunger(w)
+	}
 }
 
-// applyResult delivers one finished entry: the worker's compute — run
-// here, at the instant it completes in virtual time, on the data region
-// the task frame carried — and the result into the job's engine, which
-// refuses it if the attempt was retired meanwhile (fleet.applyResult).
-func (c *Cluster) applyResult(w *simWorker, e *entry) {
-	jb := e.jb
-	if jb.done {
-		return
+// run computes one task through its job's runner, as a worker's loop
+// would; a task the worker cannot run is a protocol violation.
+func (c *Cluster) run(w *simWorker, task comm.Message) ([]byte, bool) {
+	r := w.held.Runner(task.Job)
+	if r == nil {
+		c.violate(fmt.Errorf("worker %d: task of unattached job %d", w.member, task.Job))
+		return nil, false
 	}
-	out, err := jb.runner.Run(e.vertex, e.payload)
-	if c.settle(jb, err) {
-		return
+	out, err := r.Run(task.Vertex, task.Payload)
+	if err != nil {
+		c.violate(fmt.Errorf("worker %d: %w", w.member, err))
 	}
-	ready, accepted, err := jb.eng.Complete(w.member, e.vertex, e.attempt, out, c.now())
-	if accepted {
-		c.reg.NoteCompleted(w.member)
-	}
-	if c.settle(jb, err) {
-		return
-	}
-	c.pool.Ready(jb.id, ready)
+	return out, err == nil
+}
+
+// attach builds a worker's runner of the job an attach frame names, as a
+// fleet worker builds one from the frame's spec.
+func (c *Cluster) attach(msg comm.Message) (*core.TaskRunner[int32], error) {
+	jb := c.jobs[msg.Job-1]
+	return core.NewTaskRunner(jb.spec.Problem, core.Config{ProcPartition: jb.job.Engine.Graph().Geom.Block, Threads: 1})
 }
 
 // noteIdleIfFree queues an idle token for w if it can take work.
@@ -207,4 +187,39 @@ func (c *Cluster) noteIdleIfFree(w *simWorker) {
 	if w.ready() {
 		c.idle = append(c.idle, w.member)
 	}
+}
+
+// dispatchAll hands idle tokens to Driver.Feed in FIFO order while the
+// driver finds each one work, discarding stale tokens (dead, partitioned,
+// busy workers) on the way. It is called at the end of every event that
+// could open work or free a worker.
+func (c *Cluster) dispatchAll() {
+	for len(c.idle) > 0 {
+		m := c.idle[0]
+		if c.workers[m-1].ready() && !c.d.Feed(m) {
+			return
+		}
+		c.idle = c.idle[1:]
+	}
+}
+
+// armHunger starts w's hunger timer as it goes idle, like a fleet worker's
+// beacon loop: after HungerAfter without a task it sends a hunger beacon,
+// re-armed while the idleness persists. HungerAfter is three quarters of a
+// control interval (docs/SIM.md says why). A task start makes the timer
+// stale, a partitioned worker's beacon is lost, a dead worker's timer stops.
+func (c *Cluster) armHunger(w *simWorker) {
+	started := w.started
+	c.after(c.opts.CheckInterval*3/4, func() {
+		if !w.alive || w.started != started || c.finishedAll() {
+			return
+		}
+		if w.ready() {
+			c.d.Deliver(w.member, comm.Message{Kind: comm.KindHunger})
+			c.dispatchAll()
+		}
+		if w.cur == nil {
+			c.armHunger(w)
+		}
+	})
 }

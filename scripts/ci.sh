@@ -152,8 +152,8 @@ check_cover internal/lint 76
 # Size ratchet beside the coverage one. The scheduling state machines are
 # internal/engine — Job for one DAG job, Pool for what sits above the jobs
 # of a shared worker pool — over the draw orders and tables of
-# internal/sched; core's master driver (under fixed ranks and the fleet's
-# elastic members) and the simulator drive them, and a second copy of
+# internal/sched; core's master driver drives them (under fixed ranks, the
+# fleet's elastic members and the simulator's), and a second copy of
 # anything the engine holds must not arrive unnoticed. (internal/sched is
 # in the set so that code moved between core and sched does not count as
 # deleted; internal/cluster left it when its registry moved beside the
@@ -169,7 +169,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7118 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 7116 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
@@ -201,6 +201,20 @@ for call in 'computeBlock(' 'comm.ServeTasks('; do
     fi
 done
 echo "calls: computeBlock and comm.ServeTasks have one non-test call site each"
+
+# And the simulator runs the shipped driver: it steps core.Driver (Start,
+# Feed, Deliver, Down, Tick, End) from its event loop, so no non-test code
+# in internal/sim builds a pool or draws, leases, encodes or commits a task
+# itself. A second master under the simulator must not arrive unnoticed.
+sim_calls=$(grep -nE 'engine\.NewPool|\.Draw\(|\.Lease\(|TaskPayload\(|\.Complete\(' \
+    $(ls internal/sim/*.go | grep -v '_test\.go$') |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$sim_calls" ]; then
+    echo "calls: internal/sim must drive core.Driver, not the pool or the job engine:" >&2
+    echo "$sim_calls" >&2
+    exit 1
+fi
+echo "calls: internal/sim names no pool draw, lease, payload or commit"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
