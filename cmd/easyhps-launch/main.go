@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/cas"
@@ -43,7 +44,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":9000", "listen address")
 		workers = flag.Int("workers", 2, "fixed mode: number of worker processes to wait for")
-		app     = flag.String("app", "swgg", "application (see easyhps-run)")
+		app     = flag.String("app", "swgg", "application: "+strings.Join(cli.Apps, ", "))
 		n       = flag.Int("n", 400, "matrix side length")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		proc    = flag.Int("proc", 0, "process_partition_size")

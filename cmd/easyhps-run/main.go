@@ -13,8 +13,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/cas"
@@ -23,12 +23,13 @@ import (
 	"repro/internal/dag"
 	"repro/internal/dp"
 	"repro/internal/seqio"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		app     = flag.String("app", "swgg", "application: swgg, nussinov, editdist, lcs, knapsack, matrixchain")
+		app     = flag.String("app", "swgg", "application: "+strings.Join(cli.Apps, ", ")+" (the job service's kernels) or matrixchain")
 		n       = flag.Int("n", 400, "matrix side length (sequence length / item count)")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		slaves  = flag.Int("slaves", 3, "slave computing nodes")
@@ -42,7 +43,7 @@ func main() {
 		auto    = flag.Bool("auto", false, "self-tune: enable speculation and stealing, pick the partition from the kernel's cost model, and adjust batch/speculation thresholds online (explicit -proc/-batch/... remain the starting point)")
 		verbose = flag.Bool("v", false, "print runtime statistics")
 		gantt   = flag.Bool("gantt", false, "print a per-slave execution timeline")
-		fasta   = flag.String("fasta", "", "align the first two records of this FASTA file (swgg/editdist/lcs)")
+		fasta   = flag.String("fasta", "", "run -app on the first two records of this FASTA file instead of generated inputs (editdist, lcs, needleman, swgg; nussinov folds the first)")
 
 		cache         = flag.Bool("cache", false, "probe and fill the content-addressed result cache; with -cache-dir a rerun of the same problem completes from cache")
 		cacheDir      = flag.String("cache-dir", "", "cache: persist entries to this directory (empty = memory only)")
@@ -99,16 +100,17 @@ func main() {
 		return
 	}
 
-	var (
-		prob   core.Problem[int32]
-		report func(io.Writer, [][]int32)
-		err    error
-	)
+	job := server.JobSpec{Kernel: *app, N: *n, Seed: *seed}
 	if *fasta != "" {
-		prob, report, err = buildFromFasta(*app, *fasta)
-	} else {
-		prob, report, err = cli.Build(*app, *n, *seed)
+		recs, err := seqio.ReadFile(*fasta)
+		fatal(err)
+		if len(recs) < 2 {
+			fatal(fmt.Errorf("need two FASTA records, got %d", len(recs)))
+		}
+		fmt.Printf("%s vs %s\n", recs[0].ID, recs[1].ID)
+		job = server.JobSpec{Kernel: *app, SeqA: string(recs[0].Seq), SeqB: string(recs[1].Seq)}
 	}
+	prob, report, err := cli.BuildSpec(job)
 	fatal(err)
 	res, err := core.RunContext(context.Background(), prob, cfg)
 	fatal(err)
@@ -121,37 +123,6 @@ func main() {
 	if rec != nil {
 		rec.Gantt(os.Stdout, 96)
 	}
-}
-
-// buildFromFasta aligns the first two records of a FASTA file.
-func buildFromFasta(app, path string) (core.Problem[int32], func(io.Writer, [][]int32), error) {
-	recs, err := seqio.ReadFile(path)
-	if err != nil {
-		return core.Problem[int32]{}, nil, err
-	}
-	if len(recs) < 2 {
-		return core.Problem[int32]{}, nil, fmt.Errorf("need two FASTA records, got %d", len(recs))
-	}
-	a, b := recs[0].Seq, recs[1].Seq
-	switch app {
-	case "swgg":
-		s := dp.NewSWGG(a, b)
-		return s.Problem(), func(w io.Writer, m [][]int32) {
-			al := s.Traceback(m)
-			fmt.Fprintf(w, "%s vs %s: local score %d\n", recs[0].ID, recs[1].ID, al.Score)
-		}, nil
-	case "editdist":
-		e := dp.NewEditDistance(a, b)
-		return e.Problem(), func(w io.Writer, m [][]int32) {
-			fmt.Fprintf(w, "%s vs %s: edit distance %d\n", recs[0].ID, recs[1].ID, e.Distance(m))
-		}, nil
-	case "lcs":
-		l := dp.NewLCS(a, b)
-		return l.Problem(), func(w io.Writer, m [][]int32) {
-			fmt.Fprintf(w, "%s vs %s: LCS length %d\n", recs[0].ID, recs[1].ID, m[len(a)-1][len(b)-1])
-		}, nil
-	}
-	return core.Problem[int32]{}, nil, fmt.Errorf("-fasta supports swgg, editdist, lcs (got %q)", app)
 }
 
 // runMatrixChain handles the int64-celled application, demonstrating the

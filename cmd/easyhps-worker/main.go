@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -41,7 +42,7 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:9000", "master address")
 		rank    = flag.Int("rank", 1, "fixed mode: this worker's rank (1-based)")
 		workers = flag.Int("workers", 2, "fixed mode: total number of workers in the cluster")
-		app     = flag.String("app", "swgg", "application (must match the master)")
+		app     = flag.String("app", "swgg", "application, one of "+strings.Join(cli.Apps, ", ")+" (must match the master)")
 		n       = flag.Int("n", 400, "matrix side length (must match)")
 		seed    = flag.Int64("seed", 1, "workload seed (must match)")
 		proc    = flag.Int("proc", 0, "process_partition_size (must match)")

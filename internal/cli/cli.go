@@ -1,80 +1,89 @@
-// Package cli holds the problem-construction and reporting helpers shared
-// by the command-line tools. Multi-process deployments (easyhps-launch +
-// easyhps-worker) must build bit-identical problems on every rank, so the
-// construction is centralized here and driven by (app, n, seed).
+// Package cli holds the reporting helpers shared by the command-line
+// tools. The tools build no input of their own: a problem is the job
+// service's kernel table entry for its spec (server.Registry.Build), so
+// every rank of a multi-process deployment (easyhps-launch +
+// easyhps-worker) builds a bit-identical problem from (app, n, seed), and
+// easyhps-run answers what easyhps-serve and the simulator answer for the
+// same spec. What this package adds is the report a kernel's completed
+// matrix prints (alignment, structure, distance, ...).
 package cli
 
 import (
 	"fmt"
 	"io"
-	"strings"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dp"
+	"repro/internal/server"
 )
 
-// Apps lists the applications available to the CLI tools (int32-celled
-// ones; matrix-chain uses int64 and is exposed only by easyhps-run).
-var Apps = []string{"swgg", "nussinov", "editdist", "lcs", "knapsack", "nw"}
+var registry = server.NewRegistry()
+
+// Apps lists the applications available to the CLI tools: every kernel of
+// the service's registry (matrix-chain uses int64 cells and is exposed only
+// by easyhps-run).
+var Apps = func() []string {
+	var names []string
+	for _, e := range registry.Names() {
+		names = append(names, e.Name)
+	}
+	return names
+}()
 
 // Build constructs the DP problem for app with matrix side n and workload
-// seed. The returned report function pretty-prints the application-level
-// result (alignment, structure, distance, ...) from the completed matrix.
+// seed: the registry's JobSpec{Kernel: app, N: n, Seed: seed}. The returned
+// report function pretty-prints the application-level result from the
+// completed matrix.
 func Build(app string, n int, seed int64) (core.Problem[int32], func(w io.Writer, m [][]int32), error) {
-	switch strings.ToLower(app) {
-	case "swgg":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.3, seed+1)
-		s := dp.NewSWGG(a, b)
-		report := func(w io.Writer, m [][]int32) {
-			al := s.Traceback(m)
+	return BuildSpec(server.JobSpec{Kernel: app, N: n, Seed: seed})
+}
+
+// BuildSpec constructs spec's DP problem through the registry, with no
+// size limit, and picks the report by the kernel's concrete type.
+func BuildSpec(spec server.JobSpec) (core.Problem[int32], func(w io.Writer, m [][]int32), error) {
+	p, _, err := registry.Build(spec, math.MaxInt64)
+	if err != nil {
+		return core.Problem[int32]{}, nil, err
+	}
+	return p, report(p.Kernel), nil
+}
+
+// report is the printer of a registry kernel's completed matrix.
+func report(kernel core.Kernel[int32]) func(w io.Writer, m [][]int32) {
+	switch k := kernel.(type) {
+	case *dp.SWGG:
+		return func(w io.Writer, m [][]int32) {
+			al := k.Traceback(m)
 			fmt.Fprintf(w, "best local alignment score: %d (at A[%d:], B[%d:])\n", al.Score, al.StartA, al.StartB)
 			printAlignment(w, al)
 		}
-		return s.Problem(), report, nil
-	case "nussinov":
-		nu := dp.NewNussinov(dp.RandomRNA(n, seed))
-		report := func(w io.Writer, m [][]int32) {
-			st := nu.Structure(m)
-			fmt.Fprintf(w, "max base pairs: %d\n", m[0][n-1])
-			fmt.Fprintf(w, "seq: %s\n", nu.S)
-			fmt.Fprintf(w, "str: %s\n", st)
-		}
-		return nu.Problem(), report, nil
-	case "editdist":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.2, seed+1)
-		e := dp.NewEditDistance(a, b)
-		report := func(w io.Writer, m [][]int32) {
-			fmt.Fprintf(w, "edit distance: %d\n", e.Distance(m))
-		}
-		return e.Problem(), report, nil
-	case "lcs":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.2, seed+1)
-		l := dp.NewLCS(a, b)
-		report := func(w io.Writer, m [][]int32) {
-			fmt.Fprintf(w, "LCS length: %d\n", m[n-1][n-1])
-		}
-		return l.Problem(), report, nil
-	case "nw":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.3, seed+1)
-		nw := dp.NewNeedlemanWunsch(a, b)
-		report := func(w io.Writer, m [][]int32) {
-			al := nw.Traceback(m)
+	case *dp.NeedlemanWunsch:
+		return func(w io.Writer, m [][]int32) {
+			al := k.Traceback(m)
 			fmt.Fprintf(w, "global alignment score: %d\n", al.Score)
 			printAlignment(w, al)
 		}
-		return nw.Problem(), report, nil
-	case "knapsack":
-		k := dp.NewKnapsack(n, 4*n, seed)
-		report := func(w io.Writer, m [][]int32) {
-			fmt.Fprintf(w, "knapsack best value: %d (items=%d capacity=%d)\n", k.Best(m), n, 4*n)
+	case *dp.Nussinov:
+		return func(w io.Writer, m [][]int32) {
+			fmt.Fprintf(w, "max base pairs: %d\n", m[0][len(k.S)-1])
+			fmt.Fprintf(w, "seq: %s\n", k.S)
+			fmt.Fprintf(w, "str: %s\n", k.Structure(m))
 		}
-		return k.Problem(), report, nil
+	case *dp.EditDistance:
+		return func(w io.Writer, m [][]int32) {
+			fmt.Fprintf(w, "edit distance: %d\n", k.Distance(m))
+		}
+	case *dp.LCS:
+		return func(w io.Writer, m [][]int32) {
+			fmt.Fprintf(w, "LCS length: %d\n", m[len(m)-1][len(m[0])-1])
+		}
+	case *dp.Knapsack:
+		return func(w io.Writer, m [][]int32) {
+			fmt.Fprintf(w, "knapsack best value: %d (items=%d capacity=%d)\n", k.Best(m), len(k.Weights), k.Capacity)
+		}
 	}
-	return core.Problem[int32]{}, nil, fmt.Errorf("unknown app %q (have: %s)", app, strings.Join(Apps, ", "))
+	panic(fmt.Sprintf("cli: no report for kernel %T", kernel))
 }
 
 // printAlignment pretty-prints a gapped alignment in 60-column chunks with

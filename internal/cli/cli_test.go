@@ -3,12 +3,16 @@ package cli
 import (
 	"bytes"
 	"context"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/server"
+	"repro/internal/sim"
 )
 
 func runApp(t *testing.T, app string, n int) string {
@@ -34,12 +38,12 @@ func runApp(t *testing.T, app string, n int) string {
 
 func TestBuildAllApps(t *testing.T) {
 	wantWords := map[string]string{
-		"swgg":     "alignment score",
-		"nussinov": "base pairs",
-		"editdist": "edit distance",
-		"lcs":      "LCS length",
-		"knapsack": "best value",
-		"nw":       "global alignment score",
+		"swgg":      "alignment score",
+		"nussinov":  "base pairs",
+		"editdist":  "edit distance",
+		"lcs":       "LCS length",
+		"knapsack":  "best value",
+		"needleman": "global alignment score",
 	}
 	for _, app := range Apps {
 		out := runApp(t, app, 48)
@@ -81,6 +85,43 @@ func TestBuildDeterministic(t *testing.T) {
 			if m1[i][j] != m2[i][j] {
 				t.Fatalf("same flags produced different problems at (%d,%d)", i, j)
 			}
+		}
+	}
+}
+
+// TestOneMatrixPerSpec: every tool builds a (kernel, n, seed) through the
+// service's kernel table, so the CLI, the simulator and the job service
+// compute one matrix for it — the same size and the same sequential
+// reference — for every registered kernel.
+func TestOneMatrixPerSpec(t *testing.T) {
+	const n, seed = 24, 5
+	reg := server.NewRegistry()
+	sequential := func(p core.Problem[int32]) [][]int32 {
+		return p.Kernel.(interface{ Sequential() [][]int32 }).Sequential()
+	}
+	for _, e := range reg.Names() {
+		svc, _, err := reg.Build(server.JobSpec{Kernel: e.Name, N: n, Seed: seed}, math.MaxInt64)
+		if err != nil {
+			t.Fatalf("service %s: %v", e.Name, err)
+		}
+		cli, _, err := Build(e.Name, n, seed)
+		if err != nil {
+			t.Fatalf("cli %s: %v", e.Name, err)
+		}
+		simulated, ref, err := sim.BuildProblem(e.Name, n, seed)
+		if err != nil {
+			t.Fatalf("sim %s: %v", e.Name, err)
+		}
+		want := sequential(svc)
+		for tool, got := range map[string]core.Problem[int32]{"cli": cli, "sim": simulated} {
+			if got.Size != svc.Size {
+				t.Errorf("%s: %s builds a %v matrix, the service a %v one", e.Name, tool, got.Size, svc.Size)
+			} else if !slices.EqualFunc(sequential(got), want, slices.Equal[[]int32]) {
+				t.Errorf("%s: %s's matrix differs from the service's", e.Name, tool)
+			}
+		}
+		if !slices.EqualFunc(ref, want, slices.Equal[[]int32]) {
+			t.Errorf("%s: the simulator checks against another reference than the service computes", e.Name)
 		}
 	}
 }

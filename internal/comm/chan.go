@@ -60,8 +60,8 @@ func (nw *ChanNetwork) Close() {
 	}
 }
 
-// Traffic returns the cumulative message and payload-byte counts sent over
-// the network.
+// Traffic returns the cumulative message and payload-byte counts delivered
+// over the network; a Send that failed is not counted.
 func (nw *ChanNetwork) Traffic() (msgs, bytes int64) {
 	nw.statsMu.Lock()
 	defer nw.statsMu.Unlock()
@@ -80,11 +80,6 @@ func (ep *chanEndpoint) Send(to int, m Message) error {
 	if d := ep.nw.lat.Delay(m.PayloadLen()); d > 0 {
 		time.Sleep(d)
 	}
-	ep.nw.statsMu.Lock()
-	ep.nw.msgsSent++
-	ep.nw.bytesSent += int64(m.PayloadLen())
-	ep.nw.statsMu.Unlock()
-
 	dst := ep.nw.eps[to]
 	select {
 	case <-dst.done:
@@ -95,10 +90,15 @@ func (ep *chanEndpoint) Send(to int, m Message) error {
 	}
 	select {
 	case dst.in <- m:
-		return nil
 	case <-dst.done:
 		return ErrClosed
 	}
+	// Only a delivered message is traffic.
+	ep.nw.statsMu.Lock()
+	ep.nw.msgsSent++
+	ep.nw.bytesSent += int64(m.PayloadLen())
+	ep.nw.statsMu.Unlock()
+	return nil
 }
 
 func (ep *chanEndpoint) Recv() (Message, error) {

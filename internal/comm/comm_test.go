@@ -140,6 +140,19 @@ func TestChanNetworkTraffic(t *testing.T) {
 	}
 }
 
+// A Send that fails with ErrClosed delivered nothing, so it is no traffic.
+func TestChanNetworkTrafficSkipsFailedSend(t *testing.T) {
+	nw := NewChanNetwork(2, LatencyModel{})
+	defer nw.Close()
+	nw.Endpoint(1).Close()
+	if err := nw.Endpoint(0).Send(1, Message{Payload: make([]byte, 100)}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send to a closed endpoint = %v, want ErrClosed", err)
+	}
+	if msgs, bytes := nw.Traffic(); msgs != 0 || bytes != 0 {
+		t.Fatalf("Traffic = %d msgs / %d bytes after a failed send, want 0 / 0", msgs, bytes)
+	}
+}
+
 func TestLatencyModelDelay(t *testing.T) {
 	l := LatencyModel{Base: time.Millisecond, PerKB: time.Millisecond}
 	if d := l.Delay(0); d != time.Millisecond {

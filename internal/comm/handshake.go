@@ -33,8 +33,12 @@ import (
 // first field of a hello or welcome body, so v5 and later tell each other
 // apart by number; v4 and earlier opened with gob, which a v5 acceptor
 // refuses on the first byte and a v5 dialer sees as a master that closes
-// without a welcome.
-const ProtocolVersion = 5
+// without a welcome; 6 changed no frame but what a spec names: the CLI
+// tools build every problem through the job service's kernel table, so
+// the same -app/-n/-seed is another input pair than a v5 build generated
+// (and the spec digest's tag moved with it), and a v5 rank or elastic
+// worker is refused at the handshake instead of computing other inputs.
+const ProtocolVersion = 6
 
 // Hello is the first frame on every worker connection: who is joining and
 // what problem it believes the cluster is solving.

@@ -21,7 +21,8 @@ import (
 // checked by fleet.SpecBuilder). Either way a worker built from different
 // flags is refused instead of corrupting the run.
 type Spec struct {
-	// App names the application (the internal/cli registry).
+	// App names the application (a kernel of server.Registry, which
+	// every CLI tool builds it through).
 	App string
 	// N is the matrix side length.
 	N int
@@ -36,9 +37,12 @@ type Spec struct {
 }
 
 // Digest fingerprints the spec: the fixed-rank join handshake carries it,
-// and it scopes a one-job run's entries in the result cache.
+// and it scopes a one-job run's entries in the result cache. The tag's
+// generation names the input recipe: 2 since (App, N, Seed) means the job
+// service's kernel table entry, so a cache directory a generation-1 build
+// filled is never read as this problem's.
 func (s Spec) Digest() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("easyhps-spec:1:%s:%d:%d:%dx%d:%dx%d",
+	h := sha256.Sum256([]byte(fmt.Sprintf("easyhps-spec:2:%s:%d:%d:%dx%d:%dx%d",
 		s.App, s.N, s.Seed, s.Proc.Rows, s.Proc.Cols, s.Thread.Rows, s.Thread.Cols)))
 	return hex.EncodeToString(h[:12])
 }

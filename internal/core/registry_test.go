@@ -132,8 +132,12 @@ func TestRegistryWaitLive(t *testing.T) {
 
 func TestSpecDigest(t *testing.T) {
 	s := Spec{App: "editdist", N: 64, Seed: 51, Proc: dag.Square(8)}
-	if s.Digest() != s.Digest() {
-		t.Fatal("digest is not deterministic")
+	// Pinned: generation 2 of the spec tag, the kernel-table recipe. A
+	// generation-1 digest (eb71c7274b0d97f1f06e04e6 here) names another
+	// input pair, so a parent build's rank or cache directory must not
+	// match it.
+	if got := s.Digest(); got != "56cc9b64cde7a3c89495f392" {
+		t.Fatalf("digest = %s, want the pinned generation-2 value", got)
 	}
 	for name, other := range map[string]Spec{
 		"app":  {App: "nussinov", N: 64, Seed: 51, Proc: dag.Square(8)},

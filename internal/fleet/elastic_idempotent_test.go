@@ -10,48 +10,8 @@ import (
 	"repro/internal/cli"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/fleet"
 )
-
-// reference builds the DP instance for app with the same generator
-// recipe cli.Build uses, exposing the sequential matrix the CLI facade
-// does not. The default branch fails loudly so a new entry in cli.Apps
-// forces a matching reference here.
-func reference(t *testing.T, app string, n int) (core.Problem[int32], [][]int32) {
-	t.Helper()
-	const seed = 7
-	switch app {
-	case "swgg":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.3, seed+1)
-		s := dp.NewSWGG(a, b)
-		return s.Problem(), s.Sequential()
-	case "nussinov":
-		nu := dp.NewNussinov(dp.RandomRNA(n, seed))
-		return nu.Problem(), nu.Sequential()
-	case "editdist":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.2, seed+1)
-		e := dp.NewEditDistance(a, b)
-		return e.Problem(), e.Sequential()
-	case "lcs":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.2, seed+1)
-		l := dp.NewLCS(a, b)
-		return l.Problem(), l.Sequential()
-	case "nw":
-		a := dp.RandomDNA(n, seed)
-		b := dp.MutateSeq(a, dp.DNAAlphabet, 0.3, seed+1)
-		nw := dp.NewNeedlemanWunsch(a, b)
-		return nw.Problem(), nw.Sequential()
-	case "knapsack":
-		k := dp.NewKnapsack(n, 4*n, seed)
-		return k.Problem(), k.Sequential()
-	}
-	t.Fatalf("no sequential reference for app %q — extend reference() alongside cli.Apps", app)
-	return core.Problem[int32]{}, nil
-}
 
 // stutteringWorker joins the master as a protocol-level worker that
 // computes prob honestly and sends every result frame twice — partial
@@ -110,8 +70,12 @@ func stutteringWorker(addr string, prob core.Problem[int32], flush int) error {
 func TestDuplicateResultIdempotent(t *testing.T) {
 	for _, app := range cli.Apps {
 		t.Run(app, func(t *testing.T) {
-			prob, want := reference(t, app, 48)
 			spec := core.Spec{App: app, N: 48, Seed: 7}
+			prob, _, err := cli.Build(spec.App, spec.N, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := prob.Kernel.(interface{ Sequential() [][]int32 }).Sequential()
 			ckpt := t.TempDir() + "/run.ckpt"
 			opts := testOptions()
 			opts.HeartbeatInterval = time.Hour // the stuttering worker sends no beacons

@@ -192,7 +192,9 @@ func (f *Fleet[T]) Close() {
 var ErrFleetClosed = core.ErrClosed
 
 // Run submits one job and blocks until it completes, fails, or ctx is
-// cancelled. Jobs run concurrently: call Run from one goroutine per job.
+// cancelled. Jobs run concurrently: call Run from one goroutine per job. A
+// job that started and then failed returns its Result beside the error:
+// the counters it reached, so a caller can count every run once.
 func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (*Result[T], error) {
 	jb, err := f.newJob(f.nextID.Add(1), p, req)
 	if err != nil {
@@ -201,10 +203,8 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 	if err := f.d.Start(jb); err != nil {
 		return nil, err
 	}
-	if err := f.d.Wait(ctx, jb); err != nil {
-		return nil, err
-	}
-	return &Result[T]{Store: jb.Engine.Store(), Stats: jb.Stats()}, nil
+	err = f.d.Wait(ctx, jb)
+	return &Result[T]{Store: jb.Engine.Store(), Stats: jb.Stats()}, err
 }
 
 // acceptLoop admits workers for the fleet's whole lifetime.

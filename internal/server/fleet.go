@@ -33,9 +33,10 @@ func RegistryBuilder(reg *Registry) fleet.Builder[int32] {
 }
 
 // runFleet executes one job on the shared fleet instead of the in-process
-// deployment. The run slot stays held for the duration, so MaxConcurrent
-// acts purely as admission control on how many jobs the service feeds the
-// fleet at once; the fleet's policy schedules among them.
+// deployment; a run that started returns its stats even when it failed.
+// The run slot stays held for the duration, so MaxConcurrent acts purely
+// as admission control on how many jobs the service feeds the fleet at
+// once; the fleet's policy schedules among them.
 func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], error) {
 	spec, err := json.Marshal(j.Spec)
 	if err != nil {
@@ -58,10 +59,10 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], er
 		},
 	}
 	res, err := m.cfg.Fleet.Run(ctx, j.problem, req)
-	if err != nil {
+	if res == nil {
 		return nil, err
 	}
-	return &core.Result[int32]{Store: res.Store, Stats: core.Stats{Stats: res.Stats}}, nil
+	return &core.Result[int32]{Store: res.Store, Stats: core.Stats{Stats: res.Stats}}, err
 }
 
 // Trace returns the scheduling trace of a fleet job as export-ready

@@ -588,8 +588,14 @@ func (m *Manager) run(j *Job) {
 		res, err = core.RunContext(ctx, j.problem, cfg)
 	}
 
+	// The run's counters leave the live set and enter the totals in one
+	// step, failed runs too, so /metrics counts a fleet job once and its
+	// series never fall (WriteMetrics).
 	m.mu.Lock()
 	delete(m.running, j.ID)
+	if res != nil {
+		m.metrics.addRunStats(res.Stats)
+	}
 	m.mu.Unlock()
 
 	// Only this goroutine settles a running job, so its inputs are still
@@ -602,7 +608,6 @@ func (m *Manager) run(j *Job) {
 	case err == nil:
 		r := j.finish(res)
 		final, result = StateDone, &r
-		m.metrics.addRunStats(res.Stats)
 	case ctx.Err() != nil:
 		final, errText = StateCancelled, context.Canceled.Error()
 	default:

@@ -76,7 +76,7 @@ func (x *metrics) observeFinal(s State, latency time.Duration) {
 	x.histMu.Unlock()
 }
 
-// addRunStats folds one completed run's scheduling statistics into the
+// addRunStats folds one finished run's scheduling statistics into the
 // service totals (sub-task throughput, traffic).
 func (x *metrics) addRunStats(s core.Stats) {
 	x.tasks.Add(s.Tasks)
@@ -175,20 +175,34 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "# HELP easyhps_dispatch_bytes_per_vertex Mean task payload bytes per dispatched vertex across all runs.\n# TYPE easyhps_dispatch_bytes_per_vertex gauge\neasyhps_dispatch_bytes_per_vertex 0\n")
 	}
 
-	// Straggler-mitigation totals: completed runs' stats, plus the live
-	// fleet's counters when a snapshot source is attached.
-	speculated, specWon, specWasted := x.speculated.Load(), x.specWon.Load(), x.specWasted.Load()
-	steals := x.steals.Load()
-
+	// Straggler-mitigation totals: each job counted once — from the fleet
+	// snapshot while this manager runs it, and from the totals run folds
+	// when its run returns. A retained finished job of the snapshot is
+	// already in the totals, so it leaves the live share; the fold and the
+	// running-table delete happen under m.mu, so no job is ever in neither.
 	m.fleetMu.Lock()
 	fleetFn := m.fleetStats
 	m.fleetMu.Unlock()
+	var snap fleet.Snapshot
 	if fleetFn != nil {
-		snap := fleetFn()
-		speculated += snap.Aggregate.Speculated
-		specWon += snap.Aggregate.SpecWon
-		specWasted += snap.Aggregate.SpecWasted
-		steals += snap.Aggregate.Steals
+		snap = fleetFn()
+	}
+	live := snap.Aggregate
+	m.mu.Lock()
+	for _, js := range snap.Jobs {
+		if m.running[js.Name] == nil {
+			live.Speculated -= js.Stats.Speculated
+			live.SpecWon -= js.Stats.SpecWon
+			live.SpecWasted -= js.Stats.SpecWasted
+			live.Steals -= js.Stats.Steals
+		}
+	}
+	speculated := x.speculated.Load() + live.Speculated
+	specWon := x.specWon.Load() + live.SpecWon
+	specWasted := x.specWasted.Load() + live.SpecWasted
+	steals := x.steals.Load() + live.Steals
+	m.mu.Unlock()
+	if fleetFn != nil {
 		writeMembership(w, snap.Members)
 		writeFleet(w, snap)
 	}

@@ -14,11 +14,11 @@ import (
 func sweepOverrides(t *testing.T, s *Scenario, batch int, mult float64) *Result {
 	t.Helper()
 	h := *s
-	h.Opts.Auto = false
-	h.Opts.Batch = batch
-	h.Opts.Speculate = true
-	h.Opts.Steal = true
-	h.Opts.SpecMultiplier = mult
+	h.Opts.Pool.Auto = false
+	h.Opts.Pool.Batch = batch
+	h.Opts.Pool.Speculate = true
+	h.Opts.Pool.Steal = true
+	h.Opts.Pool.SpecMultiplier = mult
 	res, err := h.Run(0)
 	if err != nil {
 		t.Fatalf("hand-tuned run batch=%d mult=%v: %v", batch, mult, err)
@@ -48,10 +48,10 @@ func TestAutoTuneMixedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Opts.Auto {
+	if !s.Opts.Pool.Auto {
 		t.Fatal("scenario must run under auto")
 	}
-	if s.Opts.Batch != 0 || s.Opts.Speculate || s.Opts.SpecMultiplier != 0 {
+	if s.Opts.Pool.Batch != 0 || s.Opts.Pool.Speculate || s.Opts.Pool.SpecMultiplier != 0 {
 		t.Fatal("scenario must not hand-set batch or speculation knobs")
 	}
 	auto, err := s.Run(0)

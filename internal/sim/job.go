@@ -19,22 +19,15 @@ type JobSpec struct {
 	// Problem is the DP application (kernel, codec, size).
 	Problem core.Problem[int32]
 	// Proc is the processor-level partition; zero applies the fleet's
-	// rule at submission: an 8x8 block grid, or under Options.Auto the
+	// rule at submission: an 8x8 block grid, or under Options.Pool.Auto the
 	// advisor's choice for the members then alive.
 	Proc dag.Size
-	// Weight is the fair-share weight (default 1).
-	Weight float64
-	// Priority is the priority class (higher dispatches first).
-	Priority int
-	// Quota caps in-flight leased attempts (0 = unlimited).
-	Quota int
-	// MaxAttempts and TaskTimeout override the cluster defaults.
-	MaxAttempts int
-	TaskTimeout time.Duration
-	// Deadline bounds the job's total runtime from submission: the job
-	// fails at the first control tick not before it
-	// (fleet.JobRequest.Timeout). Zero means no deadline.
-	Deadline time.Duration
+	// Params is the job's standing in the pool: fair-share weight,
+	// priority class, quota, and the MaxAttempts and TaskTimeout that
+	// override the cluster defaults. Its Timeout bounds the job's total
+	// runtime from submission: the job fails at the first control tick not
+	// before it (fleet.JobRequest.Timeout). Zero values inherit.
+	Params engine.JobParams
 	// Cost overrides the cluster's nominal per-vertex service time.
 	Cost time.Duration
 	// CostPerCell, when set, adds CostPerCell x (block cell count) to
@@ -108,14 +101,7 @@ func (j *Job) recorder() *trace.Recorder {
 // remainder into the pool.
 func (c *Cluster) activate(jb *Job) {
 	s := jb.spec
-	jb.job, jb.err = c.d.NewJob(jb.id, s.Problem, s.Proc, engine.JobParams{
-		Weight:      s.Weight,
-		Priority:    s.Priority,
-		Quota:       s.Quota,
-		MaxAttempts: s.MaxAttempts,
-		TaskTimeout: s.TaskTimeout,
-		Timeout:     s.Deadline,
-	}, s.CacheKey, nil)
+	jb.job, jb.err = c.d.NewJob(jb.id, s.Problem, s.Proc, s.Params, s.CacheKey, nil)
 	if jb.err == nil {
 		jb.job.Name, jb.job.Label = s.Name, fmt.Sprintf("sim: job %q", s.Name)
 		_ = c.d.Start(jb.job) // a job that failed or finished at its start has ended

@@ -2,34 +2,24 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
-	"repro/internal/dp"
+	"repro/internal/server"
 )
 
-// BuildProblem constructs one of the named DP applications at size n
-// with deterministic seeded inputs, returning both the EasyHPS problem
-// and the plain sequential reference matrix. Scenario files name their
-// jobs' kernels through this table; the reference is what the
-// bit-identical-results half of the determinism contract is checked
-// against.
+var registry = server.NewRegistry()
+
+// BuildProblem constructs the named kernel's problem at size n from seed
+// through the job service's kernel table (server.Registry), so a scenario
+// job computes the matrix the service and the CLI tools compute for the
+// same (kernel, n, seed). It returns the kernel's plain sequential
+// reference beside it: what the bit-identical-results half of the
+// determinism contract is checked against.
 func BuildProblem(kernel string, n int, seed int64) (core.Problem[int32], [][]int32, error) {
-	if n < 1 {
-		return core.Problem[int32]{}, nil, fmt.Errorf("sim: kernel %q needs a positive size, got %d", kernel, n)
+	p, _, err := registry.Build(server.JobSpec{Kernel: kernel, N: n, Seed: seed}, math.MaxInt64)
+	if err != nil {
+		return core.Problem[int32]{}, nil, fmt.Errorf("sim: %w", err)
 	}
-	switch kernel {
-	case "editdist":
-		e := dp.NewEditDistance(dp.RandomDNA(n, seed), dp.RandomDNA(n, seed+1))
-		return e.Problem(), e.Sequential(), nil
-	case "lcs":
-		l := dp.NewLCS(dp.RandomDNA(n, seed), dp.RandomDNA(n, seed+1))
-		return l.Problem(), l.Sequential(), nil
-	case "swgg":
-		s := dp.NewSWGG(dp.RandomDNA(n, seed), dp.RandomDNA(n, seed+1))
-		return s.Problem(), s.Sequential(), nil
-	case "nussinov":
-		nu := dp.NewNussinov(dp.RandomRNA(n, seed))
-		return nu.Problem(), nu.Sequential(), nil
-	}
-	return core.Problem[int32]{}, nil, fmt.Errorf("sim: unknown kernel %q (want editdist, lcs, swgg or nussinov)", kernel)
+	return p, p.Kernel.(interface{ Sequential() [][]int32 }).Sequential(), nil
 }

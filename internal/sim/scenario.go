@@ -216,7 +216,7 @@ func (s *Scenario) parseCluster(kvs []string) error {
 		case "workers":
 			s.Opts.Workers, err = strconv.Atoi(val)
 		case "batch":
-			s.Opts.Batch, err = strconv.Atoi(val)
+			s.Opts.Pool.Batch, err = strconv.Atoi(val)
 		case "seed":
 			s.Opts.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "cost":
@@ -224,33 +224,33 @@ func (s *Scenario) parseCluster(kvs []string) error {
 		case "jitter":
 			s.Opts.Jitter, err = strconv.ParseFloat(val, 64)
 		case "timeout":
-			s.Opts.TaskTimeout, err = time.ParseDuration(val)
+			s.Opts.Pool.TaskTimeout, err = time.ParseDuration(val)
 		case "check":
-			s.Opts.CheckInterval, err = time.ParseDuration(val)
+			s.Opts.Pool.CheckInterval, err = time.ParseDuration(val)
 		case "hb":
 			s.Opts.HeartbeatInterval, err = time.ParseDuration(val)
 		case "miss":
 			s.Opts.HeartbeatMiss, err = strconv.Atoi(val)
 		case "maxattempts":
-			s.Opts.MaxAttempts, err = strconv.Atoi(val)
+			s.Opts.Pool.MaxAttempts, err = strconv.Atoi(val)
 		case "horizon":
 			s.Opts.Horizon, err = time.ParseDuration(val)
 		case "speculate":
-			s.Opts.Speculate = true
+			s.Opts.Pool.Speculate = true
 		case "spec-q":
-			s.Opts.SpecQuantile, err = strconv.ParseFloat(val, 64)
+			s.Opts.Pool.SpecQuantile, err = strconv.ParseFloat(val, 64)
 		case "spec-mult":
-			s.Opts.SpecMultiplier, err = strconv.ParseFloat(val, 64)
+			s.Opts.Pool.SpecMultiplier, err = strconv.ParseFloat(val, 64)
 		case "spec-min":
-			s.Opts.SpecMinSamples, err = strconv.Atoi(val)
+			s.Opts.Pool.SpecMinSamples, err = strconv.Atoi(val)
 		case "spec-floor":
-			s.Opts.SpecFloor, err = time.ParseDuration(val)
+			s.Opts.Pool.SpecFloor, err = time.ParseDuration(val)
 		case "steal":
-			s.Opts.Steal = true
+			s.Opts.Pool.Steal = true
 		case "cache":
 			s.UseCache = true
 		case "auto":
-			s.Opts.Auto = true
+			s.Opts.Pool.Auto = true
 		default:
 			return fmt.Errorf("unknown cluster key %q", key)
 		}
@@ -284,17 +284,17 @@ func parseJob(kvs []string) (ScenarioJob, error) {
 		case "proc":
 			jb.Spec.Proc, err = parseSize(val)
 		case "weight":
-			jb.Spec.Weight, err = strconv.ParseFloat(val, 64)
+			jb.Spec.Params.Weight, err = strconv.ParseFloat(val, 64)
 		case "priority":
-			jb.Spec.Priority, err = strconv.Atoi(val)
+			jb.Spec.Params.Priority, err = strconv.Atoi(val)
 		case "quota":
-			jb.Spec.Quota, err = strconv.Atoi(val)
+			jb.Spec.Params.Quota, err = strconv.Atoi(val)
 		case "maxattempts":
-			jb.Spec.MaxAttempts, err = strconv.Atoi(val)
+			jb.Spec.Params.MaxAttempts, err = strconv.Atoi(val)
 		case "timeout":
-			jb.Spec.TaskTimeout, err = time.ParseDuration(val)
+			jb.Spec.Params.TaskTimeout, err = time.ParseDuration(val)
 		case "deadline":
-			jb.Spec.Deadline, err = time.ParseDuration(val)
+			jb.Spec.Params.Timeout, err = time.ParseDuration(val)
 		case "cost":
 			jb.Spec.Cost, err = time.ParseDuration(val)
 		case "cost-per-cell":

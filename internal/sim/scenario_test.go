@@ -129,12 +129,12 @@ expect job j tasks == 16
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := s.Opts
-	if o.Workers != 16 || o.Batch != 2 || o.Seed != 9 || o.Cost != 3*time.Millisecond ||
-		o.Jitter != 0.25 || o.TaskTimeout != 2*time.Second || o.CheckInterval != 50*time.Millisecond ||
-		o.HeartbeatInterval != 40*time.Millisecond || o.HeartbeatMiss != 4 || o.MaxAttempts != 5 ||
-		o.Horizon != 90*time.Second || !o.Speculate || o.SpecQuantile != 0.9 || o.SpecMultiplier != 3 ||
-		o.SpecMinSamples != 6 || o.SpecFloor != 10*time.Millisecond || !o.Steal || !o.Auto {
+	o, p := s.Opts, s.Opts.Pool
+	if o.Workers != 16 || p.Batch != 2 || o.Seed != 9 || o.Cost != 3*time.Millisecond ||
+		o.Jitter != 0.25 || p.TaskTimeout != 2*time.Second || p.CheckInterval != 50*time.Millisecond ||
+		o.HeartbeatInterval != 40*time.Millisecond || o.HeartbeatMiss != 4 || p.MaxAttempts != 5 ||
+		o.Horizon != 90*time.Second || !p.Speculate || p.SpecQuantile != 0.9 || p.SpecMultiplier != 3 ||
+		p.SpecMinSamples != 6 || p.SpecFloor != 10*time.Millisecond || !p.Steal || !p.Auto {
 		t.Fatalf("cluster options misparsed: %+v", o)
 	}
 	if !s.UseCache {
@@ -145,10 +145,10 @@ expect job j tasks == 16
 	}
 	jb := s.Jobs[0]
 	if jb.Spec.Name != "j" || jb.Kernel != "editdist" || jb.N != 32 || jb.Seed != 4 ||
-		jb.Spec.Proc.Rows != 4 || jb.Spec.Proc.Cols != 4 || jb.Spec.Weight != 2.5 ||
-		jb.Spec.Priority != 1 || jb.Spec.Quota != 3 || jb.Spec.MaxAttempts != 2 ||
-		jb.Spec.TaskTimeout != time.Second || jb.Spec.Cost != 7*time.Millisecond ||
-		jb.Spec.CostPerCell != 250*time.Microsecond || jb.Spec.Deadline != 20*time.Second ||
+		jb.Spec.Proc.Rows != 4 || jb.Spec.Proc.Cols != 4 || jb.Spec.Params.Weight != 2.5 ||
+		jb.Spec.Params.Priority != 1 || jb.Spec.Params.Quota != 3 || jb.Spec.Params.MaxAttempts != 2 ||
+		jb.Spec.Params.TaskTimeout != time.Second || jb.Spec.Cost != 7*time.Millisecond ||
+		jb.Spec.CostPerCell != 250*time.Microsecond || jb.Spec.Params.Timeout != 20*time.Second ||
 		jb.Spec.CacheKey != "k" {
 		t.Fatalf("job misparsed: %+v", jb)
 	}

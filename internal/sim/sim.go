@@ -44,30 +44,17 @@ import (
 type Options struct {
 	// Workers is the number of workers admitted before virtual time 0.
 	Workers int
-	// Batch bounds vertices per dispatch (default 1).
-	Batch int
-	// TaskTimeout is the per-vertex overtime bound (default 30s).
-	TaskTimeout time.Duration
-	// CheckInterval is the control tick period: heartbeats, sweep,
-	// overtime expiry and speculation all run on it (default 250ms).
-	CheckInterval time.Duration
-	// MaxAttempts bounds overtime redistributions per vertex (default 4).
-	MaxAttempts int
+	// Pool holds the scheduling knobs, the fleet's: batch bound, overtime,
+	// attempt cap, speculation, stealing, auto and the control tick period
+	// (CheckInterval: heartbeats, sweep, overtime expiry and speculation all
+	// run on it; default HeartbeatInterval). Its zero values take
+	// engine.NewPool's defaults; its Trace is the cluster's own.
+	Pool engine.PoolConfig
 	// HeartbeatInterval and HeartbeatMiss size the membership sweep
 	// (defaults 250ms, 3). Simulated workers beat on every control tick
 	// unless partitioned or dead.
 	HeartbeatInterval time.Duration
 	HeartbeatMiss     int
-	// Speculate enables profile-driven backup dispatch with the fleet's
-	// threshold machinery.
-	Speculate      bool
-	SpecQuantile   float64
-	SpecMultiplier float64
-	SpecMinSamples int
-	SpecFloor      time.Duration
-	// Steal enables backlog stealing toward idle workers when no job
-	// has ready vertices.
-	Steal bool
 	// Cache, when non-nil, is the cross-job content-addressed result
 	// store probed for each computable vertex of cache-keyed jobs.
 	Cache *cas.Store
@@ -81,13 +68,6 @@ type Options struct {
 	// every unfinished job (default 1h) — the guard that turns a
 	// scheduling livelock into a test failure instead of a hang.
 	Horizon time.Duration
-	// Auto runs the self-tuning controller on every control tick: the
-	// batch cap and speculation thresholds above become starting points
-	// that adapt to the observed workload, unset job partitions come
-	// from the cost-model advisor, and speculation plus stealing are
-	// enabled (auto means the system owns the schedule). Mirrors the
-	// production -auto flag.
-	Auto bool
 }
 
 // withDefaults fills the defaults of what the simulator itself reads; the
@@ -99,8 +79,8 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatMiss < 1 {
 		o.HeartbeatMiss = 3
 	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = o.HeartbeatInterval
+	if o.Pool.CheckInterval <= 0 {
+		o.Pool.CheckInterval = o.HeartbeatInterval
 	}
 	if o.Cost <= 0 {
 		o.Cost = time.Millisecond
@@ -163,21 +143,10 @@ func New(opts Options) *Cluster {
 	}
 	c.tr = trace.NewWithNow(clock.Now)
 	c.reg = core.NewRegistry(c.tr, clock)
+	pool := opts.Pool
+	pool.Trace = c.tr
 	c.d = core.NewDriver[int32](core.DriverConfig{
-		Pool: engine.PoolConfig{
-			Batch:          opts.Batch,
-			TaskTimeout:    opts.TaskTimeout,
-			MaxAttempts:    opts.MaxAttempts,
-			Speculate:      opts.Speculate,
-			SpecQuantile:   opts.SpecQuantile,
-			SpecMultiplier: opts.SpecMultiplier,
-			SpecMinSamples: opts.SpecMinSamples,
-			SpecFloor:      opts.SpecFloor,
-			Steal:          opts.Steal,
-			Auto:           opts.Auto,
-			CheckInterval:  opts.CheckInterval,
-			Trace:          c.tr,
-		},
+		Pool:              pool,
 		Clock:             clock,
 		Registry:          c.reg,
 		HeartbeatInterval: opts.HeartbeatInterval,
@@ -382,7 +351,7 @@ func (c *Cluster) finishedAll() bool {
 // flags and the tuner, which sees the hunger beacons — then dispatch, and
 // re-arm until every job is done.
 func (c *Cluster) scheduleTick() {
-	c.after(c.opts.CheckInterval, func() {
+	c.after(c.opts.Pool.CheckInterval, func() {
 		for _, w := range c.workers {
 			if w.alive && !w.partitioned && !w.declaredDead {
 				c.d.Deliver(w.member, comm.Message{Kind: comm.KindHeartbeat})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/comm"
 	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/trace"
 )
@@ -36,8 +37,8 @@ func TestBuildProblemErrors(t *testing.T) {
 // gives a different schedule but bit-identical DP results.
 func TestDeterministicTrace(t *testing.T) {
 	run := func(seed int64) (string, [][]int32) {
-		c := New(Options{Workers: 16, Seed: seed, Cost: time.Millisecond, Jitter: 0.4,
-			CheckInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond})
+		c := New(Options{Workers: 16, Seed: seed, Cost: time.Millisecond, Jitter: 0.4, HeartbeatInterval: 20 * time.Millisecond,
+			Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond}})
 		spec := mustProblem(t, "editdist", 64, 7)
 		j, err := c.Submit(0, spec)
 		if err != nil {
@@ -78,9 +79,8 @@ func TestDeterministicTrace(t *testing.T) {
 // its leases are revoked and redistributed, and when the healed zombie
 // finally delivers, attempt arbitration refuses the result.
 func TestPartitionZombie(t *testing.T) {
-	c := New(Options{Workers: 2, Seed: 3, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMiss: 3, TaskTimeout: time.Minute})
+	c := New(Options{Workers: 2, Seed: 3, Cost: 10 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond, HeartbeatMiss: 3,
+		Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond, TaskTimeout: time.Minute}})
 	j, err := c.Submit(0, mustProblem(t, "editdist", 64, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +156,8 @@ func TestPoisonedCacheEntryIsAMiss(t *testing.T) {
 // expiries on a crawling single worker until the job is failed rather
 // than retried forever.
 func TestMaxAttemptsPoisonsJob(t *testing.T) {
-	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, TaskTimeout: 50 * time.Millisecond,
-		MaxAttempts: 2, Horizon: 5 * time.Minute})
+	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond, Horizon: 5 * time.Minute,
+		Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond, TaskTimeout: 50 * time.Millisecond, MaxAttempts: 2}})
 	c.SlowAt(0, 0, 1000) // 10s per task against a 50ms timeout
 	j, err := c.Submit(0, mustProblem(t, "editdist", 16, 2))
 	if err != nil {
@@ -179,9 +178,8 @@ func TestMaxAttemptsPoisonsJob(t *testing.T) {
 // member hoards a deep batch backlog; with stealing on, the joiner must
 // take the newer half instead of idling.
 func TestStealRescuesJoiner(t *testing.T) {
-	c := New(Options{Workers: 1, Seed: 9, Batch: 8, Steal: true,
-		Cost: 10 * time.Millisecond, CheckInterval: 20 * time.Millisecond,
-		TaskTimeout: time.Minute, Horizon: 10 * time.Minute})
+	c := New(Options{Workers: 1, Seed: 9, Cost: 10 * time.Millisecond, Horizon: 10 * time.Minute,
+		Pool: engine.PoolConfig{Batch: 8, Steal: true, CheckInterval: 20 * time.Millisecond, TaskTimeout: time.Minute}})
 	c.SlowAt(0, 0, 10) // the incumbent crawls at 100ms per task
 	j, err := c.Submit(0, mustProblem(t, "editdist", 64, 4))
 	if err != nil {
@@ -219,8 +217,8 @@ func TestSubmitValidation(t *testing.T) {
 // TestHorizonFailsUnfinishedJobs caps virtual time below what the job
 // needs; Run must fail it and report the horizon instead of spinning.
 func TestHorizonFailsUnfinishedJobs(t *testing.T) {
-	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, Horizon: 50 * time.Millisecond})
+	c := New(Options{Workers: 1, Seed: 1, Cost: 10 * time.Millisecond, Horizon: 50 * time.Millisecond,
+		Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond}})
 	c.SlowAt(0, 0, 1000)
 	j, err := c.Submit(0, mustProblem(t, "editdist", 16, 1))
 	if err != nil {
@@ -234,7 +232,7 @@ func TestHorizonFailsUnfinishedJobs(t *testing.T) {
 	}
 	// A job scripted past the horizon must be failed as never activated.
 	c2 := New(Options{Workers: 1, Horizon: 50 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond})
+		Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond}})
 	j2, err := c2.Submit(time.Hour, mustProblem(t, "editdist", 8, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -250,8 +248,8 @@ func TestHorizonFailsUnfinishedJobs(t *testing.T) {
 // TestAllWorkersDeadStarves kills the whole fleet mid-run: the event
 // queue must drain into a starvation error, not hang.
 func TestAllWorkersDeadStarves(t *testing.T) {
-	c := New(Options{Workers: 2, Seed: 1, Cost: 10 * time.Millisecond,
-		CheckInterval: 20 * time.Millisecond, Horizon: 30 * time.Second})
+	c := New(Options{Workers: 2, Seed: 1, Cost: 10 * time.Millisecond, Horizon: 30 * time.Second,
+		Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond}})
 	j, err := c.Submit(0, mustProblem(t, "editdist", 32, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +271,7 @@ func TestAllWorkersDeadStarves(t *testing.T) {
 func TestBurstSubmitSameInstant(t *testing.T) {
 	run := func() (string, []*Job) {
 		c := New(Options{Workers: 8, Seed: 17, Cost: 2 * time.Millisecond, Jitter: 0.2,
-			CheckInterval: 20 * time.Millisecond, Batch: 2})
+			Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond, Batch: 2}})
 		var jobs []*Job
 		for i, k := range []string{"editdist", "lcs", "swgg"} {
 			spec := mustProblem(t, k, 32, int64(i+1))
@@ -313,7 +311,8 @@ func TestBurstSubmitSameInstant(t *testing.T) {
 
 // TestTraceHelpers covers the format and diff helpers on a live trace.
 func TestTraceHelpers(t *testing.T) {
-	c := New(Options{Workers: 2, Seed: 1, Cost: time.Millisecond, CheckInterval: 20 * time.Millisecond})
+	c := New(Options{Workers: 2, Seed: 1, Cost: time.Millisecond,
+		Pool: engine.PoolConfig{CheckInterval: 20 * time.Millisecond}})
 	if _, err := c.Submit(0, mustProblem(t, "editdist", 16, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func (c *Cluster) dispatchAll() {
 // stale, a partitioned worker's beacon is lost, a dead worker's timer stops.
 func (c *Cluster) armHunger(w *simWorker) {
 	started := w.started
-	c.after(c.opts.CheckInterval*3/4, func() {
+	c.after(c.opts.Pool.CheckInterval*3/4, func() {
 		if !w.alive || w.started != started || c.finishedAll() {
 			return
 		}

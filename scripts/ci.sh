@@ -169,7 +169,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7116 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 7065 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
@@ -201,6 +201,21 @@ for call in 'computeBlock(' 'comm.ServeTasks('; do
     fi
 done
 echo "calls: computeBlock and comm.ServeTasks have one non-test call site each"
+
+# And one kernel table: a DP job's inputs are server.Registry's, the table
+# the job service, the CLI tools and the simulator all build through, so
+# one (kernel, n, seed) is one matrix in every tool. No other non-test code
+# under internal/ or cmd/ generates inputs (internal/bench, the emulated
+# figures' harness, keeps its own until it is deleted).
+generators=$(grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])(RandomDNA|RandomRNA|RandomSeq|MutateSeq)\(' internal cmd |
+    grep -v '_test\.go:' | grep -vE '^internal/(dp|server|bench)/' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$generators" ]; then
+    echo "calls: DP inputs are built through server.Registry, not generated here:" >&2
+    echo "$generators" >&2
+    exit 1
+fi
+echo "calls: no input generator outside internal/dp, internal/server and internal/bench"
 
 # And the simulator runs the shipped driver: it steps core.Driver (Start,
 # Feed, Deliver, Down, Tick, End) from its event loop, so no non-test code
