@@ -82,10 +82,13 @@ type Config struct {
 	// TaskTimeout is the processor-level fault-detection timeout: a
 	// sub-task not finished within it is redistributed.
 	TaskTimeout time.Duration
-	// SubTaskTimeout is the thread-level fault-detection timeout.
+	// SubTaskTimeout is the thread-level fault-detection timeout. The
+	// thread level watches it only with Threads >= 2: a helper re-runs what
+	// another thread stalls in, and a lone thread has nobody to hand it to.
 	SubTaskTimeout time.Duration
-	// CheckInterval is how often the fault-tolerance threads inspect
-	// their overtime queues; defaults to a quarter of the timeout.
+	// CheckInterval is how often the fault-tolerance watches inspect their
+	// overtime queues (the thread level's, with Threads >= 2 only);
+	// defaults to a quarter of the shorter timeout, at least 1 ms.
 	CheckInterval time.Duration
 	// RunTimeout aborts the whole run when exceeded (0 disables). It is
 	// a guard for tests and for deployments where every node could die.
@@ -216,9 +219,7 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 			Cols: (c.ProcPartition.Cols + 3) / 4,
 		}
 	}
-	if c.BCWBlockCols < 1 {
-		c.BCWBlockCols = 1
-	}
+	c.BCWBlockCols = max(c.BCWBlockCols, 1)
 	if c.Batch < 1 {
 		c.Batch = engine.DefaultBatch
 	}
@@ -243,13 +244,7 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 		c.SubTaskTimeout = 10 * time.Second
 	}
 	if c.CheckInterval <= 0 {
-		c.CheckInterval = c.TaskTimeout / 4
-		if sub := c.SubTaskTimeout / 4; sub < c.CheckInterval {
-			c.CheckInterval = sub
-		}
-		if c.CheckInterval < time.Millisecond {
-			c.CheckInterval = time.Millisecond
-		}
+		c.CheckInterval = max(min(c.TaskTimeout, c.SubTaskTimeout)/4, time.Millisecond)
 	}
 	return c, nil
 }

@@ -29,7 +29,11 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	ctrs := &counters{}
 	faults := newFaultState(cfg.Faults)
 
-	var slaves sync.WaitGroup
+	// The master starts once every slave has announced itself, as every
+	// rank of a real cluster has connected before it does: however the
+	// goroutines are scheduled, no slave comes up to a finished run.
+	var slaves, up sync.WaitGroup
+	up.Add(cfg.Slaves)
 	for s := 1; s <= cfg.Slaves; s++ {
 		slaves.Add(1)
 		go func(s int) {
@@ -37,9 +41,10 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 			// Slave errors surface as master-side timeouts; the
 			// slave loop itself only fails on codec bugs, which the
 			// master also detects.
-			_ = runSlave(p, cfg, nw.Endpoint(s), faults, ctrs)
+			_ = runSlave(p, cfg, nw.Endpoint(s), faults, ctrs, up.Done)
 		}(s)
 	}
+	up.Wait()
 
 	start := time.Now()
 	res, err := runMaster(ctx, p, cfg, nw.Endpoint(0), ctrs)
@@ -86,7 +91,7 @@ func RunSlave[T any](p Problem[T], cfg Config, tr comm.Transport) error {
 	if err != nil {
 		return err
 	}
-	return runSlave(p, cfg, tr, newFaultState(cfg.Faults), &counters{})
+	return runSlave(p, cfg, tr, newFaultState(cfg.Faults), &counters{}, func() {})
 }
 
 func prepare[T any](p Problem[T], cfg Config) (Config, error) {
@@ -102,10 +107,7 @@ func prepare[T any](p Problem[T], cfg Config) (Config, error) {
 		// and slaves run prepare with identical inputs, so both derive
 		// the same partition.
 		cm, _ := p.Kernel.(tune.CostModel)
-		workers := cfg.Slaves
-		if cfg.Threads > 1 {
-			workers *= cfg.Threads
-		}
+		workers := cfg.Slaves * max(cfg.Threads, 1)
 		cfg.ProcPartition = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, workers, cm)
 	}
 	return cfg.withDefaults(p.Size)

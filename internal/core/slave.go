@@ -120,15 +120,16 @@ func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
 }
 
 // runSlave is fixed rank tr.Rank()'s worker: the run's one job is job 0,
-// and the fault plan's task-level faults are the per-task hook. The run is
-// over, not failed, when the link closes, a send fails (the master hung up,
-// maybe before this slave said hello) or an injected crash kills the node
+// and the fault plan's task-level faults are the per-task hook; up runs
+// once its idle announcement is sent (or refused). The run is over, not
+// failed, when the link closes, a send fails (the master hung up, maybe
+// before this slave said hello) or an injected crash kills the node
 // without a word, and the results of its batch not yet flushed with it.
-func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultState, ctrs *counters) error {
-	rank := tr.Rank()
+func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultState, ctrs *counters, up func()) error {
+	rank, announced := tr.Rank(), sync.OnceFunc(up)
 	err := Worker[T]{
 		Recv:  tr.Recv,
-		Send:  func(m comm.Message) error { return tr.Send(0, m) },
+		Send:  func(m comm.Message) error { defer announced(); return tr.Send(0, m) },
 		Batch: cfg.Batch,
 		Before: func(vertex int32) error {
 			if faults.crashNow(rank) {
@@ -172,158 +173,190 @@ func jitterFactor(proc, sub int32, amp float64) float64 {
 	return 1 + amp*u
 }
 
-// computeBlock is the thread-level parallelization of one processor-level
-// sub-task: the block's cell region is partitioned again with
-// thread_partition_size, the slave DAG Data Driven Model is built over the
-// sub-blocks, and a pool of compute goroutines drains it. The slave
-// fault-tolerance goroutine watches the slave overtime queue, re-pushing
-// overdue sub-sub-tasks; panicking workers are recovered in place (the
-// goroutine equivalent of restarting a dead compute thread).
-func computeBlock[T any](p Problem[T], cfg Config, rect dag.Rect, inputs []*matrix.Block[T], faults *faultState, procID int32, ctrs *counters) *matrix.Block[T] {
-	out := matrix.NewPayloadBlock(p.Codec, rect) // accept's copies are the result's encoding
-	pat := p.Kernel.Pattern()
-	tgeom := dag.NewGeometry(rect, cfg.ThreadPartition)
-	graph := dag.Build(pat, tgeom)
-	parser := dag.NewParser(graph)
+// slaveLevel is a TaskRunner's thread level (Figs. 11-12 of the paper): the
+// slave DAG Data Driven Model over the sub-blocks of one processor-level
+// block, drained by Threads compute threads — the goroutine that calls Run
+// is thread 0, and Threads-1 helpers join it. It is reset, not rebuilt, from
+// one Run to the next, unless a sub-block was re-pushed after a timeout: a
+// helper may then still run a duplicate (a straggler), and keeps the level.
+type slaveLevel[T any] struct {
+	r       *TaskRunner[T]
+	pat     dag.Pattern
+	graph   dag.Graph
+	parser  dag.Parser // its done-set is the accept-once ledger
+	lifo    sched.LIFO
+	queue   *sched.Queue
+	views   []*matrix.View[T]               // per thread, over a scratch block the size of the largest sub-block
+	fills   []func(*matrix.View[T]) float64 // per thread, weighing work only when emulated (Config.WorkDelayPerCell)
+	layers  []*matrix.Block[T]              // the output block, then the shipped inputs
+	helpers sync.WaitGroup
+	// The slave fault-tolerance thread, with helpers only: a timer that
+	// re-arms itself every CheckInterval while a block is computed.
+	ot       *sched.OvertimeQueue
+	watch    *time.Timer
+	attempts atomic.Int32 // overtime stamps, never reused
+	overdue  atomic.Bool  // a sub-block was re-pushed after a timeout
+	tgeom    dag.Geometry // of the block being computed
+	out      *matrix.Block[T]
+	procID   int32
 
+	mu     sync.Mutex // held by accepts and re-pushes, so every push is made under it
+	panics map[int32]int
+	ready  []int32
+}
+
+// computeBlock is the thread-level parallelization of one processor-level
+// sub-task of r: the block's slave DAG is rebuilt in the level's storage and
+// drained by the caller and the helpers. Reads of region cells outside the
+// current sub-block resolve against the shared output block (its cells are
+// complete by DAG order); reads outside the region, against the inputs.
+func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block[T], procID int32) *matrix.Block[T] {
+	l := r.level
+	if l == nil {
+		l = &slaveLevel[T]{r: r, pat: r.p.Kernel.Pattern(), panics: make(map[int32]int)}
+		l.queue = sched.NewQueue(&l.lifo)
+		largest := dag.NewGeometry(r.geom.Rect(dag.Pos{}), r.cfg.ThreadPartition).Rect(dag.Pos{})
+		for range r.cfg.Threads {
+			l.views = append(l.views, matrix.NewView(matrix.NewBlock[T](largest), nil, l.pat, r.p.Size, r.p.Kernel.Boundary))
+			l.fills = append(l.fills, SubBlockFill(r.p.Kernel, r.cfg.WorkDelayPerCell > 0))
+		}
+		if r.cfg.Threads > 1 {
+			l.ot, l.watch = sched.NewOvertimeQueue(), time.AfterFunc(r.cfg.CheckInterval, l.expire)
+		}
+		r.level = l
+	}
+	l.tgeom, l.procID = dag.NewGeometry(rect, r.cfg.ThreadPartition), procID
+	l.graph.Rebuild(l.pat, l.tgeom)
+	l.parser.Reset(&l.graph)
 	// PolicyAffinity degenerates to plain dynamic here: inside one node
 	// memory is shared, so locality has nothing to optimize.
-	disp := sched.NewDynamic()
-	if cfg.Policy == PolicyBlockCyclic {
-		disp = sched.NewQueue(sched.NewBlockCyclic(graph, cfg.Threads, cfg.BCWBlockCols))
+	order := sched.Order(&l.lifo) // drained by the Run before
+	if r.cfg.Policy == PolicyBlockCyclic {
+		order = sched.NewBlockCyclic(&l.graph, r.cfg.Threads, r.cfg.BCWBlockCols)
 	}
-	disp.Ready(parser.InitialReady()...)
+	l.queue.Reset(order)
+	l.out = matrix.NewPayloadBlock(r.p.Codec, rect) // accept's copies are the result's encoding
+	l.layers = append(append(l.layers[:0], l.out), inputs...)
+	for _, v := range l.views {
+		v.SetInputs(l.layers)
+	}
+	clear(l.panics)
+	l.overdue.Store(false)
+	l.ready = l.parser.AppendInitialReady(l.ready[:0])
+	l.queue.Ready(l.ready...)
 
-	// Reads of region cells outside the current sub-block resolve against
-	// the shared output block (its cells are complete by DAG order);
-	// reads outside the region resolve against the shipped input blocks.
-	readLayers := append([]*matrix.Block[T]{out}, inputs...)
-	// Work units are counted, and the cost model consulted, only when
-	// computation weight is emulated; see Config.WorkDelayPerCell.
-	emulate := cfg.WorkDelayPerCell > 0
-	fill := SubBlockFill(p.Kernel, emulate)
-
-	ot := sched.NewOvertimeQueue()
-	done := make(chan struct{})
-	var attemptCtr atomic.Int32
-
-	var acceptMu sync.Mutex
-	accepted := make([]bool, len(graph.Verts))
-	panics := make([]int, len(graph.Verts))
-	left := graph.N
-
-	// accept commits a computed sub-block exactly once: the scratch cells
-	// are copied into the shared output block, the slave DAG is updated,
-	// and newly computable sub-sub-tasks are released. Duplicate
-	// executions (after a timeout re-push) are discarded here.
-	accept := func(sub int32, scratch *matrix.Block[T]) {
-		acceptMu.Lock()
-		if accepted[sub] {
-			acceptMu.Unlock()
-			return
-		}
-		accepted[sub] = true
-		out.CopyFrom(scratch)
-		left--
-		finished := left == 0
-		acceptMu.Unlock()
-
-		ot.Remove(sub)
-		disp.Ready(parser.Complete(sub)...)
-		if finished {
-			close(done)
-			disp.Close()
+	helpers := r.cfg.Threads - 1
+	if helpers > 0 {
+		l.watch.Reset(r.cfg.CheckInterval)
+		l.helpers.Add(helpers)
+		for w := 1; w <= helpers; w++ {
+			go l.drain(w)
 		}
 	}
-
-	requeue := func(sub int32) {
-		acceptMu.Lock()
-		dup := accepted[sub]
-		acceptMu.Unlock()
-		if !dup {
-			disp.Ready(sub)
+	l.drain(0)
+	if helpers > 0 {
+		// Every sub-block is accepted. Without a re-push each ran once, so
+		// no helper is executing one, and all leave the closed queue now.
+		l.watch.Stop()
+		if l.overdue.Load() {
+			r.level = nil
+		} else {
+			l.helpers.Wait()
 		}
 	}
+	return l.out
+}
 
-	// execute runs one sub-sub-task in the scratch block of the calling
-	// compute goroutine's view, recovering from kernel panics (worker
-	// restart semantics). A sub-sub-task that panics more than
-	// MaxAttempts times indicates a deterministic kernel bug, not a
-	// transient fault: the panic is re-raised so the defect surfaces
-	// instead of looping through recovery forever.
-	execute := func(view *matrix.View[T], sub int32) {
-		defer func() {
-			if r := recover(); r != nil {
-				acceptMu.Lock()
-				panics[sub]++
-				giveUp := panics[sub] >= cfg.MaxAttempts
-				acceptMu.Unlock()
-				if giveUp {
-					panic(fmt.Sprintf("core: sub-task %v panicked %d times (MaxAttempts): %v", SubTaskID{Proc: procID, Sub: sub}, cfg.MaxAttempts, r))
-				}
-				ctrs.workerRestarts.Add(1)
-				requeue(sub)
+// drain is compute thread w's loop: draw sub-blocks until the block is
+// complete and the queue holds nothing more for w.
+func (l *slaveLevel[T]) drain(w int) {
+	for sub, ok := l.queue.Next(w); ok; sub, ok = l.queue.Next(w) {
+		l.execute(w, sub)
+	}
+	if w > 0 {
+		l.helpers.Done()
+	}
+}
+
+// execute runs one sub-sub-task in thread w's scratch block, recovering
+// from kernel panics (worker restart semantics). A sub-sub-task that
+// panics MaxAttempts times indicates a deterministic kernel bug, not a
+// transient fault: the panic is re-raised so the defect surfaces instead of
+// looping through recovery forever.
+func (l *slaveLevel[T]) execute(w int, sub int32) {
+	r, view := l.r, l.views[w]
+	defer func() {
+		if p := recover(); p != nil {
+			l.mu.Lock()
+			l.panics[sub]++
+			giveUp := l.panics[sub] >= r.cfg.MaxAttempts
+			l.requeue(sub)
+			l.mu.Unlock()
+			if giveUp {
+				panic(fmt.Sprintf("core: sub-task %v panicked %d times (MaxAttempts): %v", SubTaskID{Proc: l.procID, Sub: sub}, r.cfg.MaxAttempts, p))
 			}
-		}()
-		subRect := tgeom.Rect(graph.Vertex(sub).Pos)
-		view.Retarget(subRect)
-		scratch := view.Out()
-		ot.Add(sub, attemptCtr.Add(1), time.Now().Add(cfg.SubTaskTimeout))
-
-		id := SubTaskID{Proc: procID, Sub: sub}
-		if faults.panicSubTask(id) {
-			panic(fmt.Sprintf("core: injected sub-task panic %v", id))
-		}
-		if d := faults.stallSubTask(id); d > 0 {
-			time.Sleep(d)
-		}
-
-		units := fill(view)
-		if emulate {
-			// Emulated computation weight; see Config.WorkDelayPerCell,
-			// Config.WorkJitter and tune.CostModel.
-			units *= jitterFactor(procID, sub, cfg.WorkJitter)
-			time.Sleep(time.Duration(units * float64(cfg.WorkDelayPerCell)))
-		}
-		ctrs.subTasks.Add(1)
-		accept(sub, scratch)
-	}
-
-	for w := 0; w < cfg.Threads; w++ {
-		go func(w int) {
-			// One scratch block (the size of the largest sub-block) and
-			// one view per compute goroutine, re-aimed at each sub-task:
-			// accept has copied the scratch cells out, or dropped them,
-			// by the time the goroutine draws its next one.
-			view := matrix.NewView(matrix.NewBlock[T](tgeom.Rect(dag.Pos{})), readLayers, pat, p.Size, p.Kernel.Boundary)
-			for {
-				sub, ok := disp.Next(w)
-				if !ok {
-					return
-				}
-				execute(view, sub)
-			}
-		}(w)
-	}
-
-	// Slave fault-tolerance thread: watch the slave overtime queue and
-	// re-push overdue sub-sub-tasks.
-	go func() {
-		ticker := time.NewTicker(cfg.CheckInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-ticker.C:
-				for _, e := range ot.ExpireBefore(now) {
-					ctrs.subRequeues.Add(1)
-					requeue(e.ID)
-				}
-			}
+			r.ctrs.workerRestarts.Add(1)
 		}
 	}()
+	view.Retarget(l.tgeom.Rect(l.graph.Vertex(sub).Pos))
+	if l.ot != nil {
+		l.ot.Add(sub, l.attempts.Add(1), time.Now().Add(r.cfg.SubTaskTimeout))
+	}
+	id := SubTaskID{Proc: l.procID, Sub: sub}
+	if r.faults.panicSubTask(id) {
+		panic(fmt.Sprintf("core: injected sub-task panic %v", id))
+	}
+	time.Sleep(r.faults.stallSubTask(id))
+	if units := l.fills[w](view); r.cfg.WorkDelayPerCell > 0 {
+		// Emulated computation weight; see Config.WorkDelayPerCell,
+		// Config.WorkJitter and tune.CostModel.
+		units *= jitterFactor(l.procID, sub, r.cfg.WorkJitter)
+		time.Sleep(time.Duration(units * float64(r.cfg.WorkDelayPerCell)))
+	}
+	r.ctrs.subTasks.Add(1)
+	l.accept(view, sub)
+}
 
-	<-done
-	return out
+// accept commits a computed sub-block exactly once: the scratch cells are
+// copied into the shared output block, the slave DAG is updated, and newly
+// computable sub-sub-tasks are released. Duplicate executions (after a
+// timeout re-push) are discarded here.
+func (l *slaveLevel[T]) accept(view *matrix.View[T], sub int32) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.parser.IsDone(sub) {
+		return
+	}
+	l.out.CopyFrom(view.Out())
+	if l.ot != nil {
+		l.ot.Remove(sub)
+	}
+	l.ready = l.parser.AppendComplete(l.ready[:0], sub)
+	if l.queue.Ready(l.ready...); l.parser.Finished() {
+		l.queue.Close()
+	}
+}
+
+// requeue re-pushes an overdue or panicked sub-block not accepted meanwhile.
+// Callers hold l.mu.
+func (l *slaveLevel[T]) requeue(sub int32) {
+	if !l.parser.IsDone(sub) {
+		l.queue.Ready(sub)
+	}
+}
+
+// expire is the watch: it re-pushes the overdue sub-sub-tasks and re-arms
+// itself until the block is complete.
+func (l *slaveLevel[T]) expire() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.parser.Finished() {
+		return
+	}
+	for _, e := range l.ot.ExpireBefore(time.Now()) {
+		l.r.ctrs.subRequeues.Add(1)
+		l.overdue.Store(true)
+		l.requeue(e.ID)
+	}
+	l.watch.Reset(l.r.cfg.CheckInterval)
 }

@@ -9,11 +9,10 @@ import (
 )
 
 // TaskRunner executes one job's processor-level sub-tasks: decode the
-// shipped data region, run the thread-level worker pool over the block
-// (computeBlock, with its slave DAG, overtime queue and panic recovery),
-// and encode the result. Every worker, Worker.Serve's or a simulated one,
-// runs its tasks through one per job; the benchmark replay drives one
-// directly.
+// shipped data region, run the thread level over the block (computeBlock,
+// on the calling goroutine and Threads-1 helpers), and encode the result.
+// Every worker, Worker.Serve's or a simulated one, runs its tasks through
+// one per job, from one goroutine; the benchmark replay drives one directly.
 type TaskRunner[T any] struct {
 	p      Problem[T]
 	cfg    Config
@@ -26,12 +25,15 @@ type TaskRunner[T any] struct {
 	// are recorded under their content keys, and reference records
 	// resolve against it. Shared across a process's runners and only touched
 	// from the goroutine that calls Run, so it needs no lock.
-	seen map[[32]byte]*matrix.Block[T]
+	seen    map[[32]byte]*matrix.Block[T]
+	resolve func([32]byte) (*matrix.Block[T], bool) // the decoder's hooks into seen
+	record  func([32]byte, *matrix.Block[T])
+	level   *slaveLevel[T] // the thread level, kept between Runs (nil: build one)
 }
 
-// NewTaskRunner validates the problem and configuration (defaults
-// applied as in a full run; Slaves is irrelevant here and forced valid)
-// and prepares the processor-level geometry.
+// NewTaskRunner validates the problem and configuration (defaults applied
+// as in a full run; Slaves is irrelevant here and forced valid, and of
+// Faults the thread-level ones apply) and prepares the geometry.
 func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
 	if cfg.Slaves < 1 {
 		cfg.Slaves = 1
@@ -40,7 +42,7 @@ func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTaskRunner(p, cfg, nil, &counters{}), nil
+	return newTaskRunner(p, cfg, newFaultState(cfg.Faults), &counters{}), nil
 }
 
 // newTaskRunner is the runner of a prepared configuration: it injects
@@ -62,6 +64,17 @@ func (r *TaskRunner[T]) NumTasks() int { return r.geom.Grid.Cells() }
 // lifetime and must confine it to the goroutine calling Run.
 func (r *TaskRunner[T]) SetBlockCache(seen map[[32]byte]*matrix.Block[T]) {
 	r.seen = seen
+	r.resolve = func(k [32]byte) (*matrix.Block[T], bool) {
+		b, ok := seen[k]
+		return b, ok
+	}
+	// Whole blocks only: the master references nothing else, and a
+	// region aliasing its task payload would keep all of it alive.
+	r.record = func(k [32]byte, b *matrix.Block[T]) {
+		if r.geom.IsBlock(b.Rect) {
+			seen[k] = b
+		}
+	}
 }
 
 // Run executes vertex with the given encoded data region and returns the
@@ -70,27 +83,12 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 	if vertex < 0 || int(vertex) >= r.NumTasks() {
 		return nil, fmt.Errorf("core: task vertex %d outside grid %v", vertex, r.geom.Grid)
 	}
-	var resolve func([32]byte) (*matrix.Block[T], bool)
-	var record func([32]byte, *matrix.Block[T])
-	if r.seen != nil {
-		resolve = func(k [32]byte) (*matrix.Block[T], bool) {
-			b, ok := r.seen[k]
-			return b, ok
-		}
-		// Whole blocks only: the master references nothing else, and a
-		// region aliasing its task payload would keep all of it alive.
-		record = func(k [32]byte, b *matrix.Block[T]) {
-			if r.geom.IsBlock(b.Rect) {
-				r.seen[k] = b
-			}
-		}
-	}
-	inputs, keyed, err := matrix.DecodeBlocksAny(r.p.Codec, payload, resolve, record)
+	inputs, keyed, err := matrix.DecodeBlocksAny(r.p.Codec, payload, r.resolve, r.record)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding data region of vertex %d: %w", vertex, err)
 	}
 	rect := r.geom.Rect(r.geom.PosOf(vertex))
-	out := computeBlock(r.p, r.cfg, rect, inputs, r.faults, vertex, r.ctrs)
+	out := computeBlock(r, rect, inputs, vertex)
 	encoded, err := matrix.EncodeBlocks(r.p.Codec, []*matrix.Block[T]{out})
 	if err == nil && keyed && r.seen != nil {
 		// A keyed task means the master tracks this worker's holdings by

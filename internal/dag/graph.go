@@ -35,45 +35,56 @@ type Graph struct {
 	Verts []Vertex
 	// N is the number of existing vertices.
 	N int
+
+	preBuf, dataBuf []Pos // Rebuild's pattern query buffers
 }
 
 // Build constructs the block DAG of pattern pat over geometry g.
 func Build(pat Pattern, g Geometry) *Graph {
-	gr := &Graph{
-		Pattern: pat,
-		Geom:    g,
-		Verts:   make([]Vertex, g.Grid.Cells()),
+	gr := &Graph{}
+	gr.Rebuild(pat, g)
+	return gr
+}
+
+// Rebuild makes gr the block DAG of pattern pat over geometry g in gr's own
+// storage: the vertex array and every vertex's successor and data-precursor
+// lists are reused, so a graph rebuilt for each block of the same shape
+// allocates nothing. Every vertex is derived again from the pattern, so a
+// position-dependent pattern (Triangular, a Custom) is rebuilt exactly.
+func (gr *Graph) Rebuild(pat Pattern, g Geometry) {
+	n := g.Grid.Cells()
+	if cap(gr.Verts) < n {
+		gr.Verts = make([]Vertex, n)
 	}
-	var preBuf, dataBuf []Pos
-	for r := 0; r < g.Grid.Rows; r++ {
-		for c := 0; c < g.Grid.Cols; c++ {
-			p := Pos{Row: r, Col: c}
-			id := g.ID(p)
-			v := &gr.Verts[id]
-			v.Pos = p
-			if !pat.BlockExists(g, p) {
-				continue
+	gr.Pattern, gr.Geom, gr.Verts, gr.N = pat, g, gr.Verts[:n], 0
+	for id := range gr.Verts {
+		v := &gr.Verts[id]
+		*v = Vertex{Pos: g.PosOf(int32(id)), Post: v.Post[:0], DataPre: v.DataPre[:0]}
+	}
+	for id := range gr.Verts {
+		v := &gr.Verts[id]
+		p := v.Pos
+		if !pat.BlockExists(g, p) {
+			continue
+		}
+		v.Exists = true
+		gr.N++
+		gr.preBuf = pat.Precursors(g, p, gr.preBuf[:0])
+		for _, q := range gr.preBuf {
+			if !g.InGrid(q) || !pat.BlockExists(g, q) {
+				panic(fmt.Sprintf("dag: pattern %s reported nonexistent precursor %v of %v", pat.Name(), q, p))
 			}
-			v.Exists = true
-			gr.N++
-			preBuf = pat.Precursors(g, p, preBuf[:0])
-			for _, q := range preBuf {
-				if !g.InGrid(q) || !pat.BlockExists(g, q) {
-					panic(fmt.Sprintf("dag: pattern %s reported nonexistent precursor %v of %v", pat.Name(), q, p))
-				}
-				v.PreCnt++
-				qv := &gr.Verts[g.ID(q)]
-				qv.Post = append(qv.Post, id)
-			}
-			dataBuf = pat.DataDeps(g, p, dataBuf[:0])
-			for _, q := range dataBuf {
-				if g.InGrid(q) && pat.BlockExists(g, q) {
-					v.DataPre = append(v.DataPre, g.ID(q))
-				}
+			v.PreCnt++
+			qv := &gr.Verts[g.ID(q)]
+			qv.Post = append(qv.Post, int32(id))
+		}
+		gr.dataBuf = pat.DataDeps(g, p, gr.dataBuf[:0])
+		for _, q := range gr.dataBuf {
+			if g.InGrid(q) && pat.BlockExists(g, q) {
+				v.DataPre = append(v.DataPre, g.ID(q))
 			}
 		}
 	}
-	return gr
 }
 
 // Vertex returns the vertex with the given id.

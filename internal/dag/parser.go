@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -21,37 +22,54 @@ type Parser struct {
 
 // NewParser creates a parser over the built graph.
 func NewParser(g *Graph) *Parser {
-	p := &Parser{
-		g:         g,
-		remaining: make([]int32, len(g.Verts)),
-		done:      make([]bool, len(g.Verts)),
-		emitted:   make([]bool, len(g.Verts)),
-		left:      g.N,
-	}
+	p := &Parser{}
+	p.Reset(g)
+	return p
+}
+
+// Reset makes p a fresh parser over g, reusing its arrays: a parser reset
+// for each rebuilt graph allocates nothing once they are large enough.
+func (p *Parser) Reset(g *Graph) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(g.Verts)
+	p.g, p.left = g, g.N
+	p.remaining = slices.Grow(p.remaining[:0], n)[:n]
+	p.done = slices.Grow(p.done[:0], n)[:n]
+	p.emitted = slices.Grow(p.emitted[:0], n)[:n]
+	clear(p.done)
+	clear(p.emitted)
 	for id := range g.Verts {
 		p.remaining[id] = g.Verts[id].PreCnt
 	}
-	return p
 }
 
 // InitialReady returns the initially computable vertices (the roots of the
 // DAG) and marks them emitted. It must be called exactly once, before any
 // Complete call.
-func (p *Parser) InitialReady() []int32 {
+func (p *Parser) InitialReady() []int32 { return p.AppendInitialReady(nil) }
+
+// AppendInitialReady is InitialReady appending to dst.
+func (p *Parser) AppendInitialReady(dst []int32) []int32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	roots := p.g.Roots()
-	for _, id := range roots {
-		p.emitted[id] = true
+	for id := range p.g.Verts {
+		if v := &p.g.Verts[id]; v.Exists && v.PreCnt == 0 {
+			p.emitted[id] = true
+			dst = append(dst, int32(id))
+		}
 	}
-	return roots
+	return dst
 }
 
 // Complete marks vertex id finished and returns the vertices that became
 // computable as a result. Completing a vertex twice is an error (the
 // register table of the scheduler filters duplicate results before they
 // reach the parser).
-func (p *Parser) Complete(id int32) []int32 {
+func (p *Parser) Complete(id int32) []int32 { return p.AppendComplete(nil, id) }
+
+// AppendComplete is Complete appending the newly computable vertices to dst.
+func (p *Parser) AppendComplete(dst []int32, id int32) []int32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v := p.g.Vertex(id)
@@ -66,7 +84,6 @@ func (p *Parser) Complete(id int32) []int32 {
 	}
 	p.done[id] = true
 	p.left--
-	var ready []int32
 	for _, s := range v.Post {
 		p.remaining[s]--
 		if p.remaining[s] == 0 {
@@ -74,10 +91,10 @@ func (p *Parser) Complete(id int32) []int32 {
 				panic(fmt.Sprintf("dag: vertex %d emitted twice", s))
 			}
 			p.emitted[s] = true
-			ready = append(ready, s)
+			dst = append(dst, s)
 		}
 	}
-	return ready
+	return dst
 }
 
 // IsDone reports whether vertex id has been completed.

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,60 @@ func TestGraphExisting(t *testing.T) {
 	for _, id := range ids {
 		if !gr.Vertex(id).Exists {
 			t.Fatalf("Existing returned nonexistent vertex %d", id)
+		}
+	}
+}
+
+// One graph and one parser, rebuilt and reset in their own storage over the
+// blocks of a matrix one after another — as the thread level does for each
+// processor-level block — equal a fresh Build over each block and drain it
+// whole. The position-dependent patterns are the point: a Triangular
+// diagonal block and an off-diagonal one have different sub-DAGs, and so do
+// the blocks a Custom pattern's holes cut differently.
+func TestRebuildMatchesBuild(t *testing.T) {
+	exists := func(i, j int) bool { return j >= i/2 && (i+j)%7 != 3 }
+	stairs := Custom{
+		PatternName:    "stairs",
+		CellExistsFunc: exists,
+		PrecursorsFunc: func(g Geometry, p Pos, buf []Pos) []Pos {
+			for _, q := range []Pos{{p.Row - 1, p.Col}, {p.Row, p.Col - 1}} {
+				buf = appendIf(Custom{CellExistsFunc: exists}, g, q, buf)
+			}
+			return buf
+		},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, pat := range []Pattern{Triangular{}, stairs, Wavefront{}, Chain{}} {
+		outer := MatrixGeometry(Square(23), Square(9)) // edge blocks are clipped
+		var gr Graph
+		var p Parser
+		for id := range outer.Grid.Cells() {
+			block := outer.Rect(outer.PosOf(int32(id)))
+			if !pat.BlockExists(outer, outer.PosOf(int32(id))) {
+				continue
+			}
+			g := NewGeometry(block, Square(2+rng.Intn(3)))
+			gr.Rebuild(pat, g)
+			want := Build(pat, g)
+			if gr.N != want.N || len(gr.Verts) != len(want.Verts) || gr.Geom != want.Geom {
+				t.Fatalf("%s block %v: rebuilt %d of %d vertices, fresh %d of %d", pat.Name(), block, gr.N, len(gr.Verts), want.N, len(want.Verts))
+			}
+			for v := range want.Verts {
+				a, b := gr.Verts[v], want.Verts[v]
+				if a.Pos != b.Pos || a.Exists != b.Exists || a.PreCnt != b.PreCnt ||
+					!slices.Equal(a.Post, b.Post) || !slices.Equal(a.DataPre, b.DataPre) {
+					t.Fatalf("%s block %v vertex %d: rebuilt %+v, fresh %+v", pat.Name(), block, v, a, b)
+				}
+			}
+			p.Reset(&gr)
+			ready := p.AppendInitialReady(nil)
+			for len(ready) > 0 {
+				v := ready[len(ready)-1]
+				ready = p.AppendComplete(ready[:len(ready)-1], v)
+			}
+			if !p.Finished() {
+				t.Fatalf("%s block %v: a reset parser left %d vertices", pat.Name(), block, p.Remaining())
+			}
 		}
 	}
 }

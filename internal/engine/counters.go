@@ -122,9 +122,7 @@ func (s *Stats) Add(o Stats) {
 	s.PeakBlocks += o.PeakBlocks // the jobs' peaks need not coincide: a bound
 	s.BlocksReclaimed += o.BlocksReclaimed
 	s.Leaked += o.Leaked
-	if o.Elapsed > s.Elapsed {
-		s.Elapsed = o.Elapsed
-	}
+	s.Elapsed = max(s.Elapsed, o.Elapsed)
 }
 
 func (s Stats) String() string {

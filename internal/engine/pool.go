@@ -291,7 +291,7 @@ func (p *Pool[T]) Draw(member int) (id int32, ids []int32, ok bool) {
 		if e.Quota > 0 {
 			n = min(n, e.Quota-e.inflight())
 		}
-		if ids = e.Order.Pop(member, max(n, 1)); len(ids) > 0 {
+		if ids = e.Order.Pop(member, max(n, 1), nil); len(ids) > 0 {
 			e.served += float64(len(ids)) / e.Weight
 			e.drawn += len(ids)
 			return e.id, ids, true

@@ -42,8 +42,9 @@ func (c *checkedOrder) Push(ids ...int32) {
 	c.checkLen()
 }
 
-func (c *checkedOrder) Pop(member, n int) []int32 {
-	ids := c.Order.Pop(member, n)
+func (c *checkedOrder) Pop(member, n int, dst []int32) []int32 {
+	all := c.Order.Pop(member, n, dst)
+	ids := all[len(dst):]
 	if len(ids) > n {
 		c.failf("Pop(%d, %d) handed out %v", member, n, ids)
 	}
@@ -58,7 +59,7 @@ func (c *checkedOrder) Pop(member, n int) []int32 {
 	}
 	c.total -= len(ids)
 	c.checkLen()
-	return ids
+	return all
 }
 
 func (c *checkedOrder) checkLen() {
@@ -207,7 +208,7 @@ func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]by
 		switch {
 		case event < 3:
 			member := rng.Intn(members)
-			for _, v := range queue.Pop(member, 1+rng.Intn(3)) {
+			for _, v := range queue.Pop(member, 1+rng.Intn(3), nil) {
 				lease(v, member)
 			}
 		case event < 5:

@@ -219,9 +219,7 @@ func attach[T any](build Builder[T], run core.Config, msg comm.Message) (*core.T
 	if meta.Thread.Valid() {
 		run.ThreadPartition = meta.Thread
 	}
-	if run.Threads < 1 {
-		run.Threads = 1
-	}
+	run.Threads = max(run.Threads, 1)
 	r, err := core.NewTaskRunner(p, run)
 	if err != nil {
 		return nil, fmt.Errorf("preparing job %q: %w", meta.Name, err)

@@ -69,18 +69,26 @@ type View[T any] struct {
 // under pattern pat: writes go to out, reads resolve against out, the
 // blocks in and boundary as described on View.
 func NewView[T any](out *Block[T], in []*Block[T], pat dag.Pattern, size dag.Size, boundary func(i, j int) T) *View[T] {
-	v := &View[T]{size: size, boundary: boundary, out: out, in: in}
-	shape := dag.ShapeOf(pat)
-	if shape == dag.Dense {
-		return v
+	v := &View[T]{size: size, boundary: boundary, out: out}
+	if shape := dag.ShapeOf(pat); shape != dag.Dense {
+		v.pat, v.convex = pat, shape == dag.Convex
+		v.outHoles = v.mayHoldHole(out.Rect)
 	}
-	v.pat, v.convex = pat, shape == dag.Convex
-	v.outHoles = v.mayHoldHole(out.Rect)
-	v.inHoles = make([]bool, len(in))
-	for k, b := range in {
-		v.inHoles[k] = v.mayHoldHole(b.Rect)
-	}
+	v.SetInputs(in)
 	return v
+}
+
+// SetInputs re-aims the view at another processor-level task's readable
+// blocks, in place: a view kept from one task to the next allocates
+// nothing here once it has seen as many inputs.
+func (v *View[T]) SetInputs(in []*Block[T]) {
+	v.in, v.last, v.inHoles = in, nil, v.inHoles[:0]
+	if v.pat == nil {
+		return
+	}
+	for _, b := range in {
+		v.inHoles = append(v.inHoles, v.mayHoldHole(b.Rect))
+	}
 }
 
 // mayHoldHole: under a Convex pattern a block whose four corner cells are
@@ -209,13 +217,16 @@ func (v *View[T]) untilHole(i, j, n int, down bool) int {
 	return n
 }
 
-// Retarget re-aims the view at the next sub-task of the same
-// processor-level task: its output block now covers r, all zero. r must
-// have no more cells than the block the view was built with.
+// Retarget re-aims the view at the next sub-task: its output block now
+// covers r. r must have no more cells than the block the view was built
+// with. Only an r that may hold a hole is zeroed — a hole's zero must reach
+// the output block; the pattern's row order (dag.RowOrder) writes every
+// cell of a hole-free r, so its stale cells are all overwritten.
 func (v *View[T]) Retarget(r dag.Rect) {
 	v.out.Rect, v.out.Cells = r, v.out.Cells[:r.Cells()]
-	clear(v.out.Cells)
-	v.outHoles = v.pat != nil && v.mayHoldHole(r)
+	if v.outHoles = v.pat != nil && v.mayHoldHole(r); v.outHoles {
+		clear(v.out.Cells)
+	}
 }
 
 // Set writes v into cell (i, j) of the output block.

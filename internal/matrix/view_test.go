@@ -156,9 +156,11 @@ func TestViewRunsMatchGetProperty(t *testing.T) {
 				v.Out().Cells[k] = stale // what the previous sub-task left
 			}
 			v.Retarget(c.scratch.Rect)
-			for _, cell := range v.Out().Cells {
-				if cell != 0 {
-					t.Fatalf("%s: retargeted output block is not zeroed", name)
+			out := v.Out()
+			for k, cell := range out.Cells {
+				i, j := out.Rect.Row0+k/out.Rect.Cols, out.Rect.Col0+k%out.Rect.Cols
+				if cell != 0 && !pat.CellExists(i, j) {
+					t.Fatalf("%s: retargeted output block holds %d in hole (%d,%d)", name, cell, i, j)
 				}
 			}
 			v.Out().CopyFrom(c.scratch)
@@ -284,5 +286,39 @@ func BenchmarkViewRun(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/cell")
 		})
+	}
+}
+
+// Retarget zeroes only a rect that may hold a hole: the pattern's row order
+// overwrites every stale cell of a hole-free one, but a hole's zero must
+// reach the output block. A scratch block left full of another sub-block's
+// cells, re-aimed at a diagonal Triangular sub-block and filled in row
+// order, holds zero in every hole.
+func TestRetargetZeroesHoles(t *testing.T) {
+	pat := dag.Triangular{}
+	v := NewView(NewBlock[int32](dag.Rect{Rows: 4, Cols: 4}), nil, pat, dag.Square(12), boundaryValue)
+	for _, r := range []dag.Rect{{Row0: 0, Col0: 8, Rows: 4, Cols: 4}, {Row0: 4, Col0: 4, Rows: 4, Cols: 4}} {
+		out := v.Out()
+		out.Cells = out.Cells[:cap(out.Cells)]
+		for k := range out.Cells {
+			out.Cells[k] = stale // what the previous sub-task left
+		}
+		v.Retarget(r)
+		dag.RowOrder(pat, r, func(i, j0, j1 int) {
+			for j := j0; j < j1; j++ {
+				v.Set(i, j, 1)
+			}
+		})
+		for i := r.Row0; i < r.Row0+r.Rows; i++ {
+			for j := r.Col0; j < r.Col0+r.Cols; j++ {
+				want := int32(0)
+				if pat.CellExists(i, j) {
+					want = 1
+				}
+				if v.Out().At(i, j) != want {
+					t.Fatalf("sub-block %v: cell (%d,%d) holds %d, want %d", r, i, j, v.Out().At(i, j), want)
+				}
+			}
+		}
 	}
 }

@@ -171,7 +171,7 @@ func TestBlockCyclicNextBatch(t *testing.T) {
 
 	// Worker 0 owns even columns. Only vertex 0 (block 0,0) is a root, so
 	// the first batch must be exactly {0} even with a large max.
-	ids := b.Pop(0, 8)
+	ids := b.Pop(0, 8, nil)
 	if len(ids) != 1 || ids[0] != 0 {
 		t.Fatalf("first batch = %v; want [0]", ids)
 	}
@@ -179,7 +179,7 @@ func TestBlockCyclicNextBatch(t *testing.T) {
 
 	// Completing 0 readies (0,1) for worker 1 and (1,0) for worker 0; the
 	// next worker-0 batch holds only (1,0) because (2,0) is fenced.
-	ids = b.Pop(0, 8)
+	ids = b.Pop(0, 8, nil)
 	if len(ids) != 1 {
 		t.Fatalf("second batch = %v; want one fenced vertex", ids)
 	}
@@ -187,7 +187,7 @@ func TestBlockCyclicNextBatch(t *testing.T) {
 		t.Fatalf("second batch delivered %v", got)
 	}
 	// (0,1) is queued and computable, and not worker 0's to take.
-	if ids := b.Pop(0, 8); len(ids) != 0 || b.Len() != 1 {
+	if ids := b.Pop(0, 8, nil); len(ids) != 0 || b.Len() != 1 {
 		t.Fatalf("worker 0 drew %v with %d queued; want nothing of worker 1's one vertex", ids, b.Len())
 	}
 	q := NewQueue(b)
@@ -205,13 +205,13 @@ func TestAffinityPopsBestScoreFirst(t *testing.T) {
 	score := map[int]map[int32]int{0: {10: 1, 11: 3, 12: 3, 13: 0}, 1: {13: 9}}
 	a := NewAffinity(func(member int, v int32) int { return score[member][v] })
 	a.Push(10, 11, 12, 13)
-	if ids := a.Pop(0, 3); len(ids) != 3 || ids[0] != 11 || ids[1] != 12 || ids[2] != 10 {
+	if ids := a.Pop(0, 3, nil); len(ids) != 3 || ids[0] != 11 || ids[1] != 12 || ids[2] != 10 {
 		t.Fatalf("Pop(0, 3) = %v, want [11 12 10]: best first, ties in push order", ids)
 	}
-	if ids := a.Pop(1, 8); len(ids) != 1 || ids[0] != 13 || a.Len() != 0 {
+	if ids := a.Pop(1, 8, nil); len(ids) != 1 || ids[0] != 13 || a.Len() != 0 {
 		t.Fatalf("Pop(1, 8) = %v with %d left, want the one vertex queued", ids, a.Len())
 	}
-	if ids := a.Pop(1, 8); len(ids) != 0 {
+	if ids := a.Pop(1, 8, nil); len(ids) != 0 {
 		t.Fatalf("Pop on an empty order = %v", ids)
 	}
 }

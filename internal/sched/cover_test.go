@@ -139,7 +139,7 @@ func TestBlockCyclicRequeueAndReadyCount(t *testing.T) {
 	if got := b.Len(); got != 1 {
 		t.Fatalf("queue holds %d after the requeue, want 1", got)
 	}
-	if ids := b.Pop(1, 4); len(ids) != 0 {
+	if ids := b.Pop(1, 4, nil); len(ids) != 0 {
 		t.Fatalf("worker 1 drew %v, worker 0's requeued vertex", ids)
 	}
 	if id, ok := d.Next(0); !ok || id != root {

@@ -25,9 +25,9 @@ type Order interface {
 	// Push queues vertices: newly computable ones, and drawn ones that
 	// come back after a timeout, a held backup, a steal or a revocation.
 	Push(ids ...int32)
-	// Pop removes and returns up to n vertices member may run right now;
-	// none when nothing queued is the member's to take.
-	Pop(member, n int) []int32
+	// Pop removes up to n vertices member may run right now and appends
+	// them to dst; none when nothing queued is the member's to take.
+	Pop(member, n int, dst []int32) []int32
 	// Len is the number of vertices queued, whoever may take them.
 	Len() int
 }
@@ -41,11 +41,11 @@ func (s *LIFO) Push(ids ...int32) { s.ids = append(s.ids, ids...) }
 func (s *LIFO) Len() int          { return len(s.ids) }
 
 // Pop hands out the top n in stack order.
-func (s *LIFO) Pop(_, n int) []int32 {
+func (s *LIFO) Pop(_, n int, dst []int32) []int32 {
 	cut := len(s.ids) - min(n, len(s.ids))
-	ids := append([]int32(nil), s.ids[cut:]...)
+	dst = append(dst, s.ids[cut:]...)
 	s.ids = s.ids[:cut]
-	return ids
+	return dst
 }
 
 // Affinity is the locality-aware variant of the dynamic pool: any member
@@ -65,8 +65,7 @@ func NewAffinity(score func(member int, v int32) int) *Affinity {
 	return &Affinity{score: score}
 }
 
-func (a *Affinity) Pop(member, n int) []int32 {
-	var ids []int32
+func (a *Affinity) Pop(member, n int, ids []int32) []int32 {
 	for n = min(n, len(a.ids)); n > 0; n-- {
 		best, bestScore := 0, -1
 		for k, v := range a.ids {
@@ -183,16 +182,16 @@ func (b *BlockCyclic) Push(ids ...int32) {
 // vertices. Only consecutive computable heads may travel together: the
 // static wavefront order is the dependency order within one member, so a
 // head that is not computable fences everything behind it.
-func (b *BlockCyclic) Pop(member, n int) []int32 {
-	var ids []int32
+func (b *BlockCyclic) Pop(member, n int, ids []int32) []int32 {
 	q := b.queues[member]
-	for len(ids) < n && len(q) > 0 && b.ready[q[0]] > 0 {
+	for n > 0 && len(q) > 0 && b.ready[q[0]] > 0 {
 		b.ready[q[0]]--
 		ids = append(ids, q[0])
 		q = q[1:]
+		n--
+		b.n--
 	}
 	b.queues[member] = q
-	b.n -= len(ids)
 	return ids
 }
 
@@ -205,6 +204,7 @@ type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	order  Order
+	one    []int32 // Next's draw, under mu
 	closed bool
 	// onWait, when non-nil, runs (with mu held) each time a Next or
 	// NextBatch call is about to block. Close contends on mu, so anyone
@@ -238,13 +238,15 @@ func (q *Queue) Ready(ids ...int32) {
 }
 
 // Next blocks until a vertex is available for worker w; ok is false once
-// the queue is closed and holds nothing more for w.
+// the queue is closed and holds nothing more for w. It allocates nothing.
 func (q *Queue) Next(w int) (id int32, ok bool) {
-	ids, ok := q.NextBatch(w, 1)
-	if !ok {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	//lint:ignore blocking-under-lock pop parks in q.cond.Wait, which releases q.mu
+	if q.one = q.pop(w, 1, q.one[:0]); len(q.one) == 0 {
 		return 0, false
 	}
-	return ids[0], true
+	return q.one[0], true
 }
 
 // NextBatch blocks like Next, then drains up to n vertices that are
@@ -257,18 +259,29 @@ func (q *Queue) Next(w int) (id int32, ok bool) {
 func (q *Queue) NextBatch(w, n int) (ids []int32, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	ids = q.pop(w, max(n, 1), nil) //lint:ignore blocking-under-lock pop parks in q.cond.Wait, which releases q.mu
+	return ids, len(ids) > 0
+}
+
+// pop appends to dst what the order hands worker w, parking until there is
+// something or the queue is closed. Callers hold mu.
+func (q *Queue) pop(w, n int, dst []int32) []int32 {
 	for {
-		if ids = q.order.Pop(w, max(n, 1)); len(ids) > 0 {
-			return ids, true
-		}
-		if q.closed {
-			return nil, false
+		if ids := q.order.Pop(w, n, dst); len(ids) > 0 || q.closed {
+			return ids
 		}
 		if q.onWait != nil {
 			q.onWait()
 		}
 		q.cond.Wait()
 	}
+}
+
+// Reset reopens a closed queue nobody is parked in, over order.
+func (q *Queue) Reset(order Order) {
+	q.mu.Lock()
+	q.order, q.closed = order, false
+	q.mu.Unlock()
 }
 
 // Close wakes all blocked Next calls; they return ok == false once the

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -101,20 +102,18 @@ func (t *LeaseTable) ReleaseAttempt(v int32, attempt int32) (Lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ls := t.byVertex[v]
-	for i, l := range ls {
-		if l.Attempt != attempt {
-			continue
-		}
-		ls = append(ls[:i], ls[i+1:]...)
-		if len(ls) == 0 {
-			delete(t.byVertex, v)
-		} else {
-			t.byVertex[v] = ls
-		}
-		t.unindex(l)
-		return l, true
+	i := slices.IndexFunc(ls, func(l Lease) bool { return l.Attempt == attempt })
+	if i < 0 {
+		return Lease{}, false
 	}
-	return Lease{}, false
+	l := ls[i]
+	if ls = slices.Delete(ls, i, i+1); len(ls) == 0 {
+		delete(t.byVertex, v)
+	} else {
+		t.byVertex[v] = ls
+	}
+	t.unindex(l)
+	return l, true
 }
 
 // RevokeWorker drops every lease held by worker and returns them — the
@@ -147,7 +146,7 @@ func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 			t.byVertex[v] = kept
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b Lease) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -155,10 +154,7 @@ func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 func (t *LeaseTable) Holders(v int32) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.byVertex[v]) == 0 {
-		return nil
-	}
-	return append([]Lease(nil), t.byVertex[v]...)
+	return slices.Clone(t.byVertex[v])
 }
 
 // Len returns the number of live leases.
@@ -188,12 +184,7 @@ func (t *LeaseTable) OlderThan(cutoff time.Time) []Lease {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Granted.Equal(out[j].Granted) {
-			return out[i].Granted.Before(out[j].Granted)
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	slices.SortFunc(out, func(a, b Lease) int { return cmp.Or(a.Granted.Compare(b.Granted), cmp.Compare(a.Seq, b.Seq)) })
 	return out
 }
 
@@ -235,7 +226,7 @@ func (t *LeaseTable) WorkerLeases(worker int) []Lease {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b Lease) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"container/heap"
+	"slices"
 	"sync"
 	"time"
 )
@@ -22,17 +23,24 @@ type OvertimeEntry struct {
 // redistribution, retired by Accept, or cancelled individually — is
 // discarded when it surfaces, never expired. The heap is compacted when
 // stale entries dominate so fine partitions with frequent re-dispatch do
-// not grow it without bound.
+// not grow it without bound. A single-attempt watch allocates nothing once
+// the heap and the map have grown to the queue's working size.
 type OvertimeQueue struct {
-	mu       sync.Mutex
-	h        overtimeHeap
-	live     map[int32]map[int32]struct{} // vertex id -> watched attempts
-	liveSize int                          // total watched attempts, for compaction
+	mu   sync.Mutex
+	h    overtimeHeap
+	live map[int32]watch // vertex id -> watched attempts
+}
+
+// watch is the set of watched attempts of one vertex: the first inline, and
+// AddConcurrent's in more, the one place a watch allocates.
+type watch struct {
+	first int32
+	more  []int32
 }
 
 // NewOvertimeQueue creates an empty queue.
 func NewOvertimeQueue() *OvertimeQueue {
-	return &OvertimeQueue{live: make(map[int32]map[int32]struct{})}
+	return &OvertimeQueue{live: make(map[int32]watch)}
 }
 
 // Add starts watching an attempt of vertex id with the given deadline. A
@@ -40,9 +48,7 @@ func NewOvertimeQueue() *OvertimeQueue {
 // earlier watch.
 func (q *OvertimeQueue) Add(id, attempt int32, deadline time.Time) {
 	q.mu.Lock()
-	q.liveSize -= len(q.live[id])
-	q.live[id] = map[int32]struct{}{attempt: {}}
-	q.liveSize++
+	q.live[id] = watch{first: attempt}
 	q.push(OvertimeEntry{ID: id, Attempt: attempt, Deadline: deadline})
 	q.mu.Unlock()
 }
@@ -52,13 +58,12 @@ func (q *OvertimeQueue) Add(id, attempt int32, deadline time.Time) {
 // where the original and the backup each keep their own deadline.
 func (q *OvertimeQueue) AddConcurrent(id, attempt int32, deadline time.Time) {
 	q.mu.Lock()
-	set := q.live[id]
-	if set == nil {
-		set = make(map[int32]struct{})
-		q.live[id] = set
+	if w, ok := q.live[id]; ok {
+		w.more = append(w.more, attempt)
+		q.live[id] = w
+	} else {
+		q.live[id] = watch{first: attempt}
 	}
-	set[attempt] = struct{}{}
-	q.liveSize++
 	q.push(OvertimeEntry{ID: id, Attempt: attempt, Deadline: deadline})
 	q.mu.Unlock()
 }
@@ -66,7 +71,6 @@ func (q *OvertimeQueue) AddConcurrent(id, attempt int32, deadline time.Time) {
 // Remove stops watching vertex id entirely (its result arrived).
 func (q *OvertimeQueue) Remove(id int32) {
 	q.mu.Lock()
-	q.liveSize -= len(q.live[id])
 	delete(q.live, id)
 	q.mu.Unlock()
 }
@@ -75,15 +79,7 @@ func (q *OvertimeQueue) Remove(id int32) {
 // concurrent attempts watched.
 func (q *OvertimeQueue) RemoveAttempt(id, attempt int32) {
 	q.mu.Lock()
-	if set, ok := q.live[id]; ok {
-		if _, watched := set[attempt]; watched {
-			delete(set, attempt)
-			q.liveSize--
-			if len(set) == 0 {
-				delete(q.live, id)
-			}
-		}
-	}
+	q.drop(id, attempt)
 	q.mu.Unlock()
 }
 
@@ -96,19 +92,12 @@ func (q *OvertimeQueue) ExpireBefore(now time.Time) []OvertimeEntry {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var expired []OvertimeEntry
-	for q.h.Len() > 0 {
-		top := q.h[0]
-		if top.Deadline.After(now) {
-			break
-		}
-		heap.Pop(&q.h)
-		if q.watched(top) {
-			set := q.live[top.ID]
-			delete(set, top.Attempt)
-			q.liveSize--
-			if len(set) == 0 {
-				delete(q.live, top.ID)
-			}
+	for len(q.h) > 0 && !q.h[0].Deadline.After(now) {
+		// heap.Pop would box the entry; move the last one up instead.
+		top, last := q.h[0], len(q.h)-1
+		q.h[0], q.h = q.h[last], q.h[:last]
+		heap.Fix(&q.h, 0)
+		if q.drop(top.ID, top.Attempt) {
 			expired = append(expired, top)
 		}
 	}
@@ -122,27 +111,43 @@ func (q *OvertimeQueue) Len() int {
 	return len(q.live)
 }
 
+// drop stops watching one attempt, reporting whether it was watched.
+// Callers hold q.mu.
+func (q *OvertimeQueue) drop(id, attempt int32) bool {
+	w, ok := q.live[id]
+	k := slices.Index(w.more, attempt)
+	switch {
+	case k >= 0:
+		w.more = slices.Delete(w.more, k, k+1)
+	case !ok || w.first != attempt:
+		return false
+	case len(w.more) == 0:
+		delete(q.live, id)
+		return true
+	default:
+		w.first, w.more = w.more[0], w.more[1:]
+	}
+	q.live[id] = w
+	return true
+}
+
 // watched reports whether e still corresponds to a live attempt. Callers
 // hold q.mu.
 func (q *OvertimeQueue) watched(e OvertimeEntry) bool {
-	_, ok := q.live[e.ID][e.Attempt]
-	return ok
+	w, ok := q.live[e.ID]
+	return ok && (w.first == e.Attempt || slices.Contains(w.more, e.Attempt))
 }
 
-// push inserts an entry and compacts the heap when stale entries (watches
-// already superseded or completed) outnumber live ones 4:1 — the lazy
-// removals above otherwise let re-dispatch churn grow the heap without
-// bound. Callers hold q.mu.
+// push inserts an entry and compacts the heap when it holds over four
+// entries a watched vertex, most of them stale (watches already superseded
+// or completed) — the lazy removals above otherwise let re-dispatch churn
+// grow the heap without bound. Like ExpireBefore it fixes the heap in place
+// rather than box the entry through heap.Push. Callers hold q.mu.
 func (q *OvertimeQueue) push(e OvertimeEntry) {
-	heap.Push(&q.h, e)
-	if len(q.h) >= 64 && len(q.h) > 4*q.liveSize {
-		kept := q.h[:0]
-		for _, ent := range q.h {
-			if q.watched(ent) {
-				kept = append(kept, ent)
-			}
-		}
-		q.h = kept
+	q.h = append(q.h, e)
+	heap.Fix(&q.h, len(q.h)-1)
+	if len(q.h) >= 64 && len(q.h) > 4*len(q.live) {
+		q.h = slices.DeleteFunc(q.h, func(e OvertimeEntry) bool { return !q.watched(e) })
 		heap.Init(&q.h)
 	}
 }
@@ -160,12 +165,6 @@ func (h overtimeHeap) Less(i, j int) bool {
 	}
 	return a.Attempt < b.Attempt
 }
-func (h overtimeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *overtimeHeap) Push(x interface{}) { *h = append(*h, x.(OvertimeEntry)) }
-func (h *overtimeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+func (h overtimeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *overtimeHeap) Push(x any)   { *h = append(*h, x.(OvertimeEntry)) }
+func (h *overtimeHeap) Pop() (x any) { x, *h = (*h)[len(*h)-1], (*h)[:len(*h)-1]; return x }

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -35,11 +35,8 @@ func NewRuntimeProfile(window int) *RuntimeProfile {
 
 // Observe records one completed sub-task runtime.
 func (p *RuntimeProfile) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
 	p.mu.Lock()
-	p.buf[p.next] = d
+	p.buf[p.next] = max(d, 0)
 	p.next++
 	if p.next == len(p.buf) {
 		p.next = 0
@@ -71,18 +68,10 @@ func (p *RuntimeProfile) Quantile(q float64) (time.Duration, bool) {
 		p.mu.Unlock()
 		return 0, false
 	}
-	s := make([]time.Duration, n)
-	copy(s, p.buf[:n])
+	s := slices.Clone(p.buf[:n])
 	p.mu.Unlock()
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(q * float64(n-1))
-	return s[idx], true
+	slices.Sort(s)
+	return s[int(min(max(q, 0), 1)*float64(n-1))], true
 }
 
 // Threshold returns the speculation age threshold — multiplier times the
@@ -97,9 +86,5 @@ func (p *RuntimeProfile) Threshold(q, multiplier float64, floor time.Duration, m
 	if !ok {
 		return 0, false
 	}
-	th := time.Duration(float64(base) * multiplier)
-	if th < floor {
-		th = floor
-	}
-	return th, true
+	return max(time.Duration(float64(base)*multiplier), floor), true
 }

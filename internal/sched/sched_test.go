@@ -418,3 +418,48 @@ func TestColumnWavefrontBlockCols(t *testing.T) {
 		}
 	}
 }
+
+// A single-attempt watch allocates nothing once the queue has grown to its
+// working size: Add, Remove, and the ExpireBefore that discards the stale
+// entries they leave, as the thread level's overtime queue does per
+// sub-block and the engine's per lease.
+func TestOvertimeQueueSteadyStateAllocatesNothing(t *testing.T) {
+	q := NewOvertimeQueue()
+	now := time.Unix(1000, 0)
+	cycle := func() {
+		for id := int32(0); id < 16; id++ {
+			q.Add(id, id+1, now)
+		}
+		for id := int32(0); id < 16; id++ {
+			q.Remove(id)
+		}
+		q.Add(99, 1, now.Add(time.Hour)) // watched, not due
+		if exp := q.ExpireBefore(now); len(exp) != 0 {
+			t.Fatalf("expired %v", exp)
+		}
+		q.Remove(99)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a steady-state watch cycle allocates %.1f times, want 0", allocs)
+	}
+}
+
+// Next pops one vertex without allocating; NextBatch hands out a batch of
+// its own.
+func TestQueueNextAllocatesNothing(t *testing.T) {
+	q := NewDynamic()
+	ids := []int32{3, 1, 2}
+	cycle := func() {
+		q.Ready(ids...)
+		for range ids {
+			if _, ok := q.Next(0); !ok {
+				t.Fatal("Next found the queue closed")
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("Ready and three Nexts allocate %.1f times, want 0", allocs)
+	}
+}

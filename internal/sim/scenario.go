@@ -50,7 +50,7 @@ import (
 //	expect job <name> <field> <op> <value>
 //
 // Job expectation fields: makespan (duration), failed (1 when the job
-// ended in error, 0 otherwise), and the counters statField names.
+// ended in error, 0 otherwise), and the counters statFields names.
 // Ops: == != <= >= < >.
 //
 // A job the script cancels may not be named by any expect directive —
@@ -615,11 +615,12 @@ func (s *Scenario) Check() error {
 				}
 				continue
 			}
-			v, ok := statField(j.Stats(), ex.Field)
+			field, ok := statFields[ex.Field]
 			if !ok {
 				fail("%s: unknown field %q", ex.Raw, ex.Field)
 				continue
 			}
+			v := float64(field(j.Stats()))
 			if !compare(v, ex.Op, ex.Value) {
 				fail("%s: got %v", ex.Raw, v)
 			}
@@ -631,38 +632,22 @@ func (s *Scenario) Check() error {
 	return nil
 }
 
-func statField(st engine.Stats, field string) (float64, bool) {
-	switch field {
-	case "dispatches":
-		return float64(st.Dispatches), true
-	case "tasks":
-		return float64(st.Tasks), true
-	case "redistributions":
-		return float64(st.Redistributions), true
-	case "stale-results":
-		return float64(st.StaleResults), true
-	case "speculated":
-		return float64(st.Speculated), true
-	case "spec-won":
-		return float64(st.SpecWon), true
-	case "spec-wasted":
-		return float64(st.SpecWasted), true
-	case "steals":
-		return float64(st.Steals), true
-	case "cache-hits":
-		return float64(st.CacheHits), true
-	case "cache-misses":
-		return float64(st.CacheMisses), true
-	case "leaked":
-		return float64(st.Leaked), true
-	case "batch-messages":
-		return float64(st.BatchMessages), true
-	case "blocks-shipped":
-		return float64(st.BlocksShipped), true
-	case "blocks-skipped":
-		return float64(st.BlocksSkipped), true
-	}
-	return 0, false
+// statFields are the engine.Stats counters an expect line may name.
+var statFields = map[string]func(engine.Stats) int64{
+	"dispatches":      func(s engine.Stats) int64 { return s.Dispatches },
+	"tasks":           func(s engine.Stats) int64 { return s.Tasks },
+	"redistributions": func(s engine.Stats) int64 { return s.Redistributions },
+	"stale-results":   func(s engine.Stats) int64 { return s.StaleResults },
+	"speculated":      func(s engine.Stats) int64 { return s.Speculated },
+	"spec-won":        func(s engine.Stats) int64 { return s.SpecWon },
+	"spec-wasted":     func(s engine.Stats) int64 { return s.SpecWasted },
+	"steals":          func(s engine.Stats) int64 { return s.Steals },
+	"cache-hits":      func(s engine.Stats) int64 { return s.CacheHits },
+	"cache-misses":    func(s engine.Stats) int64 { return s.CacheMisses },
+	"leaked":          func(s engine.Stats) int64 { return s.Leaked },
+	"batch-messages":  func(s engine.Stats) int64 { return s.BatchMessages },
+	"blocks-shipped":  func(s engine.Stats) int64 { return s.BlocksShipped },
+	"blocks-skipped":  func(s engine.Stats) int64 { return s.BlocksSkipped },
 }
 
 func compare(got float64, op string, want float64) bool {

@@ -132,10 +132,7 @@ func (c *Cluster) serviceTime(task comm.Message, w *simWorker) time.Duration {
 	if c.opts.Jitter > 0 {
 		d *= 1 + c.opts.Jitter*(2*c.rng.Float64()-1)
 	}
-	if d < 1 {
-		d = 1
-	}
-	return time.Duration(d)
+	return time.Duration(max(d, 1))
 }
 
 // complete fires when the worker's current task finishes: its runner
