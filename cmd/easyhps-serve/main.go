@@ -1,16 +1,17 @@
 // Command easyhps-serve runs the multi-tenant DP job service: a
-// long-running HTTP server that owns one in-process EasyHPS cluster
-// deployment and multiplexes concurrent DP jobs onto it.
+// long-running HTTP server that runs every DP job on one long-lived worker
+// pool, whose fair-share policy interleaves the admitted jobs by weight
+// and priority. /metrics carries per-job labelled series and the pool's
+// autoscaling signals (queue depth, hunger rate, deficit), and every job
+// has a scheduling trace.
 //
 // Usage:
 //
 //	easyhps-serve -addr :8080 -slaves 3 -threads 4 -max-jobs 2 -queue 16
 //
-// With -fleet the service schedules every job onto one shared elastic
-// worker pool instead of the in-process deployment: workers join with
-// easyhps-worker -fleet, the fair-share policy interleaves all admitted
-// jobs over the pool, and /metrics gains per-job labelled series plus
-// the fleet autoscaling signals (queue depth, hunger rate, deficit).
+// The pool's members are -slaves in-process workers of -threads compute
+// goroutines each. With -fleet they are instead elastic workers that join
+// over TCP with easyhps-worker -fleet:
 //
 //	easyhps-serve -addr :8080 -fleet :9000 -max-jobs 8
 //	easyhps-worker -fleet -addr localhost:9000 -threads 4
@@ -53,20 +54,20 @@ const httpDrain = 5 * time.Second
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		slaves   = flag.Int("slaves", 3, "slave computing nodes of the cluster deployment")
-		threads  = flag.Int("threads", 4, "compute goroutines per slave")
+		slaves   = flag.Int("slaves", 3, "in-process members of the worker pool (without -fleet)")
+		threads  = flag.Int("threads", 4, "compute goroutines per in-process member")
 		proc     = flag.Int("proc", 0, "process_partition_size (0 = per-problem default)")
 		thread   = flag.Int("thread", 0, "thread_partition_size (0 = per-problem default)")
-		maxJobs  = flag.Int("max-jobs", 2, "jobs running on the cluster concurrently")
+		maxJobs  = flag.Int("max-jobs", 2, "jobs in flight on the pool at once")
 		queue    = flag.Int("queue", 16, "bounded submission queue depth (overflow answers 429)")
 		maxCells = flag.Int64("max-cells", 16<<20, "largest admitted DP matrix, in cells")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running jobs")
 
-		fleetAddr  = flag.String("fleet", "", "shared-fleet listen address (e.g. :9000): route jobs onto one elastic worker pool instead of the in-process deployment; pair with easyhps-worker -fleet")
-		fleetBatch = flag.Int("fleet-batch", 1, "fleet: vertices per dispatch message")
-		speculate  = flag.Bool("speculate", false, "fleet: speculatively re-execute straggling vertices")
-		steal      = flag.Bool("steal", false, "fleet: feed hungry workers from loaded members' backlogs")
-		auto       = flag.Bool("auto", false, "self-tune: speculation and stealing arm automatically, partitions come from each kernel's cost model, and batch/speculation thresholds adjust online (both in-process runs and the fleet); exports easyhps_tune_* gauges")
+		fleetAddr  = flag.String("fleet", "", "shared-fleet listen address (e.g. :9000): the pool's members are elastic workers joining over TCP instead of in-process ones; pair with easyhps-worker -fleet")
+		fleetBatch = flag.Int("fleet-batch", 1, "vertices per dispatch message")
+		speculate  = flag.Bool("speculate", false, "speculatively re-execute straggling vertices")
+		steal      = flag.Bool("steal", false, "feed hungry workers from loaded members' backlogs")
+		auto       = flag.Bool("auto", false, "self-tune: speculation and stealing arm automatically, partitions come from each kernel's cost model, and batch/speculation thresholds adjust online; exports easyhps_tune_* gauges")
 
 		cache         = flag.Bool("cache", false, "enable the content-addressed result cache (whole-job memoization, per-block reuse in fleet mode, content-keyed shipping suppression)")
 		cacheDir      = flag.String("cache-dir", "", "cache: persist entries to this directory (empty = memory only)")
@@ -74,9 +75,13 @@ func main() {
 	)
 	flag.Parse()
 
+	// One pool configuration, for the in-process members and -fleet alike.
 	run := core.Config{
 		Slaves:     *slaves,
 		Threads:    *threads,
+		Batch:      *fleetBatch,
+		Speculate:  *speculate,
+		Steal:      *steal,
 		Auto:       *auto,
 		RunTimeout: 15 * time.Minute,
 	}
@@ -106,14 +111,9 @@ func main() {
 	var fl *fleet.Fleet[int32]
 	if *fleetAddr != "" {
 		var err error
-		fl, err = fleet.New[int32](fleet.Options{
-			Addr:      *fleetAddr,
-			Batch:     *fleetBatch,
-			Speculate: *speculate,
-			Steal:     *steal,
-			Auto:      *auto,
-			Cache:     store,
-		})
+		opts := server.FleetOptions(run)
+		opts.Addr, opts.Cache = *fleetAddr, store
+		fl, err = fleet.New[int32](opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "easyhps-serve:", err)
 			os.Exit(1)
@@ -140,7 +140,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "easyhps-serve: listening on %s (shared fleet on %s, %d admission slots, queue %d)\n",
 				*addr, fl.Addr(), *maxJobs, *queue)
 		} else {
-			fmt.Fprintf(os.Stderr, "easyhps-serve: listening on %s (cluster %dx%d, %d run slots, queue %d)\n",
+			fmt.Fprintf(os.Stderr, "easyhps-serve: listening on %s (%d in-process members x %d threads, %d admission slots, queue %d)\n",
 				*addr, *slaves, *threads, *maxJobs, *queue)
 		}
 		errc <- srv.ListenAndServe()

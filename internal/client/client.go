@@ -142,8 +142,8 @@ func (c *Client) Result(ctx context.Context, id string) (server.JobResult, error
 	return res, err
 }
 
-// Trace fetches the scheduling trace of a fleet-mode job. Non-fleet
-// deployments answer 404.
+// Trace fetches the scheduling trace of a job, on an attached fleet or the
+// service's in-process members alike; an unknown job answers 404.
 func (c *Client) Trace(ctx context.Context, id string) ([]trace.JSONEvent, error) {
 	var out []trace.JSONEvent
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil, &out)

@@ -29,11 +29,11 @@ import (
 // Members come from one of two sources. The fixed ranks of a
 // comm.Transport (RunContext, RunMasterContext) are added once at start,
 // hold the run's one job from admission and are never re-admitted; a rank
-// whose sender waits with nothing to draw is hungry. Elastic members
-// (internal/fleet, and the simulator's) join, leave and die under a
-// Registry, attach each job by a job-spec frame before its first task, are
-// swept for heartbeats at every tick and announce hunger with beacons.
-// Both hungers end in the same Pool.Hunger.
+// whose sender waits with nothing to draw is hungry. Elastic members — a
+// fleet's, over TCP or in process, and the simulator's — join, leave and
+// die under a Registry, attach each job by a job-spec frame before its
+// first task, are swept for heartbeats at every tick and announce hunger
+// with beacons. Both hungers end in the same Pool.Hunger.
 type Driver[T any] struct {
 	cfg   DriverConfig
 	clock sched.Clock
@@ -596,7 +596,8 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 	}
 	m.attachMu.Unlock()
 	if encErr != nil {
-		d.End(jb, encErr)
+		d.End(jb, encErr) // a job that ended meanwhile keeps how it ended
+		return false      // nothing went out
 	} else if err != nil {
 		// The leases just granted are revoked with the member, or expire.
 		d.Down(m.id, fmt.Errorf("core: sending %d-task batch to member %d: %w", len(entries), m.id, err))

@@ -24,8 +24,8 @@ type Stats struct {
 	// Spills and SpillLoads count blocks written to and reloaded from
 	// the out-of-core spill store (Config.SpillDir).
 	Spills, SpillLoads int64
-	// Messages and PayloadBytes are the transport traffic totals
-	// (in-process runs only).
+	// Messages and PayloadBytes are in-process traffic: RunContext's every
+	// frame, a job service job's task and result frames (server.RunStats).
 	Messages, PayloadBytes int64
 }
 

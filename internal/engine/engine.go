@@ -663,6 +663,9 @@ func (j *Job[T]) TaskPayload(v int32, known Known) ([]byte, error) {
 		positions[k] = geom.PosOf(d)
 	}
 	blocks := j.store.Gather(positions)
+	if blocks == nil {
+		return nil, fmt.Errorf("the job's blocks were handed over")
+	}
 	if known == nil {
 		plain := blocks[:0] // in place: never ahead of the loop
 		for k, b := range blocks {

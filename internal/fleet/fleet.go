@@ -1,23 +1,17 @@
 // Package fleet is the elastic member source of the master driver
-// (core.Driver): one process running N concurrent DAG jobs over a single
-// worker pool that members join, leave and die under. The job service
-// submits many jobs to it (easyhps-serve -fleet); an elastic cluster run
-// (easyhps-launch -elastic) is the same fleet with one job.
+// (core.Driver): N concurrent DAG jobs over one worker pool that members
+// join over TCP or in process (Join), leave and die under. The job service
+// runs every job on one; an elastic cluster run (easyhps-launch -elastic)
+// is a fleet with one job.
 //
-// Scheduling is the driver's — the senders, the receive side, the control
-// tick and the finish latches core's fixed-rank runs use too — over one
-// engine.Job per job and one engine.Pool, whose weighted max-min fair
-// share picks the job an idle worker is fed from; a poisoned job fails
-// alone. What is here is where elastic members come from and what a
-// shared service needs around them: the listener and join handshake, the
-// membership registry (core.Registry) the driver sweeps, one reader per
-// member connection, job admission — each job's attach frame (JobMeta),
-// checkpoint file and cache key — and monitoring. Task and result frames
-// carry a job id, and a worker attaches a job's kernel state on its
-// job-spec frame, so one worker holds batches from several jobs at once.
-//
-// See docs/FLEET.md for the scheduler policy, the job-scoped lease
-// lifecycle, and the wire-protocol changes.
+// Scheduling is the driver's, over one engine.Job per job and one
+// engine.Pool, whose weighted max-min fair share picks the job an idle
+// worker is fed from; a poisoned job fails alone. What is here is where
+// members come from — the listener and join handshake, the registry
+// (core.Registry) the driver sweeps, a reader per connection — job
+// admission (each job's attach frame, JobMeta, checkpoint and cache key)
+// and monitoring. A worker attaches a job's kernel state on its job-spec
+// frame, so it holds batches of several jobs at once. See docs/FLEET.md.
 package fleet
 
 import (
@@ -31,6 +25,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -39,7 +34,8 @@ import (
 // Options configures a shared fleet.
 type Options struct {
 	// Addr is the listen address (host:port; :0 picks a free port,
-	// readable from Fleet.Addr).
+	// readable from Fleet.Addr). Empty opens no listener: the members are
+	// the ones Join admits in process.
 	Addr string
 	// HeartbeatInterval is the worker beacon period (default 250 ms).
 	HeartbeatInterval time.Duration
@@ -65,13 +61,10 @@ type Options struct {
 	Steal          bool
 	Auto           bool
 	CheckInterval  time.Duration
-	// Cache, when non-nil, is the cross-job content-addressed result
-	// store (internal/cas), shared by every job that submits a CacheKey:
-	// computable vertices are probed before dispatch (a hit applies the
-	// stored block without drawing a lease), completed blocks are
-	// written through alongside the checkpoint, and task payloads switch
-	// to the keyed wire format, where a block a member already holds is
-	// replaced by a content-key reference.
+	// Cache, when non-nil, is the cross-job result store (internal/cas) of
+	// the jobs with a CacheKey: a computable vertex is probed before it is
+	// dispatched, a completed block written through, and task payloads go
+	// keyed, a block the member holds becoming a content-key reference.
 	Cache *cas.Store
 	// Clock is the time source for all deadline machinery; nil means the
 	// wall clock, tests inject a sched.FakeClock.
@@ -133,15 +126,20 @@ type Fleet[T any] struct {
 	wg     sync.WaitGroup // the accept loop and one reader per connection
 }
 
-// New builds a fleet and starts listening on opts.Addr. Workers may join
-// immediately; jobs arrive via Run.
+// New builds a fleet and starts listening on opts.Addr, if set. Workers
+// may join immediately; jobs arrive via Run.
 func New[T any](opts Options) (*Fleet[T], error) {
 	opts = opts.withDefaults()
-	ln, err := net.Listen("tcp", opts.Addr)
-	if err != nil {
-		return nil, err
+	f := &Fleet[T]{opts: opts, reg: core.NewRegistry(opts.Trace, opts.Clock)}
+	if opts.Addr != "" {
+		ln, err := net.Listen("tcp", opts.Addr)
+		if err != nil {
+			return nil, err
+		}
+		f.ln = ln
+		f.wg.Add(1)
+		go f.acceptLoop()
 	}
-	f := &Fleet[T]{opts: opts, ln: ln, reg: core.NewRegistry(opts.Trace, opts.Clock)}
 	f.d = core.NewDriver[T](core.DriverConfig{
 		Pool: engine.PoolConfig{
 			Batch:          opts.Batch,
@@ -166,16 +164,23 @@ func New[T any](opts Options) (*Fleet[T], error) {
 		RetainJobs:        opts.RetainJobs,
 	})
 	f.d.StartTick()
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		f.acceptLoop()
-	}()
 	return f, nil
 }
 
-// Addr returns the address the fleet listens on.
+// Addr returns the address the fleet listens on, with Options.Addr set.
 func (f *Fleet[T]) Addr() string { return f.ln.Addr().String() }
+
+// Join admits an in-process member named name: link carries the driver's
+// frames to it, and the member hands its own to deliver, on its goroutine.
+// It returns the member id, or 0 once the fleet is closed.
+func (f *Fleet[T]) Join(name string, link core.Link) (member int, deliver func(comm.Message)) {
+	id := f.reg.Admit(name, "in-process").ID
+	if !f.d.AddMember(id, link) {
+		return 0, nil
+	}
+	f.d.StartSender(id)
+	return id, func(msg comm.Message) { f.d.Deliver(id, msg) }
+}
 
 // Registry exposes the membership table.
 func (f *Fleet[T]) Registry() *core.Registry { return f.reg }
@@ -183,7 +188,9 @@ func (f *Fleet[T]) Registry() *core.Registry { return f.reg }
 // Close shuts the fleet down: running jobs fail with ErrFleetClosed and
 // workers are dismissed.
 func (f *Fleet[T]) Close() {
-	f.ln.Close()
+	if f.ln != nil {
+		f.ln.Close()
+	}
 	f.d.Close()
 	f.wg.Wait()
 }
@@ -194,7 +201,8 @@ var ErrFleetClosed = core.ErrClosed
 // Run submits one job and blocks until it completes, fails, or ctx is
 // cancelled. Jobs run concurrently: call Run from one goroutine per job. A
 // job that started and then failed returns its Result beside the error:
-// the counters it reached, so a caller can count every run once.
+// the counters it reached, so a caller can count every run once. The blocks
+// leave with it: a retained job keeps its counts and trace.
 func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (*Result[T], error) {
 	jb, err := f.newJob(f.nextID.Add(1), p, req)
 	if err != nil {
@@ -204,11 +212,12 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 		return nil, err
 	}
 	err = f.d.Wait(ctx, jb)
-	return &Result[T]{Store: jb.Engine.Store(), Stats: jb.Stats()}, err
+	return &Result[T]{Store: jb.Engine.Store().(*matrix.Store[T]).Take(), Stats: jb.Stats()}, err
 }
 
 // acceptLoop admits workers for the fleet's whole lifetime.
 func (f *Fleet[T]) acceptLoop() {
+	defer f.wg.Done()
 	for {
 		c, err := f.ln.Accept()
 		if err != nil {

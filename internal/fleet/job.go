@@ -18,19 +18,15 @@ import (
 type JobRequest struct {
 	// Name labels the job in metrics, traces and worker attach frames.
 	Name string
-	// Spec is the application-level job description shipped verbatim to
-	// workers in the attach frame, where the injected builder turns it
-	// back into the same Problem (the job service sends its JSON
-	// JobSpec). May be nil for in-test problems built by hand on both
-	// sides.
+	// Spec is the application-level job description shipped verbatim in
+	// the attach frame, which a worker's Builder turns back into the same
+	// Problem (the job service sends its JSON JobSpec); nil is allowed.
 	Spec json.RawMessage
-	// Proc is the processor-level partition; zero means the same default
-	// rule core.Config applies, so master and workers derive identical
-	// geometries.
+	// Proc is the processor-level partition (zero: the default rule, or
+	// the advisor's under Auto); the attach frame carries it.
 	Proc dag.Size
-	// Thread is the worker-local thread partition, carried in the attach
-	// frame so every worker computes the job with the partition it was
-	// submitted under.
+	// Thread is the thread partition every worker computes the job with,
+	// carried in the attach frame.
 	Thread dag.Size
 	// Weight is the fair-share weight (default 1).
 	Weight float64
@@ -50,19 +46,16 @@ type JobRequest struct {
 	// long after its submission, on the fleet clock (0 = no bound).
 	Timeout time.Duration
 	// CacheKey is the content digest of the job's problem spec (kernel
-	// plus inputs, scheduling knobs excluded) scoping its entries in the
-	// fleet's cross-job result store (Options.Cache). Note JobMeta's
-	// digest cannot serve here: it covers Name and partition sizes, so
-	// identical problems submitted under different names or partitions
-	// would never share cache entries. Empty disables caching for this
-	// job even when the fleet has a store.
+	// plus inputs) scoping its entries in the fleet's result store
+	// (Options.Cache) — not JobMeta's digest, which covers the name and
+	// partitions too. Empty disables caching for this job.
 	CacheKey string
 	// CheckpointPath, when non-empty, persists the job's completed
 	// vertices and resumes from the clean prefix on resubmission.
 	CheckpointPath string
 	// OnProgress, when non-nil, is called after restore and after every
-	// completed vertex with (completed, total), on the reader of the member
-	// that computed it — it must be fast and must not block.
+	// completed vertex with (completed, total), on the goroutine delivering
+	// the member's result: it must be fast.
 	OnProgress func(completed, total int)
 }
 
@@ -113,8 +106,7 @@ type JobStatus struct {
 	Weight   float64
 	Priority int
 	// Deficit is the most-served running job's normalized service minus
-	// this job's: the fair-share debt being worked off, and an autoscaling
-	// signal — a persistent positive deficit means the pool is too small.
+	// this job's: fair-share debt; a persistent one means the pool is small.
 	Deficit float64
 	Stats   engine.Stats
 }

@@ -4,13 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 )
 
-// WorkerOptions configures one fleet worker process.
+// WorkerOptions configures one fleet worker: a process, or an in-process
+// member (Serve).
 type WorkerOptions struct {
 	// Addr is the fleet master's address.
 	Addr string
@@ -23,9 +25,8 @@ type WorkerOptions struct {
 	HeartbeatMiss int
 	// DialTimeout bounds dialing plus handshake (default 10 s).
 	DialTimeout time.Duration
-	// Run carries the worker-local compute configuration (Threads,
-	// WorkDelayPerCell, Batch flush bound, ...). Partition sizes come
-	// from each job's attach frame, never from here.
+	// Run is the worker's compute configuration (Threads,
+	// WorkDelayPerCell, Batch flush bound, ...); partitions are the jobs'.
 	Run core.Config
 	// TaskDelay, when non-nil, is consulted before each task executes;
 	// the fault-injection hook for slowing a member down.
@@ -58,13 +59,9 @@ type Builder[T any] func(meta JobMeta) (core.Problem[T], error)
 
 // SpecRequest and SpecBuilder are the two ends of a one-job run whose
 // master and workers each built the problem from their own flags
-// (easyhps-launch -elastic, easyhps-worker -elastic): the master's
-// core.Spec travels as the job's spec, and every worker checks it
-// against its own before it computes a vertex.
-//
-// SpecRequest returns the request that submits the problem spec
-// describes: the spec in the attach frame, its partitions, and its digest
-// scoping the job's entries in the fleet's result cache, if it has one.
+// (easyhps-launch -elastic, easyhps-worker -elastic). SpecRequest submits
+// spec's problem: the spec in the attach frame, its partitions, and its
+// digest scoping the job's entries in the fleet's result cache.
 func SpecRequest(spec core.Spec) JobRequest {
 	enc, _ := json.Marshal(spec) // strings and integers always encode
 	return JobRequest{Name: spec.App, Spec: enc, Proc: spec.Proc, Thread: spec.Thread, CacheKey: spec.Digest()}
@@ -98,27 +95,39 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 	if build == nil {
 		return fmt.Errorf("fleet: RunWorker needs a job builder")
 	}
-	cn, welcome, err := comm.DialHello(opts.Addr, comm.Hello{
-		Fleet: true,
-		Name:  opts.Name,
-	}, opts.DialTimeout)
+	cn, welcome, err := comm.DialHello(opts.Addr, comm.Hello{Fleet: true, Name: opts.Name}, opts.DialTimeout)
 	if err != nil {
 		return err
 	}
-	defer cn.Close()
-	member := welcome.Member
 	idle := time.Duration(opts.HeartbeatMiss+1) * opts.HeartbeatInterval
 	cn.SetReadIdle(idle)
 	cn.SetWriteTimeout(idle)
+	return Serve(ctx, cn, welcome.Member, func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) }, opts)
+}
+
+// Conn is a worker's end of its link to the fleet: the connection RunWorker
+// dials, or an in-process member's queue (Fleet.Join).
+type Conn interface {
+	core.Link
+	Recv() (comm.Message, error)
+}
+
+// Serve is RunWorker past the dial: member's beacon goroutine and core's
+// worker loop over cn, which it closes on return, attaching jobs by attach.
+func Serve[T any](ctx context.Context, cn Conn, member int, attach func(comm.Message) (*core.TaskRunner[T], error), opts WorkerOptions) error {
+	opts = opts.withDefaults()
+	defer cn.Close()
 
 	// One beacon goroutine: heartbeats prove liveness and provoke the echoes
-	// that feed this side's read-idle bound; HungerAfter without a task (the
-	// worker loop reports each task's start and each frame's completion)
-	// sends a hunger beacon, re-armed while idleness persists; cancellation
-	// sends a graceful Leave.
+	// that feed this side's read-idle bound; HungerAfter since the last
+	// activity (the worker loop notes each task's start and each frame's
+	// completion) sends a hunger beacon, re-armed while idleness persists;
+	// cancellation sends a graceful Leave.
 	stop := make(chan struct{})
 	defer close(stop)
-	activity := make(chan struct{}, 1)
+	start := time.Now()
+	var active atomic.Int64 // the last activity, as a time.Duration since start
+	noteActivity := func() { active.Store(int64(time.Since(start))) }
 	go func() {
 		beat := time.NewTicker(opts.HeartbeatInterval)
 		defer beat.Stop()
@@ -130,7 +139,7 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 			hunger = timer.C
 		}
 		for {
-			var beacon comm.Kind
+			beacon := comm.KindHeartbeat
 			select {
 			case <-stop:
 				return
@@ -139,37 +148,23 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 				cn.Close()
 				return
 			case <-beat.C:
-				beacon = comm.KindHeartbeat
-			case <-activity:
-				if timer != nil {
-					if !timer.Stop() {
-						select { // fired unread: drain before re-arming
-						case <-timer.C:
-						default:
-						}
-					}
-					timer.Reset(opts.HungerAfter)
-				}
-				continue
 			case <-hunger:
+				if idle := time.Since(start) - time.Duration(active.Load()); idle < opts.HungerAfter {
+					timer.Reset(opts.HungerAfter - idle) // active meanwhile
+					continue
+				}
 				beacon = comm.KindHunger
 				timer.Reset(opts.HungerAfter)
 			}
 			_ = cn.Send(comm.Message{Kind: beacon}) // a dead link fails the recv loop
 		}
 	}()
-	noteActivity := func() {
-		select {
-		case activity <- struct{}{}:
-		default:
-		}
-	}
 
 	// The worker loop is core's: jobs attach through their JobSpec frames,
 	// a task starting and a frame's last answer going out are the activity
 	// that re-arms the hunger timer, and any failure — a computation's
 	// included, which the fleet's revocation reassigns — ends the member.
-	err = core.Worker[T]{
+	err := core.Worker[T]{
 		Recv: cn.Recv,
 		Send: func(m comm.Message) error {
 			if !m.More {
@@ -184,7 +179,7 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 			}
 			return nil
 		},
-		Attach: func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) },
+		Attach: attach,
 	}.Serve(make(map[int32]*core.TaskRunner[T]))
 	if err != nil && ctx.Err() != nil {
 		return ctx.Err()

@@ -16,6 +16,7 @@ type Store[T any] struct {
 
 	mu     sync.RWMutex
 	blocks map[dag.Pos]*Block[T]
+	taken  bool // Take handed the blocks over
 }
 
 // NewStore creates an empty store over geometry g.
@@ -59,10 +60,14 @@ func (s *Store[T]) Get(p dag.Pos) *Block[T] {
 
 // Gather returns the blocks at the given positions; it panics if any of
 // them is missing, because the DAG model guarantees that every data
-// dependency of a computable vertex is complete.
+// dependency of a computable vertex is complete. After Take it returns nil:
+// what it would gather went with the blocks.
 func (s *Store[T]) Gather(ps []dag.Pos) []*Block[T] {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.taken {
+		return nil
+	}
 	out := make([]*Block[T], len(ps))
 	for k, p := range ps {
 		b := s.blocks[p]
@@ -80,6 +85,18 @@ func (s *Store[T]) Drop(p dag.Pos) {
 	s.mu.Lock()
 	delete(s.blocks, p)
 	s.mu.Unlock()
+}
+
+// Take moves every block to a new store of the same geometry, which it
+// returns, and leaves s empty: the hand-over of a finished job's matrix, so
+// that what still references s — a retained job, a sender that drew before
+// the job ended — holds no block.
+func (s *Store[T]) Take() *Store[T] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := &Store[T]{geom: s.geom, blocks: s.blocks}
+	s.blocks, s.taken = make(map[dag.Pos]*Block[T]), true
+	return out
 }
 
 // Len returns the number of stored blocks.

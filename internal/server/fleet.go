@@ -3,18 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 )
-
-// ErrNoTrace means the job's scheduling trace was requested from a
-// manager that is not running on a shared fleet (HTTP 404: the resource
-// does not exist in this deployment mode).
-var ErrNoTrace = errors.New("server: job traces require fleet mode")
 
 // RegistryBuilder adapts the kernel registry as a fleet worker's job
 // builder: the attach frame's spec is the JSON JobSpec the job was
@@ -32,16 +26,35 @@ func RegistryBuilder(reg *Registry) fleet.Builder[int32] {
 	}
 }
 
-// runFleet executes one job on the shared fleet instead of the in-process
-// deployment; a run that started returns its stats even when it failed.
-// The run slot stays held for the duration, so MaxConcurrent acts purely
-// as admission control on how many jobs the service feeds the fleet at
-// once; the fleet's policy schedules among them.
+// FleetOptions is the pool configuration run names — dispatch batch,
+// overtime bound, attempt cap, speculation, stealing and self-tuning — as
+// the options of the fleet jobs run on: the one NewManager builds when no
+// fleet is attached, and easyhps-serve's -fleet.
+func FleetOptions(run core.Config) fleet.Options {
+	return fleet.Options{
+		Batch:       run.Batch,
+		TaskTimeout: run.TaskTimeout,
+		MaxAttempts: run.MaxAttempts,
+		Speculate:   run.Speculate,
+		Steal:       run.Steal,
+		Auto:        run.Auto,
+	}
+}
+
+// runFleet executes one job on the fleet; a run that started returns its
+// stats even when it failed. The run slot stays held for the duration, so
+// MaxConcurrent acts purely as admission control on how many jobs the
+// service feeds the fleet at once; the fleet's policy schedules among
+// them. The sub-tasks and traffic are the in-process members': a clean
+// job's frames are its task and result frames, one of each per dispatched
+// vertex at Batch 1, and never its attach and detach frames, whose number
+// depends on which members happened to run it.
 func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], error) {
 	spec, err := json.Marshal(j.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding spec of %s: %w", j.ID, err)
 	}
+	progress := m.cfg.Run.Progress
 	req := fleet.JobRequest{
 		Name:     j.ID,
 		Spec:     spec,
@@ -56,25 +69,30 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], er
 		OnProgress: func(completed, total int) {
 			j.completed.Store(int64(completed))
 			j.total.Store(int64(total))
+			if progress != nil {
+				progress(completed, total)
+			}
 		},
 	}
-	res, err := m.cfg.Fleet.Run(ctx, j.problem, req)
+	res, err := m.fleet.Run(ctx, j.problem, req)
 	if res == nil {
 		return nil, err
 	}
-	return &core.Result[int32]{Store: res.Store, Stats: core.Stats{Stats: res.Stats}}, err
+	st := core.Stats{Stats: res.Stats, Messages: j.messages.Load(), PayloadBytes: j.payload.Load()}
+	j.mu.Lock()
+	for _, r := range j.runners {
+		st.SubTasks += r.SubTasks()
+	}
+	j.mu.Unlock()
+	return &core.Result[int32]{Store: res.Store, Stats: st}, err
 }
 
-// Trace returns the scheduling trace of a fleet job as export-ready
-// events. Unknown ids answer ErrNotFound; managers without a fleet answer
-// ErrNoTrace. A job still queued (not yet handed to the fleet) has an
-// empty trace.
+// Trace returns the scheduling trace of a job as export-ready events.
+// Unknown ids answer ErrNotFound. A job still queued (not yet handed to the
+// fleet) has an empty trace.
 func (m *Manager) Trace(id string) ([]trace.JSONEvent, error) {
 	if _, err := m.Get(id); err != nil {
 		return nil, err
 	}
-	if m.cfg.Fleet == nil {
-		return nil, ErrNoTrace
-	}
-	return trace.ExportJSON(m.cfg.Fleet.TraceEvents(id)), nil
+	return trace.ExportJSON(m.fleet.TraceEvents(id)), nil
 }

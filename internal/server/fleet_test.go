@@ -232,9 +232,9 @@ func gaugeValue(t *testing.T, text, series string) int64 {
 	return 0
 }
 
-// TestFleetServiceTraceErrors pins the trace endpoint's error contract:
-// 404 for unknown jobs, and 404 in non-fleet deployments where traces do
-// not exist.
+// TestFleetServiceTraceErrors pins the trace endpoint's contract: 404 for
+// unknown jobs, and a trace for every job the service ran, on an attached
+// fleet or on the manager's own in-process members.
 func TestFleetServiceTraceErrors(t *testing.T) {
 	_, _, c := startFleetService(t,
 		fleet.Options{},
@@ -244,7 +244,7 @@ func TestFleetServiceTraceErrors(t *testing.T) {
 		t.Fatalf("trace of unknown job = %v, want 404", err)
 	}
 
-	// A classic (non-fleet) service answers 404 for traces of real jobs.
+	// A service without -fleet traces its jobs all the same.
 	_, cc := startService(t, server.ManagerConfig{Run: fastRun(), MaxConcurrent: 1, QueueDepth: 2})
 	st, err := cc.Submit(ctx, server.JobSpec{Kernel: "editdist", N: 16, Seed: 1})
 	if err != nil {
@@ -253,7 +253,17 @@ func TestFleetServiceTraceErrors(t *testing.T) {
 	if _, err := cc.Wait(ctx, st.ID, 5*time.Millisecond); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if _, err := cc.Trace(ctx, st.ID); !client.IsNotFound(err) {
-		t.Fatalf("trace without a fleet = %v, want 404", err)
+	evs, err := cc.Trace(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("trace without a fleet = %v, want the job's trace", err)
+	}
+	dispatches := 0
+	for _, e := range evs {
+		if e.Kind == "dispatch" {
+			dispatches++
+		}
+	}
+	if dispatches == 0 {
+		t.Fatalf("trace without a fleet has no dispatch event: %+v", evs)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // FuzzSubmit posts arbitrary bytes to POST /v1/jobs: a body is refused or
 // accepted without a panic, and an accepted job answers what its kernel's
 // sequential reference does, on a matrix no larger than MaxCells. The
-// seeds are the server suite's specs and two specs that were once sized
-// only after their inputs were generated.
+// seeds are the server suite's specs, two specs that were once sized only
+// after their inputs were generated and a weight whose share overflowed.
 func FuzzSubmit(f *testing.F) {
 	for _, spec := range []server.JobSpec{
 		{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting"},
@@ -34,6 +34,7 @@ func FuzzSubmit(f *testing.F) {
 		{Kernel: "editdist", N: 1024},
 		{Kernel: "editdist", N: 1000000000},
 		{Kernel: "nussinov", N: 1 << 62},
+		{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting", Weight: 5e-324},
 	} {
 		body, _ := json.Marshal(spec)
 		f.Add(body)

@@ -19,7 +19,7 @@ import (
 //	                          the duration (capped at maxHold) passes or
 //	                          the client goes away    -> 200 JobStatus
 //	GET    /v1/jobs/{id}/result                           -> 200 JobResult
-//	GET    /v1/jobs/{id}/trace   scheduling trace (fleet) -> 200 []trace.JSONEvent
+//	GET    /v1/jobs/{id}/trace   scheduling trace         -> 200 []trace.JSONEvent
 //	DELETE /v1/jobs/{id}      cancel                      -> 202 JobStatus
 //	GET    /v1/kernels        registry listing            -> 200 []KernelEntry
 //	GET    /metrics           text exposition             -> 200 text/plain
@@ -91,7 +91,7 @@ func (a *API) writeError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	case errors.Is(err, ErrShuttingDown):
 		code = http.StatusServiceUnavailable
-	case errors.Is(err, ErrNotFound), errors.Is(err, ErrNoTrace):
+	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrNotDone), errors.Is(err, ErrFinished):
 		code = http.StatusConflict

@@ -55,8 +55,8 @@ var (
 )
 
 // Job is one submitted DP run. All mutable fields are guarded by mu
-// except the progress counters, which the master's receive loop updates
-// through atomics.
+// except the progress and traffic counters, which the driver's receive side
+// and the in-process members update through atomics.
 type Job struct {
 	// ID is the globally unique job id, "job-<n>" with n drawn from the
 	// manager's monotonic counter — never reused within a manager, so a
@@ -76,6 +76,11 @@ type Job struct {
 	finish  finishFunc
 
 	completed, total atomic.Int64
+	// messages and payload count the task and result frames the in-process
+	// members exchanged for the job; runners are its in-process runners,
+	// until it settles.
+	messages, payload atomic.Int64
+	runners           []*core.TaskRunner[int32]
 
 	mu        sync.Mutex
 	state     State
@@ -140,13 +145,14 @@ func (j *Job) Status() JobStatus {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // settleLocked moves j into the terminal state st at now, drops the inputs
-// only a run needs and closes done. The caller holds j.mu and has set
-// whatever result or error st carries.
+// and runners only a run needs and closes done. The caller holds j.mu and
+// has set whatever result or error st carries.
 func (j *Job) settleLocked(st State, now time.Time) {
 	j.state = st
 	j.finished = now
 	j.problem = core.Problem[int32]{}
 	j.finish = nil
+	j.runners = nil
 	close(j.done)
 }
 
@@ -188,18 +194,27 @@ func (j *Job) Result() (*JobResult, error) {
 
 // ManagerConfig sizes the job service.
 type ManagerConfig struct {
-	// Run is the shared cluster deployment every job executes on:
-	// Slaves x Threads with the configured partition sizes. The manager
-	// owns this deployment for its whole lifetime; jobs never choose
-	// their own. In fleet mode only the partition sizes and RunTimeout
-	// apply (workers bring their own thread counts).
+	// Run is the deployment every job runs on. The manager reads
+	//   - Slaves: the in-process members of its own fleet;
+	//   - Threads, ThreadPartition, WorkDelayPerCell, WorkJitter,
+	//     SubTaskTimeout, CheckInterval and Batch (the flush bound of a
+	//     batch's results): what each of them computes with;
+	//   - Batch, TaskTimeout, MaxAttempts, Speculate, Steal and Auto: its
+	//     fleet's pool (FleetOptions);
+	//   - ProcPartition, ThreadPartition, RunTimeout (the job's bound) and
+	//     Progress (told the job's progress): per job, on an attached
+	//     Fleet too.
+	// Policy, Faults, Latency, Checkpoint, Restore, SpillDir and Trace
+	// belong to core.RunContext alone; no manager is given them.
 	Run core.Config
-	// Fleet, when non-nil, routes every job onto this shared fleet
-	// instead of the in-process deployment: elastic workers join the
-	// fleet over TCP, the fleet's policy interleaves all admitted jobs
-	// over the one pool, and the run slots become pure admission control
-	// (a slot is held while its job is in flight on the fleet). The
-	// manager does not own the fleet; the caller closes it.
+	// Fleet, when non-nil, is the shared fleet every job runs on: elastic
+	// workers join it over TCP. The manager does not own it; the caller
+	// closes it. Without one, NewManager builds a fleet that opens no
+	// listener, with Run.Slaves in-process members that live until
+	// Shutdown. Either way the fleet's policy interleaves the admitted
+	// jobs over the one pool — by Weight and Priority — and the run slots
+	// are pure admission control (a slot is held while its job is in
+	// flight).
 	Fleet *fleet.Fleet[int32]
 	// Cache, when non-nil, is the content-addressed result store. The
 	// manager uses its whole-job tier: a submission whose spec digest has
@@ -208,8 +223,8 @@ type ManagerConfig struct {
 	// that coalesces concurrent identical submissions is independent of
 	// the cache and always on.)
 	Cache *cas.Store
-	// MaxConcurrent is the number of run slots — jobs executing on the
-	// cluster at once. Default 2.
+	// MaxConcurrent is the number of run slots — jobs in flight on the
+	// fleet at once. Default 2.
 	MaxConcurrent int
 	// QueueDepth bounds the submission queue behind the run slots;
 	// submissions beyond it are rejected with ErrBusy. Default 16.
@@ -244,13 +259,18 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	return c
 }
 
-// Manager is the multi-tenant job service: it owns the persistent cluster
-// deployment, admits jobs into a bounded queue, runs at most
-// MaxConcurrent of them at a time, and tracks every job it has ever
+// Manager is the multi-tenant job service: it runs every job on one
+// long-lived fleet, admits jobs into a bounded queue, keeps at most
+// MaxConcurrent of them in flight, and tracks every job it has ever
 // accepted by id.
 type Manager struct {
 	cfg ManagerConfig
 	reg *Registry
+
+	// fleet is cfg.Fleet, or the manager's own, whose in-process members
+	// run in members.
+	fleet   *fleet.Fleet[int32]
+	members sync.WaitGroup
 
 	// rootCtx is the manager-lifetime context every job's run context
 	// derives from. Shutdown's forced phase cancels it, which reaches
@@ -314,10 +334,17 @@ func NewManager(cfg ManagerConfig, reg *Registry) *Manager {
 		flights:    make(map[string]*flight),
 		metrics:    newMetrics(),
 	}
-	if cfg.Fleet != nil {
-		m.fleetStats = cfg.Fleet.Snapshot
-		m.tuneStats = cfg.Fleet.TuneSnapshot
+	m.fleet = cfg.Fleet
+	if m.fleet == nil {
+		opts := FleetOptions(cfg.Run)
+		opts.HeartbeatInterval = fleetBeat
+		m.fleet, _ = fleet.New[int32](opts) // no listener, no error
+		for i := range cfg.Run.Slaves {
+			m.join(fmt.Sprintf("local-%d", i))
+		}
 	}
+	m.fleetStats = m.fleet.Snapshot
+	m.tuneStats = m.fleet.TuneSnapshot
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -511,6 +538,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		m.wg.Wait()
 		close(workers)
 	}()
+	defer m.closeFleet()
 	select {
 	case <-workers:
 		return nil
@@ -527,8 +555,17 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// worker is one run slot: it pulls admitted jobs off the queue and
-// executes them on the shared cluster deployment until Shutdown.
+// closeFleet closes the manager's own fleet, once no job is in flight, and
+// waits for its in-process members to be dismissed.
+func (m *Manager) closeFleet() {
+	if m.cfg.Fleet == nil {
+		m.fleet.Close()
+		m.members.Wait()
+	}
+}
+
+// worker is one run slot: it pulls admitted jobs off the queue and runs
+// them on the fleet until Shutdown.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -546,9 +583,8 @@ func (m *Manager) worker() {
 	}
 }
 
-// run executes one job — through core.RunContext on the in-process
-// deployment, or through Fleet.Run when a shared fleet is attached —
-// translating the outcome into the job state machine.
+// run executes one job on the fleet, translating the outcome into the job
+// state machine.
 func (m *Manager) run(j *Job) {
 	ctx, cancel := context.WithCancel(m.rootCtx)
 	defer cancel()
@@ -568,25 +604,7 @@ func (m *Manager) run(j *Job) {
 	m.running[j.ID] = j
 	m.mu.Unlock()
 
-	var res *core.Result[int32]
-	var err error
-	if m.cfg.Fleet != nil {
-		res, err = m.runFleet(ctx, j)
-	} else {
-		cfg := m.cfg.Run
-		// Chain rather than replace a Progress callback supplied with the
-		// deployment config: the manager needs it for job status, but the
-		// caller may be observing run liveness through it too.
-		chained := cfg.Progress
-		cfg.Progress = func(completed, total int) {
-			j.completed.Store(int64(completed))
-			j.total.Store(int64(total))
-			if chained != nil {
-				chained(completed, total)
-			}
-		}
-		res, err = core.RunContext(ctx, j.problem, cfg)
-	}
+	res, err := m.runFleet(ctx, j)
 
 	// The run's counters leave the live set and enter the totals in one
 	// step, failed runs too, so /metrics counts a fleet job once and its

@@ -43,8 +43,6 @@ type metrics struct {
 	specWon    atomic.Int64
 	specWasted atomic.Int64
 	steals     atomic.Int64
-	spills     atomic.Int64
-	spillLoads atomic.Int64
 
 	// Per-job latency histogram over jobs that actually ran.
 	histMu    sync.Mutex
@@ -91,13 +89,11 @@ func (x *metrics) addRunStats(s core.Stats) {
 	x.specWon.Add(s.SpecWon)
 	x.specWasted.Add(s.SpecWasted)
 	x.steals.Add(s.Steals)
-	x.spills.Add(s.Spills)
-	x.spillLoads.Add(s.SpillLoads)
 }
 
-// SetFleetStats attaches a shared-fleet snapshot source to the /metrics
-// exposition (NewManager installs cfg.Fleet's automatically; tests may
-// inject a synthetic one). A nil fn detaches it. fn is called at
+// SetFleetStats attaches a fleet snapshot source to the /metrics
+// exposition (NewManager installs its fleet's; tests may inject a
+// synthetic one). A nil fn detaches it. fn is called at
 // exposition time and must be safe for concurrent use.
 func (m *Manager) SetFleetStats(fn func() fleet.Snapshot) {
 	m.fleetMu.Lock()
@@ -106,8 +102,8 @@ func (m *Manager) SetFleetStats(fn func() fleet.Snapshot) {
 }
 
 // SetTuneStats attaches a self-tuning controller snapshot source to the
-// /metrics exposition (NewManager installs cfg.Fleet's automatically;
-// tests may inject a synthetic one). The source returns ok=false while no
+// /metrics exposition (NewManager installs its fleet's; tests may inject a
+// synthetic one). The source returns ok=false while no
 // tuner is active, which suppresses the easyhps_tune_* series. A nil fn
 // detaches it. fn is called at exposition time and must be safe for
 // concurrent use.
@@ -225,9 +221,6 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 			writeTune(w, s)
 		}
 	}
-
-	fmt.Fprintf(w, "# HELP easyhps_spill_total Blocks spilled to disk by memory-bounded stores across all runs.\n# TYPE easyhps_spill_total counter\neasyhps_spill_total %d\n", x.spills.Load())
-	fmt.Fprintf(w, "# HELP easyhps_spill_load_total Spilled blocks loaded back from disk across all runs.\n# TYPE easyhps_spill_load_total counter\neasyhps_spill_load_total %d\n", x.spillLoads.Load())
 
 	if m.cfg.Cache != nil {
 		writeCache(w, m.cfg.Cache.Snapshot())

@@ -1,8 +1,8 @@
 // Package server is the multi-tenant DP job service over the EasyHPS
-// runtime: a long-running job manager that owns one in-process cluster
-// deployment (Slaves x Threads plus partition sizes) and multiplexes many
-// concurrent DP jobs onto it, an HTTP API (submit / status / result /
-// cancel) in front of it, and a text-exposition metrics endpoint. The
+// runtime: a long-running job manager that runs many concurrent DP jobs on
+// one long-lived fleet (its own in-process members, or an attached one), an
+// HTTP API (submit / status / result / cancel / trace) in front of it, and
+// a text-exposition metrics endpoint. The
 // manager applies admission control — a bounded submission queue behind a
 // fixed number of run slots — so overload surfaces as an immediate "busy"
 // answer instead of unbounded buffering.
@@ -38,11 +38,10 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Capacity is the knapsack capacity (defaults to 4*N).
 	Capacity int `json:"capacity,omitempty"`
-	// Weight and Priority are the fair-share scheduling knobs of fleet
-	// mode: Weight skews this job's share of the pool (<= 0 means 1) and
-	// a higher Priority class dispatches before lower ones entirely.
-	// Ignored by the in-process deployment, which runs jobs on dedicated
-	// slots.
+	// Weight and Priority are the fair-share scheduling knobs of the
+	// pool every job runs on: Weight skews this job's share of it (<= 0
+	// means 1; one whose reciprocal overflows is refused) and a higher
+	// Priority class dispatches before lower ones entirely.
 	Weight   float64 `json:"weight,omitempty"`
 	Priority int     `json:"priority,omitempty"`
 }
@@ -78,7 +77,9 @@ type JobResult struct {
 	Stats RunStats `json:"stats"`
 }
 
-// RunStats is the JSON projection of core.Stats.
+// RunStats is the JSON projection of core.Stats. SubTasks, Messages and
+// PayloadBytes are the in-process members' — sub-tasks run, task and result
+// frames exchanged — and read 0 on an attached fleet.
 type RunStats struct {
 	Tasks           int64   `json:"tasks"`
 	Dispatches      int64   `json:"dispatches"`
@@ -90,8 +91,6 @@ type RunStats struct {
 	TaskBytes       int64   `json:"task_bytes,omitempty"`
 	CacheHits       int64   `json:"cache_hits,omitempty"`
 	CacheMisses     int64   `json:"cache_misses,omitempty"`
-	Spills          int64   `json:"spills,omitempty"`
-	SpillLoads      int64   `json:"spill_loads,omitempty"`
 	ElapsedSeconds  float64 `json:"elapsed_seconds"`
 }
 
@@ -107,8 +106,6 @@ func projectStats(s core.Stats) RunStats {
 		TaskBytes:       s.TaskBytes,
 		CacheHits:       s.CacheHits,
 		CacheMisses:     s.CacheMisses,
-		Spills:          s.Spills,
-		SpillLoads:      s.SpillLoads,
 		ElapsedSeconds:  s.Elapsed.Seconds(),
 	}
 }
@@ -272,6 +269,10 @@ func (r *Registry) Build(spec JobSpec, maxCells int64) (core.Problem[int32], fin
 	r.mu.RUnlock()
 	if !ok {
 		return core.Problem[int32]{}, nil, fmt.Errorf("unknown kernel %q", spec.Kernel)
+	}
+	if spec.Weight > 0 && math.IsInf(1/spec.Weight, 1) {
+		// The pool charges a draw n/Weight: +Inf, and NaN after a refund.
+		return core.Problem[int32]{}, nil, fmt.Errorf("server: weight %g is too small for a finite share", spec.Weight)
 	}
 	if cells := matrixCells(e.dims(spec)); cells > maxCells {
 		return core.Problem[int32]{}, nil, fmt.Errorf("server: job size %d cells exceeds limit %d", cells, maxCells)

@@ -351,9 +351,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsExposition checks that an attached fleet's membership
-// snapshot and straggler counters surface on /metrics — and that nothing
-// cluster-related is emitted when no fleet is attached.
+// TestClusterMetricsExposition checks that the fleet's membership snapshot
+// and straggler counters surface on /metrics — without a fleet attached,
+// the manager's own in-process members are the cluster.
 func TestClusterMetricsExposition(t *testing.T) {
 	mgr, c := startService(t, server.ManagerConfig{Run: fastRun(), MaxConcurrent: 1, QueueDepth: 2})
 	ctx := context.Background()
@@ -362,8 +362,14 @@ func TestClusterMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if strings.Contains(text, "easyhps_cluster_") {
-		t.Fatalf("cluster metrics exposed without a fleet attached:\n%s", text)
+	for _, want := range []string{
+		"easyhps_cluster_members{state=\"active\"} 2", // fastRun's Slaves
+		"easyhps_cluster_joins_total 2",
+		"easyhps_cluster_deaths_total 0",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
 	}
 
 	mgr.SetFleetStats(func() fleet.Snapshot {
@@ -466,6 +472,34 @@ func TestSubmitSizedBeforeInputs(t *testing.T) {
 	if n := len(mgr.List()); n != 0 {
 		t.Fatalf("oversized specs admitted %d jobs", n)
 	}
+}
+
+// TestWeightWithoutFiniteShareRefused: a weight so small that the pool's
+// charge for a draw, n/Weight, overflows is refused with 400 before the
+// job exists: +Inf, then NaN after a refund, would win every fair-share
+// comparison of its priority class.
+func TestWeightWithoutFiniteShareRefused(t *testing.T) {
+	mgr := server.NewManager(server.ManagerConfig{Run: fastRun()}, nil)
+	defer func() { _ = mgr.Shutdown(context.Background()) }()
+	h := server.NewHandler(mgr)
+	for _, body := range []string{
+		`{"kernel":"editdist","seq_a":"kitten","seq_b":"sitting","weight":5e-324}`,
+		`{"kernel":"editdist","seq_a":"kitten","seq_b":"sitting","weight":1e-310}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s answered %d, want 400", body, rec.Code)
+		}
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Fatalf("refused weights admitted %d jobs", n)
+	}
+	st, err := mgr.Submit(server.JobSpec{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting", Weight: 1e-300})
+	if err != nil {
+		t.Fatalf("a small weight with a finite share was refused: %v", err)
+	}
+	<-st.Done()
 }
 
 // TestGracefulShutdown drains a running job within the deadline.

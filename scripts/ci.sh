@@ -95,10 +95,12 @@ go test -race -count=1 -run 'TestRegistryWaitLive' ./internal/core/
 # The fleet's own suite — concurrent DAGs with a mid-run worker kill, the
 # white-box arbitration tests (duplicate-result idempotence, fake-clock
 # poisoned-job isolation and speculation, stealing scoped per job) and the
-# end-to-end fleet-mode job service — interleaves several jobs' lease and
-# attempt namespaces over one pool; rerun it uncached for the same reason.
-go test -race -count=1 -run 'TestFleetConcurrentJobsWorkerKill|TestFleetDuplicateResultIdempotent|TestFleetPoisonedJobIsolationFakeClock|TestFleetSpeculationFakeClock|TestFleetStealFeedsHungryMember|TestFleetCheckpointResume|TestFleetAutoTunesOverTCP' ./internal/fleet/
-go test -race -count=1 -run 'TestFleetService' ./internal/server/
+# end-to-end job service on a fleet, attached over TCP or its own
+# in-process members (priority order, goroutines per job, exact counters)
+# — interleaves several jobs' lease and attempt namespaces over one pool;
+# rerun it uncached for the same reason.
+go test -race -count=1 -run 'TestFleetConcurrentJobsWorkerKill|TestFleetDuplicateResultIdempotent|TestFleetPoisonedJobIsolationFakeClock|TestFleetSpeculationFakeClock|TestFleetStealFeedsHungryMember|TestFleetCheckpointResume|TestFleetAutoTunesOverTCP|TestJoinInProcessMembers' ./internal/fleet/
+go test -race -count=1 -run 'TestFleetService|TestInProcess' ./internal/server/
 # The job engine and the pool above the jobs, under all three of them:
 # generated schedules — draws under every shipped draw order, leases, results
 # delivered late and twice, expiries, revocations, steals, backups, hunger
@@ -148,6 +150,9 @@ check_cover internal/cas 80
 # The job service's Go client, against httptest stubs: Wait's held status
 # requests, the 404 and 429 mappings, every route.
 check_cover internal/client 80
+# The job service itself: admission, single flight, the whole-job cache,
+# held status requests, the in-process members' link and the metrics.
+check_cover internal/server 90
 check_cover internal/sim 80
 check_cover internal/tune 80
 # The analyzer itself: the fixture suites for every rule keep the
@@ -206,6 +211,19 @@ for call in 'computeBlock(' 'comm.ServeTasks('; do
     fi
 done
 echo "calls: computeBlock and comm.ServeTasks have one non-test call site each"
+
+# And the service has one path to a driver: the job manager runs every job
+# on one long-lived fleet — an attached one, or its own with in-process
+# members — so no non-test code in internal/server builds a per-job cluster
+# through core.RunContext.
+service_runs=$(grep -HnF 'core.RunContext' $(ls internal/server/*.go | grep -v '_test\.go$') |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$service_runs" ]; then
+    echo "calls: internal/server must run jobs on its fleet, not core.RunContext:" >&2
+    echo "$service_runs" >&2
+    exit 1
+fi
+echo "calls: internal/server names no core.RunContext"
 
 # And one kernel table: a DP job's inputs are server.Registry's, the table
 # the job service, the CLI tools and the simulator all build through, so
