@@ -1,7 +1,6 @@
 package cas
 
 import (
-	"bytes"
 	"container/list"
 	"fmt"
 	"os"
@@ -16,8 +15,10 @@ import (
 // Options configures a Store.
 type Options struct {
 	// Dir, when non-empty, persists entries as files under this directory
-	// (one file per key, "<hex>.blk" / "<hex>.job") and reloads them on
-	// open. Empty keeps the store purely in memory.
+	// (one file per key, "<hex>.blk" / "<hex>.job": the payload's content
+	// key, then the payload) and reloads them on open, refusing and
+	// removing a file whose payload does not hash to its header. Empty
+	// keeps the store purely in memory.
 	Dir string
 	// MaxBytes budgets the block entries' payload bytes; the least
 	// recently used blocks are evicted once the budget is exceeded, and a
@@ -68,8 +69,12 @@ func (c *layerCount) snapshot() map[Layer]int64 {
 	}
 }
 
+// blockEntry is one resident block. content is PayloadKey(payload), derived
+// once, when the bytes entered the process — at the put of a result, or at
+// the load of a file whose header it is — and handed back by every GetBlock.
 type blockEntry struct {
 	key     Key
+	content Key
 	payload []byte
 }
 
@@ -158,6 +163,7 @@ func (s *Store) load() error {
 		path string
 		job  bool
 		mod  time.Time
+		size int64
 	}
 	var files []onDisk
 	for _, e := range entries {
@@ -181,7 +187,7 @@ func (s *Store) load() error {
 		if err != nil {
 			continue
 		}
-		files = append(files, onDisk{key: k, path: filepath.Join(s.opts.Dir, name), job: job, mod: info.ModTime()})
+		files = append(files, onDisk{key: k, path: filepath.Join(s.opts.Dir, name), job: job, mod: info.ModTime(), size: info.Size()})
 	}
 	// Oldest first: inserting in age order makes the LRU evict the oldest
 	// blocks when the reloaded set exceeds the byte budget, and appends the
@@ -189,26 +195,38 @@ func (s *Store) load() error {
 	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
 	now := s.opts.Clock()
 	for _, f := range files {
-		payload, err := os.ReadFile(f.path)
-		if err != nil {
-			continue
-		}
-		if f.job {
+		var expires time.Time
+		switch {
+		case f.job:
 			// A file dated in the future counts as written now, so no
 			// reloaded entry expires after one put later.
 			written := f.mod
 			if written.After(now) {
 				written = now
 			}
-			expires := written.Add(s.opts.JobTTL)
-			if !now.Before(expires) {
+			if expires = written.Add(s.opts.JobTTL); !now.Before(expires) {
 				_ = os.Remove(f.path)
 				continue
 			}
+		case s.opts.MaxBytes > 0 && f.size-int64(len(Key{})) > s.opts.MaxBytes:
+			continue // the budget would refuse it: not worth reading
+		}
+		data, err := os.ReadFile(f.path)
+		if err != nil {
+			continue
+		}
+		content, payload, ok := splitEntry(data)
+		if !ok {
+			// Torn or flipped: whatever it holds is not the bytes that were
+			// put, so it is not served, and the recompute writes it afresh.
+			_ = os.Remove(f.path)
+			continue
+		}
+		if f.job {
 			s.putJobLocked(f.key, payload, expires)
 			continue
 		}
-		_, evicted := s.putBlockLocked(f.key, payload)
+		_, evicted := s.putBlockLocked(f.key, content, payload)
 		for _, path := range evicted {
 			_ = os.Remove(path)
 		}
@@ -216,38 +234,77 @@ func (s *Store) load() error {
 	return nil
 }
 
-// PutBlock inserts one encoded block payload, refreshing recency if the
-// key is already resident. Payloads larger than the byte budget are
-// dropped (storing them would violate the never-exceed guarantee).
-func (s *Store) PutBlock(k Key, payload []byte) {
+// splitEntry parses an entry file: a 32-byte content key, then the payload,
+// which must hash to it. Checking costs the one hash the payload gets in
+// this process; the header is then the entry's content key.
+func splitEntry(data []byte) (content Key, payload []byte, ok bool) {
+	if len(data) < len(content) {
+		return content, nil, false
+	}
+	copy(content[:], data)
+	payload = data[len(content):]
+	return content, payload, PayloadKey(payload) == content
+}
+
+// writeEntry writes an entry file: content, then payload. Best-effort like
+// every file write of the store; a file a crash tore fails splitEntry at the
+// next load and is recomputed.
+func writeEntry(path string, content Key, payload []byte) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return
+	}
+	_, err = f.Write(content[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(path)
+	}
+}
+
+// PutBlock inserts one encoded block payload under k, refreshing recency if
+// the same bytes are already resident there, and returns their content key,
+// PayloadKey(payload). That hash is the only one the payload gets here: the
+// entry keeps it, and GetBlock hands it back beside the bytes. Payloads
+// larger than the byte budget are dropped (storing them would violate the
+// never-exceed guarantee); their key is returned all the same.
+func (s *Store) PutBlock(k Key, payload []byte) Key {
+	content := PayloadKey(payload)
 	s.mu.Lock()
-	inserted, evicted := s.putBlockLocked(k, payload)
+	inserted, evicted := s.putBlockLocked(k, content, payload)
 	s.mu.Unlock()
 	// Disk I/O stays outside the mutex: persistence is best-effort and a
 	// racing insert of the same key writes identical bytes anyway. A key
-	// that was already resident has its file already — a warm rerun puts
-	// every block it has just absorbed — and a dropped payload gets none.
+	// that was already resident with these bytes has its file already, and
+	// a dropped payload gets none.
 	if s.opts.Dir != "" && inserted {
 		for _, path := range evicted {
 			_ = os.Remove(path)
 		}
-		_ = os.WriteFile(s.blockPath(k), payload, 0o644)
+		writeEntry(s.blockPath(k), content, payload)
 	}
+	return content
 }
 
-// putBlockLocked does the in-memory insert and eviction. It reports
-// whether the payload became a new resident entry, and the file paths of
-// evicted entries for the caller to remove after unlock.
-func (s *Store) putBlockLocked(k Key, payload []byte) (inserted bool, evictedPaths []string) {
+// putBlockLocked does the in-memory insert and eviction; content is
+// PayloadKey(payload). It reports whether the payload became a new
+// resident entry, and the file paths of evicted entries for the caller to
+// remove after unlock.
+func (s *Store) putBlockLocked(k, content Key, payload []byte) (inserted bool, evictedPaths []string) {
 	if el, ok := s.blocks[k]; ok {
 		be := el.Value.(*blockEntry)
-		if bytes.Equal(be.payload, payload) {
+		if be.content == content {
 			s.lru.MoveToFront(el)
 			return false, nil
 		}
-		// One content address, two payloads: the resident one is damaged
-		// (a corrupt cache file, recomputed by whoever puts now). Drop it
-		// and insert the new one, so the file is rewritten too.
+		// One block key, two payloads: the kernel or the entry's writer
+		// disagrees with whoever puts now. The newest put wins: drop the
+		// resident entry and insert the new one, so the file is rewritten
+		// too.
 		s.lru.Remove(el)
 		delete(s.blocks, k)
 		s.blockBytes -= int64(len(be.payload))
@@ -256,7 +313,7 @@ func (s *Store) putBlockLocked(k Key, payload []byte) (inserted bool, evictedPat
 	if s.opts.MaxBytes > 0 && size > s.opts.MaxBytes {
 		return false, nil
 	}
-	el := s.lru.PushFront(&blockEntry{key: k, payload: payload})
+	el := s.lru.PushFront(&blockEntry{key: k, content: content, payload: payload})
 	s.blocks[k] = el
 	s.blockBytes += size
 	for s.opts.MaxBytes > 0 && s.blockBytes > s.opts.MaxBytes {
@@ -277,23 +334,24 @@ func (s *Store) putBlockLocked(k Key, payload []byte) (inserted bool, evictedPat
 }
 
 // GetBlock looks a block up, counting a hit or miss for the given layer
-// and refreshing recency on hit. The returned payload must not be
-// mutated.
-func (s *Store) GetBlock(k Key, layer Layer) ([]byte, bool) {
+// and refreshing recency on hit. On a hit it returns the payload and its
+// content key, PayloadKey(payload), as the entry keeps it: the caller need
+// not hash the bytes again. The returned payload must not be mutated.
+func (s *Store) GetBlock(k Key, layer Layer) (payload []byte, content Key, ok bool) {
 	s.mu.Lock()
 	el, ok := s.blocks[k]
-	var payload []byte
 	if ok {
 		s.lru.MoveToFront(el)
-		payload = el.Value.(*blockEntry).payload
+		be := el.Value.(*blockEntry)
+		payload, content = be.payload, be.content
 	}
 	s.mu.Unlock()
 	if !ok {
 		s.misses.add(layer)
-		return nil, false
+		return nil, Key{}, false
 	}
 	s.hits.add(layer)
-	return payload, true
+	return payload, content, true
 }
 
 // PutJob inserts a whole-job entry, pinned until the store's TTL. A key
@@ -309,7 +367,7 @@ func (s *Store) PutJob(k Key, payload []byte) {
 		for _, path := range expiredPaths {
 			_ = os.Remove(path)
 		}
-		_ = os.WriteFile(s.jobPath(k), payload, 0o644)
+		writeEntry(s.jobPath(k), PayloadKey(payload), payload)
 	}
 }
 

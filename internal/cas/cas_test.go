@@ -54,13 +54,15 @@ func TestBlockRoundTripAndLayerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := PayloadKey([]byte("x"))
-	if _, ok := s.GetBlock(k, LayerMaster); ok {
+	if _, _, ok := s.GetBlock(k, LayerMaster); ok {
 		t.Fatal("hit on empty store")
 	}
-	s.PutBlock(k, []byte("x"))
-	got, ok := s.GetBlock(k, LayerServer)
-	if !ok || string(got) != "x" {
-		t.Fatalf("GetBlock = %q, %v", got, ok)
+	if content := s.PutBlock(k, []byte("x")); content != k {
+		t.Fatalf("PutBlock returned content key %v, want %v", content, k)
+	}
+	got, content, ok := s.GetBlock(k, LayerServer)
+	if !ok || string(got) != "x" || content != k {
+		t.Fatalf("GetBlock = %q, %v, %v", got, content, ok)
 	}
 	st := s.Snapshot()
 	if st.Hits[LayerServer] != 1 || st.Misses[LayerMaster] != 1 {
@@ -104,8 +106,10 @@ func TestBlockLRUBudgetProperty(t *testing.T) {
 	// An oversized payload is not stored at all.
 	big := make([]byte, budget+1)
 	bk := PayloadKey(big)
-	s.PutBlock(bk, big)
-	if _, ok := s.GetBlock(bk, LayerMaster); ok {
+	if content := s.PutBlock(bk, big); content != bk {
+		t.Fatalf("a refused payload's put returned %v, want its content key %v", content, bk)
+	}
+	if _, _, ok := s.GetBlock(bk, LayerMaster); ok {
 		t.Fatal("payload larger than the budget was stored")
 	}
 
@@ -120,7 +124,7 @@ func TestBlockLRUBudgetProperty(t *testing.T) {
 		s.PutBlock(PayloadKey(p), p)
 		s.GetBlock(fk, LayerMaster) // keep it hot
 	}
-	if _, ok := s.GetBlock(fk, LayerMaster); !ok {
+	if _, _, ok := s.GetBlock(fk, LayerMaster); !ok {
 		t.Fatal("hot entry was evicted ahead of cold ones")
 	}
 }
@@ -330,8 +334,8 @@ func TestDiskPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s2.GetBlock(bk, LayerMaster); !ok || string(got) != "block" {
-		t.Fatalf("reloaded block = %q, %v", got, ok)
+	if got, content, ok := s2.GetBlock(bk, LayerMaster); !ok || string(got) != "block" || content != bk {
+		t.Fatalf("reloaded block = %q, %v, %v", got, content, ok)
 	}
 	if got, ok := s2.GetJob(jk, LayerServer); !ok || string(got) != "job" {
 		t.Fatalf("reloaded job = %q, %v", got, ok)
@@ -346,8 +350,8 @@ func TestDiskPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// A warm rerun puts every block it has just absorbed from the store. A
-// resident key already has its file: the second put must not rewrite it.
+// A put of the bytes a key already holds changes nothing: its file is not
+// rewritten.
 func TestPutBlockResidentKeySkipsFileWrite(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(Options{Dir: dir})
@@ -385,24 +389,173 @@ func TestPutBlockResidentKeySkipsFileWrite(t *testing.T) {
 		t.Fatalf("put of a reloaded key rewrote %s: mtime %v, err %v", path, after.ModTime(), err)
 	}
 
-	// Different bytes under a resident content address mean the resident
-	// copy is damaged: the put replaces it, in memory and on disk.
-	if err := os.WriteFile(path, []byte("rot"), 0o644); err != nil {
-		t.Fatal(err)
+	// Different bytes under a resident block key: the newest put wins, in
+	// memory and on disk.
+	other := []byte("other")
+	if content := s2.PutBlock(k, other); content != PayloadKey(other) {
+		t.Fatalf("replacing put returned %v", content)
 	}
-	s3, err := NewStore(Options{Dir: dir})
+	if got, content, _ := s2.GetBlock(k, LayerMaster); string(got) != "other" || content != PayloadKey(other) {
+		t.Fatalf("replaced entry = %q under %v", got, content)
+	}
+	if got := readEntry(t, path); string(got) != "other" {
+		t.Fatalf("replaced file holds %q", got)
+	}
+	if st := s2.Snapshot(); st.Bytes != int64(len(other)) || st.Blocks != 1 {
+		t.Fatalf("replacement miscounted: %+v", st)
+	}
+}
+
+// readEntry reads an entry file and returns its payload, failing unless
+// the file is the payload's content key followed by the payload.
+func readEntry(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3.PutBlock(k, payload)
-	if got, _ := s3.GetBlock(k, LayerMaster); string(got) != "block" {
-		t.Fatalf("damaged resident entry kept: %q", got)
+	content, payload, ok := splitEntry(data)
+	if !ok {
+		t.Fatalf("%s: header %x does not hash its %d payload bytes", path, content, len(payload))
 	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != "block" {
-		t.Fatalf("damaged file kept: %q, %v", got, err)
+	return payload
+}
+
+// checkStoredKeys is the one-hash rule's invariant: every key GetBlock
+// returns is the sha256 of the bytes it returns, and GetBlock serves
+// exactly the keys of want (block key → payload).
+func checkStoredKeys(t *testing.T, s *Store, want map[Key][]byte, absent ...Key) {
+	t.Helper()
+	for k, w := range want {
+		got, content, ok := s.GetBlock(k, LayerMaster)
+		if !ok || string(got) != string(w) {
+			t.Fatalf("block %v = %q, %v; want %q", k, got, ok, w)
+		}
+		if content != PayloadKey(got) {
+			t.Fatalf("block %v: stored key %v, its bytes hash to %v", k, content, PayloadKey(got))
+		}
 	}
-	if st := s3.Snapshot(); st.Bytes != int64(len(payload)) || st.Blocks != 1 {
-		t.Fatalf("replacement miscounted: %+v", st)
+	for _, k := range absent {
+		if _, _, ok := s.GetBlock(k, LayerMaster); ok {
+			t.Fatalf("block %v is still served", k)
+		}
+	}
+}
+
+func TestStoredKeysHashTheirBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(Options{Dir: dir, MaxBytes: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := JobKey("a"), JobKey("b"), JobKey("c") // block keys name no content
+	want := map[Key][]byte{a: []byte("payload-a"), b: []byte("payload-b")}
+	for k, p := range want {
+		s.PutBlock(k, p)
+	}
+	checkStoredKeys(t, s, want) // a put
+
+	want[a] = []byte("damaged-a")
+	s.PutBlock(a, want[a])
+	checkStoredKeys(t, s, want) // different bytes under a resident key
+
+	s.GetBlock(a, LayerMaster)                    // b is the least recently used
+	want[c] = []byte("payload-c-is-twenty-three") // 9+9+25 > 40: evicts b
+	s.PutBlock(c, want[c])
+	if st := s.Snapshot(); st.BlockEvictions != 1 {
+		t.Fatalf("%+v, want one eviction", st)
+	}
+	delete(want, b)
+	checkStoredKeys(t, s, want, b) // LRU eviction
+	s.GetBlock(c, LayerMaster)     // now a is
+	want[b] = []byte("payload-b")
+	s.PutBlock(b, want[b])
+	delete(want, a)
+	checkStoredKeys(t, s, want, a) // and re-put
+
+	s2, err := NewStore(Options{Dir: dir, MaxBytes: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStoredKeys(t, s2, want, a) // a reload from the directory
+}
+
+// An entry file is its content key, then the payload. A file whose payload
+// does not hash to its header — a flipped bit, a torn write, a file too short
+// to hold a header, or the headerless format of earlier builds — is refused
+// at load and removed: it is not a hit, and whoever recomputes it writes it
+// afresh.
+func TestEntryFilesVerifiedOnLoad(t *testing.T) {
+	damage := map[string]func([]byte) []byte{
+		"flipped": func(d []byte) []byte { d[len(d)-1] ^= 1; return d },
+		"torn":    func(d []byte) []byte { return d[:len(d)-3] },
+		"short":   func(d []byte) []byte { return d[:len(Key{})-1] },
+		"bare":    func(d []byte) []byte { return d[len(Key{}):] },
+	}
+	for name, damage := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewStore(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bk, jk, good := JobKey("block"), JobKey("job"), JobKey("good")
+			s.PutBlock(bk, []byte("block payload"))
+			s.PutBlock(good, []byte("intact"))
+			s.PutJob(jk, []byte(`{"value":3}`))
+			for _, path := range []string{s.blockPath(bk), s.jobPath(jk)} {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, damage(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2, err := NewStore(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStoredKeys(t, s2, map[Key][]byte{good: []byte("intact")}, bk)
+			if _, ok := s2.GetJob(jk, LayerServer); ok {
+				t.Fatal("a damaged job file was served")
+			}
+			for _, path := range []string{s2.blockPath(bk), s2.jobPath(jk)} {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("%s: damaged file left on disk (%v)", path, err)
+				}
+			}
+			st := s2.Snapshot()
+			if st.Hits[LayerMaster] != 1 || st.Misses[LayerMaster] != 1 || st.Blocks != 1 || st.Jobs != 0 {
+				t.Fatalf("%+v: a refused file counted as an entry or a hit", st)
+			}
+			s2.PutBlock(bk, []byte("block payload"))
+			if got := readEntry(t, s2.blockPath(bk)); string(got) != "block payload" {
+				t.Fatalf("rewritten file holds %q", got)
+			}
+		})
+	}
+}
+
+// A block file larger than the byte budget is not read, so a store opened
+// over a directory holds no more than its budget at any point of the load.
+func TestLoadSkipsBlockOverBudget(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, big := JobKey("small"), JobKey("big")
+	s.PutBlock(small, []byte("tiny"))
+	s.PutBlock(big, make([]byte, 64))
+	s2, err := NewStore(Options{Dir: dir, MaxBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStoredKeys(t, s2, map[Key][]byte{small: []byte("tiny")}, big)
+	if _, err := os.Stat(s2.blockPath(big)); err != nil {
+		t.Fatalf("an intact file over this store's budget was removed: %v", err)
 	}
 }
 

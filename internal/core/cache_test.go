@@ -105,10 +105,11 @@ func TestCachedMatchesRecomputed(t *testing.T) {
 
 // checkCachedPayloads reads back every cas entry a finished job committed,
 // walking its DAG in topological order: each vertex's entry must be found
-// under the block key its predecessors' payload hashes derive, and be byte
-// for byte the encoding of the sequential block. The job derived those keys
-// from the ResultKey it recorded at commit, so a write through a block that
-// aliases its payload, after the commit, breaks the walk or the bytes.
+// under the block key its predecessors' payload hashes derive, be byte for
+// byte the encoding of the sequential block, and carry its own hash as its
+// stored content key. The job derived those keys from the ResultKey it
+// recorded at commit, so a write through a block that aliases its payload,
+// after the commit, breaks the walk or the bytes.
 func checkCachedPayloads[T any](t *testing.T, store *cas.Store, cacheKey string, p core.Problem[T], geom dag.Geometry, want [][]T) {
 	t.Helper()
 	graph := dag.Build(p.Kernel.Pattern(), geom)
@@ -122,7 +123,7 @@ func checkCachedPayloads[T any](t *testing.T, store *cas.Store, cacheKey string,
 			preds = append(preds, keys[d])
 		}
 		r := geom.Rect(geom.PosOf(v))
-		payload, ok := store.GetBlock(cas.BlockKey(cacheKey, r.Row0, r.Col0, r.Rows, r.Cols, preds), cas.LayerMaster)
+		payload, content, ok := store.GetBlock(cas.BlockKey(cacheKey, r.Row0, r.Col0, r.Rows, r.Cols, preds), cas.LayerMaster)
 		if !ok {
 			t.Fatalf("vertex %d: no cas entry under the key its predecessors' payloads derive", v)
 		}
@@ -135,6 +136,9 @@ func checkCachedPayloads[T any](t *testing.T, store *cas.Store, cacheKey string,
 			t.Fatalf("vertex %d: cas payload is not the sequential block's encoding (%v)", v, err)
 		}
 		keys[v] = cas.PayloadKey(payload)
+		if content != keys[v] {
+			t.Fatalf("vertex %d: the store keeps content key %v for bytes that hash to %v", v, content, keys[v])
+		}
 		ready = append(ready, parser.Complete(v)...)
 	}
 }
@@ -214,47 +218,76 @@ func TestCacheEvictionDegradesToRecompute(t *testing.T) {
 	}
 }
 
-// TestCorruptCacheFilesDegradeToRecompute: every .blk file of a cache
-// directory is overwritten with a payload whose header claims 2³⁰×2³⁰
-// cells — the input that used to panic absorbCached in NewBlock. The
-// rerun must treat every entry as a miss, recompute the exact matrix, and
-// leave the directory healed for the run after it.
+// TestCorruptCacheFilesDegradeToRecompute damages every .blk file of a
+// cache directory three ways. An entry whose payload claims 2³⁰×2³⁰ cells
+// under a header that hashes it — the input that used to panic
+// absorbCached in NewBlock — loads and fails to decode. A flipped last byte
+// still decodes, to a block with one wrong cell, and a torn file may decode
+// too: the store refuses both at open, so neither is resident nor a hit.
+// Every rerun must treat every entry as a miss, recompute the exact matrix,
+// and leave the directory healed for the run after it.
 func TestCorruptCacheFilesDegradeToRecompute(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(61, 1), dp.RandomDNA(53, 2))
-	dir := t.TempDir()
-	run := func() core.Stats {
-		t.Helper()
-		store, err := cas.NewStore(cas.Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := testConfig()
-		cfg.Cache = store
-		cfg.CacheKey = "corrupt:editdist"
-		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalMatrices(t, "corrupt-cache-run", res.Matrix(), e.Sequential())
-		return res.Stats
-	}
-	cold := run()
+	for _, c := range []struct {
+		name    string
+		damage  func(file []byte) []byte
+		refused bool // by the store at open, not by the decoder
+	}{
+		{"oversized", func([]byte) []byte {
+			p := oversizedBlockPayload()
+			k := cas.PayloadKey(p)
+			return append(k[:], p...)
+		}, false},
+		{"bit-flipped", func(f []byte) []byte { f[len(f)-1] ^= 1; return f }, true},
+		{"torn", func(f []byte) []byte { return f[:len(f)/2] }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// run returns the job's stats and the store's at open and at the end.
+			run := func() (core.Stats, cas.Stats, cas.Stats) {
+				t.Helper()
+				store, err := cas.NewStore(cas.Options{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opened := store.Snapshot()
+				cfg := testConfig()
+				cfg.Cache = store
+				cfg.CacheKey = "corrupt:editdist"
+				res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalMatrices(t, "corrupt-cache-run", res.Matrix(), e.Sequential())
+				return res.Stats, opened, store.Snapshot()
+			}
+			cold, _, _ := run()
 
-	files, err := filepath.Glob(filepath.Join(dir, "*.blk"))
-	if err != nil || int64(len(files)) != cold.Tasks {
-		t.Fatalf("cold run left %d block files (%v), want %d", len(files), err, cold.Tasks)
-	}
-	for _, f := range files {
-		if err := os.WriteFile(f, oversizedBlockPayload(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+			files, err := filepath.Glob(filepath.Join(dir, "*.blk"))
+			if err != nil || int64(len(files)) != cold.Tasks {
+				t.Fatalf("cold run left %d block files (%v), want %d", len(files), err, cold.Tasks)
+			}
+			for _, f := range files {
+				data, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(f, c.damage(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	if st := run(); st.CacheHits != 0 || st.Tasks != cold.Tasks {
-		t.Fatalf("run over corrupt entries: %d hits, %d tasks, want 0 and %d", st.CacheHits, st.Tasks, cold.Tasks)
-	}
-	if st := run(); st.Tasks != 0 || st.CacheHits != cold.Tasks {
-		t.Fatalf("run after the recompute: %d hits, %d tasks, want %d and 0", st.CacheHits, st.Tasks, cold.Tasks)
+			st, opened, after := run()
+			if st.CacheHits != 0 || st.Tasks != cold.Tasks {
+				t.Fatalf("run over corrupt entries: %d hits, %d tasks, want 0 and %d", st.CacheHits, st.Tasks, cold.Tasks)
+			}
+			if c.refused && (opened.Blocks != 0 || after.Hits[cas.LayerMaster] != 0) {
+				t.Fatalf("the store opened %d damaged entries and counted %d hits on them", opened.Blocks, after.Hits[cas.LayerMaster])
+			}
+			if st, _, _ := run(); st.Tasks != 0 || st.CacheHits != cold.Tasks {
+				t.Fatalf("run after the recompute: %d hits, %d tasks, want %d and 0", st.CacheHits, st.Tasks, cold.Tasks)
+			}
+		})
 	}
 }
 

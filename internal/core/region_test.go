@@ -109,9 +109,12 @@ func TestRegionShippingMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-// No cache key moved with the regions: a cache directory written by the
-// parent commit (testdata/cache_pr23: edit distance 12x12 in 4x4 blocks,
-// under the key below) serves the whole job without a dispatch.
+// No cache key moved with the regions: a cache directory written before
+// them (testdata/cache_pr23: edit distance 12x12 in 4x4 blocks, under the
+// key below) serves the whole job without a dispatch. Its files were
+// rewritten once into the entry format that heads each payload with its
+// content key, under the same file names: no block key moved with that
+// either.
 func TestParentCacheDirectoryStaysWarm(t *testing.T) {
 	dir := t.TempDir()
 	entries, err := filepath.Glob(filepath.Join("testdata", "cache_pr23", "*.blk"))

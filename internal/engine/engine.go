@@ -208,7 +208,7 @@ func (j *Job[T]) Replay(v int32, payload []byte) error {
 	}
 	// commit writes restored work through to the cross-job cache too: a
 	// resumed run warms it exactly like a computed one.
-	if err := j.commit(v, payload, b); err != nil {
+	if err := j.commit(v, payload, b, nil); err != nil {
 		return err
 	}
 	j.frontier[v] = false
@@ -353,7 +353,7 @@ func (j *Job[T]) Complete(member int, v, attempt int32, payload []byte, now time
 	if err != nil {
 		return nil, true, fmt.Errorf("bad result payload for vertex %d from member %d: %v", v, member, err)
 	}
-	if err := j.commit(v, payload, b); err != nil {
+	if err := j.commit(v, payload, b, nil); err != nil {
 		return nil, true, err
 	}
 	j.cfg.Trace.TaskEnd(member, v)
@@ -370,20 +370,27 @@ func (j *Job[T]) decode(v int32, payload []byte) (*matrix.Block[T], error) {
 	return matrix.DecodeBlock(j.codec, payload, j.graph.Geom, j.graph.Geom.PosOf(v))
 }
 
+var testHookHash = func([]byte) {} // sees every payload hashed; tests count them
+
 // commit is the single write path for a block decode accepted: store
 // insert and its peak, content-key recording, cache write-through and
 // checkpoint append happen here and nowhere else, so the recovery log and
-// the cache cannot diverge.
-func (j *Job[T]) commit(v int32, payload []byte, b *matrix.Block[T]) error {
+// the cache cannot diverge. Bytes arriving now (hit nil) are hashed here,
+// once; hit is the key the cache kept for the payload it served.
+func (j *Job[T]) commit(v int32, payload []byte, b *matrix.Block[T], hit *cas.Key) error {
 	j.store.Put(j.graph.Geom.PosOf(v), b)
 	if n := int64(j.store.Len()); n > j.ctrs.PeakBlocks.Load() {
 		j.ctrs.PeakBlocks.Store(n) // one writer: the receive side
 	}
-	if j.resultKey != nil {
+	switch {
+	case hit != nil:
+		j.resultKey[v] = *hit
+	case j.Cached():
+		testHookHash(payload)
+		j.resultKey[v] = j.cfg.Cache.PutBlock(j.blockKey(v), payload)
+	case j.resultKey != nil:
+		testHookHash(payload)
 		j.resultKey[v] = cas.PayloadKey(payload)
-	}
-	if j.Cached() {
-		j.cfg.Cache.PutBlock(j.blockKey(v), payload)
 	}
 	if j.ckpt != nil {
 		return j.ckpt.Append(v, payload)
@@ -425,7 +432,7 @@ func (j *Job[T]) blockKey(v int32) cas.Key {
 // lease, no dispatch — and cascades into whatever that unlocks. The
 // vertices that missed are returned for dispatch. An entry that does not
 // decode to the vertex's own block is a miss and is recomputed: a cache
-// may be stale or damaged, never authoritative.
+// may be stale or damaged, never authoritative. A hit is not put back.
 func (j *Job[T]) absorb(ids []int32) ([]int32, error) {
 	if !j.Cached() {
 		return ids, nil
@@ -436,7 +443,7 @@ func (j *Job[T]) absorb(ids []int32) ([]int32, error) {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
 		var b *matrix.Block[T]
-		payload, ok := j.cfg.Cache.GetBlock(j.blockKey(v), cas.LayerMaster)
+		payload, key, ok := j.cfg.Cache.GetBlock(j.blockKey(v), cas.LayerMaster)
 		if ok {
 			b, _ = j.decode(v, payload)
 		}
@@ -446,7 +453,7 @@ func (j *Job[T]) absorb(ids []int32) ([]int32, error) {
 			continue
 		}
 		j.ctrs.CacheHits.Add(1)
-		if err := j.commit(v, payload, b); err != nil {
+		if err := j.commit(v, payload, b, &key); err != nil {
 			return miss, err
 		}
 		work = append(work, j.complete(v)...)

@@ -35,6 +35,9 @@ func problem(t testing.TB, app string) (core.Problem[int32], dag.Size, [][]int32
 	case "swgg":
 		s := dp.NewSWGG(dp.RandomDNA(16, 4), dp.RandomDNA(16, 5))
 		return s.Problem(), dag.Square(4), s.Sequential()
+	case "edit256": // 64 vertices of 4 KiB payloads: hashing shows
+		e := dp.NewEditDistance(dp.RandomDNA(256, 6), dp.RandomDNA(256, 7))
+		return e.Problem(), dag.Square(32), e.Sequential()
 	}
 	t.Fatalf("unknown problem %q", app)
 	panic("unreachable")
@@ -560,6 +563,62 @@ func TestWarmCacheAbsorbsWholeJob(t *testing.T) {
 			t.Fatalf("%s warm: %+v, progress %d; want %d hits and no dispatch", app, st, progress, total)
 		}
 		warm.finish()
+	}
+}
+
+// A fully warm job hashes no payload: every hit commits under the content
+// key the store kept when the bytes entered it, and nothing is put back. Its
+// content keys are the cold run's, and the cold run hashed each result once.
+func TestWarmJobHashesNoPayload(t *testing.T) {
+	var hashed int
+	defer engine.SetHashHook(func([]byte) { hashed++ })()
+	store, err := cas.NewStore(cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range []string{"edit", "nussinov", "swgg"} {
+		cfg := engine.Config[int32]{Cache: store, CacheKey: app, Delta: true}
+		hashed = 0
+		cold := newRig(t, app, cfg)
+		cold.start()
+		cold.finish()
+		if n := cold.eng.Graph().N; hashed != n {
+			t.Fatalf("%s cold: %d payloads hashed for %d results", app, hashed, n)
+		}
+
+		hashed = 0
+		warm := newRig(t, app, cfg)
+		warm.start()
+		if !warm.eng.Finished() || hashed != 0 {
+			t.Fatalf("%s warm: finished %v, %d payloads hashed", app, warm.eng.Finished(), hashed)
+		}
+		for _, v := range warm.eng.Graph().Existing() {
+			if got, want := warm.eng.ResultKey(v), cold.eng.ResultKey(v); got != want || got == (cas.Key{}) {
+				t.Fatalf("%s warm: vertex %d content key %v, cold run's %v", app, v, got, want)
+			}
+		}
+		warm.finish()
+	}
+}
+
+// BenchmarkAbsorbWarm absorbs a 64-vertex wavefront of 32×32 blocks from a
+// warm store: Frontier's cascade of probe, decode and commit per vertex.
+func BenchmarkAbsorbWarm(b *testing.B) {
+	store, err := cas.NewStore(cas.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := engine.Config[int32]{Cache: store, CacheKey: "edit256"}
+	cold := newRig(b, "edit256", cfg)
+	cold.start()
+	cold.finish()
+	prob, proc, _ := problem(b, "edit256")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := engine.New(prob.Kernel.Pattern(), prob.Codec, prob.Size, proc, cfg)
+		if _, err := j.Frontier(); err != nil || !j.Finished() {
+			b.Fatalf("warm job: err %v, %d vertices remain", err, j.Remaining())
+		}
 	}
 }
 

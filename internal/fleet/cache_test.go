@@ -101,10 +101,11 @@ func TestFleetCacheWarmResubmission(t *testing.T) {
 
 // checkCachedPayloads reads back every cas entry a finished job committed,
 // walking its DAG in topological order: each vertex's entry must be found
-// under the block key its predecessors' payload hashes derive, and be byte
-// for byte the encoding of the sequential block. The job derived those keys
-// from the ResultKey it recorded at commit, so a write through a block that
-// aliases its payload, after the commit, breaks the walk or the bytes.
+// under the block key its predecessors' payload hashes derive, be byte for
+// byte the encoding of the sequential block, and carry its own hash as its
+// stored content key. The job derived those keys from the ResultKey it
+// recorded at commit, so a write through a block that aliases its payload,
+// after the commit, breaks the walk or the bytes.
 func checkCachedPayloads[T any](t *testing.T, store *cas.Store, cacheKey string, p core.Problem[T], geom dag.Geometry, want [][]T) {
 	t.Helper()
 	graph := dag.Build(p.Kernel.Pattern(), geom)
@@ -118,7 +119,7 @@ func checkCachedPayloads[T any](t *testing.T, store *cas.Store, cacheKey string,
 			preds = append(preds, keys[d])
 		}
 		r := geom.Rect(geom.PosOf(v))
-		payload, ok := store.GetBlock(cas.BlockKey(cacheKey, r.Row0, r.Col0, r.Rows, r.Cols, preds), cas.LayerMaster)
+		payload, content, ok := store.GetBlock(cas.BlockKey(cacheKey, r.Row0, r.Col0, r.Rows, r.Cols, preds), cas.LayerMaster)
 		if !ok {
 			t.Fatalf("vertex %d: no cas entry under the key its predecessors' payloads derive", v)
 		}
@@ -131,6 +132,9 @@ func checkCachedPayloads[T any](t *testing.T, store *cas.Store, cacheKey string,
 			t.Fatalf("vertex %d: cas payload is not the sequential block's encoding (%v)", v, err)
 		}
 		keys[v] = cas.PayloadKey(payload)
+		if content != keys[v] {
+			t.Fatalf("vertex %d: the store keeps content key %v for bytes that hash to %v", v, content, keys[v])
+		}
 		ready = append(ready, parser.Complete(v)...)
 	}
 }

@@ -49,11 +49,7 @@ func NewLeaseTable() *LeaseTable {
 func (t *LeaseTable) Grant(v int32, worker int, attempt int32, now time.Time) Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.byVertex[v]
-	delete(t.byVertex, v)
-	for _, l := range old {
-		t.unindex(l)
-	}
+	t.release(v)
 	return t.add(v, worker, attempt, now)
 }
 
@@ -84,10 +80,12 @@ func (t *LeaseTable) add(v int32, worker int, attempt int32, now time.Time) Leas
 func (t *LeaseTable) Release(v int32) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.release(v)
+}
+
+// release drops and returns every lease on v; callers hold t.mu.
+func (t *LeaseTable) release(v int32) []Lease {
 	ls := t.byVertex[v]
-	if len(ls) == 0 {
-		return nil
-	}
 	delete(t.byVertex, v)
 	for _, l := range ls {
 		t.unindex(l)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 	"sync"
@@ -157,13 +158,7 @@ type overtimeHeap []OvertimeEntry
 func (h overtimeHeap) Len() int { return len(h) }
 func (h overtimeHeap) Less(i, j int) bool {
 	a, b := h[i], h[j]
-	if !a.Deadline.Equal(b.Deadline) {
-		return a.Deadline.Before(b.Deadline)
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return a.Attempt < b.Attempt
+	return cmp.Or(a.Deadline.Compare(b.Deadline), cmp.Compare(a.ID, b.ID), cmp.Compare(a.Attempt, b.Attempt)) < 0
 }
 func (h overtimeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *overtimeHeap) Push(x any)   { *h = append(*h, x.(OvertimeEntry)) }

@@ -17,7 +17,9 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/matrix"
 )
 
 // JobSpec is the wire description of one DP job: which kernel from the
@@ -148,8 +150,8 @@ func NewRegistry() *Registry {
 				return core.Problem[int32]{}, nil, err
 			}
 			k := dp.NewEditDistance(a, b)
-			return k.Problem(), scalarFinish(spec.Kernel, "edit distance", func(m [][]int32) int64 {
-				return int64(k.Distance(m))
+			return k.Problem(), scalarFinish(spec.Kernel, "edit distance", func(s matrix.BlockStore[int32]) int64 {
+				return int64(s.Cell(len(a)-1, len(b)-1))
 			}), nil
 		},
 	})
@@ -163,8 +165,8 @@ func NewRegistry() *Registry {
 				return core.Problem[int32]{}, nil, err
 			}
 			k := dp.NewLCS(a, b)
-			return k.Problem(), scalarFinish(spec.Kernel, "LCS length", func(m [][]int32) int64 {
-				return int64(m[len(a)-1][len(b)-1])
+			return k.Problem(), scalarFinish(spec.Kernel, "LCS length", func(s matrix.BlockStore[int32]) int64 {
+				return int64(s.Cell(len(a)-1, len(b)-1))
 			}), nil
 		},
 	})
@@ -178,8 +180,8 @@ func NewRegistry() *Registry {
 				return core.Problem[int32]{}, nil, err
 			}
 			k := dp.NewNeedlemanWunsch(a, b)
-			return k.Problem(), scalarFinish(spec.Kernel, "global alignment score", func(m [][]int32) int64 {
-				return int64(k.GlobalScore(m))
+			return k.Problem(), scalarFinish(spec.Kernel, "global alignment score", func(s matrix.BlockStore[int32]) int64 {
+				return int64(s.Cell(len(a)-1, len(b)-1))
 			}), nil
 		},
 	})
@@ -193,9 +195,8 @@ func NewRegistry() *Registry {
 				return core.Problem[int32]{}, nil, err
 			}
 			k := dp.NewSWGG(a, b)
-			return k.Problem(), scalarFinish(spec.Kernel, "best local alignment score", func(m [][]int32) int64 {
-				score, _, _ := dp.BestLocal(m)
-				return int64(score)
+			return k.Problem(), scalarFinish(spec.Kernel, "best local alignment score", func(s matrix.BlockStore[int32]) int64 {
+				return int64(bestCell(s))
 			}), nil
 		},
 	})
@@ -217,8 +218,8 @@ func NewRegistry() *Registry {
 				s = dp.RandomRNA(spec.N, spec.Seed)
 			}
 			k := dp.NewNussinov(s)
-			return k.Problem(), scalarFinish(spec.Kernel, "max base pairs", func(m [][]int32) int64 {
-				return int64(m[0][len(s)-1])
+			return k.Problem(), scalarFinish(spec.Kernel, "max base pairs", func(st matrix.BlockStore[int32]) int64 {
+				return int64(st.Cell(0, len(s)-1))
 			}), nil
 		},
 	})
@@ -234,8 +235,8 @@ func NewRegistry() *Registry {
 				return core.Problem[int32]{}, nil, fmt.Errorf("knapsack needs n > 0 items")
 			}
 			k := dp.NewKnapsack(spec.N, int(knapsackCapacity(spec)), spec.Seed)
-			return k.Problem(), scalarFinish(spec.Kernel, "best knapsack value", func(m [][]int32) int64 {
-				return int64(k.Best(m))
+			return k.Problem(), scalarFinish(spec.Kernel, "best knapsack value", func(s matrix.BlockStore[int32]) int64 {
+				return int64(s.Cell(spec.N-1, k.Capacity))
 			}), nil
 		},
 	})
@@ -328,17 +329,37 @@ func pairInputs(spec JobSpec, alphabet string) ([]byte, []byte, error) {
 	return a, b, nil
 }
 
-// scalarFinish builds a finisher that assembles the matrix and extracts
-// one scalar from it.
-func scalarFinish(kernel, detail string, extract func([][]int32) int64) finishFunc {
+// scalarFinish builds a finisher that reads one scalar off the completed
+// blocks: extract reads the cells it needs through the result's store, and
+// no dense matrix is assembled for one number. No input is empty here
+// (pairInputs and the knapsack's n > 0 refuse one), so the dp accessors'
+// empty-input answers are never needed.
+func scalarFinish(kernel, detail string, extract func(matrix.BlockStore[int32]) int64) finishFunc {
 	return func(res *core.Result[int32]) JobResult {
-		m := res.Matrix()
+		reg := res.Store.Geometry().Region
 		return JobResult{
 			Kernel: kernel,
-			Value:  extract(m),
+			Value:  extract(res.Store),
 			Detail: detail,
-			Cells:  int64(len(m)) * int64(len(m[0])),
+			Cells:  int64(reg.Rows) * int64(reg.Cols),
 			Stats:  projectStats(res.Stats),
 		}
 	}
+}
+
+// bestCell is dp.BestLocal's score by one walk over the stored blocks: the
+// largest cell, or 0 when none is positive.
+func bestCell(s matrix.BlockStore[int32]) int32 {
+	g := s.Geometry()
+	var best int32
+	for p := (dag.Pos{}); p.Row < g.Grid.Rows; p.Row++ {
+		for p.Col = 0; p.Col < g.Grid.Cols; p.Col++ {
+			if b := s.Get(p); b != nil {
+				for _, c := range b.Cells {
+					best = max(best, c)
+				}
+			}
+		}
+	}
+	return best
 }

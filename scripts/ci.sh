@@ -146,7 +146,7 @@ check_cover internal/comm 88
 check_cover internal/core 86
 check_cover internal/engine 90
 check_cover internal/fleet 80
-check_cover internal/cas 80
+check_cover internal/cas 90
 # The job service's Go client, against httptest stubs: Wait's held status
 # requests, the 404 and 429 mappings, every route.
 check_cover internal/client 80
@@ -288,6 +288,10 @@ go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s -fuzzminimizetime 1s ./inte
 # sequential reference does. Each input runs a job, so minimizing an
 # interesting one at the default minimize time would eat the ten seconds.
 go test -run '^$' -fuzz '^FuzzSubmit$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+# And the cas directory a store reloads on open: every entry file served or
+# refused without a panic, and whatever is served hashes to the key the
+# store keeps for it (the file's header).
+go test -run '^$' -fuzz '^FuzzStoreDir$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cas/
 
 if [ "$soak" = 1 ]; then
     go test -race -count=1 -tags soak -run TestSoakBatchedFaults -timeout 600s ./internal/fleet/
