@@ -1,26 +1,27 @@
 // Command easyhps-launch runs the EasyHPS master over real TCP: it listens
 // for easyhps-worker processes, schedules the DP problem across them, and
-// prints the result.
+// prints the result. The problem is the job service's JobSpec for -app,
+// -n and -seed, so its digest scopes -cache entries exactly as easyhps-run
+// and easyhps-serve scope theirs: one -cache-dir serves all three.
 //
 // In fixed mode (-workers N) the run starts once exactly N ranks have
-// joined. The join handshake carries a problem-spec digest, so a worker
-// started with mismatched -app/-n/-seed/-proc/-thread flags is rejected
-// with a diagnostic instead of corrupting the run.
+// joined. The join handshake carries the job's digest and the processor
+// partition, so a worker started with mismatched -app/-n/-seed/-proc
+// flags is rejected with a diagnostic instead of corrupting the run.
 //
 // In elastic mode (-elastic) the master is a membership service instead of
 // a rendezvous — a fleet (internal/fleet) running this one job: workers
 // join and leave at any time, liveness is tracked by heartbeats, a dead
 // worker's tasks are reassigned, and -checkpoint makes completed tasks
-// survive a master restart (see docs/CLUSTER.md). The problem spec travels
-// to each worker with the job, so a worker started with mismatched flags
-// is admitted, refuses the job before computing anything and exits with a
-// diagnostic naming both specs; the master reassigns what it was sent.
+// survive a master restart (see docs/CLUSTER.md). The job spec travels to
+// each worker in the job's attach frame, so an elastic worker is a fleet
+// worker (easyhps-worker -fleet) started with no problem flags at all.
 //
 // Example (three shells, elastic):
 //
 //	easyhps-launch -elastic -addr :9000 -min-workers 2 -app swgg -n 400 -checkpoint run.ckpt
-//	easyhps-worker -elastic -addr 127.0.0.1:9000 -app swgg -n 400
-//	easyhps-worker -elastic -addr 127.0.0.1:9000 -app swgg -n 400
+//	easyhps-worker -fleet -addr 127.0.0.1:9000
+//	easyhps-worker -fleet -addr 127.0.0.1:9000
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/fleet"
+	"repro/internal/server"
 )
 
 func main() {
@@ -61,21 +63,21 @@ func main() {
 		steal      = flag.Bool("steal", false, "elastic: steal queued backlog for workers that announce hunger (pair with worker -steal)")
 		auto       = flag.Bool("auto", false, "elastic: self-tune — speculation and stealing arm automatically and the batch/speculation knobs adjust online (pair with worker -steal)")
 
-		cache         = flag.Bool("cache", false, "elastic: probe and fill the content-addressed result cache (keys scoped by the problem-spec digest)")
+		cache         = flag.Bool("cache", false, "probe and fill the content-addressed result cache (keys scoped by the job's digest, as in easyhps-run and easyhps-serve)")
 		cacheDir      = flag.String("cache-dir", "", "cache: persist entries to this directory, so a rerun of the same problem completes from cache")
 		cacheMaxBytes = flag.Int64("cache-max-bytes", 256<<20, "cache: LRU byte budget for block entries")
 	)
 	flag.Parse()
 
-	prob, report, err := cli.Build(*app, *n, *seed)
+	job := server.JobSpec{Kernel: *app, N: *n, Seed: *seed}
+	prob, report, err := cli.BuildSpec(job)
 	fatal(err)
-
-	spec := core.Spec{App: *app, N: *n, Seed: *seed}
+	var procPart, threadPart dag.Size
 	if *proc > 0 {
-		spec.Proc = dag.Square(*proc)
+		procPart = dag.Square(*proc)
 	}
 	if *thread > 0 {
-		spec.Thread = dag.Square(*thread)
+		threadPart = dag.Square(*thread)
 	}
 
 	var store *cas.Store
@@ -99,10 +101,10 @@ func main() {
 			Cache:             store,
 		})
 		fatal(err)
-		fmt.Printf("elastic master on %s (spec %s); waiting for %d workers ...\n", f.Addr(), spec.Digest(), *minWorkers)
+		fmt.Printf("elastic master on %s (job %s); waiting for %d workers ...\n", f.Addr(), job.Digest(), *minWorkers)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		res, err := runElastic(ctx, f, prob, spec, *minWorkers, *wait, *ckpt)
+		res, err := runElastic(ctx, f, prob, job.Request(procPart, threadPart), *minWorkers, *wait, *ckpt)
 		if err == nil {
 			// Membership belongs to the fleet, not the job; read it before
 			// Close dismisses the workers.
@@ -121,21 +123,15 @@ func main() {
 	}
 
 	fmt.Printf("waiting for %d workers on %s ...\n", *workers, *addr)
-	tr, err := comm.ListenMasterOpts(*addr, *workers, *wait, comm.TCPOptions{Digest: spec.Digest()})
+	tr, err := comm.ListenMasterOpts(*addr, *workers, *wait, comm.TCPOptions{Digest: cli.RankDigest(job, procPart)})
 	fatal(err)
 	defer tr.Close()
 	fmt.Println("cluster assembled; scheduling", prob.Name)
 
-	cfg := core.Config{Threads: 1, RunTimeout: 15 * time.Minute, Batch: *batch}
-	if *proc > 0 {
-		cfg.ProcPartition = dag.Square(*proc)
-	}
-	if *thread > 0 {
-		cfg.ThreadPartition = dag.Square(*thread)
-	}
+	cfg := core.Config{Threads: 1, RunTimeout: 15 * time.Minute, Batch: *batch, ProcPartition: procPart, ThreadPartition: threadPart}
 	if store != nil {
 		cfg.Cache = store
-		cfg.CacheKey = spec.Digest()
+		cfg.CacheKey = job.Digest()
 	}
 	res, err := core.RunMasterContext(context.Background(), prob, cfg, tr)
 	fatal(err)
@@ -145,16 +141,15 @@ func main() {
 }
 
 // runElastic waits up to wait for minWorkers members, then runs prob as
-// the fleet's one job. The spec travels in the attach frame, where every
-// worker checks it against the flags it was started with.
-func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], spec core.Spec, minWorkers int, wait time.Duration, ckpt string) (*fleet.Result[int32], error) {
+// the fleet's one job. The spec travels in req's attach frame, from which
+// every worker builds the problem.
+func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], req fleet.JobRequest, minWorkers int, wait time.Duration, ckpt string) (*fleet.Result[int32], error) {
 	joinCtx, cancel := context.WithTimeout(ctx, wait)
 	err := f.Registry().WaitLive(joinCtx, minWorkers)
 	cancel()
 	if err != nil {
 		return nil, err
 	}
-	req := fleet.SpecRequest(spec)
 	req.Timeout = 15 * time.Minute
 	req.CheckpointPath = ckpt
 	return f.Run(ctx, prob, req)

@@ -81,25 +81,6 @@ func main() {
 		cfg.Trace = rec
 	}
 
-	if *cache {
-		if *fasta != "" {
-			// The cache key is derived from app/n/seed, which does not
-			// describe file contents; caching here could alias runs.
-			fatal(fmt.Errorf("-cache cannot be combined with -fasta (file contents are not part of the cache key)"))
-		}
-		store, err := cas.NewStore(cas.Options{Dir: *cacheDir, MaxBytes: *cacheMaxBytes})
-		fatal(err)
-		// The same spec digest easyhps-launch uses, so a -cache-dir is
-		// shared between in-process and distributed runs of one problem.
-		cfg.Cache = store
-		cfg.CacheKey = core.Spec{App: *app, N: *n, Seed: *seed, Proc: cfg.ProcPartition, Thread: cfg.ThreadPartition}.Digest()
-	}
-
-	if *app == "matrixchain" {
-		runMatrixChain(*n, *seed, cfg, *verbose)
-		return
-	}
-
 	job := server.JobSpec{Kernel: *app, N: *n, Seed: *seed}
 	if *fasta != "" {
 		recs, err := seqio.ReadFile(*fasta)
@@ -110,6 +91,22 @@ func main() {
 		fmt.Printf("%s vs %s\n", recs[0].ID, recs[1].ID)
 		job = server.JobSpec{Kernel: *app, SeqA: string(recs[0].Seq), SeqB: string(recs[1].Seq)}
 	}
+
+	if *cache {
+		store, err := cas.NewStore(cas.Options{Dir: *cacheDir, MaxBytes: *cacheMaxBytes})
+		fatal(err)
+		// The job service's digest, which covers a FASTA run's sequences:
+		// one -cache-dir serves easyhps-run, easyhps-launch and
+		// easyhps-serve alike.
+		cfg.Cache = store
+		cfg.CacheKey = job.Digest()
+	}
+
+	if *app == "matrixchain" {
+		runMatrixChain(*n, *seed, cfg, *verbose)
+		return
+	}
+
 	prob, report, err := cli.BuildSpec(job)
 	fatal(err)
 	res, err := core.RunContext(context.Background(), prob, cfg)

@@ -1,23 +1,19 @@
 // Command easyhps-worker runs one EasyHPS slave node as a separate OS
 // process, connecting to an easyhps-launch master over TCP.
 //
-// In fixed mode the -app, -n, -seed, -proc and -thread flags must match
-// the master's; the join handshake carries a digest of them, so a
-// mismatch is rejected at connect time with a diagnostic naming both
-// sides.
+// In fixed mode (-rank) the -app, -n, -seed and -proc flags must match
+// the master's; the join handshake carries the job's digest and the
+// processor partition (-thread is this worker's own), so a mismatch is
+// rejected at connect time with a diagnostic naming both sides.
 //
-// In elastic mode (-elastic, no -rank needed) the worker joins the
-// master's membership service whenever it starts — including mid-run —
-// heartbeats while alive, and departs gracefully on Ctrl-C so its
-// in-flight work is reassigned immediately. The master (easyhps-launch
-// -elastic) is a fleet with one job, whose spec arrives with the job: a
-// worker whose -app/-n/-seed/-proc/-thread differ from the master's exits
-// with a "problem spec mismatch" naming both, before computing anything.
-//
-// In fleet mode (-fleet) the worker joins a shared fleet run by
-// easyhps-serve -fleet and serves any number of concurrent jobs: kernel
-// state attaches per job from the master's spec frames (validated by
-// digest against the built-in registry), so no workload flags are needed.
+// In fleet mode (-fleet) the worker joins a fleet master — easyhps-serve
+// -fleet, which runs any number of concurrent jobs, or easyhps-launch
+// -elastic, which is a fleet with one job — whenever it starts, including
+// mid-run, heartbeats while alive, and departs gracefully on Ctrl-C so its
+// in-flight work is reassigned immediately. Each job arrives with its spec
+// in an attach frame, from which the worker builds the problem through the
+// job service's kernel table (verified by digest and size), so no problem
+// flags are needed.
 package main
 
 import (
@@ -42,29 +38,26 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:9000", "master address")
 		rank    = flag.Int("rank", 1, "fixed mode: this worker's rank (1-based)")
 		workers = flag.Int("workers", 2, "fixed mode: total number of workers in the cluster")
-		app     = flag.String("app", "swgg", "application, one of "+strings.Join(cli.Apps, ", ")+" (must match the master)")
-		n       = flag.Int("n", 400, "matrix side length (must match)")
-		seed    = flag.Int64("seed", 1, "workload seed (must match)")
-		proc    = flag.Int("proc", 0, "process_partition_size (must match)")
-		thread  = flag.Int("thread", 0, "thread_partition_size")
+		app     = flag.String("app", "swgg", "fixed mode: application, one of "+strings.Join(cli.Apps, ", ")+" (must match the master)")
+		n       = flag.Int("n", 400, "fixed mode: matrix side length (must match)")
+		seed    = flag.Int64("seed", 1, "fixed mode: workload seed (must match)")
+		proc    = flag.Int("proc", 0, "fixed mode: process_partition_size (must match)")
+		thread  = flag.Int("thread", 0, "fixed mode: thread_partition_size")
 		threads = flag.Int("threads", 4, "compute goroutines on this worker")
 		batch   = flag.Int("batch", 1, "flush results in groups of up to this many when the master batches tasks")
 		wait    = flag.Duration("wait", time.Minute, "how long to keep dialing the master")
 
-		elastic = flag.Bool("elastic", false, "join an elastic cluster master (ignores -rank/-workers)")
-		name    = flag.String("name", "", "elastic/fleet: member name in the master's logs and metrics")
-		hb      = flag.Duration("hb", 250*time.Millisecond, "elastic/fleet: heartbeat interval (must match the master)")
-		hbMiss  = flag.Int("hb-miss", 3, "elastic/fleet: silent intervals before giving the master up for dead")
-		steal   = flag.Bool("steal", false, "elastic/fleet: announce hunger when idle so the master steals backlog this way (pair with master -steal)")
+		name   = flag.String("name", "", "fleet: member name in the master's logs and metrics")
+		hb     = flag.Duration("hb", 250*time.Millisecond, "fleet: heartbeat interval (must match the master)")
+		hbMiss = flag.Int("hb-miss", 3, "fleet: silent intervals before giving the master up for dead")
+		steal  = flag.Bool("steal", false, "fleet: announce hunger when idle so the master steals backlog this way (pair with master -steal)")
 
-		fleetMode = flag.Bool("fleet", false, "join a shared fleet (easyhps-serve -fleet): jobs attach dynamically, so -app/-n/-seed are ignored")
+		fleetMode = flag.Bool("fleet", false, "join a fleet master (easyhps-serve -fleet or easyhps-launch -elastic): jobs attach with their spec, so the problem flags are ignored")
 	)
 	flag.Parse()
 
-	// joinFleet serves a fleet master — a shared fleet or an elastic
-	// cluster, which is a fleet with one job — until it dismisses this
-	// worker or Ctrl-C makes it leave.
-	joinFleet := func(build fleet.Builder[int32], left string) {
+	if *fleetMode {
+		fmt.Printf("joining fleet at %s with %d threads\n", *addr, *threads)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		opts := fleet.WorkerOptions{
@@ -81,45 +74,19 @@ func main() {
 			// claim backlog well before a straggling peer finishes it.
 			opts.HungerAfter = 2 * *hb
 		}
-		err := fleet.RunWorker(ctx, build, opts)
+		err := fleet.RunWorker(ctx, server.RegistryBuilder(server.NewRegistry()), opts)
 		if err == context.Canceled {
-			fmt.Println("worker left the", left)
+			fmt.Println("worker left the fleet")
 			return
 		}
 		fatal(err)
 		fmt.Println("worker done")
-	}
-
-	if *fleetMode {
-		fmt.Printf("joining shared fleet at %s with %d threads\n", *addr, *threads)
-		joinFleet(server.RegistryBuilder(server.NewRegistry()), "fleet")
 		return
 	}
 
-	prob, _, err := cli.Build(*app, *n, *seed)
+	job := server.JobSpec{Kernel: *app, N: *n, Seed: *seed}
+	prob, _, err := cli.BuildSpec(job)
 	fatal(err)
-
-	spec := core.Spec{App: *app, N: *n, Seed: *seed}
-	if *proc > 0 {
-		spec.Proc = dag.Square(*proc)
-	}
-	if *thread > 0 {
-		spec.Thread = dag.Square(*thread)
-	}
-
-	if *elastic {
-		// The one job of an elastic cluster is the problem built from this
-		// worker's own flags, checked against the master's spec when the
-		// job attaches.
-		fmt.Printf("joining elastic cluster at %s (spec %s) with %d threads\n", *addr, spec.Digest(), *threads)
-		joinFleet(fleet.SpecBuilder(spec, prob), "cluster")
-		return
-	}
-
-	tr, err := comm.DialWorkerOpts(*addr, *rank, *workers, *wait, comm.TCPOptions{Digest: spec.Digest()})
-	fatal(err)
-	defer tr.Close()
-
 	cfg := core.Config{Threads: *threads, Batch: *batch}
 	if *proc > 0 {
 		cfg.ProcPartition = dag.Square(*proc)
@@ -127,6 +94,10 @@ func main() {
 	if *thread > 0 {
 		cfg.ThreadPartition = dag.Square(*thread)
 	}
+
+	tr, err := comm.DialWorkerOpts(*addr, *rank, *workers, *wait, comm.TCPOptions{Digest: cli.RankDigest(job, cfg.ProcPartition)})
+	fatal(err)
+	defer tr.Close()
 	fmt.Printf("worker %d/%d connected to %s; computing %s with %d threads\n",
 		*rank, *workers, *addr, prob.Name, *threads)
 	fatal(core.RunSlave(prob, cfg, tr))

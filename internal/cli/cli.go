@@ -1,11 +1,12 @@
-// Package cli holds the reporting helpers shared by the command-line
-// tools. The tools build no input of their own: a problem is the job
-// service's kernel table entry for its spec (server.Registry.Build), so
-// every rank of a multi-process deployment (easyhps-launch +
-// easyhps-worker) builds a bit-identical problem from (app, n, seed), and
-// easyhps-run answers what easyhps-serve and the simulator answer for the
-// same spec. What this package adds is the report a kernel's completed
-// matrix prints (alignment, structure, distance, ...).
+// Package cli holds the helpers shared by the command-line tools. The
+// tools describe a job as the job service does, by a server.JobSpec, and
+// build no input of their own: a problem is the kernel table entry for its
+// spec (server.Registry.Build), so every rank of a multi-process
+// deployment (easyhps-launch + easyhps-worker) builds a bit-identical
+// problem from (app, n, seed), and easyhps-run answers what easyhps-serve
+// and the simulator answer for the same spec. What this package adds is
+// the fixed-rank handshake's digest (RankDigest) and the report a kernel's
+// completed matrix prints (alignment, structure, distance, ...).
 package cli
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/dp"
 	"repro/internal/server"
 )
@@ -31,22 +33,25 @@ var Apps = func() []string {
 	return names
 }()
 
-// Build constructs the DP problem for app with matrix side n and workload
-// seed: the registry's JobSpec{Kernel: app, N: n, Seed: seed}. The returned
-// report function pretty-prints the application-level result from the
-// completed matrix.
-func Build(app string, n int, seed int64) (core.Problem[int32], func(w io.Writer, m [][]int32), error) {
-	return BuildSpec(server.JobSpec{Kernel: app, N: n, Seed: seed})
-}
-
 // BuildSpec constructs spec's DP problem through the registry, with no
-// size limit, and picks the report by the kernel's concrete type.
+// size limit, and picks the report by the kernel's concrete type: the
+// returned function pretty-prints the application-level result from the
+// completed matrix.
 func BuildSpec(spec server.JobSpec) (core.Problem[int32], func(w io.Writer, m [][]int32), error) {
 	p, _, err := registry.Build(spec, math.MaxInt64)
 	if err != nil {
 		return core.Problem[int32]{}, nil, err
 	}
 	return p, report(p.Kernel), nil
+}
+
+// RankDigest is what the fixed-rank join handshake compares: job's digest
+// plus the processor partition every rank cuts the matrix by (zero: the
+// runtime default, which every rank derives alike from the matrix). The
+// thread partition is worker-local — a block is bit-identical under any —
+// so it is not part of it.
+func RankDigest(job server.JobSpec, proc dag.Size) string {
+	return fmt.Sprintf("%s:%dx%d", job.Digest(), proc.Rows, proc.Cols)
 }
 
 // report is the printer of a registry kernel's completed matrix.

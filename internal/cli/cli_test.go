@@ -17,7 +17,7 @@ import (
 
 func runApp(t *testing.T, app string, n int) string {
 	t.Helper()
-	prob, report, err := Build(app, n, 42)
+	prob, report, err := BuildSpec(server.JobSpec{Kernel: app, N: n, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +54,17 @@ func TestBuildAllApps(t *testing.T) {
 }
 
 func TestBuildUnknownApp(t *testing.T) {
-	if _, _, err := Build("no-such-app", 10, 1); err == nil {
+	if _, _, err := BuildSpec(server.JobSpec{Kernel: "no-such-app", N: 10, Seed: 1}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	p1, _, err := Build("swgg", 32, 7)
+	p1, _, err := BuildSpec(server.JobSpec{Kernel: "swgg", N: 32, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := Build("swgg", 32, 7)
+	p2, _, err := BuildSpec(server.JobSpec{Kernel: "swgg", N: 32, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestOneMatrixPerSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("service %s: %v", e.Name, err)
 		}
-		cli, _, err := Build(e.Name, n, seed)
+		cli, _, err := BuildSpec(server.JobSpec{Kernel: e.Name, N: n, Seed: seed})
 		if err != nil {
 			t.Fatalf("cli %s: %v", e.Name, err)
 		}
@@ -122,6 +122,26 @@ func TestOneMatrixPerSpec(t *testing.T) {
 		}
 		if !slices.EqualFunc(ref, want, slices.Equal[[]int32]) {
 			t.Errorf("%s: the simulator checks against another reference than the service computes", e.Name)
+		}
+	}
+}
+
+// TestRankDigest: what two fixed ranks compare at the handshake is their
+// job's digest and the processor partition they cut it by — the thread
+// partition is each rank's own.
+func TestRankDigest(t *testing.T) {
+	job := server.JobSpec{Kernel: "editdist", N: 64, Seed: 51}
+	d := RankDigest(job, dag.Square(8))
+	if !strings.HasPrefix(d, job.Digest()) {
+		t.Fatalf("rank digest %s does not carry the job digest %s", d, job.Digest())
+	}
+	for name, other := range map[string]string{
+		"proc":         RankDigest(job, dag.Square(16)),
+		"default proc": RankDigest(job, dag.Size{}),
+		"seed":         RankDigest(server.JobSpec{Kernel: "editdist", N: 64, Seed: 52}, dag.Square(8)),
+	} {
+		if other == d {
+			t.Errorf("rank digest insensitive to %s", name)
 		}
 	}
 }

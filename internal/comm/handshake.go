@@ -37,8 +37,14 @@ import (
 // tools build every problem through the job service's kernel table, so
 // the same -app/-n/-seed is another input pair than a v5 build generated
 // (and the spec digest's tag moved with it), and a v5 rank or elastic
-// worker is refused at the handshake instead of computing other inputs.
-const ProtocolVersion = 6
+// worker is refused at the handshake instead of computing other inputs; 7
+// changed no frame but what a hello's digest is: the job service's JobSpec
+// is every tool's one job description, so a rank's digest is that spec's
+// digest plus the processor partition (cli.RankDigest) where it was the
+// CLIs' own spec, and an elastic worker builds each job from its attach
+// frame as a fleet worker does. A v6 rank or elastic worker is refused
+// with both versions named, not by a misleading spec mismatch.
+const ProtocolVersion = 7
 
 // Hello is the first frame on every worker connection: who is joining and
 // what problem it believes the cluster is solving.
@@ -49,13 +55,15 @@ type Hello struct {
 	// Version is the sender's ProtocolVersion. A hello of another
 	// generation decodes to its version and nothing else.
 	Version int
-	// Digest fingerprints the problem spec (app, size, seed, partition)
-	// the worker was started with. Empty means "not checked" for
-	// backward compatibility of the fixed-mode tools.
+	// Digest fingerprints the job a fixed-mode rank was started with: its
+	// JobSpec digest plus the processor partition (cli.RankDigest), which
+	// its -app/-n/-seed/-proc flags decide. Empty means "not checked".
 	Digest string
 	// Fleet marks a worker joining a fleet (internal/fleet) rather than a
-	// fixed-size rendezvous: it carries no digest — per-job specs are
-	// verified via the job-spec attach frames instead.
+	// fixed-size rendezvous — easyhps-worker -fleet, for easyhps-serve
+	// -fleet and easyhps-launch -elastic alike: it carries no digest, since
+	// each job's spec arrives in its attach frame, which the worker
+	// verifies.
 	Fleet bool
 	// Name optionally labels the member in logs and metrics.
 	Name string
@@ -211,7 +219,7 @@ func checkHello(h Hello, digest string) string {
 		return fmt.Sprintf("protocol version mismatch: worker speaks v%d, master speaks v%d (rebuild both binaries from the same source)", h.Version, ProtocolVersion)
 	}
 	if digest != "" && h.Digest != "" && h.Digest != digest {
-		return fmt.Sprintf("problem spec mismatch: worker built digest %s, master expects %s (check -app/-n/-seed/-proc/-thread flags)", h.Digest, digest)
+		return fmt.Sprintf("problem spec mismatch: worker built digest %s, master expects %s (check -app/-n/-seed/-proc flags)", h.Digest, digest)
 	}
 	return ""
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/server"
 	"repro/internal/testseed"
 )
 
@@ -37,7 +38,7 @@ func TestBatchMatchesUnbatchedAllKernels(t *testing.T) {
 				label := fmt.Sprintf("%s n=%d seed=%d pp=%d tp=%d batch=%d", app, n, seed, pp, tp, batch)
 
 				run := func(slaves, threads, b int) [][]int32 {
-					prob, _, err := cli.Build(app, n, seed)
+					prob, _, err := cli.BuildSpec(server.JobSpec{Kernel: app, N: n, Seed: seed})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -71,7 +72,7 @@ func TestBatchMatchesUnbatchedAllKernels(t *testing.T) {
 // multi-vertex message, and counts task payload volume; the same run at
 // Batch == 1 must not touch the batch counter at all.
 func TestBatchStatsAccounting(t *testing.T) {
-	prob, _, err := cli.Build("editdist", 48, 77)
+	prob, _, err := cli.BuildSpec(server.JobSpec{Kernel: "editdist", N: 48, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestBatchStatsAccounting(t *testing.T) {
 // filtering happens per entry), affinity scheduling and memory
 // reclamation.
 func TestBatchComposesWithDeltaShippingAndReclaim(t *testing.T) {
-	prob, _, err := cli.Build("nussinov", 40, 11)
+	prob, _, err := cli.BuildSpec(server.JobSpec{Kernel: "nussinov", N: 40, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestBatchComposesWithDeltaShippingAndReclaim(t *testing.T) {
 		cfg.ProcPartition = dag.Square(8)
 		cfg.ThreadPartition = dag.Square(4)
 		cfg.RunTimeout = time.Minute
-		prob, _, err := cli.Build("nussinov", 40, 11)
+		prob, _, err := cli.BuildSpec(server.JobSpec{Kernel: "nussinov", N: 40, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

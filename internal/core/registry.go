@@ -2,50 +2,14 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/dag"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
-
-// Spec identifies the problem a cluster is solving. Master and workers
-// each build their Problem locally from flags. In fixed-rank mode the
-// digest of this struct travels in the join handshake; in elastic mode
-// the struct itself travels in the job's attach frame (fleet.JobRequest.Spec,
-// checked by fleet.SpecBuilder). Either way a worker built from different
-// flags is refused instead of corrupting the run.
-type Spec struct {
-	// App names the application (a kernel of server.Registry, which
-	// every CLI tool builds it through).
-	App string
-	// N is the matrix side length.
-	N int
-	// Seed is the workload seed.
-	Seed int64
-	// Proc is process_partition_size; zero means the runtime default,
-	// which both sides derive identically from N.
-	Proc dag.Size
-	// Thread is thread_partition_size (worker-local, but part of the
-	// spec so a run is fully described by it).
-	Thread dag.Size
-}
-
-// Digest fingerprints the spec: the fixed-rank join handshake carries it,
-// and it scopes a one-job run's entries in the result cache. The tag's
-// generation names the input recipe: 2 since (App, N, Seed) means the job
-// service's kernel table entry, so a cache directory a generation-1 build
-// filled is never read as this problem's.
-func (s Spec) Digest() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("easyhps-spec:2:%s:%d:%d:%dx%d:%dx%d",
-		s.App, s.N, s.Seed, s.Proc.Rows, s.Proc.Cols, s.Thread.Rows, s.Thread.Cols)))
-	return hex.EncodeToString(h[:12])
-}
 
 // Snapshot is the monitoring view of a membership table, exposed through
 // the job service's /metrics endpoint (see Registry.Metrics).

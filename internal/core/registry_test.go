@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dag"
 	"repro/internal/trace"
 )
 
@@ -127,26 +126,5 @@ func TestRegistryWaitLive(t *testing.T) {
 	}
 	if got := r.Live(); got != 2 {
 		t.Fatalf("Live = %d at the quorum, want 2", got)
-	}
-}
-
-func TestSpecDigest(t *testing.T) {
-	s := Spec{App: "editdist", N: 64, Seed: 51, Proc: dag.Square(8)}
-	// Pinned: generation 2 of the spec tag, the kernel-table recipe. A
-	// generation-1 digest (eb71c7274b0d97f1f06e04e6 here) names another
-	// input pair, so a parent build's rank or cache directory must not
-	// match it.
-	if got := s.Digest(); got != "56cc9b64cde7a3c89495f392" {
-		t.Fatalf("digest = %s, want the pinned generation-2 value", got)
-	}
-	for name, other := range map[string]Spec{
-		"app":  {App: "nussinov", N: 64, Seed: 51, Proc: dag.Square(8)},
-		"n":    {App: "editdist", N: 65, Seed: 51, Proc: dag.Square(8)},
-		"seed": {App: "editdist", N: 64, Seed: 52, Proc: dag.Square(8)},
-		"proc": {App: "editdist", N: 64, Seed: 51, Proc: dag.Square(16)},
-	} {
-		if other.Digest() == s.Digest() {
-			t.Fatalf("digest insensitive to %s", name)
-		}
 	}
 }

@@ -17,14 +17,14 @@ import (
 // to grow the batch cap on), every recommendation respects the default
 // limits, and each adjustment is visible as an EvTune trace event.
 func TestAutoTunesOverTCP(t *testing.T) {
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	opts := testOptions()
 	opts.Auto = true
 	opts.CheckInterval = 10 * time.Millisecond
 	tr := trace.New()
 	opts.Trace = tr
 	f := startMaster(t, opts)
-	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(200*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(200*time.Microsecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -35,7 +35,7 @@ func TestAutoTunesOverTCP(t *testing.T) {
 		}
 	}
 
-	res, err := runElastic(ctx, f, prob, spec, 3, nil)
+	res, err := runElastic(ctx, f, prob, req, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

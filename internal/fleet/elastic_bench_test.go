@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/dp"
 	"repro/internal/fleet"
+	"repro/internal/server"
 )
 
 // BenchmarkElasticRecovery measures the cost of elasticity: the "healthy"
@@ -21,9 +21,9 @@ func BenchmarkElasticRecovery(b *testing.B) {
 	run := func(b *testing.B, kill bool) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			prob, _, spec := testProblem(b)
+			prob, _, req := testProblem(b)
 			f := startMaster(b, testOptions())
-			h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(100*time.Microsecond))
+			h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(100*time.Microsecond))
 			killAt := make(chan struct{})
 			if kill {
 				go func() {
@@ -38,7 +38,7 @@ func BenchmarkElasticRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			_, err := runElastic(ctx, f, prob, spec, 4, func(req *fleet.JobRequest) {
+			_, err := runElastic(ctx, f, prob, req, 4, func(req *fleet.JobRequest) {
 				if kill {
 					req.OnProgress = progressTrigger(8, killAt)
 				}
@@ -60,12 +60,10 @@ func BenchmarkElasticRecovery(b *testing.B) {
 // swggBench is the Smith-Waterman instance for the straggler benchmark:
 // an 8x8 processor grid whose narrow wavefront makes a slow worker gate
 // whole diagonals.
-func swggBench(tb testing.TB) (core.Problem[int32], core.Spec) {
-	a := dp.RandomDNA(64, 61)
-	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.3, 62)
-	s := dp.NewSWGG(a, b)
-	spec := core.Spec{App: "swgg", N: 64, Seed: 61, Proc: dag.Square(8), Thread: dag.Square(4)}
-	return s.Problem(), spec
+func swggBench(tb testing.TB) (core.Problem[int32], fleet.JobRequest) {
+	job := server.JobSpec{Kernel: "swgg", N: 64, Seed: 61}
+	p, _ := buildJob(tb, job)
+	return p, job.Request(dag.Square(8), dag.Square(4))
 }
 
 // BenchmarkStragglerSpeculation measures the scenario speculation exists
@@ -78,14 +76,14 @@ func BenchmarkStragglerSpeculation(b *testing.B) {
 	run := func(b *testing.B, speculate bool) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			prob, spec := swggBench(b)
+			prob, req := swggBench(b)
 			opts := testOptions()
 			opts.Speculate = speculate
 			opts.CheckInterval = 10 * time.Millisecond
 			f := startMaster(b, opts)
 			// 64 cells x 100µs ≈ 6.4ms of emulated work per vertex; the
 			// 60ms proxy delay makes worker 0 roughly 10x slower.
-			h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(100*time.Microsecond))
+			h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(100*time.Microsecond))
 			ctx, cancel := context.WithCancel(context.Background())
 			b.StartTimer()
 			// Slow worker 0 before the quorum completes, so it straggles
@@ -99,7 +97,7 @@ func BenchmarkStragglerSpeculation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, err := runElastic(ctx, f, prob, spec, 4, nil); err != nil {
+			if _, err := runElastic(ctx, f, prob, req, 4, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()

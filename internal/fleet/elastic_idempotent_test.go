@@ -10,7 +10,9 @@ import (
 	"repro/internal/cli"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/fleet"
+	"repro/internal/server"
 )
 
 // stutteringWorker joins the master as a protocol-level worker that
@@ -70,12 +72,9 @@ func stutteringWorker(addr string, prob core.Problem[int32], flush int) error {
 func TestDuplicateResultIdempotent(t *testing.T) {
 	for _, app := range cli.Apps {
 		t.Run(app, func(t *testing.T) {
-			spec := core.Spec{App: app, N: 48, Seed: 7}
-			prob, _, err := cli.Build(spec.App, spec.N, spec.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := prob.Kernel.(interface{ Sequential() [][]int32 }).Sequential()
+			job := server.JobSpec{Kernel: app, N: 48, Seed: 7}
+			prob, want := buildJob(t, job)
+			req := job.Request(dag.Size{}, dag.Size{})
 			ckpt := t.TempDir() + "/run.ckpt"
 			opts := testOptions()
 			opts.HeartbeatInterval = time.Hour // the stuttering worker sends no beacons
@@ -84,7 +83,7 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 			f := startMaster(t, opts)
 			dismissed := make(chan error, 1)
 			go func() { dismissed <- stutteringWorker(f.Addr(), prob, 2) }()
-			res, err := runElastic(context.Background(), f, prob, spec, 1, func(req *fleet.JobRequest) {
+			res, err := runElastic(context.Background(), f, prob, req, 1, func(req *fleet.JobRequest) {
 				req.CheckpointPath = ckpt
 			})
 			f.Close()
@@ -109,7 +108,7 @@ func TestDuplicateResultIdempotent(t *testing.T) {
 			// A fresh master must replay the checkpoint to the same matrix:
 			// the duplicate deliveries wrote each vertex exactly once.
 			f2 := startMaster(t, testOptions())
-			res2, err := runElastic(context.Background(), f2, prob, spec, 0, func(req *fleet.JobRequest) {
+			res2, err := runElastic(context.Background(), f2, prob, req, 0, func(req *fleet.JobRequest) {
 				req.CheckpointPath = ckpt
 			})
 			if err != nil {

@@ -30,7 +30,7 @@ func TestSoakBatchedFaults(t *testing.T) {
 	const runs = 200
 	const jobs = 2
 	const vertices = 64 // 8x8 processor grid of the shared test problem
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 1)))
 
 	for run := 0; run < runs; run++ {
@@ -54,7 +54,7 @@ func TestSoakBatchedFaults(t *testing.T) {
 		if steal {
 			wopts.HungerAfter = 15 * time.Millisecond
 		}
-		h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), wopts)
+		h := fleet.NewHarness(registryBuild, f.Addr(), wopts)
 
 		ctx, cancel := context.WithCancel(context.Background())
 		faultAt := make(chan struct{})
@@ -96,7 +96,7 @@ func TestSoakBatchedFaults(t *testing.T) {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
-				res, err := runElastic(ctx, f, prob, spec, 3, func(req *fleet.JobRequest) {
+				res, err := runElastic(ctx, f, prob, req, 3, func(req *fleet.JobRequest) {
 					req.Name = fmt.Sprintf("soak-%d", j)
 					if j == 0 {
 						req.OnProgress = progressTrigger(threshold, faultAt)

@@ -13,14 +13,14 @@ import (
 // finish correctly without a single overtime redistribution — the rescue
 // is the speculative race, not the timeout path.
 func TestSpeculationRescuesStraggler(t *testing.T) {
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	opts := testOptions()
 	opts.Speculate = true
 	opts.CheckInterval = 10 * time.Millisecond
 	// TaskTimeout (20s from testOptions) stays far above the test runtime,
 	// so any rescue observed here is speculation's.
 	f := startMaster(t, opts)
-	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(50*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(50*time.Microsecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -32,7 +32,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	}
 	h.Slow(0, 100*time.Millisecond)
 
-	res, err := runElastic(ctx, f, prob, spec, 4, nil)
+	res, err := runElastic(ctx, f, prob, req, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 // results arrive with retired attempt stamps and are dropped as stale —
 // never applied twice.
 func TestStealRebalancesBacklog(t *testing.T) {
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	opts := testOptions()
 	opts.Steal = true
 	opts.Batch = 8
@@ -70,7 +70,7 @@ func TestStealRebalancesBacklog(t *testing.T) {
 	wopts := testWorkerOptions(50 * time.Microsecond)
 	wopts.Run.Batch = 8
 	wopts.HungerAfter = 20 * time.Millisecond
-	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), wopts)
+	h := fleet.NewHarness(registryBuild, f.Addr(), wopts)
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -83,7 +83,7 @@ func TestStealRebalancesBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := runElastic(ctx, f, prob, spec, 2, nil)
+	res, err := runElastic(ctx, f, prob, req, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ package fleet_test
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -14,19 +16,35 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/dp"
 	"repro/internal/fleet"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
+// registryBuild is every elastic worker's builder: easyhps-worker -fleet's,
+// which builds each job from its attach frame.
+var registryBuild = server.RegistryBuilder(server.NewRegistry())
+
 // testProblem is an edit-distance instance partitioned into an 8x8 grid
 // of processor-level vertices: large enough that faults land mid-run,
-// small enough for the race detector.
-func testProblem(t testing.TB) (core.Problem[int32], [][]int32, core.Spec) {
+// small enough for the race detector. It returns the problem, its
+// sequential reference and the request easyhps-launch -elastic submits.
+func testProblem(t testing.TB) (core.Problem[int32], [][]int32, fleet.JobRequest) {
 	t.Helper()
-	e := dp.NewEditDistance(dp.RandomDNA(64, 51), dp.RandomDNA(64, 52))
-	spec := core.Spec{App: "editdist", N: 64, Seed: 51, Proc: dag.Square(8), Thread: dag.Square(4)}
-	return e.Problem(), e.Sequential(), spec
+	job := server.JobSpec{Kernel: "editdist", N: 64, Seed: 51}
+	p, want := buildJob(t, job)
+	return p, want, job.Request(dag.Square(8), dag.Square(4))
+}
+
+// buildJob builds job through the kernel table, as the master does, and
+// its sequential reference.
+func buildJob(t testing.TB, job server.JobSpec) (core.Problem[int32], [][]int32) {
+	t.Helper()
+	p, _, err := server.NewRegistry().Build(job, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, p.Kernel.(interface{ Sequential() [][]int32 }).Sequential()
 }
 
 func testOptions() fleet.Options {
@@ -62,16 +80,15 @@ func startMaster(t testing.TB, opts fleet.Options) *fleet.Fleet[int32] {
 }
 
 // runElastic is the launcher's driver: wait for the quorum, then run prob
-// as the fleet's one job, its spec in the attach frame. edit, when
+// as the fleet's one job, its spec in req's attach frame. edit, when
 // non-nil, adjusts the request (progress hook, checkpoint).
-func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], spec core.Spec, minWorkers int, edit func(*fleet.JobRequest)) (*fleet.Result[int32], error) {
+func runElastic(ctx context.Context, f *fleet.Fleet[int32], prob core.Problem[int32], req fleet.JobRequest, minWorkers int, edit func(*fleet.JobRequest)) (*fleet.Result[int32], error) {
 	joinCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	err := f.Registry().WaitLive(joinCtx, minWorkers)
 	cancel()
 	if err != nil {
 		return nil, err
 	}
-	req := fleet.SpecRequest(spec)
 	req.Timeout = 2 * time.Minute
 	if edit != nil {
 		edit(&req)
@@ -111,9 +128,9 @@ func progressTrigger(threshold int, ch chan<- struct{}) func(done, total int) {
 // Killing one of four workers mid-run must not affect the result: the
 // dead member's leases are revoked and its vertices recomputed elsewhere.
 func TestElasticKillWorker(t *testing.T) {
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	f := startMaster(t, testOptions())
-	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(200*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(200*time.Microsecond))
 	defer h.Close()
 	killAt := make(chan struct{})
 	go func() {
@@ -128,7 +145,7 @@ func TestElasticKillWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := runElastic(ctx, f, prob, spec, 4, func(req *fleet.JobRequest) {
+	res, err := runElastic(ctx, f, prob, req, 4, func(req *fleet.JobRequest) {
 		req.OnProgress = progressTrigger(5, killAt)
 	})
 	if err != nil {
@@ -151,12 +168,12 @@ func TestElasticKillWorker(t *testing.T) {
 
 // A worker joining mid-run must be admitted and pull computable vertices.
 func TestElasticJoinMidRun(t *testing.T) {
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	opts := testOptions()
 	tr := trace.New()
 	opts.Trace = tr
 	f := startMaster(t, opts)
-	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(200*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(200*time.Microsecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -174,7 +191,7 @@ func TestElasticJoinMidRun(t *testing.T) {
 	}
 	h.Slow(0, 5*time.Millisecond) // keep the run alive for the joiner
 
-	res, err := runElastic(ctx, f, prob, spec, 1, func(req *fleet.JobRequest) {
+	res, err := runElastic(ctx, f, prob, req, 1, func(req *fleet.JobRequest) {
 		req.OnProgress = progressTrigger(3, joinAt)
 	})
 	if err != nil {
@@ -209,7 +226,7 @@ func TestElasticJoinMidRun(t *testing.T) {
 // A master interrupted mid-run must resume from its checkpoint: restored
 // vertices are not recomputed and the result is still correct.
 func TestMasterRestartFromCheckpoint(t *testing.T) {
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	ckpt := t.TempDir() + "/run.ckpt"
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
@@ -220,14 +237,14 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 		cancel1()
 	}()
 	f1 := startMaster(t, testOptions())
-	h1 := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f1.Addr(), testWorkerOptions(500*time.Microsecond))
+	h1 := fleet.NewHarness(registryBuild, f1.Addr(), testWorkerOptions(500*time.Microsecond))
 	defer h1.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := h1.Add(ctx1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := runElastic(ctx1, f1, prob, spec, 2, func(req *fleet.JobRequest) {
+	_, err := runElastic(ctx1, f1, prob, req, 2, func(req *fleet.JobRequest) {
 		req.CheckpointPath = ckpt
 		req.OnProgress = progressTrigger(20, stopAt)
 	})
@@ -239,7 +256,7 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 
 	// Second incarnation, same checkpoint path.
 	f2 := startMaster(t, testOptions())
-	h2 := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f2.Addr(), testWorkerOptions(0))
+	h2 := fleet.NewHarness(registryBuild, f2.Addr(), testWorkerOptions(0))
 	defer h2.Close()
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
@@ -248,7 +265,7 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := runElastic(ctx2, f2, prob, spec, 2, func(req *fleet.JobRequest) {
+	res, err := runElastic(ctx2, f2, prob, req, 2, func(req *fleet.JobRequest) {
 		req.CheckpointPath = ckpt
 	})
 	if err != nil {
@@ -267,9 +284,9 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 // A partitioned link (TCP open, no bytes flowing) must be detected by the
 // heartbeat deadline and the member's work reassigned.
 func TestPartitionedMemberDeclaredDead(t *testing.T) {
-	prob, want, spec := testProblem(t)
+	prob, want, req := testProblem(t)
 	f := startMaster(t, testOptions())
-	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(300*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(300*time.Microsecond))
 	defer h.Close()
 	cutAt := make(chan struct{})
 	go func() {
@@ -284,7 +301,7 @@ func TestPartitionedMemberDeclaredDead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := runElastic(ctx, f, prob, spec, 3, func(req *fleet.JobRequest) {
+	res, err := runElastic(ctx, f, prob, req, 3, func(req *fleet.JobRequest) {
 		req.OnProgress = progressTrigger(5, cutAt)
 	})
 	if err != nil {
@@ -299,25 +316,33 @@ func TestPartitionedMemberDeclaredDead(t *testing.T) {
 	}
 }
 
-// A worker whose flags produce a different problem spec is admitted — a
-// fleet member carries no spec — but must refuse the job when it attaches,
-// before computing a vertex, naming both specs. The master sees a join
-// and a death, reassigns the lease, and the run completes bit-identical
-// on a worker that matches.
-func TestClusterRejectsSpecMismatch(t *testing.T) {
-	prob, want, spec := testProblem(t)
+// A worker whose builder drifted — its kernel table builds the attach
+// frame's spec at another size — is admitted, since a fleet member carries
+// no spec, but must refuse the job when it attaches, before computing a
+// vertex, naming both sizes. The master sees a join and a death,
+// reassigns the lease, and the run completes bit-identical on a worker
+// whose builder matches.
+func TestClusterRejectsDriftedBuilder(t *testing.T) {
+	prob, want, req := testProblem(t)
 	f := startMaster(t, testOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	badSpec := spec
-	badSpec.Seed = 99
+	drifted := func(meta fleet.JobMeta) (core.Problem[int32], error) {
+		var job server.JobSpec
+		if err := json.Unmarshal(meta.Spec, &job); err != nil {
+			return core.Problem[int32]{}, err
+		}
+		job.N += 8
+		p, _, err := server.NewRegistry().Build(job, math.MaxInt64)
+		return p, err
+	}
 	wopts := testWorkerOptions(0)
 	wopts.Addr = f.Addr()
 	refused := make(chan error, 1)
-	go func() { refused <- fleet.RunWorker(ctx, fleet.SpecBuilder(badSpec, prob), wopts) }()
+	go func() { refused <- fleet.RunWorker(ctx, drifted, wopts) }()
 
-	// The mismatched worker alone makes the quorum, so the job's first
+	// The drifted worker alone makes the quorum, so the job's first
 	// batch goes to it.
 	type outcome struct {
 		res *fleet.Result[int32]
@@ -325,16 +350,15 @@ func TestClusterRejectsSpecMismatch(t *testing.T) {
 	}
 	resCh := make(chan outcome, 1)
 	go func() {
-		res, err := runElastic(ctx, f, prob, spec, 1, nil)
+		res, err := runElastic(ctx, f, prob, req, 1, nil)
 		resCh <- outcome{res, err}
 	}()
 	err := <-refused
-	if err == nil || !strings.Contains(err.Error(), "problem spec mismatch") ||
-		!strings.Contains(err.Error(), "Seed:51") || !strings.Contains(err.Error(), "Seed:99") {
-		t.Fatalf("mismatched worker error = %v, want a spec-mismatch refusal naming both specs", err)
+	if err == nil || !strings.Contains(err.Error(), "builder produced size 72x72, master dispatched against 64x64") {
+		t.Fatalf("drifted worker error = %v, want a refusal naming both sizes", err)
 	}
 
-	h := fleet.NewHarness(fleet.SpecBuilder(spec, prob), f.Addr(), testWorkerOptions(0))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(0))
 	defer h.Close()
 	if _, err := h.Add(ctx); err != nil {
 		t.Fatal(err)
@@ -355,6 +379,6 @@ func TestClusterRejectsSpecMismatch(t *testing.T) {
 		t.Fatalf("revoked = %d, reassigned = %d; want the refused vertex's lease revoked and requeued once", revoked, reassigned)
 	}
 	if m := f.Registry().Members()[0]; m.Completed != 0 {
-		t.Fatalf("the mismatched worker computed %d vertices before refusing", m.Completed)
+		t.Fatalf("the drifted worker computed %d vertices before refusing", m.Completed)
 	}
 }

@@ -238,7 +238,7 @@ func (f *Fleet[T]) acceptLoop() {
 func (f *Fleet[T]) admit(c net.Conn) {
 	cn, id, err := comm.AcceptHello(c, "", func(hello comm.Hello) (int, string) {
 		if !hello.Fleet {
-			return 0, "this master runs a fleet; start a worker of the same build with -fleet (easyhps-serve) or -elastic (easyhps-launch)"
+			return 0, "this master runs a fleet; start a worker of the same build with -fleet"
 		}
 		if f.d.Closed() {
 			return 0, "fleet shut down"

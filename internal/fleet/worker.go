@@ -57,33 +57,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // attach time.
 type Builder[T any] func(meta JobMeta) (core.Problem[T], error)
 
-// SpecRequest and SpecBuilder are the two ends of a one-job run whose
-// master and workers each built the problem from their own flags
-// (easyhps-launch -elastic, easyhps-worker -elastic). SpecRequest submits
-// spec's problem: the spec in the attach frame, its partitions, and its
-// digest scoping the job's entries in the fleet's result cache.
-func SpecRequest(spec core.Spec) JobRequest {
-	enc, _ := json.Marshal(spec) // strings and integers always encode
-	return JobRequest{Name: spec.App, Spec: enc, Proc: spec.Proc, Thread: spec.Thread, CacheKey: spec.Digest()}
-}
-
-// SpecBuilder returns the Builder of a worker started with spec, for
-// which it built p. An attach frame carrying another spec — the master
-// was started with other -app/-n/-seed/-proc/-thread flags — is refused,
-// naming both.
-func SpecBuilder[T any](spec core.Spec, p core.Problem[T]) Builder[T] {
-	return func(meta JobMeta) (core.Problem[T], error) {
-		var master core.Spec
-		if err := json.Unmarshal(meta.Spec, &master); err != nil {
-			return core.Problem[T]{}, fmt.Errorf("fleet: decoding the problem spec of job %q: %w", meta.Name, err)
-		}
-		if master != spec {
-			return core.Problem[T]{}, fmt.Errorf("problem spec mismatch: master runs %+v, this worker was started with %+v (check -app/-n/-seed/-proc/-thread flags)", master, spec)
-		}
-		return p, nil
-	}
-}
-
 // RunWorker joins the shared fleet at opts.Addr and computes tasks for
 // any number of concurrent jobs until the fleet dismisses it (nil), the
 // connection dies (error), or ctx is cancelled (a Leave frame goes out

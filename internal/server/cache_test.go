@@ -2,11 +2,14 @@ package server_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cas"
+	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/server"
 )
 
@@ -292,5 +295,75 @@ func TestSingleFlightLeaderCancelPromotesFollower(t *testing.T) {
 
 	if _, err := c.Wait(ctx, blocker.ID, 10*time.Millisecond); err != nil {
 		t.Fatalf("wait blocker: %v", err)
+	}
+}
+
+// TestRunCacheDirWarmsService: one job description, one cache. A cache
+// directory filled by a one-shot run (easyhps-run -cache -cache-dir, whose
+// key is the job's Digest) makes the same JobSpec a fully warm job on the
+// service composed as easyhps-serve -cache -cache-dir -fleet composes it:
+// a manager whose attached fleet holds that directory's store. The job
+// absorbs every block without a dispatch and answers what the cold run
+// did.
+func TestRunCacheDirWarmsService(t *testing.T) {
+	dir := t.TempDir()
+	job := server.JobSpec{Kernel: "editdist", N: 48, Seed: 7}
+	run := fastRun()
+
+	filled, err := cas.NewStore(cas.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, _, err := server.NewRegistry().Build(job, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := run
+	cold.Cache, cold.CacheKey = filled, job.Digest()
+	res, err := core.RunContext(context.Background(), prob, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CacheHits != 0 || res.Stats.Tasks == 0 {
+		t.Fatalf("the filling run was not cold: %+v", res.Stats)
+	}
+	m := res.Matrix()
+	want := int64(m[len(m)-1][len(m[0])-1])
+
+	// A new process: the service opens the directory afresh.
+	store, err := cas.NewStore(cas.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := server.FleetOptions(run)
+	opts.Cache = store
+	fl, err := fleet.New[int32](opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	// The fleet has no member, so a vertex the cache does not hold fails
+	// the job at its timeout.
+	run.RunTimeout = 5 * time.Second
+	mgr := server.NewManager(server.ManagerConfig{Run: run, Cache: store, Fleet: fl}, nil)
+	defer func() { _ = mgr.Shutdown(context.Background()) }()
+
+	j, err := mgr.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	got, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cached {
+		t.Fatal("answered from the whole-job tier, which the run does not fill")
+	}
+	if got.Stats.Dispatches != 0 || got.Stats.CacheHits != res.Stats.Tasks {
+		t.Fatalf("dispatches = %d, cache hits = %d; want 0 and all %d vertices", got.Stats.Dispatches, got.Stats.CacheHits, res.Stats.Tasks)
+	}
+	if got.Value != want {
+		t.Fatalf("warm value %d, the cold run answered %d", got.Value, want)
 	}
 }

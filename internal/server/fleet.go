@@ -50,29 +50,18 @@ func FleetOptions(run core.Config) fleet.Options {
 // vertex at Batch 1, and never its attach and detach frames, whose number
 // depends on which members happened to run it.
 func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], error) {
-	spec, err := json.Marshal(j.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("server: encoding spec of %s: %w", j.ID, err)
-	}
 	progress := m.cfg.Run.Progress
-	req := fleet.JobRequest{
-		Name:     j.ID,
-		Spec:     spec,
-		Proc:     m.cfg.Run.ProcPartition,
-		Thread:   m.cfg.Run.ThreadPartition,
-		Weight:   j.Spec.Weight,
-		Priority: j.Spec.Priority,
-		Timeout:  m.cfg.Run.RunTimeout,
-		// The kernel+inputs digest scopes the fleet's per-block cache
-		// keys; the fleet only uses it when it has a store attached.
-		CacheKey: j.digest,
-		OnProgress: func(completed, total int) {
-			j.completed.Store(int64(completed))
-			j.total.Store(int64(total))
-			if progress != nil {
-				progress(completed, total)
-			}
-		},
+	req := j.Spec.Request(m.cfg.Run.ProcPartition, m.cfg.Run.ThreadPartition)
+	// Named by the job's id, which its trace and in-process members look
+	// it up by.
+	req.Name = j.ID
+	req.Timeout = m.cfg.Run.RunTimeout
+	req.OnProgress = func(completed, total int) {
+		j.completed.Store(int64(completed))
+		j.total.Store(int64(total))
+		if progress != nil {
+			progress(completed, total)
+		}
 	}
 	res, err := m.fleet.Run(ctx, j.problem, req)
 	if res == nil {

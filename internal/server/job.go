@@ -379,7 +379,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	j := &Job{
 		ID:        fmt.Sprintf("job-%d", m.seq),
 		Spec:      spec,
-		digest:    spec.cacheDigest(),
+		digest:    spec.Digest(),
 		problem:   problem,
 		finish:    finish,
 		state:     StateQueued,

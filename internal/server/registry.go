@@ -11,6 +11,7 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/fleet"
 	"repro/internal/matrix"
 )
 
@@ -48,15 +50,37 @@ type JobSpec struct {
 	Priority int     `json:"priority,omitempty"`
 }
 
-// cacheDigest fingerprints the spec's kernel and inputs — the identity the
-// whole-job cache and the single-flight table coalesce on. Scheduling
-// knobs (Weight, Priority) are excluded: they change how a job runs, never
-// what it answers. The %q quoting keeps adjacent fields from aliasing
-// (e.g. seq_a="ab",seq_b="c" vs seq_a="a",seq_b="bc").
-func (s JobSpec) cacheDigest() string {
+// Digest fingerprints the spec's kernel and inputs — the one identity of
+// a job in every tool: the whole-job cache and the single-flight table
+// coalesce on it, it scopes a job's block entries in the result cache
+// (easyhps-run, easyhps-launch and easyhps-serve alike, so one cache
+// directory serves all three), and the fixed-rank handshake carries it
+// (cli.RankDigest). Scheduling knobs (Weight, Priority) are excluded: they
+// change how a job runs, never what it answers. The %q quoting keeps
+// adjacent fields from aliasing (e.g. seq_a="ab",seq_b="c" vs
+// seq_a="a",seq_b="bc").
+func (s JobSpec) Digest() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("easyhps-job:1:%s:%q:%q:%d:%d:%d",
 		s.Kernel, s.SeqA, s.SeqB, s.N, s.Seed, s.Capacity)))
 	return hex.EncodeToString(h[:8])
+}
+
+// Request is the fleet submission of the job on partitions proc and thread
+// (zero: the fleet's default): named after its kernel, the JSON spec in the
+// attach frame — which a worker's RegistryBuilder turns back into the same
+// problem — its fair-share knobs, and Digest scoping its entries in the
+// fleet's result cache.
+func (s JobSpec) Request(proc, thread dag.Size) fleet.JobRequest {
+	enc, _ := json.Marshal(s) // strings, integers and a finite weight always encode
+	return fleet.JobRequest{
+		Name:     s.Kernel,
+		Spec:     enc,
+		Proc:     proc,
+		Thread:   thread,
+		Weight:   s.Weight,
+		Priority: s.Priority,
+		CacheKey: s.Digest(),
+	}
 }
 
 // JobResult is the answer of a finished job: the kernel's headline scalar
@@ -271,9 +295,10 @@ func (r *Registry) Build(spec JobSpec, maxCells int64) (core.Problem[int32], fin
 	if !ok {
 		return core.Problem[int32]{}, nil, fmt.Errorf("unknown kernel %q", spec.Kernel)
 	}
-	if spec.Weight > 0 && math.IsInf(1/spec.Weight, 1) {
+	if w := spec.Weight; math.IsNaN(w) || math.IsInf(w, 0) || w > 0 && math.IsInf(1/w, 1) {
 		// The pool charges a draw n/Weight: +Inf, and NaN after a refund.
-		return core.Problem[int32]{}, nil, fmt.Errorf("server: weight %g is too small for a finite share", spec.Weight)
+		// And the spec travels as JSON, which has no non-finite number.
+		return core.Problem[int32]{}, nil, fmt.Errorf("server: weight %g has no finite share", w)
 	}
 	if cells := matrixCells(e.dims(spec)); cells > maxCells {
 		return core.Problem[int32]{}, nil, fmt.Errorf("server: job size %d cells exceeds limit %d", cells, maxCells)

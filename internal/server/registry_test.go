@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/fleet"
 	"repro/internal/matrix"
 	"repro/internal/server"
 )
@@ -63,5 +64,61 @@ func TestFinishersMatchDenseAnswer(t *testing.T) {
 		if res.Value != want || res.Cells != int64(p.Size.Rows)*int64(p.Size.Cols) {
 			t.Fatalf("%+v: value %d on %d cells, the dense matrix answers %d on %d", spec, res.Value, res.Cells, want, p.Size.Rows*p.Size.Cols)
 		}
+	}
+}
+
+// TestJobSpecDigest pins the one job digest. It names a job's entries in
+// every cache directory the service, easyhps-run and easyhps-launch fill,
+// so a reformat would turn them all cold without a failing test elsewhere.
+// It covers the kernel and every input field, quoted so that adjacent
+// sequences cannot alias, and not the scheduling knobs, which change how a
+// job runs and never what it answers.
+func TestJobSpecDigest(t *testing.T) {
+	s := server.JobSpec{Kernel: "editdist", N: 64, Seed: 51}
+	if got := s.Digest(); got != "bec0db8259ee34c7" {
+		t.Fatalf("digest = %s, want the pinned easyhps-job:1 value", got)
+	}
+	for name, other := range map[string]server.JobSpec{
+		"kernel":   {Kernel: "lcs", N: 64, Seed: 51},
+		"n":        {Kernel: "editdist", N: 65, Seed: 51},
+		"seed":     {Kernel: "editdist", N: 64, Seed: 52},
+		"seq_a":    {Kernel: "editdist", N: 64, Seed: 51, SeqA: "a"},
+		"seq_b":    {Kernel: "editdist", N: 64, Seed: 51, SeqB: "a"},
+		"capacity": {Kernel: "editdist", N: 64, Seed: 51, Capacity: 1},
+	} {
+		if other.Digest() == s.Digest() {
+			t.Errorf("digest insensitive to %s", name)
+		}
+	}
+	if a, b := (server.JobSpec{Kernel: "editdist", SeqA: "ab", SeqB: "c"}), (server.JobSpec{Kernel: "editdist", SeqA: "a", SeqB: "bc"}); a.Digest() == b.Digest() {
+		t.Error("seq_a/seq_b boundary aliases: \"ab\",\"c\" and \"a\",\"bc\" share a digest")
+	}
+	knobs := s
+	knobs.Weight, knobs.Priority = 3, 2
+	if knobs.Digest() != s.Digest() {
+		t.Error("digest depends on weight or priority")
+	}
+}
+
+// TestJobSpecRequest: the one fleet submission of a spec, as the service
+// and easyhps-launch -elastic submit it. Its attach frame's spec is what a
+// fleet worker's RegistryBuilder turns back into the same problem.
+func TestJobSpecRequest(t *testing.T) {
+	s := server.JobSpec{Kernel: "swgg", N: 40, Seed: 3, Weight: 2, Priority: 1}
+	req := s.Request(dag.Square(8), dag.Square(4))
+	if req.Name != "swgg" || req.CacheKey != s.Digest() || req.Weight != 2 || req.Priority != 1 ||
+		req.Proc != dag.Square(8) || req.Thread != dag.Square(4) {
+		t.Fatalf("request = %+v", req)
+	}
+	want, _, err := server.NewRegistry().Build(s, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := server.RegistryBuilder(server.NewRegistry())(fleet.JobMeta{Name: req.Name, Spec: req.Spec, Rows: want.Size.Rows, Cols: want.Size.Cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size != want.Size || got.Name != want.Name {
+		t.Fatalf("the worker built %s %v from the attach frame, the master %s %v", got.Name, got.Size, want.Name, want.Size)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -477,7 +478,7 @@ func TestSubmitSizedBeforeInputs(t *testing.T) {
 // TestWeightWithoutFiniteShareRefused: a weight so small that the pool's
 // charge for a draw, n/Weight, overflows is refused with 400 before the
 // job exists: +Inf, then NaN after a refund, would win every fair-share
-// comparison of its priority class.
+// comparison of its priority class. So is a weight that is not finite.
 func TestWeightWithoutFiniteShareRefused(t *testing.T) {
 	mgr := server.NewManager(server.ManagerConfig{Run: fastRun()}, nil)
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
@@ -490,6 +491,13 @@ func TestWeightWithoutFiniteShareRefused(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s answered %d, want 400", body, rec.Code)
+		}
+	}
+	// A Go caller can pass what JSON cannot carry; the job's spec travels
+	// to its workers as JSON, so a non-finite weight is refused too.
+	for _, w := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting", Weight: w}); err == nil {
+			t.Errorf("weight %g admitted", w)
 		}
 	}
 	if n := len(mgr.List()); n != 0 {

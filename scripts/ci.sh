@@ -85,7 +85,7 @@ go run ./cmd/easyhps-vet ./...
 go build ./...
 go test -race ./...
 # The elastic suite (a one-job fleet over the fault harness: kill, partition,
-# join, restart, the attach-time spec refusal, every result delivered
+# join, restart, the attach-time refusal of a drifted builder, every result delivered
 # twice, speculative rescue, backlog stealing) and the registry's quorum
 # wait are the most schedule-sensitive code in the repo; run them a second
 # time under -race with caching off so a lucky first pass cannot hide a
@@ -145,7 +145,7 @@ check_cover internal/dp 91
 check_cover internal/comm 88
 check_cover internal/core 86
 check_cover internal/engine 90
-check_cover internal/fleet 80
+check_cover internal/fleet 90
 check_cover internal/cas 90
 # The job service's Go client, against httptest stubs: Wait's held status
 # requests, the 404 and 429 mappings, every route.
@@ -153,6 +153,9 @@ check_cover internal/client 80
 # The job service itself: admission, single flight, the whole-job cache,
 # held status requests, the in-process members' link and the metrics.
 check_cover internal/server 90
+# The CLIs' shared half: the kernel table's reports and the fixed-rank
+# handshake's digest.
+check_cover internal/cli 90
 check_cover internal/sim 80
 check_cover internal/tune 80
 # The analyzer itself: the fixture suites for every rule keep the
@@ -179,7 +182,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7064 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 7001 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
@@ -239,6 +242,21 @@ if [ -n "$generators" ]; then
     exit 1
 fi
 echo "calls: no input generator outside internal/dp, internal/server and internal/bench"
+
+# And one job description: server.JobSpec is the spec of every tool — its
+# Digest scopes the cache entries of easyhps-run, easyhps-launch and
+# easyhps-serve alike, and with the processor partition the fixed-rank
+# handshake (cli.RankDigest) — so no non-test code names the CLIs' old spec
+# type or its digest tag. A second job description must not come back
+# unnoticed.
+specs=$(grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])core\.Spec([^A-Za-z0-9_]|$)|easyhps-spec:' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$specs" ]; then
+    echo "calls: a job is described by server.JobSpec, not a second spec:" >&2
+    echo "$specs" >&2
+    exit 1
+fi
+echo "calls: no non-test code names core.Spec or an easyhps-spec: tag"
 
 # And the simulator runs the shipped driver: it steps core.Driver (Start,
 # Feed, Deliver, Down, Tick, End) from its event loop, so no non-test code
