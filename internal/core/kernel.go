@@ -66,9 +66,9 @@ func (k cellRows[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
 
 // SubBlockFill returns the function that computes one thread-level
 // sub-block of kernel k, the only loop in which the runtime runs a
-// recurrence: fill(v) visits the region of v's output block in the
-// pattern's row order and has Row write each segment into the block's own
-// row — k's Row, or Cell behind an adapter built here, once per block. With
+// recurrence: fill(v) visits v's window in the pattern's row order and has
+// Row write each segment into the output block's own row — k's Row, or
+// Cell behind an adapter built here, once per block. With
 // emulate set it returns the cells' summed tune.CostModel weights (1 a
 // cell without one), else 0. A call allocates nothing: the function keeps
 // its state between calls, so each compute thread needs its own.
@@ -98,7 +98,7 @@ func SubBlockFill[T any](k Kernel[T], emulate bool) func(v *matrix.View[T]) (uni
 	}
 	return func(view *matrix.View[T]) float64 {
 		v, units = view, 0
-		dag.RowOrder(pat, view.Out().Rect, segment)
+		dag.RowOrder(pat, view.Window(), segment)
 		return units
 	}
 }

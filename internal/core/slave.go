@@ -186,9 +186,10 @@ type slaveLevel[T any] struct {
 	parser  dag.Parser // its done-set is the accept-once ledger
 	lifo    sched.LIFO
 	queue   *sched.Queue
-	views   []*matrix.View[T]               // per thread, over a scratch block the size of the largest sub-block
+	views   []*matrix.View[T]               // per thread: in place at one thread, else over a scratch block the size of the largest sub-block
 	fills   []func(*matrix.View[T]) float64 // per thread, weighing work only when emulated (Config.WorkDelayPerCell)
-	layers  []*matrix.Block[T]              // the output block, then the shipped inputs
+	strips  *matrix.Strips[T]               // the shipped bands, joined
+	layers  []*matrix.Block[T]              // the output block, then the inputs
 	helpers sync.WaitGroup
 	// The slave fault-tolerance thread, with helpers only: a timer that
 	// re-arms itself every CheckInterval while a block is computed.
@@ -207,20 +208,21 @@ type slaveLevel[T any] struct {
 
 // computeBlock is the thread-level parallelization of one processor-level
 // sub-task of r: the block's slave DAG is rebuilt in the level's storage and
-// drained by the caller and the helpers. Reads of region cells outside the
-// current sub-block resolve against the shared output block (its cells are
-// complete by DAG order); reads outside the region, against the inputs.
+// drained by the caller and the helpers. Reads outside the region resolve
+// against the inputs, the shipped bands joined into strips; at one thread
+// the caller computes in the output block, with helpers each in a scratch.
 func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block[T], procID int32) *matrix.Block[T] {
-	l := r.level
+	l, helpers := r.level, r.cfg.Threads-1
 	if l == nil {
 		l = &slaveLevel[T]{r: r, pat: r.p.Kernel.Pattern(), panics: make(map[int32]int)}
 		l.queue = sched.NewQueue(&l.lifo)
+		l.strips = matrix.NewStrips[T](r.geom.Block, r.p.Size)
 		largest := dag.NewGeometry(r.geom.Rect(dag.Pos{}), r.cfg.ThreadPartition).Rect(dag.Pos{})
 		for range r.cfg.Threads {
 			l.views = append(l.views, matrix.NewView(matrix.NewBlock[T](largest), nil, l.pat, r.p.Size, r.p.Kernel.Boundary))
 			l.fills = append(l.fills, SubBlockFill(r.p.Kernel, r.cfg.WorkDelayPerCell > 0))
 		}
-		if r.cfg.Threads > 1 {
+		if helpers > 0 {
 			l.ot, l.watch = sched.NewOvertimeQueue(), time.AfterFunc(r.cfg.CheckInterval, l.expire)
 		}
 		r.level = l
@@ -235,8 +237,8 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 		order = sched.NewBlockCyclic(&l.graph, r.cfg.Threads, r.cfg.BCWBlockCols)
 	}
 	l.queue.Reset(order)
-	l.out = matrix.NewPayloadBlock(r.p.Codec, rect) // accept's copies are the result's encoding
-	l.layers = append(append(l.layers[:0], l.out), inputs...)
+	l.out = matrix.NewPayloadBlock(r.p.Codec, rect) // the kernel's writes, or accept's copies, are the result's encoding
+	l.layers = append(append(l.layers[:0], l.out), l.strips.Join(inputs, rect)...)
 	for _, v := range l.views {
 		v.SetInputs(l.layers)
 	}
@@ -245,13 +247,14 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 	l.ready = l.parser.AppendInitialReady(l.ready[:0])
 	l.queue.Ready(l.ready...)
 
-	helpers := r.cfg.Threads - 1
 	if helpers > 0 {
 		l.watch.Reset(r.cfg.CheckInterval)
 		l.helpers.Add(helpers)
 		for w := 1; w <= helpers; w++ {
 			go l.drain(w)
 		}
+	} else { // no watch, so no duplicate: the one thread computes in place
+		l.views[0].SetOutput(l.out)
 	}
 	l.drain(0)
 	if helpers > 0 {
@@ -317,18 +320,18 @@ func (l *slaveLevel[T]) execute(w int, sub int32) {
 	l.accept(view, sub)
 }
 
-// accept commits a computed sub-block exactly once: the scratch cells are
-// copied into the shared output block, the slave DAG is updated, and newly
-// computable sub-sub-tasks are released. Duplicate executions (after a
-// timeout re-push) are discarded here.
+// accept commits a computed sub-block exactly once: a scratch block's cells
+// are copied into the shared output block, the slave DAG is updated, and
+// newly computable sub-sub-tasks are released. Duplicate executions (after
+// a timeout re-push, so with helpers) are discarded here.
 func (l *slaveLevel[T]) accept(view *matrix.View[T], sub int32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.parser.IsDone(sub) {
 		return
 	}
-	l.out.CopyFrom(view.Out())
 	if l.ot != nil {
+		l.out.CopyFrom(view.Out())
 		l.ot.Remove(sub)
 	}
 	l.ready = l.parser.AppendComplete(l.ready[:0], sub)

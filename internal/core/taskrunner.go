@@ -35,9 +35,7 @@ type TaskRunner[T any] struct {
 // as in a full run; Slaves is irrelevant here and forced valid, and of
 // Faults the thread-level ones apply) and prepares the geometry.
 func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
-	if cfg.Slaves < 1 {
-		cfg.Slaves = 1
-	}
+	cfg.Slaves = max(cfg.Slaves, 1)
 	cfg, err := prepare(p, cfg)
 	if err != nil {
 		return nil, err
@@ -87,8 +85,7 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding data region of vertex %d: %w", vertex, err)
 	}
-	rect := r.geom.Rect(r.geom.PosOf(vertex))
-	out := computeBlock(r, rect, inputs, vertex)
+	out := computeBlock(r, r.geom.Rect(r.geom.PosOf(vertex)), inputs, vertex)
 	encoded, err := matrix.EncodeBlocks(r.p.Codec, []*matrix.Block[T]{out})
 	if err == nil && keyed && r.seen != nil {
 		// A keyed task means the master tracks this worker's holdings by

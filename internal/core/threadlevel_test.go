@@ -38,11 +38,11 @@ type vertexTask struct {
 	want    []int32
 }
 
-// editTasks returns every task of e partitioned into proc-sized blocks, in
-// row-major order — a topological order of the wavefront.
-func editTasks(t *testing.T, e *dp.EditDistance, proc dag.Size) []vertexTask {
+// jobTasks returns every task of p partitioned into proc-sized blocks, cut
+// from seq, its sequential matrix, in row-major order; each carries what it
+// reads, so any order runs.
+func jobTasks(t *testing.T, p core.Problem[int32], seq [][]int32, proc dag.Size) []vertexTask {
 	t.Helper()
-	p, seq := e.Problem(), e.Sequential()
 	geom := dag.MatrixGeometry(p.Size, proc)
 	graph := dag.Build(p.Kernel.Pattern(), geom)
 	block := func(id int32) *matrix.Block[int32] {
@@ -54,9 +54,12 @@ func editTasks(t *testing.T, e *dp.EditDistance, proc dag.Size) []vertexTask {
 		return b
 	}
 	var tasks []vertexTask
-	for v := range graph.Verts {
+	for v, vert := range graph.Verts {
+		if !vert.Exists {
+			continue
+		}
 		var deps []*matrix.Block[int32]
-		for _, d := range graph.Verts[v].DataPre {
+		for _, d := range vert.DataPre {
 			deps = append(deps, block(d))
 		}
 		payload, err := matrix.EncodeBlocks(p.Codec, deps)
@@ -87,7 +90,7 @@ func (task vertexTask) run(t *testing.T, r *core.TaskRunner[int32]) {
 // a Row sees is bounded above, not pinned.)
 func TestRunStartsThreadsMinusOneGoroutines(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(64, 71), dp.RandomDNA(64, 72))
-	tasks := editTasks(t, e, dag.Square(16))
+	tasks := jobTasks(t, e.Problem(), e.Sequential(), dag.Square(16))
 	for _, threads := range []int{1, 3} {
 		k := &countingRows{EditDistance: e}
 		p := e.Problem()
@@ -107,25 +110,35 @@ func TestRunStartsThreadsMinusOneGoroutines(t *testing.T) {
 	}
 }
 
-// A warmed-up Run over a 4×4 sub-grid reuses its slave DAG, queue, views
-// and scratch blocks: what it allocates is the task's decoded inputs, the
-// result block that is its own payload, and at two threads the helper.
+// A warmed-up Run over a 4×4 sub-grid reuses its slave DAG, queue, views,
+// scratch blocks and strips: what it allocates is the task's decoded
+// inputs, the result block that is its own payload, and at two threads the
+// helper — also for a Nussinov task whose bands are joined into strips.
 func TestRunAllocatesPerTaskNotPerSubBlock(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(64, 73), dp.RandomDNA(64, 74))
-	task := editTasks(t, e, dag.Square(16))[5] // (1,1): three dependencies
-	for _, c := range []struct{ threads, bound int }{{1, 8}, {2, 10}} {
-		runner, err := core.NewTaskRunner(e.Problem(), core.Config{Threads: c.threads, ProcPartition: dag.Square(16), ThreadPartition: dag.Square(4)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		task.run(t, runner)
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := runner.Run(task.v, task.payload); err != nil {
+	nu := dp.NewNussinov(dp.RandomRNA(64, 73))
+	for _, job := range []struct {
+		p    core.Problem[int32]
+		task vertexTask
+	}{
+		{e.Problem(), jobTasks(t, e.Problem(), e.Sequential(), dag.Square(16))[5]}, // (1,1): three dependencies
+		// (0,3): a row band and a column band of three blocks each.
+		{nu.Problem(), jobTasks(t, nu.Problem(), nu.Sequential(), dag.Square(16))[3]},
+	} {
+		for _, c := range []struct{ threads, bound int }{{1, 8}, {2, 10}} {
+			runner, err := core.NewTaskRunner(job.p, core.Config{Threads: c.threads, ProcPartition: dag.Square(16), ThreadPartition: dag.Square(4)})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > float64(c.bound) {
-			t.Errorf("Threads %d: a warm Run allocates %.1f times, want at most %d", c.threads, allocs, c.bound)
+			job.task.run(t, runner)
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := runner.Run(job.task.v, job.task.payload); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > float64(c.bound) {
+				t.Errorf("%s Threads %d: a warm Run allocates %.1f times, want at most %d", job.p.Name, c.threads, allocs, c.bound)
+			}
 		}
 	}
 }
@@ -136,38 +149,64 @@ func TestRunAllocatesPerTaskNotPerSubBlock(t *testing.T) {
 // bit-identical under -race while stragglers of earlier vertices wake into
 // theirs. Thread 0, the caller, draws the root sub-block first and stalls
 // in it briefly, so the helper runs on alone and draws the last one, which
-// stalls it for longer than the rest of the Run takes.
+// stalls it for longer than the rest of the Run takes. Under the wavefront
+// it wakes to read the shipped blocks; under Nussinov's Triangular pattern,
+// in a block two or more right of the diagonal, it wakes to read the
+// strips its level joined a row band and a column band of several blocks
+// into, which the next Run's level must not rewrite.
 func TestStragglerNeverSharesReusedState(t *testing.T) {
 	const stall = 100 * time.Millisecond
+	proc, thread := dag.Square(16), dag.Square(4)
 	e := dp.NewEditDistance(dp.RandomDNA(64, 75), dp.RandomDNA(64, 76))
-	tasks := editTasks(t, e, dag.Square(16))
-	plan := core.FaultPlan{StallSubTask: make(map[core.SubTaskID]time.Duration)}
-	for _, task := range tasks {
-		plan.StallSubTask[core.SubTaskID{Proc: task.v, Sub: 0}] = stall / 5
-		plan.StallSubTask[core.SubTaskID{Proc: task.v, Sub: 15}] = stall
-	}
-	runner, err := core.NewTaskRunner(e.Problem(), core.Config{
-		Threads: 2, ProcPartition: dag.Square(16), ThreadPartition: dag.Square(4),
-		SubTaskTimeout: 5 * time.Millisecond, CheckInterval: time.Millisecond, Faults: plan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stragglers := 0
-	for _, task := range tasks {
-		start := time.Now()
-		task.run(t, runner)
-		// Whoever drew the last sub-block stalled in it. A Run that is back
-		// before that stall is over did not draw it: its helper did, and is
-		// still asleep in the level the Run left behind.
-		if time.Since(start) < stall/2 && !runner.KeepsLevel() {
-			stragglers++
+	nu := dp.NewNussinov(dp.RandomRNA(80, 75))
+	for _, c := range []struct {
+		p      core.Problem[int32]
+		seq    [][]int32
+		counts func(dag.Pos) bool // the tasks whose stragglers count
+	}{
+		{e.Problem(), e.Sequential(), func(dag.Pos) bool { return true }},
+		{nu.Problem(), nu.Sequential(), func(p dag.Pos) bool { return p.Col-p.Row >= 2 }},
+	} {
+		tasks := jobTasks(t, c.p, c.seq, proc)
+		geom := dag.MatrixGeometry(c.p.Size, proc)
+		plan := core.FaultPlan{StallSubTask: make(map[core.SubTaskID]time.Duration)}
+		for _, task := range tasks {
+			subs := dag.Build(c.p.Kernel.Pattern(), dag.NewGeometry(geom.Rect(geom.PosOf(task.v)), thread))
+			for sub, v := range subs.Verts {
+				switch id := (core.SubTaskID{Proc: task.v, Sub: int32(sub)}); {
+				case !v.Exists:
+				case v.PreCnt == 0:
+					plan.StallSubTask[id] = stall / 5
+				case len(v.Post) == 0:
+					plan.StallSubTask[id] = stall
+				}
+			}
 		}
+		runner, err := core.NewTaskRunner(c.p, core.Config{
+			Threads: 2, ProcPartition: proc, ThreadPartition: thread,
+			SubTaskTimeout: 5 * time.Millisecond, CheckInterval: time.Millisecond, Faults: plan,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stragglers, counted := 0, 0
+		for _, task := range tasks {
+			start := time.Now()
+			task.run(t, runner)
+			// Whoever drew the last sub-block stalled in it. A Run that is
+			// back before that stall is over did not draw it: its helper
+			// did, and is still asleep in the level the Run left behind.
+			if time.Since(start) < stall/2 && !runner.KeepsLevel() {
+				if stragglers++; c.counts(geom.PosOf(task.v)) {
+					counted++
+				}
+			}
+		}
+		if counted == 0 {
+			t.Fatalf("%s: no Run left a stalled helper behind where it counts (%d elsewhere)", c.p.Name, stragglers)
+		}
+		t.Logf("%s: %d of %d Runs left a stalled helper behind, %d where it counts", c.p.Name, stragglers, len(tasks), counted)
 	}
-	if stragglers == 0 {
-		t.Fatal("no Run left a stalled helper behind")
-	}
-	t.Logf("%d of %d Runs left a stalled helper behind", stragglers, len(tasks))
 }
 
 // At one thread a worker's goroutine count is constant over a whole run:

@@ -24,36 +24,53 @@ func topo(g *dag.Graph) []int32 {
 	return order
 }
 
-// fillBlocked computes the matrix of kernel k the way a slave does, on one
-// goroutine: processor-level blocks in DAG order, each reading of the blocks
-// the pattern's DataDeps name what its DataRegion declares (as
-// engine.Job.TaskPayload ships it), re-partitioned into sub-blocks that are
-// computed — by core.SubBlockFill, the function computeBlock calls — in the
-// scratch block of a matrix.View over the shared output block and then
-// copied into it.
+// codecFor is the codec a kernel's Problem ships cells of T with: binary
+// for the fixed-size numbers, gob for the rest.
+func codecFor[T any]() matrix.Codec[T] {
+	for _, c := range []any{matrix.BinaryCodec[int32]{}, matrix.BinaryCodec[int64]{}, matrix.BinaryCodec[uint64]{}, matrix.BinaryCodec[float64]{}} {
+		if c, ok := c.(matrix.Codec[T]); ok {
+			return c
+		}
+	}
+	return matrix.GobCodec[T]{}
+}
+
+// fillBlocked computes the matrix of kernel k the way a worker does, on one
+// goroutine: processor-level blocks in DAG order, each a task that carries,
+// of the blocks the pattern's DataDeps name, what its DataRegion declares
+// (as engine.Job.TaskPayload ships it), encoded and run through
+// core.TaskRunner.Run at one thread — which joins the shipped bands into
+// strips and computes every sub-block in place with core.SubBlockFill.
 func fillBlocked[T any](k core.Kernel[T], size, proc, thread dag.Size) *matrix.Store[T] {
+	p := core.Problem[T]{Name: "blocked", Size: size, Kernel: k, Codec: codecFor[T]()}
+	runner, err := core.NewTaskRunner(p, core.Config{Threads: 1, ProcPartition: proc, ThreadPartition: thread})
+	if err != nil {
+		panic(err)
+	}
 	pat := k.Pattern()
-	fill := core.SubBlockFill(k, false)
 	geom := dag.MatrixGeometry(size, proc)
 	graph := dag.Build(pat, geom)
 	store := matrix.NewStore[T](geom)
 	for _, id := range topo(graph) {
 		vert := graph.Vertex(id)
-		out := matrix.NewBlock[T](geom.Rect(vert.Pos))
-		layers := []*matrix.Block[T]{out}
+		var shipped []*matrix.Block[T]
 		for _, d := range vert.DataPre {
 			q := geom.PosOf(d)
 			if r := dag.DataRegion(pat, geom, vert.Pos, q); !r.Empty() {
-				layers = append(layers, store.Get(q).Region(r))
+				shipped = append(shipped, store.Get(q).Region(r))
 			}
 		}
-		tgeom := dag.NewGeometry(out.Rect, thread)
-		tgraph := dag.Build(pat, tgeom)
-		view := matrix.NewView(matrix.NewBlock[T](tgeom.Rect(dag.Pos{})), layers, pat, size, k.Boundary)
-		for _, sub := range topo(tgraph) {
-			view.Retarget(tgeom.Rect(tgraph.Vertex(sub).Pos))
-			fill(view)
-			out.CopyFrom(view.Out())
+		task, err := matrix.EncodeBlocks(p.Codec, shipped)
+		if err != nil {
+			panic(err)
+		}
+		result, err := runner.Run(id, task)
+		if err != nil {
+			panic(err)
+		}
+		out, err := matrix.DecodeBlock(p.Codec, result, geom, vert.Pos)
+		if err != nil {
+			panic(err)
 		}
 		store.Put(vert.Pos, out)
 	}

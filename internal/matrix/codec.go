@@ -295,6 +295,7 @@ func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolv
 		cellSize = 1
 	}
 	blocks := make([]*Block[T], 0, count)
+	decoded := make([]Block[T], count) // one allocation for every record's block
 	for k := 0; k < count; k++ {
 		if len(rest) < recSize {
 			return nil, fmt.Errorf("matrix: payload ends inside block header %d of %d: %w", k, count, io.ErrUnexpectedEOF)
@@ -321,7 +322,8 @@ func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolv
 		if cells := int64(rect.Rows) * int64(rect.Cols); cells > int64(len(rest)/cellSize) {
 			return nil, fmt.Errorf("matrix: block %+v claims %d cells, %d bytes left: %w", rect, cells, len(rest), io.ErrUnexpectedEOF)
 		}
-		b := &Block[T]{Rect: rect}
+		b := &decoded[k]
+		b.Rect = rect
 		var err error
 		if b.Cells, rest, err = decodeCells(c, rest, rect.Cells()); err != nil {
 			return nil, err

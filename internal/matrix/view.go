@@ -7,17 +7,22 @@ import (
 )
 
 // View is the read/write window a DP kernel sees while computing one
-// sub-task. Writes go to the output block. A read of cell (i, j) resolves
+// sub-task: the cells of its window (Window), written to the output block.
+// The output block is a scratch block the size of the window, which the
+// thread level copies into the task's block once the sub-task is accepted,
+// or — after SetOutput — the task's block itself, computed in place. A read
+// of cell (i, j) resolves
 //
 //   - to the output block when it holds the cell (cells computed earlier in
-//     the same sub-task);
+//     the same sub-task, or in place also those of sub-tasks before it);
 //   - else to the input block that holds it: the shared block of the running
 //     processor-level task (cells of sibling sub-tasks, complete by DAG
 //     order) or a shipped block, which may be a region of a block of the
-//     matrix (dag.DataRegion). Blocks lie inside the matrix; input blocks
-//     that overlap hold identical cells there (a region beside the whole
-//     block it was cut from) and the first in the list answers; the output
-//     block may overlap an input and then shadows it;
+//     matrix (dag.DataRegion) or a strip that joins a band of them (Strips).
+//     Blocks lie inside the matrix; input blocks that overlap hold
+//     identical cells there (a region beside the whole block it was cut
+//     from) and the first in the list answers; the output block may overlap
+//     an input and then shadows it;
 //   - but to the kernel's boundary function when the pattern does not
 //     compute the cell, even inside a block: the lower triangle of a
 //     Triangular diagonal block holds zeros, not boundary values. CellExists
@@ -33,8 +38,9 @@ import (
 // row or column as a slice aliasing the block's storage — so a recurrence
 // that scans O(n) cells resolves a block once per run and loops over a raw
 // slice. A run contains exactly the cells Get would have read from that
-// block: it ends at the block's edge, where the output block starts to
-// shadow an input, and before the first hole.
+// block: it ends at the block's edge, where a scratch output block starts
+// to shadow an input, and before the first hole. Computed in place, a row
+// of the task's block is one run, and a strip makes its band one.
 //
 // View is not synchronized and runs alias live blocks: sibling sub-tasks
 // may still be writing other cells of the shared block. The DAG schedule
@@ -52,8 +58,11 @@ type View[T any] struct {
 	size dag.Size
 	// boundary supplies values for reads of cells that do not exist.
 	boundary func(i, j int) T
-	// out is the writable block of the running sub-task.
-	out *Block[T]
+	// out is the writable block of the running sub-task, win the cells
+	// it computes: all of out unless the view computes in place.
+	out     *Block[T]
+	win     dag.Rect
+	inPlace bool
 	// in are the readable blocks.
 	in []*Block[T]
 	// outHoles and inHoles[k] say whether out and in[k] may hold a cell
@@ -66,10 +75,11 @@ type View[T any] struct {
 }
 
 // NewView builds a view for a sub-task of a size-sized matrix computed
-// under pattern pat: writes go to out, reads resolve against out, the
-// blocks in and boundary as described on View.
+// under pattern pat: writes go to out, a scratch block whose cells are the
+// window, reads resolve against out, the blocks in and boundary as
+// described on View.
 func NewView[T any](out *Block[T], in []*Block[T], pat dag.Pattern, size dag.Size, boundary func(i, j int) T) *View[T] {
-	v := &View[T]{size: size, boundary: boundary, out: out}
+	v := &View[T]{size: size, boundary: boundary, out: out, win: out.Rect}
 	if shape := dag.ShapeOf(pat); shape != dag.Dense {
 		v.pat, v.convex = pat, shape == dag.Convex
 		v.outHoles = v.mayHoldHole(out.Rect)
@@ -217,17 +227,35 @@ func (v *View[T]) untilHole(i, j, n int, down bool) int {
 	return n
 }
 
-// Retarget re-aims the view at the next sub-task: its output block now
-// covers r. r must have no more cells than the block the view was built
-// with. Only an r that may hold a hole is zeroed — a hole's zero must reach
-// the output block; the pattern's row order (dag.RowOrder) writes every
-// cell of a hole-free r, so its stale cells are all overwritten.
+// SetOutput has the view compute in place from now on: writes go to out,
+// a zeroed block of the task, and reads resolve against all of it first.
+// Retarget then moves the window over out and leaves its cells alone.
+// Only a view that nothing else computes beside may: a duplicate
+// execution of a sub-task would write the cells its original is reading.
+func (v *View[T]) SetOutput(out *Block[T]) {
+	v.out, v.win, v.inPlace = out, out.Rect, true
+	v.outHoles = v.pat != nil && v.mayHoldHole(out.Rect)
+}
+
+// Retarget re-aims the view at the next sub-task: its window is now r. In
+// place r must lie inside the output block. Otherwise the scratch output
+// block now covers r, which must have no more cells than the block the
+// view was built with; only an r that may hold a hole is zeroed — a hole's
+// zero must reach the task's block when the scratch is copied there; the
+// pattern's row order (dag.RowOrder) writes every cell of a hole-free r, so
+// its stale cells are all overwritten.
 func (v *View[T]) Retarget(r dag.Rect) {
+	if v.win = r; v.inPlace {
+		return
+	}
 	v.out.Rect, v.out.Cells = r, v.out.Cells[:r.Cells()]
 	if v.outHoles = v.pat != nil && v.mayHoldHole(r); v.outHoles {
 		clear(v.out.Cells)
 	}
 }
+
+// Window returns the cells the running sub-task computes.
+func (v *View[T]) Window() dag.Rect { return v.win }
 
 // Set writes v into cell (i, j) of the output block.
 func (v *View[T]) Set(i, j int, val T) { v.out.Set(i, j, val) }

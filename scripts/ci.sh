@@ -140,7 +140,7 @@ check_cover internal/sched 92
 # The read path under every kernel cell (View.Get, runs), the block payload
 # codec with its refusals, and the kernels themselves, computed block by
 # block against their sequential references.
-check_cover internal/matrix 94
+check_cover internal/matrix 95
 check_cover internal/dp 91
 check_cover internal/comm 88
 check_cover internal/core 86
