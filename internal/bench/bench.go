@@ -9,7 +9,8 @@
 //     paper's proportions, so DAG width and wavefront fill/drain behave
 //     identically;
 //   - computation weight is emulated with Config.WorkDelayPerCell (each
-//     sub-sub-task sleeps in proportion to its cell count), so deployments
+//     sub-sub-task, at one thread each block, sleeps in proportion to its
+//     cell count), so deployments
 //     with many more simulated cores than physical cores still scale, and
 //     communication cost is emulated with the transport latency model.
 //

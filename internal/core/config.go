@@ -58,7 +58,8 @@ type Config struct {
 	// processor-level sub-tasks.
 	ProcPartition dag.Size
 	// ThreadPartition is thread_partition_size: the block size of
-	// thread-level sub-sub-tasks within one processor-level block.
+	// thread-level sub-sub-tasks within one processor-level block shared
+	// by helpers; at Threads 1 the block is its own one sub-task.
 	ThreadPartition dag.Size
 	// Policy selects dynamic (EasyHPS), static (BCW) or locality-aware
 	// scheduling: the draw order of the master's pool and, at the thread
@@ -127,14 +128,14 @@ type Config struct {
 	// transport.
 	Latency comm.LatencyModel
 	// WorkDelayPerCell emulates computation weight: every thread-level
-	// sub-sub-task additionally sleeps cells*WorkDelayPerCell after its
-	// real computation (weighted by the kernel's CostModel when it has
-	// one). Because sleeping goroutines overlap perfectly, this lets
+	// sub-sub-task (at Threads 1 every block) sleeps cells*WorkDelayPerCell
+	// after its real computation (weighted by the kernel's CostModel when
+	// it has one). Because sleeping goroutines overlap perfectly, this lets
 	// deployments with more simulated cores than physical cores exhibit
 	// the scaling behaviour of a real cluster — the benchmark harness
 	// relies on it (see DESIGN.md). Zero disables it.
 	WorkDelayPerCell time.Duration
-	// WorkJitter adds reproducible per-sub-sub-task variance to the
+	// WorkJitter adds reproducible per-task variance to the
 	// emulated work: the sleep is scaled by a factor drawn
 	// deterministically from [1-WorkJitter, 1+WorkJitter]. Real nodes
 	// never execute identical work in identical time (OS jitter, cache
@@ -298,10 +299,12 @@ type FaultPlan struct {
 	// eventually answers with a stale attempt that must be dropped.
 	StallFirstAttempt map[int32]time.Duration
 	// PanicSubTask makes the first execution of a thread-level
-	// sub-sub-task panic, exercising the slave-side worker restart.
+	// sub-sub-task panic, exercising the slave-side worker restart. At
+	// Threads 1 a block is sub-task 0, so an entry with Sub > 0 never fires.
 	PanicSubTask map[SubTaskID]bool
 	// StallSubTask delays the first execution of a thread-level
-	// sub-sub-task, tripping the slave's overtime queue.
+	// sub-sub-task, tripping the slave's overtime queue (with helpers;
+	// at Threads 1, Sub 0 is the block, and TaskTimeout owns its stall).
 	StallSubTask map[SubTaskID]time.Duration
 }
 

@@ -58,6 +58,9 @@ func TestFixedRankExactCounters(t *testing.T) {
 			if want := 2*v + 2*slaves; st.Messages != want {
 				t.Fatalf("messages = %d, want 2·%d vertices + 2·%d slaves = %d", st.Messages, v, slaves, want)
 			}
+			if st.SubTasks != v { // at one thread a block is one sub-task
+				t.Fatalf("sub-tasks = %d, want one per vertex, %d", st.SubTasks, v)
+			}
 		})
 	}
 }

@@ -163,6 +163,31 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 }
 
+// At one thread a block is sub-task 0, so a kernel panic there is
+// recovered and the whole block retried in place: before the block's
+// first row, and in a Row halfway down a block whose rows above it were
+// already written into the result. The matrix comes out bit-identical.
+func TestOneThreadPanicRetriesBlock(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(40, 37), dp.RandomDNA(40, 38))
+	k := &flakyRows{EditDistance: e, planted: map[[2]int]bool{{24, 16}: true}} // block (1,1), row 8 of 16
+	p := e.Problem()
+	p.Kernel = k
+	cfg := faultConfig()
+	cfg.Threads = 1
+	cfg.Faults = core.FaultPlan{PanicSubTask: map[core.SubTaskID]bool{
+		{Proc: 0, Sub: 0}: true,
+		{Proc: 5, Sub: 0}: true,
+	}}
+	res, err := core.RunContext(context.Background(), p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalMatrices(t, "editdist-panic-one-thread", res.Matrix(), e.Sequential())
+	if len(k.planted) != 0 || res.Stats.WorkerRestarts != 3 {
+		t.Fatalf("planted panics left %v, worker restarts %d: want none left and 3 restarts", k.planted, res.Stats.WorkerRestarts)
+	}
+}
+
 // Thread-level timeout: a stalled sub-sub-task is re-pushed by the slave
 // fault-tolerance thread and executed by another worker; the late
 // duplicate is discarded at commit.

@@ -9,11 +9,7 @@ func TestJitterFactorDeterministicAndBounded(t *testing.T) {
 	const amp = 0.3
 	var sum float64
 	for proc := int32(0); proc < 512; proc++ {
-		f1 := jitterFactor(proc, 0, amp)
-		f2 := jitterFactor(proc, 99, amp)
-		if f1 != f2 {
-			t.Fatalf("jitter differs across sub-tasks of one task: %v vs %v", f1, f2)
-		}
+		f1 := jitterFactor(proc, amp)
 		if f1 < 1-amp || f1 >= 1+amp {
 			t.Fatalf("factor %v outside [%v, %v)", f1, 1-amp, 1+amp)
 		}
@@ -24,14 +20,14 @@ func TestJitterFactorDeterministicAndBounded(t *testing.T) {
 		t.Fatalf("mean factor %v deviates from 1", mean)
 	}
 	// Distinct tasks should not all share a factor.
-	if jitterFactor(1, 0, amp) == jitterFactor(2, 0, amp) &&
-		jitterFactor(2, 0, amp) == jitterFactor(3, 0, amp) {
+	if jitterFactor(1, amp) == jitterFactor(2, amp) &&
+		jitterFactor(2, amp) == jitterFactor(3, amp) {
 		t.Fatal("jitter factors look constant across tasks")
 	}
 }
 
 func TestJitterFactorDisabled(t *testing.T) {
-	if jitterFactor(5, 0, 0) != 1 || jitterFactor(5, 0, -1) != 1 {
+	if jitterFactor(5, 0) != 1 || jitterFactor(5, -1) != 1 {
 		t.Fatal("amp <= 0 must disable jitter")
 	}
 }

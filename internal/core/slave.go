@@ -157,12 +157,11 @@ var (
 // task granularity models content-dependent block cost — real DP blocks
 // differ in branch behaviour, cache footprint and node background load —
 // which is the variance a static schedule cannot adapt to. Runs remain
-// reproducible.
-func jitterFactor(proc, sub int32, amp float64) float64 {
+// reproducible. A task's sub-tasks share its factor.
+func jitterFactor(proc int32, amp float64) float64 {
 	if amp <= 0 {
 		return 1
 	}
-	_ = sub // sub-task share the task's factor; see above
 	h := uint64(uint32(proc)) + 0x9E3779B97F4A7C15
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
@@ -209,8 +208,8 @@ type slaveLevel[T any] struct {
 // computeBlock is the thread-level parallelization of one processor-level
 // sub-task of r: the block's slave DAG is rebuilt in the level's storage and
 // drained by the caller and the helpers. Reads outside the region resolve
-// against the inputs, the shipped bands joined into strips; at one thread
-// the caller computes in the output block, with helpers each in a scratch.
+// against the inputs, the shipped bands joined into strips; one thread
+// computes the block whole and in place, helpers a sub-block each in a scratch.
 func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block[T], procID int32) *matrix.Block[T] {
 	l, helpers := r.level, r.cfg.Threads-1
 	if l == nil {
@@ -227,7 +226,11 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 		}
 		r.level = l
 	}
-	l.tgeom, l.procID = dag.NewGeometry(rect, r.cfg.ThreadPartition), procID
+	part := r.cfg.ThreadPartition
+	if helpers == 0 { // nobody shares the block: it is the one sub-task
+		part = dag.Size{Rows: rect.Rows, Cols: rect.Cols}
+	}
+	l.tgeom, l.procID = dag.NewGeometry(rect, part), procID
 	l.graph.Rebuild(l.pat, l.tgeom)
 	l.parser.Reset(&l.graph)
 	// PolicyAffinity degenerates to plain dynamic here: inside one node
@@ -313,7 +316,7 @@ func (l *slaveLevel[T]) execute(w int, sub int32) {
 	if units := l.fills[w](view); r.cfg.WorkDelayPerCell > 0 {
 		// Emulated computation weight; see Config.WorkDelayPerCell,
 		// Config.WorkJitter and tune.CostModel.
-		units *= jitterFactor(l.procID, sub, r.cfg.WorkJitter)
+		units *= jitterFactor(l.procID, r.cfg.WorkJitter)
 		time.Sleep(time.Duration(units * float64(r.cfg.WorkDelayPerCell)))
 	}
 	r.ctrs.subTasks.Add(1)

@@ -106,14 +106,10 @@ func (f *faultState) once(key string) bool {
 
 // stallTask returns the injected delay for a processor-level vertex, once.
 func (f *faultState) stallTask(v int32) time.Duration {
-	if f == nil {
+	if f == nil || f.plan.StallFirstAttempt[v] == 0 || !f.once(fmt.Sprintf("stall-task-%d", v)) {
 		return 0
 	}
-	d, ok := f.plan.StallFirstAttempt[v]
-	if !ok || !f.once(fmt.Sprintf("stall-task-%d", v)) {
-		return 0
-	}
-	return d
+	return f.plan.StallFirstAttempt[v]
 }
 
 // panicSubTask reports whether this sub-sub-task execution should panic,
@@ -127,12 +123,8 @@ func (f *faultState) panicSubTask(id SubTaskID) bool {
 
 // stallSubTask returns the injected delay for a sub-sub-task, once.
 func (f *faultState) stallSubTask(id SubTaskID) time.Duration {
-	if f == nil {
+	if f == nil || f.plan.StallSubTask[id] == 0 || !f.once(fmt.Sprintf("stall-sub-%d-%d", id.Proc, id.Sub)) {
 		return 0
 	}
-	d, ok := f.plan.StallSubTask[id]
-	if !ok || !f.once(fmt.Sprintf("stall-sub-%d-%d", id.Proc, id.Sub)) {
-		return 0
-	}
-	return d
+	return f.plan.StallSubTask[id]
 }

@@ -226,3 +226,72 @@ func TestGoroutinesConstantOverRun(t *testing.T) {
 		t.Fatalf("the first Row saw %d goroutines, a later one %d", first, most)
 	}
 }
+
+// chainSum is a kernel of the library's Chain pattern, which no kernel of
+// internal/dp follows: cell (0, j) is the running sum of 1 + j%5.
+type chainSum struct{ n int }
+
+func (c chainSum) Pattern() dag.Pattern    { return dag.Chain{} }
+func (c chainSum) Boundary(i, j int) int32 { return 0 }
+func (c chainSum) Cell(v *matrix.View[int32], i, j int) int32 {
+	return v.Get(i, j-1) + int32(1+j%5)
+}
+
+func (c chainSum) Sequential() [][]int32 {
+	row, sum := make([]int32, c.n), int32(0)
+	for j := range row {
+		sum += int32(1 + j%5)
+		row[j] = sum
+	}
+	return [][]int32{row}
+}
+
+// At one thread nobody shares a block, so the block is its own thread
+// partition: every Run counts one sub-task and computes the block bit-
+// identical to the sequential one — for every pattern of the library and a
+// banded one with holes, at blocks the matrix edge clips and a thread
+// partition that divides nothing. The same tasks at two threads keep their
+// sub-grids, one sub-task a sub-block.
+func TestOneThreadRunsOneSubTaskPerBlock(t *testing.T) {
+	proc, thread := dag.Square(7), dag.Square(3)
+	e := dp.NewEditDistance(dp.RandomDNA(40, 81), dp.RandomDNA(33, 82))
+	s := dp.NewSWGG(dp.RandomDNA(30, 83), dp.RandomDNA(26, 84))
+	nu := dp.NewNussinov(dp.RandomRNA(38, 85))
+	d := dp.NewDominance43(19, 86)
+	k := dp.NewKnapsack(17, 45, 87)
+	a := dp.RandomDNA(44, 88)
+	b := dp.NewBandedEdit(a, dp.MutateSeq(a, dp.DNAAlphabet, 0.05, 89), 4)
+	c := chainSum{40}
+	for _, job := range []struct {
+		p   core.Problem[int32]
+		seq [][]int32
+	}{
+		{e.Problem(), e.Sequential()},
+		{s.Problem(), s.Sequential()},
+		{nu.Problem(), nu.Sequential()},
+		{d.Problem(), d.Sequential()},
+		{k.Problem(), k.Sequential()},
+		{b.Problem(), b.Sequential()},
+		{core.Problem[int32]{Name: "chain", Size: dag.Size{Rows: 1, Cols: c.n}, Kernel: c, Codec: matrix.BinaryCodec[int32]{}}, c.Sequential()},
+	} {
+		tasks := jobTasks(t, job.p, job.seq, proc)
+		geom := dag.MatrixGeometry(job.p.Size, proc)
+		for _, threads := range []int{1, 2} {
+			runner, err := core.NewTaskRunner(job.p, core.Config{Threads: threads, ProcPartition: proc, ThreadPartition: thread})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, task := range tasks {
+				before := runner.SubTasks()
+				task.run(t, runner)
+				want := int64(1)
+				if threads > 1 {
+					want = int64(dag.Build(job.p.Kernel.Pattern(), dag.NewGeometry(geom.Rect(geom.PosOf(task.v)), thread)).N)
+				}
+				if got := runner.SubTasks() - before; got != want {
+					t.Fatalf("%s Threads %d: vertex %d counted %d sub-tasks, want %d", job.p.Name, threads, task.v, got, want)
+				}
+			}
+		}
+	}
+}

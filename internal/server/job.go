@@ -644,12 +644,14 @@ func (m *Manager) run(j *Job) {
 		}
 	}
 
+	// Counted before the job turns terminal, like the cache write: a
+	// client that sees it done reads it in /metrics. This goroutine set
+	// j.started, so it reads it without j.mu.
+	m.metrics.observeFinal(final, finished.Sub(j.started))
 	j.mu.Lock()
 	j.result, j.err = result, errText
-	latency := finished.Sub(j.started)
 	j.settleLocked(final, finished)
 	j.mu.Unlock()
-	m.metrics.observeFinal(final, latency)
 	m.settleFlight(j)
 }
 

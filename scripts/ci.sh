@@ -116,9 +116,9 @@ go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
 go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained' ./internal/core/
 # The thread level's faults, for the same reason: a panicking or stalled
 # sub-block against the watch's timer, a helper left stalled while the next
-# Run reuses nothing it holds. The goroutine that calls Run computes as
+# Run reuses nothing it holds, and at one thread a panicking block retried. The goroutine that calls Run computes as
 # thread 0, so these timings are the thread level's to keep.
-go test -race -count=1 -run 'TestWorkerPanicRecovered|TestSubTaskStallRecovered|TestNussinovWithFaults|TestPanickingRowRecovered|TestStragglerNeverSharesReusedState' ./internal/core/
+go test -race -count=1 -run 'TestWorkerPanicRecovered|TestOneThreadPanicRetriesBlock|TestSubTaskStallRecovered|TestNussinovWithFaults|TestPanickingRowRecovered|TestStragglerNeverSharesReusedState' ./internal/core/
 
 # Coverage ratchet for the task hot path (dispatch, wire codec, runtime).
 # The minimums sit just under the measured numbers at the time each was
@@ -143,7 +143,7 @@ check_cover internal/sched 92
 check_cover internal/matrix 95
 check_cover internal/dp 91
 check_cover internal/comm 88
-check_cover internal/core 86
+check_cover internal/core 86.5
 check_cover internal/engine 90
 check_cover internal/fleet 90
 check_cover internal/cas 90
@@ -182,7 +182,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 7001 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6999 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
