@@ -150,15 +150,6 @@ type Config struct {
 	// patterns stop being resent. Master and slave each hash every result
 	// block once for its key.
 	DeltaShipping bool
-	// SpillDir, when non-empty, switches the master's block store to the
-	// out-of-core SpillStore: at most SpillBudget blocks stay in memory
-	// and the rest are spilled to files under SpillDir and reloaded on
-	// demand — the out-of-core operating mode for matrices larger than
-	// memory (the paper's space-complexity future work).
-	SpillDir string
-	// SpillBudget is the in-memory block cap for SpillDir mode
-	// (default 16).
-	SpillBudget int
 	// ReclaimBlocks enables master-side memory reclamation: a completed
 	// block is dropped from the store as soon as every sub-task that
 	// reads it has finished. This directly addresses the space-complexity
@@ -226,9 +217,6 @@ func (c Config) withDefaults(n dag.Size) (Config, error) {
 	}
 	if c.MaxAttempts < 1 {
 		c.MaxAttempts = engine.DefaultMaxAttempts
-	}
-	if c.SpillDir != "" && c.SpillBudget < 1 {
-		c.SpillBudget = 16
 	}
 	if c.CacheKey == "" {
 		c.Cache = nil // no spec identity, nothing cached (see CacheKey)

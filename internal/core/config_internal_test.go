@@ -23,12 +23,9 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestConfigDefaultsExtensions(t *testing.T) {
-	cfg, err := Config{Slaves: 1, Threads: 1, SpillDir: "/tmp/x"}.withDefaults(dag.Square(16))
+	cfg, err := Config{Slaves: 1, Threads: 1}.withDefaults(dag.Square(16))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.SpillBudget != 16 {
-		t.Fatalf("SpillBudget default = %d", cfg.SpillBudget)
 	}
 	if cfg.MaxAttempts != 4 {
 		t.Fatalf("MaxAttempts default = %d", cfg.MaxAttempts)

@@ -5,8 +5,8 @@
 // described in §V of the paper. The master is one driver (Driver) of
 // internal/engine's scheduler for both sources of members: the fixed ranks
 // of a comm.Transport (RunContext, RunMasterContext) and the elastic
-// workers of internal/fleet, whose membership table (Registry) and problem
-// identity (Spec) live here beside it.
+// workers of internal/fleet, whose membership table (Registry) lives here
+// beside it.
 package core
 
 import (
@@ -128,7 +128,7 @@ func (p Problem[T]) Check() error {
 // Result of a run: the completed blocked matrix plus runtime statistics.
 type Result[T any] struct {
 	// Store holds every computed block at processor-level granularity
-	// (an in-memory Store, or a SpillStore in out-of-core mode).
+	// (the job engine's store; with ReclaimBlocks only the unread ones).
 	Store matrix.BlockStore[T]
 	// Stats aggregates the scheduling statistics of the run.
 	Stats Stats

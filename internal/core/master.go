@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
-	"repro/internal/dag"
 	"repro/internal/engine"
-	"repro/internal/matrix"
 	"repro/internal/sched"
 )
 
@@ -29,15 +27,6 @@ func (rankLink) Close() error                { return nil }
 // names. cfg must already have defaults applied. Cancelling ctx finishes
 // the run with ctx's error.
 func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Transport, ctrs *counters) (*Result[T], error) {
-	geom := dag.MatrixGeometry(p.Size, cfg.ProcPartition)
-	var store matrix.BlockStore[T] = matrix.NewStore[T](geom)
-	if cfg.SpillDir != "" {
-		ss, err := matrix.NewSpillStore(geom, p.Codec, cfg.SpillDir, cfg.SpillBudget)
-		if err != nil {
-			return nil, err
-		}
-		store = ss
-	}
 	// BCW is the static baseline: an idle slave may not take another's
 	// vertex, so the mitigations stay off, and the tuner that arms them.
 	dynamic := cfg.Policy != PolicyBlockCyclic
@@ -58,7 +47,6 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 		CacheKey:    cfg.CacheKey,
 		Delta:       cfg.DeltaShipping,
 		Reclaim:     cfg.ReclaimBlocks,
-		Store:       store,
 		Trace:       cfg.Trace,
 		OnProgress:  cfg.Progress,
 	})
@@ -125,13 +113,8 @@ func runMaster[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Tra
 	//lint:ignore ctx-select bounded join: tr.Close() above forces the receive loop's Recv to error out, and cancellation already ended the job — selecting on ctx here would leak the loop
 	<-recvDone
 
-	if ss, ok := store.(*matrix.SpillStore[T]); ok {
-		spills, loads := ss.IO()
-		ctrs.spills.Store(spills)
-		ctrs.spillLoads.Store(loads)
-	}
 	if err != nil {
 		return nil, err
 	}
-	return &Result[T]{Store: store}, nil
+	return &Result[T]{Store: eng.Store()}, nil
 }

@@ -21,9 +21,6 @@ type Stats struct {
 	SubRequeues int64
 	// WorkerRestarts counts compute-goroutine panic recoveries.
 	WorkerRestarts int64
-	// Spills and SpillLoads count blocks written to and reloaded from
-	// the out-of-core spill store (Config.SpillDir).
-	Spills, SpillLoads int64
 	// Messages and PayloadBytes are in-process traffic: RunContext's every
 	// frame, a job service job's task and result frames (server.RunStats).
 	Messages, PayloadBytes int64
@@ -36,11 +33,10 @@ func (s Stats) String() string {
 }
 
 // counters accumulates what the job engine's ledger does not: the slaves'
-// thread-level counts and the spill store's. job is that ledger (nil in a
-// slave-only process), set by runMaster before anything moves.
+// thread-level counts. job is that ledger (nil in a slave-only process),
+// set by runMaster before anything moves.
 type counters struct {
 	subTasks, subRequeues, workerRestarts atomic.Int64
-	spills, spillLoads                    atomic.Int64
 	job                                   *engine.Counters
 }
 
@@ -50,8 +46,6 @@ func (c *counters) snapshot() Stats {
 		SubTasks:       c.subTasks.Load(),
 		SubRequeues:    c.subRequeues.Load(),
 		WorkerRestarts: c.workerRestarts.Load(),
-		Spills:         c.spills.Load(),
-		SpillLoads:     c.spillLoads.Load(),
 	}
 	if c.job != nil {
 		s.Stats = c.job.Stats()

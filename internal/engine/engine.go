@@ -9,7 +9,7 @@
 // the control tick and the tuner (pool.go). Both have one method per event,
 // which returns what the driver must do next — vertex ids to queue or ship,
 // a verdict, a task's payload, the jobs to end — and does no I/O of its own
-// beyond the store, the cache and the checkpoint writer a Job was handed.
+// beyond the cache and the checkpoint writer a Job was handed.
 //
 // One driver runs jobs under a Pool, core.Driver, for three member
 // sources: core's fixed ranks (one job over comm.Transport, its Policy the
@@ -74,8 +74,6 @@ type Config[T any] struct {
 	// Reclaim drops a block from the store once every vertex that reads it
 	// has committed.
 	Reclaim bool
-	// Store overrides the in-memory block store (core's out-of-core mode).
-	Store matrix.BlockStore[T]
 	// Trace receives the start, speculate, dispatch, end and steal
 	// events; nil records nothing.
 	Trace *trace.Recorder
@@ -111,7 +109,7 @@ type Job[T any] struct {
 
 	graph   *dag.Graph
 	parser  *dag.Parser
-	store   matrix.BlockStore[T]
+	store   *matrix.Store[T]
 	reg     *sched.RegisterTable
 	ot      *sched.OvertimeQueue
 	leases  *sched.LeaseTable
@@ -154,7 +152,7 @@ func New[T any](pattern dag.Pattern, codec matrix.Codec[T], size, proc dag.Size,
 		codec:       codec,
 		graph:       graph,
 		parser:      dag.NewParser(graph),
-		store:       cfg.Store,
+		store:       matrix.NewStore[T](geom),
 		reg:         sched.NewRegisterTable(),
 		ot:          sched.NewOvertimeQueue(),
 		leases:      sched.NewLeaseTable(),
@@ -163,9 +161,6 @@ func New[T any](pattern dag.Pattern, codec matrix.Codec[T], size, proc dag.Size,
 		timeouts:    make(map[int32]int),
 		specPending: make(map[int32]bool),
 		backupOf:    make(map[int32]int32),
-	}
-	if j.store == nil {
-		j.store = matrix.NewStore[T](geom)
 	}
 	if j.Cached() || cfg.Delta {
 		j.resultKey = make([]cas.Key, len(graph.Verts))
@@ -603,7 +598,7 @@ func (j *Job[T]) Leaked() int { return j.reg.Outstanding() + j.leases.Len() }
 func (j *Job[T]) Counters() *Counters { return &j.ctrs }
 
 // Store is the job's block store: the result, once Finished.
-func (j *Job[T]) Store() matrix.BlockStore[T] { return j.store }
+func (j *Job[T]) Store() *matrix.Store[T] { return j.store }
 
 // Graph is the job's DAG (shared, not to be modified): its geometry, its
 // vertex count N and every vertex's data dependencies.

@@ -25,7 +25,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -42,25 +41,21 @@ type Options struct {
 	// HeartbeatMiss is how many silent intervals declare a member dead
 	// (default 3).
 	HeartbeatMiss int
-	// TaskTimeout, MaxAttempts, Batch, DefaultQuota, the speculation
-	// knobs, Steal, Auto and CheckInterval (default HeartbeatInterval) are
-	// the shared pool's scheduling configuration: engine.PoolConfig, whose
-	// defaults they take. A job's JobRequest may override TaskTimeout,
-	// MaxAttempts and its quota; a batch never mixes jobs; Auto's
-	// adjustments are traced as EvTune events on the fleet recorder and
-	// exported via TuneSnapshot.
-	TaskTimeout    time.Duration
-	MaxAttempts    int
-	Batch          int
-	DefaultQuota   int
-	Speculate      bool
-	SpecQuantile   float64
-	SpecMultiplier float64
-	SpecMinSamples int
-	SpecFloor      time.Duration
-	Steal          bool
-	Auto           bool
-	CheckInterval  time.Duration
+	// TaskTimeout, MaxAttempts, Batch, Speculate, SpecFloor, Steal, Auto
+	// and CheckInterval (default HeartbeatInterval) are the shared pool's
+	// scheduling configuration: engine.PoolConfig, whose defaults they
+	// take; its other fields keep theirs. A job's JobRequest may override
+	// TaskTimeout, MaxAttempts and its quota; a batch never mixes jobs;
+	// Auto's adjustments are traced as EvTune events on the fleet recorder
+	// and exported via TuneSnapshot.
+	TaskTimeout   time.Duration
+	MaxAttempts   int
+	Batch         int
+	Speculate     bool
+	SpecFloor     time.Duration
+	Steal         bool
+	Auto          bool
+	CheckInterval time.Duration
 	// Cache, when non-nil, is the cross-job result store (internal/cas) of
 	// the jobs with a CacheKey: a computable vertex is probed before it is
 	// dispatched, a completed block written through, and task payloads go
@@ -71,9 +66,6 @@ type Options struct {
 	Clock sched.Clock
 	// Trace optionally records fleet-level membership events.
 	Trace *trace.Recorder
-	// RetainJobs is how many finished jobs stay queryable via Snapshot
-	// and TraceEvents (default 64).
-	RetainJobs int
 }
 
 // withDefaults fills the defaults of what the fleet itself reads; the
@@ -87,9 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CheckInterval <= 0 {
 		o.CheckInterval = o.HeartbeatInterval
-	}
-	if o.RetainJobs < 1 {
-		o.RetainJobs = 64
 	}
 	return o
 }
@@ -142,26 +131,22 @@ func New[T any](opts Options) (*Fleet[T], error) {
 	}
 	f.d = core.NewDriver[T](core.DriverConfig{
 		Pool: engine.PoolConfig{
-			Batch:          opts.Batch,
-			TaskTimeout:    opts.TaskTimeout,
-			MaxAttempts:    opts.MaxAttempts,
-			DefaultQuota:   opts.DefaultQuota,
-			Speculate:      opts.Speculate,
-			SpecQuantile:   opts.SpecQuantile,
-			SpecMultiplier: opts.SpecMultiplier,
-			SpecMinSamples: opts.SpecMinSamples,
-			SpecFloor:      opts.SpecFloor,
-			Steal:          opts.Steal,
-			Auto:           opts.Auto,
-			CheckInterval:  opts.CheckInterval,
-			Trace:          opts.Trace,
+			Batch:         opts.Batch,
+			TaskTimeout:   opts.TaskTimeout,
+			MaxAttempts:   opts.MaxAttempts,
+			Speculate:     opts.Speculate,
+			SpecFloor:     opts.SpecFloor,
+			Steal:         opts.Steal,
+			Auto:          opts.Auto,
+			CheckInterval: opts.CheckInterval,
+			Trace:         opts.Trace,
 		},
 		Clock:             opts.Clock,
 		Registry:          f.reg,
 		HeartbeatInterval: opts.HeartbeatInterval,
 		HeartbeatMiss:     opts.HeartbeatMiss,
 		Cache:             opts.Cache,
-		RetainJobs:        opts.RetainJobs,
+		RetainJobs:        64, // finished jobs Snapshot and TraceEvents still list
 	})
 	f.d.StartTick()
 	return f, nil
@@ -212,7 +197,7 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 		return nil, err
 	}
 	err = f.d.Wait(ctx, jb)
-	return &Result[T]{Store: jb.Engine.Store().(*matrix.Store[T]).Take(), Stats: jb.Stats()}, err
+	return &Result[T]{Store: jb.Engine.Store().Take(), Stats: jb.Stats()}, err
 }
 
 // acceptLoop admits workers for the fleet's whole lifetime.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/matrix"
 )
 
 // testLink is an in-process member's link for these tests: the driver's
@@ -153,7 +152,7 @@ func TestRetiredJobHoldsNoBlocks(t *testing.T) {
 	if n := jb.Engine.Store().Len(); n != 0 {
 		t.Fatalf("the retained job still holds %d blocks", n)
 	}
-	if got := jb.Engine.Store().(*matrix.Store[int32]).Gather([]dag.Pos{{}}); got != nil {
+	if got := jb.Engine.Store().Gather([]dag.Pos{{}}); got != nil {
 		t.Fatalf("a gather from the handed-over store found %v", got)
 	}
 	snap := f.Snapshot()

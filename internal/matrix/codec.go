@@ -254,8 +254,8 @@ func DecodeBlocks[T any](c Codec[T], data []byte) ([]*Block[T], error) {
 	return blocks, err
 }
 
-// DecodeBlock decodes what a result frame, a checkpoint record, a cache
-// entry or a spill file carries: a payload of exactly one block, covering
+// DecodeBlock decodes what a result frame, a checkpoint record or a cache
+// entry carries: a payload of exactly one block, covering
 // exactly the region of grid position p of g. Anything else is refused,
 // before it can reach a store, whose Put panics on a foreign region.
 func DecodeBlock[T any](c Codec[T], data []byte, g dag.Geometry, p dag.Pos) (*Block[T], error) {

@@ -292,6 +292,50 @@ func TestStoreDrop(t *testing.T) {
 	s.Drop(p) // idempotent
 }
 
+// Take hands the blocks over and leaves nothing behind, not even a block
+// committed after it: a job that ends while a result is in its commit must
+// not keep that block in the retired job.
+func TestStorePutAfterTakeHoldsNothing(t *testing.T) {
+	g := dag.MatrixGeometry(dag.Square(8), dag.Square(4))
+	s := NewStore[int32](g)
+	p, q := dag.Pos{Row: 0, Col: 0}, dag.Pos{Row: 0, Col: 1}
+	s.Put(p, NewBlock[int32](g.Rect(p)))
+	out := s.Take()
+	if out.Len() != 1 || out.Get(p) == nil {
+		t.Fatalf("the taken store holds %d blocks, want the one put before Take", out.Len())
+	}
+	s.Put(q, NewBlock[int32](g.Rect(q)))
+	if s.Len() != 0 || s.Get(q) != nil {
+		t.Fatalf("a Put after Take left %d blocks in the retired store", s.Len())
+	}
+	if out.Len() != 1 || out.Get(q) != nil {
+		t.Fatal("a Put after Take reached the handed-over store")
+	}
+
+	// Commits racing the hand-over: each block lands in the taken store or
+	// nowhere.
+	g = dag.MatrixGeometry(dag.Square(32), dag.Square(2)) // 16x16 grid
+	s = NewStore[int32](g)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 16; r++ {
+				for c := w; c < 16; c += 8 {
+					p := dag.Pos{Row: r, Col: c}
+					s.Put(p, NewBlock[int32](g.Rect(p)))
+				}
+			}
+		}(w)
+	}
+	s.Take()
+	wg.Wait()
+	if s.Len() != 0 {
+		t.Fatalf("after racing commits the retired store holds %d blocks", s.Len())
+	}
+}
+
 func TestAssembleWithHoles(t *testing.T) {
 	// Missing blocks (triangular holes / reclaimed blocks) assemble as
 	// zero values.

@@ -7,6 +7,21 @@ import (
 	"repro/internal/dag"
 )
 
+// BlockStore is what a result is read through: the benchmark's checks
+// and the job service's finishers take one, and Store satisfies it.
+type BlockStore[T any] interface {
+	// Geometry returns the partitioning geometry.
+	Geometry() dag.Geometry
+	// Get returns the block at p, or nil when absent.
+	Get(p dag.Pos) *Block[T]
+	// Len returns the number of stored blocks.
+	Len() int
+	// Cell returns the value of global cell (i, j).
+	Cell(i, j int) T
+	// Assemble flattens the store into a dense matrix.
+	Assemble() [][]T
+}
+
 // Store holds the completed blocks of a DP matrix, keyed by block-grid
 // position of a fixed geometry. The master part uses it to collect
 // sub-task results and to gather the data regions of new sub-tasks. It is
@@ -40,13 +55,16 @@ func CheckRect(g dag.Geometry, p dag.Pos, r dag.Rect) error {
 }
 
 // Put stores the completed block for grid position p. The block's region
-// must match the geometry's region for p.
+// must match the geometry's region for p. After Take it drops the block: a
+// commit that lands once the matrix was handed over must not stay behind.
 func (s *Store[T]) Put(p dag.Pos, b *Block[T]) {
 	if err := CheckRect(s.geom, p, b.Rect); err != nil {
 		panic(err.Error())
 	}
 	s.mu.Lock()
-	s.blocks[p] = b
+	if !s.taken {
+		s.blocks[p] = b
+	}
 	s.mu.Unlock()
 }
 
@@ -90,7 +108,7 @@ func (s *Store[T]) Drop(p dag.Pos) {
 // Take moves every block to a new store of the same geometry, which it
 // returns, and leaves s empty: the hand-over of a finished job's matrix, so
 // that what still references s — a retained job, a sender that drew before
-// the job ended — holds no block.
+// the job ended, a commit still in flight — holds no block.
 func (s *Store[T]) Take() *Store[T] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,28 +140,19 @@ func (s *Store[T]) Cell(i, j int) T {
 // diagonal of a triangular pattern) are left at the zero value. Row and
 // column indices of the result are region-relative.
 func (s *Store[T]) Assemble() [][]T {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return assemble(s.geom.Region, func(place func(*Block[T])) {
-		for _, b := range s.blocks {
-			place(b)
-		}
-	})
-}
-
-// assemble allocates the dense matrix of region reg and copies into it, a
-// block row at a time, every block each hands to place.
-func assemble[T any](reg dag.Rect, each func(place func(*Block[T]))) [][]T {
+	reg := s.geom.Region
 	out := make([][]T, reg.Rows)
 	backing := make([]T, reg.Rows*reg.Cols)
 	for i := range out {
 		out[i], backing = backing[:reg.Cols], backing[reg.Cols:]
 	}
-	each(func(b *Block[T]) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, b := range s.blocks {
 		r := b.Rect
 		for i := 0; i < r.Rows; i++ {
 			copy(out[r.Row0-reg.Row0+i][r.Col0-reg.Col0:], b.Cells[i*r.Cols:(i+1)*r.Cols])
 		}
-	})
+	}
 	return out
 }

@@ -204,7 +204,7 @@ type ManagerConfig struct {
 	//   - ProcPartition, ThreadPartition, RunTimeout (the job's bound) and
 	//     Progress (told the job's progress): per job, on an attached
 	//     Fleet too.
-	// Policy, Faults, Latency, Checkpoint, Restore, SpillDir and Trace
+	// Policy, Faults, Latency, Checkpoint, Restore and Trace
 	// belong to core.RunContext alone; no manager is given them.
 	Run core.Config
 	// Fleet, when non-nil, is the shared fleet every job runs on: elastic
