@@ -11,10 +11,10 @@
 //
 // The pool's members are -slaves in-process workers of -threads compute
 // goroutines each. With -fleet they are instead elastic workers that join
-// over TCP with easyhps-worker -fleet:
+// over TCP, easyhps-worker processes:
 //
 //	easyhps-serve -addr :8080 -fleet :9000 -max-jobs 8
-//	easyhps-worker -fleet -addr localhost:9000 -threads 4
+//	easyhps-worker -addr localhost:9000 -threads 4
 //
 //	curl -X POST localhost:8080/v1/jobs \
 //	     -d '{"kernel":"editdist","n":400,"seed":7}'
@@ -63,7 +63,7 @@ func main() {
 		maxCells = flag.Int64("max-cells", 16<<20, "largest admitted DP matrix, in cells")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running jobs")
 
-		fleetAddr  = flag.String("fleet", "", "shared-fleet listen address (e.g. :9000): the pool's members are elastic workers joining over TCP instead of in-process ones; pair with easyhps-worker -fleet")
+		fleetAddr  = flag.String("fleet", "", "shared-fleet listen address (e.g. :9000): the pool's members are elastic workers joining over TCP instead of in-process ones; pair with easyhps-worker")
 		fleetBatch = flag.Int("fleet-batch", 1, "vertices per dispatch message")
 		speculate  = flag.Bool("speculate", false, "speculatively re-execute straggling vertices")
 		steal      = flag.Bool("steal", false, "feed hungry workers from loaded members' backlogs")

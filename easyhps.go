@@ -122,8 +122,6 @@ type (
 	// LatencyModel emulates interconnect cost on the in-process
 	// transport.
 	LatencyModel = comm.LatencyModel
-	// Transport is a message-passing endpoint (for multi-process runs).
-	Transport = comm.Transport
 	// TraceRecorder records scheduling events for load-balance analysis.
 	TraceRecorder = trace.Recorder
 )
@@ -190,18 +188,6 @@ func RunContext(ctx context.Context, p Problem32, cfg Config) (*Result32, error)
 	return core.RunContext(ctx, p, cfg)
 }
 
-// RunMaster runs only the master part over an external transport (see
-// ListenMaster), for real multi-process deployments.
-func RunMaster(p Problem32, cfg Config, tr Transport) (*Result32, error) {
-	return core.RunMasterContext(context.Background(), p, cfg, tr)
-}
-
-// RunSlave runs only the slave part over an external transport (see
-// DialWorker).
-func RunSlave(p Problem32, cfg Config, tr Transport) error {
-	return core.RunSlave(p, cfg, tr)
-}
-
 // NewProblem32 assembles a Problem32 from a kernel.
 func NewProblem32(name string, size Size, k Kernel32) Problem32 {
 	return core.Problem[int32]{Name: name, Size: size, Kernel: k, Codec: matrix.BinaryCodec[int32]{}}
@@ -243,10 +229,3 @@ var (
 	RandomSeq       = dp.RandomSeq
 	MutateSeq       = dp.MutateSeq
 )
-
-// ListenMaster starts the TCP master endpoint for a real multi-process
-// cluster; workers join with DialWorker.
-var ListenMaster = comm.ListenMaster
-
-// DialWorker connects a worker process to a TCP master.
-var DialWorker = comm.DialWorker

@@ -1,15 +1,19 @@
 // Real multi-process deployment over TCP: this example forks itself into
-// one master and two worker roles connected by the framed TCP transport
-// (the repo's MPI substitute), aligns two sequences across the three
-// processes, and verifies the result against the sequential reference.
+// one master and two worker processes, aligns two sequences across the
+// three, and verifies the result against the sequential reference. The
+// master is a fleet (internal/fleet) running one job: it listens on a free
+// loopback port, hands the bound address to the workers it forks, waits
+// for both to join and runs the alignment over them; a worker that dies
+// mid-run has its sub-tasks reassigned to the other.
 //
 // Run with: go run ./examples/distributed
 //
-// The same transport powers the standalone cmd/easyhps-launch and
+// The same fleet powers the standalone cmd/easyhps-launch and
 // cmd/easyhps-worker tools for deployments across real machines.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,10 +21,10 @@ import (
 	"time"
 
 	easyhps "repro"
+	"repro/internal/fleet"
 )
 
 const (
-	addr    = "127.0.0.1:39401"
 	workers = 2
 	n       = 160
 	seed    = 11
@@ -33,52 +37,50 @@ func buildProblem() (*easyhps.SWGG, easyhps.Problem32) {
 	return s, s.Problem()
 }
 
-func config() easyhps.Config {
-	return easyhps.Config{
-		Threads:         2,
-		ProcPartition:   easyhps.Square(40),
-		ThreadPartition: easyhps.Square(10),
-		RunTimeout:      2 * time.Minute,
-	}
-}
-
 func main() {
 	if len(os.Args) > 1 {
-		// Worker role: os.Args[1] is the rank.
-		rank := 0
-		fmt.Sscanf(os.Args[1], "%d", &rank)
-		runWorker(rank)
+		// Worker role: os.Args[1] is the master's address.
+		runWorker(os.Args[1])
 		return
 	}
 
-	// Master role: fork two workers, then schedule.
+	// Master role: listen, fork two workers at the bound address, wait
+	// for both, then schedule.
+	f, err := fleet.New[int32](fleet.Options{Addr: "127.0.0.1:0"})
+	if err != nil {
+		log.Fatal(err)
+	}
 	self, err := os.Executable()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for r := 1; r <= workers; r++ {
-		cmd := exec.Command(self, fmt.Sprint(r))
+	var procs []*exec.Cmd
+	for r := 0; r < workers; r++ {
+		cmd := exec.Command(self, f.Addr())
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			log.Fatal(err)
 		}
-		defer cmd.Wait()
+		procs = append(procs, cmd)
 	}
 
-	tr, err := easyhps.ListenMaster(addr, workers, 30*time.Second)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tr.Close()
-
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	s, prob := buildProblem()
-	res, err := easyhps.RunMaster(prob, config(), tr)
+	res, err := runJob(ctx, f, prob)
+	// Closing the fleet dismisses the workers, which then exit.
+	f.Close()
+	for _, cmd := range procs {
+		if werr := cmd.Wait(); werr != nil && err == nil {
+			err = fmt.Errorf("worker process: %w", werr)
+		}
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	score, _, _ := easyhps.BestLocal(res.Matrix())
+	score, _, _ := easyhps.BestLocal(res.Store.Assemble())
 	wantScore, _, _ := easyhps.BestLocal(s.Sequential())
 	fmt.Printf("master: best local score %d (sequential reference %d) across %d worker processes in %v\n",
 		score, wantScore, workers, res.Stats.Elapsed.Round(time.Millisecond))
@@ -87,15 +89,30 @@ func main() {
 	}
 }
 
-func runWorker(rank int) {
-	tr, err := easyhps.DialWorker(addr, rank, workers, 30*time.Second)
+// runJob waits for every forked worker to join, then runs prob as the
+// fleet's one job; each worker computes a 40x40 block in 10x10 sub-blocks.
+func runJob(ctx context.Context, f *fleet.Fleet[int32], prob easyhps.Problem32) (*fleet.Result[int32], error) {
+	if err := f.Registry().WaitLive(ctx, workers); err != nil {
+		return nil, err
+	}
+	return f.Run(ctx, prob, fleet.JobRequest{
+		Name:   "swgg",
+		Proc:   easyhps.Square(40),
+		Thread: easyhps.Square(10),
+	})
+}
+
+// runWorker joins the fleet at addr and computes until the master dismisses
+// it. Every job it is sent is this example's alignment, so the builder
+// ignores the attach frame's spec and builds the same problem the master
+// did; the fleet still checks its size against the master's.
+func runWorker(addr string) {
+	err := fleet.RunWorker(context.Background(), func(fleet.JobMeta) (easyhps.Problem32, error) {
+		_, prob := buildProblem()
+		return prob, nil
+	}, fleet.WorkerOptions{Addr: addr, DialTimeout: 30 * time.Second, Run: easyhps.Config{Threads: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer tr.Close()
-	_, prob := buildProblem()
-	if err := easyhps.RunSlave(prob, config(), tr); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("worker %d: done\n", rank)
+	fmt.Printf("worker %d: done\n", os.Getpid())
 }

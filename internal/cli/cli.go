@@ -1,12 +1,11 @@
 // Package cli holds the helpers shared by the command-line tools. The
 // tools describe a job as the job service does, by a server.JobSpec, and
 // build no input of their own: a problem is the kernel table entry for its
-// spec (server.Registry.Build), so every rank of a multi-process
-// deployment (easyhps-launch + easyhps-worker) builds a bit-identical
-// problem from (app, n, seed), and easyhps-run answers what easyhps-serve
-// and the simulator answer for the same spec. What this package adds is
-// the fixed-rank handshake's digest (RankDigest) and the report a kernel's
-// completed matrix prints (alignment, structure, distance, ...).
+// spec (server.Registry.Build), so easyhps-launch, its easyhps-worker
+// processes (server.RegistryBuilder) and easyhps-run answer what
+// easyhps-serve and the simulator answer for the same spec. What this
+// package adds is the report a kernel's completed matrix prints
+// (alignment, structure, distance, ...).
 package cli
 
 import (
@@ -15,7 +14,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/dp"
 	"repro/internal/server"
 )
@@ -43,15 +41,6 @@ func BuildSpec(spec server.JobSpec) (core.Problem[int32], func(w io.Writer, m []
 		return core.Problem[int32]{}, nil, err
 	}
 	return p, report(p.Kernel), nil
-}
-
-// RankDigest is what the fixed-rank join handshake compares: job's digest
-// plus the processor partition every rank cuts the matrix by (zero: the
-// runtime default, which every rank derives alike from the matrix). The
-// thread partition is worker-local — a block is bit-identical under any —
-// so it is not part of it.
-func RankDigest(job server.JobSpec, proc dag.Size) string {
-	return fmt.Sprintf("%s:%dx%d", job.Digest(), proc.Rows, proc.Cols)
 }
 
 // report is the printer of a registry kernel's completed matrix.

@@ -125,23 +125,3 @@ func TestOneMatrixPerSpec(t *testing.T) {
 		}
 	}
 }
-
-// TestRankDigest: what two fixed ranks compare at the handshake is their
-// job's digest and the processor partition they cut it by — the thread
-// partition is each rank's own.
-func TestRankDigest(t *testing.T) {
-	job := server.JobSpec{Kernel: "editdist", N: 64, Seed: 51}
-	d := RankDigest(job, dag.Square(8))
-	if !strings.HasPrefix(d, job.Digest()) {
-		t.Fatalf("rank digest %s does not carry the job digest %s", d, job.Digest())
-	}
-	for name, other := range map[string]string{
-		"proc":         RankDigest(job, dag.Square(16)),
-		"default proc": RankDigest(job, dag.Size{}),
-		"seed":         RankDigest(server.JobSpec{Kernel: "editdist", N: 64, Seed: 52}, dag.Square(8)),
-	} {
-		if other == d {
-			t.Errorf("rank digest insensitive to %s", name)
-		}
-	}
-}

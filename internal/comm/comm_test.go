@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -187,6 +188,15 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// listenMaster binds addr and runs the rank-0 rendezvous on it.
+func listenMaster(addr string, slaves int, timeout time.Duration) (*TCPTransport, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return ListenMasterOn(ln, slaves, timeout, TCPOptions{})
+}
+
 func TestTCPTransportFixedPort(t *testing.T) {
 	const slaves = 2
 	addr := "127.0.0.1:39217"
@@ -197,7 +207,7 @@ func TestTCPTransportFixedPort(t *testing.T) {
 	}
 	masterc := make(chan result, 1)
 	go func() {
-		m, err := ListenMaster(addr, slaves, 5*time.Second)
+		m, err := listenMaster(addr, slaves, 5*time.Second)
 		masterc <- result{m, err}
 	}()
 
@@ -212,7 +222,7 @@ func TestTCPTransportFixedPort(t *testing.T) {
 	}
 	mr := <-masterc
 	if mr.err != nil {
-		t.Fatalf("ListenMaster: %v", mr.err)
+		t.Fatalf("listenMaster: %v", mr.err)
 	}
 	master := mr.tr
 	defer master.Close()
@@ -268,7 +278,7 @@ func TestTCPTransportOrdering(t *testing.T) {
 	}
 	masterc := make(chan result, 1)
 	go func() {
-		m, err := ListenMaster(addr, 1, 5*time.Second)
+		m, err := listenMaster(addr, 1, 5*time.Second)
 		masterc <- result{m, err}
 	}()
 	w, err := DialWorker(addr, 1, 1, 5*time.Second)

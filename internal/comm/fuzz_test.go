@@ -99,7 +99,7 @@ func TestGobEnvelopesRefused(t *testing.T) {
 // to a frame that decodes to the same value.
 func FuzzHandshake(f *testing.F) {
 	for _, h := range []Hello{
-		{Version: ProtocolVersion, Rank: 1, Digest: "spec-a"},
+		{Version: ProtocolVersion, Rank: 1, Name: "r1"},
 		{Version: ProtocolVersion, Fleet: true, Name: "w0"},
 		{Version: ProtocolVersion},
 		{Version: ProtocolVersion + 1},

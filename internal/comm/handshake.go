@@ -40,30 +40,31 @@ import (
 // worker is refused at the handshake instead of computing other inputs; 7
 // changed no frame but what a hello's digest is: the job service's JobSpec
 // is every tool's one job description, so a rank's digest is that spec's
-// digest plus the processor partition (cli.RankDigest) where it was the
-// CLIs' own spec, and an elastic worker builds each job from its attach
+// digest plus the processor partition where it was the CLIs' own spec,
+// and an elastic worker builds each job from its attach
 // frame as a fleet worker does. A v6 rank or elastic worker is refused
-// with both versions named, not by a misleading spec mismatch.
-const ProtocolVersion = 7
+// with both versions named, not by a misleading spec mismatch; 8 dropped
+// the hello's digest string: every worker process is a fleet member,
+// which verifies each job's spec by its attach frame, and no master
+// compares a rank's flags at the handshake any more. A v7 hello carries
+// one string more than a v8 acceptor reads, so the number, not a decode
+// error, names the skew.
+const ProtocolVersion = 8
 
 // Hello is the first frame on every worker connection: who is joining and
 // what problem it believes the cluster is solving.
 type Hello struct {
-	// Rank is the fixed-mode rank (1..slaves); fleet workers leave it
-	// zero and are assigned a member id by the master instead.
+	// Rank is the rank of a fixed-size rendezvous (ListenMasterOn,
+	// 1..slaves); fleet workers leave it zero and are assigned a member id
+	// by the master instead.
 	Rank int
 	// Version is the sender's ProtocolVersion. A hello of another
 	// generation decodes to its version and nothing else.
 	Version int
-	// Digest fingerprints the job a fixed-mode rank was started with: its
-	// JobSpec digest plus the processor partition (cli.RankDigest), which
-	// its -app/-n/-seed/-proc flags decide. Empty means "not checked".
-	Digest string
 	// Fleet marks a worker joining a fleet (internal/fleet) rather than a
-	// fixed-size rendezvous — easyhps-worker -fleet, for easyhps-serve
-	// -fleet and easyhps-launch -elastic alike: it carries no digest, since
-	// each job's spec arrives in its attach frame, which the worker
-	// verifies.
+	// fixed-size rendezvous — every easyhps-worker, for easyhps-serve
+	// -fleet and easyhps-launch alike. Each job's spec arrives in its
+	// attach frame, which the worker verifies.
 	Fleet bool
 	// Name optionally labels the member in logs and metrics.
 	Name string
@@ -212,22 +213,17 @@ func (cn *Conn) readHandshake(want byte, timeout time.Duration) ([]byte, error) 
 }
 
 // checkHello validates a received Hello against this binary's protocol
-// version and the given spec digest (empty digest on either side skips
-// the digest check). It returns a refusal reason, or "" when compatible.
-func checkHello(h Hello, digest string) string {
+// version. It returns a refusal reason, or "" when compatible.
+func checkHello(h Hello) string {
 	if h.Version != ProtocolVersion {
 		return fmt.Sprintf("protocol version mismatch: worker speaks v%d, master speaks v%d (rebuild both binaries from the same source)", h.Version, ProtocolVersion)
-	}
-	if digest != "" && h.Digest != "" && h.Digest != digest {
-		return fmt.Sprintf("problem spec mismatch: worker built digest %s, master expects %s (check -app/-n/-seed/-proc flags)", h.Digest, digest)
 	}
 	return ""
 }
 
 // AcceptHello is the accepting side of the join handshake on a fresh
 // connection, the counterpart of DialHello: it reads the hello under the
-// 10 s bound, refuses a peer of another protocol version or problem
-// digest (empty digest on either side skips that check), and otherwise
+// 10 s bound, refuses a peer of another protocol version, and otherwise
 // asks admit for the caller's own decision — the member id to grant
 // (never 0), or a refusal. A refused peer is sent a welcome carrying the
 // reason before the close, so the refusal is diagnosed on both sides; a
@@ -236,14 +232,14 @@ func checkHello(h Hello, digest string) string {
 // closed. On any error the connection is closed, and member is non-zero
 // only when admit had already granted it — the welcome could not be
 // written, and the id is the caller's to take back.
-func AcceptHello(c net.Conn, digest string, admit func(Hello) (member int, refusal string)) (cn *Conn, member int, err error) {
+func AcceptHello(c net.Conn, admit func(Hello) (member int, refusal string)) (cn *Conn, member int, err error) {
 	cn = NewConn(c)
 	hello, err := cn.recvHello(helloTimeout)
 	if err != nil {
 		cn.Close()
 		return nil, 0, fmt.Errorf("comm: reading hello from %s: %w", c.RemoteAddr(), err)
 	}
-	refusal := checkHello(hello, digest)
+	refusal := checkHello(hello)
 	if refusal == "" {
 		member, refusal = admit(hello)
 	}

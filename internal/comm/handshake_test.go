@@ -19,7 +19,7 @@ import (
 // acceptOne accepts one connection on ln and runs the accepting side of
 // the handshake on it, admitting every compatible hello as member 1; the
 // channel carries AcceptHello's error.
-func acceptOne(ln net.Listener, digest string) <-chan error {
+func acceptOne(ln net.Listener) <-chan error {
 	errc := make(chan error, 1)
 	go func() {
 		c, err := ln.Accept()
@@ -27,7 +27,7 @@ func acceptOne(ln net.Listener, digest string) <-chan error {
 			errc <- err
 			return
 		}
-		cn, _, err := AcceptHello(c, digest, func(Hello) (int, string) { return 1, "" })
+		cn, _, err := AcceptHello(c, func(Hello) (int, string) { return 1, "" })
 		if err == nil {
 			cn.Close()
 		}
@@ -52,7 +52,7 @@ func listenLocal(t *testing.T) net.Listener {
 // that reason instead of an opaque decode failure or a bare close.
 func TestHandshakeRejectsOldWorker(t *testing.T) {
 	ln := listenLocal(t)
-	masterErr := acceptOne(ln, "")
+	masterErr := acceptOne(ln)
 
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -118,7 +118,7 @@ func TestAcceptHelloRefusalReachesDialer(t *testing.T) {
 			errc <- err
 			return
 		}
-		_, member, err := AcceptHello(c, "", func(h Hello) (int, string) {
+		_, member, err := AcceptHello(c, func(h Hello) (int, string) {
 			return 0, "no room for " + h.Name
 		})
 		if member != 0 {
@@ -142,7 +142,7 @@ func TestAcceptHelloRefusalReachesDialer(t *testing.T) {
 // waited for a welcome.
 func TestAcceptHelloRefusesV4GobHello(t *testing.T) {
 	ln := listenLocal(t)
-	masterErr := acceptOne(ln, "")
+	masterErr := acceptOne(ln)
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestAcceptHelloRefusesV4GobHello(t *testing.T) {
 // the body is read, and inside a body an over-long string field or trailing
 // bytes are refused — none of them with an allocation sized by the claim.
 func TestHandshakeBounds(t *testing.T) {
-	hello, err := appendHelloFrame(nil, Hello{Version: ProtocolVersion, Rank: 2, Digest: "spec-a", Name: "w2"})
+	hello, err := appendHelloFrame(nil, Hello{Version: ProtocolVersion, Rank: 2, Name: "w2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,7 @@ func TestHandshakeBounds(t *testing.T) {
 		// tried to read the claimed body would report EOF, not the limit.
 		{"hello bodyLen over cap", withU32(hello, 2, maxHandshakeBody+1)[:body], "exceeds limit 4096"},
 		{"welcome bodyLen over cap", withU32(welcome, 2, 1<<31)[:body], "exceeds limit 4096"},
-		{"hello digest over-long", withU32(hello, body+9, 1<<30), "handshake string 0: length 1073741824 exceeds"},
-		{"hello name over-long", withU32(hello, body+9+4+len("spec-a"), 1<<30), "handshake string 1: length 1073741824 exceeds"},
+		{"hello name over-long", withU32(hello, body+9, 1<<30), "handshake string 0: length 1073741824 exceeds"},
 		{"welcome text over-long", withU32(welcome, body+9, 1<<30), "handshake string 0: length 1073741824 exceeds"},
 		{"hello trailing bytes", withU32(append(append([]byte(nil), hello...), 0), 2, uint32(len(hello)-body+1)), "1 trailing bytes after handshake"},
 		{"welcome trailing bytes", withU32(append(append([]byte(nil), welcome...), 0, 0), 2, uint32(len(welcome)-body+2)), "2 trailing bytes after handshake"},
@@ -254,61 +253,6 @@ func handshakeFromBytes(data []byte) (any, error) {
 	return decodeHello(buf.Bytes())
 }
 
-// A worker started with different problem flags carries a different spec
-// digest; the master must refuse it with an error naming both digests.
-func TestHandshakeRejectsDigestMismatch(t *testing.T) {
-	addr := "127.0.0.1:39222"
-	masterc := make(chan error, 1)
-	go func() {
-		// The mismatched worker is rejected, so the rendezvous can never
-		// complete; the master must time out in Accept, not hang.
-		_, err := ListenMasterOpts(addr, 1, 1500*time.Millisecond, TCPOptions{Digest: "spec-a"})
-		masterc <- err
-	}()
-	_, err := DialWorkerOpts(addr, 1, 1, 5*time.Second, TCPOptions{Digest: "spec-b"})
-	if err == nil {
-		t.Fatal("digest mismatch was not rejected")
-	}
-	if !strings.Contains(err.Error(), "spec-b") || !strings.Contains(err.Error(), "spec-a") {
-		t.Fatalf("rejection does not name both digests: %v", err)
-	}
-	if err := <-masterc; err == nil || !strings.Contains(err.Error(), "last join turned away") || !strings.Contains(err.Error(), "spec-b") {
-		t.Fatalf("master's timeout = %v, want it to name the join it turned away", err)
-	}
-}
-
-// Matching digests (and empty digests) must keep joining.
-func TestHandshakeDigestMatchAndUnchecked(t *testing.T) {
-	for _, digests := range [][2]string{{"spec-a", "spec-a"}, {"", "spec-a"}, {"spec-a", ""}} {
-		addr := "127.0.0.1:0"
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr = ln.Addr().String()
-		ln.Close()
-		type res struct {
-			tr  *TCPTransport
-			err error
-		}
-		masterc := make(chan res, 1)
-		go func() {
-			tr, err := ListenMasterOpts(addr, 1, 5*time.Second, TCPOptions{Digest: digests[0]})
-			masterc <- res{tr, err}
-		}()
-		w, err := DialWorkerOpts(addr, 1, 1, 5*time.Second, TCPOptions{Digest: digests[1]})
-		if err != nil {
-			t.Fatalf("digests %q: %v", digests, err)
-		}
-		mr := <-masterc
-		if mr.err != nil {
-			t.Fatalf("digests %q: master: %v", digests, mr.err)
-		}
-		w.Close()
-		mr.tr.Close()
-	}
-}
-
 // Regression for half-open connections: a peer that completes the
 // handshake and then wedges (sends nothing, reads nothing, never closes)
 // must surface as a timeout from Recv within the read-idle bound the
@@ -327,7 +271,7 @@ func TestReadIdleSurfacesWedgedPeer(t *testing.T) {
 			masterc <- res{nil, err}
 			return
 		}
-		cn, _, err := AcceptHello(c, "", func(h Hello) (int, string) { return h.Rank, "" })
+		cn, _, err := AcceptHello(c, func(h Hello) (int, string) { return h.Rank, "" })
 		masterc <- res{cn, err}
 	}()
 
@@ -366,7 +310,7 @@ func TestWorkerTransportClosesOnDeadMaster(t *testing.T) {
 	}
 	masterc := make(chan res, 1)
 	go func() {
-		tr, err := ListenMaster(addr, 1, 5*time.Second)
+		tr, err := listenMaster(addr, 1, 5*time.Second)
 		masterc <- res{tr, err}
 	}()
 	w, err := DialWorker(addr, 1, 1, 5*time.Second)

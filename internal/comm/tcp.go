@@ -7,25 +7,21 @@ import (
 	"time"
 )
 
-// TCP transport: a star topology matching the master-slave deployment of
-// EasyHPS. The master listens; each worker process dials in and announces
-// itself with a Hello frame (rank, protocol version, problem-spec digest)
-// and is answered with a Welcome. Handshake and messages alike are the
-// tagged binary frames of wire.go over comm.Conn links with TCP keepalive,
-// so a vanished peer surfaces as an error instead of a hang.
+// TCP transport: a star topology, one rank-0 master and its fixed ranks.
+// The master listens; each worker dials in and announces its rank with a
+// Hello frame and is answered with a Welcome. Handshake and messages alike
+// are the tagged binary frames of wire.go over comm.Conn links with TCP
+// keepalive, so a vanished peer surfaces as an error instead of a hang.
+// No tool deploys it — a worker process joins a fleet (internal/fleet),
+// which recovers a lost member — and what is left of it is the loopback
+// pair the repo benchmark times the wire with.
 //
 // Only master<->slave links exist (the runtime never needs slave<->slave
 // traffic), so Send from a worker accepts rank 0 only.
 
 // TCPOptions is what a TCP endpoint takes beyond the rendezvous
-// parameters.
-type TCPOptions struct {
-	// Digest is the problem-spec fingerprint of this side. When both
-	// sides supply one, the master enforces equality at join time,
-	// replacing the "flags must match" convention with a checked
-	// handshake. Empty skips the check.
-	Digest string
-}
+// parameters: nothing since the hello lost its digest.
+type TCPOptions struct{}
 
 // TCPTransport implements Transport over TCP connections.
 type TCPTransport struct {
@@ -40,28 +36,13 @@ type TCPTransport struct {
 	ln    net.Listener
 }
 
-// ListenMaster starts the master endpoint (rank 0): it listens on addr and
-// waits until exactly slaves workers have connected and identified
-// themselves, or the timeout expires.
-func ListenMaster(addr string, slaves int, timeout time.Duration) (*TCPTransport, error) {
-	return ListenMasterOpts(addr, slaves, timeout, TCPOptions{})
-}
-
-// ListenMasterOpts is ListenMaster with a problem-spec digest to enforce.
-func ListenMasterOpts(addr string, slaves int, timeout time.Duration, opts TCPOptions) (*TCPTransport, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return ListenMasterOn(ln, slaves, timeout, opts)
-}
-
-// ListenMasterOn is ListenMasterOpts over a listener the caller already
-// bound. It owns ln from here on — closed on every error path and on
-// transport Close. A pre-bound listener lets callers learn the actual
-// address (port 0) and dial it before the accept loop starts, without
-// retry loops.
-func ListenMasterOn(ln net.Listener, slaves int, timeout time.Duration, opts TCPOptions) (*TCPTransport, error) {
+// ListenMasterOn starts the master endpoint (rank 0) on a listener the
+// caller already bound and waits until exactly slaves workers have
+// connected and identified themselves, or the timeout expires. It owns ln
+// from here on — closed on every error path and on transport Close. A
+// pre-bound listener lets callers learn the actual address (port 0) and
+// dial it before the accept loop starts, without retry loops.
+func ListenMasterOn(ln net.Listener, slaves int, timeout time.Duration, _ TCPOptions) (*TCPTransport, error) {
 	if slaves < 1 {
 		ln.Close()
 		return nil, fmt.Errorf("comm: need at least one slave, got %d", slaves)
@@ -96,7 +77,7 @@ func ListenMasterOn(ln net.Listener, slaves int, timeout time.Duration, opts TCP
 		// a rank outside 1..slaves, or one announced twice, means the
 		// cluster was started wrong, and does.
 		var fatal error
-		cn, rank, err := AcceptHello(c, opts.Digest, func(h Hello) (int, string) {
+		cn, rank, err := AcceptHello(c, func(h Hello) (int, string) {
 			if h.Rank < 1 || h.Rank > slaves {
 				fatal = fmt.Errorf("comm: worker announced invalid rank %d", h.Rank)
 				return 0, fmt.Sprintf("invalid rank %d (want 1..%d)", h.Rank, slaves)
@@ -142,15 +123,10 @@ func (t *TCPTransport) conn(rank int) *Conn {
 // the master at addr, retrying until the timeout expires so workers can be
 // started before the master.
 func DialWorker(addr string, rank, slaves int, timeout time.Duration) (*TCPTransport, error) {
-	return DialWorkerOpts(addr, rank, slaves, timeout, TCPOptions{})
-}
-
-// DialWorkerOpts is DialWorker with endpoint options.
-func DialWorkerOpts(addr string, rank, slaves int, timeout time.Duration, opts TCPOptions) (*TCPTransport, error) {
 	if rank < 1 || rank > slaves {
 		return nil, fmt.Errorf("comm: invalid worker rank %d (1..%d)", rank, slaves)
 	}
-	cn, _, err := DialHello(addr, Hello{Rank: rank, Digest: opts.Digest}, timeout)
+	cn, _, err := DialHello(addr, Hello{Rank: rank}, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func TestTCPLargePayload(t *testing.T) {
 	}
 	masterc := make(chan result, 1)
 	go func() {
-		m, err := ListenMaster(addr, 1, 5*time.Second)
+		m, err := listenMaster(addr, 1, 5*time.Second)
 		masterc <- result{m, err}
 	}()
 	w, err := DialWorker(addr, 1, 1, 5*time.Second)
@@ -68,7 +68,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	}
 	masterc := make(chan result, 1)
 	go func() {
-		m, err := ListenMaster(addr, 1, 5*time.Second)
+		m, err := listenMaster(addr, 1, 5*time.Second)
 		masterc <- result{m, err}
 	}()
 	w, err := DialWorker(addr, 1, 1, 5*time.Second)
@@ -131,7 +131,7 @@ func TestTCPWorkerDisappears(t *testing.T) {
 	}
 	masterc := make(chan result, 1)
 	go func() {
-		m, err := ListenMaster(addr, 1, 5*time.Second)
+		m, err := listenMaster(addr, 1, 5*time.Second)
 		masterc <- result{m, err}
 	}()
 	w, err := DialWorker(addr, 1, 1, 5*time.Second)

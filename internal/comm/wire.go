@@ -46,7 +46,7 @@ import (
 //	               generation reads no further
 //	id        i32  hello: the rank; welcome: the member id granted
 //	flags     u8   hello: bit0 = Fleet; welcome: 0
-//	strings   each a u32 length, then bytes — hello: digest, name;
+//	strings   each a u32 length, then bytes — hello: the name;
 //	               welcome: the refusal text (empty on success)
 //
 // Every length field is validated against the bytes actually present
@@ -72,8 +72,8 @@ const (
 	maxFrameBody = 1 << 27
 
 	// maxHandshakeBody bounds a hello or welcome body (4 KiB): these are
-	// the first bytes an unauthenticated peer sends, and a digest, a
-	// member name and a refusal sentence fit many times over.
+	// the first bytes an unauthenticated peer sends, and a member name
+	// and a refusal sentence fit many times over.
 	maxHandshakeBody = 4 << 10
 
 	// binFixedHeader is the fixed part of a message body: from, to,
@@ -272,12 +272,12 @@ func appendHelloFrame(dst []byte, h Hello) ([]byte, error) {
 	if h.Fleet {
 		flags |= 1
 	}
-	return appendHandshakeFrame(dst, tagHello, h.Version, h.Rank, flags, h.Digest, h.Name)
+	return appendHandshakeFrame(dst, tagHello, h.Version, h.Rank, flags, h.Name)
 }
 
 func decodeHello(body []byte) (h Hello, err error) {
 	var flags byte
-	if h.Version, h.Rank, flags, err = decodeHandshake(body, &h.Digest, &h.Name); err != nil {
+	if h.Version, h.Rank, flags, err = decodeHandshake(body, &h.Name); err != nil {
 		return Hello{}, err
 	}
 	h.Fleet = flags&1 != 0

@@ -222,7 +222,7 @@ func TestConnCarriesHandshakeAndEveryKind(t *testing.T) {
 	defer b.Close()
 	ca, cb := NewConn(a), NewConn(b)
 
-	hello := Hello{Rank: 1, Version: ProtocolVersion, Digest: "spec-a", Fleet: true, Name: "w1"}
+	hello := Hello{Rank: 1, Version: ProtocolVersion, Fleet: true, Name: "w1"}
 	welcome := Welcome{Version: ProtocolVersion, Member: 7}
 	sent := []Message{
 		{Kind: KindIdle},

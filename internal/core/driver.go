@@ -26,14 +26,15 @@ import (
 // socket source's goroutines call (StartSender, StartTick) and the
 // simulator's event loop calls directly.
 //
-// Members come from one of two sources. The fixed ranks of a
-// comm.Transport (RunContext, RunMasterContext) are added once at start,
-// hold the run's one job from admission and are never re-admitted; a rank
-// whose sender waits with nothing to draw is hungry. Elastic members — a
-// fleet's, over TCP or in process, and the simulator's — join, leave and
-// die under a Registry, attach each job by a job-spec frame before its
-// first task, are swept for heartbeats at every tick and announce hunger
-// with beacons. Both hungers end in the same Pool.Hunger.
+// Members come from one of two sources. The fixed ranks of RunContext's
+// in-process transport — the paper's fixed communicator — are added once
+// at start, hold the run's one job from admission and are never
+// re-admitted; a rank whose sender waits with nothing to draw is hungry.
+// Elastic members — a fleet's, which every worker process is, over TCP or
+// in process, and the simulator's — join, leave and die under a Registry,
+// attach each job by a job-spec frame before its first task, are swept
+// for heartbeats at every tick and announce hunger with beacons. Both
+// hungers end in the same Pool.Hunger.
 type Driver[T any] struct {
 	cfg   DriverConfig
 	clock sched.Clock
@@ -84,8 +85,9 @@ type DriverConfig struct {
 // refuses jobs started after.
 var ErrClosed = errors.New("core: driver closed")
 
-// Link is a member's end of the wire: a *comm.Conn for an elastic member,
-// one rank of a comm.Transport for a fixed one.
+// Link is a member's end of the wire: a *comm.Conn for a fleet worker
+// process, a queue for an in-process fleet member, one rank of
+// RunContext's channel transport for a fixed one.
 type Link interface {
 	Send(comm.Message) error
 	Close() error

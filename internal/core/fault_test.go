@@ -250,7 +250,7 @@ func TestLateSlaveExitsCleanly(t *testing.T) {
 	nw := comm.NewChanNetwork(2, comm.LatencyModel{})
 	nw.Close()
 	e := dp.NewEditDistance(dp.RandomDNA(32, 44), dp.RandomDNA(32, 45))
-	if err := core.RunSlave(e.Problem(), faultConfig(), nw.Endpoint(1)); err != nil {
+	if err := core.ServeRank(e.Problem(), faultConfig(), nw.Endpoint(1)); err != nil {
 		t.Fatalf("slave whose master had already hung up: %v", err)
 	}
 }

@@ -4,9 +4,9 @@
 // pools at both levels, and the hierarchical timeout-based fault tolerance
 // described in §V of the paper. The master is one driver (Driver) of
 // internal/engine's scheduler for both sources of members: the fixed ranks
-// of a comm.Transport (RunContext, RunMasterContext) and the elastic
-// workers of internal/fleet, whose membership table (Registry) lives here
-// beside it.
+// of RunContext's in-process transport and the elastic workers of
+// internal/fleet — every worker process is one — whose membership table
+// (Registry) lives here beside it.
 package core
 
 import (

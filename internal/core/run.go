@@ -60,40 +60,6 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	return res, nil
 }
 
-// RunMasterContext executes only the master part over an externally
-// provided transport (e.g. comm.ListenMaster for a real multi-process TCP
-// cluster), with RunContext's cancellation. cfg.Slaves is taken from the
-// transport size. Every worker process must run RunSlave with an
-// identical Problem and Config.
-func RunMasterContext[T any](ctx context.Context, p Problem[T], cfg Config, tr comm.Transport) (*Result[T], error) {
-	cfg.Slaves = tr.Size() - 1
-	cfg, err := prepare(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctrs := &counters{}
-	start := time.Now()
-	res, err := runMaster(ctx, p, cfg, tr, ctrs)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = ctrs.snapshot()
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// RunSlave executes only the slave part over an externally provided
-// transport (e.g. comm.DialWorker). It returns when the master signals the
-// end of scheduling.
-func RunSlave[T any](p Problem[T], cfg Config, tr comm.Transport) error {
-	cfg.Slaves = tr.Size() - 1
-	cfg, err := prepare(p, cfg)
-	if err != nil {
-		return err
-	}
-	return runSlave(p, cfg, tr, newFaultState(cfg.Faults), &counters{}, func() {})
-}
-
 func prepare[T any](p Problem[T], cfg Config) (Config, error) {
 	if p.Kernel == nil {
 		return cfg, fmt.Errorf("core: problem %q has no kernel", p.Name)
@@ -103,9 +69,7 @@ func prepare[T any](p Problem[T], cfg Config) (Config, error) {
 	}
 	if cfg.Auto && !cfg.ProcPartition.Valid() {
 		// The advisor needs the kernel's cost model and the worker
-		// count, neither of which Config.withDefaults can see. Master
-		// and slaves run prepare with identical inputs, so both derive
-		// the same partition.
+		// count, neither of which Config.withDefaults can see.
 		cm, _ := p.Kernel.(tune.CostModel)
 		workers := cfg.Slaves * max(cfg.Threads, 1)
 		cfg.ProcPartition = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, workers, cm)

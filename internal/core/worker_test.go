@@ -15,7 +15,7 @@ import (
 
 // A fixed slave runs the fleet worker's loop and TaskRunner, so a task
 // frame is checked the same way on both: a vertex outside the grid, a task
-// for a job other than the run's one job and an attach frame end RunSlave
+// for a job other than the run's one job and an attach frame end the loop
 // with an error naming what was wrong — never a panic, and never a block
 // computed outside the matrix.
 func TestFixedSlaveRefusesOutOfGridVertex(t *testing.T) {
@@ -40,7 +40,7 @@ func TestFixedSlaveRefusesOutOfGridVertex(t *testing.T) {
 	} {
 		nw := comm.NewChanNetwork(2, comm.LatencyModel{})
 		done := make(chan error, 1)
-		go func() { done <- core.RunSlave(e.Problem(), cfg, nw.Endpoint(1)) }()
+		go func() { done <- core.ServeRank(e.Problem(), cfg, nw.Endpoint(1)) }()
 		master := nw.Endpoint(0)
 		if msg, err := master.Recv(); err != nil || msg.Kind != comm.KindIdle {
 			t.Fatalf("%s: slave opened with %v (%v), want Idle", what, msg.Kind, err)
@@ -51,7 +51,7 @@ func TestFixedSlaveRefusesOutOfGridVertex(t *testing.T) {
 		err := <-done
 		nw.Close()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: RunSlave = %v, want an error naming %q", what, err, c.want)
+			t.Errorf("%s: ServeRank = %v, want an error naming %q", what, err, c.want)
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestFixedSlaveResolvesItsOwnBlock(t *testing.T) {
 	geom := dag.MatrixGeometry(e.Problem().Size, cfg.ProcPartition)
 	nw := comm.NewChanNetwork(2, comm.LatencyModel{})
 	done := make(chan error, 1)
-	go func() { done <- core.RunSlave(e.Problem(), cfg, nw.Endpoint(1)) }()
+	go func() { done <- core.ServeRank(e.Problem(), cfg, nw.Endpoint(1)) }()
 	master := nw.Endpoint(0)
 	if msg, err := master.Recv(); err != nil || msg.Kind != comm.KindIdle {
 		t.Fatalf("slave opened with %v (%v), want Idle", msg.Kind, err)
@@ -109,6 +109,6 @@ func TestFixedSlaveResolvesItsOwnBlock(t *testing.T) {
 	err = <-done
 	nw.Close()
 	if err != nil {
-		t.Fatalf("RunSlave = %v", err)
+		t.Fatalf("ServeRank = %v", err)
 	}
 }

@@ -1,5 +1,5 @@
-// The elastic suite. An elastic cluster is a fleet with one job — what
-// easyhps-launch -elastic composes from fleet.New, Registry.WaitLive and
+// The elastic suite. A multi-process run is a fleet with one job — what
+// easyhps-launch composes from fleet.New, Registry.WaitLive and
 // one Fleet.Run — so these tests drive exactly that composition over real
 // sockets, every worker behind the fault harness's proxy, and judge it by
 // the membership table it leaves behind.
@@ -21,14 +21,14 @@ import (
 	"repro/internal/trace"
 )
 
-// registryBuild is every elastic worker's builder: easyhps-worker -fleet's,
-// which builds each job from its attach frame.
+// registryBuild is every elastic worker's builder: easyhps-worker's, which
+// builds each job from its attach frame.
 var registryBuild = server.RegistryBuilder(server.NewRegistry())
 
 // testProblem is an edit-distance instance partitioned into an 8x8 grid
 // of processor-level vertices: large enough that faults land mid-run,
 // small enough for the race detector. It returns the problem, its
-// sequential reference and the request easyhps-launch -elastic submits.
+// sequential reference and the request easyhps-launch submits.
 func testProblem(t testing.TB) (core.Problem[int32], [][]int32, fleet.JobRequest) {
 	t.Helper()
 	job := server.JobSpec{Kernel: "editdist", N: 64, Seed: 51}

@@ -1,8 +1,8 @@
 // Package fleet is the elastic member source of the master driver
 // (core.Driver): N concurrent DAG jobs over one worker pool that members
-// join over TCP or in process (Join), leave and die under. The job service
-// runs every job on one; an elastic cluster run (easyhps-launch -elastic)
-// is a fleet with one job.
+// join over TCP or in process (Join), leave and die under. Every worker
+// process is a fleet member: the job service runs every job on one, and a
+// multi-process run (easyhps-launch) is a fleet with one job.
 //
 // Scheduling is the driver's, over one engine.Job per job and one
 // engine.Pool, whose weighted max-min fair share picks the job an idle
@@ -218,12 +218,12 @@ func (f *Fleet[T]) acceptLoop() {
 
 // admit performs the join handshake on one fresh connection, hands the
 // member to the driver and reads its messages into the driver until the
-// connection fails. Fleet workers carry no single-job digest — per-job
-// specs are verified via the attach frames instead.
+// connection fails. A hello names no job: each job's spec is verified by
+// its attach frame instead.
 func (f *Fleet[T]) admit(c net.Conn) {
-	cn, id, err := comm.AcceptHello(c, "", func(hello comm.Hello) (int, string) {
+	cn, id, err := comm.AcceptHello(c, func(hello comm.Hello) (int, string) {
 		if !hello.Fleet {
-			return 0, "this master runs a fleet; start a worker of the same build with -fleet"
+			return 0, "this master runs a fleet; join it with an easyhps-worker of the same build"
 		}
 		if f.d.Closed() {
 			return 0, "fleet shut down"

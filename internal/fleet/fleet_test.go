@@ -480,7 +480,7 @@ func TestRunWorkerRefusesSkew(t *testing.T) {
 			if err != nil {
 				return
 			}
-			cn, _, err := comm.AcceptHello(c, "", func(comm.Hello) (int, string) { return 1, "" })
+			cn, _, err := comm.AcceptHello(c, func(comm.Hello) (int, string) { return 1, "" })
 			if err != nil {
 				return
 			}

@@ -292,9 +292,9 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 	}
 }
 
-// TestFleetAdmitRejectsNonFleetWorker pins the join contract: a worker
-// that does not say Fleet in its hello — easyhps-worker -rank, pointed at
-// the wrong port — is refused with a hint naming the flag that does. And a
+// TestFleetAdmitRejectsNonFleetWorker pins the join contract: a peer that
+// does not say Fleet in its hello — a fixed rank's comm.DialWorker — is
+// refused with a hint naming the worker that does. And a
 // protocol-v4 binary's elastic worker, whose hello is a gob value
 // (same fields plus an Elastic flag this build has no field for), is not
 // read at all: the connection closes with nothing sent, no hang and no
@@ -306,7 +306,7 @@ func TestFleetAdmitRejectsNonFleetWorker(t *testing.T) {
 	}
 	defer f.Close()
 	_, _, err = comm.DialHello(f.Addr(), comm.Hello{Rank: 1, Name: "fixed"}, 5*time.Second)
-	if want := "this master runs a fleet; start a worker of the same build with -fleet"; err == nil || !strings.Contains(err.Error(), want) {
+	if want := "this master runs a fleet; join it with an easyhps-worker of the same build"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("refusal = %v, want %q", err, want)
 	}
 

@@ -52,11 +52,10 @@ type JobSpec struct {
 
 // Digest fingerprints the spec's kernel and inputs — the one identity of
 // a job in every tool: the whole-job cache and the single-flight table
-// coalesce on it, it scopes a job's block entries in the result cache
+// coalesce on it, and it scopes a job's block entries in the result cache
 // (easyhps-run, easyhps-launch and easyhps-serve alike, so one cache
-// directory serves all three), and the fixed-rank handshake carries it
-// (cli.RankDigest). Scheduling knobs (Weight, Priority) are excluded: they
-// change how a job runs, never what it answers. The %q quoting keeps
+// directory serves all three). Scheduling knobs (Weight, Priority) are
+// excluded: they change how a job runs, never what it answers. The %q quoting keeps
 // adjacent fields from aliasing (e.g. seq_a="ab",seq_b="c" vs
 // seq_a="a",seq_b="bc").
 func (s JobSpec) Digest() string {

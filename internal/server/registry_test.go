@@ -101,7 +101,7 @@ func TestJobSpecDigest(t *testing.T) {
 }
 
 // TestJobSpecRequest: the one fleet submission of a spec, as the service
-// and easyhps-launch -elastic submit it. Its attach frame's spec is what a
+// and easyhps-launch submit it. Its attach frame's spec is what a
 // fleet worker's RegistryBuilder turns back into the same problem.
 func TestJobSpecRequest(t *testing.T) {
 	s := server.JobSpec{Kernel: "swgg", N: 40, Seed: 3, Weight: 2, Priority: 1}

@@ -120,6 +120,11 @@ go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained' ./internal
 # thread 0, so these timings are the thread level's to keep.
 go test -race -count=1 -run 'TestWorkerPanicRecovered|TestOneThreadPanicRetriesBlock|TestSubTaskStallRecovered|TestNussinovWithFaults|TestPanickingRowRecovered|TestStragglerNeverSharesReusedState' ./internal/core/
 
+# The one multi-process example, executed and not only compiled: a master
+# that forks two worker processes into a fleet over loopback TCP, and exits
+# non-zero unless their score is the sequential reference's.
+go run ./examples/distributed
+
 # Coverage ratchet for the task hot path (dispatch, wire codec, runtime).
 # The minimums sit just under the measured numbers at the time each was
 # set; raise them when coverage improves, never lower them.
@@ -153,8 +158,7 @@ check_cover internal/client 80
 # The job service itself: admission, single flight, the whole-job cache,
 # held status requests, the in-process members' link and the metrics.
 check_cover internal/server 90
-# The CLIs' shared half: the kernel table's reports and the fixed-rank
-# handshake's digest.
+# The CLIs' shared half: the kernel table's reports.
 check_cover internal/cli 90
 check_cover internal/sim 80
 check_cover internal/tune 80
@@ -182,7 +186,11 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6944 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6910 internal/core internal/fleet internal/sim internal/engine internal/sched
+# The transport: wire frames, the join handshake, the in-process channel
+# network and the loopback TCP pair the repo benchmark times. A second
+# handshake or master rendezvous must not arrive unnoticed.
+check_lines 1250 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
 # store must not arrive unnoticed.
 check_lines 1184 internal/matrix
@@ -248,10 +256,8 @@ echo "calls: no input generator outside internal/dp, internal/server and interna
 
 # And one job description: server.JobSpec is the spec of every tool — its
 # Digest scopes the cache entries of easyhps-run, easyhps-launch and
-# easyhps-serve alike, and with the processor partition the fixed-rank
-# handshake (cli.RankDigest) — so no non-test code names the CLIs' old spec
-# type or its digest tag. A second job description must not come back
-# unnoticed.
+# easyhps-serve alike — so no non-test code names the CLIs' old spec type or
+# its digest tag. A second job description must not come back unnoticed.
 specs=$(grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])core\.Spec([^A-Za-z0-9_]|$)|easyhps-spec:' . |
     grep -v '_test\.go:' || true)
 if [ -n "$specs" ]; then
@@ -260,6 +266,20 @@ if [ -n "$specs" ]; then
     exit 1
 fi
 echo "calls: no non-test code names core.Spec or an easyhps-spec: tag"
+
+# And one multi-process cluster: every worker process is a fleet member
+# (internal/fleet), whose master recovers a lost member by timeout, so no
+# non-test code names the deleted fixed-rank TCP master, its worker loop or
+# the rank handshake's digest. A second multi-process master must not
+# return unnoticed.
+masters=$(grep -rnE --include='*.go' 'RunMasterContext|RankDigest|ListenMasterOpts|DialWorkerOpts|func RunSlave' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$masters" ]; then
+    echo "calls: a worker process joins a fleet, not a fixed-rank TCP master:" >&2
+    echo "$masters" >&2
+    exit 1
+fi
+echo "calls: no non-test code names a fixed-rank TCP master or its rank digest"
 
 # And the simulator runs the shipped driver: it steps core.Driver (Start,
 # Feed, Deliver, Down, Tick, End) from its event loop, so no non-test code
