@@ -119,8 +119,8 @@ type (
 	SubTaskID = core.SubTaskID
 	// Stats aggregates run statistics.
 	Stats = core.Stats
-	// LatencyModel emulates interconnect cost on the in-process
-	// transport.
+	// LatencyModel emulates interconnect cost on the in-process link
+	// (Config.Latency).
 	LatencyModel = comm.LatencyModel
 	// TraceRecorder records scheduling events for load-balance analysis.
 	TraceRecorder = trace.Recorder
@@ -176,7 +176,9 @@ type (
 	View32 = matrix.View[int32]
 )
 
-// Run executes a problem on an in-process emulated cluster.
+// Run executes a problem on an in-process emulated cluster: the master
+// driver and cfg.Slaves in-process members of its registry, each with
+// cfg.Threads compute goroutines, over links that charge cfg.Latency.
 func Run(p Problem32, cfg Config) (*Result32, error) {
 	return core.RunContext(context.Background(), p, cfg)
 }

@@ -2,15 +2,15 @@
 // for MPI in the paper's processor-level parallelization.
 //
 // The runtime only needs ordered, reliable point-to-point messages between
-// a master rank (0) and a set of slave ranks (1..n). Two transports are
-// provided:
+// the master and each member: Message and its kinds, Conn (a worker
+// process's socket, every message one tagged binary frame, wire.go) with
+// its join handshake, and the LatencyModel that an in-process member's
+// link (core.Local) charges to emulate a real cluster on one machine.
 //
-//   - ChanNetwork: every rank lives in the same OS process; messages travel
-//     over Go channels, optionally delayed by a LatencyModel so the
-//     communication cost of a real cluster can be emulated on one machine;
-//   - TCP: ranks are separate OS processes connected over TCP, every
-//     message one tagged binary frame (wire.go), for genuine
-//     multi-process deployments.
+// The rank Transport — ChanNetwork, every rank in one OS process over Go
+// channels, and TCPTransport, ranks over loopback sockets — is no longer
+// used by any runtime path; only the repo benchmark's replay times the
+// wire with it.
 package comm
 
 import (

@@ -91,7 +91,8 @@ type Config struct {
 	// overtime queues (the thread level's, with Threads >= 2 only);
 	// defaults to a quarter of the shorter timeout, at least 1 ms.
 	CheckInterval time.Duration
-	// RunTimeout aborts the whole run when exceeded (0 disables). It is
+	// RunTimeout aborts the whole run at the first control tick after it
+	// is exceeded (0 disables; the job's engine.JobParams.Timeout). It is
 	// a guard for tests and for deployments where every node could die.
 	RunTimeout time.Duration
 	// MaxAttempts bounds how many times one sub-task (or sub-sub-task)
@@ -124,8 +125,8 @@ type Config struct {
 	// Trace as "tune" events. Under PolicyBlockCyclic only the advisor
 	// applies: a static schedule leaves the tuner nothing to own.
 	Auto bool
-	// Latency is the emulated interconnect cost of the in-process
-	// transport.
+	// Latency is the emulated interconnect cost of the in-process link
+	// (Local): each frame is charged on the side that sends it.
 	Latency comm.LatencyModel
 	// WorkDelayPerCell emulates computation weight: every thread-level
 	// sub-sub-task (at Threads 1 every block) sleeps cells*WorkDelayPerCell
@@ -277,9 +278,10 @@ type SubTaskID struct {
 // FaultPlan injects failures for fault-tolerance testing. The zero value
 // injects nothing.
 type FaultPlan struct {
-	// CrashOnTask makes a slave rank die silently upon receiving its
-	// k-th task (1-based): the task and every later dispatch to that
-	// rank are lost, emulating a node failure.
+	// CrashOnTask makes the member with the given id (1-based, in join
+	// order) die silently upon receiving its k-th task (1-based): the task
+	// and every later dispatch to it are lost, emulating a node failure,
+	// and its leases come back by TaskTimeout.
 	CrashOnTask map[int]int
 	// StallFirstAttempt delays the first execution attempt of a
 	// processor-level vertex by the given duration, long enough to trip

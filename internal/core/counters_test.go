@@ -10,16 +10,16 @@ import (
 	"repro/internal/dp"
 )
 
-// TestFixedRankExactCounters pins the wire protocol of a clean fixed-rank
-// run: each slave says idle once and is told to end once, and each vertex
-// costs exactly one task and one result message. With no faults, no
-// speculation and a batch of one, that is 2·V + 2·Slaves messages and V
-// dispatches for a DAG of V vertices — the relation the benchmark's exact
-// counters (edit-inproc's 516, swgg-inproc's 132) come from. The shapes
-// are the three in-process workloads and the job service's small job, and
-// two of them again under DeltaShipping, whose references change what a
-// task carries but not how many messages carry it.
-func TestFixedRankExactCounters(t *testing.T) {
+// TestInProcessExactCounters pins the wire protocol of a clean in-process
+// run: each vertex costs exactly one task and one result frame, the frames
+// Stats.Messages counts (server.RunStats counts the same). With no faults,
+// no speculation and a batch of one, that is 2·V messages and V dispatches
+// for a DAG of V vertices — the relation the benchmark's exact counters
+// (edit-inproc's 512, swgg-inproc's 128) come from. The shapes are the
+// three in-process workloads and the job service's small job, and two of
+// them again under DeltaShipping, whose references change what a task
+// carries but not how many messages carry it.
+func TestInProcessExactCounters(t *testing.T) {
 	const slaves = 2
 	cases := []struct {
 		name         string
@@ -55,8 +55,8 @@ func TestFixedRankExactCounters(t *testing.T) {
 			if st.Tasks != v || st.Dispatches != v {
 				t.Fatalf("tasks = %d, dispatches = %d; want %d each", st.Tasks, st.Dispatches, v)
 			}
-			if want := 2*v + 2*slaves; st.Messages != want {
-				t.Fatalf("messages = %d, want 2·%d vertices + 2·%d slaves = %d", st.Messages, v, slaves, want)
+			if want := 2 * v; st.Messages != want {
+				t.Fatalf("messages = %d, want 2·%d vertices = %d", st.Messages, v, want)
 			}
 			if st.SubTasks != v { // at one thread a block is one sub-task
 				t.Fatalf("sub-tasks = %d, want one per vertex, %d", st.SubTasks, v)

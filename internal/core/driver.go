@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,27 +21,24 @@ import (
 // Driver is the master part of the runtime (Figs. 9-10 of the paper) as
 // the I/O around one engine.Pool, for every deployment. The pool and its
 // jobs make every scheduling decision; the driver owns the I/O around them
-// as synchronous steps — Start, End, Feed, Deliver, Down, Tick — which a
-// socket source's goroutines call (StartSender, StartTick) and the
-// simulator's event loop calls directly.
+// as synchronous steps — Start, End, Feed, Deliver, Down, Tick — which the
+// goroutines of RunContext and a fleet call (StartSender, StartTick) and
+// the simulator's event loop calls directly.
 //
-// Members come from one of two sources. The fixed ranks of RunContext's
-// in-process transport — the paper's fixed communicator — are added once
-// at start, hold the run's one job from admission and are never
-// re-admitted; a rank whose sender waits with nothing to draw is hungry.
-// Elastic members — a fleet's, which every worker process is, over TCP or
-// in process, and the simulator's — join, leave and die under a Registry,
-// attach each job by a job-spec frame before its first task, are swept
-// for heartbeats at every tick and announce hunger with beacons. Both
-// hungers end in the same Pool.Hunger.
+// Members come from one source, a Registry: a fleet's — every worker
+// process is one, and the job service's own members in process — the
+// in-process members of RunContext, and the simulator's. They join, leave
+// and die under it, attach each job by a job-spec frame before its first
+// task and announce hunger with beacons; all but the in-process ones are
+// swept for heartbeats at every tick.
 type Driver[T any] struct {
 	cfg   DriverConfig
 	clock sched.Clock
-	reg   *Registry // nil: the members are fixed ranks
+	reg   *Registry
 
 	// mu serializes every call into pool and guards the running jobs by
-	// id, the retained finished ones, the members with their waiting flags
-	// and the closing of done; a sender with nothing to draw waits on cond.
+	// id, the retained finished ones, the members and the closing of done;
+	// a sender with nothing to draw waits on cond.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	pool     *engine.Pool[T]
@@ -50,7 +46,7 @@ type Driver[T any] struct {
 	retained []*Job[T]
 	members  map[int]*member
 
-	hungers atomic.Int64 // hunger beacons, and fixed ranks found hungry at a tick
+	hungers atomic.Int64 // hunger beacons
 	stale   atomic.Int64 // results for jobs no longer running
 
 	progressMu sync.Mutex
@@ -67,15 +63,14 @@ type DriverConfig struct {
 	Pool engine.PoolConfig
 	// Clock times leases, ticks and heartbeats (nil: the wall clock).
 	Clock sched.Clock
-	// Registry, when non-nil, makes the members elastic: any traffic is a
-	// heartbeat, and each tick declares dead those silent for more than
-	// HeartbeatMiss intervals of HeartbeatInterval. Without it the members
-	// are fixed ranks.
+	// Registry is the membership table: any traffic is a heartbeat, and
+	// each tick declares dead those silent for more than HeartbeatMiss
+	// intervals of HeartbeatInterval, in-process members excepted.
 	Registry          *Registry
 	HeartbeatInterval time.Duration
 	HeartbeatMiss     int
-	// Cache, when non-nil, is the store whose wire layer the elastic
-	// members' known-sets count in.
+	// Cache, when non-nil, is the store whose wire layer the members'
+	// known-sets count in.
 	Cache *cas.Store
 	// RetainJobs is how many finished jobs Jobs keeps listing.
 	RetainJobs int
@@ -85,9 +80,8 @@ type DriverConfig struct {
 // refuses jobs started after.
 var ErrClosed = errors.New("core: driver closed")
 
-// Link is a member's end of the wire: a *comm.Conn for a fleet worker
-// process, a queue for an in-process fleet member, one rank of
-// RunContext's channel transport for a fixed one.
+// Link is the driver's end of a member's wire: a *comm.Conn for a fleet
+// worker process, the queue of a Local link for an in-process member.
 type Link interface {
 	Send(comm.Message) error
 	Close() error
@@ -102,12 +96,10 @@ type member struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	known    *cas.PeerSet // what it holds of the Delta jobs' blocks
-	waiting  bool         // Driver.mu: its sender waits with nothing to draw
 
 	// attachMu orders the attach and detach frames against task sends, and
 	// every known-set note against the detach that resets the set.
-	// attached holds the jobs the member has kernel state for; it is nil on
-	// a fixed rank, which holds the run's one job from admission.
+	// attached holds the jobs the member has kernel state for.
 	attachMu sync.Mutex
 	attached map[int32]bool
 }
@@ -152,16 +144,17 @@ type Job[T any] struct {
 	Label  string
 	Engine *engine.Job[T]
 	Params engine.JobParams
-	// Meta is the attach frame (comm.KindJobSpec) an elastic member gets
-	// before the job's first task.
+	// Meta is the attach frame (comm.KindJobSpec) a member gets before the
+	// job's first task.
 	Meta   []byte
 	Trace  *trace.Recorder // the job's own events, for monitoring
 	Closer io.Closer       // closed when the job ends: its checkpoint file
 
-	start    time.Time
-	commitMu sync.Mutex // one Complete at a time: members answer concurrently
-	done     chan struct{}
-	doneOnce sync.Once
+	start             time.Time
+	commitMu          sync.Mutex   // one Complete at a time: members answer concurrently
+	messages, payload atomic.Int64 // its task and result frames (Traffic)
+	done              chan struct{}
+	doneOnce          sync.Once
 	// How the job ended, written once before done closes: read them only
 	// after a receive from done.
 	err     error
@@ -182,6 +175,16 @@ func (jb *Job[T]) finish(err error, now time.Time) {
 		}
 		close(jb.done)
 	})
+}
+
+// Traffic returns the job's task and result frames and their payload
+// bytes: Stats.Messages and PayloadBytes, one frame of each per dispatched
+// vertex at Batch 1.
+func (jb *Job[T]) Traffic() (messages, bytes int64) { return jb.messages.Load(), jb.payload.Load() }
+
+func (jb *Job[T]) count(msg comm.Message) {
+	jb.messages.Add(1)
+	jb.payload.Add(int64(msg.PayloadLen()))
 }
 
 // Finished reports whether the job has ended.
@@ -206,7 +209,7 @@ func (jb *Job[T]) Stats() engine.Stats {
 	return s
 }
 
-// NewJob builds a job for elastic members — a fleet's or the simulator's:
+// NewJob builds a job for a fleet or the simulator:
 // an unset partition is the advisor's for the members live now under Auto,
 // the default otherwise; what jp leaves unset is the pool's; a job with a
 // cache key ships against its members' known-sets.
@@ -295,15 +298,6 @@ func (d *Driver[T]) Progress() <-chan struct{} {
 	return d.progressed
 }
 
-// running lists the running jobs, under mu.
-func (d *Driver[T]) running() []*Job[T] {
-	jobs := make([]*Job[T], 0, len(d.jobs))
-	for _, jb := range d.jobs {
-		jobs = append(jobs, jb)
-	}
-	return jobs
-}
-
 func (d *Driver[T]) memberList() []*member {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -328,8 +322,8 @@ func (d *Driver[T]) WithPool(fn func(*engine.Pool[T])) {
 	fn(d.pool)
 }
 
-// Counts returns the hungers (beacons, and fixed ranks found hungry at a
-// tick) and the stale results (for jobs no longer running).
+// Counts returns the hunger beacons and the stale results (for jobs no
+// longer running).
 func (d *Driver[T]) Counts() (hungers, stale int64) { return d.hungers.Load(), d.stale.Load() }
 
 // JobAccount is a job with its pool account (zero for a retained job).
@@ -443,15 +437,11 @@ func (d *Driver[T]) detach(jb *Job[T]) {
 	}
 }
 
-// AddMember admits the elastic member the registry knows as id, reached
-// over link. Once the driver is closed it admits nothing and reports false.
+// AddMember admits the member the registry knows as id, reached over link.
+// Once the driver is closed it admits nothing and reports false.
 func (d *Driver[T]) AddMember(id int, link Link) bool {
-	return d.add(&member{id: id, link: link, known: d.cfg.Cache.NewPeerSet(), attached: make(map[int32]bool)})
-}
-
-func (d *Driver[T]) add(m *member) bool {
-	m.idle = make(chan struct{}, 4)
-	m.stop = make(chan struct{})
+	m := &member{id: id, link: link, idle: make(chan struct{}, 4), stop: make(chan struct{}),
+		known: d.cfg.Cache.NewPeerSet(), attached: make(map[int32]bool)}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if closed(d.done) {
@@ -518,9 +508,7 @@ func (d *Driver[T]) nextBatch(m *member, wait bool) (*Job[T], []int32, bool) {
 		if !wait {
 			break
 		}
-		m.waiting = true
 		d.cond.Wait()
-		m.waiting = false
 	}
 	return nil, nil, false
 }
@@ -584,7 +572,7 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 	}
 	if encErr == nil {
 		jb.Engine.Shipped(m.id, len(entries), bytes)
-		if m.attached != nil && !m.attached[jb.ID] {
+		if !m.attached[jb.ID] {
 			// The link is ordered, so the spec always precedes the tasks.
 			//lint:ignore blocking-under-lock the attach frame and the task must reach the wire without a detach interleaving, which only attachMu serializes; the write is bounded by the connection's write timeout, and attachMu is a leaf per member
 			if err = m.link.Send(comm.Message{Kind: comm.KindJobSpec, Job: jb.ID, Payload: jb.Meta}); err == nil {
@@ -592,8 +580,10 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 			}
 		}
 		if err == nil {
+			task := comm.TaskMessage(jb.ID, entries)
+			jb.count(task) // first: its result may end the job before the send returns
 			//lint:ignore blocking-under-lock the task send is serialized against the JobEnd by attachMu; the write is bounded by the connection's write timeout, and attachMu is a leaf per member
-			err = m.link.Send(comm.TaskMessage(jb.ID, entries))
+			err = m.link.Send(task)
 		}
 	}
 	m.attachMu.Unlock()
@@ -608,15 +598,14 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 }
 
 // Deliver is the receive side (§V.B steps f-h): one message from member
-// id, from a fixed rank, an elastic member's reader or a simulated worker.
+// id, from a socket's reader, an in-process member's worker loop or a
+// simulated worker.
 // Results of different jobs commit concurrently, of one job one at a time.
 func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 	if closed(d.done) {
 		return
 	}
-	if d.reg != nil {
-		d.reg.Beat(id) // any traffic proves liveness
-	}
+	d.reg.Beat(id) // any traffic proves liveness
 	d.mu.Lock()
 	m, jb := d.members[id], d.jobs[msg.Job]
 	d.mu.Unlock()
@@ -628,7 +617,7 @@ func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 			_ = m.link.Send(comm.Message{Kind: comm.KindHeartbeat})
 		}
 	case comm.KindLeave:
-		if d.reg != nil && d.reg.MarkLeft(id) {
+		if d.reg.MarkLeft(id) {
 			d.revoke(id)
 		}
 	case comm.KindHunger:
@@ -640,6 +629,9 @@ func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 		}
 		d.mu.Unlock()
 	case comm.KindResult, comm.KindResultBatch:
+		if jb != nil {
+			jb.count(msg)
+		}
 		if msg.Kind == comm.KindResult {
 			d.applyResult(m, id, jb, msg.Vertex, msg.Attempt, msg.Payload)
 		}
@@ -680,14 +672,12 @@ func (d *Driver[T]) applyResult(m *member, id int, jb *Job[T], v, attempt int32,
 		// The member holds the block it computed — while the job is
 		// attached: after the detach's reset the worker has dropped it.
 		m.attachMu.Lock()
-		if m.attached == nil || m.attached[jb.ID] {
+		if m.attached[jb.ID] {
 			m.known.Note(jb.Engine.ResultKey(v))
 		}
 		m.attachMu.Unlock()
 	}
-	if d.reg != nil {
-		d.reg.NoteCompleted(id)
-	}
+	d.reg.NoteCompleted(id)
 	if finished {
 		d.End(jb, nil)
 		return
@@ -698,29 +688,16 @@ func (d *Driver[T]) applyResult(m *member, id int, jb *Job[T], v, attempt int32,
 	d.mu.Unlock()
 }
 
-// Down handles member id's failure: a broken link, a failed send, a frame
-// no worker sends. An elastic member is declared dead and its leases go
-// back to their jobs; a fixed rank cannot be replaced, so its failure ends
-// every running job with err, unless the transport is closing. After Close
-// it does nothing.
+// Down handles member id's failure — a broken link, a failed send, a frame
+// no worker sends — which err names: the member is declared dead and its
+// leases go back to their jobs (§V). After Close it does nothing.
 func (d *Driver[T]) Down(id int, err error) {
-	switch {
-	case closed(d.done):
-	case d.reg != nil:
-		if d.reg.MarkDead(id) {
-			d.revoke(id)
-		}
-	case !errors.Is(err, comm.ErrClosed):
-		d.mu.Lock()
-		running := d.running()
-		d.mu.Unlock()
-		for _, jb := range running {
-			d.End(jb, err)
-		}
+	if !closed(d.done) && d.reg.MarkDead(id) {
+		d.revoke(id)
 	}
 }
 
-// revoke forgets a dead or departed elastic member, closing its link, and
+// revoke forgets a dead or departed member, closing its link, and
 // has the pool requeue its leased vertices; this counts toward no
 // MaxAttempts.
 func (d *Driver[T]) revoke(id int) {
@@ -752,46 +729,17 @@ func (d *Driver[T]) tickLoop() {
 	}
 }
 
-// Tick is one control tick: the heartbeat sweep of elastic members or the
-// hunger of fixed ranks, the pool's tick — deadlines, overtime expiry,
-// straggler flags, the tuner — and the end of the jobs it gave up on.
+// Tick is one control tick: the heartbeat sweep, the pool's tick —
+// deadlines, overtime expiry, straggler flags, the tuner — and the end of
+// the jobs it gave up on.
 func (d *Driver[T]) Tick(now time.Time) {
 	defer d.progress()
-	live := 0
-	if d.reg != nil {
-		for _, id := range d.reg.Sweep(now, d.cfg.HeartbeatInterval, d.cfg.HeartbeatMiss) {
-			d.revoke(id)
-		}
-		live = d.reg.Live()
+	for _, id := range d.reg.Sweep(now, d.cfg.HeartbeatInterval, d.cfg.HeartbeatMiss) {
+		d.revoke(id)
 	}
+	live := d.reg.Live()
 	d.mu.Lock()
-	var hungry []int
-	if d.reg == nil {
-		// A fixed rank sends no beacon: its sender waiting while it holds no
-		// lease is its hunger.
-		live = len(d.members)
-		for id, m := range d.members {
-			if m.waiting {
-				hungry = append(hungry, id)
-			}
-		}
-		slices.Sort(hungry)
-		for _, id := range hungry {
-			load := 0
-			for _, jb := range d.jobs {
-				load += jb.Engine.Load(id)
-			}
-			if load == 0 {
-				d.hungers.Add(1)
-			}
-		}
-	}
 	ended := d.pool.Tick(now, live, d.hungers.Load())
-	for _, id := range hungry {
-		if d.pool.Hunger(id) {
-			break // at most one steal per tick
-		}
-	}
 	over := make([]*Job[T], len(ended))
 	for i, end := range ended {
 		over[i] = d.jobs[end.ID]
@@ -811,7 +759,9 @@ func (d *Driver[T]) Close() {
 	d.mu.Lock()
 	var running []*Job[T]
 	if !closed(d.done) {
-		running = d.running()
+		for _, jb := range d.jobs {
+			running = append(running, jb)
+		}
 		close(d.done)
 		d.cond.Broadcast()
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 )
 
 // triangularJob is a 4×4-block triangular job (Nussinov's DAG shape): ten
@@ -44,7 +45,7 @@ func drawOne(t *testing.T, d *Driver[int32]) []int32 {
 // leased to the dead member, the quota room reopened — and the next wait
 // for work returns at once instead of blocking at quota.
 func TestDriverStoppedMemberHandsDrawBack(t *testing.T) {
-	d := NewDriver[int32](DriverConfig{Pool: engine.PoolConfig{Batch: 8, CheckInterval: time.Hour}})
+	d := NewDriver[int32](DriverConfig{Pool: engine.PoolConfig{Batch: 8, CheckInterval: time.Hour}, Registry: NewRegistry(nil, nil)})
 	defer d.Close()
 	jb := triangularJob(d, engine.JobParams{Quota: 3})
 	startJob(t, d, jb)
@@ -80,7 +81,7 @@ func TestDriverStoppedMemberHandsDrawBack(t *testing.T) {
 // kill the worker) and never a re-attach after JobEnd (which would leak
 // the job's kernel state on the worker).
 func TestDriverDispatchRetireOrdering(t *testing.T) {
-	d := NewDriver[int32](DriverConfig{Pool: engine.PoolConfig{CheckInterval: time.Hour}, RetainJobs: 1})
+	d := NewDriver[int32](DriverConfig{Pool: engine.PoolConfig{CheckInterval: time.Hour}, Registry: NewRegistry(nil, nil), RetainJobs: 1})
 	defer d.Close()
 	jb := triangularJob(d, engine.JobParams{})
 	startJob(t, d, jb)
@@ -170,5 +171,38 @@ func TestDriverDispatchRetireOrdering(t *testing.T) {
 	m.attachMu.Unlock()
 	if attached {
 		t.Fatal("retired job still attached to the member")
+	}
+}
+
+// TestInProcessMemberNeverSwept: an in-process member cannot fall silent
+// apart from its process, so the heartbeat sweep passes it over — it is
+// still live after a tick more than HeartbeatMiss silent intervals on —
+// while a socket member under the same silence is declared dead.
+func TestInProcessMemberNeverSwept(t *testing.T) {
+	clock := sched.NewFakeClock(time.Unix(0, 0))
+	reg := NewRegistry(nil, clock)
+	d := NewDriver[int32](DriverConfig{
+		Pool:              engine.PoolConfig{CheckInterval: time.Second},
+		Clock:             clock,
+		Registry:          reg,
+		HeartbeatInterval: time.Second,
+		HeartbeatMiss:     3,
+	})
+	defer d.Close()
+	local := d.JoinLocal("local", comm.LatencyModel{})
+	remote := reg.Admit("remote", "127.0.0.1:1").ID
+	_, link := NewLocal(func(comm.Message) {}, comm.LatencyModel{})
+	if local == nil || !d.AddMember(remote, link) {
+		t.Fatal("a fresh driver refused a member")
+	}
+	clock.Advance(10 * time.Second)
+	d.Tick(clock.Now())
+	states := make(map[int]MemberState)
+	for _, m := range reg.Members() {
+		states[m.ID] = m.State
+	}
+	if states[local.ID()] != StateActive || states[remote] != StateDead || reg.Live() != 1 {
+		t.Fatalf("after 10 silent intervals: in-process member %v, socket member %v, %d live; want active, dead, 1",
+			states[local.ID()], states[remote], reg.Live())
 	}
 }

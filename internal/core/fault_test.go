@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -243,14 +242,13 @@ func TestAllSlavesDeadAborts(t *testing.T) {
 	}
 }
 
-// A slave that comes up after the master has finished and hung up — two
-// fast workers can drain a small job before the third says hello — has
-// nothing to report: its run is over, not failed.
+// A member that comes up after the master has finished and closed its
+// link — two fast workers can drain a small job before the third says
+// hello — has nothing to report: its run is over, not failed.
 func TestLateSlaveExitsCleanly(t *testing.T) {
-	nw := comm.NewChanNetwork(2, comm.LatencyModel{})
-	nw.Close()
-	e := dp.NewEditDistance(dp.RandomDNA(32, 44), dp.RandomDNA(32, 45))
-	if err := core.ServeRank(e.Problem(), faultConfig(), nw.Endpoint(1)); err != nil {
-		t.Fatalf("slave whose master had already hung up: %v", err)
+	_, master, done := serveMember(t, dp.NewEditDistance(dp.RandomDNA(32, 44), dp.RandomDNA(32, 45)).Problem(), faultConfig())
+	master.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("member whose master had already hung up: %v", err)
 	}
 }

@@ -3,10 +3,9 @@
 // re-partitions each sub-task over compute threads, the dynamic worker
 // pools at both levels, and the hierarchical timeout-based fault tolerance
 // described in §V of the paper. The master is one driver (Driver) of
-// internal/engine's scheduler for both sources of members: the fixed ranks
-// of RunContext's in-process transport and the elastic workers of
-// internal/fleet — every worker process is one — whose membership table
-// (Registry) lives here beside it.
+// internal/engine's scheduler over one source of members, its membership
+// table (Registry): RunContext's in-process members (Local) and the workers
+// of internal/fleet — every worker process is one.
 package core
 
 import (

@@ -1,0 +1,122 @@
+package core
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/comm"
+)
+
+// Conn is a worker's end of its link to the driver: a fleet worker
+// process's *comm.Conn, or an in-process member's Local.
+type Conn interface {
+	Link
+	Recv() (comm.Message, error)
+}
+
+// inProcess is the address of an in-process member, which the registry's
+// heartbeat sweep passes over.
+const inProcess = "in-process"
+
+// Local is the link of one in-process member, RunContext's or the job
+// service's: a queue of the driver's frames, which never waits for the
+// worker (it is sent to under attachMu), and back the driver's receive side
+// called on the worker's goroutine. Each end charges its frames' latency.
+type Local struct {
+	id          int
+	hungerAfter time.Duration
+	deliver     func(comm.Message)
+	lat         comm.LatencyModel
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []comm.Message
+	closed bool
+}
+
+// NewLocal returns an in-process link that charges lat: the member's end,
+// whose frames go to deliver, and the driver's end.
+func NewLocal(deliver func(comm.Message), lat comm.LatencyModel) (*Local, Link) {
+	l := &Local{deliver: deliver, lat: lat}
+	l.cond = sync.NewCond(&l.mu)
+	return l, toMember{l}
+}
+
+// JoinLocal admits an in-process member named name over a fresh Local link
+// that charges lat and starts its sender, or returns nil once the driver is
+// closed. The registry never sweeps the member: it cannot fall silent apart
+// from its process, and a starved beacon goroutine must not cost it.
+func (d *Driver[T]) JoinLocal(name string, lat comm.LatencyModel) *Local {
+	id := d.reg.Admit(name, inProcess).ID
+	l, end := NewLocal(func(msg comm.Message) { d.Deliver(id, msg) }, lat)
+	l.id = id
+	if d.cfg.Pool.Steal || d.cfg.Pool.Auto {
+		l.hungerAfter = 2 * d.cfg.Pool.CheckInterval
+	}
+	if !d.AddMember(id, end) {
+		return nil
+	}
+	d.StartSender(id)
+	return l
+}
+
+// ID is the member id the driver and its registry know the member by.
+func (l *Local) ID() int { return l.id }
+
+// HungerAfter is the member's Worker.HungerAfter: two control ticks when
+// the driver's pool steals, else zero.
+func (l *Local) HungerAfter() time.Duration { return l.hungerAfter }
+
+// toMember is the driver's end of a Local link.
+type toMember struct{ l *Local }
+
+func (t toMember) Send(msg comm.Message) error {
+	time.Sleep(t.l.lat.Delay(msg.PayloadLen()))
+	t.l.mu.Lock()
+	defer t.l.mu.Unlock()
+	if t.l.closed {
+		return comm.ErrClosed
+	}
+	t.l.queue = append(t.l.queue, msg)
+	t.l.cond.Signal()
+	return nil
+}
+
+func (t toMember) Close() error { return t.l.Close() }
+
+// Close ends the link from either side; the worker still receives what was
+// queued before.
+func (l *Local) Close() error {
+	l.mu.Lock()
+	l.closed = true
+	l.cond.Signal()
+	l.mu.Unlock()
+	return nil
+}
+
+// Recv hands the worker the driver's next frame, and comm.ErrClosed once
+// the link is closed and drained: the driver closes an in-process link
+// only to dismiss its member.
+func (l *Local) Recv() (comm.Message, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.queue) == 0 && !l.closed {
+		l.cond.Wait()
+	}
+	if len(l.queue) == 0 {
+		return comm.Message{}, comm.ErrClosed
+	}
+	// Shift down rather than reslice, so the queue keeps its one array.
+	msg := l.queue[0]
+	n := copy(l.queue, l.queue[1:])
+	l.queue[n] = comm.Message{} // drop the payload with the frame
+	l.queue = l.queue[:n]
+	return msg, nil
+}
+
+// Send hands the worker's frame to the driver on the calling goroutine.
+func (l *Local) Send(msg comm.Message) error {
+	time.Sleep(l.lat.Delay(msg.PayloadLen()))
+	l.deliver(msg)
+	return nil
+}

@@ -68,9 +68,9 @@ type Member struct {
 	Completed int64 // vertices this member computed
 }
 
-// Registry is the membership table of elastic members: a Driver given one
-// (DriverConfig.Registry) sweeps it for heartbeats at every tick and
-// revokes the leases of the members it declares dead or gone.
+// Registry is the membership table of a Driver's members
+// (DriverConfig.Registry): the driver sweeps it for heartbeats at every
+// tick and revokes the leases of the members it declares dead or gone.
 type Registry struct {
 	mu      sync.Mutex
 	next    int
@@ -135,13 +135,14 @@ func (r *Registry) Beat(id int) {
 
 // Sweep applies the heartbeat deadlines at time now: members silent for
 // more than one interval become suspect; members silent for more than
-// miss intervals are declared dead. It returns the ids that died in this
+// miss intervals are declared dead. In-process members (Driver.JoinLocal)
+// are never swept. It returns the ids that died in this
 // sweep (the caller revokes their leases).
 func (r *Registry) Sweep(now time.Time, interval time.Duration, miss int) []int {
 	var died, suspected []int
 	r.mu.Lock()
 	for id, m := range r.members {
-		if m.State != StateActive && m.State != StateSuspect {
+		if m.State != StateActive && m.State != StateSuspect || m.Addr == inProcess {
 			continue
 		}
 		silent := now.Sub(m.LastBeat)

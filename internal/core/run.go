@@ -6,59 +6,133 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
+	"repro/internal/engine"
+	"repro/internal/sched"
 	"repro/internal/tune"
 )
 
-// RunContext executes problem p on an in-process emulated cluster: one
-// master rank plus cfg.Slaves slave ranks connected by a channel
-// transport with cfg.Latency, each slave running cfg.Threads compute
-// goroutines. It blocks until the DP matrix is complete and returns the
-// blocked result with run statistics. When ctx is cancelled (or its
-// deadline passes) the master stops scheduling, slaves finish the
-// sub-tasks already in flight, and the run returns ctx's error. The
-// cancellation latency is therefore bounded by one processor-level
-// sub-task.
+// RunContext executes problem p on an in-process emulated cluster: a master
+// driver and cfg.Slaves in-process members of its registry (Local links
+// charging cfg.Latency), each a worker loop with cfg.Threads compute
+// goroutines that attaches the one job by its job-spec frame, as every fleet
+// member does; the job is drawn in the order cfg.Policy names. It blocks
+// until the DP matrix is complete and returns the blocked result with run
+// statistics. When ctx is cancelled (or its deadline passes) the master
+// stops scheduling and the run returns ctx's error once the sub-tasks in
+// flight drain, so cancellation waits at most one processor-level sub-task.
 func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T], error) {
 	cfg, err := prepare(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	nw := comm.NewChanNetwork(cfg.Slaves+1, cfg.Latency)
-	defer nw.Close()
-	ctrs := &counters{}
-	faults := newFaultState(cfg.Faults)
-
-	// The master starts once every slave has announced itself, as every
-	// rank of a real cluster has connected before it does: however the
-	// goroutines are scheduled, no slave comes up to a finished run.
-	var slaves, up sync.WaitGroup
-	up.Add(cfg.Slaves)
-	for s := 1; s <= cfg.Slaves; s++ {
-		slaves.Add(1)
-		go func(s int) {
-			defer slaves.Done()
-			// Slave errors surface as master-side timeouts; the
-			// slave loop itself only fails on codec bugs, which the
-			// master also detects.
-			_ = runSlave(p, cfg, nw.Endpoint(s), faults, ctrs, up.Done)
-		}(s)
-	}
-	up.Wait()
-
 	start := time.Now()
-	res, err := runMaster(ctx, p, cfg, nw.Endpoint(0), ctrs)
+	// BCW is the static baseline: an idle member may not take another's
+	// vertex, so the mitigations stay off, and the tuner that arms them.
+	dynamic := cfg.Policy != PolicyBlockCyclic
+	d := NewDriver[T](DriverConfig{
+		Pool: engine.PoolConfig{
+			Batch:         cfg.Batch,
+			Speculate:     cfg.Speculate && dynamic,
+			Steal:         cfg.Steal && dynamic,
+			Auto:          cfg.Auto && dynamic,
+			CheckInterval: cfg.CheckInterval,
+			Trace:         cfg.Trace,
+		},
+		Registry: NewRegistry(nil, nil),
+		Cache:    cfg.Cache,
+	})
+	defer d.Close()
+	eng := engine.New(p.Kernel.Pattern(), p.Codec, p.Size, cfg.ProcPartition, engine.Config[T]{
+		TaskTimeout: cfg.TaskTimeout,
+		MaxAttempts: cfg.MaxAttempts,
+		Cache:       cfg.Cache,
+		CacheKey:    cfg.CacheKey,
+		Delta:       cfg.DeltaShipping,
+		Reclaim:     cfg.ReclaimBlocks,
+		Trace:       cfg.Trace,
+		OnProgress:  cfg.Progress,
+	})
+	ctrs := &counters{}
+	// Restored sub-tasks commit in file order, a valid execution order, and
+	// are written again to cfg.Checkpoint: the new stream is self-contained.
+	if cfg.Checkpoint != nil {
+		eng.SetCheckpoint(checkpoint.NewWriter(cfg.Checkpoint))
+	}
+	if cfg.Restore != nil {
+		if _, err := checkpoint.Replay(cfg.Restore, eng.Replay); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+
+	var order sched.Order // nil: the dynamic pool's LIFO stack
+	switch cfg.Policy {
+	case PolicyBlockCyclic:
+		order = memberOrder{sched.NewBlockCyclic(eng.Graph(), cfg.Slaves, cfg.BCWBlockCols)}
+	case PolicyAffinity:
+		// Scored in the draw, under the driver's lock that guards its
+		// members; v is ready, so its dependencies' keys are recorded.
+		order = sched.NewAffinity(func(w int, v int32) int {
+			n := 0
+			for _, dep := range eng.Graph().Vertex(v).DataPre {
+				if m := d.members[w]; m != nil && m.known.Has(eng.ResultKey(dep)) {
+					n++
+				}
+			}
+			return n
+		})
+	}
+	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order, Timeout: cfg.RunTimeout})}
+
+	faults := newFaultState(cfg.Faults)
+	var members sync.WaitGroup
+	for range cfg.Slaves {
+		l := d.JoinLocal("", cfg.Latency)
+		w := Worker[T]{
+			Link:        l,
+			Batch:       cfg.Batch,
+			HungerAfter: l.HungerAfter(),
+			Before: func(vertex int32) error {
+				if faults.crashNow(l.ID()) {
+					return errCrashed
+				}
+				time.Sleep(faults.stallTask(vertex))
+				return nil
+			},
+			Attach: func(comm.Message) (*TaskRunner[T], error) { return newTaskRunner(p, cfg, faults, ctrs), nil },
+		}
+		members.Add(1)
+		go func() {
+			defer members.Done()
+			// The driver dismisses its members, and sees their failures: a
+			// dead link revokes its leases, a silent member's expire.
+			_ = w.Serve(context.WithoutCancel(ctx), nil)
+		}()
+	}
+	d.StartTick()
+
+	if err = d.Start(jb); err == nil {
+		err = d.Wait(ctx, jb)
+	}
+	// Every sender tells its member to end, then every link closes.
+	d.Close()
 	elapsed := time.Since(start)
-	nw.Close()
-	slaves.Wait()
+	members.Wait()
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = ctrs.snapshot()
-	res.Stats.Elapsed = elapsed
-	res.Stats.Messages, res.Stats.PayloadBytes = nw.Traffic()
-	return res, nil
+	st := Stats{Stats: eng.Counters().Stats(), SubTasks: ctrs.subTasks.Load(), SubRequeues: ctrs.subRequeues.Load(), WorkerRestarts: ctrs.workerRestarts.Load()}
+	st.Elapsed = elapsed
+	st.Messages, st.PayloadBytes = jb.Traffic()
+	return &Result[T]{Store: eng.Store(), Stats: st}, nil
 }
+
+// memberOrder is a static order as the driver draws from it: registry
+// member ids start at 1, and the order's workers at 0.
+type memberOrder struct{ sched.Order }
+
+func (o memberOrder) Pop(member, n int, dst []int32) []int32 { return o.Order.Pop(member-1, n, dst) }
 
 func prepare[T any](p Problem[T], cfg Config) (Config, error) {
 	if p.Kernel == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -14,20 +15,22 @@ import (
 )
 
 // Worker is the slave scheduling loop (Figs. 11-12 of the paper), the one
-// every worker runs: announce idleness, receive a processor-level sub-task,
-// run it through its job's TaskRunner and return the computed block. A
-// fixed rank serves the run's one job from admission; a fleet worker
-// attaches jobs as their frames arrive.
+// every member runs, in process or as a worker process: announce idleness,
+// receive a processor-level sub-task, run it through its job's TaskRunner
+// and return the computed block. Jobs attach as their frames arrive.
 type Worker[T any] struct {
-	Recv  func() (comm.Message, error) // the link to the master
-	Send  func(comm.Message) error
-	Batch int // flush bound of a task batch's results (Config.Batch)
-	// Before runs before each task executes; its error ends the loop.
+	Link  Conn // to the driver; Serve closes it on return
+	Batch int  // flush bound of a task batch's results (Config.Batch)
+	// Before, when non-nil, runs before each task executes; its error ends
+	// the loop.
 	Before func(vertex int32) error
 	// Attach, when non-nil, builds the runner of the job a KindJobSpec
 	// frame attaches, and KindJobEnd detaches it; without it both frames
 	// are unexpected.
 	Attach func(msg comm.Message) (*TaskRunner[T], error)
+	// Beat, when positive, is the heartbeat period; HungerAfter, when
+	// positive, the idleness that sends a hunger beacon.
+	Beat, HungerAfter time.Duration
 }
 
 // Attached is what a worker — Worker.Serve's, or a simulated one — holds
@@ -39,8 +42,11 @@ type Attached[T any] struct {
 	seen map[[32]byte]*matrix.Block[T]
 }
 
-// NewAttached holds jobs, the runners attached from admission.
+// NewAttached holds jobs, the runners attached from admission (nil: none).
 func NewAttached[T any](jobs map[int32]*TaskRunner[T]) *Attached[T] {
+	if jobs == nil {
+		jobs = make(map[int32]*TaskRunner[T])
+	}
 	a := &Attached[T]{jobs: jobs, seen: make(map[[32]byte]*matrix.Block[T])}
 	for _, r := range jobs {
 		r.SetBlockCache(a.seen)
@@ -72,19 +78,92 @@ func (a *Attached[T]) Apply(msg comm.Message, attach func(comm.Message) (*TaskRu
 	return err
 }
 
-// Serve runs the loop over jobs, the runners attached from admission, until
-// the master sends the end signal (nil) or something fails, for the caller
-// to judge: a failed Recv wrapped in errLostMaster, a failed send in
-// comm.ErrSend, a Before, runner or protocol error as it is.
-func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
-	held := NewAttached(jobs)
-	if err := w.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
+// Serve runs the loop over jobs, the runners attached from admission, with
+// a beacon goroutine when it has something to send, until the driver sends
+// the end signal or closes an in-process link (nil), ctx ends (a Leave frame
+// goes out first) or something fails. An injected crash
+// (FaultPlan.CrashOnTask) is silent: the member holds its link unanswered
+// until the driver dismisses it, so its leases come back by timeout.
+func (w Worker[T]) Serve(ctx context.Context, jobs map[int32]*TaskRunner[T]) error {
+	defer w.Link.Close()
+	start := time.Now()
+	var active atomic.Int64 // the last activity, as a time.Duration since start
+	noteActivity := func() { active.Store(int64(time.Since(start))) }
+	stop := make(chan struct{})
+	var beacon sync.WaitGroup
+	if w.Beat > 0 || w.HungerAfter > 0 || ctx.Done() != nil {
+		beacon.Add(1)
+		go func() {
+			defer beacon.Done()
+			w.beacon(ctx, stop, func() time.Duration { return time.Since(start) - time.Duration(active.Load()) })
+		}()
+	}
+	err := w.loop(NewAttached(jobs), noteActivity)
+	close(stop)
+	beacon.Wait()
+	if errors.Is(err, errCrashed) {
+		for _, e := w.Link.Recv(); e == nil; _, e = w.Link.Recv() {
+		}
+	}
+	return err
+}
+
+// beacon runs until stop closes: heartbeats prove liveness and provoke the
+// echoes that feed a socket's read-idle bound, HungerAfter of idleness sends
+// a hunger beacon, and ctx ending a graceful Leave that closes the link.
+func (w Worker[T]) beacon(ctx context.Context, stop <-chan struct{}, idle func() time.Duration) {
+	var beat, hunger <-chan time.Time // nil: never
+	if w.Beat > 0 {
+		ticker := time.NewTicker(w.Beat)
+		defer ticker.Stop()
+		beat = ticker.C
+	}
+	var timer *time.Timer
+	if w.HungerAfter > 0 {
+		timer = time.NewTimer(w.HungerAfter)
+		defer timer.Stop()
+		hunger = timer.C
+	}
+	for {
+		beacon := comm.KindHeartbeat
+		select {
+		case <-stop:
+			return
+		case <-ctx.Done():
+			_ = w.Link.Send(comm.Message{Kind: comm.KindLeave})
+			w.Link.Close()
+			return
+		case <-beat:
+		case <-hunger:
+			if idle := idle(); idle < w.HungerAfter {
+				timer.Reset(w.HungerAfter - idle) // active meanwhile
+				continue
+			}
+			beacon = comm.KindHunger
+			timer.Reset(w.HungerAfter)
+		}
+		_ = w.Link.Send(comm.Message{Kind: beacon}) // a dead link fails the recv loop
+	}
+}
+
+// loop is the worker loop proper; a task starting and a frame's last answer
+// going out are the activity that re-arms the hunger timer.
+func (w Worker[T]) loop(held *Attached[T], noteActivity func()) error {
+	send := func(m comm.Message) error {
+		if !m.More {
+			noteActivity() // idleness starts at completion
+		}
+		return w.Link.Send(m)
+	}
+	if err := send(comm.Message{Kind: comm.KindIdle}); err != nil {
 		return fmt.Errorf("%w: %w", comm.ErrSend, err)
 	}
 	for {
-		msg, err := w.Recv()
-		if err != nil {
-			return fmt.Errorf("%w: %w", errLostMaster, err)
+		msg, err := w.Link.Recv()
+		if errors.Is(err, comm.ErrClosed) {
+			return nil // a closed in-process link is a dismissal
+		} else if err != nil {
+			return fmt.Errorf("lost master: %w", err)
 		}
 		switch msg.Kind {
 		case comm.KindTask, comm.KindTaskBatch:
@@ -95,17 +174,20 @@ func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
 				return fmt.Errorf("task for unattached job %d", msg.Job)
 			}
 			err = comm.ServeTasks(msg, w.Batch, func(vertex int32, task []byte) ([]byte, error) {
-				if err := w.Before(vertex); err != nil {
-					return nil, err
+				noteActivity()
+				if w.Before != nil {
+					if err := w.Before(vertex); err != nil {
+						return nil, err
+					}
 				}
 				return r.Run(vertex, task)
-			}, w.Send)
+			}, send)
 		case comm.KindJobSpec, comm.KindJobEnd:
 			if w.Attach == nil {
 				return fmt.Errorf("received unexpected %v frame", msg.Kind)
 			}
 			err = held.Apply(msg, w.Attach)
-		case comm.KindHeartbeat: // the fleet's echo of a beacon
+		case comm.KindHeartbeat: // the driver's echo of a beacon
 		case comm.KindEnd:
 			return nil
 		default:
@@ -119,38 +201,9 @@ func (w Worker[T]) Serve(jobs map[int32]*TaskRunner[T]) error {
 	}
 }
 
-// runSlave is fixed rank tr.Rank()'s worker: the run's one job is job 0,
-// and the fault plan's task-level faults are the per-task hook; up runs
-// once its idle announcement is sent (or refused). The run is over, not
-// failed, when the link closes, a send fails (the master hung up, maybe
-// before this slave said hello) or an injected crash kills the node
-// without a word, and the results of its batch not yet flushed with it.
-func runSlave[T any](p Problem[T], cfg Config, tr comm.Transport, faults *faultState, ctrs *counters, up func()) error {
-	rank, announced := tr.Rank(), sync.OnceFunc(up)
-	err := Worker[T]{
-		Recv:  tr.Recv,
-		Send:  func(m comm.Message) error { defer announced(); return tr.Send(0, m) },
-		Batch: cfg.Batch,
-		Before: func(vertex int32) error {
-			if faults.crashNow(rank) {
-				return errCrashed
-			}
-			time.Sleep(faults.stallTask(vertex))
-			return nil
-		},
-	}.Serve(map[int32]*TaskRunner[T]{0: newTaskRunner(p, cfg, faults, ctrs)})
-	if err == nil || errors.Is(err, errLostMaster) || errors.Is(err, comm.ErrSend) || errors.Is(err, errCrashed) {
-		return nil
-	}
-	return fmt.Errorf("core: slave %d: %w", rank, err)
-}
-
-// errCrashed is what an injected node failure (FaultPlan.CrashOnTask)
-// ends a slave's task with; errLostMaster, a worker's failed Recv.
-var (
-	errCrashed    = errors.New("core: injected slave crash")
-	errLostMaster = errors.New("lost master")
-)
+// errCrashed is what an injected node failure (FaultPlan.CrashOnTask) ends
+// a member's task with.
+var errCrashed = errors.New("core: injected slave crash")
 
 // jitterFactor returns a deterministic multiplier in [1-amp, 1+amp) keyed
 // by the processor-level task identity (splitmix64 finalizer). Keying at

@@ -21,8 +21,9 @@ type Stats struct {
 	SubRequeues int64
 	// WorkerRestarts counts compute-goroutine panic recoveries.
 	WorkerRestarts int64
-	// Messages and PayloadBytes are in-process traffic: RunContext's every
-	// frame, a job service job's task and result frames (server.RunStats).
+	// Messages and PayloadBytes are the job's task and result frames on
+	// its in-process members' links, RunContext's or the job service's
+	// (server.RunStats): one of each per dispatched vertex at Batch 1.
 	Messages, PayloadBytes int64
 }
 
@@ -32,25 +33,10 @@ func (s Stats) String() string {
 		s.SubTasks, s.SubRequeues, s.WorkerRestarts, s.Messages, s.PayloadBytes, s.Elapsed)
 }
 
-// counters accumulates what the job engine's ledger does not: the slaves'
-// thread-level counts. job is that ledger (nil in a slave-only process),
-// set by runMaster before anything moves.
+// counters accumulates what the job engine's ledger does not: the
+// members' thread-level counts.
 type counters struct {
 	subTasks, subRequeues, workerRestarts atomic.Int64
-	job                                   *engine.Counters
-}
-
-// snapshot fills Stats from both ledgers.
-func (c *counters) snapshot() Stats {
-	s := Stats{
-		SubTasks:       c.subTasks.Load(),
-		SubRequeues:    c.subRequeues.Load(),
-		WorkerRestarts: c.workerRestarts.Load(),
-	}
-	if c.job != nil {
-		s.Stats = c.job.Stats()
-	}
-	return s
 }
 
 // faultState tracks which injected faults have fired, so that "first
@@ -59,7 +45,7 @@ type faultState struct {
 	plan FaultPlan
 
 	mu       sync.Mutex
-	received map[int]int // slave rank -> tasks received
+	received map[int]int // member id -> tasks received
 	fired    map[string]bool
 }
 
@@ -74,17 +60,17 @@ func newFaultState(plan FaultPlan) *faultState {
 	}
 }
 
-// crashNow reports whether the slave with the given rank should die upon
+// crashNow reports whether the member with the given id should die upon
 // this task reception.
-func (f *faultState) crashNow(rank int) bool {
+func (f *faultState) crashNow(member int) bool {
 	if f == nil || len(f.plan.CrashOnTask) == 0 {
 		return false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.received[rank]++
-	k, ok := f.plan.CrashOnTask[rank]
-	return ok && f.received[rank] == k
+	f.received[member]++
+	k, ok := f.plan.CrashOnTask[member]
+	return ok && f.received[member] == k
 }
 
 // once returns true the first time key is seen.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,11 +14,29 @@ import (
 	"repro/internal/matrix"
 )
 
-// A fixed slave runs the fleet worker's loop and TaskRunner, so a task
-// frame is checked the same way on both: a vertex outside the grid, a task
-// for a job other than the run's one job and an attach frame end the loop
-// with an error naming what was wrong — never a panic, and never a block
-// computed outside the matrix.
+// serveMember serves a worker loop over an in-process link with job 0
+// attached from admission and no Attach, as a test drives it: the frames
+// the member sends arrive on the returned channel, the driver's end is the
+// returned link, and the loop's error arrives on done.
+func serveMember(t *testing.T, p core.Problem[int32], cfg core.Config) (from <-chan comm.Message, to core.Link, done <-chan error) {
+	t.Helper()
+	r, err := core.NewTaskRunner(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, ended := make(chan comm.Message, 16), make(chan error, 1)
+	l, to := core.NewLocal(func(msg comm.Message) { frames <- msg }, comm.LatencyModel{})
+	go func() {
+		ended <- core.Worker[int32]{Link: l, Batch: 1}.Serve(context.Background(), map[int32]*core.TaskRunner[int32]{0: r})
+	}()
+	return frames, to, ended
+}
+
+// An in-process member runs the fleet worker's loop and TaskRunner, so a
+// task frame is checked the same way on both: a vertex outside the grid, a
+// task for a job other than the one attached and, without Attach, an attach
+// frame end the loop with an error naming what was wrong — never a panic,
+// and never a block computed outside the matrix.
 func TestFixedSlaveRefusesOutOfGridVertex(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(16, 1), dp.RandomDNA(16, 2))
 	cfg := core.Config{ProcPartition: dag.Square(4), Threads: 1}
@@ -38,39 +57,32 @@ func TestFixedSlaveRefusesOutOfGridVertex(t *testing.T) {
 		"another job's task":   {task(3, 0), "task for unattached job 3"},
 		"attach frame":         {comm.Message{Kind: comm.KindJobSpec, Job: 1}, "unexpected job-spec frame"},
 	} {
-		nw := comm.NewChanNetwork(2, comm.LatencyModel{})
-		done := make(chan error, 1)
-		go func() { done <- core.ServeRank(e.Problem(), cfg, nw.Endpoint(1)) }()
-		master := nw.Endpoint(0)
-		if msg, err := master.Recv(); err != nil || msg.Kind != comm.KindIdle {
-			t.Fatalf("%s: slave opened with %v (%v), want Idle", what, msg.Kind, err)
+		from, master, done := serveMember(t, e.Problem(), cfg)
+		if msg := <-from; msg.Kind != comm.KindIdle {
+			t.Fatalf("%s: member opened with %v, want Idle", what, msg.Kind)
 		}
-		if err := master.Send(1, c.msg); err != nil {
+		if err := master.Send(c.msg); err != nil {
 			t.Fatal(err)
 		}
 		err := <-done
-		nw.Close()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: ServeRank = %v, want an error naming %q", what, err, c.want)
+			t.Errorf("%s: Serve = %v, want an error naming %q", what, err, c.want)
 		}
 	}
 }
 
-// A fixed slave keeps the worker's one block cache: a keyed task records
-// the block the slave computes under its content key, so a later task may
-// name that block by reference instead of shipping it — what its master
-// does under DeltaShipping.
+// An in-process member keeps the worker's one block cache: a keyed task
+// records the block the member computes under its content key, so a later
+// task may name that block by reference instead of shipping it — what its
+// master does under DeltaShipping.
 func TestFixedSlaveResolvesItsOwnBlock(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(8, 1), dp.RandomDNA(8, 2))
 	want := e.Sequential()
 	cfg := core.Config{ProcPartition: dag.Square(4), Threads: 1}
 	geom := dag.MatrixGeometry(e.Problem().Size, cfg.ProcPartition)
-	nw := comm.NewChanNetwork(2, comm.LatencyModel{})
-	done := make(chan error, 1)
-	go func() { done <- core.ServeRank(e.Problem(), cfg, nw.Endpoint(1)) }()
-	master := nw.Endpoint(0)
-	if msg, err := master.Recv(); err != nil || msg.Kind != comm.KindIdle {
-		t.Fatalf("slave opened with %v (%v), want Idle", msg.Kind, err)
+	from, master, done := serveMember(t, e.Problem(), cfg)
+	if msg := <-from; msg.Kind != comm.KindIdle {
+		t.Fatalf("member opened with %v, want Idle", msg.Kind)
 	}
 	run := func(v int32, refs []matrix.BlockRef) []byte {
 		t.Helper()
@@ -78,17 +90,17 @@ func TestFixedSlaveResolvesItsOwnBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := master.Send(1, comm.Message{Kind: comm.KindTask, Vertex: v, Attempt: 1, Payload: payload}); err != nil {
+		if err := master.Send(comm.Message{Kind: comm.KindTask, Vertex: v, Attempt: 1, Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
-		msg, err := master.Recv()
-		if err != nil || msg.Kind != comm.KindResult || msg.Vertex != v {
-			t.Fatalf("vertex %d answered %v for vertex %d (%v)", v, msg.Kind, msg.Vertex, err)
+		msg := <-from
+		if msg.Kind != comm.KindResult || msg.Vertex != v {
+			t.Fatalf("vertex %d answered %v for vertex %d", v, msg.Kind, msg.Vertex)
 		}
 		return msg.Payload
 	}
 	first := run(0, nil) // block (0,0) reads nothing
-	// Block (0,1) reads a column of block (0,0), which the slave computed.
+	// Block (0,1) reads a column of block (0,0), which the member computed.
 	east := dag.Pos{Row: 0, Col: 1}
 	out := run(geom.ID(east), []matrix.BlockRef{{Key: [32]byte(cas.PayloadKey(first)), Rect: geom.Rect(dag.Pos{})}})
 	blocks, err := matrix.DecodeBlocks(e.Problem().Codec, out)
@@ -103,12 +115,10 @@ func TestFixedSlaveResolvesItsOwnBlock(t *testing.T) {
 			}
 		}
 	}
-	if err := master.Send(1, comm.Message{Kind: comm.KindEnd}); err != nil {
+	if err := master.Send(comm.Message{Kind: comm.KindEnd}); err != nil {
 		t.Fatal(err)
 	}
-	err = <-done
-	nw.Close()
-	if err != nil {
-		t.Fatalf("ServeRank = %v", err)
+	if err := <-done; err != nil {
+		t.Fatalf("Serve = %v", err)
 	}
 }

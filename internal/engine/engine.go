@@ -11,13 +11,14 @@
 // a verdict, a task's payload, the jobs to end — and does no I/O of its own
 // beyond the cache and the checkpoint writer a Job was handed.
 //
-// One driver runs jobs under a Pool, core.Driver, for three member
-// sources: core's fixed ranks (one job over comm.Transport, its Policy the
-// job's draw order), the fleet (many jobs over one elastic TCP pool) and
-// the simulator (a single-threaded event loop on a fake clock). The driver
-// owns what is I/O: members, their links and known-sets, the message around
-// a payload, the membership registry, when the tick fires, the finish
-// latch; its sources decide when a member counts as idle or hungry.
+// One driver runs jobs under a Pool, core.Driver, with one member source,
+// its registry: core.RunContext's in-process members (one job, its Policy
+// the job's draw order), the fleet's (many jobs over members in process or
+// over TCP) and the simulator's (a single-threaded event loop on a fake
+// clock). The driver owns what is I/O: members, their links and
+// known-sets, the message around a payload, the membership registry, when
+// the tick fires, the finish latch; its members announce idleness and
+// hunger.
 //
 // docs/INTERNALS.md ("Job engine") has the event → call → action tables.
 //

@@ -10,8 +10,8 @@ import (
 	"repro/internal/tune"
 )
 
-// The scheduling defaults of a pool, and of core's fixed-rank master where
-// it has the same knob.
+// The scheduling defaults of a pool, and of core.Config where it has the
+// same knob.
 const (
 	DefaultBatch          = 1
 	DefaultTaskTimeout    = 30 * time.Second
@@ -106,7 +106,7 @@ type JobParams struct {
 	Timeout time.Duration
 	// Order is the draw order inside the job: which of its computable
 	// vertices a member is handed first, or at all. Nil is the dynamic
-	// pool's LIFO stack; core's fixed-rank master sets it from its Policy.
+	// pool's LIFO stack; core.RunContext sets it from its Policy.
 	Order sched.Order
 }
 
@@ -135,8 +135,8 @@ type Account struct {
 // Pool is the scheduler above the jobs, written once like Job: the table
 // of running jobs in submission order and, per job, the ready set behind
 // its draw order, the fair-share account and the deadline, behind one
-// method per fleet-level event. Its one caller is core.Driver, under the
-// fleet's sockets, core's rank transport and the simulator's event loop;
+// method per fleet-level event. Its one caller is core.Driver, under its
+// members' links and the simulator's event loop;
 // what the driver keeps is what is I/O — members and their links,
 // encoding, the finish latch.
 //

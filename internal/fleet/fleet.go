@@ -155,17 +155,10 @@ func New[T any](opts Options) (*Fleet[T], error) {
 // Addr returns the address the fleet listens on, with Options.Addr set.
 func (f *Fleet[T]) Addr() string { return f.ln.Addr().String() }
 
-// Join admits an in-process member named name: link carries the driver's
-// frames to it, and the member hands its own to deliver, on its goroutine.
-// It returns the member id, or 0 once the fleet is closed.
-func (f *Fleet[T]) Join(name string, link core.Link) (member int, deliver func(comm.Message)) {
-	id := f.reg.Admit(name, "in-process").ID
-	if !f.d.AddMember(id, link) {
-		return 0, nil
-	}
-	f.d.StartSender(id)
-	return id, func(msg comm.Message) { f.d.Deliver(id, msg) }
-}
+// Join admits an in-process member named name (core.Driver.JoinLocal) and
+// returns its link, for a core.Worker to serve; nil once the fleet is
+// closed.
+func (f *Fleet[T]) Join(name string) *core.Local { return f.d.JoinLocal(name, comm.LatencyModel{}) }
 
 // Registry exposes the membership table.
 func (f *Fleet[T]) Registry() *core.Registry { return f.reg }
@@ -197,7 +190,9 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 		return nil, err
 	}
 	err = f.d.Wait(ctx, jb)
-	return &Result[T]{Store: jb.Engine.Store().Take(), Stats: jb.Stats()}, err
+	res := &Result[T]{Store: jb.Engine.Store().Take(), Stats: jb.Stats()}
+	res.Messages, res.PayloadBytes = jb.Traffic()
+	return res, err
 }
 
 // acceptLoop admits workers for the fleet's whole lifetime.

@@ -11,71 +11,19 @@ import (
 	"repro/internal/dag"
 )
 
-// testLink is an in-process member's link for these tests: the driver's
-// end queues on a channel big enough that a send never waits, the
-// worker's end delivers into the fleet on the calling goroutine.
-type testLink struct {
-	mu      sync.Mutex
-	ch      chan comm.Message
-	closed  bool
-	deliver func(comm.Message)
-}
-
-func (l *testLink) Send(msg comm.Message) error { // the driver's end
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return comm.ErrClosed
-	}
-	l.ch <- msg
-	return nil
-}
-
-func (l *testLink) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.closed {
-		l.closed = true
-		close(l.ch)
-	}
-	return nil
-}
-
-// worker is the member's end of l.
-func (l *testLink) worker() Conn { return testWorkerEnd{l} }
-
-type testWorkerEnd struct{ l *testLink }
-
-func (w testWorkerEnd) Send(msg comm.Message) error {
-	w.l.deliver(msg)
-	return nil
-}
-
-func (w testWorkerEnd) Recv() (comm.Message, error) {
-	msg, ok := <-w.l.ch
-	if !ok {
-		return comm.Message{}, comm.ErrClosed
-	}
-	return msg, nil
-}
-
-func (w testWorkerEnd) Close() error { return w.l.Close() }
-
 // joinTestMember joins one in-process member to f and serves it until the
-// fleet dismisses it; the returned channel yields how Serve ended.
+// fleet dismisses it; the returned channel yields how its loop ended.
 func joinTestMember(t *testing.T, f *Fleet[int32], name string) <-chan error {
 	t.Helper()
-	l := &testLink{ch: make(chan comm.Message, 1<<12)}
-	id, deliver := f.Join(name, l)
-	if id == 0 {
+	l := f.Join(name)
+	if l == nil {
 		t.Fatal("a fresh fleet refused an in-process member")
 	}
-	l.deliver = deliver
 	done := make(chan error, 1)
 	go func() {
-		done <- Serve(context.Background(), l.worker(), id, func(msg comm.Message) (*core.TaskRunner[int32], error) {
+		done <- core.Worker[int32]{Link: l, Batch: 1, Attach: func(msg comm.Message) (*core.TaskRunner[int32], error) {
 			return attach(testBuilder, core.Config{Threads: 2}, msg)
-		}, WorkerOptions{Name: name, HeartbeatInterval: 50 * time.Millisecond})
+		}}.Serve(context.Background(), nil)
 	}()
 	return done
 }
@@ -119,8 +67,8 @@ func TestJoinInProcessMembers(t *testing.T) {
 			t.Errorf("member %d ended with %v, want dismissed", i, err)
 		}
 	}
-	if id, _ := f.Join("late", &testLink{ch: make(chan comm.Message, 1)}); id != 0 {
-		t.Errorf("a closed fleet admitted member %d", id)
+	if l := f.Join("late"); l != nil {
+		t.Errorf("a closed fleet admitted member %d", l.ID())
 	}
 }
 

@@ -88,10 +88,11 @@ func (m JobMeta) digest() string {
 }
 
 // Result of one fleet job: the completed blocked matrix plus the job's
-// own statistics ledger.
+// own statistics ledger and its traffic (core.Job.Traffic).
 type Result[T any] struct {
-	Store matrix.BlockStore[T]
-	Stats engine.Stats
+	Store                  matrix.BlockStore[T]
+	Stats                  engine.Stats
+	Messages, PayloadBytes int64
 }
 
 // JobStatus is the monitoring view of one job (see Fleet.Snapshot).

@@ -4,15 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 )
 
-// WorkerOptions configures one fleet worker: a process, or an in-process
-// member (Serve).
+// WorkerOptions configures one fleet worker process (RunWorker).
 type WorkerOptions struct {
 	// Addr is the fleet master's address.
 	Addr string
@@ -62,7 +60,9 @@ type Builder[T any] func(meta JobMeta) (core.Problem[T], error)
 // connection dies (error), or ctx is cancelled (a Leave frame goes out
 // first). Kernel state is attached per job on the first job-spec frame
 // and detached on job-end, so the worker's footprint follows the set of
-// jobs it is actively serving.
+// jobs it is actively serving. The loop, with its heartbeats and hunger
+// beacons, is core's Worker; any failure, a computation's included, which
+// the fleet's revocation reassigns, ends the member.
 func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions) error {
 	opts = opts.withDefaults()
 	if build == nil {
@@ -75,90 +75,25 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 	idle := time.Duration(opts.HeartbeatMiss+1) * opts.HeartbeatInterval
 	cn.SetReadIdle(idle)
 	cn.SetWriteTimeout(idle)
-	return Serve(ctx, cn, welcome.Member, func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) }, opts)
-}
-
-// Conn is a worker's end of its link to the fleet: the connection RunWorker
-// dials, or an in-process member's queue (Fleet.Join).
-type Conn interface {
-	core.Link
-	Recv() (comm.Message, error)
-}
-
-// Serve is RunWorker past the dial: member's beacon goroutine and core's
-// worker loop over cn, which it closes on return, attaching jobs by attach.
-func Serve[T any](ctx context.Context, cn Conn, member int, attach func(comm.Message) (*core.TaskRunner[T], error), opts WorkerOptions) error {
-	opts = opts.withDefaults()
-	defer cn.Close()
-
-	// One beacon goroutine: heartbeats prove liveness and provoke the echoes
-	// that feed this side's read-idle bound; HungerAfter since the last
-	// activity (the worker loop notes each task's start and each frame's
-	// completion) sends a hunger beacon, re-armed while idleness persists;
-	// cancellation sends a graceful Leave.
-	stop := make(chan struct{})
-	defer close(stop)
-	start := time.Now()
-	var active atomic.Int64 // the last activity, as a time.Duration since start
-	noteActivity := func() { active.Store(int64(time.Since(start))) }
-	go func() {
-		beat := time.NewTicker(opts.HeartbeatInterval)
-		defer beat.Stop()
-		var hunger <-chan time.Time // nil: never
-		var timer *time.Timer
-		if opts.HungerAfter > 0 {
-			timer = time.NewTimer(opts.HungerAfter)
-			defer timer.Stop()
-			hunger = timer.C
-		}
-		for {
-			beacon := comm.KindHeartbeat
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				_ = cn.Send(comm.Message{Kind: comm.KindLeave})
-				cn.Close()
-				return
-			case <-beat.C:
-			case <-hunger:
-				if idle := time.Since(start) - time.Duration(active.Load()); idle < opts.HungerAfter {
-					timer.Reset(opts.HungerAfter - idle) // active meanwhile
-					continue
-				}
-				beacon = comm.KindHunger
-				timer.Reset(opts.HungerAfter)
-			}
-			_ = cn.Send(comm.Message{Kind: beacon}) // a dead link fails the recv loop
-		}
-	}()
-
-	// The worker loop is core's: jobs attach through their JobSpec frames,
-	// a task starting and a frame's last answer going out are the activity
-	// that re-arms the hunger timer, and any failure — a computation's
-	// included, which the fleet's revocation reassigns — ends the member.
-	err := core.Worker[T]{
-		Recv: cn.Recv,
-		Send: func(m comm.Message) error {
-			if !m.More {
-				noteActivity() // idleness starts at completion
-			}
-			return cn.Send(m)
-		},
-		Batch: opts.Run.Batch,
-		Before: func(int32) error {
-			if noteActivity(); opts.TaskDelay != nil {
-				time.Sleep(opts.TaskDelay())
-			}
+	w := core.Worker[T]{
+		Link:        cn,
+		Batch:       opts.Run.Batch,
+		Attach:      func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) },
+		Beat:        opts.HeartbeatInterval,
+		HungerAfter: opts.HungerAfter,
+	}
+	if opts.TaskDelay != nil {
+		w.Before = func(int32) error {
+			time.Sleep(opts.TaskDelay())
 			return nil
-		},
-		Attach: attach,
-	}.Serve(make(map[int32]*core.TaskRunner[T]))
+		}
+	}
+	err = w.Serve(ctx, nil)
 	if err != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}
 	if err != nil {
-		return fmt.Errorf("fleet: member %d: %w", member, err)
+		return fmt.Errorf("fleet: member %d: %w", welcome.Member, err)
 	}
 	return nil
 }

@@ -226,14 +226,13 @@ func TestInProcessLinkDropsSettledJob(t *testing.T) {
 	}
 	awaitDone(t, j)
 
-	l := newLocal(mgr)
 	var delivered []comm.Message
-	l.deliver = func(msg comm.Message) { delivered = append(delivered, msg) }
+	link, to := core.NewLocal(func(msg comm.Message) { delivered = append(delivered, msg) }, comm.LatencyModel{})
+	l := newLocal(mgr, link)
 	meta, err := json.Marshal(fleet.JobMeta{Job: 7, Name: j.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	to := toMember{l}
 	for _, msg := range []comm.Message{
 		{Kind: comm.KindJobSpec, Job: 7, Payload: meta},
 		{Kind: comm.KindTask, Job: 7},

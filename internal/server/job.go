@@ -76,11 +76,8 @@ type Job struct {
 	finish  finishFunc
 
 	completed, total atomic.Int64
-	// messages and payload count the task and result frames the in-process
-	// members exchanged for the job; runners are its in-process runners,
-	// until it settles.
-	messages, payload atomic.Int64
-	runners           []*core.TaskRunner[int32]
+	// runners are the job's in-process runners, until it settles.
+	runners []*core.TaskRunner[int32]
 
 	mu        sync.Mutex
 	state     State

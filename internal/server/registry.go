@@ -102,9 +102,9 @@ type JobResult struct {
 	Stats RunStats `json:"stats"`
 }
 
-// RunStats is the JSON projection of core.Stats. SubTasks, Messages and
-// PayloadBytes are the in-process members' — sub-tasks run, task and result
-// frames exchanged — and read 0 on an attached fleet.
+// RunStats is the JSON projection of core.Stats. SubTasks are the
+// in-process members' sub-tasks and read 0 on an attached fleet; Messages
+// and PayloadBytes are the job's task and result frames on any fleet.
 type RunStats struct {
 	Tasks           int64   `json:"tasks"`
 	Dispatches      int64   `json:"dispatches"`

@@ -109,11 +109,15 @@ go test -race -count=1 -run 'TestFleetService|TestInProcess' ./internal/server/
 # after every step. Seeded, so a failure names its seed; uncached, so the list above
 # cannot pass on yesterday's run of it.
 go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
-# And a liveness test of the master driver over fixed ranks: under BCW a
+# And the master driver over RunContext's in-process members: under BCW a
 # vertex that times out after its owner's static queue is drained must still
-# find a drawer. It is timing-dependent (a stall against a task timeout), so
-# it must not pass on a cached run.
-go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained' ./internal/core/
+# find a drawer, and the static schedule's workers are the registry's member
+# ids; a starved member's hunger beacon must steal a stalled member's batch
+# backlog; members that all crash silently must end the run by RunTimeout;
+# and an in-process member is never swept for heartbeats, so a beacon
+# goroutine starved under -race cannot cost one. They are timing-dependent
+# (stalls against timeouts and ticks), so they must not pass on a cached run.
+go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained|TestRunBlockCyclic|TestStealRebalancesBatchBacklog|TestAllSlavesDeadAborts|TestInProcessMemberNeverSwept' ./internal/core/
 # The thread level's faults, for the same reason: a panicking or stalled
 # sub-block against the watch's timer, a helper left stalled while the next
 # Run reuses nothing it holds, and at one thread a panicking block retried. The goroutine that calls Run computes as
@@ -169,9 +173,10 @@ check_cover internal/lint 76
 # Size ratchet beside the coverage one. The scheduling state machines are
 # internal/engine — Job for one DAG job, Pool for what sits above the jobs
 # of a shared worker pool — over the draw orders and tables of
-# internal/sched; core's master driver drives them (under fixed ranks, the
-# fleet's elastic members and the simulator's), and a second copy of
-# anything the engine holds must not arrive unnoticed. (internal/sched is
+# internal/sched; core's master driver drives them (for the members of its
+# registry: RunContext's and a fleet's, in process or over TCP, and the
+# simulator's), and a second copy of anything the engine holds must not
+# arrive unnoticed. (internal/sched is
 # in the set so that code moved between core and sched does not count as
 # deleted; internal/cluster left it when its registry moved beside the
 # driver in core.) The bound is the measured count of non-test lines:
@@ -186,10 +191,11 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6910 internal/core internal/fleet internal/sim internal/engine internal/sched
-# The transport: wire frames, the join handshake, the in-process channel
-# network and the loopback TCP pair the repo benchmark times. A second
-# handshake or master rendezvous must not arrive unnoticed.
+check_lines 6909 internal/core internal/fleet internal/sim internal/engine internal/sched
+# The transport: wire frames, the join handshake, and the channel network
+# and loopback TCP pair that only the repo benchmark's replay still times
+# (no runtime path uses either). A second handshake or master rendezvous
+# must not arrive unnoticed.
 check_lines 1250 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
 # store must not arrive unnoticed.
@@ -213,8 +219,8 @@ echo "imports: internal/engine names none of core, comm, fleet, sim, server, net
 
 # And the worker is one loop, as the master is one driver: core.Worker.Serve
 # is the one non-test caller of comm.ServeTasks, and TaskRunner.Run the one
-# of computeBlock, under fixed ranks and fleet workers alike. A second
-# worker must not arrive unnoticed.
+# of computeBlock, for in-process members and fleet worker processes alike.
+# A second worker must not arrive unnoticed.
 for call in 'computeBlock(' 'comm.ServeTasks('; do
     sites=$(grep -rnF --include='*.go' "$call" . | grep -v '_test\.go:' |
         grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -280,6 +286,23 @@ if [ -n "$masters" ]; then
     exit 1
 fi
 echo "calls: no non-test code names a fixed-rank TCP master or its rank digest"
+
+# And one in-process deployment: RunContext's members are in-process members
+# of a registry-backed driver (core.Local, core.Worker), as the job
+# service's are, so no non-test code names the deleted fixed-rank master,
+# its rank link or worker loop; core, fleet and server reach their members
+# through core.Link, never a channel network or comm.Transport; and the
+# driver has one member source, with no branch for a missing registry.
+ranks=$( (grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])(runMaster|runSlave|rankLink|ServeRank)([^A-Za-z0-9_]|$)' . |
+    grep -v '_test\.go:'
+    grep -nE 'ChanNetwork|comm\.Transport' $(ls internal/core/*.go internal/fleet/*.go internal/server/*.go | grep -v '_test\.go$') /dev/null
+    grep -nE 'reg (==|!=) nil' internal/core/driver.go /dev/null) || true)
+if [ -n "$ranks" ]; then
+    echo "calls: RunContext runs in-process members under the driver's registry, not fixed ranks:" >&2
+    echo "$ranks" >&2
+    exit 1
+fi
+echo "calls: no fixed-rank master, rank link or channel network in core, fleet or server"
 
 # And the simulator runs the shipped driver: it steps core.Driver (Start,
 # Feed, Deliver, Down, Tick, End) from its event loop, so no non-test code
