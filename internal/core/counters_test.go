@@ -61,6 +61,9 @@ func TestInProcessExactCounters(t *testing.T) {
 			if st.SubTasks != v { // at one thread a block is one sub-task
 				t.Fatalf("sub-tasks = %d, want one per vertex, %d", st.SubTasks, v)
 			}
+			if st.Leaked != 0 { // the job's finish audit
+				t.Fatalf("leaked = %d register or lease entries, want 0", st.Leaked)
+			}
 		})
 	}
 }

@@ -149,10 +149,16 @@ type Job[T any] struct {
 	Meta   []byte
 	Trace  *trace.Recorder // the job's own events, for monitoring
 	Closer io.Closer       // closed when the job ends: its checkpoint file
+	// Problem and Thread, the thread partition (zero: the runner's), are
+	// what an in-process member computes the job with (Runner).
+	Problem Problem[T]
+	Thread  dag.Size
 
+	faults            *faultState // injected into its in-process runners (RunContext's FaultPlan)
+	ctrs              counters    // its in-process runners' thread level
 	start             time.Time
 	commitMu          sync.Mutex   // one Complete at a time: members answer concurrently
-	messages, payload atomic.Int64 // its task and result frames (Traffic)
+	messages, payload atomic.Int64 // its task and result frames
 	done              chan struct{}
 	doneOnce          sync.Once
 	// How the job ended, written once before done closes: read them only
@@ -176,11 +182,6 @@ func (jb *Job[T]) finish(err error, now time.Time) {
 		close(jb.done)
 	})
 }
-
-// Traffic returns the job's task and result frames and their payload
-// bytes: Stats.Messages and PayloadBytes, one frame of each per dispatched
-// vertex at Batch 1.
-func (jb *Job[T]) Traffic() (messages, bytes int64) { return jb.messages.Load(), jb.payload.Load() }
 
 func (jb *Job[T]) count(msg comm.Message) {
 	jb.messages.Add(1)
@@ -209,6 +210,31 @@ func (jb *Job[T]) Stats() engine.Stats {
 	return s
 }
 
+// RunStats is the job's ledger (Stats) with what the engine cannot see:
+// the sub-tasks of its in-process runners and its task and result frames,
+// one of each per dispatched vertex at Batch 1.
+func (jb *Job[T]) RunStats() Stats {
+	c := &jb.ctrs
+	return Stats{Stats: jb.Stats(), SubTasks: c.subTasks.Load(), SubRequeues: c.subRequeues.Load(),
+		WorkerRestarts: c.workerRestarts.Load(), Messages: jb.messages.Load(), PayloadBytes: jb.payload.Load()}
+}
+
+// Runner builds the runner an in-process member computes jb with: jb's
+// problem and partitions, the rest of run, and jb's injected faults and
+// thread-level counters. It needs nothing of the running job, so a member
+// attaches a job that ended while its spec frame was queued.
+func (jb *Job[T]) Runner(run Config) (*TaskRunner[T], error) {
+	run.ProcPartition = jb.Engine.Graph().Geom.Block
+	if jb.Thread.Valid() {
+		run.ThreadPartition = jb.Thread
+	}
+	r, err := NewTaskRunner(jb.Problem, run)
+	if err == nil {
+		r.faults, r.ctrs = jb.faults, &jb.ctrs
+	}
+	return r, err
+}
+
 // NewJob builds a job for a fleet or the simulator:
 // an unset partition is the advisor's for the members live now under Auto,
 // the default otherwise; what jp leaves unset is the pool's; a job with a
@@ -224,7 +250,7 @@ func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, jp engine.JobP
 	if !proc.Valid() {
 		proc = dag.DefaultPartition(p.Size)
 	}
-	jb := &Job[T]{ID: id, Params: d.pool.Params(jp), Trace: trace.NewWithNow(d.clock.Now)}
+	jb := &Job[T]{ID: id, Params: d.pool.Params(jp), Trace: trace.NewWithNow(d.clock.Now), Problem: p}
 	jb.Engine = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
 		TaskTimeout: jb.Params.TaskTimeout,
 		MaxAttempts: jb.Params.MaxAttempts,
@@ -573,7 +599,11 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 	if encErr == nil {
 		jb.Engine.Shipped(m.id, len(entries), bytes)
 		if !m.attached[jb.ID] {
-			// The link is ordered, so the spec always precedes the tasks.
+			// The link is ordered, so the spec always precedes the tasks. An
+			// in-process member takes the job itself along with it.
+			if l, ok := m.link.(toMember); ok {
+				l.handed.Store(jb.ID, jb)
+			}
 			//lint:ignore blocking-under-lock the attach frame and the task must reach the wire without a detach interleaving, which only attachMu serializes; the write is bounded by the connection's write timeout, and attachMu is a leaf per member
 			if err = m.link.Send(comm.Message{Kind: comm.KindJobSpec, Job: jb.ID, Payload: jb.Meta}); err == nil {
 				m.attached[jb.ID] = true

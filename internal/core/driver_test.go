@@ -189,7 +189,7 @@ func TestInProcessMemberNeverSwept(t *testing.T) {
 		HeartbeatMiss:     3,
 	})
 	defer d.Close()
-	local := d.JoinLocal("local", comm.LatencyModel{})
+	local := d.JoinLocal("local", Config{})
 	remote := reg.Admit("remote", "127.0.0.1:1").ID
 	_, link := NewLocal(func(comm.Message) {}, comm.LatencyModel{})
 	if local == nil || !d.AddMember(remote, link) {
@@ -197,12 +197,12 @@ func TestInProcessMemberNeverSwept(t *testing.T) {
 	}
 	clock.Advance(10 * time.Second)
 	d.Tick(clock.Now())
-	states := make(map[int]MemberState)
+	states := make(map[string]MemberState)
 	for _, m := range reg.Members() {
-		states[m.ID] = m.State
+		states[m.Name] = m.State
 	}
-	if states[local.ID()] != StateActive || states[remote] != StateDead || reg.Live() != 1 {
+	if states["local"] != StateActive || states["remote"] != StateDead || reg.Live() != 1 {
 		t.Fatalf("after 10 silent intervals: in-process member %v, socket member %v, %d live; want active, dead, 1",
-			states[local.ID()], states[remote], reg.Live())
+			states["local"], states["remote"], reg.Live())
 	}
 }

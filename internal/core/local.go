@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -18,15 +19,15 @@ type Conn interface {
 // heartbeat sweep passes over.
 const inProcess = "in-process"
 
-// Local is the link of one in-process member, RunContext's or the job
-// service's: a queue of the driver's frames, which never waits for the
-// worker (it is sent to under attachMu), and back the driver's receive side
-// called on the worker's goroutine. Each end charges its frames' latency.
+// Local is the link of one in-process member (Driver.JoinLocal): a queue of
+// the driver's frames, which never waits for the worker (it is sent to under
+// attachMu), beside the Job handed over with each spec frame, and back the
+// driver's receive side called on the worker's goroutine. Each end charges
+// its frames' latency.
 type Local struct {
-	id          int
-	hungerAfter time.Duration
-	deliver     func(comm.Message)
-	lat         comm.LatencyModel
+	deliver func(comm.Message)
+	lat     comm.LatencyModel
+	handed  sync.Map // job id → *Job, from its spec frame's send until the worker attaches it
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -42,47 +43,45 @@ func NewLocal(deliver func(comm.Message), lat comm.LatencyModel) (*Local, Link) 
 	return l, toMember{l}
 }
 
-// JoinLocal admits an in-process member named name over a fresh Local link
-// that charges lat and starts its sender, or returns nil once the driver is
-// closed. The registry never sweeps the member: it cannot fall silent apart
-// from its process, and a starved beacon goroutine must not cost it.
-func (d *Driver[T]) JoinLocal(name string, lat comm.LatencyModel) *Local {
+// JoinLocal admits an in-process member named name and returns its worker,
+// ready to Serve, over a fresh Local link that charges run.Latency, its
+// sender started; nil once the driver is closed. The worker computes with
+// run, each job from the Job handed over with its spec frame (Job.Runner).
+// The registry never sweeps the member: it cannot fall silent apart from
+// its process, and a starved beacon goroutine must not cost it.
+func (d *Driver[T]) JoinLocal(name string, run Config) *Worker[T] {
 	id := d.reg.Admit(name, inProcess).ID
-	l, end := NewLocal(func(msg comm.Message) { d.Deliver(id, msg) }, lat)
-	l.id = id
-	if d.cfg.Pool.Steal || d.cfg.Pool.Auto {
-		l.hungerAfter = 2 * d.cfg.Pool.CheckInterval
-	}
+	l, end := NewLocal(func(msg comm.Message) { d.Deliver(id, msg) }, run.Latency)
 	if !d.AddMember(id, end) {
 		return nil
 	}
 	d.StartSender(id)
-	return l
+	w := &Worker[T]{Link: l, Batch: run.Batch, Attach: func(msg comm.Message) (*TaskRunner[T], error) {
+		if jb, ok := l.handed.LoadAndDelete(msg.Job); ok {
+			return jb.(*Job[T]).Runner(run)
+		}
+		return nil, fmt.Errorf("job %d was not handed over with its spec frame", msg.Job)
+	}}
+	if d.cfg.Pool.Steal || d.cfg.Pool.Auto {
+		w.HungerAfter = 2 * d.cfg.Pool.CheckInterval
+	}
+	return w
 }
 
-// ID is the member id the driver and its registry know the member by.
-func (l *Local) ID() int { return l.id }
-
-// HungerAfter is the member's Worker.HungerAfter: two control ticks when
-// the driver's pool steals, else zero.
-func (l *Local) HungerAfter() time.Duration { return l.hungerAfter }
-
-// toMember is the driver's end of a Local link.
-type toMember struct{ l *Local }
+// toMember is the driver's end of a Local link; its Close is the link's.
+type toMember struct{ *Local }
 
 func (t toMember) Send(msg comm.Message) error {
-	time.Sleep(t.l.lat.Delay(msg.PayloadLen()))
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	if t.l.closed {
+	time.Sleep(t.lat.Delay(msg.PayloadLen()))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
 		return comm.ErrClosed
 	}
-	t.l.queue = append(t.l.queue, msg)
-	t.l.cond.Signal()
+	t.queue = append(t.queue, msg)
+	t.cond.Signal()
 	return nil
 }
-
-func (t toMember) Close() error { return t.l.Close() }
 
 // Close ends the link from either side; the worker still receives what was
 // queued before.

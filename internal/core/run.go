@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/sched"
 	"repro/internal/tune"
@@ -16,8 +15,9 @@ import (
 // RunContext executes problem p on an in-process emulated cluster: a master
 // driver and cfg.Slaves in-process members of its registry (Local links
 // charging cfg.Latency), each a worker loop with cfg.Threads compute
-// goroutines that attaches the one job by its job-spec frame, as every fleet
-// member does; the job is drawn in the order cfg.Policy names. It blocks
+// goroutines that attaches the one job at its job-spec frame, from the Job
+// handed over with it (Job.Runner); the job is drawn in the order cfg.Policy
+// names. It blocks
 // until the DP matrix is complete and returns the blocked result with run
 // statistics. When ctx is cancelled (or its deadline passes) the master
 // stops scheduling and the run returns ctx's error once the sub-tasks in
@@ -54,7 +54,6 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 		Trace:       cfg.Trace,
 		OnProgress:  cfg.Progress,
 	})
-	ctrs := &counters{}
 	// Restored sub-tasks commit in file order, a valid execution order, and
 	// are written again to cfg.Checkpoint: the new stream is self-contained.
 	if cfg.Checkpoint != nil {
@@ -83,31 +82,26 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 			return n
 		})
 	}
-	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order, Timeout: cfg.RunTimeout})}
+	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order, Timeout: cfg.RunTimeout}),
+		Problem: p, Thread: cfg.ThreadPartition, faults: newFaultState(cfg.Faults)}
 
-	faults := newFaultState(cfg.Faults)
 	var members sync.WaitGroup
-	for range cfg.Slaves {
-		l := d.JoinLocal("", cfg.Latency)
-		w := Worker[T]{
-			Link:        l,
-			Batch:       cfg.Batch,
-			HungerAfter: l.HungerAfter(),
-			Before: func(vertex int32) error {
-				if faults.crashNow(l.ID()) {
-					return errCrashed
-				}
-				time.Sleep(faults.stallTask(vertex))
-				return nil
-			},
-			Attach: func(comm.Message) (*TaskRunner[T], error) { return newTaskRunner(p, cfg, faults, ctrs), nil },
+	for i := range cfg.Slaves {
+		w := d.JoinLocal("", cfg)
+		id := i + 1 // the fresh registry's, in join order (FaultPlan.CrashOnTask)
+		w.Before = func(vertex int32) error {
+			if jb.faults.crashNow(id) {
+				return errCrashed
+			}
+			time.Sleep(jb.faults.stallTask(vertex))
+			return nil
 		}
 		members.Add(1)
 		go func() {
 			defer members.Done()
 			// The driver dismisses its members, and sees their failures: a
 			// dead link revokes its leases, a silent member's expire.
-			_ = w.Serve(context.WithoutCancel(ctx), nil)
+			_ = w.Serve(context.WithoutCancel(ctx))
 		}()
 	}
 	d.StartTick()
@@ -122,9 +116,8 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	if err != nil {
 		return nil, err
 	}
-	st := Stats{Stats: eng.Counters().Stats(), SubTasks: ctrs.subTasks.Load(), SubRequeues: ctrs.subRequeues.Load(), WorkerRestarts: ctrs.workerRestarts.Load()}
+	st := jb.RunStats()
 	st.Elapsed = elapsed
-	st.Messages, st.PayloadBytes = jb.Traffic()
 	return &Result[T]{Store: eng.Store(), Stats: st}, nil
 }
 

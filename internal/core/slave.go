@@ -24,9 +24,8 @@ type Worker[T any] struct {
 	// Before, when non-nil, runs before each task executes; its error ends
 	// the loop.
 	Before func(vertex int32) error
-	// Attach, when non-nil, builds the runner of the job a KindJobSpec
-	// frame attaches, and KindJobEnd detaches it; without it both frames
-	// are unexpected.
+	// Attach builds the runner of the job a KindJobSpec frame attaches;
+	// KindJobEnd detaches it.
 	Attach func(msg comm.Message) (*TaskRunner[T], error)
 	// Beat, when positive, is the heartbeat period; HungerAfter, when
 	// positive, the idleness that sends a hunger beacon.
@@ -42,16 +41,9 @@ type Attached[T any] struct {
 	seen map[[32]byte]*matrix.Block[T]
 }
 
-// NewAttached holds jobs, the runners attached from admission (nil: none).
-func NewAttached[T any](jobs map[int32]*TaskRunner[T]) *Attached[T] {
-	if jobs == nil {
-		jobs = make(map[int32]*TaskRunner[T])
-	}
-	a := &Attached[T]{jobs: jobs, seen: make(map[[32]byte]*matrix.Block[T])}
-	for _, r := range jobs {
-		r.SetBlockCache(a.seen)
-	}
-	return a
+// NewAttached holds no job yet.
+func NewAttached[T any]() *Attached[T] {
+	return &Attached[T]{jobs: make(map[int32]*TaskRunner[T]), seen: make(map[[32]byte]*matrix.Block[T])}
 }
 
 // Runner is the runner of job, nil when the job is not attached.
@@ -78,13 +70,13 @@ func (a *Attached[T]) Apply(msg comm.Message, attach func(comm.Message) (*TaskRu
 	return err
 }
 
-// Serve runs the loop over jobs, the runners attached from admission, with
-// a beacon goroutine when it has something to send, until the driver sends
-// the end signal or closes an in-process link (nil), ctx ends (a Leave frame
-// goes out first) or something fails. An injected crash
-// (FaultPlan.CrashOnTask) is silent: the member holds its link unanswered
-// until the driver dismisses it, so its leases come back by timeout.
-func (w Worker[T]) Serve(ctx context.Context, jobs map[int32]*TaskRunner[T]) error {
+// Serve runs the loop, with a beacon goroutine when it has something to
+// send, until the driver sends the end signal or closes an in-process link
+// (nil), ctx ends (a Leave frame goes out first) or something fails. An
+// injected crash (FaultPlan.CrashOnTask) is silent: the member holds its
+// link unanswered until the driver dismisses it, so its leases come back by
+// timeout.
+func (w Worker[T]) Serve(ctx context.Context) error {
 	defer w.Link.Close()
 	start := time.Now()
 	var active atomic.Int64 // the last activity, as a time.Duration since start
@@ -98,7 +90,7 @@ func (w Worker[T]) Serve(ctx context.Context, jobs map[int32]*TaskRunner[T]) err
 			w.beacon(ctx, stop, func() time.Duration { return time.Since(start) - time.Duration(active.Load()) })
 		}()
 	}
-	err := w.loop(NewAttached(jobs), noteActivity)
+	err := w.loop(NewAttached[T](), noteActivity)
 	close(stop)
 	beacon.Wait()
 	if errors.Is(err, errCrashed) {
@@ -183,9 +175,6 @@ func (w Worker[T]) loop(held *Attached[T], noteActivity func()) error {
 				return r.Run(vertex, task)
 			}, send)
 		case comm.KindJobSpec, comm.KindJobEnd:
-			if w.Attach == nil {
-				return fmt.Errorf("received unexpected %v frame", msg.Kind)
-			}
 			err = held.Apply(msg, w.Attach)
 		case comm.KindHeartbeat: // the driver's echo of a beacon
 		case comm.KindEnd:

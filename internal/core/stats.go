@@ -21,9 +21,9 @@ type Stats struct {
 	SubRequeues int64
 	// WorkerRestarts counts compute-goroutine panic recoveries.
 	WorkerRestarts int64
-	// Messages and PayloadBytes are the job's task and result frames on
-	// its in-process members' links, RunContext's or the job service's
-	// (server.RunStats): one of each per dispatched vertex at Batch 1.
+	// Messages and PayloadBytes are the job's task and result frames
+	// (Job.RunStats, server.RunStats): one of each per dispatched vertex
+	// at Batch 1.
 	Messages, PayloadBytes int64
 }
 
@@ -34,7 +34,8 @@ func (s Stats) String() string {
 }
 
 // counters accumulates what the job engine's ledger does not: the
-// members' thread-level counts.
+// thread-level counts of a job's in-process runners (Job.Runner), or of one
+// runner of its own.
 type counters struct {
 	subTasks, subRequeues, workerRestarts atomic.Int64
 }

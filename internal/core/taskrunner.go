@@ -40,13 +40,7 @@ func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTaskRunner(p, cfg, newFaultState(cfg.Faults), &counters{}), nil
-}
-
-// newTaskRunner is the runner of a prepared configuration: it injects
-// faults (nil: none) and counts into ctrs.
-func newTaskRunner[T any](p Problem[T], cfg Config, faults *faultState, ctrs *counters) *TaskRunner[T] {
-	return &TaskRunner[T]{p: p, cfg: cfg, geom: dag.MatrixGeometry(p.Size, cfg.ProcPartition), faults: faults, ctrs: ctrs}
+	return &TaskRunner[T]{p: p, cfg: cfg, geom: dag.MatrixGeometry(p.Size, cfg.ProcPartition), faults: newFaultState(cfg.Faults), ctrs: &counters{}}, nil
 }
 
 // NumTasks returns how many processor-level sub-tasks the partitioned
@@ -94,7 +88,3 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 	}
 	return encoded, err
 }
-
-// SubTasks returns the number of thread-level sub-sub-tasks executed so
-// far (duplicates from timeout re-pushes included).
-func (r *TaskRunner[T]) SubTasks() int64 { return r.ctrs.subTasks.Load() }

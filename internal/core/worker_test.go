@@ -14,10 +14,11 @@ import (
 	"repro/internal/matrix"
 )
 
-// serveMember serves a worker loop over an in-process link with job 0
-// attached from admission and no Attach, as a test drives it: the frames
-// the member sends arrive on the returned channel, the driver's end is the
-// returned link, and the loop's error arrives on done.
+// serveMember serves a worker loop over an in-process link, as a test
+// drives it: the harness attaches job 0 by its spec frame and refuses any
+// other job's, the frames the member sends arrive on the returned channel,
+// the driver's end is the returned link, and the loop's error arrives on
+// done.
 func serveMember(t *testing.T, p core.Problem[int32], cfg core.Config) (from <-chan comm.Message, to core.Link, done <-chan error) {
 	t.Helper()
 	r, err := core.NewTaskRunner(p, cfg)
@@ -26,17 +27,24 @@ func serveMember(t *testing.T, p core.Problem[int32], cfg core.Config) (from <-c
 	}
 	frames, ended := make(chan comm.Message, 16), make(chan error, 1)
 	l, to := core.NewLocal(func(msg comm.Message) { frames <- msg }, comm.LatencyModel{})
-	go func() {
-		ended <- core.Worker[int32]{Link: l, Batch: 1}.Serve(context.Background(), map[int32]*core.TaskRunner[int32]{0: r})
-	}()
+	w := core.Worker[int32]{Link: l, Batch: 1, Attach: func(msg comm.Message) (*core.TaskRunner[int32], error) {
+		if msg.Job != 0 {
+			return nil, fmt.Errorf("received unexpected %v frame", msg.Kind)
+		}
+		return r, nil
+	}}
+	if err := to.Send(comm.Message{Kind: comm.KindJobSpec}); err != nil {
+		t.Fatal(err)
+	}
+	go func() { ended <- w.Serve(context.Background()) }()
 	return frames, to, ended
 }
 
 // An in-process member runs the fleet worker's loop and TaskRunner, so a
 // task frame is checked the same way on both: a vertex outside the grid, a
-// task for a job other than the one attached and, without Attach, an attach
-// frame end the loop with an error naming what was wrong — never a panic,
-// and never a block computed outside the matrix.
+// task for a job other than the one attached and an attach frame the
+// member refuses end the loop with an error naming what was wrong — never a
+// panic, and never a block computed outside the matrix.
 func TestFixedSlaveRefusesOutOfGridVertex(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(16, 1), dp.RandomDNA(16, 2))
 	cfg := core.Config{ProcPartition: dag.Square(4), Threads: 1}

@@ -27,11 +27,10 @@ type PoolConfig struct {
 	// Batch bounds how many vertices one draw hands out; a batch never
 	// mixes jobs.
 	Batch int
-	// TaskTimeout, MaxAttempts and DefaultQuota stand in for what a job's
-	// JobParams leave unset (a DefaultQuota of 0 is no quota).
-	TaskTimeout  time.Duration
-	MaxAttempts  int
-	DefaultQuota int
+	// TaskTimeout and MaxAttempts stand in for what a job's JobParams
+	// leave unset.
+	TaskTimeout time.Duration
+	MaxAttempts int
 	// Speculate makes Tick flag stragglers for backups: attempts older than
 	// SpecMultiplier times the SpecQuantile of their job's observed
 	// runtimes, never less than SpecFloor (default CheckInterval), once
@@ -195,9 +194,6 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 func (p *Pool[T]) Params(jp JobParams) JobParams {
 	if jp.Weight <= 0 {
 		jp.Weight = 1
-	}
-	if jp.Quota <= 0 {
-		jp.Quota = p.cfg.DefaultQuota
 	}
 	if jp.MaxAttempts <= 0 {
 		jp.MaxAttempts = p.cfg.MaxAttempts

@@ -155,10 +155,12 @@ func New[T any](opts Options) (*Fleet[T], error) {
 // Addr returns the address the fleet listens on, with Options.Addr set.
 func (f *Fleet[T]) Addr() string { return f.ln.Addr().String() }
 
-// Join admits an in-process member named name (core.Driver.JoinLocal) and
-// returns its link, for a core.Worker to serve; nil once the fleet is
-// closed.
-func (f *Fleet[T]) Join(name string) *core.Local { return f.d.JoinLocal(name, comm.LatencyModel{}) }
+// Join admits an in-process member named name that computes with run and
+// returns its worker, ready to serve (core.Driver.JoinLocal); nil once the
+// fleet is closed.
+func (f *Fleet[T]) Join(name string, run core.Config) *core.Worker[T] {
+	return f.d.JoinLocal(name, run)
+}
 
 // Registry exposes the membership table.
 func (f *Fleet[T]) Registry() *core.Registry { return f.reg }
@@ -190,9 +192,7 @@ func (f *Fleet[T]) Run(ctx context.Context, p core.Problem[T], req JobRequest) (
 		return nil, err
 	}
 	err = f.d.Wait(ctx, jb)
-	res := &Result[T]{Store: jb.Engine.Store().Take(), Stats: jb.Stats()}
-	res.Messages, res.PayloadBytes = jb.Traffic()
-	return res, err
+	return &Result[T]{Store: jb.Engine.Store().Take(), Stats: jb.RunStats()}, err
 }
 
 // acceptLoop admits workers for the fleet's whole lifetime.
@@ -234,11 +234,14 @@ func (f *Fleet[T]) admit(c net.Conn) {
 	bound := time.Duration(f.opts.HeartbeatMiss+1) * f.opts.HeartbeatInterval
 	cn.SetReadIdle(bound)
 	cn.SetWriteTimeout(bound)
-	if !f.d.AddMember(id, cn) {
-		cn.Close()
-		return
+	if f.d.AddMember(id, cn) {
+		f.d.StartSender(id)
+	} else {
+		// Closed since the welcome: dismiss it, then read (into a driver that
+		// takes nothing now) until it hangs up, so no unread frame resets it.
+		defer cn.Close()
+		_ = cn.Send(comm.Message{Kind: comm.KindEnd})
 	}
-	f.d.StartSender(id)
 	for {
 		msg, err := cn.Recv()
 		if err != nil {

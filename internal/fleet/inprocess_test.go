@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
 )
@@ -15,16 +14,12 @@ import (
 // fleet dismisses it; the returned channel yields how its loop ended.
 func joinTestMember(t *testing.T, f *Fleet[int32], name string) <-chan error {
 	t.Helper()
-	l := f.Join(name)
-	if l == nil {
+	w := f.Join(name, core.Config{Threads: 2, Batch: 1})
+	if w == nil {
 		t.Fatal("a fresh fleet refused an in-process member")
 	}
 	done := make(chan error, 1)
-	go func() {
-		done <- core.Worker[int32]{Link: l, Batch: 1, Attach: func(msg comm.Message) (*core.TaskRunner[int32], error) {
-			return attach(testBuilder, core.Config{Threads: 2}, msg)
-		}}.Serve(context.Background(), nil)
-	}()
+	go func() { done <- w.Serve(context.Background()) }()
 	return done
 }
 
@@ -67,8 +62,8 @@ func TestJoinInProcessMembers(t *testing.T) {
 			t.Errorf("member %d ended with %v, want dismissed", i, err)
 		}
 	}
-	if l := f.Join("late"); l != nil {
-		t.Errorf("a closed fleet admitted member %d", l.ID())
+	if w := f.Join("late", core.Config{Threads: 2}); w != nil {
+		t.Error("a closed fleet admitted a member")
 	}
 }
 

@@ -88,11 +88,10 @@ func (m JobMeta) digest() string {
 }
 
 // Result of one fleet job: the completed blocked matrix plus the job's
-// own statistics ledger and its traffic (core.Job.Traffic).
+// own statistics (core.Job.RunStats).
 type Result[T any] struct {
-	Store                  matrix.BlockStore[T]
-	Stats                  engine.Stats
-	Messages, PayloadBytes int64
+	Store matrix.BlockStore[T]
+	Stats core.Stats
 }
 
 // JobStatus is the monitoring view of one job (see Fleet.Snapshot).
@@ -127,7 +126,7 @@ func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*core.Jo
 	if err != nil {
 		return nil, fmt.Errorf("fleet: job %q: %w", req.Name, err)
 	}
-	jb.Name, jb.Label = req.Name, fmt.Sprintf("fleet: job %q", req.Name)
+	jb.Name, jb.Label, jb.Thread = req.Name, fmt.Sprintf("fleet: job %q", req.Name), req.Thread
 	// Workers follow the frame's Proc: the advisor's choice, under Auto.
 	meta := JobMeta{Job: id, Name: req.Name, Spec: req.Spec, Rows: p.Size.Rows, Cols: p.Size.Cols, Proc: jb.Engine.Graph().Geom.Block, Thread: req.Thread}
 	meta.Digest = meta.digest()

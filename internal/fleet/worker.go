@@ -88,7 +88,7 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 			return nil
 		}
 	}
-	err = w.Serve(ctx, nil)
+	err = w.Serve(ctx)
 	if err != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}

@@ -45,15 +45,14 @@ func FleetOptions(run core.Config) fleet.Options {
 // stats even when it failed. The run slot stays held for the duration, so
 // MaxConcurrent acts purely as admission control on how many jobs the
 // service feeds the fleet at once; the fleet's policy schedules among
-// them. The sub-tasks are the in-process members'; the traffic is the job's
-// (core.Job.Traffic): a clean job's frames are its task and result frames,
-// one of each per dispatched vertex at Batch 1, and never its attach and
-// detach frames, whose number depends on which members happened to run it.
+// them. The stats are the fleet job's (core.Job.RunStats): the sub-tasks
+// its in-process members computed, and its task and result frames, one of
+// each per dispatched vertex at Batch 1 — never its attach and detach
+// frames, whose number depends on which members happened to run it.
 func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], error) {
 	progress := m.cfg.Run.Progress
 	req := j.Spec.Request(m.cfg.Run.ProcPartition, m.cfg.Run.ThreadPartition)
-	// Named by the job's id, which its trace and in-process members look
-	// it up by.
+	// Named by the job's id, which its trace is looked up by.
 	req.Name = j.ID
 	req.Timeout = m.cfg.Run.RunTimeout
 	req.OnProgress = func(completed, total int) {
@@ -67,13 +66,7 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (*core.Result[int32], er
 	if res == nil {
 		return nil, err
 	}
-	st := core.Stats{Stats: res.Stats, Messages: res.Messages, PayloadBytes: res.PayloadBytes}
-	j.mu.Lock()
-	for _, r := range j.runners {
-		st.SubTasks += r.SubTasks()
-	}
-	j.mu.Unlock()
-	return &core.Result[int32]{Store: res.Store, Stats: st}, err
+	return &core.Result[int32]{Store: res.Store, Stats: res.Stats}, err
 }
 
 // Trace returns the scheduling trace of a job as export-ready events.

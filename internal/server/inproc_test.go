@@ -2,18 +2,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/fleet"
 )
 
 // awaitDone waits for j to turn terminal and fails unless it is done.
@@ -209,53 +205,5 @@ func TestInProcessExactCounters(t *testing.T) {
 		} else if s != first {
 			t.Fatalf("run %d counted %+v, run 0 %+v", i, s, first)
 		}
-	}
-}
-
-// TestInProcessLinkDropsSettledJob: a spec frame that reaches an in-process
-// member after its job settled — the job ended while the frame was queued —
-// attaches nothing: the job's tasks are answered with an idle frame, which
-// hands the member's sender its token back, and its job-end frame is
-// swallowed, so the worker loop sees only the frames after them.
-func TestInProcessLinkDropsSettledJob(t *testing.T) {
-	mgr := NewManager(ManagerConfig{Run: core.Config{Slaves: 1, Threads: 1}}, nil)
-	defer func() { _ = mgr.Shutdown(context.Background()) }()
-	j, err := mgr.Submit(JobSpec{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitDone(t, j)
-
-	var delivered []comm.Message
-	link, to := core.NewLocal(func(msg comm.Message) { delivered = append(delivered, msg) }, comm.LatencyModel{})
-	l := newLocal(mgr, link)
-	meta, err := json.Marshal(fleet.JobMeta{Job: 7, Name: j.ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range []comm.Message{
-		{Kind: comm.KindJobSpec, Job: 7, Payload: meta},
-		{Kind: comm.KindTask, Job: 7},
-		{Kind: comm.KindJobEnd, Job: 7},
-		{Kind: comm.KindEnd},
-	} {
-		if err := to.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if msg, err := l.Recv(); err != nil || msg.Kind != comm.KindEnd {
-		t.Fatalf("Recv = %v, %v; want the end frame behind the settled job's", msg.Kind, err)
-	}
-	if len(delivered) != 1 || delivered[0].Kind != comm.KindIdle {
-		t.Fatalf("delivered %+v, want one idle frame for the dropped task", delivered)
-	}
-	if err := to.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Recv(); !errors.Is(err, comm.ErrClosed) {
-		t.Fatalf("Recv on a closed link = %v, want comm.ErrClosed", err)
-	}
-	if err := to.Send(comm.Message{Kind: comm.KindHeartbeat}); !errors.Is(err, comm.ErrClosed) {
-		t.Fatalf("Send on a closed link = %v, want comm.ErrClosed", err)
 	}
 }

@@ -55,8 +55,8 @@ var (
 )
 
 // Job is one submitted DP run. All mutable fields are guarded by mu
-// except the progress and traffic counters, which the driver's receive side
-// and the in-process members update through atomics.
+// except the progress counters, which the driver's receive side updates
+// through atomics.
 type Job struct {
 	// ID is the globally unique job id, "job-<n>" with n drawn from the
 	// manager's monotonic counter — never reused within a manager, so a
@@ -76,8 +76,6 @@ type Job struct {
 	finish  finishFunc
 
 	completed, total atomic.Int64
-	// runners are the job's in-process runners, until it settles.
-	runners []*core.TaskRunner[int32]
 
 	mu        sync.Mutex
 	state     State
@@ -142,14 +140,13 @@ func (j *Job) Status() JobStatus {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // settleLocked moves j into the terminal state st at now, drops the inputs
-// and runners only a run needs and closes done. The caller holds j.mu and
-// has set whatever result or error st carries.
+// only a run needs and closes done. The caller holds j.mu and has set
+// whatever result or error st carries.
 func (j *Job) settleLocked(st State, now time.Time) {
 	j.state = st
 	j.finished = now
 	j.problem = core.Problem[int32]{}
 	j.finish = nil
-	j.runners = nil
 	close(j.done)
 }
 
@@ -333,11 +330,16 @@ func NewManager(cfg ManagerConfig, reg *Registry) *Manager {
 	}
 	m.fleet = cfg.Fleet
 	if m.fleet == nil {
-		opts := FleetOptions(cfg.Run)
-		opts.HeartbeatInterval = fleetBeat
-		m.fleet, _ = fleet.New[int32](opts) // no listener, no error
+		m.fleet, _ = fleet.New[int32](FleetOptions(cfg.Run)) // no listener, no error
 		for i := range cfg.Run.Slaves {
-			m.join(fmt.Sprintf("local-%d", i))
+			w := m.fleet.Join(fmt.Sprintf("local-%d", i), cfg.Run)
+			m.members.Add(1)
+			go func() {
+				defer m.members.Done()
+				// How a member ended is the fleet's to see: a dismissal, or a
+				// death its registry records and whose leases it revokes.
+				_ = w.Serve(m.rootCtx)
+			}()
 		}
 	}
 	m.fleetStats = m.fleet.Snapshot

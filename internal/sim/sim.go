@@ -277,7 +277,7 @@ func (c *Cluster) workerAt(idx int) *simWorker {
 func (c *Cluster) admit() {
 	m := c.reg.Admit(fmt.Sprintf("w%d", len(c.workers)), "sim")
 	w := &simWorker{c: c, member: m.ID, alive: true, speed: 1,
-		held: core.NewAttached(make(map[int32]*core.TaskRunner[int32])), attached: make(map[int32]bool)}
+		held: core.NewAttached[int32](), attached: make(map[int32]bool)}
 	c.workers = append(c.workers, w)
 	c.d.AddMember(w.member, w)
 	c.idle = append(c.idle, w.member)

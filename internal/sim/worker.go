@@ -172,11 +172,10 @@ func (c *Cluster) run(w *simWorker, task comm.Message) ([]byte, bool) {
 	return out, err == nil
 }
 
-// attach builds a worker's runner of the job an attach frame names, as a
-// fleet worker builds one from the frame's spec.
+// attach builds a worker's runner of the job an attach frame names, as an
+// in-process member does: from the driver's own job (core.Job.Runner).
 func (c *Cluster) attach(msg comm.Message) (*core.TaskRunner[int32], error) {
-	jb := c.jobs[msg.Job-1]
-	return core.NewTaskRunner(jb.spec.Problem, core.Config{ProcPartition: jb.job.Engine.Graph().Geom.Block, Threads: 1})
+	return c.jobs[msg.Job-1].job.Runner(core.Config{Threads: 1})
 }
 
 // noteIdleIfFree queues an idle token for w if it can take work.

@@ -114,10 +114,13 @@ go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
 # find a drawer, and the static schedule's workers are the registry's member
 # ids; a starved member's hunger beacon must steal a stalled member's batch
 # backlog; members that all crash silently must end the run by RunTimeout;
-# and an in-process member is never swept for heartbeats, so a beacon
-# goroutine starved under -race cannot cost one. They are timing-dependent
-# (stalls against timeouts and ticks), so they must not pass on a cached run.
-go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained|TestRunBlockCyclic|TestStealRebalancesBatchBacklog|TestAllSlavesDeadAborts|TestInProcessMemberNeverSwept' ./internal/core/
+# an in-process member is never swept for heartbeats, so a beacon goroutine
+# starved under -race cannot cost one; and a job that ends while its spec
+# frame and task wait on an in-process member's link still attaches there,
+# from the Job handed over with the frame. They are timing-dependent (stalls
+# against timeouts and ticks, a job's end against its frames), so they must
+# not pass on a cached run.
+go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained|TestRunBlockCyclic|TestStealRebalancesBatchBacklog|TestAllSlavesDeadAborts|TestInProcessMemberNeverSwept|TestInProcessMemberAttachesEndedJob|TestLocalClosedLink' ./internal/core/
 # The thread level's faults, for the same reason: a panicking or stalled
 # sub-block against the watch's timer, a helper left stalled while the next
 # Run reuses nothing it holds, and at one thread a panicking block retried. The goroutine that calls Run computes as
@@ -191,7 +194,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6909 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6908 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -303,6 +306,22 @@ if [ -n "$ranks" ]; then
     exit 1
 fi
 echo "calls: no fixed-rank master, rank link or channel network in core, fleet or server"
+
+# And one in-process attach: a member in the master's process — RunContext's,
+# the job service's, a simulated one — builds its runner from the driver's own
+# Job (core.Job.Runner), which the driver hands over with the spec frame, so
+# no non-test code in internal/server or internal/sim builds a runner from a
+# job table of its own, and RunContext passes its members no Attach closure.
+# A second attach path must not arrive unnoticed.
+attaches=$( (grep -nF 'NewTaskRunner(' $(ls internal/server/*.go internal/sim/*.go | grep -v '_test\.go$') /dev/null |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
+    grep -nE 'Attach:' internal/core/run.go /dev/null) || true)
+if [ -n "$attaches" ]; then
+    echo "calls: an in-process member attaches through core.Job.Runner, not a runner of its own:" >&2
+    echo "$attaches" >&2
+    exit 1
+fi
+echo "calls: no runner built in internal/server or internal/sim, no Attach closure in RunContext"
 
 # And the simulator runs the shipped driver: it steps core.Driver (Start,
 # Feed, Deliver, Down, Tick, End) from its event loop, so no non-test code
