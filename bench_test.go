@@ -1,19 +1,17 @@
 package easyhps
 
-// One testing.B benchmark per figure of the paper's evaluation, at a scale
-// suitable for `go test -bench=.` on a laptop, plus microbenchmarks of the
-// substrates. The full-scale sweeps (closer to the paper's parameters)
-// live in cmd/easyhps-bench; EXPERIMENTS.md records their output.
+// Microbenchmarks of the substrates and end-to-end runs on real compute.
+// The paper's figures replay on the simulator in virtual time: their shape
+// claims are internal/bench's tests, and cmd/easyhps-bench prints the
+// tables EXPERIMENTS.md records.
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/client"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -23,121 +21,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/server"
 )
-
-// benchOpts is a reduced profile: 6x6 processor grid, 4x4 thread grid,
-// 16-cell sub-sub-tasks of ~4.8ms emulated work.
-func benchOpts() bench.Options {
-	return bench.Options{
-		SWGGLen:        96,
-		NussinovLen:    96,
-		GridSide:       6,
-		ThreadGridSide: 4,
-		WorkDelay:      300 * time.Microsecond,
-	}.WithDefaults()
-}
-
-func runFigure(b *testing.B, app bench.App, policy core.Policy, points int) {
-	o := benchOpts()
-	for x := 2; x <= 5; x++ {
-		for _, y := range o.CoreCounts(x, points) {
-			b.Run(fmt.Sprintf("nodes=%d/cores=%d", x, y), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					pt, err := o.Run(context.Background(), app, x, y, policy)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(pt.Elapsed.Seconds(), "run-sec")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig13SWGG regenerates the Fig. 13 rows: SWGG elapsed time over
-// node/core deployments (dynamic pool).
-func BenchmarkFig13SWGG(b *testing.B) {
-	runFigure(b, benchOpts().SWGGApp(), core.PolicyDynamic, 2)
-}
-
-// BenchmarkFig14Nussinov regenerates the Fig. 14 rows for Nussinov.
-func BenchmarkFig14Nussinov(b *testing.B) {
-	runFigure(b, benchOpts().NussinovApp(), core.PolicyDynamic, 2)
-}
-
-// BenchmarkFig15Crossover regenerates the Fig. 15 rows: equal core counts
-// on different node counts.
-func BenchmarkFig15Crossover(b *testing.B) {
-	o := benchOpts()
-	app := o.SWGGApp()
-	for _, y := range []int{13, 25} {
-		for x := 2; x <= 5; x++ {
-			if _, err := o.Config(app, x, y, core.PolicyDynamic); err != nil {
-				continue
-			}
-			b.Run(fmt.Sprintf("cores=%d/nodes=%d", y, x), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					pt, err := o.Run(context.Background(), app, x, y, core.PolicyDynamic)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(pt.Elapsed.Seconds(), "run-sec")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig16Speedup regenerates the Fig. 16 rows: best deployment per
-// core count, reporting speedup over the sequential baseline.
-func BenchmarkFig16Speedup(b *testing.B) {
-	o := benchOpts()
-	for _, app := range o.Apps() {
-		seq := o.SequentialBaseline(app)
-		for _, y := range []int{13, 25} {
-			b.Run(fmt.Sprintf("%s/cores=%d", app.Name, y), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					best := time.Duration(1 << 62)
-					for x := 2; x <= 5; x++ {
-						if _, err := o.Config(app, x, y, core.PolicyDynamic); err != nil {
-							continue
-						}
-						pt, err := o.Run(context.Background(), app, x, y, core.PolicyDynamic)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if pt.Elapsed < best {
-							best = pt.Elapsed
-						}
-					}
-					b.ReportMetric(float64(seq)/float64(best), "speedup-x")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig17BCWRate regenerates the Fig. 17 rows: the BCW/EasyHPS
-// runtime ratio (above 1 means the dynamic pool wins).
-func BenchmarkFig17BCWRate(b *testing.B) {
-	o := benchOpts()
-	app := o.SWGGApp()
-	for x := 2; x <= 5; x++ {
-		y := o.CoreCounts(x, 2)[1] // the larger of two core counts
-		b.Run(fmt.Sprintf("nodes=%d/cores=%d", x, y), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dyn, err := o.Run(context.Background(), app, x, y, core.PolicyDynamic)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bcw, err := o.Run(context.Background(), app, x, y, core.PolicyBlockCyclic)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(bcw.Elapsed)/float64(dyn.Elapsed), "bcw-rate")
-			}
-		})
-	}
-}
 
 // --- substrate microbenchmarks ---
 

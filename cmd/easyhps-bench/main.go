@@ -1,6 +1,7 @@
 // Command easyhps-bench regenerates the evaluation of the EasyHPS paper
-// (Figures 13-17) on an emulated cluster, plus the ablations described in
-// DESIGN.md. See EXPERIMENTS.md for recorded results and how to read them.
+// (Figures 13-17) on the cluster simulator, in virtual time, plus the
+// ablations described in DESIGN.md. See EXPERIMENTS.md for recorded results
+// and how to read them. The output is a function of the flags alone.
 //
 // Usage:
 //
@@ -15,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -28,16 +30,15 @@ func main() {
 		ablate   = flag.String("ablate", "", "ablation to run: partition, latency, singlelevel, delta, affinity, idle or all")
 		verify   = flag.Bool("verify", false, "check parallel == sequential before benchmarking")
 		points   = flag.Int("points", 4, "core counts per node count for figs 13/14/17 (0 = full 11-point sweep)")
-		swggLen  = flag.Int("swgg", 0, "SWGG sequence length (default 224; paper used 10000)")
-		nussLen  = flag.Int("nussinov", 0, "Nussinov sequence length (default 224; paper used 10000)")
+		swggLen  = flag.Int("swgg", 0, "SWGG sequence length (default 160; paper used 10000)")
+		nussLen  = flag.Int("nussinov", 0, "Nussinov sequence length (default 160; paper used 10000)")
 		grid     = flag.Int("grid", 0, "processor-level block-grid side (default 8; paper used 50)")
-		tgrid    = flag.Int("tgrid", 0, "thread-level sub-block grid side (default 14; paper used 20)")
-		work     = flag.Duration("work", 0, "emulated work per cell (default 500us)")
-		latBase  = flag.Duration("latency", -1, "per-message interconnect latency (default 120us)")
-		latPerKB = flag.Duration("latkb", -1, "per-KB interconnect cost (default 4us)")
+		tgrid    = flag.Int("tgrid", 0, "thread-level sub-block grid side (default 10; paper used 20)")
+		work     = flag.Duration("work", 0, "virtual work per cell of weight 1 (default 1.25ms)")
+		latBase  = flag.Duration("latency", bench.DefaultClusterLatency.Base, "per-message interconnect latency")
+		latPerKB = flag.Duration("latkb", bench.DefaultClusterLatency.PerKB, "per-KB interconnect cost")
 		seed     = flag.Int64("seed", 0, "workload seed")
-		reps     = flag.Int("reps", 1, "repetitions per measured run (median reported)")
-		jitter   = flag.Float64("jitter", 0, "per-sub-task work variance fraction (default 0.3; negative disables)")
+		jitter   = flag.Float64("jitter", 0, "per-block work variance fraction (default 0.3; negative disables)")
 	)
 	flag.Parse()
 
@@ -48,21 +49,11 @@ func main() {
 		ThreadGridSide: *tgrid,
 		WorkDelay:      *work,
 		Seed:           *seed,
-		Reps:           *reps,
 		Jitter:         *jitter,
+		Latency:        comm.LatencyModel{Base: *latBase, PerKB: *latPerKB},
 	}
-	if *latBase >= 0 || *latPerKB >= 0 {
-		lm := comm.DefaultClusterLatency
-		if *latBase >= 0 {
-			lm.Base = *latBase
-		}
-		if *latPerKB >= 0 {
-			lm.PerKB = *latPerKB
-		}
-		if lm.Zero() {
-			lm.Base = time.Nanosecond // explicit "free" network
-		}
-		o.Latency = lm
+	if o.Latency.Zero() {
+		o.Latency.Base = time.Nanosecond // a free wire, which WithDefaults would take for an unset one
 	}
 	o = o.WithDefaults()
 
@@ -78,65 +69,44 @@ func main() {
 		die(o.Verify(ctx, w))
 	}
 
-	ranSomething := *verify
-	switch *fig {
-	case "":
-	case "13":
-		die(o.Fig13(ctx, w, *points))
-		ranSomething = true
-	case "14":
-		die(o.Fig14(ctx, w, *points))
-		ranSomething = true
-	case "15":
-		die(o.Fig15(ctx, w))
-		ranSomething = true
-	case "16":
-		die(o.Fig16(ctx, w))
-		ranSomething = true
-	case "17":
-		die(o.Fig17(ctx, w, *points))
-		ranSomething = true
-	case "all":
-		die(o.Fig13(ctx, w, *points))
-		die(o.Fig14(ctx, w, *points))
-		die(o.Fig15(ctx, w))
-		die(o.Fig16(ctx, w))
-		die(o.Fig17(ctx, w, *points))
-		ranSomething = true
-	default:
-		die(fmt.Errorf("unknown figure %q", *fig))
+	type step struct {
+		name string
+		run  func(io.Writer) error
 	}
-
-	switch *ablate {
-	case "":
-	case "partition":
-		die(o.AblatePartition(ctx, w))
+	figs := []step{
+		{"13", func(w io.Writer) error { return o.Fig13(w, *points) }},
+		{"14", func(w io.Writer) error { return o.Fig14(w, *points) }},
+		{"15", o.Fig15},
+		{"16", o.Fig16},
+		{"17", func(w io.Writer) error { return o.Fig17(w, *points) }},
+	}
+	ablations := []step{
+		{"partition", o.AblatePartition},
+		{"latency", o.AblateLatency},
+		{"singlelevel", o.AblateSingleLevel},
+		{"delta", o.AblateDelta},
+		{"affinity", o.AblateAffinity},
+		{"idle", o.IdleWhileComputable},
+	}
+	ranSomething := *verify
+	for _, sel := range []struct {
+		what, name string
+		steps      []step
+	}{{"figure", *fig, figs}, {"ablation", *ablate, ablations}} {
+		if sel.name == "" {
+			continue
+		}
+		ran := false
+		for _, s := range sel.steps {
+			if sel.name == "all" || sel.name == s.name {
+				die(s.run(w))
+				ran = true
+			}
+		}
+		if !ran {
+			die(fmt.Errorf("unknown %s %q", sel.what, sel.name))
+		}
 		ranSomething = true
-	case "latency":
-		die(o.AblateLatency(ctx, w))
-		ranSomething = true
-	case "singlelevel":
-		die(o.AblateSingleLevel(ctx, w))
-		ranSomething = true
-	case "idle":
-		die(o.IdleWhileComputable(ctx, w))
-		ranSomething = true
-	case "delta":
-		die(o.AblateDelta(ctx, w))
-		ranSomething = true
-	case "affinity":
-		die(o.AblateAffinity(ctx, w))
-		ranSomething = true
-	case "all":
-		die(o.AblatePartition(ctx, w))
-		die(o.AblateLatency(ctx, w))
-		die(o.AblateSingleLevel(ctx, w))
-		die(o.AblateDelta(ctx, w))
-		die(o.AblateAffinity(ctx, w))
-		die(o.IdleWhileComputable(ctx, w))
-		ranSomething = true
-	default:
-		die(fmt.Errorf("unknown ablation %q", *ablate))
 	}
 
 	if !ranSomething {

@@ -1,5 +1,5 @@
 // Command easyhps-run executes one DP application on an in-process
-// emulated EasyHPS cluster and prints the application-level result
+// EasyHPS cluster and prints the application-level result
 // (alignment, structure, distance, ...) plus runtime statistics.
 //
 // Usage:

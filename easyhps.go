@@ -25,16 +25,17 @@
 //	})
 //	score, i, j := easyhps.BestLocal(res.Matrix())
 //
-// The package is a thin facade over the implementation packages:
-// internal/dag (DAG Data Driven Model), internal/comm (message passing),
-// internal/sched (worker pools), internal/core (the runtime) and
-// internal/dp (DP applications).
+// Run computes on the goroutines of one process, at the kernel's own
+// speed; a multi-process cluster is a fleet (internal/fleet). The package
+// is a thin facade over the implementation packages: internal/dag (DAG
+// Data Driven Model), internal/comm (message passing), internal/sched
+// (worker pools), internal/core (the runtime) and internal/dp (DP
+// applications).
 package easyhps
 
 import (
 	"context"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -109,7 +110,7 @@ func ValidatePattern(p Pattern, g Geometry) error {
 // Runtime types.
 type (
 	// Config describes a deployment (nodes, threads, partition sizes,
-	// scheduling policy, timeouts, latency model, fault injection).
+	// scheduling policy, timeouts, fault injection).
 	Config = core.Config
 	// Policy selects dynamic (EasyHPS) or static (BCW) scheduling.
 	Policy = core.Policy
@@ -119,9 +120,6 @@ type (
 	SubTaskID = core.SubTaskID
 	// Stats aggregates run statistics.
 	Stats = core.Stats
-	// LatencyModel emulates interconnect cost on the in-process link
-	// (Config.Latency).
-	LatencyModel = comm.LatencyModel
 	// TraceRecorder records scheduling events for load-balance analysis.
 	TraceRecorder = trace.Recorder
 )
@@ -136,10 +134,6 @@ const (
 	// shipping).
 	PolicyAffinity = core.PolicyAffinity
 )
-
-// DefaultClusterLatency approximates a commodity interconnect for the
-// scaled-down benchmark workloads.
-var DefaultClusterLatency = comm.DefaultClusterLatency
 
 // NewTrace creates a scheduling-event recorder to put into Config.Trace.
 func NewTrace() *TraceRecorder { return trace.New() }
@@ -176,9 +170,11 @@ type (
 	View32 = matrix.View[int32]
 )
 
-// Run executes a problem on an in-process emulated cluster: the master
-// driver and cfg.Slaves in-process members of its registry, each with
-// cfg.Threads compute goroutines, over links that charge cfg.Latency.
+// Run executes a problem on an in-process cluster: the master driver and
+// cfg.Slaves in-process members of its registry, each with cfg.Threads
+// compute goroutines, computing at the kernel's own speed. (The paper's
+// figures, which model a cluster's compute and wire cost, replay on the
+// simulator: cmd/easyhps-bench.)
 func Run(p Problem32, cfg Config) (*Result32, error) {
 	return core.RunContext(context.Background(), p, cfg)
 }

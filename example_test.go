@@ -6,7 +6,7 @@ import (
 	easyhps "repro"
 )
 
-// The smallest possible program: run edit distance on an emulated
+// The smallest possible program: run edit distance on an in-process
 // 2-slave cluster.
 func Example() {
 	a := []byte("kitten")

@@ -6,7 +6,7 @@
 //
 // whose knight-move reads reach beyond the wavefront pattern's data
 // region, defines a Custom pattern for it, validates the pattern against
-// the model invariants, and runs it on the emulated cluster.
+// the model invariants, and runs it on the in-process cluster.
 //
 // Run with: go run ./examples/customdag
 package main

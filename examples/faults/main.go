@@ -28,15 +28,15 @@ func main() {
 		SubTaskTimeout:  200 * time.Millisecond,
 		CheckInterval:   25 * time.Millisecond,
 		RunTimeout:      2 * time.Minute,
-		// Emulated per-cell work keeps the run alive long enough for
-		// the stalled slave's stale answer to arrive mid-run.
-		WorkDelayPerCell: 20 * time.Microsecond,
 		Faults: easyhps.FaultPlan{
 			// Slave 2 dies silently when it receives its 3rd task.
 			CrashOnTask: map[int]int{2: 3},
 			// The first attempt of sub-task 0 stalls past the
-			// timeout; its late answer must be dropped as stale.
-			StallFirstAttempt: map[int32]time.Duration{0: 450 * time.Millisecond},
+			// timeout; its late answer must be dropped as stale. The
+			// last sub-task's first attempt stalls too, and is
+			// redistributed in turn, which keeps the run alive until
+			// well after that stale answer arrives.
+			StallFirstAttempt: map[int32]time.Duration{0: 300 * time.Millisecond, 63: time.Second},
 			// One sub-sub-task panics once; the worker pool recovers.
 			PanicSubTask: map[easyhps.SubTaskID]bool{{Proc: 5, Sub: 1}: true},
 		},
@@ -57,7 +57,7 @@ func main() {
 
 	s := res.Stats
 	fmt.Printf("run survived: elapsed=%v\n", s.Elapsed.Round(time.Millisecond))
-	fmt.Printf("  processor-level redistributions: %d (crashed node + stalled task)\n", s.Redistributions)
+	fmt.Printf("  processor-level redistributions: %d (crashed node + stalled tasks)\n", s.Redistributions)
 	fmt.Printf("  stale results dropped:           %d\n", s.StaleResults)
 	fmt.Printf("  compute-goroutine restarts:      %d\n", s.WorkerRestarts)
 	fmt.Printf("  dispatches=%d for %d sub-tasks\n", s.Dispatches, s.Tasks)

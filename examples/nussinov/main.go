@@ -1,6 +1,6 @@
 // RNA secondary-structure prediction with the Nussinov algorithm — the
 // paper's second evaluation workload and the canonical triangular
-// (2D/1D) DAG pattern. Folds a random RNA on the emulated cluster and
+// (2D/1D) DAG pattern. Folds a random RNA on the in-process cluster and
 // prints the dot-bracket structure.
 //
 // Run with: go run ./examples/nussinov

@@ -1,7 +1,7 @@
 // Context-free grammar recognition with CYK — one of the paper's
 // motivating applications. Parses balanced-parenthesis strings with a CNF
 // grammar whose nonterminal sets live in uint64 bitmask cells, runs the
-// triangular DAG on the emulated cluster, and cross-checks a direct
+// triangular DAG on the in-process cluster, and cross-checks a direct
 // stack-based recognizer.
 //
 // Run with: go run ./examples/parsing

@@ -1,6 +1,6 @@
 // Local alignment with Smith-Waterman General Gap — the paper's first
 // evaluation workload. Aligns a DNA read against a mutated reference on
-// the emulated cluster and prints the traceback.
+// the in-process cluster and prints the traceback.
 //
 // Run with: go run ./examples/swgg
 package main

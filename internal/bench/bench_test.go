@@ -3,24 +3,23 @@ package bench
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/dag"
+	"repro/internal/dp"
 )
 
-// tinyOpts keeps harness self-tests fast: no emulated work or latency,
-// minimal grids.
+// tinyOpts keeps the harness's smoke tests small: minimal grids.
 func tinyOpts() Options {
 	return Options{
 		SWGGLen:        48,
 		NussinovLen:    48,
 		GridSide:       4,
 		ThreadGridSide: 3,
-		WorkDelay:      time.Nanosecond,
-		Latency:        comm.LatencyModel{Base: time.Nanosecond},
 		Seed:           7,
 	}.WithDefaults()
 }
@@ -73,7 +72,7 @@ func TestConfigCoreAccounting(t *testing.T) {
 func TestRunExperimentBothApps(t *testing.T) {
 	o := tinyOpts()
 	for _, app := range o.Apps() {
-		pt, err := o.Run(context.Background(), app, 2, 6, core.PolicyDynamic)
+		pt, err := o.Run(app, 2, 6, core.PolicyDynamic)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -87,7 +86,7 @@ func TestRunBothPolicies(t *testing.T) {
 	o := tinyOpts()
 	app := o.SWGGApp()
 	for _, pol := range []core.Policy{core.PolicyDynamic, core.PolicyBlockCyclic} {
-		if _, err := o.Run(context.Background(), app, 3, 9, pol); err != nil {
+		if _, err := o.Run(app, 3, 9, pol); err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
 	}
@@ -103,22 +102,83 @@ func TestVerifyPasses(t *testing.T) {
 	}
 }
 
+// The sequential baseline is the cost model on one thread: without jitter,
+// WorkDelay times every computed cell's CellCost; with it, within the
+// jitter's band of that.
 func TestSequentialBaselineIncludesVirtualWork(t *testing.T) {
 	o := tinyOpts()
-	o.WorkDelay = time.Millisecond
+	o.WorkDelay, o.Jitter = time.Millisecond, 0
 	app := o.SWGGApp()
-	if got := o.SequentialBaseline(app); got < time.Duration(app.Cells)*time.Millisecond {
-		t.Fatalf("baseline %v below virtual work floor", got)
+	s := app.Problem().Kernel.(*dp.SWGG)
+	var weight float64
+	for i := 0; i < app.Len; i++ {
+		for j := 0; j < app.Len; j++ {
+			weight += s.CellCost(i, j)
+		}
+	}
+	want := weight * float64(time.Millisecond)
+	if got := float64(o.SequentialBaseline(app)); math.Abs(got-want) > float64(app.Len*app.Len) {
+		t.Fatalf("baseline %v, want %v: the weighted cells at 1ms", time.Duration(got), time.Duration(want))
+	}
+	o.Jitter = 0.3
+	if got := float64(o.SequentialBaseline(app)); got < 0.7*want || got > 1.3*want {
+		t.Fatalf("jittered baseline %v outside ±30%% of %v", time.Duration(got), time.Duration(want))
+	}
+}
+
+// On one thread a block is its whole work; on many, the heaviest chain of
+// its thread-level sub-DAG bounds it from below, so a wavefront block of
+// k x k uniform sub-blocks takes 2k-1 of them however many threads run it.
+func TestServiceWorkSpanBound(t *testing.T) {
+	o := Options{WorkDelay: time.Microsecond, Jitter: -1}.WithDefaults()
+	e := dp.NewEditDistance(dp.RandomDNA(40, 1), dp.RandomDNA(40, 2)) // no cost model: 1 a cell
+	r := dag.Rect{Rows: 40, Cols: 40}
+	for _, c := range []struct {
+		threads int
+		want    time.Duration
+	}{
+		{1, 1600 * time.Microsecond}, // W
+		{2, 800 * time.Microsecond},  // W/2 > S = 7 sub-blocks of 100 cells
+		{8, 700 * time.Microsecond},  // S
+	} {
+		cfg := core.Config{Threads: c.threads, ProcPartition: dag.Square(40), ThreadPartition: dag.Square(10)}
+		if got := o.service(e.Problem(), cfg)(r); got != c.want {
+			t.Errorf("%d threads: %v, want %v", c.threads, got, c.want)
+		}
+	}
+}
+
+func TestJitterFactorDeterministicAndBounded(t *testing.T) {
+	const amp = 0.3
+	var sum float64
+	for proc := int32(0); proc < 512; proc++ {
+		f1 := jitterFactor(proc, amp)
+		if f1 < 1-amp || f1 >= 1+amp {
+			t.Fatalf("factor %v outside [%v, %v)", f1, 1-amp, 1+amp)
+		}
+		sum += f1
+	}
+	// The mean over many blocks should be close to 1 (unbiased total work).
+	if mean := sum / 512; math.Abs(mean-1) > 0.05 {
+		t.Fatalf("mean factor %v deviates from 1", mean)
+	}
+	// Distinct blocks should not all share a factor.
+	if jitterFactor(1, amp) == jitterFactor(2, amp) &&
+		jitterFactor(2, amp) == jitterFactor(3, amp) {
+		t.Fatal("jitter factors look constant across blocks")
+	}
+}
+
+func TestJitterFactorDisabled(t *testing.T) {
+	if jitterFactor(5, 0) != 1 || jitterFactor(5, -1) != 1 {
+		t.Fatal("amp <= 0 must disable jitter")
 	}
 }
 
 func TestFigureFunctionsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure smoke test")
-	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.Fig15(context.Background(), &buf); err != nil {
+	if err := o.Fig15(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -128,12 +188,9 @@ func TestFigureFunctionsRun(t *testing.T) {
 }
 
 func TestIdleWhileComputableReportsBoth(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trace smoke test")
-	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.IdleWhileComputable(context.Background(), &buf); err != nil {
+	if err := o.IdleWhileComputable(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -143,12 +200,9 @@ func TestIdleWhileComputableReportsBoth(t *testing.T) {
 }
 
 func TestFig13OutputShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure smoke test")
-	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.Fig13(context.Background(), &buf, 2); err != nil {
+	if err := o.Fig13(&buf, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -168,12 +222,9 @@ func TestFig13OutputShape(t *testing.T) {
 }
 
 func TestFig16OutputShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure smoke test")
-	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.Fig16(context.Background(), &buf); err != nil {
+	if err := o.Fig16(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -183,13 +234,9 @@ func TestFig16OutputShape(t *testing.T) {
 }
 
 func TestFig17OutputShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure smoke test")
-	}
 	o := tinyOpts()
-	o.Reps = 3 // interleave minimum
 	var buf bytes.Buffer
-	if err := o.Fig17(context.Background(), &buf, 1); err != nil {
+	if err := o.Fig17(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ratio") {
@@ -198,18 +245,15 @@ func TestFig17OutputShape(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation smoke test")
-	}
 	o := tinyOpts()
 	var buf bytes.Buffer
-	if err := o.AblateSingleLevel(context.Background(), &buf); err != nil {
+	if err := o.AblateSingleLevel(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.AblateDelta(context.Background(), &buf); err != nil {
+	if err := o.AblateDelta(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.AblateAffinity(context.Background(), &buf); err != nil {
+	if err := o.AblateAffinity(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -10,29 +10,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Fig13 reproduces Figure 13: SWGG elapsed time vs. total cores, deployed
 // on 2-5 nodes. points bounds the number of core counts measured per node
 // count (0 = the paper's full 11-point sweep).
-func (o Options) Fig13(ctx context.Context, w io.Writer, points int) error {
-	return o.figTimeVsCores(ctx, w, o.SWGGApp(), "Fig. 13: SWGG elapsed time vs cores", points)
+func (o Options) Fig13(w io.Writer, points int) error {
+	return o.figTimeVsCores(w, o.SWGGApp(), "Fig. 13: SWGG elapsed time vs cores", points)
 }
 
 // Fig14 reproduces Figure 14: the same sweep for Nussinov.
-func (o Options) Fig14(ctx context.Context, w io.Writer, points int) error {
-	return o.figTimeVsCores(ctx, w, o.NussinovApp(), "Fig. 14: Nussinov elapsed time vs cores", points)
+func (o Options) Fig14(w io.Writer, points int) error {
+	return o.figTimeVsCores(w, o.NussinovApp(), "Fig. 14: Nussinov elapsed time vs cores", points)
 }
 
-func (o Options) figTimeVsCores(ctx context.Context, w io.Writer, app App, title string, points int) error {
+func (o Options) figTimeVsCores(w io.Writer, app App, title string, points int) error {
 	fprintf(w, "%s  (n=%d, grid=%dx%d, work=%v/cell, latency=%v+%v/KB)\n",
 		title, app.Len, o.GridSide, o.GridSide, o.WorkDelay, o.Latency.Base, o.Latency.PerKB)
 	fprintf(w, "%-8s %-8s %-10s %-12s %-10s\n", "nodes", "cores", "threads", "elapsed", "tasks")
 	for x := 2; x <= 5; x++ {
 		for _, y := range o.CoreCounts(x, points) {
-			pt, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
+			pt, err := o.Run(app, x, y, core.PolicyDynamic)
 			if err != nil {
 				return err
 			}
@@ -54,7 +52,7 @@ var Fig15Cores = []int{13, 25, 37, 49}
 // cores -> more nodes win (a slave executes one sub-task at a time, so
 // thread-level parallelism saturates at the slave-DAG width while
 // processor-level parallelism keeps scaling).
-func (o Options) Fig15(ctx context.Context, w io.Writer) error {
+func (o Options) Fig15(w io.Writer) error {
 	for _, app := range o.Apps() {
 		fprintf(w, "Fig. 15 (%s): elapsed time at equal core counts across node counts\n", app.Name)
 		fprintf(w, "%-8s", "cores")
@@ -63,28 +61,17 @@ func (o Options) Fig15(ctx context.Context, w io.Writer) error {
 		}
 		fprintf(w, " %10s\n", "best")
 		for _, y := range Fig15Cores {
-			fprintf(w, "%-8d", y)
-			bestX, bestT := 0, time.Duration(1<<62)
-			var row []string
-			for x := 2; x <= 5; x++ {
-				if _, err := o.Config(app, x, y, core.PolicyDynamic); err != nil {
-					// Deployment impossible (e.g. 2 nodes cannot
-					// host that many threads) — the paper's curves
-					// have the same holes.
-					row = append(row, "-")
-					continue
-				}
-				pt, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
-				if err != nil {
-					return err
-				}
-				row = append(row, pt.Elapsed.Round(time.Millisecond).String())
-				if pt.Elapsed < bestT {
-					bestX, bestT = x, pt.Elapsed
-				}
+			bestX, elapsed, err := o.best(app, y)
+			if err != nil {
+				return err
 			}
-			for _, d := range row {
-				fprintf(w, " %10s", d)
+			fprintf(w, "%-8d", y)
+			for _, d := range elapsed {
+				cell := "-"
+				if d > 0 {
+					cell = d.Round(time.Millisecond).String()
+				}
+				fprintf(w, " %10s", cell)
 			}
 			fprintf(w, " %10s\n", fmt.Sprintf("%d nodes", bestX))
 		}
@@ -93,31 +80,42 @@ func (o Options) Fig15(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
+// best runs y cores of app on each of 2-5 nodes that can host them and
+// returns the fastest node count and each one's time (elapsed[x-2]; zero
+// where the deployment is impossible, e.g. 2 nodes cannot host that many
+// threads — the paper's curves have the same holes).
+func (o Options) best(app App, y int) (bestX int, elapsed [4]time.Duration, err error) {
+	for x := 2; x <= 5; x++ {
+		if _, e := o.Config(app, x, y, core.PolicyDynamic); e != nil {
+			continue
+		}
+		pt, err := o.Run(app, x, y, core.PolicyDynamic)
+		if err != nil {
+			return 0, elapsed, err
+		}
+		if elapsed[x-2] = pt.Elapsed; bestX == 0 || pt.Elapsed < elapsed[bestX-2] {
+			bestX = x
+		}
+	}
+	return bestX, elapsed, nil
+}
+
 // Fig16 reproduces Figure 16: elapsed time and speedup with the best node
 // grouping per core count, against the virtual-time sequential baseline.
 // The paper reports ~30x at 50 cores for SWGG and ~20x for Nussinov.
-func (o Options) Fig16(ctx context.Context, w io.Writer) error {
+func (o Options) Fig16(w io.Writer) error {
 	for _, app := range o.Apps() {
 		seq := o.SequentialBaseline(app)
 		fprintf(w, "Fig. 16 (%s): elapsed/speedup with optimal node grouping (T_seq=%v)\n",
 			app.Name, seq.Round(time.Millisecond))
 		fprintf(w, "%-8s %-8s %-12s %-8s\n", "cores", "nodes", "elapsed", "speedup")
 		for _, y := range Fig15Cores {
-			bestX, bestT := 0, time.Duration(1<<62)
-			for x := 2; x <= 5; x++ {
-				if _, err := o.Config(app, x, y, core.PolicyDynamic); err != nil {
-					continue
-				}
-				pt, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
-				if err != nil {
-					return err
-				}
-				if pt.Elapsed < bestT {
-					bestX, bestT = x, pt.Elapsed
-				}
+			bestX, elapsed, err := o.best(app, y)
+			if err != nil {
+				return err
 			}
-			fprintf(w, "%-8d %-8d %-12v %-8.1f\n",
-				y, bestX, bestT.Round(time.Millisecond), float64(seq)/float64(bestT))
+			t := elapsed[bestX-2]
+			fprintf(w, "%-8d %-8d %-12v %-8.1f\n", y, bestX, t.Round(time.Millisecond), float64(seq)/float64(t))
 		}
 		fprintf(w, "\n")
 	}
@@ -126,39 +124,24 @@ func (o Options) Fig16(ctx context.Context, w io.Writer) error {
 
 // Fig17 reproduces Figure 17: the BCW/EasyHPS runtime ratio on 2-5 nodes.
 // Points above 1.00 mean the dynamic worker pool beats the static
-// block-cyclic wavefront assignment. Because the host's timer overhead
-// drifts over minutes, the two policies are measured interleaved
-// (dynamic, BCW, dynamic, BCW, ...) and the per-policy medians are
-// compared, so slow drift cancels out of the ratio.
-func (o Options) Fig17(ctx context.Context, w io.Writer, points int) error {
-	reps := o.Reps
-	if reps < 3 {
-		reps = 3
-	}
-	single := o
-	single.Reps = 1
+// block-cyclic wavefront assignment.
+func (o Options) Fig17(w io.Writer, points int) error {
 	for _, app := range o.Apps() {
-		fprintf(w, "Fig. 17 (%s): BCW / EasyHPS runtime ratio (baseline 1.00, median of %d interleaved reps)\n", app.Name, reps)
+		fprintf(w, "Fig. 17 (%s): BCW / EasyHPS runtime ratio (baseline 1.00)\n", app.Name)
 		fprintf(w, "%-8s %-8s %-12s %-12s %-8s\n", "nodes", "cores", "easyhps", "bcw", "ratio")
 		for x := 2; x <= 5; x++ {
 			for _, y := range o.CoreCounts(x, points) {
-				var dyn, bcw stats.Sample
-				for r := 0; r < reps; r++ {
-					d, err := single.Run(ctx, app, x, y, core.PolicyDynamic)
-					if err != nil {
-						return err
-					}
-					dyn.Add(d.Elapsed)
-					b, err := single.Run(ctx, app, x, y, core.PolicyBlockCyclic)
-					if err != nil {
-						return err
-					}
-					bcw.Add(b.Elapsed)
+				dyn, err := o.Run(app, x, y, core.PolicyDynamic)
+				if err != nil {
+					return err
 				}
-				fprintf(w, "%-8d %-8d %-12v %-12v %-8.2f\n",
-					x, y,
-					dyn.Median().Round(time.Millisecond), bcw.Median().Round(time.Millisecond),
-					float64(bcw.Median())/float64(dyn.Median()))
+				bcw, err := o.Run(app, x, y, core.PolicyBlockCyclic)
+				if err != nil {
+					return err
+				}
+				fprintf(w, "%-8d %-8d %-12v %-12v %-8.2f\n", x, y,
+					dyn.Elapsed.Round(time.Millisecond), bcw.Elapsed.Round(time.Millisecond),
+					float64(bcw.Elapsed)/float64(dyn.Elapsed))
 			}
 		}
 		fprintf(w, "\n")
@@ -169,7 +152,7 @@ func (o Options) Fig17(ctx context.Context, w io.Writer, points int) error {
 // AblatePartition sweeps the processor-level grid side at a fixed
 // deployment, exposing the block-size trade-off between DAG width (load
 // balance) and per-task overhead (messages, scheduling).
-func (o Options) AblatePartition(ctx context.Context, w io.Writer) error {
+func (o Options) AblatePartition(w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 25
 	fprintf(w, "Ablation: proc grid side sweep, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
@@ -177,7 +160,7 @@ func (o Options) AblatePartition(ctx context.Context, w io.Writer) error {
 	for _, grid := range []int{4, 8, 16, 24, 40} {
 		oo := o
 		oo.GridSide = grid
-		pt, err := oo.Run(ctx, app, x, y, core.PolicyDynamic)
+		pt, err := oo.Run(app, x, y, core.PolicyDynamic)
 		if err != nil {
 			return err
 		}
@@ -189,9 +172,9 @@ func (o Options) AblatePartition(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// AblateLatency reruns the Fig. 15 crossover with a free interconnect: the
-// node-count effects collapse when communication costs nothing.
-func (o Options) AblateLatency(ctx context.Context, w io.Writer) error {
+// AblateLatency reruns the 25-core row of Fig. 15 with a free
+// interconnect: what of the node-count effect is communication.
+func (o Options) AblateLatency(w io.Writer) error {
 	app := o.SWGGApp()
 	fprintf(w, "Ablation: interconnect latency on/off, SWGG n=%d, %d cores\n", app.Len, Fig15Cores[1])
 	fprintf(w, "%-8s %-14s %-14s\n", "nodes", "with latency", "zero latency")
@@ -200,13 +183,13 @@ func (o Options) AblateLatency(ctx context.Context, w io.Writer) error {
 			fprintf(w, "%-8d %-14s %-14s\n", x, "-", "-")
 			continue
 		}
-		with, err := o.Run(ctx, app, x, Fig15Cores[1], core.PolicyDynamic)
+		with, err := o.Run(app, x, Fig15Cores[1], core.PolicyDynamic)
 		if err != nil {
 			return err
 		}
 		oo := o
-		oo.Latency = comm.LatencyModel{Base: 1} // effectively free but non-zero to defeat defaulting
-		without, err := oo.Run(ctx, app, x, Fig15Cores[1], core.PolicyDynamic)
+		oo.Latency = comm.LatencyModel{}
+		without, err := oo.Run(app, x, Fig15Cores[1], core.PolicyDynamic)
 		if err != nil {
 			return err
 		}
@@ -221,11 +204,11 @@ func (o Options) AblateLatency(ctx context.Context, w io.Writer) error {
 // scheduling (thread partition = proc partition, so each sub-task is one
 // sub-sub-task and thread-level parallelism disappears) at the same core
 // budget.
-func (o Options) AblateSingleLevel(ctx context.Context, w io.Writer) error {
+func (o Options) AblateSingleLevel(w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 37
 	fprintf(w, "Ablation: multilevel vs single-level, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
-	multi, err := o.Run(ctx, app, x, y, core.PolicyDynamic)
+	multi, err := o.Run(app, x, y, core.PolicyDynamic)
 	if err != nil {
 		return err
 	}
@@ -234,19 +217,19 @@ func (o Options) AblateSingleLevel(ctx context.Context, w io.Writer) error {
 		return err
 	}
 	cfg.ThreadPartition = cfg.ProcPartition // one sub-sub-task per sub-task
-	res, err := core.RunContext(ctx, app.Problem(), cfg)
+	single, err := o.simulate(app, cfg)
 	if err != nil {
 		return err
 	}
 	fprintf(w, "%-14s %-12v\n", "multilevel", multi.Elapsed.Round(time.Millisecond))
-	fprintf(w, "%-14s %-12v\n\n", "single-level", res.Stats.Elapsed.Round(time.Millisecond))
+	fprintf(w, "%-14s %-12v\n\n", "single-level", single.Elapsed.Round(time.Millisecond))
 	return nil
 }
 
 // AblateDelta compares full data-region shipping against delta shipping
 // (slave-side block caching) on SWGG, whose 2D/1D data regions repeat the
 // same row/column blocks across tasks: traffic should collapse.
-func (o Options) AblateDelta(ctx context.Context, w io.Writer) error {
+func (o Options) AblateDelta(w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 25
 	fprintf(w, "Ablation: delta shipping, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
@@ -257,7 +240,7 @@ func (o Options) AblateDelta(ctx context.Context, w io.Writer) error {
 			return err
 		}
 		cfg.DeltaShipping = delta
-		res, err := core.RunContext(ctx, app.Problem(), cfg)
+		pt, err := o.simulate(app, cfg)
 		if err != nil {
 			return err
 		}
@@ -266,9 +249,9 @@ func (o Options) AblateDelta(ctx context.Context, w io.Writer) error {
 			mode = "delta"
 		}
 		fprintf(w, "%-10s %-12v %-14.1f %-14d %-10d\n",
-			mode, res.Stats.Elapsed.Round(time.Millisecond),
-			float64(res.Stats.PayloadBytes)/(1<<20),
-			res.Stats.BlocksShipped, res.Stats.BlocksSkipped)
+			mode, pt.Elapsed.Round(time.Millisecond),
+			float64(pt.Stats.PayloadBytes)/(1<<20),
+			pt.Stats.BlocksShipped, pt.Stats.BlocksSkipped)
 	}
 	fprintf(w, "\n")
 	return nil
@@ -278,7 +261,7 @@ func (o Options) AblateDelta(ctx context.Context, w io.Writer) error {
 // resources: dynamic (paper), dynamic with delta shipping, and the
 // locality-aware affinity policy. Payload traffic is the interesting
 // column.
-func (o Options) AblateAffinity(ctx context.Context, w io.Writer) error {
+func (o Options) AblateAffinity(w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 4, 25
 	fprintf(w, "Ablation: scheduling policy vs traffic, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
@@ -297,14 +280,14 @@ func (o Options) AblateAffinity(ctx context.Context, w io.Writer) error {
 			return err
 		}
 		cfg.DeltaShipping = row.delta
-		res, err := core.RunContext(ctx, app.Problem(), cfg)
+		pt, err := o.simulate(app, cfg)
 		if err != nil {
 			return err
 		}
 		fprintf(w, "%-16s %-12v %-12.1f %-12d %-10d\n",
-			row.name, res.Stats.Elapsed.Round(time.Millisecond),
-			float64(res.Stats.PayloadBytes)/(1<<20),
-			res.Stats.BlocksShipped, res.Stats.BlocksSkipped)
+			row.name, pt.Elapsed.Round(time.Millisecond),
+			float64(pt.Stats.PayloadBytes)/(1<<20),
+			pt.Stats.BlocksShipped, pt.Stats.BlocksSkipped)
 	}
 	fprintf(w, "\n")
 	return nil
@@ -313,27 +296,20 @@ func (o Options) AblateAffinity(ctx context.Context, w io.Writer) error {
 // IdleWhileComputable measures the paper's qualitative claim behind
 // Fig. 17 directly: under BCW there are moments with computable sub-tasks
 // and idle workers, which "never happens" under the dynamic pool. It runs
-// both policies with a trace recorder and reports the idle-while-computable
-// worker-time at the processor level.
-func (o Options) IdleWhileComputable(ctx context.Context, w io.Writer) error {
+// both policies and reports, from each job's trace, the
+// idle-while-computable worker-time at the processor level.
+func (o Options) IdleWhileComputable(w io.Writer) error {
 	app := o.SWGGApp()
 	const x, y = 5, 25
 	fprintf(w, "Trace: idle-while-computable worker-time, SWGG n=%d, Experiment_%d_%d\n", app.Len, x, y)
 	for _, policy := range []core.Policy{core.PolicyDynamic, core.PolicyBlockCyclic} {
-		cfg, err := o.Config(app, x, y, policy)
+		pt, err := o.Run(app, x, y, policy)
 		if err != nil {
 			return err
 		}
-		rec := trace.New()
-		cfg.Trace = rec
-		res, err := core.RunContext(ctx, app.Problem(), cfg)
-		if err != nil {
-			return err
-		}
-		s := rec.Summarize()
 		fprintf(w, "%-10s elapsed=%-10v idleWhileComputable=%-12v utilization=%.2f\n",
-			policy, res.Stats.Elapsed.Round(time.Millisecond),
-			s.IdleWhileReady.Round(time.Millisecond), s.Utilization())
+			policy, pt.Elapsed.Round(time.Millisecond),
+			pt.Trace.IdleWhileReady.Round(time.Millisecond), pt.Trace.Utilization())
 	}
 	fprintf(w, "\n")
 	return nil

@@ -4,8 +4,8 @@
 // The runtime only needs ordered, reliable point-to-point messages between
 // the master and each member: Message and its kinds, Conn (a worker
 // process's socket, every message one tagged binary frame, wire.go) with
-// its join handshake, and the LatencyModel that an in-process member's
-// link (core.Local) charges to emulate a real cluster on one machine.
+// its join handshake, and the LatencyModel of a wire, which the cluster
+// simulator (internal/sim) charges its frames and ChanNetwork its sends.
 //
 // The rank Transport — ChanNetwork, every rank in one OS process over Go
 // channels, and TCPTransport, ranks over loopback sockets — is no longer

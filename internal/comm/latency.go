@@ -2,12 +2,12 @@ package comm
 
 import "time"
 
-// LatencyModel emulates the cost of an interconnect on the in-process
-// transport: every Send is charged a fixed per-message latency plus a
-// bandwidth term proportional to the payload size. The charge is applied
-// on the sender side (blocking-send semantics, as with a synchronous
-// MPI_Send), which both throttles dispatch and keeps per-pair ordering
-// trivially intact.
+// LatencyModel is the cost of an interconnect: a fixed per-message
+// latency plus a bandwidth term proportional to the payload size. The
+// cluster simulator charges it to a worker's timeline for each frame it
+// receives or sends; ChanNetwork charges it on the sender side of every
+// Send (blocking-send semantics, as with a synchronous MPI_Send), which
+// both throttles dispatch and keeps per-pair ordering trivially intact.
 //
 // The zero value is a free network (no delay), which corresponds to an
 // idealized shared-memory machine.
@@ -25,13 +25,3 @@ func (l LatencyModel) Delay(n int) time.Duration {
 
 // Zero reports whether the model charges nothing.
 func (l LatencyModel) Zero() bool { return l.Base == 0 && l.PerKB == 0 }
-
-// DefaultClusterLatency approximates a commodity cluster interconnect
-// relative to the scaled-down workloads of the benchmark harness: tens of
-// microseconds per message plus a bandwidth term. It is deliberately
-// pessimistic compared to InfiniBand so that communication effects are
-// visible at the reduced problem sizes (see DESIGN.md).
-var DefaultClusterLatency = LatencyModel{
-	Base:  120 * time.Microsecond,
-	PerKB: 4 * time.Microsecond,
-}

@@ -295,12 +295,12 @@ func TestCorruptCacheFilesDegradeToRecompute(t *testing.T) {
 // been pre-filled so the run completes from cache alone.
 func benchCacheJob(b *testing.B, warm bool) {
 	e := dp.NewEditDistance(dp.RandomDNA(200, 1), dp.RandomDNA(200, 2))
+	// Make compute genuinely expensive so the benchmark measures the
+	// recompute-vs-reuse gap, not runtime overhead.
+	p := dp.Slow(e.Problem(), 500*time.Nanosecond)
 	cfg := testConfig()
 	cfg.ProcPartition = dag.Square(25)
 	cfg.ThreadPartition = dag.Square(13)
-	// Make compute genuinely expensive so the benchmark measures the
-	// recompute-vs-reuse gap, not runtime overhead.
-	cfg.WorkDelayPerCell = 500 * time.Nanosecond
 
 	store, err := cas.NewStore(cas.Options{})
 	if err != nil {
@@ -309,7 +309,7 @@ func benchCacheJob(b *testing.B, warm bool) {
 	cfg.Cache = store
 	cfg.CacheKey = "bench:editdist"
 	if warm {
-		if _, err := core.RunContext(context.Background(), e.Problem(), cfg); err != nil {
+		if _, err := core.RunContext(context.Background(), p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,7 +322,7 @@ func benchCacheJob(b *testing.B, warm bool) {
 			}
 			cfg.Cache = store
 		}
-		res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+		res, err := core.RunContext(context.Background(), p, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

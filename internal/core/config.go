@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cas"
-	"repro/internal/comm"
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/trace"
@@ -125,24 +124,6 @@ type Config struct {
 	// Trace as "tune" events. Under PolicyBlockCyclic only the advisor
 	// applies: a static schedule leaves the tuner nothing to own.
 	Auto bool
-	// Latency is the emulated interconnect cost of the in-process link
-	// (Local): each frame is charged on the side that sends it.
-	Latency comm.LatencyModel
-	// WorkDelayPerCell emulates computation weight: every thread-level
-	// sub-sub-task (at Threads 1 every block) sleeps cells*WorkDelayPerCell
-	// after its real computation (weighted by the kernel's CostModel when
-	// it has one). Because sleeping goroutines overlap perfectly, this lets
-	// deployments with more simulated cores than physical cores exhibit
-	// the scaling behaviour of a real cluster — the benchmark harness
-	// relies on it (see DESIGN.md). Zero disables it.
-	WorkDelayPerCell time.Duration
-	// WorkJitter adds reproducible per-task variance to the
-	// emulated work: the sleep is scaled by a factor drawn
-	// deterministically from [1-WorkJitter, 1+WorkJitter]. Real nodes
-	// never execute identical work in identical time (OS jitter, cache
-	// and NUMA effects); a zero-variance emulation overstates how well
-	// static schedules do. Typical value 0.3; zero disables it.
-	WorkJitter float64
 	// DeltaShipping makes the master track, by content key, which blocks
 	// each slave has already received whole or computed, and send a
 	// 36-byte reference in place of any of them a sub-task reads. Slaves

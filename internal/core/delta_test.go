@@ -96,16 +96,15 @@ func TestDeltaShippingWithCrash(t *testing.T) {
 	e := dp.NewEditDistance(a, b)
 	cfg := core.Config{
 		Slaves: 3, Threads: 2,
-		ProcPartition:    dag.Square(10),
-		ThreadPartition:  dag.Square(4),
-		DeltaShipping:    true,
-		TaskTimeout:      150 * time.Millisecond,
-		CheckInterval:    20 * time.Millisecond,
-		RunTimeout:       time.Minute,
-		WorkDelayPerCell: crashWork,
-		Faults:           core.FaultPlan{CrashOnTask: map[int]int{2: 2}},
+		ProcPartition:   dag.Square(10),
+		ThreadPartition: dag.Square(4),
+		DeltaShipping:   true,
+		TaskTimeout:     150 * time.Millisecond,
+		CheckInterval:   20 * time.Millisecond,
+		RunTimeout:      time.Minute,
+		Faults:          core.FaultPlan{CrashOnTask: map[int]int{2: 2}},
 	}
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), dp.Slow(e.Problem(), crashWork), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +154,12 @@ func TestAffinityPolicy(t *testing.T) {
 			Policy:          policy,
 			DeltaShipping:   delta,
 			RunTimeout:      time.Minute,
-			// Blocks that take milliseconds keep all three slaves in the
-			// run; with real kernels alone one slave can drain the whole
-			// delta run before the others say hello, and then it ships
-			// too little for the band below to mean anything.
-			WorkDelayPerCell: crashWork,
 		}
-		res, err := core.RunContext(context.Background(), s.Problem(), cfg)
+		// Blocks that take milliseconds keep all three slaves in the run;
+		// with real kernels alone one slave can drain the whole delta run
+		// before the others say hello, and then it ships too little for
+		// the band below to mean anything.
+		res, err := core.RunContext(context.Background(), dp.Slow(s.Problem(), crashWork), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +185,15 @@ func TestAffinityWithFaults(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(60, 112), dp.RandomDNA(60, 113))
 	cfg := core.Config{
 		Slaves: 3, Threads: 2,
-		ProcPartition:    dag.Square(10),
-		ThreadPartition:  dag.Square(4),
-		Policy:           core.PolicyAffinity,
-		TaskTimeout:      150 * time.Millisecond,
-		CheckInterval:    20 * time.Millisecond,
-		RunTimeout:       time.Minute,
-		WorkDelayPerCell: crashWork,
-		Faults:           core.FaultPlan{CrashOnTask: map[int]int{1: 3}},
+		ProcPartition:   dag.Square(10),
+		ThreadPartition: dag.Square(4),
+		Policy:          core.PolicyAffinity,
+		TaskTimeout:     150 * time.Millisecond,
+		CheckInterval:   20 * time.Millisecond,
+		RunTimeout:      time.Minute,
+		Faults:          core.FaultPlan{CrashOnTask: map[int]int{1: 3}},
 	}
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), dp.Slow(e.Problem(), crashWork), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

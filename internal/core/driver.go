@@ -263,6 +263,36 @@ func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, jp engine.JobP
 	return jb, nil
 }
 
+// Order is the draw order policy names for job eng over members
+// 1..members: nil, the pool's LIFO stack, for PolicyDynamic; the static
+// block-cyclic schedule of bcwCols-column runs for PolicyBlockCyclic; for
+// PolicyAffinity, what scores a ready vertex by how many of its dependency
+// blocks a member's known-set holds (scored in the draw, under mu, which
+// guards the members; v is ready, so its dependencies' keys are recorded).
+func (d *Driver[T]) Order(policy Policy, eng *engine.Job[T], members, bcwCols int) sched.Order {
+	switch policy {
+	case PolicyBlockCyclic:
+		return memberOrder{sched.NewBlockCyclic(eng.Graph(), members, bcwCols)}
+	case PolicyAffinity:
+		return sched.NewAffinity(func(w int, v int32) int {
+			n := 0
+			for _, dep := range eng.Graph().Vertex(v).DataPre {
+				if m := d.members[w]; m != nil && m.known.Has(eng.ResultKey(dep)) {
+					n++
+				}
+			}
+			return n
+		})
+	}
+	return nil
+}
+
+// memberOrder is a static order as the driver draws from it: registry
+// member ids start at 1, and the order's workers at 0.
+type memberOrder struct{ sched.Order }
+
+func (o memberOrder) Pop(member, n int, dst []int32) []int32 { return o.Order.Pop(member-1, n, dst) }
+
 // NewDriver builds a driver, which starts no goroutine; members arrive
 // through AddMember, jobs through Start.
 func NewDriver[T any](cfg DriverConfig) *Driver[T] {

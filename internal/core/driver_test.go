@@ -191,7 +191,7 @@ func TestInProcessMemberNeverSwept(t *testing.T) {
 	defer d.Close()
 	local := d.JoinLocal("local", Config{})
 	remote := reg.Admit("remote", "127.0.0.1:1").ID
-	_, link := NewLocal(func(comm.Message) {}, comm.LatencyModel{})
+	_, link := NewLocal(func(comm.Message) {})
 	if local == nil || !d.AddMember(remote, link) {
 		t.Fatal("a fresh driver refused a member")
 	}

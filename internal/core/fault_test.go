@@ -10,7 +10,7 @@ import (
 	"repro/internal/dp"
 )
 
-// crashWork is emulated work per cell for the tests that kill a slave on
+// crashWork is what dp.Slow adds a cell for the tests that kill a slave on
 // its k-th task: a block then takes milliseconds, so every slave is handed
 // tasks on every wide diagonal and the doomed one reaches its k-th. With
 // real kernels alone two slaves can drain these small matrices in under a
@@ -39,9 +39,8 @@ func TestSlaveCrashRecovered(t *testing.T) {
 	b := dp.RandomDNA(60, 32)
 	e := dp.NewEditDistance(a, b)
 	cfg := faultConfig()
-	cfg.WorkDelayPerCell = crashWork
 	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{2: 3}} // slave 2 dies on its 3rd task
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), dp.Slow(e.Problem(), crashWork), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +58,8 @@ func TestTwoSlavesCrashRecovered(t *testing.T) {
 	cfg.Slaves = 4
 	cfg.ProcPartition = dag.Square(10) // 6x6 grid: every slave sees several tasks
 	cfg.ThreadPartition = dag.Square(4)
-	cfg.WorkDelayPerCell = crashWork
 	cfg.Faults = core.FaultPlan{CrashOnTask: map[int]int{1: 2, 3: 3}}
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), dp.Slow(e.Problem(), crashWork), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +77,13 @@ func TestStaleResultDropped(t *testing.T) {
 	e := dp.NewEditDistance(a, b)
 	cfg := faultConfig()
 	// Vertex 0 is the wavefront root: its first attempt stalls past the
-	// timeout, so it is redistributed, and enough emulated work remains
-	// behind it that the run is still going when the stalled slave
-	// finally answers — the stale result must be dropped.
+	// timeout, so it is redistributed. The sink's first attempt stalls
+	// too, and is redistributed in turn, so the run is still going when
+	// the root's stalled slave finally answers — the stale result must be
+	// dropped.
 	cfg.ProcPartition = dag.Square(6) // 8x8 grid
 	cfg.ThreadPartition = dag.Square(3)
-	cfg.WorkDelayPerCell = 100 * time.Microsecond
-	cfg.Faults = core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{0: 250 * time.Millisecond}}
+	cfg.Faults = core.FaultPlan{StallFirstAttempt: map[int32]time.Duration{0: 250 * time.Millisecond, 63: 300 * time.Millisecond}}
 	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/matrix"
-	"repro/internal/tune"
 )
 
 // Kernel is what a user implements to run a DP algorithm on EasyHPS — the
@@ -67,38 +66,24 @@ func (k cellRows[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
 // sub-block of kernel k, the only loop in which the runtime runs a
 // recurrence: fill(v) visits v's window in the pattern's row order and has
 // Row write each segment into the output block's own row — k's Row, or
-// Cell behind an adapter built here, once per block. With
-// emulate set it returns the cells' summed tune.CostModel weights (1 a
-// cell without one), else 0. A call allocates nothing: the function keeps
-// its state between calls, so each compute thread needs its own.
-func SubBlockFill[T any](k Kernel[T], emulate bool) func(v *matrix.View[T]) (units float64) {
+// Cell behind an adapter built here, once per block. A call allocates
+// nothing: the function keeps its state between calls, so each compute
+// thread needs its own.
+func SubBlockFill[T any](k Kernel[T]) func(v *matrix.View[T]) {
 	pat := k.Pattern()
 	rows, ok := any(k).(RowKernel[T])
 	if !ok {
 		rows = cellRows[T]{k}
 	}
-	cost, _ := any(k).(tune.CostModel)
 	var v *matrix.View[T]
-	var units float64
 	segment := func(i, j0, j1 int) {
 		b := v.Out()
 		at := (i-b.Rect.Row0)*b.Rect.Cols + j0 - b.Rect.Col0
 		rows.Row(v, i, j0, b.Cells[at:at+j1-j0:at+j1-j0])
-		if !emulate {
-			return
-		}
-		if cost == nil {
-			units += float64(j1 - j0)
-			return
-		}
-		for j := j0; j < j1; j++ {
-			units += cost.CellCost(i, j)
-		}
 	}
-	return func(view *matrix.View[T]) float64 {
-		v, units = view, 0
+	return func(view *matrix.View[T]) {
+		v = view
 		dag.RowOrder(pat, view.Window(), segment)
-		return units
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/comm"
 )
@@ -22,11 +21,9 @@ const inProcess = "in-process"
 // Local is the link of one in-process member (Driver.JoinLocal): a queue of
 // the driver's frames, which never waits for the worker (it is sent to under
 // attachMu), beside the Job handed over with each spec frame, and back the
-// driver's receive side called on the worker's goroutine. Each end charges
-// its frames' latency.
+// driver's receive side called on the worker's goroutine.
 type Local struct {
 	deliver func(comm.Message)
-	lat     comm.LatencyModel
 	handed  sync.Map // job id → *Job, from its spec frame's send until the worker attaches it
 
 	mu     sync.Mutex
@@ -35,23 +32,23 @@ type Local struct {
 	closed bool
 }
 
-// NewLocal returns an in-process link that charges lat: the member's end,
-// whose frames go to deliver, and the driver's end.
-func NewLocal(deliver func(comm.Message), lat comm.LatencyModel) (*Local, Link) {
-	l := &Local{deliver: deliver, lat: lat}
+// NewLocal returns an in-process link: the member's end, whose frames go to
+// deliver, and the driver's end.
+func NewLocal(deliver func(comm.Message)) (*Local, Link) {
+	l := &Local{deliver: deliver}
 	l.cond = sync.NewCond(&l.mu)
 	return l, toMember{l}
 }
 
 // JoinLocal admits an in-process member named name and returns its worker,
-// ready to Serve, over a fresh Local link that charges run.Latency, its
-// sender started; nil once the driver is closed. The worker computes with
-// run, each job from the Job handed over with its spec frame (Job.Runner).
+// ready to Serve, over a fresh Local link, its sender started; nil once the
+// driver is closed. The worker computes with run, each job from the Job
+// handed over with its spec frame (Job.Runner).
 // The registry never sweeps the member: it cannot fall silent apart from
 // its process, and a starved beacon goroutine must not cost it.
 func (d *Driver[T]) JoinLocal(name string, run Config) *Worker[T] {
 	id := d.reg.Admit(name, inProcess).ID
-	l, end := NewLocal(func(msg comm.Message) { d.Deliver(id, msg) }, run.Latency)
+	l, end := NewLocal(func(msg comm.Message) { d.Deliver(id, msg) })
 	if !d.AddMember(id, end) {
 		return nil
 	}
@@ -72,7 +69,6 @@ func (d *Driver[T]) JoinLocal(name string, run Config) *Worker[T] {
 type toMember struct{ *Local }
 
 func (t toMember) Send(msg comm.Message) error {
-	time.Sleep(t.lat.Delay(msg.PayloadLen()))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -115,7 +111,6 @@ func (l *Local) Recv() (comm.Message, error) {
 
 // Send hands the worker's frame to the driver on the calling goroutine.
 func (l *Local) Send(msg comm.Message) error {
-	time.Sleep(l.lat.Delay(msg.PayloadLen()))
 	l.deliver(msg)
 	return nil
 }

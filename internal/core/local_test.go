@@ -83,7 +83,7 @@ func TestInProcessMemberAttachesEndedJob(t *testing.T) {
 // was queued before it closed, then comm.ErrClosed, and the driver's end
 // refuses a send.
 func TestLocalClosedLink(t *testing.T) {
-	l, to := core.NewLocal(func(comm.Message) {}, comm.LatencyModel{})
+	l, to := core.NewLocal(func(comm.Message) {})
 	queued := []comm.Kind{comm.KindTask, comm.KindEnd}
 	for _, k := range queued {
 		if err := to.Send(comm.Message{Kind: k}); err != nil {

@@ -284,17 +284,16 @@ func TestReclaimWithCheckpointAndFaults(t *testing.T) {
 	var ck bytes.Buffer
 	cfg := core.Config{
 		Slaves: 3, Threads: 2,
-		ProcPartition:    dag.Square(10),
-		ThreadPartition:  dag.Square(4),
-		ReclaimBlocks:    true,
-		Checkpoint:       &ck,
-		TaskTimeout:      150 * time.Millisecond,
-		CheckInterval:    20 * time.Millisecond,
-		RunTimeout:       time.Minute,
-		WorkDelayPerCell: crashWork,
-		Faults:           core.FaultPlan{CrashOnTask: map[int]int{1: 2}},
+		ProcPartition:   dag.Square(10),
+		ThreadPartition: dag.Square(4),
+		ReclaimBlocks:   true,
+		Checkpoint:      &ck,
+		TaskTimeout:     150 * time.Millisecond,
+		CheckInterval:   20 * time.Millisecond,
+		RunTimeout:      time.Minute,
+		Faults:          core.FaultPlan{CrashOnTask: map[int]int{1: 2}},
 	}
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), dp.Slow(e.Problem(), crashWork), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/dp"
 	"repro/internal/matrix"
 )
@@ -69,39 +68,5 @@ func TestBrokenRowReRaisedAtMaxAttempts(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if want := "panicked 2 times (MaxAttempts): flaky row"; err == nil || !strings.Contains(string(out), want) {
 		t.Fatalf("child run: err %v, want a crash whose output contains %q; got:\n%s", err, want, out)
-	}
-}
-
-// hideRows is a kernel without whatever optional methods it has.
-type hideRows struct{ core.Kernel[int32] }
-
-// An emulated run weighs a sub-block as the per-cell loop did: the sum of
-// CellCost over its cells in cell order, one a cell without a CostModel,
-// through Row or through the Cell adapter — and nothing when not emulating.
-func TestSubBlockFillUnits(t *testing.T) {
-	a := dp.RandomDNA(12, 53)
-	s, e := dp.NewSWGG(a, a), dp.NewEditDistance(a, a)
-	r := dag.Rect{Rows: 5, Cols: 7}
-	var swgg float64
-	for i := 0; i < r.Rows; i++ { // rowcolumn's cell order is row-major
-		for j := 0; j < r.Cols; j++ {
-			swgg += s.CellCost(i, j)
-		}
-	}
-	for _, c := range []struct {
-		name    string
-		k       core.Kernel[int32]
-		emulate bool
-		want    float64
-	}{
-		{"cost model", s, true, swgg},
-		{"row kernel, uniform", e, true, 35},
-		{"cell adapter, uniform", hideRows{s}, true, 35},
-		{"not emulated", s, false, 0},
-	} {
-		v := matrix.NewView(matrix.NewBlock[int32](r), nil, c.k.Pattern(), s.Size(), c.k.Boundary)
-		if got := core.SubBlockFill(c.k, c.emulate)(v); got != c.want {
-			t.Errorf("%s: fill returned %v units, want %v", c.name, got, c.want)
-		}
 	}
 }

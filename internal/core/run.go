@@ -8,16 +8,14 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
-	"repro/internal/sched"
 	"repro/internal/tune"
 )
 
-// RunContext executes problem p on an in-process emulated cluster: a master
-// driver and cfg.Slaves in-process members of its registry (Local links
-// charging cfg.Latency), each a worker loop with cfg.Threads compute
-// goroutines that attaches the one job at its job-spec frame, from the Job
-// handed over with it (Job.Runner); the job is drawn in the order cfg.Policy
-// names. It blocks
+// RunContext executes problem p on an in-process cluster: a master driver
+// and cfg.Slaves in-process members of its registry (Local links), each a
+// worker loop with cfg.Threads compute goroutines that attaches the one job
+// at its job-spec frame, from the Job handed over with it (Job.Runner); the
+// job is drawn in the order cfg.Policy names (Driver.Order). It blocks
 // until the DP matrix is complete and returns the blocked result with run
 // statistics. When ctx is cancelled (or its deadline passes) the master
 // stops scheduling and the run returns ctx's error once the sub-tasks in
@@ -65,23 +63,7 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 		}
 	}
 
-	var order sched.Order // nil: the dynamic pool's LIFO stack
-	switch cfg.Policy {
-	case PolicyBlockCyclic:
-		order = memberOrder{sched.NewBlockCyclic(eng.Graph(), cfg.Slaves, cfg.BCWBlockCols)}
-	case PolicyAffinity:
-		// Scored in the draw, under the driver's lock that guards its
-		// members; v is ready, so its dependencies' keys are recorded.
-		order = sched.NewAffinity(func(w int, v int32) int {
-			n := 0
-			for _, dep := range eng.Graph().Vertex(v).DataPre {
-				if m := d.members[w]; m != nil && m.known.Has(eng.ResultKey(dep)) {
-					n++
-				}
-			}
-			return n
-		})
-	}
+	order := d.Order(cfg.Policy, eng, cfg.Slaves, cfg.BCWBlockCols)
 	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order, Timeout: cfg.RunTimeout}),
 		Problem: p, Thread: cfg.ThreadPartition, faults: newFaultState(cfg.Faults)}
 
@@ -120,12 +102,6 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	st.Elapsed = elapsed
 	return &Result[T]{Store: eng.Store(), Stats: st}, nil
 }
-
-// memberOrder is a static order as the driver draws from it: registry
-// member ids start at 1, and the order's workers at 0.
-type memberOrder struct{ sched.Order }
-
-func (o memberOrder) Pop(member, n int, dst []int32) []int32 { return o.Order.Pop(member-1, n, dst) }
 
 func prepare[T any](p Problem[T], cfg Config) (Config, error) {
 	if p.Kernel == nil {

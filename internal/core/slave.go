@@ -194,26 +194,6 @@ func (w Worker[T]) loop(held *Attached[T], noteActivity func()) error {
 // a member's task with.
 var errCrashed = errors.New("core: injected slave crash")
 
-// jitterFactor returns a deterministic multiplier in [1-amp, 1+amp) keyed
-// by the processor-level task identity (splitmix64 finalizer). Keying at
-// task granularity models content-dependent block cost — real DP blocks
-// differ in branch behaviour, cache footprint and node background load —
-// which is the variance a static schedule cannot adapt to. Runs remain
-// reproducible. A task's sub-tasks share its factor.
-func jitterFactor(proc int32, amp float64) float64 {
-	if amp <= 0 {
-		return 1
-	}
-	h := uint64(uint32(proc)) + 0x9E3779B97F4A7C15
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	u := float64(h%(1<<20))/float64(1<<19) - 1 // [-1, 1)
-	return 1 + amp*u
-}
-
 // slaveLevel is a TaskRunner's thread level (Figs. 11-12 of the paper): the
 // slave DAG Data Driven Model over the sub-blocks of one processor-level
 // block, drained by Threads compute threads — the goroutine that calls Run
@@ -227,10 +207,10 @@ type slaveLevel[T any] struct {
 	parser  dag.Parser // its done-set is the accept-once ledger
 	lifo    sched.LIFO
 	queue   *sched.Queue
-	views   []*matrix.View[T]               // per thread: in place at one thread, else over a scratch block the size of the largest sub-block
-	fills   []func(*matrix.View[T]) float64 // per thread, weighing work only when emulated (Config.WorkDelayPerCell)
-	strips  *matrix.Strips[T]               // the shipped bands, joined
-	layers  []*matrix.Block[T]              // the output block, then the inputs
+	views   []*matrix.View[T]       // per thread: in place at one thread, else over a scratch block the size of the largest sub-block
+	fills   []func(*matrix.View[T]) // per thread
+	strips  *matrix.Strips[T]       // the shipped bands, joined
+	layers  []*matrix.Block[T]      // the output block, then the inputs
 	helpers sync.WaitGroup
 	// The slave fault-tolerance thread, with helpers only: a timer that
 	// re-arms itself every CheckInterval while a block is computed.
@@ -261,7 +241,7 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 		largest := dag.NewGeometry(r.geom.Rect(dag.Pos{}), r.cfg.ThreadPartition).Rect(dag.Pos{})
 		for range r.cfg.Threads {
 			l.views = append(l.views, matrix.NewView(matrix.NewBlock[T](largest), nil, l.pat, r.p.Size, r.p.Kernel.Boundary))
-			l.fills = append(l.fills, SubBlockFill(r.p.Kernel, r.cfg.WorkDelayPerCell > 0))
+			l.fills = append(l.fills, SubBlockFill(r.p.Kernel))
 		}
 		if helpers > 0 {
 			l.ot, l.watch = sched.NewOvertimeQueue(), time.AfterFunc(r.cfg.CheckInterval, l.expire)
@@ -355,12 +335,7 @@ func (l *slaveLevel[T]) execute(w int, sub int32) {
 		panic(fmt.Sprintf("core: injected sub-task panic %v", id))
 	}
 	time.Sleep(r.faults.stallSubTask(id))
-	if units := l.fills[w](view); r.cfg.WorkDelayPerCell > 0 {
-		// Emulated computation weight; see Config.WorkDelayPerCell,
-		// Config.WorkJitter and tune.CostModel.
-		units *= jitterFactor(l.procID, r.cfg.WorkJitter)
-		time.Sleep(time.Duration(units * float64(r.cfg.WorkDelayPerCell)))
-	}
+	l.fills[w](view)
 	r.ctrs.subTasks.Add(1)
 	l.accept(view, sub)
 }

@@ -15,15 +15,14 @@ import (
 // overtime redistribution.
 func stragglerConfig() core.Config {
 	return core.Config{
-		Slaves:           3,
-		Threads:          2,
-		ProcPartition:    dag.Square(6), // 8x8 grid on n=48
-		ThreadPartition:  dag.Square(3),
-		TaskTimeout:      10 * time.Second,
-		SubTaskTimeout:   10 * time.Second,
-		CheckInterval:    10 * time.Millisecond,
-		RunTimeout:       120 * time.Second,
-		WorkDelayPerCell: 100 * time.Microsecond,
+		Slaves:          3,
+		Threads:         2,
+		ProcPartition:   dag.Square(6), // 8x8 grid on n=48
+		ThreadPartition: dag.Square(3),
+		TaskTimeout:     10 * time.Second,
+		SubTaskTimeout:  10 * time.Second,
+		CheckInterval:   10 * time.Millisecond,
+		RunTimeout:      120 * time.Second,
 	}
 }
 

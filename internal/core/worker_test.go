@@ -26,7 +26,7 @@ func serveMember(t *testing.T, p core.Problem[int32], cfg core.Config) (from <-c
 		t.Fatal(err)
 	}
 	frames, ended := make(chan comm.Message, 16), make(chan error, 1)
-	l, to := core.NewLocal(func(msg comm.Message) { frames <- msg }, comm.LatencyModel{})
+	l, to := core.NewLocal(func(msg comm.Message) { frames <- msg })
 	w := core.Worker[int32]{Link: l, Batch: 1, Attach: func(msg comm.Message) (*core.TaskRunner[int32], error) {
 		if msg.Job != 0 {
 			return nil, fmt.Errorf("received unexpected %v frame", msg.Kind)

@@ -358,7 +358,7 @@ func TestReadOutsideDeclaredRegionPanics(t *testing.T) {
 func TestSubBlockFillAllocsDoNotGrow(t *testing.T) {
 	a := RandomDNA(64, 1)
 	e := NewEditDistance(a, MutateSeq(a, DNAAlphabet, 0.2, 2))
-	fill := core.SubBlockFill[int32](e, false)
+	fill := core.SubBlockFill[int32](e)
 	shared := matrix.NewBlock[int32](dag.Rect{Rows: 64, Cols: 64})
 	allocs := func(r dag.Rect) float64 {
 		v := matrix.NewView(matrix.NewBlock[int32](r), []*matrix.Block[int32]{shared}, e.Pattern(), e.Size(), e.Boundary)

@@ -1,0 +1,37 @@
+package dp
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/matrix"
+)
+
+// Slow returns p with its kernel slowed down: each row segment the runtime
+// computes sleeps perCell a cell after the kernel has computed it. The
+// answers are p's; only wall time changes. It is for the tests and examples
+// that need a block to take time — a member killed on its k-th task, a job
+// cancelled or holding a run slot, a stale answer landing mid-run — since
+// the runtime itself computes at the kernel's own speed.
+func Slow[T any](p core.Problem[T], perCell time.Duration) core.Problem[T] {
+	rows, _ := p.Kernel.(core.RowKernel[T])
+	p.Kernel = slow[T]{Kernel: p.Kernel, rows: rows, perCell: perCell}
+	return p
+}
+
+type slow[T any] struct {
+	core.Kernel[T]
+	rows    core.RowKernel[T] // nil: Cell, cell by cell
+	perCell time.Duration
+}
+
+func (k slow[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
+	if k.rows != nil {
+		k.rows.Row(v, i, j0, out)
+	} else {
+		for t := range out {
+			out[t] = k.Cell(v, i, j0+t)
+		}
+	}
+	time.Sleep(time.Duration(len(out)) * k.perCell)
+}

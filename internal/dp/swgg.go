@@ -51,7 +51,7 @@ func (s *SWGG) Pattern() dag.Pattern { return dag.RowColumn{} }
 
 // CellCost implements tune.CostModel: cell (i, j) scans its row and column
 // prefixes, so its cost grows as i+j. Normalized to mean ~1 over the
-// matrix so total emulated work is invariant.
+// matrix so the total weighted work is the cell count.
 func (s *SWGG) CellCost(i, j int) float64 {
 	return float64(i+j+2) / float64(len(s.A)/2+len(s.B)/2+2)
 }

@@ -49,7 +49,7 @@ func TestSoakBatchedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wopts := testWorkerOptions(50 * time.Microsecond)
+		wopts := testWorkerOptions(2500 * time.Microsecond)
 		wopts.Run.Batch = batch
 		if steal {
 			wopts.HungerAfter = 15 * time.Millisecond

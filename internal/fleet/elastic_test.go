@@ -56,15 +56,16 @@ func testOptions() fleet.Options {
 	}
 }
 
-func testWorkerOptions(workPerCell time.Duration) fleet.WorkerOptions {
+// testWorkerOptions is the harness's worker template: each task takes
+// taskDelay before it computes, so a run lasts long enough for a fault to
+// land mid-run.
+func testWorkerOptions(taskDelay time.Duration) fleet.WorkerOptions {
 	return fleet.WorkerOptions{
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatMiss:     3,
 		DialTimeout:       10 * time.Second,
-		Run: core.Config{
-			Threads:          2,
-			WorkDelayPerCell: workPerCell,
-		},
+		Run:               core.Config{Threads: 2},
+		TaskDelay:         func() time.Duration { return taskDelay },
 	}
 }
 
@@ -130,7 +131,7 @@ func progressTrigger(threshold int, ch chan<- struct{}) func(done, total int) {
 func TestElasticKillWorker(t *testing.T) {
 	prob, want, req := testProblem(t)
 	f := startMaster(t, testOptions())
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(200*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(10*time.Millisecond))
 	defer h.Close()
 	killAt := make(chan struct{})
 	go func() {
@@ -173,7 +174,7 @@ func TestElasticJoinMidRun(t *testing.T) {
 	tr := trace.New()
 	opts.Trace = tr
 	f := startMaster(t, opts)
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(200*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(10*time.Millisecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -237,7 +238,7 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 		cancel1()
 	}()
 	f1 := startMaster(t, testOptions())
-	h1 := fleet.NewHarness(registryBuild, f1.Addr(), testWorkerOptions(500*time.Microsecond))
+	h1 := fleet.NewHarness(registryBuild, f1.Addr(), testWorkerOptions(25*time.Millisecond))
 	defer h1.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := h1.Add(ctx1); err != nil {
@@ -286,7 +287,7 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 func TestPartitionedMemberDeclaredDead(t *testing.T) {
 	prob, want, req := testProblem(t)
 	f := startMaster(t, testOptions())
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(300*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(15*time.Millisecond))
 	defer h.Close()
 	cutAt := make(chan struct{})
 	go func() {

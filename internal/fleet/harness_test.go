@@ -35,7 +35,8 @@ type harnessWorker struct {
 
 // NewHarness prepares a harness whose workers attach jobs through build
 // and serve the fleet at masterAddr. opts is the per-worker template;
-// Addr, Name and TaskDelay are overridden per worker.
+// Addr and Name are overridden per worker, and each worker's TaskDelay is
+// the template's plus what Slow adds.
 func NewHarness[T any](build Builder[T], masterAddr string, opts WorkerOptions) *Harness[T] {
 	return &Harness[T]{build: build, master: masterAddr, opts: opts}
 }
@@ -58,7 +59,14 @@ func (h *Harness[T]) Add(ctx context.Context) (int, error) {
 	opts := h.opts
 	opts.Addr = px.addr()
 	opts.Name = fmt.Sprintf("harness-%d", idx)
-	opts.TaskDelay = func() time.Duration { return time.Duration(w.slow.Load()) }
+	base := opts.TaskDelay
+	opts.TaskDelay = func() time.Duration {
+		d := time.Duration(w.slow.Load())
+		if base != nil {
+			d += base()
+		}
+		return d
+	}
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()

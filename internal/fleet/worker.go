@@ -23,8 +23,8 @@ type WorkerOptions struct {
 	HeartbeatMiss int
 	// DialTimeout bounds dialing plus handshake (default 10 s).
 	DialTimeout time.Duration
-	// Run is the worker's compute configuration (Threads,
-	// WorkDelayPerCell, Batch flush bound, ...); partitions are the jobs'.
+	// Run is the worker's compute configuration (Threads, the Batch flush
+	// bound, the thread level's timeouts); partitions are the jobs'.
 	Run core.Config
 	// TaskDelay, when non-nil, is consulted before each task executes;
 	// the fault-injection hook for slowing a member down.

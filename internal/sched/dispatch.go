@@ -181,8 +181,12 @@ func (b *BlockCyclic) Push(ids ...int32) {
 // Pop drains the longest computable prefix of member's own queue, up to n
 // vertices. Only consecutive computable heads may travel together: the
 // static wavefront order is the dependency order within one member, so a
-// head that is not computable fences everything behind it.
+// head that is not computable fences everything behind it. A member the
+// schedule was not built over — one that joined later — owns nothing.
 func (b *BlockCyclic) Pop(member, n int, ids []int32) []int32 {
+	if member >= len(b.queues) {
+		return ids
+	}
 	q := b.queues[member]
 	for n > 0 && len(q) > 0 && b.ready[q[0]] > 0 {
 		b.ready[q[0]]--

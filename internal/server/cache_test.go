@@ -183,7 +183,7 @@ func TestServerCacheDisabledNoSeries(t *testing.T) {
 // the leader's result marked Cached, and the coalesced counter counts
 // them.
 func TestSingleFlightCoalescing(t *testing.T) {
-	_, c := startService(t, server.ManagerConfig{Run: slowRun(), MaxConcurrent: 1, QueueDepth: 8})
+	_, c := startServiceOn(t, server.ManagerConfig{Run: slowRun(), MaxConcurrent: 1, QueueDepth: 8}, slowKernels())
 	ctx := context.Background()
 	spec := server.JobSpec{Kernel: "swgg", N: 48, Seed: 5}
 
@@ -247,7 +247,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 // kills that job id only — a waiting follower is promoted to a fresh
 // computation and still completes correctly.
 func TestSingleFlightLeaderCancelPromotesFollower(t *testing.T) {
-	_, c := startService(t, server.ManagerConfig{Run: slowRun(), MaxConcurrent: 1, QueueDepth: 8})
+	_, c := startServiceOn(t, server.ManagerConfig{Run: slowRun(), MaxConcurrent: 1, QueueDepth: 8}, slowKernels())
 	ctx := context.Background()
 
 	// Occupy the one run slot so the leader stays queued and is

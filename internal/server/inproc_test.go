@@ -39,14 +39,14 @@ func TestInProcessPriorityDispatchedFirst(t *testing.T) {
 	defer release()
 	held := make(chan struct{})
 	hold := sync.OnceFunc(func() { close(held) })
+	// On slowed kernels a vertex of 256 cells takes about 25 ms, so
+	// consecutive dispatches of the one member lie far apart on the wall
+	// clock.
 	mgr := NewManager(ManagerConfig{
 		Run: core.Config{
 			Slaves: 1, Threads: 1,
 			ProcPartition: dag.Square(16), ThreadPartition: dag.Square(16),
-			// A vertex is 256 cells: about 25 ms, so consecutive dispatches
-			// of the one member lie far apart on the wall clock.
-			WorkDelayPerCell: 100 * time.Microsecond,
-			RunTimeout:       30 * time.Second,
+			RunTimeout: 30 * time.Second,
 			Progress: func(completed, total int) {
 				if completed == 1 && total == 1 { // the one-vertex job, on the member
 					hold()
@@ -56,7 +56,7 @@ func TestInProcessPriorityDispatchedFirst(t *testing.T) {
 		},
 		MaxConcurrent: 3,
 		QueueDepth:    4,
-	}, nil)
+	}, NewSlowRegistry(100*time.Microsecond))
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
 
 	first, err := mgr.Submit(JobSpec{Kernel: "editdist", N: 16, Seed: 1})

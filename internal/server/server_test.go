@@ -34,19 +34,29 @@ func fastRun() core.Config {
 	}
 }
 
-// slowRun emulates per-cell work so a job stays running long enough to be
-// cancelled or to hold a run slot.
+// slowRun is the deployment of the jobs that must stay running long
+// enough to be cancelled or to hold a run slot: on slowKernels, a block of
+// 8x8 cells takes about 64ms.
 func slowRun() core.Config {
 	cfg := fastRun()
 	cfg.ProcPartition = dag.Square(8)
 	cfg.ThreadPartition = dag.Square(8)
-	cfg.WorkDelayPerCell = time.Millisecond
 	return cfg
 }
 
+// slowKernels is the kernel registry whose kernels take about a
+// millisecond a cell longer (dp.Slow).
+func slowKernels() *server.Registry { return server.NewSlowRegistry(time.Millisecond) }
+
 func startService(t *testing.T, cfg server.ManagerConfig) (*server.Manager, *client.Client) {
+	return startServiceOn(t, cfg, nil)
+}
+
+// startServiceOn is startService with the jobs built through reg (nil:
+// the built-in kernels).
+func startServiceOn(t *testing.T, cfg server.ManagerConfig, reg *server.Registry) (*server.Manager, *client.Client) {
 	t.Helper()
-	mgr := server.NewManager(cfg, nil)
+	mgr := server.NewManager(cfg, reg)
 	ts := httptest.NewServer(server.NewHandler(mgr))
 	t.Cleanup(func() {
 		ts.Close()
@@ -177,10 +187,10 @@ func TestCancelMidRun(t *testing.T) {
 		default:
 		}
 	}
-	_, c := startService(t, server.ManagerConfig{Run: cfg, MaxConcurrent: 1, QueueDepth: 2})
+	_, c := startServiceOn(t, server.ManagerConfig{Run: cfg, MaxConcurrent: 1, QueueDepth: 2}, slowKernels())
 	ctx := context.Background()
 
-	// 64x64 cells at 1ms emulated work each: several seconds of work.
+	// 64x64 cells at about 1ms each: several seconds of work.
 	st, err := c.Submit(ctx, server.JobSpec{Kernel: "editdist", N: 64, Seed: 1})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -229,12 +239,12 @@ func TestAdmissionControl(t *testing.T) {
 		default:
 		}
 	}
-	_, c := startService(t, server.ManagerConfig{
+	_, c := startServiceOn(t, server.ManagerConfig{
 		Run:           cfg,
 		MaxConcurrent: 1,
 		QueueDepth:    1,
 		RetryAfter:    2 * time.Second,
-	})
+	}, slowKernels())
 	ctx := context.Background()
 
 	// First slow job occupies the run slot...

@@ -19,7 +19,7 @@ import (
 // holdService starts a manager behind httptest with the hold hooks
 // reporting the job id of every status request that enters (held) and
 // leaves (released) its hold.
-func holdService(t *testing.T, cfg server.ManagerConfig) (mgr *server.Manager, ts *httptest.Server, held, released <-chan string) {
+func holdService(t *testing.T, cfg server.ManagerConfig, reg *server.Registry) (mgr *server.Manager, ts *httptest.Server, held, released <-chan string) {
 	t.Helper()
 	// Room for every hold one test makes, so a hook never blocks a handler
 	// whose event the test does not read.
@@ -28,7 +28,7 @@ func holdService(t *testing.T, cfg server.ManagerConfig) (mgr *server.Manager, t
 		func(id string) { heldc <- id },
 		func(id string) { releasedc <- id },
 	))
-	mgr = server.NewManager(cfg, nil)
+	mgr = server.NewManager(cfg, reg)
 	ts = httptest.NewServer(server.NewHandler(mgr))
 	t.Cleanup(func() {
 		ts.Close()
@@ -54,7 +54,8 @@ func gatedRun() (cfg core.Config, started <-chan struct{}, release func()) {
 	return cfg, startedc, sync.OnceFunc(func() { close(gate) })
 }
 
-// signalledSlowRun is slowRun reporting on started when its job runs.
+// signalledSlowRun is slowRun, to run on slowKernels, reporting on started
+// when its job runs.
 func signalledSlowRun() (core.Config, <-chan struct{}) {
 	started := make(chan struct{}, 1)
 	cfg := slowRun()
@@ -120,7 +121,7 @@ func recv[T any](t *testing.T, ch <-chan T, what string) T {
 func TestStatusHoldReleasedByCompletion(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
-	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2})
+	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
 	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +141,7 @@ func TestStatusHoldReleasedByCompletion(t *testing.T) {
 
 func TestStatusHoldReleasedByCancel(t *testing.T) {
 	run, started := signalledSlowRun()
-	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2})
+	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, slowKernels())
 	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func TestStatusHoldReleasedByCancel(t *testing.T) {
 func TestStatusHoldPassesNonTerminal(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
-	mgr, ts, _, released := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2})
+	mgr, ts, _, released := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
 	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +188,7 @@ func TestStatusHoldPassesNonTerminal(t *testing.T) {
 func TestStatusHoldReleasedByDisconnect(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
-	mgr, ts, held, released := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2})
+	mgr, ts, held, released := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
 	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +215,7 @@ func TestStatusHoldReleasedByDisconnect(t *testing.T) {
 // not wait one out.
 func TestStatusHoldReleasedByDrain(t *testing.T) {
 	run, started := signalledSlowRun()
-	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2})
+	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, slowKernels())
 	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestStatusHoldReleasedByDrain(t *testing.T) {
 func TestStatusWaitParameter(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
-	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2})
+	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
 	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,19 @@ type JobSpec struct {
 	// with per-task overhead (Cost) instead of conjuring work away.
 	// Zero keeps the flat per-vertex model of the older scenarios.
 	CostPerCell time.Duration
+	// Service, when set, is the service time of a vertex over block r in
+	// place of Cost and CostPerCell; the worker's speed and the cluster's
+	// jitter still scale it.
+	Service func(r dag.Rect) time.Duration
 	// CacheKey scopes the job's entries in the cluster's cross-job
-	// result store; empty disables caching for this job.
+	// result store; empty disables caching for this job. A keyed job on a
+	// cluster with a Cache ships against its workers' known-sets (delta
+	// shipping).
 	CacheKey string
+	// Policy is the job's draw order (core.Driver.Order): the dynamic
+	// pool, the static block-cyclic schedule over the workers admitted at
+	// its submission, or affinity, which scores against the known-sets.
+	Policy core.Policy
 }
 
 // Job is one submitted job: its spec and, from its activation on, the
@@ -64,6 +74,15 @@ func (j *Job) Stats() engine.Stats {
 		return engine.Stats{}
 	}
 	return j.job.Stats()
+}
+
+// RunStats returns the job's ledger with its task and result frames
+// (messages and payload bytes).
+func (j *Job) RunStats() core.Stats {
+	if j.job == nil {
+		return core.Stats{}
+	}
+	return j.job.RunStats()
 }
 
 // Events returns the job's virtual-time scheduling trace.
@@ -104,6 +123,7 @@ func (c *Cluster) activate(jb *Job) {
 	jb.job, jb.err = c.d.NewJob(jb.id, s.Problem, s.Proc, s.Params, s.CacheKey, nil)
 	if jb.err == nil {
 		jb.job.Name, jb.job.Label = s.Name, fmt.Sprintf("sim: job %q", s.Name)
+		jb.job.Params.Order = c.d.Order(s.Policy, jb.job.Engine, len(c.workers), 1)
 		_ = c.d.Start(jb.job) // a job that failed or finished at its start has ended
 		c.dispatchAll()
 	}

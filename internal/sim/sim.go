@@ -64,6 +64,10 @@ type Options struct {
 	// widens it to Cost*(1 ± Jitter) uniformly. Jobs may override Cost.
 	Cost   time.Duration
 	Jitter float64
+	// Latency is the wire: a worker spends Latency.Delay(payload bytes) of
+	// its own time on each task frame it receives and each result frame it
+	// sends, beside the service time. The zero value is a free wire.
+	Latency comm.LatencyModel
 	// Horizon aborts the simulation when virtual time passes it, failing
 	// every unfinished job (default 1h) — the guard that turns a
 	// scheduling livelock into a test failure instead of a hang.

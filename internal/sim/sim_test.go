@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/matrix"
@@ -376,5 +377,71 @@ func TestProtocolOrderChecker(t *testing.T) {
 				t.Fatalf("violation = %v, want one naming %q", c.violation, tc.want)
 			}
 		})
+	}
+}
+
+// TestBlockCyclicIdleOwner runs BCW on two workers over a one-column grid:
+// worker 1 owns nothing, so the driver refuses its idle token, which sits
+// ahead of worker 0's in the queue once worker 0 finishes the root. The
+// refusal must not hold worker 0's owned work back: the job finishes, on
+// worker 0 alone. A third worker that joins mid-run is outside the
+// schedule and owns nothing either.
+func TestBlockCyclicIdleOwner(t *testing.T) {
+	spec := mustProblem(t, "editdist", 32, 1)
+	spec.Proc, spec.Policy = dag.Size{Rows: 4, Cols: 32}, core.PolicyBlockCyclic
+	c := New(Options{Workers: 2, Seed: 1, Horizon: time.Minute})
+	j, err := c.Submit(0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.JoinAt(3*time.Millisecond/2, 1)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	_, ref, _ := BuildProblem("editdist", 32, 1)
+	if j.Err() != nil || !equalMatrix(j.Result(), ref) {
+		t.Fatalf("job ended with %v, or its matrix is not the reference", j.Err())
+	}
+	for _, e := range j.Events() {
+		if e.Kind == trace.EvDispatch && e.Worker != 1 {
+			t.Fatalf("member %d ran a vertex worker 0 owns: %v", e.Worker, e)
+		}
+	}
+	if got := j.Makespan(); got != 8*time.Millisecond {
+		t.Fatalf("makespan %v, want the 8 vertices back to back at the nominal 1ms", got)
+	}
+}
+
+// TestServiceAndWire: a job's Service prices each block in place of Cost,
+// and the wire charges each task and result frame on the worker's time,
+// so the makespan is the chain's sum of both and RunStats counts the
+// frames.
+func TestServiceAndWire(t *testing.T) {
+	run := func(lat comm.LatencyModel) (*Job, time.Duration) {
+		spec := mustProblem(t, "editdist", 16, 3)
+		spec.Proc = dag.Size{Rows: 16, Cols: 4} // a chain of 4 vertices
+		spec.Service = func(r dag.Rect) time.Duration { return time.Duration(r.Rows*r.Cols) * time.Microsecond }
+		c := New(Options{Workers: 1, Seed: 1, Latency: lat})
+		j, err := c.Submit(0, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(); err != nil || j.Err() != nil {
+			t.Fatal(err, j.Err())
+		}
+		return j, j.Makespan()
+	}
+	free, span := run(comm.LatencyModel{})
+	if span != 4*64*time.Microsecond {
+		t.Fatalf("makespan %v on a free wire, want 4 blocks of 64 cells at 1µs", span)
+	}
+	st := free.RunStats()
+	if st.Messages != 8 || st.PayloadBytes == 0 {
+		t.Fatalf("run stats %+v, want a task and a result frame per vertex", st)
+	}
+	_, wired := run(comm.LatencyModel{Base: time.Millisecond, PerKB: time.Millisecond})
+	want := span + 8*time.Millisecond + time.Duration(st.PayloadBytes)*time.Millisecond/1024
+	if d := want - wired; d < 0 || d > 8*time.Nanosecond { // each frame's PerKB term rounds down
+		t.Fatalf("makespan %v on the wire, want %v: the free run's plus each frame's latency", wired, want)
 	}
 }

@@ -27,6 +27,8 @@ type simWorker struct {
 	speed        float64
 	queue        []comm.Message // single tasks and attach/detach frames
 	cur          *comm.Message  // the task computing now
+	out          []byte         // its result, computed as it starts
+	ok           bool           // whether it computed
 	// gen invalidates the pending completion event when the worker's
 	// in-flight work disappears (crash); started, a hunger timer armed
 	// before the latest task start.
@@ -91,8 +93,8 @@ func (w *simWorker) ready() bool {
 
 // advance works w's queue while w is free: attach and detach frames apply,
 // a task of a finished job is run unanswered (the JobEnd behind it is taken
-// lazily), and the first task of a running job starts, its completion
-// scheduled after its service time.
+// lazily), and the first task of a running job starts: computed at once,
+// answered after its service time and its two frames' time on the wire.
 func (c *Cluster) advance(w *simWorker) {
 	for w.cur == nil && len(w.queue) > 0 {
 		msg := w.queue[0]
@@ -107,26 +109,29 @@ func (c *Cluster) advance(w *simWorker) {
 			// worker's cache, where the master's known-set counts them.
 			c.run(w, msg)
 		default:
+			w.out, w.ok = c.run(w, msg)
 			w.cur = &msg
 			w.started++
 			gen := w.gen
-			c.after(c.serviceTime(msg, w), func() { c.complete(w, gen) })
+			wire := c.opts.Latency.Delay(len(msg.Payload)) + c.opts.Latency.Delay(len(w.out))
+			c.after(c.serviceTime(msg, w)+wire, func() { c.complete(w, gen) })
 		}
 	}
 }
 
 // serviceTime draws the virtual execution time of one task: the job's
-// nominal cost (plus the block-area term when CostPerCell is set),
-// scaled by the worker's current speed factor and the cluster's jitter.
-// The RNG is consumed in event order, so the draw sequence — and with
-// it the whole schedule — is a function of the seed.
+// Service of the task's block, or its nominal cost (plus the block-area
+// term when CostPerCell is set), scaled by the worker's current speed
+// factor and the cluster's jitter. The RNG is consumed in event order, so
+// the draw sequence — and with it the whole schedule — is a function of
+// the seed.
 func (c *Cluster) serviceTime(task comm.Message, w *simWorker) time.Duration {
 	jb := c.jobs[task.Job-1]
-	cost := float64(jb.spec.Cost)
-	if jb.spec.CostPerCell > 0 {
-		geom := jb.job.Engine.Graph().Geom
-		r := geom.Rect(geom.PosOf(task.Vertex))
-		cost += float64(jb.spec.CostPerCell) * float64(r.Rows*r.Cols)
+	geom := jb.job.Engine.Graph().Geom
+	r := geom.Rect(geom.PosOf(task.Vertex))
+	cost := float64(jb.spec.Cost) + float64(jb.spec.CostPerCell)*float64(r.Rows*r.Cols)
+	if jb.spec.Service != nil {
+		cost = float64(jb.spec.Service(r))
 	}
 	d := cost * w.speed
 	if c.opts.Jitter > 0 {
@@ -135,18 +140,18 @@ func (c *Cluster) serviceTime(task comm.Message, w *simWorker) time.Duration {
 	return time.Duration(max(d, 1))
 }
 
-// complete fires when the worker's current task finishes: its runner
-// computes it now, on the region the frame carried, and the result goes to
-// the driver unless the worker is cut off or the job is over. A swept but
-// healed worker still delivers, refused in attempt arbitration; a stale
-// generation means the worker crashed and the work never happened.
+// complete fires when the worker's current task finishes: the result its
+// runner computed on the region the frame carried goes to the driver
+// unless the worker is cut off or the job is over. A swept but healed
+// worker still delivers, refused in attempt arbitration; a stale
+// generation means the worker crashed and the answer never left it.
 func (c *Cluster) complete(w *simWorker, gen int) {
 	if w.gen != gen || w.cur == nil {
 		return
 	}
-	task := *w.cur
-	w.cur = nil
-	if out, ok := c.run(w, task); ok && w.alive && !w.partitioned && !c.jobs[task.Job-1].job.Finished() {
+	task, out := *w.cur, w.out
+	w.cur, w.out = nil, nil
+	if w.ok && w.alive && !w.partitioned && !c.jobs[task.Job-1].job.Finished() {
 		c.d.Deliver(w.member, comm.Message{Kind: comm.KindResult, Job: task.Job, Vertex: task.Vertex, Attempt: task.Attempt, Payload: out})
 	}
 	c.advance(w)
@@ -185,18 +190,26 @@ func (c *Cluster) noteIdleIfFree(w *simWorker) {
 	}
 }
 
-// dispatchAll hands idle tokens to Driver.Feed in FIFO order while the
-// driver finds each one work, discarding stale tokens (dead, partitioned,
-// busy workers) on the way. It is called at the end of every event that
-// could open work or free a worker.
+// dispatchAll hands idle tokens to Driver.Feed in FIFO order, discarding
+// stale tokens (dead, partitioned, busy workers) on the way. A token the
+// driver finds no work for keeps its place and the walk goes on: under a
+// static order (BCW) another member may own ready work. Behind the first
+// refusal stale tokens keep their places too. Where any member may take
+// any vertex the driver refuses every token behind the first refusal, so
+// the queue left is the one a walk stopping there would leave. It is
+// called at the end of every event that could open work or free a worker.
 func (c *Cluster) dispatchAll() {
-	for len(c.idle) > 0 {
-		m := c.idle[0]
-		if c.workers[m-1].ready() && !c.d.Feed(m) {
-			return
+	kept, refused := c.idle[:0], false
+	for _, m := range c.idle {
+		switch ready := c.workers[m-1].ready(); {
+		case ready && !c.d.Feed(m):
+			refused = true
+			kept = append(kept, m)
+		case !ready && refused:
+			kept = append(kept, m)
 		}
-		c.idle = c.idle[1:]
 	}
+	c.idle = kept
 }
 
 // armHunger starts w's hunger timer as it goes idle, like a fleet worker's

@@ -50,11 +50,11 @@ import (
 // relative cost of computing one cell. Most DP recurrences are not uniform
 // — an SWGG cell scans its whole row and column prefix, O(i+j); a Nussinov
 // cell scans its span, O(j-i) — and two readers use the weight: the
-// partition advisor (AdvisePartition) and core's emulated-work mode
-// (core.Config.WorkDelayPerCell), so that block costs vary the way the
-// real recurrence's do. Implementations should normalize the mean weight
-// over the matrix to about 1 so the total emulated work stays cells x
-// WorkDelayPerCell. Kernels without a CostModel are weighted uniformly.
+// partition advisor (AdvisePartition) and the figures' cost model on the
+// simulator (internal/bench), so that block costs vary the way the real
+// recurrence's do. Implementations should normalize the mean weight over
+// the matrix to about 1 so the total virtual work stays cells x the work
+// per cell. Kernels without a CostModel are weighted uniformly.
 type CostModel interface {
 	// CellCost estimates the relative compute cost of cell (i, j).
 	CellCost(i, j int) float64

@@ -194,12 +194,12 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6908 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6891 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
 # must not arrive unnoticed.
-check_lines 1250 internal/comm
+check_lines 1240 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
 # store must not arrive unnoticed.
 check_lines 1184 internal/matrix
@@ -336,6 +336,24 @@ if [ -n "$sim_calls" ]; then
     exit 1
 fi
 echo "calls: internal/sim names no pool draw, lease, payload or commit"
+
+# And the runtime emulates nothing: the paper's figures replay on the
+# simulator (internal/bench over internal/sim), which charges a block's work
+# and its frames in virtual time, so no non-test code in core, fleet, server
+# or the public package names a work or wire emulation knob, and non-test
+# core sleeps only where a FaultPlan stall is injected (a task's, a
+# sub-task's). A runtime that sleeps to look like a cluster must not return
+# unnoticed.
+emulation=$( (grep -nE 'WorkDelayPerCell|WorkJitter|DefaultClusterLatency' \
+        $(ls internal/core/*.go internal/fleet/*.go internal/server/*.go | grep -v '_test\.go$') easyhps.go /dev/null
+    grep -nF 'time.Sleep(' $(ls internal/core/*.go | grep -v '_test\.go$') /dev/null |
+        grep -vE ':[[:space:]]*time\.Sleep\([a-z]+\.faults\.stall(Task|SubTask)\([a-z]+\)\)$') || true)
+if [ -n "$emulation" ]; then
+    echo "calls: the runtime must not emulate work or wire cost (the figures replay on internal/sim):" >&2
+    echo "$emulation" >&2
+    exit 1
+fi
+echo "calls: no emulation knob in core, fleet, server or easyhps.go; core sleeps only for FaultPlan stalls"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
