@@ -40,7 +40,7 @@ func main() {
 		batch   = flag.Int("batch", 1, "max ready vertices per task message (1 = classic per-vertex protocol)")
 		spec    = flag.Bool("speculate", false, "dispatch speculative backups for straggling sub-tasks (first result wins)")
 		steal   = flag.Bool("steal", false, "rebalance queued batch backlog toward starved slaves")
-		auto    = flag.Bool("auto", false, "self-tune: enable speculation and stealing, pick the partition from the kernel's cost model, and adjust batch/speculation thresholds online (explicit -proc/-batch/... remain the starting point)")
+		auto    = flag.Bool("auto", false, "self-tune: enable speculation and stealing, pick the partition from the kernel's cost model, and adjust batch/speculation thresholds online (explicit -proc/-batch/... remain the starting point; off under -policy bcw)")
 		verbose = flag.Bool("v", false, "print runtime statistics")
 		gantt   = flag.Bool("gantt", false, "print a per-slave execution timeline")
 		fasta   = flag.String("fasta", "", "run -app on the first two records of this FASTA file instead of generated inputs (editdist, lcs, needleman, swgg; nussinov folds the first)")

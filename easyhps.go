@@ -130,8 +130,8 @@ const (
 	PolicyDynamic = core.PolicyDynamic
 	// PolicyBlockCyclic is the static block-cyclic wavefront baseline.
 	PolicyBlockCyclic = core.PolicyBlockCyclic
-	// PolicyAffinity is the locality-aware dynamic pool (implies delta
-	// shipping).
+	// PolicyAffinity is the locality-aware dynamic pool; its run ships
+	// against the slaves' known-sets, cached or not.
 	PolicyAffinity = core.PolicyAffinity
 )
 

@@ -175,19 +175,18 @@ func (o Options) Run(app App, x, y int, policy core.Policy) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	return o.simulate(app, cfg)
+	return o.simulate(app, cfg, false)
 }
 
 // simulate runs one job of app on a simulated cluster deployed as cfg:
 // cfg.Slaves workers, each block priced by the cost model on cfg.Threads
-// threads, each frame by Latency. A delta-shipping or affinity job gets a
-// cache key on a fresh store, which is how a simulated job ships against
-// its workers' known-sets.
-func (o Options) simulate(app App, cfg core.Config) (Point, error) {
+// threads, each frame by Latency. A cached job gets a cache key on a fresh
+// store: like an affinity job, it ships against its workers' known-sets.
+func (o Options) simulate(app App, cfg core.Config, cached bool) (Point, error) {
 	p := app.Problem()
 	opts := sim.Options{Workers: cfg.Slaves, Seed: o.Seed, Latency: o.Latency}
 	spec := sim.JobSpec{Name: app.Name, Problem: p, Proc: cfg.ProcPartition, Policy: cfg.Policy, Service: o.service(p, cfg)}
-	if cfg.DeltaShipping || cfg.Policy == core.PolicyAffinity {
+	if cached {
 		opts.Cache, _ = cas.NewStore(cas.Options{}) // no directory: nothing to fail
 		spec.CacheKey = app.Name
 	}

@@ -217,7 +217,7 @@ func (o Options) AblateSingleLevel(w io.Writer) error {
 		return err
 	}
 	cfg.ThreadPartition = cfg.ProcPartition // one sub-sub-task per sub-task
-	single, err := o.simulate(app, cfg)
+	single, err := o.simulate(app, cfg, false)
 	if err != nil {
 		return err
 	}
@@ -239,8 +239,7 @@ func (o Options) AblateDelta(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cfg.DeltaShipping = delta
-		pt, err := o.simulate(app, cfg)
+		pt, err := o.simulate(app, cfg, delta)
 		if err != nil {
 			return err
 		}
@@ -269,18 +268,20 @@ func (o Options) AblateAffinity(w io.Writer) error {
 	for _, row := range []struct {
 		name   string
 		policy core.Policy
-		delta  bool
+		cached bool // a cached job ships keyed, an affinity job always
 	}{
 		{"dynamic", core.PolicyDynamic, false},
 		{"dynamic+delta", core.PolicyDynamic, true},
+		// Cached as well, so the last two rows differ in policy alone: a
+		// cached job's probe pass hands the pool its newly computable
+		// vertices in reverse, so a store alone moves the draw order.
 		{"affinity", core.PolicyAffinity, true},
 	} {
 		cfg, err := o.Config(app, x, y, row.policy)
 		if err != nil {
 			return err
 		}
-		cfg.DeltaShipping = row.delta
-		pt, err := o.simulate(app, cfg)
+		pt, err := o.simulate(app, cfg, row.cached)
 		if err != nil {
 			return err
 		}

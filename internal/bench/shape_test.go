@@ -128,7 +128,7 @@ func TestShapeAblations(t *testing.T) {
 	multi := run(t, o, app, 4, 37, core.PolicyDynamic)
 	cfg, _ := o.Config(app, 4, 37, core.PolicyDynamic)
 	cfg.ThreadPartition = cfg.ProcPartition
-	single, err := o.simulate(app, cfg)
+	single, err := o.simulate(app, cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,11 @@ func TestShapeAblations(t *testing.T) {
 	}
 
 	cfg, _ = o.Config(app, 4, 25, core.PolicyDynamic)
-	full, err := o.simulate(app, cfg)
+	full, err := o.simulate(app, cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DeltaShipping = true
-	delta, err := o.simulate(app, cfg)
+	delta, err := o.simulate(app, cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,9 +134,9 @@ func TestBatchComposesWithDeltaShippingAndReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []core.Config{
-		{Slaves: 3, Threads: 2, Batch: 5, DeltaShipping: true},
+		cached(t, core.Config{Slaves: 3, Threads: 2, Batch: 5}, "nussinov"),
 		{Slaves: 3, Threads: 2, Batch: 5, Policy: core.PolicyAffinity},
-		{Slaves: 2, Threads: 2, Batch: 3, Policy: core.PolicyBlockCyclic, BCWBlockCols: 2},
+		{Slaves: 2, Threads: 2, Batch: 3, Policy: core.PolicyBlockCyclic},
 	} {
 		cfg.ProcPartition = dag.Square(8)
 		cfg.ThreadPartition = dag.Square(4)
@@ -149,7 +149,7 @@ func TestBatchComposesWithDeltaShippingAndReclaim(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		equalMatrices(t, fmt.Sprintf("batch with policy=%v delta=%v", cfg.Policy, cfg.DeltaShipping),
+		equalMatrices(t, fmt.Sprintf("batch with policy=%v cached=%v", cfg.Policy, cfg.Cache != nil),
 			res.Matrix(), serial.Matrix())
 	}
 }

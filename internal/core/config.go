@@ -20,14 +20,15 @@ const (
 	// node/thread takes the next computable sub-task.
 	PolicyDynamic Policy = iota
 	// PolicyBlockCyclic is the static block-cyclic wavefront baseline
-	// (BCW): sub-tasks are pre-assigned block-cyclically by grid column
-	// and may only run on their owner.
+	// (BCW): sub-tasks are pre-assigned block-cyclically by grid column,
+	// in runs of one column, and may only run on their owner.
 	PolicyBlockCyclic
 	// PolicyAffinity is the locality-aware dynamic pool: any idle slave
 	// takes a computable sub-task, preferring the one whose data region
-	// it already holds the most blocks of. It implies DeltaShipping
-	// (the known-sets drive both) and falls back to plain dynamic
-	// scheduling at the thread level, where memory is shared anyway.
+	// it already holds the most blocks of. Its job ships against the
+	// members' known-sets (the known-sets drive both, Driver.NewJob) and
+	// it falls back to plain dynamic scheduling at the thread level, where
+	// memory is shared anyway.
 	PolicyAffinity
 )
 
@@ -64,10 +65,6 @@ type Config struct {
 	// scheduling: the draw order of the master's pool and, at the thread
 	// level, of each block's sched.Queue.
 	Policy Policy
-	// BCWBlockCols is the block-cyclic column run length of the static
-	// policy (block_col in the paper); ignored under PolicyDynamic.
-	// Zero means 1.
-	BCWBlockCols int
 	// Batch bounds how many computable sub-tasks one dispatch message may
 	// carry to a slave. At 1 (the default) the runtime sends the classic
 	// one-task-per-message protocol unchanged. Above 1 the master drains
@@ -118,20 +115,13 @@ type Config struct {
 	// fault-tolerance tick: Batch and the speculation thresholds become
 	// starting points that adapt to observed dispatch amortization,
 	// starvation and speculation outcomes, an unset ProcPartition comes
-	// from the cost-model advisor instead of the n/8 rule, and
-	// Speculate and Steal are enabled (engine.PoolConfig.Auto) — auto
-	// means the system owns the schedule. Controller decisions land in
-	// Trace as "tune" events. Under PolicyBlockCyclic only the advisor
-	// applies: a static schedule leaves the tuner nothing to own.
+	// from the cost-model advisor for the Slaves members instead of the
+	// n/8 rule (Driver.NewJob), and Speculate and Steal are enabled
+	// (engine.PoolConfig.Auto) — auto means the system owns the schedule.
+	// Controller decisions land in Trace as "tune" events. Under
+	// PolicyBlockCyclic Auto is off, the advisor with it: a static
+	// schedule leaves the tuner nothing to own.
 	Auto bool
-	// DeltaShipping makes the master track, by content key, which blocks
-	// each slave has already received whole or computed, and send a
-	// 36-byte reference in place of any of them a sub-task reads. Slaves
-	// keep every such block for the duration of the run (blocks are
-	// immutable once computed), so repeated row/column reads of the 2D/1D
-	// patterns stop being resent. Master and slave each hash every result
-	// block once for its key.
-	DeltaShipping bool
 	// ReclaimBlocks enables master-side memory reclamation: a completed
 	// block is dropped from the store as soon as every sub-task that
 	// reads it has finished. This directly addresses the space-complexity
@@ -144,9 +134,9 @@ type Config struct {
 	// store (internal/cas): before dispatching a computable sub-task the
 	// master probes it by content key, a hit applying the stored block
 	// without drawing a lease, and every completed block is written
-	// through. When DeltaShipping is also on, the store's wire-layer
-	// counters see every lookup of the slaves' known-sets. Requires
-	// CacheKey.
+	// through. A cached run ships, as a PolicyAffinity run does, a 36-byte
+	// reference in place of each block a slave holds (the store's wire
+	// layer counts these lookups). Requires CacheKey.
 	Cache *cas.Store
 	// CacheKey is the content digest of the problem spec (kernel plus
 	// inputs, scheduling knobs excluded) that scopes this run's entries
@@ -171,42 +161,21 @@ type Config struct {
 	Progress func(completed, total int)
 }
 
-// withDefaults validates cfg against the problem size and fills defaults.
-func (c Config) withDefaults(n dag.Size) (Config, error) {
-	if !n.Valid() {
-		return c, fmt.Errorf("core: invalid problem size %v", n)
-	}
+// withDefaults validates cfg and fills the defaults of everything but the
+// partitions: the processor partition is the job's (Driver.NewJob), the
+// thread partition its runner's (NewTaskRunner).
+func (c Config) withDefaults() (Config, error) {
 	if c.Slaves < 1 {
 		return c, fmt.Errorf("core: need at least 1 slave, got %d", c.Slaves)
 	}
 	if c.Threads < 1 {
 		return c, fmt.Errorf("core: need at least 1 thread per slave, got %d", c.Threads)
 	}
-	if !c.ProcPartition.Valid() {
-		// Under Auto, prepare() already consulted the partition advisor
-		// (it needs the kernel's cost model, which Config cannot see).
-		c.ProcPartition = dag.DefaultPartition(n)
-	}
-	if !c.ThreadPartition.Valid() {
-		c.ThreadPartition = dag.Size{
-			Rows: (c.ProcPartition.Rows + 3) / 4,
-			Cols: (c.ProcPartition.Cols + 3) / 4,
-		}
-	}
-	c.BCWBlockCols = max(c.BCWBlockCols, 1)
 	if c.Batch < 1 {
 		c.Batch = engine.DefaultBatch
 	}
 	if c.MaxAttempts < 1 {
 		c.MaxAttempts = engine.DefaultMaxAttempts
-	}
-	if c.CacheKey == "" {
-		c.Cache = nil // no spec identity, nothing cached (see CacheKey)
-	}
-	if c.Policy == PolicyAffinity {
-		// Affinity scheduling scores against the delta-shipping
-		// known-sets; without them every score is zero.
-		c.DeltaShipping = true
 	}
 	if c.TaskTimeout <= 0 {
 		c.TaskTimeout = engine.DefaultTaskTimeout

@@ -4,38 +4,44 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/matrix"
 )
 
+// zeroKernel is a kernel that computes nothing, for configuration tests.
+type zeroKernel struct{}
+
+func (zeroKernel) Pattern() dag.Pattern                       { return dag.Wavefront{} }
+func (zeroKernel) Boundary(i, j int) int32                    { return 0 }
+func (zeroKernel) Cell(v *matrix.View[int32], i, j int) int32 { return 0 }
+
 func TestConfigDefaults(t *testing.T) {
-	cfg, err := Config{Slaves: 2, Threads: 2}.withDefaults(dag.Square(64))
+	cfg, err := Config{Slaves: 2, Threads: 2}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.ProcPartition.Valid() || !cfg.ThreadPartition.Valid() {
-		t.Fatal("partitions not defaulted")
+	if cfg.ProcPartition.Valid() || cfg.ThreadPartition.Valid() {
+		t.Fatal("withDefaults decided a partition: the job's and its runner's to decide")
 	}
 	if cfg.TaskTimeout <= 0 || cfg.SubTaskTimeout <= 0 || cfg.CheckInterval <= 0 {
 		t.Fatal("timeouts not defaulted")
 	}
-	if cfg.BCWBlockCols != 1 {
-		t.Fatal("BCWBlockCols not defaulted")
+	p := Problem[int32]{Name: "zero", Kernel: zeroKernel{}, Codec: matrix.BinaryCodec[int32]{}, Size: dag.Square(64)}
+	r, err := NewTaskRunner(p, Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.cfg.ProcPartition != dag.DefaultPartition(p.Size) || !r.cfg.ThreadPartition.Valid() {
+		t.Fatalf("runner partitions %v / %v not defaulted", r.cfg.ProcPartition, r.cfg.ThreadPartition)
 	}
 }
 
 func TestConfigDefaultsExtensions(t *testing.T) {
-	cfg, err := Config{Slaves: 1, Threads: 1}.withDefaults(dag.Square(16))
+	cfg, err := Config{Slaves: 1, Threads: 1}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.MaxAttempts != 4 {
 		t.Fatalf("MaxAttempts default = %d", cfg.MaxAttempts)
-	}
-	cfg, err = Config{Slaves: 1, Threads: 1, Policy: PolicyAffinity}.withDefaults(dag.Square(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.DeltaShipping {
-		t.Fatal("PolicyAffinity must imply DeltaShipping")
 	}
 }
 

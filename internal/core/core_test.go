@@ -162,16 +162,13 @@ func TestRunBlockCyclicPolicyCorrect(t *testing.T) {
 	b := dp.RandomDNA(40, 13)
 	s := dp.NewSWGG(a, b)
 	want := s.Sequential()
-	for _, blockCols := range []int{1, 2} {
-		cfg := testConfig()
-		cfg.Policy = core.PolicyBlockCyclic
-		cfg.BCWBlockCols = blockCols
-		res, err := core.RunContext(context.Background(), s.Problem(), cfg)
-		if err != nil {
-			t.Fatalf("blockCols=%d: %v", blockCols, err)
-		}
-		equalMatrices(t, "swgg-bcw", res.Matrix(), want)
+	cfg := testConfig()
+	cfg.Policy = core.PolicyBlockCyclic
+	res, err := core.RunContext(context.Background(), s.Problem(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	equalMatrices(t, "swgg-bcw", res.Matrix(), want)
 }
 
 func TestRunBlockCyclicTriangular(t *testing.T) {

@@ -17,8 +17,8 @@ import (
 // for a DAG of V vertices — the relation the benchmark's exact counters
 // (edit-inproc's 512, swgg-inproc's 128) come from. The shapes are the
 // three in-process workloads and the job service's small job, and two of
-// them again under DeltaShipping, whose references change what a task
-// carries but not how many messages carry it.
+// them again as cached runs on a fresh store, which ship keyed: references
+// change what a task carries but not how many messages carry it.
 func TestInProcessExactCounters(t *testing.T) {
 	const slaves = 2
 	cases := []struct {
@@ -43,8 +43,10 @@ func TestInProcessExactCounters(t *testing.T) {
 				ThreadPartition: dag.Square(c.thread),
 				Policy:          core.PolicyDynamic,
 				Batch:           1,
-				DeltaShipping:   c.delta,
 				RunTimeout:      time.Minute,
+			}
+			if c.delta {
+				cfg = cached(t, cfg, c.name)
 			}
 			res, err := core.RunContext(context.Background(), c.p, cfg)
 			if err != nil {
@@ -68,7 +70,7 @@ func TestInProcessExactCounters(t *testing.T) {
 	}
 }
 
-// With one slave under DeltaShipping the slave computed every block a task
+// With one slave on a cached run the slave computed every block a task
 // reads, so every dependency travels as a reference to the whole block —
 // a row or a column of it included — and nothing is shipped in full: the
 // skip count is the DAG's dependency count.
@@ -84,10 +86,9 @@ func TestDeltaShippingOneSlaveSkipsEveryDependency(t *testing.T) {
 			Slaves: 1, Threads: 1,
 			ProcPartition:   dag.Square(12),
 			ThreadPartition: dag.Square(4),
-			DeltaShipping:   true,
 			RunTimeout:      time.Minute,
 		}
-		res, err := core.RunContext(context.Background(), c.p, cfg)
+		res, err := core.RunContext(context.Background(), c.p, cached(t, cfg, c.name))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,14 +5,28 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
 )
 
+// cached makes cfg a cached run on a fresh store, scoped by key: it ships
+// against its slaves' known-sets (delta shipping), as every cached run
+// does, and the empty store answers no probe.
+func cached(t *testing.T, cfg core.Config, key string) core.Config {
+	t.Helper()
+	store, err := cas.NewStore(cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache, cfg.CacheKey = store, key
+	return cfg
+}
+
 // Delta shipping must preserve correctness for the pattern with the widest
 // data regions (RowColumn: whole row + column per task) and actually skip
-// repeated blocks.
+// repeated blocks. A cached run ships keyed, an uncached one in full.
 func TestDeltaShippingSWGG(t *testing.T) {
 	a := dp.RandomDNA(64, 101)
 	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.2, 102)
@@ -24,8 +38,10 @@ func TestDeltaShippingSWGG(t *testing.T) {
 			Slaves: 3, Threads: 2,
 			ProcPartition:   dag.Square(8), // 8x8 grid
 			ThreadPartition: dag.Square(4),
-			DeltaShipping:   delta,
 			RunTimeout:      time.Minute,
+		}
+		if delta {
+			cfg = cached(t, cfg, "swgg-delta")
 		}
 		res, err := core.RunContext(context.Background(), s.Problem(), cfg)
 		if err != nil {
@@ -56,12 +72,11 @@ func TestDeltaShippingAcrossPatterns(t *testing.T) {
 		Slaves: 2, Threads: 2,
 		ProcPartition:   dag.Square(10),
 		ThreadPartition: dag.Square(4),
-		DeltaShipping:   true,
 		RunTimeout:      time.Minute,
 	}
 
 	nu := dp.NewNussinov(dp.RandomRNA(50, 103))
-	res, err := core.RunContext(context.Background(), nu.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), nu.Problem(), cached(t, cfg, "nussinov"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +86,7 @@ func TestDeltaShippingAcrossPatterns(t *testing.T) {
 	cfgK := cfg
 	cfgK.ProcPartition = dag.Size{Rows: 5, Cols: 13}
 	cfgK.ThreadPartition = dag.Size{Rows: 2, Cols: 5}
-	resK, err := core.RunContext(context.Background(), k.Problem(), cfgK)
+	resK, err := core.RunContext(context.Background(), k.Problem(), cached(t, cfgK, "knapsack"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +96,7 @@ func TestDeltaShippingAcrossPatterns(t *testing.T) {
 	cfgD := cfg
 	cfgD.ProcPartition = dag.Square(4)
 	cfgD.ThreadPartition = dag.Square(2)
-	resD, err := core.RunContext(context.Background(), d.Problem(), cfgD)
+	resD, err := core.RunContext(context.Background(), d.Problem(), cached(t, cfgD, "dominance"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +113,12 @@ func TestDeltaShippingWithCrash(t *testing.T) {
 		Slaves: 3, Threads: 2,
 		ProcPartition:   dag.Square(10),
 		ThreadPartition: dag.Square(4),
-		DeltaShipping:   true,
 		TaskTimeout:     150 * time.Millisecond,
 		CheckInterval:   20 * time.Millisecond,
 		RunTimeout:      time.Minute,
 		Faults:          core.FaultPlan{CrashOnTask: map[int]int{2: 2}},
 	}
-	res, err := core.RunContext(context.Background(), dp.Slow(e.Problem(), crashWork), cfg)
+	res, err := core.RunContext(context.Background(), dp.Slow(e.Problem(), crashWork), cached(t, cfg, "editdist"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +135,10 @@ func TestDeltaShippingWithReclaim(t *testing.T) {
 		Slaves: 2, Threads: 2,
 		ProcPartition:   dag.Square(8),
 		ThreadPartition: dag.Square(4),
-		DeltaShipping:   true,
 		ReclaimBlocks:   true,
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.RunContext(context.Background(), s.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), s.Problem(), cached(t, cfg, "swgg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +165,10 @@ func TestAffinityPolicy(t *testing.T) {
 			ProcPartition:   dag.Square(8),
 			ThreadPartition: dag.Square(4),
 			Policy:          policy,
-			DeltaShipping:   delta,
 			RunTimeout:      time.Minute,
+		}
+		if delta {
+			cfg = cached(t, cfg, "swgg-affinity")
 		}
 		// Blocks that take milliseconds keep all three slaves in the run;
 		// with real kernels alone one slave can drain the whole delta run
@@ -168,7 +183,7 @@ func TestAffinityPolicy(t *testing.T) {
 	}
 
 	deltaStats := run(core.PolicyDynamic, true)
-	affStats := run(core.PolicyAffinity, false) // affinity implies delta
+	affStats := run(core.PolicyAffinity, false) // uncached, an affinity run still ships keyed
 	if affStats.BlocksSkipped == 0 {
 		t.Fatalf("affinity did not engage delta shipping: %+v", affStats)
 	}

@@ -235,11 +235,14 @@ func (jb *Job[T]) Runner(run Config) (*TaskRunner[T], error) {
 	return r, err
 }
 
-// NewJob builds a job for a fleet or the simulator:
-// an unset partition is the advisor's for the members live now under Auto,
-// the default otherwise; what jp leaves unset is the pool's; a job with a
-// cache key ships against its members' known-sets.
-func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, jp engine.JobParams, cacheKey string, onProgress func(completed, total int)) (*Job[T], error) {
+// NewJob builds the job of every deployment — RunContext, a fleet, the
+// simulator — and alone decides its shape: an unset partition is the
+// advisor's for the members live now under Auto, the default otherwise;
+// the draw order is policy's; it ships against its members' known-sets
+// when cached or drawn by affinity; what jp leaves unset is the pool's,
+// timeouts included. Of ec it keeps CacheKey, Reclaim, Trace (nil records
+// nothing) and OnProgress.
+func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, policy Policy, jp engine.JobParams, ec engine.Config[T]) (*Job[T], error) {
 	if err := p.Check(); err != nil {
 		return nil, err
 	}
@@ -250,29 +253,25 @@ func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, jp engine.JobP
 	if !proc.Valid() {
 		proc = dag.DefaultPartition(p.Size)
 	}
-	jb := &Job[T]{ID: id, Params: d.pool.Params(jp), Trace: trace.NewWithNow(d.clock.Now), Problem: p}
-	jb.Engine = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, engine.Config[T]{
-		TaskTimeout: jb.Params.TaskTimeout,
-		MaxAttempts: jb.Params.MaxAttempts,
-		Cache:       d.cfg.Cache,
-		CacheKey:    cacheKey,
-		Delta:       d.cfg.Cache != nil && cacheKey != "",
-		Trace:       jb.Trace,
-		OnProgress:  onProgress,
-	})
+	jb := &Job[T]{ID: id, Params: d.pool.Params(jp), Trace: ec.Trace, Problem: p}
+	ec.TaskTimeout, ec.MaxAttempts, ec.Cache = jb.Params.TaskTimeout, jb.Params.MaxAttempts, d.cfg.Cache
+	ec.Delta = policy == PolicyAffinity || ec.Cache != nil && ec.CacheKey != ""
+	jb.Engine = engine.New(p.Kernel.Pattern(), p.Codec, p.Size, proc, ec)
+	jb.Params.Order = d.order(policy, jb.Engine)
 	return jb, nil
 }
 
-// Order is the draw order policy names for job eng over members
-// 1..members: nil, the pool's LIFO stack, for PolicyDynamic; the static
-// block-cyclic schedule of bcwCols-column runs for PolicyBlockCyclic; for
+// order is the draw order policy names for job eng: nil, the pool's LIFO
+// stack, for PolicyDynamic; for PolicyBlockCyclic the static block-cyclic
+// schedule in runs of one column over the members admitted so far; for
 // PolicyAffinity, what scores a ready vertex by how many of its dependency
 // blocks a member's known-set holds (scored in the draw, under mu, which
 // guards the members; v is ready, so its dependencies' keys are recorded).
-func (d *Driver[T]) Order(policy Policy, eng *engine.Job[T], members, bcwCols int) sched.Order {
+func (d *Driver[T]) order(policy Policy, eng *engine.Job[T]) sched.Order {
 	switch policy {
 	case PolicyBlockCyclic:
-		return memberOrder{sched.NewBlockCyclic(eng.Graph(), members, bcwCols)}
+		admitted, _, _, _, _ := d.reg.MembershipCounts()
+		return memberOrder{sched.NewBlockCyclic(eng.Graph(), int(admitted), 1)}
 	case PolicyAffinity:
 		return sched.NewAffinity(func(w int, v int32) int {
 			n := 0

@@ -31,7 +31,7 @@ func TestInProcessMemberAttachesEndedJob(t *testing.T) {
 	member := reg.Members()[0].ID
 	e := dp.NewEditDistance(dp.RandomDNA(16, 1), dp.RandomDNA(16, 2))
 	start := func(id int32) *core.Job[int32] {
-		jb, err := d.NewJob(id, e.Problem(), dag.Square(16), engine.JobParams{}, "", nil) // one vertex
+		jb, err := d.NewJob(id, e.Problem(), dag.Square(16), core.PolicyDynamic, engine.JobParams{}, engine.Config[int32]{}) // one vertex
 		if err != nil {
 			t.Fatal(err)
 		}

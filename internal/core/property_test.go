@@ -209,7 +209,7 @@ func TestBlockCyclicMatchesSequentialProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property sweep")
 	}
-	f := func(seed int64, n, pr, bc, slaves uint8) bool {
+	f := func(seed int64, n, pr, slaves uint8) bool {
 		size := int(n%32) + 8
 		a := dp.RandomDNA(size, seed)
 		b := dp.RandomDNA(size, seed+1)
@@ -220,7 +220,6 @@ func TestBlockCyclicMatchesSequentialProperty(t *testing.T) {
 			ProcPartition:   dag.Size{Rows: int(pr%12) + 1, Cols: int(pr%9) + 2},
 			ThreadPartition: dag.Size{Rows: 3, Cols: 3},
 			Policy:          core.PolicyBlockCyclic,
-			BCWBlockCols:    int(bc%3) + 1,
 			RunTimeout:      2 * time.Minute,
 		}
 		res, err := core.RunContext(context.Background(), e.Problem(), cfg)

@@ -35,10 +35,10 @@ func regionBytes[T any](p core.Problem[T], proc dag.Size) int64 {
 }
 
 // checkRegionModes runs one problem of the wavefront family through core's
-// three shipping modes — every task its full data region, DeltaShipping's
-// known-sets by content key, and the same with a cache counting their
-// lookups — and wants the sequential matrix from each, the plain run's
-// payload volume to be that of the declared regions, and a skipped
+// three shipping modes — every task its full data region, an affinity
+// run's known-sets by content key, and a cached run's, whose store counts
+// their lookups — and wants the sequential matrix from each, the plain
+// run's payload volume to be that of the declared regions, and a skipped
 // dependency only where a slave holds the whole block.
 func checkRegionModes[T any](t *testing.T, label string, p core.Problem[T], want [][]T, cfg core.Config) {
 	t.Helper()
@@ -46,10 +46,12 @@ func checkRegionModes[T any](t *testing.T, label string, p core.Problem[T], want
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"plain", "delta", "cache+delta"} {
+	for _, mode := range []string{"plain", "affinity", "cached"} {
 		c := cfg
-		c.DeltaShipping = mode != "plain"
-		if mode == "cache+delta" {
+		switch mode {
+		case "affinity":
+			c.Policy = core.PolicyAffinity
+		case "cached":
 			c.Cache, c.CacheKey = store, label
 		}
 		res, err := core.RunContext(context.Background(), p, c)

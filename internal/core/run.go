@@ -8,20 +8,20 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
-	"repro/internal/tune"
 )
 
 // RunContext executes problem p on an in-process cluster: a master driver
 // and cfg.Slaves in-process members of its registry (Local links), each a
 // worker loop with cfg.Threads compute goroutines that attaches the one job
-// at its job-spec frame, from the Job handed over with it (Job.Runner); the
-// job is drawn in the order cfg.Policy names (Driver.Order). It blocks
-// until the DP matrix is complete and returns the blocked result with run
-// statistics. When ctx is cancelled (or its deadline passes) the master
-// stops scheduling and the run returns ctx's error once the sub-tasks in
-// flight drain, so cancellation waits at most one processor-level sub-task.
+// at its job-spec frame, from the Job handed over with it (Job.Runner). The
+// job is the driver's (Driver.NewJob), drawn in the order cfg.Policy names.
+// It blocks until the DP matrix is complete and returns the blocked result
+// with run statistics. When ctx is cancelled (or its deadline passes) the
+// master stops scheduling and the run returns ctx's error once the
+// sub-tasks in flight drain, so cancellation waits at most one
+// processor-level sub-task.
 func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T], error) {
-	cfg, err := prepare(p, cfg)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -32,6 +32,8 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	d := NewDriver[T](DriverConfig{
 		Pool: engine.PoolConfig{
 			Batch:         cfg.Batch,
+			TaskTimeout:   cfg.TaskTimeout,
+			MaxAttempts:   cfg.MaxAttempts,
 			Speculate:     cfg.Speculate && dynamic,
 			Steal:         cfg.Steal && dynamic,
 			Auto:          cfg.Auto && dynamic,
@@ -42,31 +44,11 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 		Cache:    cfg.Cache,
 	})
 	defer d.Close()
-	eng := engine.New(p.Kernel.Pattern(), p.Codec, p.Size, cfg.ProcPartition, engine.Config[T]{
-		TaskTimeout: cfg.TaskTimeout,
-		MaxAttempts: cfg.MaxAttempts,
-		Cache:       cfg.Cache,
-		CacheKey:    cfg.CacheKey,
-		Delta:       cfg.DeltaShipping,
-		Reclaim:     cfg.ReclaimBlocks,
-		Trace:       cfg.Trace,
-		OnProgress:  cfg.Progress,
-	})
-	// Restored sub-tasks commit in file order, a valid execution order, and
-	// are written again to cfg.Checkpoint: the new stream is self-contained.
-	if cfg.Checkpoint != nil {
-		eng.SetCheckpoint(checkpoint.NewWriter(cfg.Checkpoint))
-	}
-	if cfg.Restore != nil {
-		if _, err := checkpoint.Replay(cfg.Restore, eng.Replay); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
 
-	order := d.Order(cfg.Policy, eng, cfg.Slaves, cfg.BCWBlockCols)
-	jb := &Job[T]{Label: "core", Engine: eng, Params: d.pool.Params(engine.JobParams{Order: order, Timeout: cfg.RunTimeout}),
-		Problem: p, Thread: cfg.ThreadPartition, faults: newFaultState(cfg.Faults)}
-
+	// The members join first: the job's partition and draw order count
+	// them. Each computes with the job's partitions (Job.Runner), and gets
+	// no task before the job, built below, starts.
+	var jb *Job[T]
 	var members sync.WaitGroup
 	for i := range cfg.Slaves {
 		w := d.JoinLocal("", cfg)
@@ -88,8 +70,30 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	}
 	d.StartTick()
 
-	if err = d.Start(jb); err == nil {
-		err = d.Wait(ctx, jb)
+	jb, err = d.NewJob(0, p, cfg.ProcPartition, cfg.Policy, engine.JobParams{Timeout: cfg.RunTimeout}, engine.Config[T]{
+		CacheKey:   cfg.CacheKey,
+		Reclaim:    cfg.ReclaimBlocks,
+		Trace:      cfg.Trace,
+		OnProgress: cfg.Progress,
+	})
+	if err == nil {
+		jb.Label, jb.faults = "core", newFaultState(cfg.Faults)
+		// Restored sub-tasks commit in file order, a valid execution order,
+		// and are written again to cfg.Checkpoint: the new stream is
+		// self-contained.
+		if cfg.Checkpoint != nil {
+			jb.Engine.SetCheckpoint(checkpoint.NewWriter(cfg.Checkpoint))
+		}
+		if cfg.Restore != nil {
+			if _, err = checkpoint.Replay(cfg.Restore, jb.Engine.Replay); err != nil {
+				err = fmt.Errorf("core: %w", err)
+			}
+		}
+	}
+	if err == nil {
+		if err = d.Start(jb); err == nil {
+			err = d.Wait(ctx, jb)
+		}
 	}
 	// Every sender tells its member to end, then every link closes.
 	d.Close()
@@ -100,22 +104,5 @@ func RunContext[T any](ctx context.Context, p Problem[T], cfg Config) (*Result[T
 	}
 	st := jb.RunStats()
 	st.Elapsed = elapsed
-	return &Result[T]{Store: eng.Store(), Stats: st}, nil
-}
-
-func prepare[T any](p Problem[T], cfg Config) (Config, error) {
-	if p.Kernel == nil {
-		return cfg, fmt.Errorf("core: problem %q has no kernel", p.Name)
-	}
-	if p.Codec == nil {
-		return cfg, fmt.Errorf("core: problem %q has no codec", p.Name)
-	}
-	if cfg.Auto && !cfg.ProcPartition.Valid() {
-		// The advisor needs the kernel's cost model and the worker
-		// count, neither of which Config.withDefaults can see.
-		cm, _ := p.Kernel.(tune.CostModel)
-		workers := cfg.Slaves * max(cfg.Threads, 1)
-		cfg.ProcPartition = tune.AdvisePartition(p.Size.Rows, p.Size.Cols, workers, cm)
-	}
-	return cfg.withDefaults(p.Size)
+	return &Result[T]{Store: jb.Engine.Store(), Stats: st}, nil
 }

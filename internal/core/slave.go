@@ -259,7 +259,7 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 	// memory is shared, so locality has nothing to optimize.
 	order := sched.Order(&l.lifo) // drained by the Run before
 	if r.cfg.Policy == PolicyBlockCyclic {
-		order = sched.NewBlockCyclic(&l.graph, r.cfg.Threads, r.cfg.BCWBlockCols)
+		order = sched.NewBlockCyclic(&l.graph, r.cfg.Threads, 1)
 	}
 	l.queue.Reset(order)
 	l.out = matrix.NewPayloadBlock(r.p.Codec, rect) // the kernel's writes, or accept's copies, are the result's encoding

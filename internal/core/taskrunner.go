@@ -35,10 +35,19 @@ type TaskRunner[T any] struct {
 // as in a full run; Slaves is irrelevant here and forced valid, and of
 // Faults the thread-level ones apply) and prepares the geometry.
 func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
+	if err := p.Check(); err != nil {
+		return nil, err
+	}
 	cfg.Slaves = max(cfg.Slaves, 1)
-	cfg, err := prepare(p, cfg)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if !cfg.ProcPartition.Valid() {
+		cfg.ProcPartition = dag.DefaultPartition(p.Size)
+	}
+	if !cfg.ThreadPartition.Valid() {
+		cfg.ThreadPartition = dag.Size{Rows: (cfg.ProcPartition.Rows + 3) / 4, Cols: (cfg.ProcPartition.Cols + 3) / 4}
 	}
 	return &TaskRunner[T]{p: p, cfg: cfg, geom: dag.MatrixGeometry(p.Size, cfg.ProcPartition), faults: newFaultState(cfg.Faults), ctrs: &counters{}}, nil
 }

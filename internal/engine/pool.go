@@ -105,7 +105,7 @@ type JobParams struct {
 	Timeout time.Duration
 	// Order is the draw order inside the job: which of its computable
 	// vertices a member is handed first, or at all. Nil is the dynamic
-	// pool's LIFO stack; core.RunContext sets it from its Policy.
+	// pool's LIFO stack; core.Driver.NewJob sets it from the job's Policy.
 	Order sched.Order
 }
 

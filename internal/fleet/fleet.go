@@ -80,6 +80,9 @@ func (o Options) withDefaults() Options {
 	if o.CheckInterval <= 0 {
 		o.CheckInterval = o.HeartbeatInterval
 	}
+	if o.Clock == nil {
+		o.Clock = sched.Wall
+	}
 	return o
 }
 

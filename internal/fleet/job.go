@@ -12,6 +12,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/matrix"
+	"repro/internal/trace"
 )
 
 // JobRequest describes one DAG submitted to the shared fleet.
@@ -115,14 +116,14 @@ type JobStatus struct {
 // frame and, with a CheckpointPath, its checkpoint — the clean prefix
 // replayed, a torn tail truncated, new records appended to the same file.
 func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*core.Job[T], error) {
-	jb, err := f.d.NewJob(id, p, req.Proc, engine.JobParams{
+	jb, err := f.d.NewJob(id, p, req.Proc, core.PolicyDynamic, engine.JobParams{
 		Weight:      req.Weight,
 		Priority:    req.Priority,
 		Quota:       req.Quota,
 		MaxAttempts: req.MaxAttempts,
 		TaskTimeout: req.TaskTimeout,
 		Timeout:     req.Timeout,
-	}, req.CacheKey, req.OnProgress)
+	}, engine.Config[T]{CacheKey: req.CacheKey, Trace: trace.NewWithNow(f.opts.Clock.Now), OnProgress: req.OnProgress})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: job %q: %w", req.Name, err)
 	}

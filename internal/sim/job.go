@@ -41,13 +41,12 @@ type JobSpec struct {
 	// jitter still scale it.
 	Service func(r dag.Rect) time.Duration
 	// CacheKey scopes the job's entries in the cluster's cross-job
-	// result store; empty disables caching for this job. A keyed job on a
-	// cluster with a Cache ships against its workers' known-sets (delta
-	// shipping).
+	// result store; empty disables caching for this job.
 	CacheKey string
-	// Policy is the job's draw order (core.Driver.Order): the dynamic
+	// Policy is the job's draw order (core.Driver.NewJob): the dynamic
 	// pool, the static block-cyclic schedule over the workers admitted at
-	// its submission, or affinity, which scores against the known-sets.
+	// its submission, or affinity. A cached or affinity job ships against
+	// its workers' known-sets (delta shipping).
 	Policy core.Policy
 }
 
@@ -115,15 +114,14 @@ func (j *Job) recorder() *trace.Recorder {
 
 // activate starts the job at its scripted submission instant, the way
 // Fleet.Run admits one (core.Driver.NewJob): the engine is built now, so
-// its trace starts here and its partition sees the members alive now, and
-// the driver probes the initial frontier against the cache and enters the
-// remainder into the pool.
+// its trace starts here and its partition and draw order see the members
+// of now, and the driver probes the initial frontier against the cache and
+// enters the remainder into the pool.
 func (c *Cluster) activate(jb *Job) {
 	s := jb.spec
-	jb.job, jb.err = c.d.NewJob(jb.id, s.Problem, s.Proc, s.Params, s.CacheKey, nil)
+	jb.job, jb.err = c.d.NewJob(jb.id, s.Problem, s.Proc, s.Policy, s.Params, engine.Config[int32]{CacheKey: s.CacheKey, Trace: trace.NewWithNow(c.clock.Now)})
 	if jb.err == nil {
 		jb.job.Name, jb.job.Label = s.Name, fmt.Sprintf("sim: job %q", s.Name)
-		jb.job.Params.Order = c.d.Order(s.Policy, jb.job.Engine, len(c.workers), 1)
 		_ = c.d.Start(jb.job) // a job that failed or finished at its start has ended
 		c.dispatchAll()
 	}

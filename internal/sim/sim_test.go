@@ -415,11 +415,14 @@ func TestBlockCyclicIdleOwner(t *testing.T) {
 // TestServiceAndWire: a job's Service prices each block in place of Cost,
 // and the wire charges each task and result frame on the worker's time,
 // so the makespan is the chain's sum of both and RunStats counts the
-// frames.
+// frames. An affinity job ships against its worker's known-set without a
+// cache key: every dependency of the chain is a block its one worker
+// computed.
 func TestServiceAndWire(t *testing.T) {
-	run := func(lat comm.LatencyModel) (*Job, time.Duration) {
+	run := func(lat comm.LatencyModel, policy core.Policy) (*Job, time.Duration) {
 		spec := mustProblem(t, "editdist", 16, 3)
 		spec.Proc = dag.Size{Rows: 16, Cols: 4} // a chain of 4 vertices
+		spec.Policy = policy
 		spec.Service = func(r dag.Rect) time.Duration { return time.Duration(r.Rows*r.Cols) * time.Microsecond }
 		c := New(Options{Workers: 1, Seed: 1, Latency: lat})
 		j, err := c.Submit(0, spec)
@@ -431,7 +434,7 @@ func TestServiceAndWire(t *testing.T) {
 		}
 		return j, j.Makespan()
 	}
-	free, span := run(comm.LatencyModel{})
+	free, span := run(comm.LatencyModel{}, core.PolicyDynamic)
 	if span != 4*64*time.Microsecond {
 		t.Fatalf("makespan %v on a free wire, want 4 blocks of 64 cells at 1µs", span)
 	}
@@ -439,7 +442,14 @@ func TestServiceAndWire(t *testing.T) {
 	if st.Messages != 8 || st.PayloadBytes == 0 {
 		t.Fatalf("run stats %+v, want a task and a result frame per vertex", st)
 	}
-	_, wired := run(comm.LatencyModel{Base: time.Millisecond, PerKB: time.Millisecond})
+	if st.BlocksSkipped != 0 {
+		t.Fatalf("run stats %+v: a dynamic job without a cache key skipped a block", st)
+	}
+	aff, _ := run(comm.LatencyModel{}, core.PolicyAffinity)
+	if st := aff.RunStats(); st.BlocksSkipped != 3 || st.BlocksShipped != 0 {
+		t.Fatalf("affinity run stats %+v, want the chain's 3 dependencies skipped and none shipped", st)
+	}
+	_, wired := run(comm.LatencyModel{Base: time.Millisecond, PerKB: time.Millisecond}, core.PolicyDynamic)
 	want := span + 8*time.Millisecond + time.Duration(st.PayloadBytes)*time.Millisecond/1024
 	if d := want - wired; d < 0 || d > 8*time.Nanosecond { // each frame's PerKB term rounds down
 		t.Fatalf("makespan %v on the wire, want %v: the free run's plus each frame's latency", wired, want)

@@ -339,6 +339,9 @@ func (r *Recorder) Summarize() Summary {
 			seen[e.Worker] = true
 			busy[e.Worker] = true
 			busySince[e.Worker] = e.T
+			// The ready set is recorded at pushes only: a started attempt
+			// has left it, until the next EvReady resyncs the count.
+			ready = max(ready-1, 0)
 		case EvEnd:
 			seen[e.Worker] = true
 			if busy[e.Worker] {

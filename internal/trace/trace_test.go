@@ -84,6 +84,23 @@ func TestSummarizeIdleWhileReady(t *testing.T) {
 	}
 }
 
+// A vertex drawn and started leaves the ready set before the next push
+// records its size: with one ready vertex started, the second worker's
+// idleness is not next to computable work.
+func TestSummarizeStartLeavesReadySet(t *testing.T) {
+	c := newTick()
+	r := c.Recorder()
+	r.TaskStart(1, 9)
+	r.TaskEnd(1, 9) // worker 1 known and idle
+	r.Ready(1)
+	r.TaskStart(0, 1)
+	c.Advance(10 * time.Millisecond)
+	r.TaskEnd(0, 1)
+	if s := r.Summarize(); s.IdleWhileReady != 0 {
+		t.Fatalf("IdleWhileReady = %v, want 0: the one ready vertex started", s.IdleWhileReady)
+	}
+}
+
 func TestSummarizeNoIdleWhenReadyZero(t *testing.T) {
 	c := newTick()
 	r := c.Recorder()

@@ -194,7 +194,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6891 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6857 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -222,10 +222,13 @@ echo "imports: internal/engine names none of core, comm, fleet, sim, server, net
 
 # And the worker is one loop, as the master is one driver: core.Worker.Serve
 # is the one non-test caller of comm.ServeTasks, and TaskRunner.Run the one
-# of computeBlock, for in-process members and fleet worker processes alike.
-# A second worker must not arrive unnoticed.
-for call in 'computeBlock(' 'comm.ServeTasks('; do
-    sites=$(grep -rnF --include='*.go' "$call" . | grep -v '_test\.go:' |
+# of computeBlock, for in-process members and fleet worker processes alike;
+# and a job has one constructor, core.Driver.NewJob, the one non-test caller
+# of engine.New, for RunContext, a fleet and the simulator alike. A second
+# worker or job constructor must not arrive unnoticed.
+# (engine.New's pattern takes an explicit instantiation, engine.New[T](, too.)
+for call in 'computeBlock\(' 'comm\.ServeTasks\(' 'engine\.New(\[[^]]*\])?\('; do
+    sites=$(grep -rnE --include='*.go' "$call" . | grep -v '_test\.go:' |
         grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
     if [ "$(printf '%s\n' "$sites" | grep -c .)" -gt 1 ]; then
         echo "calls: $call has more than one non-test call site:" >&2
@@ -233,7 +236,7 @@ for call in 'computeBlock(' 'comm.ServeTasks('; do
         exit 1
     fi
 done
-echo "calls: computeBlock and comm.ServeTasks have one non-test call site each"
+echo "calls: computeBlock, comm.ServeTasks and engine.New have one non-test call site each"
 
 # And the service has one path to a driver: the job manager runs every job
 # on one long-lived fleet — an attached one, or its own with in-process
@@ -354,6 +357,22 @@ if [ -n "$emulation" ]; then
     exit 1
 fi
 echo "calls: no emulation knob in core, fleet, server or easyhps.go; core sleeps only for FaultPlan stalls"
+
+# And one job shape: core.Driver.NewJob alone decides a job's partition, draw
+# order and wire — a job ships against its members' known-sets exactly when
+# it is cached or drawn by affinity — so no non-test Go names the deleted
+# delta-shipping or BCW column-run knobs, and no non-test code outside
+# internal/core builds a master draw order of its own. A second place that
+# shapes a job must not arrive unnoticed.
+shapes=$( (grep -rnE --include='*.go' 'DeltaShipping|BCWBlockCols' . | grep -v '_test\.go:'
+    grep -rnE --include='*.go' 'sched\.New(BlockCyclic|Affinity)\(' . | grep -v '_test\.go:' |
+        grep -v '^\./internal/core/') || true)
+if [ -n "$shapes" ]; then
+    echo "calls: a job's shape is core.Driver.NewJob's to decide:" >&2
+    echo "$shapes" >&2
+    exit 1
+fi
+echo "calls: no delta-shipping or BCW column-run knob, no draw order built outside internal/core"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
