@@ -35,15 +35,19 @@ type Worker[T any] struct {
 // Attached is what a worker — Worker.Serve's, or a simulated one — holds
 // of its jobs: each attached job's runner, and the keyed wire format's
 // block cache they share, dropped with the last JobEnd as the master
-// resets its known-set at the same point of the one ordered link.
+// resets its known-set at the same point of the one ordered link. The
+// cache names whole blocks shipped by the keys they travel under and keeps
+// outputs unnamed until a reference names them (TaskRunner.resolve). Only
+// the goroutine that calls Run touches it, so it needs no lock.
 type Attached[T any] struct {
-	jobs map[int32]*TaskRunner[T]
-	seen map[[32]byte]*matrix.Block[T]
+	jobs    map[int32]*TaskRunner[T]
+	named   map[[32]byte]*matrix.Block[T]
+	unnamed map[dag.Rect][]output[T]
 }
 
 // NewAttached holds no job yet.
 func NewAttached[T any]() *Attached[T] {
-	return &Attached[T]{jobs: make(map[int32]*TaskRunner[T]), seen: make(map[[32]byte]*matrix.Block[T])}
+	return &Attached[T]{jobs: make(map[int32]*TaskRunner[T]), named: make(map[[32]byte]*matrix.Block[T]), unnamed: make(map[dag.Rect][]output[T])}
 }
 
 // Runner is the runner of job, nil when the job is not attached.
@@ -55,7 +59,7 @@ func (a *Attached[T]) Runner(job int32) *TaskRunner[T] { return a.jobs[job] }
 func (a *Attached[T]) Apply(msg comm.Message, attach func(comm.Message) (*TaskRunner[T], error)) error {
 	if msg.Kind == comm.KindJobEnd {
 		if delete(a.jobs, msg.Job); len(a.jobs) == 0 {
-			a.seen = make(map[[32]byte]*matrix.Block[T])
+			a.named, a.unnamed = make(map[[32]byte]*matrix.Block[T]), make(map[dag.Rect][]output[T])
 		}
 		return nil
 	}
@@ -64,7 +68,7 @@ func (a *Attached[T]) Apply(msg comm.Message, attach func(comm.Message) (*TaskRu
 	}
 	r, err := attach(msg)
 	if err == nil {
-		r.SetBlockCache(a.seen)
+		r.held, r.job = a, msg.Job
 		a.jobs[msg.Job] = r
 	}
 	return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cas"
 	"repro/internal/dag"
@@ -20,15 +21,9 @@ type TaskRunner[T any] struct {
 	faults *faultState
 	ctrs   *counters
 
-	// seen, when set, is the worker's content-addressed block cache for
-	// the keyed wire format: whole blocks shipped and computed outputs
-	// are recorded under their content keys, and reference records
-	// resolve against it. Shared across a process's runners and only touched
-	// from the goroutine that calls Run, so it needs no lock.
-	seen    map[[32]byte]*matrix.Block[T]
-	resolve func([32]byte) (*matrix.Block[T], bool) // the decoder's hooks into seen
-	record  func([32]byte, *matrix.Block[T])
-	level   *slaveLevel[T] // the thread level, kept between Runs (nil: build one)
+	held  *Attached[T]   // the worker's holdings, for the keyed wire format
+	job   int32          // the job r computes, as held knows it
+	level *slaveLevel[T] // the thread level, kept between Runs (nil: build one)
 }
 
 // NewTaskRunner validates the problem and configuration (defaults applied
@@ -56,25 +51,53 @@ func NewTaskRunner[T any](p Problem[T], cfg Config) (*TaskRunner[T], error) {
 // problem has (grid cells, holes included).
 func (r *TaskRunner[T]) NumTasks() int { return r.geom.Grid.Cells() }
 
-// SetBlockCache hands the runner a content-addressed block map, shared
-// with the process's other runners, enabling the keyed wire format: a
-// task payload in that format records the whole blocks it ships and
-// resolves its reference records against the map, and the computed output
-// is recorded under its content key so the master can send a reference the
-// next time any job needs an identical block. The caller owns the map's
-// lifetime and must confine it to the goroutine calling Run.
-func (r *TaskRunner[T]) SetBlockCache(seen map[[32]byte]*matrix.Block[T]) {
-	r.seen = seen
-	r.resolve = func(k [32]byte) (*matrix.Block[T], bool) {
-		b, ok := seen[k]
-		return b, ok
+// output is a block a worker computed for job, kept unnamed (Attached).
+type output[T any] struct {
+	job int32
+	b   *matrix.Block[T]
+}
+
+var testHookHash = func([]byte) {} // sees every payload a worker hashes; tests count them
+
+// resolve hands back the block a reference in a task of r's job names: one
+// named before, else the job's one output at the reference's rect, named
+// without a hash — the master hashes every result at commit, and names a
+// worker's block only once it accepted that worker's result for it, or
+// shipped the block whole, which named it here; another route to the same
+// key recomputed the same bytes (kernels are deterministic). Any other
+// output at the rect, another job's or one of several of the job's, is
+// checked: named only if its bytes hash to the key.
+func (r *TaskRunner[T]) resolve(ref matrix.BlockRef) (*matrix.Block[T], bool) {
+	c := r.held
+	if c == nil {
+		return nil, false
 	}
-	// Whole blocks only: the master references nothing else, and a
-	// region aliasing its task payload would keep all of it alive.
-	r.record = func(k [32]byte, b *matrix.Block[T]) {
-		if r.geom.IsBlock(b.Rect) {
-			seen[k] = b
-		}
+	if b, ok := c.named[ref.Key]; ok {
+		return b, true
+	}
+	outs := c.unnamed[ref.Rect]
+	mine := func(o output[T]) bool { return o.job == r.job }
+	i := slices.IndexFunc(outs, mine)
+	if i < 0 || slices.ContainsFunc(outs[i+1:], mine) {
+		i = slices.IndexFunc(outs, func(o output[T]) bool {
+			p, _ := matrix.EncodeBlocks(r.p.Codec, []*matrix.Block[T]{o.b}) // encoded once already, by Run
+			testHookHash(p)
+			return cas.PayloadKey(p) == ref.Key
+		})
+	}
+	if i < 0 {
+		return nil, false
+	}
+	c.named[ref.Key] = outs[i].b
+	c.unnamed[ref.Rect] = slices.Delete(outs, i, i+1)
+	return c.named[ref.Key], true
+}
+
+// record names a whole block a task shipped. The master references nothing
+// else, and a region aliasing its task payload would keep all of it alive.
+func (r *TaskRunner[T]) record(k [32]byte, b *matrix.Block[T]) {
+	if r.held != nil && r.geom.IsBlock(b.Rect) {
+		r.held.named[k] = b
 	}
 }
 
@@ -84,16 +107,16 @@ func (r *TaskRunner[T]) Run(vertex int32, payload []byte) ([]byte, error) {
 	if vertex < 0 || int(vertex) >= r.NumTasks() {
 		return nil, fmt.Errorf("core: task vertex %d outside grid %v", vertex, r.geom.Grid)
 	}
-	inputs, keyed, err := matrix.DecodeBlocksAny(r.p.Codec, payload, r.resolve, r.record)
+	inputs, keyed, err := matrix.DecodeTask(r.p.Codec, payload, r.resolve, r.record)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding data region of vertex %d: %w", vertex, err)
 	}
 	out := computeBlock(r, r.geom.Rect(r.geom.PosOf(vertex)), inputs, vertex)
 	encoded, err := matrix.EncodeBlocks(r.p.Codec, []*matrix.Block[T]{out})
-	if err == nil && keyed && r.seen != nil {
-		// A keyed task means the master tracks this worker's holdings by
-		// content key; mirror its bookkeeping by recording the output.
-		r.seen[[32]byte(cas.PayloadKey(encoded))] = out
+	if err == nil && keyed && r.held != nil {
+		// A keyed task means the master tracks this worker's holdings:
+		// keep the output until a reference names it.
+		r.held.unnamed[out.Rect] = append(r.held.unnamed[out.Rect], output[T]{r.job, out})
 	}
 	return encoded, err
 }

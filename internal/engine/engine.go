@@ -372,7 +372,7 @@ var testHookHash = func([]byte) {} // sees every payload hashed; tests count the
 // insert and its peak, content-key recording, cache write-through and
 // checkpoint append happen here and nowhere else, so the recovery log and
 // the cache cannot diverge. Bytes arriving now (hit nil) are hashed here,
-// once; hit is the key the cache kept for the payload it served.
+// once in the whole process; hit is the key the cache kept for a hit.
 func (j *Job[T]) commit(v int32, payload []byte, b *matrix.Block[T], hit *cas.Key) error {
 	j.store.Put(j.graph.Geom.PosOf(v), b)
 	if n := int64(j.store.Len()); n > j.ctrs.PeakBlocks.Load() {

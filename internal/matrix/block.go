@@ -37,9 +37,6 @@ func (b *Block[T]) At(i, j int) T { return b.Cells[b.index(i, j)] }
 // Set stores v at global coordinates (i, j).
 func (b *Block[T]) Set(i, j int, v T) { b.Cells[b.index(i, j)] = v }
 
-// Contains reports whether global cell (i, j) lies inside the block.
-func (b *Block[T]) Contains(i, j int) bool { return b.Rect.Contains(i, j) }
-
 // CopyFrom copies every cell of src, whose region must lie inside the
 // block's, to the same matrix coordinates of b, a row at a time.
 func (b *Block[T]) CopyFrom(src *Block[T]) {

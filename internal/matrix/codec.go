@@ -282,7 +282,7 @@ func readCount(data []byte) (n int, rest []byte, err error) {
 // decodeRecords decodes the count records in rest, keyed or plain. Only a
 // keyed payload reads keys, resolves references (a negative Rows field)
 // and reports full blocks through record.
-func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolve func([32]byte) (*Block[T], bool), record func([32]byte, *Block[T])) ([]*Block[T], error) {
+func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolve func(BlockRef) (*Block[T], bool), record func([32]byte, *Block[T])) ([]*Block[T], error) {
 	recSize := headerSize
 	if keyed {
 		recSize += keySize
@@ -290,10 +290,7 @@ func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolv
 	if count > len(rest)/recSize {
 		return nil, fmt.Errorf("matrix: payload claims %d blocks, %d bytes hold at most %d", count, len(rest), len(rest)/recSize)
 	}
-	cellSize := c.CellSize()
-	if cellSize == 0 {
-		cellSize = 1
-	}
+	cellSize := max(c.CellSize(), 1)
 	blocks := make([]*Block[T], 0, count)
 	decoded := make([]Block[T], count) // one allocation for every record's block
 	for k := 0; k < count; k++ {

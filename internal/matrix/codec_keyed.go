@@ -61,21 +61,30 @@ func EncodeBlocksKeyed[T any](c Codec[T], full []KeyedBlock[T], refs []BlockRef)
 	return dst, nil
 }
 
-// DecodeBlocksAny decodes either wire format. Plain payloads behave
-// exactly like DecodeBlocks and touch neither callback. For keyed
-// payloads, each full block is reported through record (nil is allowed)
-// before being returned, and each reference is resolved through resolve;
-// a nil resolve or a resolve miss is an error — a reference the receiver
-// cannot resolve means the sender's known-set diverged, which must fail
-// loudly rather than compute on garbage. keyed reports which format was
-// seen, so a runner knows whether to record its own output's key.
+// DecodeBlocksAny is DecodeTask resolving references by key alone, none if nil.
 func DecodeBlocksAny[T any](c Codec[T], data []byte, resolve func([32]byte) (*Block[T], bool), record func([32]byte, *Block[T])) (blocks []*Block[T], keyed bool, err error) {
+	return DecodeTask(c, data, func(ref BlockRef) (*Block[T], bool) {
+		if resolve == nil {
+			return nil, false
+		}
+		return resolve(ref.Key)
+	}, record)
+}
+
+// DecodeTask decodes a task's data region in either wire format. Plain
+// payloads behave exactly like DecodeBlocks and touch neither callback. For
+// keyed payloads, each full block is reported through record (nil is
+// allowed) before being returned, and each reference is resolved through
+// resolve (not nil), handed its key and rect; a miss is an error — a
+// reference the receiver cannot resolve means the sender's known-set
+// diverged, which must fail loudly rather than compute on garbage. keyed
+// reports which format was seen.
+func DecodeTask[T any](c Codec[T], data []byte, resolve func(BlockRef) (*Block[T], bool), record func([32]byte, *Block[T])) (blocks []*Block[T], keyed bool, err error) {
 	n, rest, err := readCount(data)
 	if err != nil {
 		return nil, false, err
 	}
-	keyed = n < 0
-	if keyed {
+	if keyed = n < 0; keyed {
 		n = -n - 1
 	}
 	blocks, err = decodeRecords(c, rest, n, keyed, resolve, record)
@@ -84,14 +93,11 @@ func DecodeBlocksAny[T any](c Codec[T], data []byte, resolve func([32]byte) (*Bl
 
 // resolveRef hands back the block a reference record names, which must
 // cover exactly the record's rect.
-func resolveRef[T any](rect dag.Rect, key [32]byte, resolve func([32]byte) (*Block[T], bool)) (*Block[T], error) {
+func resolveRef[T any](rect dag.Rect, key [32]byte, resolve func(BlockRef) (*Block[T], bool)) (*Block[T], error) {
 	if rect.Rows <= 0 || rect.Cols <= 0 {
 		return nil, fmt.Errorf("matrix: invalid block reference %x header %+v", key[:6], rect)
 	}
-	if resolve == nil {
-		return nil, fmt.Errorf("matrix: block reference %x with no resolver", key[:6])
-	}
-	b, ok := resolve(key)
+	b, ok := resolve(BlockRef{Key: key, Rect: rect})
 	if !ok {
 		return nil, fmt.Errorf("matrix: unresolvable block reference %x (rect %d,%d %dx%d)", key[:6], rect.Row0, rect.Col0, rect.Rows, rect.Cols)
 	}

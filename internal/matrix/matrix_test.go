@@ -20,7 +20,7 @@ func TestBlockAtSet(t *testing.T) {
 	if b.At(10, 20) != 0 {
 		t.Fatal("fresh cells must be zero")
 	}
-	if !b.Contains(12, 23) || b.Contains(13, 20) || b.Contains(10, 24) {
+	if !b.Rect.Contains(12, 23) || b.Rect.Contains(13, 20) || b.Rect.Contains(10, 24) {
 		t.Fatal("Contains wrong")
 	}
 }

@@ -113,7 +113,7 @@ func (v *View[T]) mayHoldHole(r dag.Rect) bool {
 // Get returns the value of cell (i, j).
 func (v *View[T]) Get(i, j int) T {
 	b, holes := v.out, v.outHoles
-	if !b.Contains(i, j) {
+	if !b.Rect.Contains(i, j) {
 		if b, holes = v.input(i, j); b == nil {
 			return v.boundary(i, j)
 		}
@@ -129,11 +129,11 @@ func (v *View[T]) Get(i, j int) T {
 // the cell it must be a boundary read (nil): a computed cell inside the
 // matrix was not shipped, and input panics.
 func (v *View[T]) input(i, j int) (*Block[T], bool) {
-	if b := v.last; b != nil && b.Contains(i, j) {
+	if b := v.last; b != nil && b.Rect.Contains(i, j) {
 		return b, v.lastHoles
 	}
 	for k, b := range v.in {
-		if b.Contains(i, j) {
+		if b.Rect.Contains(i, j) {
 			v.last, v.lastHoles = b, v.pat != nil && v.inHoles[k]
 			return b, v.lastHoles
 		}
@@ -178,7 +178,7 @@ func (v *View[T]) run(i, j, n int, down bool) (*Block[T], int) {
 		return nil, 0
 	}
 	b, holes := v.out, v.outHoles
-	if !b.Contains(i, j) {
+	if !b.Rect.Contains(i, j) {
 		if b, holes = v.input(i, j); b == nil {
 			return nil, 0
 		}

@@ -102,11 +102,11 @@ func (c *viewCase) resolve(i, j int) (where, owner int, val int32) {
 	if i < 0 || j < 0 || i >= c.size.Rows || j >= c.size.Cols || !c.pat.CellExists(i, j) {
 		return atBoundary, -1, boundaryValue(i, j)
 	}
-	if c.scratch.Contains(i, j) {
+	if c.scratch.Rect.Contains(i, j) {
 		return atBlock, 0, cellValue(0, i, j)
 	}
 	for k, b := range c.layers {
-		if b.Contains(i, j) {
+		if b.Rect.Contains(i, j) {
 			return atBlock, k + 1, cellValue(k+1, i, j)
 		}
 	}

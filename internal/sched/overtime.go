@@ -105,13 +105,6 @@ func (q *OvertimeQueue) ExpireBefore(now time.Time) []OvertimeEntry {
 	return expired
 }
 
-// Len returns the number of vertices currently watched.
-func (q *OvertimeQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.live)
-}
-
 // drop stops watching one attempt, reporting whether it was watched.
 // Callers hold q.mu.
 func (q *OvertimeQueue) drop(id, attempt int32) bool {

@@ -8,6 +8,13 @@ import (
 	"repro/internal/dag"
 )
 
+// Len returns the number of vertices q currently watches.
+func (q *OvertimeQueue) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.live)
+}
+
 func TestOvertimeQueueExpiry(t *testing.T) {
 	q := NewOvertimeQueue()
 	t0 := time.Now()

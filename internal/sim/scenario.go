@@ -182,16 +182,7 @@ func ParseScenario(name string, r io.Reader) (*Scenario, error) {
 	if len(s.Jobs) == 0 {
 		return nil, fmt.Errorf("%s: no jobs defined", name)
 	}
-	submitted := make(map[string]bool)
-	cancelled := make(map[string]bool)
-	for _, st := range s.Steps {
-		switch st.Op {
-		case "submit":
-			submitted[st.Job] = true
-		case "cancel":
-			cancelled[st.Job] = true
-		}
-	}
+	submitted, cancelled := s.jobsTo("submit"), s.jobsTo("cancel")
 	for _, jb := range s.Jobs {
 		if !submitted[jb.Spec.Name] {
 			return nil, fmt.Errorf("%s: job %q defined but never submitted", name, jb.Spec.Name)
@@ -206,6 +197,17 @@ func ParseScenario(name string, r io.Reader) (*Scenario, error) {
 		}
 	}
 	return s, nil
+}
+
+// jobsTo is the set of jobs the script applies action op to.
+func (s *Scenario) jobsTo(op string) map[string]bool {
+	jobs := make(map[string]bool)
+	for _, st := range s.Steps {
+		if st.Op == op {
+			jobs[st.Job] = true
+		}
+	}
+	return jobs
 }
 
 func (s *Scenario) parseCluster(kvs []string) error {
@@ -331,6 +333,10 @@ func parseWorker(tok string) (int, error) {
 	return strconv.Atoi(tok[1:])
 }
 
+// stepArgs names the arguments of each action of an at directive, joined by " and ".
+var stepArgs = map[string]string{"submit": "a job name", "cancel": "a job name", "join": "a count",
+	"killn": "a count", "kill": "w<idx>", "partition": "w<idx> and a duration", "slow": "w<idx> and a factor"}
+
 func parseStep(fields []string) (Step, error) {
 	var st Step
 	if len(fields) < 2 {
@@ -340,46 +346,30 @@ func parseStep(fields []string) (Step, error) {
 	if err != nil {
 		return st, fmt.Errorf("bad offset %q: %v", fields[0], err)
 	}
-	st.At = at
-	st.Op = fields[1]
-	args := fields[2:]
+	st.At, st.Op = at, fields[1]
+	args, want := fields[2:], stepArgs[st.Op]
+	if want == "" {
+		return st, fmt.Errorf("unknown action %q", st.Op)
+	} else if len(args) != 1+strings.Count(want, " and ") {
+		return st, fmt.Errorf("%s wants %s", st.Op, want)
+	}
 	switch st.Op {
 	case "submit", "cancel":
-		if len(args) != 1 {
-			return st, fmt.Errorf("%s wants a job name", st.Op)
-		}
 		st.Job = args[0]
 	case "join", "killn":
-		if len(args) != 1 {
-			return st, fmt.Errorf("%s wants a count", st.Op)
-		}
 		st.N, err = strconv.Atoi(args[0])
 		if err == nil && st.N < 1 {
 			err = fmt.Errorf("count must be positive")
 		}
-	case "kill":
-		if len(args) != 1 {
-			return st, fmt.Errorf("kill wants w<idx>")
-		}
+	default: // kill, partition, slow
 		st.Worker, err = parseWorker(args[0])
-	case "partition":
-		if len(args) != 2 {
-			return st, fmt.Errorf("partition wants w<idx> and a duration")
-		}
-		st.Worker, err = parseWorker(args[0])
-		if err == nil {
-			st.Dur, err = time.ParseDuration(args[1])
-		}
-	case "slow":
-		if len(args) != 2 {
-			return st, fmt.Errorf("slow wants w<idx> and a factor")
-		}
-		st.Worker, err = parseWorker(args[0])
-		if err == nil {
-			st.Factor, err = strconv.ParseFloat(args[1], 64)
-		}
-	default:
-		return st, fmt.Errorf("unknown action %q", st.Op)
+	}
+	switch {
+	case err != nil:
+	case st.Op == "partition":
+		st.Dur, err = time.ParseDuration(args[1])
+	case st.Op == "slow":
+		st.Factor, err = strconv.ParseFloat(args[1], 64)
 	}
 	return st, err
 }
@@ -509,12 +499,7 @@ func (s *Scenario) Check() error {
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Sprintf("%s: %s", s.Name, fmt.Sprintf(format, args...)))
 	}
-	cancelled := make(map[string]bool)
-	for _, st := range s.Steps {
-		if st.Op == "cancel" {
-			cancelled[st.Job] = true
-		}
-	}
+	cancelled := s.jobsTo("cancel")
 	for _, ex := range s.Expects {
 		switch ex.Field {
 		case "complete":

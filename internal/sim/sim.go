@@ -387,12 +387,6 @@ func (c *Cluster) Trace() string {
 	return b.String()
 }
 
-// Registry exposes the membership table (metrics assertions).
-func (c *Cluster) Registry() *core.Registry { return c.reg }
-
-// MemberEvents returns the recorded membership transitions.
-func (c *Cluster) MemberEvents() []trace.Event { return c.tr.Events() }
-
 // Elapsed is the virtual makespan of the whole simulation.
 func (c *Cluster) Elapsed() time.Duration { return c.clock.Now().Sub(c.epoch) }
 

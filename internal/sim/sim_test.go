@@ -106,7 +106,7 @@ func TestPartitionZombie(t *testing.T) {
 		t.Fatal("result differs from the sequential reference")
 	}
 	deaths := 0
-	for _, e := range c.MemberEvents() {
+	for _, e := range c.tr.Events() {
 		if e.Kind == trace.EvMember && e.Label == "dead" {
 			deaths++
 		}
@@ -320,8 +320,8 @@ func TestTraceHelpers(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Registry().Live() != 2 {
-		t.Fatalf("want 2 live members, got %d", c.Registry().Live())
+	if c.reg.Live() != 2 {
+		t.Fatalf("want 2 live members, got %d", c.reg.Live())
 	}
 	if c.Elapsed() <= 0 {
 		t.Fatal("virtual time did not advance")

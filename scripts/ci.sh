@@ -126,6 +126,13 @@ go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained|TestRunBloc
 # Run reuses nothing it holds, and at one thread a panicking block retried. The goroutine that calls Run computes as
 # thread 0, so these timings are the thread level's to keep.
 go test -race -count=1 -run 'TestWorkerPanicRecovered|TestOneThreadPanicRetriesBlock|TestSubTaskStallRecovered|TestNussinovWithFaults|TestPanickingRowRecovered|TestStragglerNeverSharesReusedState' ./internal/core/
+# And a worker's block cache on the keyed wire: its outputs stay unnamed
+# until the master's references name them, with no hash, over a cached
+# RunContext and a fleet job over loopback TCP; a block of another job, or
+# an output computed twice (a stalled attempt timed out), is named only
+# after a hash checks it. The stall races the task timeout, so these must
+# not pass on a cached run either.
+go test -race -count=1 -run 'TestWorkerHashesNothingItComputed|TestWorkerChecksAnotherJobsBlock|TestWorkerChecksADuplicateOutput|TestTaskRunner' ./internal/core/
 
 # The one multi-process example, executed and not only compiled: a master
 # that forks two worker processes into a fleet over loopback TCP, and exits
@@ -194,7 +201,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6857 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6856 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -373,6 +380,29 @@ if [ -n "$shapes" ]; then
     exit 1
 fi
 echo "calls: no delta-shipping or BCW column-run knob, no draw order built outside internal/core"
+
+# And a keyed result is hashed once, on the master: engine.Job.commit
+# derives every result's content key, and a worker takes its own outputs'
+# keys from the master's references, hashing only to check a name it
+# cannot take on trust (TaskRunner.resolve: another job's block, or one it
+# computed twice). So no other non-test Go outside internal/cas and the
+# benchmark calls cas.PayloadKey. A second hash of a result must not arrive
+# unnoticed.
+hashes=$(grep -rnE --include='*.go' 'cas\.PayloadKey\(' . | grep -v '_test\.go:' |
+    grep -vE '^\./(internal/cas|benchmark)/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    while IFS=: read -r file line _; do
+        fn=$(head -n "$line" "$file" | grep -E '^func ' | tail -1 | sed -E 's/^func (\([^)]*\) )?([A-Za-z0-9_]+).*/\2/')
+        case "$file:$fn" in
+        ./internal/engine/engine.go:commit | ./internal/core/taskrunner.go:resolve) ;;
+        *) echo "$file:$line (in $fn)" ;;
+        esac
+    done)
+if [ -n "$hashes" ]; then
+    echo "calls: a result is hashed in engine.Job.commit, and a worker hashes only in TaskRunner.resolve:" >&2
+    echo "$hashes" >&2
+    exit 1
+fi
+echo "calls: cas.PayloadKey only in engine.Job.commit and TaskRunner.resolve outside internal/cas and benchmark/"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
