@@ -71,7 +71,7 @@ func main() {
 
 		cache         = flag.Bool("cache", false, "enable the content-addressed result cache (whole-job memoization, per-block reuse in fleet mode, content-keyed shipping suppression)")
 		cacheDir      = flag.String("cache-dir", "", "cache: persist entries to this directory (empty = memory only)")
-		cacheMaxBytes = flag.Int64("cache-max-bytes", 256<<20, "cache: LRU byte budget for block entries")
+		cacheMaxBytes = flag.Int64("cache-max-bytes", 256<<20, "cache: LRU byte budget for every entry, blocks and job results")
 	)
 	flag.Parse()
 

@@ -15,32 +15,17 @@ import (
 // Options configures a Store.
 type Options struct {
 	// Dir, when non-empty, persists entries as files under this directory
-	// (one file per key, "<hex>.blk" / "<hex>.job": the payload's content
-	// key, then the payload) and reloads them on open, refusing and
-	// removing a file whose payload does not hash to its header. Empty
-	// keeps the store purely in memory.
+	// (one file per key, "<hex>.blk": the payload's content key, then the
+	// payload) and reloads them on open, refusing and removing a file whose
+	// payload does not hash to its header. Empty keeps the store purely in
+	// memory.
 	Dir string
-	// MaxBytes budgets the block entries' payload bytes; the least
-	// recently used blocks are evicted once the budget is exceeded, and a
-	// single payload larger than the budget is not stored at all, so the
-	// store never holds more than MaxBytes of block data. Zero or
-	// negative means unlimited. Whole-job entries are pinned until their
-	// TTL and do not count against this budget.
+	// MaxBytes budgets the entries' payload bytes, blocks and whole-job
+	// results alike: the least recently used entries are evicted once the
+	// budget is exceeded, and a single payload larger than the budget is
+	// not stored at all, so the store never holds more than MaxBytes. Zero
+	// or negative means unlimited.
 	MaxBytes int64
-	// JobTTL bounds how long a whole-job entry stays pinned (default 1h).
-	JobTTL time.Duration
-	// Clock overrides time.Now for TTL tests.
-	Clock func() time.Time
-}
-
-func (o Options) withDefaults() Options {
-	if o.JobTTL <= 0 {
-		o.JobTTL = time.Hour
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-	return o
 }
 
 // layerCount is one counter fanned out by consumer layer.
@@ -69,45 +54,31 @@ func (c *layerCount) snapshot() map[Layer]int64 {
 	}
 }
 
-// blockEntry is one resident block. content is PayloadKey(payload), derived
-// once, when the bytes entered the process — at the put of a result, or at
-// the load of a file whose header it is — and handed back by every GetBlock.
-type blockEntry struct {
+// entry is one resident payload. content is PayloadKey(payload), derived
+// once, when the bytes entered the process — at the put, or at the load of
+// a file whose header it is — and handed back by every GetBlock.
+type entry struct {
 	key     Key
 	content Key
 	payload []byte
 }
 
-type jobEntry struct {
-	key     Key
-	payload []byte
-	expires time.Time
-}
-
-// Store is the content-addressed result store. Block entries live in a
-// byte-budgeted LRU; whole-job entries are pinned until their TTL. All
-// methods are safe for concurrent use; payloads are treated as immutable
-// by both sides (callers must not mutate a slice after Put or the slice
-// returned by Get).
+// Store is the content-addressed result store: one byte-budgeted LRU of
+// entries, a DP block under its BlockKey or a whole-job result under its
+// JobKey, kept and evicted by the same rule. All methods are safe for
+// concurrent use; payloads are treated as immutable by both sides (callers
+// must not mutate a slice after Put or the slice returned by Get).
 type Store struct {
 	opts Options
 
-	mu         sync.Mutex
-	blocks     map[Key]*list.Element // of *blockEntry
-	lru        *list.List            // front = most recently used
-	blockBytes int64
-	jobs       map[Key]*list.Element // of *jobEntry
-	// jobOrder holds the job entries in expiry order, front = first to
-	// expire. The TTL is store-wide, so that is insertion order: a put
-	// appends at the back, a refresh moves its entry there, and expiring
-	// pops from the front until an entry is still live.
-	jobOrder *list.List
-	jobBytes int64
+	mu      sync.Mutex
+	entries map[Key]*list.Element // of *entry
+	lru     *list.List            // front = most recently used
+	bytes   int64
 
-	hits           layerCount
-	misses         layerCount
-	blockEvictions atomic.Int64
-	jobEvictions   atomic.Int64
+	hits      layerCount
+	misses    layerCount
+	evictions atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -117,27 +88,20 @@ type Stats struct {
 	// was.
 	Hits   map[Layer]int64
 	Misses map[Layer]int64
-	// BlockEvictions counts blocks dropped by the LRU byte budget;
-	// JobEvictions counts whole-job entries expired by TTL.
-	BlockEvictions int64
-	JobEvictions   int64
-	// Bytes is the resident payload size (blocks + jobs); Blocks and Jobs
-	// count resident entries.
-	Bytes  int64
-	Blocks int
-	Jobs   int
+	// Evictions counts entries dropped by the LRU byte budget.
+	Evictions int64
+	// Bytes is the resident payload size; Entries counts resident entries.
+	Bytes   int64
+	Entries int
 }
 
 // NewStore opens a store; when opts.Dir is set, existing entries are
-// reloaded (oldest first, so the byte budget keeps the newest blocks) and
-// already-expired job entries are removed.
+// reloaded, oldest first, so the byte budget keeps the newest.
 func NewStore(opts Options) (*Store, error) {
 	s := &Store{
-		opts:     opts.withDefaults(),
-		blocks:   make(map[Key]*list.Element),
-		lru:      list.New(),
-		jobs:     make(map[Key]*list.Element),
-		jobOrder: list.New(),
+		opts:    opts,
+		entries: make(map[Key]*list.Element),
+		lru:     list.New(),
 	}
 	if s.opts.Dir == "" {
 		return s, nil
@@ -167,48 +131,46 @@ func (s *Store) load() error {
 	}
 	var files []onDisk
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
 		name := e.Name()
-		var job bool
-		switch {
-		case strings.HasSuffix(name, ".blk"):
-		case strings.HasSuffix(name, ".job"):
-			job = true
-		default:
+		stem, ok := strings.CutSuffix(name, ".blk")
+		// Earlier builds kept whole-job results apart, as "<hex>.job" files
+		// of the same entry format; they are entries like any other now.
+		job := !ok
+		if job {
+			stem, ok = strings.CutSuffix(name, ".job")
+		}
+		k, isKey := parseKey(stem)
+		if e.IsDir() || !ok || !isKey {
 			continue
 		}
-		k, ok := parseKey(strings.TrimSuffix(strings.TrimSuffix(name, ".blk"), ".job"))
-		if !ok {
+		path := filepath.Join(s.opts.Dir, name)
+		if job && len(files) > 0 && files[len(files)-1].key == k {
+			// ReadDir sorts by name, so a ".blk" file of the same key came
+			// just before: the current format wins.
+			_ = os.Remove(path)
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, onDisk{key: k, path: filepath.Join(s.opts.Dir, name), job: job, mod: info.ModTime(), size: info.Size()})
+		files = append(files, onDisk{key: k, path: path, job: job, mod: info.ModTime(), size: info.Size()})
 	}
 	// Oldest first: inserting in age order makes the LRU evict the oldest
-	// blocks when the reloaded set exceeds the byte budget, and appends the
-	// job entries in expiry order.
+	// entries when the reloaded set exceeds the byte budget.
 	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	now := s.opts.Clock()
 	for _, f := range files {
-		var expires time.Time
-		switch {
-		case f.job:
-			// A file dated in the future counts as written now, so no
-			// reloaded entry expires after one put later.
-			written := f.mod
-			if written.After(now) {
-				written = now
-			}
-			if expires = written.Add(s.opts.JobTTL); !now.Before(expires) {
+		if f.job {
+			// Renamed to ".blk", so that no file sits outside the store's
+			// bookkeeping and an eviction removes it.
+			path := s.entryPath(f.key)
+			if err := os.Rename(f.path, path); err != nil {
 				_ = os.Remove(f.path)
 				continue
 			}
-		case s.opts.MaxBytes > 0 && f.size-int64(len(Key{})) > s.opts.MaxBytes:
+			f.path = path
+		}
+		if s.opts.MaxBytes > 0 && f.size-int64(len(Key{})) > s.opts.MaxBytes {
 			continue // the budget would refuse it: not worth reading
 		}
 		data, err := os.ReadFile(f.path)
@@ -222,11 +184,7 @@ func (s *Store) load() error {
 			_ = os.Remove(f.path)
 			continue
 		}
-		if f.job {
-			s.putJobLocked(f.key, payload, expires)
-			continue
-		}
-		_, evicted := s.putBlockLocked(f.key, content, payload)
+		_, evicted := s.putLocked(f.key, content, payload)
 		for _, path := range evicted {
 			_ = os.Remove(path)
 		}
@@ -266,8 +224,9 @@ func writeEntry(path string, content Key, payload []byte) {
 	}
 }
 
-// PutBlock inserts one encoded block payload under k, refreshing recency if
-// the same bytes are already resident there, and returns their content key,
+// PutBlock inserts one payload — an encoded block, or a whole job's
+// result under its JobKey — under k, refreshing recency if the same bytes
+// are already resident there, and returns their content key,
 // PayloadKey(payload). That hash is the only one the payload gets here: the
 // entry keeps it, and GetBlock hands it back beside the bytes. Payloads
 // larger than the byte budget are dropped (storing them would violate the
@@ -275,7 +234,7 @@ func writeEntry(path string, content Key, payload []byte) {
 func (s *Store) PutBlock(k Key, payload []byte) Key {
 	content := PayloadKey(payload)
 	s.mu.Lock()
-	inserted, evicted := s.putBlockLocked(k, content, payload)
+	inserted, evicted := s.putLocked(k, content, payload)
 	s.mu.Unlock()
 	// Disk I/O stays outside the mutex: persistence is best-effort and a
 	// racing insert of the same key writes identical bytes anyway. A key
@@ -285,65 +244,65 @@ func (s *Store) PutBlock(k Key, payload []byte) Key {
 		for _, path := range evicted {
 			_ = os.Remove(path)
 		}
-		writeEntry(s.blockPath(k), content, payload)
+		writeEntry(s.entryPath(k), content, payload)
 	}
 	return content
 }
 
-// putBlockLocked does the in-memory insert and eviction; content is
+// putLocked does the in-memory insert and eviction; content is
 // PayloadKey(payload). It reports whether the payload became a new
 // resident entry, and the file paths of evicted entries for the caller to
 // remove after unlock.
-func (s *Store) putBlockLocked(k, content Key, payload []byte) (inserted bool, evictedPaths []string) {
-	if el, ok := s.blocks[k]; ok {
-		be := el.Value.(*blockEntry)
-		if be.content == content {
+func (s *Store) putLocked(k, content Key, payload []byte) (inserted bool, evictedPaths []string) {
+	if el, ok := s.entries[k]; ok {
+		e := el.Value.(*entry)
+		if e.content == content {
 			s.lru.MoveToFront(el)
 			return false, nil
 		}
-		// One block key, two payloads: the kernel or the entry's writer
-		// disagrees with whoever puts now. The newest put wins: drop the
-		// resident entry and insert the new one, so the file is rewritten
-		// too.
+		// One key, two payloads: a job's result JSON written by another
+		// run of the same spec, or an entry file that disagrees with
+		// whoever puts now. The newest put wins: drop the resident entry
+		// and insert the new one, so the file is rewritten too.
 		s.lru.Remove(el)
-		delete(s.blocks, k)
-		s.blockBytes -= int64(len(be.payload))
+		delete(s.entries, k)
+		s.bytes -= int64(len(e.payload))
 	}
 	size := int64(len(payload))
 	if s.opts.MaxBytes > 0 && size > s.opts.MaxBytes {
 		return false, nil
 	}
-	el := s.lru.PushFront(&blockEntry{key: k, content: content, payload: payload})
-	s.blocks[k] = el
-	s.blockBytes += size
-	for s.opts.MaxBytes > 0 && s.blockBytes > s.opts.MaxBytes {
+	el := s.lru.PushFront(&entry{key: k, content: content, payload: payload})
+	s.entries[k] = el
+	s.bytes += size
+	for s.opts.MaxBytes > 0 && s.bytes > s.opts.MaxBytes {
 		back := s.lru.Back()
 		if back == nil || back == el {
 			break
 		}
-		be := back.Value.(*blockEntry)
+		e := back.Value.(*entry)
 		s.lru.Remove(back)
-		delete(s.blocks, be.key)
-		s.blockBytes -= int64(len(be.payload))
-		s.blockEvictions.Add(1)
+		delete(s.entries, e.key)
+		s.bytes -= int64(len(e.payload))
+		s.evictions.Add(1)
 		if s.opts.Dir != "" {
-			evictedPaths = append(evictedPaths, s.blockPath(be.key))
+			evictedPaths = append(evictedPaths, s.entryPath(e.key))
 		}
 	}
 	return true, evictedPaths
 }
 
-// GetBlock looks a block up, counting a hit or miss for the given layer
+// GetBlock looks an entry up, counting a hit or miss for the given layer
 // and refreshing recency on hit. On a hit it returns the payload and its
 // content key, PayloadKey(payload), as the entry keeps it: the caller need
 // not hash the bytes again. The returned payload must not be mutated.
 func (s *Store) GetBlock(k Key, layer Layer) (payload []byte, content Key, ok bool) {
 	s.mu.Lock()
-	el, ok := s.blocks[k]
+	el, ok := s.entries[k]
 	if ok {
 		s.lru.MoveToFront(el)
-		be := el.Value.(*blockEntry)
-		payload, content = be.payload, be.content
+		e := el.Value.(*entry)
+		payload, content = e.payload, e.content
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -354,104 +313,19 @@ func (s *Store) GetBlock(k Key, layer Layer) (payload []byte, content Key, ok bo
 	return payload, content, true
 }
 
-// PutJob inserts a whole-job entry, pinned until the store's TTL. A key
-// already resident is refreshed: its new deadline is the latest, so it
-// moves to the back of the expiry order.
-func (s *Store) PutJob(k Key, payload []byte) {
-	now := s.opts.Clock()
-	s.mu.Lock()
-	expiredPaths := s.sweepJobsLocked(now)
-	s.putJobLocked(k, payload, now.Add(s.opts.JobTTL))
-	s.mu.Unlock()
-	if s.opts.Dir != "" {
-		for _, path := range expiredPaths {
-			_ = os.Remove(path)
-		}
-		writeEntry(s.jobPath(k), PayloadKey(payload), payload)
-	}
-}
-
-// GetJob looks a whole-job entry up, expiring it first if its TTL has
-// passed.
-func (s *Store) GetJob(k Key, layer Layer) ([]byte, bool) {
-	now := s.opts.Clock()
-	s.mu.Lock()
-	expiredPaths := s.sweepJobsLocked(now)
-	var payload []byte
-	el, ok := s.jobs[k]
-	if ok {
-		payload = el.Value.(*jobEntry).payload
-	}
-	s.mu.Unlock()
-	if s.opts.Dir != "" {
-		for _, path := range expiredPaths {
-			_ = os.Remove(path)
-		}
-	}
-	if !ok {
-		s.misses.add(layer)
-		return nil, false
-	}
-	s.hits.add(layer)
-	return payload, true
-}
-
-// putJobLocked inserts k, or refreshes it in place, at the back of the
-// expiry order; expires must be no earlier than any resident deadline.
-func (s *Store) putJobLocked(k Key, payload []byte, expires time.Time) {
-	if el, ok := s.jobs[k]; ok {
-		e := el.Value.(*jobEntry)
-		s.jobBytes += int64(len(payload)) - int64(len(e.payload))
-		e.payload, e.expires = payload, expires
-		s.jobOrder.MoveToBack(el)
-		return
-	}
-	s.jobs[k] = s.jobOrder.PushBack(&jobEntry{key: k, payload: payload, expires: expires})
-	s.jobBytes += int64(len(payload))
-}
-
-// sweepJobsLocked drops the expired job entries, front of the expiry order
-// first, and returns their file paths. It visits only those and the first
-// live entry, however many are resident.
-func (s *Store) sweepJobsLocked(now time.Time) (expiredPaths []string) {
-	for el := s.jobOrder.Front(); el != nil; el = s.jobOrder.Front() {
-		e := el.Value.(*jobEntry)
-		if now.Before(e.expires) {
-			break
-		}
-		s.jobOrder.Remove(el)
-		delete(s.jobs, e.key)
-		s.jobBytes -= int64(len(e.payload))
-		s.jobEvictions.Add(1)
-		if s.opts.Dir != "" {
-			expiredPaths = append(expiredPaths, s.jobPath(e.key))
-		}
-	}
-	return expiredPaths
-}
-
 // Snapshot materializes the counters for /metrics.
 func (s *Store) Snapshot() Stats {
 	s.mu.Lock()
-	st := Stats{
-		Bytes:  s.blockBytes + s.jobBytes,
-		Blocks: len(s.blocks),
-		Jobs:   len(s.jobs),
-	}
+	st := Stats{Bytes: s.bytes, Entries: len(s.entries)}
 	s.mu.Unlock()
 	st.Hits = s.hits.snapshot()
 	st.Misses = s.misses.snapshot()
-	st.BlockEvictions = s.blockEvictions.Load()
-	st.JobEvictions = s.jobEvictions.Load()
+	st.Evictions = s.evictions.Load()
 	return st
 }
 
-func (s *Store) blockPath(k Key) string {
+func (s *Store) entryPath(k Key) string {
 	return filepath.Join(s.opts.Dir, k.String()+".blk")
-}
-
-func (s *Store) jobPath(k Key) string {
-	return filepath.Join(s.opts.Dir, k.String()+".job")
 }
 
 // PeerSet tracks which content keys one peer (a slave or fleet member)

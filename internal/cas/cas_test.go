@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -68,14 +69,15 @@ func TestBlockRoundTripAndLayerCounters(t *testing.T) {
 	if st.Hits[LayerServer] != 1 || st.Misses[LayerMaster] != 1 {
 		t.Fatalf("layer counters wrong: %+v", st)
 	}
-	if st.Blocks != 1 || st.Bytes != 1 {
+	if st.Entries != 1 || st.Bytes != 1 {
 		t.Fatalf("snapshot wrong: %+v", st)
 	}
 }
 
-// The byte budget is a hard invariant: after any sequence of inserts the
-// resident block bytes never exceed MaxBytes, oversized payloads are
-// refused outright, and recency protects recently touched entries.
+// The byte budget is a hard invariant: after any sequence of inserts —
+// blocks and whole-job results alike — the resident bytes never exceed
+// MaxBytes, oversized payloads are refused outright, and recency protects
+// recently touched entries.
 func TestBlockLRUBudgetProperty(t *testing.T) {
 	const budget = 1 << 10
 	s, err := NewStore(Options{MaxBytes: budget})
@@ -89,17 +91,21 @@ func TestBlockLRUBudgetProperty(t *testing.T) {
 		payload := make([]byte, n)
 		rng.Read(payload)
 		k := PayloadKey(payload)
+		if i%2 == 1 {
+			// A whole job's result, under its JobKey.
+			k = JobKey(fmt.Sprint("spec-", i))
+		}
 		s.PutBlock(k, payload)
 		keys = append(keys, k)
+		if st := s.Snapshot(); st.Bytes > budget {
+			t.Fatalf("insert %d: resident bytes %d exceed budget %d", i, st.Bytes, budget)
+		}
 		// Touch a random older key to exercise recency moves.
 		if len(keys) > 2 {
 			s.GetBlock(keys[rng.Intn(len(keys))], LayerMaster)
 		}
-		if st := s.Snapshot(); st.Bytes > budget {
-			t.Fatalf("insert %d: resident bytes %d exceed budget %d", i, st.Bytes, budget)
-		}
 	}
-	if st := s.Snapshot(); st.BlockEvictions == 0 {
+	if st := s.Snapshot(); st.Evictions == 0 {
 		t.Fatal("500 inserts over a 1KiB budget evicted nothing")
 	}
 
@@ -129,195 +135,6 @@ func TestBlockLRUBudgetProperty(t *testing.T) {
 	}
 }
 
-func TestJobTTL(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s, err := NewStore(Options{JobTTL: time.Minute, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := JobKey("digest")
-	s.PutJob(k, []byte("result"))
-	if _, ok := s.GetJob(k, LayerServer); !ok {
-		t.Fatal("fresh job entry missing")
-	}
-	now = now.Add(59 * time.Second)
-	if _, ok := s.GetJob(k, LayerServer); !ok {
-		t.Fatal("entry expired before its TTL")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := s.GetJob(k, LayerServer); ok {
-		t.Fatal("entry survived its TTL")
-	}
-	if st := s.Snapshot(); st.JobEvictions != 1 || st.Jobs != 0 {
-		t.Fatalf("TTL sweep not reflected: %+v", st)
-	}
-	// Re-put refreshes the pin.
-	s.PutJob(k, []byte("result2"))
-	now = now.Add(59 * time.Second)
-	if got, ok := s.GetJob(k, LayerServer); !ok || string(got) != "result2" {
-		t.Fatalf("re-put entry = %q, %v", got, ok)
-	}
-}
-
-// fakeClock is a settable Options.Clock.
-type fakeClock struct{ now time.Time }
-
-func (c *fakeClock) Now() time.Time { return c.now }
-
-// residentJobs reports which of keys the store still answers, in order.
-func residentJobs(s *Store, keys []Key) []bool {
-	out := make([]bool, len(keys))
-	for i, k := range keys {
-		_, out[i] = s.GetJob(k, LayerServer)
-	}
-	return out
-}
-
-func TestJobRefreshMovesDeadline(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	s, err := NewStore(Options{JobTTL: time.Minute, Clock: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refreshed, other := JobKey("refreshed"), JobKey("other")
-	s.PutJob(refreshed, []byte("v1"))
-	clock.now = clock.now.Add(30 * time.Second)
-	s.PutJob(other, []byte("other"))
-	clock.now = clock.now.Add(10 * time.Second)
-	s.PutJob(refreshed, []byte("v2")) // deadline moves from +60s to +100s
-
-	clock.now = time.Unix(1000, 0).Add(61 * time.Second) // past the old deadline
-	if got, ok := s.GetJob(refreshed, LayerServer); !ok || string(got) != "v2" {
-		t.Fatalf("refreshed key at its old deadline = %q, %v; want v2, resident", got, ok)
-	}
-	if st := s.Snapshot(); st.Jobs != 2 || st.JobEvictions != 0 || st.Bytes != int64(len("v2")+len("other")) {
-		t.Fatalf("after the old deadline: %+v", st)
-	}
-	// The refresh left no stale entry ahead of other: other expires at its
-	// own deadline, the refreshed key at its new one.
-	clock.now = time.Unix(1000, 0).Add(91 * time.Second)
-	if got := residentJobs(s, []Key{refreshed, other}); !got[0] || got[1] {
-		t.Fatalf("at other's deadline resident = %v, want [true false]", got)
-	}
-	clock.now = time.Unix(1000, 0).Add(101 * time.Second)
-	if got := residentJobs(s, []Key{refreshed}); got[0] {
-		t.Fatal("refreshed key survived its new deadline")
-	}
-	if st := s.Snapshot(); st.Jobs != 0 || st.JobEvictions != 2 || st.Bytes != 0 {
-		t.Fatalf("after both deadlines: %+v", st)
-	}
-}
-
-func TestJobsExpireOldestFirst(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	clock := &fakeClock{now: t0}
-	s, err := NewStore(Options{JobTTL: time.Minute, Clock: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]Key, 5)
-	for i := range keys {
-		keys[i] = JobKey(fmt.Sprint("job-", i))
-		clock.now = t0.Add(time.Duration(i) * 10 * time.Second)
-		s.PutJob(keys[i], []byte{byte(i)})
-	}
-	for i := range keys {
-		// Just past key i's deadline: keys 0..i are gone, the rest stay.
-		clock.now = t0.Add(time.Minute + time.Duration(i)*10*time.Second)
-		s.GetJob(JobKey("probe"), LayerServer) // expires what is due
-		if st := s.Snapshot(); st.Jobs != len(keys)-i-1 || st.JobEvictions != int64(i+1) {
-			t.Fatalf("at key %d's deadline %d resident, %d expired", i, st.Jobs, st.JobEvictions)
-		}
-		got := residentJobs(s, keys)
-		for k, live := range got {
-			if want := k > i; live != want {
-				t.Fatalf("at key %d's deadline, key %d resident = %v, want %v", i, k, live, want)
-			}
-		}
-	}
-}
-
-// A reloaded directory expires its job entries oldest file first,
-// whatever order they were written in.
-func TestJobOrderSurvivesReload(t *testing.T) {
-	dir := t.TempDir()
-	t0 := time.Unix(1000, 0)
-	s, err := NewStore(Options{Dir: dir, JobTTL: time.Minute, Clock: func() time.Time { return t0 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []Key{JobKey("a"), JobKey("b"), JobKey("c")}
-	ages := []time.Duration{20 * time.Second, 0, 10 * time.Second} // b oldest, then c, then a
-	for i, k := range keys {
-		s.PutJob(k, []byte("job"))
-		mod := t0.Add(ages[i])
-		if err := os.Chtimes(s.jobPath(k), mod, mod); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	clock := &fakeClock{now: t0.Add(30 * time.Second)}
-	s2, err := NewStore(Options{Dir: dir, JobTTL: time.Minute, Clock: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, step := range []struct {
-		at   time.Duration
-		want []bool // resident a, b, c
-	}{
-		{61 * time.Second, []bool{true, false, true}},
-		{71 * time.Second, []bool{true, false, false}},
-		{81 * time.Second, []bool{false, false, false}},
-	} {
-		clock.now = t0.Add(step.at)
-		s2.GetJob(JobKey("probe"), LayerServer) // expires what is due
-		if st := s2.Snapshot(); st.Jobs != countTrue(step.want) {
-			t.Fatalf("at +%v %d jobs resident, want %d: an expired entry is stuck behind a live one", step.at, st.Jobs, countTrue(step.want))
-		}
-		for i, k := range keys {
-			_, err := os.Stat(s2.jobPath(k))
-			if onDisk := err == nil; onDisk != step.want[i] {
-				t.Fatalf("at +%v file of key %d on disk = %v, want %v", step.at, i, onDisk, step.want[i])
-			}
-		}
-		if got := residentJobs(s2, keys); fmt.Sprint(got) != fmt.Sprint(step.want) {
-			t.Fatalf("at +%v resident = %v, want %v", step.at, got, step.want)
-		}
-	}
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// BenchmarkGetJobResident looks one key up among 10 000 live whole-job
-// entries: the lookup must not pay for the entries it does not expire.
-func BenchmarkGetJobResident(b *testing.B) {
-	s, err := NewStore(Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const resident = 10000
-	keys := make([]Key, resident)
-	for i := range keys {
-		keys[i] = JobKey(fmt.Sprint("job-", i))
-		s.PutJob(keys[i], []byte("result"))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.GetJob(keys[i%resident], LayerServer); !ok {
-			b.Fatal("resident job missing")
-		}
-	}
-}
-
 func TestDiskPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(Options{Dir: dir})
@@ -327,7 +144,7 @@ func TestDiskPersistenceRoundTrip(t *testing.T) {
 	bk := PayloadKey([]byte("block"))
 	jk := JobKey("digest")
 	s.PutBlock(bk, []byte("block"))
-	s.PutJob(jk, []byte("job"))
+	s.PutBlock(jk, []byte(`{"value":3}`))
 
 	// A second store over the same directory sees both entries.
 	s2, err := NewStore(Options{Dir: dir})
@@ -337,8 +154,8 @@ func TestDiskPersistenceRoundTrip(t *testing.T) {
 	if got, content, ok := s2.GetBlock(bk, LayerMaster); !ok || string(got) != "block" || content != bk {
 		t.Fatalf("reloaded block = %q, %v, %v", got, content, ok)
 	}
-	if got, ok := s2.GetJob(jk, LayerServer); !ok || string(got) != "job" {
-		t.Fatalf("reloaded job = %q, %v", got, ok)
+	if got, content, ok := s2.GetBlock(jk, LayerServer); !ok || string(got) != `{"value":3}` || content != PayloadKey(got) {
+		t.Fatalf("reloaded job = %q, %v, %v", got, content, ok)
 	}
 
 	// Junk files are ignored, not fatal.
@@ -361,7 +178,7 @@ func TestPutBlockResidentKeySkipsFileWrite(t *testing.T) {
 	payload := []byte("block")
 	k := PayloadKey(payload)
 	s.PutBlock(k, payload)
-	path := s.blockPath(k)
+	path := s.entryPath(k)
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatalf("first put wrote no file: %v", err)
@@ -401,7 +218,7 @@ func TestPutBlockResidentKeySkipsFileWrite(t *testing.T) {
 	if got := readEntry(t, path); string(got) != "other" {
 		t.Fatalf("replaced file holds %q", got)
 	}
-	if st := s2.Snapshot(); st.Bytes != int64(len(other)) || st.Blocks != 1 {
+	if st := s2.Snapshot(); st.Bytes != int64(len(other)) || st.Entries != 1 {
 		t.Fatalf("replacement miscounted: %+v", st)
 	}
 }
@@ -462,7 +279,7 @@ func TestStoredKeysHashTheirBytes(t *testing.T) {
 	s.GetBlock(a, LayerMaster)                    // b is the least recently used
 	want[c] = []byte("payload-c-is-twenty-three") // 9+9+25 > 40: evicts b
 	s.PutBlock(c, want[c])
-	if st := s.Snapshot(); st.BlockEvictions != 1 {
+	if st := s.Snapshot(); st.Evictions != 1 {
 		t.Fatalf("%+v, want one eviction", st)
 	}
 	delete(want, b)
@@ -484,7 +301,8 @@ func TestStoredKeysHashTheirBytes(t *testing.T) {
 // does not hash to its header — a flipped bit, a torn write, a file too short
 // to hold a header, or the headerless format of earlier builds — is refused
 // at load and removed: it is not a hit, and whoever recomputes it writes it
-// afresh.
+// afresh. That holds for a job's result as for a block, and for the ".job"
+// file an earlier build kept it in.
 func TestEntryFilesVerifiedOnLoad(t *testing.T) {
 	damage := map[string]func([]byte) []byte{
 		"flipped": func(d []byte) []byte { d[len(d)-1] ^= 1; return d },
@@ -499,11 +317,15 @@ func TestEntryFilesVerifiedOnLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bk, jk, good := JobKey("block"), JobKey("job"), JobKey("good")
+			bk, jk, pk, good := JobKey("block"), JobKey("job"), JobKey("parent job"), JobKey("good")
 			s.PutBlock(bk, []byte("block payload"))
 			s.PutBlock(good, []byte("intact"))
-			s.PutJob(jk, []byte(`{"value":3}`))
-			for _, path := range []string{s.blockPath(bk), s.jobPath(jk)} {
+			s.PutBlock(jk, []byte(`{"value":3}`))
+			s.PutBlock(pk, []byte(`{"value":4}`))
+			if err := os.Rename(s.entryPath(pk), jobPath(dir, pk)); err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{s.entryPath(bk), s.entryPath(jk), jobPath(dir, pk)} {
 				data, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -518,23 +340,72 @@ func TestEntryFilesVerifiedOnLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkStoredKeys(t, s2, map[Key][]byte{good: []byte("intact")}, bk)
-			if _, ok := s2.GetJob(jk, LayerServer); ok {
-				t.Fatal("a damaged job file was served")
+			for _, k := range []Key{jk, pk} {
+				if _, _, ok := s2.GetBlock(k, LayerServer); ok {
+					t.Fatal("a damaged job file was served")
+				}
 			}
-			for _, path := range []string{s2.blockPath(bk), s2.jobPath(jk)} {
+			for _, path := range []string{s2.entryPath(bk), s2.entryPath(jk), s2.entryPath(pk), jobPath(dir, pk)} {
 				if _, err := os.Stat(path); !os.IsNotExist(err) {
 					t.Fatalf("%s: damaged file left on disk (%v)", path, err)
 				}
 			}
 			st := s2.Snapshot()
-			if st.Hits[LayerMaster] != 1 || st.Misses[LayerMaster] != 1 || st.Blocks != 1 || st.Jobs != 0 {
+			if st.Hits[LayerMaster] != 1 || st.Misses[LayerMaster] != 1 || st.Misses[LayerServer] != 2 || st.Entries != 1 {
 				t.Fatalf("%+v: a refused file counted as an entry or a hit", st)
 			}
 			s2.PutBlock(bk, []byte("block payload"))
-			if got := readEntry(t, s2.blockPath(bk)); string(got) != "block payload" {
+			if got := readEntry(t, s2.entryPath(bk)); string(got) != "block payload" {
 				t.Fatalf("rewritten file holds %q", got)
 			}
 		})
+	}
+}
+
+// jobPath is where an earlier build kept a whole job's result: a ".job"
+// file in the entry format.
+func jobPath(dir string, k Key) string {
+	return filepath.Join(dir, k.String()+".job")
+}
+
+// A directory an earlier build wrote stays warm: each ".job" file is taken
+// in as an ordinary entry and renamed to ".blk", so the byte budget evicts
+// it, file and all, like any other entry. Beside a ".blk" file of the same
+// key it is dropped.
+func TestParentJobFilesTakenIn(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jk, both := JobKey("spec"), JobKey("both")
+	result := []byte(`{"value":3}`)
+	for k, p := range map[Key][]byte{jk: result, both: []byte("stale")} {
+		s.PutBlock(k, p)
+		if err := os.Rename(s.entryPath(k), jobPath(dir, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.PutBlock(both, []byte("current"))
+
+	s2, err := NewStore(Options{Dir: dir, MaxBytes: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStoredKeys(t, s2, map[Key][]byte{jk: result, both: []byte("current")})
+	s2.GetBlock(both, LayerMaster) // jk is the least recently used
+	for _, k := range []Key{jk, both} {
+		if _, err := os.Stat(jobPath(dir, k)); !os.IsNotExist(err) {
+			t.Fatalf("a .job file is left outside the store (%v)", err)
+		}
+	}
+	if got := readEntry(t, s2.entryPath(jk)); string(got) != string(result) {
+		t.Fatalf("the renamed file holds %q", got)
+	}
+	s2.PutBlock(PayloadKey([]byte("a newer block")), []byte("a newer block"))
+	checkStoredKeys(t, s2, nil, jk)
+	if _, err := os.Stat(s2.entryPath(jk)); !os.IsNotExist(err) {
+		t.Fatalf("the evicted entry's file is left on disk (%v)", err)
 	}
 }
 
@@ -554,7 +425,7 @@ func TestLoadSkipsBlockOverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkStoredKeys(t, s2, map[Key][]byte{small: []byte("tiny")}, big)
-	if _, err := os.Stat(s2.blockPath(big)); err != nil {
+	if _, err := os.Stat(s2.entryPath(big)); err != nil {
 		t.Fatalf("an intact file over this store's budget was removed: %v", err)
 	}
 }
@@ -636,15 +507,15 @@ func TestConcurrentAccess(t *testing.T) {
 				if !p.Holds(k) {
 					p.Note(k)
 				}
-				s.PutJob(JobKey(fmt.Sprint(i%7)), payload)
-				s.GetJob(JobKey(fmt.Sprint(i%5)), LayerServer)
+				s.PutBlock(JobKey(fmt.Sprint(i%7)), payload)
+				s.GetBlock(JobKey(fmt.Sprint(i%5)), LayerServer)
 			}
 		}(g)
 	}
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if st := s.Snapshot(); st.Bytes < 0 {
-		t.Fatalf("negative resident bytes: %+v", st)
+	if st := s.Snapshot(); st.Bytes < 0 || st.Bytes > 1<<12 {
+		t.Fatalf("resident bytes out of [0, budget]: %+v", st)
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzStoreDir writes fuzzed bytes as one .blk and one .job file and opens
-// a store over the directory: the cache directory is input from outside the
-// process. NewStore must not panic, any entry it serves must be the file's
-// payload and hash to the key it keeps (the file's header), and a file it
-// refused must be gone.
+// FuzzStoreDir writes fuzzed bytes as one .blk file and one .job file (the
+// form an earlier build kept a whole job's result in) and opens a store
+// over the directory: the cache directory is input from outside the
+// process. NewStore must not panic, it must serve an entry exactly when its
+// file verifies — the payload hashes to the header, which is the key the
+// store keeps — and a file it refused must be gone. A .job file is gone
+// either way: served, it was renamed to .blk.
 func FuzzStoreDir(f *testing.F) {
 	entry := func(payload string) []byte {
 		k := PayloadKey([]byte(payload))
@@ -27,7 +29,8 @@ func FuzzStoreDir(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blk, job []byte) {
 		bk, jk := JobKey("block"), JobKey("job")
 		s := &Store{opts: Options{Dir: dir}}
-		for path, data := range map[string][]byte{s.blockPath(bk): blk, s.jobPath(jk): job} {
+		_ = os.Remove(s.entryPath(jk)) // an earlier input's .job, served
+		for path, data := range map[string][]byte{s.entryPath(bk): blk, jobPath(dir, jk): job} {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -36,16 +39,22 @@ func FuzzStoreDir(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, content, ok := s.GetBlock(bk, LayerMaster)
-		if ok && (content != PayloadKey(payload) || !bytes.Equal(blk, append(content[:], payload...))) {
-			t.Fatalf("served block %q under key %v from file %q", payload, content, blk)
+		for _, c := range []struct {
+			key  Key
+			file []byte
+		}{{bk, blk}, {jk, job}} {
+			payload, content, ok := s.GetBlock(c.key, LayerMaster)
+			verifies := len(c.file) >= len(Key{})
+			if verifies {
+				k := PayloadKey(c.file[len(Key{}):])
+				verifies = bytes.Equal(k[:], c.file[:len(Key{})])
+			}
+			if ok != verifies || ok && (content != PayloadKey(payload) || !bytes.Equal(c.file, append(content[:], payload...))) {
+				t.Fatalf("served %v %q under key %v from file %q", ok, payload, content, c.file)
+			}
+			checkRefusedGone(t, s.entryPath(c.key), ok)
 		}
-		checkRefusedGone(t, s.blockPath(bk), ok)
-		payload, ok = s.GetJob(jk, LayerServer)
-		if content = PayloadKey(payload); ok && !bytes.Equal(job, append(content[:], payload...)) {
-			t.Fatalf("served job %q from file %q", payload, job)
-		}
-		checkRefusedGone(t, s.jobPath(jk), ok)
+		checkRefusedGone(t, jobPath(dir, jk), false)
 	})
 }
 

@@ -213,7 +213,7 @@ func TestCacheEvictionDegradesToRecompute(t *testing.T) {
 			t.Fatalf("run %d: resident bytes %d exceed budget %d", i, st.Bytes, budget)
 		}
 	}
-	if st := store.Snapshot(); st.BlockEvictions == 0 {
+	if st := store.Snapshot(); st.Evictions == 0 {
 		t.Fatalf("a %dB budget never evicted: %+v", budget, st)
 	}
 }
@@ -281,8 +281,8 @@ func TestCorruptCacheFilesDegradeToRecompute(t *testing.T) {
 			if st.CacheHits != 0 || st.Tasks != cold.Tasks {
 				t.Fatalf("run over corrupt entries: %d hits, %d tasks, want 0 and %d", st.CacheHits, st.Tasks, cold.Tasks)
 			}
-			if c.refused && (opened.Blocks != 0 || after.Hits[cas.LayerMaster] != 0) {
-				t.Fatalf("the store opened %d damaged entries and counted %d hits on them", opened.Blocks, after.Hits[cas.LayerMaster])
+			if c.refused && (opened.Entries != 0 || after.Hits[cas.LayerMaster] != 0) {
+				t.Fatalf("the store opened %d damaged entries and counted %d hits on them", opened.Entries, after.Hits[cas.LayerMaster])
 			}
 			if st, _, _ := run(); st.Tasks != 0 || st.CacheHits != cold.Tasks {
 				t.Fatalf("run after the recompute: %d hits, %d tasks, want %d and 0", st.CacheHits, st.Tasks, cold.Tasks)

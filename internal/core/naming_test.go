@@ -47,9 +47,9 @@ func TestWorkerHashesNothingItComputed(t *testing.T) {
 		t.Helper()
 		what := t.Name()
 		equalMatrices(t, what, got, want)
-		if hashed != 0 || int64(store.Snapshot().Blocks) != verts || st.Tasks != verts || st.BlocksSkipped == 0 {
+		if hashed != 0 || int64(store.Snapshot().Entries) != verts || st.Tasks != verts || st.BlocksSkipped == 0 {
 			t.Fatalf("%s: workers hashed %d payloads, the master named %d blocks of %d vertices (%d computed, %d references); want 0 and every vertex",
-				what, hashed, store.Snapshot().Blocks, verts, st.Tasks, st.BlocksSkipped)
+				what, hashed, store.Snapshot().Entries, verts, st.Tasks, st.BlocksSkipped)
 		}
 	}
 

@@ -179,7 +179,7 @@ func TestFleetCacheKeyEmptyDisables(t *testing.T) {
 	if res.Stats.CacheHits != 0 || res.Stats.CacheMisses != 0 {
 		t.Fatalf("uncached job touched the cache: %+v", res.Stats)
 	}
-	if st := store.Snapshot(); st.Blocks != 0 {
+	if st := store.Snapshot(); st.Entries != 0 {
 		t.Fatalf("uncached job filled the store: %+v", st)
 	}
 

@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -91,7 +93,7 @@ func TestServerCacheHitResubmission(t *testing.T) {
 	for _, want := range []string{
 		`easyhps_cache_hits_total{layer="server"} 1`,
 		`easyhps_cache_misses_total{layer="server"} 2`,
-		`easyhps_cache_entries{kind="job"} 2`,
+		"easyhps_cache_entries 2\n",
 		"easyhps_cache_bytes",
 		"easyhps_cache_evictions_total",
 	} {
@@ -358,12 +360,109 @@ func TestRunCacheDirWarmsService(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Cached {
-		t.Fatal("answered from the whole-job tier, which the run does not fill")
+		t.Fatal("answered from a whole-job entry, which the run does not write")
 	}
 	if got.Stats.Dispatches != 0 || got.Stats.CacheHits != res.Stats.Tasks {
 		t.Fatalf("dispatches = %d, cache hits = %d; want 0 and all %d vertices", got.Stats.Dispatches, got.Stats.CacheHits, res.Stats.Tasks)
 	}
 	if got.Value != want {
 		t.Fatalf("warm value %d, the cold run answered %d", got.Value, want)
+	}
+}
+
+// TestServiceCacheWithinBudget: a job's result is an entry of the store's
+// one LRU, so a store with a small MaxBytes stays within it however many
+// distinct specs finish, and a resubmission whose result was evicted
+// recomputes the same answer.
+func TestServiceCacheWithinBudget(t *testing.T) {
+	const budget = 1 << 10 // a few results of a few hundred bytes each
+	store, err := cas.NewStore(cas.Options{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := server.NewManager(server.ManagerConfig{Run: fastRun(), MaxConcurrent: 2, QueueDepth: 4, Cache: store}, nil)
+	defer func() { _ = mgr.Shutdown(context.Background()) }()
+	run := func(seed int64) *server.JobResult {
+		t.Helper()
+		j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 24, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		res, err := j.Result()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if st := store.Snapshot(); st.Bytes > budget {
+			t.Fatalf("seed %d: %d resident bytes over the %d budget", seed, st.Bytes, budget)
+		}
+		return res
+	}
+
+	const specs = 12
+	want := make(map[int64]int64, specs)
+	for seed := int64(1); seed <= specs; seed++ {
+		want[seed] = run(seed).Value
+	}
+	// Newest first: the last results put are the ones still resident.
+	var hits, recomputed int
+	for seed := int64(specs); seed >= 1; seed-- {
+		res := run(seed)
+		if res.Value != want[seed] {
+			t.Fatalf("seed %d resubmitted answers %d (cached %v), the first run %d", seed, res.Value, res.Cached, want[seed])
+		}
+		if res.Cached {
+			hits++
+		} else {
+			recomputed++
+		}
+	}
+	if hits == 0 || recomputed == 0 {
+		t.Fatalf("%d resubmissions hit, %d recomputed: want both, some results resident and some evicted", hits, recomputed)
+	}
+}
+
+// TestParentJobFileAnswersAfterRestart: a cache directory an earlier build
+// wrote, with a job's result in a "<hex>.job" file of the entry format,
+// answers that spec from the cache after a restart, and the file becomes
+// an ordinary ".blk" entry.
+func TestParentJobFileAnswersAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	spec := server.JobSpec{Kernel: "editdist", N: 24, Seed: 3}
+	submit := func() *server.JobResult {
+		t.Helper()
+		store, err := cas.NewStore(cas.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := server.NewManager(server.ManagerConfig{Run: fastRun(), Cache: store}, nil)
+		defer func() { _ = mgr.Shutdown(context.Background()) }()
+		j, err := mgr.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		res, err := j.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := submit()
+	blk := filepath.Join(dir, cas.JobKey(spec.Digest()).String()+".blk")
+	job := strings.TrimSuffix(blk, ".blk") + ".job"
+	if err := os.Rename(blk, job); err != nil {
+		t.Fatal(err)
+	}
+
+	again := submit()
+	if !again.Cached || again.Value != first.Value {
+		t.Fatalf("after a restart the spec answered %d (cached %v), want %d from the cache", again.Value, again.Cached, first.Value)
+	}
+	if _, err := os.Stat(job); !os.IsNotExist(err) {
+		t.Fatalf("the .job file is still there (%v)", err)
+	}
+	if _, err := os.Stat(blk); err != nil {
+		t.Fatalf("the entry has no .blk file: %v", err)
 	}
 }

@@ -211,9 +211,10 @@ type ManagerConfig struct {
 	// flight).
 	Fleet *fleet.Fleet[int32]
 	// Cache, when non-nil, is the content-addressed result store. The
-	// manager uses its whole-job tier: a submission whose spec digest has
-	// a cached result answers immediately without holding a run slot, and
-	// every computed result is written through. (The single-flight table
+	// manager keeps each job's result there under its cas.JobKey: a
+	// submission whose spec digest has a cached result answers immediately
+	// without holding a run slot, and every computed result is written
+	// through. (The single-flight table
 	// that coalesces concurrent identical submissions is independent of
 	// the cache and always on.)
 	Cache *cas.Store
@@ -391,7 +392,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	// recompute — the cache can degrade service to a miss, never corrupt
 	// an answer.
 	if m.cfg.Cache != nil {
-		if payload, ok := m.cfg.Cache.GetJob(cas.JobKey(j.digest), cas.LayerServer); ok {
+		if payload, _, ok := m.cfg.Cache.GetBlock(cas.JobKey(j.digest), cas.LayerServer); ok {
 			var result JobResult
 			if err := json.Unmarshal(payload, &result); err == nil {
 				result.Cached = true
@@ -639,7 +640,7 @@ func (m *Manager) run(j *Job) {
 		// describes how a particular submission was served, not the
 		// payload.
 		if payload, err := json.Marshal(result); err == nil {
-			m.cfg.Cache.PutJob(cas.JobKey(j.digest), payload)
+			m.cfg.Cache.PutBlock(cas.JobKey(j.digest), payload)
 		}
 	}
 

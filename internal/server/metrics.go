@@ -244,13 +244,9 @@ func writeCache(w io.Writer, s cas.Stats) {
 	for _, l := range []cas.Layer{cas.LayerServer, cas.LayerMaster, cas.LayerWire} {
 		fmt.Fprintf(w, "easyhps_cache_misses_total{layer=%q} %d\n", l, s.Misses[l])
 	}
-	fmt.Fprintf(w, "# HELP easyhps_cache_evictions_total Result-cache entries dropped (blocks by the LRU byte budget, jobs by TTL).\n# TYPE easyhps_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "easyhps_cache_evictions_total{kind=\"block\"} %d\n", s.BlockEvictions)
-	fmt.Fprintf(w, "easyhps_cache_evictions_total{kind=\"job\"} %d\n", s.JobEvictions)
+	fmt.Fprintf(w, "# HELP easyhps_cache_evictions_total Result-cache entries dropped by the LRU byte budget.\n# TYPE easyhps_cache_evictions_total counter\neasyhps_cache_evictions_total %d\n", s.Evictions)
 	fmt.Fprintf(w, "# HELP easyhps_cache_bytes Resident result-cache payload bytes.\n# TYPE easyhps_cache_bytes gauge\neasyhps_cache_bytes %d\n", s.Bytes)
-	fmt.Fprintf(w, "# HELP easyhps_cache_entries Resident result-cache entries by kind.\n# TYPE easyhps_cache_entries gauge\n")
-	fmt.Fprintf(w, "easyhps_cache_entries{kind=\"block\"} %d\n", s.Blocks)
-	fmt.Fprintf(w, "easyhps_cache_entries{kind=\"job\"} %d\n", s.Jobs)
+	fmt.Fprintf(w, "# HELP easyhps_cache_entries Resident result-cache entries, blocks and whole-job results.\n# TYPE easyhps_cache_entries gauge\neasyhps_cache_entries %d\n", s.Entries)
 }
 
 // writeMembership emits the fleet's elastic-membership series (named

@@ -435,9 +435,7 @@ func (s *Scenario) Run(seed int64) (*Result, error) {
 		opts.Seed = seed
 	}
 	if s.UseCache {
-		// Pin the store's clock so nothing in a run can observe wall time.
-		epoch := time.Unix(0, 0).UTC()
-		store, err := cas.NewStore(cas.Options{Clock: func() time.Time { return epoch }})
+		store, err := cas.NewStore(cas.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", s.Name, err)
 		}

@@ -201,7 +201,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6856 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6854 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -403,6 +403,22 @@ if [ -n "$hashes" ]; then
     exit 1
 fi
 echo "calls: cas.PayloadKey only in engine.Job.commit and TaskRunner.resolve outside internal/cas and benchmark/"
+
+# And the result store has one eviction rule: a whole job's result is an
+# entry of the one byte-budgeted LRU under its cas.JobKey, as a block is
+# under its cas.BlockKey, so no non-test Go names the deleted job tier (its
+# put, get, TTL or eviction count), and no non-test code in internal/cas
+# reads the clock or takes one. A second retention rule must not arrive
+# unnoticed.
+tiers=$( (grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])(PutJob|GetJob|JobTTL|JobEvictions)([^A-Za-z0-9_]|$)' . |
+    grep -v '_test\.go:'
+    grep -nE 'time\.Now|Clock' $(ls internal/cas/*.go | grep -v '_test\.go$') /dev/null) || true)
+if [ -n "$tiers" ]; then
+    echo "calls: the result store keeps every entry by its one LRU budget, with no job tier and no clock:" >&2
+    echo "$tiers" >&2
+    exit 1
+fi
+echo "calls: no job tier named, no clock in internal/cas"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
