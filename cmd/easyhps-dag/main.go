@@ -13,25 +13,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/dag"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command over its arguments: it writes the report, or the DOT
+// graph with -dot, to stdout and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("easyhps-dag", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		pattern = flag.String("pattern", "wavefront", "pattern name: "+strings.Join(dag.LibraryNames(), ", "))
-		rows    = flag.Int("rows", 16, "matrix rows")
-		cols    = flag.Int("cols", 16, "matrix columns")
-		bRows   = flag.Int("block", 4, "square block size (overridden by -brows/-bcols)")
-		brFlag  = flag.Int("brows", 0, "block rows")
-		bcFlag  = flag.Int("bcols", 0, "block cols")
-		width   = flag.Int("width", 8, "band half-width (banded pattern only)")
-		at      = flag.String("at", "", "dump dependencies of block \"row,col\"")
-		dot     = flag.Bool("dot", false, "emit the block DAG in Graphviz DOT format and exit")
+		pattern = fs.String("pattern", "wavefront", "pattern name: "+strings.Join(dag.LibraryNames(), ", "))
+		rows    = fs.Int("rows", 16, "matrix rows")
+		cols    = fs.Int("cols", 16, "matrix columns")
+		bRows   = fs.Int("block", 4, "square block size (overridden by -brows/-bcols)")
+		brFlag  = fs.Int("brows", 0, "block rows")
+		bcFlag  = fs.Int("bcols", 0, "block cols")
+		width   = fs.Int("width", 8, "band half-width (banded pattern only)")
+		at      = fs.String("at", "", "dump dependencies of block \"row,col\"")
+		dot     = fs.Bool("dot", false, "emit the block DAG in Graphviz DOT format and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var pat dag.Pattern
 	if *pattern == dag.NameBanded {
@@ -39,8 +48,8 @@ func main() {
 	} else {
 		p, ok := dag.Lookup(*pattern)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "easyhps-dag: unknown pattern %q (have: %s)\n", *pattern, strings.Join(dag.LibraryNames(), ", "))
-			os.Exit(1)
+			fmt.Fprintf(stderr, "easyhps-dag: unknown pattern %q (have: %s)\n", *pattern, strings.Join(dag.LibraryNames(), ", "))
+			return 1
 		}
 		pat = p
 	}
@@ -54,50 +63,45 @@ func main() {
 	}
 	g := dag.MatrixGeometry(dag.Size{Rows: *rows, Cols: *cols}, block)
 	if *dot {
-		if err := dag.WriteDOT(os.Stdout, pat, g); err != nil {
-			fmt.Fprintln(os.Stderr, "easyhps-dag:", err)
-			os.Exit(1)
+		if err := dag.WriteDOT(stdout, pat, g); err != nil {
+			fmt.Fprintln(stderr, "easyhps-dag:", err)
+			return 1
 		}
-		return
+		return 0
+	}
+	var p dag.Pos
+	if *at != "" {
+		if _, err := fmt.Sscanf(*at, "%d,%d", &p.Row, &p.Col); err != nil {
+			fmt.Fprintln(stderr, "easyhps-dag: -at wants \"row,col\"")
+			return 1
+		}
 	}
 	gr := dag.Build(pat, g)
 
-	fmt.Printf("pattern %s (%s): matrix %dx%d, blocks %v, grid %v, %d vertices\n",
+	fmt.Fprintf(stdout, "pattern %s (%s): matrix %dx%d, blocks %v, grid %v, %d vertices\n",
 		pat.Name(), pat.Class(), *rows, *cols, block, g.Grid, gr.N)
-
-	if err := dag.ValidateAcyclic(pat, g); err != nil {
-		fmt.Println("ACYCLICITY: ", err)
-	} else if err := dag.ValidateTopology(pat, g); err != nil {
-		fmt.Println("TOPOLOGY:   ", err)
-	} else if err := dag.ValidateCellOrder(pat, g); err != nil {
-		fmt.Println("CELL ORDER: ", err)
-	} else if err := dag.ValidateDataRegion(pat, g); err != nil {
-		fmt.Println("DATA REGION:", err)
+	if err := dag.Validate(pat, g); err != nil {
+		fmt.Fprintln(stdout, "model invariants:", err)
 	} else {
-		fmt.Println("model invariants: OK")
+		fmt.Fprintln(stdout, "model invariants: OK")
 	}
 
-	drawGrid(gr, g)
-	widthProfile(gr, g)
-
+	drawGrid(stdout, gr, g)
+	widthProfile(stdout, gr)
 	if *at != "" {
-		var p dag.Pos
-		if _, err := fmt.Sscanf(*at, "%d,%d", &p.Row, &p.Col); err != nil {
-			fmt.Fprintln(os.Stderr, "easyhps-dag: -at wants \"row,col\"")
-			os.Exit(1)
-		}
-		dumpBlock(pat, g, p)
+		dumpBlock(stdout, pat, g, p)
 	}
+	return 0
 }
 
 // drawGrid prints the block grid: '#' existing blocks, '.' holes, 'R'
 // roots (immediately computable).
-func drawGrid(gr *dag.Graph, g dag.Geometry) {
+func drawGrid(w io.Writer, gr *dag.Graph, g dag.Geometry) {
 	roots := make(map[int32]bool)
 	for _, id := range gr.Roots() {
 		roots[id] = true
 	}
-	fmt.Println("\nblock grid ('R' root, '#' vertex, '.' hole):")
+	fmt.Fprintln(w, "\nblock grid ('R' root, '#' vertex, '.' hole):")
 	for r := 0; r < g.Grid.Rows; r++ {
 		var sb strings.Builder
 		sb.WriteString("  ")
@@ -112,13 +116,13 @@ func drawGrid(gr *dag.Graph, g dag.Geometry) {
 				sb.WriteByte('#')
 			}
 		}
-		fmt.Println(sb.String())
+		fmt.Fprintln(w, sb.String())
 	}
 }
 
 // widthProfile prints, for each depth level, how many vertices sit there —
 // the available parallelism over time.
-func widthProfile(gr *dag.Graph, g dag.Geometry) {
+func widthProfile(w io.Writer, gr *dag.Graph) {
 	level := make(map[int32]int)
 	remaining := make(map[int32]int32)
 	var queue []int32
@@ -150,34 +154,32 @@ func widthProfile(gr *dag.Graph, g dag.Geometry) {
 		width[level[id]]++
 	}
 	peak, sum := 0, 0
-	for _, w := range width {
-		if w > peak {
-			peak = w
-		}
-		sum += w
+	for _, n := range width {
+		peak = max(peak, n)
+		sum += n
 	}
-	fmt.Printf("\ndepth levels: %d, peak width: %d, mean width: %.1f\n", len(width), peak, float64(sum)/float64(len(width)))
-	fmt.Print("width profile: ")
-	for l, w := range width {
+	fmt.Fprintf(w, "\ndepth levels: %d, peak width: %d, mean width: %.1f\n", len(width), peak, float64(sum)/float64(len(width)))
+	fmt.Fprint(w, "width profile: ")
+	for l, n := range width {
 		if l > 0 {
-			fmt.Print(" ")
+			fmt.Fprint(w, " ")
 		}
-		fmt.Print(w)
+		fmt.Fprint(w, n)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // dumpBlock prints one block's rect, precursors and data region.
-func dumpBlock(pat dag.Pattern, g dag.Geometry, p dag.Pos) {
+func dumpBlock(w io.Writer, pat dag.Pattern, g dag.Geometry, p dag.Pos) {
 	if !g.InGrid(p) || !pat.BlockExists(g, p) {
-		fmt.Printf("\nblock %v does not exist\n", p)
+		fmt.Fprintf(w, "\nblock %v does not exist\n", p)
 		return
 	}
-	fmt.Printf("\nblock %v rect %v\n", p, g.Rect(p))
-	fmt.Printf("  precursors: %v\n", pat.Precursors(g, p, nil))
-	fmt.Print("  data region:")
+	fmt.Fprintf(w, "\nblock %v rect %v\n", p, g.Rect(p))
+	fmt.Fprintf(w, "  precursors: %v\n", pat.Precursors(g, p, nil))
+	fmt.Fprint(w, "  data region:")
 	for _, q := range pat.DataDeps(g, p, nil) {
-		fmt.Printf(" %v%v", q, dag.DataRegion(pat, g, p, q))
+		fmt.Fprintf(w, " %v%v", q, dag.DataRegion(pat, g, p, q))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

@@ -91,21 +91,12 @@ func LookupPattern(name string) (Pattern, bool) { return dag.Lookup(name) }
 func RegisterPattern(p Pattern) { dag.Register(p) }
 
 // ValidatePattern checks the model invariants of a (custom) pattern over a
-// concrete geometry: acyclicity, data-dependency coverage, cell-order
-// completeness and, for a pattern that declares data regions, that each is
-// a non-empty part of its dependency.
-func ValidatePattern(p Pattern, g Geometry) error {
-	if err := dag.ValidateAcyclic(p, g); err != nil {
-		return err
-	}
-	if err := dag.ValidateTopology(p, g); err != nil {
-		return err
-	}
-	if err := dag.ValidateCellOrder(p, g); err != nil {
-		return err
-	}
-	return dag.ValidateDataRegion(p, g)
-}
+// concrete geometry (dag.Validate): acyclicity, data-dependency coverage by
+// the topological order, a row order that covers each computed cell of
+// every block once in non-empty segments inside the block and, for a
+// pattern that declares data regions, that each is a non-empty part of its
+// dependency.
+func ValidatePattern(p Pattern, g Geometry) error { return dag.Validate(p, g) }
 
 // Runtime types.
 type (

@@ -59,6 +59,52 @@ func TestFacadeCustomPattern(t *testing.T) {
 	}
 }
 
+// plantedOrder is a library pattern with a row order the test plants.
+type plantedOrder struct {
+	Pattern
+	rows func(r Rect, visit func(i, j0, j1 int))
+}
+
+func (p plantedOrder) RowOrder(r Rect, visit func(i, j0, j1 int)) { p.rows(r, visit) }
+
+// A row order that would have the thread level slice a block backwards, past
+// its edge, over a hole, or compute a cell twice or never is refused before
+// the pattern runs.
+func TestValidatePatternRefusesPlantedRowOrders(t *testing.T) {
+	g := MatrixGeometry(Square(12), Square(4))
+	rowMajor := func(seg func(i, j0, j1 int, visit func(i, j0, j1 int))) func(r Rect, visit func(i, j0, j1 int)) {
+		return func(r Rect, visit func(i, j0, j1 int)) {
+			for i := r.Row0; i < r.Row0+r.Rows; i++ {
+				seg(i, r.Col0, r.Col0+r.Cols, visit)
+			}
+		}
+	}
+	whole := rowMajor(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j1) })
+	for _, c := range []struct {
+		defect, want string
+		pat          plantedOrder
+	}{
+		{"reversed", "empty or reversed", plantedOrder{PatternWavefront, rowMajor(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j1); visit(i, j1, j0) })}},
+		{"empty", "empty or reversed", plantedOrder{PatternWavefront, rowMajor(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j0); visit(i, j0, j1) })}},
+		{"out-of-block", "leaves the block", plantedOrder{PatternWavefront, rowMajor(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j1+1) })}},
+		{"hole", "covers the hole", plantedOrder{PatternTriangular, whole}},
+		{"repeat", "repeats the cell", plantedOrder{PatternWavefront, rowMajor(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j0+1); visit(i, j0, j1) })}},
+		{"skip", "skips the cell", plantedOrder{PatternWavefront, rowMajor(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0+1, j1) })}},
+	} {
+		if err := ValidatePattern(c.pat, g); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("the %s row order: ValidatePattern answered %v, want an error that says %q", c.defect, err, c.want)
+		}
+	}
+	for _, pat := range []Pattern{PatternWavefront, PatternTriangular} {
+		if err := ValidatePattern(plantedOrder{pat, pat.RowOrder}, g); err != nil {
+			t.Errorf("%s's own row order was refused: %v", pat.Name(), err)
+		}
+	}
+	if err := ValidatePattern(plantedOrder{PatternWavefront, whole}, g); err != nil {
+		t.Errorf("whole rows top down were refused on the wavefront: %v", err)
+	}
+}
+
 func TestFacadeTraceAndPolicy(t *testing.T) {
 	e := NewEditDistance(RandomDNA(48, 3), RandomDNA(48, 4))
 	rec := NewTrace()

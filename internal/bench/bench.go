@@ -229,7 +229,7 @@ func (o Options) service(p core.Problem[int32], cfg core.Config) func(dag.Rect) 
 		for ready := g.Roots(); len(ready) > 0; ready = ready[1:] {
 			v := ready[0]
 			w := 0.0
-			dag.RowOrder(pat, g.Geom.Rect(g.Verts[v].Pos), func(i, j0, j1 int) {
+			pat.RowOrder(g.Geom.Rect(g.Verts[v].Pos), func(i, j0, j1 int) {
 				for j := j0; j < j1; j++ {
 					if cost == nil {
 						w++

@@ -21,7 +21,7 @@ import (
 //
 // Cell must be deterministic and must read, through the view, only cells
 // that the pattern declares reachable: within the current block (already
-// computed in CellOrder order), in blocks listed by the pattern's
+// computed in the pattern's RowOrder), in blocks listed by the pattern's
 // DataDeps, or outside the computed region (resolved by Boundary). Reads
 // outside that contract panic, which is how the tests detect
 // under-declared data regions. The same holds for the optional Row of a
@@ -43,7 +43,7 @@ type Kernel[T any] interface {
 // cells (i, j0) .. (i, j0+len(out)-1) left to right into out, those cells'
 // own storage in the sub-task's output block; it writes nothing else and
 // reads everything else through the view, exactly as Cell may. The
-// pattern's row order (dag.RowOrder) guarantees that what the segment
+// pattern's row order (Pattern.RowOrder) guarantees that what the segment
 // depends on — the rows before it, the cells to its left — is computed. A
 // kernel with O(1) work per cell gains most: the call and the view's block
 // lookups are paid once per segment. It derives Cell from Row (a segment
@@ -83,7 +83,7 @@ func SubBlockFill[T any](k Kernel[T]) func(v *matrix.View[T]) {
 	}
 	return func(view *matrix.View[T]) {
 		v = view
-		dag.RowOrder(pat, view.Window(), segment)
+		pat.RowOrder(view.Window(), segment)
 	}
 }
 

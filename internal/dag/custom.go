@@ -4,12 +4,11 @@ package dag
 // user API provides for DP problems whose dependency structure is not
 // covered by the library. Fill in the function fields; nil fields fall
 // back to sensible defaults (all cells exist, data deps equal precursors,
-// row-major cell order).
+// rows top down, each in its runs of existing cells).
 //
-// A Custom pattern must uphold the model invariant that every data
-// dependency of a block is reachable from the block through precursor
-// edges; ValidateTopology from this package checks it on a concrete
-// geometry and should be run in the user's tests.
+// A Custom pattern must uphold the model invariants (every data dependency
+// of a block reachable through precursor edges, each existing cell in one
+// row segment); Validate checks them on a concrete geometry, in tests.
 type Custom struct {
 	// PatternName identifies the pattern; required, must be unique if
 	// the pattern is registered in the library.
@@ -24,9 +23,10 @@ type Custom struct {
 	// DataDepsFunc appends the data-dependency blocks of p; when nil the
 	// precursor set is used.
 	DataDepsFunc func(g Geometry, p Pos, buf []Pos) []Pos
-	// CellOrderFunc visits the cells of r in dependency order; when nil
-	// existing cells are visited row-major.
-	CellOrderFunc func(r Rect, visit func(i, j int))
+	// RowOrderFunc visits the existing cells of r in dependency order, a
+	// row segment at a time (Pattern.RowOrder); when nil the rows go top
+	// down, each as its maximal runs of existing cells left to right.
+	RowOrderFunc func(r Rect, visit func(i, j0, j1 int))
 }
 
 var _ Pattern = Custom{}
@@ -88,15 +88,22 @@ func (c Custom) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 	return c.Precursors(g, p, buf)
 }
 
-func (c Custom) CellOrder(r Rect, visit func(i, j int)) {
-	if c.CellOrderFunc != nil {
-		c.CellOrderFunc(r, visit)
-		return
-	}
-	for i := r.Row0; i < r.Row0+r.Rows; i++ {
-		for j := r.Col0; j < r.Col0+r.Cols; j++ {
-			if c.CellExists(i, j) {
-				visit(i, j)
+func (c Custom) RowOrder(r Rect, visit func(i, j0, j1 int)) {
+	switch {
+	case c.RowOrderFunc != nil:
+		c.RowOrderFunc(r, visit)
+	case c.CellExistsFunc == nil:
+		rowMajor(r, visit)
+	default:
+		for i := r.Row0; i < r.Row0+r.Rows; i++ {
+			j0, end := r.Col0, r.Col0+r.Cols
+			for j := j0; j <= end; j++ {
+				if j == end || !c.CellExistsFunc(i, j) {
+					if j0 < j {
+						visit(i, j0, j)
+					}
+					j0 = j + 1
+				}
 			}
 		}
 	}

@@ -47,12 +47,15 @@ type Pattern interface {
 	// recurrence may read while computing block p (the
 	// data-communication level of the model).
 	DataDeps(g Geometry, p Pos, buf []Pos) []Pos
-	// CellOrder visits every computed cell of region r in an order that
-	// respects the cell-level dependencies of the recurrence (assuming
-	// all cells outside r that the cells of r read are already
-	// available). The runtime computes in this order a row segment at a
-	// time; see RowOrder.
-	CellOrder(r Rect, visit func(i, j int))
+	// RowOrder visits every computed cell of region r exactly once, a
+	// row segment at a time: visit(i, j0, j1) stands for cells (i, j0) ..
+	// (i, j1-1), j0 < j1, computed left to right. The order of the
+	// segments, and of the cells in each, respects the cell-level
+	// dependencies of the recurrence (assuming all cells outside r that
+	// the cells of r read are already available). It is the order the
+	// thread level computes a sub-block in; Validate checks that it
+	// covers the block's computed cells and nothing else.
+	RowOrder(r Rect, visit func(i, j0, j1 int))
 }
 
 // Shape is what a pattern promises about which cells inside the matrix it
@@ -93,7 +96,7 @@ func ShapeOf(p Pattern) Shape {
 // is shipped of q. A pattern declares it with an optional DataRegion method
 // of this signature (minus the pattern), as Wavefront and Banded do; any
 // other pattern, a Custom included, reads the whole of q. The region must be
-// non-empty and lie inside g.Rect(q) (ValidateDataRegion); a cell read
+// non-empty and lie inside g.Rect(q) (Validate); a cell read
 // outside it is the under-specified-region panic of matrix.View.
 func DataRegion(pat Pattern, g Geometry, p, q Pos) Rect {
 	if dr, ok := pat.(interface {
@@ -164,46 +167,6 @@ func appendIf(pat Pattern, g Geometry, p Pos, buf []Pos) []Pos {
 		buf = append(buf, p)
 	}
 	return buf
-}
-
-// RowOrder visits the computed cells of region r in pat's cell order, a
-// row segment at a time: visit(i, j0, j1) stands for cells (i, j0) ..
-// (i, j1-1), left to right. It is what the thread level hands a kernel. A
-// pattern declares its segments with an optional RowOrder method of this
-// signature, as the library patterns do (their CellOrder is the expansion
-// of it); for any other pattern, a Custom included, the segments are
-// coalesced from CellOrder's visits: a cell that continues the previous
-// one's row to the right extends the segment, any other cell starts one.
-func RowOrder(pat Pattern, r Rect, visit func(i, j0, j1 int)) {
-	if ro, ok := pat.(interface {
-		RowOrder(r Rect, visit func(i, j0, j1 int))
-	}); ok {
-		ro.RowOrder(r, visit)
-		return
-	}
-	i, j0, j1 := 0, 0, 0 // the open segment; none while j0 == j1
-	pat.CellOrder(r, func(ci, cj int) {
-		if j0 < j1 && ci == i && cj == j1 {
-			j1++
-			return
-		}
-		if j0 < j1 {
-			visit(i, j0, j1)
-		}
-		i, j0, j1 = ci, cj, cj+1
-	})
-	if j0 < j1 {
-		visit(i, j0, j1)
-	}
-}
-
-// cellsOf expands a row order into the cell order it stands for.
-func cellsOf(rows func(r Rect, visit func(i, j0, j1 int)), r Rect, visit func(i, j int)) {
-	rows(r, func(i, j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			visit(i, j)
-		}
-	})
 }
 
 // rowMajor visits the rows of r top to bottom, each whole.

@@ -51,7 +51,6 @@ func (w Wavefront) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 func (Wavefront) DataRegion(g Geometry, p, q Pos) Rect { return edgeRegion(g, p, q) }
 
 func (Wavefront) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
-func (w Wavefront) CellOrder(r Rect, visit func(i, j int))   { cellsOf(w.RowOrder, r, visit) }
 
 // RowColumn is the 2D/1D pattern used by Smith-Waterman with general gap
 // penalties (Fig. 6 in the paper): cell (i, j) reads the whole of row i to
@@ -85,7 +84,6 @@ func (rc RowColumn) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 }
 
 func (RowColumn) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
-func (rc RowColumn) CellOrder(r Rect, visit func(i, j int))  { cellsOf(rc.RowOrder, r, visit) }
 
 // Triangular is the 2D/1D upper-triangular pattern of Nussinov-style
 // recurrences (Fig. 5 in the paper): only cells with i <= j exist; cell
@@ -138,8 +136,6 @@ func (Triangular) RowOrder(r Rect, visit func(i, j0, j1 int)) {
 	}
 }
 
-func (t Triangular) CellOrder(r Rect, visit func(i, j int)) { cellsOf(t.RowOrder, r, visit) }
-
 // Dominance is the 2D/2D pattern (Algorithm 4.3 in the paper): cell (i, j)
 // reads every cell it dominates, i.e. all (i', j') with i' < i and j' < j.
 // Topologically the west and north neighbours suffice; the data region is
@@ -171,7 +167,6 @@ func (d Dominance) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 }
 
 func (Dominance) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
-func (d Dominance) CellOrder(r Rect, visit func(i, j int))   { cellsOf(d.RowOrder, r, visit) }
 
 // RowOnly is the pattern of recurrences where cell (i, j) reads arbitrary
 // cells of row i-1 at column <= j (0/1 knapsack, Viterbi with
@@ -222,7 +217,6 @@ func (ro RowOnly) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 }
 
 func (RowOnly) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
-func (ro RowOnly) CellOrder(r Rect, visit func(i, j int))  { cellsOf(ro.RowOrder, r, visit) }
 
 // Chain is the 1D pattern: a single row of cells, each reading only its
 // left neighbour. It degenerates the runtime to a pipeline and exists
@@ -251,5 +245,3 @@ func (Chain) RowOrder(r Rect, visit func(i, j0, j1 int)) {
 		visit(0, r.Col0, r.Col0+r.Cols)
 	}
 }
-
-func (c Chain) CellOrder(r Rect, visit func(i, j int)) { cellsOf(c.RowOrder, r, visit) }

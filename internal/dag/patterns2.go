@@ -57,7 +57,6 @@ func (pr PrevRow) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 }
 
 func (PrevRow) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
-func (pr PrevRow) CellOrder(r Rect, visit func(i, j int))  { cellsOf(pr.RowOrder, r, visit) }
 
 // Banded is the wavefront pattern restricted to the diagonal band
 // |i - j| <= Width: banded sequence alignment, which trades optimality for
@@ -118,5 +117,3 @@ func (b Banded) RowOrder(r Rect, visit func(i, j0, j1 int)) {
 		}
 	}
 }
-
-func (b Banded) CellOrder(r Rect, visit func(i, j int)) { cellsOf(b.RowOrder, r, visit) }

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -12,8 +13,8 @@ func libraryPatterns() []Pattern {
 
 // Every library pattern, on a spread of geometries, must (a) be acyclic
 // with all vertices reachable, (b) have every data dependency covered by
-// the topological order, and (c) visit each existing cell exactly once in
-// CellOrder.
+// the topological order, (c) visit each existing cell exactly once in
+// RowOrder and (d) declare data regions inside their dependencies.
 func TestLibraryPatternInvariants(t *testing.T) {
 	geoms := []Geometry{
 		MatrixGeometry(Square(1), Square(1)),
@@ -25,16 +26,7 @@ func TestLibraryPatternInvariants(t *testing.T) {
 	}
 	for _, pat := range libraryPatterns() {
 		for _, g := range geoms {
-			if err := ValidateAcyclic(pat, g); err != nil {
-				t.Errorf("%s %v: %v", pat.Name(), g.Region, err)
-			}
-			if err := ValidateTopology(pat, g); err != nil {
-				t.Errorf("%s %v: %v", pat.Name(), g.Region, err)
-			}
-			if err := ValidateCellOrder(pat, g); err != nil {
-				t.Errorf("%s %v: %v", pat.Name(), g.Region, err)
-			}
-			if err := ValidateDataRegion(pat, g); err != nil {
+			if err := Validate(pat, g); err != nil {
 				t.Errorf("%s %v: %v", pat.Name(), g.Region, err)
 			}
 		}
@@ -50,10 +42,7 @@ func TestLibraryPatternInvariantsQuick(t *testing.T) {
 		pat := pat
 		f := func(n, br, bc uint8) bool {
 			g := MatrixGeometry(Square(int(n%24)+1), Size{int(br%6) + 1, int(bc%6) + 1})
-			return ValidateAcyclic(pat, g) == nil &&
-				ValidateTopology(pat, g) == nil &&
-				ValidateCellOrder(pat, g) == nil &&
-				ValidateDataRegion(pat, g) == nil
+			return Validate(pat, g) == nil
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Errorf("%s: %v", pat.Name(), err)
@@ -110,10 +99,7 @@ func TestTriangularNonSquareBlocks(t *testing.T) {
 	// Rectangular blocks straddle the diagonal irregularly; invariants
 	// must still hold.
 	g := MatrixGeometry(Square(20), Size{3, 5})
-	if err := ValidateAcyclic(Triangular{}, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateTopology(Triangular{}, g); err != nil {
+	if err := Validate(Triangular{}, g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,17 +110,19 @@ func TestTriangularCellOrderRespectsDeps(t *testing.T) {
 	r := Rect{2, 2, 5, 5}
 	seen := make(map[[2]int]int)
 	step := 0
-	Triangular{}.CellOrder(r, func(i, j int) {
-		for _, d := range [][2]int{{i + 1, j}, {i, j - 1}, {i + 1, j - 1}} {
-			di, dj := d[0], d[1]
-			if r.Contains(di, dj) && di <= dj {
-				if _, ok := seen[[2]int{di, dj}]; !ok {
-					t.Fatalf("cell (%d,%d) visited before its dependency (%d,%d)", i, j, di, dj)
+	Triangular{}.RowOrder(r, func(i, j0, j1 int) {
+		for j := j0; j < j1; j++ {
+			for _, d := range [][2]int{{i + 1, j}, {i, j - 1}, {i + 1, j - 1}} {
+				di, dj := d[0], d[1]
+				if r.Contains(di, dj) && di <= dj {
+					if _, ok := seen[[2]int{di, dj}]; !ok {
+						t.Fatalf("cell (%d,%d) visited before its dependency (%d,%d)", i, j, di, dj)
+					}
 				}
 			}
+			seen[[2]int{i, j}] = step
+			step++
 		}
-		seen[[2]int{i, j}] = step
-		step++
 	})
 	if len(seen) == 0 {
 		t.Fatal("no cells visited")
@@ -249,19 +237,19 @@ func TestCustomPatternDefaults(t *testing.T) {
 	if got := c.Precursors(g, Pos{1, 1}, nil); len(got) != 0 {
 		t.Errorf("default Precursors = %v, want empty", got)
 	}
-	n := 0
-	c.CellOrder(Rect{0, 0, 2, 3}, func(i, j int) { n++ })
-	if n != 6 {
-		t.Errorf("default CellOrder visited %d cells, want 6", n)
+	var segs [][3]int
+	c.RowOrder(Rect{0, 0, 2, 3}, func(i, j0, j1 int) { segs = append(segs, [3]int{i, j0, j1}) })
+	if want := [][3]int{{0, 0, 3}, {1, 0, 3}}; !reflect.DeepEqual(segs, want) {
+		t.Errorf("default RowOrder visited %v, want the whole rows %v", segs, want)
 	}
-	if err := ValidateAcyclic(c, g); err != nil {
+	if _, err := topoOrder(Build(c, g)); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestCustomPatternBadTopologyDetected(t *testing.T) {
 	// A pattern whose data deps are NOT covered by precursors must be
-	// rejected by ValidateTopology.
+	// rejected by Validate.
 	bad := Custom{
 		PatternName: "test-bad",
 		PrecursorsFunc: func(g Geometry, p Pos, buf []Pos) []Pos {
@@ -278,8 +266,8 @@ func TestCustomPatternBadTopologyDetected(t *testing.T) {
 		},
 	}
 	g := MatrixGeometry(Square(4), Square(2))
-	if err := ValidateTopology(bad, g); err == nil {
-		t.Error("ValidateTopology accepted a pattern with uncovered data deps")
+	if err := Validate(bad, g); err == nil || !strings.Contains(err.Error(), "not a topological ancestor") {
+		t.Errorf("Validate answered %v for a pattern with uncovered data deps", err)
 	}
 }
 
@@ -329,13 +317,7 @@ func TestLibraryPatternDataDepsUnique(t *testing.T) {
 
 func TestPrevRowInvariants(t *testing.T) {
 	g := MatrixGeometry(Size{10, 20}, Size{1, 4})
-	if err := ValidateAcyclic(PrevRow{}, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateTopology(PrevRow{}, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateCellOrder(PrevRow{}, g); err != nil {
+	if err := Validate(PrevRow{}, g); err != nil {
 		t.Fatal(err)
 	}
 	// Multi-row, multi-column blocks must be rejected loudly.
@@ -344,7 +326,7 @@ func TestPrevRowInvariants(t *testing.T) {
 	})
 	// A single block column is fine even with multi-row blocks.
 	g2 := MatrixGeometry(Size{10, 4}, Size{2, 4})
-	if err := ValidateTopology(PrevRow{}, g2); err != nil {
+	if err := Validate(PrevRow{}, g2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -356,16 +338,7 @@ func TestBandedInvariants(t *testing.T) {
 			MatrixGeometry(Square(20), Square(4)),
 			MatrixGeometry(Size{15, 25}, Size{4, 3}),
 		} {
-			if err := ValidateAcyclic(pat, g); err != nil {
-				t.Errorf("w=%d: %v", w, err)
-			}
-			if err := ValidateTopology(pat, g); err != nil {
-				t.Errorf("w=%d: %v", w, err)
-			}
-			if err := ValidateCellOrder(pat, g); err != nil {
-				t.Errorf("w=%d: %v", w, err)
-			}
-			if err := ValidateDataRegion(pat, g); err != nil {
+			if err := Validate(pat, g); err != nil {
 				t.Errorf("w=%d: %v", w, err)
 			}
 		}
@@ -443,67 +416,57 @@ func TestDeclaredShapesHold(t *testing.T) {
 // Pattern methods and no other.
 type undeclared struct{ Pattern }
 
-// plantedRows is a wavefront whose declared RowOrder is whatever the test
-// plants.
+// plantedRows is a pattern whose RowOrder is whatever the test plants.
 type plantedRows struct {
-	Wavefront
+	Pattern
 	rows func(r Rect, visit func(i, j0, j1 int))
 }
 
 func (p plantedRows) RowOrder(r Rect, visit func(i, j0, j1 int)) { p.rows(r, visit) }
 
-// RowOrder is CellOrder in segments: a pattern with no RowOrder of its own
-// is coalesced from its cell visits, whatever their order, and a declared
-// RowOrder that skips, repeats or reorders a cell is refused.
-func TestRowOrderExpandsToCellOrder(t *testing.T) {
+// A row order may visit a block's cells in any segments and any order, as a
+// Custom's own or its default over holes does; an order whose segment is
+// empty, reversed, outside the block, over a hole or over a cell visited
+// before, or that skips a computed cell, is refused.
+func TestRowOrderCheck(t *testing.T) {
 	g := MatrixGeometry(Size{9, 17}, Size{4, 3})
-	// Columns right to left, each top down: no two visits continue a row.
-	colMajor := Custom{PatternName: "colmajor", CellOrderFunc: func(r Rect, visit func(i, j int)) {
-		for j := r.Col0 + r.Cols - 1; j >= r.Col0; j-- {
+	// Columns left to right, each top down, one cell a segment.
+	colMajor := Custom{PatternName: "colmajor", RowOrderFunc: func(r Rect, visit func(i, j0, j1 int)) {
+		for j := r.Col0; j < r.Col0+r.Cols; j++ {
 			for i := r.Row0; i < r.Row0+r.Rows; i++ {
-				visit(i, j)
+				visit(i, j, j+1)
 			}
 		}
 	}}
-	// Row-major over a checkerboard of holes, by Custom's default order.
 	holes := Custom{PatternName: "checker", CellExistsFunc: func(i, j int) bool { return (i+j)%3 != 0 }}
 	for _, pat := range []Pattern{colMajor, holes} {
-		if err := ValidateCellOrder(pat, g); err != nil {
+		if err := Validate(pat, g); err != nil {
 			t.Errorf("%s: %v", pat.Name(), err)
 		}
 	}
-	var segs [][3]int
-	collect := func(i, j0, j1 int) { segs = append(segs, [3]int{i, j0, j1}) }
-	RowOrder(colMajor, Rect{Row0: 2, Col0: 5, Rows: 2, Cols: 2}, collect)
-	if want := [][3]int{{2, 6, 7}, {3, 6, 7}, {2, 5, 6}, {3, 5, 6}}; !reflect.DeepEqual(segs, want) {
-		t.Errorf("column-major cells coalesced to %v, want %v", segs, want)
-	}
-	segs = nil
-	RowOrder(holes, Rect{Row0: 1, Col0: 0, Rows: 2, Cols: 6}, collect)
-	if want := [][3]int{{1, 0, 2}, {1, 3, 5}, {2, 0, 1}, {2, 2, 4}, {2, 5, 6}}; !reflect.DeepEqual(segs, want) {
-		t.Errorf("holes cut the rows into %v, want %v", segs, want)
-	}
 
-	planted := map[string]func(r Rect, visit func(i, j0, j1 int)){
-		"skips a cell": func(r Rect, visit func(i, j0, j1 int)) {
-			rowMajor(r, func(i, j0, j1 int) { visit(i, j0, j1-1) })
-		},
-		"repeats a cell": func(r Rect, visit func(i, j0, j1 int)) {
-			rowMajor(r, func(i, j0, j1 int) { visit(i, j0, j0+1); visit(i, j0, j1) })
-		},
-		"reorders the rows": func(r Rect, visit func(i, j0, j1 int)) {
-			for i := r.Row0 + r.Rows - 1; i >= r.Row0; i-- {
-				visit(i, r.Col0, r.Col0+r.Cols)
-			}
-		},
-	}
-	for name, rows := range planted {
-		if err := ValidateCellOrder(plantedRows{rows: rows}, g); err == nil {
-			t.Errorf("a RowOrder that %s passed ValidateCellOrder", name)
+	eachRow := func(seg func(i, j0, j1 int, visit func(i, j0, j1 int))) func(r Rect, visit func(i, j0, j1 int)) {
+		return func(r Rect, visit func(i, j0, j1 int)) {
+			rowMajor(r, func(i, j0, j1 int) { seg(i, j0, j1, visit) })
 		}
 	}
-	if err := ValidateCellOrder(plantedRows{rows: rowMajor}, g); err != nil {
-		t.Errorf("a RowOrder that is the cell order was refused: %v", err)
+	for _, c := range []struct {
+		want string
+		pat  plantedRows
+	}{
+		{"empty or reversed", plantedRows{Wavefront{}, eachRow(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j1); visit(i, j1, j0) })}},
+		{"empty or reversed", plantedRows{Wavefront{}, eachRow(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j0); visit(i, j0, j1) })}},
+		{"leaves the block", plantedRows{Wavefront{}, eachRow(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j1+1) })}},
+		{"covers the hole", plantedRows{Triangular{}, rowMajor}},
+		{"repeats the cell", plantedRows{Wavefront{}, eachRow(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j0+1); visit(i, j0, j1) })}},
+		{"skips the cell", plantedRows{Wavefront{}, eachRow(func(i, j0, j1 int, visit func(i, j0, j1 int)) { visit(i, j0, j1-1) })}},
+	} {
+		if err := checkRowOrder(Build(c.pat, g)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("a row order planted to be refused as %q was answered %v", c.want, err)
+		}
+	}
+	if err := checkRowOrder(Build(plantedRows{Wavefront{}, rowMajor}, g)); err != nil {
+		t.Errorf("the wavefront's own row order was refused: %v", err)
 	}
 }
 
@@ -539,7 +502,7 @@ func TestDataRegion(t *testing.T) {
 		t.Errorf("rowcolumn declares no region but reads %v of a block covering %v", got, want)
 	}
 	for _, cols := range []int{1, 3, 17} { // one-column blocks, one-row blocks, one block a row
-		if err := ValidateDataRegion(Wavefront{}, MatrixGeometry(Size{9, 17}, Size{1, cols})); err != nil {
+		if err := checkDataRegion(Build(Wavefront{}, MatrixGeometry(Size{9, 17}, Size{1, cols}))); err != nil {
 			t.Error(err)
 		}
 	}
@@ -558,8 +521,32 @@ func TestDataRegion(t *testing.T) {
 		"lies in the block itself": func(g Geometry, p, q Pos) Rect { return g.Rect(p) },
 	}
 	for name, region := range planted {
-		if err := ValidateDataRegion(plantedRegion{region: region}, g); err == nil {
-			t.Errorf("a DataRegion that %s passed ValidateDataRegion", name)
+		if err := checkDataRegion(Build(plantedRegion{region: region}, g)); err == nil {
+			t.Errorf("a DataRegion that %s passed checkDataRegion", name)
 		}
+	}
+}
+
+func TestWriteDOT(t *testing.T) {
+	var sb strings.Builder
+	g := MatrixGeometry(Square(6), Square(3))
+	if err := WriteDOT(&sb, Triangular{}, g); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"digraph", "b0_0", "b0_1 -> b0_1", "}"} {
+		if want == "b0_1 -> b0_1" {
+			continue // no self edges expected; checked below
+		}
+		if !strings.Contains(out, want) {
+			t.Fatalf("DOT missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "b0_0 -> b0_0") {
+		t.Fatal("self edge emitted")
+	}
+	// Triangular 2x2 grid: 3 blocks, diagonal roots feed (0,1).
+	if !strings.Contains(out, "b0_0 -> b0_1") || !strings.Contains(out, "b1_1 -> b0_1") {
+		t.Fatalf("expected diagonal->corner edges:\n%s", out)
 	}
 }

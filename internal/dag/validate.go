@@ -3,59 +3,34 @@ package dag
 import (
 	"fmt"
 	"io"
-	"slices"
 )
 
-// ValidateTopology checks the model invariant on a concrete geometry:
-// every data dependency of every block must be reachable from the block
-// through topological precursor edges, so that when a block becomes
-// computable all blocks it reads from are complete. Custom patterns should
-// be validated with this before use.
-func ValidateTopology(pat Pattern, g Geometry) error {
-	gr := Build(pat, g)
-	// reach[v] = set of ancestor ids of v, built in topological order.
-	order, err := topoOrder(gr)
-	if err != nil {
-		return err
-	}
-	anc := make([]map[int32]bool, len(gr.Verts))
-	var preBuf []Pos
-	for _, id := range order {
-		v := gr.Vertex(id)
-		set := make(map[int32]bool)
-		preBuf = pat.Precursors(g, v.Pos, preBuf[:0])
-		for _, q := range preBuf {
-			qid := g.ID(q)
-			set[qid] = true
-			for a := range anc[qid] {
-				set[a] = true
-			}
-		}
-		anc[id] = set
-		for _, d := range v.DataPre {
-			if d != id && !set[d] {
-				return fmt.Errorf("dag: pattern %s: data dependency %v of block %v is not a topological ancestor",
-					pat.Name(), g.PosOf(d), v.Pos)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateAcyclic checks that the block DAG of pat over g has no cycles
-// and that every existing vertex is reachable from the roots (i.e. the
-// parsing process terminates with all vertices removed).
-func ValidateAcyclic(pat Pattern, g Geometry) error {
+// Validate checks the model invariants of pat on a concrete geometry g,
+// which a custom pattern should pass in its user's tests before it runs:
+//
+//   - the block DAG is acyclic with every existing block reachable from the
+//     roots, so the parsing process ends with every vertex removed;
+//   - every data dependency of a block is a topological ancestor of it, so
+//     a block that becomes computable finds every block it reads complete;
+//   - the row order of every block covers its computed cells, each once, in
+//     segments that are neither empty nor reversed and stay in the block;
+//   - every declared data region is non-empty and inside its dependency.
+//
+// It returns the first violation it finds. The graph and its topological
+// order are built once for all the checks.
+func Validate(pat Pattern, g Geometry) error {
 	gr := Build(pat, g)
 	order, err := topoOrder(gr)
 	if err != nil {
 		return err
 	}
-	if len(order) != gr.N {
-		return fmt.Errorf("dag: pattern %s: %d of %d vertices unreachable from roots (cycle or dangling precursor)",
-			pat.Name(), gr.N-len(order), gr.N)
+	if err := checkTopology(gr, order); err != nil {
+		return err
 	}
-	return nil
+	if err := checkRowOrder(gr); err != nil {
+		return err
+	}
+	return checkDataRegion(gr)
 }
 
 // topoOrder returns a topological order of the existing vertices via
@@ -79,76 +54,94 @@ func topoOrder(gr *Graph) ([]int32, error) {
 		}
 	}
 	if len(order) != gr.N {
-		return order, fmt.Errorf("dag: graph of %s has a cycle", gr.Pattern.Name())
+		return order, fmt.Errorf("dag: pattern %s: %d of %d vertices unreachable from the roots (a cycle)",
+			gr.Pattern.Name(), gr.N-len(order), gr.N)
 	}
 	return order, nil
 }
 
-// ValidateCellOrder checks that CellOrder visits exactly the existing
-// cells of every block of g exactly once, and that RowOrder — the pattern's
-// own, when it declares one — expands to the same cells in the same order:
-// the thread level computes by RowOrder what the pattern promised by
-// CellOrder.
-func ValidateCellOrder(pat Pattern, g Geometry) error {
-	for r := 0; r < g.Grid.Rows; r++ {
-		for c := 0; c < g.Grid.Cols; c++ {
-			p := Pos{Row: r, Col: c}
-			if !pat.BlockExists(g, p) {
-				continue
+// checkTopology checks that every data dependency of every block is a
+// topological ancestor of it. Row v of anc is the bitset of vertex v's
+// ancestors, filled along order.
+func checkTopology(gr *Graph, order []int32) error {
+	words := (len(gr.Verts) + 63) / 64
+	anc := make([]uint64, len(gr.Verts)*words)
+	for _, id := range order {
+		v, row := gr.Vertex(id), anc[int(id)*words:][:words]
+		for _, d := range v.DataPre {
+			if d != id && row[d/64]&(1<<(d%64)) == 0 {
+				return fmt.Errorf("dag: pattern %s: data dependency %v of block %v is not a topological ancestor",
+					gr.Pattern.Name(), gr.Geom.PosOf(d), v.Pos)
 			}
-			rect := g.Rect(p)
-			var cells, rows [][2]int
-			seen := make(map[[2]int]int)
-			pat.CellOrder(rect, func(i, j int) {
-				cells = append(cells, [2]int{i, j})
-				seen[[2]int{i, j}]++
-			})
-			for i := rect.Row0; i < rect.Row0+rect.Rows; i++ {
-				for j := rect.Col0; j < rect.Col0+rect.Cols; j++ {
-					want := 0
-					if pat.CellExists(i, j) {
-						want = 1
-					}
-					if seen[[2]int{i, j}] != want {
-						return fmt.Errorf("dag: pattern %s block %v: cell (%d,%d) visited %d times, want %d",
-							pat.Name(), p, i, j, seen[[2]int{i, j}], want)
-					}
-				}
+		}
+		for _, s := range v.Post {
+			succ := anc[int(s)*words:][:words]
+			for w, bits := range row {
+				succ[w] |= bits
 			}
-			RowOrder(pat, rect, func(i, j0, j1 int) {
-				for j := j0; j < j1; j++ {
-					rows = append(rows, [2]int{i, j})
-				}
-			})
-			if !slices.Equal(rows, cells) {
-				k := 0
-				for k < len(rows) && k < len(cells) && rows[k] == cells[k] {
-					k++
-				}
-				return fmt.Errorf("dag: pattern %s block %v: RowOrder expands to %d cells, CellOrder visits %d, and they part at visit %d",
-					pat.Name(), p, len(rows), len(cells), k)
-			}
+			succ[id/64] |= 1 << (id % 64)
 		}
 	}
 	return nil
 }
 
-// ValidateDataRegion checks what pat declares of the data-communication
-// level below whole blocks: for every block of g and every data dependency q
-// of it, DataRegion is non-empty and inside q's own region. A pattern that
-// declares none passes: its regions are the blocks. That the recurrence
-// reads nothing outside a region is not checked here; matrix.View panics on
-// such a read.
-func ValidateDataRegion(pat Pattern, g Geometry) error {
-	gr := Build(pat, g)
+// checkRowOrder checks the row order of every existing block: each segment
+// is non-empty, inside the block, and covers computed cells it is the first
+// to visit, and the segments together cover every computed cell of the
+// block. A segment that breaks this would have the thread level write
+// outside the block's storage, or compute a cell twice or never.
+func checkRowOrder(gr *Graph) error {
+	pat := gr.Pattern
+	for _, id := range gr.Existing() {
+		p, r := gr.Verts[id].Pos, gr.Geom.Rect(gr.Verts[id].Pos)
+		seen := make([]bool, r.Cells())
+		var bad string
+		pat.RowOrder(r, func(i, j0, j1 int) {
+			switch seg := (Rect{Row0: i, Col0: j0, Rows: 1, Cols: j1 - j0}); {
+			case bad != "":
+			case seg.Empty():
+				bad = fmt.Sprintf("segment (%d, %d..%d) is empty or reversed", i, j0, j1)
+			case !r.Covers(seg):
+				bad = fmt.Sprintf("segment (%d, %d..%d) leaves the block", i, j0, j1)
+			}
+			for j := j0; j < j1 && bad == ""; j++ {
+				k := (i-r.Row0)*r.Cols + j - r.Col0
+				if !pat.CellExists(i, j) {
+					bad = fmt.Sprintf("segment (%d, %d..%d) covers the hole (%d,%d)", i, j0, j1, i, j)
+				} else if seen[k] {
+					bad = fmt.Sprintf("segment (%d, %d..%d) repeats the cell (%d,%d)", i, j0, j1, i, j)
+				}
+				seen[k] = true
+			}
+		})
+		for k := 0; k < len(seen) && bad == ""; k++ {
+			if i, j := r.Row0+k/r.Cols, r.Col0+k%r.Cols; !seen[k] && pat.CellExists(i, j) {
+				bad = fmt.Sprintf("skips the cell (%d,%d)", i, j)
+			}
+		}
+		if bad != "" {
+			return fmt.Errorf("dag: pattern %s block %v %v: row order %s", pat.Name(), p, r, bad)
+		}
+	}
+	return nil
+}
+
+// checkDataRegion checks what the pattern declares of the
+// data-communication level below whole blocks: for every block and every
+// data dependency q of it, DataRegion is non-empty and inside q's own
+// region. A pattern that declares none passes: its regions are the blocks.
+// That the recurrence reads nothing outside a region is not checked here;
+// matrix.View panics on such a read.
+func checkDataRegion(gr *Graph) error {
+	g := gr.Geom
 	for _, id := range gr.Existing() {
 		v := gr.Vertex(id)
 		for _, d := range v.DataPre {
 			q := g.PosOf(d)
-			r, in := DataRegion(pat, g, v.Pos, q), g.Rect(q)
+			r, in := DataRegion(gr.Pattern, g, v.Pos, q), g.Rect(q)
 			if !in.Covers(r) {
 				return fmt.Errorf("dag: pattern %s: data region %v of block %v is empty or outside its dependency %v %v",
-					pat.Name(), r, v.Pos, q, in)
+					gr.Pattern.Name(), r, v.Pos, q, in)
 			}
 		}
 	}

@@ -256,7 +256,7 @@ type cutRows struct {
 }
 
 func (c cutRows) RowOrder(r dag.Rect, visit func(i, j0, j1 int)) {
-	dag.RowOrder(c.Pattern, r, func(i, j0, j1 int) {
+	c.Pattern.RowOrder(r, func(i, j0, j1 int) {
 		for j0 < j1 {
 			cut := j0 + 1 + c.rng.Intn(j1-j0)
 			visit(i, j0, cut)
@@ -340,8 +340,8 @@ func (noCorner) DataRegion(g dag.Geometry, p, q dag.Pos) dag.Rect {
 func TestReadOutsideDeclaredRegionPanics(t *testing.T) {
 	a := RandomDNA(8, 1)
 	e := NewEditDistance(a, a)
-	if err := dag.ValidateDataRegion(noCorner{}, dag.MatrixGeometry(e.Size(), dag.Square(4))); err == nil {
-		t.Error("the empty region passed ValidateDataRegion")
+	if err := dag.Validate(noCorner{}, dag.MatrixGeometry(e.Size(), dag.Square(4))); err == nil {
+		t.Error("the empty region passed dag.Validate")
 	}
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "read of cell (3,3) outside the sub-task data region") {

@@ -242,7 +242,7 @@ func (v *View[T]) SetOutput(out *Block[T]) {
 // block now covers r, which must have no more cells than the block the
 // view was built with; only an r that may hold a hole is zeroed — a hole's
 // zero must reach the task's block when the scratch is copied there; the
-// pattern's row order (dag.RowOrder) writes every cell of a hole-free r, so
+// pattern's row order (Pattern.RowOrder) writes every cell of a hole-free r, so
 // its stale cells are all overwritten.
 func (v *View[T]) Retarget(r dag.Rect) {
 	if v.win = r; v.inPlace {

@@ -304,7 +304,7 @@ func TestRetargetZeroesHoles(t *testing.T) {
 			out.Cells[k] = stale // what the previous sub-task left
 		}
 		v.Retarget(r)
-		dag.RowOrder(pat, r, func(i, j0, j1 int) {
+		pat.RowOrder(r, func(i, j0, j1 int) {
 			for j := j0; j < j1; j++ {
 				v.Set(i, j, 1)
 			}

@@ -138,6 +138,10 @@ go test -race -count=1 -run 'TestWorkerHashesNothingItComputed|TestWorkerChecksA
 # that forks two worker processes into a fleet over loopback TCP, and exits
 # non-zero unless their score is the sequential reference's.
 go run ./examples/distributed
+# And the one run of a user-defined (Custom) pattern through the public API:
+# validated by easyhps.ValidatePattern, then computed on the in-process
+# cluster, it exits non-zero unless it matches its sequential reference.
+go run ./examples/customdag
 
 # Coverage ratchet for the task hot path (dispatch, wire codec, runtime).
 # The minimums sit just under the measured numbers at the time each was
@@ -174,6 +178,9 @@ check_cover internal/client 80
 check_cover internal/server 90
 # The CLIs' shared half: the kernel table's reports.
 check_cover internal/cli 90
+# The DAG Pattern Model: the library patterns, the parser and dag.Validate
+# with the planted patterns it must refuse.
+check_cover internal/dag 94
 check_cover internal/sim 80
 check_cover internal/tune 80
 # The analyzer itself: the fixture suites for every rule keep the
@@ -214,6 +221,10 @@ check_lines 1184 internal/matrix
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
 check_lines 2216 internal/lint
+# The DAG Pattern Model states a block's cell order once (Pattern.RowOrder)
+# and checks a pattern with one validator (dag.Validate); a second order or
+# check must not arrive unnoticed.
+check_lines 1244 internal/dag
 
 # And what keeps it a state machine: the engine may be driven from a
 # socket, an event loop or a test, so it imports none of its drivers, no
@@ -419,6 +430,21 @@ if [ -n "$tiers" ]; then
     exit 1
 fi
 echo "calls: no job tier named, no clock in internal/cas"
+
+# And a pattern states its cell order once: Pattern.RowOrder is the one
+# order method, which the thread level and the simulator's cost model call
+# directly, and dag.Validate the one check of a pattern. So no non-test Go
+# names the deleted per-cell order, its expansion, the cell-level deriver
+# or the four separate checks, or declares or calls a free dag.RowOrder. A
+# second order or validator must not arrive unnoticed.
+orders=$(grep -rnE --include='*.go' 'CellOrder|cellsOf|FromCellDeps|DeriveValidate|Validate(Acyclic|Topology|DataRegion)|dag\.RowOrder\(|^func RowOrder\(' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$orders" ]; then
+    echo "calls: a pattern's cell order is its RowOrder, and dag.Validate its one check:" >&2
+    echo "$orders" >&2
+    exit 1
+fi
+echo "calls: no CellOrder, cell-level deriver, separate pattern check or free dag.RowOrder"
 
 # And the transport has one encoding: hello, welcome and every message
 # kind are frames of internal/comm/wire.go, so nothing under internal/comm
