@@ -44,11 +44,11 @@ type Kernel[T any] interface {
 // own storage in the sub-task's output block; it writes nothing else and
 // reads everything else through the view, exactly as Cell may. The
 // pattern's row order (Pattern.RowOrder) guarantees that what the segment
-// depends on — the rows before it, the cells to its left — is computed. A
-// kernel with O(1) work per cell gains most: the call and the view's block
-// lookups are paid once per segment. It derives Cell from Row (a segment
-// of one), so that there is still one recurrence; Cell stays required, the
-// contract a kernel is checked against and all a simple kernel writes.
+// depends on — the rows before it, the cells to its left — is computed. The
+// call and view lookups are paid once per segment, and a scan of O(n) cells
+// per cell sweeps each source row across the segment. It derives Cell from
+// Row (a segment of one): one recurrence. Cell stays required, the contract
+// a kernel is checked against and all a simple kernel writes.
 type RowKernel[T any] interface {
 	Row(v *matrix.View[T], i, j0 int, out []T)
 }

@@ -2,7 +2,11 @@ package dp
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,8 +46,14 @@ func codecFor[T any]() matrix.Codec[T] {
 // core.TaskRunner.Run at one thread — which joins the shipped bands into
 // strips and computes every sub-block in place with core.SubBlockFill.
 func fillBlocked[T any](k core.Kernel[T], size, proc, thread dag.Size) *matrix.Store[T] {
+	return fillThreads(k, size, proc, thread, 1)
+}
+
+// fillThreads is fillBlocked at the given number of compute threads: with
+// more than one, each computes its sub-blocks in a scratch block of its own.
+func fillThreads[T any](k core.Kernel[T], size, proc, thread dag.Size, threads int) *matrix.Store[T] {
 	p := core.Problem[T]{Name: "blocked", Size: size, Kernel: k, Codec: codecFor[T]()}
-	runner, err := core.NewTaskRunner(p, core.Config{Threads: 1, ProcPartition: proc, ThreadPartition: thread})
+	runner, err := core.NewTaskRunner(p, core.Config{Threads: threads, ProcPartition: proc, ThreadPartition: thread})
 	if err != nil {
 		panic(err)
 	}
@@ -187,9 +197,10 @@ func BenchmarkCellEditDistance(b *testing.B) {
 	benchCell(b, e, e.Size(), dag.Square(128), dag.Square(32), n*n, e.Sequential)
 }
 
-// A walk that meets cells the pattern does not compute hands them over one
-// at a time with the value Get answers, and the next run starts behind
-// them.
+// A walk that meets cells the pattern does not compute hands them over with
+// the value Get answers: rowRuns one at a time, the next run starting
+// behind them, and a rows walk the row segments that hold one cell by
+// cell, the segments of the rows after them as bands again.
 func TestRunWalksVisitHolesAsBoundaryReads(t *testing.T) {
 	const n = 6
 	pat := dag.Custom{PatternName: "checker", CellExistsFunc: func(i, j int) bool { return (i+j)%3 != 0 }}
@@ -206,24 +217,27 @@ func TestRunWalksVisitHolesAsBoundaryReads(t *testing.T) {
 			got = append(got, fmt.Sprint(2, j+t, c))
 		}
 	})
-	colRuns(v, 3, 0, n, func(i int, cells []int32, stride int) {
-		for x := 0; x < len(cells); x += stride {
-			got = append(got, fmt.Sprint(i+x/stride, 3, cells[x]))
+	for _, w := range []int{1, 3} {
+		walk := newRows(v, 2, w, n)
+		for r := 0; r < n; {
+			cells, stride, m := walk.band(r)
+			for x := 0; x < m; x++ {
+				for t, c := range cells[x*stride:][:w] {
+					got = append(got, fmt.Sprint(r+x, 2+t, c))
+				}
+			}
+			r += m
 		}
-	})
-	splitRuns(v, 1, 4, 0, n-2, 2, func(k int, row, col []int32, stride int) {
-		for t := range row {
-			got = append(got, fmt.Sprint(k+t, row[t], col[t*stride]))
-		}
-	})
+	}
 	for j := 0; j < n; j++ {
 		want = append(want, fmt.Sprint(2, j, v.Get(2, j)))
 	}
-	for i := 0; i < n; i++ {
-		want = append(want, fmt.Sprint(i, 3, v.Get(i, 3)))
-	}
-	for k := 0; k < n-2; k++ {
-		want = append(want, fmt.Sprint(k, v.Get(1, k), v.Get(k+2, 4)))
+	for _, w := range []int{1, 3} {
+		for r := 0; r < n; r++ {
+			for t := 0; t < w; t++ {
+				want = append(want, fmt.Sprint(r, 2+t, v.Get(r, 2+t)))
+			}
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("walks visited\n%v\nwant\n%v", got, want)
@@ -249,36 +263,48 @@ type under[T any] struct {
 func (u under[T]) Pattern() dag.Pattern { return u.pat }
 
 // cutRows is a pattern whose row order cuts every segment of the wrapped
-// pattern's at random columns.
+// pattern's at columns drawn from seed and the segment, so that compute
+// threads running it side by side cut alike.
 type cutRows struct {
 	dag.Pattern
-	rng *rand.Rand
+	seed uint64
 }
 
 func (c cutRows) RowOrder(r dag.Rect, visit func(i, j0, j1 int)) {
 	c.Pattern.RowOrder(r, func(i, j0, j1 int) {
 		for j0 < j1 {
-			cut := j0 + 1 + c.rng.Intn(j1-j0)
+			h := (c.seed ^ uint64(i)<<32 ^ uint64(j0)) * 0x9E3779B97F4A7C15
+			cut := j0 + 1 + int((h>>33)%uint64(j1-j0))
 			visit(i, j0, cut)
 			j0 = cut
 		}
 	})
 }
 
-// checkRows computes k's matrix by segments cut at random columns and by
-// one-cell segments behind the adapter, and holds both against want.
+// checkRows computes k's matrix by segments cut at random columns, in place
+// at one thread and in scratch blocks at two, and by one-cell segments
+// behind the adapter, and holds each against want.
 func checkRows[T any](t *testing.T, name string, k rowKernel[T], want [][]T, size, proc, thread dag.Size, rng *rand.Rand) {
 	t.Helper()
-	rows := fillBlocked[T](under[T]{k, cutRows{k.Pattern(), rng}}, size, proc, thread).Assemble()
-	cells := fillBlocked[T](hideRow[T]{k}, size, proc, thread).Assemble()
-	if r, c := reflect.DeepEqual(rows, want), reflect.DeepEqual(cells, want); !r || !c {
-		t.Errorf("%s %v proc %v thread %v: by segments equals Sequential(): %v, by cells: %v", name, size, proc, thread, r, c)
+	cut := under[T]{k, cutRows{k.Pattern(), rng.Uint64()}}
+	for _, run := range []struct {
+		how string
+		got [][]T
+	}{
+		{"by segments", fillBlocked[T](cut, size, proc, thread).Assemble()},
+		{"by segments at two threads", fillThreads[T](cut, size, proc, thread, 2).Assemble()},
+		{"by cells", fillBlocked[T](hideRow[T]{k}, size, proc, thread).Assemble()},
+	} {
+		if !reflect.DeepEqual(run.got, want) {
+			t.Errorf("%s %v proc %v thread %v: %s differs from Sequential()", name, size, proc, thread, run.how)
+		}
 	}
 }
 
-// Row, Cell and Sequential() are one recurrence: each ported kernel, on
-// random matrices cut into random blocks and sub-blocks, computes the same
-// cells by segments, by cells, and in the plain loop nest.
+// Row, Cell and Sequential() are one recurrence: each kernel with a Row —
+// the wavefront family's and the 2D/1D kernels' — on random matrices cut
+// into random blocks and sub-blocks, computes the same cells by segments, in
+// place and in scratch blocks, by cells, and in the plain loop nest.
 func TestRowMatchesCellMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 23)))
 	upTo := func(max int) dag.Size { return dag.Size{Rows: 1 + rng.Intn(max), Cols: 1 + rng.Intn(max)} }
@@ -295,6 +321,28 @@ func TestRowMatchesCellMatchesSequential(t *testing.T) {
 		checkRows[int32](t, "banded", be, be.Sequential(), size, proc, thread, rng)
 		gt := NewGotoh(a, b)
 		checkRows[GotohCell](t, "gotoh", gt, gt.Sequential(), size, proc, thread, rng)
+		s := NewSWGG(a, b)
+		checkRows[int32](t, "swgg", s, s.Sequential(), size, proc, thread, rng)
+		ks := NewKnapsack(size.Rows, size.Cols-1, rng.Int63())
+		checkRows[int32](t, "knapsack", ks, ks.Sequential(), size, proc, thread, rng)
+
+		// The triangular family on a square matrix.
+		sq, sqProc, sqThread := dag.Square(size.Rows), dag.Square(proc.Rows), dag.Square(thread.Cols)
+		for _, minLoop := range []int{0, 1, 3} {
+			nu := NewNussinov(RandomRNA(sq.Rows, rng.Int63()))
+			nu.MinLoop = minLoop
+			checkRows[int32](t, fmt.Sprint("nussinov minloop ", minLoop), nu, nu.Sequential(), sq, sqProc, sqThread, rng)
+		}
+		mc := NewMatrixChain(sq.Rows, 2, 30, rng.Int63())
+		checkRows[int64](t, "matrixchain", mc, mc.Sequential(), sq, sqProc, sqThread, rng)
+		bst := NewOptimalBST(sq.Rows, 50, rng.Int63())
+		checkRows[int64](t, "optimalbst", bst, bst.Sequential(), sq, sqProc, sqThread, rng)
+		cyk := NewCYK(RandomGrammar(12, 40, DNAAlphabet, rng.Int63()), RandomDNA(sq.Rows, rng.Int63()))
+		checkRows[uint64](t, "cyk", cyk, cyk.Sequential(), sq, sqProc, sqThread, rng)
+
+		// Viterbi reads the whole previous row: one-row blocks only.
+		vt := NewViterbi(size.Cols, 4, size.Rows, rng.Int63())
+		checkRows[float64](t, "viterbi", vt, vt.Sequential(), vt.Size(), dag.Size{Rows: 1, Cols: proc.Cols}, dag.Size{Rows: 1, Cols: thread.Cols}, rng)
 	}
 }
 
@@ -368,6 +416,94 @@ func TestSubBlockFillAllocsDoNotGrow(t *testing.T) {
 		short, tall := allocs(dag.Rect{Row0: row0, Col0: 16, Rows: 2, Cols: 8}), allocs(dag.Rect{Row0: row0, Col0: 16, Rows: 32, Cols: 32})
 		if short != tall || tall > 4 {
 			t.Errorf("row %d: a 2x8 fill allocates %v times, a 32x32 fill %v: want the same small constant", row0, short, tall)
+		}
+	}
+}
+
+// A sweep of a 2D/1D kernel allocates nothing: a one-thread fill of a
+// SWGG block and of a Nussinov block — off the diagonal, and on it where
+// the bands meet holes — allocates nothing at any block height, so
+// nothing per row segment.
+func TestRowSweepsAllocateNothing(t *testing.T) {
+	const n = 96
+	a := RandomDNA(n, 1)
+	shared := matrix.NewBlock[int32](dag.Rect{Rows: n, Cols: n})
+	for _, k := range []core.Kernel[int32]{NewSWGG(a, MutateSeq(a, DNAAlphabet, 0.2, 2)), NewNussinov(RandomRNA(n, 3))} {
+		fill := core.SubBlockFill(k)
+		for _, r := range []dag.Rect{
+			{Row0: 32, Col0: 64, Rows: 2, Cols: 16}, {Row0: 16, Col0: 64, Rows: 32, Cols: 32},
+			{Row0: 32, Col0: 32, Rows: 4, Cols: 32}, {Row0: 32, Col0: 32, Rows: 32, Cols: 32},
+		} {
+			v := matrix.NewView(matrix.NewBlock[int32](r), []*matrix.Block[int32]{shared}, k.Pattern(), dag.Square(n), k.Boundary)
+			if allocs := testing.AllocsPerRun(10, func() { fill(v) }); allocs != 0 {
+				t.Errorf("%T: a fill of %v allocates %v times, want none", k, r, allocs)
+			}
+		}
+	}
+}
+
+// rowsOf reports whether kernel k computes its row segments itself.
+func rowsOf[T any](k core.Kernel[T]) (dag.Pattern, bool) {
+	_, ok := k.(core.RowKernel[T])
+	return k.Pattern(), ok
+}
+
+// Every library kernel of a 2D/1D pattern has a Row: none reaches the
+// runtime behind core.SubBlockFill's per-cell adapter, whose closure call
+// and view lookups per cell a 2D/1D scan pays O(n) times over. The table
+// is held against the package's source, so a kernel added without an
+// entry fails too.
+func TestTwoDOneDKernelsHaveRows(t *testing.T) {
+	a := RandomDNA(8, 1)
+	kernels := map[string]func() (dag.Pattern, bool){
+		"SWGG":            func() (dag.Pattern, bool) { return rowsOf[int32](NewSWGG(a, a)) },
+		"Nussinov":        func() (dag.Pattern, bool) { return rowsOf[int32](NewNussinov(a)) },
+		"MatrixChain":     func() (dag.Pattern, bool) { return rowsOf[int64](NewMatrixChain(8, 2, 9, 1)) },
+		"OptimalBST":      func() (dag.Pattern, bool) { return rowsOf[int64](NewOptimalBST(8, 9, 1)) },
+		"CYK":             func() (dag.Pattern, bool) { return rowsOf[uint64](NewCYK(ParenGrammar(), a)) },
+		"Knapsack":        func() (dag.Pattern, bool) { return rowsOf[int32](NewKnapsack(8, 9, 1)) },
+		"Viterbi":         func() (dag.Pattern, bool) { return rowsOf[float64](NewViterbi(3, 2, 8, 1)) },
+		"Dominance43":     func() (dag.Pattern, bool) { return rowsOf[int32](NewDominance43(8, 1)) },
+		"EditDistance":    func() (dag.Pattern, bool) { return rowsOf[int32](NewEditDistance(a, a)) },
+		"LCS":             func() (dag.Pattern, bool) { return rowsOf[int32](NewLCS(a, a)) },
+		"NeedlemanWunsch": func() (dag.Pattern, bool) { return rowsOf[int32](NewNeedlemanWunsch(a, a)) },
+		"BandedEdit":      func() (dag.Pattern, bool) { return rowsOf[int32](NewBandedEdit(a, a, 2)) },
+		"Gotoh":           func() (dag.Pattern, bool) { return rowsOf[GotohCell](NewGotoh(a, a)) },
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "Pattern" {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			found++
+			if id, ok := recv.(*ast.Ident); !ok || kernels[id.Name] == nil {
+				t.Errorf("%s: kernel %v is not in the table", name, recv)
+			}
+		}
+	}
+	if found != len(kernels) {
+		t.Errorf("the source declares %d kernels, the table %d", found, len(kernels))
+	}
+	for name, k := range kernels {
+		if pat, rows := k(); pat.Class() == dag.Class2D1D && !rows {
+			t.Errorf("%s: a %s kernel (%s) without a Row runs behind the per-cell adapter", name, pat.Class(), pat.Name())
 		}
 	}
 }

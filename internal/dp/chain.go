@@ -43,23 +43,60 @@ func (m *MatrixChain) Pattern() dag.Pattern { return dag.Triangular{} }
 // triangle, so the value is irrelevant.
 func (m *MatrixChain) Boundary(i, j int) int64 { return 0 }
 
-// Cell implements core.Kernel.
-func (m *MatrixChain) Cell(v *matrix.View[int64], i, j int) int64 {
-	if i == j {
-		return 0
+// Row implements core.RowKernel, as Nussinov's does: the split points left
+// of the segment are swept a source row at a time across the whole
+// segment, then each finalized cell is offered to the cells after it. A
+// cell weighs the split points of Sequential(), and its products
+// Dims[i]*Dims[k+1]*Dims[j+1] are Sequential()'s.
+func (m *MatrixChain) Row(v *matrix.View[int64], i, j0 int, out []int64) {
+	j1 := j0 + len(out)
+	for t := range out {
+		out[t] = 1 << 62
 	}
-	best := int64(1) << 62
-	outer := m.Dims[i] * m.Dims[j+1]
-	splitRuns(v, i, j, i, j, 1, func(k int, row, col []int64, stride int) {
-		b := best
-		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
-			if c := row[t] + col[x] + outer*m.Dims[k+t+1]; c < b {
-				b = c
+	below := newRows(v, j0, len(out), j0+1)
+	var one [1]int64
+	for k := i; k < j0; {
+		left := rowRun(v, i, k, j0-k, &one)
+		for x := 0; x < len(left); {
+			cells, stride, n := below.band(k + x + 1)
+			n = min(n, len(left)-x)
+			m.splits(out, i, k+x, j0, left[x:x+n], cells, stride)
+			x += n
+		}
+		k += len(left)
+	}
+	for t := range out {
+		j := j0 + t
+		if j == i {
+			out[t] = 0
+		}
+		for c := j + 1; c < j1; {
+			run := rowRun(v, j+1, c, j1-c, &one)
+			m.splits(out[c-j0:c-j0+len(run)], i, j, c, out[t:t+1], run, 0)
+			c += len(run)
+		}
+	}
+}
+
+// splits offers cells (i, j0), (i, j0+1), ... of out each split point
+// k+x: left[x] + cells[x*stride+t] + Dims[i]*Dims[k+x+1]*Dims[j+1].
+func (m *MatrixChain) splits(out []int64, i, k, j0 int, left, cells []int64, stride int) {
+	right := m.Dims[j0+1:][:len(out)] // Dims[j+1] of the cells
+	for x, l := range left {
+		p := m.Dims[i] * m.Dims[k+x+1]
+		for t, h := range cells[x*stride:][:len(out)] {
+			if c := l + h + p*right[t]; c < out[t] {
+				out[t] = c
 			}
 		}
-		best = b
-	})
-	return best
+	}
+}
+
+// Cell implements core.Kernel: a row segment of one.
+func (m *MatrixChain) Cell(v *matrix.View[int64], i, j int) int64 {
+	var out [1]int64
+	m.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.
@@ -139,13 +176,31 @@ func (k *Knapsack) Boundary(i, j int) int32 {
 	return 0
 }
 
-// Cell implements core.Kernel.
-func (k *Knapsack) Cell(v *matrix.View[int32], i, w int) int32 {
-	best := v.Get(i-1, w)
-	if take := v.Get(i-1, w-k.Weights[i]) + k.Values[i]; take > best {
-		best = take
+// Row implements core.RowKernel: the row above is read by runs twice,
+// under the segment and Weights[i] columns to the left of it.
+func (k *Knapsack) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	j1, wt, val := j0+len(out), k.Weights[i], k.Values[i]
+	var one [1]int32
+	for j := j0; j < j1; {
+		j += copy(out[j-j0:], rowRun(v, i-1, j, j1-j, &one))
 	}
-	return best
+	for j := j0; j < j1; {
+		run := rowRun(v, i-1, j-wt, j1-j, &one)
+		o := out[j-j0:]
+		for t, x := range run {
+			if take := x + val; take > o[t] {
+				o[t] = take
+			}
+		}
+		j += len(run)
+	}
+}
+
+// Cell implements core.Kernel: a row segment of one.
+func (k *Knapsack) Cell(v *matrix.View[int32], i, w int) int32 {
+	var out [1]int32
+	k.Row(v, i, w, out[:])
+	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

@@ -100,29 +100,63 @@ func (c *CYK) Pattern() dag.Pattern { return dag.Triangular{} }
 // Boundary implements core.Kernel: nothing derives an empty span.
 func (c *CYK) Boundary(i, j int) uint64 { return 0 }
 
-// Cell implements core.Kernel.
-func (c *CYK) Cell(v *matrix.View[uint64], i, j int) uint64 {
-	if i == j {
-		return c.Grammar.Terminals[c.Input[i]]
-	}
-	var set uint64
-	rules := c.Grammar.Rules
-	splitRuns(v, i, j, i, j, 1, func(_ int, row, col []uint64, stride int) {
-		s := set
-		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
-			left, right := row[t], col[x]
-			if left == 0 || right == 0 {
-				continue
-			}
-			for _, r := range rules {
-				if left&(1<<r.B) != 0 && right&(1<<r.C) != 0 {
-					s |= 1 << r.A
+// Row implements core.RowKernel, as Nussinov's does: the split points left
+// of the segment are swept a source row at a time across the whole
+// segment, then each finalized cell is the split point of the cells after
+// it. A cell ors the productions of Sequential()'s split points.
+func (c *CYK) Row(v *matrix.View[uint64], i, j0 int, out []uint64) {
+	j1 := j0 + len(out)
+	clear(out)
+	below := newRows(v, j0, len(out), j0+1)
+	var one [1]uint64
+	for k := i; k < j0; {
+		left := rowRun(v, i, k, j0-k, &one)
+		for x := 0; x < len(left); {
+			cells, stride, m := below.band(k + x + 1)
+			m = min(m, len(left)-x)
+			for y, l := range left[x : x+m] {
+				if l != 0 {
+					c.derive(out, l, cells[y*stride:][:len(out)])
 				}
 			}
+			x += m
 		}
-		set = s
-	})
-	return set
+		k += len(left)
+	}
+	for t := range out {
+		j := j0 + t
+		if j == i {
+			out[t] = c.Grammar.Terminals[c.Input[i]]
+		}
+		for col := j + 1; col < j1 && out[t] != 0; {
+			run := rowRun(v, j+1, col, j1-col, &one)
+			c.derive(out[col-j0:], out[t], run)
+			col += len(run)
+		}
+	}
+}
+
+// derive ors into out[t] every A of a production A -> B C with B in left
+// and C in right[t].
+func (c *CYK) derive(out []uint64, left uint64, right []uint64) {
+	for _, r := range c.Grammar.Rules {
+		if left&(1<<r.B) == 0 {
+			continue
+		}
+		a := uint64(1) << r.A
+		for t, x := range right {
+			if x&(1<<r.C) != 0 {
+				out[t] |= a
+			}
+		}
+	}
+}
+
+// Cell implements core.Kernel: a row segment of one.
+func (c *CYK) Cell(v *matrix.View[uint64], i, j int) uint64 {
+	var out [1]uint64
+	c.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the parser for the runtime.

@@ -2,6 +2,7 @@ package dp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -78,30 +79,76 @@ func (nu *Nussinov) CellCost(i, j int) float64 {
 // the matrix) fold nothing.
 func (nu *Nussinov) Boundary(i, j int) int32 { return 0 }
 
-// Cell implements core.Kernel.
-func (nu *Nussinov) Cell(v *matrix.View[int32], i, j int) int32 {
-	if i == j {
-		return 0
+// Row implements core.RowKernel. F[i,i] and F[j,j] are 0, so the terms
+// F[i+1,j] and F[i,j-1] are the split points k = i and k = j-1 of
+// F[i,k] + F[k+1,j], and a cell weighs the pair term and the split points
+// i <= k < j: the candidates of Sequential(). The split points left of the
+// segment are swept a source row at a time across the whole segment — row
+// k+1 of the segment, offered F[i,k] — four to a pass. Then the cells are
+// finalized left to right, and each is offered, as a split point, to the
+// cells after it.
+func (nu *Nussinov) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	j1 := j0 + len(out)
+	for t := range out {
+		out[t] = math.MinInt32
 	}
-	best := v.Get(i+1, j)
-	if c := v.Get(i, j-1); c > best {
-		best = c
+	below := newRows(v, j0, len(out), j0+1)
+	var one [1]int32
+	for k := i; k < j0; {
+		left := rowRun(v, i, k, j0-k, &one)
+		for x := 0; x < len(left); {
+			cells, stride, m := below.band(k + x + 1)
+			m = min(m, len(left)-x)
+			maxPlus(out, left[x:x+m], cells, stride)
+			x += m
+		}
+		k += len(left)
 	}
-	if nu.CanPair(i, j) {
-		if c := v.Get(i+1, j-1) + 1; c > best {
-			best = c
+	for t := range out {
+		j := j0 + t
+		if j == i {
+			out[t] = 0
+		} else if nu.CanPair(i, j) {
+			out[t] = max(out[t], v.Get(i+1, j-1)+1)
+		}
+		for c := j + 1; c < j1; {
+			run := rowRun(v, j+1, c, j1-c, &one)
+			maxPlus(out[c-j0:c-j0+len(run)], out[t:t+1], run, 0)
+			c += len(run)
 		}
 	}
-	splitRuns(v, i, j, i+1, j, 1, func(_ int, row, col []int32, stride int) {
-		b := best
-		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
-			if c := row[t] + col[x]; c > b {
-				b = c
+}
+
+// maxPlus offers left[x] + cells[x*stride+t] to each out[t]: split point x
+// pairs a cell to the left with row x of a band. Four split points share a
+// pass over out.
+func maxPlus(out, left, cells []int32, stride int) {
+	w, x := len(out), 0
+	for ; x+4 <= len(left); x += 4 {
+		l := left[x : x+4]
+		h0, h1 := cells[x*stride:][:w], cells[(x+1)*stride:][:w]
+		h2, h3 := cells[(x+2)*stride:][:w], cells[(x+3)*stride:][:w]
+		for t := range out {
+			if c := max(l[0]+h0[t], l[1]+h1[t], l[2]+h2[t], l[3]+h3[t]); c > out[t] {
+				out[t] = c
 			}
 		}
-		best = b
-	})
-	return best
+	}
+	for ; x < len(left); x++ {
+		l := left[x]
+		for t, h := range cells[x*stride:][:w] {
+			if c := l + h; c > out[t] {
+				out[t] = c
+			}
+		}
+	}
+}
+
+// Cell implements core.Kernel: a row segment of one.
+func (nu *Nussinov) Cell(v *matrix.View[int32], i, j int) int32 {
+	var out [1]int32
+	nu.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the folder for the runtime.

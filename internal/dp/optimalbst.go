@@ -57,25 +57,82 @@ func (b *OptimalBST) Pattern() dag.Pattern { return dag.Triangular{} }
 // Boundary implements core.Kernel: empty key ranges cost nothing.
 func (b *OptimalBST) Boundary(i, j int) int64 { return 0 }
 
-// Cell implements core.Kernel.
-func (b *OptimalBST) Cell(v *matrix.View[int64], i, j int) int64 {
-	if i == j {
-		return b.P[i]
+// Row implements core.RowKernel. Root r pairs E[i,r-1] with E[r+1,j]: split
+// point k = r-1 pairs cell (i, k) with cell (k+2, j), for i-1 <= k < j,
+// where the empty ranges at both ends are holes of the pattern and read as
+// Boundary — the candidates of Sequential(). The split points whose row
+// k+2 lies whole under the segment are swept a source row at a time across
+// it; then E[i,j0-1], and each cell once it is final, is offered to the
+// cells after it.
+func (b *OptimalBST) Row(v *matrix.View[int64], i, j0 int, out []int64) {
+	for t := range out {
+		out[t] = 1 << 62
 	}
-	best := int64(1) << 62
-	// Root r pairs E[i,r-1] with E[r+1,j]: split point k = r-1, column
-	// walk two rows ahead. The empty ranges at both ends are holes of the
-	// pattern and read as Boundary.
-	splitRuns(v, i, j, i-1, j, 2, func(_ int, row, col []int64, stride int) {
-		m := best
-		for t, x := 0, 0; t < len(row); t, x = t+1, x+stride {
-			if c := row[t] + col[x]; c < m {
-				m = c
+	below := newRows(v, j0, len(out), j0+1)
+	var one [1]int64
+	for k := i - 1; k < j0-1; {
+		left := rowRun(v, i, k, j0-1-k, &one)
+		for x := 0; x < len(left); {
+			cells, stride, m := below.band(k + x + 2)
+			m = min(m, len(left)-x)
+			minPlus(out, left[x:x+m], cells, stride)
+			x += m
+		}
+		k += len(left)
+	}
+	one[0] = v.Get(i, j0-1)
+	b.offer(v, j0-1, one[:], out, j0)
+	for t := range out {
+		if j := j0 + t; j == i {
+			out[t] = b.P[i]
+		} else {
+			out[t] += b.weight(i, j)
+		}
+		b.offer(v, j0+t, out[t:t+1], out[t+1:], j0+t+1)
+	}
+}
+
+// offer pairs E[i,k] = left[0] with E[k+2,j] for the cells (i, j) of out,
+// which start at column j0 > k.
+func (b *OptimalBST) offer(v *matrix.View[int64], k int, left, out []int64, j0 int) {
+	var one [1]int64
+	for c := j0; c < j0+len(out); {
+		run := rowRun(v, k+2, c, j0+len(out)-c, &one)
+		minPlus(out[c-j0:c-j0+len(run)], left, run, 0)
+		c += len(run)
+	}
+}
+
+// minPlus offers left[x] + cells[x*stride+t] to each out[t]: split point x
+// pairs a cell to the left with row x of a band. Four split points share a
+// pass over out.
+func minPlus(out, left, cells []int64, stride int) {
+	w, x := len(out), 0
+	for ; x+4 <= len(left); x += 4 {
+		l := left[x : x+4]
+		h0, h1 := cells[x*stride:][:w], cells[(x+1)*stride:][:w]
+		h2, h3 := cells[(x+2)*stride:][:w], cells[(x+3)*stride:][:w]
+		for t := range out {
+			if c := min(l[0]+h0[t], l[1]+h1[t], l[2]+h2[t], l[3]+h3[t]); c < out[t] {
+				out[t] = c
 			}
 		}
-		best = m
-	})
-	return best + b.weight(i, j)
+	}
+	for ; x < len(left); x++ {
+		l := left[x]
+		for t, h := range cells[x*stride:][:w] {
+			if c := l + h; c < out[t] {
+				out[t] = c
+			}
+		}
+	}
+}
+
+// Cell implements core.Kernel: a row segment of one.
+func (b *OptimalBST) Cell(v *matrix.View[int64], i, j int) int64 {
+	var out [1]int64
+	b.Row(v, i, j, out[:])
+	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

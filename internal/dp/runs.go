@@ -2,81 +2,83 @@ package dp
 
 import "repro/internal/matrix"
 
-// The 2D/1D kernels scan O(n) cells per cell. These helpers walk such a
-// scan a run at a time (see matrix.View): the block holding the cells is
-// resolved once per run and the kernel's inner loop reads a raw slice. A
-// cell on the way that is not computed is visited as a run of one holding
-// what Get answers for it, so a walk visits, cell for cell, exactly the
-// values the per-cell reads would have returned. The slices alias live
-// blocks: visit may read the cells it is handed and nothing else, and only
-// until it returns.
+// The 2D/1D kernels scan O(n) cells per cell. These helpers hand such a scan
+// over a run or a band at a time (see matrix.View): the block holding the
+// cells is resolved once per run or band, and the kernel's inner loop reads
+// raw slices. A cell on the way that is not computed comes as a run of one
+// holding what Get answers for it, so a scan reads, cell for cell, exactly
+// the values the per-cell reads would have returned. The slices alias live
+// blocks: a kernel reads the cells it is handed and nothing else, and only
+// until it asks for the next run or band.
 
-// single returns x as a run of one in cell k of *spare, which a walk
-// allocates when it first meets an uncomputed cell and reuses after (a
-// literal per cell would escape through visit).
-func single[T any](spare *[]T, k int, x T) []T {
-	if *spare == nil {
-		*spare = make([]T, 2)
+// rowRun returns cells (i, j), (i, j+1), ... as a run of at most n >= 1
+// cells: the view's, or when cell (i, j) is not computed the one cell Get
+// answers there, in *one.
+func rowRun[T any](v *matrix.View[T], i, j, n int, one *[1]T) []T {
+	if cells := v.Row(i, j, n); cells != nil {
+		return cells
 	}
-	(*spare)[k] = x
-	return (*spare)[k : k+1 : k+1]
+	one[0] = v.Get(i, j)
+	return one[:]
 }
 
 // rowRuns visits cells (i, j0) .. (i, j1-1) left to right: visit(j, cells)
-// receives cell (i, j+t) as cells[t].
+// receives cell (i, j+t) as cells[t]. An uncomputed cell comes in a slice
+// allocated when the walk first meets one and reused after (a cell on the
+// stack would escape through visit).
 func rowRuns[T any](v *matrix.View[T], i, j0, j1 int, visit func(j int, cells []T)) {
 	var spare []T
 	for j := j0; j < j1; {
 		cells := v.Row(i, j, j1-j)
 		if cells == nil {
-			cells = single(&spare, 0, v.Get(i, j))
+			if spare == nil {
+				spare = make([]T, 1)
+			}
+			spare[0] = v.Get(i, j)
+			cells = spare
 		}
 		visit(j, cells)
 		j += len(cells)
 	}
 }
 
-// colRuns visits cells (i0, j) .. (i1-1, j) top down: visit(i, cells,
-// stride) receives cell (i+t, j) as cells[t*stride]; cells ends with the
-// last cell of the run.
-func colRuns[T any](v *matrix.View[T], j, i0, i1 int, visit func(i int, cells []T, stride int)) {
-	var spare []T
-	for i := i0; i < i1; {
-		cells, stride, m := v.Col(i, j, i1-i)
-		if m == 0 {
-			cells, stride, m = single(&spare, 0, v.Get(i, j)), 1, 1
-		}
-		visit(i, cells, stride)
-		i += m
-	}
+// rows walks a column of row segments, cells (r, j) .. (r, j+w-1) for rows
+// r from some first row down to end-1, a band (matrix.View.Band) at a time:
+// the walk asks the view once per block it crosses. A row no band starts at
+// — its segment leaves its block or holds a hole — is a band of one, read
+// cell by cell into a spare slice allocated the first time.
+type rows[T any] struct {
+	v            *matrix.View[T]
+	j, w, end    int
+	r0, r1       int // the band holds rows r0 .. r1-1
+	cells, spare []T
+	stride       int
 }
 
-// splitRuns walks the split points of a triangular 2D/1D recurrence in
-// lock step: for k = lo .. hi-1 it pairs cell (i, k), walking row i
-// rightwards, with cell (k+d, j), walking column j downwards. visit is
-// called once per stretch on which both walks stay inside their runs, with
-// cell (i, k+t) as row[t] and cell (k+t+d, j) as col[t*stride] for
-// t < len(row); only the walk whose run ended asks the view for another.
-func splitRuns[T any](v *matrix.View[T], i, j, lo, hi, d int, visit func(k int, row, col []T, stride int)) {
-	var row, col, spare []T
-	stride, below := 1, 0 // below: cells of the column run not yet visited
-	for k := lo; k < hi; {
-		if len(row) == 0 {
-			if row = v.Row(i, k, hi-k); row == nil {
-				row = single(&spare, 0, v.Get(i, k))
-			}
-		}
-		if below == 0 {
-			if col, stride, below = v.Col(k+d, j, hi-k); below == 0 {
-				col, stride, below = single(&spare, 1, v.Get(k+d, j)), 1, 1
-			}
-		}
-		n := min(len(row), below)
-		visit(k, row[:n], col, stride)
-		k += n
-		row = row[n:]
-		if below -= n; below > 0 {
-			col = col[n*stride:]
-		}
+func newRows[T any](v *matrix.View[T], j, w, end int) rows[T] {
+	return rows[T]{v: v, j: j, w: w, end: end}
+}
+
+// band returns the m rows r, r+1, ... that the band holding row r holds:
+// row r+x is cells[x*stride : x*stride+w]. Rows are asked for top down, and
+// the cells are valid until the next call.
+func (s *rows[T]) band(r int) (cells []T, stride, m int) {
+	if r >= s.r1 || r < s.r0 {
+		s.fetch(r)
 	}
+	return s.cells[(r-s.r0)*s.stride:], s.stride, s.r1 - r
+}
+
+func (s *rows[T]) fetch(r int) {
+	cells, stride, m := s.v.Band(r, s.j, s.w, s.end-r)
+	if m == 0 {
+		if s.spare == nil {
+			s.spare = make([]T, s.w)
+		}
+		for t := range s.spare {
+			s.spare[t] = s.v.Get(r, s.j+t)
+		}
+		cells, stride, m = s.spare, s.w, 1
+	}
+	s.cells, s.stride, s.r0, s.r1 = cells, stride, r, r+m
 }

@@ -79,20 +79,42 @@ func (v *Viterbi) Pattern() dag.Pattern { return dag.PrevRow{} }
 // reads outside resolve to -Inf-like.
 func (v *Viterbi) Boundary(i, j int) float64 { return math.Inf(-1) }
 
-// Cell implements core.Kernel.
-func (v *Viterbi) Cell(m *matrix.View[float64], t, s int) float64 {
+// Row implements core.RowKernel: the previous row is read by runs, and
+// each of its cells is offered to the whole segment along its row of
+// LogTrans.
+func (v *Viterbi) Row(m *matrix.View[float64], t, j0 int, out []float64) {
 	if t == 0 {
-		return v.LogInit[s] + v.LogEmit[s][v.Obs[0]]
+		for x := range out {
+			out[x] = v.LogInit[j0+x] + v.LogEmit[j0+x][v.Obs[0]]
+		}
+		return
 	}
-	best := math.Inf(-1)
-	rowRuns(m, t-1, 0, v.States(), func(sp int, prev []float64) {
-		for x, p := range prev {
-			if c := p + v.LogTrans[sp+x][s]; c > best {
-				best = c
+	for x := range out {
+		out[x] = math.Inf(-1)
+	}
+	var one [1]float64
+	for sp := 0; sp < v.States(); {
+		prev := rowRun(m, t-1, sp, v.States()-sp, &one)
+		for y, p := range prev {
+			trans := v.LogTrans[sp+y][j0 : j0+len(out)]
+			for x, tr := range trans {
+				if c := p + tr; c > out[x] {
+					out[x] = c
+				}
 			}
 		}
-	})
-	return best + v.LogEmit[s][v.Obs[t]]
+		sp += len(prev)
+	}
+	for x := range out {
+		out[x] += v.LogEmit[j0+x][v.Obs[t]]
+	}
+}
+
+// Cell implements core.Kernel: a row segment of one.
+func (v *Viterbi) Cell(m *matrix.View[float64], t, s int) float64 {
+	var out [1]float64
+	v.Row(m, t, s, out[:])
+	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

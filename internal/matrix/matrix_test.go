@@ -150,9 +150,9 @@ func TestViewOutsideRegionPanics(t *testing.T) {
 	out := NewBlock[int32](dag.Rect{Rows: 2, Cols: 2})
 	boundary := func(i, j int) int32 { return -9 }
 	reads := map[string]func(v *View[int32], i, j int){
-		"Get": func(v *View[int32], i, j int) { v.Get(i, j) },
-		"Row": func(v *View[int32], i, j int) { v.Row(i, j, 3) },
-		"Col": func(v *View[int32], i, j int) { v.Col(i, j, 3) },
+		"Get":  func(v *View[int32], i, j int) { v.Get(i, j) },
+		"Row":  func(v *View[int32], i, j int) { v.Row(i, j, 3) },
+		"Band": func(v *View[int32], i, j int) { v.Band(i, j, 2, 3) },
 	}
 	for _, pat := range []dag.Pattern{dag.Wavefront{}, dag.Triangular{}, dag.Custom{PatternName: "odd", CellExistsFunc: func(i, j int) bool { return (i+j)%2 == 0 }}} {
 		for name, read := range reads {

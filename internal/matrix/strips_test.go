@@ -103,7 +103,8 @@ func (c stripCase) views(s *Strips[int32]) (shipped, strips *View[int32]) {
 }
 
 // read is what a view answers at (i, j): Get, or the cells of a run of n
-// rightwards or down (nil: not computed), or the panic's diagnostic.
+// rightwards or down — a band of width one — (nil: not computed), or the
+// panic's diagnostic.
 func read(v *View[int32], i, j, n int, kind int) (got []int32, panicked string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -116,7 +117,7 @@ func read(v *View[int32], i, j, n int, kind int) (got []int32, panicked string) 
 	case 1:
 		return v.Row(i, j, n), ""
 	}
-	cells, stride, m := v.Col(i, j, n)
+	cells, stride, m := v.Band(i, j, 1, n)
 	for k := 0; k < m; k++ {
 		got = append(got, cells[k*stride])
 	}
@@ -126,8 +127,8 @@ func read(v *View[int32], i, j, n int, kind int) (got []int32, panicked string) 
 // For every library pattern's data regions over random geometries with
 // edge-clipped blocks — Triangular bands whose corners are diagonal blocks
 // with holes among them, and regions shipped beside their whole blocks — a
-// view over the strips, computing in place, answers every Get, Row and Col
-// in and around the matrix cell for cell as the view over the shipped
+// view over the strips, computing in place, answers every Get, Row and
+// column run (a Band of width one) in and around the matrix cell for cell as the view over the shipped
 // blocks with a scratch block does: the same cells, the same uncomputed
 // cells, the same diagnostic for a cell nobody shipped. Its runs may be
 // longer, never different.

@@ -34,13 +34,14 @@ import (
 //     cell nobody shipped means the pattern's DataDeps or DataRegion
 //     under-specify the data region, which the tests are designed to catch.
 //
-// Get reads one cell. Row and Col hand out a run — consecutive cells of one
-// row or column as a slice aliasing the block's storage — so a recurrence
-// that scans O(n) cells resolves a block once per run and loops over a raw
-// slice. A run contains exactly the cells Get would have read from that
-// block: it ends at the block's edge, where a scratch output block starts
-// to shadow an input, and before the first hole. Computed in place, a row
-// of the task's block is one run, and a strip makes its band one.
+// Get reads one cell. Row hands out a run — consecutive cells of one row
+// as a slice aliasing the block's storage — and Band the same segment of
+// consecutive rows, so a recurrence that scans O(n) cells resolves a block
+// once per run or band and loops over raw slices. Both contain exactly the
+// cells Get would have read from that block: they end at the block's edge,
+// where a scratch output block starts to shadow an input, and before the
+// first hole. Computed in place, a row of the task's block is one run, and
+// a strip makes its band one.
 //
 // View is not synchronized and runs alias live blocks: sibling sub-tasks
 // may still be writing other cells of the shared block. The DAG schedule
@@ -124,6 +125,21 @@ func (v *View[T]) Get(i, j int) T {
 	return b.At(i, j)
 }
 
+// at resolves cell (i, j) as Get does: to the block holding it and whether
+// that block may hold holes, or to nil when the cell is not computed.
+func (v *View[T]) at(i, j int) (*Block[T], bool) {
+	b, holes := v.out, v.outHoles
+	if !b.Rect.Contains(i, j) {
+		if b, holes = v.input(i, j); b == nil {
+			return nil, false
+		}
+	}
+	if holes && !v.pat.CellExists(i, j) {
+		return nil, false
+	}
+	return b, holes
+}
+
 // input returns the input block holding cell (i, j), which is not in the
 // output block, and whether the block may hold holes. When no block holds
 // the cell it must be a boundary read (nil): a computed cell inside the
@@ -149,78 +165,62 @@ func (v *View[T]) input(i, j int) (*Block[T], bool) {
 // returns nil when cell (i, j) is not computed (Get answers its boundary
 // value) and panics like Get when the cell was not shipped.
 func (v *View[T]) Row(i, j, n int) []T {
-	b, m := v.run(i, j, n, false)
-	if m == 0 {
+	if n < 1 {
 		return nil
 	}
+	b, holes := v.at(i, j)
+	if b == nil {
+		return nil
+	}
+	n = min(n, b.Rect.Col0+b.Rect.Cols-j)
+	// A scratch output block shadows the stale cells of the shared block
+	// beneath it: stop where it starts.
+	if o := v.out.Rect; b != v.out && i >= o.Row0 && i < o.Row0+o.Rows && j < o.Col0 {
+		n = min(n, o.Col0-j)
+	}
+	if holes {
+		n = v.before(n, func(t int) bool { return v.pat.CellExists(i, j+t) })
+	}
 	k := b.index(i, j)
-	return b.Cells[k : k+m : k+m]
+	return b.Cells[k : k+n : k+n]
 }
 
-// Col returns the m <= n cells (i, j), (i+1, j), ... as a strided slice:
-// cell (i+t, j) is cells[t*stride] for t < m, and cells ends with the last
-// of them. Otherwise as Row; m is 0 when cell (i, j) is not computed.
-func (v *View[T]) Col(i, j, n int) (cells []T, stride, m int) {
-	b, m := v.run(i, j, n, true)
-	if m == 0 {
+// Band returns m <= n rows of the w-cell segment starting at (i, j), all in
+// one block: row t is cells[t*stride : t*stride+w], and cells ends with the
+// last of them; a column run is the case w = 1. See View for where a band
+// ends. m is 0 when the first row's segment leaves its block or holds a
+// hole; Band panics like Get when cell (i, j) was not shipped.
+func (v *View[T]) Band(i, j, w, n int) (cells []T, stride, m int) {
+	if w < 1 || n < 1 {
+		return nil, 0, 0
+	}
+	b, holes := v.at(i, j)
+	if b == nil || j+w > b.Rect.Col0+b.Rect.Cols {
+		return nil, 0, 0
+	}
+	m = min(n, b.Rect.Row0+b.Rect.Rows-i)
+	if o := v.out.Rect; b != v.out && j < o.Col0+o.Cols && j+w > o.Col0 && i < o.Row0+o.Rows {
+		m = min(m, o.Row0-i) // shadowed from row o.Row0 on, as in Row
+	}
+	if holes && m > 0 { // rows before the first that holds a hole among its w cells
+		m = v.before(m, func(k int) bool { return v.before(w, func(t int) bool { return v.pat.CellExists(i+k, j+t) }) == w })
+	}
+	if m < 1 {
 		return nil, 0, 0
 	}
 	k := b.index(i, j)
-	end := k + (m-1)*b.Rect.Cols + 1
+	end := k + (m-1)*b.Rect.Cols + w
 	return b.Cells[k:end:end], b.Rect.Cols, m
 }
 
-// run resolves cell (i, j) the way Get does and returns the block it reads
-// from and the length of the run of at most n cells starting there,
-// rightwards or down: 0 when the cell is not computed.
-func (v *View[T]) run(i, j, n int, down bool) (*Block[T], int) {
-	if n < 1 {
-		return nil, 0
-	}
-	b, holes := v.out, v.outHoles
-	if !b.Rect.Contains(i, j) {
-		if b, holes = v.input(i, j); b == nil {
-			return nil, 0
-		}
-		// The output block shadows an input it overlaps (the scratch
-		// block of a sub-task lies inside the shared block of its
-		// processor-level task, which holds stale zeros there until the
-		// sub-task is accepted): stop where it starts.
-		o := v.out.Rect
-		if down {
-			if j >= o.Col0 && j < o.Col0+o.Cols && i < o.Row0 {
-				n = min(n, o.Row0-i)
-			}
-		} else if i >= o.Row0 && i < o.Row0+o.Rows && j < o.Col0 {
-			n = min(n, o.Col0-j)
-		}
-	}
-	if down {
-		n = min(n, b.Rect.Row0+b.Rect.Rows-i)
-	} else {
-		n = min(n, b.Rect.Col0+b.Rect.Cols-j)
-	}
-	if holes {
-		n = v.untilHole(i, j, n, down)
-	}
-	return b, n
-}
-
-// untilHole clips a run of n cells inside one block to the cells before
-// its first hole.
-func (v *View[T]) untilHole(i, j, n int, down bool) int {
-	di, dj := 0, 1
-	if down {
-		di, dj = 1, 0
-	}
-	if !v.pat.CellExists(i, j) {
-		return 0
-	}
-	if n == 1 || v.convex && v.pat.CellExists(i+di*(n-1), j+dj*(n-1)) {
+// before returns at how many steps 0 .. n-1 ok holds before it first fails;
+// under a Convex pattern, ok at the first and the last step holds between.
+func (v *View[T]) before(n int, ok func(k int) bool) int {
+	if v.convex && ok(0) && ok(n-1) {
 		return n
 	}
-	for k := 1; k < n; k++ {
-		if !v.pat.CellExists(i+di*k, j+dj*k) {
+	for k := 0; k < n; k++ {
+		if !ok(k) {
 			return k
 		}
 	}

@@ -132,10 +132,12 @@ func diagnosed(t *testing.T, read func()) (panicked bool) {
 // For every library pattern (Triangular with its half-empty diagonal
 // blocks, Banded, Chain), a Custom pattern with arbitrary holes and one
 // without, over random geometries and a retargeted view: Get agrees with the model on every cell
-// in and around the matrix; every cell of every run is computed and equals
-// Get of that cell; a run is as long as the request, the block, the
-// shadowing scratch block and the holes allow; and Get and run requests
-// into the unshipped block panic with the same diagnostic.
+// in and around the matrix; every cell of every run, and of every band of
+// any width, is computed and equals Get of that cell; a run or band is as
+// long as the request, the block, the shadowing scratch block and the
+// holes allow, and a band whose first row leaves its block is empty; and
+// Get, run and band requests into the unshipped block panic with the same
+// diagnostic.
 func TestViewRunsMatchGetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 14)))
 	patterns := []dag.Pattern{
@@ -144,6 +146,7 @@ func TestViewRunsMatchGetProperty(t *testing.T) {
 		dag.Custom{PatternName: "dense"},
 		dag.Custom{PatternName: "holes", CellExistsFunc: func(i, j int) bool { return (i*7+j*3)%5 != 0 }},
 	}
+	stops := map[string]int{}
 	for _, pat := range patterns {
 		for round := 0; round < 12; round++ {
 			size := dag.Size{Rows: 2 + rng.Intn(14), Cols: 2 + rng.Intn(14)}
@@ -174,49 +177,99 @@ func TestViewRunsMatchGetProperty(t *testing.T) {
 					if where != atPanic && got != want {
 						t.Fatalf("%s: Get(%d,%d) = %d, want %d", name, i, j, got, want)
 					}
-					for _, down := range []bool{false, true} {
-						di, dj := 0, 1
-						if down {
-							di, dj = 1, 0
+					n := 1 + rng.Intn(size.Rows+size.Cols)
+					var run []int32
+					if diagnosed(t, func() { run = v.Row(i, j, n) }) != (where == atPanic) {
+						t.Fatalf("%s: run at (%d,%d) panicked: %v, model says %v", name, i, j, where != atPanic, where == atPanic)
+					}
+					if where != atBlock {
+						if run != nil {
+							t.Fatalf("%s: run at (%d,%d) has %d cells, want none (cell is not computed)", name, i, j, len(run))
 						}
-						n := 1 + rng.Intn(size.Rows+size.Cols)
-						var cells []int32
-						stride, m := 1, 0
-						panicked := diagnosed(t, func() {
-							if down {
-								cells, stride, m = v.Col(i, j, n)
-							} else {
-								cells = v.Row(i, j, n)
-								m = len(cells)
+					} else {
+						// A run is the one-row band of the cells it holds,
+						// and as long as the request and the model allow.
+						if m := len(run); m < 1 || m > n || c.stretch(i, j, m, 1, owner) != 1 || m < n && c.stretch(i, j, m+1, 1, owner) == 1 {
+							t.Fatalf("%s: run at (%d,%d) n=%d has %d cells %v, the model disagrees", name, i, j, n, m, run)
+						}
+						for k, cell := range run {
+							if _, _, val := c.resolve(i, j+k); cell != val {
+								t.Fatalf("%s: run at (%d,%d) cell %d = %d, want %d", name, i, j, k, cell, val)
 							}
-						})
-						if panicked != (where == atPanic) {
-							t.Fatalf("%s: run at (%d,%d) down=%v panicked: %v, model says %v", name, i, j, down, panicked, where == atPanic)
-						}
-						if where != atBlock {
-							if m != 0 || cells != nil {
-								t.Fatalf("%s: run at (%d,%d) down=%v has %d cells, want none (cell is not computed)", name, i, j, down, m)
-							}
-							continue
-						}
-						if m < 1 || m > n || len(cells) != (m-1)*stride+1 {
-							t.Fatalf("%s: run at (%d,%d) down=%v n=%d: m=%d len=%d stride=%d", name, i, j, down, n, m, len(cells), stride)
-						}
-						for k := 0; k < m; k++ {
-							w, o, val := c.resolve(i+k*di, j+k*dj)
-							if w != atBlock || o != owner || cells[k*stride] != val {
-								t.Fatalf("%s: run at (%d,%d) down=%v n=%d cell %d = %d: model resolves it %v in block %d as %d (run is in block %d)",
-									name, i, j, down, n, k, cells[k*stride], w, o, val, owner)
-							}
-						}
-						if w, o, _ := c.resolve(i+m*di, j+m*dj); m < n && w == atBlock && o == owner {
-							t.Fatalf("%s: run at (%d,%d) down=%v n=%d stopped after %d cells although the next one is in the same block", name, i, j, down, n, m)
 						}
 					}
+					w := 1 + rng.Intn(1+rng.Intn(size.Cols+1))
+					stops[checkBand(t, name, c, v, i, j, where, owner, w, 1+rng.Intn(size.Rows+1))]++
 				}
 			}
 		}
 	}
+	for _, stop := range []string{"edge", "shadow", "hole", "leaves", "whole"} {
+		if stops[stop] == 0 {
+			t.Errorf("no band stopped for %q (stops %v): the property missed a case", stop, stops)
+		}
+	}
+}
+
+// stretch is the model's band: of the rows i, i+1, ... (at most n) how many
+// hold the w-cell segment at column j whole in block owner, computed.
+func (c *viewCase) stretch(i, j, w, n, owner int) int {
+	for k := 0; k < n; k++ {
+		for t := 0; t < w; t++ {
+			if where, o, _ := c.resolve(i+k, j+t); where != atBlock || o != owner {
+				return k
+			}
+		}
+	}
+	return n
+}
+
+// checkBand holds Band(i, j, w, n) against the model: a band of exactly the
+// rows the model's stretch allows, each cell the model's value, and none
+// when cell (i, j) is not computed or the first row leaves its block. It
+// says why the band stopped: it is all n rows ("whole"), the first row
+// leaves the block ("leaves"), or the next row has a cell in another block
+// ("edge"), in the shadowing scratch block ("shadow") or a hole ("hole");
+// "" when cell (i, j) is not computed.
+func checkBand(t *testing.T, name string, c *viewCase, v *View[int32], i, j, where, owner, w, n int) string {
+	t.Helper()
+	var cells []int32
+	var stride, m int
+	if diagnosed(t, func() { cells, stride, m = v.Band(i, j, w, n) }) != (where == atPanic) {
+		t.Fatalf("%s: band at (%d,%d) panicked: %v, model says %v", name, i, j, where != atPanic, where == atPanic)
+	}
+	want := 0
+	if where == atBlock {
+		want = c.stretch(i, j, w, n, owner)
+	}
+	if m != want || (m == 0) != (cells == nil) || m > 0 && len(cells) != (m-1)*stride+w {
+		t.Fatalf("%s: band %dx%d at (%d,%d): m=%d len=%d stride=%d, the model holds %d rows", name, n, w, i, j, m, len(cells), stride, want)
+	}
+	for k := 0; k < m; k++ {
+		for x, cell := range cells[k*stride : k*stride+w] {
+			if _, _, val := c.resolve(i+k, j+x); cell != val {
+				t.Fatalf("%s: band %dx%d at (%d,%d) cell (%d,%d) = %d, want %d", name, n, w, i, j, i+k, j+x, cell, val)
+			}
+		}
+	}
+	switch {
+	case where != atBlock:
+		return ""
+	case m == n:
+		return "whole"
+	case m == 0:
+		return "leaves"
+	}
+	stop := "edge"
+	for x := 0; x < w; x++ {
+		switch at, o, _ := c.resolve(i+m, j+x); {
+		case at == atBoundary && i+m < c.size.Rows && j+x < c.size.Cols:
+			return "hole"
+		case at == atBlock && o == 0:
+			stop = "shadow"
+		}
+	}
+	return stop
 }
 
 func benchView(pat dag.Pattern) (*View[int32], *Block[int32], *Block[int32]) {
@@ -266,7 +319,7 @@ func BenchmarkViewRun(b *testing.B) {
 		b.Run(pat.Name()+"/request", func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				row := v.Row(64+n%16, 100, 64)
-				col, _, _ := v.Col(far.Rect.Row0, 192+n%16, 64)
+				col, _, _ := v.Band(far.Rect.Row0, 192+n%16, 1, 64)
 				sink += row[0] + col[0]
 			}
 		})

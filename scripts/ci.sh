@@ -215,8 +215,24 @@ check_lines 6854 internal/core internal/fleet internal/sim internal/engine inter
 # must not arrive unnoticed.
 check_lines 1240 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
-# store must not arrive unnoticed.
+# store must not arrive unnoticed. And a view reads one way down a column,
+# matrix.View.Band — a column run is a band of width one — so the bound
+# stays where it was when Band replaced Col.
 check_lines 1184 internal/matrix
+
+# And the 2D/1D kernels sweep source rows across a row segment (their Row,
+# over View.Band) instead of walking a column per cell: no non-test Go
+# names the per-cell column walks or a View.Col read. A per-cell column
+# walk must not return unnoticed.
+colwalks=$(grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])(splitRuns|colRuns)\(|View(\[[^]]*\])?\)?\.Col([^A-Za-z0-9_]|$)|View\[[^]]*\]\) Col\(|\.Col\(i' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$colwalks" ]; then
+    echo "calls: a 2D/1D scan sweeps rows through View.Band, not a per-cell column walk:" >&2
+    echo "$colwalks" >&2
+    exit 1
+fi
+echo "calls: no splitRuns, colRuns or View.Col in non-test Go"
+
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
