@@ -97,7 +97,8 @@ func BenchmarkDispatcherDynamic(b *testing.B) {
 }
 
 func BenchmarkSWGGCellKernel(b *testing.B) {
-	// Raw per-cell cost of the O(n) SWGG recurrence at row/col 256.
+	// Raw per-cell cost of the O(n) SWGG recurrence at row/col 256: a
+	// row segment of one cell, the unit a per-cell kernel pays.
 	a := dp.RandomDNA(512, 1)
 	s := dp.NewSWGG(a, dp.RandomDNA(512, 2))
 	out := matrix.NewBlock[int32](dag.Rect{Row0: 256, Col0: 256, Rows: 1, Cols: 1})
@@ -105,7 +106,7 @@ func BenchmarkSWGGCellKernel(b *testing.B) {
 	v := matrix.NewView(out, []*matrix.Block[int32]{full}, s.Pattern(), s.Size(), s.Boundary)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out.Set(256, 256, s.Cell(v, 256, 256))
+		s.Row(v, 256, 256, out.Cells)
 	}
 }
 

@@ -133,11 +133,11 @@ func NewTrace() *TraceRecorder { return trace.New() }
 // cell types can use the internal packages directly through the same
 // generic API.
 type (
-	// Kernel32 is a DP kernel over int32 cells. A kernel with O(1) reads
-	// per cell may add core.RowKernel's optional method,
-	// Row(v *View32, i, j0 int, out []int32), which the runtime then calls
-	// once per row segment instead of Cell once per cell.
-	Kernel32 = core.Kernel[int32]
+	// Kernel32 is a DP kernel over int32 cells, the paper's per-cell user
+	// API: Pattern, Boundary and Cell(v *View32, i, j int) int32.
+	// NewProblem32 runs it through core.Cells, which computes a row
+	// segment cell by cell.
+	Kernel32 = core.CellKernel[int32]
 	// Problem32 is a runnable DP problem over int32 cells.
 	Problem32 = core.Problem[int32]
 	// Result32 is the outcome of running a Problem32.
@@ -155,9 +155,11 @@ type (
 	//		c += len(run)
 	//	}
 	//
-	// Col(i, j, n) is the same downwards, with the block's row stride. A
-	// kernel reads only the cells it asked for and never writes through
-	// a run: the slice aliases a block sibling threads are still filling.
+	// Band(i, j, w, n) is the same downwards: up to n rows of the w-cell
+	// segment at (i, j) in one block, row t at cells[t*stride:][:w], and m
+	// the rows it holds; a column run is a band of width one. A kernel
+	// reads only the cells it asked for and never writes through a run:
+	// the slice aliases a block sibling threads are still filling.
 	View32 = matrix.View[int32]
 )
 
@@ -177,9 +179,9 @@ func RunContext(ctx context.Context, p Problem32, cfg Config) (*Result32, error)
 	return core.RunContext(ctx, p, cfg)
 }
 
-// NewProblem32 assembles a Problem32 from a kernel.
+// NewProblem32 assembles a Problem32 from a per-cell kernel.
 func NewProblem32(name string, size Size, k Kernel32) Problem32 {
-	return core.Problem[int32]{Name: name, Size: size, Kernel: k, Codec: matrix.BinaryCodec[int32]{}}
+	return core.Problem[int32]{Name: name, Size: size, Kernel: core.Cells(k), Codec: matrix.BinaryCodec[int32]{}}
 }
 
 // DP applications.

@@ -59,6 +59,56 @@ func TestFacadeCustomPattern(t *testing.T) {
 	}
 }
 
+// prefixPaths is a per-cell Kernel32: the number of monotone paths to
+// (i, j) over west, north and north-west steps, mod 1000003, with each row
+// before the first and column before the first reading as one path.
+type prefixPaths struct{}
+
+func (prefixPaths) Pattern() Pattern        { return PatternWavefront }
+func (prefixPaths) Boundary(i, j int) int32 { return 1 }
+func (prefixPaths) Cell(v *View32, i, j int) int32 {
+	return (v.Get(i, j-1) + v.Get(i-1, j) + v.Get(i-1, j-1)) % 1000003
+}
+
+// A per-cell kernel runs through NewProblem32 and Run, one thread a slave
+// and two, cell for cell as the plain loop nest computes it.
+func TestFacadeRunsCellKernel(t *testing.T) {
+	size := Size{Rows: 29, Cols: 35}
+	want := make([][]int32, size.Rows)
+	get := func(i, j int) int32 {
+		if i < 0 || j < 0 {
+			return 1
+		}
+		return want[i][j]
+	}
+	for i := range want {
+		want[i] = make([]int32, size.Cols)
+		for j := range want[i] {
+			want[i][j] = (get(i, j-1) + get(i-1, j) + get(i-1, j-1)) % 1000003
+		}
+	}
+	for _, threads := range []int{1, 2} {
+		res, err := Run(NewProblem32("paths", size, prefixPaths{}), Config{
+			Slaves:          2,
+			Threads:         threads,
+			ProcPartition:   Square(8),
+			ThreadPartition: Square(3),
+			RunTimeout:      time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Matrix()
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("%d threads: cell (%d, %d) = %d, want %d", threads, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
 // plantedOrder is a library pattern with a row order the test plants.
 type plantedOrder struct {
 	Pattern

@@ -25,7 +25,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.TaskTimeout <= 0 || cfg.SubTaskTimeout <= 0 || cfg.CheckInterval <= 0 {
 		t.Fatal("timeouts not defaulted")
 	}
-	p := Problem[int32]{Name: "zero", Kernel: zeroKernel{}, Codec: matrix.BinaryCodec[int32]{}, Size: dag.Square(64)}
+	p := Problem[int32]{Name: "zero", Kernel: Cells[int32](zeroKernel{}), Codec: matrix.BinaryCodec[int32]{}, Size: dag.Square(64)}
 	r, err := NewTaskRunner(p, Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)

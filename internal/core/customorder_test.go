@@ -10,9 +10,9 @@ import (
 	"repro/internal/matrix"
 )
 
-// heaviest is a kernel with a Cell and no Row: the heaviest path to (i, j)
-// over west, north and north-west steps, under any pattern that computes
-// those reads first. A cell the pattern does not compute is read as its
+// heaviest is a per-cell kernel, run through core.Cells: the heaviest path
+// to (i, j) over west, north and north-west steps, under any pattern that
+// computes those reads first. A cell the pattern does not compute is read as its
 // Boundary and holds zero in the result.
 type heaviest struct {
 	pat  dag.Pattern
@@ -95,7 +95,7 @@ func TestCustomRowOrderRuns(t *testing.T) {
 		}
 		k := heaviest{pat, size}
 		for _, threads := range []int{1, 2} {
-			p := core.Problem[int32]{Name: pat.Name(), Size: size, Kernel: k, Codec: matrix.BinaryCodec[int32]{}}
+			p := core.Problem[int32]{Name: pat.Name(), Size: size, Kernel: core.Cells[int32](k), Codec: matrix.BinaryCodec[int32]{}}
 			cfg := testConfig()
 			cfg.Slaves, cfg.Threads, cfg.ProcPartition, cfg.ThreadPartition = 2, threads, dag.Square(8), dag.Square(3)
 			res, err := core.RunContext(context.Background(), p, cfg)

@@ -15,17 +15,18 @@ import (
 	"repro/internal/matrix"
 )
 
-// Kernel is what a user implements to run a DP algorithm on EasyHPS — the
-// counterpart of the paper's user APIs (Table I): the DAG Pattern Model of
-// the recurrence, the boundary values, and the per-cell recurrence itself.
+// Kernel is the recurrence as the runtime computes it: the DAG Pattern
+// Model, the boundary values, and the recurrence over a row segment, which
+// is the unit the thread level computes in. A kernel whose recurrence is
+// simplest stated per cell — the paper's user API (Table I) — writes a
+// CellKernel and runs behind Cells.
 //
-// Cell must be deterministic and must read, through the view, only cells
+// Row must be deterministic and must read, through the view, only cells
 // that the pattern declares reachable: within the current block (already
 // computed in the pattern's RowOrder), in blocks listed by the pattern's
 // DataDeps, or outside the computed region (resolved by Boundary). Reads
 // outside that contract panic, which is how the tests detect
-// under-declared data regions. The same holds for the optional Row of a
-// RowKernel, which is what the runtime calls when a kernel has one.
+// under-declared data regions.
 type Kernel[T any] interface {
 	// Pattern returns the DAG Pattern Model of the recurrence, either
 	// from the library or user defined.
@@ -34,29 +35,32 @@ type Kernel[T any] interface {
 	// (negative indices, beyond the matrix, or pattern holes such as the
 	// lower triangle of a triangular pattern).
 	Boundary(i, j int) T
+	// Row computes cells (i, j0) .. (i, j0+len(out)-1) left to right into
+	// out, those cells' own storage in the sub-task's output block; it
+	// writes nothing else and reads everything else through the view. The
+	// pattern's row order guarantees that what the segment depends on —
+	// the rows before it, the cells to its left — is computed. The call
+	// and view lookups are paid once per segment, and a scan of O(n) cells
+	// per cell sweeps each source row across the segment.
+	Row(v *matrix.View[T], i, j0 int, out []T)
+}
+
+// CellKernel is the paper's per-cell user API: a Kernel's Pattern and
+// Boundary, and the recurrence at one cell under the same read contract
+// as Row. Cells turns it into a Kernel.
+type CellKernel[T any] interface {
+	Pattern() dag.Pattern
+	Boundary(i, j int) T
 	// Cell computes the recurrence at (i, j).
 	Cell(v *matrix.View[T], i, j int) T
 }
 
-// RowKernel is an optional Kernel extension: the recurrence over a row
-// segment, which is the unit the thread level computes in. Row computes
-// cells (i, j0) .. (i, j0+len(out)-1) left to right into out, those cells'
-// own storage in the sub-task's output block; it writes nothing else and
-// reads everything else through the view, exactly as Cell may. The
-// pattern's row order (Pattern.RowOrder) guarantees that what the segment
-// depends on — the rows before it, the cells to its left — is computed. The
-// call and view lookups are paid once per segment, and a scan of O(n) cells
-// per cell sweeps each source row across the segment. It derives Cell from
-// Row (a segment of one): one recurrence. Cell stays required, the contract
-// a kernel is checked against and all a simple kernel writes.
-type RowKernel[T any] interface {
-	Row(v *matrix.View[T], i, j0 int, out []T)
-}
+// Cells returns the Kernel that computes k's row segments cell by cell.
+func Cells[T any](k CellKernel[T]) Kernel[T] { return cells[T]{k} }
 
-// cellRows is the RowKernel of a kernel that has none: Cell, cell by cell.
-type cellRows[T any] struct{ Kernel[T] }
+type cells[T any] struct{ CellKernel[T] }
 
-func (k cellRows[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
+func (k cells[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
 	for t := range out {
 		out[t] = k.Cell(v, i, j0+t)
 	}
@@ -65,21 +69,16 @@ func (k cellRows[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
 // SubBlockFill returns the function that computes one thread-level
 // sub-block of kernel k, the only loop in which the runtime runs a
 // recurrence: fill(v) visits v's window in the pattern's row order and has
-// Row write each segment into the output block's own row — k's Row, or
-// Cell behind an adapter built here, once per block. A call allocates
-// nothing: the function keeps its state between calls, so each compute
-// thread needs its own.
+// k's Row write each segment into the output block's own row. A call
+// allocates nothing: the function keeps its state between calls, so each
+// compute thread needs its own.
 func SubBlockFill[T any](k Kernel[T]) func(v *matrix.View[T]) {
 	pat := k.Pattern()
-	rows, ok := any(k).(RowKernel[T])
-	if !ok {
-		rows = cellRows[T]{k}
-	}
 	var v *matrix.View[T]
 	segment := func(i, j0, j1 int) {
 		b := v.Out()
 		at := (i-b.Rect.Row0)*b.Rect.Cols + j0 - b.Rect.Col0
-		rows.Row(v, i, j0, b.Cells[at:at+j1-j0:at+j1-j0])
+		k.Row(v, i, j0, b.Cells[at:at+j1-j0:at+j1-j0])
 	}
 	return func(view *matrix.View[T]) {
 		v = view

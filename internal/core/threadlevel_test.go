@@ -272,7 +272,7 @@ func TestOneThreadRunsOneSubTaskPerBlock(t *testing.T) {
 		{d.Problem(), d.Sequential()},
 		{k.Problem(), k.Sequential()},
 		{b.Problem(), b.Sequential()},
-		{core.Problem[int32]{Name: "chain", Size: dag.Size{Rows: 1, Cols: c.n}, Kernel: c, Codec: matrix.BinaryCodec[int32]{}}, c.Sequential()},
+		{core.Problem[int32]{Name: "chain", Size: dag.Size{Rows: 1, Cols: c.n}, Kernel: core.Cells[int32](c), Codec: matrix.BinaryCodec[int32]{}}, c.Sequential()},
 	} {
 		tasks := jobTasks(t, job.p, job.seq, proc)
 		geom := dag.MatrixGeometry(job.p.Size, proc)

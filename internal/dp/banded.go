@@ -45,7 +45,7 @@ func (e *BandedEdit) Boundary(i, j int) int32 {
 	}
 }
 
-// Row implements core.RowKernel, as EditDistance's does; the cells of the
+// Row implements core.Kernel, as EditDistance's does; the cells of the
 // row above that lie outside the band arrive as runs of one holding
 // Boundary's "unreachable".
 func (e *BandedEdit) Row(v *matrix.View[int32], i, j0 int, out []int32) {
@@ -64,13 +64,6 @@ func (e *BandedEdit) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 		}
 		west, diag = w, nw
 	})
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (e *BandedEdit) Cell(v *matrix.View[int32], i, j int) int32 {
-	var out [1]int32
-	e.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

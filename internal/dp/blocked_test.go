@@ -131,7 +131,7 @@ func TestKernelsOverViewsMatchSequential(t *testing.T) {
 		ks := NewKnapsack(n, 40, 14)
 		run32("knapsack", ks, ks.Size(), ks.Sequential())
 		dm := NewDominance43(12, 15)
-		run32("dominance", dm, dm.Size(), dm.Sequential())
+		run32("dominance", dm.Problem().Kernel, dm.Size(), dm.Sequential())
 		mc := NewMatrixChain(n, 2, 30, 16)
 		run64("matrixchain", mc, mc.Size(), mc.Sequential())
 		bst := NewOptimalBST(n, 50, 17)
@@ -244,19 +244,23 @@ func TestRunWalksVisitHolesAsBoundaryReads(t *testing.T) {
 	}
 }
 
-// rowKernel is a kernel with a Row of its own.
-type rowKernel[T any] interface {
-	core.Kernel[T]
-	core.RowKernel[T]
+// oneCell is the per-cell kernel of k, whose Cell is a row segment of one.
+// The runtime reaches it through core.Cells, as it does a kernel that only
+// has a Cell.
+type oneCell[T any] struct{ core.Kernel[T] }
+
+func (k oneCell[T]) Cell(v *matrix.View[T], i, j int) T {
+	var out [1]T
+	k.Row(v, i, j, out[:])
+	return out[0]
 }
 
-// hideRow is a kernel without its Row: the runtime reaches its Cell through
-// the adapter, as it does for a kernel that never had one.
-type hideRow[T any] struct{ core.Kernel[T] }
+// byCells is k computed cell by cell through core.Cells.
+func byCells[T any](k core.Kernel[T]) core.Kernel[T] { return core.Cells[T](oneCell[T]{k}) }
 
-// under is a row kernel computed under another pattern than its own.
+// under is a kernel computed under another pattern than its own.
 type under[T any] struct {
-	rowKernel[T]
+	core.Kernel[T]
 	pat dag.Pattern
 }
 
@@ -283,8 +287,8 @@ func (c cutRows) RowOrder(r dag.Rect, visit func(i, j0, j1 int)) {
 
 // checkRows computes k's matrix by segments cut at random columns, in place
 // at one thread and in scratch blocks at two, and by one-cell segments
-// behind the adapter, and holds each against want.
-func checkRows[T any](t *testing.T, name string, k rowKernel[T], want [][]T, size, proc, thread dag.Size, rng *rand.Rand) {
+// through core.Cells, and holds each against want.
+func checkRows[T any](t *testing.T, name string, k core.Kernel[T], want [][]T, size, proc, thread dag.Size, rng *rand.Rand) {
 	t.Helper()
 	cut := under[T]{k, cutRows{k.Pattern(), rng.Uint64()}}
 	for _, run := range []struct {
@@ -293,7 +297,7 @@ func checkRows[T any](t *testing.T, name string, k rowKernel[T], want [][]T, siz
 	}{
 		{"by segments", fillBlocked[T](cut, size, proc, thread).Assemble()},
 		{"by segments at two threads", fillThreads[T](cut, size, proc, thread, 2).Assemble()},
-		{"by cells", fillBlocked[T](hideRow[T]{k}, size, proc, thread).Assemble()},
+		{"by cells", fillBlocked(byCells(k), size, proc, thread).Assemble()},
 	} {
 		if !reflect.DeepEqual(run.got, want) {
 			t.Errorf("%s %v proc %v thread %v: %s differs from Sequential()", name, size, proc, thread, run.how)
@@ -301,10 +305,11 @@ func checkRows[T any](t *testing.T, name string, k rowKernel[T], want [][]T, siz
 	}
 }
 
-// Row, Cell and Sequential() are one recurrence: each kernel with a Row —
-// the wavefront family's and the 2D/1D kernels' — on random matrices cut
-// into random blocks and sub-blocks, computes the same cells by segments, in
-// place and in scratch blocks, by cells, and in the plain loop nest.
+// Row over a segment, Row over one cell and Sequential() are one
+// recurrence: each kernel with a Row — the wavefront family's and the 2D/1D
+// kernels' — on random matrices cut into random blocks and sub-blocks,
+// computes the same cells by segments, in place and in scratch blocks, by
+// cells through core.Cells, and in the plain loop nest.
 func TestRowMatchesCellMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 23)))
 	upTo := func(max int) dag.Size { return dag.Size{Rows: 1 + rng.Intn(max), Cols: 1 + rng.Intn(max)} }
@@ -346,9 +351,8 @@ func TestRowMatchesCellMatchesSequential(t *testing.T) {
 	}
 }
 
-// A Row that reads a computed cell nobody shipped dies as a Cell does: the
-// wavefront recurrence over a pattern whose data region leaves out the
-// north block.
+// A Row that reads a computed cell nobody shipped panics: the wavefront
+// recurrence over a pattern whose data region leaves out the north block.
 func TestRowOutsideRegionPanics(t *testing.T) {
 	a := RandomDNA(8, 1)
 	e := NewEditDistance(a, a)
@@ -442,17 +446,17 @@ func TestRowSweepsAllocateNothing(t *testing.T) {
 	}
 }
 
-// rowsOf reports whether kernel k computes its row segments itself.
-func rowsOf[T any](k core.Kernel[T]) (dag.Pattern, bool) {
-	_, ok := k.(core.RowKernel[T])
-	return k.Pattern(), ok
+// rowsOf reports whether kernel k computes its row segments itself: its
+// Problem hands the runtime k, not k behind core.Cells.
+func rowsOf[T any](k interface{ Problem() core.Problem[T] }) (dag.Pattern, bool) {
+	p := k.Problem()
+	return p.Kernel.Pattern(), any(p.Kernel) == any(k)
 }
 
 // Every library kernel of a 2D/1D pattern has a Row: none reaches the
-// runtime behind core.SubBlockFill's per-cell adapter, whose closure call
-// and view lookups per cell a 2D/1D scan pays O(n) times over. The table
-// is held against the package's source, so a kernel added without an
-// entry fails too.
+// runtime behind core.Cells, whose interface call and view lookups per
+// cell a 2D/1D scan pays O(n) times over. The table is held against the
+// package's source, so a kernel added without an entry fails too.
 func TestTwoDOneDKernelsHaveRows(t *testing.T) {
 	a := RandomDNA(8, 1)
 	kernels := map[string]func() (dag.Pattern, bool){
@@ -503,7 +507,7 @@ func TestTwoDOneDKernelsHaveRows(t *testing.T) {
 	}
 	for name, k := range kernels {
 		if pat, rows := k(); pat.Class() == dag.Class2D1D && !rows {
-			t.Errorf("%s: a %s kernel (%s) without a Row runs behind the per-cell adapter", name, pat.Class(), pat.Name())
+			t.Errorf("%s: a %s kernel (%s) runs behind core.Cells, not its own Row", name, pat.Class(), pat.Name())
 		}
 	}
 }

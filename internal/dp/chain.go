@@ -43,7 +43,7 @@ func (m *MatrixChain) Pattern() dag.Pattern { return dag.Triangular{} }
 // triangle, so the value is irrelevant.
 func (m *MatrixChain) Boundary(i, j int) int64 { return 0 }
 
-// Row implements core.RowKernel, as Nussinov's does: the split points left
+// Row implements core.Kernel, as Nussinov's does: the split points left
 // of the segment are swept a source row at a time across the whole
 // segment, then each finalized cell is offered to the cells after it. A
 // cell weighs the split points of Sequential(), and its products
@@ -90,13 +90,6 @@ func (m *MatrixChain) splits(out []int64, i, k, j0 int, left, cells []int64, str
 			}
 		}
 	}
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (m *MatrixChain) Cell(v *matrix.View[int64], i, j int) int64 {
-	var out [1]int64
-	m.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.
@@ -176,7 +169,7 @@ func (k *Knapsack) Boundary(i, j int) int32 {
 	return 0
 }
 
-// Row implements core.RowKernel: the row above is read by runs twice,
+// Row implements core.Kernel: the row above is read by runs twice,
 // under the segment and Weights[i] columns to the left of it.
 func (k *Knapsack) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	j1, wt, val := j0+len(out), k.Weights[i], k.Values[i]
@@ -194,13 +187,6 @@ func (k *Knapsack) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 		}
 		j += len(run)
 	}
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (k *Knapsack) Cell(v *matrix.View[int32], i, w int) int32 {
-	var out [1]int32
-	k.Row(v, i, w, out[:])
-	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.
@@ -279,13 +265,14 @@ func NewDominance43(n int, seed int64) *Dominance43 {
 // Size returns the DP matrix extent.
 func (d *Dominance43) Size() dag.Size { return dag.Square(d.N) }
 
-// Pattern implements core.Kernel.
+// Pattern implements core.CellKernel.
 func (d *Dominance43) Pattern() dag.Pattern { return dag.Dominance{} }
 
-// Boundary implements core.Kernel: D[i,0-style] boundary cells are zero.
+// Boundary implements core.CellKernel: D[i,0-style] boundary cells are zero.
 func (d *Dominance43) Boundary(i, j int) int32 { return 0 }
 
-// Cell implements core.Kernel.
+// Cell implements core.CellKernel: the one library kernel the runtime
+// computes through core.Cells.
 func (d *Dominance43) Cell(v *matrix.View[int32], i, j int) int32 {
 	best := int32(1) << 30
 	for ii := -1; ii < i; ii++ {
@@ -312,7 +299,7 @@ func (d *Dominance43) Problem() core.Problem[int32] {
 	return core.Problem[int32]{
 		Name:   fmt.Sprintf("dominance-%d", d.N),
 		Size:   d.Size(),
-		Kernel: d,
+		Kernel: core.Cells[int32](d),
 		Codec:  matrix.BinaryCodec[int32]{},
 	}
 }

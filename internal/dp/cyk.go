@@ -100,7 +100,7 @@ func (c *CYK) Pattern() dag.Pattern { return dag.Triangular{} }
 // Boundary implements core.Kernel: nothing derives an empty span.
 func (c *CYK) Boundary(i, j int) uint64 { return 0 }
 
-// Row implements core.RowKernel, as Nussinov's does: the split points left
+// Row implements core.Kernel, as Nussinov's does: the split points left
 // of the segment are swept a source row at a time across the whole
 // segment, then each finalized cell is the split point of the cells after
 // it. A cell ors the productions of Sequential()'s split points.
@@ -150,13 +150,6 @@ func (c *CYK) derive(out []uint64, left uint64, right []uint64) {
 			}
 		}
 	}
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (c *CYK) Cell(v *matrix.View[uint64], i, j int) uint64 {
-	var out [1]uint64
-	c.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the parser for the runtime.

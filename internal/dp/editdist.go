@@ -38,7 +38,7 @@ func (e *EditDistance) Boundary(i, j int) int32 {
 	return int32(i) + 1
 }
 
-// Row implements core.RowKernel: the row above is walked by runs and the
+// Row implements core.Kernel: the row above is walked by runs and the
 // west and north-west cells ride along in locals, so a cell costs what it
 // costs Sequential() plus its share of one run request.
 func (e *EditDistance) Row(v *matrix.View[int32], i, j0 int, out []int32) {
@@ -62,13 +62,6 @@ func (e *EditDistance) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 		}
 		west, diag = w, nw
 	})
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (e *EditDistance) Cell(v *matrix.View[int32], i, j int) int32 {
-	var out [1]int32
-	e.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.
@@ -145,7 +138,7 @@ func (l *LCS) Pattern() dag.Pattern { return dag.Wavefront{} }
 // Boundary implements core.Kernel.
 func (l *LCS) Boundary(i, j int) int32 { return 0 }
 
-// Row implements core.RowKernel, as EditDistance's does.
+// Row implements core.Kernel, as EditDistance's does.
 func (l *LCS) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	a, west, diag := l.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
 	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
@@ -161,13 +154,6 @@ func (l *LCS) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 		}
 		west, diag = w, nw
 	})
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (l *LCS) Cell(v *matrix.View[int32], i, j int) int32 {
-	var out [1]int32
-	l.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

@@ -83,7 +83,7 @@ func (g *Gotoh) Boundary(i, j int) GotohCell {
 	}
 }
 
-// Row implements core.RowKernel: the row above is walked by runs, the west
+// Row implements core.Kernel: the row above is walked by runs, the west
 // and north-west cells ride along.
 func (g *Gotoh) Row(v *matrix.View[GotohCell], i, j0 int, out []GotohCell) {
 	w, nw := v.Get(i, j0-1), v.Get(i-1, j0-1)
@@ -97,13 +97,6 @@ func (g *Gotoh) Row(v *matrix.View[GotohCell], i, j0 int, out []GotohCell) {
 			out[j-j0+t], nw = w, n
 		}
 	})
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (g *Gotoh) Cell(v *matrix.View[GotohCell], i, j int) GotohCell {
-	var out [1]GotohCell
-	g.Row(v, i, j, out[:])
-	return out[0]
 }
 
 func maxi32(a, b int32) int32 {

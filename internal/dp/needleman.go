@@ -58,7 +58,7 @@ func (nw *NeedlemanWunsch) Boundary(i, j int) int32 {
 	}
 }
 
-// Row implements core.RowKernel, as EditDistance's does.
+// Row implements core.Kernel, as EditDistance's does.
 func (nw *NeedlemanWunsch) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	a, west, diag := nw.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
 	match, mismatch, gap := nw.Match, nw.Mismatch, nw.Gap
@@ -81,13 +81,6 @@ func (nw *NeedlemanWunsch) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 		}
 		west, diag = w, d
 	})
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (nw *NeedlemanWunsch) Cell(v *matrix.View[int32], i, j int) int32 {
-	var out [1]int32
-	nw.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the aligner for the runtime.

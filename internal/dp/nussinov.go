@@ -79,7 +79,7 @@ func (nu *Nussinov) CellCost(i, j int) float64 {
 // the matrix) fold nothing.
 func (nu *Nussinov) Boundary(i, j int) int32 { return 0 }
 
-// Row implements core.RowKernel. F[i,i] and F[j,j] are 0, so the terms
+// Row implements core.Kernel. F[i,i] and F[j,j] are 0, so the terms
 // F[i+1,j] and F[i,j-1] are the split points k = i and k = j-1 of
 // F[i,k] + F[k+1,j], and a cell weighs the pair term and the split points
 // i <= k < j: the candidates of Sequential(). The split points left of the
@@ -142,13 +142,6 @@ func maxPlus(out, left, cells []int32, stride int) {
 			}
 		}
 	}
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (nu *Nussinov) Cell(v *matrix.View[int32], i, j int) int32 {
-	var out [1]int32
-	nu.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the folder for the runtime.

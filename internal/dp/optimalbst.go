@@ -57,7 +57,7 @@ func (b *OptimalBST) Pattern() dag.Pattern { return dag.Triangular{} }
 // Boundary implements core.Kernel: empty key ranges cost nothing.
 func (b *OptimalBST) Boundary(i, j int) int64 { return 0 }
 
-// Row implements core.RowKernel. Root r pairs E[i,r-1] with E[r+1,j]: split
+// Row implements core.Kernel. Root r pairs E[i,r-1] with E[r+1,j]: split
 // point k = r-1 pairs cell (i, k) with cell (k+2, j), for i-1 <= k < j,
 // where the empty ranges at both ends are holes of the pattern and read as
 // Boundary — the candidates of Sequential(). The split points whose row
@@ -126,13 +126,6 @@ func minPlus(out, left, cells []int64, stride int) {
 			}
 		}
 	}
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (b *OptimalBST) Cell(v *matrix.View[int64], i, j int) int64 {
-	var out [1]int64
-	b.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

@@ -14,24 +14,16 @@ import (
 // cancelled or holding a run slot, a stale answer landing mid-run — since
 // the runtime itself computes at the kernel's own speed.
 func Slow[T any](p core.Problem[T], perCell time.Duration) core.Problem[T] {
-	rows, _ := p.Kernel.(core.RowKernel[T])
-	p.Kernel = slow[T]{Kernel: p.Kernel, rows: rows, perCell: perCell}
+	p.Kernel = slow[T]{Kernel: p.Kernel, perCell: perCell}
 	return p
 }
 
 type slow[T any] struct {
 	core.Kernel[T]
-	rows    core.RowKernel[T] // nil: Cell, cell by cell
 	perCell time.Duration
 }
 
 func (k slow[T]) Row(v *matrix.View[T], i, j0 int, out []T) {
-	if k.rows != nil {
-		k.rows.Row(v, i, j0, out)
-	} else {
-		for t := range out {
-			out[t] = k.Cell(v, i, j0+t)
-		}
-	}
+	k.Kernel.Row(v, i, j0, out)
 	time.Sleep(time.Duration(len(out)) * k.perCell)
 }

@@ -8,8 +8,9 @@ import (
 	"repro/internal/dag"
 )
 
-// A slowed kernel answers what the kernel does, through its Row or, for a
-// kernel without one, its Cell, and each row segment waits perCell a cell.
+// A slowed kernel answers what the kernel does, through its own Row or
+// cell by cell through core.Cells, and each row segment waits perCell a
+// cell.
 func TestSlowAnswersAndWaits(t *testing.T) {
 	a := RandomDNA(24, 3)
 	e := NewEditDistance(a, MutateSeq(a, DNAAlphabet, 0.2, 4))
@@ -20,7 +21,7 @@ func TestSlowAnswersAndWaits(t *testing.T) {
 	}{{"row kernel", false}, {"cell kernel", true}} {
 		p := e.Problem()
 		if c.hide {
-			p.Kernel = hideRow[int32]{p.Kernel}
+			p.Kernel = byCells(p.Kernel)
 		}
 		const perCell = 50 * time.Microsecond
 		start := time.Now()

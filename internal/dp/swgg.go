@@ -60,7 +60,7 @@ func (s *SWGG) CellCost(i, j int) float64 {
 // row 0 score zero (local alignment restarts freely).
 func (s *SWGG) Boundary(i, j int) int32 { return 0 }
 
-// Row implements core.RowKernel. Every cell weighs the candidates of
+// Row implements core.Kernel. Every cell weighs the candidates of
 // Sequential(), one by one, but the scans are turned so that the inner
 // loops read contiguous rows: the column above is swept a source row at a
 // time across the whole segment, four rows to a pass; the row to the left
@@ -149,13 +149,6 @@ func (s *SWGG) rowGaps(out, run []int32, g int32) {
 		}
 		out[t] = a
 	}
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (s *SWGG) Cell(v *matrix.View[int32], i, j int) int32 {
-	var out [1]int32
-	s.Row(v, i, j, out[:])
-	return out[0]
 }
 
 // Problem wraps the aligner for the runtime.

@@ -79,7 +79,7 @@ func (v *Viterbi) Pattern() dag.Pattern { return dag.PrevRow{} }
 // reads outside resolve to -Inf-like.
 func (v *Viterbi) Boundary(i, j int) float64 { return math.Inf(-1) }
 
-// Row implements core.RowKernel: the previous row is read by runs, and
+// Row implements core.Kernel: the previous row is read by runs, and
 // each of its cells is offered to the whole segment along its row of
 // LogTrans.
 func (v *Viterbi) Row(m *matrix.View[float64], t, j0 int, out []float64) {
@@ -108,13 +108,6 @@ func (v *Viterbi) Row(m *matrix.View[float64], t, j0 int, out []float64) {
 	for x := range out {
 		out[x] += v.LogEmit[j0+x][v.Obs[t]]
 	}
-}
-
-// Cell implements core.Kernel: a row segment of one.
-func (v *Viterbi) Cell(m *matrix.View[float64], t, s int) float64 {
-	var out [1]float64
-	v.Row(m, t, s, out[:])
-	return out[0]
 }
 
 // Problem wraps the kernel for the runtime.

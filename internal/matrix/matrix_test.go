@@ -133,9 +133,9 @@ func TestViewResolution(t *testing.T) {
 	if got := v.Get(2, 4); got != 0 {
 		t.Errorf("cached in cell = %d, want 0", got)
 	}
-	v.Set(5, 5, 77)
+	v.Out().Set(5, 5, 77)
 	if out.At(5, 5) != 77 {
-		t.Error("Set did not reach the output block")
+		t.Error("Out().Set did not reach the output block")
 	}
 	if v.Out() != out {
 		t.Error("Out did not return the output block")

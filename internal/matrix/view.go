@@ -257,8 +257,5 @@ func (v *View[T]) Retarget(r dag.Rect) {
 // Window returns the cells the running sub-task computes.
 func (v *View[T]) Window() dag.Rect { return v.win }
 
-// Set writes v into cell (i, j) of the output block.
-func (v *View[T]) Set(i, j int, val T) { v.out.Set(i, j, val) }
-
 // Out returns the output block of the view.
 func (v *View[T]) Out() *Block[T] { return v.out }

@@ -359,7 +359,7 @@ func TestRetargetZeroesHoles(t *testing.T) {
 		v.Retarget(r)
 		pat.RowOrder(r, func(i, j0, j1 int) {
 			for j := j0; j < j1; j++ {
-				v.Set(i, j, 1)
+				v.Out().Set(i, j, 1)
 			}
 		})
 		for i := r.Row0; i < r.Row0+r.Rows; i++ {

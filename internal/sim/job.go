@@ -28,17 +28,9 @@ type JobSpec struct {
 	// runtime from submission: the job fails at the first control tick not
 	// before it (fleet.JobRequest.Timeout). Zero values inherit.
 	Params engine.JobParams
-	// Cost overrides the cluster's nominal per-vertex service time.
-	Cost time.Duration
-	// CostPerCell, when set, adds CostPerCell x (block cell count) to
-	// each vertex's service time, so virtual compute scales with the
-	// partition the way real kernels do: finer blocks buy parallelism
-	// with per-task overhead (Cost) instead of conjuring work away.
-	// Zero keeps the flat per-vertex model of the older scenarios.
-	CostPerCell time.Duration
-	// Service, when set, is the service time of a vertex over block r in
-	// place of Cost and CostPerCell; the worker's speed and the cluster's
-	// jitter still scale it.
+	// Service is the service time of a vertex over block r, before the
+	// worker's speed and the cluster's jitter scale it; nil costs the
+	// cluster's Options.Cost a vertex.
 	Service func(r dag.Rect) time.Duration
 	// CacheKey scopes the job's entries in the cluster's cross-job
 	// result store; empty disables caching for this job.

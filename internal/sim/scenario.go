@@ -69,10 +69,11 @@ type Scenario struct {
 // ScenarioJob is one job definition: which kernel to build and how to
 // submit it.
 type ScenarioJob struct {
-	Spec   JobSpec
-	Kernel string
-	N      int
-	Seed   int64
+	Spec          JobSpec
+	Kernel        string
+	N             int
+	Seed          int64
+	cost, perCell time.Duration // cost= and cost-per-cell=, folded into Spec.Service
 }
 
 // Step is one scripted action at a virtual offset.
@@ -181,6 +182,15 @@ func ParseScenario(name string, r io.Reader) (*Scenario, error) {
 	}
 	if len(s.Jobs) == 0 {
 		return nil, fmt.Errorf("%s: no jobs defined", name)
+	}
+	// A vertex costs its job's cost= (or the cluster's cost) plus its
+	// job's cost-per-cell= a cell of its block.
+	flat := s.Opts.withDefaults().Cost
+	for i, jb := range s.Jobs {
+		if jb.cost <= 0 {
+			jb.cost = flat
+		}
+		s.Jobs[i].Spec.Service = func(r dag.Rect) time.Duration { return jb.cost + jb.perCell*time.Duration(r.Rows*r.Cols) }
 	}
 	submitted, cancelled := s.jobsTo("submit"), s.jobsTo("cancel")
 	for _, jb := range s.Jobs {
@@ -298,9 +308,9 @@ func parseJob(kvs []string) (ScenarioJob, error) {
 		case "deadline":
 			jb.Spec.Params.Timeout, err = time.ParseDuration(val)
 		case "cost":
-			jb.Spec.Cost, err = time.ParseDuration(val)
+			jb.cost, err = time.ParseDuration(val)
 		case "cost-per-cell":
-			jb.Spec.CostPerCell, err = time.ParseDuration(val)
+			jb.perCell, err = time.ParseDuration(val)
 		case "cache-key":
 			jb.Spec.CacheKey = val
 		default:

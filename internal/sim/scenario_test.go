@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/dag"
 )
 
 // TestScenarios is the regression suite: every .scenario file under
@@ -147,10 +149,12 @@ expect job j tasks == 16
 	if jb.Spec.Name != "j" || jb.Kernel != "editdist" || jb.N != 32 || jb.Seed != 4 ||
 		jb.Spec.Proc.Rows != 4 || jb.Spec.Proc.Cols != 4 || jb.Spec.Params.Weight != 2.5 ||
 		jb.Spec.Params.Priority != 1 || jb.Spec.Params.Quota != 3 || jb.Spec.Params.MaxAttempts != 2 ||
-		jb.Spec.Params.TaskTimeout != time.Second || jb.Spec.Cost != 7*time.Millisecond ||
-		jb.Spec.CostPerCell != 250*time.Microsecond || jb.Spec.Params.Timeout != 20*time.Second ||
+		jb.Spec.Params.TaskTimeout != time.Second || jb.Spec.Params.Timeout != 20*time.Second ||
 		jb.Spec.CacheKey != "k" {
 		t.Fatalf("job misparsed: %+v", jb)
+	}
+	if got := jb.Spec.Service(dag.Rect{Rows: 4, Cols: 4}); got != 11*time.Millisecond {
+		t.Fatalf("a 4x4 block costs %v, want cost=7ms + 16 x cost-per-cell=250us = 11ms", got)
 	}
 	if len(s.Steps) != 6 {
 		t.Fatalf("want 6 steps, got %d", len(s.Steps))
@@ -173,6 +177,29 @@ expect job j tasks == 16
 	}
 	if ex := s.Expects[4]; ex.Job != "j" || ex.Field != "tasks" || ex.Op != "==" || ex.Value != 16 {
 		t.Fatalf("job expect misparsed: %+v", ex)
+	}
+}
+
+// A job's service time takes the cluster's cost where it sets none, from
+// wherever the cluster directive stands.
+func TestParseScenarioJobCost(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		want time.Duration
+	}{
+		{"job name=j kernel=lcs n=8 cost-per-cell=1ms\ncluster workers=2 cost=5ms\nat 0ms submit j\n", 11 * time.Millisecond},
+		{"cluster workers=2 cost=5ms\njob name=j kernel=lcs n=8 cost-per-cell=1ms\nat 0ms submit j\n", 11 * time.Millisecond},
+		{"job name=j kernel=lcs n=8 cost-per-cell=1ms\ncluster workers=2\nat 0ms submit j\n", 7 * time.Millisecond},
+		{"cluster workers=2 cost=5ms\njob name=j kernel=lcs n=8 cost=2ms\nat 0ms submit j\n", 2 * time.Millisecond},
+		{"cluster workers=2 cost=5ms\njob name=j kernel=lcs n=8\nat 0ms submit j\n", 5 * time.Millisecond},
+	} {
+		s, err := ParseScenario("cost", strings.NewReader(c.text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Jobs[0].Spec.Service(dag.Rect{Rows: 2, Cols: 3}); got != c.want {
+			t.Errorf("%q: a 2x3 block costs %v, want %v", c.text, got, c.want)
+		}
 	}
 }
 

@@ -61,7 +61,8 @@ type Options struct {
 	// Seed seeds the service-time and fault-selection RNG.
 	Seed int64
 	// Cost is the nominal per-vertex service time (default 1ms); Jitter
-	// widens it to Cost*(1 ± Jitter) uniformly. Jobs may override Cost.
+	// widens it to Cost*(1 ± Jitter) uniformly. A job's Service replaces
+	// Cost.
 	Cost   time.Duration
 	Jitter float64
 	// Latency is the wire: a worker spends Latency.Delay(payload bytes) of
@@ -174,9 +175,6 @@ func (c *Cluster) At(d time.Duration, fn func()) {
 func (c *Cluster) Submit(d time.Duration, spec JobSpec) (*Job, error) {
 	if err := spec.Problem.Check(); err != nil {
 		return nil, fmt.Errorf("sim: job %q: %w", spec.Name, err)
-	}
-	if spec.Cost <= 0 {
-		spec.Cost = c.opts.Cost
 	}
 	jb := &Job{id: int32(len(c.jobs) + 1), spec: spec}
 	c.jobs = append(c.jobs, jb)

@@ -120,20 +120,17 @@ func (c *Cluster) advance(w *simWorker) {
 }
 
 // serviceTime draws the virtual execution time of one task: the job's
-// Service of the task's block, or its nominal cost (plus the block-area
-// term when CostPerCell is set), scaled by the worker's current speed
-// factor and the cluster's jitter. The RNG is consumed in event order, so
-// the draw sequence — and with it the whole schedule — is a function of
-// the seed.
+// Service of the task's block, or the cluster's nominal Cost, scaled by
+// the worker's current speed factor and the cluster's jitter. The RNG is
+// consumed in event order, so the draw sequence — and with it the whole
+// schedule — is a function of the seed.
 func (c *Cluster) serviceTime(task comm.Message, w *simWorker) time.Duration {
-	jb := c.jobs[task.Job-1]
-	geom := jb.job.Engine.Graph().Geom
-	r := geom.Rect(geom.PosOf(task.Vertex))
-	cost := float64(jb.spec.Cost) + float64(jb.spec.CostPerCell)*float64(r.Rows*r.Cols)
+	jb, cost := c.jobs[task.Job-1], c.opts.Cost
 	if jb.spec.Service != nil {
-		cost = float64(jb.spec.Service(r))
+		geom := jb.job.Engine.Graph().Geom
+		cost = jb.spec.Service(geom.Rect(geom.PosOf(task.Vertex)))
 	}
-	d := cost * w.speed
+	d := float64(cost) * w.speed
 	if c.opts.Jitter > 0 {
 		d *= 1 + c.opts.Jitter*(2*c.rng.Float64()-1)
 	}

@@ -208,7 +208,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6854 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6850 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -216,9 +216,9 @@ check_lines 6854 internal/core internal/fleet internal/sim internal/engine inter
 check_lines 1240 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
 # store must not arrive unnoticed. And a view reads one way down a column,
-# matrix.View.Band — a column run is a band of width one — so the bound
-# stays where it was when Band replaced Col.
-check_lines 1184 internal/matrix
+# matrix.View.Band — a column run is a band of width one — and writes one
+# way, into the out slice a kernel's Row is handed (View.Set is gone).
+check_lines 1181 internal/matrix
 
 # And the 2D/1D kernels sweep source rows across a row segment (their Row,
 # over View.Band) instead of walking a column per cell: no non-test Go
@@ -232,6 +232,26 @@ if [ -n "$colwalks" ]; then
     exit 1
 fi
 echo "calls: no splitRuns, colRuns or View.Col in non-test Go"
+
+# And a kernel states its recurrence once: the runtime calls Kernel.Row, a
+# per-cell kernel (core.CellKernel) runs through the one adapter core.Cells,
+# and a Row writes the out slice it is handed. So no non-test Go names the
+# optional-method probe or its unexported adapter, derives a Cell from its
+# Row ("a row segment of one"), or writes through a view's Set, and in
+# internal/dp only Dominance43, the one per-cell library kernel, declares a
+# Cell. The library kernels' size is held beside it: a second entry point
+# per kernel must not return unnoticed.
+entries=$( (grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])(RowKernel|cellRows)([^A-Za-z0-9_]|$)|a row segment of one|View(\[[^]]*\])?\) Set\(|(^|[^A-Za-z0-9_.])(v|view)\.Set\(' . |
+    grep -v '_test\.go:'
+    grep -nE '^func \([^)]*\) Cell\(' $(ls internal/dp/*.go | grep -v '_test\.go$') /dev/null |
+        grep -v '(d \*Dominance43) Cell(') || true)
+if [ -n "$entries" ]; then
+    echo "calls: a kernel's one recurrence entry point is Kernel.Row (per-cell kernels through core.Cells):" >&2
+    echo "$entries" >&2
+    exit 1
+fi
+echo "calls: no RowKernel, cellRows, Cell-from-Row wrapper or View.Set in non-test Go"
+check_lines 2245 internal/dp
 
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
