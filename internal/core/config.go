@@ -80,8 +80,8 @@ type Config struct {
 	// sub-task not finished within it is redistributed.
 	TaskTimeout time.Duration
 	// SubTaskTimeout is the thread-level fault-detection timeout. The
-	// thread level watches it only with Threads >= 2: a helper re-runs what
-	// another thread stalls in, and a lone thread has nobody to hand it to.
+	// thread level watches it only with Threads >= 2: a helper races a backup
+	// of what another thread is overdue in, and a lone thread cannot.
 	SubTaskTimeout time.Duration
 	// CheckInterval is how often the fault-tolerance watches inspect their
 	// overtime queues (the thread level's, with Threads >= 2 only);
@@ -91,11 +91,11 @@ type Config struct {
 	// is exceeded (0 disables; the job's engine.JobParams.Timeout). It is
 	// a guard for tests and for deployments where every node could die.
 	RunTimeout time.Duration
-	// MaxAttempts bounds how many times one sub-task (or sub-sub-task)
-	// may be dispatched: exceeding it aborts the run with an error at
-	// the processor level, or surfaces the underlying panic at the
-	// thread level, so that deterministic kernel bugs fail loudly
-	// instead of looping through fault recovery forever. Default 4.
+	// MaxAttempts is both levels' one fault rule (engine.Attempts): the
+	// MaxAttempts-th expiry of one sub-task aborts the run with an error, the
+	// MaxAttempts-th panic of one sub-sub-task surfaces the panic, so that
+	// deterministic kernel bugs fail loudly instead of looping forever. A
+	// revoked or stolen sub-task never counts, nor an overdue sub-sub-task.
 	MaxAttempts int
 	// Speculate enables speculative re-execution: when an in-flight
 	// sub-task runs longer than twice the 95th percentile of observed

@@ -6,11 +6,11 @@ import (
 )
 
 // KeepsLevel reports whether r kept its thread level for the next Run, as
-// it does unless a sub-block was re-pushed after a timeout.
+// it does unless a sub-block ran overdue.
 func (r *TaskRunner[T]) KeepsLevel() bool { return r.level != nil }
 
 // SubTasks returns the number of thread-level sub-sub-tasks r executed so
-// far (duplicates from timeout re-pushes included).
+// far (backups of overdue ones included).
 func (r *TaskRunner[T]) SubTasks() int64 { return r.ctrs.subTasks.Load() }
 
 // Attach attaches r to a as job, the way a spec frame attaches a runner

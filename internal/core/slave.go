@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dag"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
@@ -199,16 +200,14 @@ func (w Worker[T]) loop(held *Attached[T], noteActivity func()) error {
 var errCrashed = errors.New("core: injected slave crash")
 
 // slaveLevel is a TaskRunner's thread level (Figs. 11-12 of the paper): the
-// slave DAG Data Driven Model over the sub-blocks of one processor-level
-// block, drained by Threads compute threads — the goroutine that calls Run
-// is thread 0, and Threads-1 helpers join it. It is reset, not rebuilt, from
-// one Run to the next, unless a sub-block was re-pushed after a timeout: a
-// helper may then still run a duplicate (a straggler), and keeps the level.
+// slave DAG over the sub-blocks of one block on an engine.Attempts, drained
+// by Threads compute threads (the caller of Run is thread 0), and reset, not
+// rebuilt, per Run unless a straggler may still hold it (computeBlock).
 type slaveLevel[T any] struct {
 	r       *TaskRunner[T]
 	pat     dag.Pattern
 	graph   dag.Graph
-	parser  dag.Parser // its done-set is the accept-once ledger
+	att     engine.Attempts // of the slave DAG, reset per block
 	lifo    sched.LIFO
 	queue   *sched.Queue
 	views   []*matrix.View[T]       // per thread: in place at one thread, else over a scratch block the size of the largest sub-block
@@ -216,30 +215,24 @@ type slaveLevel[T any] struct {
 	strips  *matrix.Strips[T]       // the shipped bands, joined
 	layers  []*matrix.Block[T]      // the output block, then the inputs
 	helpers sync.WaitGroup
-	// The slave fault-tolerance thread, with helpers only: a timer that
-	// re-arms itself every CheckInterval while a block is computed.
-	ot       *sched.OvertimeQueue
-	watch    *time.Timer
-	attempts atomic.Int32 // overtime stamps, never reused
-	overdue  atomic.Bool  // a sub-block was re-pushed after a timeout
-	tgeom    dag.Geometry // of the block being computed
-	out      *matrix.Block[T]
-	procID   int32
+	watch   *time.Timer  // the slave fault-tolerance thread, with helpers only
+	overdue atomic.Bool  // a sub-block was queued again, overdue
+	tgeom   dag.Geometry // of the block being computed
+	out     *matrix.Block[T]
+	procID  int32
 
-	mu     sync.Mutex // held by accepts and re-pushes, so every push is made under it
-	panics map[int32]int
-	ready  []int32
+	mu    sync.Mutex // held by accepts, failures and the watch, so every push is made under it
+	ready []int32    // accept's
 }
 
-// computeBlock is the thread-level parallelization of one processor-level
-// sub-task of r: the block's slave DAG is rebuilt in the level's storage and
-// drained by the caller and the helpers. Reads outside the region resolve
-// against the inputs, the shipped bands joined into strips; one thread
-// computes the block whole and in place, helpers a sub-block each in a scratch.
+// computeBlock is the thread level of one processor-level sub-task of r.
+// Reads outside the block resolve against the inputs, the shipped bands
+// joined into strips; one thread computes the block whole and in place,
+// helpers a sub-block each in a scratch.
 func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block[T], procID int32) *matrix.Block[T] {
 	l, helpers := r.level, r.cfg.Threads-1
 	if l == nil {
-		l = &slaveLevel[T]{r: r, pat: r.p.Kernel.Pattern(), panics: make(map[int32]int)}
+		l = &slaveLevel[T]{r: r, pat: r.p.Kernel.Pattern()}
 		l.queue = sched.NewQueue(&l.lifo)
 		l.strips = matrix.NewStrips[T](r.geom.Block, r.p.Size)
 		largest := dag.NewGeometry(r.geom.Rect(dag.Pos{}), r.cfg.ThreadPartition).Rect(dag.Pos{})
@@ -248,7 +241,7 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 			l.fills = append(l.fills, SubBlockFill(r.p.Kernel))
 		}
 		if helpers > 0 {
-			l.ot, l.watch = sched.NewOvertimeQueue(), time.AfterFunc(r.cfg.CheckInterval, l.expire)
+			l.watch = time.AfterFunc(r.cfg.CheckInterval, l.expire)
 		}
 		r.level = l
 	}
@@ -258,7 +251,6 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 	}
 	l.tgeom, l.procID = dag.NewGeometry(rect, part), procID
 	l.graph.Rebuild(l.pat, l.tgeom)
-	l.parser.Reset(&l.graph)
 	// PolicyAffinity degenerates to plain dynamic here: inside one node
 	// memory is shared, so locality has nothing to optimize.
 	order := sched.Order(&l.lifo) // drained by the Run before
@@ -271,9 +263,8 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 	for _, v := range l.views {
 		v.SetInputs(l.layers)
 	}
-	clear(l.panics)
 	l.overdue.Store(false)
-	l.ready = l.parser.AppendInitialReady(l.ready[:0])
+	l.ready = l.att.Reset(&l.graph, r.cfg.MaxAttempts, l.ready[:0])
 	l.queue.Ready(l.ready...)
 
 	if helpers > 0 {
@@ -287,7 +278,7 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 	}
 	l.drain(0)
 	if helpers > 0 {
-		// Every sub-block is accepted. Without a re-push each ran once, so
+		// Every sub-block is accepted. With none overdue each ran once, so
 		// no helper is executing one, and all leave the closed queue now.
 		l.watch.Stop()
 		if l.overdue.Load() {
@@ -299,8 +290,7 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 	return l.out
 }
 
-// drain is compute thread w's loop: draw sub-blocks until the block is
-// complete and the queue holds nothing more for w.
+// drain is compute thread w's loop, until the queue has nothing more for w.
 func (l *slaveLevel[T]) drain(w int) {
 	for sub, ok := l.queue.Next(w); ok; sub, ok = l.queue.Next(w) {
 		l.execute(w, sub)
@@ -310,30 +300,36 @@ func (l *slaveLevel[T]) drain(w int) {
 	}
 }
 
-// execute runs one sub-sub-task in thread w's scratch block, recovering
-// from kernel panics (worker restart semantics). A sub-sub-task that
-// panics MaxAttempts times indicates a deterministic kernel bug, not a
-// transient fault: the panic is re-raised so the defect surfaces instead of
-// looping through recovery forever.
+// execute runs one attempt of a sub-sub-task in thread w's view, recovering
+// from kernel panics (worker restart semantics) up to the MaxAttempts-th of
+// one sub-sub-task, which is re-raised: a deterministic kernel bug surfaces.
 func (l *slaveLevel[T]) execute(w int, sub int32) {
 	r, view := l.r, l.views[w]
+	var deadline time.Time // unwatched at one thread
+	if l.watch != nil {
+		deadline = time.Now().Add(r.cfg.SubTaskTimeout)
+	}
+	// Queued again while an overdue attempt runs, a sub-block gets a backup
+	// beside it; accepted meanwhile, it is refused and not run.
+	attempt, ok := l.att.Start(sub, deadline, l.watch != nil && l.att.Live(sub) > 0)
+	if !ok {
+		return
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			l.mu.Lock()
-			l.panics[sub]++
-			giveUp := l.panics[sub] >= r.cfg.MaxAttempts
-			l.requeue(sub)
+			uncovered, err := l.att.Fail(sub, attempt)
+			if uncovered {
+				l.queue.Ready(sub)
+			}
 			l.mu.Unlock()
-			if giveUp {
-				panic(fmt.Sprintf("core: sub-task %v panicked %d times (MaxAttempts): %v", SubTaskID{Proc: l.procID, Sub: sub}, r.cfg.MaxAttempts, p))
+			if err != nil {
+				panic(fmt.Sprintf("core: thread level of task %d: %v: %v", l.procID, err, p))
 			}
 			r.ctrs.workerRestarts.Add(1)
 		}
 	}()
 	view.Retarget(l.tgeom.Rect(l.graph.Vertex(sub).Pos))
-	if l.ot != nil {
-		l.ot.Add(sub, l.attempts.Add(1), time.Now().Add(r.cfg.SubTaskTimeout))
-	}
 	id := SubTaskID{Proc: l.procID, Sub: sub}
 	if r.faults.panicSubTask(id) {
 		panic(fmt.Sprintf("core: injected sub-task panic %v", id))
@@ -341,49 +337,40 @@ func (l *slaveLevel[T]) execute(w int, sub int32) {
 	time.Sleep(r.faults.stallSubTask(id))
 	l.fills[w](view)
 	r.ctrs.subTasks.Add(1)
-	l.accept(view, sub)
+	l.accept(view, sub, attempt)
 }
 
-// accept commits a computed sub-block exactly once: a scratch block's cells
-// are copied into the shared output block, the slave DAG is updated, and
-// newly computable sub-sub-tasks are released. Duplicate executions (after
-// a timeout re-push, so with helpers) are discarded here.
-func (l *slaveLevel[T]) accept(view *matrix.View[T], sub int32) {
+// accept commits a computed sub-block if its attempt is live — the first of
+// an overdue attempt and its backups to deliver — copying a scratch into the
+// output block and releasing what became computable.
+func (l *slaveLevel[T]) accept(view *matrix.View[T], sub, attempt int32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.parser.IsDone(sub) {
+	ready, ok := l.att.Accept(l.ready[:0], sub, attempt)
+	if !ok {
 		return
 	}
-	if l.ot != nil {
+	if l.ready = ready; l.watch != nil {
 		l.out.CopyFrom(view.Out())
-		l.ot.Remove(sub)
 	}
-	l.ready = l.parser.AppendComplete(l.ready[:0], sub)
-	if l.queue.Ready(l.ready...); l.parser.Finished() {
+	if l.queue.Ready(l.ready...); l.att.Remaining() == 0 {
 		l.queue.Close()
 	}
 }
 
-// requeue re-pushes an overdue or panicked sub-block not accepted meanwhile.
-// Callers hold l.mu.
-func (l *slaveLevel[T]) requeue(sub int32) {
-	if !l.parser.IsDone(sub) {
-		l.queue.Ready(sub)
-	}
-}
-
-// expire is the watch: it re-pushes the overdue sub-sub-tasks and re-arms
-// itself until the block is complete.
+// expire is the watch: it queues the overdue sub-sub-tasks again, for a
+// backup beside each, and re-arms itself until the block is complete.
 func (l *slaveLevel[T]) expire() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.parser.Finished() {
+	if l.att.Remaining() == 0 {
 		return
 	}
-	for _, e := range l.ot.ExpireBefore(time.Now()) {
-		l.r.ctrs.subRequeues.Add(1)
+	overdue := l.att.Overdue(nil, time.Now())
+	if len(overdue) > 0 { // a thread may still run what is overdue
 		l.overdue.Store(true)
-		l.requeue(e.ID)
 	}
+	l.r.ctrs.subRequeues.Add(int64(len(overdue)))
+	l.queue.Ready(overdue...)
 	l.watch.Reset(l.r.cfg.CheckInterval)
 }

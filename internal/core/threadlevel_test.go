@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -293,5 +294,124 @@ func TestOneThreadRunsOneSubTaskPerBlock(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// scriptedRows is edit distance whose west sub-block's first row, (0, 0),
+// runs a script per call: call k runs script[k-1] in place of the real Row,
+// which it may call (compute), and later calls run plain. east closes when
+// the east sub-block's first row, (0, 8), first runs: west was accepted.
+type scriptedRows struct {
+	*dp.EditDistance
+	mu     sync.Mutex
+	calls  int
+	script []func(compute func(), out []int32)
+	left   sync.WaitGroup // the scripted calls not returned yet
+	east   chan struct{}
+	once   sync.Once
+}
+
+func newScriptedRows(e *dp.EditDistance, script ...func(compute func(), out []int32)) *scriptedRows {
+	k := &scriptedRows{EditDistance: e, script: script, east: make(chan struct{})}
+	k.left.Add(len(script))
+	return k
+}
+
+func (k *scriptedRows) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	compute := func() { k.EditDistance.Row(v, i, j0, out) }
+	if i == 0 && j0 == 8 {
+		k.once.Do(func() { close(k.east) })
+	}
+	k.mu.Lock()
+	if i == 0 && j0 == 0 {
+		k.calls++
+	}
+	n := k.calls
+	k.mu.Unlock()
+	if i != 0 || j0 != 0 || n > len(k.script) {
+		compute()
+		return
+	}
+	defer k.left.Done()
+	k.script[n-1](compute, out)
+}
+
+// waitOr waits for ch, failing the test after a generous bound instead of
+// hanging it.
+func waitOr(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Errorf("timed out waiting for %s", what)
+	}
+}
+
+// oneBlockRunner runs a 16×16 edit distance with kernel k as one block of
+// two sub-blocks, west and east, at two threads and a SubTaskTimeout of
+// 5 ms.
+func oneBlockRunner(t *testing.T, e *dp.EditDistance, k core.Kernel[int32], cfg core.Config) (*core.TaskRunner[int32], vertexTask) {
+	t.Helper()
+	p := e.Problem()
+	p.Kernel = k
+	cfg.Threads, cfg.ProcPartition, cfg.ThreadPartition = 2, dag.Square(16), dag.Size{Rows: 16, Cols: 8}
+	cfg.SubTaskTimeout, cfg.CheckInterval = 5*time.Millisecond, time.Millisecond
+	runner, err := core.NewTaskRunner(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runner, jobTasks(t, p, e.Sequential(), dag.Square(16))[0]
+}
+
+// An overdue sub-block stays live beside the backup the watch queues for
+// it, and the first of the two to deliver is accepted, the other refused
+// by its stamp. The west sub-block's first attempt holds its first row
+// until the backup has started, then delivers; the backup holds on until
+// the east sub-block runs — so west was accepted — and then delivers a
+// wrong row, which must not reach the block.
+func TestOverdueSubBlockRacesItsBackup(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(16, 91), dp.RandomDNA(16, 92))
+	backupStarted := make(chan struct{})
+	var k *scriptedRows
+	k = newScriptedRows(e,
+		func(compute func(), _ []int32) {
+			waitOr(t, backupStarted, "the backup")
+			compute()
+		},
+		func(compute func(), out []int32) {
+			close(backupStarted)
+			waitOr(t, k.east, "the east sub-block")
+			compute()
+			out[0]++
+		})
+	runner, task := oneBlockRunner(t, e, k, core.Config{MaxAttempts: 2})
+	task.run(t, runner)
+	k.left.Wait() // the backup may be a straggler past the Run
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.calls != 2 { // a third: the overdue attempt was superseded, not raced
+		t.Fatalf("%d attempts of the west sub-block ran, want 2: the overdue one and its backup", k.calls)
+	}
+}
+
+// slowFirstRow is edit distance whose first row takes 50 ms every call.
+type slowFirstRow struct{ *dp.EditDistance }
+
+func (k slowFirstRow) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	if i == 0 && j0 == 0 {
+		time.Sleep(50 * time.Millisecond)
+	}
+	k.EditDistance.Row(v, i, j0, out)
+}
+
+// A sub-block slower than SubTaskTimeout is no failure, at any MaxAttempts:
+// every attempt of it runs overdue, and the first to deliver completes the
+// block. Overdue, it cost the runner its level (a straggler may hold it).
+func TestSlowSubBlockIsNoFailure(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(16, 93), dp.RandomDNA(16, 94))
+	runner, task := oneBlockRunner(t, e, slowFirstRow{e}, core.Config{MaxAttempts: 1})
+	task.run(t, runner)
+	if runner.KeepsLevel() {
+		t.Fatal("the runner kept its level: no attempt ran overdue")
 	}
 }

@@ -97,11 +97,11 @@ func (p *Parser) AppendComplete(dst []int32, id int32) []int32 {
 	return dst
 }
 
-// IsDone reports whether vertex id has been completed.
-func (p *Parser) IsDone(id int32) bool {
+// Computable reports whether vertex id was emitted and not completed since.
+func (p *Parser) Computable(id int32) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.done[id]
+	return p.emitted[id] && !p.done[id]
 }
 
 // Remaining returns the number of vertices not yet completed.

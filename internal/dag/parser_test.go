@@ -128,12 +128,15 @@ func TestParserRemaining(t *testing.T) {
 		t.Fatalf("Remaining = %d, want 4", p.Remaining())
 	}
 	ready := p.InitialReady()
+	if !p.Computable(ready[0]) || p.Computable(ready[0]+1) {
+		t.Error("Computable: want the root only")
+	}
 	p.Complete(ready[0])
 	if p.Remaining() != 3 {
 		t.Fatalf("Remaining = %d, want 3", p.Remaining())
 	}
-	if !p.IsDone(ready[0]) {
-		t.Error("IsDone(completed) = false")
+	if p.Computable(ready[0]) {
+		t.Error("Computable(completed) = true")
 	}
 }
 

@@ -1,28 +1,19 @@
-// Package engine is the master part (Figs. 9-10 of the paper) as two state
-// machines without I/O, each written once. Job is one DAG job: its graph
-// and parser, block store, sub-task register table, overtime queue, lease
-// table, runtime profile, speculation ledger, cross-job cache keys, reclaim
-// counts, checkpoint writer and scheduling counters (Counters, Stats). Pool
-// is the scheduler above the jobs of a shared worker pool: the running-job
-// table, every job's ready set behind its draw order (internal/sched) and
-// fair-share account, the draw, the hunger pass, revocation across jobs,
-// the control tick and the tuner (pool.go). Both have one method per event,
-// which returns what the driver must do next — vertex ids to queue or ship,
-// a verdict, a task's payload, the jobs to end — and does no I/O of its own
-// beyond the cache and the checkpoint writer a Job was handed.
+// Package engine is the master part (Figs. 9-10 of the paper) as state
+// machines without I/O, each written once, with one method per event that
+// returns what the driver must do next (docs/INTERNALS.md, "Job engine").
+// Attempts is the per-vertex core of both levels: parser, register table,
+// overtime queue and the MaxAttempts rule over one DAG. Job is one DAG job
+// on an Attempts, with what only the processor level has: block store,
+// leases, runtime profile, speculation ledger, cross-job cache keys,
+// reclaim counts, checkpoint writer and counters. Pool is the scheduler
+// above the jobs of a shared worker pool: the running-job table, every
+// job's draw order and fair-share account, the draw, the hunger pass,
+// revocation across jobs, the control tick and the tuner. Their driver,
+// core.Driver, owns what is I/O — members, links, known-sets, the message
+// around a payload, the tick, the finish latch; the engine does none
+// beyond the cache and checkpoint writer a Job was handed.
 //
-// One driver runs jobs under a Pool, core.Driver, with one member source,
-// its registry: core.RunContext's in-process members (one job, its Policy
-// the job's draw order), the fleet's (many jobs over members in process or
-// over TCP) and the simulator's (a single-threaded event loop on a fake
-// clock). The driver owns what is I/O: members, their links and
-// known-sets, the message around a payload, the membership registry, when
-// the tick fires, the finish latch; its members announce idleness and
-// hunger.
-//
-// docs/INTERNALS.md ("Job engine") has the event → call → action tables.
-//
-// Neither type starts a goroutine, channel or timer nor reads a clock: time
+// No type starts a goroutine, channel or timer or reads a clock: time
 // arrives as the now argument of the event. A Pool takes no lock at all —
 // its driver serializes every call, and with them the Job methods the pool
 // calls: Lease, Expire, FlagStragglers, Revoke, Deepest, StealFrom, Sample.
@@ -30,16 +21,17 @@
 // Concurrency contract, for what a driver calls on a Job itself. Replay,
 // Frontier and Complete have one caller at a time — the receive side,
 // outside the driver's lock, so that a commit (decode, store, cache and
-// checkpoint write) never stalls a draw — and own the parser, the store
-// writes, the content keys and the reclaim counts without a lock; a sender
-// reading a committed dependency (TaskPayload, ResultKey) is ordered behind
-// the write by the driver's own ready hand-off, since a vertex is only drawn
+// checkpoint write) never stalls a draw — and own the store writes, the
+// content keys and the reclaim counts without a lock; a sender reading a
+// committed dependency (TaskPayload, ResultKey) is ordered behind the
+// write by the driver's own ready hand-off, since a vertex is only drawn
 // after Complete returned it. Graph, TaskPayload, ResultKey, Shipped and
-// Unlease may run from concurrent senders, the accessors from any goroutine. So
-// Complete races Lease and the tick: specMu guards the speculation ledger
-// both write and is the only lock the engine declares; the sched tables,
-// the parser, the store, the cache and the trace recorder keep their own
-// leaf locks, none of which is held across a call out.
+// Unlease may run from concurrent senders, the accessors from any
+// goroutine. So Complete races Lease and the tick: specMu guards the
+// speculation ledger both write and is the only lock the engine declares;
+// the sched tables, the parser, the store, the cache and the trace
+// recorder keep their own leaf locks, none of which is held across a call
+// out.
 package engine
 
 import (
@@ -61,7 +53,7 @@ type Config[T any] struct {
 	// TaskTimeout is the overtime bound of one vertex; entry k of a batch
 	// gets k+1 of them (see Lease).
 	TaskTimeout time.Duration
-	// MaxAttempts is how many overtime expiries of one vertex fail the job.
+	// MaxAttempts is how many expiries of one vertex fail the job.
 	MaxAttempts int
 	// Cache and CacheKey, both set, turn on cross-job memoization:
 	// computable vertices are probed before they are handed out and every
@@ -109,23 +101,13 @@ type Job[T any] struct {
 	codec matrix.Codec[T]
 
 	graph   *dag.Graph
-	parser  *dag.Parser
+	att     Attempts // parser, register table, overtime queue, MaxAttempts
 	store   *matrix.Store[T]
-	reg     *sched.RegisterTable
-	ot      *sched.OvertimeQueue
 	leases  *sched.LeaseTable
 	profile *sched.RuntimeProfile
 	ctrs    Counters
 	ckpt    *checkpoint.Writer
-
-	// frontier[v] marks a computable, uncommitted vertex while checkpoint
-	// records replay; Frontier hands the set over and clears it.
-	frontier []bool
-
-	// timeouts counts overtime expiries per vertex: the MaxAttempts guard.
-	// A backup bumps the register table's attempt stamp without indicting
-	// the vertex, so the stamp is not the measure. Expire only.
-	timeouts map[int32]int
+	handed  bool // Frontier ran: the replay is over, and it hands out nothing more
 
 	// specPending marks vertices FlagStragglers queued for a backup: the
 	// next draw of one is a concurrent attempt, not a superseding one.
@@ -152,14 +134,9 @@ func New[T any](pattern dag.Pattern, codec matrix.Codec[T], size, proc dag.Size,
 		cfg:         cfg,
 		codec:       codec,
 		graph:       graph,
-		parser:      dag.NewParser(graph),
 		store:       matrix.NewStore[T](geom),
-		reg:         sched.NewRegisterTable(),
-		ot:          sched.NewOvertimeQueue(),
 		leases:      sched.NewLeaseTable(),
 		profile:     sched.NewRuntimeProfile(0),
-		frontier:    make([]bool, len(graph.Verts)),
-		timeouts:    make(map[int32]int),
 		specPending: make(map[int32]bool),
 		backupOf:    make(map[int32]int32),
 	}
@@ -174,9 +151,7 @@ func New[T any](pattern dag.Pattern, codec matrix.Codec[T], size, proc dag.Size,
 			}
 		}
 	}
-	for _, id := range j.parser.InitialReady() {
-		j.frontier[id] = true
-	}
+	j.att.Reset(graph, cfg.MaxAttempts, nil)
 	return j
 }
 
@@ -195,7 +170,7 @@ func (j *Job[T]) Replay(v int32, payload []byte) error {
 	if v < 0 || int(v) >= len(j.graph.Verts) || !j.graph.Vertex(v).Exists {
 		return fmt.Errorf("checkpoint names unknown vertex %d", v)
 	}
-	if !j.frontier[v] {
+	if !j.att.Computable(v) {
 		return fmt.Errorf("checkpoint record for vertex %d out of order", v)
 	}
 	b, err := j.decode(v, payload)
@@ -207,46 +182,40 @@ func (j *Job[T]) Replay(v int32, payload []byte) error {
 	if err := j.commit(v, payload, b, nil); err != nil {
 		return err
 	}
-	j.frontier[v] = false
-	for _, nv := range j.complete(v) {
-		j.frontier[nv] = true
-	}
+	j.reclaim(v)
+	j.att.Commit(nil, v)
 	j.ctrs.Restored.Add(1)
 	return nil
 }
 
 // Frontier returns the vertices to queue first, in ascending id order:
 // the DAG roots, or what the replayed records left computable, minus
-// everything the cache could absorb. Called once, before any Lease.
+// everything the cache could absorb; a later call returns none.
 func (j *Job[T]) Frontier() ([]int32, error) {
 	var ready []int32
-	for id, ok := range j.frontier {
-		if ok {
-			ready = append(ready, int32(id))
+	for id := int32(0); !j.handed && int(id) < len(j.graph.Verts); id++ {
+		if j.att.Computable(id) {
+			ready = append(ready, id)
 		}
 	}
-	j.frontier = nil
+	j.handed = true
 	ready, err := j.absorb(ready)
 	j.progress()
 	return ready, err
 }
 
 // Lease arbitrates one vertex a sender drew for member: a primary attempt
-// for an ordinary draw (superseding any earlier one — a redistribution), a
-// concurrent backup for a vertex FlagStragglers queued. On Granted and
-// Backup the attempt is registered, leased to member at now and watched
-// until now + (slot+1)·TaskTimeout, where slot is the entry's position in
-// the batch being built: a worker runs a batch in order, so entry k may
-// rightly wait k task-times before it starts.
+// for an ordinary draw (a redistribution, if one ran before), a backup for
+// a vertex FlagStragglers queued. On Granted and Backup the attempt starts,
+// leased to member at now and watched until now + (slot+1)·TaskTimeout:
+// a worker runs a batch in order, so entry slot may rightly wait slot
+// task-times before it starts.
 func (j *Job[T]) Lease(member int, v int32, slot int, now time.Time) (attempt int32, out Outcome) {
 	j.specMu.Lock()
 	pending := j.specPending[v]
 	delete(j.specPending, v)
 	j.specMu.Unlock()
-	var ok bool
-	if !pending {
-		attempt, ok = j.reg.Register(v)
-	} else {
+	if pending {
 		for _, l := range j.leases.Holders(v) {
 			if l.Worker == member {
 				j.specMu.Lock()
@@ -255,27 +224,24 @@ func (j *Job[T]) Lease(member int, v int32, slot int, now time.Time) (attempt in
 				return 0, Held
 			}
 		}
-		// Refused when the original finished, or was cancelled, while the
-		// flag waited in the queue; an uncovered unfinished vertex always
-		// comes back through Expire or Revoke, so nothing is lost.
-		attempt, ok = j.reg.RegisterBackup(v)
 		out = Backup
 	}
+	// A backup is refused when the original finished, or was cancelled,
+	// while the flag waited in the queue; an uncovered unfinished vertex
+	// always comes back through Expire or Revoke, so nothing is lost.
+	attempt, ok := j.att.Start(v, now.Add(j.cfg.TaskTimeout*time.Duration(slot+1)), pending)
 	if !ok {
 		return 0, Gone
 	}
-	deadline := now.Add(j.cfg.TaskTimeout * time.Duration(slot+1))
 	if out == Backup {
 		j.specMu.Lock()
 		j.backupOf[v] = attempt
 		j.specMu.Unlock()
 		j.leases.Add(v, member, attempt, now)
-		j.ot.AddConcurrent(v, attempt, deadline)
 		j.ctrs.Speculated.Add(1)
 		j.cfg.Trace.Speculate(member, v)
 	} else {
 		j.leases.Grant(v, member, attempt, now)
-		j.ot.Add(v, attempt, deadline)
 	}
 	j.cfg.Trace.TaskStart(member, v)
 	j.ctrs.Dispatches.Add(1)
@@ -296,14 +262,17 @@ func (j *Job[T]) Shipped(member, n, bytes int) {
 // ship because the job ended under it. The vertex is not requeued.
 func (j *Job[T]) Unlease(v, attempt int32) { j.drop(v, attempt) }
 
-// drop retires one live attempt wherever it is recorded — lease, overtime
-// watch, speculation ledger, register table — and reports whether no
-// concurrent attempt still covers v, so that it must be queued again. A
-// dead backup was wasted; a dead original leaves its backup the sole
-// attempt, no longer a race to classify.
+// drop retires one live attempt (release, then the core) and reports
+// whether it left v uncovered, to be queued again.
 func (j *Job[T]) drop(v, attempt int32) (uncovered bool) {
+	j.release(v, attempt)
+	return j.att.Drop(v, attempt)
+}
+
+// release retires an attempt's lease and speculation record: a dead backup
+// was wasted; a dead original leaves its backup alone, no race to classify.
+func (j *Job[T]) release(v, attempt int32) {
 	j.leases.ReleaseAttempt(v, attempt)
-	j.ot.RemoveAttempt(v, attempt)
 	j.specMu.Lock()
 	if backup, ok := j.backupOf[v]; ok {
 		delete(j.backupOf, v)
@@ -312,7 +281,6 @@ func (j *Job[T]) drop(v, attempt int32) (uncovered bool) {
 		}
 	}
 	j.specMu.Unlock()
-	return j.reg.CancelAttempt(v, attempt) == 0
 }
 
 // Complete applies member's result for (v, attempt). A result whose
@@ -324,11 +292,11 @@ func (j *Job[T]) drop(v, attempt int32) (uncovered bool) {
 // cache could not absorb. An error fails the job: the payload was not v's
 // block, or the checkpoint could not be written.
 func (j *Job[T]) Complete(member int, v, attempt int32, payload []byte, now time.Time) (ready []int32, accepted bool, err error) {
-	if !j.reg.Accept(v, attempt) {
+	ready, accepted = j.att.Accept(nil, v, attempt)
+	if !accepted {
 		j.ctrs.StaleResults.Add(1)
 		return nil, false, nil
 	}
-	j.ot.Remove(v)
 	for _, l := range j.leases.Release(v) { // the winner and any loser of a race
 		if l.Attempt == attempt {
 			j.profile.Observe(now.Sub(l.Granted))
@@ -354,7 +322,8 @@ func (j *Job[T]) Complete(member int, v, attempt int32, payload []byte, now time
 	}
 	j.cfg.Trace.TaskEnd(member, v)
 	j.ctrs.Tasks.Add(1)
-	ready, err = j.absorb(j.complete(v))
+	j.reclaim(v)
+	ready, err = j.absorb(ready)
 	j.progress()
 	return ready, true, err
 }
@@ -394,20 +363,17 @@ func (j *Job[T]) commit(v int32, payload []byte, b *matrix.Block[T], hit *cas.Ke
 	return nil
 }
 
-// complete advances the DAG past committed vertex v, releases the blocks
-// v was the last reader of, and returns the newly computable vertices.
-func (j *Job[T]) complete(v int32) []int32 {
-	newly := j.parser.Complete(v)
-	if j.uses != nil {
-		for _, d := range j.graph.Vertex(v).DataPre {
-			j.uses[d]--
-			if j.uses[d] == 0 {
-				j.store.Drop(j.graph.Geom.PosOf(d))
-				j.ctrs.BlocksReclaimed.Add(1)
-			}
+// reclaim releases the blocks committed vertex v was the last reader of.
+func (j *Job[T]) reclaim(v int32) {
+	if j.uses == nil {
+		return
+	}
+	for _, d := range j.graph.Vertex(v).DataPre {
+		if j.uses[d]--; j.uses[d] == 0 {
+			j.store.Drop(j.graph.Geom.PosOf(d))
+			j.ctrs.BlocksReclaimed.Add(1)
 		}
 	}
-	return newly
 }
 
 // blockKey derives vertex v's cross-job cache key: the job's spec digest,
@@ -452,37 +418,25 @@ func (j *Job[T]) absorb(ids []int32) ([]int32, error) {
 		if err := j.commit(v, payload, b, &key); err != nil {
 			return miss, err
 		}
-		work = append(work, j.complete(v)...)
+		j.reclaim(v)
+		work = j.att.Commit(work, v)
 	}
 	return miss, nil
 }
 
 func (j *Job[T]) progress() {
 	if j.cfg.OnProgress != nil {
-		j.cfg.OnProgress(j.graph.N-j.parser.Remaining(), j.graph.N)
+		j.cfg.OnProgress(j.graph.N-j.att.Remaining(), j.graph.N)
 	}
 }
 
-// Expire retires every attempt whose deadline is not after now and
-// returns the vertices left uncovered, in (deadline, id, attempt) order,
-// for the driver to queue again. The MaxAttempts-th expiry of one vertex
-// is an error: the vertex is poisoned and the job fails. Attempts a
-// member's death took (Revoke) or a steal moved (StealFrom) do not count
-// toward it.
+// Expire retires every overdue attempt (Attempts.Expire) and returns the
+// vertices left uncovered, for the driver to queue again; the error fails
+// the job.
 func (j *Job[T]) Expire(now time.Time) (requeue []int32, err error) {
-	for _, e := range j.ot.ExpireBefore(now) {
-		uncovered := j.drop(e.ID, e.Attempt)
-		j.timeouts[e.ID]++
-		if n := j.timeouts[e.ID]; n >= j.cfg.MaxAttempts {
-			return requeue, fmt.Errorf("vertex %d timed out %d times (MaxAttempts); giving up", e.ID, n)
-		}
-		// One side of a speculative race expiring leaves the other running.
-		if uncovered {
-			j.ctrs.Redistributions.Add(1)
-			requeue = append(requeue, e.ID)
-		}
-	}
-	return requeue, nil
+	requeue, err = j.att.Expire(now, j.release)
+	j.ctrs.Redistributions.Add(int64(len(requeue)))
+	return requeue, err
 }
 
 // Revoke drops every lease member holds — it died or left — and returns
@@ -515,7 +469,7 @@ func (j *Job[T]) FlagStragglers(now time.Time, quantile, multiplier float64, flo
 		if budget == 0 {
 			break
 		}
-		if j.reg.LiveAttempts(l.Vertex) != 1 {
+		if j.att.Live(l.Vertex) != 1 {
 			continue
 		}
 		j.specMu.Lock()
@@ -557,7 +511,7 @@ func (j *Job[T]) StealFrom(victim, thief int) []int32 {
 	}
 	var stolen []int32
 	for _, l := range backlog[(len(backlog)+1)/2:] {
-		if j.reg.LiveAttempts(l.Vertex) != 1 {
+		if j.att.Live(l.Vertex) != 1 {
 			continue
 		}
 		if j.drop(l.Vertex, l.Attempt) {
@@ -592,7 +546,7 @@ func (j *Job[T]) Sample() tune.Sample {
 
 // Leaked counts the register-table and lease entries still live: zero
 // when a job finished cleanly.
-func (j *Job[T]) Leaked() int { return j.reg.Outstanding() + j.leases.Len() }
+func (j *Job[T]) Leaked() int { return j.att.Outstanding() + j.leases.Len() }
 
 // Counters is the job's scheduling ledger, every field moved by an engine
 // event.
@@ -606,10 +560,10 @@ func (j *Job[T]) Store() *matrix.Store[T] { return j.store }
 func (j *Job[T]) Graph() *dag.Graph { return j.graph }
 
 // Remaining is the number of vertices not yet committed.
-func (j *Job[T]) Remaining() int { return j.parser.Remaining() }
+func (j *Job[T]) Remaining() int { return j.att.Remaining() }
 
 // Finished reports whether every vertex has committed.
-func (j *Job[T]) Finished() bool { return j.parser.Finished() }
+func (j *Job[T]) Finished() bool { return j.att.Remaining() == 0 }
 
 // Inflight is the number of leased attempts outstanding.
 func (j *Job[T]) Inflight() int { return j.leases.Len() }
@@ -619,7 +573,7 @@ func (j *Job[T]) Load(member int) int { return j.leases.Load(member) }
 
 // LiveAttempts is the number of attempts covering vertex v: two while a
 // backup races its original.
-func (j *Job[T]) LiveAttempts(v int32) int { return j.reg.LiveAttempts(v) }
+func (j *Job[T]) LiveAttempts(v int32) int { return j.att.Live(v) }
 
 // Cached reports whether the job reads and writes the cross-job cache.
 func (j *Job[T]) Cached() bool { return j.cfg.Cache != nil && j.cfg.CacheKey != "" }

@@ -134,15 +134,10 @@ type Account struct {
 // Pool is the scheduler above the jobs, written once like Job: the table
 // of running jobs in submission order and, per job, the ready set behind
 // its draw order, the fair-share account and the deadline, behind one
-// method per fleet-level event. Its one caller is core.Driver, under its
-// members' links and the simulator's event loop;
-// what the driver keeps is what is I/O — members and their links,
-// encoding, the finish latch.
-//
-// A Pool starts no goroutine, channel or timer, takes no lock and reads no
-// clock: the driver serializes every call (under Driver.mu), and
-// time, the live-member count and the hunger-beacon count are arguments.
-// Params and Tuner read only what NewPool set and need no serializing.
+// method per fleet-level event. Its one caller is core.Driver, which
+// serializes every call (under Driver.mu) and passes time, the live-member
+// count and the hunger-beacon count as arguments; Params and Tuner read
+// only what NewPool set and need no serializing.
 type Pool[T any] struct {
 	cfg   PoolConfig
 	tuner *tune.Controller // nil without Auto

@@ -1,7 +1,9 @@
 package engine_test
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -132,6 +134,185 @@ func TestRandomSchedules(t *testing.T) {
 			randomPoolSchedule(t, seed, results, wants)
 		}
 	})
+	t.Run("thread", func(t *testing.T) {
+		for _, app := range apps {
+			var att engine.Attempts // one core, reset per block like the thread level's
+			given := 0
+			for seed := int64(0); seed < seeds; seed++ {
+				if randomThreadSchedule(t, &att, app, seed) {
+					given++
+				}
+			}
+			if given == 0 || given == seeds {
+				t.Fatalf("%s: %d of %d seeds ended at MaxAttempts, want some and not all", app, given, seeds)
+			}
+		}
+	})
+}
+
+// randomThreadSchedule drives the per-vertex core the way core's thread
+// level does over one block's slave DAG (here the shape's own DAG): threads
+// compute threads draw from the seed's order and start an attempt — a
+// backup while one of the vertex is live — and a thread's attempt ends
+// accepted or in a panic (Fail), while the watch (Overdue) queues again
+// the vertices of overdue attempts, which stay live. Threads are never
+// revoked or stolen from. Checked at each step: a vertex is pushed only
+// once its predecessors were accepted and never after the last accept,
+// Start refuses exactly the accepted vertices, Accept succeeds exactly for
+// a live attempt, the first of a vertex, Overdue reports exactly the
+// watched attempts due, in (deadline, id, attempt) order, and an error
+// comes exactly at a vertex's MaxAttempts-th panicked live attempt — an
+// overdue one never counts. One seed in four runs with a MaxAttempts of 1
+// to 3; a seed that does not end at that error (gaveUp) must accept every
+// vertex once and leave no attempt live.
+func randomThreadSchedule(t *testing.T, att *engine.Attempts, app string, seed int64) (gaveUp bool) {
+	prob, proc, _ := problem(t, app)
+	g := dag.Build(prob.Kernel.Pattern(), dag.MatrixGeometry(prob.Size, proc))
+	rng := rand.New(rand.NewSource(seed))
+	threads, maxAttempts := 1+rng.Intn(4), 1<<30
+	if seed%4 == 0 {
+		maxAttempts = 1 + rng.Intn(3)
+	}
+	roots := att.Reset(g, maxAttempts, nil)
+	failf := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("thread %s seed %d: "+format, append([]any{app, seed}, args...)...)
+	}
+	const timeout = time.Second
+	now := time.Unix(0, 0)
+	preds := predecessors(g)
+	queue := randomOrder(rng, g, threads, failf)
+	accepted := make(map[int32]bool)
+	live := make(map[int32][]int32) // the model: each vertex's live attempts
+	type watched struct {
+		v        int32
+		deadline time.Time
+	}
+	watch := make(map[int32]watched) // by attempt
+	failures := make(map[int32]int)
+	running := make([]*attemptRef, threads) // what each thread computes, live or not
+	last := false
+	push := func(ids ...int32) {
+		for _, v := range ids {
+			if last {
+				failf("vertex %d pushed after the last accept", v)
+			}
+			for _, p := range preds[v] {
+				if !accepted[p] {
+					failf("vertex %d pushed before its predecessor %d was accepted", v, p)
+				}
+			}
+		}
+		queue.Push(ids...)
+	}
+	retire := func(v, a int32) (wasLive bool) {
+		k := slices.Index(live[v], a)
+		if k < 0 {
+			return false
+		}
+		live[v] = slices.Delete(live[v], k, k+1)
+		delete(watch, a)
+		return true
+	}
+
+	push(roots...)
+	for step := 0; att.Remaining() > 0; step++ {
+		now = now.Add(time.Duration(rng.Intn(400)) * time.Millisecond)
+		// Past the random phase threads only draw and deliver, so every
+		// seed terminates whatever faults it drew.
+		event := rng.Intn(6)
+		if step > 400 {
+			event = rng.Intn(2)
+		}
+		switch w := rng.Intn(threads); {
+		case event == 0 && running[w] == nil:
+			ids := queue.Pop(w, 1, nil)
+			if len(ids) == 0 {
+				break
+			}
+			v := ids[0]
+			a, ok := att.Start(v, now.Add(timeout), att.Live(v) > 0)
+			if ok == accepted[v] {
+				failf("Start of vertex %d = %v, accepted %v", v, ok, accepted[v])
+			}
+			if ok {
+				live[v] = append(live[v], a)
+				watch[a] = watched{v, now.Add(timeout)}
+				running[w] = &attemptRef{w, v, a}
+			}
+		case event == 1 && running[w] != nil, event == 2 && running[w] != nil:
+			f := *running[w]
+			running[w] = nil
+			if event == 2 { // the attempt panics
+				wasLive := retire(f.v, f.attempt)
+				uncovered, err := att.Fail(f.v, f.attempt)
+				if wasLive {
+					failures[f.v]++
+				}
+				if at := wasLive && failures[f.v] >= maxAttempts; at != (err != nil) {
+					failf("panic %d of vertex %d (live %v) under MaxAttempts %d: err %v", failures[f.v], f.v, wasLive, maxAttempts, err)
+				} else if at {
+					return true
+				}
+				if want := wasLive && len(live[f.v]) == 0; uncovered != want {
+					failf("Fail(%+v) uncovered %v, want %v", f, uncovered, want)
+				}
+				if uncovered {
+					push(f.v)
+				}
+				break
+			}
+			wasLive := slices.Contains(live[f.v], f.attempt)
+			ready, ok := att.Accept(nil, f.v, f.attempt)
+			if ok != wasLive {
+				failf("Accept(%+v) = %v, live %v", f, ok, wasLive)
+			}
+			if ok {
+				if accepted[f.v] {
+					failf("vertex %d accepted twice", f.v)
+				}
+				accepted[f.v] = true
+				for _, a := range live[f.v] {
+					delete(watch, a)
+				}
+				delete(live, f.v)
+				push(ready...)
+				last = att.Remaining() == 0
+			}
+		case event >= 3: // the watch fires
+			type due struct {
+				deadline time.Time
+				v, a     int32
+			}
+			var want []due
+			for a, e := range watch {
+				if !e.deadline.After(now) {
+					want = append(want, due{e.deadline, e.v, a})
+					delete(watch, a) // no longer watched, still live
+				}
+			}
+			slices.SortFunc(want, func(x, y due) int {
+				return cmp.Or(x.deadline.Compare(y.deadline), cmp.Compare(x.v, y.v), cmp.Compare(x.a, y.a))
+			})
+			got := att.Overdue(nil, now)
+			if len(got) != len(want) {
+				failf("Overdue = %v, want the vertices of %v", got, want)
+			}
+			for k, d := range want {
+				if got[k] != d.v {
+					failf("Overdue = %v, want the vertices of %v", got, want)
+				}
+			}
+			push(got...)
+		}
+		if step > 100000 {
+			failf("no end in sight: %d vertices remain, %d queued", att.Remaining(), queue.Len())
+		}
+	}
+	if len(accepted) != g.N || att.Outstanding() != 0 {
+		failf("%d of %d vertices accepted, %d attempts outstanding", len(accepted), g.N, att.Outstanding())
+	}
+	return false
 }
 
 func randomSchedule(t *testing.T, app string, seed int64, results map[int32][]byte, want [][]int32) {

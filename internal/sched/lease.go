@@ -7,17 +7,13 @@ import (
 	"time"
 )
 
-// Lease binds one dispatched attempt of a DAG vertex to one worker. It is
-// the unit of work-loss accounting: when the worker dies or leaves, every
-// lease it holds is revoked and the uncovered vertices go back on the
-// ready stack. Timeout expiry (the overtime queue) and result acceptance
-// (the register table) release leases individually.
-//
-// A vertex may carry several concurrent leases — the original attempt and
-// a speculative backup — distinguished by Attempt. Seq is the global
-// grant sequence: higher means dispatched later, which is what the
-// work-stealing path uses to steal from the tail of a loaded worker's
-// backlog (the head entry is the one it is probably executing now).
+// Lease binds one dispatched attempt of a DAG vertex to one worker, the
+// unit of work-loss accounting: when the worker dies or leaves, every lease
+// it holds is revoked and the uncovered vertices are queued again; an
+// expiry or a result releases leases individually. A vertex may carry
+// several — the original and a speculative backup — told apart by Attempt.
+// Seq is the grant sequence: work stealing takes from the tail of a loaded
+// worker's backlog (its head is the entry it is probably running now).
 type Lease struct {
 	Vertex  int32
 	Worker  int
@@ -26,22 +22,19 @@ type Lease struct {
 	Granted time.Time
 }
 
-// LeaseTable indexes live leases by vertex and by worker. All methods are
-// safe for concurrent use. Time is passed in explicitly so one injectable
-// clock (the caller's) governs grant stamps and age queries.
+// LeaseTable holds the live leases by vertex; a worker's are found by
+// scanning them, which are the attempts in flight, a few per member. All
+// methods are safe for concurrent use. Time is passed in explicitly so one
+// injectable clock (the caller's) governs grant stamps and age queries.
 type LeaseTable struct {
 	mu       sync.Mutex
 	seq      int
 	byVertex map[int32][]Lease
-	byWorker map[int]map[int32]struct{}
 }
 
 // NewLeaseTable creates an empty table.
 func NewLeaseTable() *LeaseTable {
-	return &LeaseTable{
-		byVertex: make(map[int32][]Lease),
-		byWorker: make(map[int]map[int32]struct{}),
-	}
+	return &LeaseTable{byVertex: make(map[int32][]Lease)}
 }
 
 // Grant records a lease for vertex v held by worker with the given
@@ -49,7 +42,7 @@ func NewLeaseTable() *LeaseTable {
 func (t *LeaseTable) Grant(v int32, worker int, attempt int32, now time.Time) Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.release(v)
+	delete(t.byVertex, v)
 	return t.add(v, worker, attempt, now)
 }
 
@@ -66,12 +59,6 @@ func (t *LeaseTable) add(v int32, worker int, attempt int32, now time.Time) Leas
 	t.seq++
 	l := Lease{Vertex: v, Worker: worker, Attempt: attempt, Seq: t.seq, Granted: now}
 	t.byVertex[v] = append(t.byVertex[v], l)
-	set := t.byWorker[worker]
-	if set == nil {
-		set = make(map[int32]struct{})
-		t.byWorker[worker] = set
-	}
-	set[v] = struct{}{}
 	return l
 }
 
@@ -80,16 +67,8 @@ func (t *LeaseTable) add(v int32, worker int, attempt int32, now time.Time) Leas
 func (t *LeaseTable) Release(v int32) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.release(v)
-}
-
-// release drops and returns every lease on v; callers hold t.mu.
-func (t *LeaseTable) release(v int32) []Lease {
 	ls := t.byVertex[v]
 	delete(t.byVertex, v)
-	for _, l := range ls {
-		t.unindex(l)
-	}
 	return ls
 }
 
@@ -110,7 +89,6 @@ func (t *LeaseTable) ReleaseAttempt(v int32, attempt int32) (Lease, bool) {
 	} else {
 		t.byVertex[v] = ls
 	}
-	t.unindex(l)
 	return l, true
 }
 
@@ -122,26 +100,34 @@ func (t *LeaseTable) ReleaseAttempt(v int32, attempt int32) (Lease, bool) {
 func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	set := t.byWorker[worker]
-	delete(t.byWorker, worker)
-	if len(set) == 0 {
-		return nil
+	out := t.held(worker)
+	for _, l := range out {
+		ls := slices.DeleteFunc(t.byVertex[l.Vertex], func(o Lease) bool { return o.Worker == worker })
+		if len(ls) == 0 {
+			delete(t.byVertex, l.Vertex)
+		} else {
+			t.byVertex[l.Vertex] = ls
+		}
 	}
-	out := make([]Lease, 0, len(set))
-	for v := range set {
-		ls := t.byVertex[v]
-		kept := ls[:0]
+	return out
+}
+
+// WorkerLeases returns a copy of worker's leases ordered by grant
+// sequence, oldest first — the steal path takes from the tail.
+func (t *LeaseTable) WorkerLeases(worker int) []Lease {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.held(worker)
+}
+
+// held collects worker's leases in grant order; callers hold t.mu.
+func (t *LeaseTable) held(worker int) []Lease {
+	var out []Lease
+	for _, ls := range t.byVertex {
 		for _, l := range ls {
 			if l.Worker == worker {
 				out = append(out, l)
-			} else {
-				kept = append(kept, l)
 			}
-		}
-		if len(kept) == 0 {
-			delete(t.byVertex, v)
-		} else {
-			t.byVertex[v] = kept
 		}
 	}
 	slices.SortFunc(out, func(a, b Lease) int { return cmp.Compare(a.Seq, b.Seq) })
@@ -186,60 +172,30 @@ func (t *LeaseTable) OlderThan(cutoff time.Time) []Lease {
 	return out
 }
 
-// Load returns the number of leases held by worker.
-func (t *LeaseTable) Load(worker int) int {
+// Load returns the number of vertices worker holds a lease on.
+func (t *LeaseTable) Load(worker int) (n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.byWorker[worker])
+	for _, ls := range t.byVertex {
+		if slices.ContainsFunc(ls, func(l Lease) bool { return l.Worker == worker }) {
+			n++
+		}
+	}
+	return n
 }
 
-// Loads returns the per-worker lease counts for every worker holding at
-// least one lease.
+// Loads returns, for every worker holding at least one lease, the number
+// of vertices it holds one on.
 func (t *LeaseTable) Loads() map[int]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[int]int, len(t.byWorker))
-	for w, set := range t.byWorker {
-		if len(set) > 0 {
-			out[w] = len(set)
-		}
-	}
-	return out
-}
-
-// WorkerLeases returns a copy of worker's leases ordered by grant
-// sequence, oldest first — the steal path takes from the tail.
-func (t *LeaseTable) WorkerLeases(worker int) []Lease {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	set := t.byWorker[worker]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]Lease, 0, len(set))
-	for v := range set {
-		for _, l := range t.byVertex[v] {
-			if l.Worker == worker {
-				out = append(out, l)
+	out := make(map[int]int)
+	for _, ls := range t.byVertex {
+		for i, l := range ls {
+			if !slices.ContainsFunc(ls[:i], func(o Lease) bool { return o.Worker == l.Worker }) {
+				out[l.Worker]++
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Lease) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
-}
-
-// unindex removes l's worker-side index entry if no other lease of the
-// same worker covers the vertex; callers hold t.mu.
-func (t *LeaseTable) unindex(l Lease) {
-	for _, other := range t.byVertex[l.Vertex] {
-		if other.Worker == l.Worker && other.Attempt != l.Attempt {
-			return // worker still holds another attempt on this vertex
-		}
-	}
-	if set := t.byWorker[l.Worker]; set != nil {
-		delete(set, l.Vertex)
-		if len(set) == 0 {
-			delete(t.byWorker, l.Worker)
-		}
-	}
 }

@@ -2,95 +2,78 @@ package sched
 
 import "sync"
 
-// RegisterTable is the sub-task register table of the master worker pool:
-// every dispatched sub-task is registered before being sent; results are
-// accepted only when they match a currently registered attempt, which
-// makes acceptance idempotent in the presence of timeout redistributions
-// (a slow slave's late result for a superseded attempt is dropped, §V.B
-// steps g-h).
-//
-// A vertex may carry several live attempts at once: Register issues the
-// primary attempt (superseding any earlier ones — a redistribution), and
-// RegisterBackup adds a concurrent speculative attempt. Whichever live
-// attempt's result arrives first wins; Accept then retires every other
-// attempt so the losers are discarded by stamp.
+// RegisterTable is the sub-task register table of the worker pools: an
+// attempt is registered before it is sent, and a result is accepted only
+// for a live attempt, once per vertex, which makes acceptance idempotent
+// under timeout redistribution (§V.B steps g-h). A vertex's primary attempt
+// (Register) and backups (RegisterBackup) are a watch, like the overtime
+// queue's, so a table allocates nothing per attempt once its maps have grown.
 type RegisterTable struct {
 	mu       sync.Mutex
-	live     map[int32]map[int32]struct{} // vertex id -> set of live attempts
+	live     watches // vertex id -> live attempts
 	finished map[int32]bool
-	attempts map[int32]int32 // vertex id -> last attempt number issued
+	last     int32 // the last stamp issued: stamps are never reused
 }
 
 // NewRegisterTable creates an empty table.
 func NewRegisterTable() *RegisterTable {
-	return &RegisterTable{
-		live:     make(map[int32]map[int32]struct{}),
-		finished: make(map[int32]bool),
-		attempts: make(map[int32]int32),
-	}
+	return &RegisterTable{live: make(watches), finished: make(map[int32]bool)}
 }
 
-// Register records a new dispatch attempt for vertex id and returns its
-// attempt number (1 for the first dispatch). Any earlier live attempts
-// are superseded — this is the timeout-redistribution path, where the old
-// attempt must no longer be accepted. It reports ok == false when the
-// vertex already finished — this happens when a result races its own
-// timeout redistribution, in which case the caller must not dispatch.
+// Reset empties the table, keeping its maps; no stamp is issued twice.
+func (t *RegisterTable) Reset() {
+	t.mu.Lock()
+	clear(t.live)
+	clear(t.finished)
+	t.mu.Unlock()
+}
+
+// Register issues vertex id's primary attempt, superseding any live one (a
+// timeout redistribution), and returns its stamp, 1 for the table's first.
+// ok is false once id finished: a result raced its redistribution, and
+// nothing must be dispatched.
 func (t *RegisterTable) Register(id int32) (attempt int32, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.finished[id] {
 		return 0, false
 	}
-	t.attempts[id]++
-	a := t.attempts[id]
-	t.live[id] = map[int32]struct{}{a: {}}
-	return a, true
+	t.last++
+	t.live[id] = watch{first: stamp{attempt: t.last}}
+	return t.last, true
 }
 
-// RegisterBackup records a speculative attempt for vertex id alongside
-// the already-live one(s) and returns its attempt number. Unlike
-// Register it does not supersede: both the original and the backup may
-// deliver, and Accept takes whichever lands first. It reports ok == false
-// when the vertex already finished or has no live attempt to back up.
+// RegisterBackup issues an attempt of id beside its live ones, superseding
+// nothing: Accept takes whichever delivers first. ok is false while none
+// is live (id finished, or its attempts were cancelled).
 func (t *RegisterTable) RegisterBackup(id int32) (attempt int32, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.finished[id] || len(t.live[id]) == 0 {
+	if _, live := t.live[id]; !live {
 		return 0, false
 	}
-	t.attempts[id]++
-	a := t.attempts[id]
-	t.live[id][a] = struct{}{}
-	return a, true
+	t.last++
+	t.live.add(id, stamp{attempt: t.last})
+	return t.last, true
 }
 
-// CancelAttempt retires one live attempt of vertex id (its worker died or
-// its individual deadline fired) and returns how many live attempts
-// remain. Only when the count drops to zero must the caller requeue the
-// vertex — a surviving concurrent attempt still covers it.
-func (t *RegisterTable) CancelAttempt(id, attempt int32) (remaining int) {
+// CancelAttempt retires one attempt of id, reporting whether it was live
+// and how many live ones remain: only at none must the caller queue id
+// again, as a surviving concurrent attempt still covers it.
+func (t *RegisterTable) CancelAttempt(id, attempt int32) (remaining int, live bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	set := t.live[id]
-	delete(set, attempt)
-	if len(set) == 0 {
-		delete(t.live, id)
-	}
-	return len(set)
+	live = t.live.drop(id, attempt)
+	return t.live.count(id), live
 }
 
-// Accept reports whether a result for (id, attempt) should be applied:
-// the attempt must be live and the vertex must not have finished. On
-// success the vertex is marked finished and every other live attempt is
-// retired, so the losing duplicate of a speculative race is dropped.
+// Accept reports whether a result for (id, attempt) applies: the attempt
+// is live. It then finishes id and retires its other attempts, the losers
+// of a race.
 func (t *RegisterTable) Accept(id, attempt int32) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.finished[id] {
-		return false
-	}
-	if _, ok := t.live[id][attempt]; !ok {
+	if !t.live.has(id, attempt) {
 		return false
 	}
 	delete(t.live, id)
@@ -98,8 +81,7 @@ func (t *RegisterTable) Accept(id, attempt int32) bool {
 	return true
 }
 
-// Outstanding returns the number of vertices with at least one live
-// (executing) attempt.
+// Outstanding returns the number of vertices with a live attempt.
 func (t *RegisterTable) Outstanding() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -110,5 +92,5 @@ func (t *RegisterTable) Outstanding() int {
 func (t *RegisterTable) LiveAttempts(id int32) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.live[id])
+	return t.live.count(id)
 }

@@ -470,3 +470,27 @@ func TestQueueNextAllocatesNothing(t *testing.T) {
 		t.Fatalf("Ready and three Nexts allocate %.1f times, want 0", allocs)
 	}
 }
+
+// A register table and an overtime queue reset for each block of the
+// thread level allocate nothing per attempt once warm: the live set keeps
+// its first attempt inline, like the overtime watch.
+func TestRegisterAcceptAllocatesNothing(t *testing.T) {
+	rt, q := NewRegisterTable(), NewOvertimeQueue()
+	deadline := time.Unix(0, 0)
+	cycle := func() {
+		rt.Reset()
+		q.Reset()
+		for v := int32(0); v < 16; v++ {
+			a, ok := rt.Register(v)
+			q.Add(v, a, deadline)
+			if !ok || !rt.Accept(v, a) {
+				t.Fatalf("vertex %d: attempt %d refused", v, a)
+			}
+			q.Remove(v)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a reset and 16 Register/Accept cycles allocate %.1f times, want 0", allocs)
+	}
+}

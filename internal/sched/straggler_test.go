@@ -117,8 +117,6 @@ func TestOvertimeQueueConcurrentAttempts(t *testing.T) {
 	}
 }
 
-// TestOvertimeQueueHeapCompaction drives heavy re-dispatch churn and
-// checks the heap does not retain the superseded entries.
 // Entries that fall due at the same instant expire in (id, attempt)
 // order whatever order they were added in, so no caller needs to sort.
 func TestOvertimeQueueEqualDeadlinesExpireInIDOrder(t *testing.T) {
@@ -145,20 +143,26 @@ func TestOvertimeQueueEqualDeadlinesExpireInIDOrder(t *testing.T) {
 	}
 }
 
-func TestOvertimeQueueHeapCompaction(t *testing.T) {
+// Heavy re-dispatch churn leaves the queue holding the live watches and
+// nothing else: a superseded attempt's watch goes with it, so an expiry
+// pass sees one attempt per vertex, the last.
+func TestOvertimeQueueChurnKeepsOnlyLiveWatches(t *testing.T) {
 	base := time.Unix(1000, 0)
 	q := NewOvertimeQueue()
 	for i := 0; i < 10_000; i++ {
 		q.Add(int32(i%8), int32(i+1), base.Add(time.Duration(i)*time.Millisecond))
 	}
-	q.mu.Lock()
-	heapLen := len(q.h)
-	q.mu.Unlock()
-	if heapLen > 64 {
-		t.Fatalf("heap holds %d entries for 8 live watches — stale entries not compacted", heapLen)
-	}
 	if q.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", q.Len())
+	}
+	exp := q.ExpireBefore(base.Add(time.Hour))
+	for k, e := range exp {
+		if e.ID != int32(k) || e.Attempt != int32(10_000-8+k+1) {
+			t.Fatalf("expired[%d] = %+v, want vertex %d's last attempt", k, e, k)
+		}
+	}
+	if len(exp) != 8 || q.Len() != 0 {
+		t.Fatalf("expired %d watches, %d left, want 8 and none", len(exp), q.Len())
 	}
 }
 
@@ -230,8 +234,8 @@ func TestRegisterTableCancelAttempt(t *testing.T) {
 	orig, _ := rt.Register(2)
 	backup, _ := rt.RegisterBackup(2)
 
-	if rem := rt.CancelAttempt(2, backup); rem != 1 {
-		t.Fatalf("remaining after cancelling backup = %d, want 1", rem)
+	if rem, live := rt.CancelAttempt(2, backup); rem != 1 || !live {
+		t.Fatalf("cancelling the live backup = (%d, %v), want (1, true)", rem, live)
 	}
 	if rt.Accept(2, backup) {
 		t.Fatal("cancelled backup accepted")
@@ -242,11 +246,14 @@ func TestRegisterTableCancelAttempt(t *testing.T) {
 
 	rt2 := NewRegisterTable()
 	a, _ := rt2.Register(3)
-	if rem := rt2.CancelAttempt(3, a); rem != 0 {
-		t.Fatalf("remaining after cancelling sole attempt = %d, want 0", rem)
+	if rem, live := rt2.CancelAttempt(3, a); rem != 0 || !live {
+		t.Fatalf("cancelling the sole attempt = (%d, %v), want (0, true)", rem, live)
 	}
 	if rt2.Outstanding() != 0 {
 		t.Fatalf("Outstanding = %d, want 0", rt2.Outstanding())
+	}
+	if rem, live := rt2.CancelAttempt(3, a); rem != 0 || live {
+		t.Fatalf("cancelling a retired attempt = (%d, %v), want (0, false)", rem, live)
 	}
 }
 
