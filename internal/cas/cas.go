@@ -382,10 +382,3 @@ func (p *PeerSet) Reset() {
 	p.keys = make(map[Key]struct{})
 	p.mu.Unlock()
 }
-
-// Len reports the tracked key count (tests and debugging).
-func (p *PeerSet) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.keys)
-}

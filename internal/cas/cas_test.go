@@ -466,8 +466,8 @@ func TestPeerSet(t *testing.T) {
 	if !p.Holds(k) || !p.Has(k) {
 		t.Fatal("noted key unknown")
 	}
-	if p.Len() != 1 {
-		t.Fatalf("Len = %d", p.Len())
+	if len(p.keys) != 1 {
+		t.Fatalf("%d keys tracked, want 1", len(p.keys))
 	}
 	p.Reset()
 	if p.Holds(k) || p.Has(k) {

@@ -35,7 +35,6 @@ const maxRecord = 64 << 20
 type Writer struct {
 	mu  sync.Mutex
 	w   io.Writer
-	n   int
 	err error
 }
 
@@ -65,19 +64,11 @@ func (cw *Writer) Append(vertex int32, payload []byte) error {
 
 	for _, chunk := range [][]byte{hdr[:], payload, tail[:]} {
 		if _, err := cw.w.Write(chunk); err != nil {
-			cw.err = fmt.Errorf("checkpoint: writing record %d: %w", cw.n, err)
+			cw.err = fmt.Errorf("checkpoint: writing the record of vertex %d: %w", vertex, err)
 			return cw.err
 		}
 	}
-	cw.n++
 	return nil
-}
-
-// Records returns how many records have been appended successfully.
-func (cw *Writer) Records() int {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.n
 }
 
 // ErrCorrupt marks a record that failed its integrity checks; Replay stops

@@ -1,13 +1,12 @@
 // Package client is the Go client of the EasyHPS job service
-// (internal/server): submit a DP job, read or wait for its state, fetch
-// its result, cancel it. The wire types are shared with the server package.
+// (internal/server): submit a DP job, wait for it, fetch its result and
+// the service's metrics. The wire types are shared with the server package.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/trace"
 )
 
 // BusyError is returned by Submit when the service applied backpressure
@@ -38,12 +36,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Status, e.Message)
-}
-
-// IsNotFound reports whether err is a 404 APIError.
-func IsNotFound(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
 }
 
 // Client talks to one job-service base URL.
@@ -85,10 +77,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
-	if out == nil {
-		_, err = io.Copy(io.Discard, resp.Body)
-		return err
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
@@ -120,48 +108,12 @@ func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (server.JobSta
 	return st, err
 }
 
-// Status fetches the job's current state and progress.
-func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
-// List fetches every known job, newest first.
-func (c *Client) List(ctx context.Context) ([]server.JobStatus, error) {
-	var out []server.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out)
-	return out, err
-}
-
 // Result fetches the result of a finished job; a job that is not done yet
 // answers with a 409 APIError.
 func (c *Client) Result(ctx context.Context, id string) (server.JobResult, error) {
 	var res server.JobResult
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &res)
 	return res, err
-}
-
-// Trace fetches the scheduling trace of a job, on an attached fleet or the
-// service's in-process members alike; an unknown job answers 404.
-func (c *Client) Trace(ctx context.Context, id string) ([]trace.JSONEvent, error) {
-	var out []trace.JSONEvent
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil, &out)
-	return out, err
-}
-
-// Cancel asks the service to stop the job.
-func (c *Client) Cancel(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
-// Kernels lists the service's kernel registry.
-func (c *Client) Kernels(ctx context.Context) ([]server.KernelEntry, error) {
-	var out []server.KernelEntry
-	err := c.do(ctx, http.MethodGet, "/v1/kernels", nil, &out)
-	return out, err
 }
 
 // Metrics fetches the raw text exposition of /metrics.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/trace"
 )
 
 // stub serves handler on httptest and returns a client of it.
@@ -122,23 +121,14 @@ func TestNotFoundAndAPIErrors(t *testing.T) {
 		}
 	})
 	ctx := context.Background()
-	_, err := c.Status(ctx, "job-9")
-	if !IsNotFound(err) {
-		t.Fatalf("404 = %v, want IsNotFound", err)
-	}
+	_, err := c.Wait(ctx, "job-9", time.Second)
 	var ae *APIError
-	if !errors.As(err, &ae) || ae.Message != "server: no such job" || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("404 error = %#v", err)
-	}
-	if _, err := c.Wait(ctx, "job-9", time.Second); !IsNotFound(err) {
-		t.Fatalf("Wait on an unknown job = %v, want IsNotFound", err)
+	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Message != "server: no such job" || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("Wait on an unknown job = %#v, want a 404 APIError", err)
 	}
 	_, err = c.Result(ctx, "job-9")
-	if IsNotFound(err) || !errors.As(err, &ae) || ae.Status != http.StatusConflict || ae.Message != "not json" {
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict || ae.Message != "not json" {
 		t.Fatalf("409 with a plain body = %#v", err)
-	}
-	if IsNotFound(errors.New("other")) {
-		t.Fatal("IsNotFound of a non-API error")
 	}
 }
 
@@ -191,19 +181,10 @@ func TestRoutes(t *testing.T) {
 			}
 			w.WriteHeader(http.StatusAccepted)
 			_ = json.NewEncoder(w).Encode(server.JobStatus{ID: "job-1", Kernel: spec.Kernel, State: server.StateQueued})
-		case "GET /v1/jobs":
-			_ = json.NewEncoder(w).Encode([]server.JobStatus{{ID: "job-1"}, {ID: "job-2"}})
 		case "GET /v1/jobs/job-1":
-			_ = json.NewEncoder(w).Encode(server.JobStatus{ID: "job-1", State: server.StateRunning})
+			_ = json.NewEncoder(w).Encode(server.JobStatus{ID: "job-1", State: server.StateDone})
 		case "GET /v1/jobs/job-1/result":
 			_ = json.NewEncoder(w).Encode(server.JobResult{Kernel: "lcs", Value: 42})
-		case "GET /v1/jobs/job-1/trace":
-			_ = json.NewEncoder(w).Encode([]trace.JSONEvent{{}})
-		case "DELETE /v1/jobs/job-1":
-			w.WriteHeader(http.StatusAccepted)
-			_ = json.NewEncoder(w).Encode(server.JobStatus{ID: "job-1", State: server.StateCancelled})
-		case "GET /v1/kernels":
-			_ = json.NewEncoder(w).Encode([]server.KernelEntry{{Name: "lcs"}})
 		case "GET /metrics":
 			_, _ = w.Write([]byte("easyhps_jobs_submitted_total 1\n"))
 		default:
@@ -214,29 +195,16 @@ func TestRoutes(t *testing.T) {
 	if st, err := c.Submit(ctx, server.JobSpec{Kernel: "lcs", N: 8}); err != nil || st.ID != "job-1" || st.Kernel != "lcs" {
 		t.Errorf("Submit = %+v, %v", st, err)
 	}
-	if l, err := c.List(ctx); err != nil || len(l) != 2 {
-		t.Errorf("List = %+v, %v", l, err)
-	}
-	if st, err := c.Status(ctx, "job-1"); err != nil || st.State != server.StateRunning {
-		t.Errorf("Status = %+v, %v", st, err)
+	if st, err := c.Wait(ctx, "job-1", time.Second); err != nil || st.State != server.StateDone {
+		t.Errorf("Wait = %+v, %v", st, err)
 	}
 	if res, err := c.Result(ctx, "job-1"); err != nil || res.Value != 42 {
 		t.Errorf("Result = %+v, %v", res, err)
 	}
-	if evs, err := c.Trace(ctx, "job-1"); err != nil || len(evs) != 1 {
-		t.Errorf("Trace = %+v, %v", evs, err)
-	}
-	if st, err := c.Cancel(ctx, "job-1"); err != nil || st.State != server.StateCancelled {
-		t.Errorf("Cancel = %+v, %v", st, err)
-	}
-	if ks, err := c.Kernels(ctx); err != nil || len(ks) != 1 || ks[0].Name != "lcs" {
-		t.Errorf("Kernels = %+v, %v", ks, err)
-	}
 	if text, err := c.Metrics(ctx); err != nil || !strings.Contains(text, "easyhps_jobs_submitted_total 1") {
 		t.Errorf("Metrics = %q, %v", text, err)
 	}
-	want := []string{"POST /v1/jobs", "GET /v1/jobs", "GET /v1/jobs/job-1", "GET /v1/jobs/job-1/result",
-		"GET /v1/jobs/job-1/trace", "DELETE /v1/jobs/job-1", "GET /v1/kernels", "GET /metrics"}
+	want := []string{"POST /v1/jobs", "GET /v1/jobs/job-1", "GET /v1/jobs/job-1/result", "GET /metrics"}
 	mu.Lock()
 	defer mu.Unlock()
 	if strings.Join(got, ",") != strings.Join(want, ",") {

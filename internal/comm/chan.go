@@ -12,12 +12,6 @@ import (
 type ChanNetwork struct {
 	lat LatencyModel
 	eps []*chanEndpoint
-
-	// statsMu guards the cumulative traffic counters used by the
-	// benchmark harness.
-	statsMu   sync.Mutex
-	bytesSent int64
-	msgsSent  int64
 }
 
 type chanEndpoint struct {
@@ -60,14 +54,6 @@ func (nw *ChanNetwork) Close() {
 	}
 }
 
-// Traffic returns the cumulative message and payload-byte counts delivered
-// over the network; a Send that failed is not counted.
-func (nw *ChanNetwork) Traffic() (msgs, bytes int64) {
-	nw.statsMu.Lock()
-	defer nw.statsMu.Unlock()
-	return nw.msgsSent, nw.bytesSent
-}
-
 func (ep *chanEndpoint) Rank() int { return ep.rank }
 func (ep *chanEndpoint) Size() int { return len(ep.nw.eps) }
 
@@ -93,11 +79,6 @@ func (ep *chanEndpoint) Send(to int, m Message) error {
 	case <-dst.done:
 		return ErrClosed
 	}
-	// Only a delivered message is traffic.
-	ep.nw.statsMu.Lock()
-	ep.nw.msgsSent++
-	ep.nw.bytesSent += int64(m.PayloadLen())
-	ep.nw.statsMu.Unlock()
 	return nil
 }
 

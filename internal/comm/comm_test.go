@@ -130,30 +130,6 @@ func TestChanNetworkInvalidRank(t *testing.T) {
 	}
 }
 
-func TestChanNetworkTraffic(t *testing.T) {
-	nw := NewChanNetwork(2, LatencyModel{})
-	defer nw.Close()
-	nw.Endpoint(0).Send(1, Message{Payload: make([]byte, 100)})
-	nw.Endpoint(0).Send(1, Message{Payload: make([]byte, 28)})
-	msgs, bytes := nw.Traffic()
-	if msgs != 2 || bytes != 128 {
-		t.Fatalf("Traffic = %d msgs / %d bytes, want 2 / 128", msgs, bytes)
-	}
-}
-
-// A Send that fails with ErrClosed delivered nothing, so it is no traffic.
-func TestChanNetworkTrafficSkipsFailedSend(t *testing.T) {
-	nw := NewChanNetwork(2, LatencyModel{})
-	defer nw.Close()
-	nw.Endpoint(1).Close()
-	if err := nw.Endpoint(0).Send(1, Message{Payload: make([]byte, 100)}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send to a closed endpoint = %v, want ErrClosed", err)
-	}
-	if msgs, bytes := nw.Traffic(); msgs != 0 || bytes != 0 {
-		t.Fatalf("Traffic = %d msgs / %d bytes after a failed send, want 0 / 0", msgs, bytes)
-	}
-}
-
 func TestLatencyModelDelay(t *testing.T) {
 	l := LatencyModel{Base: time.Millisecond, PerKB: time.Millisecond}
 	if d := l.Delay(0); d != time.Millisecond {

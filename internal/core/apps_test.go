@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"encoding/binary"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -9,55 +11,113 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
+	"repro/internal/matrix"
 )
 
 // The runtime is generic over the cell type; these tests cover every
-// non-int32 path end to end: struct cells over the gob codec (Gotoh),
-// int64 (optimal BST), uint64 bitmasks (CYK), float64 (Viterbi), plus the
-// banded pattern whose block grid has holes.
+// non-int32 path end to end: struct cells over a custom fixed-width codec,
+// uint64 bitmasks (CYK), float64 (Viterbi), plus the banded pattern whose
+// block grid has holes (int64 runs as MatrixChain in core_test).
 
-func TestRunGotohStructCells(t *testing.T) {
+// traceCell is an edit-distance cell with the move that reached it.
+type traceCell struct {
+	Dist int32
+	Dir  uint8 // 0 diagonal, 1 from above, 2 from the left
+}
+
+// traceCodec packs a traceCell into five bytes, the way README's custom
+// codec does.
+type traceCodec struct{}
+
+func (traceCodec) CellSize() int { return 5 }
+
+func (traceCodec) AppendCells(dst []byte, cells []traceCell) ([]byte, error) {
+	for _, c := range cells {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Dist))
+		dst = append(dst, c.Dir)
+	}
+	return dst, nil
+}
+
+func (traceCodec) DecodeCells(src []byte, cells []traceCell) ([]byte, error) {
+	if len(src) < 5*len(cells) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	for i := range cells {
+		cells[i] = traceCell{Dist: int32(binary.LittleEndian.Uint32(src)), Dir: src[4]}
+		src = src[5:]
+	}
+	return src, nil
+}
+
+// traceEdit is edit distance over traceCells, a per-cell kernel.
+type traceEdit struct{ a, b []byte }
+
+func (traceEdit) Pattern() dag.Pattern { return dag.Wavefront{} }
+
+func (traceEdit) Boundary(i, j int) traceCell {
+	switch {
+	case i < 0 && j < 0:
+		return traceCell{}
+	case i < 0:
+		return traceCell{Dist: int32(j) + 1, Dir: 2}
+	}
+	return traceCell{Dist: int32(i) + 1, Dir: 1}
+}
+
+func (k traceEdit) Cell(v *matrix.View[traceCell], i, j int) traceCell {
+	return k.step(i, j, v.Get)
+}
+
+// step is the recurrence at (i, j), reading its neighbours through get.
+func (k traceEdit) step(i, j int, get func(i, j int) traceCell) traceCell {
+	best := get(i-1, j-1)
+	if k.a[i] != k.b[j] {
+		best.Dist++
+	}
+	best.Dir = 0
+	if d := get(i-1, j).Dist + 1; d < best.Dist {
+		best = traceCell{Dist: d, Dir: 1}
+	}
+	if d := get(i, j-1).Dist + 1; d < best.Dist {
+		best = traceCell{Dist: d, Dir: 2}
+	}
+	return best
+}
+
+func TestRunStructCells(t *testing.T) {
 	a := dp.RandomDNA(45, 61)
 	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.25, 62)
-	g := dp.NewGotoh(a, b)
+	k := traceEdit{a, b}
+	p := core.Problem[traceCell]{Name: "trace-edit", Size: dag.Size{Rows: len(a), Cols: len(b)}, Kernel: core.Cells[traceCell](k), Codec: traceCodec{}}
 	cfg := core.Config{
 		Slaves: 2, Threads: 3,
 		ProcPartition:   dag.Square(12),
 		ThreadPartition: dag.Square(4),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.RunContext(context.Background(), g.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := res.Matrix()
-	want := g.Sequential()
+	want := make([][]traceCell, len(a))
 	for i := range want {
+		want[i] = make([]traceCell, len(b))
 		for j := range want[i] {
+			want[i][j] = k.step(i, j, func(i, j int) traceCell {
+				if i < 0 || j < 0 {
+					return k.Boundary(i, j)
+				}
+				return want[i][j]
+			})
 			if got[i][j] != want[i][j] {
-				t.Fatalf("gotoh cell (%d,%d) = %+v, want %+v", i, j, got[i][j], want[i][j])
+				t.Fatalf("cell (%d,%d) = %+v, want %+v", i, j, got[i][j], want[i][j])
 			}
 		}
 	}
-	if s := g.GlobalScore(got); s != g.GlobalScore(want) {
-		t.Fatalf("global score %d != %d", s, g.GlobalScore(want))
-	}
-}
-
-func TestRunOptimalBST(t *testing.T) {
-	b := dp.NewOptimalBST(40, 50, 63)
-	cfg := core.Config{
-		Slaves: 3, Threads: 2,
-		ProcPartition:   dag.Square(10),
-		ThreadPartition: dag.Square(4),
-		RunTimeout:      time.Minute,
-	}
-	res, err := core.RunContext(context.Background(), b.Problem(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := b.Cost(res.Matrix()), b.Cost(b.Sequential()); got != want {
-		t.Fatalf("optimal BST cost %d != %d", got, want)
+	if e := dp.NewEditDistance(a, b); want[len(a)-1][len(b)-1].Dist != e.Distance(e.Sequential()) {
+		t.Fatal("the struct-cell recurrence is not edit distance")
 	}
 }
 

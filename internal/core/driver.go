@@ -311,8 +311,12 @@ func NewDriver[T any](cfg DriverConfig) *Driver[T] {
 	return d
 }
 
-// StartTick starts the control tick goroutine (Fig. 10).
-func (d *Driver[T]) StartTick() { d.spawn(d.tickLoop) }
+// StartTick starts the control tick goroutine (Fig. 10). Its ticker is
+// armed before StartTick returns, so a clock advanced afterwards reaches it.
+func (d *Driver[T]) StartTick() {
+	ticker := d.clock.NewTicker(d.cfg.Pool.CheckInterval)
+	d.spawn(func() { d.tickLoop(ticker) })
+}
 
 // StartSender starts the sender goroutine of member id, unless the driver
 // does not hold it or is closed.
@@ -775,8 +779,7 @@ func (d *Driver[T]) revoke(id int) {
 }
 
 // tickLoop is the master fault-tolerance thread (Fig. 10).
-func (d *Driver[T]) tickLoop() {
-	ticker := d.clock.NewTicker(d.cfg.Pool.CheckInterval)
+func (d *Driver[T]) tickLoop(ticker sched.Ticker) {
 	defer ticker.Stop()
 	for {
 		select {

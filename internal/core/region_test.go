@@ -106,8 +106,6 @@ func TestRegionShippingMatchesSequentialProperty(t *testing.T) {
 		checkRegionModes(t, "needleman"+at, nw.Problem(), nw.Sequential(), cfg)
 		be := dp.NewBandedEdit(a, b, width)
 		checkRegionModes(t, "banded"+at, be.Problem(), be.Sequential(), cfg)
-		gt := dp.NewGotoh(a, b)
-		checkRegionModes(t, "gotoh"+at, gt.Problem(), gt.Sequential(), cfg)
 	}
 }
 

@@ -79,8 +79,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	// plus one suspect recovery ("active"), two suspicions from the first
 	// sweep, two deaths, one leave.
 	counts := map[string]int{}
-	for _, e := range tr.MemberEvents() {
-		counts[e.Label]++
+	for _, e := range tr.Events() {
+		if e.Kind == trace.EvMember {
+			counts[e.Label]++
+		}
 	}
 	if counts["active"] != 4 || counts["suspect"] != 2 || counts["dead"] != 2 || counts["left"] != 1 {
 		t.Fatalf("trace transition counts = %v, want active:4 suspect:2 dead:2 left:1", counts)

@@ -28,15 +28,15 @@ func topo(g *dag.Graph) []int32 {
 	return order
 }
 
-// codecFor is the codec a kernel's Problem ships cells of T with: binary
-// for the fixed-size numbers, gob for the rest.
+// codecFor is the codec a kernel's Problem ships cells of T with: every
+// library kernel's cells are fixed-size numbers.
 func codecFor[T any]() matrix.Codec[T] {
 	for _, c := range []any{matrix.BinaryCodec[int32]{}, matrix.BinaryCodec[int64]{}, matrix.BinaryCodec[uint64]{}, matrix.BinaryCodec[float64]{}} {
 		if c, ok := c.(matrix.Codec[T]); ok {
 			return c
 		}
 	}
-	return matrix.GobCodec[T]{}
+	panic(fmt.Sprintf("no library codec for %T", *new(T)))
 }
 
 // fillBlocked computes the matrix of kernel k the way a worker does, on one
@@ -134,14 +134,10 @@ func TestKernelsOverViewsMatchSequential(t *testing.T) {
 		run32("dominance", dm.Problem().Kernel, dm.Size(), dm.Sequential())
 		mc := NewMatrixChain(n, 2, 30, 16)
 		run64("matrixchain", mc, mc.Size(), mc.Sequential())
-		bst := NewOptimalBST(n, 50, 17)
-		run64("optimalbst", bst, bst.Size(), bst.Sequential())
 		cyk := NewCYK(ParenGrammar(), parens)
 		check("cyk", proc, thread, fillBlocked[uint64](cyk, cyk.Size(), proc, thread).Assemble(), cyk.Sequential())
 		rg := NewCYK(RandomGrammar(12, 40, DNAAlphabet, 18), a)
 		check("cyk-random", proc, thread, fillBlocked[uint64](rg, rg.Size(), proc, thread).Assemble(), rg.Sequential())
-		gt := NewGotoh(a, b)
-		check("gotoh", proc, thread, fillBlocked[GotohCell](gt, gt.Size(), proc, thread).Assemble(), gt.Sequential())
 	}
 	// Viterbi reads the whole previous row: one-row blocks only.
 	vt := NewViterbi(9, 4, 20, 19)
@@ -324,8 +320,6 @@ func TestRowMatchesCellMatchesSequential(t *testing.T) {
 		checkRows[int32](t, "needleman", nw, nw.Sequential(), size, proc, thread, rng)
 		be := NewBandedEdit(a, b, rng.Intn(12))
 		checkRows[int32](t, "banded", be, be.Sequential(), size, proc, thread, rng)
-		gt := NewGotoh(a, b)
-		checkRows[GotohCell](t, "gotoh", gt, gt.Sequential(), size, proc, thread, rng)
 		s := NewSWGG(a, b)
 		checkRows[int32](t, "swgg", s, s.Sequential(), size, proc, thread, rng)
 		ks := NewKnapsack(size.Rows, size.Cols-1, rng.Int63())
@@ -340,8 +334,6 @@ func TestRowMatchesCellMatchesSequential(t *testing.T) {
 		}
 		mc := NewMatrixChain(sq.Rows, 2, 30, rng.Int63())
 		checkRows[int64](t, "matrixchain", mc, mc.Sequential(), sq, sqProc, sqThread, rng)
-		bst := NewOptimalBST(sq.Rows, 50, rng.Int63())
-		checkRows[int64](t, "optimalbst", bst, bst.Sequential(), sq, sqProc, sqThread, rng)
 		cyk := NewCYK(RandomGrammar(12, 40, DNAAlphabet, rng.Int63()), RandomDNA(sq.Rows, rng.Int63()))
 		checkRows[uint64](t, "cyk", cyk, cyk.Sequential(), sq, sqProc, sqThread, rng)
 
@@ -463,7 +455,6 @@ func TestTwoDOneDKernelsHaveRows(t *testing.T) {
 		"SWGG":            func() (dag.Pattern, bool) { return rowsOf[int32](NewSWGG(a, a)) },
 		"Nussinov":        func() (dag.Pattern, bool) { return rowsOf[int32](NewNussinov(a)) },
 		"MatrixChain":     func() (dag.Pattern, bool) { return rowsOf[int64](NewMatrixChain(8, 2, 9, 1)) },
-		"OptimalBST":      func() (dag.Pattern, bool) { return rowsOf[int64](NewOptimalBST(8, 9, 1)) },
 		"CYK":             func() (dag.Pattern, bool) { return rowsOf[uint64](NewCYK(ParenGrammar(), a)) },
 		"Knapsack":        func() (dag.Pattern, bool) { return rowsOf[int32](NewKnapsack(8, 9, 1)) },
 		"Viterbi":         func() (dag.Pattern, bool) { return rowsOf[float64](NewViterbi(3, 2, 8, 1)) },
@@ -472,7 +463,6 @@ func TestTwoDOneDKernelsHaveRows(t *testing.T) {
 		"LCS":             func() (dag.Pattern, bool) { return rowsOf[int32](NewLCS(a, a)) },
 		"NeedlemanWunsch": func() (dag.Pattern, bool) { return rowsOf[int32](NewNeedlemanWunsch(a, a)) },
 		"BandedEdit":      func() (dag.Pattern, bool) { return rowsOf[int32](NewBandedEdit(a, a, 2)) },
-		"Gotoh":           func() (dag.Pattern, bool) { return rowsOf[GotohCell](NewGotoh(a, a)) },
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -5,25 +5,6 @@ import (
 	"testing/quick"
 )
 
-// Cross-validation between independent implementations: with match score
-// 0, mismatch -1, gap open 0 and gap extend 1, Gotoh's global alignment
-// score is exactly the negated edit distance (both count unit-cost
-// substitutions and per-column gaps).
-func TestGotohEqualsNegatedEditDistance(t *testing.T) {
-	f := func(seed int64, la, lb uint8) bool {
-		a := RandomDNA(int(la%24)+1, seed)
-		b := RandomDNA(int(lb%24)+1, seed+1)
-		g := &Gotoh{A: a, B: b, Match: 0, Mismatch: -1, Open: 0, Extend: 1}
-		e := NewEditDistance(a, b)
-		gs := g.GlobalScore(g.Sequential())
-		ed := e.Distance(e.Sequential())
-		return gs == -ed
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // LCS and edit distance with substitutions forbidden relate by
 // |a| + |b| - 2*LCS = insert/delete-only distance; our edit distance
 // allows substitution, so it is a lower bound: D <= |a|+|b|-2L and
@@ -122,24 +103,6 @@ func TestMatrixChainUniformDims(t *testing.T) {
 	m := &MatrixChain{Dims: dims}
 	if got, want := m.Sequential()[0][n-1], int64(n-1)*d*d*d; got != want {
 		t.Fatalf("uniform chain cost = %d, want %d", got, want)
-	}
-}
-
-// Optimal BST cost is bounded below by the total weight (every key is
-// visited at least once) and above by total weight times the key count.
-func TestOptimalBSTBoundsProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		keys := int(n%12) + 1
-		b := NewOptimalBST(keys, 30, seed)
-		cost := b.Cost(b.Sequential())
-		var total int64
-		for _, p := range b.P {
-			total += p
-		}
-		return cost >= total && cost <= total*int64(keys)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,90 +6,6 @@ import (
 	"testing/quick"
 )
 
-// --- Gotoh affine alignment ---
-
-func TestGotohIdenticalSequences(t *testing.T) {
-	a := []byte("ACGTACGT")
-	g := NewGotoh(a, a)
-	if got := g.GlobalScore(g.Sequential()); got != int32(len(a))*g.Match {
-		t.Fatalf("self score = %d, want %d", got, int32(len(a))*g.Match)
-	}
-}
-
-func TestGotohAffineBeatsLinearForLongGaps(t *testing.T) {
-	// One long gap should cost Open + k*Extend, not k*(Open+Extend).
-	a := []byte("AAAATTTT")
-	b := []byte("AAAACCCCCTTTT") // 5 inserted bases
-	g := NewGotoh(a, b)
-	want := int32(8)*g.Match - g.Open - 5*g.Extend
-	if got := g.GlobalScore(g.Sequential()); got != want {
-		t.Fatalf("score = %d, want %d (one affine gap of 5)", got, want)
-	}
-}
-
-func TestGotohCellBest(t *testing.T) {
-	c := GotohCell{M: 3, E: 7, F: -1}
-	if c.Best() != 7 {
-		t.Fatalf("Best = %d", c.Best())
-	}
-}
-
-func TestGotohSymmetry(t *testing.T) {
-	f := func(seed int64) bool {
-		a := RandomDNA(12, seed)
-		b := RandomDNA(15, seed+1)
-		ab := NewGotoh(a, b)
-		ba := NewGotoh(b, a)
-		return ab.GlobalScore(ab.Sequential()) == ba.GlobalScore(ba.Sequential())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- Optimal BST ---
-
-func TestOptimalBSTKnownValue(t *testing.T) {
-	// CLRS-style: frequencies 34, 8, 50 -> optimal cost 142
-	// (tree rooted at key 2: 50 + 2*34 + ... ). Verify against brute
-	// force instead of a hand-derived constant.
-	b := NewOptimalBSTFromFreqs([]int64{34, 8, 50})
-	want := bruteBST(b, 0, 2)
-	if got := b.Cost(b.Sequential()); got != want {
-		t.Fatalf("cost = %d, brute force = %d", got, want)
-	}
-}
-
-func TestOptimalBSTBruteForceAgreement(t *testing.T) {
-	b := NewOptimalBST(9, 40, 17)
-	want := bruteBST(b, 0, 8)
-	if got := b.Cost(b.Sequential()); got != want {
-		t.Fatalf("cost = %d, brute force = %d", got, want)
-	}
-}
-
-// bruteBST computes optimal BST cost by exhaustive recursion.
-func bruteBST(b *OptimalBST, i, j int) int64 {
-	if i > j {
-		return 0
-	}
-	best := int64(1) << 62
-	for r := i; r <= j; r++ {
-		c := bruteBST(b, i, r-1) + bruteBST(b, r+1, j)
-		if c < best {
-			best = c
-		}
-	}
-	return best + b.weight(i, j)
-}
-
-func TestOptimalBSTSingleKey(t *testing.T) {
-	b := NewOptimalBSTFromFreqs([]int64{7})
-	if got := b.Cost(b.Sequential()); got != 7 {
-		t.Fatalf("single-key cost = %d, want 7", got)
-	}
-}
-
 // --- CYK ---
 
 func TestCYKBalancedParens(t *testing.T) {

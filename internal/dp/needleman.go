@@ -15,9 +15,9 @@ import (
 //	             D[i-1,j]   - Gap,
 //	             D[i,j-1]   - Gap)
 //
-// with boundary D[i,-1] = -(i+1)*Gap and D[-1,j] = -(j+1)*Gap. Together
-// with EditDistance (minimizing) and Gotoh (affine gaps) it completes the
-// pairwise-alignment family over the wavefront pattern.
+// with boundary D[i,-1] = -(i+1)*Gap and D[-1,j] = -(j+1)*Gap. With
+// EditDistance (minimizing) it completes the pairwise-alignment family over
+// the wavefront pattern.
 type NeedlemanWunsch struct {
 	A, B     []byte
 	Match    int32

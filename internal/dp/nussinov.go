@@ -58,13 +58,6 @@ func (nu *Nussinov) CanPair(i, j int) bool {
 	return false
 }
 
-func (nu *Nussinov) pairBonus(i, j int) int32 {
-	if nu.CanPair(i, j) {
-		return 1
-	}
-	return 0
-}
-
 // Pattern implements core.Kernel.
 func (nu *Nussinov) Pattern() dag.Pattern { return dag.Triangular{} }
 

@@ -655,6 +655,12 @@ func TestReplayResumes(t *testing.T) {
 	}
 }
 
+// knownSet is a member's known-set (engine.Known) whose keys a test counts.
+type knownSet map[cas.Key]bool
+
+func (s knownSet) Holds(key cas.Key) bool { return s[key] }
+func (s knownSet) Note(key cas.Key)       { s[key] = true }
+
 // TaskPayload ships, of each dependency, what the pattern declares the
 // vertex reads: for the wavefront a row, a column and a corner, cut from the
 // committed blocks. A region never enters a known-set, so the vertex gets it
@@ -709,15 +715,14 @@ func TestTaskPayloadShipsDeclaredRegions(t *testing.T) {
 		check(label, blocks, want)
 		return resolved, recorded
 	}
-	var noStore *cas.Store
-	a, b := noStore.NewPeerSet(), noStore.NewPeerSet()
+	a, b := knownSet{}, knownSet{}
 	before := r.eng.Counters().Stats()
 	ship("no known-set", nil, regions)
 	ship("first dispatch", a, regions)
 	ship("redispatch to another member", b, regions)
 	ship("redispatch to the same member", a, regions)
-	if a.Len()+b.Len() != 0 {
-		t.Fatalf("shipped regions entered the known-sets: %d and %d keys", a.Len(), b.Len())
+	if len(a)+len(b) != 0 {
+		t.Fatalf("shipped regions entered the known-sets: %d and %d keys", len(a), len(b))
 	}
 	a.Note(r.eng.ResultKey(north)) // the member computed the north block
 	resolved, recorded := ship("north held whole", a, []dag.Rect{regions[1], regions[2], whole.Rect})
@@ -743,7 +748,7 @@ func TestTaskPayloadShipsDeclaredRegions(t *testing.T) {
 	for _, d := range deps {
 		byKey[s.eng.ResultKey(d)] = s.eng.Store().Get(s.eng.Graph().Geom.PosOf(d))
 	}
-	held := noStore.NewPeerSet()
+	held := knownSet{}
 	for pass, want := range []int{len(deps), 0} {
 		payload, err := s.eng.TaskPayload(v, held)
 		if err != nil {
@@ -753,9 +758,9 @@ func TestTaskPayloadShipsDeclaredRegions(t *testing.T) {
 		blocks, _, err := matrix.DecodeBlocksAny(s.prob.Codec, payload,
 			func(k [32]byte) (*matrix.Block[int32], bool) { b, ok := byKey[k]; return b, ok },
 			func([32]byte, *matrix.Block[int32]) { full++ })
-		if err != nil || full != want || len(blocks) != len(deps) || held.Len() != len(deps) {
+		if err != nil || full != want || len(blocks) != len(deps) || len(held) != len(deps) {
 			t.Fatalf("whole-block pattern, pass %d: %d blocks shipped (want %d) of %d, %d of %d dependencies noted, err %v",
-				pass, full, want, len(blocks), held.Len(), len(deps), err)
+				pass, full, want, len(blocks), len(held), len(deps), err)
 		}
 	}
 }

@@ -214,8 +214,8 @@ func TestElasticJoinMidRun(t *testing.T) {
 	}
 	// The join must be visible to tracing.
 	joins := 0
-	for _, e := range tr.MemberEvents() {
-		if e.Label == "active" {
+	for _, e := range tr.Events() {
+		if e.Kind == trace.EvMember && e.Label == "active" {
 			joins++
 		}
 	}

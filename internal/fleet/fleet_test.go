@@ -283,7 +283,6 @@ func TestFleetPoisonedJobIsolationFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	fake.BlockUntilTickers(1)
 
 	healthyProb, healthyWant := mustProblem(t, "healthy")
 	poisonProb, _ := mustProblem(t, "poisoned")

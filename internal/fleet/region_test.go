@@ -49,12 +49,6 @@ func (s regionSpec) int32Problem() (core.Problem[int32], [][]int32, error) {
 	return core.Problem[int32]{}, nil, fmt.Errorf("unknown kernel %q", s.Kernel)
 }
 
-func (s regionSpec) gotohProblem() (core.Problem[dp.GotohCell], [][]dp.GotohCell, error) {
-	a, b := s.seqs()
-	gt := dp.NewGotoh(a, b)
-	return gt.Problem(), gt.Sequential(), nil
-}
-
 // regionJob is one spec under one pair of partitions.
 type regionJob struct {
 	spec         regionSpec
@@ -143,7 +137,7 @@ func regionFleet[T any](t *testing.T, problem func(regionSpec) (core.Problem[T],
 func TestFleetRegionShippingMatchesSequentialProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 25)))
 	upTo := func(max int) dag.Size { return dag.Size{Rows: 1 + rng.Intn(max), Cols: 1 + rng.Intn(max)} }
-	var ints, gotoh []regionJob
+	var jobs []regionJob
 	for trial := 0; trial < 6; trial++ {
 		size, proc, thread := upTo(36), upTo(12), upTo(5)
 		width := rng.Intn(12)
@@ -153,15 +147,9 @@ func TestFleetRegionShippingMatchesSequentialProperty(t *testing.T) {
 		case 2:
 			proc, width = dag.Size{Rows: 6 + rng.Intn(6), Cols: 1}, rng.Intn(3)
 		}
-		for _, kernel := range []string{"editdist", "lcs", "needleman", "banded", "gotoh"} {
-			jb := regionJob{regionSpec{Kernel: kernel, Rows: size.Rows, Cols: size.Cols, SeedA: rng.Int63(), SeedB: rng.Int63(), Width: width}, proc, thread}
-			if kernel == "gotoh" {
-				gotoh = append(gotoh, jb)
-			} else {
-				ints = append(ints, jb)
-			}
+		for _, kernel := range []string{"editdist", "lcs", "needleman", "banded"} {
+			jobs = append(jobs, regionJob{regionSpec{Kernel: kernel, Rows: size.Rows, Cols: size.Cols, SeedA: rng.Int63(), SeedB: rng.Int63(), Width: width}, proc, thread})
 		}
 	}
-	regionFleet(t, regionSpec.int32Problem, ints)
-	regionFleet(t, regionSpec.gotohProblem, gotoh)
+	regionFleet(t, regionSpec.int32Problem, jobs)
 }

@@ -176,7 +176,6 @@ func TestFleetSpeculationFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	fake.BlockUntilTickers(1)
 
 	// Nussinov's block DAG starts from a whole diagonal of roots: one of
 	// them plays the straggler while the others warm the profile.

@@ -77,8 +77,12 @@ func TestLoadRecursivePattern(t *testing.T) {
 		"repro/internal/lint",
 		"repro/internal/server",
 	}
+	loaded := map[string]bool{}
+	for _, p := range prog.Pkgs {
+		loaded[p.Path] = true
+	}
 	for _, w := range want {
-		if prog.Package(w) == nil {
+		if !loaded[w] {
 			t.Errorf("pattern ./... did not load %s", w)
 		}
 	}

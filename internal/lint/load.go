@@ -20,16 +20,6 @@ type Program struct {
 	Pkgs []*Package
 }
 
-// Package returns the loaded package with the given import path, or nil.
-func (pr *Program) Package(path string) *Package {
-	for _, p := range pr.Pkgs {
-		if p.Path == path {
-			return p
-		}
-	}
-	return nil
-}
-
 // Load parses and type-checks the packages selected by patterns,
 // resolved relative to dir. Patterns are directory paths ("./internal/comm")
 // or recursive globs ("./...", "./internal/..."). Test files (_test.go)

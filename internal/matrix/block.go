@@ -34,9 +34,6 @@ func (b *Block[T]) index(i, j int) int {
 // the block.
 func (b *Block[T]) At(i, j int) T { return b.Cells[b.index(i, j)] }
 
-// Set stores v at global coordinates (i, j).
-func (b *Block[T]) Set(i, j int, v T) { b.Cells[b.index(i, j)] = v }
-
 // CopyFrom copies every cell of src, whose region must lie inside the
 // block's, to the same matrix coordinates of b, a row at a time.
 func (b *Block[T]) CopyFrom(src *Block[T]) {
@@ -67,13 +64,6 @@ func (b *Block[T]) Region(r dag.Rect) *Block[T] {
 		copy(out.Cells[i*r.Cols:(i+1)*r.Cols], b.Cells[k+i*b.Rect.Cols:])
 	}
 	return out
-}
-
-// Clone returns a deep copy of the block.
-func (b *Block[T]) Clone() *Block[T] {
-	c := &Block[T]{Rect: b.Rect, Cells: make([]T, len(b.Cells))}
-	copy(c.Cells, b.Cells)
-	return c
 }
 
 func (b *Block[T]) String() string {

@@ -1,8 +1,6 @@
 package matrix
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -13,13 +11,12 @@ import (
 
 // Codec serializes cell values for the transport layer, appending to and
 // consuming from byte slices. Fixed-size numeric cells use BinaryCodec;
-// any other cell type can fall back to GobCodec, or bring its own codec.
+// any other cell type (a struct of score and traceback direction, say)
+// brings its own codec of a fixed width.
 type Codec[T any] interface {
-	// CellSize is the encoded size of one cell in bytes when every cell
-	// encodes to the same size, and 0 when the size varies. A
-	// variable-size codec still spends at least one byte per cell: the
-	// block decoders refuse, before allocating it, a block that claims
-	// more cells than its payload has bytes left.
+	// CellSize is the encoded size of one cell in bytes, the same for
+	// every cell, and > 0: the block decoders refuse, before allocating
+	// it, a block that claims more cells than its payload has bytes for.
 	CellSize() int
 	// AppendCells appends the encoding of cells to dst and returns the
 	// extended slice.
@@ -153,36 +150,6 @@ func get64[T int64 | uint64](cells []T, in []byte) {
 	}
 }
 
-// GobCodec encodes arbitrary cell types with encoding/gob, one
-// self-delimiting gob stream per block. Slower than BinaryCodec but works
-// for struct cells (e.g. score plus traceback direction).
-type GobCodec[T any] struct{}
-
-func (GobCodec[T]) CellSize() int { return 0 }
-
-func (GobCodec[T]) AppendCells(dst []byte, cells []T) ([]byte, error) {
-	buf := bytes.NewBuffer(dst)
-	if err := gob.NewEncoder(buf).Encode(cells); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (GobCodec[T]) DecodeCells(src []byte, cells []T) ([]byte, error) {
-	// A bytes.Reader is an io.ByteReader, so the decoder reads exactly its
-	// stream and leaves the reader at the next record.
-	r := bytes.NewReader(src)
-	var tmp []T
-	if err := gob.NewDecoder(r).Decode(&tmp); err != nil {
-		return nil, err
-	}
-	if len(tmp) != len(cells) {
-		return nil, fmt.Errorf("matrix: gob payload has %d cells, want %d", len(tmp), len(cells))
-	}
-	copy(cells, tmp)
-	return src[len(src)-r.Len():], nil
-}
-
 // Block payload layout, all integers little-endian int32: a count, then
 // count records. A plain record is a 16-byte rect header (Row0, Col0, Rows,
 // Cols) followed by Rows×Cols cells in row-major order. The keyed variant
@@ -290,7 +257,7 @@ func decodeRecords[T any](c Codec[T], rest []byte, count int, keyed bool, resolv
 	if count > len(rest)/recSize {
 		return nil, fmt.Errorf("matrix: payload claims %d blocks, %d bytes hold at most %d", count, len(rest), len(rest)/recSize)
 	}
-	cellSize := max(c.CellSize(), 1)
+	cellSize := max(c.CellSize(), 1) // a custom codec is untrusted too
 	blocks := make([]*Block[T], 0, count)
 	decoded := make([]Block[T], count) // one allocation for every record's block
 	for k := 0; k < count; k++ {

@@ -2,10 +2,8 @@ package matrix
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"flag"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,19 +20,10 @@ import (
 // encoder and is only for a deliberate format change.
 var updatePinned = flag.Bool("update", false, "rewrite testdata/*.bin from the current encoder")
 
-// pinnedCell is the struct cell of the GobCodec fixtures.
+// pinnedCell is the struct cell of the custom-codec tests (packedCodec).
 type pinnedCell struct {
 	Score int32
 	Dir   uint8
-}
-
-// gob numbers user types in order of first use, process-wide, and writes
-// the numbers into every stream. Encoding the fixture type before any test
-// runs pins its ids whatever else the test binary encodes later.
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode([]pinnedCell(nil)); err != nil {
-		panic(err)
-	}
 }
 
 // pinnedRects are ragged on purpose: non-square, one row, one column.
@@ -189,9 +178,6 @@ func TestCodecBytesPinned(t *testing.T) {
 	pinCodec[uint64](t, "uint64", BinaryCodec[uint64]{}, pinnedBits)
 	pinCodec[float32](t, "float32", BinaryCodec[float32]{}, func(k int) float32 { return float32(pinnedFloat(k)) })
 	pinCodec[float64](t, "float64", BinaryCodec[float64]{}, pinnedFloat)
-	pinCodec[pinnedCell](t, "gob", GobCodec[pinnedCell]{}, func(k int) pinnedCell {
-		return pinnedCell{Score: int32(pinnedBits(k)), Dir: uint8(k % 4)}
-	})
 
 	// A payload that is one reference record and nothing else: what a
 	// task's inputs look like when the worker already holds all of them.

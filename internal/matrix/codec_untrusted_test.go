@@ -82,17 +82,16 @@ func TestDecodeRefusesBeforeAllocating(t *testing.T) {
 		}
 	}
 
-	// A variable-size codec cannot say what a block needs, only that every
-	// cell costs a byte: 100×100 cells claimed over 40 bytes is refused
-	// before the block is allocated, whatever the gob stream says.
-	gobbed, err := EncodeBlocks(GobCodec[pinnedCell]{}, []*Block[pinnedCell]{NewBlock[pinnedCell](dag.Rect{Rows: 2, Cols: 2})})
+	// A custom codec's cells are sized by its CellSize: 100×100 cells
+	// claimed over 20 bytes is refused before the block is allocated.
+	packed, err := EncodeBlocks[pinnedCell](packedCodec{}, []*Block[pinnedCell]{NewBlock[pinnedCell](dag.Rect{Rows: 2, Cols: 2})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(gobbed[countSize+8:], 100)
-	binary.LittleEndian.PutUint32(gobbed[countSize+12:], 100)
-	if _, err := DecodeBlocks(GobCodec[pinnedCell]{}, gobbed); err == nil || !strings.Contains(err.Error(), "claims 10000 cells") {
-		t.Errorf("gob block claiming more cells than bytes: %v", err)
+	binary.LittleEndian.PutUint32(packed[countSize+8:], 100)
+	binary.LittleEndian.PutUint32(packed[countSize+12:], 100)
+	if _, err := DecodeBlocks[pinnedCell](packedCodec{}, packed); err == nil || !strings.Contains(err.Error(), "claims 10000 cells") {
+		t.Errorf("custom-codec block claiming more cells than bytes: %v", err)
 	}
 }
 
@@ -143,31 +142,6 @@ func TestCustomFixedSizeCodec(t *testing.T) {
 	}
 	if _, err := DecodeBlocks(c, data[:len(data)-1]); err == nil {
 		t.Fatal("payload one byte short of its cells accepted")
-	}
-}
-
-// A gob stream is self-describing, so it can disagree with the rect header
-// in front of it, or not be a gob stream at all; and a cell type gob cannot
-// encode fails the encode, not the receiver.
-func TestGobCodecRefusals(t *testing.T) {
-	c := GobCodec[pinnedCell]{}
-	three, err := c.AppendCells(nil, make([]pinnedCell, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := le32(1, 0, 0, 2, 2)
-	if _, err := DecodeBlocks(c, append(bytes.Clone(header), three...)); err == nil || !strings.Contains(err.Error(), "has 3 cells, want 4") {
-		t.Errorf("2×2 header over a 3-cell stream: %v", err)
-	}
-	if _, err := DecodeBlocks(c, append(bytes.Clone(header), "not gob"...)); err == nil {
-		t.Error("2×2 header over garbage accepted")
-	}
-	unencodable := &Block[func()]{Rect: dag.Rect{Rows: 1, Cols: 1}, Cells: make([]func(), 1)}
-	if _, err := EncodeBlocks(GobCodec[func()]{}, []*Block[func()]{unencodable}); err == nil {
-		t.Error("a func cell encoded")
-	}
-	if _, err := EncodeBlocksKeyed(GobCodec[func()]{}, []KeyedBlock[func()]{{Block: unencodable}}, nil); err == nil {
-		t.Error("a func cell encoded, keyed")
 	}
 }
 
@@ -234,7 +208,7 @@ func fuzzDecodeAt[T any](t *testing.T, c Codec[T], data []byte) {
 }
 
 func FuzzDecodeBlocks(f *testing.F) {
-	kinds := []string{"int32", "int64", "uint32", "uint64", "float32", "float64", "gob"}
+	kinds := []string{"int32", "int64", "uint32", "uint64", "float32", "float64"}
 	for kind, name := range kinds {
 		for _, format := range []string{"plain_", "keyed_"} {
 			seed, err := os.ReadFile(filepath.Join("testdata", format+name+".bin"))
@@ -265,12 +239,25 @@ func FuzzDecodeBlocks(f *testing.F) {
 	}
 	f.Add(uint8(0), plainRegions)
 	f.Add(uint8(0), keyedRegions)
+	// Kind 6 is a custom codec, whose cells are decoded into fresh memory:
+	// one payload of each format.
+	packedBlock := NewBlock[pinnedCell](pinnedRects[0])
+	packedPlain, err := EncodeBlocks[pinnedCell](packedCodec{}, []*Block[pinnedCell]{packedBlock})
+	if err != nil {
+		f.Fatal(err)
+	}
+	packedKeyed, err := EncodeBlocksKeyed[pinnedCell](packedCodec{}, []KeyedBlock[pinnedCell]{{Key: [32]byte{3}, Block: packedBlock}}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(6), packedPlain)
+	f.Add(uint8(6), packedKeyed)
 	for _, crasher := range [][]byte{crashHugeBlock, crashHugeCount, crashHugeBlockKeyed, crashHugeCountKeyed} {
 		f.Add(uint8(0), crasher)
 		f.Add(uint8(6), crasher)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch int(kind) % len(kinds) {
+		switch int(kind) % (len(kinds) + 1) {
 		case 0:
 			fuzzDecode[int32](t, BinaryCodec[int32]{}, data)
 		case 1:
@@ -284,7 +271,7 @@ func FuzzDecodeBlocks(f *testing.F) {
 		case 5:
 			fuzzDecode[float64](t, BinaryCodec[float64]{}, data)
 		case 6:
-			fuzzDecode[pinnedCell](t, GobCodec[pinnedCell]{}, data)
+			fuzzDecode[pinnedCell](t, packedCodec{}, data)
 		}
 	})
 }

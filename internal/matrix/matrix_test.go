@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +22,17 @@ func TestBlockAtSet(t *testing.T) {
 	if !b.Rect.Contains(12, 23) || b.Rect.Contains(13, 20) || b.Rect.Contains(10, 24) {
 		t.Fatal("Contains wrong")
 	}
+}
+
+// Set stores v at global coordinates (i, j): how the tests fill a block.
+func (b *Block[T]) Set(i, j int, v T) { b.Cells[b.index(i, j)] = v }
+
+// Clone returns a deep copy of the block: the oracle the codec tests
+// compare decoded blocks against.
+func (b *Block[T]) Clone() *Block[T] {
+	c := &Block[T]{Rect: b.Rect, Cells: make([]T, len(b.Cells))}
+	copy(c.Cells, b.Cells)
+	return c
 }
 
 func TestBlockClone(t *testing.T) {
@@ -201,34 +211,6 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGobCodecRoundTrip(t *testing.T) {
-	type cell struct {
-		Score int32
-		Dir   uint8
-	}
-	rng := rand.New(rand.NewSource(7))
-	b := NewBlock[cell](dag.Rect{Row0: 1, Col0: 2, Rows: 3, Cols: 5})
-	for k := range b.Cells {
-		b.Cells[k] = cell{Score: rng.Int31(), Dir: uint8(rng.Intn(4))}
-	}
-	data, err := EncodeBlocks[cell](GobCodec[cell]{}, []*Block[cell]{b, b.Clone()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBlocks[cell](GobCodec[cell]{}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("decoded %d blocks, want 2", len(got))
-	}
-	for k := range b.Cells {
-		if got[0].Cells[k] != b.Cells[k] {
-			t.Fatalf("cell %d mismatch", k)
-		}
 	}
 }
 

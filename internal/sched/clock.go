@@ -113,27 +113,6 @@ func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// BlockUntilTickers waits until n tickers have been created on this clock
-// — used by tests to sequence Advance after the code under test has armed
-// its control loop. It polls rather than blocks so a missing ticker fails
-// fast via the caller's timeout.
-func (c *FakeClock) BlockUntilTickers(n int) {
-	for {
-		c.mu.Lock()
-		live := 0
-		for _, t := range c.tickers {
-			if !t.stopped {
-				live++
-			}
-		}
-		c.mu.Unlock()
-		if live >= n {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 type fakeTicker struct {
 	clock   *FakeClock
 	period  time.Duration

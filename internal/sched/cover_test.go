@@ -34,23 +34,6 @@ func TestFakeClockRejectsNonPositivePeriod(t *testing.T) {
 	c.NewTicker(0)
 }
 
-func TestFakeClockBlockUntilTickers(t *testing.T) {
-	c := NewFakeClock(time.Unix(0, 0))
-	c.BlockUntilTickers(0) // trivially satisfied, must not block
-	done := make(chan struct{})
-	go func() {
-		c.BlockUntilTickers(1)
-		close(done)
-	}()
-	tk := c.NewTicker(time.Second)
-	defer tk.Stop()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("BlockUntilTickers(1) did not observe the new ticker")
-	}
-}
-
 func TestDynamicNextBatchClampsMax(t *testing.T) {
 	d := NewDynamic()
 	d.Ready(1, 2)

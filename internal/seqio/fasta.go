@@ -1,10 +1,9 @@
-// Package seqio reads and writes FASTA files, the input format of the
-// paper's bioinformatics workloads (sequence alignment, RNA folding).
+// Package seqio reads FASTA files, the input format of the paper's
+// bioinformatics workloads (sequence alignment, RNA folding).
 package seqio
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -73,47 +72,4 @@ func ReadFile(path string) ([]Record, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// Write emits records in FASTA format with lines wrapped at width
-// characters (60 when width <= 0).
-func Write(w io.Writer, recs []Record, width int) error {
-	if width <= 0 {
-		width = 60
-	}
-	bw := bufio.NewWriter(w)
-	for _, rec := range recs {
-		if rec.ID == "" {
-			return fmt.Errorf("seqio: record without ID")
-		}
-		header := ">" + rec.ID
-		if rec.Desc != "" {
-			header += " " + rec.Desc
-		}
-		if _, err := fmt.Fprintln(bw, header); err != nil {
-			return err
-		}
-		for off := 0; off < len(rec.Seq); off += width {
-			end := off + width
-			if end > len(rec.Seq) {
-				end = len(rec.Seq)
-			}
-			if _, err := bw.Write(rec.Seq[off:end]); err != nil {
-				return err
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteFile writes records to a FASTA file.
-func WriteFile(path string, recs []Record, width int) error {
-	var buf bytes.Buffer
-	if err := Write(&buf, recs, width); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

@@ -7,6 +7,9 @@ import (
 	"repro/internal/dp"
 )
 
+// Done returns a channel closed when the job reaches a terminal state.
+func (j *Job) Done() <-chan struct{} { return j.done }
+
 // SetHoldHooks installs the observers of a held status request for one
 // test and returns what restores the previous ones. Call it before the
 // test's server starts and restore after the server is closed.

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
@@ -19,7 +18,7 @@ import (
 
 // startFleetService stands up the full fleet-mode stack: a shared fleet,
 // a manager routing jobs onto it, and the HTTP API in front.
-func startFleetService(t *testing.T, opts fleet.Options, cfg server.ManagerConfig) (*fleet.Fleet[int32], *server.Manager, *client.Client) {
+func startFleetService(t *testing.T, opts fleet.Options, cfg server.ManagerConfig) (*fleet.Fleet[int32], *server.Manager, *testClient) {
 	t.Helper()
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
@@ -38,7 +37,7 @@ func startFleetService(t *testing.T, opts fleet.Options, cfg server.ManagerConfi
 		_ = mgr.Shutdown(ctx)
 		fl.Close()
 	})
-	return fl, mgr, client.New(ts.URL, ts.Client())
+	return fl, mgr, newTestClient(ts.URL, ts.Client())
 }
 
 // startFleetWorker joins one registry-driven worker to the fleet and
@@ -240,7 +239,7 @@ func TestFleetServiceTraceErrors(t *testing.T) {
 		fleet.Options{},
 		server.ManagerConfig{MaxConcurrent: 1, QueueDepth: 2})
 	ctx := context.Background()
-	if _, err := c.Trace(ctx, "job-404"); !client.IsNotFound(err) {
+	if _, err := c.Trace(ctx, "job-404"); !isNotFound(err) {
 		t.Fatalf("trace of unknown job = %v, want 404", err)
 	}
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/tune"
 )
 
 // State is a job lifecycle state. The machine is
@@ -135,9 +134,6 @@ func (j *Job) Status() JobStatus {
 	}
 	return st
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // settleLocked moves j into the terminal state st at now, drops the inputs
 // only a run needs and closes done. The caller holds j.mu and has set
@@ -281,18 +277,6 @@ type Manager struct {
 
 	metrics *metrics
 
-	// fleetMu guards fleetStats, the snapshot source of the attached
-	// shared fleet (set automatically from cfg.Fleet; see SetFleetStats).
-	fleetMu    sync.Mutex
-	fleetStats func() fleet.Snapshot
-
-	// tuneMu guards tuneStats, the snapshot source of a self-tuning
-	// controller (set automatically from cfg.Fleet when it runs with
-	// Auto; see SetTuneStats). ok=false means no tuner is active and
-	// the easyhps_tune_* series are omitted.
-	tuneMu    sync.Mutex
-	tuneStats func() (tune.Snapshot, bool)
-
 	mu       sync.Mutex
 	seq      uint64
 	jobs     map[string]*Job
@@ -343,8 +327,6 @@ func NewManager(cfg ManagerConfig, reg *Registry) *Manager {
 			}()
 		}
 	}
-	m.fleetStats = m.fleet.Snapshot
-	m.tuneStats = m.fleet.TuneSnapshot
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		m.wg.Add(1)
 		go m.worker()

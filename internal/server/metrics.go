@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/tune"
 )
@@ -91,28 +92,6 @@ func (x *metrics) addRunStats(s core.Stats) {
 	x.steals.Add(s.Steals)
 }
 
-// SetFleetStats attaches a fleet snapshot source to the /metrics
-// exposition (NewManager installs its fleet's; tests may inject a
-// synthetic one). A nil fn detaches it. fn is called at
-// exposition time and must be safe for concurrent use.
-func (m *Manager) SetFleetStats(fn func() fleet.Snapshot) {
-	m.fleetMu.Lock()
-	m.fleetStats = fn
-	m.fleetMu.Unlock()
-}
-
-// SetTuneStats attaches a self-tuning controller snapshot source to the
-// /metrics exposition (NewManager installs its fleet's; tests may inject a
-// synthetic one). The source returns ok=false while no
-// tuner is active, which suppresses the easyhps_tune_* series. A nil fn
-// detaches it. fn is called at exposition time and must be safe for
-// concurrent use.
-func (m *Manager) SetTuneStats(fn func() (tune.Snapshot, bool)) {
-	m.tuneMu.Lock()
-	m.tuneStats = fn
-	m.tuneMu.Unlock()
-}
-
 // WriteMetrics writes the text exposition (Prometheus-compatible format)
 // of the manager's metrics.
 func (m *Manager) WriteMetrics(w io.Writer) {
@@ -171,55 +150,23 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "# HELP easyhps_dispatch_bytes_per_vertex Mean task payload bytes per dispatched vertex across all runs.\n# TYPE easyhps_dispatch_bytes_per_vertex gauge\neasyhps_dispatch_bytes_per_vertex 0\n")
 	}
 
-	// Straggler-mitigation totals: each job counted once — from the fleet
-	// snapshot while this manager runs it, and from the totals run folds
-	// when its run returns. A retained finished job of the snapshot is
-	// already in the totals, so it leaves the live share; the fold and the
-	// running-table delete happen under m.mu, so no job is ever in neither.
-	m.fleetMu.Lock()
-	fleetFn := m.fleetStats
-	m.fleetMu.Unlock()
-	var snap fleet.Snapshot
-	if fleetFn != nil {
-		snap = fleetFn()
-	}
-	live := snap.Aggregate
-	m.mu.Lock()
-	for _, js := range snap.Jobs {
-		if m.running[js.Name] == nil {
-			live.Speculated -= js.Stats.Speculated
-			live.SpecWon -= js.Stats.SpecWon
-			live.SpecWasted -= js.Stats.SpecWasted
-			live.Steals -= js.Stats.Steals
-		}
-	}
-	speculated := x.speculated.Load() + live.Speculated
-	specWon := x.specWon.Load() + live.SpecWon
-	specWasted := x.specWasted.Load() + live.SpecWasted
-	steals := x.steals.Load() + live.Steals
-	m.mu.Unlock()
-	if fleetFn != nil {
-		writeMembership(w, snap.Members)
-		writeFleet(w, snap)
-	}
+	snap := m.fleet.Snapshot()
+	st := m.stragglerTotals(snap)
+	writeMembership(w, snap.Members)
+	writeFleet(w, snap)
 
-	fmt.Fprintf(w, "# HELP easyhps_speculative_dispatched_total Speculative backup attempts dispatched.\n# TYPE easyhps_speculative_dispatched_total counter\neasyhps_speculative_dispatched_total %d\n", speculated)
-	fmt.Fprintf(w, "# HELP easyhps_speculative_won_total Speculative backups whose result beat the original.\n# TYPE easyhps_speculative_won_total counter\neasyhps_speculative_won_total %d\n", specWon)
-	fmt.Fprintf(w, "# HELP easyhps_speculative_wasted_total Speculative backups that lost the race or were cancelled.\n# TYPE easyhps_speculative_wasted_total counter\neasyhps_speculative_wasted_total %d\n", specWasted)
-	fmt.Fprintf(w, "# HELP easyhps_steals_total Queued sub-tasks stolen from loaded workers for starved ones.\n# TYPE easyhps_steals_total counter\neasyhps_steals_total %d\n", steals)
-	if speculated > 0 {
-		fmt.Fprintf(w, "# HELP easyhps_speculative_waste_ratio Wasted fraction of dispatched speculative backups.\n# TYPE easyhps_speculative_waste_ratio gauge\neasyhps_speculative_waste_ratio %.3f\n", float64(specWasted)/float64(speculated))
+	fmt.Fprintf(w, "# HELP easyhps_speculative_dispatched_total Speculative backup attempts dispatched.\n# TYPE easyhps_speculative_dispatched_total counter\neasyhps_speculative_dispatched_total %d\n", st.Speculated)
+	fmt.Fprintf(w, "# HELP easyhps_speculative_won_total Speculative backups whose result beat the original.\n# TYPE easyhps_speculative_won_total counter\neasyhps_speculative_won_total %d\n", st.SpecWon)
+	fmt.Fprintf(w, "# HELP easyhps_speculative_wasted_total Speculative backups that lost the race or were cancelled.\n# TYPE easyhps_speculative_wasted_total counter\neasyhps_speculative_wasted_total %d\n", st.SpecWasted)
+	fmt.Fprintf(w, "# HELP easyhps_steals_total Queued sub-tasks stolen from loaded workers for starved ones.\n# TYPE easyhps_steals_total counter\neasyhps_steals_total %d\n", st.Steals)
+	if st.Speculated > 0 {
+		fmt.Fprintf(w, "# HELP easyhps_speculative_waste_ratio Wasted fraction of dispatched speculative backups.\n# TYPE easyhps_speculative_waste_ratio gauge\neasyhps_speculative_waste_ratio %.3f\n", float64(st.SpecWasted)/float64(st.Speculated))
 	} else {
 		fmt.Fprintf(w, "# HELP easyhps_speculative_waste_ratio Wasted fraction of dispatched speculative backups.\n# TYPE easyhps_speculative_waste_ratio gauge\neasyhps_speculative_waste_ratio 0\n")
 	}
 
-	m.tuneMu.Lock()
-	tuneFn := m.tuneStats
-	m.tuneMu.Unlock()
-	if tuneFn != nil {
-		if s, ok := tuneFn(); ok {
-			writeTune(w, s)
-		}
+	if s, ok := m.fleet.TuneSnapshot(); ok {
+		writeTune(w, s)
 	}
 
 	if m.cfg.Cache != nil {
@@ -230,6 +177,33 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 	counts, sum, n := x.histCount, x.histSum, x.histN
 	x.histMu.Unlock()
 	writeLatencyHistogram(w, counts, sum, n)
+}
+
+// stragglerTotals are the straggler-mitigation totals, each job counted
+// once: from the fleet snapshot while this manager runs it, and from the
+// totals run folds when its run returns. A retained finished job of the
+// snapshot is already in the totals, so it leaves the live share; the fold
+// and the running-table delete happen under m.mu, so no job is ever in
+// neither.
+func (m *Manager) stragglerTotals(snap fleet.Snapshot) engine.Stats {
+	x := m.metrics
+	live := snap.Aggregate
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, js := range snap.Jobs {
+		if m.running[js.Name] == nil {
+			live.Speculated -= js.Stats.Speculated
+			live.SpecWon -= js.Stats.SpecWon
+			live.SpecWasted -= js.Stats.SpecWasted
+			live.Steals -= js.Stats.Steals
+		}
+	}
+	return engine.Stats{
+		Speculated: x.speculated.Load() + live.Speculated,
+		SpecWon:    x.specWon.Load() + live.SpecWon,
+		SpecWasted: x.specWasted.Load() + live.SpecWasted,
+		Steals:     x.steals.Load() + live.Steals,
+	}
 }
 
 // writeCache emits the content-addressed result store's series, labelled

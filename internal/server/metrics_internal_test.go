@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -13,9 +12,12 @@ import (
 
 // TestStragglerSeriesCountEachJobOnce: a fleet job whose run has returned
 // is folded into the service totals and, until it ages out of the fleet's
-// retention window, still listed in the snapshot. /metrics counts it once
-// while it is retained and the same after it ages out, and a job the
-// manager is still running adds its live counters.
+// retention window, still listed in the snapshot. The totals /metrics
+// exports count it once while it is retained and the same after it ages
+// out, and a job the manager is still running adds its live counters. The
+// snapshots are built by hand: no real fleet retains a job with these
+// counters on demand. /metrics, which reads the manager's real fleet,
+// exports the folded totals.
 func TestStragglerSeriesCountEachJobOnce(t *testing.T) {
 	mgr := NewManager(ManagerConfig{}, nil)
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
@@ -44,18 +46,22 @@ func TestStragglerSeriesCountEachJobOnce(t *testing.T) {
 		{"beside a running job", fleet.Snapshot{Jobs: []fleet.JobStatus{live, retainedDone}, Aggregate: engine.Stats{
 			Speculated: 6, SpecWon: 4, SpecWasted: 2, Steals: 7}}, engine.Stats{Speculated: 6, SpecWon: 4, SpecWasted: 2, Steals: 7}},
 	} {
-		mgr.SetFleetStats(func() fleet.Snapshot { return tc.snap })
-		var b strings.Builder
-		mgr.WriteMetrics(&b)
-		for _, want := range []string{
-			fmt.Sprintf("easyhps_speculative_dispatched_total %d\n", tc.want.Speculated),
-			fmt.Sprintf("easyhps_speculative_won_total %d\n", tc.want.SpecWon),
-			fmt.Sprintf("easyhps_speculative_wasted_total %d\n", tc.want.SpecWasted),
-			fmt.Sprintf("easyhps_steals_total %d\n", tc.want.Steals),
-		} {
-			if !strings.Contains(b.String(), want) {
-				t.Errorf("%s: metrics missing %q", tc.name, strings.TrimSpace(want))
-			}
+		if got := mgr.stragglerTotals(tc.snap); got != tc.want {
+			t.Errorf("%s: straggler totals %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+
+	var b strings.Builder
+	mgr.WriteMetrics(&b)
+	for _, want := range []string{
+		"easyhps_speculative_dispatched_total 4\n",
+		"easyhps_speculative_won_total 3\n",
+		"easyhps_speculative_wasted_total 1\n",
+		"easyhps_steals_total 6\n",
+		"easyhps_speculative_waste_ratio 0.250\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", strings.TrimSpace(want), b.String())
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dp"
-	"repro/internal/engine"
 	"repro/internal/fleet"
+	"repro/internal/sched"
 	"repro/internal/server"
 )
 
@@ -48,13 +48,13 @@ func slowRun() core.Config {
 // millisecond a cell longer (dp.Slow).
 func slowKernels() *server.Registry { return server.NewSlowRegistry(time.Millisecond) }
 
-func startService(t *testing.T, cfg server.ManagerConfig) (*server.Manager, *client.Client) {
+func startService(t *testing.T, cfg server.ManagerConfig) (*server.Manager, *testClient) {
 	return startServiceOn(t, cfg, nil)
 }
 
 // startServiceOn is startService with the jobs built through reg (nil:
 // the built-in kernels).
-func startServiceOn(t *testing.T, cfg server.ManagerConfig, reg *server.Registry) (*server.Manager, *client.Client) {
+func startServiceOn(t *testing.T, cfg server.ManagerConfig, reg *server.Registry) (*server.Manager, *testClient) {
 	t.Helper()
 	mgr := server.NewManager(cfg, reg)
 	ts := httptest.NewServer(server.NewHandler(mgr))
@@ -64,7 +64,7 @@ func startServiceOn(t *testing.T, cfg server.ManagerConfig, reg *server.Registry
 		defer cancel()
 		_ = mgr.Shutdown(ctx)
 	})
-	return mgr, client.New(ts.URL, ts.Client())
+	return mgr, newTestClient(ts.URL, ts.Client())
 }
 
 // TestJobLifecycle submits a job over HTTP, polls it to completion and
@@ -364,9 +364,10 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestClusterMetricsExposition checks that the fleet's membership snapshot
 // and straggler counters surface on /metrics — without a fleet attached,
-// the manager's own in-process members are the cluster.
+// the manager's own in-process members are the cluster; with one, its
+// registry's members.
 func TestClusterMetricsExposition(t *testing.T) {
-	mgr, c := startService(t, server.ManagerConfig{Run: fastRun(), MaxConcurrent: 1, QueueDepth: 2})
+	_, c := startService(t, server.ManagerConfig{Run: fastRun(), MaxConcurrent: 1, QueueDepth: 2})
 	ctx := context.Background()
 
 	text, err := c.Metrics(ctx)
@@ -383,18 +384,29 @@ func TestClusterMetricsExposition(t *testing.T) {
 		}
 	}
 
-	mgr.SetFleetStats(func() fleet.Snapshot {
-		return fleet.Snapshot{
-			Members: core.Snapshot{
-				States:        map[string]int{"active": 3, "suspect": 1, "dead": 1},
-				Joins:         5,
-				Leaves:        1,
-				Deaths:        1,
-				LeasesRevoked: 2,
-			},
-			Aggregate: engine.Stats{Speculated: 4, SpecWon: 3, SpecWasted: 1, Steals: 6},
-		}
-	})
+	// A fleet on a clock that never ticks, whose registry holds six
+	// members: three active, one suspect, one dead and one gone.
+	opts := server.FleetOptions(fastRun())
+	opts.Clock = sched.NewFakeClock(time.Unix(0, 0))
+	opts.HeartbeatInterval = time.Second
+	f, err := fleet.New[int32](opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close) // after the manager's shutdown, which startService registers later
+	reg := f.Registry()
+	var ids []int
+	for i := 0; i < 6; i++ {
+		ids = append(ids, reg.Admit("", fmt.Sprintf("10.0.0.%d:7000", i)).ID)
+	}
+	reg.MarkDead(ids[4])
+	reg.MarkLeft(ids[5])
+	reg.Sweep(opts.Clock.Now().Add(2*time.Second), time.Second, 3)
+	for _, id := range ids[:3] {
+		reg.Beat(id)
+	}
+	reg.NoteRevoked(2, 1)
+	_, c = startService(t, server.ManagerConfig{Run: fastRun(), Fleet: f})
 	text, err = c.Metrics(ctx)
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
@@ -403,16 +415,16 @@ func TestClusterMetricsExposition(t *testing.T) {
 		"easyhps_cluster_members{state=\"active\"} 3",
 		"easyhps_cluster_members{state=\"suspect\"} 1",
 		"easyhps_cluster_members{state=\"dead\"} 1",
-		"easyhps_cluster_members{state=\"left\"} 0",
-		"easyhps_cluster_joins_total 5",
+		"easyhps_cluster_members{state=\"left\"} 1",
+		"easyhps_cluster_joins_total 6",
 		"easyhps_cluster_leaves_total 1",
 		"easyhps_cluster_deaths_total 1",
 		"easyhps_cluster_leases_revoked_total 2",
-		"easyhps_speculative_dispatched_total 4",
-		"easyhps_speculative_won_total 3",
-		"easyhps_speculative_wasted_total 1",
-		"easyhps_steals_total 6",
-		"easyhps_speculative_waste_ratio 0.250",
+		"easyhps_speculative_dispatched_total 0",
+		"easyhps_speculative_won_total 0",
+		"easyhps_speculative_wasted_total 0",
+		"easyhps_steals_total 0",
+		"easyhps_speculative_waste_ratio 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
@@ -565,7 +577,7 @@ func TestBadSpecs(t *testing.T) {
 			t.Errorf("%s: submission accepted, want rejection", name)
 		}
 	}
-	if _, err := c.Status(ctx, "job-999"); !client.IsNotFound(err) {
+	if _, err := c.Status(ctx, "job-999"); !isNotFound(err) {
 		t.Errorf("unknown job returned %v, want 404", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/server"
 )
@@ -150,7 +149,7 @@ func TestStatusHoldReleasedByCancel(t *testing.T) {
 
 	ans := getStatus(context.Background(), ts, j.ID, "30s")
 	recv(t, held, "hold")
-	if _, err := client.New(ts.URL, ts.Client()).Cancel(context.Background(), j.ID); err != nil {
+	if _, err := newTestClient(ts.URL, ts.Client()).Cancel(context.Background(), j.ID); err != nil {
 		t.Fatalf("DELETE: %v", err)
 	}
 	a := recv(t, ans, "answer after DELETE")

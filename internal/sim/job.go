@@ -76,9 +76,6 @@ func (j *Job) RunStats() core.Stats {
 	return j.job.RunStats()
 }
 
-// Events returns the job's virtual-time scheduling trace.
-func (j *Job) Events() []trace.Event { return j.recorder().Events() }
-
 // Summary aggregates the job's trace.
 func (j *Job) Summary() trace.Summary { return j.recorder().Summarize() }
 

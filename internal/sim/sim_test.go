@@ -304,7 +304,7 @@ func TestBurstSubmitSameInstant(t *testing.T) {
 		if jobs1[i].Makespan() <= 0 {
 			t.Fatalf("%s: implausible makespan %v", k, jobs1[i].Makespan())
 		}
-		if jobs1[i].Summary().Tasks == 0 || len(jobs1[i].Events()) == 0 {
+		if jobs1[i].Summary().Tasks == 0 || len(jobs1[i].recorder().Events()) == 0 {
 			t.Fatalf("%s: empty trace", k)
 		}
 	}
@@ -402,7 +402,7 @@ func TestBlockCyclicIdleOwner(t *testing.T) {
 	if j.Err() != nil || !equalMatrix(j.Result(), ref) {
 		t.Fatalf("job ended with %v, or its matrix is not the reference", j.Err())
 	}
-	for _, e := range j.Events() {
+	for _, e := range j.recorder().Events() {
 		if e.Kind == trace.EvDispatch && e.Worker != 1 {
 			t.Fatalf("member %d ran a vertex worker 0 owns: %v", e.Worker, e)
 		}

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -134,38 +133,6 @@ func Format(events []Event) string {
 	return b.String()
 }
 
-// Diff compares two recordings in Format form and returns a description
-// of the first divergence ("" when identical): the 1-based line number
-// and both renderings at that line, with "<end>" standing in for the
-// shorter trace.
-func Diff(a, b []Event) string {
-	la := strings.Split(strings.TrimSuffix(Format(a), "\n"), "\n")
-	lb := strings.Split(strings.TrimSuffix(Format(b), "\n"), "\n")
-	if len(a) == 0 {
-		la = nil
-	}
-	if len(b) == 0 {
-		lb = nil
-	}
-	n := len(la)
-	if len(lb) > n {
-		n = len(lb)
-	}
-	for i := 0; i < n; i++ {
-		va, vb := "<end>", "<end>"
-		if i < len(la) {
-			va = la[i]
-		}
-		if i < len(lb) {
-			vb = lb[i]
-		}
-		if va != vb {
-			return fmt.Sprintf("traces diverge at event %d:\n  a: %s\n  b: %s", i+1, va, vb)
-		}
-	}
-	return ""
-}
-
 // Recorder collects events. A nil *Recorder is valid and records nothing,
 // so call sites do not need to guard tracing.
 type Recorder struct {
@@ -236,17 +203,6 @@ func (r *Recorder) Member(id int, state string) {
 	r.add(Event{Kind: EvMember, Worker: id, Label: state})
 }
 
-// MemberEvents filters the recording down to membership transitions.
-func (r *Recorder) MemberEvents() []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == EvMember {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Events returns a copy of the recorded events in order.
 func (r *Recorder) Events() []Event {
 	if r == nil {
@@ -279,15 +235,6 @@ type Summary struct {
 	DispatchMessages, DispatchVertices int
 	// DispatchBytes is the total task payload volume.
 	DispatchBytes int64
-}
-
-// MeanBatchSize returns the realized vertices-per-message ratio of the
-// dispatch stream (0 when no dispatches were recorded).
-func (s Summary) MeanBatchSize() float64 {
-	if s.DispatchMessages == 0 {
-		return 0
-	}
-	return float64(s.DispatchVertices) / float64(s.DispatchMessages)
 }
 
 // Utilization returns the mean busy fraction across workers.

@@ -217,38 +217,11 @@ func TestFormatByteStable(t *testing.T) {
 	if fa != fb {
 		t.Fatalf("identical recordings format differently:\n%s\nvs\n%s", fa, fb)
 	}
-	if d := Diff(a, b); d != "" {
-		t.Fatalf("Diff of identical traces = %q", d)
-	}
 	lines := strings.Split(strings.TrimSuffix(fa, "\n"), "\n")
 	if len(lines) != len(a) {
 		t.Fatalf("Format produced %d lines for %d events", len(lines), len(a))
 	}
 	if !strings.Contains(lines[2], `"t_us":3000`) || !strings.Contains(lines[2], `"kind":"dispatch"`) {
 		t.Fatalf("dispatch line = %s", lines[2])
-	}
-}
-
-func TestDiffReportsFirstDivergence(t *testing.T) {
-	c := newTick()
-	r := c.Recorder()
-	r.TaskStart(1, 0)
-	r.TaskEnd(1, 0)
-	a := r.Events()
-
-	b := append([]Event(nil), a...)
-	b[1].Worker = 2
-	d := Diff(a, b)
-	if !strings.Contains(d, "event 2") || !strings.Contains(d, `"worker":2`) {
-		t.Fatalf("Diff = %q", d)
-	}
-
-	// Length mismatch: the shorter side reads <end>.
-	d = Diff(a, a[:1])
-	if !strings.Contains(d, "event 2") || !strings.Contains(d, "<end>") {
-		t.Fatalf("Diff on truncation = %q", d)
-	}
-	if Diff(nil, nil) != "" {
-		t.Fatal("Diff(nil, nil) != \"\"")
 	}
 }

@@ -133,17 +133,6 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// MaxBatchStep is the largest move the batch cap may make in one tick
-// starting from old: the additive step up is 1, the multiplicative step
-// down halves (rounding down, so an odd cap moves ceil(old/2)), making
-// the bound max(1, old-old/2).
-func MaxBatchStep(old int) int {
-	if step := old - old/2; step > 1 {
-		return step
-	}
-	return 1
-}
-
 // Sample is one control-tick observation. Counter fields are cumulative
 // (monotone) totals exactly as the runtime keeps them; the controller
 // differences consecutive samples itself. Profile fields are
@@ -232,10 +221,6 @@ func New(lim Limits, batch int, specQuantile, specMultiplier float64, specMinSam
 	c.specMult.store(clampFloat(specMultiplier, lim.MinMultiplier, lim.MaxMultiplier))
 	return c
 }
-
-// Limits returns the bounds the controller was built with (after
-// defaulting).
-func (c *Controller) Limits() Limits { return c.lim }
 
 // BatchCap returns the current dispatch batch-cap recommendation.
 func (c *Controller) BatchCap() int { return int(c.batch.load()) }

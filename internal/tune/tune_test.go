@@ -146,6 +146,17 @@ func TestSnapshotAndAdjustments(t *testing.T) {
 	}
 }
 
+// MaxBatchStep is the largest move the batch cap may make in one tick
+// starting from old: the additive step up is 1, the multiplicative step
+// down halves (rounding down, so an odd cap moves ceil(old/2)), making
+// the bound max(1, old-old/2).
+func MaxBatchStep(old int) int {
+	if step := old - old/2; step > 1 {
+		return step
+	}
+	return 1
+}
+
 // TestControllerProperties drives the controller with testseed-seeded
 // random counter sequences and holds it to the declared contract:
 // recommendations stay inside Limits, per-tick movement respects the

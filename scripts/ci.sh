@@ -47,12 +47,14 @@ fi
 # wall-clock polling.
 # A time.Sleep in these test files reintroduces the flaky, slow waits
 # this repo spent several PRs removing — and the sim package promises
-# virtual-time determinism outright. Fail fast on any new one.
-sleeps=$(grep -rn 'time\.Sleep' \
-    internal/sched internal/fleet internal/sim \
-    --include='*_test.go' 2>/dev/null || true)
+# virtual-time determinism outright. Fail fast on any new one. The
+# scheduling libraries themselves (the clocks and tables of sched, the
+# engine's state machines, the simulator) sleep nowhere either: a test
+# waits on a notifier, never on a poll hidden in a helper.
+sleeps=$( (grep -rn 'time\.Sleep' internal/sched internal/engine internal/sim --include='*.go'
+    grep -rn 'time\.Sleep' internal/fleet --include='*_test.go') 2>/dev/null || true)
 if [ -n "$sleeps" ]; then
-    echo "time.Sleep in scheduling test files (use FakeClock advances and event hooks instead):" >&2
+    echo "time.Sleep in scheduling code or its test files (use FakeClock advances and event hooks instead):" >&2
     echo "$sleeps" >&2
     exit 1
 fi
@@ -214,17 +216,17 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6850 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6829 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
 # must not arrive unnoticed.
-check_lines 1240 internal/comm
+check_lines 1221 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
 # store must not arrive unnoticed. And a view reads one way down a column,
 # matrix.View.Band — a column run is a band of width one — and writes one
 # way, into the out slice a kernel's Row is handed (View.Set is gone).
-check_lines 1181 internal/matrix
+check_lines 1138 internal/matrix
 
 # And the 2D/1D kernels sweep source rows across a row segment (their Row,
 # over View.Band) instead of walking a column per cell: no non-test Go
@@ -257,12 +259,12 @@ if [ -n "$entries" ]; then
     exit 1
 fi
 echo "calls: no RowKernel, cellRows, Cell-from-Row wrapper or View.Set in non-test Go"
-check_lines 2245 internal/dp
+check_lines 1906 internal/dp
 
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
-check_lines 2169 internal/lint
+check_lines 2159 internal/lint
 # The DAG Pattern Model states a block's cell order once (Pattern.RowOrder)
 # and checks a pattern with one validator (dag.Validate); a second order or
 # check must not arrive unnoticed.
@@ -506,16 +508,22 @@ if [ -n "$orders" ]; then
 fi
 echo "calls: no CellOrder, cell-level deriver, separate pattern check or free dag.RowOrder"
 
-# And the transport has one encoding: hello, welcome and every message
-# kind are frames of internal/comm/wire.go, so nothing under internal/comm
-# may bring encoding/gob back onto the wire (its tests may, to show that a
-# protocol-v4 peer is refused).
-comm_gob=$(go list -f '{{join .Imports "\n"}}' ./internal/comm | grep -x 'encoding/gob' || true)
-if [ -n "$comm_gob" ]; then
-    echo "imports: internal/comm must not import encoding/gob" >&2
+# And a block has one kind of codec, a fixed-width one: BinaryCodec for the
+# numbers, a custom codec for a struct cell (README's five-byte example).
+# The gob codec, the affine-gap and optimal-BST kernels that only tests ran
+# went with the rule that no library function stands without a shipped
+# caller (TestEveryLibraryFunctionShips); none of them may come back. The
+# same gate keeps encoding/gob off the wire: hello, welcome and every
+# message kind are frames of internal/comm/wire.go (comm's tests may import
+# gob, to show that a protocol-v4 peer is refused).
+pruned=$(grep -rnE --include='*.go' '"encoding/gob"|GobCodec|NewGotoh|NewOptimalBST' . |
+    grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$pruned" ]; then
+    echo "calls: encoding/gob, GobCodec, NewGotoh and NewOptimalBST are gone from non-test Go:" >&2
+    echo "$pruned" >&2
     exit 1
 fi
-echo "imports: internal/comm does not name encoding/gob"
+echo "calls: no encoding/gob, GobCodec, NewGotoh or NewOptimalBST in non-test Go"
 
 # Smoke the wire-codec fuzzer: ten seconds of random frames must neither
 # crash the decoder nor break the encode/decode round trip.
