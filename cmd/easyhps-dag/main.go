@@ -6,7 +6,7 @@
 // Usage:
 //
 //	easyhps-dag -pattern triangular -rows 12 -cols 12 -block 3
-//	easyhps-dag -pattern banded -width 4 -rows 32 -cols 32 -block 4
+//	easyhps-dag -pattern chain -rows 1 -cols 32 -block 4
 //	easyhps-dag -pattern rowcolumn -rows 20 -cols 20 -block 5 -at 2,3
 package main
 
@@ -34,7 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bRows   = fs.Int("block", 4, "square block size (overridden by -brows/-bcols)")
 		brFlag  = fs.Int("brows", 0, "block rows")
 		bcFlag  = fs.Int("bcols", 0, "block cols")
-		width   = fs.Int("width", 8, "band half-width (banded pattern only)")
 		at      = fs.String("at", "", "dump dependencies of block \"row,col\"")
 		dot     = fs.Bool("dot", false, "emit the block DAG in Graphviz DOT format and exit")
 	)
@@ -42,16 +41,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var pat dag.Pattern
-	if *pattern == dag.NameBanded {
-		pat = dag.Banded{Width: *width}
-	} else {
-		p, ok := dag.Lookup(*pattern)
-		if !ok {
-			fmt.Fprintf(stderr, "easyhps-dag: unknown pattern %q (have: %s)\n", *pattern, strings.Join(dag.LibraryNames(), ", "))
-			return 1
-		}
-		pat = p
+	pat, ok := dag.Lookup(*pattern)
+	if !ok {
+		fmt.Fprintf(stderr, "easyhps-dag: unknown pattern %q (have: %s)\n", *pattern, strings.Join(dag.LibraryNames(), ", "))
+		return 1
 	}
 
 	block := dag.Size{Rows: *bRows, Cols: *bRows}

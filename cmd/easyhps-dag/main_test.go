@@ -25,7 +25,8 @@ func init() { dag.Register(reversedRows{}) }
 // The report says "model invariants: OK" for a library pattern and the one
 // error dag.Validate answers for an invalid one; -dot writes the block DAG
 // instead, and -at adds one block's dependencies or refuses a malformed
-// position.
+// position. A name outside the library, "banded" among them, is refused,
+// and so is the -width flag that went with it.
 func TestRun(t *testing.T) {
 	for _, c := range []struct {
 		args      []string
@@ -64,6 +65,8 @@ func TestRun(t *testing.T) {
 		},
 		{args: []string{"-at", "1;2"}, status: 1, not: []string{"pattern"}},
 		{args: []string{"-pattern", "no-such-pattern"}, status: 1},
+		{args: []string{"-pattern", "banded"}, status: 1},
+		{args: []string{"-width", "4"}, status: 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		if status := run(c.args, &stdout, &stderr); status != c.status {

@@ -3,8 +3,9 @@ package core_test
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
-	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 	"repro/internal/matrix"
 )
 
-// The runtime is generic over the cell type; these tests cover every
-// non-int32 path end to end: struct cells over a custom fixed-width codec,
-// uint64 bitmasks (CYK), float64 (Viterbi), plus the banded pattern whose
-// block grid has holes (int64 runs as MatrixChain in core_test).
+// The runtime is generic over the cell type; these tests cover the
+// non-int32 paths end to end: struct cells over a custom fixed-width codec
+// and uint64 bitmasks (CYK) (int64 runs as MatrixChain in core_test); plus
+// a user pattern beyond the library, a band whose block grid has holes.
 
 // traceCell is an edit-distance cell with the move that reached it.
 type traceCell struct {
@@ -174,105 +175,169 @@ func TestRunCYKRandomGrammar(t *testing.T) {
 	}
 }
 
-func TestRunViterbiFloatCellsPrevRow(t *testing.T) {
-	v := dp.NewViterbi(24, 6, 40, 66)
-	cfg := core.Config{
-		Slaves: 3, Threads: 2,
-		// PrevRow requires one-row blocks.
-		ProcPartition:   dag.Size{Rows: 1, Cols: 8},
-		ThreadPartition: dag.Size{Rows: 1, Cols: 3},
-		RunTimeout:      time.Minute,
+// band is the wavefront restricted to the diagonal band |i - j| <= width,
+// as a user outside the library declares it: holes off the diagonal, whole
+// blocks among them that do not exist, and the wavefront's edge data
+// regions, whose cells off the band are holes too.
+type band struct {
+	dag.Wavefront
+	width int
+}
+
+func (band) Name() string     { return "test-band" }
+func (band) Shape() dag.Shape { return dag.Convex }
+
+func (b band) CellExists(i, j int) bool { return i-j <= b.width && j-i <= b.width }
+
+// BlockExists: the diagonals block p spans, [minI-maxJ, maxI-minJ], meet
+// [-width, width].
+func (b band) BlockExists(g dag.Geometry, p dag.Pos) bool {
+	if !g.InGrid(p) {
+		return false
 	}
-	res, err := core.RunContext(context.Background(), v.Problem(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	r := g.Rect(p)
+	return r.Row0-(r.Col0+r.Cols-1) <= b.width && (r.Row0+r.Rows-1)-r.Col0 >= -b.width
+}
+
+// Precursors: north, west and north-west. The north-west edge is direct:
+// with a narrow band the north and west blocks may not exist while the
+// north-west one still feeds the block's first cell.
+func (b band) Precursors(g dag.Geometry, p dag.Pos, buf []dag.Pos) []dag.Pos {
+	for _, q := range []dag.Pos{{Row: p.Row - 1, Col: p.Col}, {Row: p.Row, Col: p.Col - 1}, {Row: p.Row - 1, Col: p.Col - 1}} {
+		if b.BlockExists(g, q) {
+			buf = append(buf, q)
+		}
 	}
-	got := res.Matrix()
-	want := v.Sequential()
-	for i := range want {
-		for j := range want[i] {
-			if math.Abs(got[i][j]-want[i][j]) > 1e-12 {
-				t.Fatalf("viterbi cell (%d,%d) = %v, want %v", i, j, got[i][j], want[i][j])
+	return buf
+}
+
+func (b band) DataDeps(g dag.Geometry, p dag.Pos, buf []dag.Pos) []dag.Pos {
+	return b.Precursors(g, p, buf)
+}
+
+func (b band) RowOrder(r dag.Rect, visit func(i, j0, j1 int)) {
+	for i := r.Row0; i < r.Row0+r.Rows; i++ {
+		if j0, j1 := max(r.Col0, i-b.width), min(r.Col0+r.Cols, i+b.width+1); j0 < j1 {
+			visit(i, j0, j1)
+		}
+	}
+}
+
+// bandInf is what a cell off the band reads as: unreachable.
+const bandInf = int32(1) << 29
+
+// bandEdit is edit distance on the band: exact whenever the true distance
+// is at most the width.
+type bandEdit struct {
+	a, b  []byte
+	width int
+}
+
+func (e bandEdit) Pattern() dag.Pattern { return band{width: e.width} }
+
+func (e bandEdit) Boundary(i, j int) int32 {
+	switch {
+	case i < 0 && j < 0:
+		return 0
+	case i < 0:
+		return int32(j) + 1
+	case j < 0:
+		return int32(i) + 1
+	}
+	return bandInf // inside the matrix, off the band
+}
+
+func (e bandEdit) Cell(v *matrix.View[int32], i, j int) int32 {
+	sub := v.Get(i-1, j-1)
+	if e.a[i] != e.b[j] {
+		sub++
+	}
+	return min(sub, v.Get(i-1, j)+1, v.Get(i, j-1)+1, bandInf)
+}
+
+func (e bandEdit) problem() core.Problem[int32] {
+	return core.Problem[int32]{
+		Name:   fmt.Sprintf("band-%dx%d-w%d", len(e.a), len(e.b), e.width),
+		Size:   dag.Size{Rows: len(e.a), Cols: len(e.b)},
+		Kernel: core.Cells[int32](e),
+		Codec:  matrix.BinaryCodec[int32]{},
+	}
+}
+
+// sequential is the plain loop over the band; a hole stays zero, as in the
+// runtime's matrix.
+func (e bandEdit) sequential() [][]int32 {
+	pat := band{width: e.width}
+	d := make([][]int32, len(e.a))
+	get := func(i, j int) int32 {
+		if i < 0 || j < 0 || !pat.CellExists(i, j) {
+			return e.Boundary(i, j)
+		}
+		return d[i][j]
+	}
+	for i := range d {
+		d[i] = make([]int32, len(e.b))
+		for j := range d[i] {
+			if pat.CellExists(i, j) {
+				sub := get(i-1, j-1)
+				if e.a[i] != e.b[j] {
+					sub++
+				}
+				d[i][j] = min(sub, get(i-1, j)+1, get(i, j-1)+1, bandInf)
 			}
 		}
 	}
-	// The decoded path must match the sequential decode.
-	gp, wp := v.BestPath(got), v.BestPath(want)
-	for k := range wp {
-		if gp[k] != wp[k] {
-			t.Fatalf("path diverges at step %d: %d != %d", k, gp[k], wp[k])
-		}
-	}
+	return d
 }
 
-func TestRunViterbiMultiRowBlocksRejected(t *testing.T) {
-	v := dp.NewViterbi(8, 4, 16, 67)
-	cfg := core.Config{
-		Slaves: 1, Threads: 1,
-		ProcPartition:   dag.Square(4), // multi-row blocks: must be refused
-		ThreadPartition: dag.Square(2),
-		RunTimeout:      10 * time.Second,
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PrevRow pattern accepted multi-row multi-column blocks")
-		}
-	}()
-	_, _ = core.RunContext(context.Background(), v.Problem(), cfg)
-}
-
+// A band wider than the distance computes it exactly, on blocks the band
+// crosses and blocks it misses.
 func TestRunBandedEdit(t *testing.T) {
 	a := dp.RandomDNA(80, 68)
 	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.05, 69)
-	e := dp.NewBandedEdit(a, b, 8)
+	e := bandEdit{a, b, 8}
 	cfg := core.Config{
 		Slaves: 3, Threads: 2,
 		ProcPartition:   dag.Square(16),
 		ThreadPartition: dag.Square(5),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+	res, err := core.RunContext(context.Background(), e.problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := res.Matrix()
-	want := e.Sequential()
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("banded cell (%d,%d) = %d, want %d", i, j, got[i][j], want[i][j])
-			}
-		}
+	if !reflect.DeepEqual(got, e.sequential()) {
+		t.Fatal("banded matrix differs from the sequential loop")
 	}
 	full := dp.NewEditDistance(a, b)
-	if bd, fd := e.Distance(got), full.Distance(full.Sequential()); bd != fd {
+	if bd, fd := got[len(a)-1][len(b)-1], full.Distance(full.Sequential()); bd != fd {
 		t.Fatalf("banded distance %d != true distance %d", bd, fd)
 	}
 }
 
+// A band much narrower than a block: most of the grid is holes. The band
+// holds the model's invariants, at both levels.
 func TestRunBandedNarrowManyHoles(t *testing.T) {
-	// Width much smaller than the block size: most of the grid is holes.
 	a := dp.RandomDNA(100, 70)
-	b := dp.MutateSeq(a, dp.DNAAlphabet, 0.02, 71)
-	e := dp.NewBandedEdit(a, b, 3)
+	e := bandEdit{a, dp.MutateSeq(a, dp.DNAAlphabet, 0.02, 71), 3}
 	cfg := core.Config{
 		Slaves: 2, Threads: 2,
 		ProcPartition:   dag.Square(20),
 		ThreadPartition: dag.Square(7),
 		RunTimeout:      time.Minute,
 	}
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
+	for _, g := range []dag.Geometry{dag.MatrixGeometry(dag.Square(100), cfg.ProcPartition), dag.NewGeometry(dag.Rect{Row0: 20, Col0: 20, Rows: 20, Cols: 20}, cfg.ThreadPartition)} {
+		if err := dag.Validate(e.Pattern(), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := core.RunContext(context.Background(), e.problem(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Matrix()
-	want := e.Sequential()
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("banded cell (%d,%d) = %d, want %d", i, j, got[i][j], want[i][j])
-			}
-		}
+	if !reflect.DeepEqual(res.Matrix(), e.sequential()) {
+		t.Fatal("banded matrix differs from the sequential loop")
 	}
 }
 

@@ -73,10 +73,11 @@ func checkRegionModes[T any](t *testing.T, label string, p core.Problem[T], want
 	}
 }
 
-// The five kernels of the wavefront family, over random sizes and
-// partitions — clipped edge blocks, one-row and one-column blocks, a band
-// narrower than a block — are bit-identical to Sequential() when a task is
-// shipped a row, a column and a corner instead of three blocks.
+// The kernels of the wavefront family and a band of it (apps_test.go),
+// over random sizes and partitions — clipped edge blocks, one-row and
+// one-column blocks, a band narrower than a block — are bit-identical to
+// Sequential() when a task is shipped a row, a column and a corner instead
+// of three blocks.
 func TestRegionShippingMatchesSequentialProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 24)))
 	upTo := func(max int) dag.Size { return dag.Size{Rows: 1 + rng.Intn(max), Cols: 1 + rng.Intn(max)} }
@@ -104,8 +105,8 @@ func TestRegionShippingMatchesSequentialProperty(t *testing.T) {
 		checkRegionModes(t, "lcs"+at, l.Problem(), l.Sequential(), cfg)
 		nw := dp.NewNeedlemanWunsch(a, b)
 		checkRegionModes(t, "needleman"+at, nw.Problem(), nw.Sequential(), cfg)
-		be := dp.NewBandedEdit(a, b, width)
-		checkRegionModes(t, "banded"+at, be.Problem(), be.Sequential(), cfg)
+		be := bandEdit{a, b, width}
+		checkRegionModes(t, "band"+at, be.problem(), be.sequential(), cfg)
 	}
 }
 

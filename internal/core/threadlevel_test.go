@@ -249,10 +249,10 @@ func (c chainSum) Sequential() [][]int32 {
 
 // At one thread nobody shares a block, so the block is its own thread
 // partition: every Run counts one sub-task and computes the block bit-
-// identical to the sequential one — for every pattern of the library and a
-// banded one with holes, at blocks the matrix edge clips and a thread
-// partition that divides nothing. The same tasks at two threads keep their
-// sub-grids, one sub-task a sub-block.
+// identical to the sequential one — for every pattern of the library, at
+// blocks the matrix edge clips and a thread partition that divides
+// nothing. The same tasks at two threads keep their sub-grids, one
+// sub-task a sub-block.
 func TestOneThreadRunsOneSubTaskPerBlock(t *testing.T) {
 	proc, thread := dag.Square(7), dag.Square(3)
 	e := dp.NewEditDistance(dp.RandomDNA(40, 81), dp.RandomDNA(33, 82))
@@ -260,8 +260,6 @@ func TestOneThreadRunsOneSubTaskPerBlock(t *testing.T) {
 	nu := dp.NewNussinov(dp.RandomRNA(38, 85))
 	d := dp.NewDominance43(19, 86)
 	k := dp.NewKnapsack(17, 45, 87)
-	a := dp.RandomDNA(44, 88)
-	b := dp.NewBandedEdit(a, dp.MutateSeq(a, dp.DNAAlphabet, 0.05, 89), 4)
 	c := chainSum{40}
 	for _, job := range []struct {
 		p   core.Problem[int32]
@@ -272,7 +270,6 @@ func TestOneThreadRunsOneSubTaskPerBlock(t *testing.T) {
 		{nu.Problem(), nu.Sequential()},
 		{d.Problem(), d.Sequential()},
 		{k.Problem(), k.Sequential()},
-		{b.Problem(), b.Sequential()},
 		{core.Problem[int32]{Name: "chain", Size: dag.Size{Rows: 1, Cols: c.n}, Kernel: core.Cells[int32](c), Codec: matrix.BinaryCodec[int32]{}}, c.Sequential()},
 	} {
 		tasks := jobTasks(t, job.p, job.seq, proc)

@@ -16,7 +16,6 @@ const (
 	Class2D1D Class = "2D/1D"
 	Class2D2D Class = "2D/2D"
 	Class1D0D Class = "1D/0D"
-	Class1D1D Class = "1D/1D"
 )
 
 // Pattern is a DAG Pattern Model: it defines which cells of the DP matrix
@@ -94,7 +93,7 @@ func ShapeOf(p Pattern) Shape {
 // granularity: the rectangle of block q's cells that the recurrence may read
 // while it computes block p, for a q among p's DataDeps. It is what a task
 // is shipped of q. A pattern declares it with an optional DataRegion method
-// of this signature (minus the pattern), as Wavefront and Banded do; any
+// of this signature (minus the pattern), as Wavefront does; any
 // other pattern, a Custom included, reads the whole of q. The region must be
 // non-empty and lie inside g.Rect(q) (Validate); a cell read
 // outside it is the under-specified-region panic of matrix.View.

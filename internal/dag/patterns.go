@@ -169,7 +169,7 @@ func (d Dominance) DataDeps(g Geometry, p Pos, buf []Pos) []Pos {
 func (Dominance) RowOrder(r Rect, visit func(i, j0, j1 int)) { rowMajor(r, visit) }
 
 // RowOnly is the pattern of recurrences where cell (i, j) reads arbitrary
-// cells of row i-1 at column <= j (0/1 knapsack, Viterbi with
+// cells of row i-1 at column <= j (0/1 knapsack, an HMM forward pass with
 // left-to-right transitions). With one-row blocks, every block of the
 // previous row up to the same column is both a topological precursor and a
 // data dependency and block rows are fully parallel. With multi-row blocks

@@ -212,9 +212,10 @@ func TestLookupLibrary(t *testing.T) {
 	if _, ok := Lookup("no-such-pattern"); ok {
 		t.Error("Lookup of unknown name succeeded")
 	}
-	names := LibraryNames()
-	if len(names) < 6 {
-		t.Errorf("library has %d patterns, want >= 6", len(names))
+	// The library is the design's six patterns and nothing else.
+	want := []string{NameChain, NameDominance, NameRowColumn, NameRowOnly, NameTriangular, NameWavefront}
+	if names := LibraryNames(); !reflect.DeepEqual(names, want) {
+		t.Errorf("library holds %v, want %v", names, want)
 	}
 }
 
@@ -288,11 +289,7 @@ func TestLibraryPatternDataDepsUnique(t *testing.T) {
 		MatrixGeometry(Square(18), Square(4)),
 		MatrixGeometry(Square(18), Size{3, 5}),
 	}
-	pats := append(libraryPatterns(), PrevRow{}, Banded{Width: 5})
-	for _, pat := range pats {
-		if _, ok := pat.(PrevRow); ok {
-			geoms = []Geometry{MatrixGeometry(Square(18), Size{1, 4})}
-		}
+	for _, pat := range libraryPatterns() {
 		for _, g := range geoms {
 			var buf []Pos
 			for r := 0; r < g.Grid.Rows; r++ {
@@ -315,47 +312,6 @@ func TestLibraryPatternDataDepsUnique(t *testing.T) {
 	}
 }
 
-func TestPrevRowInvariants(t *testing.T) {
-	g := MatrixGeometry(Size{10, 20}, Size{1, 4})
-	if err := Validate(PrevRow{}, g); err != nil {
-		t.Fatal(err)
-	}
-	// Multi-row, multi-column blocks must be rejected loudly.
-	mustPanic(t, func() {
-		PrevRow{}.Precursors(MatrixGeometry(Size{10, 20}, Size{2, 4}), Pos{1, 1}, nil)
-	})
-	// A single block column is fine even with multi-row blocks.
-	g2 := MatrixGeometry(Size{10, 4}, Size{2, 4})
-	if err := Validate(PrevRow{}, g2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBandedInvariants(t *testing.T) {
-	for _, w := range []int{0, 2, 7, 30} {
-		pat := Banded{Width: w}
-		for _, g := range []Geometry{
-			MatrixGeometry(Square(20), Square(4)),
-			MatrixGeometry(Size{15, 25}, Size{4, 3}),
-		} {
-			if err := Validate(pat, g); err != nil {
-				t.Errorf("w=%d: %v", w, err)
-			}
-		}
-	}
-}
-
-func TestBandedBlockExistence(t *testing.T) {
-	pat := Banded{Width: 2}
-	g := MatrixGeometry(Square(20), Square(5))
-	if pat.BlockExists(g, Pos{0, 3}) {
-		t.Error("far off-diagonal block should not exist")
-	}
-	if !pat.BlockExists(g, Pos{1, 1}) || !pat.BlockExists(g, Pos{1, 0}) {
-		t.Error("near-diagonal blocks should exist")
-	}
-}
-
 // The shape a pattern declares is what the read path trusts instead of
 // asking CellExists: Dense must mean no hole anywhere in the matrix, Convex
 // that the computed cells of every row and column are contiguous, and
@@ -363,8 +319,8 @@ func TestBandedBlockExistence(t *testing.T) {
 func TestDeclaredShapesHold(t *testing.T) {
 	holes := func(i, j int) bool { return (i+2*j)%3 != 0 }
 	want := map[Pattern]Shape{
-		Wavefront{}: Dense, RowColumn{}: Dense, Dominance{}: Dense, RowOnly{}: Dense, PrevRow{}: Dense,
-		Triangular{}: Convex, Chain{}: Convex, Banded{Width: 0}: Convex, Banded{Width: 4}: Convex,
+		Wavefront{}: Dense, RowColumn{}: Dense, Dominance{}: Dense, RowOnly{}: Dense,
+		Triangular{}: Convex, Chain{}: Convex,
 	}
 	for pat, shape := range want {
 		if got := ShapeOf(pat); got != shape {
@@ -487,15 +443,13 @@ func (p plantedRegion) DataRegion(g Geometry, p0, q Pos) Rect { return p.region(
 func TestDataRegion(t *testing.T) {
 	g := MatrixGeometry(Size{9, 17}, Size{4, 3}) // clipped to 1 row at the bottom, 2 columns at the right
 	p := Pos{Row: 2, Col: 5}
-	for _, pat := range []Pattern{Wavefront{}, Banded{Width: 40}} {
-		for q, want := range map[Pos]Rect{
-			{Row: 1, Col: 5}: {Row0: 7, Col0: 15, Rows: 1, Cols: 2},
-			{Row: 2, Col: 4}: {Row0: 8, Col0: 14, Rows: 1, Cols: 1},
-			{Row: 1, Col: 4}: {Row0: 7, Col0: 14, Rows: 1, Cols: 1},
-		} {
-			if got := DataRegion(pat, g, p, q); got != want {
-				t.Errorf("%s: block %v reads %v of %v, want %v", pat.Name(), p, got, q, want)
-			}
+	for q, want := range map[Pos]Rect{
+		{Row: 1, Col: 5}: {Row0: 7, Col0: 15, Rows: 1, Cols: 2},
+		{Row: 2, Col: 4}: {Row0: 8, Col0: 14, Rows: 1, Cols: 1},
+		{Row: 1, Col: 4}: {Row0: 7, Col0: 14, Rows: 1, Cols: 1},
+	} {
+		if got := DataRegion(Wavefront{}, g, p, q); got != want {
+			t.Errorf("wavefront: block %v reads %v of %v, want %v", p, got, q, want)
 		}
 	}
 	if got, want := DataRegion(RowColumn{}, g, p, Pos{Row: 0, Col: 5}), g.Rect(Pos{Row: 0, Col: 5}); got != want {

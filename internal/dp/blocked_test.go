@@ -31,7 +31,7 @@ func topo(g *dag.Graph) []int32 {
 // codecFor is the codec a kernel's Problem ships cells of T with: every
 // library kernel's cells are fixed-size numbers.
 func codecFor[T any]() matrix.Codec[T] {
-	for _, c := range []any{matrix.BinaryCodec[int32]{}, matrix.BinaryCodec[int64]{}, matrix.BinaryCodec[uint64]{}, matrix.BinaryCodec[float64]{}} {
+	for _, c := range []any{matrix.BinaryCodec[int32]{}, matrix.BinaryCodec[int64]{}, matrix.BinaryCodec[uint64]{}} {
 		if c, ok := c.(matrix.Codec[T]); ok {
 			return c
 		}
@@ -126,8 +126,6 @@ func TestKernelsOverViewsMatchSequential(t *testing.T) {
 		run32("lcs", l, l.Size(), l.Sequential())
 		nw := NewNeedlemanWunsch(a, b)
 		run32("needleman", nw, nw.Size(), nw.Sequential())
-		be := NewBandedEdit(a, b, 6)
-		run32("banded", be, be.Size(), be.Sequential())
 		ks := NewKnapsack(n, 40, 14)
 		run32("knapsack", ks, ks.Size(), ks.Sequential())
 		dm := NewDominance43(12, 15)
@@ -138,12 +136,6 @@ func TestKernelsOverViewsMatchSequential(t *testing.T) {
 		check("cyk", proc, thread, fillBlocked[uint64](cyk, cyk.Size(), proc, thread).Assemble(), cyk.Sequential())
 		rg := NewCYK(RandomGrammar(12, 40, DNAAlphabet, 18), a)
 		check("cyk-random", proc, thread, fillBlocked[uint64](rg, rg.Size(), proc, thread).Assemble(), rg.Sequential())
-	}
-	// Viterbi reads the whole previous row: one-row blocks only.
-	vt := NewViterbi(9, 4, 20, 19)
-	for _, cols := range []int{1, 4, 9} {
-		proc, thread := dag.Size{Rows: 1, Cols: cols}, dag.Size{Rows: 1, Cols: 2}
-		check("viterbi", proc, thread, fillBlocked[float64](vt, vt.Size(), proc, thread).Assemble(), vt.Sequential())
 	}
 }
 
@@ -318,8 +310,6 @@ func TestRowMatchesCellMatchesSequential(t *testing.T) {
 		checkRows[int32](t, "lcs", l, l.Sequential(), size, proc, thread, rng)
 		nw := NewNeedlemanWunsch(a, b)
 		checkRows[int32](t, "needleman", nw, nw.Sequential(), size, proc, thread, rng)
-		be := NewBandedEdit(a, b, rng.Intn(12))
-		checkRows[int32](t, "banded", be, be.Sequential(), size, proc, thread, rng)
 		s := NewSWGG(a, b)
 		checkRows[int32](t, "swgg", s, s.Sequential(), size, proc, thread, rng)
 		ks := NewKnapsack(size.Rows, size.Cols-1, rng.Int63())
@@ -336,10 +326,6 @@ func TestRowMatchesCellMatchesSequential(t *testing.T) {
 		checkRows[int64](t, "matrixchain", mc, mc.Sequential(), sq, sqProc, sqThread, rng)
 		cyk := NewCYK(RandomGrammar(12, 40, DNAAlphabet, rng.Int63()), RandomDNA(sq.Rows, rng.Int63()))
 		checkRows[uint64](t, "cyk", cyk, cyk.Sequential(), sq, sqProc, sqThread, rng)
-
-		// Viterbi reads the whole previous row: one-row blocks only.
-		vt := NewViterbi(size.Cols, 4, size.Rows, rng.Int63())
-		checkRows[float64](t, "viterbi", vt, vt.Sequential(), vt.Size(), dag.Size{Rows: 1, Cols: proc.Cols}, dag.Size{Rows: 1, Cols: thread.Cols}, rng)
 	}
 }
 
@@ -457,12 +443,10 @@ func TestTwoDOneDKernelsHaveRows(t *testing.T) {
 		"MatrixChain":     func() (dag.Pattern, bool) { return rowsOf[int64](NewMatrixChain(8, 2, 9, 1)) },
 		"CYK":             func() (dag.Pattern, bool) { return rowsOf[uint64](NewCYK(ParenGrammar(), a)) },
 		"Knapsack":        func() (dag.Pattern, bool) { return rowsOf[int32](NewKnapsack(8, 9, 1)) },
-		"Viterbi":         func() (dag.Pattern, bool) { return rowsOf[float64](NewViterbi(3, 2, 8, 1)) },
 		"Dominance43":     func() (dag.Pattern, bool) { return rowsOf[int32](NewDominance43(8, 1)) },
 		"EditDistance":    func() (dag.Pattern, bool) { return rowsOf[int32](NewEditDistance(a, a)) },
 		"LCS":             func() (dag.Pattern, bool) { return rowsOf[int32](NewLCS(a, a)) },
 		"NeedlemanWunsch": func() (dag.Pattern, bool) { return rowsOf[int32](NewNeedlemanWunsch(a, a)) },
-		"BandedEdit":      func() (dag.Pattern, bool) { return rowsOf[int32](NewBandedEdit(a, a, 2)) },
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -71,104 +70,5 @@ func TestRandomGrammarDeterministic(t *testing.T) {
 				t.Fatal("CYK not deterministic")
 			}
 		}
-	}
-}
-
-// --- Viterbi ---
-
-func TestViterbiPathIsValidAndOptimalOnTinyHMM(t *testing.T) {
-	v := NewViterbi(3, 4, 7, 5)
-	m := v.Sequential()
-	path := v.BestPath(m)
-	if len(path) != len(v.Obs) {
-		t.Fatalf("path length %d, want %d", len(path), len(v.Obs))
-	}
-	// Path log-probability must equal the matrix maximum at the last row.
-	logp := v.LogInit[path[0]] + v.LogEmit[path[0]][v.Obs[0]]
-	for t2 := 1; t2 < len(path); t2++ {
-		logp += v.LogTrans[path[t2-1]][path[t2]] + v.LogEmit[path[t2]][v.Obs[t2]]
-	}
-	best := math.Inf(-1)
-	for s := 0; s < v.States(); s++ {
-		if m[len(v.Obs)-1][s] > best {
-			best = m[len(v.Obs)-1][s]
-		}
-	}
-	if math.Abs(logp-best) > 1e-9 {
-		t.Fatalf("path logp %v != matrix best %v", logp, best)
-	}
-	// And it must match exhaustive search on this tiny instance.
-	if bf := bruteViterbi(v); math.Abs(bf-best) > 1e-9 {
-		t.Fatalf("matrix best %v != brute force %v", best, bf)
-	}
-}
-
-func bruteViterbi(v *Viterbi) float64 {
-	best := math.Inf(-1)
-	states, steps := v.States(), len(v.Obs)
-	var rec func(t, s int, logp float64)
-	rec = func(t, s int, logp float64) {
-		logp += v.LogEmit[s][v.Obs[t]]
-		if t == steps-1 {
-			if logp > best {
-				best = logp
-			}
-			return
-		}
-		for ns := 0; ns < states; ns++ {
-			rec(t+1, ns, logp+v.LogTrans[s][ns])
-		}
-	}
-	for s := 0; s < states; s++ {
-		rec(0, s, v.LogInit[s])
-	}
-	return best
-}
-
-func TestViterbiDistributionsNormalized(t *testing.T) {
-	v := NewViterbi(4, 5, 3, 9)
-	for _, dist := range append([][]float64{v.LogInit}, v.LogTrans...) {
-		sum := 0.0
-		for _, lp := range dist {
-			sum += math.Exp(lp)
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("distribution sums to %v", sum)
-		}
-	}
-}
-
-// --- Banded edit distance ---
-
-func TestBandedEditExactWithinBand(t *testing.T) {
-	a := RandomDNA(60, 21)
-	b := MutateSeq(a, DNAAlphabet, 0.05, 22) // few substitutions: small distance
-	full := NewEditDistance(a, b)
-	want := full.Distance(full.Sequential())
-	banded := NewBandedEdit(a, b, 10)
-	if got := banded.Distance(banded.Sequential()); got != want {
-		t.Fatalf("banded distance %d != full distance %d (within band)", got, want)
-	}
-}
-
-func TestBandedEditNarrowBandOverestimates(t *testing.T) {
-	a := []byte("AAAAAAAAAA")
-	b := []byte("TTTTTTTTTTTTTTTTTTTT") // distance 20 > width
-	banded := NewBandedEdit(a, b, 2)
-	full := NewEditDistance(a, b)
-	bd := banded.Distance(banded.Sequential())
-	fd := full.Distance(full.Sequential())
-	if bd < fd {
-		t.Fatalf("banded %d below true distance %d", bd, fd)
-	}
-}
-
-func TestBandedEditZeroWidthIsDiagonal(t *testing.T) {
-	a := []byte("ACGT")
-	b := []byte("AGGT")
-	banded := NewBandedEdit(a, b, 0)
-	// Width 0: only substitutions along the diagonal -> Hamming distance.
-	if got := banded.Distance(banded.Sequential()); got != 1 {
-		t.Fatalf("diagonal-only distance = %d, want 1", got)
 	}
 }

@@ -11,9 +11,8 @@ import "math/rand"
 
 // Alphabets for workload generation.
 const (
-	DNAAlphabet     = "ACGT"
-	RNAAlphabet     = "ACGU"
-	ProteinAlphabet = "ACDEFGHIKLMNPQRSTVWY"
+	DNAAlphabet = "ACGT"
+	RNAAlphabet = "ACGU"
 )
 
 // RandomSeq generates a reproducible random sequence of length n over the

@@ -45,7 +45,7 @@ type Options struct {
 	// and CheckInterval (default HeartbeatInterval) are the shared pool's
 	// scheduling configuration: engine.PoolConfig, whose defaults they
 	// take; its other fields keep theirs. A job's JobRequest may override
-	// TaskTimeout, MaxAttempts and its quota; a batch never mixes jobs;
+	// TaskTimeout and MaxAttempts; a batch never mixes jobs;
 	// Auto's adjustments are traced as EvTune events on the fleet recorder
 	// and exported via TuneSnapshot.
 	TaskTimeout   time.Duration
@@ -168,7 +168,7 @@ func (f *Fleet[T]) Join(name string, run core.Config) *core.Worker[T] {
 // Registry exposes the membership table.
 func (f *Fleet[T]) Registry() *core.Registry { return f.reg }
 
-// Close shuts the fleet down: running jobs fail with ErrFleetClosed and
+// Close shuts the fleet down: running jobs fail with core.ErrClosed and
 // workers are dismissed.
 func (f *Fleet[T]) Close() {
 	if f.ln != nil {
@@ -177,9 +177,6 @@ func (f *Fleet[T]) Close() {
 	f.d.Close()
 	f.wg.Wait()
 }
-
-// ErrFleetClosed fails jobs still running when the fleet shuts down.
-var ErrFleetClosed = core.ErrClosed
 
 // Run submits one job and blocks until it completes, fails, or ctx is
 // cancelled. Jobs run concurrently: call Run from one goroutine per job. A

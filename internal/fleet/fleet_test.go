@@ -304,7 +304,6 @@ func TestFleetPoisonedJobIsolationFakeClock(t *testing.T) {
 		res, err := f.Run(context.Background(), poisonProb, JobRequest{
 			Name:        "poisoned",
 			TaskTimeout: 500 * time.Millisecond,
-			Quota:       2, // the poisoned job's retries stay bounded
 		})
 		poisonCh <- outcome{res, err}
 	}()

@@ -33,10 +33,6 @@ type JobRequest struct {
 	Weight float64
 	// Priority is the priority class (higher dispatches first).
 	Priority int
-	// Quota caps the job's in-flight leased attempts (0 = fleet
-	// default): retries and speculative backups count against it, so a
-	// poisoned job cannot flood the pool.
-	Quota int
 	// MaxAttempts bounds overtime redistributions per vertex before the
 	// job — and only the job — fails (0 = fleet default).
 	MaxAttempts int
@@ -119,7 +115,6 @@ func (f *Fleet[T]) newJob(id int32, p core.Problem[T], req JobRequest) (*core.Jo
 	jb, err := f.d.NewJob(id, p, req.Proc, core.PolicyDynamic, engine.JobParams{
 		Weight:      req.Weight,
 		Priority:    req.Priority,
-		Quota:       req.Quota,
 		MaxAttempts: req.MaxAttempts,
 		TaskTimeout: req.TaskTimeout,
 		Timeout:     req.Timeout,

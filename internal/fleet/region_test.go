@@ -23,7 +23,6 @@ type regionSpec struct {
 	Kernel       string
 	Rows, Cols   int
 	SeedA, SeedB int64
-	Width        int
 }
 
 func (s regionSpec) seqs() (a, b []byte) {
@@ -42,9 +41,6 @@ func (s regionSpec) int32Problem() (core.Problem[int32], [][]int32, error) {
 	case "needleman":
 		nw := dp.NewNeedlemanWunsch(a, b)
 		return nw.Problem(), nw.Sequential(), nil
-	case "banded":
-		be := dp.NewBandedEdit(a, b, s.Width)
-		return be.Problem(), be.Sequential(), nil
 	}
 	return core.Problem[int32]{}, nil, fmt.Errorf("unknown kernel %q", s.Kernel)
 }
@@ -140,15 +136,14 @@ func TestFleetRegionShippingMatchesSequentialProperty(t *testing.T) {
 	var jobs []regionJob
 	for trial := 0; trial < 6; trial++ {
 		size, proc, thread := upTo(36), upTo(12), upTo(5)
-		width := rng.Intn(12)
 		switch trial % 3 {
 		case 1:
 			proc.Rows = 1
 		case 2:
-			proc, width = dag.Size{Rows: 6 + rng.Intn(6), Cols: 1}, rng.Intn(3)
+			proc = dag.Size{Rows: 6 + rng.Intn(6), Cols: 1}
 		}
-		for _, kernel := range []string{"editdist", "lcs", "needleman", "banded"} {
-			jobs = append(jobs, regionJob{regionSpec{Kernel: kernel, Rows: size.Rows, Cols: size.Cols, SeedA: rng.Int63(), SeedB: rng.Int63(), Width: width}, proc, thread})
+		for _, kernel := range []string{"editdist", "lcs", "needleman"} {
+			jobs = append(jobs, regionJob{regionSpec{Kernel: kernel, Rows: size.Rows, Cols: size.Cols, SeedA: rng.Int63(), SeedB: rng.Int63()}, proc, thread})
 		}
 	}
 	regionFleet(t, regionSpec.int32Problem, jobs)

@@ -377,8 +377,8 @@ func TestFleetRunCancelAndClose(t *testing.T) {
 	}
 
 	f.Close()
-	if _, err := f.Run(context.Background(), prob, JobRequest{Name: "late"}); !errors.Is(err, ErrFleetClosed) {
-		t.Fatalf("Run after Close = %v, want ErrFleetClosed", err)
+	if _, err := f.Run(context.Background(), prob, JobRequest{Name: "late"}); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("Run after Close = %v, want core.ErrClosed", err)
 	}
 	if err := RunWorker[int32](context.Background(), nil, WorkerOptions{Addr: f.Addr()}); err == nil {
 		t.Fatal("RunWorker accepted a nil builder")

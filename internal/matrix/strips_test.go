@@ -46,9 +46,6 @@ func fillRect(pat dag.Pattern, r dag.Rect) *Block[int32] {
 func stripCases(rng *rand.Rand, pat dag.Pattern, beside bool) []stripCase {
 	size := dag.Size{Rows: 2 + rng.Intn(18), Cols: 2 + rng.Intn(18)}
 	block := dag.Size{Rows: 1 + rng.Intn(size.Rows/2+1), Cols: 1 + rng.Intn(size.Cols/2+1)}
-	if pat.Name() == dag.NamePrevRow {
-		block.Rows = 1
-	}
 	geom := dag.MatrixGeometry(size, block)
 	graph := dag.Build(pat, geom)
 	var cases []stripCase
@@ -135,8 +132,7 @@ func read(v *View[int32], i, j, n int, kind int) (got []int32, panicked string) 
 func TestStripsAnswerAsShippedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 37)))
 	patterns := []dag.Pattern{
-		dag.Wavefront{}, dag.RowColumn{}, dag.Triangular{}, dag.Dominance{}, dag.RowOnly{},
-		dag.Chain{}, dag.PrevRow{}, dag.Banded{Width: 3},
+		dag.Wavefront{}, dag.RowColumn{}, dag.Triangular{}, dag.Dominance{}, dag.RowOnly{}, dag.Chain{},
 	}
 	s := NewStrips[int32](dag.Square(20), dag.Square(20))
 	joined := 0

@@ -130,8 +130,8 @@ func diagnosed(t *testing.T, read func()) (panicked bool) {
 }
 
 // For every library pattern (Triangular with its half-empty diagonal
-// blocks, Banded, Chain), a Custom pattern with arbitrary holes and one
-// without, over random geometries and a retargeted view: Get agrees with the model on every cell
+// blocks, Chain), a Custom pattern with arbitrary holes and one without,
+// over random geometries and a retargeted view: Get agrees with the model on every cell
 // in and around the matrix; every cell of every run, and of every band of
 // any width, is computed and equals Get of that cell; a run or band is as
 // long as the request, the block, the shadowing scratch block and the
@@ -141,8 +141,7 @@ func diagnosed(t *testing.T, read func()) (panicked bool) {
 func TestViewRunsMatchGetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 14)))
 	patterns := []dag.Pattern{
-		dag.Wavefront{}, dag.RowColumn{}, dag.Triangular{}, dag.Dominance{}, dag.RowOnly{},
-		dag.Chain{}, dag.PrevRow{}, dag.Banded{Width: 3},
+		dag.Wavefront{}, dag.RowColumn{}, dag.Triangular{}, dag.Dominance{}, dag.RowOnly{}, dag.Chain{},
 		dag.Custom{PatternName: "dense"},
 		dag.Custom{PatternName: "holes", CellExistsFunc: func(i, j int) bool { return (i*7+j*3)%5 != 0 }},
 	}

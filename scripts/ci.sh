@@ -216,7 +216,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6829 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6821 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -259,7 +259,7 @@ if [ -n "$entries" ]; then
     exit 1
 fi
 echo "calls: no RowKernel, cellRows, Cell-from-Row wrapper or View.Set in non-test Go"
-check_lines 1906 internal/dp
+check_lines 1579 internal/dp
 
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
@@ -268,7 +268,7 @@ check_lines 2159 internal/lint
 # The DAG Pattern Model states a block's cell order once (Pattern.RowOrder)
 # and checks a pattern with one validator (dag.Validate); a second order or
 # check must not arrive unnoticed.
-check_lines 1244 internal/dag
+check_lines 1124 internal/dag
 
 # And what keeps it a state machine: the engine may be driven from a
 # socket, an event loop or a test, so it imports none of its drivers, no
@@ -512,18 +512,20 @@ echo "calls: no CellOrder, cell-level deriver, separate pattern check or free da
 # numbers, a custom codec for a struct cell (README's five-byte example).
 # The gob codec, the affine-gap and optimal-BST kernels that only tests ran
 # went with the rule that no library function stands without a shipped
-# caller (TestEveryLibraryFunctionShips); none of them may come back. The
-# same gate keeps encoding/gob off the wire: hello, welcome and every
-# message kind are frames of internal/comm/wire.go (comm's tests may import
-# gob, to show that a protocol-v4 peer is refused).
-pruned=$(grep -rnE --include='*.go' '"encoding/gob"|GobCodec|NewGotoh|NewOptimalBST' . |
+# caller (TestEveryLibraryFunctionShips); none of them may come back. Nor
+# may the two patterns beyond the design's six, PrevRow and Banded, or the
+# Viterbi and banded-edit kernels that only exercised them. The same gate
+# keeps encoding/gob off the wire: hello, welcome and every message kind
+# are frames of internal/comm/wire.go (comm's tests may import gob, to show
+# that a protocol-v4 peer is refused).
+pruned=$(grep -rnE --include='*.go' '"encoding/gob"|GobCodec|NewGotoh|NewOptimalBST|PrevRow|Banded|NewViterbi|NewBandedEdit' . |
     grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ -n "$pruned" ]; then
-    echo "calls: encoding/gob, GobCodec, NewGotoh and NewOptimalBST are gone from non-test Go:" >&2
+    echo "calls: encoding/gob, GobCodec, NewGotoh, NewOptimalBST, PrevRow, Banded, NewViterbi and NewBandedEdit are gone from non-test Go:" >&2
     echo "$pruned" >&2
     exit 1
 fi
-echo "calls: no encoding/gob, GobCodec, NewGotoh or NewOptimalBST in non-test Go"
+echo "calls: no encoding/gob, GobCodec, NewGotoh, NewOptimalBST, PrevRow, Banded, NewViterbi or NewBandedEdit in non-test Go"
 
 # Smoke the wire-codec fuzzer: ten seconds of random frames must neither
 # crash the decoder nor break the encode/decode round trip.

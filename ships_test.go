@@ -13,22 +13,16 @@ import (
 
 // shipsAllowlist names the library functions the guard below lets stand
 // without a shipped caller, each with its reason: test seams, the scenario
-// checker, the kernel fixtures that are the only kernel of a library
-// pattern or cell type, and the sequential references of the kernels whose
-// cells are not int32, which no shipped interface reads. A name is
-// "pkg.Func" or "pkg.Type.Method".
+// checker, the kernel fixture that is the only kernel of a library
+// pattern, and the sequential references of the kernels whose cells are
+// not int32, which no shipped interface reads. A name is "pkg.Func" or
+// "pkg.Type.Method".
 var shipsAllowlist = map[string]string{
 	"core.Driver.Progress":      "the notifier the scheduling tests wait on instead of polling (scripts/ci.sh)",
 	"core.Registry.Members":     "the member table the membership tests read",
 	"engine.Job.LiveAttempts":   "how the engine tests see a backup racing its original",
 	"sim.Scenario.Check":        "the .scenario expectation checker the scenario suite runs",
 	"dp.NewDominance43":         "the only kernel of the Dominance pattern",
-	"dp.NewViterbi":             "the only kernel of the PrevRow pattern and of float64 cells",
-	"dp.Viterbi.Problem":        "how the PrevRow and float64 runs build their job from the Viterbi fixture",
-	"dp.Viterbi.Sequential":     "the Viterbi fixture's reference the runs are checked against",
-	"dp.Viterbi.BestPath":       "Viterbi's answer, checked against brute force",
-	"dp.NewBandedEdit":          "the only kernel of the Banded pattern",
-	"dp.BandedEdit.Distance":    "BandedEdit's answer, checked against EditDistance",
 	"dp.CYK.Sequential":         "the reference the uint64-cell CYK runs are checked against",
 	"dp.MatrixChain.Sequential": "the reference answer of the public easyhps.MatrixChain",
 	"dp.RandomGrammar":          "the random CNF grammars that stress CYK's uint64 cells past ParenGrammar",
@@ -36,12 +30,14 @@ var shipsAllowlist = map[string]string{
 }
 
 // TestEveryLibraryFunctionShips holds the non-test tree to what the system
-// runs: every top-level function or method of a library package under
-// internal/ has a use somewhere in the program the commands, examples and
-// benchmark build (test files are not loaded). Exempt are a method by which
-// its receiver implements an interface in view (one of the program's, an
-// anonymous one in a type assertion, an imported package's exported one,
-// error), packages that only tests import, and shipsAllowlist.
+// runs: every top-level function or method, and every package-level type,
+// const and var, of a library package under internal/ has a use somewhere
+// in the program the commands, examples and benchmark build (test files
+// are not loaded). Exempt are a method by which its receiver implements an
+// interface in view (one of the program's, an anonymous one in a type
+// assertion, an imported package's exported one, error), packages that
+// only tests import, and shipsAllowlist. A type's own methods do not count
+// as its uses. Struct fields are not guarded.
 func TestEveryLibraryFunctionShips(t *testing.T) {
 	prog, err := lint.Load(".", "./...")
 	if err != nil {
@@ -56,7 +52,7 @@ func TestEveryLibraryFunctionShips(t *testing.T) {
 		}
 	}
 	if len(bad) > 0 {
-		t.Errorf("library functions with no caller outside tests (delete them, move a test oracle into a _test.go file, or allowlist a test seam with its reason):\n\t%s",
+		t.Errorf("library functions or declarations with no use outside tests (delete them, move a test oracle into a _test.go file, or allowlist a test seam with its reason):\n\t%s",
 			strings.Join(bad, "\n\t"))
 	}
 	var stale []string
@@ -72,9 +68,10 @@ func TestEveryLibraryFunctionShips(t *testing.T) {
 }
 
 // unshipped returns, sorted, the guarded functions of prog that nothing
-// outside their own body uses.
+// outside their own body uses, and the guarded types, consts and vars that
+// nothing outside their own declaration and, for a type, its methods uses.
 func unshipped(prog *lint.Program) []string {
-	uses := map[*types.Func][]token.Pos{}
+	uses := map[types.Object][]token.Pos{}
 	view := &interfaces{args: map[string][]types.Type{}}
 	view.add(types.Universe.Lookup("error").Type())
 	imported := map[string]bool{}
@@ -102,9 +99,9 @@ func unshipped(prog *lint.Program) []string {
 	for _, p := range prog.Pkgs {
 		for id, obj := range p.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
-				fn = fn.Origin()
-				uses[fn] = append(uses[fn], id.Pos())
+				obj = fn.Origin()
 			}
+			uses[obj] = append(uses[obj], id.Pos())
 		}
 		for _, tv := range p.Info.Types {
 			if tv.Type != nil {
@@ -123,8 +120,38 @@ func unshipped(prog *lint.Program) []string {
 		if p.IsMain() || !strings.Contains(p.Path, "/internal/") || !imported[p.Path] {
 			continue
 		}
+		// The methods of each type, whose uses of it do not count.
+		methods := map[types.Object][]ast.Node{}
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					if fn, _ := p.Info.Defs[fd.Name].(*types.Func); fn != nil {
+						tn := recvNamed(fn).Obj()
+						methods[tn] = append(methods[tn], fd)
+					}
+				}
+			}
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok {
+					for _, s := range gd.Specs {
+						var ids []*ast.Ident
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							ids = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							ids = s.Names
+						}
+						for _, id := range ids {
+							obj := p.Info.Defs[id]
+							if obj != nil && id.Name != "_" && !usedOutside(uses[obj], append([]ast.Node{s}, methods[obj]...)...) {
+								out = append(out, p.Pkg.Name()+"."+id.Name)
+							}
+						}
+					}
+					continue
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Name.Name == "init" {
 					continue
@@ -138,7 +165,7 @@ func unshipped(prog *lint.Program) []string {
 					if view.implementedBy(fn) {
 						continue
 					}
-					name += recvName(fn) + "."
+					name += recvNamed(fn).Obj().Name() + "."
 				}
 				out = append(out, name+fn.Name())
 			}
@@ -254,26 +281,27 @@ func declares(it *types.Interface, name string) bool {
 	return false
 }
 
-// usedOutside reports whether any of the use positions lies outside
-// fd, so that a function only calling itself does not count as used.
-func usedOutside(uses []token.Pos, fd *ast.FuncDecl) bool {
+// usedOutside reports whether any of the use positions lies outside every
+// one of the nodes, so that a function only calling itself does not count
+// as used.
+func usedOutside(uses []token.Pos, nodes ...ast.Node) bool {
+outer:
 	for _, pos := range uses {
-		if pos < fd.Pos() || pos >= fd.End() {
-			return true
+		for _, n := range nodes {
+			if pos >= n.Pos() && pos < n.End() {
+				continue outer
+			}
 		}
+		return true
 	}
 	return false
 }
 
-// recvName is the name of fn's receiver type, without pointer or type
-// arguments.
-func recvName(fn *types.Func) string {
+// recvNamed is fn's receiver type, without pointer.
+func recvNamed(fn *types.Func) *types.Named {
 	t := fn.Type().(*types.Signature).Recv().Type()
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
+	return t.(*types.Named)
 }
