@@ -109,6 +109,52 @@ func TestFacadeRunsCellKernel(t *testing.T) {
 	}
 }
 
+// zeroCells is a per-cell Kernel32 of any pattern that computes zeros.
+type zeroCells struct{ pat Pattern }
+
+func (z zeroCells) Pattern() Pattern             { return z.pat }
+func (zeroCells) Boundary(i, j int) int32        { return 0 }
+func (zeroCells) Cell(v *View32, i, j int) int32 { return 0 }
+
+// A user pattern that breaks the model is refused by Run at once, with the
+// error ValidatePattern gives: one whose blocks each precede their east and
+// west neighbours, a cycle, well before its 5 s RunTimeout, and one that
+// names the block above the grid as a precursor without panicking.
+func TestRunRefusesBrokenUserPatterns(t *testing.T) {
+	cycle := CustomPattern{PatternName: "east-west", PrecursorsFunc: func(g Geometry, p Pos, buf []Pos) []Pos {
+		for _, q := range []Pos{{Row: p.Row, Col: p.Col - 1}, {Row: p.Row, Col: p.Col + 1}} {
+			if g.InGrid(q) {
+				buf = append(buf, q)
+			}
+		}
+		return buf
+	}}
+	outside := CustomPattern{PatternName: "north-of-grid", PrecursorsFunc: func(g Geometry, p Pos, buf []Pos) []Pos {
+		return append(buf, Pos{Row: -1, Col: p.Col})
+	}}
+	for _, c := range []struct {
+		pat  Pattern
+		want string
+	}{
+		{cycle, "(a cycle)"},
+		{outside, "nonexistent precursor (-1,0) of (0,0)"},
+	} {
+		if err := ValidatePattern(c.pat, MatrixGeometry(Square(8), Square(4))); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ValidatePattern answered %v, want an error that says %q", c.pat.Name(), err, c.want)
+		}
+		start := time.Now()
+		_, err := Run(NewProblem32(c.pat.Name(), Square(8), zeroCells{c.pat}), Config{
+			Slaves: 2, Threads: 2, ProcPartition: Square(4), RunTimeout: 5 * time.Second,
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run answered %v, want an error that says %q", c.pat.Name(), err, c.want)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: Run took %v to refuse the pattern", c.pat.Name(), took)
+		}
+	}
+}
+
 // plantedOrder is a library pattern with a row order the test plants.
 type plantedOrder struct {
 	Pattern

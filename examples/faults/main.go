@@ -25,7 +25,6 @@ func main() {
 		ProcPartition:   easyhps.Square(30),
 		ThreadPartition: easyhps.Square(10),
 		TaskTimeout:     200 * time.Millisecond,
-		SubTaskTimeout:  200 * time.Millisecond,
 		CheckInterval:   25 * time.Millisecond,
 		RunTimeout:      2 * time.Minute,
 		Faults: easyhps.FaultPlan{

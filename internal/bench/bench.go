@@ -219,7 +219,7 @@ func (o Options) service(p core.Problem[int32], cfg core.Config) func(dag.Rect) 
 	return func(r dag.Rect) time.Duration {
 		id := proc.ID(dag.Pos{Row: r.Row0 / cfg.ProcPartition.Rows, Col: r.Col0 / cfg.ProcPartition.Cols})
 		scale := float64(o.WorkDelay) * jitterFactor(id, o.Jitter)
-		g.Rebuild(pat, dag.NewGeometry(r, cfg.ThreadPartition))
+		_ = g.Rebuild(pat, dag.NewGeometry(r, cfg.ThreadPartition)) // a library pattern's: it cannot fail
 		pending := make([]int32, len(g.Verts))
 		done := make([]float64, len(g.Verts)) // a sub-block's start, then its finish
 		for v := range g.Verts {

@@ -79,13 +79,11 @@ type Config struct {
 	// TaskTimeout is the processor-level fault-detection timeout: a
 	// sub-task not finished within it is redistributed.
 	TaskTimeout time.Duration
-	// SubTaskTimeout is the thread-level fault-detection timeout. The
-	// thread level watches it only with Threads >= 2: a helper races a backup
-	// of what another thread is overdue in, and a lone thread cannot.
-	SubTaskTimeout time.Duration
-	// CheckInterval is how often the fault-tolerance watches inspect their
-	// overtime queues (the thread level's, with Threads >= 2 only);
-	// defaults to a quarter of the shorter timeout, at least 1 ms.
+	// CheckInterval is the period of the master's control tick, which
+	// expires overdue sub-tasks (TaskTimeout) and speculates; defaults to
+	// a quarter of TaskTimeout, at most 2.5 s and at least 1 ms. The thread
+	// level has no watch: a compute thread's panic is recovered at once,
+	// and a slow one is not lost.
 	CheckInterval time.Duration
 	// RunTimeout aborts the whole run at the first control tick after it
 	// is exceeded (0 disables; the job's engine.JobParams.Timeout). It is
@@ -95,7 +93,7 @@ type Config struct {
 	// MaxAttempts-th expiry of one sub-task aborts the run with an error, the
 	// MaxAttempts-th panic of one sub-sub-task surfaces the panic, so that
 	// deterministic kernel bugs fail loudly instead of looping forever. A
-	// revoked or stolen sub-task never counts, nor an overdue sub-sub-task.
+	// revoked or stolen sub-task never counts.
 	MaxAttempts int
 	// Speculate enables speculative re-execution: when an in-flight
 	// sub-task runs longer than twice the 95th percentile of observed
@@ -180,11 +178,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.TaskTimeout <= 0 {
 		c.TaskTimeout = engine.DefaultTaskTimeout
 	}
-	if c.SubTaskTimeout <= 0 {
-		c.SubTaskTimeout = 10 * time.Second
-	}
 	if c.CheckInterval <= 0 {
-		c.CheckInterval = max(min(c.TaskTimeout, c.SubTaskTimeout)/4, time.Millisecond)
+		c.CheckInterval = max(min(c.TaskTimeout/4, 2500*time.Millisecond), time.Millisecond)
 	}
 	return c, nil
 }
@@ -242,14 +237,9 @@ type FaultPlan struct {
 	// sub-sub-task panic, exercising the slave-side worker restart. At
 	// Threads 1 a block is sub-task 0, so an entry with Sub > 0 never fires.
 	PanicSubTask map[SubTaskID]bool
-	// StallSubTask delays the first execution of a thread-level
-	// sub-sub-task, tripping the slave's overtime queue (with helpers;
-	// at Threads 1, Sub 0 is the block, and TaskTimeout owns its stall).
-	StallSubTask map[SubTaskID]time.Duration
 }
 
 // empty reports whether the plan injects nothing.
 func (f FaultPlan) empty() bool {
-	return len(f.CrashOnTask) == 0 && len(f.StallFirstAttempt) == 0 &&
-		len(f.PanicSubTask) == 0 && len(f.StallSubTask) == 0
+	return len(f.CrashOnTask) == 0 && len(f.StallFirstAttempt) == 0 && len(f.PanicSubTask) == 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/matrix"
@@ -22,8 +23,13 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.ProcPartition.Valid() || cfg.ThreadPartition.Valid() {
 		t.Fatal("withDefaults decided a partition: the job's and its runner's to decide")
 	}
-	if cfg.TaskTimeout <= 0 || cfg.SubTaskTimeout <= 0 || cfg.CheckInterval <= 0 {
-		t.Fatal("timeouts not defaulted")
+	if cfg.TaskTimeout <= 0 || cfg.CheckInterval != 2500*time.Millisecond {
+		t.Fatalf("TaskTimeout %v, CheckInterval %v: want a default timeout and a 2.5 s tick", cfg.TaskTimeout, cfg.CheckInterval)
+	}
+	// The tick is a quarter of a timeout under 10 s, as it was when the
+	// thread level's 10 s timeout bounded it too.
+	if short, _ := (Config{Slaves: 1, Threads: 1, TaskTimeout: 200 * time.Millisecond}).withDefaults(); short.CheckInterval != 50*time.Millisecond {
+		t.Fatalf("CheckInterval at TaskTimeout 200ms = %v, want 50ms", short.CheckInterval)
 	}
 	p := Problem[int32]{Name: "zero", Kernel: Cells[int32](zeroKernel{}), Codec: matrix.BinaryCodec[int32]{}, Size: dag.Square(64)}
 	r, err := NewTaskRunner(p, Config{Threads: 2})

@@ -215,7 +215,7 @@ func (jb *Job[T]) Stats() engine.Stats {
 // one of each per dispatched vertex at Batch 1.
 func (jb *Job[T]) RunStats() Stats {
 	c := &jb.ctrs
-	return Stats{Stats: jb.Stats(), SubTasks: c.subTasks.Load(), SubRequeues: c.subRequeues.Load(),
+	return Stats{Stats: jb.Stats(), SubTasks: c.subTasks.Load(),
 		WorkerRestarts: c.workerRestarts.Load(), Messages: jb.messages.Load(), PayloadBytes: jb.payload.Load()}
 }
 
@@ -241,7 +241,9 @@ func (jb *Job[T]) Runner(run Config) (*TaskRunner[T], error) {
 // the draw order is policy's; it ships against its members' known-sets
 // when cached or drawn by affinity; what jp leaves unset is the pool's,
 // timeouts included. Of ec it keeps CacheKey, Reclaim, Trace (nil records
-// nothing) and OnProgress.
+// nothing) and OnProgress. A pattern other than the library's six is
+// checked first (dag.Validate), so one with a cycle or a block outside the
+// grid fails here and not by timeout or panic; a library pattern is not.
 func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, policy Policy, jp engine.JobParams, ec engine.Config[T]) (*Job[T], error) {
 	if err := p.Check(); err != nil {
 		return nil, err
@@ -252,6 +254,13 @@ func (d *Driver[T]) NewJob(id int32, p Problem[T], proc dag.Size, policy Policy,
 	}
 	if !proc.Valid() {
 		proc = dag.DefaultPartition(p.Size)
+	}
+	switch pat := p.Kernel.Pattern(); pat.(type) {
+	case dag.Wavefront, dag.RowColumn, dag.Triangular, dag.Dominance, dag.RowOnly, dag.Chain: // held by dag's own tests
+	default:
+		if err := dag.Validate(pat, dag.MatrixGeometry(p.Size, proc)); err != nil {
+			return nil, err
+		}
 	}
 	jb := &Job[T]{ID: id, Params: d.pool.Params(jp), Trace: ec.Trace, Problem: p}
 	ec.TaskTimeout, ec.MaxAttempts, ec.Cache = jb.Params.TaskTimeout, jb.Params.MaxAttempts, d.cfg.Cache

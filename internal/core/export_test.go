@@ -5,13 +5,13 @@ import (
 	"repro/internal/matrix"
 )
 
-// KeepsLevel reports whether r kept its thread level for the next Run, as
-// it does unless a sub-block ran overdue.
-func (r *TaskRunner[T]) KeepsLevel() bool { return r.level != nil }
-
 // SubTasks returns the number of thread-level sub-sub-tasks r executed so
-// far (backups of overdue ones included).
+// far.
 func (r *TaskRunner[T]) SubTasks() int64 { return r.ctrs.subTasks.Load() }
+
+// Restarts returns the number of kernel panics r's compute threads
+// recovered from so far.
+func (r *TaskRunner[T]) Restarts() int64 { return r.ctrs.workerRestarts.Load() }
 
 // Attach attaches r to a as job, the way a spec frame attaches a runner
 // built for it.

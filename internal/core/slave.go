@@ -201,8 +201,8 @@ var errCrashed = errors.New("core: injected slave crash")
 
 // slaveLevel is a TaskRunner's thread level (Figs. 11-12 of the paper): the
 // slave DAG over the sub-blocks of one block on an engine.Attempts, drained
-// by Threads compute threads (the caller of Run is thread 0), and reset, not
-// rebuilt, per Run unless a straggler may still hold it (computeBlock).
+// by Threads compute threads (the caller of Run is thread 0) that all write
+// in place into the task's result block, and reset, not rebuilt, per Run.
 type slaveLevel[T any] struct {
 	r       *TaskRunner[T]
 	pat     dag.Pattern
@@ -210,38 +210,31 @@ type slaveLevel[T any] struct {
 	att     engine.Attempts // of the slave DAG, reset per block
 	lifo    sched.LIFO
 	queue   *sched.Queue
-	views   []*matrix.View[T]       // per thread: in place at one thread, else over a scratch block the size of the largest sub-block
+	views   []*matrix.View[T]       // per thread, over the task's result block
 	fills   []func(*matrix.View[T]) // per thread
 	strips  *matrix.Strips[T]       // the shipped bands, joined
-	layers  []*matrix.Block[T]      // the output block, then the inputs
 	helpers sync.WaitGroup
-	watch   *time.Timer  // the slave fault-tolerance thread, with helpers only
-	overdue atomic.Bool  // a sub-block was queued again, overdue
 	tgeom   dag.Geometry // of the block being computed
-	out     *matrix.Block[T]
 	procID  int32
 
-	mu    sync.Mutex // held by accepts, failures and the watch, so every push is made under it
+	mu    sync.Mutex // held by accepts and failures, so every push is made under it
 	ready []int32    // accept's
 }
 
 // computeBlock is the thread level of one processor-level sub-task of r.
 // Reads outside the block resolve against the inputs, the shipped bands
-// joined into strips; one thread computes the block whole and in place,
-// helpers a sub-block each in a scratch.
+// joined into strips; one thread computes the block whole, helpers a
+// sub-block each, and every thread writes in place.
 func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block[T], procID int32) *matrix.Block[T] {
+	out := matrix.NewPayloadBlock(r.p.Codec, rect) // the kernel's writes are the result's encoding
 	l, helpers := r.level, r.cfg.Threads-1
 	if l == nil {
 		l = &slaveLevel[T]{r: r, pat: r.p.Kernel.Pattern()}
 		l.queue = sched.NewQueue(&l.lifo)
 		l.strips = matrix.NewStrips[T](r.geom.Block, r.p.Size)
-		largest := dag.NewGeometry(r.geom.Rect(dag.Pos{}), r.cfg.ThreadPartition).Rect(dag.Pos{})
 		for range r.cfg.Threads {
-			l.views = append(l.views, matrix.NewView(matrix.NewBlock[T](largest), nil, l.pat, r.p.Size, r.p.Kernel.Boundary))
+			l.views = append(l.views, matrix.NewView(out, nil, l.pat, r.p.Size, r.p.Kernel.Boundary))
 			l.fills = append(l.fills, SubBlockFill(r.p.Kernel))
-		}
-		if helpers > 0 {
-			l.watch = time.AfterFunc(r.cfg.CheckInterval, l.expire)
 		}
 		r.level = l
 	}
@@ -250,7 +243,9 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 		part = dag.Size{Rows: rect.Rows, Cols: rect.Cols}
 	}
 	l.tgeom, l.procID = dag.NewGeometry(rect, part), procID
-	l.graph.Rebuild(l.pat, l.tgeom)
+	if err := l.graph.Rebuild(l.pat, l.tgeom); err != nil {
+		panic(err) // a pattern sound over the block grid (Driver.NewJob) but not over this block's
+	}
 	// PolicyAffinity degenerates to plain dynamic here: inside one node
 	// memory is shared, so locality has nothing to optimize.
 	order := sched.Order(&l.lifo) // drained by the Run before
@@ -258,36 +253,21 @@ func computeBlock[T any](r *TaskRunner[T], rect dag.Rect, inputs []*matrix.Block
 		order = sched.NewBlockCyclic(&l.graph, r.cfg.Threads, 1)
 	}
 	l.queue.Reset(order)
-	l.out = matrix.NewPayloadBlock(r.p.Codec, rect) // the kernel's writes, or accept's copies, are the result's encoding
-	l.layers = append(append(l.layers[:0], l.out), l.strips.Join(inputs, rect)...)
+	in := l.strips.Join(inputs, rect)
 	for _, v := range l.views {
-		v.SetInputs(l.layers)
+		v.SetOutput(out)
+		v.SetInputs(in)
 	}
-	l.overdue.Store(false)
 	l.ready = l.att.Reset(&l.graph, r.cfg.MaxAttempts, l.ready[:0])
 	l.queue.Ready(l.ready...)
 
-	if helpers > 0 {
-		l.watch.Reset(r.cfg.CheckInterval)
-		l.helpers.Add(helpers)
-		for w := 1; w <= helpers; w++ {
-			go l.drain(w)
-		}
-	} else { // no watch, so no duplicate: the one thread computes in place
-		l.views[0].SetOutput(l.out)
+	l.helpers.Add(helpers)
+	for w := 1; w <= helpers; w++ {
+		go l.drain(w)
 	}
 	l.drain(0)
-	if helpers > 0 {
-		// Every sub-block is accepted. With none overdue each ran once, so
-		// no helper is executing one, and all leave the closed queue now.
-		l.watch.Stop()
-		if l.overdue.Load() {
-			r.level = nil
-		} else {
-			l.helpers.Wait()
-		}
-	}
-	return l.out
+	l.helpers.Wait() // every sub-block is accepted: all leave the closed queue
+	return out
 }
 
 // drain is compute thread w's loop, until the queue has nothing more for w.
@@ -303,18 +283,12 @@ func (l *slaveLevel[T]) drain(w int) {
 // execute runs one attempt of a sub-sub-task in thread w's view, recovering
 // from kernel panics (worker restart semantics) up to the MaxAttempts-th of
 // one sub-sub-task, which is re-raised: a deterministic kernel bug surfaces.
+// A sub-block is queued when it becomes computable and again only once its
+// attempt failed, so no two threads ever compute it side by side, and the
+// attempt is watched by no deadline: a slow thread is not lost.
 func (l *slaveLevel[T]) execute(w int, sub int32) {
 	r, view := l.r, l.views[w]
-	var deadline time.Time // unwatched at one thread
-	if l.watch != nil {
-		deadline = time.Now().Add(r.cfg.SubTaskTimeout)
-	}
-	// Queued again while an overdue attempt runs, a sub-block gets a backup
-	// beside it; accepted meanwhile, it is refused and not run.
-	attempt, ok := l.att.Start(sub, deadline, l.watch != nil && l.att.Live(sub) > 0)
-	if !ok {
-		return
-	}
+	attempt, _ := l.att.Start(sub, time.Time{}, false)
 	defer func() {
 		if p := recover(); p != nil {
 			l.mu.Lock()
@@ -330,47 +304,21 @@ func (l *slaveLevel[T]) execute(w int, sub int32) {
 		}
 	}()
 	view.Retarget(l.tgeom.Rect(l.graph.Vertex(sub).Pos))
-	id := SubTaskID{Proc: l.procID, Sub: sub}
-	if r.faults.panicSubTask(id) {
+	if id := (SubTaskID{Proc: l.procID, Sub: sub}); r.faults.panicSubTask(id) {
 		panic(fmt.Sprintf("core: injected sub-task panic %v", id))
 	}
-	time.Sleep(r.faults.stallSubTask(id))
 	l.fills[w](view)
 	r.ctrs.subTasks.Add(1)
-	l.accept(view, sub, attempt)
+	l.accept(sub, attempt)
 }
 
-// accept commits a computed sub-block if its attempt is live — the first of
-// an overdue attempt and its backups to deliver — copying a scratch into the
-// output block and releasing what became computable.
-func (l *slaveLevel[T]) accept(view *matrix.View[T], sub, attempt int32) {
+// accept commits a sub-block its one live attempt computed in the result
+// block, and releases what became computable.
+func (l *slaveLevel[T]) accept(sub, attempt int32) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ready, ok := l.att.Accept(l.ready[:0], sub, attempt)
-	if !ok {
-		return
-	}
-	if l.ready = ready; l.watch != nil {
-		l.out.CopyFrom(view.Out())
-	}
+	l.ready, _ = l.att.Accept(l.ready[:0], sub, attempt)
 	if l.queue.Ready(l.ready...); l.att.Remaining() == 0 {
 		l.queue.Close()
 	}
-}
-
-// expire is the watch: it queues the overdue sub-sub-tasks again, for a
-// backup beside each, and re-arms itself until the block is complete.
-func (l *slaveLevel[T]) expire() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.att.Remaining() == 0 {
-		return
-	}
-	overdue := l.att.Overdue(nil, time.Now())
-	if len(overdue) > 0 { // a thread may still run what is overdue
-		l.overdue.Store(true)
-	}
-	l.r.ctrs.subRequeues.Add(int64(len(overdue)))
-	l.queue.Ready(overdue...)
-	l.watch.Reset(l.r.cfg.CheckInterval)
 }

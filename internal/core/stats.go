@@ -17,8 +17,6 @@ type Stats struct {
 	// SubTasks counts thread-level sub-sub-task executions across all
 	// slaves (duplicates included).
 	SubTasks int64
-	// SubRequeues counts thread-level timeout re-pushes.
-	SubRequeues int64
 	// WorkerRestarts counts compute-goroutine panic recoveries.
 	WorkerRestarts int64
 	// Messages and PayloadBytes are the job's task and result frames
@@ -28,16 +26,16 @@ type Stats struct {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("tasks=%d dispatches=%d redist=%d stale=%d subtasks=%d subrequeue=%d restarts=%d msgs=%d bytes=%d elapsed=%v",
+	return fmt.Sprintf("tasks=%d dispatches=%d redist=%d stale=%d subtasks=%d restarts=%d msgs=%d bytes=%d elapsed=%v",
 		s.Tasks, s.Dispatches, s.Redistributions, s.StaleResults,
-		s.SubTasks, s.SubRequeues, s.WorkerRestarts, s.Messages, s.PayloadBytes, s.Elapsed)
+		s.SubTasks, s.WorkerRestarts, s.Messages, s.PayloadBytes, s.Elapsed)
 }
 
 // counters accumulates what the job engine's ledger does not: the
 // thread-level counts of a job's in-process runners (Job.Runner), or of one
 // runner of its own.
 type counters struct {
-	subTasks, subRequeues, workerRestarts atomic.Int64
+	subTasks, workerRestarts atomic.Int64
 }
 
 // faultState tracks which injected faults have fired, so that "first
@@ -100,12 +98,4 @@ func (f *faultState) panicSubTask(id SubTaskID) bool {
 		return false
 	}
 	return f.once(fmt.Sprintf("panic-sub-%d-%d", id.Proc, id.Sub))
-}
-
-// stallSubTask returns the injected delay for a sub-sub-task, once.
-func (f *faultState) stallSubTask(id SubTaskID) time.Duration {
-	if f == nil || f.plan.StallSubTask[id] == 0 || !f.once(fmt.Sprintf("stall-sub-%d-%d", id.Proc, id.Sub)) {
-		return 0
-	}
-	return f.plan.StallSubTask[id]
 }

@@ -20,7 +20,6 @@ func stragglerConfig() core.Config {
 		ProcPartition:   dag.Square(6), // 8x8 grid on n=48
 		ThreadPartition: dag.Square(3),
 		TaskTimeout:     10 * time.Second,
-		SubTaskTimeout:  10 * time.Second,
 		CheckInterval:   10 * time.Millisecond,
 		RunTimeout:      120 * time.Second,
 	}

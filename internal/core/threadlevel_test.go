@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -72,8 +73,9 @@ func jobTasks(t *testing.T, p core.Problem[int32], seq [][]int32, proc dag.Size)
 	return tasks
 }
 
-// run runs the task through r and checks the block it returns.
-func (task vertexTask) run(t *testing.T, r *core.TaskRunner[int32]) {
+// run runs the task through r, checks the block it returns and returns its
+// encoding.
+func (task vertexTask) run(t *testing.T, r *core.TaskRunner[int32]) []byte {
 	t.Helper()
 	out, err := r.Run(task.v, task.payload)
 	if err != nil {
@@ -83,6 +85,7 @@ func (task vertexTask) run(t *testing.T, r *core.TaskRunner[int32]) {
 	if err != nil || len(got) != 1 || !slices.Equal(got[0].Cells, task.want) {
 		t.Fatalf("vertex %d: computed block differs from the sequential one (%v)", task.v, err)
 	}
+	return out
 }
 
 // The goroutine that calls Run is compute thread 0 and Threads-1 helpers
@@ -111,8 +114,8 @@ func TestRunStartsThreadsMinusOneGoroutines(t *testing.T) {
 	}
 }
 
-// A warmed-up Run over a 4×4 sub-grid reuses its slave DAG, queue, views,
-// scratch blocks and strips: what it allocates is the task's decoded
+// A warmed-up Run over a 4×4 sub-grid reuses its slave DAG, queue, views
+// and strips: what it allocates is the task's decoded
 // inputs, the result block that is its own payload, and at two threads the
 // helper — also for a Nussinov task whose bands are joined into strips.
 func TestRunAllocatesPerTaskNotPerSubBlock(t *testing.T) {
@@ -141,72 +144,6 @@ func TestRunAllocatesPerTaskNotPerSubBlock(t *testing.T) {
 				t.Errorf("%s Threads %d: a warm Run allocates %.1f times, want at most %d", job.p.Name, c.threads, allocs, c.bound)
 			}
 		}
-	}
-}
-
-// A helper still stalled in a sub-block when its Run ends — the watch
-// re-pushed the sub-block and thread 0 finished the DAG without it — never
-// shares the state the next Run computes in: every vertex comes out
-// bit-identical under -race while stragglers of earlier vertices wake into
-// theirs. Thread 0, the caller, draws the root sub-block first and stalls
-// in it briefly, so the helper runs on alone and draws the last one, which
-// stalls it for longer than the rest of the Run takes. Under the wavefront
-// it wakes to read the shipped blocks; under Nussinov's Triangular pattern,
-// in a block two or more right of the diagonal, it wakes to read the
-// strips its level joined a row band and a column band of several blocks
-// into, which the next Run's level must not rewrite.
-func TestStragglerNeverSharesReusedState(t *testing.T) {
-	const stall = 100 * time.Millisecond
-	proc, thread := dag.Square(16), dag.Square(4)
-	e := dp.NewEditDistance(dp.RandomDNA(64, 75), dp.RandomDNA(64, 76))
-	nu := dp.NewNussinov(dp.RandomRNA(80, 75))
-	for _, c := range []struct {
-		p      core.Problem[int32]
-		seq    [][]int32
-		counts func(dag.Pos) bool // the tasks whose stragglers count
-	}{
-		{e.Problem(), e.Sequential(), func(dag.Pos) bool { return true }},
-		{nu.Problem(), nu.Sequential(), func(p dag.Pos) bool { return p.Col-p.Row >= 2 }},
-	} {
-		tasks := jobTasks(t, c.p, c.seq, proc)
-		geom := dag.MatrixGeometry(c.p.Size, proc)
-		plan := core.FaultPlan{StallSubTask: make(map[core.SubTaskID]time.Duration)}
-		for _, task := range tasks {
-			subs := dag.Build(c.p.Kernel.Pattern(), dag.NewGeometry(geom.Rect(geom.PosOf(task.v)), thread))
-			for sub, v := range subs.Verts {
-				switch id := (core.SubTaskID{Proc: task.v, Sub: int32(sub)}); {
-				case !v.Exists:
-				case v.PreCnt == 0:
-					plan.StallSubTask[id] = stall / 5
-				case len(v.Post) == 0:
-					plan.StallSubTask[id] = stall
-				}
-			}
-		}
-		runner, err := core.NewTaskRunner(c.p, core.Config{
-			Threads: 2, ProcPartition: proc, ThreadPartition: thread,
-			SubTaskTimeout: 5 * time.Millisecond, CheckInterval: time.Millisecond, Faults: plan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stragglers, counted := 0, 0
-		for _, task := range tasks {
-			start := time.Now()
-			task.run(t, runner)
-			// Whoever drew the last sub-block stalled in it. A Run that is
-			// back before that stall is over did not draw it: its helper
-			// did, and is still asleep in the level the Run left behind.
-			if time.Since(start) < stall/2 && !runner.KeepsLevel() {
-				if stragglers++; c.counts(geom.PosOf(task.v)) {
-					counted++
-				}
-			}
-		}
-		if counted == 0 {
-			t.Fatalf("%s: no Run left a stalled helper behind where it counts (%d elsewhere)", c.p.Name, stragglers)
-		}
-		t.Logf("%s: %d of %d Runs left a stalled helper behind, %d where it counts", c.p.Name, stragglers, len(tasks), counted)
 	}
 }
 
@@ -294,101 +231,18 @@ func TestOneThreadRunsOneSubTaskPerBlock(t *testing.T) {
 	}
 }
 
-// scriptedRows is edit distance whose west sub-block's first row, (0, 0),
-// runs a script per call: call k runs script[k-1] in place of the real Row,
-// which it may call (compute), and later calls run plain. east closes when
-// the east sub-block's first row, (0, 8), first runs: west was accepted.
-type scriptedRows struct {
-	*dp.EditDistance
-	mu     sync.Mutex
-	calls  int
-	script []func(compute func(), out []int32)
-	left   sync.WaitGroup // the scripted calls not returned yet
-	east   chan struct{}
-	once   sync.Once
-}
-
-func newScriptedRows(e *dp.EditDistance, script ...func(compute func(), out []int32)) *scriptedRows {
-	k := &scriptedRows{EditDistance: e, script: script, east: make(chan struct{})}
-	k.left.Add(len(script))
-	return k
-}
-
-func (k *scriptedRows) Row(v *matrix.View[int32], i, j0 int, out []int32) {
-	compute := func() { k.EditDistance.Row(v, i, j0, out) }
-	if i == 0 && j0 == 8 {
-		k.once.Do(func() { close(k.east) })
-	}
-	k.mu.Lock()
-	if i == 0 && j0 == 0 {
-		k.calls++
-	}
-	n := k.calls
-	k.mu.Unlock()
-	if i != 0 || j0 != 0 || n > len(k.script) {
-		compute()
-		return
-	}
-	defer k.left.Done()
-	k.script[n-1](compute, out)
-}
-
-// waitOr waits for ch, failing the test after a generous bound instead of
-// hanging it.
-func waitOr(t *testing.T, ch <-chan struct{}, what string) {
-	t.Helper()
-	select {
-	case <-ch:
-	case <-time.After(10 * time.Second):
-		t.Errorf("timed out waiting for %s", what)
-	}
-}
-
 // oneBlockRunner runs a 16×16 edit distance with kernel k as one block of
-// two sub-blocks, west and east, at two threads and a SubTaskTimeout of
-// 5 ms.
+// two sub-blocks, west and east, at two threads.
 func oneBlockRunner(t *testing.T, e *dp.EditDistance, k core.Kernel[int32], cfg core.Config) (*core.TaskRunner[int32], vertexTask) {
 	t.Helper()
 	p := e.Problem()
 	p.Kernel = k
 	cfg.Threads, cfg.ProcPartition, cfg.ThreadPartition = 2, dag.Square(16), dag.Size{Rows: 16, Cols: 8}
-	cfg.SubTaskTimeout, cfg.CheckInterval = 5*time.Millisecond, time.Millisecond
 	runner, err := core.NewTaskRunner(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return runner, jobTasks(t, p, e.Sequential(), dag.Square(16))[0]
-}
-
-// An overdue sub-block stays live beside the backup the watch queues for
-// it, and the first of the two to deliver is accepted, the other refused
-// by its stamp. The west sub-block's first attempt holds its first row
-// until the backup has started, then delivers; the backup holds on until
-// the east sub-block runs — so west was accepted — and then delivers a
-// wrong row, which must not reach the block.
-func TestOverdueSubBlockRacesItsBackup(t *testing.T) {
-	e := dp.NewEditDistance(dp.RandomDNA(16, 91), dp.RandomDNA(16, 92))
-	backupStarted := make(chan struct{})
-	var k *scriptedRows
-	k = newScriptedRows(e,
-		func(compute func(), _ []int32) {
-			waitOr(t, backupStarted, "the backup")
-			compute()
-		},
-		func(compute func(), out []int32) {
-			close(backupStarted)
-			waitOr(t, k.east, "the east sub-block")
-			compute()
-			out[0]++
-		})
-	runner, task := oneBlockRunner(t, e, k, core.Config{MaxAttempts: 2})
-	task.run(t, runner)
-	k.left.Wait() // the backup may be a straggler past the Run
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.calls != 2 { // a third: the overdue attempt was superseded, not raced
-		t.Fatalf("%d attempts of the west sub-block ran, want 2: the overdue one and its backup", k.calls)
-	}
 }
 
 // slowFirstRow is edit distance whose first row takes 50 ms every call.
@@ -401,14 +255,97 @@ func (k slowFirstRow) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	k.EditDistance.Row(v, i, j0, out)
 }
 
-// A sub-block slower than SubTaskTimeout is no failure, at any MaxAttempts:
-// every attempt of it runs overdue, and the first to deliver completes the
-// block. Overdue, it cost the runner its level (a straggler may hold it).
+// A slow sub-block is no failure, even at MaxAttempts 1: nothing times a
+// compute thread, so the one attempt of each sub-block completes the block.
 func TestSlowSubBlockIsNoFailure(t *testing.T) {
 	e := dp.NewEditDistance(dp.RandomDNA(16, 93), dp.RandomDNA(16, 94))
 	runner, task := oneBlockRunner(t, e, slowFirstRow{e}, core.Config{MaxAttempts: 1})
 	task.run(t, runner)
-	if runner.KeepsLevel() {
-		t.Fatal("the runner kept its level: no attempt ran overdue")
+	if n := runner.SubTasks(); n != 2 {
+		t.Fatalf("%d sub-block attempts completed, want 2: one each, no backup", n)
+	}
+}
+
+// outRecorder is a kernel whose Row records where each out slice it is
+// handed lies in memory: the address of its first cell and one past its
+// last.
+type outRecorder struct {
+	core.Kernel[int32]
+	mu   sync.Mutex
+	outs [][2]uintptr
+}
+
+func (k *outRecorder) Row(v *matrix.View[int32], i, j0 int, out []int32) {
+	p := reflect.ValueOf(out).Pointer()
+	k.mu.Lock()
+	k.outs = append(k.outs, [2]uintptr{p, p + uintptr(4*len(out))}) // four bytes a cell
+	k.mu.Unlock()
+	k.Kernel.Row(v, i, j0, out)
+}
+
+// inPlace runs task through r and fails unless every out slice k recorded
+// meanwhile lies inside the payload Run returns: the result block, which
+// is its own payload (matrix.NewPayloadBlock), written where it ships.
+func (k *outRecorder) inPlace(t *testing.T, r *core.TaskRunner[int32], task vertexTask) {
+	t.Helper()
+	k.outs = k.outs[:0]
+	payload := task.run(t, r)
+	lo := reflect.ValueOf(payload).Pointer()
+	hi := lo + uintptr(len(payload))
+	for _, o := range k.outs {
+		if o[0] < lo || o[1] > hi {
+			t.Fatalf("vertex %d: a Row wrote cells [%#x, %#x) outside the result block [%#x, %#x)", task.v, o[0], o[1], lo, hi)
+		}
+	}
+	if len(k.outs) == 0 {
+		t.Fatalf("vertex %d: no Row ran", task.v)
+	}
+}
+
+// Every compute thread writes in place: at two and four threads, over a
+// thread partition that splits each block's rows and columns, every out
+// slice a Row is handed — thread 0's and the helpers' — lies inside the
+// result block Run returns, and the blocks are bit-identical.
+func TestHelpersWriteInPlace(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(40, 95), dp.RandomDNA(40, 96))
+	tasks := jobTasks(t, e.Problem(), e.Sequential(), dag.Square(16))
+	for _, threads := range []int{2, 4} {
+		k := &outRecorder{Kernel: e}
+		p := e.Problem()
+		p.Kernel = k
+		runner, err := core.NewTaskRunner(p, core.Config{Threads: threads, ProcPartition: dag.Square(16), ThreadPartition: dag.Size{Rows: 5, Cols: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range tasks {
+			k.inPlace(t, runner, task)
+		}
+	}
+}
+
+// At two threads a panicking sub-block is retried in place: one before its
+// first row (FaultPlan.PanicSubTask), in the root block and in the last
+// sub-block of another, and one halfway down a sub-block whose rows above
+// were already written into the result block (a planted Row panic). Every
+// block comes out bit-identical, each retry's Rows writing into the result
+// block, with one restart per panic.
+func TestPanickingSubBlockRetriedInPlace(t *testing.T) {
+	e := dp.NewEditDistance(dp.RandomDNA(40, 97), dp.RandomDNA(40, 98))
+	flaky := &flakyRows{EditDistance: e, planted: map[[2]int]bool{{19, 24}: true}} // block (1,1), sub-block (0,1), its row 3
+	k := &outRecorder{Kernel: flaky}
+	p := e.Problem()
+	p.Kernel = k
+	runner, err := core.NewTaskRunner(p, core.Config{
+		Threads: 2, ProcPartition: dag.Square(16), ThreadPartition: dag.Square(8),
+		Faults: core.FaultPlan{PanicSubTask: map[core.SubTaskID]bool{{Proc: 0, Sub: 0}: true, {Proc: 1, Sub: 3}: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range jobTasks(t, p, e.Sequential(), dag.Square(16)) {
+		k.inPlace(t, runner, task)
+	}
+	if len(flaky.planted) != 0 || runner.Restarts() != 3 {
+		t.Fatalf("planted panics left %v, restarts %d: want none left and 3 restarts", flaky.planted, runner.Restarts())
 	}
 }

@@ -39,10 +39,14 @@ type Graph struct {
 	preBuf, dataBuf []Pos // Rebuild's pattern query buffers
 }
 
-// Build constructs the block DAG of pattern pat over geometry g.
+// Build constructs the block DAG of pattern pat over geometry g. It panics
+// where Rebuild fails: a library pattern cannot, and a user pattern is
+// checked first (Validate).
 func Build(pat Pattern, g Geometry) *Graph {
 	gr := &Graph{}
-	gr.Rebuild(pat, g)
+	if err := gr.Rebuild(pat, g); err != nil {
+		panic(err)
+	}
 	return gr
 }
 
@@ -50,8 +54,9 @@ func Build(pat Pattern, g Geometry) *Graph {
 // storage: the vertex array and every vertex's successor and data-precursor
 // lists are reused, so a graph rebuilt for each block of the same shape
 // allocates nothing. Every vertex is derived again from the pattern, so a
-// position-dependent pattern (Triangular, a Custom) is rebuilt exactly.
-func (gr *Graph) Rebuild(pat Pattern, g Geometry) {
+// position-dependent pattern (Triangular, a Custom) is rebuilt exactly. It
+// fails on a precursor that is not an existing block of the grid.
+func (gr *Graph) Rebuild(pat Pattern, g Geometry) error {
 	n := g.Grid.Cells()
 	if cap(gr.Verts) < n {
 		gr.Verts = make([]Vertex, n)
@@ -72,7 +77,7 @@ func (gr *Graph) Rebuild(pat Pattern, g Geometry) {
 		gr.preBuf = pat.Precursors(g, p, gr.preBuf[:0])
 		for _, q := range gr.preBuf {
 			if !g.InGrid(q) || !pat.BlockExists(g, q) {
-				panic(fmt.Sprintf("dag: pattern %s reported nonexistent precursor %v of %v", pat.Name(), q, p))
+				return fmt.Errorf("dag: pattern %s reported nonexistent precursor %v of %v", pat.Name(), q, p)
 			}
 			v.PreCnt++
 			qv := &gr.Verts[g.ID(q)]
@@ -85,6 +90,7 @@ func (gr *Graph) Rebuild(pat Pattern, g Geometry) {
 			}
 		}
 	}
+	return nil
 }
 
 // Vertex returns the vertex with the given id.

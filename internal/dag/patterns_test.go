@@ -279,7 +279,16 @@ func TestBuildPanicsOnBogusPrecursor(t *testing.T) {
 			return append(buf, Pos{-5, -5})
 		},
 	}
-	mustPanic(t, func() { Build(bogus, MatrixGeometry(Square(4), Square(2))) })
+	g := MatrixGeometry(Square(4), Square(2))
+	mustPanic(t, func() { Build(bogus, g) })
+	// Validate and Rebuild answer it with an error instead.
+	want := "reported nonexistent precursor (-5,-5) of (0,0)"
+	if err := Validate(bogus, g); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Validate answered %v, want an error that says %q", err, want)
+	}
+	if err := new(Graph).Rebuild(bogus, g); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Rebuild answered %v, want an error that says %q", err, want)
+	}
 }
 
 // DataDeps must not contain duplicates: the runtime refcounts blocks by

@@ -16,10 +16,14 @@ import (
 //     segments that are neither empty nor reversed and stay in the block;
 //   - every declared data region is non-empty and inside its dependency.
 //
-// It returns the first violation it finds. The graph and its topological
-// order are built once for all the checks.
+// It returns the first violation it finds, a precursor outside the grid
+// among them. The graph and its topological order are built once for all
+// the checks.
 func Validate(pat Pattern, g Geometry) error {
-	gr := Build(pat, g)
+	gr := &Graph{}
+	if err := gr.Rebuild(pat, g); err != nil {
+		return err
+	}
 	order, err := topoOrder(gr)
 	if err != nil {
 		return err
@@ -33,25 +37,14 @@ func Validate(pat Pattern, g Geometry) error {
 	return checkDataRegion(gr)
 }
 
-// topoOrder returns a topological order of the existing vertices via
-// Kahn's algorithm. Vertices left unprocessed indicate a cycle.
+// topoOrder returns a topological order of the existing vertices: the
+// parsing process run to its end. Vertices it never reaches indicate a
+// cycle.
 func topoOrder(gr *Graph) ([]int32, error) {
-	remaining := make([]int32, len(gr.Verts))
-	for id := range gr.Verts {
-		remaining[id] = gr.Verts[id].PreCnt
-	}
-	queue := gr.Roots()
-	order := make([]int32, 0, gr.N)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range gr.Vertex(id).Post {
-			remaining[s]--
-			if remaining[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
+	p := NewParser(gr)
+	order := p.InitialReady()
+	for k := 0; k < len(order); k++ {
+		order = p.AppendComplete(order, order[k])
 	}
 	if len(order) != gr.N {
 		return order, fmt.Errorf("dag: pattern %s: %d of %d vertices unreachable from the roots (a cycle)",

@@ -50,7 +50,8 @@ func fillBlocked[T any](k core.Kernel[T], size, proc, thread dag.Size) *matrix.S
 }
 
 // fillThreads is fillBlocked at the given number of compute threads: with
-// more than one, each computes its sub-blocks in a scratch block of its own.
+// more than one, they share the task's block and compute a sub-block each
+// in place.
 func fillThreads[T any](k core.Kernel[T], size, proc, thread dag.Size, threads int) *matrix.Store[T] {
 	p := core.Problem[T]{Name: "blocked", Size: size, Kernel: k, Codec: codecFor[T]()}
 	runner, err := core.NewTaskRunner(p, core.Config{Threads: threads, ProcPartition: proc, ThreadPartition: thread})
@@ -89,8 +90,17 @@ func fillThreads[T any](k core.Kernel[T], size, proc, thread dag.Size, threads i
 
 // Every kernel, computed block by block through views, is bit-identical to
 // its sequential reference on geometries whose blocks divide the matrix
-// unevenly, are single cells, or are the whole matrix.
+// unevenly, are single cells, or are the whole matrix — at one compute
+// thread, and at two and four sharing each block in place, over thread
+// partitions that split its rows and its columns (Nussinov's diagonal
+// blocks, holes and all, among them).
 func TestKernelsOverViewsMatchSequential(t *testing.T) {
+	for _, threads := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint("threads=", threads), func(t *testing.T) { kernelsOverViews(t, threads) })
+	}
+}
+
+func kernelsOverViews(t *testing.T, threads int) {
 	const n = 37
 	a, b := RandomDNA(n, 11), MutateSeq(RandomDNA(n, 11), DNAAlphabet, 0.3, 12)
 	rna := RandomRNA(n, 13)
@@ -98,7 +108,7 @@ func TestKernelsOverViewsMatchSequential(t *testing.T) {
 	check := func(name string, proc, thread dag.Size, got, want any) {
 		t.Helper()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s proc %v thread %v: blocked matrix differs from Sequential()", name, proc, thread)
+			t.Errorf("%s proc %v thread %v threads %d: blocked matrix differs from Sequential()", name, proc, thread, threads)
 		}
 	}
 	for _, g := range [][2]dag.Size{
@@ -110,10 +120,10 @@ func TestKernelsOverViewsMatchSequential(t *testing.T) {
 	} {
 		proc, thread := g[0], g[1]
 		run32 := func(name string, k core.Kernel[int32], size dag.Size, want [][]int32) {
-			check(name, proc, thread, fillBlocked(k, size, proc, thread).Assemble(), want)
+			check(name, proc, thread, fillThreads(k, size, proc, thread, threads).Assemble(), want)
 		}
 		run64 := func(name string, k core.Kernel[int64], size dag.Size, want [][]int64) {
-			check(name, proc, thread, fillBlocked(k, size, proc, thread).Assemble(), want)
+			check(name, proc, thread, fillThreads(k, size, proc, thread, threads).Assemble(), want)
 		}
 		s := NewSWGG(a, b)
 		run32("swgg", s, s.Size(), s.Sequential())
@@ -133,9 +143,9 @@ func TestKernelsOverViewsMatchSequential(t *testing.T) {
 		mc := NewMatrixChain(n, 2, 30, 16)
 		run64("matrixchain", mc, mc.Size(), mc.Sequential())
 		cyk := NewCYK(ParenGrammar(), parens)
-		check("cyk", proc, thread, fillBlocked[uint64](cyk, cyk.Size(), proc, thread).Assemble(), cyk.Sequential())
+		check("cyk", proc, thread, fillThreads[uint64](cyk, cyk.Size(), proc, thread, threads).Assemble(), cyk.Sequential())
 		rg := NewCYK(RandomGrammar(12, 40, DNAAlphabet, 18), a)
-		check("cyk-random", proc, thread, fillBlocked[uint64](rg, rg.Size(), proc, thread).Assemble(), rg.Sequential())
+		check("cyk-random", proc, thread, fillThreads[uint64](rg, rg.Size(), proc, thread, threads).Assemble(), rg.Sequential())
 	}
 }
 
@@ -273,9 +283,9 @@ func (c cutRows) RowOrder(r dag.Rect, visit func(i, j0, j1 int)) {
 	})
 }
 
-// checkRows computes k's matrix by segments cut at random columns, in place
-// at one thread and in scratch blocks at two, and by one-cell segments
-// through core.Cells, and holds each against want.
+// checkRows computes k's matrix by segments cut at random columns at one
+// thread and at two, in place both, and by one-cell segments through
+// core.Cells, and holds each against want.
 func checkRows[T any](t *testing.T, name string, k core.Kernel[T], want [][]T, size, proc, thread dag.Size, rng *rand.Rand) {
 	t.Helper()
 	cut := under[T]{k, cutRows{k.Pattern(), rng.Uint64()}}
@@ -296,8 +306,8 @@ func checkRows[T any](t *testing.T, name string, k core.Kernel[T], want [][]T, s
 // Row over a segment, Row over one cell and Sequential() are one
 // recurrence: each kernel with a Row — the wavefront family's and the 2D/1D
 // kernels' — on random matrices cut into random blocks and sub-blocks,
-// computes the same cells by segments, in place and in scratch blocks, by
-// cells through core.Cells, and in the plain loop nest.
+// computes the same cells by segments, at one thread and at two, by cells
+// through core.Cells, and in the plain loop nest.
 func TestRowMatchesCellMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 23)))
 	upTo := func(max int) dag.Size { return dag.Size{Rows: 1 + rng.Intn(max), Cols: 1 + rng.Intn(max)} }
@@ -391,7 +401,8 @@ func TestSubBlockFillAllocsDoNotGrow(t *testing.T) {
 	fill := core.SubBlockFill[int32](e)
 	shared := matrix.NewBlock[int32](dag.Rect{Rows: 64, Cols: 64})
 	allocs := func(r dag.Rect) float64 {
-		v := matrix.NewView(matrix.NewBlock[int32](r), []*matrix.Block[int32]{shared}, e.Pattern(), e.Size(), e.Boundary)
+		v := matrix.NewView(shared, nil, e.Pattern(), e.Size(), e.Boundary)
+		v.Retarget(r)
 		return testing.AllocsPerRun(20, func() { fill(v) })
 	}
 	for _, row0 := range []int{0, 32} {
@@ -416,7 +427,8 @@ func TestRowSweepsAllocateNothing(t *testing.T) {
 			{Row0: 32, Col0: 64, Rows: 2, Cols: 16}, {Row0: 16, Col0: 64, Rows: 32, Cols: 32},
 			{Row0: 32, Col0: 32, Rows: 4, Cols: 32}, {Row0: 32, Col0: 32, Rows: 32, Cols: 32},
 		} {
-			v := matrix.NewView(matrix.NewBlock[int32](r), []*matrix.Block[int32]{shared}, k.Pattern(), dag.Square(n), k.Boundary)
+			v := matrix.NewView(shared, nil, k.Pattern(), dag.Square(n), k.Boundary)
+			v.Retarget(r)
 			if allocs := testing.AllocsPerRun(10, func() { fill(v) }); allocs != 0 {
 				t.Errorf("%T: a fill of %v allocates %v times, want none", k, r, allocs)
 			}

@@ -13,9 +13,9 @@ import (
 // DAG. An attempt starts with a deadline and is accepted (once per vertex,
 // by its stamp), dropped, expired or failed; the MaxAttempts-th expired or
 // failed attempt of one vertex is an error. The thread level, whose threads
-// are slow but never lost, expires nothing: an overdue attempt stays live
-// (Overdue) and a backup races it. The zero value is ready for Reset. Expire,
-// Fail and Reset have one caller at a time; the rest may run concurrently.
+// are never lost, starts no backup and expires nothing: its attempts end
+// accepted or failed. The zero value is ready for Reset. Expire, Fail and
+// Reset have one caller at a time; the rest may run concurrently.
 type Attempts struct {
 	parser   dag.Parser
 	reg      *sched.RegisterTable
@@ -40,8 +40,8 @@ func (a *Attempts) Reset(g *dag.Graph, maxAttempts int, roots []int32) []int32 {
 
 // Start begins an attempt of v watched until deadline: a primary one that
 // supersedes any live attempt (a redistribution), or a backup beside the
-// live ones. It is refused once v is accepted, and a backup while nothing
-// is live to back up.
+// live ones (the processor level's speculation). It is refused once v is
+// accepted, and a backup while nothing is live to back up.
 func (a *Attempts) Start(v int32, deadline time.Time, backup bool) (attempt int32, ok bool) {
 	if !backup {
 		if attempt, ok = a.reg.Register(v); ok {
@@ -96,16 +96,6 @@ func (a *Attempts) Expire(now time.Time, retired func(v, attempt int32)) (requeu
 		}
 	}
 	return requeue, nil
-}
-
-// Overdue stops watching every attempt due by now and appends their
-// vertices to dst, in Expire's order. The attempts stay live, counting
-// toward nothing: a backup started beside one races it.
-func (a *Attempts) Overdue(dst []int32, now time.Time) []int32 {
-	for _, e := range a.ot.ExpireBefore(now) {
-		dst = append(dst, e.ID)
-	}
-	return dst
 }
 
 func (a *Attempts) fail(v, attempt int32, format string) (uncovered bool, err error) {

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -152,19 +151,17 @@ func TestRandomSchedules(t *testing.T) {
 
 // randomThreadSchedule drives the per-vertex core the way core's thread
 // level does over one block's slave DAG (here the shape's own DAG): threads
-// compute threads draw from the seed's order and start an attempt — a
-// backup while one of the vertex is live — and a thread's attempt ends
-// accepted or in a panic (Fail), while the watch (Overdue) queues again
-// the vertices of overdue attempts, which stay live. Threads are never
-// revoked or stolen from. Checked at each step: a vertex is pushed only
-// once its predecessors were accepted and never after the last accept,
-// Start refuses exactly the accepted vertices, Accept succeeds exactly for
-// a live attempt, the first of a vertex, Overdue reports exactly the
-// watched attempts due, in (deadline, id, attempt) order, and an error
-// comes exactly at a vertex's MaxAttempts-th panicked live attempt — an
-// overdue one never counts. One seed in four runs with a MaxAttempts of 1
-// to 3; a seed that does not end at that error (gaveUp) must accept every
-// vertex once and leave no attempt live.
+// compute threads draw from the seed's order and start an attempt, with no
+// deadline and never a backup, and a thread's attempt ends accepted or in
+// a panic (Fail), which queues the vertex again. Threads are never
+// revoked, stolen from or timed out. Checked at each step: a vertex is
+// pushed only once its predecessors were accepted and never after the
+// last accept, Start refuses exactly the accepted vertices, Accept
+// succeeds exactly for a live attempt, the first of a vertex, no vertex
+// has two live attempts, and an error comes exactly at a vertex's
+// MaxAttempts-th panicked live attempt. One seed in four runs with a
+// MaxAttempts of 1 to 3; a seed that does not end at that error (gaveUp)
+// must accept every vertex once and leave no attempt live.
 func randomThreadSchedule(t *testing.T, att *engine.Attempts, app string, seed int64) (gaveUp bool) {
 	prob, proc, _ := problem(t, app)
 	g := dag.Build(prob.Kernel.Pattern(), dag.MatrixGeometry(prob.Size, proc))
@@ -178,17 +175,10 @@ func randomThreadSchedule(t *testing.T, att *engine.Attempts, app string, seed i
 		t.Helper()
 		t.Fatalf("thread %s seed %d: "+format, append([]any{app, seed}, args...)...)
 	}
-	const timeout = time.Second
-	now := time.Unix(0, 0)
 	preds := predecessors(g)
 	queue := randomOrder(rng, g, threads, failf)
 	accepted := make(map[int32]bool)
 	live := make(map[int32][]int32) // the model: each vertex's live attempts
-	type watched struct {
-		v        int32
-		deadline time.Time
-	}
-	watch := make(map[int32]watched) // by attempt
 	failures := make(map[int32]int)
 	running := make([]*attemptRef, threads) // what each thread computes, live or not
 	last := false
@@ -211,33 +201,33 @@ func randomThreadSchedule(t *testing.T, att *engine.Attempts, app string, seed i
 			return false
 		}
 		live[v] = slices.Delete(live[v], k, k+1)
-		delete(watch, a)
 		return true
 	}
 
 	push(roots...)
 	for step := 0; att.Remaining() > 0; step++ {
-		now = now.Add(time.Duration(rng.Intn(400)) * time.Millisecond)
 		// Past the random phase threads only draw and deliver, so every
 		// seed terminates whatever faults it drew.
-		event := rng.Intn(6)
+		event := rng.Intn(4)
 		if step > 400 {
 			event = rng.Intn(2)
 		}
 		switch w := rng.Intn(threads); {
-		case event == 0 && running[w] == nil:
+		case (event == 0 || event == 3) && running[w] == nil:
 			ids := queue.Pop(w, 1, nil)
 			if len(ids) == 0 {
 				break
 			}
 			v := ids[0]
-			a, ok := att.Start(v, now.Add(timeout), att.Live(v) > 0)
+			a, ok := att.Start(v, time.Time{}, false)
 			if ok == accepted[v] {
 				failf("Start of vertex %d = %v, accepted %v", v, ok, accepted[v])
 			}
 			if ok {
+				if len(live[v]) > 0 {
+					failf("vertex %d started beside its live attempts %v", v, live[v])
+				}
 				live[v] = append(live[v], a)
-				watch[a] = watched{v, now.Add(timeout)}
 				running[w] = &attemptRef{w, v, a}
 			}
 		case event == 1 && running[w] != nil, event == 2 && running[w] != nil:
@@ -272,38 +262,10 @@ func randomThreadSchedule(t *testing.T, att *engine.Attempts, app string, seed i
 					failf("vertex %d accepted twice", f.v)
 				}
 				accepted[f.v] = true
-				for _, a := range live[f.v] {
-					delete(watch, a)
-				}
 				delete(live, f.v)
 				push(ready...)
 				last = att.Remaining() == 0
 			}
-		case event >= 3: // the watch fires
-			type due struct {
-				deadline time.Time
-				v, a     int32
-			}
-			var want []due
-			for a, e := range watch {
-				if !e.deadline.After(now) {
-					want = append(want, due{e.deadline, e.v, a})
-					delete(watch, a) // no longer watched, still live
-				}
-			}
-			slices.SortFunc(want, func(x, y due) int {
-				return cmp.Or(x.deadline.Compare(y.deadline), cmp.Compare(x.v, y.v), cmp.Compare(x.a, y.a))
-			})
-			got := att.Overdue(nil, now)
-			if len(got) != len(want) {
-				failf("Overdue = %v, want the vertices of %v", got, want)
-			}
-			for k, d := range want {
-				if got[k] != d.v {
-					failf("Overdue = %v, want the vertices of %v", got, want)
-				}
-			}
-			push(got...)
 		}
 		if step > 100000 {
 			failf("no end in sight: %d vertices remain, %d queued", att.Remaining(), queue.Len())

@@ -28,19 +28,19 @@ const leadPad = 4
 
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// inPlaceCodec is implemented by BinaryCodec alone: little-endian fixed-size
+// rawCodec is implemented by BinaryCodec alone: little-endian fixed-size
 // numbers, each the memory of its Go value on a little-endian host. It is
 // an interface, not a type switch over BinaryCodec's six instantiations:
 // naming them here made go1.24 compile their codec loops with putU32 and
 // getU32 as calls, at half the speed.
-type inPlaceCodec interface{ inPlace() }
+type rawCodec interface{ raw() }
 
-func (BinaryCodec[T]) inPlace() {}
+func (BinaryCodec[T]) raw() {}
 
-// inPlaceSize is the cell size of codec c when its encoding of a []T is the
+// rawSize is the cell size of codec c when its encoding of a []T is the
 // memory of that []T, and 0 when it is not.
-func inPlaceSize[T any](c Codec[T]) int {
-	if _, ok := c.(inPlaceCodec); !ok || !littleEndian {
+func rawSize[T any](c Codec[T]) int {
+	if _, ok := c.(rawCodec); !ok || !littleEndian {
 		return 0
 	}
 	return c.CellSize()
@@ -60,7 +60,7 @@ func newPayload(size int) []byte {
 // false otherwise.
 func cellsIn[T any](c Codec[T], src []byte, n int) (cells []T, ok bool) {
 	var zero T
-	size, p := inPlaceSize(c), unsafe.Pointer(unsafe.SliceData(src))
+	size, p := rawSize(c), unsafe.Pointer(unsafe.SliceData(src))
 	if size == 0 || n*size > len(src) || uintptr(p)%unsafe.Alignof(zero) != 0 {
 		return nil, false
 	}
@@ -73,7 +73,7 @@ func cellsIn[T any](c Codec[T], src []byte, n int) (cells []T, ok bool) {
 // payload's cell bytes: what is written to them is what EncodeBlocks of
 // the block returns, with no encode pass. Otherwise it is NewBlock.
 func NewPayloadBlock[T any](c Codec[T], r dag.Rect) *Block[T] {
-	if size := inPlaceSize(c); size > 0 {
+	if size := rawSize(c); size > 0 {
 		n := r.Cells()
 		p := appendHeader(appendInt32(newPayload(countSize+headerSize+n*size), 1), r, r.Rows)
 		if cells, ok := cellsIn(c, p[len(p):cap(p)], n); ok {
@@ -89,7 +89,7 @@ func NewPayloadBlock[T any](c Codec[T], r dag.Rect) *Block[T] {
 // block of b.Rect.
 func ownPayload[T any](c Codec[T], b *Block[T]) ([]byte, bool) {
 	const at = countSize + headerSize
-	p, size := b.payload, inPlaceSize(c)
+	p, size := b.payload, rawSize(c)
 	if size == 0 || len(p) != at+len(b.Cells)*size ||
 		unsafe.Pointer(unsafe.SliceData(b.Cells)) != unsafe.Pointer(unsafe.SliceData(p[at:])) {
 		return nil, false

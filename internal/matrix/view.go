@@ -7,22 +7,18 @@ import (
 )
 
 // View is the read/write window a DP kernel sees while computing one
-// sub-task: the cells of its window (Window), written to the output block.
-// The output block is a scratch block the size of the window, which the
-// thread level copies into the task's block once the sub-task is accepted,
-// or — after SetOutput — the task's block itself, computed in place. A read
-// of cell (i, j) resolves
+// sub-task: the cells of its window (Window), written in place into the
+// output block, the running processor-level task's block, which the window
+// lies in. A read of cell (i, j) resolves
 //
 //   - to the output block when it holds the cell (cells computed earlier in
-//     the same sub-task, or in place also those of sub-tasks before it);
-//   - else to the input block that holds it: the shared block of the running
-//     processor-level task (cells of sibling sub-tasks, complete by DAG
-//     order) or a shipped block, which may be a region of a block of the
-//     matrix (dag.DataRegion) or a strip that joins a band of them (Strips).
-//     Blocks lie inside the matrix; input blocks that overlap hold
-//     identical cells there (a region beside the whole block it was cut
-//     from) and the first in the list answers; the output block may overlap
-//     an input and then shadows it;
+//     the same sub-task, or by sibling sub-tasks before it, complete by DAG
+//     order);
+//   - else to the input block that holds it: a shipped block, which may be
+//     a region of a block of the matrix (dag.DataRegion) or a strip that
+//     joins a band of them (Strips). Blocks lie inside the matrix; input
+//     blocks that overlap hold identical cells there (a region beside the
+//     whole block it was cut from) and the first in the list answers;
 //   - but to the kernel's boundary function when the pattern does not
 //     compute the cell, even inside a block: the lower triangle of a
 //     Triangular diagonal block holds zeros, not boundary values. CellExists
@@ -38,13 +34,12 @@ import (
 // as a slice aliasing the block's storage — and Band the same segment of
 // consecutive rows, so a recurrence that scans O(n) cells resolves a block
 // once per run or band and loops over raw slices. Both contain exactly the
-// cells Get would have read from that block: they end at the block's edge,
-// where a scratch output block starts to shadow an input, and before the
-// first hole. Computed in place, a row of the task's block is one run, and
-// a strip makes its band one.
+// cells Get would have read from that block: they end at the block's edge
+// and before the first hole. A row of the task's block is one run, and a
+// strip makes its band one.
 //
 // View is not synchronized and runs alias live blocks: sibling sub-tasks
-// may still be writing other cells of the shared block. The DAG schedule
+// may still be writing other cells of the output block. The DAG schedule
 // guarantees only that the cells a recurrence depends on were written
 // before the kernel started (happens-before is established by the
 // scheduler's completion handshake), so a kernel reads the cells it asked
@@ -59,11 +54,10 @@ type View[T any] struct {
 	size dag.Size
 	// boundary supplies values for reads of cells that do not exist.
 	boundary func(i, j int) T
-	// out is the writable block of the running sub-task, win the cells
-	// it computes: all of out unless the view computes in place.
-	out     *Block[T]
-	win     dag.Rect
-	inPlace bool
+	// out is the block of the running task, win the cells of it the
+	// running sub-task computes.
+	out *Block[T]
+	win dag.Rect
 	// in are the readable blocks.
 	in []*Block[T]
 	// outHoles and inHoles[k] say whether out and in[k] may hold a cell
@@ -75,16 +69,16 @@ type View[T any] struct {
 	lastHoles bool
 }
 
-// NewView builds a view for a sub-task of a size-sized matrix computed
-// under pattern pat: writes go to out, a scratch block whose cells are the
-// window, reads resolve against out, the blocks in and boundary as
-// described on View.
+// NewView builds a view for the sub-tasks of a size-sized matrix's task
+// computed under pattern pat: writes go to out, the task's block, whose
+// cells are the window until Retarget, and reads resolve against out, the
+// blocks in and boundary as described on View.
 func NewView[T any](out *Block[T], in []*Block[T], pat dag.Pattern, size dag.Size, boundary func(i, j int) T) *View[T] {
-	v := &View[T]{size: size, boundary: boundary, out: out, win: out.Rect}
+	v := &View[T]{size: size, boundary: boundary}
 	if shape := dag.ShapeOf(pat); shape != dag.Dense {
 		v.pat, v.convex = pat, shape == dag.Convex
-		v.outHoles = v.mayHoldHole(out.Rect)
 	}
+	v.SetOutput(out)
 	v.SetInputs(in)
 	return v
 }
@@ -173,11 +167,6 @@ func (v *View[T]) Row(i, j, n int) []T {
 		return nil
 	}
 	n = min(n, b.Rect.Col0+b.Rect.Cols-j)
-	// A scratch output block shadows the stale cells of the shared block
-	// beneath it: stop where it starts.
-	if o := v.out.Rect; b != v.out && i >= o.Row0 && i < o.Row0+o.Rows && j < o.Col0 {
-		n = min(n, o.Col0-j)
-	}
 	if holes {
 		n = v.before(n, func(t int) bool { return v.pat.CellExists(i, j+t) })
 	}
@@ -199,10 +188,7 @@ func (v *View[T]) Band(i, j, w, n int) (cells []T, stride, m int) {
 		return nil, 0, 0
 	}
 	m = min(n, b.Rect.Row0+b.Rect.Rows-i)
-	if o := v.out.Rect; b != v.out && j < o.Col0+o.Cols && j+w > o.Col0 && i < o.Row0+o.Rows {
-		m = min(m, o.Row0-i) // shadowed from row o.Row0 on, as in Row
-	}
-	if holes && m > 0 { // rows before the first that holds a hole among its w cells
+	if holes { // rows before the first that holds a hole among its w cells
 		m = v.before(m, func(k int) bool { return v.before(w, func(t int) bool { return v.pat.CellExists(i+k, j+t) }) == w })
 	}
 	if m < 1 {
@@ -227,32 +213,20 @@ func (v *View[T]) before(n int, ok func(k int) bool) int {
 	return n
 }
 
-// SetOutput has the view compute in place from now on: writes go to out,
-// a zeroed block of the task, and reads resolve against all of it first.
-// Retarget then moves the window over out and leaves its cells alone.
-// Only a view that nothing else computes beside may: a duplicate
-// execution of a sub-task would write the cells its original is reading.
+// SetOutput re-aims the view at another task's block, out, zeroed: its
+// holes are never written, and read as the boundary. The window is all of
+// out until Retarget.
 func (v *View[T]) SetOutput(out *Block[T]) {
-	v.out, v.win, v.inPlace = out, out.Rect, true
+	v.out, v.win = out, out.Rect
 	v.outHoles = v.pat != nil && v.mayHoldHole(out.Rect)
 }
 
-// Retarget re-aims the view at the next sub-task: its window is now r. In
-// place r must lie inside the output block. Otherwise the scratch output
-// block now covers r, which must have no more cells than the block the
-// view was built with; only an r that may hold a hole is zeroed — a hole's
-// zero must reach the task's block when the scratch is copied there; the
-// pattern's row order (Pattern.RowOrder) writes every cell of a hole-free r, so
-// its stale cells are all overwritten.
-func (v *View[T]) Retarget(r dag.Rect) {
-	if v.win = r; v.inPlace {
-		return
-	}
-	v.out.Rect, v.out.Cells = r, v.out.Cells[:r.Cells()]
-	if v.outHoles = v.pat != nil && v.mayHoldHole(r); v.outHoles {
-		clear(v.out.Cells)
-	}
-}
+// Retarget re-aims the view at the next sub-task of the task: its window is
+// now r, which lies inside the output block, and the block's cells are left
+// alone. Two views of one task may compute side by side only in windows the
+// DAG keeps apart: each reads what the other wrote only once it was
+// accepted.
+func (v *View[T]) Retarget(r dag.Rect) { v.win = r }
 
 // Window returns the cells the running sub-task computes.
 func (v *View[T]) Window() dag.Rect { return v.win }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/testseed"
 )
 
-// viewCase is one sub-task as a slave sets it up: a scratch block overlaid
-// on the shared output block of its processor-level task, every other
+// viewCase is one sub-task as a slave sets it up: a sub-block of the output
+// block of its processor-level task, computed in place, every other
 // existing block of the matrix shipped except one — whole, or as a region of
 // it: its last rows (aliasing the block), its last columns, or both — and a
 // cell-by-cell model of how reads must resolve, written without any of
@@ -19,9 +19,9 @@ import (
 type viewCase struct {
 	pat     dag.Pattern
 	size    dag.Size
-	scratch *Block[int32]
-	layers  []*Block[int32]
-	missing dag.Rect // the block that was not shipped
+	sub     dag.Rect        // the window, inside layers[0]
+	layers  []*Block[int32] // the output block, then the shipped ones
+	missing dag.Rect        // the block that was not shipped
 }
 
 // Where the model says a read resolves.
@@ -33,9 +33,8 @@ const (
 
 func boundaryValue(i, j int) int32 { return int32(-1000 - 37*i - j) }
 
-// stale is what the shared block holds under the scratch block, and what
-// every block holds in the cells the pattern does not compute: a run or a
-// read that exposes it is wrong.
+// stale is what every block holds in the cells the pattern does not
+// compute: a run or a read that exposes it is wrong.
 const stale = int32(-1)
 
 func cellValue(owner, i, j int) int32 { return int32(owner*1_000_000 + i*1000 + j) }
@@ -64,8 +63,8 @@ func newViewCase(rng *rand.Rand, pat dag.Pattern, size dag.Size) *viewCase {
 		}
 		return b
 	}
-	// exist[0] is the running task: layer 0 is its shared block, and the
-	// scratch block (owner 0) is one sub-block of it.
+	// exist[0] is the running task: layer 0 is its output block, and the
+	// window one sub-block of it.
 	for k, p := range exist {
 		if k == 1 {
 			c.missing = geom.Rect(p)
@@ -85,15 +84,9 @@ func newViewCase(rng *rand.Rand, pat dag.Pattern, size dag.Size) *viewCase {
 		}
 		c.layers = append(c.layers, b)
 	}
-	shared := c.layers[0]
-	tgeom := dag.NewGeometry(shared.Rect, dag.Size{Rows: 1 + rng.Intn(shared.Rect.Rows), Cols: 1 + rng.Intn(shared.Rect.Cols)})
-	sub := tgeom.Rect(dag.Pos{Row: rng.Intn(tgeom.Grid.Rows), Col: rng.Intn(tgeom.Grid.Cols)})
-	c.scratch = fill(0, sub)
-	for i := sub.Row0; i < sub.Row0+sub.Rows; i++ {
-		for j := sub.Col0; j < sub.Col0+sub.Cols; j++ {
-			shared.Set(i, j, stale)
-		}
-	}
+	out := c.layers[0].Rect
+	tgeom := dag.NewGeometry(out, dag.Size{Rows: 1 + rng.Intn(out.Rows), Cols: 1 + rng.Intn(out.Cols)})
+	c.sub = tgeom.Rect(dag.Pos{Row: rng.Intn(tgeom.Grid.Rows), Col: rng.Intn(tgeom.Grid.Cols)})
 	return c
 }
 
@@ -101,9 +94,6 @@ func newViewCase(rng *rand.Rand, pat dag.Pattern, size dag.Size) *viewCase {
 func (c *viewCase) resolve(i, j int) (where, owner int, val int32) {
 	if i < 0 || j < 0 || i >= c.size.Rows || j >= c.size.Cols || !c.pat.CellExists(i, j) {
 		return atBoundary, -1, boundaryValue(i, j)
-	}
-	if c.scratch.Rect.Contains(i, j) {
-		return atBlock, 0, cellValue(0, i, j)
 	}
 	for k, b := range c.layers {
 		if b.Rect.Contains(i, j) {
@@ -131,13 +121,13 @@ func diagnosed(t *testing.T, read func()) (panicked bool) {
 
 // For every library pattern (Triangular with its half-empty diagonal
 // blocks, Chain), a Custom pattern with arbitrary holes and one without,
-// over random geometries and a retargeted view: Get agrees with the model on every cell
-// in and around the matrix; every cell of every run, and of every band of
-// any width, is computed and equals Get of that cell; a run or band is as
-// long as the request, the block, the shadowing scratch block and the
-// holes allow, and a band whose first row leaves its block is empty; and
-// Get, run and band requests into the unshipped block panic with the same
-// diagnostic.
+// over random geometries and a view retargeted at a sub-block of its task's
+// block: Get agrees with the model on every cell in and around the matrix;
+// every cell of every run, and of every band of any width, is computed and
+// equals Get of that cell; a run or band is as long as the request, the
+// block and the holes allow, and a band whose first row leaves its block is
+// empty; and Get, run and band requests into the unshipped block panic with
+// the same diagnostic.
 func TestViewRunsMatchGetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(testseed.Seed(t, 14)))
 	patterns := []dag.Pattern{
@@ -150,22 +140,14 @@ func TestViewRunsMatchGetProperty(t *testing.T) {
 		for round := 0; round < 12; round++ {
 			size := dag.Size{Rows: 2 + rng.Intn(14), Cols: 2 + rng.Intn(14)}
 			c := newViewCase(rng, pat, size)
-			name := fmt.Sprintf("%s %v scratch %v of %v, %v missing", pat.Name(), size, c.scratch.Rect, c.layers[0].Rect, c.missing)
-			// As a compute goroutine does: one view over a block the size
-			// of the largest sub-block, re-aimed at the sub-task.
-			v := NewView(NewBlock[int32](c.layers[0].Rect), c.layers, pat, size, boundaryValue)
-			for k := range v.Out().Cells {
-				v.Out().Cells[k] = stale // what the previous sub-task left
+			name := fmt.Sprintf("%s %v sub-block %v of %v, %v missing", pat.Name(), size, c.sub, c.layers[0].Rect, c.missing)
+			// As a compute thread does: a view over the task's block,
+			// re-aimed at the sub-task.
+			v := NewView(c.layers[0], c.layers[1:], pat, size, boundaryValue)
+			v.Retarget(c.sub)
+			if v.Window() != c.sub || v.Out() != c.layers[0] {
+				t.Fatalf("%s: retargeted view computes %v of %v", name, v.Window(), v.Out().Rect)
 			}
-			v.Retarget(c.scratch.Rect)
-			out := v.Out()
-			for k, cell := range out.Cells {
-				i, j := out.Rect.Row0+k/out.Rect.Cols, out.Rect.Col0+k%out.Rect.Cols
-				if cell != 0 && !pat.CellExists(i, j) {
-					t.Fatalf("%s: retargeted output block holds %d in hole (%d,%d)", name, cell, i, j)
-				}
-			}
-			v.Out().CopyFrom(c.scratch)
 			for i := -1; i <= size.Rows; i++ {
 				for j := -1; j <= size.Cols; j++ {
 					where, owner, want := c.resolve(i, j)
@@ -203,7 +185,7 @@ func TestViewRunsMatchGetProperty(t *testing.T) {
 			}
 		}
 	}
-	for _, stop := range []string{"edge", "shadow", "hole", "leaves", "whole"} {
+	for _, stop := range []string{"edge", "hole", "leaves", "whole"} {
 		if stops[stop] == 0 {
 			t.Errorf("no band stopped for %q (stops %v): the property missed a case", stop, stops)
 		}
@@ -228,8 +210,7 @@ func (c *viewCase) stretch(i, j, w, n, owner int) int {
 // when cell (i, j) is not computed or the first row leaves its block. It
 // says why the band stopped: it is all n rows ("whole"), the first row
 // leaves the block ("leaves"), or the next row has a cell in another block
-// ("edge"), in the shadowing scratch block ("shadow") or a hole ("hole");
-// "" when cell (i, j) is not computed.
+// ("edge") or a hole ("hole"); "" when cell (i, j) is not computed.
 func checkBand(t *testing.T, name string, c *viewCase, v *View[int32], i, j, where, owner, w, n int) string {
 	t.Helper()
 	var cells []int32
@@ -259,44 +240,42 @@ func checkBand(t *testing.T, name string, c *viewCase, v *View[int32], i, j, whe
 	case m == 0:
 		return "leaves"
 	}
-	stop := "edge"
 	for x := 0; x < w; x++ {
-		switch at, o, _ := c.resolve(i+m, j+x); {
-		case at == atBoundary && i+m < c.size.Rows && j+x < c.size.Cols:
+		if at, _, _ := c.resolve(i+m, j+x); at == atBoundary && i+m < c.size.Rows && j+x < c.size.Cols {
 			return "hole"
-		case at == atBlock && o == 0:
-			stop = "shadow"
 		}
 	}
-	return stop
+	return "edge"
 }
 
 func benchView(pat dag.Pattern) (*View[int32], *Block[int32], *Block[int32]) {
 	const n = 256
-	scratch := NewBlock[int32](dag.Rect{Row0: 64, Col0: 192, Rows: 16, Cols: 16})
+	out := NewBlock[int32](dag.Rect{Row0: 64, Col0: 192, Rows: 64, Cols: 64})
 	var in []*Block[int32]
-	for c := 3; c >= 0; c-- {
+	for c := 2; c >= 0; c-- {
 		in = append(in, NewBlock[int32](dag.Rect{Row0: 64, Col0: c * 64, Rows: 64, Cols: 64}))
 	}
 	for r := 2; r < 4; r++ {
 		in = append(in, NewBlock[int32](dag.Rect{Row0: r * 64, Col0: 192, Rows: 64, Cols: 64}))
 	}
-	return NewView(scratch, in, pat, dag.Square(n), func(i, j int) int32 { return 0 }), scratch, in[len(in)-1]
+	v := NewView(out, in, pat, dag.Square(n), func(i, j int) int32 { return 0 })
+	v.Retarget(dag.Rect{Row0: 64, Col0: 192, Rows: 16, Cols: 16})
+	return v, out, in[len(in)-1]
 }
 
 var sink int32
 
-// BenchmarkViewGet is one read that hits the scratch block, one that hits
-// the last of six input blocks (the single-entry cache serves it), and
+// BenchmarkViewGet is one read that hits the output block, one that hits
+// the last of five input blocks (the single-entry cache serves it), and
 // one that falls off the matrix, under a Dense and a Convex pattern.
 func BenchmarkViewGet(b *testing.B) {
 	for _, pat := range []dag.Pattern{dag.RowColumn{}, dag.Triangular{}} {
-		v, scratch, far := benchView(pat)
+		v, out, far := benchView(pat)
 		for _, at := range []struct {
 			name string
 			i, j int
 		}{
-			{"scratch", scratch.Rect.Row0 + 3, scratch.Rect.Col0 + 5},
+			{"out", out.Rect.Row0 + 3, out.Rect.Col0 + 5},
 			{"input", far.Rect.Row0 + 3, far.Rect.Col0 + 5},
 			{"boundary", -1, 7},
 		} {
@@ -338,39 +317,5 @@ func BenchmarkViewRun(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/cell")
 		})
-	}
-}
-
-// Retarget zeroes only a rect that may hold a hole: the pattern's row order
-// overwrites every stale cell of a hole-free one, but a hole's zero must
-// reach the output block. A scratch block left full of another sub-block's
-// cells, re-aimed at a diagonal Triangular sub-block and filled in row
-// order, holds zero in every hole.
-func TestRetargetZeroesHoles(t *testing.T) {
-	pat := dag.Triangular{}
-	v := NewView(NewBlock[int32](dag.Rect{Rows: 4, Cols: 4}), nil, pat, dag.Square(12), boundaryValue)
-	for _, r := range []dag.Rect{{Row0: 0, Col0: 8, Rows: 4, Cols: 4}, {Row0: 4, Col0: 4, Rows: 4, Cols: 4}} {
-		out := v.Out()
-		out.Cells = out.Cells[:cap(out.Cells)]
-		for k := range out.Cells {
-			out.Cells[k] = stale // what the previous sub-task left
-		}
-		v.Retarget(r)
-		pat.RowOrder(r, func(i, j0, j1 int) {
-			for j := j0; j < j1; j++ {
-				v.Out().Set(i, j, 1)
-			}
-		})
-		for i := r.Row0; i < r.Row0+r.Rows; i++ {
-			for j := r.Col0; j < r.Col0+r.Cols; j++ {
-				want := int32(0)
-				if pat.CellExists(i, j) {
-					want = 1
-				}
-				if v.Out().At(i, j) != want {
-					t.Fatalf("sub-block %v: cell (%d,%d) holds %d, want %d", r, i, j, v.Out().At(i, j), want)
-				}
-			}
-		}
 	}
 }

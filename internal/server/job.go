@@ -186,16 +186,15 @@ func (j *Job) Result() (*JobResult, error) {
 type ManagerConfig struct {
 	// Run is the deployment every job runs on. The manager reads
 	//   - Slaves: the in-process members of its own fleet;
-	//   - Threads, ThreadPartition, SubTaskTimeout, CheckInterval and
-	//     Batch (the flush bound of a batch's results): what each of them
-	//     computes with;
+	//   - Threads, ThreadPartition and Batch (the flush bound of a batch's
+	//     results): what each of them computes with;
 	//   - Batch, TaskTimeout, MaxAttempts, Speculate, Steal and Auto: its
 	//     fleet's pool (FleetOptions);
 	//   - ProcPartition, ThreadPartition, RunTimeout (the job's bound) and
 	//     Progress (told the job's progress): per job, on an attached
 	//     Fleet too.
-	// Policy, Faults, Checkpoint, Restore and Trace belong to
-	// core.RunContext alone; no manager is given them.
+	// Policy, CheckInterval, Faults, Checkpoint, Restore and Trace belong
+	// to core.RunContext alone; no manager is given them.
 	Run core.Config
 	// Fleet, when non-nil, is the shared fleet every job runs on: elastic
 	// workers join it over TCP. The manager does not own it; the caller

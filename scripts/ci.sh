@@ -109,8 +109,9 @@ go test -race -count=1 -run 'TestFleetService|TestInProcess' ./internal/server/
 # passes, ticks — on the shipped state machines, with the exactly-once,
 # predecessor, quota, fair-share-account and draw-order invariants checked
 # after every step; and the per-vertex core as the thread level drives it —
-# threads drawing, overdue attempts raced by backups, panics failing — with
-# accept-once by stamp and the MaxAttempts rule checked the same way. Seeded, so a failure
+# threads drawing, attempts accepted or failing in a panic and queued again,
+# never a backup — with accept-once by stamp and the MaxAttempts rule
+# checked the same way. Seeded, so a failure
 # names its seed; uncached, so the list above cannot pass on yesterday's run
 # of it.
 go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
@@ -126,14 +127,16 @@ go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
 # against timeouts and ticks, a job's end against its frames), so they must
 # not pass on a cached run.
 go test -race -count=1 -run 'TestBlockCyclicRequeueAfterOwnerDrained|TestRunBlockCyclic|TestStealRebalancesBatchBacklog|TestAllSlavesDeadAborts|TestInProcessMemberNeverSwept|TestInProcessMemberAttachesEndedJob|TestLocalClosedLink' ./internal/core/
-# The thread level's faults, for the same reason: a panicking or stalled
-# sub-block against the watch's timer, a helper left stalled while the next
-# Run reuses nothing it holds, and at one thread a panicking block retried;
-# an overdue sub-block raced by its backup, the loser refused by its stamp,
-# and a sub-block slower than SubTaskTimeout completing. The goroutine that
-# calls Run computes as thread 0, so these timings are the thread level's
-# to keep.
-go test -race -count=1 -run 'TestWorkerPanicRecovered|TestOneThreadPanicRetriesBlock|TestSubTaskStallRecovered|TestNussinovWithFaults|TestPanickingRowRecovered|TestStragglerNeverSharesReusedState|TestOverdueSubBlockRacesItsBackup|TestSlowSubBlockIsNoFailure' ./internal/core/
+# The thread level's faults and its shared block, for the same reason: a
+# panicking sub-block recovered and retried in place, at one thread the
+# whole block, and a slow sub-block completing at MaxAttempts 1; every
+# compute thread's Row writing inside the task's result block; and every
+# library kernel bit-identical at two and four threads that split each
+# block's rows and columns. The goroutine that calls Run computes as thread
+# 0 beside its helpers, all in one block, so these interleavings are the
+# thread level's to keep.
+go test -race -count=1 -run 'TestWorkerPanicRecovered|TestOneThreadPanicRetriesBlock|TestNussinovWithFaults|TestPanickingRowRecovered|TestSlowSubBlockIsNoFailure|TestHelpersWriteInPlace|TestPanickingSubBlockRetriedInPlace' ./internal/core/
+go test -race -count=1 -run 'TestKernelsOverViewsMatchSequential' ./internal/dp/
 # And a worker's block cache on the keyed wire: its outputs stay unnamed
 # until the master's references name them, with no hash, over a cached
 # RunContext and a fleet job over loopback TCP; a block of another job, or
@@ -216,7 +219,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6821 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6748 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -226,7 +229,7 @@ check_lines 1221 internal/comm
 # store must not arrive unnoticed. And a view reads one way down a column,
 # matrix.View.Band — a column run is a band of width one — and writes one
 # way, into the out slice a kernel's Row is handed (View.Set is gone).
-check_lines 1138 internal/matrix
+check_lines 1112 internal/matrix
 
 # And the 2D/1D kernels sweep source rows across a row segment (their Row,
 # over View.Band) instead of walking a column per cell: no non-test Go
@@ -268,7 +271,7 @@ check_lines 2159 internal/lint
 # The DAG Pattern Model states a block's cell order once (Pattern.RowOrder)
 # and checks a pattern with one validator (dag.Validate); a second order or
 # check must not arrive unnoticed.
-check_lines 1124 internal/dag
+check_lines 1123 internal/dag
 
 # And what keeps it a state machine: the engine may be driven from a
 # socket, an event loop or a test, so it imports none of its drivers, no
@@ -299,6 +302,27 @@ if [ -n "$cores" ]; then
     exit 1
 fi
 echo "calls: no overtime queue or register table outside internal/engine and benchmark/, no panic ledger in core"
+
+# And the thread level restarts a dead compute thread and races no slow one:
+# a goroutine cannot die apart from its process, so a kernel panic is
+# recovered and its sub-block queued again at once, and nothing times a
+# compute thread, starts a backup of its sub-block or copies one out of a
+# scratch block — every thread writes in place in the task's result block,
+# through matrix.View's one mode. So no non-test code in internal/core names
+# the deleted thread-level timeout, its stall fault, its requeue counter, an
+# overdue pass (nor internal/engine) or a timer callback, and none in
+# internal/matrix names a view's second mode. A watch over the compute
+# threads must not return unnoticed.
+watch=$( (grep -nE 'SubTaskTimeout|StallSubTask|SubRequeues|Overdue\(|time\.AfterFunc' \
+        $(ls internal/core/*.go | grep -v '_test\.go$') /dev/null
+    grep -nF 'Overdue(' $(ls internal/engine/*.go | grep -v '_test\.go$') /dev/null
+    grep -nF 'inPlace' $(ls internal/matrix/*.go | grep -v '_test\.go$') /dev/null) || true)
+if [ -n "$watch" ]; then
+    echo "calls: the thread level has no watch, no backup and no scratch copy-out:" >&2
+    echo "$watch" >&2
+    exit 1
+fi
+echo "calls: no thread-level timeout, stall, requeue count, overdue pass or timer in core, no second view mode in matrix"
 
 # And the worker is one loop, as the master is one driver: core.Worker.Serve
 # is the one non-test caller of comm.ServeTasks, and TaskRunner.Run the one
@@ -424,19 +448,18 @@ echo "calls: internal/sim names no pool draw, lease, payload or commit"
 # simulator (internal/bench over internal/sim), which charges a block's work
 # and its frames in virtual time, so no non-test code in core, fleet, server
 # or the public package names a work or wire emulation knob, and non-test
-# core sleeps only where a FaultPlan stall is injected (a task's, a
-# sub-task's). A runtime that sleeps to look like a cluster must not return
-# unnoticed.
+# core sleeps only where a FaultPlan stall of a task is injected. A runtime
+# that sleeps to look like a cluster must not return unnoticed.
 emulation=$( (grep -nE 'WorkDelayPerCell|WorkJitter|DefaultClusterLatency' \
         $(ls internal/core/*.go internal/fleet/*.go internal/server/*.go | grep -v '_test\.go$') easyhps.go /dev/null
     grep -nF 'time.Sleep(' $(ls internal/core/*.go | grep -v '_test\.go$') /dev/null |
-        grep -vE ':[[:space:]]*time\.Sleep\([a-z]+\.faults\.stall(Task|SubTask)\([a-z]+\)\)$') || true)
+        grep -vE ':[[:space:]]*time\.Sleep\([a-z]+\.faults\.stallTask\([a-z]+\)\)$') || true)
 if [ -n "$emulation" ]; then
     echo "calls: the runtime must not emulate work or wire cost (the figures replay on internal/sim):" >&2
     echo "$emulation" >&2
     exit 1
 fi
-echo "calls: no emulation knob in core, fleet, server or easyhps.go; core sleeps only for FaultPlan stalls"
+echo "calls: no emulation knob in core, fleet, server or easyhps.go; core sleeps only for the FaultPlan task stall"
 
 # And one job shape: core.Driver.NewJob alone decides a job's partition, draw
 # order and wire — a job ships against its members' known-sets exactly when
