@@ -47,12 +47,12 @@ func main() {
 		batch   = flag.Int("batch", 1, "max ready vertices per task message (1 = classic per-vertex protocol)")
 		wait    = flag.Duration("wait", time.Minute, "how long to wait for workers")
 
-		hb        = flag.Duration("hb", 250*time.Millisecond, "heartbeat interval")
+		hb        = flag.Duration("hb", 250*time.Millisecond, "heartbeat interval, told to every worker in its welcome")
 		hbMiss    = flag.Int("hb-miss", 3, "silent heartbeat intervals before a member is declared dead")
 		ckpt      = flag.String("checkpoint", "", "checkpoint file (resumes from it when present)")
 		speculate = flag.Bool("speculate", false, "dispatch speculative backups for straggling vertices (first result wins)")
-		steal     = flag.Bool("steal", false, "steal queued backlog for workers that announce hunger (pair with worker -steal)")
-		auto      = flag.Bool("auto", false, "self-tune — speculation and stealing arm automatically and the batch/speculation knobs adjust online (pair with worker -steal)")
+		steal     = flag.Bool("steal", false, "steal queued backlog for workers that announce hunger (each worker is told the hunger delay in its welcome)")
+		auto      = flag.Bool("auto", false, "self-tune — speculation and stealing arm automatically and the batch/speculation knobs adjust online")
 
 		cache         = flag.Bool("cache", false, "probe and fill the content-addressed result cache (keys scoped by the job's digest, as in easyhps-run and easyhps-serve)")
 		cacheDir      = flag.String("cache-dir", "", "cache: persist entries to this directory, so a rerun of the same problem completes from cache")

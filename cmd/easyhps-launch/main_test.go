@@ -34,11 +34,7 @@ func launch(t *testing.T, job server.JobSpec, proc dag.Size, ckpt string) *fleet
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			err := fleet.RunWorker(context.Background(), build, fleet.WorkerOptions{
-				Addr:              f.Addr(),
-				HeartbeatInterval: 50 * time.Millisecond,
-				Run:               core.Config{Threads: 2},
-			})
+			err := fleet.RunWorker(context.Background(), build, fleet.WorkerOptions{Addr: f.Addr(), Run: core.Config{Threads: 2}})
 			if err != nil {
 				t.Errorf("worker: %v", err)
 			}

@@ -6,7 +6,9 @@
 // in-flight work is reassigned immediately. Each job arrives with its spec
 // in an attach frame, from which the worker builds the problem through the
 // job service's kernel table (verified by digest and size), so it takes no
-// problem flags.
+// problem flags; its heartbeat period, dead-master bound, hunger delay and
+// result batch arrive in the master's welcome, so it takes no timing or
+// batch flags either.
 package main
 
 import (
@@ -26,34 +28,20 @@ func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:9000", "master address")
 		threads = flag.Int("threads", 4, "compute goroutines on this worker")
-		batch   = flag.Int("batch", 1, "flush results in groups of up to this many when the master batches tasks")
 		wait    = flag.Duration("wait", time.Minute, "how long to keep dialing the master")
-
-		name   = flag.String("name", "", "member name in the master's logs and metrics")
-		hb     = flag.Duration("hb", 250*time.Millisecond, "heartbeat interval (must match the master)")
-		hbMiss = flag.Int("hb-miss", 3, "silent intervals before giving the master up for dead")
-		steal  = flag.Bool("steal", false, "announce hunger when idle so the master steals backlog this way (pair with master -steal)")
+		name    = flag.String("name", "", "member name in the master's logs and metrics")
 	)
 	flag.Parse()
 
 	fmt.Printf("joining fleet at %s with %d threads\n", *addr, *threads)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opts := fleet.WorkerOptions{
-		Addr:              *addr,
-		Name:              *name,
-		HeartbeatInterval: *hb,
-		HeartbeatMiss:     *hbMiss,
-		DialTimeout:       *wait,
-		Run:               core.Config{Threads: *threads, Batch: *batch},
-	}
-	if *steal {
-		// Announce hunger after two silent heartbeat intervals: long
-		// enough to prove the pool has really drained, short enough to
-		// claim backlog well before a straggling peer finishes it.
-		opts.HungerAfter = 2 * *hb
-	}
-	err := fleet.RunWorker(ctx, server.RegistryBuilder(server.NewRegistry()), opts)
+	err := fleet.RunWorker(ctx, server.RegistryBuilder(server.NewRegistry()), fleet.WorkerOptions{
+		Addr:        *addr,
+		Name:        *name,
+		DialTimeout: *wait,
+		Run:         core.Config{Threads: *threads},
+	})
 	if err == context.Canceled {
 		fmt.Println("worker left the fleet")
 		return

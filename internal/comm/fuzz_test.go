@@ -3,7 +3,9 @@ package comm
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"testing"
+	"time"
 )
 
 // FuzzWireCodec feeds arbitrary bytes to the connection's receive path —
@@ -114,7 +116,10 @@ func FuzzHandshake(f *testing.F) {
 		f.Add(append(frame, 0))
 	}
 	for _, w := range []Welcome{
-		{Version: ProtocolVersion, Member: 3},
+		{Version: ProtocolVersion, Member: 3, Heartbeat: 250 * time.Millisecond, HeartbeatMiss: 3, HungerAfter: 500 * time.Millisecond, Batch: 4},
+		{Version: ProtocolVersion, Member: 3, Heartbeat: 50 * time.Millisecond, HeartbeatMiss: 1},
+		{Version: ProtocolVersion, Member: 2, Heartbeat: -time.Second, HeartbeatMiss: -1, HungerAfter: -1, Batch: -1}, // refused
+		{Version: ProtocolVersion, Member: 2, Heartbeat: time.Second, HeartbeatMiss: math.MaxInt64},                   // refused: the bound overflows
 		{Version: ProtocolVersion, Err: "fleet shut down"},
 		{Version: 0, Member: 1},
 	} {

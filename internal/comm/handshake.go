@@ -13,43 +13,12 @@ import (
 // and workers exchange it in the join handshake and refuse to assemble a
 // cluster across versions: before the check, a skewed binary pair failed
 // deep inside the run as an opaque decode error; now it fails at join
-// time with both sides naming the two versions.
-//
-// History: 0 is the pre-versioning protocol (hello carried only a rank and
-// the master sent no welcome); 1 added the hello/welcome exchange with
-// version and problem-spec digest, heartbeat/leave message kinds, and
-// elastic joins; 2 added tagged binary frames for task/result messages
-// and the task-batch/result-batch kinds (see wire.go); 3 added the job
-// field on binary frames plus the job-spec/job-end kinds and the fleet
-// hello flag, so one worker can serve several concurrent jobs of a
-// shared fleet; 4 added the keyed data-region encoding (negative leading
-// count, content keys and reference records — matrix/codec_keyed.go), so
-// a worker already holding a block by content is sent a 44-byte reference
-// instead of the block. A v3 worker would reject the negative count as
-// corruption, hence the generation bump; 5 took encoding/gob off the wire:
-// hello, welcome and the eight control kinds, which rode a gob stream
-// interleaved with the binary task/result frames, are frames of the same
-// layout (wire.go), the handshake under a 4 KiB cap. The version is the
-// first field of a hello or welcome body, so v5 and later tell each other
-// apart by number; v4 and earlier opened with gob, which a v5 acceptor
-// refuses on the first byte and a v5 dialer sees as a master that closes
-// without a welcome; 6 changed no frame but what a spec names: the CLI
-// tools build every problem through the job service's kernel table, so
-// the same -app/-n/-seed is another input pair than a v5 build generated
-// (and the spec digest's tag moved with it), and a v5 rank or elastic
-// worker is refused at the handshake instead of computing other inputs; 7
-// changed no frame but what a hello's digest is: the job service's JobSpec
-// is every tool's one job description, so a rank's digest is that spec's
-// digest plus the processor partition where it was the CLIs' own spec,
-// and an elastic worker builds each job from its attach
-// frame as a fleet worker does. A v6 rank or elastic worker is refused
-// with both versions named, not by a misleading spec mismatch; 8 dropped
-// the hello's digest string: every worker process is a fleet member,
-// which verifies each job's spec by its attach frame, and no master
-// compares a rank's flags at the handshake any more. A v7 hello carries
-// one string more than a v8 acceptor reads, so the number, not a decode
-// error, names the skew.
-const ProtocolVersion = 8
+// time with both sides naming the two versions. docs/CLUSTER.md (Join
+// handshake) lists what each generation changed, from 0, which sent no
+// welcome, to 9, whose welcome carries the fleet's heartbeat period, miss
+// count, hunger delay and batch, where a worker had restated them as
+// options that had to match the master's.
+const ProtocolVersion = 9
 
 // Hello is the first frame on every worker connection: who is joining and
 // what problem it believes the cluster is solving.
@@ -79,9 +48,21 @@ type Welcome struct {
 	// Member is the identity granted to the worker: its rank in fixed
 	// mode, its assigned member id in a fleet.
 	Member int
+	// The master's terms, which a fleet worker runs by: the beacon period,
+	// how many silent periods declare a member dead, the idleness after
+	// which a member announces hunger (0: never) and the results' flush bound.
+	Heartbeat     time.Duration
+	HeartbeatMiss int
+	HungerAfter   time.Duration
+	Batch         int
 	// Err is the refusal reason, empty on success.
 	Err string
 }
+
+// linkBound is how long either end of a link waits on the other, to read
+// or write one frame, before declaring it dead: one period more than the
+// master's sweep allows a silent member. Zero leaves the link unbounded.
+func (w Welcome) linkBound() time.Duration { return time.Duration(w.HeartbeatMiss+1) * w.Heartbeat }
 
 // Conn is one message connection: the unit the TCP transport and the
 // fleet are both built from. Everything on it — hello, welcome, every
@@ -93,16 +74,12 @@ type Conn struct {
 	br  *bufio.Reader
 	wmu sync.Mutex
 
-	// readIdle, when positive, bounds how long one Recv may wait for the
-	// next frame. With periodic heartbeats on the link this turns a
-	// silently dead peer (half-open TCP after a crash, a partitioned
-	// network) into a timeout error instead of a forever hang.
-	readIdle time.Duration
-	// writeTimeout, when positive, bounds one Send: a peer that stopped
-	// reading eventually fills the TCP buffers, and without a deadline
-	// the sender wedges inside the kernel write. After a timed-out Send
-	// part of a frame may be on the wire; treat the connection as dead.
-	writeTimeout time.Duration
+	// bound, when positive, bounds one Recv and one Send (the handshake's
+	// Welcome.linkBound): with heartbeats on the link a silently dead peer
+	// — half-open TCP, a partition, a peer that stopped reading — becomes a
+	// timeout error, not a hang. After a timed-out Send part of a frame may
+	// be on the wire; treat the connection as dead.
+	bound time.Duration
 }
 
 // keepAlive is the TCP keepalive probe period applied to every accepted
@@ -124,17 +101,7 @@ func NewConn(c net.Conn) *Conn {
 	return &Conn{c: c, br: bufio.NewReader(c)}
 }
 
-// SetReadIdle sets the per-Recv idle bound (0 disables). Callers that
-// enable it must guarantee periodic traffic (heartbeats) on a healthy
-// link, or an idle-but-alive peer will be misdiagnosed as dead.
-func (cn *Conn) SetReadIdle(d time.Duration) { cn.readIdle = d }
-
-// SetWriteTimeout sets the per-Send bound (0 disables). A Send that hits
-// it may have written part of a frame; the caller must close the
-// connection and treat the peer as dead.
-func (cn *Conn) SetWriteTimeout(d time.Duration) { cn.writeTimeout = d }
-
-// Send writes one message frame, honoring the write timeout. The frame is
+// Send writes one message frame, honoring the link's bound. The frame is
 // encoded into a pooled buffer and written in a single call.
 func (cn *Conn) Send(m Message) error {
 	bufp := frameBufPool.Get().(*[]byte)
@@ -151,8 +118,8 @@ func (cn *Conn) Send(m Message) error {
 func (cn *Conn) write(frame []byte) error {
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
-	if cn.writeTimeout > 0 {
-		if err := cn.c.SetWriteDeadline(time.Now().Add(cn.writeTimeout)); err != nil {
+	if cn.bound > 0 {
+		if err := cn.c.SetWriteDeadline(time.Now().Add(cn.bound)); err != nil {
 			return err
 		}
 	}
@@ -160,10 +127,10 @@ func (cn *Conn) write(frame []byte) error {
 	return err
 }
 
-// Recv reads the next message frame, honoring the read-idle bound.
+// Recv reads the next message frame, honoring the link's bound.
 func (cn *Conn) Recv() (Message, error) {
-	if cn.readIdle > 0 {
-		if err := cn.c.SetReadDeadline(time.Now().Add(cn.readIdle)); err != nil {
+	if cn.bound > 0 {
+		if err := cn.c.SetReadDeadline(time.Now().Add(cn.bound)); err != nil {
 			return Message{}, err
 		}
 	}
@@ -212,53 +179,48 @@ func (cn *Conn) readHandshake(want byte, timeout time.Duration) ([]byte, error) 
 	return buf.Bytes(), err
 }
 
-// checkHello validates a received Hello against this binary's protocol
-// version. It returns a refusal reason, or "" when compatible.
-func checkHello(h Hello) string {
-	if h.Version != ProtocolVersion {
-		return fmt.Sprintf("protocol version mismatch: worker speaks v%d, master speaks v%d (rebuild both binaries from the same source)", h.Version, ProtocolVersion)
-	}
-	return ""
-}
-
 // AcceptHello is the accepting side of the join handshake on a fresh
 // connection, the counterpart of DialHello: it reads the hello under the
 // 10 s bound, refuses a peer of another protocol version, and otherwise
-// asks admit for the caller's own decision — the member id to grant
-// (never 0), or a refusal. A refused peer is sent a welcome carrying the
-// reason before the close, so the refusal is diagnosed on both sides; a
-// peer that does not open with a frame at all (a pre-v5 binary, whose
-// hello was a gob stream, or a stranger) could not read one and is just
-// closed. On any error the connection is closed, and member is non-zero
-// only when admit had already granted it — the welcome could not be
-// written, and the id is the caller's to take back.
-func AcceptHello(c net.Conn, admit func(Hello) (member int, refusal string)) (cn *Conn, member int, err error) {
+// asks admit for the caller's own decision — the welcome to send: the
+// member id to grant (never 0) with the timing that bounds the link, or a
+// refusal in Err. A refused peer is sent a welcome carrying the reason
+// before the close, so the refusal is diagnosed on both sides; a peer that
+// does not open with a frame at all (a pre-v5 binary, whose hello was a
+// gob stream, or a stranger) could not read one and is just closed. On any
+// error the connection is closed, and member is non-zero only when admit
+// had already granted it — the welcome could not be written, and the id
+// is the caller's to take back.
+func AcceptHello(c net.Conn, admit func(Hello) Welcome) (cn *Conn, member int, err error) {
 	cn = NewConn(c)
 	hello, err := cn.recvHello(helloTimeout)
 	if err != nil {
 		cn.Close()
 		return nil, 0, fmt.Errorf("comm: reading hello from %s: %w", c.RemoteAddr(), err)
 	}
-	refusal := checkHello(hello)
-	if refusal == "" {
-		member, refusal = admit(hello)
+	w := Welcome{Err: fmt.Sprintf("protocol version mismatch: worker speaks v%d, master speaks v%d (rebuild both binaries from the same source)", hello.Version, ProtocolVersion)}
+	if hello.Version == ProtocolVersion {
+		w = admit(hello)
 	}
-	if refusal != "" {
-		_ = cn.sendWelcome(Welcome{Version: ProtocolVersion, Err: refusal})
+	if w.Err != "" {
+		_ = cn.sendWelcome(Welcome{Version: ProtocolVersion, Err: w.Err})
 		cn.Close()
-		return nil, 0, fmt.Errorf("comm: refused join from %s: %s", c.RemoteAddr(), refusal)
+		return nil, 0, fmt.Errorf("comm: refused join from %s: %s", c.RemoteAddr(), w.Err)
 	}
-	if err := cn.sendWelcome(Welcome{Version: ProtocolVersion, Member: member}); err != nil {
+	w.Version = ProtocolVersion
+	if err := cn.sendWelcome(w); err != nil {
 		cn.Close()
-		return nil, member, fmt.Errorf("comm: sending welcome to %s: %w", c.RemoteAddr(), err)
+		return nil, w.Member, fmt.Errorf("comm: sending welcome to %s: %w", c.RemoteAddr(), err)
 	}
-	return cn, member, nil
+	cn.bound = w.linkBound()
+	return cn, w.Member, nil
 }
 
 // DialHello dials addr (retrying until timeout so workers may start before
 // the master), performs the hello/welcome handshake, and returns the live
-// connection. It fails with the master's refusal reason, or with a
-// version-skew diagnosis when the master speaks a different protocol.
+// connection, bounded as the welcome says. It fails with the master's
+// refusal reason, or with a version-skew diagnosis when the master speaks
+// a different protocol.
 func DialHello(addr string, h Hello, timeout time.Duration) (*Conn, Welcome, error) {
 	h.Version = ProtocolVersion
 	var c net.Conn
@@ -279,11 +241,7 @@ func DialHello(addr string, h Hello, timeout time.Duration) (*Conn, Welcome, err
 		cn.Close()
 		return nil, Welcome{}, fmt.Errorf("comm: sending hello: %w", err)
 	}
-	hsTimeout := time.Until(deadline)
-	if hsTimeout < time.Second {
-		hsTimeout = time.Second
-	}
-	w, err := cn.recvWelcome(hsTimeout)
+	w, err := cn.recvWelcome(max(time.Until(deadline), time.Second))
 	if err != nil {
 		cn.Close()
 		return nil, Welcome{}, fmt.Errorf("comm: waiting for master welcome (a pre-v5 master cannot read this hello and closes without one): %w", err)
@@ -296,5 +254,6 @@ func DialHello(addr string, h Hello, timeout time.Duration) (*Conn, Welcome, err
 		cn.Close()
 		return nil, Welcome{}, fmt.Errorf("comm: protocol version mismatch: master speaks v%d, worker speaks v%d (rebuild both binaries from the same source)", w.Version, ProtocolVersion)
 	}
+	cn.bound = w.linkBound()
 	return cn, w, nil
 }

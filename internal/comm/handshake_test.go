@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -27,7 +28,7 @@ func acceptOne(ln net.Listener) <-chan error {
 			errc <- err
 			return
 		}
-		cn, _, err := AcceptHello(c, func(Hello) (int, string) { return 1, "" })
+		cn, _, err := AcceptHello(c, func(Hello) Welcome { return Welcome{Member: 1} })
 		if err == nil {
 			cn.Close()
 		}
@@ -118,8 +119,8 @@ func TestAcceptHelloRefusalReachesDialer(t *testing.T) {
 			errc <- err
 			return
 		}
-		_, member, err := AcceptHello(c, func(h Hello) (int, string) {
-			return 0, "no room for " + h.Name
+		_, member, err := AcceptHello(c, func(h Hello) Welcome {
+			return Welcome{Err: "no room for " + h.Name}
 		})
 		if member != 0 {
 			err = fmt.Errorf("refused join granted member %d", member)
@@ -187,8 +188,10 @@ func TestHandshakeBounds(t *testing.T) {
 		binary.LittleEndian.PutUint32(out[off:], v)
 		return out
 	}
-	const body = 6 // frame header length
+	const body = 6   // frame header length
+	const terms = 32 // a welcome's four i64 fields, before its string
 	welcomeCut := withU32(welcome[:body+6], 2, 6)
+	termsCut := withU32(welcome[:body+9+12], 2, 9+12)
 	cases := []struct {
 		name  string
 		frame []byte
@@ -199,11 +202,12 @@ func TestHandshakeBounds(t *testing.T) {
 		{"hello bodyLen over cap", withU32(hello, 2, maxHandshakeBody+1)[:body], "exceeds limit 4096"},
 		{"welcome bodyLen over cap", withU32(welcome, 2, 1<<31)[:body], "exceeds limit 4096"},
 		{"hello name over-long", withU32(hello, body+9, 1<<30), "handshake string 0: length 1073741824 exceeds"},
-		{"welcome text over-long", withU32(welcome, body+9, 1<<30), "handshake string 0: length 1073741824 exceeds"},
+		{"welcome text over-long", withU32(welcome, body+9+terms, 1<<30), "handshake string 0: length 1073741824 exceeds"},
 		{"hello trailing bytes", withU32(append(append([]byte(nil), hello...), 0), 2, uint32(len(hello)-body+1)), "1 trailing bytes after handshake"},
 		{"welcome trailing bytes", withU32(append(append([]byte(nil), welcome...), 0, 0), 2, uint32(len(welcome)-body+2)), "2 trailing bytes after handshake"},
 		{"hello shorter than a version", []byte{binMagic, tagHello, 2, 0, 0, 0, 5, 0}, "need at least 4"},
 		{"welcome cut after the version", welcomeCut, "truncated before id and flags"},
+		{"welcome cut inside its terms", termsCut, "handshake field 1 truncated"},
 	}
 	for _, tc := range cases {
 		var before, after runtime.MemStats
@@ -237,6 +241,73 @@ func TestHandshakeBounds(t *testing.T) {
 	}
 }
 
+// A fleet worker takes its timing and batch from the welcome: the heartbeat
+// period, the miss count, the hunger delay and the batch the acceptor
+// grants reach the dialer unchanged, a refusal round-trips with its text,
+// and the decoder refuses a welcome with any of the four negative, or
+// whose miss+1 periods overflow the link bound, since a worker would set
+// its clocks by it.
+func TestWelcomeCarriesTiming(t *testing.T) {
+	granted := Welcome{Member: 4, Heartbeat: 50 * time.Millisecond, HeartbeatMiss: 3, HungerAfter: 100 * time.Millisecond, Batch: 2}
+	ln := listenLocal(t)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		if cn, _, err := AcceptHello(c, func(Hello) Welcome { return granted }); err == nil {
+			cn.Close()
+		}
+	}()
+	cn, w, err := DialHello(ln.Addr().String(), Hello{Fleet: true}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn.Close()
+	if granted.Version = ProtocolVersion; w != granted {
+		t.Fatalf("dialer got welcome %+v, want %+v", w, granted)
+	}
+
+	refusal := Welcome{Version: ProtocolVersion, Err: "fleet shut down"}
+	frame, err := appendWelcomeFrame(nil, refusal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := handshakeFromBytes(frame); err != nil || got != refusal {
+		t.Fatalf("refusal round-tripped to %+v, %v; want %+v", got, err, refusal)
+	}
+
+	for _, bad := range []struct {
+		w    Welcome
+		want string
+	}{
+		{Welcome{Heartbeat: -time.Millisecond, HeartbeatMiss: 3}, "is negative"},
+		{Welcome{Heartbeat: time.Millisecond, HeartbeatMiss: -1}, "is negative"},
+		{Welcome{Heartbeat: time.Millisecond, HungerAfter: -time.Millisecond}, "is negative"},
+		{Welcome{Heartbeat: time.Millisecond, Batch: -1}, "is negative"},
+		{Welcome{Heartbeat: 1, HeartbeatMiss: math.MaxInt64}, "overflow the link bound"},
+		{Welcome{Heartbeat: time.Second, HeartbeatMiss: math.MaxInt64 / int(time.Second)}, "overflow the link bound"},
+	} {
+		bad.w.Version, bad.w.Member = ProtocolVersion, 1
+		frame, err := appendWelcomeFrame(nil, bad.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := handshakeFromBytes(frame); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("welcome %+v decoded to %+v, %v; want a refusal: %q", bad.w, got, err, bad.want)
+		}
+	}
+	// The largest miss count whose bound fits is taken as it is.
+	edge := Welcome{Version: ProtocolVersion, Member: 1, Heartbeat: time.Second, HeartbeatMiss: math.MaxInt64/int(time.Second) - 1}
+	frame, err = appendWelcomeFrame(nil, edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := handshakeFromBytes(frame); err != nil || got != edge || edge.linkBound() <= 0 {
+		t.Fatalf("welcome %+v decoded to %+v, %v (link bound %v); want it unchanged", edge, got, err, edge.linkBound())
+	}
+}
+
 // handshakeFromBytes reads one handshake frame from raw bytes the way a
 // Conn does — a welcome when the tag byte says so, a hello otherwise.
 func handshakeFromBytes(data []byte) (any, error) {
@@ -255,9 +326,9 @@ func handshakeFromBytes(data []byte) (any, error) {
 
 // Regression for half-open connections: a peer that completes the
 // handshake and then wedges (sends nothing, reads nothing, never closes)
-// must surface as a timeout from Recv within the read-idle bound the
-// fleet and its workers set with Conn.SetReadIdle — without it the pump
-// would hang on the dead link forever.
+// must surface as a timeout from Recv within the bound the welcome sets on
+// both ends of the link — without it the pump would hang on the dead link
+// forever.
 func TestReadIdleSurfacesWedgedPeer(t *testing.T) {
 	ln := listenLocal(t)
 	type res struct {
@@ -271,7 +342,9 @@ func TestReadIdleSurfacesWedgedPeer(t *testing.T) {
 			masterc <- res{nil, err}
 			return
 		}
-		cn, _, err := AcceptHello(c, func(h Hello) (int, string) { return h.Rank, "" })
+		cn, _, err := AcceptHello(c, func(h Hello) Welcome {
+			return Welcome{Member: h.Rank, Heartbeat: 100 * time.Millisecond, HeartbeatMiss: 2}
+		})
 		masterc <- res{cn, err}
 	}()
 
@@ -288,7 +361,6 @@ func TestReadIdleSurfacesWedgedPeer(t *testing.T) {
 	}
 	defer mr.cn.Close()
 
-	mr.cn.SetReadIdle(300 * time.Millisecond)
 	start := time.Now()
 	_, err = mr.cn.Recv()
 	var nerr net.Error
@@ -297,6 +369,10 @@ func TestReadIdleSurfacesWedgedPeer(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("wedged peer surfaced after %v, bound was 300ms", waited)
+	}
+	// The dialer's end took the same bound from the welcome.
+	if _, err = peer.Recv(); !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("Recv on the dialer's silent link = %v, want a timeout", err)
 	}
 }
 

@@ -77,16 +77,16 @@ func ListenMasterOn(ln net.Listener, slaves int, timeout time.Duration, _ TCPOpt
 		// a rank outside 1..slaves, or one announced twice, means the
 		// cluster was started wrong, and does.
 		var fatal error
-		cn, rank, err := AcceptHello(c, func(h Hello) (int, string) {
+		cn, rank, err := AcceptHello(c, func(h Hello) Welcome {
 			if h.Rank < 1 || h.Rank > slaves {
 				fatal = fmt.Errorf("comm: worker announced invalid rank %d", h.Rank)
-				return 0, fmt.Sprintf("invalid rank %d (want 1..%d)", h.Rank, slaves)
+				return Welcome{Err: fmt.Sprintf("invalid rank %d (want 1..%d)", h.Rank, slaves)}
 			}
 			if t.conn(h.Rank) != nil {
 				fatal = fmt.Errorf("comm: two workers announced rank %d", h.Rank)
-				return 0, fmt.Sprintf("rank %d already joined", h.Rank)
+				return Welcome{Err: fmt.Sprintf("rank %d already joined", h.Rank)}
 			}
-			return h.Rank, ""
+			return Welcome{Member: h.Rank}
 		})
 		if fatal != nil {
 			ln.Close()

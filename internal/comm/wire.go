@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
+	"time"
 )
 
 // The one frame format.
@@ -46,6 +48,9 @@ import (
 //	               generation reads no further
 //	id        i32  hello: the rank; welcome: the member id granted
 //	flags     u8   hello: bit0 = Fleet; welcome: 0
+//	terms     welcome only: 4 × i64, none negative — the heartbeat period
+//	               (ns), the miss count, the hunger delay (ns) and the
+//	               batch; miss+1 periods fit an i64
 //	strings   each a u32 length, then bytes — hello: the name;
 //	               welcome: the refusal text (empty on success)
 //
@@ -218,12 +223,15 @@ func cutPayload(b []byte) (payload, rest []byte, err error) {
 // appendHandshakeFrame appends a hello or welcome frame, refusing a body
 // beyond maxHandshakeBody: what this side would not read it does not
 // send.
-func appendHandshakeFrame(dst []byte, tag byte, version, id int, flags byte, strs ...string) ([]byte, error) {
+func appendHandshakeFrame(dst []byte, tag byte, version, id int, flags byte, nums []int64, strs ...string) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, binMagic, tag, 0, 0, 0, 0) // bodyLen filled in below
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(version))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
 	dst = append(dst, flags)
+	for _, n := range nums {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
+	}
 	for _, s := range strs {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 		dst = append(dst, s...)
@@ -237,11 +245,11 @@ func appendHandshakeFrame(dst []byte, tag byte, version, id int, flags byte, str
 }
 
 // decodeHandshake parses a hello or welcome body that carries exactly
-// len(strs) strings. The body is laid out as this generation lays it out
-// only when the version is this binary's, so for any other it returns the
-// version alone and leaves the refusal — which names both versions — to
-// checkHello and DialHello.
-func decodeHandshake(body []byte, strs ...*string) (version, id int, flags byte, err error) {
+// len(nums) i64 fields, read into nums, and len(strs) strings. The body is
+// laid out as this generation lays it out only when the version is this
+// binary's, so for any other it returns the version alone and leaves the
+// refusal — which names both versions — to AcceptHello and DialHello.
+func decodeHandshake(body []byte, nums []int64, strs ...*string) (version, id int, flags byte, err error) {
 	if len(body) < 4 {
 		return 0, 0, 0, fmt.Errorf("comm: handshake body %d bytes, need at least 4", len(body))
 	}
@@ -254,6 +262,12 @@ func decodeHandshake(body []byte, strs ...*string) (version, id int, flags byte,
 	}
 	id, flags = int(int32(binary.LittleEndian.Uint32(body[4:]))), body[8]
 	rest := body[9:]
+	for i := range nums {
+		if len(rest) < 8 {
+			return 0, 0, 0, fmt.Errorf("comm: handshake field %d truncated (%d bytes)", i, len(rest))
+		}
+		nums[i], rest = int64(binary.LittleEndian.Uint64(rest)), rest[8:]
+	}
 	for i, s := range strs {
 		var field []byte
 		if field, rest, err = cutBytes(rest); err != nil {
@@ -272,12 +286,12 @@ func appendHelloFrame(dst []byte, h Hello) ([]byte, error) {
 	if h.Fleet {
 		flags |= 1
 	}
-	return appendHandshakeFrame(dst, tagHello, h.Version, h.Rank, flags, h.Name)
+	return appendHandshakeFrame(dst, tagHello, h.Version, h.Rank, flags, nil, h.Name)
 }
 
 func decodeHello(body []byte) (h Hello, err error) {
 	var flags byte
-	if h.Version, h.Rank, flags, err = decodeHandshake(body, &h.Name); err != nil {
+	if h.Version, h.Rank, flags, err = decodeHandshake(body, nil, &h.Name); err != nil {
 		return Hello{}, err
 	}
 	h.Fleet = flags&1 != 0
@@ -285,13 +299,22 @@ func decodeHello(body []byte) (h Hello, err error) {
 }
 
 func appendWelcomeFrame(dst []byte, w Welcome) ([]byte, error) {
-	return appendHandshakeFrame(dst, tagWelcome, w.Version, w.Member, 0, w.Err)
+	terms := []int64{int64(w.Heartbeat), int64(w.HeartbeatMiss), int64(w.HungerAfter), int64(w.Batch)}
+	return appendHandshakeFrame(dst, tagWelcome, w.Version, w.Member, 0, terms, w.Err)
 }
 
 func decodeWelcome(body []byte) (w Welcome, err error) {
-	if w.Version, w.Member, _, err = decodeHandshake(body, &w.Err); err != nil {
+	var t [4]int64
+	if w.Version, w.Member, _, err = decodeHandshake(body, t[:], &w.Err); err != nil {
 		return Welcome{}, err
 	}
+	switch { // a worker sets its clocks and link bound by these terms
+	case t[0] < 0 || t[1] < 0 || t[2] < 0 || t[3] < 0:
+		return Welcome{}, fmt.Errorf("comm: welcome terms %v: a period, miss count, hunger delay or batch is negative", t)
+	case t[0] > 0 && t[1] >= math.MaxInt64/t[0]:
+		return Welcome{}, fmt.Errorf("comm: welcome terms %v: %d+1 periods of %v overflow the link bound", t, t[1], time.Duration(t[0]))
+	}
+	w.Heartbeat, w.HeartbeatMiss, w.HungerAfter, w.Batch = time.Duration(t[0]), int(t[1]), time.Duration(t[2]), int(t[3])
 	return w, nil
 }
 

@@ -223,7 +223,7 @@ func TestConnCarriesHandshakeAndEveryKind(t *testing.T) {
 	ca, cb := NewConn(a), NewConn(b)
 
 	hello := Hello{Rank: 1, Version: ProtocolVersion, Fleet: true, Name: "w1"}
-	welcome := Welcome{Version: ProtocolVersion, Member: 7}
+	welcome := Welcome{Version: ProtocolVersion, Member: 7, Heartbeat: 50 * time.Millisecond, HeartbeatMiss: 3, HungerAfter: 100 * time.Millisecond, Batch: 2}
 	sent := []Message{
 		{Kind: KindIdle},
 		{Kind: KindTask, Vertex: 3, Attempt: 1, Payload: []byte("data")},

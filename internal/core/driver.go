@@ -390,6 +390,18 @@ func (d *Driver[T]) WithPool(fn func(*engine.Pool[T])) {
 	fn(d.pool)
 }
 
+// HungerAfter is the one hunger rule of every member: the idleness after
+// which it announces hunger, twice the control tick under Steal or Auto —
+// long enough to prove its pool has drained, short enough to claim backlog
+// well before a straggling peer finishes it — and never (0) otherwise, as
+// no other pool acts on a beacon. A fleet worker is told it in its welcome.
+func (d *Driver[T]) HungerAfter() time.Duration {
+	if d.cfg.Pool.Steal || d.cfg.Pool.Auto {
+		return 2 * d.cfg.Pool.CheckInterval
+	}
+	return 0
+}
+
 // Counts returns the hunger beacons and the stale results (for jobs no
 // longer running).
 func (d *Driver[T]) Counts() (hungers, stale int64) { return d.hungers.Load(), d.stale.Load() }

@@ -53,16 +53,12 @@ func (d *Driver[T]) JoinLocal(name string, run Config) *Worker[T] {
 		return nil
 	}
 	d.StartSender(id)
-	w := &Worker[T]{Link: l, Batch: run.Batch, Attach: func(msg comm.Message) (*TaskRunner[T], error) {
+	return &Worker[T]{Link: l, Batch: d.cfg.Pool.Batch, HungerAfter: d.HungerAfter(), Attach: func(msg comm.Message) (*TaskRunner[T], error) {
 		if jb, ok := l.handed.LoadAndDelete(msg.Job); ok {
 			return jb.(*Job[T]).Runner(run)
 		}
 		return nil, fmt.Errorf("job %d was not handed over with its spec frame", msg.Job)
 	}}
-	if d.cfg.Pool.Steal || d.cfg.Pool.Auto {
-		w.HungerAfter = 2 * d.cfg.Pool.CheckInterval
-	}
-	return w
 }
 
 // toMember is the driver's end of a Local link; its Close is the link's.

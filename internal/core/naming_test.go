@@ -82,7 +82,7 @@ func TestWorkerHashesNothingItComputed(t *testing.T) {
 			workers.Add(1)
 			go func() {
 				defer workers.Done()
-				_ = fleet.RunWorker(ctx, build, fleet.WorkerOptions{Addr: f.Addr(), HeartbeatInterval: 50 * time.Millisecond, Run: core.Config{Threads: 1}})
+				_ = fleet.RunWorker(ctx, build, fleet.WorkerOptions{Addr: f.Addr(), Run: core.Config{Threads: 1}})
 			}()
 		}
 		if err := f.Registry().WaitLive(ctx, 2); err != nil {

@@ -21,7 +21,7 @@ import (
 // and return the computed block. Jobs attach as their frames arrive.
 type Worker[T any] struct {
 	Link  Conn // to the driver; Serve closes it on return
-	Batch int  // flush bound of a task batch's results (Config.Batch)
+	Batch int  // flush bound of a task batch's results: the pool's Batch
 	// Before, when non-nil, runs before each task executes; its error ends
 	// the loop.
 	Before func(vertex int32) error
@@ -29,7 +29,8 @@ type Worker[T any] struct {
 	// KindJobEnd detaches it.
 	Attach func(msg comm.Message) (*TaskRunner[T], error)
 	// Beat, when positive, is the heartbeat period; HungerAfter, when
-	// positive, the idleness that sends a hunger beacon.
+	// positive, the idleness that sends a hunger beacon. Both are the
+	// driver's: its fleet's welcome, or Driver.HungerAfter in process.
 	Beat, HungerAfter time.Duration
 }
 

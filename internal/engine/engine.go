@@ -207,10 +207,10 @@ func (j *Job[T]) Frontier() ([]int32, error) {
 // Lease arbitrates one vertex a sender drew for member: a primary attempt
 // for an ordinary draw (a redistribution, if one ran before), a backup for
 // a vertex FlagStragglers queued. On Granted and Backup the attempt starts,
-// leased to member at now and watched until now + (slot+1)·TaskTimeout:
-// a worker runs a batch in order, so entry slot may rightly wait slot
-// task-times before it starts.
-func (j *Job[T]) Lease(member int, v int32, slot int, now time.Time) (attempt int32, out Outcome) {
+// leased to member at now and watched until now + (wait+1)·TaskTimeout:
+// the answer carrying v may rightly wait for wait other tasks of its batch
+// (Pool.Lease counts them).
+func (j *Job[T]) Lease(member int, v int32, wait int, now time.Time) (attempt int32, out Outcome) {
 	j.specMu.Lock()
 	pending := j.specPending[v]
 	delete(j.specPending, v)
@@ -229,7 +229,7 @@ func (j *Job[T]) Lease(member int, v int32, slot int, now time.Time) (attempt in
 	// A backup is refused when the original finished, or was cancelled,
 	// while the flag waited in the queue; an uncovered unfinished vertex
 	// always comes back through Expire or Revoke, so nothing is lost.
-	attempt, ok := j.att.Start(v, now.Add(j.cfg.TaskTimeout*time.Duration(slot+1)), pending)
+	attempt, ok := j.att.Start(v, now.Add(j.cfg.TaskTimeout*time.Duration(wait+1)), pending)
 	if !ok {
 		return 0, Gone
 	}

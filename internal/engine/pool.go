@@ -293,9 +293,11 @@ func (p *Pool[T]) Draw(member int) (id int32, ids []int32, ok bool) {
 }
 
 // Lease settles a draw by leasing it to member: Granted and Backup
-// vertices come back as the grants to ship, in order, entry k watched for
-// k+1 task timeouts; a Gone vertex is dropped; a Held one — flagged for a
-// backup, and member runs its original — goes back on the stack for
+// vertices come back as the grants to ship, in order, each watched for as
+// many task timeouts as its worker runs tasks until the answer carrying it
+// leaves, which flushes results in groups of Batch (core.Worker), the last
+// cut at the draw's end; a Gone vertex is dropped; a Held one — flagged
+// for a backup, and member runs its original — goes back on the stack for
 // another member, its charge refunded. spent reports whether the member's
 // idle token is used up: not when every vertex was Gone, so that the
 // driver draws again at once, but also when all were Held, or it would pop
@@ -308,7 +310,8 @@ func (p *Pool[T]) Lease(id int32, member int, ids []int32, now time.Time) (grant
 	e.drawn -= len(ids)
 	var held []int32
 	for _, v := range ids {
-		attempt, out := e.job.Lease(member, v, len(grants), now)
+		group := (len(grants)/p.cfg.Batch + 1) * p.cfg.Batch
+		attempt, out := e.job.Lease(member, v, min(group, len(ids))-1, now)
 		switch out {
 		case Held:
 			held = append(held, v)

@@ -300,6 +300,49 @@ func TestPoolDeadlineEndsJobOnItsTick(t *testing.T) {
 	}
 }
 
+// TestPoolLeaseWatchesFlushGroups is the overtime rule of a batch: a
+// worker answers a task message in groups of the pool's Batch, so an entry
+// is watched until the answer carrying it is due. At Batch 2 a five-entry
+// message (a cap the tuner grew) has its entries 0-1 due after two task
+// timeouts, 2-3 after four and the last after five; entry 0 is not
+// expired after one while its worker is computing entry 1.
+func TestPoolLeaseWatchesFlushGroups(t *testing.T) {
+	const timeout = time.Second
+	p := newPoolRig(t, engine.PoolConfig{Batch: 2, TaskTimeout: timeout})
+	r := p.add(1, "nussinov", engine.JobParams{})
+	var ids []int32
+	for len(ids) < 5 {
+		_, more := p.draw()
+		ids = append(ids, more...)
+	}
+	p.pool.Undraw(1, ids[5:])
+	grants, _ := p.pool.Lease(1, 1, ids[:5], p.now)
+	if len(grants) != 5 {
+		t.Fatalf("leased %d of five vertices", len(grants))
+	}
+	for _, step := range []struct {
+		at   time.Duration
+		want []int32
+	}{
+		{2*timeout - 1, nil},
+		{2 * timeout, ids[0:2]},
+		{4*timeout - 1, nil},
+		{4 * timeout, ids[2:4]},
+		{5 * timeout, ids[4:5]},
+	} {
+		requeue, err := r.eng.Expire(p.now.Add(step.at))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(step.want)
+		slices.Sort(requeue)
+		slices.Sort(want)
+		if !slices.Equal(requeue, want) {
+			t.Fatalf("expired at %v: %v, want %v", step.at, requeue, want)
+		}
+	}
+}
+
 // TestPoolHungerStealsDeepestBacklogAcrossJobs drives the hunger pass: of
 // every (job, member) pair the deepest backlog gives up its newer half to
 // the stack of its own job, charge refunded — and only when nothing is

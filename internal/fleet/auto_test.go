@@ -43,12 +43,10 @@ func TestFleetAutoTunesOverTCP(t *testing.T) {
 		go func() {
 			defer wwg.Done()
 			_ = RunWorker(wctx, testBuilder, WorkerOptions{
-				Addr:              f.Addr(),
-				Name:              name,
-				HeartbeatInterval: 50 * time.Millisecond,
-				Run:               core.Config{Threads: 2},
-				TaskDelay:         func() time.Duration { return 2 * time.Millisecond },
-				HungerAfter:       20 * time.Millisecond,
+				Addr:      f.Addr(),
+				Name:      name,
+				Run:       core.Config{Threads: 2},
+				taskDelay: func() time.Duration { return 2 * time.Millisecond },
 			})
 		}()
 	}

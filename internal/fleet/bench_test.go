@@ -126,8 +126,8 @@ func benchFleet(b *testing.B, batch int, shared bool) {
 				defer wdone.Done()
 				_ = RunWorker(ctx, testBuilder, WorkerOptions{
 					Addr:      f.Addr(),
-					Run:       core.Config{Threads: 2, Batch: batch},
-					TaskDelay: func() time.Duration { return 200 * time.Microsecond },
+					Run:       core.Config{Threads: 2},
+					taskDelay: func() time.Duration { return 200 * time.Microsecond },
 				})
 			}()
 		}

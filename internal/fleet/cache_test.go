@@ -40,10 +40,9 @@ func TestFleetCacheWarmResubmission(t *testing.T) {
 	go func() {
 		defer wwg.Done()
 		_ = RunWorker(wctx, testBuilder, WorkerOptions{
-			Addr:              f.Addr(),
-			Name:              "w0",
-			HeartbeatInterval: 50 * time.Millisecond,
-			Run:               core.Config{Threads: 2},
+			Addr: f.Addr(),
+			Name: "w0",
+			Run:  core.Config{Threads: 2},
 		})
 	}()
 
@@ -163,10 +162,9 @@ func TestFleetCacheKeyEmptyDisables(t *testing.T) {
 	go func() {
 		defer wwg.Done()
 		_ = RunWorker(wctx, testBuilder, WorkerOptions{
-			Addr:              f.Addr(),
-			Name:              "w0",
-			HeartbeatInterval: 50 * time.Millisecond,
-			Run:               core.Config{Threads: 2},
+			Addr: f.Addr(),
+			Name: "w0",
+			Run:  core.Config{Threads: 2},
 		})
 	}()
 

@@ -24,7 +24,7 @@ func TestAutoTunesOverTCP(t *testing.T) {
 	tr := trace.New()
 	opts.Trace = tr
 	f := startMaster(t, opts)
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(10*time.Millisecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(10*time.Millisecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())

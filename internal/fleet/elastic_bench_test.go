@@ -23,7 +23,7 @@ func BenchmarkElasticRecovery(b *testing.B) {
 			b.StopTimer()
 			prob, _, req := testProblem(b)
 			f := startMaster(b, testOptions())
-			h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(5*time.Millisecond))
+			h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(5*time.Millisecond))
 			killAt := make(chan struct{})
 			if kill {
 				go func() {
@@ -83,7 +83,7 @@ func BenchmarkStragglerSpeculation(b *testing.B) {
 			f := startMaster(b, opts)
 			// 5ms of delay per vertex; the 60ms proxy delay makes worker
 			// 0 roughly 10x slower.
-			h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(5*time.Millisecond))
+			h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(5*time.Millisecond))
 			ctx, cancel := context.WithCancel(context.Background())
 			b.StartTimer()
 			// Slow worker 0 before the quorum completes, so it straggles

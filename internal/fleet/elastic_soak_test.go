@@ -49,12 +49,7 @@ func TestSoakBatchedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wopts := testWorkerOptions(2500 * time.Microsecond)
-		wopts.Run.Batch = batch
-		if steal {
-			wopts.HungerAfter = 15 * time.Millisecond
-		}
-		h := fleet.NewHarness(registryBuild, f.Addr(), wopts)
+		h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(2500*time.Microsecond))
 
 		ctx, cancel := context.WithCancel(context.Background())
 		faultAt := make(chan struct{})

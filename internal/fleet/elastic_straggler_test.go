@@ -20,7 +20,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	// TaskTimeout (20s from testOptions) stays far above the test runtime,
 	// so any rescue observed here is speculation's.
 	f := startMaster(t, opts)
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(2500*time.Microsecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(2500*time.Microsecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -66,11 +66,9 @@ func TestStealRebalancesBacklog(t *testing.T) {
 	opts := testOptions()
 	opts.Steal = true
 	opts.Batch = 8
+	opts.CheckInterval = 10 * time.Millisecond // a drained member is hungry after 20 ms
 	f := startMaster(t, opts)
-	wopts := testWorkerOptions(2500 * time.Microsecond)
-	wopts.Run.Batch = 8
-	wopts.HungerAfter = 20 * time.Millisecond
-	h := fleet.NewHarness(registryBuild, f.Addr(), wopts)
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(2500*time.Microsecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -56,17 +56,15 @@ func testOptions() fleet.Options {
 	}
 }
 
-// testWorkerOptions is the harness's worker template: each task takes
-// taskDelay before it computes, so a run lasts long enough for a fault to
-// land mid-run.
-func testWorkerOptions(taskDelay time.Duration) fleet.WorkerOptions {
-	return fleet.WorkerOptions{
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatMiss:     3,
-		DialTimeout:       10 * time.Second,
-		Run:               core.Config{Threads: 2},
-		TaskDelay:         func() time.Duration { return taskDelay },
-	}
+// testWorkerOptions is the harness's worker template.
+func testWorkerOptions() fleet.WorkerOptions {
+	return fleet.WorkerOptions{DialTimeout: 10 * time.Second, Run: core.Config{Threads: 2}}
+}
+
+// taskDelay is a harness's per-task delay: each task waits d before it
+// computes, so a run lasts long enough for a fault to land mid-run.
+func taskDelay(d time.Duration) func() time.Duration {
+	return func() time.Duration { return d }
 }
 
 // startMaster starts the fleet an elastic master is, closed with the test.
@@ -131,7 +129,7 @@ func progressTrigger(threshold int, ch chan<- struct{}) func(done, total int) {
 func TestElasticKillWorker(t *testing.T) {
 	prob, want, req := testProblem(t)
 	f := startMaster(t, testOptions())
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(10*time.Millisecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(10*time.Millisecond))
 	defer h.Close()
 	killAt := make(chan struct{})
 	go func() {
@@ -174,7 +172,7 @@ func TestElasticJoinMidRun(t *testing.T) {
 	tr := trace.New()
 	opts.Trace = tr
 	f := startMaster(t, opts)
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(10*time.Millisecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(10*time.Millisecond))
 	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -238,7 +236,7 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 		cancel1()
 	}()
 	f1 := startMaster(t, testOptions())
-	h1 := fleet.NewHarness(registryBuild, f1.Addr(), testWorkerOptions(25*time.Millisecond))
+	h1 := fleet.NewHarness(registryBuild, f1.Addr(), testWorkerOptions(), taskDelay(25*time.Millisecond))
 	defer h1.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := h1.Add(ctx1); err != nil {
@@ -257,7 +255,7 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 
 	// Second incarnation, same checkpoint path.
 	f2 := startMaster(t, testOptions())
-	h2 := fleet.NewHarness(registryBuild, f2.Addr(), testWorkerOptions(0))
+	h2 := fleet.NewHarness(registryBuild, f2.Addr(), testWorkerOptions(), nil)
 	defer h2.Close()
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
@@ -287,7 +285,7 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 func TestPartitionedMemberDeclaredDead(t *testing.T) {
 	prob, want, req := testProblem(t)
 	f := startMaster(t, testOptions())
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(15*time.Millisecond))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), taskDelay(15*time.Millisecond))
 	defer h.Close()
 	cutAt := make(chan struct{})
 	go func() {
@@ -338,7 +336,7 @@ func TestClusterRejectsDriftedBuilder(t *testing.T) {
 		p, _, err := server.NewRegistry().Build(job, math.MaxInt64)
 		return p, err
 	}
-	wopts := testWorkerOptions(0)
+	wopts := testWorkerOptions()
 	wopts.Addr = f.Addr()
 	refused := make(chan error, 1)
 	go func() { refused <- fleet.RunWorker(ctx, drifted, wopts) }()
@@ -359,7 +357,7 @@ func TestClusterRejectsDriftedBuilder(t *testing.T) {
 		t.Fatalf("drifted worker error = %v, want a refusal naming both sizes", err)
 	}
 
-	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(0))
+	h := fleet.NewHarness(registryBuild, f.Addr(), testWorkerOptions(), nil)
 	defer h.Close()
 	if _, err := h.Add(ctx); err != nil {
 		t.Fatal(err)

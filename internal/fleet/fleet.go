@@ -36,11 +36,12 @@ type Options struct {
 	// readable from Fleet.Addr). Empty opens no listener: the members are
 	// the ones Join admits in process.
 	Addr string
-	// HeartbeatInterval is the worker beacon period (default 250 ms).
+	// HeartbeatInterval is the member beacon period (default 250 ms),
+	// HeartbeatMiss how many silent intervals declare a member dead
+	// (default 3); a TCP worker's welcome tells it both, with the hunger
+	// delay (core.Driver.HungerAfter) and Batch, its results' flush bound.
 	HeartbeatInterval time.Duration
-	// HeartbeatMiss is how many silent intervals declare a member dead
-	// (default 3).
-	HeartbeatMiss int
+	HeartbeatMiss     int
 	// TaskTimeout, MaxAttempts, Batch, Speculate, SpecFloor, Steal, Auto
 	// and CheckInterval (default HeartbeatInterval) are the shared pool's
 	// scheduling configuration: engine.PoolConfig, whose defaults they
@@ -214,16 +215,22 @@ func (f *Fleet[T]) acceptLoop() {
 // admit performs the join handshake on one fresh connection, hands the
 // member to the driver and reads its messages into the driver until the
 // connection fails. A hello names no job: each job's spec is verified by
-// its attach frame instead.
+// its attach frame instead; the welcome tells the member the fleet's terms.
 func (f *Fleet[T]) admit(c net.Conn) {
-	cn, id, err := comm.AcceptHello(c, func(hello comm.Hello) (int, string) {
+	cn, id, err := comm.AcceptHello(c, func(hello comm.Hello) comm.Welcome {
 		if !hello.Fleet {
-			return 0, "this master runs a fleet; join it with an easyhps-worker of the same build"
+			return comm.Welcome{Err: "this master runs a fleet; join it with an easyhps-worker of the same build"}
 		}
 		if f.d.Closed() {
-			return 0, "fleet shut down"
+			return comm.Welcome{Err: "fleet shut down"}
 		}
-		return f.reg.Admit(hello.Name, c.RemoteAddr().String()).ID, ""
+		return comm.Welcome{
+			Member:        f.reg.Admit(hello.Name, c.RemoteAddr().String()).ID,
+			Heartbeat:     f.opts.HeartbeatInterval,
+			HeartbeatMiss: f.opts.HeartbeatMiss,
+			HungerAfter:   f.d.HungerAfter(),
+			Batch:         f.opts.Batch,
+		}
 	})
 	if err != nil {
 		if id != 0 {
@@ -231,9 +238,6 @@ func (f *Fleet[T]) admit(c net.Conn) {
 		}
 		return
 	}
-	bound := time.Duration(f.opts.HeartbeatMiss+1) * f.opts.HeartbeatInterval
-	cn.SetReadIdle(bound)
-	cn.SetWriteTimeout(bound)
 	if f.d.AddMember(id, cn) {
 		f.d.StartSender(id)
 	} else {

@@ -120,11 +120,7 @@ func TestFleetConcurrentJobsWorkerKill(t *testing.T) {
 
 	// Every worker joins through the harness, so the test can sever one
 	// connection mid-run.
-	h := NewHarness(testBuilder, f.Addr(), WorkerOptions{
-		HeartbeatInterval: 50 * time.Millisecond,
-		Run:               core.Config{Threads: 2, Batch: 2},
-		HungerAfter:       30 * time.Millisecond,
-	})
+	h := NewHarness(testBuilder, f.Addr(), WorkerOptions{Run: core.Config{Threads: 2}}, nil)
 	defer h.Close()
 	const victim = 3
 	for i := 0; i <= victim; i++ {
@@ -427,11 +423,7 @@ func TestFleetCheckpointResume(t *testing.T) {
 	wctx, stopWorker := context.WithCancel(context.Background())
 	defer stopWorker()
 	go func() {
-		_ = RunWorker(wctx, testBuilder, WorkerOptions{
-			Addr:              f1.Addr(),
-			HeartbeatInterval: 50 * time.Millisecond,
-			Run:               core.Config{Threads: 2},
-		})
+		_ = RunWorker(wctx, testBuilder, WorkerOptions{Addr: f1.Addr(), Run: core.Config{Threads: 2}})
 	}()
 	r1, err := f1.Run(context.Background(), prob, req)
 	if err != nil {
@@ -462,11 +454,13 @@ func TestFleetCheckpointResume(t *testing.T) {
 	checkMatrix(t, "restored run", r2.Store.Assemble(), want)
 }
 
-// TestRunWorkerRefusesSkew verifies the worker-side attach checks: a
-// corrupted digest and a builder whose problem size diverges from the
-// master's are both refused at attach time, not mid-run.
+// TestRunWorkerRefusesSkew verifies the worker-side checks: a corrupted
+// digest and a builder whose problem size diverges from the master's are
+// both refused at attach time, not mid-run, and a welcome without a
+// heartbeat period — which would leave the worker unable to tell a dead
+// master — at the handshake.
 func TestRunWorkerRefusesSkew(t *testing.T) {
-	serve := func(t *testing.T, meta JobMeta) string {
+	serve := func(t *testing.T, meta JobMeta, beat time.Duration) string {
 		t.Helper()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -478,7 +472,7 @@ func TestRunWorkerRefusesSkew(t *testing.T) {
 			if err != nil {
 				return
 			}
-			cn, _, err := comm.AcceptHello(c, func(comm.Hello) (int, string) { return 1, "" })
+			cn, _, err := comm.AcceptHello(c, func(comm.Hello) comm.Welcome { return comm.Welcome{Member: 1, Heartbeat: beat} })
 			if err != nil {
 				return
 			}
@@ -490,7 +484,7 @@ func TestRunWorkerRefusesSkew(t *testing.T) {
 
 	t.Run("digest", func(t *testing.T) {
 		meta := JobMeta{Job: 1, Name: "edit", Rows: 8, Cols: 8, Digest: "not-the-digest"}
-		addr := serve(t, meta)
+		addr := serve(t, meta, time.Second)
 		err := RunWorker(context.Background(), testBuilder, WorkerOptions{Addr: addr, DialTimeout: 2 * time.Second})
 		if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 			t.Fatalf("RunWorker = %v, want a digest-mismatch refusal", err)
@@ -499,10 +493,17 @@ func TestRunWorkerRefusesSkew(t *testing.T) {
 	t.Run("builder size", func(t *testing.T) {
 		meta := JobMeta{Job: 1, Name: "edit", Rows: 3, Cols: 3, Proc: dag.Size{Rows: 1, Cols: 1}}
 		meta.Digest = meta.digest()
-		addr := serve(t, meta)
+		addr := serve(t, meta, time.Second)
 		err := RunWorker(context.Background(), testBuilder, WorkerOptions{Addr: addr, DialTimeout: 2 * time.Second})
 		if err == nil || !strings.Contains(err.Error(), "builder/registry skew") {
 			t.Fatalf("RunWorker = %v, want a builder/registry-skew refusal", err)
+		}
+	})
+	t.Run("beatless welcome", func(t *testing.T) {
+		addr := serve(t, JobMeta{Job: 1, Name: "edit"}, 0)
+		err := RunWorker(context.Background(), testBuilder, WorkerOptions{Addr: addr, DialTimeout: 2 * time.Second})
+		if err == nil || !strings.Contains(err.Error(), "heartbeat period 0s, want a positive one") {
+			t.Fatalf("RunWorker = %v, want a refusal of the beatless welcome", err)
 		}
 	})
 }

@@ -19,6 +19,7 @@ type Harness[T any] struct {
 	build  Builder[T]
 	master string
 	opts   WorkerOptions
+	delay  func() time.Duration
 
 	mu      sync.Mutex
 	workers []*harnessWorker
@@ -34,11 +35,11 @@ type harnessWorker struct {
 }
 
 // NewHarness prepares a harness whose workers attach jobs through build
-// and serve the fleet at masterAddr. opts is the per-worker template;
-// Addr and Name are overridden per worker, and each worker's TaskDelay is
-// the template's plus what Slow adds.
-func NewHarness[T any](build Builder[T], masterAddr string, opts WorkerOptions) *Harness[T] {
-	return &Harness[T]{build: build, master: masterAddr, opts: opts}
+// and serve the fleet at masterAddr. opts is the per-worker template, Addr
+// and Name overridden per worker; each task waits delay() (none when nil)
+// plus what Slow adds before it computes.
+func NewHarness[T any](build Builder[T], masterAddr string, opts WorkerOptions, delay func() time.Duration) *Harness[T] {
+	return &Harness[T]{build: build, master: masterAddr, opts: opts, delay: delay}
 }
 
 // Add starts one worker (joining through a fresh proxy) and returns its
@@ -59,11 +60,10 @@ func (h *Harness[T]) Add(ctx context.Context) (int, error) {
 	opts := h.opts
 	opts.Addr = px.addr()
 	opts.Name = fmt.Sprintf("harness-%d", idx)
-	base := opts.TaskDelay
-	opts.TaskDelay = func() time.Duration {
+	opts.taskDelay = func() time.Duration {
 		d := time.Duration(w.slow.Load())
-		if base != nil {
-			d += base()
+		if h.delay != nil {
+			d += h.delay()
 		}
 		return d
 	}

@@ -76,7 +76,7 @@ func TestRetiredJobHoldsNoBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	h := NewHarness(testBuilder, f.Addr(), WorkerOptions{HeartbeatInterval: 50 * time.Millisecond, Run: core.Config{Threads: 1}})
+	h := NewHarness(testBuilder, f.Addr(), WorkerOptions{Run: core.Config{Threads: 1}}, nil)
 	defer h.Close()
 	if _, err := h.Add(context.Background()); err != nil {
 		t.Fatal(err)

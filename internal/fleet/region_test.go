@@ -83,8 +83,7 @@ func regionFleet[T any](t *testing.T, problem func(regionSpec) (core.Problem[T],
 		go func(w int) {
 			defer wwg.Done()
 			_ = RunWorker(wctx, build, WorkerOptions{
-				Addr: f.Addr(), Name: fmt.Sprintf("w%d", w),
-				HeartbeatInterval: 50 * time.Millisecond, Run: core.Config{Threads: 1},
+				Addr: f.Addr(), Name: fmt.Sprintf("w%d", w), Run: core.Config{Threads: 1},
 			})
 		}(w)
 	}

@@ -10,42 +10,22 @@ import (
 	"repro/internal/core"
 )
 
-// WorkerOptions configures one fleet worker process (RunWorker).
+// WorkerOptions configures one fleet worker process (RunWorker); its
+// timing and its results' flush bound are the fleet's, told in the welcome.
 type WorkerOptions struct {
 	// Addr is the fleet master's address.
 	Addr string
 	// Name labels this member in the fleet's logs and metrics.
 	Name string
-	// HeartbeatInterval is the beacon period; must match (or undercut)
-	// the fleet's (default 250 ms).
-	HeartbeatInterval time.Duration
-	// HeartbeatMiss sizes the worker-side read-idle bound (default 3).
-	HeartbeatMiss int
 	// DialTimeout bounds dialing plus handshake (default 10 s).
 	DialTimeout time.Duration
-	// Run is the worker's compute configuration (Threads, the Batch flush
-	// bound, the thread level's timeouts); partitions are the jobs'.
+	// Run is the worker's compute configuration, read by its thread level:
+	// Threads, Policy, MaxAttempts and the ThreadPartition of a job whose
+	// attach frame names none. The processor partition is each job's, and
+	// Batch and the processor level's timeouts are the master's.
 	Run core.Config
-	// TaskDelay, when non-nil, is consulted before each task executes;
-	// the fault-injection hook for slowing a member down.
-	TaskDelay func() time.Duration
-	// HungerAfter, when positive, announces hunger after this long
-	// without a task arriving (the fleet acts only when its Steal
-	// option is on). Zero disables.
-	HungerAfter time.Duration
-}
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if o.HeartbeatMiss < 1 {
-		o.HeartbeatMiss = 3
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
-	return o
+	taskDelay func() time.Duration // when non-nil, waited before each task: the fault harness's seam
 }
 
 // Builder turns an attach frame's JobMeta back into the job's Problem —
@@ -64,27 +44,30 @@ type Builder[T any] func(meta JobMeta) (core.Problem[T], error)
 // beacons, is core's Worker; any failure, a computation's included, which
 // the fleet's revocation reassigns, ends the member.
 func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions) error {
-	opts = opts.withDefaults()
 	if build == nil {
 		return fmt.Errorf("fleet: RunWorker needs a job builder")
+	}
+	if opts.DialTimeout <= 0 {
+		opts.DialTimeout = 10 * time.Second
 	}
 	cn, welcome, err := comm.DialHello(opts.Addr, comm.Hello{Fleet: true, Name: opts.Name}, opts.DialTimeout)
 	if err != nil {
 		return err
 	}
-	idle := time.Duration(opts.HeartbeatMiss+1) * opts.HeartbeatInterval
-	cn.SetReadIdle(idle)
-	cn.SetWriteTimeout(idle)
+	if welcome.Heartbeat <= 0 {
+		cn.Close() // beatless, this member could never tell a dead master
+		return fmt.Errorf("fleet: member %d: welcome carries heartbeat period %v, want a positive one", welcome.Member, welcome.Heartbeat)
+	}
 	w := core.Worker[T]{
 		Link:        cn,
-		Batch:       opts.Run.Batch,
 		Attach:      func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) },
-		Beat:        opts.HeartbeatInterval,
-		HungerAfter: opts.HungerAfter,
+		Batch:       welcome.Batch,
+		Beat:        welcome.Heartbeat,
+		HungerAfter: welcome.HungerAfter,
 	}
-	if opts.TaskDelay != nil {
+	if opts.taskDelay != nil {
 		w.Before = func(int32) error {
-			time.Sleep(opts.TaskDelay())
+			time.Sleep(opts.taskDelay())
 			return nil
 		}
 	}

@@ -40,24 +40,16 @@ func startFleetService(t *testing.T, opts fleet.Options, cfg server.ManagerConfi
 	return fl, mgr, newTestClient(ts.URL, ts.Client())
 }
 
-// startFleetWorker joins one registry-driven worker to the fleet and
-// tears it down with the test.
-func startFleetWorker(t *testing.T, addr, name string, delay time.Duration) {
+// startFleetWorker joins one registry-driven worker to the fleet, its
+// kernels slowed by perCell a cell, and tears it down with the test.
+func startFleetWorker(t *testing.T, addr, name string, perCell time.Duration) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		opts := fleet.WorkerOptions{
-			Addr:              addr,
-			Name:              name,
-			HeartbeatInterval: 50 * time.Millisecond,
-			Run:               core.Config{Threads: 2, Batch: 2},
-		}
-		if delay > 0 {
-			opts.TaskDelay = func() time.Duration { return delay }
-		}
-		_ = fleet.RunWorker(ctx, server.RegistryBuilder(server.NewRegistry()), opts)
+		opts := fleet.WorkerOptions{Addr: addr, Name: name, Run: core.Config{Threads: 2}}
+		_ = fleet.RunWorker(ctx, server.RegistryBuilder(server.NewSlowRegistry(perCell)), opts)
 	}()
 	t.Cleanup(func() {
 		cancel()
@@ -105,8 +97,9 @@ func TestFleetServiceInterleavesJobs(t *testing.T) {
 		t.Fatalf("submit nussinov: %v", err)
 	}
 
-	startFleetWorker(t, fl.Addr(), "w0", time.Millisecond)
-	startFleetWorker(t, fl.Addr(), "w1", time.Millisecond)
+	// About 1 ms an 8×8 block, so the two jobs overlap on the workers.
+	startFleetWorker(t, fl.Addr(), "w0", 16*time.Microsecond)
+	startFleetWorker(t, fl.Addr(), "w1", 16*time.Microsecond)
 
 	var wg sync.WaitGroup
 	for _, id := range []string{ed.ID, nu.ID} {

@@ -92,7 +92,7 @@ go test -race ./...
 # wait are the most schedule-sensitive code in the repo; run them a second
 # time under -race with caching off so a lucky first pass cannot hide a
 # flaky membership, lease, or attempt-arbitration race.
-go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP' ./internal/fleet/
+go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP|TestWorkerTakesFleet' ./internal/fleet/
 go test -race -count=1 -run 'TestRegistryWaitLive' ./internal/core/
 # The fleet's own suite — concurrent DAGs with a mid-run worker kill, the
 # white-box arbitration tests (duplicate-result idempotence, fake-clock
@@ -219,12 +219,12 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6748 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6747 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
 # must not arrive unnoticed.
-check_lines 1221 internal/comm
+check_lines 1203 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
 # store must not arrive unnoticed. And a view reads one way down a column,
 # matrix.View.Band — a column run is a band of width one — and writes one
@@ -323,6 +323,24 @@ if [ -n "$watch" ]; then
     exit 1
 fi
 echo "calls: no thread-level timeout, stall, requeue count, overdue pass or timer in core, no second view mode in matrix"
+
+# And a fleet worker is told its terms, not configured: the welcome carries
+# the fleet's heartbeat period, its miss count, the hunger delay
+# (core.Driver.HungerAfter, the one hunger rule) and the batch its results
+# flush by. So fleet.WorkerOptions holds no HeartbeatInterval,
+# HeartbeatMiss, HungerAfter or TaskDelay (the fault harness's delay is an
+# unexported field), and easyhps-worker declares no -hb, -hb-miss, -steal
+# or -batch flag. A worker restating a master's decision must not return
+# unnoticed.
+told=$( (awk '/^type WorkerOptions struct/,/^}/ { print FILENAME ":" FNR ":" $0 }' \
+        $(ls internal/fleet/*.go | grep -v '_test\.go$') | grep -E 'HeartbeatInterval|HeartbeatMiss|HungerAfter|TaskDelay'
+    grep -nE 'flag\.[A-Za-z]+\("(hb|hb-miss|steal|batch)"' cmd/easyhps-worker/*.go /dev/null) || true)
+if [ -n "$told" ]; then
+    echo "calls: a fleet worker takes its terms from the welcome:" >&2
+    echo "$told" >&2
+    exit 1
+fi
+echo "calls: no timing option on a fleet worker, no easyhps-worker timing or batch flag"
 
 # And the worker is one loop, as the master is one driver: core.Worker.Serve
 # is the one non-test caller of comm.ServeTasks, and TaskRunner.Run the one
