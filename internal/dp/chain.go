@@ -105,11 +105,7 @@ func (m *MatrixChain) Problem() core.Problem[int64] {
 // Sequential is the reference implementation.
 func (m *MatrixChain) Sequential() [][]int64 {
 	n := len(m.Dims) - 1
-	d := make([][]int64, n)
-	backing := make([]int64, n*n)
-	for i := range d {
-		d[i], backing = backing[:n], backing[n:]
-	}
+	d := grid[int64](n, n)
 	for span := 1; span < n; span++ {
 		for i := 0; i+span < n; i++ {
 			j := i + span
@@ -202,11 +198,7 @@ func (k *Knapsack) Problem() core.Problem[int32] {
 // Sequential is the reference implementation.
 func (k *Knapsack) Sequential() [][]int32 {
 	rows, cols := len(k.Weights), k.Capacity+1
-	d := make([][]int32, rows)
-	backing := make([]int32, rows*cols)
-	for i := range d {
-		d[i], backing = backing[:cols], backing[cols:]
-	}
+	d := grid[int32](rows, cols)
 	get := func(i, w int) int32 {
 		if w < 0 {
 			return -1 << 30
@@ -307,11 +299,7 @@ func (d *Dominance43) Problem() core.Problem[int32] {
 // Sequential is the reference implementation.
 func (d *Dominance43) Sequential() [][]int32 {
 	n := d.N
-	m := make([][]int32, n)
-	backing := make([]int32, n*n)
-	for i := range m {
-		m[i], backing = backing[:n], backing[n:]
-	}
+	m := grid[int32](n, n)
 	get := func(i, j int) int32 {
 		if i < 0 || j < 0 {
 			return 0

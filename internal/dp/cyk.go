@@ -165,11 +165,7 @@ func (c *CYK) Problem() core.Problem[uint64] {
 // Sequential is the reference implementation.
 func (c *CYK) Sequential() [][]uint64 {
 	n := len(c.Input)
-	m := make([][]uint64, n)
-	backing := make([]uint64, n*n)
-	for i := range m {
-		m[i], backing = backing[:n], backing[n:]
-	}
+	m := grid[uint64](n, n)
 	for i := 0; i < n; i++ {
 		m[i][i] = c.Grammar.Terminals[c.Input[i]]
 	}

@@ -77,11 +77,7 @@ func (e *EditDistance) Problem() core.Problem[int32] {
 // Sequential is the reference implementation.
 func (e *EditDistance) Sequential() [][]int32 {
 	la, lb := len(e.A), len(e.B)
-	d := make([][]int32, la)
-	backing := make([]int32, la*lb)
-	for i := range d {
-		d[i], backing = backing[:lb], backing[lb:]
-	}
+	d := grid[int32](la, lb)
 	get := func(i, j int) int32 {
 		if i < 0 || j < 0 {
 			return e.Boundary(i, j)
@@ -169,11 +165,7 @@ func (l *LCS) Problem() core.Problem[int32] {
 // Sequential is the reference implementation.
 func (l *LCS) Sequential() [][]int32 {
 	la, lb := len(l.A), len(l.B)
-	d := make([][]int32, la)
-	backing := make([]int32, la*lb)
-	for i := range d {
-		d[i], backing = backing[:lb], backing[lb:]
-	}
+	d := grid[int32](la, lb)
 	get := func(i, j int) int32 {
 		if i < 0 || j < 0 {
 			return 0

@@ -96,11 +96,7 @@ func (nw *NeedlemanWunsch) Problem() core.Problem[int32] {
 // Sequential is the reference implementation.
 func (nw *NeedlemanWunsch) Sequential() [][]int32 {
 	la, lb := len(nw.A), len(nw.B)
-	d := make([][]int32, la)
-	backing := make([]int32, la*lb)
-	for i := range d {
-		d[i], backing = backing[:lb], backing[lb:]
-	}
+	d := grid[int32](la, lb)
 	get := func(i, j int) int32 {
 		if i < 0 || j < 0 {
 			return nw.Boundary(i, j)

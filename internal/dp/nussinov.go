@@ -112,31 +112,6 @@ func (nu *Nussinov) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	}
 }
 
-// maxPlus offers left[x] + cells[x*stride+t] to each out[t]: split point x
-// pairs a cell to the left with row x of a band. Four split points share a
-// pass over out.
-func maxPlus(out, left, cells []int32, stride int) {
-	w, x := len(out), 0
-	for ; x+4 <= len(left); x += 4 {
-		l := left[x : x+4]
-		h0, h1 := cells[x*stride:][:w], cells[(x+1)*stride:][:w]
-		h2, h3 := cells[(x+2)*stride:][:w], cells[(x+3)*stride:][:w]
-		for t := range out {
-			if c := max(l[0]+h0[t], l[1]+h1[t], l[2]+h2[t], l[3]+h3[t]); c > out[t] {
-				out[t] = c
-			}
-		}
-	}
-	for ; x < len(left); x++ {
-		l := left[x]
-		for t, h := range cells[x*stride:][:w] {
-			if c := l + h; c > out[t] {
-				out[t] = c
-			}
-		}
-	}
-}
-
 // Problem wraps the folder for the runtime.
 func (nu *Nussinov) Problem() core.Problem[int32] {
 	return core.Problem[int32]{
@@ -151,11 +126,7 @@ func (nu *Nussinov) Problem() core.Problem[int32] {
 // — the reference implementation.
 func (nu *Nussinov) Sequential() [][]int32 {
 	n := len(nu.S)
-	f := make([][]int32, n)
-	backing := make([]int32, n*n)
-	for i := range f {
-		f[i], backing = backing[:n], backing[n:]
-	}
+	f := grid[int32](n, n)
 	for span := 1; span < n; span++ {
 		for i := 0; i+span < n; i++ {
 			j := i + span

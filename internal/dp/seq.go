@@ -45,3 +45,13 @@ func MutateSeq(s []byte, alphabet string, rate float64, seed int64) []byte {
 	}
 	return out
 }
+
+// grid returns a rows x cols matrix over one backing array: the table a
+// sequential reference fills.
+func grid[T any](rows, cols int) [][]T {
+	g, backing := make([][]T, rows), make([]T, rows*cols)
+	for i := range g {
+		g[i], backing = backing[:cols], backing[cols:]
+	}
+	return g
+}

@@ -61,93 +61,52 @@ func (s *SWGG) CellCost(i, j int) float64 {
 func (s *SWGG) Boundary(i, j int) int32 { return 0 }
 
 // Row implements core.Kernel. Every cell weighs the candidates of
-// Sequential(), one by one, but the scans are turned so that the inner
-// loops read contiguous rows: the column above is swept a source row at a
-// time across the whole segment, four rows to a pass; the row to the left
-// is read once per four cells of the segment, whose gaps differ by GapExt;
-// then the cells are finalized left to right, each with its diagonal and
-// the cells of the segment before it.
+// Sequential(), one by one, each through maxPlus: the column above is swept
+// a source row at a time across the whole segment, row r offered with the
+// gap it closes, -w(i-r); each cell to the left in the row is offered over
+// the ramp row -t*GapExt of the segment; then the cells are finalized left
+// to right, each with its diagonal, and each offered over the same ramp to
+// the cells after it.
 func (s *SWGG) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	clear(out) // local alignment restarts at 0
+	var left, ramp [sweep]int32
+	for t := range ramp[:min(len(out), sweep)] {
+		ramp[t] = -int32(t) * s.GapExt
+	}
 	above := newRows(v, j0, len(out), i)
 	var last []int32 // row i-1 of the segment: the diagonals
 	for r := 0; r < i; {
 		cells, stride, m := above.band(r)
-		s.columnGaps(out, cells, stride, m, s.gap(i-r))
-		last = cells[(m-1)*stride:][:len(out)]
-		r += m
+		l := left[:min(m, sweep)]
+		for x := range l {
+			l[x] = -s.gap(i - r - x)
+		}
+		maxPlus(out, l, cells, stride)
+		last = cells[(len(l)-1)*stride:][:len(out)]
+		r += len(l)
 	}
 	var one [1]int32
 	for c := 0; c < j0; {
-		run := rowRun(v, i, c, j0-c, &one)
-		s.rowGaps(out, run, s.gap(j0-c))
+		run := rowRun(v, i, c, min(j0-c, sweep), &one)
+		for u := 0; u < len(out); u += sweep {
+			l := left[:len(run)]
+			for x := range l {
+				l[x] = run[x] - s.gap(j0+u-c-x)
+			}
+			maxPlus(out[u:min(u+sweep, len(out))], l, ramp[:], 0)
+		}
 		c += len(run)
 	}
-	diag := v.Get(i-1, j0-1)
+	diag := v.Get(i-1, j0-1) // in row 0 every diagonal is the boundary's 0
 	for t := range out {
-		best := max(out[t], diag+s.score(i, j0+t))
-		g := s.gap(t)
-		for _, h := range out[:t] {
-			best = max(best, h-g)
-			g -= s.GapExt
+		out[t] = max(out[t], diag+s.score(i, j0+t))
+		for u := t + 1; u < len(out); u += sweep {
+			left[0] = out[t] - s.gap(u-t)
+			maxPlus(out[u:min(u+sweep, len(out))], left[:1], ramp[:], 0)
 		}
-		out[t] = best
 		if last != nil {
 			diag = last[t]
-		} else {
-			diag = v.Get(i-1, j0+t)
 		}
-	}
-}
-
-// columnGaps offers each out[t] the m cells above it in rows x of a band,
-// row x closing a gap weighing g - x*GapExt.
-func (s *SWGG) columnGaps(out, cells []int32, stride, m int, g int32) {
-	ext, w, x := s.GapExt, len(out), 0
-	for ; x+4 <= m; x += 4 {
-		h0, h1 := cells[x*stride:][:w], cells[(x+1)*stride:][:w]
-		h2, h3 := cells[(x+2)*stride:][:w], cells[(x+3)*stride:][:w]
-		g1, g2, g3 := g-ext, g-2*ext, g-3*ext
-		for t, h := range h0 {
-			if c := max(h-g, h1[t]-g1, h2[t]-g2, h3[t]-g3); c > out[t] {
-				out[t] = c
-			}
-		}
-		g -= 4 * ext
-	}
-	for ; x < m; x++ {
-		for t, h := range cells[x*stride:][:w] {
-			if c := h - g; c > out[t] {
-				out[t] = c
-			}
-		}
-		g -= ext
-	}
-}
-
-// rowGaps offers each out[t] the cells of run, to its left in the same row:
-// cell x closes a gap weighing g - x*GapExt + t*GapExt. Four cells of out
-// share each read of run.
-func (s *SWGG) rowGaps(out, run []int32, g int32) {
-	ext, t := s.GapExt, 0
-	for ; t+4 <= len(out); t += 4 {
-		o := out[t : t+4]
-		a0, a1, a2, a3 := o[0], o[1], o[2], o[3]
-		w := g + int32(t)*ext
-		for _, h := range run {
-			y := h - w
-			a0, a1, a2, a3 = max(a0, y), max(a1, y-ext), max(a2, y-2*ext), max(a3, y-3*ext)
-			w -= ext
-		}
-		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
-	}
-	for ; t < len(out); t++ {
-		a, w := out[t], g+int32(t)*ext
-		for _, h := range run {
-			a = max(a, h-w)
-			w -= ext
-		}
-		out[t] = a
 	}
 }
 
@@ -165,11 +124,7 @@ func (s *SWGG) Problem() core.Problem[int32] {
 // reference implementation for correctness checks and speedup baselines.
 func (s *SWGG) Sequential() [][]int32 {
 	la, lb := len(s.A), len(s.B)
-	h := make([][]int32, la)
-	backing := make([]int32, la*lb)
-	for i := range h {
-		h[i], backing = backing[:lb], backing[lb:]
-	}
+	h := grid[int32](la, lb)
 	get := func(i, j int) int32 {
 		if i < 0 || j < 0 {
 			return 0

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -97,10 +98,7 @@ func expandPatterns(base string, patterns []string) ([]string, error) {
 		recursive := false
 		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
 			recursive = true
-			pat = rest
-			if pat == "" || pat == "." {
-				pat = "."
-			}
+			pat = cmp.Or(rest, ".")
 		}
 		d := pat
 		if !filepath.IsAbs(d) {
@@ -246,7 +244,8 @@ func (ld *loader) loadDir(dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		ok, err := build.Default.MatchFile(dir, name) // false for another platform's or a race build's file
+		if e.IsDir() || (!ok && err == nil) || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)

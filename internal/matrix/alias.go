@@ -11,8 +11,9 @@ import (
 // On a little-endian host a BinaryCodec block's cells are, byte for byte,
 // their wire encoding. This file, the package's one use of unsafe, makes
 // the payload path use that: a decoded record's cells alias the payload
-// they arrived in, and NewPayloadBlock's cells are the payload they ship
-// as. Every conversion is checked by checkptr under go test -race.
+// they arrived in, NewPayloadBlock's cells are the payload they ship as,
+// and BinaryCodec copies cells to and from bytes in one piece (memOf).
+// Every conversion is checked by checkptr under go test -race.
 //
 // The rule that makes it sound: a payload, and every block decoded from it
 // or living in it once it has shipped, is read-only. A decoded block keeps
@@ -29,10 +30,7 @@ const leadPad = 4
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // rawCodec is implemented by BinaryCodec alone: little-endian fixed-size
-// numbers, each the memory of its Go value on a little-endian host. It is
-// an interface, not a type switch over BinaryCodec's six instantiations:
-// naming them here made go1.24 compile their codec loops with putU32 and
-// getU32 as calls, at half the speed.
+// numbers, each the memory of its Go value on a little-endian host.
 type rawCodec interface{ raw() }
 
 func (BinaryCodec[T]) raw() {}
@@ -44,6 +42,13 @@ func rawSize[T any](c Codec[T]) int {
 		return 0
 	}
 	return c.CellSize()
+}
+
+// memOf returns the memory of cells as bytes: their BinaryCodec encoding
+// on a little-endian host.
+func memOf[T any](cells []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(cells))), len(cells)*int(unsafe.Sizeof(zero)))
 }
 
 // newPayload returns an empty payload of capacity size, leadPad bytes into

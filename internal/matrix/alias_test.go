@@ -190,3 +190,15 @@ func TestEncodeReturnsOwnPayload(t *testing.T) {
 		t.Fatalf("a block with a reassigned rect encodes to %x, want %x", p, fresh(shifted))
 	}
 }
+
+// A big-endian host turns its cells' memory into their encoding, and back,
+// by reversing the bytes of each cell.
+func TestSwapCellsReversesEachCell(t *testing.T) {
+	b := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	if swapCells(b, 4); !bytes.Equal(b, []byte{4, 3, 2, 1, 8, 7, 6, 5}) {
+		t.Fatalf("4-byte cells swapped to %v", b)
+	}
+	if swapCells(b, 8); !bytes.Equal(b, []byte{5, 6, 7, 8, 1, 2, 3, 4}) {
+		t.Fatalf("8-byte cells swapped to %v", b)
+	}
+}

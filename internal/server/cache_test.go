@@ -120,12 +120,12 @@ func TestResubmitAfterDoneHitsCache(t *testing.T) {
 	const specs = 8
 	for seed := int64(1); seed <= specs; seed++ {
 		spec := server.JobSpec{Kernel: "editdist", N: 24, Seed: seed}
-		first, err := mgr.Submit(spec)
+		first, _, err := mgr.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-first.Done()
-		again, err := mgr.Submit(spec)
+		again, _, err := mgr.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestRunCacheDirWarmsService(t *testing.T) {
 	mgr := server.NewManager(server.ManagerConfig{Run: run, Cache: store, Fleet: fl}, nil)
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
 
-	j, err := mgr.Submit(job)
+	j, _, err := mgr.Submit(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestServiceCacheWithinBudget(t *testing.T) {
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
 	run := func(seed int64) *server.JobResult {
 		t.Helper()
-		j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 24, Seed: seed})
+		j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 24, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +437,7 @@ func TestParentJobFileAnswersAfterRestart(t *testing.T) {
 		}
 		mgr := server.NewManager(server.ManagerConfig{Run: fastRun(), Cache: store}, nil)
 		defer func() { _ = mgr.Shutdown(context.Background()) }()
-		j, err := mgr.Submit(spec)
+		j, _, err := mgr.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

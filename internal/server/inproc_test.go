@@ -59,16 +59,16 @@ func TestInProcessPriorityDispatchedFirst(t *testing.T) {
 	}, NewSlowRegistry(100*time.Microsecond))
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
 
-	first, err := mgr.Submit(JobSpec{Kernel: "editdist", N: 16, Seed: 1})
+	first, _, err := mgr.Submit(JobSpec{Kernel: "editdist", N: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-held
-	low, err := mgr.Submit(JobSpec{Kernel: "editdist", N: 32, Seed: 2})
+	low, _, err := mgr.Submit(JobSpec{Kernel: "editdist", N: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := mgr.Submit(JobSpec{Kernel: "lcs", N: 48, Seed: 3, Priority: 1})
+	high, _, err := mgr.Submit(JobSpec{Kernel: "lcs", N: 48, Seed: 3, Priority: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestInProcessGoroutinesConstant(t *testing.T) {
 	run := func(n int) {
 		for range n {
 			seed++
-			j, err := mgr.Submit(JobSpec{Kernel: "editdist", N: 24, Seed: seed})
+			j, _, err := mgr.Submit(JobSpec{Kernel: "editdist", N: 24, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestInProcessExactCounters(t *testing.T) {
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
 	var first RunStats
 	for i := range 3 {
-		j, err := mgr.Submit(JobSpec{Kernel: "swgg", N: 32, Seed: 5})
+		j, _, err := mgr.Submit(JobSpec{Kernel: "swgg", N: 32, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,6 +113,10 @@ type Progress struct {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:     j.ID,
 		Kernel: j.Spec.Kernel,
@@ -344,17 +348,20 @@ func (m *Manager) RetryAfter() time.Duration { return m.cfg.RetryAfter }
 // ErrShuttingDown after Shutdown began. A spec whose result is already in
 // the whole-job cache returns a finished job immediately; a spec identical
 // to one already in flight is coalesced onto it (single-flight) and shares
-// its outcome without consuming queue space or a run slot.
-func (m *Manager) Submit(spec JobSpec) (*Job, error) {
+// its outcome without consuming queue space or a run slot. The status it
+// returns is the job's as it was admitted, taken before a run slot could
+// see the job: the 202 reply, so a fresh job answers queued however soon
+// it starts.
+func (m *Manager) Submit(spec JobSpec) (*Job, JobStatus, error) {
 	problem, finish, err := m.reg.Build(spec, m.cfg.MaxCells)
 	if err != nil {
-		return nil, err
+		return nil, JobStatus{}, err
 	}
 
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
-		return nil, ErrShuttingDown
+		return nil, JobStatus{}, ErrShuttingDown
 	}
 	m.seq++
 	j := &Job{
@@ -379,11 +386,12 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 				result.Cached = true
 				j.result = &result
 				j.settleLocked(StateDone, time.Now()) // j is not published yet
+				st := j.statusLocked()
 				m.jobs[j.ID] = j
 				m.mu.Unlock()
 				m.metrics.submitted.Add(1)
 				m.metrics.observeFinal(StateDone, 0)
-				return j, nil
+				return j, st, nil
 			}
 		}
 	}
@@ -391,13 +399,14 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	// Single-flight: an identical submission already in flight absorbs
 	// this one as a follower; the leader's settlement resolves it. This
 	// dedup works with the cache disabled too.
+	st := j.statusLocked() // queued, and j is not published yet
 	if fl := m.flights[j.digest]; fl != nil {
 		fl.followers = append(fl.followers, j)
 		m.jobs[j.ID] = j
 		m.mu.Unlock()
 		m.metrics.submitted.Add(1)
 		m.metrics.coalesced.Add(1)
-		return j, nil
+		return j, st, nil
 	}
 
 	// Reserve the queue spot before publishing the flight, all under one
@@ -411,13 +420,13 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		// simply never visible.
 		m.mu.Unlock()
 		m.metrics.rejected.Add(1)
-		return nil, ErrBusy
+		return nil, JobStatus{}, ErrBusy
 	}
 	m.flights[j.digest] = &flight{leader: j}
 	m.jobs[j.ID] = j
 	m.mu.Unlock()
 	m.metrics.submitted.Add(1)
-	return j, nil
+	return j, st, nil
 }
 
 // Get returns a job by id.

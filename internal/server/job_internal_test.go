@@ -53,7 +53,7 @@ func TestFinishedJobsDropInputs(t *testing.T) {
 	defer func() { _ = mgr.Shutdown(context.Background()) }()
 
 	spec := JobSpec{Kernel: "editdist", N: 48, Seed: 3}
-	leader, err := mgr.Submit(spec)
+	leader, _, err := mgr.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestFinishedJobsDropInputs(t *testing.T) {
 	case <-timeout.C:
 		t.Fatal("leader never started")
 	}
-	follower, err := mgr.Submit(spec)
+	follower, _, err := mgr.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := mgr.Submit(JobSpec{Kernel: "lcs", N: 32, Seed: 3})
+	queued, _, err := mgr.Submit(JobSpec{Kernel: "lcs", N: 32, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFinishedJobsDropInputs(t *testing.T) {
 	release()
 	<-leader.Done()
 	<-follower.Done()
-	hit, err := mgr.Submit(spec)
+	hit, _, err := mgr.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,9 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	// The reply is a snapshot taken after the job was handed to a run slot:
-	// on a loaded host it can already read running.
-	if st.ID == "" || (st.State != server.StateQueued && st.State != server.StateRunning) {
+	// The reply is the snapshot Submit took before the job was queued, so
+	// it reads queued however soon a run slot takes the job.
+	if st.ID == "" || st.State != server.StateQueued {
 		t.Fatalf("unexpected initial status %+v", st)
 	}
 
@@ -518,14 +518,14 @@ func TestWeightWithoutFiniteShareRefused(t *testing.T) {
 	// A Go caller can pass what JSON cannot carry; the job's spec travels
 	// to its workers as JSON, so a non-finite weight is refused too.
 	for _, w := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		if _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting", Weight: w}); err == nil {
+		if _, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting", Weight: w}); err == nil {
 			t.Errorf("weight %g admitted", w)
 		}
 	}
 	if n := len(mgr.List()); n != 0 {
 		t.Fatalf("refused weights admitted %d jobs", n)
 	}
-	st, err := mgr.Submit(server.JobSpec{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting", Weight: 1e-300})
+	st, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", SeqA: "kitten", SeqB: "sitting", Weight: 1e-300})
 	if err != nil {
 		t.Fatalf("a small weight with a finite share was refused: %v", err)
 	}
@@ -557,7 +557,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if s := final.Status().State; !s.Terminal() {
 		t.Fatalf("job state after shutdown %s, want terminal", s)
 	}
-	if _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 16}); !errors.Is(err, server.ErrShuttingDown) {
+	if _, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 16}); !errors.Is(err, server.ErrShuttingDown) {
 		t.Fatalf("submit after shutdown returned %v, want ErrShuttingDown", err)
 	}
 }

@@ -42,7 +42,7 @@ func TestMetricsTuneSeries(t *testing.T) {
 	// Sixteen blocks of about 16ms each span many ticks. Their runtimes
 	// are uniform, so once eight have finished and warmed the profile, each
 	// tick relaxes the speculation thresholds a step.
-	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 16, Seed: 1})
+	j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

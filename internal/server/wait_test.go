@@ -121,7 +121,7 @@ func TestStatusHoldReleasedByCompletion(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
 	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
-	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
+	j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestStatusHoldReleasedByCompletion(t *testing.T) {
 func TestStatusHoldReleasedByCancel(t *testing.T) {
 	run, started := signalledSlowRun()
 	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, slowKernels())
-	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 64, Seed: 1})
+	j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestStatusHoldPassesNonTerminal(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
 	mgr, ts, _, released := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
-	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
+	j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestStatusHoldReleasedByDisconnect(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
 	mgr, ts, held, released := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
-	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
+	j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestStatusHoldReleasedByDisconnect(t *testing.T) {
 func TestStatusHoldReleasedByDrain(t *testing.T) {
 	run, started := signalledSlowRun()
 	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, slowKernels())
-	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 64, Seed: 1})
+	j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestStatusWaitParameter(t *testing.T) {
 	run, started, release := gatedRun()
 	defer release()
 	mgr, ts, held, _ := holdService(t, server.ManagerConfig{Run: run, MaxConcurrent: 1, QueueDepth: 2}, nil)
-	j, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
+	j, _, err := mgr.Submit(server.JobSpec{Kernel: "editdist", N: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

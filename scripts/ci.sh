@@ -73,6 +73,10 @@ if [ -n "$atomics" ]; then
 fi
 
 go vet ./...
+# The 2D/1D kernels' max-plus sweep has an amd64 assembly body (go vet's
+# asmdecl checks it against its Go declaration above); the portable body
+# must keep building where there is none.
+GOARCH=arm64 go vet ./internal/dp/
 # Project-specific invariants go vet cannot see, six rules: ctx-select
 # (blocking channel ops with a ctx in scope select on ctx.Done()),
 # timer-leak (no time.After in a loop, no time.Tick), naked-background (no
@@ -159,7 +163,14 @@ go run ./examples/customdag
 # set; raise them when coverage improves, never lower them.
 check_cover() {
     pkg=$1 min=$2
-    pct=$(go test -short -cover "./$pkg/" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
+    # A failing test fails the stage with its output, not as a coverage
+    # that could not be read off it.
+    if ! out=$(go test -short -cover "./$pkg/" 2>&1); then
+        echo "$out" >&2
+        echo "coverage: the tests of $pkg failed" >&2
+        exit 1
+    fi
+    pct=$(printf '%s\n' "$out" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
     if [ -z "$pct" ]; then
         echo "coverage: could not measure $pkg" >&2
         exit 1
@@ -229,7 +240,7 @@ check_lines 1203 internal/comm
 # store must not arrive unnoticed. And a view reads one way down a column,
 # matrix.View.Band — a column run is a band of width one — and writes one
 # way, into the out slice a kernel's Row is handed (View.Set is gone).
-check_lines 1112 internal/matrix
+check_lines 1038 internal/matrix
 
 # And the 2D/1D kernels sweep source rows across a row segment (their Row,
 # over View.Band) instead of walking a column per cell: no non-test Go
@@ -262,12 +273,25 @@ if [ -n "$entries" ]; then
     exit 1
 fi
 echo "calls: no RowKernel, cellRows, Cell-from-Row wrapper or View.Set in non-test Go"
-check_lines 1579 internal/dp
+check_lines 1573 internal/dp
+
+# And every 2D/1D scan of SWGG and Nussinov is the one max-plus sweep,
+# dp.maxPlus, with its vector body: no non-test Go names SWGG's deleted
+# scalar gap scans. A second cell loop beside the sweep must not return
+# unnoticed.
+gapscans=$(grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])(columnGaps|rowGaps)([^A-Za-z0-9_]|$)' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$gapscans" ]; then
+    echo "calls: SWGG's gap scans are dp.maxPlus sweeps:" >&2
+    echo "$gapscans" >&2
+    exit 1
+fi
+echo "calls: no columnGaps or rowGaps in non-test Go"
 
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
 # and -race miss to come back (docs/ANALYSIS.md).
-check_lines 2159 internal/lint
+check_lines 2158 internal/lint
 # The DAG Pattern Model states a block's cell order once (Pattern.RowOrder)
 # and checks a pattern with one validator (dag.Validate); a second order or
 # check must not arrive unnoticed.
