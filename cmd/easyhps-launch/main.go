@@ -51,7 +51,7 @@ func main() {
 		hbMiss    = flag.Int("hb-miss", 3, "silent heartbeat intervals before a member is declared dead")
 		ckpt      = flag.String("checkpoint", "", "checkpoint file (resumes from it when present)")
 		speculate = flag.Bool("speculate", false, "dispatch speculative backups for straggling vertices (first result wins)")
-		steal     = flag.Bool("steal", false, "steal queued backlog for workers that announce hunger (each worker is told the hunger delay in its welcome)")
+		steal     = flag.Bool("steal", false, "at each control tick, steal queued backlog toward workers whose draw came back empty")
 		auto      = flag.Bool("auto", false, "self-tune — speculation and stealing arm automatically and the batch/speculation knobs adjust online")
 
 		cache         = flag.Bool("cache", false, "probe and fill the content-addressed result cache (keys scoped by the job's digest, as in easyhps-run and easyhps-serve)")

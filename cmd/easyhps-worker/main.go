@@ -6,9 +6,9 @@
 // in-flight work is reassigned immediately. Each job arrives with its spec
 // in an attach frame, from which the worker builds the problem through the
 // job service's kernel table (verified by digest and size), so it takes no
-// problem flags; its heartbeat period, dead-master bound, hunger delay and
-// result batch arrive in the master's welcome, so it takes no timing or
-// batch flags either.
+// problem flags; its heartbeat period, dead-master bound and result batch
+// arrive in the master's welcome, so it takes no timing or batch flags
+// either. It announces no hunger: the master reads that off its empty draw.
 package main
 
 import (

@@ -34,8 +34,6 @@ const (
 	// KindEnd tells a slave that scheduling has finished and it should
 	// shut down.
 	KindEnd
-	// KindUser is reserved for application-level messages.
-	KindUser
 	// KindHeartbeat is the liveness beacon of the elastic cluster layer:
 	// workers send it periodically and the master echoes it, so both
 	// sides can bound how long a link may stay silent.
@@ -50,11 +48,6 @@ const (
 	// KindResultBatch carries the coalesced output blocks of a task
 	// batch back to the master (Batch holds the entries).
 	KindResultBatch
-	// KindHunger is sent by a worker whose local pool has been drained
-	// for a while: it announces capacity beyond the ordinary idle
-	// announcement, inviting the master to steal queued-but-undispatched
-	// work from a loaded peer toward this worker.
-	KindHunger
 	// KindJobSpec attaches a job to a fleet worker: the master sends it
 	// before the first task of a job, carrying the job id in Job and a
 	// JSON-encoded job description (kernel spec, partitions, digest) in
@@ -77,8 +70,6 @@ func (k Kind) String() string {
 		return "result"
 	case KindEnd:
 		return "end"
-	case KindUser:
-		return "user"
 	case KindHeartbeat:
 		return "heartbeat"
 	case KindLeave:
@@ -87,8 +78,6 @@ func (k Kind) String() string {
 		return "task-batch"
 	case KindResultBatch:
 		return "result-batch"
-	case KindHunger:
-		return "hunger"
 	case KindJobSpec:
 		return "job-spec"
 	case KindJobEnd:
@@ -116,7 +105,7 @@ type Message struct {
 	// Attempt numbers the dispatch attempts of a vertex so that results
 	// of timed-out attempts can be recognized and dropped.
 	Attempt int32
-	// Job scopes task, result, and hunger messages to one job of a
+	// Job scopes task, result, attach and detach messages to one job of a
 	// shared fleet, so a worker can hold batches from several concurrent
 	// DAGs at once. Zero for single-job (non-fleet) runtimes, whose
 	// masters own exactly one DAG.

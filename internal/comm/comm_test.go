@@ -36,7 +36,7 @@ func TestChanNetworkPairOrdering(t *testing.T) {
 	const n = 500
 	go func() {
 		for k := 0; k < n; k++ {
-			nw.Endpoint(1).Send(0, Message{Kind: KindUser, Vertex: int32(k)})
+			nw.Endpoint(1).Send(0, Message{Kind: KindResult, Vertex: int32(k)})
 		}
 	}()
 	for k := 0; k < n; k++ {
@@ -156,7 +156,7 @@ func TestLatencyModelSlowsSend(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindIdle: "idle", KindTask: "task", KindResult: "result",
-		KindEnd: "end", KindUser: "user", Kind(99): "kind(99)",
+		KindEnd: "end", KindHeartbeat: "heartbeat", KindJobEnd: "job-end", Kind(99): "kind(99)",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
@@ -271,7 +271,7 @@ func TestTCPTransportOrdering(t *testing.T) {
 	const n = 200
 	go func() {
 		for k := 0; k < n; k++ {
-			w.Send(0, Message{Kind: KindUser, Vertex: int32(k), Payload: []byte(fmt.Sprintf("p%d", k))})
+			w.Send(0, Message{Kind: KindResult, Vertex: int32(k), Payload: []byte(fmt.Sprintf("p%d", k))})
 		}
 	}()
 	for k := 0; k < n; k++ {

@@ -15,10 +15,12 @@ import (
 // deep inside the run as an opaque decode error; now it fails at join
 // time with both sides naming the two versions. docs/CLUSTER.md (Join
 // handshake) lists what each generation changed, from 0, which sent no
-// welcome, to 9, whose welcome carries the fleet's heartbeat period, miss
+// welcome, to 9, whose welcome carried the fleet's heartbeat period, miss
 // count, hunger delay and batch, where a worker had restated them as
-// options that had to match the master's.
-const ProtocolVersion = 9
+// options that had to match the master's, and 10, which dropped the
+// hunger delay from the welcome and the hunger and user kinds from the
+// wire: the master reads a member's hunger off its empty draw.
+const ProtocolVersion = 10
 
 // Hello is the first frame on every worker connection: who is joining and
 // what problem it believes the cluster is solving.
@@ -49,11 +51,10 @@ type Welcome struct {
 	// mode, its assigned member id in a fleet.
 	Member int
 	// The master's terms, which a fleet worker runs by: the beacon period,
-	// how many silent periods declare a member dead, the idleness after
-	// which a member announces hunger (0: never) and the results' flush bound.
+	// how many silent periods declare a member dead and the results' flush
+	// bound.
 	Heartbeat     time.Duration
 	HeartbeatMiss int
-	HungerAfter   time.Duration
 	Batch         int
 	// Err is the refusal reason, empty on success.
 	Err string

@@ -189,7 +189,7 @@ func TestHandshakeBounds(t *testing.T) {
 		return out
 	}
 	const body = 6   // frame header length
-	const terms = 32 // a welcome's four i64 fields, before its string
+	const terms = 24 // a welcome's three i64 fields, before its string
 	welcomeCut := withU32(welcome[:body+6], 2, 6)
 	termsCut := withU32(welcome[:body+9+12], 2, 9+12)
 	cases := []struct {
@@ -242,13 +242,13 @@ func TestHandshakeBounds(t *testing.T) {
 }
 
 // A fleet worker takes its timing and batch from the welcome: the heartbeat
-// period, the miss count, the hunger delay and the batch the acceptor
-// grants reach the dialer unchanged, a refusal round-trips with its text,
-// and the decoder refuses a welcome with any of the four negative, or
+// period, the miss count and the batch the acceptor grants reach the
+// dialer unchanged, a refusal round-trips with its text, and the decoder
+// refuses a welcome with any of the three negative, or
 // whose miss+1 periods overflow the link bound, since a worker would set
 // its clocks by it.
 func TestWelcomeCarriesTiming(t *testing.T) {
-	granted := Welcome{Member: 4, Heartbeat: 50 * time.Millisecond, HeartbeatMiss: 3, HungerAfter: 100 * time.Millisecond, Batch: 2}
+	granted := Welcome{Member: 4, Heartbeat: 50 * time.Millisecond, HeartbeatMiss: 3, Batch: 2}
 	ln := listenLocal(t)
 	go func() {
 		c, err := ln.Accept()
@@ -283,7 +283,6 @@ func TestWelcomeCarriesTiming(t *testing.T) {
 	}{
 		{Welcome{Heartbeat: -time.Millisecond, HeartbeatMiss: 3}, "is negative"},
 		{Welcome{Heartbeat: time.Millisecond, HeartbeatMiss: -1}, "is negative"},
-		{Welcome{Heartbeat: time.Millisecond, HungerAfter: -time.Millisecond}, "is negative"},
 		{Welcome{Heartbeat: time.Millisecond, Batch: -1}, "is negative"},
 		{Welcome{Heartbeat: 1, HeartbeatMiss: math.MaxInt64}, "overflow the link bound"},
 		{Welcome{Heartbeat: time.Second, HeartbeatMiss: math.MaxInt64 / int(time.Second)}, "overflow the link bound"},

@@ -90,7 +90,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < per; k++ {
 				payload := bytes.Repeat([]byte{byte(g)}, 100+g)
-				if err := w.Send(0, Message{Kind: KindUser, Vertex: int32(g), Payload: payload}); err != nil {
+				if err := w.Send(0, Message{Kind: KindResult, Vertex: int32(g), Payload: payload}); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}

@@ -23,7 +23,7 @@ import (
 // Frame layout (all integers little-endian):
 //
 //	magic     u8   0xE5
-//	tag       u8   a comm.Kind (1..12), tagHello or tagWelcome; a frame
+//	tag       u8   a comm.Kind (1..10), tagHello or tagWelcome; a frame
 //	               of any other tag, a handshake frame where a message
 //	               is due and the reverse are refused on the header
 //	bodyLen   u32  length of the body that follows, at most
@@ -48,9 +48,9 @@ import (
 //	               generation reads no further
 //	id        i32  hello: the rank; welcome: the member id granted
 //	flags     u8   hello: bit0 = Fleet; welcome: 0
-//	terms     welcome only: 4 × i64, none negative — the heartbeat period
-//	               (ns), the miss count, the hunger delay (ns) and the
-//	               batch; miss+1 periods fit an i64
+//	terms     welcome only: 3 × i64, none negative — the heartbeat period
+//	               (ns), the miss count and the batch; miss+1 periods fit
+//	               an i64
 //	strings   each a u32 length, then bytes — hello: the name;
 //	               welcome: the refusal text (empty on success)
 //
@@ -299,22 +299,22 @@ func decodeHello(body []byte) (h Hello, err error) {
 }
 
 func appendWelcomeFrame(dst []byte, w Welcome) ([]byte, error) {
-	terms := []int64{int64(w.Heartbeat), int64(w.HeartbeatMiss), int64(w.HungerAfter), int64(w.Batch)}
+	terms := []int64{int64(w.Heartbeat), int64(w.HeartbeatMiss), int64(w.Batch)}
 	return appendHandshakeFrame(dst, tagWelcome, w.Version, w.Member, 0, terms, w.Err)
 }
 
 func decodeWelcome(body []byte) (w Welcome, err error) {
-	var t [4]int64
+	var t [3]int64
 	if w.Version, w.Member, _, err = decodeHandshake(body, t[:], &w.Err); err != nil {
 		return Welcome{}, err
 	}
 	switch { // a worker sets its clocks and link bound by these terms
-	case t[0] < 0 || t[1] < 0 || t[2] < 0 || t[3] < 0:
-		return Welcome{}, fmt.Errorf("comm: welcome terms %v: a period, miss count, hunger delay or batch is negative", t)
+	case t[0] < 0 || t[1] < 0 || t[2] < 0:
+		return Welcome{}, fmt.Errorf("comm: welcome terms %v: a period, miss count or batch is negative", t)
 	case t[0] > 0 && t[1] >= math.MaxInt64/t[0]:
 		return Welcome{}, fmt.Errorf("comm: welcome terms %v: %d+1 periods of %v overflow the link bound", t, t[1], time.Duration(t[0]))
 	}
-	w.Heartbeat, w.HeartbeatMiss, w.HungerAfter, w.Batch = time.Duration(t[0]), int(t[1]), time.Duration(t[2]), int(t[3])
+	w.Heartbeat, w.HeartbeatMiss, w.Batch = time.Duration(t[0]), int(t[1]), int(t[2])
 	return w, nil
 }
 

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// sampleMessages covers the codec's shapes: the eight control kinds bare
+// sampleMessages covers the codec's shapes: the six control kinds bare
 // and with the fields the runtime sets on them, zero-length payloads,
 // single-vertex hot messages, batches with empty and non-empty entries,
 // and the More flag.
@@ -21,10 +21,8 @@ func sampleMessages() []Message {
 	return []Message{
 		{Kind: KindIdle, From: 3},
 		{Kind: KindEnd, To: 2},
-		{Kind: KindUser, From: 1, Vertex: 4, Payload: []byte("app")},
 		{Kind: KindHeartbeat},
 		{Kind: KindLeave, From: 2},
-		{Kind: KindHunger, From: 4, Job: 2},
 		{Kind: KindJobSpec, To: 1, Job: 2, Payload: []byte(`{"job":2}`)},
 		{Kind: KindJobEnd, To: 1, Job: 2},
 		{Kind: KindTask, From: 0, To: 3, Vertex: 7, Attempt: 1, Payload: []byte("block")},
@@ -176,9 +174,10 @@ func pinnedHotMessages() []Message {
 
 // The frames of the task hot path did not change when the control kinds
 // and the handshake joined them in protocol v5: testdata/hot_frames.bin is
-// the four messages above as the v4 encoder (PR 19's tree) wrote them,
-// back to back. -update rewrites it from the current encoder and is only
-// for a deliberate format change.
+// the four messages above as the v4 encoder wrote them, back to back, but
+// for the two batch frames' tag bytes, one lower since protocol v10 dropped
+// the user kind (8 and 9 became 7 and 8). -update rewrites it from the
+// current encoder and is only for a deliberate format change.
 func TestHotFramesPinned(t *testing.T) {
 	msgs := pinnedHotMessages()
 	var got []byte
@@ -215,7 +214,7 @@ func TestHotFramesPinned(t *testing.T) {
 }
 
 // One Conn pair carries the whole protocol in one framing: hello, welcome,
-// then one message of each of the twelve kinds, equal and in order.
+// then one message of each of the ten kinds, equal and in order.
 func TestConnCarriesHandshakeAndEveryKind(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -223,18 +222,16 @@ func TestConnCarriesHandshakeAndEveryKind(t *testing.T) {
 	ca, cb := NewConn(a), NewConn(b)
 
 	hello := Hello{Rank: 1, Version: ProtocolVersion, Fleet: true, Name: "w1"}
-	welcome := Welcome{Version: ProtocolVersion, Member: 7, Heartbeat: 50 * time.Millisecond, HeartbeatMiss: 3, HungerAfter: 100 * time.Millisecond, Batch: 2}
+	welcome := Welcome{Version: ProtocolVersion, Member: 7, Heartbeat: 50 * time.Millisecond, HeartbeatMiss: 3, Batch: 2}
 	sent := []Message{
 		{Kind: KindIdle},
 		{Kind: KindTask, Vertex: 3, Attempt: 1, Payload: []byte("data")},
 		{Kind: KindResult, Vertex: 3, Attempt: 1, Payload: []byte("out")},
 		{Kind: KindEnd},
-		{Kind: KindUser, Payload: []byte("app")},
 		{Kind: KindHeartbeat},
 		{Kind: KindLeave},
 		{Kind: KindTaskBatch, Job: 2, Batch: []TaskEntry{{Vertex: 4, Attempt: 1, Payload: []byte("x")}, {Vertex: 5, Attempt: 2}}},
 		{Kind: KindResultBatch, More: true, Batch: []TaskEntry{{Vertex: 4, Attempt: 1, Payload: []byte("y")}}},
-		{Kind: KindHunger, Job: 2},
 		{Kind: KindJobSpec, Job: 2, Payload: []byte(`{"job":2}`)},
 		{Kind: KindJobEnd, Job: 2},
 	}

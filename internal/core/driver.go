@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,9 +29,10 @@ import (
 // Members come from one source, a Registry: a fleet's — every worker
 // process is one, and the job service's own members in process — the
 // in-process members of RunContext, and the simulator's. They join, leave
-// and die under it, attach each job by a job-spec frame before its first
-// task and announce hunger with beacons; all but the in-process ones are
-// swept for heartbeats at every tick.
+// and die under it and attach each job by a job-spec frame before its
+// first task; all but the in-process ones are swept for heartbeats at every
+// tick. A member whose draw came back empty is parked, and each tick asks
+// the pool to feed it (Tick): hunger is read off the master, not announced.
 type Driver[T any] struct {
 	cfg   DriverConfig
 	clock sched.Clock
@@ -46,7 +48,7 @@ type Driver[T any] struct {
 	retained []*Job[T]
 	members  map[int]*member
 
-	hungers atomic.Int64 // hunger beacons
+	hungers atomic.Int64 // hunger passes that moved backlog
 	stale   atomic.Int64 // results for jobs no longer running
 
 	progressMu sync.Mutex
@@ -96,6 +98,9 @@ type member struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	known    *cas.PeerSet // what it holds of the Delta jobs' blocks
+	// parked, under the driver's mu, marks a member whose last draw found
+	// nothing; its next successful draw clears it.
+	parked bool
 
 	// attachMu orders the attach and detach frames against task sends, and
 	// every known-set note against the detach that resets the set.
@@ -390,20 +395,8 @@ func (d *Driver[T]) WithPool(fn func(*engine.Pool[T])) {
 	fn(d.pool)
 }
 
-// HungerAfter is the one hunger rule of every member: the idleness after
-// which it announces hunger, twice the control tick under Steal or Auto —
-// long enough to prove its pool has drained, short enough to claim backlog
-// well before a straggling peer finishes it — and never (0) otherwise, as
-// no other pool acts on a beacon. A fleet worker is told it in its welcome.
-func (d *Driver[T]) HungerAfter() time.Duration {
-	if d.cfg.Pool.Steal || d.cfg.Pool.Auto {
-		return 2 * d.cfg.Pool.CheckInterval
-	}
-	return 0
-}
-
-// Counts returns the hunger beacons and the stale results (for jobs no
-// longer running).
+// Counts returns the hunger passes that moved backlog toward a parked
+// member (Tick) and the stale results (for jobs no longer running).
 func (d *Driver[T]) Counts() (hungers, stale int64) { return d.hungers.Load(), d.stale.Load() }
 
 // JobAccount is a job with its pool account (zero for a retained job).
@@ -577,14 +570,17 @@ func (d *Driver[T]) feed(m *member, wait bool) bool {
 }
 
 // nextBatch draws member m a batch (at most the batch cap in effect), with
-// wait blocking until the pool hands one, the driver closes or m stops.
+// wait blocking until the pool hands one, the driver closes or m stops. A
+// draw that finds nothing parks m until one succeeds.
 func (d *Driver[T]) nextBatch(m *member, wait bool) (*Job[T], []int32, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for !closed(d.done) && !m.stopped() {
 		if id, ids, ok := d.pool.Draw(m.id); ok {
+			m.parked = false
 			return d.jobs[id], ids, true
 		}
+		m.parked = true
 		if !wait {
 			break
 		}
@@ -704,14 +700,6 @@ func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 		if d.reg.MarkLeft(id) {
 			d.revoke(id)
 		}
-	case comm.KindHunger:
-		// The pool may move a backlog's newer half toward the member.
-		d.hungers.Add(1)
-		d.mu.Lock()
-		if d.pool.Hunger(id) {
-			d.cond.Broadcast()
-		}
-		d.mu.Unlock()
 	case comm.KindResult, comm.KindResultBatch:
 		if jb != nil {
 			jb.count(msg)
@@ -812,9 +800,10 @@ func (d *Driver[T]) tickLoop(ticker sched.Ticker) {
 	}
 }
 
-// Tick is one control tick: the heartbeat sweep, the pool's tick —
-// deadlines, overtime expiry, straggler flags, the tuner — and the end of
-// the jobs it gave up on.
+// Tick is one control tick: the heartbeat sweep; the pool's hunger pass
+// for each parked member, in id order, where a pass that moves backlog
+// counts as a hunger; the pool's tick (deadlines, overtime expiry,
+// straggler flags, the tuner); and the end of the jobs it gave up on.
 func (d *Driver[T]) Tick(now time.Time) {
 	defer d.progress()
 	for _, id := range d.reg.Sweep(now, d.cfg.HeartbeatInterval, d.cfg.HeartbeatMiss) {
@@ -822,6 +811,18 @@ func (d *Driver[T]) Tick(now time.Time) {
 	}
 	live := d.reg.Live()
 	d.mu.Lock()
+	var parked []int
+	for id, m := range d.members {
+		if m.parked {
+			parked = append(parked, id)
+		}
+	}
+	slices.Sort(parked) // the members map's order is random
+	for _, id := range parked {
+		if d.pool.Hunger(id) {
+			d.hungers.Add(1)
+		}
+	}
 	ended := d.pool.Tick(now, live, d.hungers.Load())
 	over := make([]*Job[T], len(ended))
 	for i, end := range ended {

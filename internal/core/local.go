@@ -53,7 +53,7 @@ func (d *Driver[T]) JoinLocal(name string, run Config) *Worker[T] {
 		return nil
 	}
 	d.StartSender(id)
-	return &Worker[T]{Link: l, Batch: d.cfg.Pool.Batch, HungerAfter: d.HungerAfter(), Attach: func(msg comm.Message) (*TaskRunner[T], error) {
+	return &Worker[T]{Link: l, Batch: d.cfg.Pool.Batch, Attach: func(msg comm.Message) (*TaskRunner[T], error) {
 		if jb, ok := l.handed.LoadAndDelete(msg.Job); ok {
 			return jb.(*Job[T]).Runner(run)
 		}

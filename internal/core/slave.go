@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -28,10 +27,8 @@ type Worker[T any] struct {
 	// Attach builds the runner of the job a KindJobSpec frame attaches;
 	// KindJobEnd detaches it.
 	Attach func(msg comm.Message) (*TaskRunner[T], error)
-	// Beat, when positive, is the heartbeat period; HungerAfter, when
-	// positive, the idleness that sends a hunger beacon. Both are the
-	// driver's: its fleet's welcome, or Driver.HungerAfter in process.
-	Beat, HungerAfter time.Duration
+	// Beat, when positive, is the heartbeat period: its fleet's welcome's.
+	Beat time.Duration
 }
 
 // Attached is what a worker — Worker.Serve's, or a simulated one — holds
@@ -84,19 +81,16 @@ func (a *Attached[T]) Apply(msg comm.Message, attach func(comm.Message) (*TaskRu
 // timeout.
 func (w Worker[T]) Serve(ctx context.Context) error {
 	defer w.Link.Close()
-	start := time.Now()
-	var active atomic.Int64 // the last activity, as a time.Duration since start
-	noteActivity := func() { active.Store(int64(time.Since(start))) }
 	stop := make(chan struct{})
 	var beacon sync.WaitGroup
-	if w.Beat > 0 || w.HungerAfter > 0 || ctx.Done() != nil {
+	if w.Beat > 0 || ctx.Done() != nil {
 		beacon.Add(1)
 		go func() {
 			defer beacon.Done()
-			w.beacon(ctx, stop, func() time.Duration { return time.Since(start) - time.Duration(active.Load()) })
+			w.beacon(ctx, stop)
 		}()
 	}
-	err := w.loop(NewAttached[T](), noteActivity)
+	err := w.loop(NewAttached[T]())
 	close(stop)
 	beacon.Wait()
 	if errors.Is(err, errCrashed) {
@@ -107,23 +101,17 @@ func (w Worker[T]) Serve(ctx context.Context) error {
 }
 
 // beacon runs until stop closes: heartbeats prove liveness and provoke the
-// echoes that feed a socket's read-idle bound, HungerAfter of idleness sends
-// a hunger beacon, and ctx ending a graceful Leave that closes the link.
-func (w Worker[T]) beacon(ctx context.Context, stop <-chan struct{}, idle func() time.Duration) {
-	var beat, hunger <-chan time.Time // nil: never
+// echoes that feed a socket's read-idle bound, and ctx ending sends a
+// graceful Leave that closes the link. Hunger is no beacon: the driver
+// reads it off the member's empty draw.
+func (w Worker[T]) beacon(ctx context.Context, stop <-chan struct{}) {
+	var beat <-chan time.Time // nil: never
 	if w.Beat > 0 {
 		ticker := time.NewTicker(w.Beat)
 		defer ticker.Stop()
 		beat = ticker.C
 	}
-	var timer *time.Timer
-	if w.HungerAfter > 0 {
-		timer = time.NewTimer(w.HungerAfter)
-		defer timer.Stop()
-		hunger = timer.C
-	}
 	for {
-		beacon := comm.KindHeartbeat
 		select {
 		case <-stop:
 			return
@@ -132,28 +120,14 @@ func (w Worker[T]) beacon(ctx context.Context, stop <-chan struct{}, idle func()
 			w.Link.Close()
 			return
 		case <-beat:
-		case <-hunger:
-			if idle := idle(); idle < w.HungerAfter {
-				timer.Reset(w.HungerAfter - idle) // active meanwhile
-				continue
-			}
-			beacon = comm.KindHunger
-			timer.Reset(w.HungerAfter)
 		}
-		_ = w.Link.Send(comm.Message{Kind: beacon}) // a dead link fails the recv loop
+		_ = w.Link.Send(comm.Message{Kind: comm.KindHeartbeat}) // a dead link fails the recv loop
 	}
 }
 
-// loop is the worker loop proper; a task starting and a frame's last answer
-// going out are the activity that re-arms the hunger timer.
-func (w Worker[T]) loop(held *Attached[T], noteActivity func()) error {
-	send := func(m comm.Message) error {
-		if !m.More {
-			noteActivity() // idleness starts at completion
-		}
-		return w.Link.Send(m)
-	}
-	if err := send(comm.Message{Kind: comm.KindIdle}); err != nil {
+// loop is the worker loop proper.
+func (w Worker[T]) loop(held *Attached[T]) error {
+	if err := w.Link.Send(comm.Message{Kind: comm.KindIdle}); err != nil {
 		return fmt.Errorf("%w: %w", comm.ErrSend, err)
 	}
 	for {
@@ -172,14 +146,13 @@ func (w Worker[T]) loop(held *Attached[T], noteActivity func()) error {
 				return fmt.Errorf("task for unattached job %d", msg.Job)
 			}
 			err = comm.ServeTasks(msg, w.Batch, func(vertex int32, task []byte) ([]byte, error) {
-				noteActivity()
 				if w.Before != nil {
 					if err := w.Before(vertex); err != nil {
 						return nil, err
 					}
 				}
 				return r.Run(vertex, task)
-			}, send)
+			}, w.Link.Send)
 		case comm.KindJobSpec, comm.KindJobEnd:
 			err = held.Apply(msg, w.Attach)
 		case comm.KindHeartbeat: // the driver's echo of a beacon

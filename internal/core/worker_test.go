@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cas"
 	"repro/internal/comm"
@@ -128,5 +130,51 @@ func TestFixedSlaveResolvesItsOwnBlock(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Serve = %v", err)
+	}
+}
+
+// A worker with a heartbeat period beats at it and sends nothing else of
+// its own — no frame announcing hunger, which the driver reads off an empty
+// draw — and its beacon stops with the loop when the driver dismisses it.
+func TestWorkerBeatsUntilDismissed(t *testing.T) {
+	var mu sync.Mutex
+	var kinds []comm.Kind
+	beat := make(chan struct{}, 1)
+	l, to := core.NewLocal(func(msg comm.Message) {
+		mu.Lock()
+		kinds = append(kinds, msg.Kind)
+		mu.Unlock()
+		if msg.Kind == comm.KindHeartbeat {
+			select {
+			case beat <- struct{}{}:
+			default:
+			}
+		}
+	})
+	w := core.Worker[int32]{Link: l, Beat: time.Millisecond}
+	done := make(chan error, 1)
+	go func() { done <- w.Serve(context.Background()) }()
+	<-beat
+	<-beat
+	if err := to.Send(comm.Message{Kind: comm.KindEnd}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve = %v, want dismissed", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	idles := 0
+	for _, k := range kinds {
+		switch k {
+		case comm.KindIdle:
+			idles++
+		case comm.KindHeartbeat:
+		default:
+			t.Fatalf("an idle worker sent %v; want its idle frame and heartbeats alone: %v", k, kinds)
+		}
+	}
+	if idles != 1 {
+		t.Fatalf("%d idle frames, want the one the loop opens with: %v", idles, kinds)
 	}
 }

@@ -136,7 +136,7 @@ type Account struct {
 // its draw order, the fair-share account and the deadline, behind one
 // method per fleet-level event. Its one caller is core.Driver, which
 // serializes every call (under Driver.mu) and passes time, the live-member
-// count and the hunger-beacon count as arguments; Params and Tuner read
+// count and the hunger count as arguments; Params and Tuner read
 // only what NewPool set and need no serializing.
 type Pool[T any] struct {
 	cfg   PoolConfig
@@ -358,7 +358,8 @@ func (p *Pool[T]) requeue(e *poolJob[T], ids []int32) {
 	p.push(e, ids)
 }
 
-// Hunger answers a member that sits idle while others hold a backlog: of
+// Hunger answers a member that sits idle while others hold a backlog — the
+// driver's pass for a member whose draw came back empty, at each tick: of
 // every (job, member) pair the deepest backlog gives up its newer half
 // (Job.StealFrom), requeued on that job's stack, where the next Draw finds
 // it under the same fair share. Nothing moves while any job has queued
@@ -406,8 +407,8 @@ func (p *Pool[T]) Revoke(member int) (revoked, requeued int) {
 // leaves the pool and is returned with the reason, for the driver to end
 // (and to name: the pool knows a job by its id alone).
 // Last, under Auto, the tuner sees the tick's sample — every running
-// job's, folded over the retired baseline, with the driver's hunger-beacon
-// count — and an adjustment is traced.
+// job's, folded over the retired baseline, with the driver's hunger count
+// (the passes that moved backlog) — and an adjustment is traced.
 func (p *Pool[T]) Tick(now time.Time, live int, hungers int64) []Ended {
 	var ended []Ended
 	for i := 0; i < len(p.order); {

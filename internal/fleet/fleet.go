@@ -38,8 +38,8 @@ type Options struct {
 	Addr string
 	// HeartbeatInterval is the member beacon period (default 250 ms),
 	// HeartbeatMiss how many silent intervals declare a member dead
-	// (default 3); a TCP worker's welcome tells it both, with the hunger
-	// delay (core.Driver.HungerAfter) and Batch, its results' flush bound.
+	// (default 3); a TCP worker's welcome tells it both, with Batch, its
+	// results' flush bound.
 	HeartbeatInterval time.Duration
 	HeartbeatMiss     int
 	// TaskTimeout, MaxAttempts, Batch, Speculate, SpecFloor, Steal, Auto
@@ -97,8 +97,9 @@ type Snapshot struct {
 	States map[string]int
 	// QueueDepth is the computable vertices queued across running jobs.
 	QueueDepth int
-	// Hungers counts hunger beacons: a high rate means workers drain
-	// faster than the fleet feeds them.
+	// Hungers counts the control ticks' hunger passes that moved backlog
+	// toward a member whose draw came back empty (core.Driver.Tick): a
+	// high rate means workers drain faster than the fleet feeds them.
 	Hungers int64
 	// Members is the membership view (states, joins, deaths, ...).
 	Members core.Snapshot
@@ -228,7 +229,6 @@ func (f *Fleet[T]) admit(c net.Conn) {
 			Member:        f.reg.Admit(hello.Name, c.RemoteAddr().String()).ID,
 			Heartbeat:     f.opts.HeartbeatInterval,
 			HeartbeatMiss: f.opts.HeartbeatMiss,
-			HungerAfter:   f.d.HungerAfter(),
 			Batch:         f.opts.Batch,
 		}
 	})

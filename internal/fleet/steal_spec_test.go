@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // insertJob starts a hand-built job on a running fleet, the way Fleet.Run
@@ -73,11 +74,12 @@ func drainReady(f *Fleet[int32]) []int32 {
 	return all
 }
 
-// TestFleetStealFeedsHungryMember drives hunger beacons directly: a hungry
-// idle member must trigger a steal of the tail half of the most loaded
-// member's undispatched backlog — and only when there is no queued work,
-// the beggar is truly idle, and the victim's entries are not racing a
-// backup. A graceful leave then revokes the victim's remaining leases.
+// TestFleetStealFeedsHungryMember drives the control tick's hunger pass by
+// hand: a member whose draw came back empty (Driver.Feed) is parked, and
+// the next Tick steals the tail half of the most loaded member's
+// undispatched backlog toward it — only when there is no queued work, the
+// beggar holds no lease, and the victim's entries are not racing a backup.
+// A graceful leave then revokes the victim's remaining leases.
 func TestFleetStealFeedsHungryMember(t *testing.T) {
 	f, err := New[int32](Options{Addr: "127.0.0.1:0", Steal: true})
 	if err != nil {
@@ -97,6 +99,10 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 
 	victim := f.reg.Admit("victim", "test")
 	beggar := f.reg.Admit("beggar", "test")
+	for _, id := range []int{victim.ID, beggar.ID} {
+		_, end := core.NewLocal(func(comm.Message) {})
+		f.d.AddMember(id, end)
+	}
 	steals := &jb.Engine.Counters().Steals
 	now := time.Now() // the fleet runs on the wall clock
 	lease := func(v int32, slot int) {
@@ -105,10 +111,25 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 			t.Fatalf("lease of vertex %d = %v, want Granted", v, out)
 		}
 	}
+	park := func(id int) {
+		t.Helper()
+		if f.d.Feed(id) {
+			t.Fatalf("member %d drew from an empty pool", id)
+		}
+	}
+	thieves := func() (ids []int) {
+		for _, ev := range jb.Trace.Events() {
+			if ev.Kind == trace.EvSteal {
+				ids = append(ids, ev.Worker)
+			}
+		}
+		return ids
+	}
 
 	// A 1-deep backlog is never split.
 	lease(0, 0)
-	f.d.Deliver(beggar.ID, comm.Message{Kind: comm.KindHunger})
+	park(beggar.ID)
+	f.d.Tick(time.Now())
 	if got := steals.Load(); got != 0 {
 		t.Fatalf("steals = %d, want no steal from a 1-deep backlog", got)
 	}
@@ -116,16 +137,18 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 		lease(v, int(v))
 	}
 
-	// A loaded member's own hunger is ignored.
-	f.d.Deliver(victim.ID, comm.Message{Kind: comm.KindHunger})
-	if got := steals.Load(); got != 0 {
-		t.Fatalf("steals = %d after the victim begged from itself", got)
-	}
-
-	// The idle beggar gets the newer half of the victim's backlog.
-	f.d.Deliver(beggar.ID, comm.Message{Kind: comm.KindHunger})
+	// The idle beggar gets the newer half of the victim's backlog; the
+	// loaded victim, parked too and passed first, moves nothing itself.
+	park(victim.ID)
+	f.d.Tick(time.Now())
 	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want the tail half (2) of a 4-deep backlog", got)
+	}
+	if got := thieves(); len(got) != 1 || got[0] != beggar.ID {
+		t.Fatalf("steals went to members %v, want one steal toward the beggar %d", got, beggar.ID)
+	}
+	if hungers, _ := f.d.Counts(); hungers != 1 {
+		t.Fatalf("hungers = %d, want the one pass that moved backlog", hungers)
 	}
 	if got := readyLen(f); got != 2 {
 		t.Fatalf("ready = %d vertices after the steal, want 2", got)
@@ -134,9 +157,9 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 		t.Fatalf("victim load = %d after the steal, want 2", got)
 	}
 
-	// With work queued, hunger is a no-op: the beggar's sender will draw
+	// With work queued, a pass is a no-op: the beggar's sender will draw
 	// the requeued vertices without help.
-	f.d.Deliver(beggar.ID, comm.Message{Kind: comm.KindHunger})
+	f.d.Tick(time.Now())
 	if got := steals.Load(); got != 2 {
 		t.Fatalf("steals = %d, want no re-steal while work is queued", got)
 	}

@@ -67,16 +67,16 @@ func TestWorkerTakesFleetHeartbeat(t *testing.T) {
 	}
 }
 
-// A worker that sets no hunger option announces hunger by the fleet's rule
-// (core.Driver.HungerAfter): on a Steal fleet a member that joins while
-// its peer holds a batch backlog finds nothing ready, sends a hunger
-// beacon, and the fleet steals toward it. A loaded member's own beacons
-// steal nothing, so a steal proves the joiner's.
+// A worker that sends no beacon is fed by a steal: on a Steal fleet a
+// member that joins while its peer holds a batch backlog finds nothing to
+// draw, and the control tick's hunger pass steals toward it
+// (core.Driver.Tick). A loaded member's own pass steals nothing, so a
+// steal proves the joiner's.
 func TestWorkerTakesFleetHungerRule(t *testing.T) {
 	f, err := New[int32](Options{
 		Addr:              "127.0.0.1:0",
 		HeartbeatInterval: 50 * time.Millisecond,
-		CheckInterval:     10 * time.Millisecond, // hungry after 20 ms idle
+		CheckInterval:     10 * time.Millisecond, // a pass every 10 ms
 		TaskTimeout:       20 * time.Second,
 		Batch:             8,
 		Steal:             true,
@@ -118,7 +118,7 @@ func TestWorkerTakesFleetHungerRule(t *testing.T) {
 		ran <- outcome{res, err}
 	}()
 	// Its first block now takes 300 ms, the rest run at full speed. A
-	// member joining meanwhile is hungry 20 ms later.
+	// member joining meanwhile finds nothing to draw and is parked.
 	<-busy
 	h.Slow(slow, 0)
 	if _, err := h.Add(ctx); err != nil {
@@ -130,10 +130,56 @@ func TestWorkerTakesFleetHungerRule(t *testing.T) {
 	}
 	checkMatrix(t, "nussinov", out.res.Store.Assemble(), want)
 	if hungers := f.Snapshot().Hungers; hungers == 0 {
-		t.Fatal("no hunger beacon: the drained worker does not follow the fleet's Steal")
+		t.Fatal("no hunger: no pass moved backlog toward the parked worker")
 	}
 	if out.res.Stats.Steals == 0 {
-		t.Fatal("no steal: the joining worker sent no hunger beacon")
+		t.Fatal("no steal: the parked worker was never fed")
+	}
+}
+
+// A worker busy on one long task is not hungry: a lone member of a Steal
+// fleet ticking every 10 ms computes one 300 ms block, and no hunger is
+// counted — its draw succeeded, so it is never parked while it computes,
+// and there is no peer backlog to move.
+func TestBusyWorkerIsNotHungry(t *testing.T) {
+	f, err := New[int32](Options{
+		Addr:              "127.0.0.1:0",
+		HeartbeatInterval: 50 * time.Millisecond,
+		CheckInterval:     10 * time.Millisecond,
+		TaskTimeout:       20 * time.Second,
+		Steal:             true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h := NewHarness(testBuilder, f.Addr(), WorkerOptions{Run: core.Config{Threads: 1}}, func() time.Duration {
+		return 300 * time.Millisecond
+	})
+	defer h.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := h.Add(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Registry().WaitLive(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	prob, want := mustProblem(t, "edit")
+	start := time.Now()
+	res, err := f.Run(ctx, prob, JobRequest{Name: "edit", Proc: dag.Square(64)}) // one block
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMatrix(t, "edit", res.Store.Assemble(), want)
+	if res.Stats.Dispatches != 1 {
+		t.Fatalf("%d dispatches, want the one block", res.Stats.Dispatches)
+	}
+	if took := time.Since(start); took < 300*time.Millisecond {
+		t.Fatalf("job took %v, want the block's 300 ms at least", took)
+	}
+	if hungers := f.Snapshot().Hungers; hungers != 0 {
+		t.Fatalf("hungers = %d while the lone worker computed its one block, want 0", hungers)
 	}
 }
 

@@ -40,8 +40,8 @@ type Builder[T any] func(meta JobMeta) (core.Problem[T], error)
 // connection dies (error), or ctx is cancelled (a Leave frame goes out
 // first). Kernel state is attached per job on the first job-spec frame
 // and detached on job-end, so the worker's footprint follows the set of
-// jobs it is actively serving. The loop, with its heartbeats and hunger
-// beacons, is core's Worker; any failure, a computation's included, which
+// jobs it is actively serving. The loop, with its heartbeats, is core's
+// Worker; any failure, a computation's included, which
 // the fleet's revocation reassigns, ends the member.
 func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions) error {
 	if build == nil {
@@ -59,11 +59,10 @@ func RunWorker[T any](ctx context.Context, build Builder[T], opts WorkerOptions)
 		return fmt.Errorf("fleet: member %d: welcome carries heartbeat period %v, want a positive one", welcome.Member, welcome.Heartbeat)
 	}
 	w := core.Worker[T]{
-		Link:        cn,
-		Attach:      func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) },
-		Batch:       welcome.Batch,
-		Beat:        welcome.Heartbeat,
-		HungerAfter: welcome.HungerAfter,
+		Link:   cn,
+		Attach: func(msg comm.Message) (*core.TaskRunner[T], error) { return attach(build, opts.Run, msg) },
+		Batch:  welcome.Batch,
+		Beat:   welcome.Heartbeat,
 	}
 	if opts.taskDelay != nil {
 		w.Before = func(int32) error {

@@ -237,7 +237,7 @@ func writeMembership(w io.Writer, s core.Snapshot) {
 }
 
 // writeFleet emits the shared-fleet section: job-state counts, the
-// autoscaling signals (aggregate queue depth, hunger beacons, per-job
+// autoscaling signals (aggregate queue depth, hunger count, per-job
 // deficit), and per-job labelled progress and straggler counters.
 func writeFleet(w io.Writer, snap fleet.Snapshot) {
 	fmt.Fprintf(w, "# HELP easyhps_fleet_jobs Fleet jobs by state (finished states bounded by the retention window).\n# TYPE easyhps_fleet_jobs gauge\n")
@@ -245,7 +245,7 @@ func writeFleet(w io.Writer, snap fleet.Snapshot) {
 		fmt.Fprintf(w, "easyhps_fleet_jobs{state=%q} %d\n", state, snap.States[state])
 	}
 	fmt.Fprintf(w, "# HELP easyhps_fleet_queue_depth Computable vertices queued across running jobs — work the pool has not absorbed.\n# TYPE easyhps_fleet_queue_depth gauge\neasyhps_fleet_queue_depth %d\n", snap.QueueDepth)
-	fmt.Fprintf(w, "# HELP easyhps_fleet_hunger_total Hunger beacons received from idle workers.\n# TYPE easyhps_fleet_hunger_total counter\neasyhps_fleet_hunger_total %d\n", snap.Hungers)
+	fmt.Fprintf(w, "# HELP easyhps_fleet_hunger_total Control-tick hunger passes that moved queued backlog toward a worker whose draw came back empty.\n# TYPE easyhps_fleet_hunger_total counter\neasyhps_fleet_hunger_total %d\n", snap.Hungers)
 
 	if len(snap.Jobs) == 0 {
 		return

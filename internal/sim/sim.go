@@ -283,7 +283,6 @@ func (c *Cluster) admit() {
 	c.workers = append(c.workers, w)
 	c.d.AddMember(w.member, w)
 	c.idle = append(c.idle, w.member)
-	c.armHunger(w)
 }
 
 // kill marks w dead immediately (process crash): its in-flight work
@@ -350,8 +349,8 @@ func (c *Cluster) finishedAll() bool {
 // past the miss window (the worker itself keeps computing, and its results
 // are refused as stale, exactly like a real partitioned worker whose
 // connection the master tore down), deadlines, overtime expiry, straggler
-// flags and the tuner, which sees the hunger beacons — then dispatch, and
-// re-arm until every job is done.
+// flags and the tuner, after the hunger passes for the members whose draw
+// came back empty — then dispatch, and re-arm until every job is done.
 func (c *Cluster) scheduleTick() {
 	c.after(c.opts.Pool.CheckInterval, func() {
 		for _, w := range c.workers {

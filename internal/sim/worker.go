@@ -30,10 +30,9 @@ type simWorker struct {
 	out          []byte         // its result, computed as it starts
 	ok           bool           // whether it computed
 	// gen invalidates the pending completion event when the worker's
-	// in-flight work disappears (crash); started, a hunger timer armed
-	// before the latest task start.
-	gen, started int
-	held         *core.Attached[int32]
+	// in-flight work disappears (crash).
+	gen  int
+	held *core.Attached[int32]
 	// attached is the protocol-order checker's view of each job on the
 	// link: true from its JobSpec, false from its JobEnd.
 	attached map[int32]bool
@@ -111,7 +110,6 @@ func (c *Cluster) advance(w *simWorker) {
 		default:
 			w.out, w.ok = c.run(w, msg)
 			w.cur = &msg
-			w.started++
 			gen := w.gen
 			wire := c.opts.Latency.Delay(len(msg.Payload)) + c.opts.Latency.Delay(len(w.out))
 			c.after(c.serviceTime(msg, w)+wire, func() { c.complete(w, gen) })
@@ -154,9 +152,6 @@ func (c *Cluster) complete(w *simWorker, gen int) {
 	c.advance(w)
 	c.noteIdleIfFree(w)
 	c.dispatchAll()
-	if w.cur == nil {
-		c.armHunger(w)
-	}
 }
 
 // run computes one task through its job's runner, as a worker's loop
@@ -207,25 +202,4 @@ func (c *Cluster) dispatchAll() {
 		}
 	}
 	c.idle = kept
-}
-
-// armHunger starts w's hunger timer as it goes idle, like a fleet worker's
-// beacon loop: after HungerAfter without a task it sends a hunger beacon,
-// re-armed while the idleness persists. HungerAfter is three quarters of a
-// control interval (docs/SIM.md says why). A task start makes the timer
-// stale, a partitioned worker's beacon is lost, a dead worker's timer stops.
-func (c *Cluster) armHunger(w *simWorker) {
-	started := w.started
-	c.after(c.opts.Pool.CheckInterval*3/4, func() {
-		if !w.alive || w.started != started || c.finishedAll() {
-			return
-		}
-		if w.ready() {
-			c.d.Deliver(w.member, comm.Message{Kind: comm.KindHunger})
-			c.dispatchAll()
-		}
-		if w.cur == nil {
-			c.armHunger(w)
-		}
-	})
 }

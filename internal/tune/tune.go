@@ -19,7 +19,7 @@
 //
 // Two rules run per tick:
 //
-//   - Batch cap, AIMD-style. Hunger beacons and steals mean workers sat
+//   - Batch cap, AIMD-style. Hungers and steals mean workers sat
 //     idle while work existed: the cap halves (multiplicative
 //     decrease). Otherwise, while dispatch is making progress and the
 //     bytes-per-vertex amortization is not degrading, the cap grows by
@@ -141,7 +141,7 @@ func (l Limits) withDefaults() Limits {
 type Sample struct {
 	Dispatches int64 // vertices handed to workers
 	TaskBytes  int64 // payload bytes shipped with them
-	Hungers    int64 // hunger beacons (idle worker, work exists elsewhere)
+	Hungers    int64 // hunger passes that moved backlog toward a worker whose draw came back empty
 	Steals     int64 // tasks reassigned by work stealing
 	SpecWon    int64 // speculative backups that beat their primary
 	SpecWasted int64 // speculative backups that lost the race

@@ -92,11 +92,12 @@ go build ./...
 go test -race ./...
 # The elastic suite (a one-job fleet over the fault harness: kill, partition,
 # join, restart, the attach-time refusal of a drifted builder, every result delivered
-# twice, speculative rescue, backlog stealing) and the registry's quorum
+# twice, speculative rescue, backlog stealing, no hunger counted while a
+# lone worker computes one long block) and the registry's quorum
 # wait are the most schedule-sensitive code in the repo; run them a second
 # time under -race with caching off so a lucky first pass cannot hide a
 # flaky membership, lease, or attempt-arbitration race.
-go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP|TestWorkerTakesFleet' ./internal/fleet/
+go test -race -count=1 -run 'TestElastic|TestMasterRestart|TestPartitioned|TestClusterRejects|TestDuplicateResultIdempotent|TestSpeculationRescues|TestStealRebalances|TestAutoTunesOverTCP|TestWorkerTakesFleet|TestBusyWorkerIsNotHungry' ./internal/fleet/
 go test -race -count=1 -run 'TestRegistryWaitLive' ./internal/core/
 # The fleet's own suite — concurrent DAGs with a mid-run worker kill, the
 # white-box arbitration tests (duplicate-result idempotence, fake-clock
@@ -122,10 +123,10 @@ go test -race -count=1 -run 'TestRandomSchedules' ./internal/engine/
 # And the master driver over RunContext's in-process members: under BCW a
 # vertex that times out after its owner's static queue is drained must still
 # find a drawer, and the static schedule's workers are the registry's member
-# ids; a starved member's hunger beacon must steal a stalled member's batch
-# backlog; members that all crash silently must end the run by RunTimeout;
-# an in-process member is never swept for heartbeats, so a beacon goroutine
-# starved under -race cannot cost one; and a job that ends while its spec
+# ids; the control tick must steal a stalled member's batch backlog toward a
+# member whose draw came back empty; members that all crash silently must
+# end the run by RunTimeout; an in-process member is never swept for
+# heartbeats, so a beacon goroutine starved under -race cannot cost one; and a job that ends while its spec
 # frame and task wait on an in-process member's link still attaches there,
 # from the Job handed over with the frame. They are timing-dependent (stalls
 # against timeouts and ticks, a job's end against its frames), so they must
@@ -230,12 +231,12 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6747 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6694 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
 # must not arrive unnoticed.
-check_lines 1203 internal/comm
+check_lines 1193 internal/comm
 # The master holds a committed block one way, matrix.Store; a second block
 # store must not arrive unnoticed. And a view reads one way down a column,
 # matrix.View.Band — a column run is a band of width one — and writes one
@@ -349,15 +350,13 @@ fi
 echo "calls: no thread-level timeout, stall, requeue count, overdue pass or timer in core, no second view mode in matrix"
 
 # And a fleet worker is told its terms, not configured: the welcome carries
-# the fleet's heartbeat period, its miss count, the hunger delay
-# (core.Driver.HungerAfter, the one hunger rule) and the batch its results
+# the fleet's heartbeat period, its miss count and the batch its results
 # flush by. So fleet.WorkerOptions holds no HeartbeatInterval,
-# HeartbeatMiss, HungerAfter or TaskDelay (the fault harness's delay is an
-# unexported field), and easyhps-worker declares no -hb, -hb-miss, -steal
-# or -batch flag. A worker restating a master's decision must not return
-# unnoticed.
+# HeartbeatMiss or TaskDelay (the fault harness's delay is an unexported
+# field), and easyhps-worker declares no -hb, -hb-miss, -steal or -batch
+# flag. A worker restating a master's decision must not return unnoticed.
 told=$( (awk '/^type WorkerOptions struct/,/^}/ { print FILENAME ":" FNR ":" $0 }' \
-        $(ls internal/fleet/*.go | grep -v '_test\.go$') | grep -E 'HeartbeatInterval|HeartbeatMiss|HungerAfter|TaskDelay'
+        $(ls internal/fleet/*.go | grep -v '_test\.go$') | grep -E 'HeartbeatInterval|HeartbeatMiss|TaskDelay'
     grep -nE 'flag\.[A-Za-z]+\("(hb|hb-miss|steal|batch)"' cmd/easyhps-worker/*.go /dev/null) || true)
 if [ -n "$told" ]; then
     echo "calls: a fleet worker takes its terms from the welcome:" >&2
@@ -365,6 +364,21 @@ if [ -n "$told" ]; then
     exit 1
 fi
 echo "calls: no timing option on a fleet worker, no easyhps-worker timing or batch flag"
+
+# And hunger is read off the master: a member whose draw came back empty is
+# parked, and each control tick runs the pool's hunger pass for it
+# (core.Driver.Tick). No member announces hunger, so no non-test Go names
+# the hunger frame, the user frame nothing sent, a hunger delay, the
+# worker's activity clock behind it or the simulator's hunger timer. A
+# member-side hunger signal must not return unnoticed.
+beacons=$(grep -rnE --include='*.go' '(^|[^A-Za-z0-9_])(KindHunger|KindUser|HungerAfter|noteActivity|armHunger)([^A-Za-z0-9_]|$)' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$beacons" ]; then
+    echo "calls: hunger is the master's reading of an empty draw, not a member's beacon:" >&2
+    echo "$beacons" >&2
+    exit 1
+fi
+echo "calls: no KindHunger, KindUser, HungerAfter, noteActivity or armHunger in non-test Go"
 
 # And the worker is one loop, as the master is one driver: core.Worker.Serve
 # is the one non-test caller of comm.ServeTasks, and TaskRunner.Run the one
