@@ -21,7 +21,8 @@ import (
 // The corpus seeds cover the shapes the protocol actually produces: every
 // kind, zero-length blocks, max-size batches and hand-truncated frames —
 // and what it no longer speaks: the gob envelopes protocol v4 put control
-// messages in, which must be refused.
+// messages in and the job frames under protocol v9's tags, whole, halved
+// and header only, all of which must be refused.
 func FuzzWireCodec(f *testing.F) {
 	for _, m := range sampleMessages() {
 		frame, err := appendBinaryFrame(nil, m)
@@ -45,6 +46,11 @@ func FuzzWireCodec(f *testing.F) {
 	}
 	for _, env := range gobEnvelopes(f) {
 		f.Add(env)
+	}
+	for _, frame := range v9JobFrames(f) {
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+		f.Add(frame[:6])
 	}
 	f.Add([]byte{binMagic})                                 // bare magic
 	f.Add([]byte{binMagic, byte(KindTask), 255, 255, 0, 0}) // huge bodyLen
@@ -95,6 +101,34 @@ func TestGobEnvelopesRefused(t *testing.T) {
 	}
 }
 
+// v9JobFrames are a job-spec and a job-end message as a protocol-v9 Conn
+// framed them: the body is unchanged, but the tag is two higher, since v10
+// dropped the user and hunger kinds below them, and lies past the kinds.
+func v9JobFrames(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, m := range []Message{
+		{Kind: KindJobSpec, To: 1, Job: 2, Payload: []byte(`{"job":2}`)},
+		{Kind: KindJobEnd, To: 1, Job: 2},
+	} {
+		frame, err := appendBinaryFrame(nil, m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frame[1] += 2
+		out = append(out, frame)
+	}
+	return out
+}
+
+// A v9 job frame is refused on its tag rather than read as some other kind.
+func TestV9JobFramesRefused(t *testing.T) {
+	for i, frame := range v9JobFrames(t) {
+		if m, err := readBinaryFrame(bytes.NewReader(frame)); err == nil {
+			t.Fatalf("v9 job frame %d decoded to %+v", i, m)
+		}
+	}
+}
+
 // FuzzHandshake feeds arbitrary bytes to the hello and welcome decoders
 // through the frame reader, as the first bytes of an unauthenticated peer
 // arrive: accept or refuse, never panic, and whatever decodes re-encodes
@@ -132,6 +166,11 @@ func FuzzHandshake(f *testing.F) {
 	}
 	for _, env := range gobEnvelopes(f) {
 		f.Add(env)
+	}
+	for _, frame := range v9JobFrames(f) {
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+		f.Add(frame[:6])
 	}
 	f.Add([]byte{binMagic, tagHello, 1, 16, 0, 0})   // bodyLen just over the cap
 	f.Add([]byte{binMagic, tagWelcome, 0, 0, 0, 0})  // empty body
