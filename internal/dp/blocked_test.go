@@ -195,8 +195,24 @@ func BenchmarkCellEditDistance(b *testing.B) {
 	benchCell(b, e, e.Size(), dag.Square(128), dag.Square(32), n*n, e.Sequential)
 }
 
+// LCS and Needleman-Wunsch run the same wave scan as EditDistance, at its
+// geometry.
+func BenchmarkCellLCS(b *testing.B) {
+	const n = 512
+	a := RandomDNA(n, 1)
+	l := NewLCS(a, MutateSeq(a, DNAAlphabet, 0.15, 2))
+	benchCell(b, l, l.Size(), dag.Square(128), dag.Square(32), n*n, l.Sequential)
+}
+
+func BenchmarkCellNeedleman(b *testing.B) {
+	const n = 512
+	a := RandomDNA(n, 1)
+	nw := NewNeedlemanWunsch(a, MutateSeq(a, DNAAlphabet, 0.15, 2))
+	benchCell(b, nw, nw.Size(), dag.Square(128), dag.Square(32), n*n, nw.Sequential)
+}
+
 // A walk that meets cells the pattern does not compute hands them over with
-// the value Get answers: rowRuns one at a time, the next run starting
+// the value Get answers: rowRun one at a time, the next run starting
 // behind them, and a rows walk the row segments that hold one cell by
 // cell, the segments of the rows after them as bands again.
 func TestRunWalksVisitHolesAsBoundaryReads(t *testing.T) {
@@ -210,11 +226,14 @@ func TestRunWalksVisitHolesAsBoundaryReads(t *testing.T) {
 	v := matrix.NewView(out, []*matrix.Block[int32]{full}, pat, dag.Square(n+1), func(i, j int) int32 { return -1 })
 
 	var got, want []string
-	rowRuns(v, 2, 0, n, func(j int, cells []int32) {
+	var one [1]int32
+	for j := 0; j < n; {
+		cells := rowRun(v, 2, j, n-j, &one)
 		for t, c := range cells {
 			got = append(got, fmt.Sprint(2, j+t, c))
 		}
-	})
+		j += len(cells)
+	}
 	for _, w := range []int{1, 3} {
 		walk := newRows(v, 2, w, n)
 		for r := 0; r < n; {
@@ -413,19 +432,21 @@ func TestSubBlockFillAllocsDoNotGrow(t *testing.T) {
 	}
 }
 
-// A sweep of a 2D/1D kernel allocates nothing: a one-thread fill of a
-// SWGG block and of a Nussinov block — off the diagonal, and on it where
-// the bands meet holes — allocates nothing at any block height, so
-// nothing per row segment.
+// A sweep of a 2D/1D kernel or a wave scan allocates nothing: a one-thread
+// fill of a SWGG block, of a Nussinov block — off the diagonal, and on it
+// where the bands meet holes — and of an EditDistance, LCS and
+// Needleman-Wunsch block, in the matrix and on its top row and left column,
+// allocates nothing at any block height, so nothing per row segment.
 func TestRowSweepsAllocateNothing(t *testing.T) {
 	const n = 96
-	a := RandomDNA(n, 1)
+	a, b := RandomDNA(n, 1), MutateSeq(RandomDNA(n, 1), DNAAlphabet, 0.2, 2)
 	shared := matrix.NewBlock[int32](dag.Rect{Rows: n, Cols: n})
-	for _, k := range []core.Kernel[int32]{NewSWGG(a, MutateSeq(a, DNAAlphabet, 0.2, 2)), NewNussinov(RandomRNA(n, 3))} {
+	for _, k := range []core.Kernel[int32]{NewSWGG(a, b), NewNussinov(RandomRNA(n, 3)), NewEditDistance(a, b), NewLCS(a, b), NewNeedlemanWunsch(a, b)} {
 		fill := core.SubBlockFill(k)
 		for _, r := range []dag.Rect{
 			{Row0: 32, Col0: 64, Rows: 2, Cols: 16}, {Row0: 16, Col0: 64, Rows: 32, Cols: 32},
 			{Row0: 32, Col0: 32, Rows: 4, Cols: 32}, {Row0: 32, Col0: 32, Rows: 32, Cols: 32},
+			{Rows: 4, Cols: 32}, {Row0: 32, Rows: 32, Cols: 21},
 		} {
 			v := matrix.NewView(shared, nil, k.Pattern(), dag.Square(n), k.Boundary)
 			v.Retarget(r)

@@ -266,15 +266,17 @@ func (d *Dominance43) Boundary(i, j int) int32 { return 0 }
 // Cell implements core.CellKernel: the one library kernel the runtime
 // computes through core.Cells.
 func (d *Dominance43) Cell(v *matrix.View[int32], i, j int) int32 {
-	best := int32(1) << 30
+	best, one := int32(1)<<30, [1]int32{}
 	for ii := -1; ii < i; ii++ {
-		rowRuns(v, ii, -1, j, func(jj int, cells []int32) {
-			for x, c := range cells {
+		for jj := -1; jj < j; {
+			run := rowRun(v, ii, jj, j-jj, &one)
+			for x, c := range run {
 				if c += d.w(ii+jj+x+2, i+j+2); c < best {
 					best = c
 				}
 			}
-		})
+			jj += len(run)
+		}
 	}
 	return best
 }

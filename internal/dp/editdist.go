@@ -2,6 +2,7 @@ package dp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -38,30 +39,10 @@ func (e *EditDistance) Boundary(i, j int) int32 {
 	return int32(i) + 1
 }
 
-// Row implements core.Kernel: the row above is walked by runs and the
-// west and north-west cells ride along in locals, so a cell costs what it
-// costs Sequential() plus its share of one run request.
+// Row implements core.Kernel: the wave scan of ^D under (0, -1, -1), on
+// cells of at most len(A)+len(B).
 func (e *EditDistance) Row(v *matrix.View[int32], i, j0 int, out []int32) {
-	a, west, diag := e.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
-	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
-		b, o := e.B[j:j+len(north)], out[j-j0:j-j0+len(north)]
-		w, nw := west, diag
-		for t, n := range north {
-			sub := nw
-			if a != b[t] {
-				sub++
-			}
-			if del := n + 1; del < sub {
-				sub = del
-			}
-			if ins := w + 1; ins < sub {
-				sub = ins
-			}
-			o[t] = sub
-			w, nw = sub, n
-		}
-		west, diag = w, nw
-	})
+	newWave(0, -1, -1, -1, -int64(len(e.A)+len(e.B))-1).row(v, e.A[i], e.B, i, j0, out)
 }
 
 // Problem wraps the kernel for the runtime.
@@ -90,13 +71,7 @@ func (e *EditDistance) Sequential() [][]int32 {
 			if e.A[i] != e.B[j] {
 				sub++
 			}
-			if del := get(i-1, j) + 1; del < sub {
-				sub = del
-			}
-			if ins := get(i, j-1) + 1; ins < sub {
-				sub = ins
-			}
-			d[i][j] = sub
+			d[i][j] = min(sub, get(i-1, j)+1, get(i, j-1)+1)
 		}
 	}
 	return d
@@ -134,22 +109,11 @@ func (l *LCS) Pattern() dag.Pattern { return dag.Wavefront{} }
 // Boundary implements core.Kernel.
 func (l *LCS) Boundary(i, j int) int32 { return 0 }
 
-// Row implements core.Kernel, as EditDistance's does.
+// Row implements core.Kernel: the wave scan under (1, MinInt32, 0). A
+// mismatch's diagonal is no candidate, and on an LCS matrix a match's nw+1
+// is at least north and west.
 func (l *LCS) Row(v *matrix.View[int32], i, j0 int, out []int32) {
-	a, west, diag := l.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
-	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
-		b, o := l.B[j:j+len(north)], out[j-j0:j-j0+len(north)]
-		w, nw := west, diag
-		for t, n := range north {
-			c := max(n, w)
-			if a == b[t] {
-				c = nw + 1
-			}
-			o[t] = c
-			w, nw = c, n
-		}
-		west, diag = w, nw
-	})
+	newWave(1, math.MinInt32, 0, 0, 0).row(v, l.A[i], l.B, i, j0, out)
 }
 
 // Problem wraps the kernel for the runtime.
@@ -176,13 +140,8 @@ func (l *LCS) Sequential() [][]int32 {
 		for j := 0; j < lb; j++ {
 			if l.A[i] == l.B[j] {
 				d[i][j] = get(i-1, j-1) + 1
-				continue
-			}
-			a, b := get(i-1, j), get(i, j-1)
-			if a > b {
-				d[i][j] = a
 			} else {
-				d[i][j] = b
+				d[i][j] = max(get(i-1, j), get(i, j-1))
 			}
 		}
 	}

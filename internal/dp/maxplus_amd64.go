@@ -37,3 +37,19 @@ func maxPlusAVX2(out, left, cells *int32, w, h, stride int)
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() uint32
+
+// scan is the wave scan over north: the first multiple of eight cells with
+// the AVX2 body when the CPU has one and k is exact, the rest portably.
+func (k wave) scan(out, north []int32, b []byte, a byte, west, diag int32) {
+	if w := len(north) &^ 7; avx2 && k.exact && w > 0 {
+		_, _ = out[w-1], b[w-1] // the vector body reads and writes unchecked
+		waveAVX2(&out[0], &north[0], &b[0], w, a, west, diag, k.match, k.mismatch, k.gap, k.flip)
+		west, diag, out, north, b = out[w-1], north[w-1], out[w:], north[w:], b[w:]
+	}
+	k.scanGo(out, north, b, a, west, diag)
+}
+
+// waveAVX2 is the wave scan over n cells, n a positive multiple of 8.
+//
+//go:noescape
+func waveAVX2(out, north *int32, b *byte, n int, a byte, west, diag, match, mismatch, gap, flip int32)

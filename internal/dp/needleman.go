@@ -2,6 +2,7 @@ package dp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -58,29 +59,15 @@ func (nw *NeedlemanWunsch) Boundary(i, j int) int32 {
 	}
 }
 
-// Row implements core.Kernel, as EditDistance's does.
+// Row implements core.Kernel: the wave scan under (Match, Mismatch, -Gap).
 func (nw *NeedlemanWunsch) Row(v *matrix.View[int32], i, j0 int, out []int32) {
-	a, west, diag := nw.A[i], v.Get(i, j0-1), v.Get(i-1, j0-1)
-	match, mismatch, gap := nw.Match, nw.Mismatch, nw.Gap
-	rowRuns(v, i-1, j0, j0+len(out), func(j int, north []int32) {
-		b, o := nw.B[j:j+len(north)], out[j-j0:j-j0+len(north)]
-		w, d := west, diag
-		for t, n := range north {
-			best := d + mismatch
-			if a == b[t] {
-				best = d + match
-			}
-			if c := n - gap; c > best {
-				best = c
-			}
-			if c := w - gap; c > best {
-				best = c
-			}
-			o[t] = best
-			w, d = best, n
-		}
-		west, diag = w, d
-	})
+	nw.wave().row(v, nw.A[i], nw.B, i, j0, out)
+}
+
+// wave is Row's scan. A cell is at least its row's boundary less Gap a
+// column, so at least -(len(A)+len(B))*Gap while Gap >= 0.
+func (nw *NeedlemanWunsch) wave() wave {
+	return newWave(nw.Match, nw.Mismatch, -nw.Gap, 0, -int64(min(len(nw.A)+len(nw.B), math.MaxInt32))*int64(nw.Gap))
 }
 
 // Problem wraps the aligner for the runtime.
@@ -105,14 +92,7 @@ func (nw *NeedlemanWunsch) Sequential() [][]int32 {
 	}
 	for i := 0; i < la; i++ {
 		for j := 0; j < lb; j++ {
-			best := get(i-1, j-1) + nw.score(i, j)
-			if c := get(i-1, j) - nw.Gap; c > best {
-				best = c
-			}
-			if c := get(i, j-1) - nw.Gap; c > best {
-				best = c
-			}
-			d[i][j] = best
+			d[i][j] = max(get(i-1, j-1)+nw.score(i, j), get(i-1, j)-nw.Gap, get(i, j-1)-nw.Gap)
 		}
 	}
 	return d

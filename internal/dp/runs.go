@@ -22,26 +22,6 @@ func rowRun[T any](v *matrix.View[T], i, j, n int, one *[1]T) []T {
 	return one[:]
 }
 
-// rowRuns visits cells (i, j0) .. (i, j1-1) left to right: visit(j, cells)
-// receives cell (i, j+t) as cells[t]. An uncomputed cell comes in a slice
-// allocated when the walk first meets one and reused after (a cell on the
-// stack would escape through visit).
-func rowRuns[T any](v *matrix.View[T], i, j0, j1 int, visit func(j int, cells []T)) {
-	var spare []T
-	for j := j0; j < j1; {
-		cells := v.Row(i, j, j1-j)
-		if cells == nil {
-			if spare == nil {
-				spare = make([]T, 1)
-			}
-			spare[0] = v.Get(i, j)
-			cells = spare
-		}
-		visit(j, cells)
-		j += len(cells)
-	}
-}
-
 // rows walks a column of row segments, cells (r, j) .. (r, j+w-1) for rows
 // r from some first row down to end-1, a band (matrix.View.Band) at a time:
 // the walk asks the view once per block it crosses. A row no band starts at

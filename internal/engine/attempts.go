@@ -38,13 +38,13 @@ func (a *Attempts) Reset(g *dag.Graph, maxAttempts int, roots []int32) []int32 {
 	return a.parser.AppendInitialReady(roots)
 }
 
-// Start begins an attempt of v watched until deadline: a primary one that
-// supersedes any live attempt (a redistribution), or a backup beside the
-// live ones (the processor level's speculation). It is refused once v is
-// accepted, and a backup while nothing is live to back up.
+// Start begins an attempt of v watched until deadline unless it is zero: a
+// primary one that supersedes any live attempt (a redistribution), or a
+// backup beside the live ones (the processor level's speculation). It is
+// refused once v is accepted, and a backup while nothing is live to back up.
 func (a *Attempts) Start(v int32, deadline time.Time, backup bool) (attempt int32, ok bool) {
 	if !backup {
-		if attempt, ok = a.reg.Register(v); ok {
+		if attempt, ok = a.reg.Register(v); ok && !deadline.IsZero() {
 			a.ot.Add(v, attempt, deadline)
 		}
 	} else if attempt, ok = a.reg.RegisterBackup(v); ok {

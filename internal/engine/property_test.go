@@ -421,3 +421,41 @@ func firstDiff(got, want [][]int32) (i, j int, differ bool) {
 	}
 	return 0, 0, false
 }
+
+// A thread-level block — every attempt started with a zero deadline, some
+// failed and started again, each vertex accepted once — puts nothing in the
+// overtime queue: nothing there can expire, so nothing is watched. A
+// processor-level start, with a deadline, is watched until its accept.
+func TestThreadLevelWatchesNothing(t *testing.T) {
+	prob, proc, _ := problem(t, "edit")
+	g := dag.Build(prob.Kernel.Pattern(), dag.MatrixGeometry(prob.Size, proc))
+	var att engine.Attempts
+	ready := att.Reset(g, 3, nil)
+	for len(ready) > 0 {
+		v := ready[0]
+		ready = ready[1:]
+		attempt, ok := att.Start(v, time.Time{}, false)
+		if v%3 == 0 {
+			if _, err := att.Fail(v, attempt); err != nil {
+				t.Fatalf("vertex %d: %v", v, err)
+			}
+			attempt, ok = att.Start(v, time.Time{}, false)
+		}
+		if n := att.Unwatch(); !ok || n != 0 {
+			t.Fatalf("vertex %d: Start ok %v, %d attempts watched, want none", v, ok, n)
+		}
+		next, ok := att.Accept(nil, v, attempt)
+		if !ok {
+			t.Fatalf("vertex %d: the live attempt %d was refused", v, attempt)
+		}
+		ready = append(ready, next...)
+	}
+	if att.Remaining() != 0 {
+		t.Fatalf("%d vertices left, want none", att.Remaining())
+	}
+
+	v := att.Reset(g, 3, nil)[0]
+	if att.Start(v, time.Unix(1, 0), false); att.Unwatch() != 1 {
+		t.Fatal("a start with a deadline is not watched")
+	}
+}

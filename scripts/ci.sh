@@ -73,9 +73,10 @@ if [ -n "$atomics" ]; then
 fi
 
 go vet ./...
-# The 2D/1D kernels' max-plus sweep has an amd64 assembly body (go vet's
-# asmdecl checks it against its Go declaration above); the portable body
-# must keep building where there is none.
+# The 2D/1D kernels' max-plus sweep and the wavefront kernels' wave scan
+# have amd64 assembly bodies (go vet's asmdecl checks them against their Go
+# declarations above); the portable bodies must keep building where there
+# are none.
 GOARCH=arm64 go vet ./internal/dp/
 # Project-specific invariants go vet cannot see, six rules: ctx-select
 # (blocking channel ops with a ctx in scope select on ctx.Done()),
@@ -288,6 +289,19 @@ if [ -n "$gapscans" ]; then
     exit 1
 fi
 echo "calls: no columnGaps or rowGaps in non-test Go"
+
+# And every wavefront kernel's Row (EditDistance, LCS, Needleman-Wunsch) is
+# the one wave scan, dp.wave, with its vector body: no non-test Go in
+# internal/dp but the scan's portable body (wave.go) walks the row above a
+# cell at a time. A per-cell chain beside the scan must not return
+# unnoticed.
+wavechains=$(grep -nE 'range north([^A-Za-z0-9_]|$)' $(ls internal/dp/*.go | grep -vE '_test\.go$|/wave\.go$') /dev/null || true)
+if [ -n "$wavechains" ]; then
+    echo "calls: a wavefront Row is the dp.wave scan, not a per-cell loop over the row above:" >&2
+    echo "$wavechains" >&2
+    exit 1
+fi
+echo "calls: no per-cell range north loop in non-test internal/dp outside the wave scan"
 
 # The analyzer was the largest package outside benchmark/ (2727 lines) until
 # PR 25 audited it rule by rule; a rule must catch a planted bug that go vet
