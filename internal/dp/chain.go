@@ -56,13 +56,8 @@ func (m *MatrixChain) Row(v *matrix.View[int64], i, j0 int, out []int64) {
 	below := newRows(v, j0, len(out), j0+1)
 	var one [1]int64
 	for k := i; k < j0; {
-		left := rowRun(v, i, k, j0-k, &one)
-		for x := 0; x < len(left); {
-			cells, stride, n := below.band(k + x + 1)
-			n = min(n, len(left)-x)
-			m.splits(out, i, k+x, j0, left[x:x+n], cells, stride)
-			x += n
-		}
+		left, cells, stride := below.split(i, k, &one)
+		m.splits(out, i, k, j0, left, cells, stride)
 		k += len(left)
 	}
 	for t := range out {
@@ -85,21 +80,14 @@ func (m *MatrixChain) splits(out []int64, i, k, j0 int, left, cells []int64, str
 	for x, l := range left {
 		p := m.Dims[i] * m.Dims[k+x+1]
 		for t, h := range cells[x*stride:][:len(out)] {
-			if c := l + h + p*right[t]; c < out[t] {
-				out[t] = c
-			}
+			out[t] = min(out[t], l+h+p*right[t])
 		}
 	}
 }
 
 // Problem wraps the kernel for the runtime.
 func (m *MatrixChain) Problem() core.Problem[int64] {
-	return core.Problem[int64]{
-		Name:   fmt.Sprintf("matrixchain-%d", len(m.Dims)-1),
-		Size:   m.Size(),
-		Kernel: m,
-		Codec:  matrix.BinaryCodec[int64]{},
-	}
+	return problem[int64](fmt.Sprintf("matrixchain-%d", len(m.Dims)-1), m.Size(), m)
 }
 
 // Sequential is the reference implementation.
@@ -111,10 +99,7 @@ func (m *MatrixChain) Sequential() [][]int64 {
 			j := i + span
 			best := int64(1) << 62
 			for k := i; k < j; k++ {
-				c := d[i][k] + d[k+1][j] + m.Dims[i]*m.Dims[k+1]*m.Dims[j+1]
-				if c < best {
-					best = c
-				}
+				best = min(best, d[i][k]+d[k+1][j]+m.Dims[i]*m.Dims[k+1]*m.Dims[j+1])
 			}
 			d[i][j] = best
 		}
@@ -177,9 +162,7 @@ func (k *Knapsack) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 		run := rowRun(v, i-1, j-wt, j1-j, &one)
 		o := out[j-j0:]
 		for t, x := range run {
-			if take := x + val; take > o[t] {
-				o[t] = take
-			}
+			o[t] = max(o[t], x+val)
 		}
 		j += len(run)
 	}
@@ -187,12 +170,7 @@ func (k *Knapsack) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 
 // Problem wraps the kernel for the runtime.
 func (k *Knapsack) Problem() core.Problem[int32] {
-	return core.Problem[int32]{
-		Name:   fmt.Sprintf("knapsack-%dx%d", len(k.Weights), k.Capacity),
-		Size:   k.Size(),
-		Kernel: k,
-		Codec:  matrix.BinaryCodec[int32]{},
-	}
+	return problem[int32](fmt.Sprintf("knapsack-%dx%d", len(k.Weights), k.Capacity), k.Size(), k)
 }
 
 // Sequential is the reference implementation.
@@ -210,11 +188,7 @@ func (k *Knapsack) Sequential() [][]int32 {
 	}
 	for i := 0; i < rows; i++ {
 		for w := 0; w < cols; w++ {
-			best := get(i-1, w)
-			if take := get(i-1, w-k.Weights[i]) + k.Values[i]; take > best {
-				best = take
-			}
-			d[i][w] = best
+			d[i][w] = max(get(i-1, w), get(i-1, w-k.Weights[i])+k.Values[i])
 		}
 	}
 	return d
@@ -271,9 +245,7 @@ func (d *Dominance43) Cell(v *matrix.View[int32], i, j int) int32 {
 		for jj := -1; jj < j; {
 			run := rowRun(v, ii, jj, j-jj, &one)
 			for x, c := range run {
-				if c += d.w(ii+jj+x+2, i+j+2); c < best {
-					best = c
-				}
+				best = min(best, c+d.w(ii+jj+x+2, i+j+2))
 			}
 			jj += len(run)
 		}
@@ -290,12 +262,7 @@ func (d *Dominance43) w(a, b int) int32 {
 
 // Problem wraps the kernel for the runtime.
 func (d *Dominance43) Problem() core.Problem[int32] {
-	return core.Problem[int32]{
-		Name:   fmt.Sprintf("dominance-%d", d.N),
-		Size:   d.Size(),
-		Kernel: core.Cells[int32](d),
-		Codec:  matrix.BinaryCodec[int32]{},
-	}
+	return problem[int32](fmt.Sprintf("dominance-%d", d.N), d.Size(), core.Cells[int32](d))
 }
 
 // Sequential is the reference implementation.
@@ -313,10 +280,7 @@ func (d *Dominance43) Sequential() [][]int32 {
 			best := int32(1) << 30
 			for ii := -1; ii < i; ii++ {
 				for jj := -1; jj < j; jj++ {
-					c := get(ii, jj) + d.w(ii+jj+2, i+j+2)
-					if c < best {
-						best = c
-					}
+					best = min(best, get(ii, jj)+d.w(ii+jj+2, i+j+2))
 				}
 			}
 			m[i][j] = best

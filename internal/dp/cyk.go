@@ -110,16 +110,11 @@ func (c *CYK) Row(v *matrix.View[uint64], i, j0 int, out []uint64) {
 	below := newRows(v, j0, len(out), j0+1)
 	var one [1]uint64
 	for k := i; k < j0; {
-		left := rowRun(v, i, k, j0-k, &one)
-		for x := 0; x < len(left); {
-			cells, stride, m := below.band(k + x + 1)
-			m = min(m, len(left)-x)
-			for y, l := range left[x : x+m] {
-				if l != 0 {
-					c.derive(out, l, cells[y*stride:][:len(out)])
-				}
+		left, cells, stride := below.split(i, k, &one)
+		for y, l := range left {
+			if l != 0 {
+				c.derive(out, l, cells[y*stride:][:len(out)])
 			}
-			x += m
 		}
 		k += len(left)
 	}
@@ -154,12 +149,7 @@ func (c *CYK) derive(out []uint64, left uint64, right []uint64) {
 
 // Problem wraps the parser for the runtime.
 func (c *CYK) Problem() core.Problem[uint64] {
-	return core.Problem[uint64]{
-		Name:   fmt.Sprintf("cyk-%d", len(c.Input)),
-		Size:   c.Size(),
-		Kernel: c,
-		Codec:  matrix.BinaryCodec[uint64]{},
-	}
+	return problem[uint64](fmt.Sprintf("cyk-%d", len(c.Input)), c.Size(), c)
 }
 
 // Sequential is the reference implementation.

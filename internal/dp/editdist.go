@@ -47,12 +47,7 @@ func (e *EditDistance) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 
 // Problem wraps the kernel for the runtime.
 func (e *EditDistance) Problem() core.Problem[int32] {
-	return core.Problem[int32]{
-		Name:   fmt.Sprintf("editdist-%dx%d", len(e.A), len(e.B)),
-		Size:   e.Size(),
-		Kernel: e,
-		Codec:  matrix.BinaryCodec[int32]{},
-	}
+	return problem[int32](fmt.Sprintf("editdist-%dx%d", len(e.A), len(e.B)), e.Size(), e)
 }
 
 // Sequential is the reference implementation.
@@ -118,12 +113,7 @@ func (l *LCS) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 
 // Problem wraps the kernel for the runtime.
 func (l *LCS) Problem() core.Problem[int32] {
-	return core.Problem[int32]{
-		Name:   fmt.Sprintf("lcs-%dx%d", len(l.A), len(l.B)),
-		Size:   l.Size(),
-		Kernel: l,
-		Codec:  matrix.BinaryCodec[int32]{},
-	}
+	return problem[int32](fmt.Sprintf("lcs-%dx%d", len(l.A), len(l.B)), l.Size(), l)
 }
 
 // Sequential is the reference implementation.

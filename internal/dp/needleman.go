@@ -3,6 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -72,12 +73,7 @@ func (nw *NeedlemanWunsch) wave() wave {
 
 // Problem wraps the aligner for the runtime.
 func (nw *NeedlemanWunsch) Problem() core.Problem[int32] {
-	return core.Problem[int32]{
-		Name:   fmt.Sprintf("nw-%dx%d", len(nw.A), len(nw.B)),
-		Size:   nw.Size(),
-		Kernel: nw,
-		Codec:  matrix.BinaryCodec[int32]{},
-	}
+	return problem[int32](fmt.Sprintf("nw-%dx%d", len(nw.A), len(nw.B)), nw.Size(), nw)
 }
 
 // Sequential is the reference implementation.
@@ -129,7 +125,7 @@ func (nw *NeedlemanWunsch) Traceback(d [][]int32) Alignment {
 			j--
 		}
 	}
-	reverse(ra)
-	reverse(rb)
+	slices.Reverse(ra)
+	slices.Reverse(rb)
 	return Alignment{RowA: ra, RowB: rb, Score: nw.GlobalScore(d)}
 }

@@ -77,9 +77,12 @@ func (nu *Nussinov) Boundary(i, j int) int32 { return 0 }
 // F[i,k] + F[k+1,j], and a cell weighs the pair term and the split points
 // i <= k < j: the candidates of Sequential(). The split points left of the
 // segment are swept a source row at a time across the whole segment — row
-// k+1 of the segment, offered F[i,k] — four to a pass. Then the cells are
-// finalized left to right, and each is offered, as a split point, to the
-// cells after it.
+// k+1 of the segment, offered F[i,k] — four to a pass. Each cell takes its
+// pair term; then the cells are finalized a group at a time, left to right:
+// each is offered, as a split point, to the later cells of its group over
+// the group's own triangle (settle), and the finished group to every cell
+// after it in one sweep over the band of its rows k+1, which lies on or
+// above the diagonal and so holds no hole.
 func (nu *Nussinov) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	j1 := j0 + len(out)
 	for t := range out {
@@ -88,38 +91,43 @@ func (nu *Nussinov) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	below := newRows(v, j0, len(out), j0+1)
 	var one [1]int32
 	for k := i; k < j0; {
-		left := rowRun(v, i, k, j0-k, &one)
-		for x := 0; x < len(left); {
-			cells, stride, m := below.band(k + x + 1)
-			m = min(m, len(left)-x)
-			maxPlus(out, left[x:x+m], cells, stride)
-			x += m
-		}
+		left, cells, stride := below.split(i, k, &one)
+		maxPlus(out, left, cells, stride)
 		k += len(left)
 	}
-	for t := range out {
-		j := j0 + t
-		if j == i {
-			out[t] = 0
-		} else if nu.CanPair(i, j) {
-			out[t] = max(out[t], v.Get(i+1, j-1)+1)
+	for t := 0; t < len(out); { // the pair terms, F[i+1,j-1] + 1
+		for _, f := range rowRun(v, i+1, j0+t-1, len(out)-t, &one) {
+			if j := j0 + t; j == i {
+				out[t] = 0
+			} else if nu.CanPair(i, j) {
+				out[t] = max(out[t], f+1)
+			}
+			t++
 		}
-		for c := j + 1; c < j1; {
-			run := rowRun(v, j+1, c, j1-c, &one)
-			maxPlus(out[c-j0:c-j0+len(run)], out[t:t+1], run, 0)
-			c += len(run)
+	}
+	var tile [group][group]int32
+	for t0 := 0; t0 < len(out); t0 += group {
+		t1 := min(t0+group, len(out))
+		for x := range t1 - t0 - 1 { // tile[y][x] = F[j0+t0+x+1, j0+t0+y]
+			for y := x + 1; y < t1-t0; {
+				for _, f := range rowRun(v, j0+t0+x+1, j0+t0+y, t1-t0-y, &one) {
+					tile[y][x], y = f, y+1
+				}
+			}
+		}
+		settle(out[t0:t1], &tile)
+		side := newRows(v, j0+t1, j1-j0-t1, j0+t1+1)
+		for r := j0 + t0 + 1; t1 < len(out) && r <= j0+t1; {
+			cells, stride, m := side.band(r)
+			maxPlus(out[t1:], out[r-j0-1:r-j0-1+m], cells, stride)
+			r += m
 		}
 	}
 }
 
 // Problem wraps the folder for the runtime.
 func (nu *Nussinov) Problem() core.Problem[int32] {
-	return core.Problem[int32]{
-		Name:   fmt.Sprintf("nussinov-%d", len(nu.S)),
-		Size:   nu.Size(),
-		Kernel: nu,
-		Codec:  matrix.BinaryCodec[int32]{},
-	}
+	return problem[int32](fmt.Sprintf("nussinov-%d", len(nu.S)), nu.Size(), nu)
 }
 
 // Sequential computes the full upper-triangular matrix by increasing span

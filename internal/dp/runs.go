@@ -49,6 +49,15 @@ func (s *rows[T]) band(r int) (cells []T, stride, m int) {
 	return s.cells[(r-s.r0)*s.stride:], s.stride, s.r1 - r
 }
 
+// split hands a triangular kernel the split points k, k+1, ... left of the
+// walk's segment of row i that one run and one band hold: left[x] is cell
+// (i, k+x), and row k+1+x of the segment is cells[x*stride:].
+func (s *rows[T]) split(i, k int, one *[1]T) (left, cells []T, stride int) {
+	left = rowRun(s.v, i, k, s.j-k, one)
+	cells, stride, m := s.band(k + 1)
+	return left[:min(m, len(left))], cells, stride
+}
+
 func (s *rows[T]) fetch(r int) {
 	cells, stride, m := s.v.Band(r, s.j, s.w, s.end-r)
 	if m == 0 {

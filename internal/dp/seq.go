@@ -7,7 +7,13 @@
 // used for correctness checks and speedup baselines.
 package dp
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/core"
+	"repro/internal/dag"
+	"repro/internal/matrix"
+)
 
 // Alphabets for workload generation.
 const (
@@ -54,4 +60,10 @@ func grid[T any](rows, cols int) [][]T {
 		g[i], backing = backing[:cols], backing[cols:]
 	}
 	return g
+}
+
+// problem wraps kernel k, a size-sized matrix named name, for the runtime:
+// its cells ship through the binary codec.
+func problem[T int32 | int64 | uint64](name string, size dag.Size, k core.Kernel[T]) core.Problem[T] {
+	return core.Problem[T]{Name: name, Size: size, Kernel: k, Codec: matrix.BinaryCodec[T]{}}
 }

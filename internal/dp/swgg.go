@@ -2,6 +2,7 @@ package dp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -61,25 +62,33 @@ func (s *SWGG) CellCost(i, j int) float64 {
 func (s *SWGG) Boundary(i, j int) int32 { return 0 }
 
 // Row implements core.Kernel. Every cell weighs the candidates of
-// Sequential(), one by one, each through maxPlus: the column above is swept
-// a source row at a time across the whole segment, row r offered with the
-// gap it closes, -w(i-r); each cell to the left in the row is offered over
-// the ramp row -t*GapExt of the segment; then the cells are finalized left
-// to right, each with its diagonal, and each offered over the same ramp to
-// the cells after it.
+// Sequential(), one by one, each through maxPlus or settle: the column
+// above is swept a source row at a time across the whole segment, row r
+// offered with the gap it closes, -w(i-r); each cell to the left in the row
+// is offered over the ramp row -t*GapExt of the segment (gaps); each cell
+// takes its diagonal; then the cells are finalized a group at a time, left
+// to right: each offers out[t] - w(u-t) to the later cells u of its group
+// (settle), and the finished group is offered over the ramp to every cell
+// after it in one sweep.
 func (s *SWGG) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	clear(out) // local alignment restarts at 0
 	var left, ramp [sweep]int32
 	for t := range ramp[:min(len(out), sweep)] {
 		ramp[t] = -int32(t) * s.GapExt
 	}
+	var tile [group][group]int32
+	for y := range tile {
+		for x := range y {
+			tile[y][x] = -s.gap(y - x)
+		}
+	}
 	above := newRows(v, j0, len(out), i)
 	var last []int32 // row i-1 of the segment: the diagonals
 	for r := 0; r < i; {
 		cells, stride, m := above.band(r)
-		l := left[:min(m, sweep)]
+		l, g, ext := left[:min(m, sweep)], -s.gap(i-r), s.GapExt
 		for x := range l {
-			l[x] = -s.gap(i - r - x)
+			l[x], g = g, g+ext // -w(i-r-x), wrapping as s.gap does
 		}
 		maxPlus(out, l, cells, stride)
 		last = cells[(len(l)-1)*stride:][:len(out)]
@@ -88,36 +97,43 @@ func (s *SWGG) Row(v *matrix.View[int32], i, j0 int, out []int32) {
 	var one [1]int32
 	for c := 0; c < j0; {
 		run := rowRun(v, i, c, min(j0-c, sweep), &one)
-		for u := 0; u < len(out); u += sweep {
-			l := left[:len(run)]
-			for x := range l {
-				l[x] = run[x] - s.gap(j0+u-c-x)
-			}
-			maxPlus(out[u:min(u+sweep, len(out))], l, ramp[:], 0)
-		}
+		s.gaps(out, run, j0-c, &left, &ramp)
 		c += len(run)
 	}
 	diag := v.Get(i-1, j0-1) // in row 0 every diagonal is the boundary's 0
-	for t := range out {
-		out[t] = max(out[t], diag+s.score(i, j0+t))
-		for u := t + 1; u < len(out); u += sweep {
-			left[0] = out[t] - s.gap(u-t)
-			maxPlus(out[u:min(u+sweep, len(out))], left[:1], ramp[:], 0)
+	a, match, mismatch := s.A[i], s.Match, s.Mismatch
+	for t, b := range s.B[j0 : j0+len(out)] {
+		score := mismatch // a conditional move, where s.score would branch
+		if b == a {
+			score = match
 		}
+		out[t] = max(out[t], diag+score)
 		if last != nil {
 			diag = last[t]
 		}
+	}
+	for t0 := 0; t0 < len(out); t0 += group {
+		t1 := min(t0+group, len(out))
+		settle(out[t0:t1], &tile)
+		s.gaps(out[t1:], out[t0:t1], t1-t0, &left, &ramp)
+	}
+}
+
+// gaps offers each cell src[x], d-x columns left of out[0], to every cell
+// of out over the ramp: out[t] weighs src[x] - w(d-x+t).
+func (s *SWGG) gaps(out, src []int32, d int, left, ramp *[sweep]int32) {
+	for u := 0; u < len(out); u += sweep {
+		l, w, ext := left[:len(src)], s.gap(d+u), s.GapExt
+		for x, c := range src {
+			l[x], w = c-w, w-ext // w is w(d+u-x), wrapping as s.gap does
+		}
+		maxPlus(out[u:min(u+sweep, len(out))], l, ramp[:], 0)
 	}
 }
 
 // Problem wraps the aligner for the runtime.
 func (s *SWGG) Problem() core.Problem[int32] {
-	return core.Problem[int32]{
-		Name:   fmt.Sprintf("swgg-%dx%d", len(s.A), len(s.B)),
-		Size:   s.Size(),
-		Kernel: s,
-		Codec:  matrix.BinaryCodec[int32]{},
-	}
+	return problem[int32](fmt.Sprintf("swgg-%dx%d", len(s.A), len(s.B)), s.Size(), s)
 }
 
 // Sequential computes the full matrix with a plain O(n^3) loop nest — the
@@ -184,6 +200,7 @@ func (s *SWGG) Traceback(h [][]int32) Alignment {
 		return h[i][j]
 	}
 	var ra, rb []byte
+walk:
 	for i >= 0 && j >= 0 && h[i][j] > 0 {
 		cur := h[i][j]
 		if cur == get(i-1, j-1)+s.score(i, j) {
@@ -192,38 +209,29 @@ func (s *SWGG) Traceback(h [][]int32) Alignment {
 			i, j = i-1, j-1
 			continue
 		}
-		moved := false
-		for k := 1; k <= j && !moved; k++ {
+		for k := 1; k <= j; k++ {
 			if cur == get(i, j-k)-s.gap(k) {
 				for t := 0; t < k; t++ {
 					ra = append(ra, '-')
 					rb = append(rb, s.B[j-t])
 				}
 				j -= k
-				moved = true
+				continue walk
 			}
 		}
-		for k := 1; k <= i && !moved; k++ {
+		for k := 1; k <= i; k++ {
 			if cur == get(i-k, j)-s.gap(k) {
 				for t := 0; t < k; t++ {
 					ra = append(ra, s.A[i-t])
 					rb = append(rb, '-')
 				}
 				i -= k
-				moved = true
+				continue walk
 			}
 		}
-		if !moved {
-			break // cell value is 0-anchored: alignment starts here
-		}
+		break // cell value is 0-anchored: alignment starts here
 	}
-	reverse(ra)
-	reverse(rb)
+	slices.Reverse(ra)
+	slices.Reverse(rb)
 	return Alignment{RowA: ra, RowB: rb, Score: score, StartA: i + 1, StartB: j + 1}
-}
-
-func reverse(b []byte) {
-	for l, r := 0, len(b)-1; l < r; l, r = l+1, r-1 {
-		b[l], b[r] = b[r], b[l]
-	}
 }

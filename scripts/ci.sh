@@ -275,7 +275,7 @@ if [ -n "$entries" ]; then
     exit 1
 fi
 echo "calls: no RowKernel, cellRows, Cell-from-Row wrapper or View.Set in non-test Go"
-check_lines 1573 internal/dp
+check_lines 1570 internal/dp
 
 # And every 2D/1D scan of SWGG and Nussinov is the one max-plus sweep,
 # dp.maxPlus, with its vector body: no non-test Go names SWGG's deleted
@@ -289,6 +289,19 @@ if [ -n "$gapscans" ]; then
     exit 1
 fi
 echo "calls: no columnGaps or rowGaps in non-test Go"
+
+# And SWGG and Nussinov finalize a row segment a group of eight cells at a
+# time (dp.settle inside the group, then one maxPlus of the group's rows to
+# the cells after it): no non-test Go in internal/dp hands maxPlus a single
+# source row, left[:1] or out[t:t+1]. A per-cell offer must not return
+# unnoticed.
+oneoffers=$(grep -nE 'maxPlus\(.*(\[:1\]|\[([A-Za-z0-9_]+) ?: ?\2 ?\+ ?1\])' $(ls internal/dp/*.go | grep -v '_test\.go$') /dev/null || true)
+if [ -n "$oneoffers" ]; then
+    echo "calls: a finalized cell is offered with its group, not by a one-row maxPlus:" >&2
+    echo "$oneoffers" >&2
+    exit 1
+fi
+echo "calls: no one-row maxPlus offer in non-test internal/dp"
 
 # And every wavefront kernel's Row (EditDistance, LCS, Needleman-Wunsch) is
 # the one wave scan, dp.wave, with its vector body: no non-test Go in
