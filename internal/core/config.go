@@ -103,8 +103,8 @@ type Config struct {
 	// applied under PolicyBlockCyclic, whose static ownership leaves no
 	// idle slave eligible to run a backup.
 	Speculate bool
-	// Steal enables idle work stealing: when a slave's sender is
-	// starved (no computable work) while another slave has a backlog of
+	// Steal enables idle work stealing: when a slave is parked, starved
+	// of computable work, while another slave has a backlog of
 	// queued-but-undispatched batch entries, the master cancels the
 	// tail of that backlog and requeues it for the starved slave. Not
 	// applied under PolicyBlockCyclic.

@@ -22,31 +22,39 @@ import (
 // Driver is the master part of the runtime (Figs. 9-10 of the paper) as
 // the I/O around one engine.Pool, for every deployment. The pool and its
 // jobs make every scheduling decision; the driver owns the I/O around them
-// as synchronous steps — Start, End, Feed, Deliver, Down, Tick — which the
-// goroutines of RunContext and a fleet call (StartSender, StartTick) and
-// the simulator's event loop calls directly.
+// as synchronous steps — Start, End, Deliver, Down, Tick — which the
+// goroutines of RunContext and a fleet call (a member's sender,
+// StartTick) and the simulator's event loop calls directly.
 //
 // Members come from one source, a Registry: a fleet's — every worker
 // process is one, and the job service's own members in process — the
 // in-process members of RunContext, and the simulator's. They join, leave
 // and die under it and attach each job by a job-spec frame before its
 // first task; all but the in-process ones are swept for heartbeats at every
-// tick. A member whose draw came back empty is parked, and each tick asks
-// the pool to feed it (Tick): hunger is read off the master, not announced.
+// tick.
+//
+// Which member draws next is one rule for all (§V.B steps d-e): a member
+// whose idle token comes back joins the back of the parked queue, and each
+// step that queues work or frees quota room walks the queue from the front
+// (feed). Each tick runs the pool's hunger pass for the parked members
+// (Tick): hunger is read off the master, not announced.
 type Driver[T any] struct {
 	cfg   DriverConfig
 	clock sched.Clock
 	reg   *Registry
 
 	// mu serializes every call into pool and guards the running jobs by
-	// id, the retained finished ones, the members and the closing of done;
-	// a sender with nothing to draw waits on cond.
+	// id, the retained finished ones, the members, the parked queue and
+	// handed draws, and the closing of done.
 	mu       sync.Mutex
-	cond     *sync.Cond
 	pool     *engine.Pool[T]
 	jobs     map[int32]*Job[T]
 	retained []*Job[T]
 	members  map[int]*member
+	// parked holds the members with an idle token and no draw, in the order
+	// their tokens came back; handed, the draws their senders have not taken.
+	parked []*member
+	handed map[*member]draw[T]
 
 	hungers atomic.Int64 // hunger passes that moved backlog
 	stale   atomic.Int64 // results for jobs no longer running
@@ -94,13 +102,13 @@ type Link interface {
 type member struct {
 	id       int
 	link     Link
-	idle     chan struct{}
+	idle     chan struct{} // wakes its sender: its idle token was handed a draw
 	stop     chan struct{}
 	stopOnce sync.Once
 	known    *cas.PeerSet // what it holds of the Delta jobs' blocks
-	// parked, under the driver's mu, marks a member whose last draw found
-	// nothing; its next successful draw clears it.
-	parked bool
+	// sender marks a member whose draws a sender goroutine ships; parked,
+	// under the driver's mu, one in the parked queue.
+	sender, parked bool
 
 	// attachMu orders the attach and detach frames against task sends, and
 	// every known-set note against the detach that resets the set.
@@ -116,8 +124,6 @@ func (m *member) close() {
 	})
 }
 
-func (m *member) stopped() bool { return closed(m.stop) }
-
 // closed polls a channel that is only ever closed.
 func closed(ch <-chan struct{}) bool {
 	select {
@@ -128,16 +134,10 @@ func closed(ch <-chan struct{}) bool {
 	}
 }
 
-// signalIdle hands the member's sender one idle token; a nil member, one
-// the driver does not know, has no sender.
-func (m *member) signalIdle() {
-	if m == nil {
-		return
-	}
-	select {
-	case m.idle <- struct{}{}:
-	default:
-	}
+// draw is a batch the walk drew for a member: vertices ids of job jb.
+type draw[T any] struct {
+	jb  *Job[T]
+	ids []int32
 }
 
 // Job is one DAG job as a driver runs it: fill the exported fields and
@@ -319,9 +319,9 @@ func NewDriver[T any](cfg DriverConfig) *Driver[T] {
 		pool:    engine.NewPool[T](cfg.Pool),
 		jobs:    make(map[int32]*Job[T]),
 		members: make(map[int]*member),
+		handed:  make(map[*member]draw[T]),
 		done:    make(chan struct{}),
 	}
-	d.cond = sync.NewCond(&d.mu)
 	return d
 }
 
@@ -330,16 +330,6 @@ func NewDriver[T any](cfg DriverConfig) *Driver[T] {
 func (d *Driver[T]) StartTick() {
 	ticker := d.clock.NewTicker(d.cfg.Pool.CheckInterval)
 	d.spawn(func() { d.tickLoop(ticker) })
-}
-
-// StartSender starts the sender goroutine of member id, unless the driver
-// does not hold it or is closed.
-func (d *Driver[T]) StartSender(id int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if m := d.members[id]; m != nil && !closed(d.done) {
-		d.spawn(func() { d.senderLoop(m) })
-	}
 }
 
 func (d *Driver[T]) spawn(fn func()) {
@@ -442,9 +432,9 @@ func (d *Driver[T]) Start(jb *Job[T]) error {
 	}
 	d.jobs[jb.ID] = jb
 	d.pool.Add(jb.ID, jb.Engine, jb.Params, frontier, jb.start)
-	d.cond.Broadcast()
 	d.mu.Unlock()
 	d.progress()
+	d.feed(nil)
 	return nil
 }
 
@@ -486,7 +476,6 @@ func (d *Driver[T]) unlist(jb *Job[T]) bool {
 			d.retained = append([]*Job[T](nil), d.retained[over:]...)
 		}
 	}
-	d.cond.Broadcast()
 	return true
 }
 
@@ -510,23 +499,28 @@ func (d *Driver[T]) detach(jb *Job[T]) {
 	}
 }
 
-// AddMember admits the member the registry knows as id, reached over link.
-// Once the driver is closed it admits nothing and reports false.
-func (d *Driver[T]) AddMember(id int, link Link) bool {
-	m := &member{id: id, link: link, idle: make(chan struct{}, 4), stop: make(chan struct{}),
-		known: d.cfg.Cache.NewPeerSet(), attached: make(map[int32]bool)}
+// AddMember admits the member the registry knows as id, reached over link:
+// with sender, a sender goroutine of its own ships its draws, and without
+// (the simulator's), the step that draws for it does. Once the driver is
+// closed it admits nothing and reports false.
+func (d *Driver[T]) AddMember(id int, link Link, sender bool) bool {
+	m := &member{id: id, link: link, idle: make(chan struct{}, 1), stop: make(chan struct{}),
+		known: d.cfg.Cache.NewPeerSet(), attached: make(map[int32]bool), sender: sender}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if closed(d.done) {
 		return false
 	}
 	d.members[m.id] = m
+	if sender {
+		d.spawn(func() { d.senderLoop(m) })
+	}
 	return true
 }
 
-// senderLoop is one worker thread of the master worker pool: each idle
-// token of its member is spent by feed (§V.B steps d-e), waiting while
-// there is nothing to draw. It tells the member to end on Close.
+// senderLoop is one worker thread of the master worker pool: it waits on
+// its member's own signal, ships the draw it was handed (§V.B step e) and
+// walks for what that requeued. It tells the member to end on Close.
 func (d *Driver[T]) senderLoop(m *member) {
 	for {
 		select {
@@ -537,56 +531,84 @@ func (d *Driver[T]) senderLoop(m *member) {
 			_ = m.link.Send(comm.Message{Kind: comm.KindEnd})
 			return
 		}
-		if !d.feed(m, true) {
-			if !m.stopped() {
-				_ = m.link.Send(comm.Message{Kind: comm.KindEnd})
-			}
-			return
+		d.mu.Lock()
+		dr, ok := d.handed[m]
+		delete(d.handed, m)
+		d.mu.Unlock()
+		if ok {
+			d.ship(m, dr)
+			d.feed(nil)
 		}
 	}
 }
 
-// Feed spends one idle token of member id without blocking: a batch from
-// the job the pool picks, leased and shipped. It reports whether the token
-// was spent; false means there was nothing to draw for a member held.
-func (d *Driver[T]) Feed(id int) bool {
-	d.mu.Lock()
-	m := d.members[id]
-	d.mu.Unlock()
-	return m != nil && d.feed(m, false)
-}
-
-// feed draws and dispatches batches for m until one spends its idle token:
-// a draw whose vertices all finished while queued (a result raced a
-// timeout) is followed by another. With wait it blocks for work, and false
-// means the driver closed or m stopped.
-func (d *Driver[T]) feed(m *member, wait bool) bool {
-	for {
-		jb, ids, ok := d.nextBatch(m, wait)
-		if !ok || d.dispatch(m, jb, ids) {
-			return ok
-		}
-	}
-}
-
-// nextBatch draws member m a batch (at most the batch cap in effect), with
-// wait blocking until the pool hands one, the driver closes or m stops. A
-// draw that finds nothing parks m until one succeeds.
-func (d *Driver[T]) nextBatch(m *member, wait bool) (*Job[T], []int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for !closed(d.done) && !m.stopped() {
+// walk draws, under mu, for the parked members from the front until one
+// draws, and takes that one out of the queue (§V.B step d). A refused draw
+// ends the walk under a member-blind order — nothing is queued for anyone —
+// while under BCW (memberOrder) the member keeps its place.
+func (d *Driver[T]) walk() (*member, draw[T]) {
+	for i, m := range d.parked {
 		if id, ids, ok := d.pool.Draw(m.id); ok {
+			copy(d.parked[1:i+1], d.parked[:i]) // the refused ahead of m step back: O(i), 0 when blind
+			d.parked = d.parked[1:]
 			m.parked = false
-			return d.jobs[id], ids, true
+			return m, draw[T]{d.jobs[id], ids}
 		}
-		m.parked = true
-		if !wait {
+		if d.blind() {
 			break
 		}
-		d.cond.Wait()
 	}
-	return nil, nil, false
+	return nil, draw[T]{}
+}
+
+// blind reports, under mu, whether every running job draws in a
+// member-blind order: any member may take any vertex it queues.
+func (d *Driver[T]) blind() bool {
+	for _, jb := range d.jobs {
+		if _, static := jb.Params.Order.(memberOrder); static {
+			return false
+		}
+	}
+	return true
+}
+
+// feed walks the parked queue after a step that queued work or freed quota
+// room, first parking free, a member whose idle token came back, at the
+// back; one unknown (nil, revoked) or holding its token stays as it is. A
+// member with a sender is handed its draw; one without has it shipped
+// here, before the next member draws.
+func (d *Driver[T]) feed(free *member) {
+	d.mu.Lock()
+	if _, handed := d.handed[free]; !handed && free != nil && !free.parked && d.members[free.id] == free {
+		free.parked = true
+		d.parked = append(d.parked, free)
+	}
+	for {
+		m, dr := d.walk()
+		if m == nil || !m.sender {
+			d.mu.Unlock()
+			if m == nil {
+				return
+			}
+			d.ship(m, dr)
+			d.mu.Lock()
+			continue
+		}
+		d.handed[m] = dr
+		select {
+		case m.idle <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// ship dispatches the draw m was handed. One that spent nothing — its
+// vertices all finished while queued (a result raced a timeout), or its
+// job ended — parks m again.
+func (d *Driver[T]) ship(m *member, dr draw[T]) {
+	if !d.dispatch(m, dr.jb, dr.ids) {
+		d.feed(m)
+	}
 }
 
 // dispatch leases the drawn vertices of jb to member m and ships the
@@ -600,19 +622,15 @@ func (d *Driver[T]) dispatch(m *member, jb *Job[T], ids []int32) bool {
 	}
 	now := d.clock.Now()
 	d.mu.Lock()
-	if m.stopped() {
-		// The member went away while its sender waited for work: hand the
-		// draw back for a live member. revoke closes stop before it takes
-		// mu, so a lease granted below is one its revocation sees.
+	if closed(m.stop) {
+		// The member went away while its sender held the draw: hand it back
+		// for a live member. revoke closes stop before it takes mu, so a
+		// lease granted below is one its revocation sees.
 		d.pool.Undraw(jb.ID, ids)
-		d.cond.Broadcast()
 		d.mu.Unlock()
 		return true
 	}
 	grants, spent := d.pool.Lease(jb.ID, m.id, ids, now)
-	if len(grants) < len(ids) {
-		d.cond.Broadcast() // a held vertex is back in the order, a gone one freed quota room
-	}
 	d.mu.Unlock()
 	if len(grants) == 0 {
 		return spent
@@ -691,7 +709,7 @@ func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 	d.mu.Unlock()
 	switch msg.Kind {
 	case comm.KindIdle:
-		m.signalIdle()
+		d.feed(m)
 	case comm.KindHeartbeat:
 		if m != nil {
 			_ = m.link.Send(comm.Message{Kind: comm.KindHeartbeat})
@@ -699,6 +717,7 @@ func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 	case comm.KindLeave:
 		if d.reg.MarkLeft(id) {
 			d.revoke(id)
+			d.feed(nil)
 		}
 	case comm.KindResult, comm.KindResultBatch:
 		if jb != nil {
@@ -710,11 +729,13 @@ func (d *Driver[T]) Deliver(id int, msg comm.Message) {
 		for _, e := range msg.Batch {
 			d.applyResult(m, id, jb, e.Vertex, e.Attempt, e.Payload)
 		}
-		// More marks a partial flush of a still-executing batch:
-		// re-arming the sender now would over-commit the member.
-		if !msg.More {
-			m.signalIdle()
+		// More marks a partial flush of a still-executing batch: parking
+		// the member now would over-commit it. Even with nothing ready the
+		// walk is due: a released lease may free quota room.
+		if msg.More {
+			m = nil
 		}
+		d.feed(m)
 	default:
 		// A kind no worker sends means a corrupted link or version skew.
 		d.Down(id, fmt.Errorf("core: member %d sent an unexpected %v frame", id, msg.Kind))
@@ -756,7 +777,6 @@ func (d *Driver[T]) applyResult(m *member, id int, jb *Job[T], v, attempt int32,
 	}
 	d.mu.Lock()
 	d.pool.Ready(jb.ID, ready)
-	d.cond.Broadcast() // even with nothing ready: the released lease may free quota room
 	d.mu.Unlock()
 }
 
@@ -766,23 +786,28 @@ func (d *Driver[T]) applyResult(m *member, id int, jb *Job[T], v, attempt int32,
 func (d *Driver[T]) Down(id int, err error) {
 	if !closed(d.done) && d.reg.MarkDead(id) {
 		d.revoke(id)
+		d.feed(nil)
 	}
 }
 
-// revoke forgets a dead or departed member, closing its link, and
-// has the pool requeue its leased vertices; this counts toward no
-// MaxAttempts.
+// revoke forgets a dead or departed member, closing its link, and has the
+// pool requeue its leased vertices and a draw its sender has not taken;
+// this counts toward no MaxAttempts. The caller walks for what it requeued.
 func (d *Driver[T]) revoke(id int) {
 	d.mu.Lock()
 	m := d.members[id]
 	delete(d.members, id)
+	d.parked = slices.DeleteFunc(d.parked, func(p *member) bool { return p == m })
+	if dr, handed := d.handed[m]; handed {
+		delete(d.handed, m)
+		d.pool.Undraw(dr.jb.ID, dr.ids)
+	}
 	d.mu.Unlock()
 	if m != nil {
 		m.close() // stop closes before the pool revokes: see dispatch
 	}
 	d.mu.Lock()
 	revoked, requeued := d.pool.Revoke(id)
-	d.cond.Broadcast() // wakes the member's own sender, waiting in nextBatch, too
 	d.mu.Unlock()
 	d.reg.NoteRevoked(revoked, requeued)
 }
@@ -801,9 +826,9 @@ func (d *Driver[T]) tickLoop(ticker sched.Ticker) {
 }
 
 // Tick is one control tick: the heartbeat sweep; the pool's hunger pass
-// for each parked member, in id order, where a pass that moves backlog
-// counts as a hunger; the pool's tick (deadlines, overtime expiry,
-// straggler flags, the tuner); and the end of the jobs it gave up on.
+// for each parked member in queue order, a pass that moves backlog counting
+// as a hunger; the pool's tick (deadlines, overtime expiry, straggler flags,
+// the tuner); the end of the jobs it gave up on; and a walk.
 func (d *Driver[T]) Tick(now time.Time) {
 	defer d.progress()
 	for _, id := range d.reg.Sweep(now, d.cfg.HeartbeatInterval, d.cfg.HeartbeatMiss) {
@@ -811,15 +836,8 @@ func (d *Driver[T]) Tick(now time.Time) {
 	}
 	live := d.reg.Live()
 	d.mu.Lock()
-	var parked []int
-	for id, m := range d.members {
-		if m.parked {
-			parked = append(parked, id)
-		}
-	}
-	slices.Sort(parked) // the members map's order is random
-	for _, id := range parked {
-		if d.pool.Hunger(id) {
+	for _, m := range d.parked {
+		if d.pool.Hunger(m.id) {
 			d.hungers.Add(1)
 		}
 	}
@@ -829,12 +847,12 @@ func (d *Driver[T]) Tick(now time.Time) {
 		over[i] = d.jobs[end.ID]
 		d.unlist(over[i])
 	}
-	d.cond.Broadcast()
 	d.mu.Unlock()
 	for i, end := range ended {
 		over[i].finish(over[i].fail(end.Err), now)
 		d.detach(over[i])
 	}
+	d.feed(nil)
 }
 
 // Close ends the running jobs with ErrClosed and stops the driver: each
@@ -847,7 +865,6 @@ func (d *Driver[T]) Close() {
 			running = append(running, jb)
 		}
 		close(d.done)
-		d.cond.Broadcast()
 	}
 	d.mu.Unlock()
 	for _, jb := range running {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,10 +41,21 @@ func drawOne(t *testing.T, d *Driver[int32]) []int32 {
 	return ids
 }
 
-// TestDriverStoppedMemberHandsDrawBack pins the sender's two exits when its
-// member goes away: a draw already in hand is handed back whole — nothing
-// leased to the dead member, the quota room reopened — and the next wait
-// for work returns at once instead of blocking at quota.
+// drawFor parks m at the back of the queue and walks, as a step does for
+// a member without a sender: what the walk draws for m, if it reaches m.
+func drawFor(d *Driver[int32], m *member) (*Job[int32], []int32, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m.parked = true
+	d.parked = append(d.parked, m)
+	got, dr := d.walk()
+	return dr.jb, dr.ids, got == m
+}
+
+// TestDriverStoppedMemberHandsDrawBack pins the sender's exit when its
+// member goes away with a draw in hand: the draw is handed back whole —
+// nothing leased to the dead member, the quota room reopened for the next
+// member the walk draws for.
 func TestDriverStoppedMemberHandsDrawBack(t *testing.T) {
 	d := NewDriver[int32](DriverConfig{Pool: engine.PoolConfig{Batch: 8, CheckInterval: time.Hour}, Registry: NewRegistry(nil, nil)})
 	defer d.Close()
@@ -52,7 +64,7 @@ func TestDriverStoppedMemberHandsDrawBack(t *testing.T) {
 	const roots = 4
 
 	m := &member{id: 1, stop: make(chan struct{})}
-	got, ids, ok := d.nextBatch(m, true)
+	got, ids, ok := drawFor(d, m)
 	if !ok || got != jb || len(ids) != 3 {
 		t.Fatalf("draw = (%v, %v), want a quota-clamped batch of 3", ids, ok)
 	}
@@ -64,13 +76,60 @@ func TestDriverStoppedMemberHandsDrawBack(t *testing.T) {
 		t.Fatalf("after the hand-back: %d ready, %d in flight, %d dispatches; want %d, 0, 0",
 			a.Ready, a.Inflight, jb.Stats().Dispatches, roots)
 	}
-	// At quota a live member's sender waits; a stopped member's must not.
 	other := &member{id: 2, stop: make(chan struct{})}
-	if _, ids, ok := d.nextBatch(other, true); !ok || len(ids) != 3 {
+	if _, ids, ok := drawFor(d, other); !ok || len(ids) != 3 {
 		t.Fatalf("second member's draw = (%v, %v), want the reopened room of 3", ids, ok)
 	}
-	if _, _, ok := d.nextBatch(m, true); ok {
-		t.Fatal("stopped member still drew a batch")
+	if _, _, ok := drawFor(d, m); ok {
+		t.Fatal("a member drew past the quota")
+	}
+}
+
+// TestDriverRevokeUndrawsHandedDraw: a member revoked while its sender has
+// not taken the draw the walk handed it leaves the parked queue, and the
+// draw goes back whole — nothing leased, the quota room reopened — for the
+// members behind it.
+func TestDriverRevokeUndrawsHandedDraw(t *testing.T) {
+	reg := NewRegistry(nil, nil)
+	d := NewDriver[int32](DriverConfig{Pool: engine.PoolConfig{Batch: 8, CheckInterval: time.Hour}, Registry: reg})
+	defer d.Close()
+	jb := triangularJob(d, engine.JobParams{Quota: 3})
+	startJob(t, d, jb)
+	const roots = 4
+	var ms []*member
+	for range 2 {
+		id := reg.Admit("m", "test").ID
+		_, link := NewLocal(func(comm.Message) {})
+		if !d.AddMember(id, link, false) {
+			t.Fatal("a fresh driver refused a member")
+		}
+		d.mu.Lock()
+		m := d.members[id]
+		m.sender = true // handed its draw, which nobody takes
+		d.mu.Unlock()
+		d.feed(m)
+		ms = append(ms, m)
+	}
+	d.mu.Lock()
+	_, handed := d.handed[ms[0]]
+	parked := slices.Clone(d.parked)
+	d.mu.Unlock()
+	if !handed || len(parked) != 1 || parked[0] != ms[1] {
+		t.Fatalf("after the walk: first member handed %v, queue %v; want it handed the quota and the second parked", handed, parked)
+	}
+	d.Down(ms[0].id, nil)
+	d.mu.Lock()
+	_, handed = d.handed[ms[0]]
+	dr, second := d.handed[ms[1]]
+	queued := len(d.parked)
+	d.mu.Unlock()
+	if handed || !second || len(dr.ids) != 3 || queued != 0 {
+		t.Fatalf("after the revocation: first handed %v, second handed %v of %d, %d parked; want the quota of 3 handed to the second alone",
+			handed, dr.ids, len(dr.ids), queued)
+	}
+	if a := d.Jobs()[0].Account; a.Ready != roots-3 || a.Inflight != 3 || jb.Stats().Dispatches != 0 {
+		t.Fatalf("after the revocation: %d ready, %d in flight, %d dispatches; want %d, 3, 0",
+			a.Ready, a.Inflight, jb.Stats().Dispatches, roots-3)
 	}
 }
 
@@ -192,7 +251,7 @@ func TestInProcessMemberNeverSwept(t *testing.T) {
 	local := d.JoinLocal("local", Config{})
 	remote := reg.Admit("remote", "127.0.0.1:1").ID
 	_, link := NewLocal(func(comm.Message) {})
-	if local == nil || !d.AddMember(remote, link) {
+	if local == nil || !d.AddMember(remote, link, false) {
 		t.Fatal("a fresh driver refused a member")
 	}
 	clock.Advance(10 * time.Second)

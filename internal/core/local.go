@@ -27,16 +27,15 @@ type Local struct {
 	handed  sync.Map // job id → *Job, from its spec frame's send until the worker attaches it
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []comm.Message
 	closed bool
+	more   chan struct{} // a token once the queue or closed changed: the worker's wake-up
 }
 
 // NewLocal returns an in-process link: the member's end, whose frames go to
 // deliver, and the driver's end.
 func NewLocal(deliver func(comm.Message)) (*Local, Link) {
-	l := &Local{deliver: deliver}
-	l.cond = sync.NewCond(&l.mu)
+	l := &Local{deliver: deliver, more: make(chan struct{}, 1)}
 	return l, toMember{l}
 }
 
@@ -49,10 +48,9 @@ func NewLocal(deliver func(comm.Message)) (*Local, Link) {
 func (d *Driver[T]) JoinLocal(name string, run Config) *Worker[T] {
 	id := d.reg.Admit(name, inProcess).ID
 	l, end := NewLocal(func(msg comm.Message) { d.Deliver(id, msg) })
-	if !d.AddMember(id, end) {
+	if !d.AddMember(id, end, true) {
 		return nil
 	}
-	d.StartSender(id)
 	return &Worker[T]{Link: l, Batch: d.cfg.Pool.Batch, Attach: func(msg comm.Message) (*TaskRunner[T], error) {
 		if jb, ok := l.handed.LoadAndDelete(msg.Job); ok {
 			return jb.(*Job[T]).Runner(run)
@@ -71,7 +69,10 @@ func (t toMember) Send(msg comm.Message) error {
 		return comm.ErrClosed
 	}
 	t.queue = append(t.queue, msg)
-	t.cond.Signal()
+	select {
+	case t.more <- struct{}{}:
+	default:
+	}
 	return nil
 }
 
@@ -80,7 +81,10 @@ func (t toMember) Send(msg comm.Message) error {
 func (l *Local) Close() error {
 	l.mu.Lock()
 	l.closed = true
-	l.cond.Signal()
+	select {
+	case l.more <- struct{}{}:
+	default:
+	}
 	l.mu.Unlock()
 	return nil
 }
@@ -92,7 +96,9 @@ func (l *Local) Recv() (comm.Message, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.queue) == 0 && !l.closed {
-		l.cond.Wait()
+		l.mu.Unlock()
+		<-l.more
+		l.mu.Lock()
 	}
 	if len(l.queue) == 0 {
 		return comm.Message{}, comm.ErrClosed

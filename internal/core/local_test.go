@@ -42,12 +42,19 @@ func TestInProcessMemberAttachesEndedJob(t *testing.T) {
 		return jb
 	}
 
-	// The member is not served yet, so it has sent no idle token and only
-	// Feed ships: the spec frame and the task wait on the link while the
-	// job ends, and its job-end frame queues behind them.
+	// The member is not served yet: an idle frame delivered on its behalf
+	// has its sender ship the spec frame and the task, which wait on the
+	// link while the job ends, and its job-end frame queues behind them.
 	ended := start(1)
-	if !d.Feed(member) {
-		t.Fatal("the driver shipped the member nothing")
+	d.Deliver(member, comm.Message{Kind: comm.KindIdle})
+	shipped := time.NewTimer(30 * time.Second)
+	defer shipped.Stop()
+	for progressed := d.Progress(); ended.RunStats().Messages == 0; progressed = d.Progress() {
+		select {
+		case <-progressed:
+		case <-shipped.C:
+			t.Fatal("the driver shipped the member nothing")
+		}
 	}
 	d.End(ended, context.Canceled)
 	served := make(chan error, 1)

@@ -324,7 +324,7 @@ func (p *Pool[T]) Lease(id int32, member int, ids []int32, now time.Time) (grant
 }
 
 // Undraw settles a draw the driver could not lease — the member went away
-// while its sender waited — by putting it back, charge refunded.
+// before it shipped — by putting it back, charge refunded.
 func (p *Pool[T]) Undraw(id int32, ids []int32) {
 	if e, ok := p.jobs[id]; ok {
 		e.drawn -= len(ids)

@@ -238,9 +238,7 @@ func (f *Fleet[T]) admit(c net.Conn) {
 		}
 		return
 	}
-	if f.d.AddMember(id, cn) {
-		f.d.StartSender(id)
-	} else {
+	if !f.d.AddMember(id, cn, true) {
 		// Closed since the welcome: dismiss it, then read (into a driver that
 		// takes nothing now) until it hangs up, so no unread frame resets it.
 		defer cn.Close()

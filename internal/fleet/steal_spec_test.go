@@ -75,25 +75,32 @@ func drainReady(f *Fleet[int32]) []int32 {
 }
 
 // TestFleetStealFeedsHungryMember drives the control tick's hunger pass by
-// hand: a member whose draw came back empty (Driver.Feed) is parked, and
-// the next Tick steals the tail half of the most loaded member's
-// undispatched backlog toward it — only when there is no queued work, the
-// beggar holds no lease, and the victim's entries are not racing a backup.
-// A graceful leave then revokes the victim's remaining leases.
+// hand: a member whose idle frame found nothing to draw is parked, and the
+// next Tick steals the tail half of the most loaded member's undispatched
+// backlog toward it — only when there is no queued work, the beggar holds
+// no lease, and the victim's entries are not racing a backup — and the
+// tick's walk hands the stolen batch to the beggar at the front of the
+// queue. A graceful leave then revokes the victim's remaining leases.
 func TestFleetStealFeedsHungryMember(t *testing.T) {
-	f, err := New[int32](Options{Addr: "127.0.0.1:0", Steal: true})
+	f, err := New[int32](Options{Addr: "127.0.0.1:0", Steal: true, Batch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	prob, _ := mustProblem(t, "edit")
+	prob, _ := mustProblem(t, "nussinov")
 	jb, err := f.newJob(1, prob, JobRequest{Name: "steal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The test leases by hand: nothing is queued but what the steals move.
-	if _, err := jb.Engine.Frontier(); err != nil {
+	// The test leases the roots by hand — the diagonal blocks, computable
+	// at once, so the walk can ship the stolen ones: nothing is queued but
+	// what the steals move.
+	roots, err := jb.Engine.Frontier()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(roots) < 4 {
+		t.Fatalf("%d roots, want 4 to lease", len(roots))
 	}
 	insertJob(t, f, jb)
 
@@ -101,20 +108,21 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	beggar := f.reg.Admit("beggar", "test")
 	for _, id := range []int{victim.ID, beggar.ID} {
 		_, end := core.NewLocal(func(comm.Message) {})
-		f.d.AddMember(id, end)
+		f.d.AddMember(id, end, false)
 	}
 	steals := &jb.Engine.Counters().Steals
 	now := time.Now() // the fleet runs on the wall clock
-	lease := func(v int32, slot int) {
+	lease := func(slot int) {
 		t.Helper()
-		if _, out := jb.Engine.Lease(victim.ID, v, slot, now); out != engine.Granted {
-			t.Fatalf("lease of vertex %d = %v, want Granted", v, out)
+		if _, out := jb.Engine.Lease(victim.ID, roots[slot], slot, now); out != engine.Granted {
+			t.Fatalf("lease of vertex %d = %v, want Granted", roots[slot], out)
 		}
 	}
 	park := func(id int) {
 		t.Helper()
-		if f.d.Feed(id) {
-			t.Fatalf("member %d drew from an empty pool", id)
+		f.d.Deliver(id, comm.Message{Kind: comm.KindIdle})
+		if got := jb.Engine.Load(id); id == beggar.ID && got != 0 {
+			t.Fatalf("member %d drew %d vertices from an empty pool", id, got)
 		}
 	}
 	thieves := func() (ids []int) {
@@ -127,18 +135,19 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	}
 
 	// A 1-deep backlog is never split.
-	lease(0, 0)
+	lease(0)
 	park(beggar.ID)
 	f.d.Tick(time.Now())
 	if got := steals.Load(); got != 0 {
 		t.Fatalf("steals = %d, want no steal from a 1-deep backlog", got)
 	}
-	for v := int32(1); v < 4; v++ {
-		lease(v, int(v))
+	for slot := 1; slot < 4; slot++ {
+		lease(slot)
 	}
 
-	// The idle beggar gets the newer half of the victim's backlog; the
-	// loaded victim, parked too and passed first, moves nothing itself.
+	// The idle beggar gets the newer half of the victim's backlog, and the
+	// tick's walk hands it to the beggar; the loaded victim, parked behind
+	// it, moves nothing: its pass finds the stolen work queued.
 	park(victim.ID)
 	f.d.Tick(time.Now())
 	if got := steals.Load(); got != 2 {
@@ -150,18 +159,17 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	if hungers, _ := f.d.Counts(); hungers != 1 {
 		t.Fatalf("hungers = %d, want the one pass that moved backlog", hungers)
 	}
-	if got := readyLen(f); got != 2 {
-		t.Fatalf("ready = %d vertices after the steal, want 2", got)
+	if got := readyLen(f); got != 0 {
+		t.Fatalf("ready = %d vertices after the steal, want the walk to have handed out both", got)
 	}
-	if got := jb.Engine.Load(victim.ID); got != 2 {
-		t.Fatalf("victim load = %d after the steal, want 2", got)
+	if victim, beggar := jb.Engine.Load(victim.ID), jb.Engine.Load(beggar.ID); victim != 2 || beggar != 2 {
+		t.Fatalf("loads after the steal: victim %d, beggar %d; want 2 and 2", victim, beggar)
 	}
 
-	// With work queued, a pass is a no-op: the beggar's sender will draw
-	// the requeued vertices without help.
+	// A parked member that holds leases of its own steals nothing back.
 	f.d.Tick(time.Now())
 	if got := steals.Load(); got != 2 {
-		t.Fatalf("steals = %d, want no re-steal while work is queued", got)
+		t.Fatalf("steals = %d, want no re-steal toward a member holding leases", got)
 	}
 
 	// A graceful leave revokes the remaining leases and requeues them.
@@ -169,8 +177,8 @@ func TestFleetStealFeedsHungryMember(t *testing.T) {
 	if got := jb.Engine.Load(victim.ID); got != 0 {
 		t.Fatalf("victim still holds %d leases after leaving", got)
 	}
-	if got := readyLen(f); got != 4 {
-		t.Fatalf("ready = %d after the leave revocation, want all 4", got)
+	if got := readyLen(f); got != 2 {
+		t.Fatalf("ready = %d after the leave revocation, want the victim's 2", got)
 	}
 	if _, _, _, revoked, reassigned := f.reg.MembershipCounts(); revoked != 2 || reassigned != 2 {
 		t.Fatalf("registry counts %d revoked, %d reassigned; want 2 and 2", revoked, reassigned)

@@ -30,6 +30,9 @@ type LeaseTable struct {
 	mu       sync.Mutex
 	seq      int
 	byVertex map[int32][]Lease
+	// loads is Loads until the table next changes (nil: not counted): one
+	// scan serves the hunger passes of a control tick, one per parked member.
+	loads map[int]int
 }
 
 // NewLeaseTable creates an empty table.
@@ -57,6 +60,7 @@ func (t *LeaseTable) Add(v int32, worker int, attempt int32, now time.Time) Leas
 // add appends a lease; callers hold t.mu.
 func (t *LeaseTable) add(v int32, worker int, attempt int32, now time.Time) Lease {
 	t.seq++
+	t.loads = nil
 	l := Lease{Vertex: v, Worker: worker, Attempt: attempt, Seq: t.seq, Granted: now}
 	t.byVertex[v] = append(t.byVertex[v], l)
 	return l
@@ -69,6 +73,7 @@ func (t *LeaseTable) Release(v int32) []Lease {
 	defer t.mu.Unlock()
 	ls := t.byVertex[v]
 	delete(t.byVertex, v)
+	t.loads = nil
 	return ls
 }
 
@@ -84,6 +89,7 @@ func (t *LeaseTable) ReleaseAttempt(v int32, attempt int32) (Lease, bool) {
 		return Lease{}, false
 	}
 	l := ls[i]
+	t.loads = nil
 	if ls = slices.Delete(ls, i, i+1); len(ls) == 0 {
 		delete(t.byVertex, v)
 	} else {
@@ -101,6 +107,7 @@ func (t *LeaseTable) RevokeWorker(worker int) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := t.held(worker)
+	t.loads = nil
 	for _, l := range out {
 		ls := slices.DeleteFunc(t.byVertex[l.Vertex], func(o Lease) bool { return o.Worker == worker })
 		if len(ls) == 0 {
@@ -173,29 +180,23 @@ func (t *LeaseTable) OlderThan(cutoff time.Time) []Lease {
 }
 
 // Load returns the number of vertices worker holds a lease on.
-func (t *LeaseTable) Load(worker int) (n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ls := range t.byVertex {
-		if slices.ContainsFunc(ls, func(l Lease) bool { return l.Worker == worker }) {
-			n++
-		}
-	}
-	return n
-}
+func (t *LeaseTable) Load(worker int) int { return t.Loads()[worker] }
 
 // Loads returns, for every worker holding at least one lease, the number
-// of vertices it holds one on.
+// of vertices it holds one on. The map is shared until the table changes:
+// read it, never write it.
 func (t *LeaseTable) Loads() map[int]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[int]int)
-	for _, ls := range t.byVertex {
-		for i, l := range ls {
-			if !slices.ContainsFunc(ls[:i], func(o Lease) bool { return o.Worker == l.Worker }) {
-				out[l.Worker]++
+	if t.loads == nil {
+		t.loads = make(map[int]int)
+		for _, ls := range t.byVertex {
+			for i, l := range ls {
+				if !slices.ContainsFunc(ls[:i], func(o Lease) bool { return o.Worker == l.Worker }) {
+					t.loads[l.Worker]++
+				}
 			}
 		}
 	}
-	return out
+	return t.loads
 }

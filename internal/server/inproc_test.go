@@ -155,7 +155,20 @@ func TestInProcessGoroutinesConstant(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	run(1)
+	// A member's worker starts its beacon as it begins to serve, which may
+	// come after the first job is done: count from the first job after
+	// which both members have computed.
+	jobs := 0
+	for served := false; !served; jobs++ {
+		if jobs == 100 {
+			t.Fatal("a member computed nothing in 100 jobs")
+		}
+		run(1)
+		served = true
+		for _, mb := range mgr.fleet.Registry().Members() {
+			served = served && mb.Completed > 0
+		}
+	}
 	one := runtime.NumGoroutine()
 	run(99)
 	if hundred := settled(one); hundred > one {

@@ -112,7 +112,6 @@ func (c *Cluster) activate(jb *Job) {
 	if jb.err == nil {
 		jb.job.Name, jb.job.Label = s.Name, fmt.Sprintf("sim: job %q", s.Name)
 		_ = c.d.Start(jb.job) // a job that failed or finished at its start has ended
-		c.dispatchAll()
 	}
 }
 

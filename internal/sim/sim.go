@@ -16,10 +16,10 @@
 // Every scheduling decision and the driver's frame order are the shipped
 // code, so a scenario assertion is a statement about the production
 // master, checked at scales (1000 workers) the CI box cannot host for
-// real. What is simulated is the I/O around it: workers, the wire,
-// heartbeats, and the moment a member counts as idle or hungry
-// (docs/SIM.md). Every frame is checked against the protocol order a real
-// worker relies on, and a violation fails the run.
+// real. What is simulated is the I/O around it: workers, the moment each
+// says it is idle, the wire and heartbeats (docs/SIM.md); which member
+// draws next is the driver's. Every frame is checked against the protocol
+// order a real worker relies on, and a violation fails the run.
 package sim
 
 import (
@@ -113,7 +113,6 @@ type Cluster struct {
 	seq int64
 
 	workers []*simWorker // admit order: member id k is workers[k-1]
-	idle    []int        // FIFO of idle member ids (stale tokens skipped lazily)
 
 	jobs []*Job // every submitted job, submission order: jobs[id-1]
 	ran  bool
@@ -188,7 +187,6 @@ func (c *Cluster) JoinAt(d time.Duration, n int) {
 		for i := 0; i < n; i++ {
 			c.admit()
 		}
-		c.dispatchAll()
 	})
 }
 
@@ -214,7 +212,6 @@ func (c *Cluster) KillRandomAt(d time.Duration, n int) {
 		for _, w := range alive[:min(n, len(alive))] {
 			c.kill(w)
 		}
-		c.dispatchAll()
 	})
 }
 
@@ -232,10 +229,7 @@ func (c *Cluster) PartitionAt(d time.Duration, idx int, dur time.Duration) {
 	c.At(d+dur, func() {
 		if w := c.workerAt(idx); w != nil && w.alive {
 			w.partitioned = false
-			if !w.declaredDead {
-				c.noteIdleIfFree(w)
-				c.dispatchAll()
-			}
+			c.free(w)
 		}
 	})
 }
@@ -250,7 +244,6 @@ func (c *Cluster) CancelAt(d time.Duration, name string) {
 		for _, jb := range c.jobs {
 			if jb.spec.Name == name && jb.job != nil && !jb.job.Finished() {
 				c.d.End(jb.job, fmt.Errorf("sim: job %q cancelled by script", name))
-				c.dispatchAll()
 			}
 		}
 	})
@@ -274,15 +267,15 @@ func (c *Cluster) workerAt(idx int) *simWorker {
 	return c.workers[idx]
 }
 
-// admit registers one fresh worker with the registry and the driver and
-// queues it for dispatch.
+// admit registers one fresh worker with the registry and the driver, and
+// the worker tells the driver it is idle.
 func (c *Cluster) admit() {
 	m := c.reg.Admit(fmt.Sprintf("w%d", len(c.workers)), "sim")
 	w := &simWorker{c: c, member: m.ID, alive: true, speed: 1,
 		held: core.NewAttached[int32](), attached: make(map[int32]bool)}
 	c.workers = append(c.workers, w)
-	c.d.AddMember(w.member, w)
-	c.idle = append(c.idle, w.member)
+	c.d.AddMember(w.member, w, false)
+	c.free(w)
 }
 
 // kill marks w dead immediately (process crash): its in-flight work
@@ -297,7 +290,6 @@ func (c *Cluster) kill(w *simWorker) {
 	w.cur = nil
 	w.queue = nil
 	c.d.Down(w.member, errors.New("sim: worker killed"))
-	c.dispatchAll()
 }
 
 // Run executes the scripted simulation to completion: until every
@@ -349,8 +341,8 @@ func (c *Cluster) finishedAll() bool {
 // past the miss window (the worker itself keeps computing, and its results
 // are refused as stale, exactly like a real partitioned worker whose
 // connection the master tore down), deadlines, overtime expiry, straggler
-// flags and the tuner, after the hunger passes for the members whose draw
-// came back empty — then dispatch, and re-arm until every job is done.
+// flags and the tuner, after the hunger passes for the parked members, then
+// the walk for what they queued — and re-arm until every job is done.
 func (c *Cluster) scheduleTick() {
 	c.after(c.opts.Pool.CheckInterval, func() {
 		for _, w := range c.workers {
@@ -359,7 +351,6 @@ func (c *Cluster) scheduleTick() {
 			}
 		}
 		c.d.Tick(c.clock.Now())
-		c.dispatchAll()
 		if !c.finishedAll() {
 			c.scheduleTick()
 		}

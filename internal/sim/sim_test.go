@@ -362,7 +362,8 @@ func TestProtocolOrderChecker(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.activate(c.jobs[0])
-			c.admit() // after the job started, so the driver sends it nothing
+			c.d.End(c.jobs[0].job, errors.New("ended")) // so the driver sends the worker nothing
+			c.admit()
 			w := c.workers[0]
 			for i, f := range tc.frames {
 				if tc.revoked && i == len(tc.frames)-1 {

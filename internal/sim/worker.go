@@ -42,7 +42,7 @@ type simWorker struct {
 // worker relies on — a job's spec before its first task, nothing of a job
 // after its JobEnd, nothing after the revocation that closed the link —
 // then queues it, worked at once if the worker is free. It never calls the
-// driver (which holds attachMu) and queues no idle token (detach walks the
+// driver (which holds attachMu) and sends no idle frame (detach walks the
 // driver's members in map order).
 func (w *simWorker) Send(msg comm.Message) error {
 	att, seen := w.attached[msg.Job]
@@ -135,9 +135,11 @@ func (c *Cluster) serviceTime(task comm.Message, w *simWorker) time.Duration {
 	return time.Duration(max(d, 1))
 }
 
-// complete fires when the worker's current task finishes: the result its
-// runner computed on the region the frame carried goes to the driver
-// unless the worker is cut off or the job is over. A swept but healed
+// complete fires when the worker's current task finishes: the worker
+// starts its next queued task, and the result its runner computed on the
+// region the frame carried goes to the driver — saying the worker is idle
+// unless it went on to another task (More) — or, when the worker is cut
+// off or the job is over, just the idle frame (free). A swept but healed
 // worker still delivers, refused in attempt arbitration; a stale
 // generation means the worker crashed and the answer never left it.
 func (c *Cluster) complete(w *simWorker, gen int) {
@@ -146,12 +148,12 @@ func (c *Cluster) complete(w *simWorker, gen int) {
 	}
 	task, out := *w.cur, w.out
 	w.cur, w.out = nil, nil
-	if w.ok && w.alive && !w.partitioned && !c.jobs[task.Job-1].job.Finished() {
-		c.d.Deliver(w.member, comm.Message{Kind: comm.KindResult, Job: task.Job, Vertex: task.Vertex, Attempt: task.Attempt, Payload: out})
-	}
 	c.advance(w)
-	c.noteIdleIfFree(w)
-	c.dispatchAll()
+	if w.ok && w.alive && !w.partitioned && !c.jobs[task.Job-1].job.Finished() {
+		c.d.Deliver(w.member, comm.Message{Kind: comm.KindResult, Job: task.Job, Vertex: task.Vertex, Attempt: task.Attempt, Payload: out, More: !w.ready()})
+	} else {
+		c.free(w)
+	}
 }
 
 // run computes one task through its job's runner, as a worker's loop
@@ -175,31 +177,10 @@ func (c *Cluster) attach(msg comm.Message) (*core.TaskRunner[int32], error) {
 	return c.jobs[msg.Job-1].job.Runner(core.Config{Threads: 1})
 }
 
-// noteIdleIfFree queues an idle token for w if it can take work.
-func (c *Cluster) noteIdleIfFree(w *simWorker) {
+// free sends the driver w's idle frame if w can take work: what a real
+// worker sends when it has no result to carry the news.
+func (c *Cluster) free(w *simWorker) {
 	if w.ready() {
-		c.idle = append(c.idle, w.member)
+		c.d.Deliver(w.member, comm.Message{Kind: comm.KindIdle})
 	}
-}
-
-// dispatchAll hands idle tokens to Driver.Feed in FIFO order, discarding
-// stale tokens (dead, partitioned, busy workers) on the way. A token the
-// driver finds no work for keeps its place and the walk goes on: under a
-// static order (BCW) another member may own ready work. Behind the first
-// refusal stale tokens keep their places too. Where any member may take
-// any vertex the driver refuses every token behind the first refusal, so
-// the queue left is the one a walk stopping there would leave. It is
-// called at the end of every event that could open work or free a worker.
-func (c *Cluster) dispatchAll() {
-	kept, refused := c.idle[:0], false
-	for _, m := range c.idle {
-		switch ready := c.workers[m-1].ready(); {
-		case ready && !c.d.Feed(m):
-			refused = true
-			kept = append(kept, m)
-		case !ready && refused:
-			kept = append(kept, m)
-		}
-	}
-	c.idle = kept
 }

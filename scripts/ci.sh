@@ -232,7 +232,7 @@ check_lines() {
     fi
     echo "size: $* $lines non-test lines (<= $max)"
 }
-check_lines 6694 internal/core internal/fleet internal/sim internal/engine internal/sched
+check_lines 6687 internal/core internal/fleet internal/sim internal/engine internal/sched
 # The transport: wire frames, the join handshake, and the channel network
 # and loopback TCP pair that only the repo benchmark's replay still times
 # (no runtime path uses either). A second handshake or master rendezvous
@@ -407,6 +407,23 @@ if [ -n "$beacons" ]; then
 fi
 echo "calls: no KindHunger, KindUser, HungerAfter, noteActivity or armHunger in non-test Go"
 
+# And one feed rule for every member: a member whose idle token comes back
+# joins the driver's parked queue, and each step that queues work or frees
+# quota room walks it from the front (core.Driver.feed), handing each draw
+# to the member it names. So no non-test code in internal/core waits on a
+# condition variable or broadcasts one — a commit wakes no sender but the
+# one it hands a draw — and none in internal/sim keeps an idle list or
+# walks one of its own. A second feed rule must not return unnoticed.
+feeds=$( (grep -nE 'sync\.Cond|\.Broadcast\(' $(ls internal/core/*.go | grep -v '_test\.go$') /dev/null
+    grep -nE '(^|[^A-Za-z0-9_])(dispatchAll|noteIdleIfFree)([^A-Za-z0-9_]|$)|(^|[^A-Za-z0-9_])c\.idle([^A-Za-z0-9_]|$)' \
+        $(ls internal/sim/*.go | grep -v '_test\.go$') /dev/null) || true)
+if [ -n "$feeds" ]; then
+    echo "calls: the driver's parked queue names who draws next, for every member:" >&2
+    echo "$feeds" >&2
+    exit 1
+fi
+echo "calls: no sync.Cond or Broadcast in non-test internal/core, no idle list or walk in non-test internal/sim"
+
 # And the worker is one loop, as the master is one driver: core.Worker.Serve
 # is the one non-test caller of comm.ServeTasks, and TaskRunner.Run the one
 # of computeBlock, for in-process members and fleet worker processes alike;
@@ -514,7 +531,7 @@ fi
 echo "calls: no runner built in internal/server or internal/sim, no Attach closure in RunContext"
 
 # And the simulator runs the shipped driver: it steps core.Driver (Start,
-# Feed, Deliver, Down, Tick, End) from its event loop, so no non-test code
+# Deliver, Down, Tick, End) from its event loop, so no non-test code
 # in internal/sim builds a pool or draws, leases, encodes or commits a task
 # itself. A second master under the simulator must not arrive unnoticed.
 sim_calls=$(grep -nE 'engine\.NewPool|\.Draw\(|\.Lease\(|TaskPayload\(|\.Complete\(' \
